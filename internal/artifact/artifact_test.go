@@ -3,8 +3,11 @@ package artifact
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/order"
@@ -135,6 +138,53 @@ func TestStoreBuildErrorNotCached(t *testing.T) {
 	}
 	if got := s.Stats().Evictions; got != 0 {
 		t.Fatalf("failed build counted as eviction: %d", got)
+	}
+}
+
+// Regression: a panicking build used to leave the entry's done channel
+// open, so every waiter blocked forever and the entry stayed pinned
+// against eviction. The panic must reach builder and waiter as an error,
+// and the key must be gone and buildable again.
+func TestStoreBuildPanicReleasesWaiters(t *testing.T) {
+	s := NewStore(1)
+	k := key("k", 1)
+	building := make(chan struct{})
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, _, err := s.GetOrBuild(k, func() (any, error) {
+			close(building)
+			<-release
+			panic("boom")
+		})
+		errs <- err
+	}()
+	<-building
+	go func() {
+		_, _, err := s.GetOrBuild(k, func() (any, error) { return "second build", nil })
+		errs <- err
+	}()
+	// The waiter is counted as a hit once it has found the in-flight entry.
+	for s.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "artifact: build panicked: boom") {
+				t.Fatalf("err = %v, want the build panic", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("GetOrBuild still blocked after its build panicked")
+		}
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("len = %d after a panicked build, want 0", n)
+	}
+	v, cached, err := s.GetOrBuild(k, func() (any, error) { return 42, nil })
+	if err != nil || cached || v != 42 {
+		t.Fatalf("rebuild after panic: v=%v cached=%v err=%v", v, cached, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 )
 
@@ -52,8 +53,9 @@ func NewStore(capacity int) *Store {
 // GetOrBuild returns the artifact stored under k, building it with build
 // on a miss. The second result reports whether the artifact came from the
 // cache (true also when this call joined another caller's in-flight
-// build). A build error is returned to every waiting caller and the entry
-// is dropped, so a later call retries.
+// build). A build error — or a panic in build, reported as an error — is
+// returned to every waiting caller and the entry is dropped, so a later
+// call retries.
 func (s *Store) GetOrBuild(k Key, build func() (any, error)) (any, bool, error) {
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
@@ -71,7 +73,7 @@ func (s *Store) GetOrBuild(k Key, build func() (any, error)) (any, bool, error) 
 	s.total.Misses++
 	s.mu.Unlock()
 
-	e.val, e.err = build()
+	e.val, e.err = runBuild(build)
 	close(e.done)
 
 	s.mu.Lock()
@@ -82,6 +84,18 @@ func (s *Store) GetOrBuild(k Key, build func() (any, error)) (any, bool, error) 
 	}
 	s.mu.Unlock()
 	return e.val, false, e.err
+}
+
+// runBuild calls build, turning a panic into an error: an entry whose
+// done channel never closed would block its waiters forever and stay
+// pinned against eviction.
+func runBuild(build func() (any, error)) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("artifact: build panicked: %v", r)
+		}
+	}()
+	return build()
 }
 
 // Len returns the number of entries (completed and in-flight).

@@ -1,0 +1,525 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/numeric"
+	"repro/internal/sparse"
+	"repro/internal/symbolic"
+)
+
+// Program is the compiled form of one column-partitioned task graph over
+// one symbolic factor — in particular the merged tile-segment graph of a
+// 2D tile schedule (part2d.Tasks) or the column graph of a 1D schedule
+// (ColumnTasksMapped with elemTask = numeric.ColIndex). Compile validates
+// the graph once and lays it out as flat arrays; Run then factorizes any
+// matrix with the factor's pattern, any number of times and from any
+// number of goroutines at once, doing no per-run work beyond scattering
+// the values and resetting the dependency counters.
+//
+// The factor a Run produces is bit-for-bit equal to numeric.Factorize
+// (numeric.FactorizeLDL with ldl set): every column's updates are applied
+// in the serial left-looking chain order (numeric.Chains) with the
+// identical association, so every element sees exactly the serial
+// sequence of floating-point operations however the tasks interleave.
+// That makes the run deterministic and the comm-aware makespan simulators
+// falsifiable — the task graph they predict is what actually runs.
+type Program struct {
+	f *symbolic.Factor
+	p int
+
+	proc []int32 // task -> worker
+	col  []int32 // task -> its target column
+	// whole marks a task that owns every element of its column: it runs
+	// the serial inner loop verbatim. A partial task (a 2D tile segment)
+	// lists its elements in elems[elemPtr[t]:elemPtr[t+1]], ascending.
+	whole   []bool
+	elemPtr []int32
+	elems   []int32
+
+	indeg   []int32 // task -> number of predecessors
+	succPtr []int32 // successors of t are succ[succPtr[t]:succPtr[t+1]]
+	succ    []int32
+	own     []int32 // worker -> number of tasks
+
+	head, pos []int32 // the serial update schedule (numeric.Chains)
+	colOf     []int32 // factor position -> column (numeric.ColIndex)
+}
+
+// Compile validates a task graph for the factor f on p workers and lays it
+// out for execution. tasks must be topologically ordered by ID with
+// processors in [0, p), and elemTask must assign every factor position to
+// a task of its own column; malformed inputs are reported as errors (the
+// validator is shared with ParallelSolve), never as panics or races.
+func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
+	if err := checkProcCount(p); err != nil {
+		return nil, err
+	}
+	if err := checkTasks(tasks, p); err != nil {
+		return nil, err
+	}
+	if len(elemTask) != f.NNZ() {
+		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
+	}
+	nt := len(tasks)
+	pg := &Program{
+		f: f, p: p,
+		proc:    make([]int32, nt),
+		col:     make([]int32, nt),
+		whole:   make([]bool, nt),
+		elemPtr: make([]int32, nt+1),
+		indeg:   make([]int32, nt),
+		succPtr: make([]int32, nt+1),
+		own:     make([]int32, p),
+		colOf:   numeric.ColIndex(f),
+	}
+	// Pin the one-column-per-task invariant the kernel relies on and count
+	// every task's elements (into elemPtr[t+1], prefix-summed below).
+	for i := range pg.col {
+		pg.col[i] = -1
+	}
+	for q, t := range elemTask {
+		if t < 0 || int(t) >= nt {
+			return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
+		}
+		j := pg.colOf[q]
+		if pg.col[t] >= 0 && pg.col[t] != j {
+			return nil, fmt.Errorf("exec: task %d spans columns %d and %d", t, pg.col[t], j)
+		}
+		pg.col[t] = j
+		pg.elemPtr[t+1]++
+	}
+	for t := 0; t < nt; t++ {
+		if j := pg.col[t]; j >= 0 && int(pg.elemPtr[t+1]) == f.ColLen(int(j)) {
+			pg.whole[t] = true
+			pg.elemPtr[t+1] = 0 // a whole column needs no element list
+		}
+		pg.elemPtr[t+1] += pg.elemPtr[t]
+	}
+	pg.elems = make([]int32, pg.elemPtr[nt])
+	fill := append([]int32(nil), pg.elemPtr[:nt]...)
+	for q, t := range elemTask {
+		if !pg.whole[t] {
+			pg.elems[fill[t]] = int32(q)
+			fill[t]++
+		}
+	}
+	// Successor lists, the transpose of Preds, in ascending task order.
+	for i := range tasks {
+		t := &tasks[i]
+		pg.proc[i] = t.Proc
+		pg.own[t.Proc]++
+		pg.indeg[i] = int32(len(t.Preds))
+		for _, pr := range t.Preds {
+			pg.succPtr[pr+1]++
+		}
+	}
+	for t := 0; t < nt; t++ {
+		pg.succPtr[t+1] += pg.succPtr[t]
+	}
+	pg.succ = make([]int32, pg.succPtr[nt])
+	copy(fill, pg.succPtr[:nt])
+	for i := range tasks {
+		for _, pr := range tasks[i].Preds {
+			pg.succ[fill[pr]] = int32(i)
+			fill[pr]++
+		}
+	}
+	pg.head, pg.pos = numeric.Chains(f)
+	return pg, nil
+}
+
+// Run factorizes m, whose pattern must be a subset of the program's
+// factor structure, with one worker goroutine per processor that owns a
+// task. Each worker drains a ready queue of its own tasks, lowest ID
+// first; the worker that retires a task's last predecessor feeds it to its
+// owner's queue, waking the owner if it is parked. A single-processor
+// program runs inline in ID order. With record set every task execution
+// is timestamped (nanoseconds since the workers started) and the events
+// are returned indexed by task ID; Cause is the predecessor whose
+// retirement released a task its worker was parked for, -1 otherwise.
+//
+// A pivot the serial kernel would reject is reported as an error naming
+// the same column; every worker has exited by the time Run returns.
+func (pg *Program) Run(m *sparse.Matrix, ldl, record bool) (*NumericFactor, []TaskEvent, error) {
+	if m.Val == nil {
+		return nil, nil, fmt.Errorf("exec: matrix has no values")
+	}
+	if m.N != pg.f.N {
+		return nil, nil, fmt.Errorf("exec: dimension mismatch %d vs %d", m.N, pg.f.N)
+	}
+	r := &run{pg: pg, val: numeric.ScatterA(m, pg.f), ldl: ldl}
+	if record {
+		r.events = make([]TaskEvent, len(pg.proc))
+		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
+		r.t0 = time.Now()
+	}
+	if pg.p == 1 {
+		k := r.newKernel()
+		var prev int64
+		for t := 0; t < len(pg.proc) && r.err == nil; t++ {
+			r.err = r.exec(k, int32(t), 0, -1, &prev)
+		}
+	} else {
+		r.parallel()
+	}
+	if r.err != nil {
+		return nil, nil, r.err
+	}
+	return &NumericFactor{F: pg.f, Val: r.val}, r.events, nil
+}
+
+// parallel starts one worker per processor that owns a task and waits for
+// all of them.
+func (r *run) parallel() {
+	pg := r.pg
+	r.pending = make([]atomic.Int32, len(pg.indeg))
+	ready := make([][]int32, pg.p) // ascending, so already heap-ordered
+	for t, d := range pg.indeg {
+		r.pending[t].Store(d)
+		if d == 0 {
+			ready[pg.proc[t]] = append(ready[pg.proc[t]], int32(t))
+		}
+	}
+	r.queues = make([]*readyQueue, pg.p)
+	for w := range r.queues {
+		if pg.own[w] > 0 {
+			r.queues[w] = &readyQueue{wake: make(chan struct{}, 1), heap: ready[w], wokenFor: -1}
+		}
+	}
+	var wg sync.WaitGroup
+	for w, q := range r.queues {
+		if q == nil {
+			continue
+		}
+		wg.Add(1)
+		//repro:allow nondeterminism -- one worker per processor over the task DAG; a column's updates replay the serial chain order inside one task and tasks are ordered by their dependency counters, pinned bitwise by TestParallelFactorizeBitIdentity under -race
+		go func(w int32) {
+			defer wg.Done()
+			r.work(w)
+		}(int32(w))
+	}
+	wg.Wait()
+}
+
+// run is the state of one Program.Run.
+type run struct {
+	pg      *Program
+	val     []float64
+	ldl     bool
+	pending []atomic.Int32 // task -> predecessors still running
+	queues  []*readyQueue  // one per worker; nil for a worker with no task
+
+	aborted  atomic.Bool
+	failOnce sync.Once
+	err      error
+
+	events []TaskEvent // by task ID; nil unless recording
+	t0     time.Time
+}
+
+// readyQueue is one worker's min-heap of ready task IDs. Any worker
+// pushes; only the owner pops and parks.
+type readyQueue struct {
+	wake chan struct{} // one slot: a token sent before the owner parks is kept
+
+	mu     sync.Mutex
+	heap   []int32
+	parked bool
+	// wokenFor is the task whose push unparked the owner and wokenBy the
+	// predecessor that pushed it.
+	wokenFor, wokenBy int32
+}
+
+// signal unparks the owner. The slot is free whenever a push found the
+// owner parked; it can be taken only by fail's token, which wakes it too.
+func (q *readyQueue) signal() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// push adds ready task t, released by the retirement of task by, and wakes
+// the owner if it was parked.
+func (q *readyQueue) push(t, by int32) {
+	q.mu.Lock()
+	h := append(q.heap, t)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	q.heap = h
+	wake := q.parked
+	if wake {
+		q.parked = false
+		q.wokenFor, q.wokenBy = t, by
+	}
+	q.mu.Unlock()
+	if wake {
+		q.signal()
+	}
+}
+
+// pop removes the lowest ready task and the predecessor that woke the
+// owner for it (-1 if none); with nothing ready it marks the owner parked
+// and returns ok false.
+func (q *readyQueue) pop() (t, cause int32, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	h := q.heap
+	if len(h) == 0 {
+		q.parked = true
+		return 0, -1, false
+	}
+	t = h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	q.heap = h
+	cause = -1
+	if t == q.wokenFor {
+		cause, q.wokenFor = q.wokenBy, -1
+	}
+	return t, cause, true
+}
+
+// fail records the first error and stops every worker.
+func (r *run) fail(err error) {
+	r.failOnce.Do(func() {
+		r.err = err
+		r.aborted.Store(true)
+		for _, q := range r.queues {
+			if q != nil {
+				q.signal()
+			}
+		}
+	})
+}
+
+// work is worker w's loop: run own ready tasks until all are done, park
+// when none is ready.
+func (r *run) work(w int32) {
+	pg := r.pg
+	q := r.queues[w]
+	k := r.newKernel()
+	var prev int64
+	for left := pg.own[w]; left > 0; {
+		if r.aborted.Load() {
+			return
+		}
+		t, cause, ok := q.pop()
+		if !ok {
+			<-q.wake
+			continue
+		}
+		if err := r.exec(k, t, w, cause, &prev); err != nil {
+			r.fail(err)
+			return
+		}
+		left--
+		for _, s := range pg.succ[pg.succPtr[t]:pg.succPtr[t+1]] {
+			if r.pending[s].Add(-1) == 0 {
+				r.queues[pg.proc[s]].push(s, t)
+			}
+		}
+	}
+}
+
+// exec runs task t on worker w, recording its event when asked; prev is
+// the worker's previous finish time.
+func (r *run) exec(k *kernel, t, w, cause int32, prev *int64) error {
+	if r.events == nil {
+		return k.task(t)
+	}
+	start := time.Since(r.t0).Nanoseconds()
+	if err := k.task(t); err != nil {
+		return err
+	}
+	finish := time.Since(r.t0).Nanoseconds()
+	r.events[t] = TaskEvent{
+		Task: t, Proc: w,
+		Start: start, Finish: finish,
+		Work:  finish - start,
+		Stall: start - *prev, Cause: cause,
+	}
+	*prev = finish
+	return nil
+}
+
+// kernel is one worker's numeric state: the dense accumulator of the
+// column in progress, as in numeric.Factorize, and for partial tasks the
+// stamp that marks the rows the task owns.
+type kernel struct {
+	r     *run
+	w     []float64
+	stamp []int32
+	round int32
+}
+
+func (r *run) newKernel() *kernel {
+	k := &kernel{r: r, w: make([]float64, r.pg.f.N)}
+	if len(r.pg.elems) > 0 {
+		k.stamp = make([]int32, r.pg.f.N)
+	}
+	return k
+}
+
+// task applies the target column's updates to task t's elements in the
+// serial chain order, then scales them.
+func (k *kernel) task(t int32) error {
+	pg := k.r.pg
+	j := int(pg.col[t])
+	if j < 0 {
+		return nil // a task with no elements
+	}
+	if pg.whole[t] {
+		return k.wholeColumn(j)
+	}
+	return k.partial(j, pg.elems[pg.elemPtr[t]:pg.elemPtr[t+1]])
+}
+
+// wholeColumn is one iteration of the serial left-looking loop: the same
+// operations in the same order as numeric.Factorize / FactorizeLDL, with
+// the chain bookkeeping read from the compiled schedule.
+func (k *kernel) wholeColumn(j int) error {
+	pg, val, w := k.r.pg, k.r.val, k.w
+	f := pg.f
+	lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+	rows, col := f.RowInd[lo:hi], val[lo:hi]
+	for x, i := range rows {
+		w[i] = col[x]
+	}
+	ldl := k.r.ldl
+	for _, p := range pg.pos[pg.head[j]:pg.head[j+1]] {
+		c := int(pg.colOf[p])
+		end := f.ColPtr[c+1]
+		rs, vs := f.RowInd[p:end], val[p:end]
+		ljk := vs[0]
+		if ldl {
+			dk := val[f.ColPtr[c]]
+			for x, i := range rs {
+				w[i] -= vs[x] * dk * ljk
+			}
+		} else {
+			for x, i := range rs {
+				w[i] -= vs[x] * ljk
+			}
+		}
+	}
+	d := w[j]
+	if err := checkPivot(d, j, ldl); err != nil {
+		return err
+	}
+	if !ldl {
+		d = math.Sqrt(d)
+	}
+	col[0] = d
+	for x := 1; x < len(rows); x++ {
+		col[x] = w[rows[x]] / d
+	}
+	return nil
+}
+
+// partial runs a task owning only some rows of column j (elems, ascending
+// positions): the stamp filters every source column down to those rows.
+func (k *kernel) partial(j int, elems []int32) error {
+	pg, val, w, stamp := k.r.pg, k.r.val, k.w, k.stamp
+	f := pg.f
+	k.round++
+	round := k.round
+	for _, q := range elems {
+		i := f.RowInd[q]
+		w[i] = val[q]
+		stamp[i] = round
+	}
+	ldl := k.r.ldl
+	for _, p := range pg.pos[pg.head[j]:pg.head[j+1]] {
+		c := int(pg.colOf[p])
+		end := f.ColPtr[c+1]
+		rs, vs := f.RowInd[p:end], val[p:end]
+		// ljk (and D[k] for LDL) are loaded lazily, on the first row this
+		// task owns: the update (i, j) <- (i, k), (j, k) then guarantees
+		// both source tasks are among this task's predecessors, so the
+		// reads are synchronized. A chain entry touching none of the
+		// task's rows must not read column k at all — its tasks may still
+		// be in flight.
+		loaded := false
+		var ljk, dk float64
+		for x, i := range rs {
+			if stamp[i] != round {
+				continue
+			}
+			if !loaded {
+				ljk = vs[0]
+				if ldl {
+					dk = val[f.ColPtr[c]]
+				}
+				loaded = true
+			}
+			if ldl {
+				w[i] -= vs[x] * dk * ljk
+			} else {
+				w[i] -= vs[x] * ljk
+			}
+		}
+	}
+	diag := int32(f.ColPtr[j])
+	var d float64
+	if elems[0] == diag {
+		// This task owns the diagonal: compute the pivot and scale its own
+		// off-diagonal elements.
+		d = w[j]
+		if err := checkPivot(d, j, ldl); err != nil {
+			return err
+		}
+		if !ldl {
+			d = math.Sqrt(d)
+		}
+		val[diag] = d
+		elems = elems[1:]
+	} else {
+		// The diagonal belongs to another task; the scale dependency
+		// (ForEachScale in the task graph) guarantees it is final.
+		d = val[diag]
+	}
+	for _, q := range elems {
+		val[q] = w[f.RowInd[q]] / d
+	}
+	return nil
+}
+
+// checkPivot applies the serial kernels' pivot rule to column j's updated
+// diagonal: finite and positive for Cholesky, finite and nonzero for LDLᵀ.
+func checkPivot(v float64, j int, ldl bool) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 || (!ldl && v < 0) {
+		want := "positive"
+		if ldl {
+			want = "nonzero"
+		}
+		return fmt.Errorf("exec: unusable pivot %g at column %d (want finite %s)", v, j, want)
+	}
+	return nil
+}

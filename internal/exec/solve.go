@@ -113,7 +113,7 @@ func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]fl
 //	forward:  z[j] = b[j] - Σ_{k in rowstruct(j)} L[j,k]·z[k]
 //	backward: x[j] = z[j]/D[j] - Σ_{i in struct(j), i>j} L[i,j]·x[i]
 //
-// Together with ParallelFactorizeLDL / ParallelFactorize2DLDL this closes
+// Together with ParallelFactorizeLDL / Program.Run's LDLᵀ kernel this closes
 // the LDLᵀ pipeline: both kernels now factor *and* solve in parallel
 // under any column-ownership schedule.
 func ParallelSolveLDL(ldl *numeric.LDL, s *sched.Schedule, b []float64) ([]float64, error) {

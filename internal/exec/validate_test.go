@@ -9,6 +9,8 @@ import (
 	"repro/internal/gen"
 	"repro/internal/numeric"
 	"repro/internal/sched"
+	"repro/internal/sparse"
+	"repro/internal/symbolic"
 )
 
 // Regression: ParallelSolve used to index its per-processor buckets with
@@ -81,6 +83,16 @@ func serialColumnTasks(p *pipe) ([]Task, []int32) {
 	return tasks, elemTask
 }
 
+// compileRun is the whole engine on one input: Compile, then one Run.
+func compileRun(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, elemTask []int32, ldl bool) (*NumericFactor, error) {
+	pg, err := Compile(f, p, tasks, elemTask)
+	if err != nil {
+		return nil, err
+	}
+	nf, _, err := pg.Run(m, ldl, false)
+	return nf, err
+}
+
 func TestParallelFactorize2DSerialGraph(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	tasks, elemTask := serialColumnTasks(p)
@@ -88,7 +100,7 @@ func TestParallelFactorize2DSerialGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParallelFactorize2D(p.m, p.f, 1, tasks, elemTask)
+	got, err := compileRun(p.m, p.f, 1, tasks, elemTask, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,52 +119,52 @@ func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 		run  func() error
 	}{
 		{"zero procs", func() error {
-			_, err := ParallelFactorize2D(p.m, p.f, 0, tasks, elemTask)
+			_, err := compileRun(p.m, p.f, 0, tasks, elemTask, false)
 			return err
 		}},
 		{"no values", func() error {
 			pat := *p.m
 			pat.Val = nil
-			_, err := ParallelFactorize2D(&pat, p.f, 1, tasks, elemTask)
+			_, err := compileRun(&pat, p.f, 1, tasks, elemTask, false)
 			return err
 		}},
 		{"short elemTask", func() error {
-			_, err := ParallelFactorize2D(p.m, p.f, 1, tasks, elemTask[:3])
+			_, err := compileRun(p.m, p.f, 1, tasks, elemTask[:3], false)
 			return err
 		}},
 		{"task out of range", func() error {
 			bad := make([]int32, len(elemTask))
 			copy(bad, elemTask)
 			bad[0] = int32(len(tasks))
-			_, err := ParallelFactorize2D(p.m, p.f, 1, tasks, bad)
+			_, err := compileRun(p.m, p.f, 1, tasks, bad, false)
 			return err
 		}},
 		{"task spans columns", func() error {
 			bad := make([]int32, len(elemTask))
 			copy(bad, elemTask)
 			bad[p.f.ColPtr[1]] = 0 // column 1's diagonal into column 0's task
-			_, err := ParallelFactorize2D(p.m, p.f, 1, tasks, bad)
+			_, err := compileRun(p.m, p.f, 1, tasks, bad, false)
 			return err
 		}},
 		{"proc out of range", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].Proc = 5
-			_, err := ParallelFactorize2D(p.m, p.f, 1, bad, elemTask)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
 			return err
 		}},
 		{"forward pred", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].Preds = []int32{1}
-			_, err := ParallelFactorize2D(p.m, p.f, 1, bad, elemTask)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
 			return err
 		}},
 		{"task ID out of order", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].ID = 3
-			_, err := ParallelFactorize2D(p.m, p.f, 1, bad, elemTask)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
 			return err
 		}},
 	}
@@ -172,10 +184,10 @@ func TestParallelFactorize2DRejectsBadPivot(t *testing.T) {
 	m.Val = make([]float64, len(p.m.Val))
 	copy(m.Val, p.m.Val)
 	m.Val[m.ColPtr[0]] = math.Inf(1)
-	if _, err := ParallelFactorize2D(&m, p.f, 1, tasks, elemTask); err == nil {
+	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, false); err == nil {
 		t.Fatal("Cholesky: expected pivot error for +Inf diagonal")
 	}
-	if _, err := ParallelFactorize2DLDL(&m, p.f, 1, tasks, elemTask); err == nil {
+	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, true); err == nil {
 		t.Fatal("LDL: expected pivot error for +Inf diagonal")
 	}
 }

@@ -29,6 +29,7 @@ func Chains(f *symbolic.Factor) (head, pos []int32) {
 		nextCol[i] = -1
 	}
 	head = make([]int32, n+1)
+	pos = make([]int32, 0, f.NNZ()-n) // one entry per off-diagonal element
 	for j := 0; j < n; j++ {
 		for k := link[j]; k != -1; {
 			nk := nextCol[k]

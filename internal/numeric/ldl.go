@@ -61,9 +61,10 @@ func FactorizeLDL(m *sparse.Matrix, f *symbolic.Factor) (*LDL, error) {
 			p := ptr[k]
 			end := f.ColPtr[k+1]
 			dk := val[f.ColPtr[k]] // D[k]
-			ljk := val[p]
-			for q := p; q < end; q++ {
-				w[f.RowInd[q]] -= val[q] * dk * ljk
+			rs, vs := f.RowInd[p:end], val[p:end]
+			ljk := vs[0]
+			for x, i := range rs {
+				w[i] -= vs[x] * dk * ljk
 			}
 			ptr[k] = p + 1
 			if p+1 < end {
@@ -82,8 +83,9 @@ func FactorizeLDL(m *sparse.Matrix, f *symbolic.Factor) (*LDL, error) {
 		}
 		base := f.ColPtr[j]
 		val[base] = pivot
-		for q := base + 1; q < f.ColPtr[j+1]; q++ {
-			val[q] = w[f.RowInd[q]] / pivot
+		vs := val[base+1 : f.ColPtr[j+1]]
+		for x, i := range cj[1:] {
+			vs[x] = w[i] / pivot
 		}
 		if f.ColPtr[j+1] > base+1 {
 			ptr[j] = base + 1
@@ -102,10 +104,11 @@ func (l *LDL) Solve(b []float64) []float64 {
 	x := append([]float64(nil), b...)
 	// Forward: L z = b (unit diagonal).
 	for j := 0; j < n; j++ {
-		base := l.F.ColPtr[j]
+		base, end := l.F.ColPtr[j], l.F.ColPtr[j+1]
 		zj := x[j]
-		for q := base + 1; q < l.F.ColPtr[j+1]; q++ {
-			x[l.F.RowInd[q]] -= l.Val[q] * zj
+		rs, vs := l.F.RowInd[base+1:end], l.Val[base+1:end]
+		for q, i := range rs {
+			x[i] -= vs[q] * zj
 		}
 	}
 	// Diagonal.
@@ -114,10 +117,11 @@ func (l *LDL) Solve(b []float64) []float64 {
 	}
 	// Backward: Lᵀ x = w.
 	for j := n - 1; j >= 0; j-- {
-		base := l.F.ColPtr[j]
+		base, end := l.F.ColPtr[j], l.F.ColPtr[j+1]
 		sum := x[j]
-		for q := base + 1; q < l.F.ColPtr[j+1]; q++ {
-			sum -= l.Val[q] * x[l.F.RowInd[q]]
+		rs, vs := l.F.RowInd[base+1:end], l.Val[base+1:end]
+		for q, i := range rs {
+			sum -= vs[q] * x[i]
 		}
 		x[j] = sum
 	}

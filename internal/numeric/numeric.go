@@ -75,9 +75,10 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 			nk := nextCol[k]
 			p := ptr[k]
 			end := f.ColPtr[k+1]
-			ljk := val[p]
-			for q := p; q < end; q++ {
-				w[f.RowInd[q]] -= val[q] * ljk
+			rs, vs := f.RowInd[p:end], val[p:end]
+			ljk := vs[0]
+			for x, i := range rs {
+				w[i] -= vs[x] * ljk
 			}
 			// Advance column k to its next row block.
 			ptr[k] = p + 1
@@ -99,8 +100,9 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 		d := math.Sqrt(pivot)
 		base := f.ColPtr[j]
 		val[base] = d
-		for q := base + 1; q < f.ColPtr[j+1]; q++ {
-			val[q] = w[f.RowInd[q]] / d
+		vs := val[base+1 : f.ColPtr[j+1]]
+		for x, i := range cj[1:] {
+			vs[x] = w[i] / d
 		}
 		// Register column j for its first sub-diagonal row.
 		if f.ColPtr[j+1] > base+1 {
@@ -118,11 +120,12 @@ func (c *Cholesky) LowerSolve(b []float64) []float64 {
 	n := c.F.N
 	y := append([]float64(nil), b...)
 	for j := 0; j < n; j++ {
-		base := c.F.ColPtr[j]
+		base, end := c.F.ColPtr[j], c.F.ColPtr[j+1]
 		y[j] /= c.Val[base]
 		yj := y[j]
-		for q := base + 1; q < c.F.ColPtr[j+1]; q++ {
-			y[c.F.RowInd[q]] -= c.Val[q] * yj
+		rs, vs := c.F.RowInd[base+1:end], c.Val[base+1:end]
+		for q, i := range rs {
+			y[i] -= vs[q] * yj
 		}
 	}
 	return y
@@ -133,10 +136,11 @@ func (c *Cholesky) UpperSolve(y []float64) []float64 {
 	n := c.F.N
 	x := append([]float64(nil), y...)
 	for j := n - 1; j >= 0; j-- {
-		base := c.F.ColPtr[j]
+		base, end := c.F.ColPtr[j], c.F.ColPtr[j+1]
 		sum := x[j]
-		for q := base + 1; q < c.F.ColPtr[j+1]; q++ {
-			sum -= c.Val[q] * x[c.F.RowInd[q]]
+		rs, vs := c.F.RowInd[base+1:end], c.Val[base+1:end]
+		for q, i := range rs {
+			sum -= vs[q] * x[i]
 		}
 		x[j] = sum / c.Val[base]
 	}

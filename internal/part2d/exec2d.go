@@ -12,15 +12,23 @@ import (
 // goroutines, one per processor, producing a factor bit-for-bit equal to
 // numeric.Factorize. m must be the permuted matrix ops was built from.
 func ParallelFactorize(m *sparse.Matrix, ops *model.Ops, elemWork []int64, s *Schedule2D) (*exec.NumericFactor, error) {
-	tasks, elemTask := Tasks(ops, elemWork, s)
-	return exec.ParallelFactorize2D(m, ops.F, s.P, tasks, elemTask)
+	return parallelFactorize(m, ops, elemWork, s, false)
 }
 
 // ParallelFactorizeLDL is ParallelFactorize with the square-root-free LDLᵀ
 // kernel, bit-for-bit equal to numeric.FactorizeLDL.
 func ParallelFactorizeLDL(m *sparse.Matrix, ops *model.Ops, elemWork []int64, s *Schedule2D) (*exec.NumericFactor, error) {
+	return parallelFactorize(m, ops, elemWork, s, true)
+}
+
+func parallelFactorize(m *sparse.Matrix, ops *model.Ops, elemWork []int64, s *Schedule2D, ldl bool) (*exec.NumericFactor, error) {
 	tasks, elemTask := Tasks(ops, elemWork, s)
-	return exec.ParallelFactorize2DLDL(m, ops.F, s.P, tasks, elemTask)
+	pg, err := exec.Compile(ops.F, s.P, tasks, elemTask)
+	if err != nil {
+		return nil, err
+	}
+	nf, _, err := pg.Run(m, ldl, false)
+	return nf, err
 }
 
 // Measure times the serial factorization against the parallel execution of

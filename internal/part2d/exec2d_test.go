@@ -2,7 +2,9 @@ package part2d
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/exec"
@@ -203,6 +205,104 @@ func TestMeasureLDL(t *testing.T) {
 	for q := range ns.ldl.Val {
 		if math.Float64bits(mes.Factor.Val[q]) != math.Float64bits(ns.ldl.Val[q]) {
 			t.Fatalf("ldl measurement factor diverged at %d", q)
+		}
+	}
+}
+
+// One compiled Program serves any values with its pattern, from any number
+// of goroutines at once: a tile graph (partial-column tasks) and a lifted
+// column graph (whole-column tasks) each factor an SPD matrix, a rescaled
+// one and an indefinite one (LDLᵀ), sequentially and then concurrently,
+// every result bitwise the serial kernel's. Recorded events name as Cause
+// only a predecessor that had finished.
+func TestProgramReuseAcrossValues(t *testing.T) {
+	ns := buildNumSys(t, "grid9-12x12", gen.Grid9(12, 12))
+	scaledBy := func(c float64) *sparse.Matrix {
+		m := *ns.m
+		m.Val = make([]float64, len(ns.m.Val))
+		for q, v := range ns.m.Val {
+			m.Val[q] = c * v
+		}
+		return &m
+	}
+	indefinite := scaledBy(1)
+	for j := 0; j < indefinite.N; j += 3 {
+		indefinite.Val[indefinite.ColPtr[j]] *= -1
+	}
+	wantLDL, err := numeric.FactorizeLDL(indefinite, ns.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, neg, _ := wantLDL.Inertia(); neg == 0 {
+		t.Fatal("the indefinite fixture has no negative pivot")
+	}
+	scaled := scaledBy(1.75)
+	wantScaled, err := numeric.Factorize(scaled, ns.f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		m    *sparse.Matrix
+		ldl  bool
+		want []float64
+	}{
+		{"spd", ns.m, false, ns.chol.Val},
+		{"rescaled", scaled, false, wantScaled.Val},
+		{"indefinite", indefinite, true, wantLDL.Val},
+	}
+
+	for _, e := range []struct {
+		name string
+		opts strategy.Options
+	}{{"rect2dcyclic", strategy.Options{}}, {"col2d", strategy.Options{Base: "wrap"}}} {
+		s2, err := Map2D(e.name, ns.sys, 4, e.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, elemTask := Tasks(ns.ops, ns.ew, s2)
+		pg, err := exec.Compile(ns.f, s2.P, tasks, elemTask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(record bool) func(i int) error {
+			return func(i int) error {
+				c := cases[i%len(cases)]
+				nf, events, err := pg.Run(c.m, c.ldl, record)
+				if err != nil {
+					return fmt.Errorf("%s %s: %v", e.name, c.name, err)
+				}
+				for q := range c.want {
+					if math.Float64bits(nf.Val[q]) != math.Float64bits(c.want[q]) {
+						return fmt.Errorf("%s %s: diverged at %d: %g vs %g", e.name, c.name, q, nf.Val[q], c.want[q])
+					}
+				}
+				for _, ev := range events {
+					if ev.Cause < 0 {
+						continue
+					}
+					k := sort.Search(len(tasks[ev.Task].Preds), func(k int) bool { return tasks[ev.Task].Preds[k] >= ev.Cause })
+					if k == len(tasks[ev.Task].Preds) || tasks[ev.Task].Preds[k] != ev.Cause || events[ev.Cause].Finish > ev.Start {
+						return fmt.Errorf("%s %s: task %d names cause %d, not a finished predecessor", e.name, c.name, ev.Task, ev.Cause)
+					}
+				}
+				return nil
+			}
+		}
+		for i := 0; i < 2*len(cases); i++ {
+			if err := run(i%2 == 0)(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make(chan error)
+		const callers = 6
+		for i := 0; i < callers; i++ {
+			go func(i int) { errs <- run(i%2 == 0)(i) }(i)
+		}
+		for i := 0; i < callers; i++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
 		}
 	}
 }

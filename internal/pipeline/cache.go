@@ -97,11 +97,9 @@ func (c *Cache) factor(pl *Plan, a *sparse.Matrix, k Kernel, parallel bool) (*Fa
 	if a.Val == nil {
 		return nil, errNoValues
 	}
-	v, _, err := c.store.GetOrBuild(pl.FactorKey(k, a, parallel), func() (any, error) {
-		if parallel {
-			return pl.FactorizeParallel(a, k)
-		}
-		return pl.Factorize(a, k)
+	key := pl.FactorKey(k, a, parallel)
+	v, _, err := c.store.GetOrBuild(key, func() (any, error) {
+		return pl.factor(a, k, parallel, key)
 	})
 	if err != nil {
 		return nil, err

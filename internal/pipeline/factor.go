@@ -64,15 +64,14 @@ type Factor struct {
 
 	solveOnce sync.Once
 	solveSch  *sched.Schedule
-	solveErr  error
 }
 
 // FactorKey returns the content address of the Factor that Factorize
 // (parallel=false) or FactorizeParallel (parallel=true) would build from
-// this plan and a's values, without factorizing. Serial factors, 2D
-// engine factors and lifted column-granular 1D factors share one key:
-// those engines replay the exact serial update order (numeric.Chains)
-// and are bit-for-bit interchangeable. The 1D block engine accumulates
+// this plan and a's values, without factorizing. Serial factors and the
+// compiled engine's factors (2D plans and column-granular 1D plans) share
+// one key: the engine replays the exact serial update order
+// (numeric.Chains), so they are bit-for-bit interchangeable. The 1D block engine accumulates
 // updates by structure intersection — and may run over a relaxed,
 // zero-padded factor — so its key mixes in the plan.
 func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Key {
@@ -94,70 +93,70 @@ func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err := k.valid(); err != nil {
 		return nil, err
 	}
-	pm, err := pl.An.PermutedWithValues(a)
-	if err != nil {
-		return nil, err
-	}
-	var val []float64
-	switch k {
-	case Cholesky:
-		c, err := numeric.Factorize(pm, pl.An.F)
-		if err != nil {
-			return nil, err
-		}
-		val = c.Val
-	case LDL:
-		l, err := numeric.FactorizeLDL(pm, pl.An.F)
-		if err != nil {
-			return nil, err
-		}
-		val = l.Val
-	}
-	return &Factor{
-		Plan: pl, Kernel: k, F: pl.An.F, Val: val,
-		Key: pl.FactorKey(k, a, false),
-	}, nil
+	return pl.factor(a, k, false, pl.FactorKey(k, a, false))
 }
 
 // FactorizeParallel computes the numeric factor with one worker goroutine
 // per processor of the plan. 2D plans and column-granular 1D plans run
-// the exact-serial-chain-order engine (bit-identical to Factorize);
-// block-granular 1D plans run the unit-block engine over the plan's
-// partition, which may be a relaxed superset structure.
+// the plan's compiled exact-serial-chain-order program (bit-identical to
+// Factorize); block-granular 1D plans run the unit-block engine over the
+// plan's partition, which may be a relaxed superset structure.
 func (pl *Plan) FactorizeParallel(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err := k.valid(); err != nil {
 		return nil, err
 	}
+	return pl.factor(a, k, true, pl.FactorKey(k, a, true))
+}
+
+// factor builds the Factor of a under a valid kernel k; key is its
+// FactorKey, which the caller has already computed (one pass over the
+// values per build, not one per layer).
+func (pl *Plan) factor(a *sparse.Matrix, k Kernel, parallel bool, key artifact.Key) (*Factor, error) {
 	pm, err := pl.An.PermutedWithValues(a)
 	if err != nil {
 		return nil, err
 	}
-	tasks, elemTask, chain, err := pl.chainTasks()
-	if err != nil {
-		return nil, err
-	}
 	var nf *exec.NumericFactor
-	if chain {
-		if k == Cholesky {
-			nf, err = exec.ParallelFactorize2D(pm, pl.An.F, pl.P, tasks, elemTask)
-		} else {
-			nf, err = exec.ParallelFactorize2DLDL(pm, pl.An.F, pl.P, tasks, elemTask)
-		}
+	if parallel {
+		nf, err = pl.runParallel(pm, k)
 	} else {
-		part := pl.An.sys.Partition(pl.Opts.Part)
-		if k == Cholesky {
-			nf, err = exec.ParallelFactorize(pm, part, pl.S1)
-		} else {
-			nf, err = exec.ParallelFactorizeLDL(pm, part, pl.S1)
-		}
+		nf, err = pl.runSerial(pm, k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Factor{
-		Plan: pl, Kernel: k, F: nf.F, Val: nf.Val,
-		Key: pl.FactorKey(k, a, true),
-	}, nil
+	return &Factor{Plan: pl, Kernel: k, F: nf.F, Val: nf.Val, Key: key}, nil
+}
+
+func (pl *Plan) runSerial(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, error) {
+	if k == LDL {
+		l, err := numeric.FactorizeLDL(pm, pl.An.F)
+		if err != nil {
+			return nil, err
+		}
+		return &exec.NumericFactor{F: l.F, Val: l.Val}, nil
+	}
+	c, err := numeric.Factorize(pm, pl.An.F)
+	if err != nil {
+		return nil, err
+	}
+	return &exec.NumericFactor{F: c.F, Val: c.Val}, nil
+}
+
+func (pl *Plan) runParallel(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, error) {
+	pg, err := pl.program()
+	if err != nil {
+		return nil, err
+	}
+	if pg != nil {
+		nf, _, err := pg.Run(pm, k == LDL, false)
+		return nf, err
+	}
+	part := pl.An.sys.Partition(pl.Opts.Part)
+	if k == LDL {
+		return exec.ParallelFactorizeLDL(pm, part, pl.S1)
+	}
+	return exec.ParallelFactorize(pm, part, pl.S1)
 }
 
 // N returns the system dimension.
@@ -244,7 +243,7 @@ func (fa *Factor) SolveBatch(bs [][]float64) ([][]float64, error) {
 // solveSchedule derives the column-ownership schedule of the parallel
 // sweeps from the plan, expanded over this factor's structure. Built once
 // and reused by every SolveParallel call.
-func (fa *Factor) solveSchedule() (*sched.Schedule, error) {
+func (fa *Factor) solveSchedule() *sched.Schedule {
 	fa.solveOnce.Do(func() {
 		owner := fa.Plan.columnOwners()
 		f := fa.F
@@ -256,7 +255,7 @@ func (fa *Factor) solveSchedule() (*sched.Schedule, error) {
 		}
 		fa.solveSch = &sched.Schedule{P: fa.Plan.P, ElemProc: ep}
 	})
-	return fa.solveSch, fa.solveErr
+	return fa.solveSch
 }
 
 // SolveParallel solves A·x = b with the parallel fan-in triangular sweeps
@@ -268,12 +267,10 @@ func (fa *Factor) SolveParallel(b []float64) ([]float64, error) {
 	if len(b) != fa.F.N {
 		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
 	}
-	s, err := fa.solveSchedule()
-	if err != nil {
-		return nil, err
-	}
+	s := fa.solveSchedule()
 	pb := fa.permute(b)
 	var px []float64
+	var err error
 	if fa.Kernel == LDL {
 		px, err = exec.ParallelSolveLDL(&numeric.LDL{F: fa.F, Val: fa.Val}, s, pb)
 	} else {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestAnalysisMatchesDirectPipeline(t *testing.T) {
 }
 
 // TestFactorChainEnginesBitIdentical pins the key-sharing contract: the
-// serial kernel, the 2D engine and the lifted column-granular 1D engine
+// serial kernel, the 2D engine and the column-granular 1D engine
 // produce bitwise identical values (so one cache key serves all three),
 // for both kernels.
 func TestFactorChainEnginesBitIdentical(t *testing.T) {
@@ -101,6 +102,33 @@ func TestFactorChainEnginesBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The first parallel factorization of a column-granular 1D plan compiles
+// the plan's own column graph; it must not build the 2D lift, whose packed
+// owner triangle alone is 4·n(n+1)/2 bytes (26 MB here, and it was built
+// twice).
+func TestFirstFactorizeParallelAllocation(t *testing.T) {
+	a := gen.Grid9(60, 60)
+	an, err := NewAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := pl.FactorizeParallel(a, Cholesky); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perNNZ := float64(after.TotalAlloc-before.TotalAlloc) / float64(an.F.NNZ())
+	if perNNZ > 100 {
+		t.Fatalf("first FactorizeParallel allocated %.0f bytes per factor nonzero (nnz(L) = %d), want <= 100", perNNZ, an.F.NNZ())
+	}
+	t.Logf("first FactorizeParallel: %.1f bytes per factor nonzero", perNNZ)
 }
 
 // TestFactorBlockEngineKeyIncludesPlan pins that the 1D block engine —

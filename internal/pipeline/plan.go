@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/exec"
+	"repro/internal/numeric"
 	"repro/internal/part2d"
 	"repro/internal/sched"
 	"repro/internal/strategy"
@@ -35,13 +36,11 @@ type Plan struct {
 
 	// elemTask maps factor elements to task IDs (2D plans only).
 	elemTask []int32
-	// lift caches the 2D lift of a column-granular 1D schedule, built on
-	// first parallel factorization.
-	liftOnce sync.Once
-	lift     *part2d.Schedule2D
-	liftErr  error
-	liftTask []exec.Task
-	liftElem []int32
+	// prog is Tasks compiled for the exact-serial-order engine, built on
+	// the first parallel factorization and shared by every later one.
+	progOnce sync.Once
+	prog     *exec.Program
+	progErr  error
 }
 
 // hashOptions mixes every mapping-relevant field of opts into h.
@@ -177,29 +176,21 @@ func (pl *Plan) columnOwners() []int32 {
 	return owner
 }
 
-// chainTasks returns a task graph driving the exact-serial-order 2D
-// engine for this plan: the plan's own graph for 2D plans, or the lifted
-// graph for column-granular 1D plans. Block-granular 1D plans (which may
-// run over a relaxed factor) return ok=false and use the 1D block engine
-// instead.
-func (pl *Plan) chainTasks() (tasks []exec.Task, elemTask []int32, ok bool, err error) {
-	if pl.S2 != nil {
-		return pl.Tasks, pl.elemTask, true, nil
+// program returns the plan's task graph compiled for the
+// exact-serial-order engine: the tile-segment graph of a 2D plan, or the
+// column graph of a column-granular 1D plan, whose task j owns exactly
+// column j. Block-granular 1D plans (which may run over a relaxed factor)
+// return nil and use the 1D block engine instead.
+func (pl *Plan) program() (*exec.Program, error) {
+	if pl.S2 == nil && pl.S1.UnitProc != nil {
+		return nil, nil
 	}
-	if pl.S1.UnitProc != nil {
-		return nil, nil, false, nil
-	}
-	pl.liftOnce.Do(func() {
-		s2, err := part2d.Lift(pl.An.sys, pl.S1, pl.Strategy)
-		if err != nil {
-			pl.liftErr = fmt.Errorf("pipeline: lifting %q schedule: %w", pl.Strategy, err)
-			return
+	pl.progOnce.Do(func() {
+		elemTask := pl.elemTask
+		if pl.S2 == nil {
+			elemTask = numeric.ColIndex(pl.An.F)
 		}
-		pl.lift = s2
-		pl.liftTask, pl.liftElem = part2d.Tasks(pl.An.Ops, pl.An.ElemWork, s2)
+		pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, elemTask)
 	})
-	if pl.liftErr != nil {
-		return nil, nil, false, pl.liftErr
-	}
-	return pl.liftTask, pl.liftElem, true, nil
+	return pl.prog, pl.progErr
 }
