@@ -118,14 +118,17 @@ type rect2dMapper struct{}
 
 func (rect2dMapper) Name() string { return "rect2d" }
 
-// defaultRect2DEvals bounds the trial simulations of the rect2d descent;
-// each trial re-runs the full traffic simulation, the same cost profile
-// as the 1D refine strategy's traffic objective.
+// defaultRect2DEvals bounds the trials of the rect2d descent. A trial
+// moves one tile through traffic.Incremental and costs the tile's
+// elements times their row structures, not a traffic simulation. The
+// budget is not sized to that cost: the descent's answer depends on it,
+// so raising it changes every rect2d schedule and count in the ledger and
+// belongs in a change that says so.
 const defaultRect2DEvals = 128
 
 func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("part2d: invalid processor count %d", p)
+	if err := checkProcs(p); err != nil {
+		return nil, err
 	}
 	bounds := rectBounds(sys, p)
 	budget := opts.MaxMoves
@@ -138,8 +141,10 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 
 // trafficGuardedOwners runs the rect2d descent: flattened start, then
 // traffic-guarded single-tile moves, heaviest tiles first, within the
-// evaluation budget. Element ownership is maintained incrementally so
-// each trial costs one traffic simulation. tel, when non-nil, records one
+// evaluation budget. The traffic of every trial is exact and comes from
+// one traffic.Incremental built over the start (about one simulation,
+// 4·nnz(L)·P bytes, dropped on return): a trial moves the tile's elements
+// and a rejected one moves them back. tel, when non-nil, records one
 // trial per evaluation and the traffic trajectory of the kept moves.
 func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, tel *obs.SearchTelemetry) []int32 {
 	f := sys.F
@@ -171,15 +176,14 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 			load[owner[id]] += sys.ElemWork[q]
 		}
 	}
-	sc := &sched.Schedule{P: p, ElemProc: elemProc, Work: load}
-	setOwner := func(id int, dst int32) {
+	inc := traffic.NewIncremental(sys.Ops, &sched.Schedule{P: p, ElemProc: elemProc})
+	// setOwner moves tile id to dst and returns the traffic after it.
+	setOwner := func(id int, dst int32) int64 {
 		src := owner[id]
 		owner[id] = dst
 		load[src] -= tw[id]
 		load[dst] += tw[id]
-		for _, q := range elems[id] {
-			elemProc[q] = dst
-		}
+		return inc.Move(elems[id], dst)
 	}
 	sumsq := func() float64 {
 		var s float64
@@ -188,7 +192,7 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 		}
 		return s
 	}
-	cur := traffic.Simulate(sys.Ops, sc).Total
+	cur := inc.Total()
 	tel.Objective(cur)
 	offs := make([]int, 0, len(tw)-r)
 	for rr := 1; rr < r; rr++ {
@@ -220,12 +224,11 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 		for ci, dst := range [...]int32{home, least} {
 			src := owner[id]
 			if dst == src || (ci == 1 && dst == home) {
-				continue // never re-simulate an identical trial
+				continue // never repeat an identical trial
 			}
 			before := sumsq()
-			setOwner(id, dst)
+			nt := setOwner(id, dst)
 			evals++
-			nt := traffic.Simulate(sys.Ops, sc).Total
 			if nt < cur || (nt == cur && sumsq() < before) {
 				cur = nt
 				tel.Trial(true)
@@ -253,8 +256,8 @@ type rect2dlptMapper struct{}
 func (rect2dlptMapper) Name() string { return "rect2dlpt" }
 
 func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("part2d: invalid processor count %d", p)
+	if err := checkProcs(p); err != nil {
+		return nil, err
 	}
 	bounds := rectBounds(sys, p)
 	tw := TileWork(sys.F, sys.ElemWork, bounds)
@@ -293,8 +296,8 @@ type rect2dcyclicMapper struct{}
 func (rect2dcyclicMapper) Name() string { return "rect2dcyclic" }
 
 func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("part2d: invalid processor count %d", p)
+	if err := checkProcs(p); err != nil {
+		return nil, err
 	}
 	bounds := rectBounds(sys, p)
 	r := len(bounds) - 1

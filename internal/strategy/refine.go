@@ -8,13 +8,17 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/traffic"
 )
 
 // Default move caps for the refinement objectives. Imbalance moves cost
-// O(P + units-on-source); traffic moves each re-run the traffic
-// simulation, so their budget is much smaller; commspan moves each re-run
-// the fetch attribution plus the dynamic makespan simulation, the most
-// expensive evaluation of the three.
+// O(P + units-on-source); commspan moves each re-run the fetch
+// attribution plus the dynamic makespan simulation, the most expensive
+// evaluation of the three. A traffic move costs only the moved unit's
+// elements times their row structures (traffic.Incremental). Its budget
+// is not sized to that cost: the refined schedule depends on it, so
+// raising it changes the schedules and counts in the ledger and belongs
+// in a change that says so.
 const (
 	defaultImbalanceMoves = 1024
 	defaultTrafficMoves   = 64
@@ -159,13 +163,19 @@ func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, e
 // move reassigns movable u to processor dst, updating the schedule's
 // element ownership and per-processor work in place.
 func move(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
+	for _, q := range mv[u].elems {
+		sc.ElemProc[q] = dst
+	}
+	reown(sc, mv, own, u, dst)
+}
+
+// reown is move without the element ownership, for the traffic objective,
+// whose oracle writes ElemProc itself.
+func reown(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
 	src := own[u]
 	own[u] = dst
 	sc.Work[src] -= mv[u].work
 	sc.Work[dst] += mv[u].work
-	for _, q := range mv[u].elems {
-		sc.ElemProc[q] = dst
-	}
 	if sc.UnitProc != nil {
 		sc.UnitProc[u] = dst
 	}
@@ -299,13 +309,22 @@ func pluralityOwner(mv []movable, succs [][]int32, own []int32, u int, tally []i
 
 // refineTraffic tries moving each unit to the processor owning most of
 // its dependency neighborhood (predecessors and successors), keeping a
-// move only when the re-simulated total traffic strictly decreases.
+// move only when the total traffic strictly decreases. The totals are
+// exact: one traffic.Incremental is built over the input schedule (about
+// one simulation, 4·nnz(L)·P bytes, dropped on return), a trial moves the
+// unit's elements through it and a rejected one moves them back.
 func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int) {
 	if maxMoves <= 0 {
 		maxMoves = defaultTrafficMoves
 	}
-	simulate := func() int64 { return Traffic(sys, opts, sc).Total }
-	cur := simulate()
+	inc := traffic.NewIncremental(trafficOps(sys, opts, sc), sc)
+	// trial moves unit u to dst and returns the traffic after it.
+	trial := func(u int, dst int32) int64 {
+		t := inc.Move(mv[u].elems, dst)
+		reown(sc, mv, own, u, dst)
+		return t
+	}
+	cur := inc.Total()
 	opts.Search.Objective(cur)
 	succs := buildSuccs(mv)
 	tally := make([]int64, sc.P)
@@ -324,15 +343,14 @@ func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own
 				continue
 			}
 			src := own[u]
-			move(sc, mv, own, u, tgt)
 			moves++
-			if t := simulate(); t < cur {
+			if t := trial(u, tgt); t < cur {
 				cur = t
 				improved = true
 				opts.Search.Trial(true)
 				opts.Search.Objective(t)
 			} else {
-				move(sc, mv, own, u, src)
+				trial(u, src)
 				opts.Search.Trial(false)
 			}
 		}

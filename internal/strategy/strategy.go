@@ -316,14 +316,19 @@ func checkPartMatch(part *core.Partition, sc *sched.Schedule) {
 // of repro's TrafficPart). opts must be the Options the schedule was
 // mapped with.
 func Traffic(sys *Sys, opts Options, sc *sched.Schedule) *traffic.Result {
-	if sc.UnitProc != nil {
-		pe := sys.partition(opts.Part)
-		checkPartMatch(pe.part, sc)
-		if pe.part.F != sys.F {
-			return traffic.Simulate(pe.ops, sc)
-		}
+	return traffic.Simulate(trafficOps(sys, opts, sc), sc)
+}
+
+// trafficOps returns the operation structure the traffic model of sc runs
+// over: the ops of the partition's own factor for a block-granular
+// schedule (relaxation pads it), the analysis ops otherwise.
+func trafficOps(sys *Sys, opts Options, sc *sched.Schedule) *model.Ops {
+	if sc.UnitProc == nil {
+		return sys.Ops
 	}
-	return traffic.Simulate(sys.Ops, sc)
+	pe := sys.partition(opts.Part)
+	checkPartMatch(pe.part, sc)
+	return pe.ops
 }
 
 // Tasks builds the makespan task graph of a strategy schedule: unit-block

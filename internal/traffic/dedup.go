@@ -6,12 +6,12 @@ import "fmt"
 // deduplication rule of the paper's caching model ("once a data element
 // is fetched, that element is stored locally"), shared by every traffic
 // simulator in this package and by the 2D tile simulator
-// (part2d.Traffic). Processor counts of at most 64 use a per-element
-// bitmask; wider counts fall back to a map keyed elem<<16|proc, which
-// bounds supported processor counts at 65536.
+// (part2d.Traffic). Every element carries a bitmask of ⌈P/64⌉ words, one
+// bit per processor, so any processor count takes the same path; the
+// tracker holds 8·⌈P/64⌉·nnz bytes.
 type FetchDedup struct {
-	mask []uint64
-	wide map[int64]struct{}
+	words int // mask words per element
+	mask  []uint64
 }
 
 // NewFetchDedup sizes the tracker for a factor with nnz elements
@@ -20,27 +20,18 @@ func NewFetchDedup(p, nnz int) *FetchDedup {
 	if p < 1 {
 		panic(fmt.Sprintf("traffic: invalid processor count %d", p))
 	}
-	if p > 64 {
-		return &FetchDedup{wide: make(map[int64]struct{})}
-	}
-	return &FetchDedup{mask: make([]uint64, nnz)}
+	words := (p + 63) / 64
+	return &FetchDedup{words: words, mask: make([]uint64, words*nnz)}
 }
 
 // FirstFetch reports whether processor proc fetches elem for the first
 // time, marking the pair seen.
 func (d *FetchDedup) FirstFetch(elem, proc int32) bool {
-	if d.wide != nil {
-		key := int64(elem)<<16 | int64(proc)
-		if _, ok := d.wide[key]; ok {
-			return false
-		}
-		d.wide[key] = struct{}{}
-		return true
-	}
-	bit := uint64(1) << uint(proc)
-	if d.mask[elem]&bit != 0 {
+	w := &d.mask[int(elem)*d.words+int(proc>>6)]
+	bit := uint64(1) << (uint(proc) & 63)
+	if *w&bit != 0 {
 		return false
 	}
-	d.mask[elem] |= bit
+	*w |= bit
 	return true
 }

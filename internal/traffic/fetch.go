@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
+	"repro/internal/symbolic"
 )
 
 // TaskComm attributes the communication of a schedule to its makespan
@@ -105,12 +106,17 @@ func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskCo
 // FetchStatsColumns is FetchStats for column-mapped schedules, attributing
 // fetches and messages to columns.
 func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
-	f := ops.F
+	colOf := columnIndex(ops.F)
+	return fetchPerTask(ops, s, ops.F.N, func(tgt int32) int32 { return colOf[tgt] })
+}
+
+// columnIndex returns the column of every factor nonzero position.
+func columnIndex(f *symbolic.Factor) []int32 {
 	colOf := make([]int32, f.NNZ())
 	for j := 0; j < f.N; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
 			colOf[q] = int32(j)
 		}
 	}
-	return fetchPerTask(ops, s, f.N, func(tgt int32) int32 { return colOf[tgt] })
+	return colOf
 }

@@ -88,13 +88,7 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 // pair — the natural consolidation unit when whole columns live on one
 // processor.
 func ConsolidateColumns(ops *model.Ops, s *sched.Schedule) *MessageStats {
-	f := ops.F
-	colOf := make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
+	colOf := columnIndex(ops.F)
 	return consolidate(ops, s, func(elem int32) int32 { return colOf[elem] })
 }
 

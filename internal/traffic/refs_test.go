@@ -91,8 +91,8 @@ func TestColumnRefsVolumes(t *testing.T) {
 // TestColumnRefsReproduceSimulate: the refs-derived dedup total must
 // equal Simulate's traffic for column-granular schedules — the identity
 // that makes ColumnRefs a valid cost oracle for contiguous splits. The
-// one-column-per-processor case (P = n > 64) also exercises Simulate's
-// wide path.
+// one-column-per-processor case (P = n > 64) also exercises masks of more
+// than one word per element.
 func TestColumnRefsReproduceSimulate(t *testing.T) {
 	for name, m := range map[string]*sparse.Matrix{
 		"grid5-6x6":   gen.Grid5(6, 6),

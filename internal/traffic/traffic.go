@@ -80,7 +80,6 @@ func (r *Result) MeanPartners() float64 {
 
 // Simulate runs the traffic model for a schedule. The factor ops must be
 // built over the same symbolic factor the schedule was computed from.
-// Processor counts above 64 are supported but use a slower path.
 func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
 	nnz := ops.F.NNZ()
 	if len(s.ElemProc) != nnz {

@@ -109,8 +109,8 @@ func TestSimulateMatchesBruteForce(t *testing.T) {
 func TestLargePPathMatchesBitmaskPath(t *testing.T) {
 	m := gen.Grid9(7, 7)
 	ops, _, ew := pipeline(m, 4, 4)
-	// P=65 exercises the map path; P=49 and 64 the bitmask path. Compare
-	// against the brute oracle for all.
+	// P=49 and 64 fit one mask word per element, P=65 and 100 need two.
+	// Compare against the brute oracle for all.
 	for _, p := range []int{49, 64, 65, 100} {
 		s := sched.WrapMap(ops.F, ew, p)
 		if got, want := Simulate(ops, s).Total, bruteTraffic(ops, s); got != want {
