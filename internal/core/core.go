@@ -161,19 +161,32 @@ type Partition struct {
 // structure f: cluster identification, block partitioning and dependency
 // analysis.
 func NewPartition(f *symbolic.Factor, opts Options) *Partition {
+	return NewPartitionWork(f, opts, nil)
+}
+
+// NewPartitionWork is NewPartition for a caller that already holds
+// model.ElementWork of f (strategy.Sys does), sparing the second pass over
+// every update. elemWork is used only when opts.RelaxZeros == 0:
+// relaxation pads the factor, whose work is then computed here, as it is
+// when elemWork is nil.
+func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Partition {
 	opts = opts.Normalized()
 	var stats symbolic.RelaxStats
 	if opts.RelaxZeros > 0 {
 		f, stats = symbolic.Relax(f, opts.RelaxZeros)
+		elemWork = nil
+	}
+	if elemWork == nil {
+		elemWork = model.ElementWork(model.NewOps(f))
+	} else if len(elemWork) != f.NNZ() {
+		panic(fmt.Sprintf("core: element work covers %d elements, factor has %d", len(elemWork), f.NNZ()))
 	}
 	p := &Partition{F: f, Opts: opts, Relax: stats}
 	p.identifyClusters()
 	p.partitionBlocks()
-	ops := model.NewOps(f)
-	elemWork := model.ElementWork(ops)
 	p.TotalWork = model.TotalWork(elemWork)
 	p.mapElements(elemWork)
-	p.computeDeps(ops)
+	p.computeDeps()
 	return p
 }
 

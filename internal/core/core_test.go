@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -414,4 +415,25 @@ func TestPartitionDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewPartitionWorkMatchesNewPartition: handing the partitioner the
+// element work its caller already holds changes nothing; with relaxation
+// on, the work of the unpadded factor is not the padded factor's and must
+// be ignored.
+func TestNewPartitionWorkMatchesNewPartition(t *testing.T) {
+	f := analyzedMatrix(gen.Lap30())
+	ew := model.ElementWork(model.NewOps(f))
+	for _, opts := range []Options{{}, {Grain: 25}, {RelaxZeros: 0.3}} {
+		want, got := NewPartition(f, opts), NewPartitionWork(f, opts, ew)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: partition differs when the element work is supplied", opts)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("element work of the wrong length: no panic")
+		}
+	}()
+	NewPartitionWork(f, Options{}, ew[1:])
 }

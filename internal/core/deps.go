@@ -27,7 +27,7 @@ import (
 // interval intersections, evaluated here with interval trees. Because the
 // blocks are dense on their extents, the interval conditions are exact:
 // the result matches the element-level oracle (see depsOracle).
-func (p *Partition) computeDeps(ops *model.Ops) {
+func (p *Partition) computeDeps() {
 	edges := make(map[int64]struct{})
 	addEdge := func(tgt, src int) {
 		if tgt != src {
@@ -276,10 +276,14 @@ func (p *Partition) DepsOracle(ops *model.Ops) [][]int32 {
 			edges[int64(t)<<32|int64(s)] = struct{}{}
 		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		t := p.ElemUnit[u.Tgt]
-		add(t, p.ElemUnit[u.SrcI])
-		add(t, p.ElemUnit[u.SrcJ])
+	rowInd := p.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		srcJ := p.ElemUnit[r.Lo]
+		for q := r.Lo; q < r.Hi; q++ {
+			t := p.ElemUnit[r.Tgt[rowInd[q]]]
+			add(t, p.ElemUnit[q])
+			add(t, srcJ)
+		}
 	})
 	out := make([][]int32, len(p.Units))
 	for e := range edges {

@@ -70,53 +70,59 @@ type Update struct {
 	Tgt, SrcI, SrcJ int32
 }
 
-// ForEachUpdate calls fn for every pair-update operation of the
-// factorization, in increasing source-column order. For target element
-// (i, j) updated from column k, SrcI is the position of (i, k), SrcJ the
-// position of (j, k), and Tgt the position of (i, j).
-//
-// Enumeration is column-driven over targets: for each target column j,
-// every source column k in the row structure of j contributes updates to
-// all elements (i, j) with i in struct(k), i >= j. The fill theorem
-// guarantees every such (i, j) is present in the factor structure.
-func (o *Ops) ForEachUpdate(fn func(u Update)) {
+// Run is every pair update one source column k makes to one target
+// column j (k in the row structure of j): the source positions [Lo, Hi)
+// are the elements (i, k) of column k with i >= j, Lo being (j, k)
+// itself. The update at source position q has SrcI = q, SrcJ = Lo and
+// Tgt = Tgt[F.RowInd[q]].
+type Run struct {
+	// Col is the target column j.
+	Col int
+	// Lo, Hi bound the source positions in column k; Hi is ColPtr[k+1].
+	Lo, Hi int32
+	// Tgt scatters column j's structure: Tgt[i] is the position of
+	// (i, j) for every row i of struct(j). The fill theorem guarantees
+	// every row of the run is one of them. Entries of other rows are
+	// stale; the slice is reused from run to run.
+	Tgt []int32
+}
+
+// ForEachRun calls fn once per (target column, source column) pair, target
+// columns increasing and, within one target, source columns increasing.
+// It is the enumeration every element-level walk sits on: the consumer
+// loops over [r.Lo, r.Hi) itself, so the cost of the callback is paid per
+// factor nonzero, not per update.
+func (o *Ops) ForEachRun(fn func(r Run)) {
 	f := o.F
-	n := f.N
-	// ptr[k] tracks the position of the current target column j within
-	// column k; target columns visit k in increasing order, so the pointer
-	// only advances.
-	ptr := make([]int32, n)
-	for j := 0; j < n; j++ {
-		ptr[j] = int32(f.ColPtr[j]) // start at the diagonal
-	}
-	// pos scatters struct(j) into nonzero positions for the current j.
-	pos := make([]int32, n)
-	for j := 0; j < n; j++ {
-		cj := f.Col(j)
+	tgt := make([]int32, f.N)
+	for j := 0; j < f.N; j++ {
 		base := f.ColPtr[j]
-		for t, i := range cj {
-			pos[i] = int32(base + t)
+		for t, i := range f.Col(j) {
+			tgt[i] = int32(base + t)
 		}
-		for _, k := range o.rowCols[j] {
-			// Advance column k's pointer to row j.
-			p := ptr[k]
-			end := int32(f.ColPtr[k+1])
-			for p < end && f.RowInd[p] < j {
-				p++
-			}
-			ptr[k] = p
-			if p >= end || f.RowInd[p] != j {
-				// Structure violation; cannot happen for a factor produced
-				// by symbolic.Analyze.
-				panic("model: row structure inconsistent with column structure")
-			}
-			srcJ := p
-			for q := p; q < end; q++ {
-				i := f.RowInd[q]
-				fn(Update{Tgt: pos[i], SrcI: int32(q), SrcJ: srcJ})
-			}
+		pos := o.rowPos[j]
+		for t, k := range o.rowCols[j] {
+			fn(Run{Col: j, Lo: pos[t], Hi: int32(f.ColPtr[k+1]), Tgt: tgt})
 		}
 	}
+}
+
+// ForEachUpdate calls fn for every pair-update operation of the
+// factorization: target columns in increasing order, within a target
+// column its source columns in increasing order, within a source column
+// rows in increasing order. For target element (i, j) updated from column
+// k, SrcI is the position of (i, k), SrcJ the position of (j, k), and Tgt
+// the position of (i, j).
+//
+// It is ForEachRun with the per-element loop supplied; code that runs per
+// plan loops over the runs itself.
+func (o *Ops) ForEachUpdate(fn func(u Update)) {
+	rowInd := o.F.RowInd
+	o.ForEachRun(func(r Run) {
+		for q := r.Lo; q < r.Hi; q++ {
+			fn(Update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.Lo})
+		}
+	})
 }
 
 // ForEachScale calls fn for every final diagonal update: for each
@@ -136,7 +142,12 @@ func (o *Ops) ForEachScale(fn func(tgt, diag int32)) {
 // pair updates it receives.
 func (o *Ops) UpdateCounts() []int32 {
 	counts := make([]int32, o.F.NNZ())
-	o.ForEachUpdate(func(u Update) { counts[u.Tgt]++ })
+	rowInd := o.F.RowInd
+	o.ForEachRun(func(r Run) {
+		for _, i := range rowInd[r.Lo:r.Hi] {
+			counts[r.Tgt[i]]++
+		}
+	})
 	return counts
 }
 

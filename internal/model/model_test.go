@@ -54,6 +54,41 @@ func TestUpdatesAreValid(t *testing.T) {
 	})
 }
 
+// TestRunsVisitTargetsInOrder pins the order every first-use attribution
+// (and the closed form of traffic.FetchStatsColumns) relies on: target
+// columns increasing, source columns increasing within a target, and each
+// run the suffix of its source column starting at the target's row.
+func TestRunsVisitTargetsInOrder(t *testing.T) {
+	fac := analyzed(13)
+	o := NewOps(fac)
+	colOf := make([]int, fac.NNZ())
+	for j := 0; j < fac.N; j++ {
+		for p := fac.ColPtr[j]; p < fac.ColPtr[j+1]; p++ {
+			colOf[p] = j
+		}
+	}
+	lastCol, lastSrc, runs := -1, -1, 0
+	o.ForEachRun(func(r Run) {
+		runs++
+		k := colOf[r.Lo]
+		if r.Col < lastCol || (r.Col == lastCol && k <= lastSrc) {
+			t.Fatalf("run (target %d, source %d) follows (target %d, source %d)", r.Col, k, lastCol, lastSrc)
+		}
+		lastCol, lastSrc = r.Col, k
+		if fac.RowInd[r.Lo] != r.Col || k >= r.Col || int(r.Hi) != fac.ColPtr[k+1] {
+			t.Fatalf("run of target %d: sources [%d, %d) are not the suffix of column %d from row %d", r.Col, r.Lo, r.Hi, k, r.Col)
+		}
+		for q := r.Lo; q < r.Hi; q++ {
+			if tgt := r.Tgt[fac.RowInd[q]]; colOf[tgt] != r.Col || fac.RowInd[tgt] != fac.RowInd[q] {
+				t.Fatalf("run of target %d: source row %d scatters to position %d", r.Col, fac.RowInd[q], tgt)
+			}
+		}
+	})
+	if runs != fac.NNZ()-fac.N {
+		t.Fatalf("%d runs, want one per off-diagonal nonzero (%d)", runs, fac.NNZ()-fac.N)
+	}
+}
+
 func TestUpdateCountsDiagonal(t *testing.T) {
 	// For the diagonal (j,j), the update count equals the number of
 	// off-diagonal nonzeros in row j to the left of j.

@@ -57,7 +57,7 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 			tasks[task].Work += elemWork[q]
 		}
 	}
-	// Predecessors: one pass over the update enumeration. stamp[src] is a
+	// Predecessors: one pass over the update runs. stamp[src] is a
 	// best-effort duplicate filter (the final sort+dedup makes it exact);
 	// it is keyed by the last target a source task was recorded for, which
 	// catches the long runs of identical (target task, source task) pairs
@@ -67,21 +67,31 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	add := func(tgt, src int32) {
-		if src == tgt || stamp[src] == tgt {
-			return
+	rowInd := f.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		srcJ := elemTask[r.Lo]
+		for q := r.Lo; q < r.Hi; q++ {
+			t := elemTask[r.Tgt[rowInd[q]]]
+			if src := elemTask[q]; src != t && stamp[src] != t {
+				stamp[src] = t
+				preds[t] = append(preds[t], src)
+			}
+			if srcJ != t && stamp[srcJ] != t {
+				stamp[srcJ] = t
+				preds[t] = append(preds[t], srcJ)
+			}
 		}
-		stamp[src] = tgt
-		preds[tgt] = append(preds[tgt], src)
+	})
+	// The scale: every off-diagonal group of a column reads its diagonal.
+	for j := 0; j < f.N; j++ {
+		diag := elemTask[f.ColPtr[j]]
+		for _, t := range elemTask[f.ColPtr[j]+1 : f.ColPtr[j+1]] {
+			if diag != t && stamp[diag] != t {
+				stamp[diag] = t
+				preds[t] = append(preds[t], diag)
+			}
+		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		t := elemTask[u.Tgt]
-		add(t, elemTask[u.SrcI])
-		add(t, elemTask[u.SrcJ])
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		add(elemTask[tgt], elemTask[diag])
-	})
 	for i := range preds {
 		p := preds[i]
 		sort.Slice(p, func(a, b int) bool { return p[a] < p[b] })
@@ -102,8 +112,7 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 // partition Traffic(ops, s).Total exactly — the property that lets the
 // comm-aware makespan charge every fetch exactly once.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
-	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks,
-		func(tgt int32) int32 { return elemTask[tgt] })
+	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks, elemTask)
 }
 
 // Makespan simulates dependency-delay execution of a 2D schedule with the

@@ -73,39 +73,39 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 		FanIn:   make([]int64, s.Tiles()),
 		PerProc: make([]int64, s.P),
 	}
-	// tileOf maps a factor nonzero to its packed tile index.
-	colOf := make([]int32, nnz)
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	tileOf := func(q int32) int {
-		return TileID(int(s.BlockOf[f.RowInd[q]]), int(s.BlockOf[colOf[q]]))
-	}
+	// A first fetch is charged to the tile of the target that required it.
+	// Source (i, k) sits in tile (block(i), block(k)) — the target's row of
+	// tiles, a fan-out; source (j, k) and the scaling diagonal (j, j) sit
+	// in the target's column of tiles, a fan-in.
 	fetched := traffic.NewFetchDedup(s.P, nnz)
-	access := func(elem, tgt int32, fanOut bool) {
-		proc := s.ElemProc[tgt]
-		if s.ElemProc[elem] == proc || !fetched.FirstFetch(elem, proc) {
-			return
-		}
+	owner, rowInd := s.ElemProc, f.RowInd
+	charge := func(dir []int64, tile int, proc int32) {
 		res.Total++
 		res.PerProc[proc]++
-		if fanOut {
-			res.FanOut[tileOf(tgt)]++
-		} else {
-			res.FanIn[tileOf(tgt)]++
+		dir[tile]++
+	}
+	ops.ForEachRun(func(r model.Run) {
+		c := int(s.BlockOf[r.Col])
+		lo, ownerLo := r.Lo, owner[r.Lo]
+		for q := lo; q < r.Hi; q++ {
+			i := rowInd[q]
+			proc := owner[r.Tgt[i]]
+			if owner[q] != proc && fetched.FirstFetch(q, proc) {
+				charge(res.FanOut, TileID(int(s.BlockOf[i]), c), proc)
+			}
+			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
+				charge(res.FanIn, TileID(int(s.BlockOf[i]), c), proc)
+			}
+		}
+	})
+	for j := 0; j < f.N; j++ {
+		c := int(s.BlockOf[j])
+		diag := int32(f.ColPtr[j])
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
+				charge(res.FanIn, TileID(int(s.BlockOf[rowInd[q]]), c), proc)
+			}
 		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		// Source (i, k) sits in tile (block(i), block(k)) — the target's
-		// row of tiles; source (j, k) sits in tile (block(j), block(k)) —
-		// the target's column of tiles.
-		access(u.SrcI, u.Tgt, true)
-		access(u.SrcJ, u.Tgt, false)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, tgt, false)
-	})
 	return res
 }

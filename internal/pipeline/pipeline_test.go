@@ -429,3 +429,42 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("concurrent solves rebuilt artifacts: %+v", st)
 	}
 }
+
+// TestPlanKeyDistinguishesRelaxFractions: RelaxZeros is a fraction in
+// (0, 1), and each value partitions a differently padded factor; the key
+// must tell them apart, or the cache hands a plan built over one factor to
+// a caller who asked for another.
+func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
+	a, _, err := gen.ByName("BUS1138") // padded differently at each fraction
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(0)
+	an, err := c.Analysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fracs := []float64{0, 0.05, 0.1}
+	seenKey := make(map[string]float64)
+	seenLen := make(map[int]float64)
+	for _, z := range fracs {
+		opts := strategy.Options{Part: core.Options{RelaxZeros: z}}
+		key := an.PlanKey("block", 4, opts, false).String()
+		if prev, dup := seenKey[key]; dup {
+			t.Fatalf("RelaxZeros %g and %g share a plan key", prev, z)
+		}
+		seenKey[key] = z
+		pl, err := c.Plan(an, "block", 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := an.Sys().Partition(opts.Part).F.NNZ()
+		if got := len(pl.S1.ElemProc); got != want {
+			t.Fatalf("RelaxZeros %g: cached plan covers %d elements, its partition's factor has %d", z, got, want)
+		}
+		if prev, dup := seenLen[want]; dup {
+			t.Fatalf("RelaxZeros %g and %g pad BUS1138 to the same %d elements; the test tells nothing apart", prev, z, want)
+		}
+		seenLen[want] = z
+	}
+}

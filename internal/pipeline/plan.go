@@ -51,7 +51,7 @@ func hashOptions(h *artifact.Hasher, opts strategy.Options) {
 	po := opts.Part.Normalized()
 	h.I64(int64(po.Grain))
 	h.I64(int64(po.MinClusterWidth))
-	h.I64(int64(po.RelaxZeros))
+	h.F64(po.RelaxZeros)
 	h.I64(int64(opts.BlockSize))
 	h.Str(opts.Base)
 	h.Str(opts.Objective)

@@ -118,7 +118,7 @@ func (s *Sys) partition(opts core.Options) *partEntry {
 	}
 	pe, ok := s.parts[opts]
 	if !ok {
-		part := core.NewPartition(s.F, opts)
+		part := core.NewPartitionWork(s.F, opts, s.ElemWork)
 		ops := s.Ops
 		if part.F != s.F {
 			// Relaxation padded the factor; simulators need its own ops.

@@ -1,6 +1,9 @@
 package traffic
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // FetchDedup tracks distinct (element, processor) first fetches — the
 // deduplication rule of the paper's caching model ("once a data element
@@ -34,4 +37,14 @@ func (d *FetchDedup) FirstFetch(elem, proc int32) bool {
 	}
 	*w |= bit
 	return true
+}
+
+// each calls fn for every (element, processor) pair marked so far,
+// elements and, within one element, processors in increasing order.
+func (d *FetchDedup) each(fn func(elem, proc int32)) {
+	for i, w := range d.mask {
+		for ; w != 0; w &= w - 1 {
+			fn(int32(i/d.words), int32(i%d.words*64+bits.TrailingZeros64(w)))
+		}
+	}
 }

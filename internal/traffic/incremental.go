@@ -51,13 +51,16 @@ func NewIncremental(ops *model.Ops, s *sched.Schedule) *Incremental {
 		colOf: columnIndex(ops.F),
 		count: make([]int32, nnz*s.P),
 	}
-	ops.ForEachUpdate(func(u model.Update) {
-		proc := s.ElemProc[u.Tgt]
-		t.read(u.SrcI, proc)
-		t.read(u.SrcJ, proc)
+	owner, rowInd := s.ElemProc, ops.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		for q := r.Lo; q < r.Hi; q++ {
+			proc := owner[r.Tgt[rowInd[q]]]
+			t.read(q, proc)
+			t.read(r.Lo, proc)
+		}
 	})
 	ops.ForEachScale(func(tgt, diag int32) {
-		t.read(diag, s.ElemProc[tgt])
+		t.read(diag, owner[tgt])
 	})
 	return t
 }

@@ -31,10 +31,9 @@ type MessageStats struct {
 }
 
 // consolidate runs the element-fetch simulation and groups distinct
-// fetches into messages keyed by (groupOf(element), destination).
-func consolidate(ops *model.Ops, s *sched.Schedule, groupOf func(elem int32) int32) *MessageStats {
-	nnz := ops.F.NNZ()
-	if len(s.ElemProc) != nnz {
+// fetches into messages keyed by (groupOf[element], destination).
+func consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageStats {
+	if len(s.ElemProc) != ops.F.NNZ() {
 		panic("traffic: schedule covers a different factor")
 	}
 	type key struct {
@@ -42,20 +41,8 @@ func consolidate(ops *model.Ops, s *sched.Schedule, groupOf func(elem int32) int
 		proc  int32
 	}
 	sizes := make(map[key]int64)
-	fetched := NewFetchDedup(s.P, nnz)
-	access := func(elem int32, proc int32) {
-		if s.ElemProc[elem] == proc || !fetched.FirstFetch(elem, proc) {
-			return
-		}
-		sizes[key{groupOf(elem), proc}]++
-	}
-	ops.ForEachUpdate(func(u model.Update) {
-		proc := s.ElemProc[u.Tgt]
-		access(u.SrcI, proc)
-		access(u.SrcJ, proc)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, s.ElemProc[tgt])
+	firstFetches(ops, s, nil).each(func(elem, proc int32) {
+		sizes[key{groupOf[elem], proc}]++
 	})
 	st := &MessageStats{P: s.P, PerProc: make([]int64, s.P)}
 	//repro:allow maporder -- commutative counts, sums and max over consolidated messages; order cannot change any statistic
@@ -80,7 +67,7 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 	if len(part.ElemUnit) != ops.F.NNZ() {
 		panic("traffic: partition built over a different factor")
 	}
-	return consolidate(ops, s, func(elem int32) int32 { return part.ElemUnit[elem] })
+	return consolidate(ops, s, part.ElemUnit)
 }
 
 // ConsolidateColumns groups the fetches of a column-mapped (wrap)
@@ -88,8 +75,7 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 // pair — the natural consolidation unit when whole columns live on one
 // processor.
 func ConsolidateColumns(ops *model.Ops, s *sched.Schedule) *MessageStats {
-	colOf := columnIndex(ops.F)
-	return consolidate(ops, s, func(elem int32) int32 { return colOf[elem] })
+	return consolidate(ops, s, columnIndex(ops.F))
 }
 
 // AlphaBetaCost evaluates the classical linear communication model for

@@ -22,8 +22,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -80,11 +78,12 @@ func (r *Result) MeanPartners() float64 {
 
 // Simulate runs the traffic model for a schedule. The factor ops must be
 // built over the same symbolic factor the schedule was computed from.
+//
+// It always takes the element-level walk (O(#updates)), whatever the
+// schedule's shape: it is the oracle the closed form of FetchStatsColumns
+// and the reader counts of Incremental are held to.
 func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
-	nnz := ops.F.NNZ()
-	if len(s.ElemProc) != nnz {
-		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
-	}
+	fetched := firstFetches(ops, s, nil)
 	r := &Result{
 		P:       s.P,
 		PerProc: make([]int64, s.P),
@@ -93,23 +92,10 @@ func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
 	for i := range r.Pair {
 		r.Pair[i] = make([]int64, s.P)
 	}
-	fetched := NewFetchDedup(s.P, nnz)
-	access := func(elem int32, proc int32) {
-		owner := s.ElemProc[elem]
-		if owner == proc || !fetched.FirstFetch(elem, proc) {
-			return
-		}
+	fetched.each(func(elem, proc int32) {
 		r.Total++
 		r.PerProc[proc]++
-		r.Pair[owner][proc]++
-	}
-	ops.ForEachUpdate(func(u model.Update) {
-		proc := s.ElemProc[u.Tgt]
-		access(u.SrcI, proc)
-		access(u.SrcJ, proc)
-	})
-	ops.ForEachScale(func(tgt, diag int32) {
-		access(diag, s.ElemProc[tgt])
+		r.Pair[s.ElemProc[elem]][proc]++
 	})
 	return r
 }

@@ -210,7 +210,7 @@ func (s *System) TotalWork() int64 { return s.an.Total }
 
 // Partition runs the block-based partitioner of Section 3.
 func (s *System) Partition(opts PartitionOptions) *Partition {
-	return core.NewPartition(s.F, opts)
+	return core.NewPartitionWork(s.F, opts, s.an.ElemWork)
 }
 
 // BlockSchedule allocates the partition's unit blocks to p processors with
