@@ -96,7 +96,7 @@ func parseFormat(s string) (format, error) {
 			return f, fmt.Errorf("hbio: bad width in %q", orig)
 		}
 		f.width = w
-		return f, nil
+		return f, f.check(orig)
 	}
 	w, err := strconv.Atoi(rest[:dot])
 	if err != nil {
@@ -107,7 +107,15 @@ func parseFormat(s string) (format, error) {
 		return f, fmt.Errorf("hbio: bad precision in %q", orig)
 	}
 	f.width, f.prec = w, p
-	return f, nil
+	return f, f.check(orig)
+}
+
+// check rejects a descriptor no field can be read with.
+func (f format) check(orig string) error {
+	if f.perLine < 1 || f.width < 1 {
+		return fmt.Errorf("hbio: bad format %q: repeat count and width must be positive", orig)
+	}
+	return nil
 }
 
 func allDigits(s string) bool {
@@ -204,8 +212,10 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	var lines []string
+	size := 0
 	for sc.Scan() {
 		lines = append(lines, sc.Text())
+		size += len(sc.Bytes())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, hdr, err
@@ -231,7 +241,7 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	if len(c2) >= 5 {
 		rhsCrd, _ = strconv.Atoi(c2[4])
 	}
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || ptrCrd < 0 || indCrd < 0 || valCrd < 0 {
 		return nil, hdr, fmt.Errorf("hbio: bad card counts %q", lines[1])
 	}
 	l3 := lines[2]
@@ -249,7 +259,10 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	hdr.NRow, err1 = strconv.Atoi(c3[0])
 	hdr.NCol, err2 = strconv.Atoi(c3[1])
 	hdr.NNZ, err3 = strconv.Atoi(c3[2])
-	if err1 != nil || err2 != nil || err3 != nil {
+	// Every entry takes at least one byte, which bounds what the parsers
+	// below allocate by the size of the input.
+	if err1 != nil || err2 != nil || err3 != nil ||
+		hdr.NRow < 0 || hdr.NRow >= size || hdr.NNZ < 0 || hdr.NNZ > size {
 		return nil, hdr, fmt.Errorf("hbio: bad dimensions %q", l3)
 	}
 	if hdr.NRow != hdr.NCol {

@@ -33,6 +33,9 @@ func TestParseFormat(t *testing.T) {
 		{"(XYZ)", 0, 0, 0, 0, true},
 		{"(5Q10)", 0, 0, 0, 0, true},
 		{"(5E)", 0, 0, 0, 0, true},
+		{"(10I0)", 0, 0, 0, 0, true},  // a zero width never advances
+		{"(E0.12)", 0, 0, 0, 0, true}, // found by FuzzHBRead
+		{"(0I8)", 0, 0, 0, 0, true},
 	}
 	for _, c := range cases {
 		f, err := parseFormat(c.in)

@@ -22,46 +22,54 @@ import "repro/internal/symbolic"
 // factorization over the symbolic structure f.
 type Ops struct {
 	F *symbolic.Factor
-	// rowCols[r] lists the columns k < r with L[r,k] != 0, increasing.
-	rowCols [][]int32
-	// rowPos[r][t] is the factor nonzero position of (r, rowCols[r][t]).
-	rowPos [][]int32
+	// Row r of the factor's strict lower triangle is the slice
+	// [rowPtr[r], rowPtr[r+1]) of two parallel arrays: rowCols lists the
+	// columns k < r with L[r,k] != 0, increasing, and rowPos the factor
+	// nonzero position of each (r, k).
+	rowPtr, rowCols, rowPos []int32
 }
 
 // NewOps prepares the operation enumerator for a factor structure.
 func NewOps(f *symbolic.Factor) *Ops {
 	n := f.N
-	counts := make([]int, n)
+	o := &Ops{F: f, rowPtr: make([]int32, n+1)}
 	for j := 0; j < n; j++ {
 		for _, i := range f.Col(j)[1:] {
-			counts[i]++
+			o.rowPtr[i+1]++
 		}
 	}
-	rows := make([][]int32, n)
-	pos := make([][]int32, n)
-	for i := range rows {
-		rows[i] = make([]int32, 0, counts[i])
-		pos[i] = make([]int32, 0, counts[i])
+	for i := 0; i < n; i++ {
+		o.rowPtr[i+1] += o.rowPtr[i]
 	}
+	half := f.NNZ() - n
+	both := make([]int32, 2*half)
+	o.rowCols, o.rowPos = both[:half:half], both[half:]
+	// rowPtr[i] is the cursor of row i while the rows fill, which leaves it
+	// at the start of row i+1: shift back afterwards.
 	for j := 0; j < n; j++ {
 		base := f.ColPtr[j]
 		for t, i := range f.Col(j)[1:] {
-			rows[i] = append(rows[i], int32(j))
-			pos[i] = append(pos[i], int32(base+1+t))
+			at := o.rowPtr[i]
+			o.rowPtr[i]++
+			o.rowCols[at], o.rowPos[at] = int32(j), int32(base+1+t)
 		}
 	}
-	return &Ops{F: f, rowCols: rows, rowPos: pos}
+	copy(o.rowPtr[1:], o.rowPtr[:n])
+	if n > 0 {
+		o.rowPtr[0] = 0
+	}
+	return o
 }
 
 // RowCols returns the columns k < r with L[r,k] != 0 (the factor's row
 // structure), in increasing order. The slice aliases internal storage.
-func (o *Ops) RowCols(r int) []int32 { return o.rowCols[r] }
+func (o *Ops) RowCols(r int) []int32 { return o.rowCols[o.rowPtr[r]:o.rowPtr[r+1]] }
 
 // RowPositions returns, parallel to RowCols(r), the factor nonzero
 // positions of row r's off-diagonal entries: RowPositions(r)[t] is the
 // position of element (r, RowCols(r)[t]) in F.RowInd. The slice aliases
 // internal storage.
-func (o *Ops) RowPositions(r int) []int32 { return o.rowPos[r] }
+func (o *Ops) RowPositions(r int) []int32 { return o.rowPos[o.rowPtr[r]:o.rowPtr[r+1]] }
 
 // Update is one element-level operation L[tgt] -= L[srcI]*L[srcJ], where
 // the fields are indices into the factor's nonzero array (positions in
@@ -100,8 +108,8 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 		for t, i := range f.Col(j) {
 			tgt[i] = int32(base + t)
 		}
-		pos := o.rowPos[j]
-		for t, k := range o.rowCols[j] {
+		pos := o.RowPositions(j)
+		for t, k := range o.RowCols(j) {
 			fn(Run{Col: j, Lo: pos[t], Hi: int32(f.ColPtr[k+1]), Tgt: tgt})
 		}
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +208,40 @@ func TestRowColsMatchColumnStructure(t *testing.T) {
 	}
 	if count != fac.NNZ()-fac.N {
 		t.Fatalf("row structure holds %d entries, want %d", count, fac.NNZ()-fac.N)
+	}
+}
+
+// TestRowIndexMatchesPerRowLists rebuilds the row index the way NewOps
+// did before it moved to two arenas — one appended list per row — and
+// holds RowCols and RowPositions to it.
+func TestRowIndexMatchesPerRowLists(t *testing.T) {
+	facs := []*symbolic.Factor{analyzed(3), analyzed(9), symbolic.Analyze(gen.Random(1, 0, 1)), symbolic.Analyze(gen.Random(0, 0, 1))}
+	lap := gen.Lap30()
+	pm, err := lap.Permute(order.MMD(lap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fac := range append(facs, symbolic.Analyze(pm)) {
+		cols := make([][]int32, fac.N)
+		pos := make([][]int32, fac.N)
+		for j := 0; j < fac.N; j++ {
+			for t, i := range fac.Col(j)[1:] {
+				cols[i] = append(cols[i], int32(j))
+				pos[i] = append(pos[i], int32(fac.ColPtr[j]+1+t))
+			}
+		}
+		o := NewOps(fac)
+		for r := 0; r < fac.N; r++ {
+			if !slices.Equal(o.RowCols(r), cols[r]) || !slices.Equal(o.RowPositions(r), pos[r]) {
+				t.Fatalf("n=%d: row %d of the index departs from the per-row lists", fac.N, r)
+			}
+		}
+	}
+}
+
+func TestNewOpsAllocations(t *testing.T) {
+	fac := analyzed(9)
+	if got := testing.AllocsPerRun(10, func() { NewOps(fac) }); got > 6 {
+		t.Errorf("NewOps allocates %.0f objects a call, want <= 6", got)
 	}
 }

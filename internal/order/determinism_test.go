@@ -7,12 +7,14 @@ import (
 )
 
 // TestOrderDeterminism pins the byte-for-byte stability of every ordering
-// over repeated runs in one process. The MMD supervariable merge iterates
-// a hash-bucket map whose keys are sorted before use (mmd.go); this test
-// is the regression net for that sort — if map-iteration order ever leaks
-// back into the ordering, identical calls diverge and every downstream
-// schedule and artifact key diverges with them. CI runs it with -count=2
-// to also cover per-process map-hash seed variation.
+// over repeated runs in one process. No ordering iterates a map any more
+// (MMD's supervariable merge sorts one slice of (hash, update-list
+// position) keys), so what this guards is the tie-breaks: the minimum
+// bucket taken in increasing index, equal hashes compared in update-list
+// order, RCM's (degree, index) neighbour sort. A tie broken by anything
+// that varies from call to call — scratch left over in a reused buffer, an
+// address, an unstable sort — makes identical calls diverge, and every
+// downstream schedule and artifact key with them. CI runs it with -count=2.
 func TestOrderDeterminism(t *testing.T) {
 	for _, tm := range gen.Suite() {
 		m := tm.Build()

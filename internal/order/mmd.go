@@ -17,12 +17,14 @@
 //     weight of its distinct neighbours, excluding itself.
 //
 // Tie-breaking differs from the GENMMD Fortran code, so fill counts differ
-// from the paper's by a few percent; DESIGN.md discusses this substitution.
+// from the paper's by a few percent; EXPERIMENTS.md (Ext-F, the ordering
+// ablation) measures what the ordering is worth.
 package order
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -31,57 +33,156 @@ type nodeState byte
 
 const (
 	stActive   nodeState = iota // an active supervariable
-	stAbsorbed                  // merged into another supervariable
+	stAbsorbed                  // merged into another supervariable, or mass-eliminated
 	stElement                   // eliminated; now an element (pivot clique)
 	stDead                      // an element absorbed by a newer element
 )
 
+// stampLimit is where a stamp counter wraps and its marks are cleared.
+const stampLimit = 1 << 30
+
+// stamps is a set over node ids that empties in O(1): id x is a member
+// while mark[x] equals the stamp next last returned.
+type stamps struct {
+	mark []int32
+	cur  int32
+}
+
+func (t *stamps) next() int32 {
+	t.cur++
+	if t.cur >= stampLimit {
+		clear(t.mark)
+		t.cur = 1
+	}
+	return t.cur
+}
+
+// mmd is the quotient graph on flat arrays. A node is a variable until it
+// is eliminated and an element from then on.
 type mmd struct {
-	n      int
-	adjVar [][]int32 // supervariable -> adjacent supervariables (lazy)
-	adjEl  [][]int32 // supervariable -> adjacent elements (lazy)
-	elVars [][]int32 // element -> member supervariables (lazy)
-	state  []nodeState
+	n     int
+	state []nodeState
+	flag  []bool // variable: its degree is stale and it sits in update
+
+	// Variable v keeps adj[ptr[v]:ptr[v+1]], its slice of the input
+	// adjacency, for good: nv[v] adjacent variables (lazy: entries may
+	// name absorbed variables, and two may resolve to one after a merge)
+	// followed by ne[v] adjacent elements (lazy: some may be dead). Every
+	// element a variable gains replaces a pivot or an absorbed element it
+	// loses, so the two lists never outgrow the slice.
+	ptr, nv, ne []int32
+	adj         []int32
+	// Element e's variables are lp[lpStart[e]:lpStart[e]+nv[e]] (lazy like
+	// the variable lists); lp only grows.
+	lpStart []int32
+	lp      []int32
+
 	weight []int32 // supervariable weight (count of merged originals)
-	degree []int32 // external degree (valid unless flagged for update)
-	parent []int32 // union-find for absorbed supervariables
-	member [][]int32
-	mark   []int32
-	stamp  int32
+	degree []int32 // external degree (valid unless flagged)
+	parent []int32 // union-find for merged supervariables
+	// The originals of supervariable v are v, memNext[v], ... up to
+	// memTail[v]; -1 ends the list.
+	memNext, memTail []int32
+	// Degree buckets: head[d] starts the doubly-linked list of the
+	// unflagged active variables of degree d; no bucket below minDeg is
+	// occupied.
+	head, next, prev []int32
+	minDeg           int32
+
+	seen, seen2 stamps
+
+	update []int32    // variables flagged this pass, in flagging order
+	cand   []int32    // this pass's minimum-degree bucket, increasing
+	keys   []mergeKey // merge candidates of this pass
+	slots  []int32    // how many of their hashes fall in each slot
 	order  []int
+}
+
+// mergeKey places one update-list entry in the supervariable merge: equal
+// hashes are compared pairwise in update-list order.
+type mergeKey struct {
+	hash uint64
+	pos  int32
 }
 
 // MMD computes a multiple-minimum-degree ordering of the symmetric matrix m.
 // The returned order satisfies order[k] = original index eliminated k-th,
 // i.e. it is directly usable with sparse.Matrix.Permute.
 func MMD(m *sparse.Matrix) []int {
-	n := m.N
-	s := &mmd{
-		n:      n,
-		adjVar: make([][]int32, n),
-		adjEl:  make([][]int32, n),
-		elVars: make([][]int32, n),
-		state:  make([]nodeState, n),
-		weight: make([]int32, n),
-		degree: make([]int32, n),
-		parent: make([]int32, n),
-		member: make([][]int32, n),
-		mark:   make([]int32, n),
-		order:  make([]int, 0, n),
+	s := newMMD(m, 0)
+	for len(s.order) < s.n {
+		s.pass()
 	}
-	adj := m.Adjacency()
-	for v := 0; v < n; v++ {
-		s.weight[v] = 1
-		s.parent[v] = int32(v)
-		s.member[v] = []int32{int32(v)}
-		s.adjVar[v] = make([]int32, len(adj[v]))
-		for k, u := range adj[v] {
-			s.adjVar[v][k] = int32(u)
-		}
-		s.degree[v] = int32(len(adj[v]))
-	}
-	s.run()
 	return s.order
+}
+
+// newMMD builds the quotient graph of m. Both stamp counters start at
+// stamp, which only tests set above zero.
+func newMMD(m *sparse.Matrix, stamp int32) *mmd {
+	n := m.N
+	nadj := 2 * m.OffDiagNNZ()
+	slab := make([]int32, 20*n+1+nadj)
+	take := func(k int) []int32 {
+		part := slab[:k:k]
+		slab = slab[k:]
+		return part
+	}
+	s := &mmd{
+		n:       n,
+		state:   make([]nodeState, n),
+		flag:    make([]bool, n),
+		ptr:     take(n + 1),
+		nv:      take(n),
+		ne:      take(n),
+		adj:     take(nadj),
+		lpStart: take(n),
+		lp:      make([]int32, 0, nadj),
+		weight:  take(n),
+		degree:  take(n),
+		parent:  take(n),
+		memNext: take(n),
+		memTail: take(n),
+		head:    take(n),
+		next:    take(n),
+		prev:    take(n),
+		seen:    stamps{mark: take(n), cur: stamp},
+		seen2:   stamps{mark: take(n), cur: stamp},
+		update:  take(n)[:0],
+		cand:    take(n)[:0],
+		slots:   take(4 * n),
+		order:   make([]int, 0, n),
+	}
+	// Column j contributes j to the list of every row below it and those
+	// rows to its own list, after every smaller column has: each list
+	// comes out increasing.
+	for j := 0; j < n; j++ {
+		for _, i := range m.Col(j)[1:] {
+			s.degree[i]++
+			s.degree[j]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		s.ptr[v+1] = s.ptr[v] + s.degree[v]
+	}
+	for j := 0; j < n; j++ {
+		for _, i := range m.Col(j)[1:] {
+			s.adj[s.ptr[i]+s.nv[i]] = int32(j)
+			s.nv[i]++
+			s.adj[s.ptr[j]+s.nv[j]] = int32(i)
+			s.nv[j]++
+		}
+	}
+	for d := range s.head {
+		s.head[d] = -1
+	}
+	for v := int32(0); int(v) < n; v++ {
+		s.weight[v] = 1
+		s.parent[v] = v
+		s.memNext[v] = -1
+		s.memTail[v] = v
+		s.list(v)
+	}
+	return s
 }
 
 func (s *mmd) find(v int32) int32 {
@@ -92,289 +193,274 @@ func (s *mmd) find(v int32) int32 {
 	return v
 }
 
-func (s *mmd) nextStamp() int32 {
-	s.stamp++
-	if s.stamp == 1<<30 {
-		for i := range s.mark {
-			s.mark[i] = 0
-		}
-		s.stamp = 1
+// list puts v into the bucket of its degree, unlist takes it out.
+func (s *mmd) list(v int32) {
+	d := s.degree[v]
+	h := s.head[d]
+	s.next[v], s.prev[v] = h, -1
+	if h != -1 {
+		s.prev[h] = v
 	}
-	return s.stamp
-}
-
-func (s *mmd) run() {
-	numbered := 0
-	needUpdate := make([]bool, s.n)
-	var updateList []int32
-	for numbered < s.n {
-		// Find the current minimum external degree among active nodes.
-		minDeg := int32(1 << 30)
-		for v := 0; v < s.n; v++ {
-			if s.state[v] == stActive && s.degree[v] < minDeg {
-				minDeg = s.degree[v]
-			}
-		}
-		// Multiple elimination: eliminate every active min-degree node whose
-		// degree is still current (independence: neighbours of a node
-		// eliminated this pass are flagged and skipped).
-		updateList = updateList[:0]
-		eliminatedAny := false
-		for v := int32(0); int(v) < s.n; v++ {
-			if s.state[v] != stActive || s.degree[v] != minDeg || needUpdate[v] {
-				continue
-			}
-			eliminatedAny = true
-			numbered += s.eliminate(v, needUpdate, &updateList)
-		}
-		if !eliminatedAny {
-			// All min-degree nodes were flagged; recompute and retry.
-			for _, u := range updateList {
-				if s.state[u] == stActive {
-					s.updateDegree(u)
-					needUpdate[u] = false
-				}
-			}
-			for v := int32(0); int(v) < s.n; v++ {
-				if s.state[v] == stActive && needUpdate[v] {
-					s.updateDegree(v)
-					needUpdate[v] = false
-				}
-			}
-			continue
-		}
-		// Degree update pass, with supervariable merging.
-		s.mergeIndistinguishable(updateList, needUpdate)
-		for _, u := range updateList {
-			if s.state[u] == stActive && needUpdate[u] {
-				s.updateDegree(u)
-				needUpdate[u] = false
-			}
-		}
-	}
-	if len(s.order) != s.n {
-		panic(fmt.Sprintf("order: produced %d of %d indices", len(s.order), s.n))
+	s.head[d] = v
+	if d < s.minDeg {
+		s.minDeg = d
 	}
 }
 
-// eliminate turns pivot p into an element, absorbing its adjacent elements,
-// and performs mass elimination. It returns the number of original
-// variables numbered.
-func (s *mmd) eliminate(p int32, needUpdate []bool, updateList *[]int32) int {
-	count := 0
-	for _, orig := range s.member[p] {
-		s.order = append(s.order, int(orig))
-		count++
+func (s *mmd) unlist(v int32) {
+	nx, pv := s.next[v], s.prev[v]
+	if pv != -1 {
+		s.next[pv] = nx
+	} else {
+		s.head[s.degree[v]] = nx
 	}
-	// Gather the new element's variable set Lp.
-	stamp := s.nextStamp()
-	s.mark[p] = stamp
-	var lp []int32
-	for _, w := range s.adjVar[p] {
+	if nx != -1 {
+		s.prev[nx] = pv
+	}
+}
+
+// number appends the originals of supervariable v to the ordering.
+func (s *mmd) number(v int32) {
+	for o := v; o != -1; o = s.memNext[o] {
+		s.order = append(s.order, int(o))
+	}
+}
+
+// pass is one round of multiple elimination: every minimum-degree
+// variable whose degree is still current is eliminated, in increasing
+// index (neighbours of a variable eliminated this pass are flagged and
+// skipped, which keeps the pivots independent), then the flagged
+// variables are merged where indistinguishable and their degrees
+// recomputed. No active variable is flagged when a pass starts, so the
+// first variable of the minimum bucket is always eliminated.
+func (s *mmd) pass() {
+	for s.head[s.minDeg] == -1 {
+		s.minDeg++
+	}
+	s.cand = s.cand[:0]
+	for v := s.head[s.minDeg]; v != -1; v = s.next[v] {
+		s.cand = append(s.cand, v)
+	}
+	slices.Sort(s.cand)
+	s.update = s.update[:0]
+	for _, v := range s.cand {
+		if s.state[v] == stActive && !s.flag[v] {
+			s.eliminate(v)
+		}
+	}
+	s.mergeIndistinguishable()
+	// Nothing is eliminated or merged while degrees are recomputed, so an
+	// element list compacted once stays compact for the whole phase.
+	phase := s.seen2.next()
+	for _, u := range s.update {
+		if s.state[u] == stActive {
+			s.updateDegree(u, phase)
+			s.flag[u] = false
+			s.list(u)
+		}
+	}
+}
+
+// eliminate turns pivot p into an element, absorbing its adjacent
+// elements, and performs mass elimination.
+func (s *mmd) eliminate(p int32) {
+	s.unlist(p)
+	s.number(p)
+	// Gather the new element's variable set Lp at the end of lp. The
+	// loops index lp afresh on every step: gather may move it.
+	stamp := s.seen.next()
+	mark := s.seen.mark
+	mark[p] = stamp
+	start := int32(len(s.lp))
+	gather := func(w int32) {
 		w = s.find(w)
-		if s.state[w] == stActive && s.mark[w] != stamp {
-			s.mark[w] = stamp
-			lp = append(lp, w)
+		if s.state[w] == stActive && mark[w] != stamp {
+			mark[w] = stamp
+			s.lp = append(s.lp, w)
 		}
 	}
-	for _, e := range s.adjEl[p] {
+	ap := s.adj[s.ptr[p]:s.ptr[p+1]]
+	for _, w := range ap[:s.nv[p]] {
+		gather(w)
+	}
+	for _, e := range ap[s.nv[p] : s.nv[p]+s.ne[p]] {
 		if s.state[e] != stElement {
 			continue
 		}
-		for _, w := range s.elVars[e] {
-			w = s.find(w)
-			if s.state[w] == stActive && s.mark[w] != stamp {
-				s.mark[w] = stamp
-				lp = append(lp, w)
-			}
+		for i, end := s.lpStart[e], s.lpStart[e]+s.nv[e]; i < end; i++ {
+			gather(s.lp[i])
 		}
 		s.state[e] = stDead // element absorption
-		s.elVars[e] = nil
 	}
 	s.state[p] = stElement
-	s.adjVar[p] = nil
-	s.adjEl[p] = nil
-	s.elVars[p] = lp
 
 	// Update each variable in Lp: replace dead elements / covered edges.
-	massEliminated := lp[:0:0]
-	for _, u := range lp {
-		newEl := s.adjEl[u][:0]
-		for _, e := range s.adjEl[u] {
-			if s.state[e] == stElement {
-				newEl = append(newEl, e)
-			}
-		}
-		newEl = append(newEl, p)
-		s.adjEl[u] = newEl
+	keep := start
+	for _, u := range s.lp[start:] {
+		a := s.adj[s.ptr[u]:s.ptr[u+1]]
 		// Drop variable-variable edges covered by the new element (both
 		// endpoints in Lp), absorbed variables, and the pivot itself.
-		newVar := s.adjVar[u][:0]
-		for _, w := range s.adjVar[u] {
+		nv := int32(0)
+		for _, w := range a[:s.nv[u]] {
 			w = s.find(w)
-			if s.state[w] != stActive || w == u || s.mark[w] == stamp {
-				continue
+			if s.state[w] == stActive && w != u && mark[w] != stamp {
+				a[nv] = w
+				nv++
 			}
-			newVar = append(newVar, w)
 		}
-		s.adjVar[u] = newVar
+		end := nv
+		for _, e := range a[s.nv[u] : s.nv[u]+s.ne[u]] {
+			if s.state[e] == stElement {
+				a[end] = e
+				end++
+			}
+		}
+		if int(end) == len(a) {
+			panic("order: a variable's lists outgrew its adjacency")
+		}
+		a[end] = p
+		s.nv[u], s.ne[u] = nv, end+1-nv
+		listed := !s.flag[u]
+		if listed {
+			s.unlist(u)
+		}
 		// Mass elimination: u's adjacency is covered entirely by element p.
-		if len(newVar) == 0 && len(newEl) == 1 {
-			massEliminated = append(massEliminated, u)
+		if end == 0 {
+			s.number(u)
+			s.state[u] = stAbsorbed
 			continue
 		}
-		if !needUpdate[u] {
-			needUpdate[u] = true
-			*updateList = append(*updateList, u)
+		s.lp[keep] = u
+		keep++
+		if listed {
+			s.flag[u] = true
+			s.update = append(s.update, u)
 		}
 	}
-	if len(massEliminated) > 0 {
-		// Remove mass-eliminated variables from the element and number them.
-		stamp2 := s.nextStamp()
-		for _, u := range massEliminated {
-			s.mark[u] = stamp2
-		}
-		kept := s.elVars[p][:0]
-		for _, w := range s.elVars[p] {
-			if s.mark[w] != stamp2 {
-				kept = append(kept, w)
-			}
-		}
-		s.elVars[p] = kept
-		for _, u := range massEliminated {
-			for _, orig := range s.member[u] {
-				s.order = append(s.order, int(orig))
-				count++
-			}
-			s.state[u] = stAbsorbed
-			s.adjVar[u] = nil
-			s.adjEl[u] = nil
-			s.member[u] = nil
-		}
-	}
-	return count
+	s.lp = s.lp[:keep]
+	s.lpStart[p], s.nv[p] = start, keep-start
 }
 
-// updateDegree recomputes the external degree of supervariable u.
-func (s *mmd) updateDegree(u int32) {
-	stamp := s.nextStamp()
-	s.mark[u] = stamp
-	var d int32
-	newVar := s.adjVar[u][:0]
-	for _, w := range s.adjVar[u] {
+// updateDegree recomputes the external degree of supervariable u,
+// compacting its lists and those of the elements it meets for the first
+// time in this phase.
+func (s *mmd) updateDegree(u, phase int32) {
+	stamp := s.seen.next()
+	mark := s.seen.mark
+	mark[u] = stamp
+	a := s.adj[s.ptr[u]:s.ptr[u+1]]
+	var d, nv int32
+	for _, w := range a[:s.nv[u]] {
 		w = s.find(w)
-		if s.state[w] != stActive || s.mark[w] == stamp {
-			continue
+		if s.state[w] == stActive && mark[w] != stamp {
+			mark[w] = stamp
+			d += s.weight[w]
+			a[nv] = w
+			nv++
 		}
-		s.mark[w] = stamp
-		d += s.weight[w]
-		newVar = append(newVar, w)
 	}
-	s.adjVar[u] = newVar
-	newEl := s.adjEl[u][:0]
-	for _, e := range s.adjEl[u] {
+	end := nv
+	for _, e := range a[s.nv[u] : s.nv[u]+s.ne[u]] {
 		if s.state[e] != stElement {
 			continue
 		}
-		newEl = append(newEl, e)
-		kept := s.elVars[e][:0]
-		for _, w := range s.elVars[e] {
-			w = s.find(w)
-			if s.state[w] != stActive {
-				continue
-			}
-			kept = append(kept, w)
-			if s.mark[w] != stamp && w != u {
-				s.mark[w] = stamp
+		a[end] = e
+		end++
+		if s.seen2.mark[e] != phase {
+			s.compact(e)
+			s.seen2.mark[e] = phase
+		}
+		for _, w := range s.lp[s.lpStart[e]:][:s.nv[e]] {
+			if mark[w] != stamp {
+				mark[w] = stamp
 				d += s.weight[w]
 			}
 		}
-		s.elVars[e] = dedupKeep(kept)
 	}
-	s.adjEl[u] = newEl
+	s.nv[u], s.ne[u] = nv, end-nv
 	s.degree[u] = d
 }
 
-// dedupKeep removes duplicates from a small slice in place, preserving
-// order (duplicates arise after union-find path compression).
-func dedupKeep(xs []int32) []int32 {
-	out := xs[:0]
-	for _, x := range xs {
-		dup := false
-		for _, y := range out {
-			if x == y {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, x)
+// compact rewrites element e's list as the distinct active variables it
+// resolves to, in order of first appearance (two entries resolve to one
+// after a merge).
+func (s *mmd) compact(e int32) {
+	stamp := s.seen2.next()
+	mark := s.seen2.mark
+	l := s.lp[s.lpStart[e]:][:s.nv[e]]
+	k := int32(0)
+	for _, w := range l {
+		w = s.find(w)
+		if s.state[w] == stActive && mark[w] != stamp {
+			mark[w] = stamp
+			l[k] = w
+			k++
 		}
 	}
-	return out
+	s.nv[e] = k
 }
 
 // mergeIndistinguishable merges supervariables with identical quotient-graph
 // adjacency among the nodes flagged for degree update.
-func (s *mmd) mergeIndistinguishable(updateList []int32, needUpdate []bool) {
-	if len(updateList) < 2 {
+func (s *mmd) mergeIndistinguishable() {
+	if len(s.update) < 2 {
 		return
 	}
 	// Group candidates by a cheap adjacency hash, then verify exactly.
-	buckets := make(map[uint64][]int32)
-	for _, u := range updateList {
+	// Every hash is taken before the first merge. Most are alone in their
+	// slot of a small count table, hence alone in their group: only the
+	// rest are sorted.
+	mask := uint64(1)<<bits.Len(uint(2*len(s.update))) - 1
+	slots := s.slots[:mask+1]
+	clear(slots)
+	s.keys = s.keys[:0]
+	for pos, u := range s.update {
 		if s.state[u] != stActive {
 			continue
 		}
+		a := s.adj[s.ptr[u]:s.ptr[u+1]]
 		var h uint64
-		for _, w := range s.adjVar[u] {
+		for _, w := range a[:s.nv[u]] {
 			w = s.find(w)
 			if s.state[w] == stActive && w != u {
 				h += uint64(w)*0x9e3779b97f4a7c15 + 1
 			}
 		}
-		for _, e := range s.adjEl[u] {
+		for _, e := range a[s.nv[u] : s.nv[u]+s.ne[u]] {
 			if s.state[e] == stElement {
 				h ^= (uint64(e) + 0x7f4a7c15) * 0x100000001b3
 			}
 		}
-		buckets[h] = append(buckets[h], u)
+		s.keys = append(s.keys, mergeKey{h, int32(pos)})
+		slots[(h>>32^h)&mask]++
 	}
-	// Process buckets in sorted hash order: merging marks the absorbed
-	// variable dead, which changes later indistinguishability checks, so
-	// map-iteration order would leak into the ordering (and from there
-	// into every downstream schedule and artifact hash).
-	hashes := make([]uint64, 0, len(buckets))
-	//repro:allow maporder -- key collection for the sort below; iteration order never escapes
-	for h := range buckets {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(a, b int) bool { return hashes[a] < hashes[b] })
-	for _, h := range hashes {
-		group := buckets[h]
-		if len(group) < 2 {
+	s.keys = slices.DeleteFunc(s.keys, func(k mergeKey) bool { return slots[(k.hash>>32^k.hash)&mask] < 2 })
+	// Merging marks the absorbed variable dead, which changes later
+	// checks, so the order of comparison is part of the ordering: groups
+	// in increasing hash, pairs within a group in update-list order.
+	slices.SortFunc(s.keys, func(a, b mergeKey) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	for i, ki := range s.keys {
+		u := s.update[ki.pos]
+		if s.state[u] != stActive {
 			continue
 		}
-		for i := 0; i < len(group); i++ {
-			u := group[i]
-			if s.state[u] != stActive {
-				continue
+		for _, kj := range s.keys[i+1:] {
+			if kj.hash != ki.hash {
+				break
 			}
-			for j := i + 1; j < len(group); j++ {
-				w := group[j]
-				if s.state[w] != stActive {
-					continue
-				}
-				if s.indistinguishable(u, w) {
-					// Merge w into u.
-					s.weight[u] += s.weight[w]
-					s.member[u] = append(s.member[u], s.member[w]...)
-					s.member[w] = nil
-					s.state[w] = stAbsorbed
-					s.parent[w] = u
-					s.adjVar[w] = nil
-					s.adjEl[w] = nil
-				}
+			w := s.update[kj.pos]
+			if s.state[w] == stActive && s.indistinguishable(u, w) {
+				// Merge w into u.
+				s.weight[u] += s.weight[w]
+				s.memNext[s.memTail[u]] = w
+				s.memTail[u] = s.memTail[w]
+				s.state[w] = stAbsorbed
+				s.parent[w] = u
 			}
 		}
 	}
@@ -383,70 +469,51 @@ func (s *mmd) mergeIndistinguishable(updateList []int32, needUpdate []bool) {
 // indistinguishable reports whether active supervariables u and w have the
 // same adjacency sets (excluding each other). Merging such variables is
 // safe: they can be eliminated consecutively with no extra fill.
+// Variables and elements are disjoint ids, so one pair of stamps serves
+// both kinds of list: seen holds u's side, seen2 what w has matched of it.
 func (s *mmd) indistinguishable(u, w int32) bool {
-	return s.sameVarSet(u, w) && s.sameElSet(u, w)
-}
-
-func (s *mmd) sameVarSet(u, w int32) bool {
-	su := s.collectVars(u, w)
-	sw := s.collectVars(w, u)
-	if len(su) != len(sw) {
-		return false
-	}
-	stamp := s.nextStamp()
-	for _, x := range su {
-		s.mark[x] = stamp
-	}
-	for _, x := range sw {
-		if s.mark[x] != stamp {
-			return false
+	in, hit := s.seen.next(), s.seen2.next()
+	ofU, ofW := s.seen.mark, s.seen2.mark
+	unmatched := 0
+	a := s.adj[s.ptr[u]:s.ptr[u+1]]
+	for _, x := range a[:s.nv[u]] {
+		x = s.find(x)
+		if s.state[x] == stActive && x != u && x != w && ofU[x] != in {
+			ofU[x] = in
+			unmatched++
 		}
 	}
-	return true
-}
-
-func (s *mmd) collectVars(u, skip int32) []int32 {
-	stamp := s.nextStamp()
-	var out []int32
-	for _, x := range s.adjVar[u] {
+	for _, e := range a[s.nv[u] : s.nv[u]+s.ne[u]] {
+		if s.state[e] == stElement && ofU[e] != in {
+			ofU[e] = in
+			unmatched++
+		}
+	}
+	a = s.adj[s.ptr[w]:s.ptr[w+1]]
+	for _, x := range a[:s.nv[w]] {
 		x = s.find(x)
-		if s.state[x] != stActive || x == u || x == skip {
+		if s.state[x] != stActive || x == u || x == w {
 			continue
 		}
-		if s.mark[x] != stamp {
-			s.mark[x] = stamp
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func (s *mmd) sameElSet(u, w int32) bool {
-	su := s.collectEls(u)
-	sw := s.collectEls(w)
-	if len(su) != len(sw) {
-		return false
-	}
-	stamp := s.nextStamp()
-	for _, e := range su {
-		s.mark[e] = stamp
-	}
-	for _, e := range sw {
-		if s.mark[e] != stamp {
+		if ofU[x] != in {
 			return false
 		}
-	}
-	return true
-}
-
-func (s *mmd) collectEls(u int32) []int32 {
-	stamp := s.nextStamp()
-	var out []int32
-	for _, e := range s.adjEl[u] {
-		if s.state[e] == stElement && s.mark[e] != stamp {
-			s.mark[e] = stamp
-			out = append(out, e)
+		if ofW[x] != hit {
+			ofW[x] = hit
+			unmatched--
 		}
 	}
-	return out
+	for _, e := range a[s.nv[w] : s.nv[w]+s.ne[w]] {
+		if s.state[e] != stElement {
+			continue
+		}
+		if ofU[e] != in {
+			return false
+		}
+		if ofW[e] != hit {
+			ofW[e] = hit
+			unmatched--
+		}
+	}
+	return unmatched == 0
 }

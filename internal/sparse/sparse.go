@@ -328,13 +328,19 @@ func (m *Matrix) Degrees() []int {
 
 // Permute returns B = A(order, order): the symmetric permutation of m where
 // order[k] gives the original index of the k-th row/column of the result.
-// order must be a permutation of 0..N-1.
+// order must be a permutation of 0..N-1. A column of m without its
+// diagonal entry is an error.
+//
+// Entries are bucketed by new row and the rows swept in increasing order,
+// each entry appended to its new column: every column comes out sorted,
+// in time linear in the matrix.
 func (m *Matrix) Permute(order []int) (*Matrix, error) {
-	n := m.N
+	n, nnz := m.N, len(m.RowInd)
 	if len(order) != n {
 		return nil, fmt.Errorf("sparse: permutation length %d, want %d", len(order), n)
 	}
-	inv := make([]int, n)
+	scratch := make([]int, 2*n+1+2*nnz)
+	inv, rowEnd, bucket := scratch[:n], scratch[n:2*n+1], scratch[2*n+1:]
 	for i := range inv {
 		inv[i] = -1
 	}
@@ -344,49 +350,51 @@ func (m *Matrix) Permute(order []int) (*Matrix, error) {
 		}
 		inv[old] = newIdx
 	}
-	withVal := m.Val != nil
-	colIdx := make([][]int, n)
-	var colVal [][]float64
-	if withVal {
-		colVal = make([][]float64, n)
-	}
-	type ent struct {
-		r int
-		v float64
-	}
-	tmp := make([][]ent, n)
-	for j := 0; j < n; j++ {
-		cj := m.Col(j)
-		var vj []float64
-		if withVal {
-			vj = m.ColVal(j)
-		}
-		for k, i := range cj {
-			ni, nj := inv[i], inv[j]
-			if ni < nj {
-				ni, nj = nj, ni
-			}
-			var v float64
-			if withVal {
-				v = vj[k]
-			}
-			tmp[nj] = append(tmp[nj], ent{ni, v})
-		}
+	p := &Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int, nnz)}
+	if m.Val != nil {
+		p.Val = make([]float64, nnz)
 	}
 	for j := 0; j < n; j++ {
-		sort.Slice(tmp[j], func(a, b int) bool { return tmp[j][a].r < tmp[j][b].r })
-		colIdx[j] = make([]int, len(tmp[j]))
-		if withVal {
-			colVal[j] = make([]float64, len(tmp[j]))
+		for _, i := range m.Col(j) {
+			rowEnd[max(inv[i], inv[j])+1]++
+			p.ColPtr[min(inv[i], inv[j])+1]++
 		}
-		for k, e := range tmp[j] {
-			colIdx[j][k] = e.r
-			if withVal {
-				colVal[j][k] = e.v
+	}
+	for r := 0; r < n; r++ {
+		rowEnd[r+1] += rowEnd[r]
+		p.ColPtr[r+1] += p.ColPtr[r]
+	}
+	// bucket holds (new column, source position) pairs grouped by new row;
+	// rowEnd[r] runs from the start of row r's group to its end.
+	for j := 0; j < n; j++ {
+		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
+			ni, nj := inv[m.RowInd[k]], inv[j]
+			at := 2 * rowEnd[max(ni, nj)]
+			rowEnd[max(ni, nj)]++
+			bucket[at], bucket[at+1] = min(ni, nj), k
+		}
+	}
+	next := inv // the inverse has served; reuse it as the column cursors
+	copy(next, p.ColPtr)
+	at := 0
+	for r := 0; r < n; r++ {
+		for ; at < 2*rowEnd[r]; at += 2 {
+			q := next[bucket[at]]
+			next[bucket[at]]++
+			p.RowInd[q] = r
+			if p.Val != nil {
+				p.Val[q] = m.Val[bucket[at+1]]
 			}
 		}
 	}
-	return assembleWithDiagonal(n, colIdx, colVal, withVal), nil
+	// No row of a column lies above its diagonal, so the diagonal, where
+	// present, came first.
+	for c := 0; c < n; c++ {
+		if p.ColPtr[c] == p.ColPtr[c+1] || p.RowInd[p.ColPtr[c]] != c {
+			return nil, fmt.Errorf("sparse: column %d missing diagonal entry", order[c])
+		}
+	}
+	return p, nil
 }
 
 // SetLaplacianValues fills in numerical values that make the matrix

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,17 @@ func TestPermuteRejectsBadInput(t *testing.T) {
 	}
 	if _, err := m.Permute([]int{0, 1, 3}); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+	// Column 1 has lost its diagonal; an empty column is the same fault.
+	for _, bad := range []*Matrix{
+		{N: 3, ColPtr: []int{0, 2, 3, 4}, RowInd: []int{0, 1, 2, 2}},
+		{N: 3, ColPtr: []int{0, 2, 2, 3}, RowInd: []int{0, 1, 2}},
+	} {
+		for _, perm := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+			if _, err := bad.Permute(perm); err == nil || !strings.Contains(err.Error(), "column 1 missing diagonal") {
+				t.Fatalf("Permute(%v) of a matrix without diagonal 1: err = %v", perm, err)
+			}
+		}
 	}
 }
 

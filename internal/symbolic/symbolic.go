@@ -64,36 +64,52 @@ func (f *Factor) Pattern() *sparse.Matrix {
 	}
 }
 
+// rowIndex returns the strict lower triangle of m by rows: the columns
+// j < i with A[i][j] != 0 are idx[ptr[i]:ptr[i+1]], increasing.
+func rowIndex(m *sparse.Matrix) (ptr, idx []int) {
+	n := m.N
+	ptr = make([]int, n+1)
+	idx = make([]int, m.OffDiagNNZ())
+	for j := 0; j < n; j++ {
+		for _, i := range m.Col(j)[1:] {
+			ptr[i+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	// ptr[i] is the cursor of row i while the rows fill, which leaves it at
+	// the start of row i+1: shift back afterwards.
+	for j := 0; j < n; j++ {
+		for _, i := range m.Col(j)[1:] {
+			idx[ptr[i]] = j
+			ptr[i]++
+		}
+	}
+	copy(ptr[1:], ptr[:n])
+	if n > 0 {
+		ptr[0] = 0
+	}
+	return ptr, idx
+}
+
 // EliminationTree computes the elimination tree of the symmetric matrix m
 // using Liu's algorithm with path compression. parent[j] = -1 marks roots.
-//
-// Entries must be processed grouped by row in increasing row order (the
-// ancestor pointers are only monotone under that schedule), so the lower
-// triangle is first bucketed into row lists.
 func EliminationTree(m *sparse.Matrix) []int {
-	n := m.N
-	// rows[i] = columns j < i with A[i][j] != 0.
-	counts := make([]int, n)
-	for j := 0; j < n; j++ {
-		for _, i := range m.Col(j)[1:] {
-			counts[i]++
-		}
-	}
-	rows := make([][]int, n)
-	for i := range rows {
-		rows[i] = make([]int, 0, counts[i])
-	}
-	for j := 0; j < n; j++ {
-		for _, i := range m.Col(j)[1:] {
-			rows[i] = append(rows[i], j)
-		}
-	}
+	ptr, idx := rowIndex(m)
+	return etree(ptr, idx, make([]int, m.N))
+}
+
+// etree is EliminationTree over the row index; ancestor is scratch of
+// length n. Entries must be processed grouped by row in increasing row
+// order: the ancestor pointers are only monotone under that schedule.
+func etree(ptr, idx, ancestor []int) []int {
+	n := len(ancestor)
 	parent := make([]int, n)
-	ancestor := make([]int, n)
 	for i := 0; i < n; i++ {
 		parent[i] = -1
 		ancestor[i] = -1
-		for _, j := range rows[i] {
+		for _, j := range idx[ptr[i]:ptr[i+1]] {
 			// Walk from j to the root of its subtree, compressing the path
 			// onto i and grafting the root under i.
 			for j != -1 && j < i {
@@ -167,64 +183,45 @@ func PostOrder(parent []int) []int {
 // Analyze computes the full symbolic factorization of m: the elimination
 // tree and the complete nonzero structure of L. It runs in time
 // proportional to the size of the output structure.
+//
+// Row i of L is the union of the tree paths from the columns of row i of A
+// up to i (its row subtree). Walking every row subtree once counts the
+// columns; walking them again in increasing i appends i to each column it
+// meets, so the columns come out sorted and sized exactly.
 func Analyze(m *sparse.Matrix) *Factor {
 	n := m.N
-	parent := EliminationTree(m)
-	// Children lists.
-	childHead := make([]int, n)
-	childNext := make([]int, n)
-	for i := range childHead {
-		childHead[i] = -1
-		childNext[i] = -1
-	}
-	for j := n - 1; j >= 0; j-- {
-		if p := parent[j]; p != -1 {
-			childNext[j] = childHead[p]
-			childHead[p] = j
-		}
-	}
-	// Column merge: struct(j) = Acol(j) U union over children c of
-	// (struct(c) minus {c}), all restricted to rows >= j.
-	cols := make([][]int, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		var buf []int
-		mark[j] = j
-		buf = append(buf, j)
-		for _, i := range m.Col(j)[1:] {
-			if mark[i] != j {
-				mark[i] = j
-				buf = append(buf, i)
+	ptr, idx := rowIndex(m)
+	work := make([]int, 2*n)
+	mark, next := work[:n], work[n:]
+	f := &Factor{N: n, ColPtr: make([]int, n+1), Parent: etree(ptr, idx, mark)}
+	parent := f.Parent
+	// A walk from row i reads mark[k] only for k < i, which row k of the
+	// same sweep set to k: what etree or an earlier sweep left is never read.
+	for i := 0; i < n; i++ {
+		mark[i] = i
+		for _, k := range idx[ptr[i]:ptr[i+1]] {
+			for ; mark[k] != i; k = parent[k] {
+				mark[k] = i
+				f.ColPtr[k+1]++
 			}
 		}
-		for c := childHead[j]; c != -1; c = childNext[c] {
-			for _, i := range cols[c][1:] { // skip child's diagonal
-				if i == j {
-					continue
-				}
-				if mark[i] != j {
-					mark[i] = j
-					buf = append(buf, i)
-				}
+	}
+	for j := 0; j < n; j++ {
+		f.ColPtr[j+1] += f.ColPtr[j] + 1 // the diagonal
+	}
+	f.RowInd = make([]int, f.ColPtr[n])
+	for i := 0; i < n; i++ {
+		mark[i] = i
+		f.RowInd[f.ColPtr[i]] = i
+		next[i] = f.ColPtr[i] + 1
+		for _, k := range idx[ptr[i]:ptr[i+1]] {
+			for ; mark[k] != i; k = parent[k] {
+				mark[k] = i
+				f.RowInd[next[k]] = i
+				next[k]++
 			}
 		}
-		sortInts(buf)
-		cols[j] = buf
 	}
-	f := &Factor{N: n, ColPtr: make([]int, n+1), Parent: parent}
-	nnz := 0
-	for j := 0; j < n; j++ {
-		nnz += len(cols[j])
-	}
-	f.RowInd = make([]int, 0, nnz)
-	for j := 0; j < n; j++ {
-		f.ColPtr[j] = len(f.RowInd)
-		f.RowInd = append(f.RowInd, cols[j]...)
-	}
-	f.ColPtr[n] = len(f.RowInd)
 	return f
 }
 

@@ -1,5 +1,5 @@
 // Package tables regenerates every table of the paper's evaluation
-// (Section 4) and the extension studies described in DESIGN.md, printing
+// (Section 4) and the extension studies described in EXPERIMENTS.md, printing
 // measured values side by side with the published ones.
 package tables
 
