@@ -4,11 +4,12 @@
 // b.ReportMetric, so `go test -bench=. -benchmem` both times the pipeline
 // and re-derives the paper's numbers. The Figure benchmarks exercise the
 // artifacts behind the paper's figures (the Figure 2 example matrix, the
-// Figure 3 partitioning, the Figure 4 dependency engine).
+// Figure 3 partitioning, the Figure 4 dependency engine). Wall-clock and
+// per-layer cost tracking lives in benchmark/ (cold, refactor, warm and
+// study workloads), not here.
 package repro_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -119,11 +120,11 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	var nClusters int
 	for i := 0; i < b.N; i++ {
-		sys, err := repro.Analyze(repro.FEGrid5(5))
+		an, err := repro.AnalyzePattern(repro.FEGrid5(5))
 		if err != nil {
 			b.Fatal(err)
 		}
-		part := sys.Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
+		part := an.Sys().Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
 		nClusters = len(part.Clusters)
 	}
 	b.ReportMetric(float64(nClusters), "clusters")
@@ -197,136 +198,4 @@ func BenchmarkExtGrainSweep(b *testing.B) {
 		rows = tables.GrainSweep(lap, 16, grains)
 	}
 	b.ReportMetric(float64(rows[len(rows)-1].Total), "g100-traffic")
-}
-
-// BenchmarkStrategyMap measures every registered mapping strategy's Map
-// on LAP30 at P=16 (partitioning is cached across iterations, so the
-// block-based entries time allocation, not partitioning). This seeds the
-// perf trajectory of the strategy subsystem: each sub-benchmark also
-// reports the traffic and imbalance the strategy achieves.
-func BenchmarkStrategyMap(b *testing.B) {
-	sys, err := repro.Analyze(repro.LAP30())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := repro.StrategyOptions{
-		Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4},
-	}
-	// Warm the partition cache so block-based strategies time Map alone.
-	if _, err := sys.MapStrategy("block", 16, opts); err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range repro.Strategies() {
-		b.Run(name, func(b *testing.B) {
-			var sc *repro.Schedule
-			for i := 0; i < b.N; i++ {
-				var err error
-				sc, err = sys.MapStrategy(name, 16, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(sys.StrategyTraffic(opts, sc).Total), "traffic")
-			b.ReportMetric(sc.Imbalance(), "imbalance-A")
-		})
-	}
-}
-
-// BenchmarkMap2D measures every registered 2D tile mapper's Map2D on
-// LAP30 at P=16 (col2d lifting the wrap baseline), reporting the 2D
-// traffic total and tile-ownership imbalance each achieves. Together with
-// BenchmarkStrategyMap it keeps both registries' mapping costs on the
-// perf trajectory; the CI bench-smoke job compiles and runs both on every
-// push.
-func BenchmarkMap2D(b *testing.B) {
-	sys, err := repro.Analyze(repro.LAP30())
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := repro.StrategyOptions{}
-	for _, name := range repro.Strategies2D() {
-		b.Run(name, func(b *testing.B) {
-			var s2 *repro.Schedule2D
-			for i := 0; i < b.N; i++ {
-				var err error
-				s2, err = sys.MapStrategy2D(name, 16, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(sys.Traffic2D(s2).Total), "traffic2d")
-			b.ReportMetric(s2.Imbalance(), "imbalance-A")
-		})
-	}
-}
-
-// BenchmarkSolveCached contrasts the staged pipeline's cold and warm
-// paths on LAP30: "cold" pays analysis + mapping + factorization on an
-// empty artifact store each iteration; "warm" issues the identical
-// request against a shared pre-warmed cache, so every stage hits and
-// only the triangular sweeps run. The cold/warm gap is the
-// factor-many/solve-many payoff; the hit counter is reported so the
-// bench-smoke run shows the cache actually served the warm path.
-func BenchmarkSolveCached(b *testing.B) {
-	a := repro.LAP30()
-	rhs := make([]float64, a.N)
-	for i := range rhs {
-		rhs[i] = 1 + float64(i%7)
-	}
-	opts := repro.StrategyOptions{}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cache := repro.NewCache(0)
-			if _, err := cache.Solve(a, "wrap", 16, opts, repro.KernelCholesky, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := repro.NewCache(0)
-		if _, err := cache.Solve(a, "wrap", 16, opts, repro.KernelCholesky, rhs); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Solve(a, "wrap", 16, opts, repro.KernelCholesky, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(cache.Stats().Hits), "cache-hits")
-	})
-}
-
-// BenchmarkFullPipeline times the whole paper pipeline on LAP30:
-// generate, order, analyze, partition, schedule, simulate.
-func BenchmarkFullPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sys, err := repro.Analyze(repro.LAP30())
-		if err != nil {
-			b.Fatal(err)
-		}
-		part := sys.Partition(repro.PartitionOptions{Grain: 25, MinClusterWidth: 4})
-		sc := sys.BlockSchedule(part, 16)
-		sys.Traffic(sc)
-	}
-}
-
-// BenchmarkScaling runs the full pipeline across growing 9-point grids,
-// showing how partitioning cost scales with problem size.
-func BenchmarkScaling(b *testing.B) {
-	for _, side := range []int{15, 30, 60} {
-		b.Run(fmt.Sprintf("grid%dx%d", side, side), func(b *testing.B) {
-			m := repro.Grid9(side, side)
-			for i := 0; i < b.N; i++ {
-				sys, err := repro.Analyze(m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				part := sys.Partition(repro.PartitionOptions{Grain: 25, MinClusterWidth: 4})
-				sc := sys.BlockSchedule(part, 16)
-				sys.Traffic(sc)
-			}
-			b.ReportMetric(float64(m.N), "n")
-		})
-	}
 }

@@ -2,17 +2,16 @@ package repro
 
 // Calibration surface: fit the communication-time model (including the
 // per-task fixed-overhead Gamma) to the measured task durations the real
-// parallel engine emits, so the makespan simulators predict wall clock
-// instead of abstract work units. See internal/calib for the fit.
+// parallel engine emits (Plan.Measure), so Plan.Simulate predicts wall
+// clock instead of abstract work units. See internal/calib for the fit.
 
 import (
 	"repro/internal/calib"
 	"repro/internal/obs"
-	"repro/internal/part2d"
 )
 
 // CalibratedModel is a fitted cost model: the work-unit CommModel (with
-// Gamma) the simulators consume unchanged, the nanosecond-per-work-unit
+// Gamma) SimOptions.Comm takes unchanged, the nanosecond-per-work-unit
 // scale that converts simulated spans into predicted wall clock, and
 // optional per-processor speed multipliers.
 type CalibratedModel = calib.CalibratedModel
@@ -39,31 +38,10 @@ type CalibSummary = obs.CalibSummary
 func NewFitter() *Fitter { return calib.NewFitter() }
 
 // Calibrate fits {Alpha, Beta, Gamma} and the nanosecond scale to one
-// measured run: events are MeasureFactorize2D's per-task TaskEvents,
-// tasks the executed graph and tc its fetch attribution (both from
-// Tasks2D; tc may be nil to charge no communication). Fit across several
-// runs with a Fitter when calibrating over processor counts or mappers.
+// measured run of a plan: events are the per-task TaskEvents of
+// pl.Measure, tasks and tc the plan's Tasks and Fetch (tc may be nil to
+// charge no communication). Fit across several runs with a Fitter when
+// calibrating over processor counts or mappers.
 func Calibrate(events []TraceEvent, tasks []Task, tc *TaskComm) (CalibratedModel, FitReport, error) {
 	return calib.Calibrate(events, tasks, tc)
-}
-
-// Tasks2D returns the merged tile-segment task graph of a 2D schedule
-// and its per-task fetch attribution — the inputs Calibrate pairs with
-// MeasureFactorize2D's measured events.
-func (s *System) Tasks2D(sc *Schedule2D) ([]Task, *TaskComm) {
-	tasks, elemTask := part2d.Tasks(s.an.Ops, s.an.ElemWork, sc)
-	return tasks, part2d.FetchStats(s.an.Ops, sc, len(tasks), elemTask)
-}
-
-// CalibrateFactorize2D measures one real run of sc's task graph
-// (repeat-and-min, bit-identity verified) and fits the homogeneous cost
-// model to its per-task durations.
-func (s *System) CalibrateFactorize2D(sc *Schedule2D, opts MeasureOptions) (*Measurement, CalibratedModel, FitReport, error) {
-	mes, err := s.MeasureFactorize2D(sc, opts)
-	if err != nil {
-		return nil, CalibratedModel{}, FitReport{}, err
-	}
-	tasks, tc := s.Tasks2D(sc)
-	model, report, err := Calibrate(mes.Events, tasks, tc)
-	return mes, model, report, err
 }

@@ -341,33 +341,25 @@ func writeTraceRun(w *os.File, matrix, name string, procs int, format string, cm
 	if err != nil {
 		return err
 	}
-	sys, err := repro.Analyze(m)
+	an, err := repro.AnalyzePattern(m)
 	if err != nil {
 		return err
 	}
-	opts := repro.StrategyOptions{Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4}}
-	var res repro.MakespanResult
-	var events []repro.TraceEvent
+	var pl *repro.Plan
 	switch {
 	case strings.HasPrefix(name, "col2d:"):
-		opts2 := repro.StrategyOptions{Base: strings.TrimPrefix(name, "col2d:")}
-		s2, err := sys.MapStrategy2D("col2d", procs, opts2)
-		if err != nil {
-			return err
-		}
-		res, events = sys.TraceMakespan2DCommDynamic(s2, cm)
+		pl, err = an.Plan2D("col2d", procs, repro.StrategyOptions{Base: strings.TrimPrefix(name, "col2d:")})
 	case slices.Contains(repro.Strategies2D(), name):
-		s2, err := sys.MapStrategy2D(name, procs, repro.StrategyOptions{})
-		if err != nil {
-			return err
-		}
-		res, events = sys.TraceMakespan2DCommDynamic(s2, cm)
+		pl, err = an.Plan2D(name, procs, repro.StrategyOptions{})
 	default:
-		sc, err := sys.MapStrategy(name, procs, opts)
-		if err != nil {
-			return err
-		}
-		res, events = sys.TraceMakespanCommDynamic(opts, sc, cm)
+		pl, err = an.Plan(name, procs, repro.StrategyOptions{
+			Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4},
+		})
 	}
-	return repro.WriteTrace(w, format, events, res)
+	if err != nil {
+		return err
+	}
+	tr := repro.NewTracer()
+	res := pl.Simulate(repro.SimOptions{Dynamic: true, Comm: cm, Probe: tr})
+	return repro.WriteTrace(w, format, tr.Events, res)
 }

@@ -58,46 +58,50 @@ func main() {
 		}
 	}
 
-	sys, err := repro.Analyze(m)
+	an, err := repro.AnalyzePattern(m)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: n=%d nnz(A)=%d nnz(L)=%d total work=%d\n",
-		name, m.N, m.NNZ(), sys.F.NNZ(), sys.TotalWork())
+		name, m.N, m.NNZ(), an.F.NNZ(), an.Total)
 
+	// report prints the paper's two metrics and the dependency-delay
+	// simulation of one mapped plan.
+	report := func(pl *repro.Plan) {
+		tr, sc, mk := pl.Traffic(), pl.S1, pl.Makespan()
+		fmt.Printf("  traffic: total=%d mean/proc=%.0f max/proc=%d partners/proc=%.1f\n",
+			tr.Total, tr.Mean(), tr.MaxPerProc(), tr.MeanPartners())
+		fmt.Printf("  balance: A=%.3f efficiency bound=%.3f\n", sc.Imbalance(), sc.Efficiency())
+		fmt.Printf("  delays:  makespan=%d efficiency=%.3f idle=%.1f%%\n",
+			mk.Makespan, mk.Efficiency, 100*float64(mk.Idle)/float64(int64(*procs)*mk.Makespan))
+	}
 	if *scheme == "block" || *scheme == "both" {
-		part := sys.Partition(repro.PartitionOptions{
+		opts := repro.StrategyOptions{Part: repro.PartitionOptions{
 			Grain: *grain, MinClusterWidth: *width, RelaxZeros: *relax,
-		})
-		var sc *repro.Schedule
+		}}
+		strategy := "block"
 		if *alloc == "greedy" {
-			sc = sys.BlockScheduleGreedy(part, *procs)
-		} else {
-			sc = sys.BlockSchedule(part, *procs)
+			strategy = "blockgreedy"
 		}
-		tr := sys.TrafficPart(part, sc)
-		mk := sys.BlockMakespan(part, sc)
+		pl, err := an.Plan(strategy, *procs, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		part := an.Sys().Partition(opts.Part)
 		fmt.Printf("\nblock mapping (g=%d, width=%d, P=%d, alloc=%s): %d unit blocks\n",
 			*grain, *width, *procs, *alloc, len(part.Units))
 		if part.Relax.Merges > 0 {
 			fmt.Printf("  relaxation: %v\n", part.Relax)
 		}
-		fmt.Printf("  traffic: total=%d mean/proc=%.0f max/proc=%d partners/proc=%.1f\n",
-			tr.Total, tr.Mean(), tr.MaxPerProc(), tr.MeanPartners())
-		fmt.Printf("  balance: A=%.3f efficiency bound=%.3f\n", sc.Imbalance(), sc.Efficiency())
-		fmt.Printf("  delays:  makespan=%d efficiency=%.3f idle=%.1f%%\n",
-			mk.Makespan, mk.Efficiency, 100*float64(mk.Idle)/float64(int64(*procs)*mk.Makespan))
+		report(pl)
 	}
 	if *scheme == "wrap" || *scheme == "both" {
-		sc := sys.WrapSchedule(*procs)
-		tr := sys.Traffic(sc)
-		mk := sys.WrapMakespan(*procs)
+		pl, err := an.Plan("wrap", *procs, repro.StrategyOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\nwrap mapping (P=%d):\n", *procs)
-		fmt.Printf("  traffic: total=%d mean/proc=%.0f max/proc=%d partners/proc=%.1f\n",
-			tr.Total, tr.Mean(), tr.MaxPerProc(), tr.MeanPartners())
-		fmt.Printf("  balance: A=%.3f efficiency bound=%.3f\n", sc.Imbalance(), sc.Efficiency())
-		fmt.Printf("  delays:  makespan=%d efficiency=%.3f idle=%.1f%%\n",
-			mk.Makespan, mk.Efficiency, 100*float64(mk.Idle)/float64(int64(*procs)*mk.Makespan))
+		report(pl)
 	}
 	if *solve {
 		b := make([]float64, m.N)
@@ -121,7 +125,7 @@ func main() {
 		}
 		warm := time.Since(start)
 		st := cache.Stats()
-		fmt.Printf("\nsolve: residual=%.3g\n", sys.ResidualNorm(x, b))
+		fmt.Printf("\nsolve: residual=%.3g\n", repro.ResidualNorm(m, x, b))
 		fmt.Printf("  staged cache: cold=%v warm=%v (%.1fx) hits=%d misses=%d\n",
 			cold, warm, float64(cold)/float64(max64(warm.Nanoseconds(), 1)), st.Hits, st.Misses)
 	}

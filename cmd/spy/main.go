@@ -38,15 +38,15 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	sys, err := repro.Analyze(m)
+	an, err := repro.AnalyzePattern(m)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: n=%d, nnz(A)=%d, nnz(L)=%d after MMD ordering\n\n",
-		*matrix, m.N, m.NNZ(), sys.F.NNZ())
+		*matrix, m.N, m.NNZ(), an.F.NNZ())
 
-	part := sys.Partition(repro.PartitionOptions{Grain: *grain, MinClusterWidth: *width})
-	filled := sys.F.Pattern()
+	part := an.Sys().Partition(repro.PartitionOptions{Grain: *grain, MinClusterWidth: *width})
+	filled := an.F.Pattern()
 	if *maxDim > 0 && m.N > *maxDim {
 		fmt.Println("filled matrix (downsampled):")
 		fmt.Println(filled.Spy(*maxDim))

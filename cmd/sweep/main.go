@@ -72,7 +72,7 @@ func main() {
 		log.Fatalf("invalid -beta2 %g (must be finite and >= 0)", *beta2)
 	}
 	if *kind == "tile2d" || *kind == "measure" || *kind == "calibrate" {
-		validateChoice("2D strategy", *strat, tile2dChoices())
+		validateChoice("2D strategy", *strat, tile2dChoices(""))
 	} else {
 		validateChoice("strategy", *strat, repro.Strategies())
 	}
@@ -170,43 +170,40 @@ type capture struct {
 	traced        bool
 }
 
-// observe records one traced comm-aware dynamic run into the capture:
-// always a ledger record (when the ledger is on), and the trace export
-// when (name, p) is the selected trace point. matrix/kind2 label the
-// record; traffic is the run's simulated total traffic.
-func (c *capture) observe(matrix, kind2, name string, p int, cm repro.CommModel, traffic int64,
-	res repro.MakespanResult, events []repro.TraceEvent) error {
+// observe runs the traced comm-aware dynamic simulation of pl when the
+// capture needs it: always for a ledger record (when the ledger is on),
+// and for the trace export when (name, pl.P) is the selected trace point.
+// matrix/kind2/name label the record.
+func (c *capture) observe(matrix, kind2, name string, pl *repro.Plan, cm repro.CommModel) error {
 	if c == nil {
 		return nil
 	}
+	tracePoint := c.traceW != nil && !c.traced && name == c.traceStrategy && pl.P == c.traceProcs
+	if c.ledger == nil && !tracePoint {
+		return nil
+	}
+	tr := repro.NewTracer()
+	res := pl.Simulate(repro.SimOptions{Dynamic: true, Comm: cm, Probe: tr})
 	if c.ledger != nil {
-		prof, err := repro.BuildProfile(events, res)
+		prof, err := repro.BuildProfile(tr.Events, res)
 		if err != nil {
 			return err
 		}
 		sum := prof.Summary()
 		c.ledger.Add(repro.BenchRecord{
-			Matrix: matrix, Strategy: name, Kind: kind2, P: p,
+			Matrix: matrix, Strategy: name, Kind: kind2, P: pl.P,
 			Alpha: cm.Alpha, Beta: cm.Beta,
-			Makespan: res.Makespan, Traffic: traffic, Efficiency: res.Efficiency,
+			Makespan: res.Makespan, Traffic: pl.TrafficTotal(), Efficiency: res.Efficiency,
 			Profile: &sum,
 		})
 	}
-	if c.traceW != nil && !c.traced && name == c.traceStrategy && p == c.traceProcs {
-		if err := repro.WriteTrace(c.traceW, c.traceFormat, events, res); err != nil {
+	if tracePoint {
+		if err := repro.WriteTrace(c.traceW, c.traceFormat, tr.Events, res); err != nil {
 			return err
 		}
 		c.traced = true
 	}
 	return nil
-}
-
-// active reports whether the capture needs the traced run of (name, p).
-func (c *capture) active(name string, p int) bool {
-	if c == nil {
-		return false
-	}
-	return c.ledger != nil || (c.traceW != nil && name == c.traceStrategy && p == c.traceProcs)
 }
 
 // validateRepeats rejects a repeat-and-min count the measurement kinds
@@ -234,13 +231,17 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 	if err != nil {
 		return err
 	}
-	sys, err := repro.Analyze(m)
+	an, err := repro.AnalyzePattern(m)
 	if err != nil {
 		return err
 	}
 	w := csv.NewWriter(out)
 	defer w.Flush()
 	row := func(fields ...string) error { return w.Write(fields) }
+	partOpts := func(g, width int) repro.StrategyOptions {
+		return repro.StrategyOptions{Part: repro.PartitionOptions{Grain: g, MinClusterWidth: width}}
+	}
+	mean := func(total int64, p int) string { return fmt.Sprintf("%.1f", float64(total)/float64(p)) }
 
 	switch kind {
 	case "procs":
@@ -248,25 +249,18 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			"efficiency_bound", "makespan_eff_static"); err != nil {
 			return err
 		}
-		part := sys.Partition(repro.PartitionOptions{Grain: grain, MinClusterWidth: 4})
 		for _, p := range procsSweep {
-			bs := sys.BlockSchedule(part, p)
-			bt := sys.Traffic(bs)
-			bm := sys.BlockMakespan(part, bs)
-			if err := row(strconv.Itoa(p), "block",
-				fmt.Sprint(bt.Total), fmt.Sprintf("%.1f", bt.Mean()),
-				fmt.Sprintf("%.4f", bs.Imbalance()), fmt.Sprintf("%.4f", bs.Efficiency()),
-				fmt.Sprintf("%.4f", bm.Efficiency)); err != nil {
-				return err
-			}
-			ws := sys.WrapSchedule(p)
-			wt := sys.Traffic(ws)
-			wm := sys.WrapMakespan(p)
-			if err := row(strconv.Itoa(p), "wrap",
-				fmt.Sprint(wt.Total), fmt.Sprintf("%.1f", wt.Mean()),
-				fmt.Sprintf("%.4f", ws.Imbalance()), fmt.Sprintf("%.4f", ws.Efficiency()),
-				fmt.Sprintf("%.4f", wm.Efficiency)); err != nil {
-				return err
+			for _, scheme := range []string{"block", "wrap"} {
+				pl, err := an.Plan(scheme, p, partOpts(grain, 4))
+				if err != nil {
+					return err
+				}
+				if err := row(strconv.Itoa(p), scheme,
+					fmt.Sprint(pl.TrafficTotal()), mean(pl.TrafficTotal(), p),
+					fmt.Sprintf("%.4f", pl.S1.Imbalance()), fmt.Sprintf("%.4f", pl.S1.Efficiency()),
+					fmt.Sprintf("%.4f", pl.Makespan().Efficiency)); err != nil {
+					return err
+				}
 			}
 		}
 	case "grain":
@@ -274,11 +268,12 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			return err
 		}
 		for _, g := range grainSweep {
-			part := sys.Partition(repro.PartitionOptions{Grain: g, MinClusterWidth: 4})
-			sc := sys.BlockSchedule(part, procs)
-			tr := sys.Traffic(sc)
-			if err := row(strconv.Itoa(g), strconv.Itoa(len(part.Units)),
-				fmt.Sprint(tr.Total), fmt.Sprintf("%.4f", sc.Imbalance())); err != nil {
+			pl, err := an.Plan("block", procs, partOpts(g, 4))
+			if err != nil {
+				return err
+			}
+			if err := row(strconv.Itoa(g), strconv.Itoa(len(pl.Tasks)),
+				fmt.Sprint(pl.TrafficTotal()), fmt.Sprintf("%.4f", pl.S1.Imbalance())); err != nil {
 				return err
 			}
 		}
@@ -287,12 +282,14 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			return err
 		}
 		for _, wd := range widthSweep {
-			part := sys.Partition(repro.PartitionOptions{Grain: grain, MinClusterWidth: wd})
-			sc := sys.BlockSchedule(part, procs)
-			tr := sys.Traffic(sc)
+			pl, err := an.Plan("block", procs, partOpts(grain, wd))
+			if err != nil {
+				return err
+			}
+			part := an.Sys().Partition(pl.Opts.Part)
 			if err := row(strconv.Itoa(wd), strconv.Itoa(len(part.Units)),
 				strconv.Itoa(len(part.Clusters)),
-				fmt.Sprint(tr.Total), fmt.Sprintf("%.4f", sc.Imbalance())); err != nil {
+				fmt.Sprint(pl.TrafficTotal()), fmt.Sprintf("%.4f", pl.S1.Imbalance())); err != nil {
 				return err
 			}
 		}
@@ -312,23 +309,18 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			Beta2:     beta2,
 		}
 		for _, name := range names {
-			sc, err := sys.MapStrategy(name, procs, opts)
+			pl, err := an.Plan(name, procs, opts)
 			if err != nil {
 				return err
 			}
-			tr := sys.StrategyTraffic(opts, sc)
-			ms := sys.StrategyMakespan(opts, sc)
 			if err := row(name, strconv.Itoa(procs),
-				fmt.Sprint(tr.Total), fmt.Sprintf("%.1f", tr.Mean()),
-				fmt.Sprintf("%.4f", sc.Imbalance()), fmt.Sprintf("%.4f", sc.Efficiency()),
-				fmt.Sprintf("%.4f", ms.Efficiency)); err != nil {
+				fmt.Sprint(pl.TrafficTotal()), mean(pl.TrafficTotal(), procs),
+				fmt.Sprintf("%.4f", pl.S1.Imbalance()), fmt.Sprintf("%.4f", pl.S1.Efficiency()),
+				fmt.Sprintf("%.4f", pl.Makespan().Efficiency)); err != nil {
 				return err
 			}
-			if bcap.active(name, procs) {
-				res, events := sys.TraceMakespanCommDynamic(opts, sc, cm)
-				if err := bcap.observe(matrix, "strategy", name, procs, cm, tr.Total, res, events); err != nil {
-					return err
-				}
+			if err := bcap.observe(matrix, "strategy", name, pl, cm); err != nil {
+				return err
 			}
 		}
 	case "comm":
@@ -348,14 +340,14 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 		}
 		for _, name := range names {
 			for _, p := range procsSweep {
-				sc, err := sys.MapStrategy(name, p, opts)
+				pl, err := an.Plan(name, p, opts)
 				if err != nil {
 					return err
 				}
-				tc := sys.StrategyFetchStats(opts, sc)
-				comp := sys.StrategyMakespan(opts, sc)
-				cs := sys.StrategyMakespanComm(opts, sc, cm)
-				cd := sys.StrategyMakespanCommDynamic(opts, sc, cm)
+				tc := pl.Fetch
+				comp := pl.Makespan()
+				cs := pl.MakespanComm(cm)
+				cd := pl.Simulate(repro.SimOptions{Dynamic: true, Comm: cm})
 				frac := 0.0
 				if cd.TotalWork > 0 {
 					frac = float64(cd.Comm) / float64(cd.TotalWork)
@@ -367,11 +359,8 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 					fmt.Sprint(cd.Makespan), fmt.Sprintf("%.4f", frac)); err != nil {
 					return err
 				}
-				if bcap.active(name, p) {
-					res, events := sys.TraceMakespanCommDynamic(opts, sc, cm)
-					if err := bcap.observe(matrix, "comm", name, p, cm, tc.TotalVol(), res, events); err != nil {
-						return err
-					}
+				if err := bcap.observe(matrix, "comm", name, pl, cm); err != nil {
+					return err
 				}
 			}
 		}
@@ -380,34 +369,24 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			"imbalance", "span_compute", "span_comm", "span_comm_dynamic"); err != nil {
 			return err
 		}
-		for _, choice := range tile2dChoices() {
-			if strat != "" && choice != strat {
-				continue
-			}
-			name, opts := choice, repro.StrategyOptions{Beta2: beta2}
-			if base, ok := strings.CutPrefix(choice, "col2d:"); ok {
-				name, opts.Base = "col2d", base
-			}
+		for _, choice := range tile2dChoices(strat) {
 			for _, p := range procsSweep {
-				s2, err := sys.MapStrategy2D(name, p, opts)
+				pl, err := plan2D(an, choice, p, repro.StrategyOptions{Beta2: beta2})
 				if err != nil {
 					return err
 				}
-				tr := sys.Traffic2D(s2)
-				comp := sys.Makespan2DDynamic(s2)
-				cs := sys.Makespan2DComm(s2, cm)
-				cd := sys.Makespan2DCommDynamic(s2, cm)
-				if err := row(choice, strconv.Itoa(p), strconv.Itoa(s2.R()),
+				tr := pl.Traffic2D()
+				comp := pl.Simulate(repro.SimOptions{Dynamic: true})
+				cs := pl.MakespanComm(cm)
+				cd := pl.Simulate(repro.SimOptions{Dynamic: true, Comm: cm})
+				if err := row(choice, strconv.Itoa(p), strconv.Itoa(pl.S2.R()),
 					fmt.Sprint(tr.Total), fmt.Sprint(tr.TotalFanOut()), fmt.Sprint(tr.TotalFanIn()),
-					fmt.Sprintf("%.4f", s2.Imbalance()), fmt.Sprint(comp.Makespan),
+					fmt.Sprintf("%.4f", pl.S2.Imbalance()), fmt.Sprint(comp.Makespan),
 					fmt.Sprint(cs.Makespan), fmt.Sprint(cd.Makespan)); err != nil {
 					return err
 				}
-				if bcap.active(choice, p) {
-					res, events := sys.TraceMakespan2DCommDynamic(s2, cm)
-					if err := bcap.observe(matrix, "tile2d", choice, p, cm, tr.Total, res, events); err != nil {
-						return err
-					}
+				if err := bcap.observe(matrix, "tile2d", choice, pl, cm); err != nil {
+					return err
 				}
 			}
 		}
@@ -420,34 +399,22 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			"speedup", "predicted_speedup", "predicted_makespan", "traffic2d"); err != nil {
 			return err
 		}
-		for _, choice := range tile2dChoices() {
-			if strat != "" && choice != strat {
-				continue
-			}
-			name, opts := choice, repro.StrategyOptions{}
-			if base, ok := strings.CutPrefix(choice, "col2d:"); ok {
-				name, opts.Base = "col2d", base
-			}
+		for _, choice := range tile2dChoices(strat) {
 			for _, p := range measureSweep {
-				s2, err := sys.MapStrategy2D(name, p, opts)
+				pl, err := plan2D(an, choice, p, repro.StrategyOptions{})
 				if err != nil {
 					return err
 				}
-				mes, err := sys.MeasureFactorize2D(s2, repro.MeasureOptions{Repeats: reps})
+				mes, err := pl.Measure(m, repro.MeasureOptions{Repeats: reps})
 				if err != nil {
 					return err
 				}
-				pred := sys.Makespan2DComm(s2, cm)
-				span := pred.Makespan
-				if span < 1 {
-					span = 1
-				}
-				tr := sys.Traffic2D(s2)
+				pred := pl.MakespanComm(cm)
 				if err := row(choice, strconv.Itoa(p),
 					fmt.Sprint(mes.SerialNs), fmt.Sprint(mes.ParallelNs),
 					fmt.Sprintf("%.4f", mes.Speedup),
-					fmt.Sprintf("%.4f", float64(sys.TotalWork())/float64(span)),
-					fmt.Sprint(pred.Makespan), fmt.Sprint(tr.Total)); err != nil {
+					fmt.Sprintf("%.4f", float64(an.Total)/float64(max(pred.Makespan, 1))),
+					fmt.Sprint(pred.Makespan), fmt.Sprint(pl.TrafficTotal())); err != nil {
 					return err
 				}
 			}
@@ -464,34 +431,25 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 		}
 		type calPoint struct {
 			choice string
-			p      int
-			s2     *repro.Schedule2D
+			pl     *repro.Plan
 			mes    *repro.Measurement
 		}
 		fitter := repro.NewFitter()
 		var points []calPoint
-		for _, choice := range tile2dChoices() {
-			if strat != "" && choice != strat {
-				continue
-			}
-			name, opts := choice, repro.StrategyOptions{}
-			if base, ok := strings.CutPrefix(choice, "col2d:"); ok {
-				name, opts.Base = "col2d", base
-			}
+		for _, choice := range tile2dChoices(strat) {
 			for _, p := range measureSweep {
-				s2, err := sys.MapStrategy2D(name, p, opts)
+				pl, err := plan2D(an, choice, p, repro.StrategyOptions{})
 				if err != nil {
 					return err
 				}
-				mes, err := sys.MeasureFactorize2D(s2, repro.MeasureOptions{Repeats: reps})
+				mes, err := pl.Measure(m, repro.MeasureOptions{Repeats: reps})
 				if err != nil {
 					return err
 				}
-				tasks, tc := sys.Tasks2D(s2)
-				if err := fitter.Add(mes.Events, tasks, tc); err != nil {
+				if err := fitter.Add(mes.Events, pl.Tasks, pl.Fetch); err != nil {
 					return err
 				}
-				points = append(points, calPoint{choice, p, s2, mes})
+				points = append(points, calPoint{choice, pl, mes})
 			}
 		}
 		model, report, err := fitter.Fit(repro.FitOptions{})
@@ -499,12 +457,12 @@ func writeSeries(out io.Writer, kind, matrix string, procs, grain int, strat, ob
 			return err
 		}
 		for _, pt := range points {
-			uncal := sys.Makespan2DComm(pt.s2, cm).Makespan
-			cal := sys.Makespan2DComm(pt.s2, model.Comm).Makespan
-			uncalSpeedup := float64(sys.TotalWork()) / float64(max(uncal, 1))
+			uncal := pt.pl.MakespanComm(cm).Makespan
+			cal := pt.pl.MakespanComm(model.Comm).Makespan
+			uncalSpeedup := float64(an.Total) / float64(max(uncal, 1))
 			calNs := math.Max(model.SpanNs(cal), 1)
 			calSpeedup := float64(pt.mes.SerialNs) / calNs
-			if err := row(pt.choice, strconv.Itoa(pt.p),
+			if err := row(pt.choice, strconv.Itoa(pt.pl.P),
 				fmt.Sprint(pt.mes.SerialNs), fmt.Sprint(pt.mes.ParallelNs),
 				fmt.Sprintf("%.4f", pt.mes.Speedup),
 				fmt.Sprintf("%.4f", uncalSpeedup), fmt.Sprintf("%.4f", calSpeedup),
@@ -533,16 +491,32 @@ func ape(pred, measured float64) float64 {
 
 // tile2dChoices enumerates the tile2d sweep's strategy axis: every native
 // 2D mapper (col2d excluded, it is parameterized) plus the col2d lift of
-// every column-granular 1D strategy, spelled "col2d:<base>".
-func tile2dChoices() []string {
+// every column-granular 1D strategy, spelled "col2d:<base>". A non-empty
+// only keeps just that choice (none, if it is not on the axis).
+func tile2dChoices(only string) []string {
 	var out []string
+	add := func(choice string) {
+		if only == "" || choice == only {
+			out = append(out, choice)
+		}
+	}
 	for _, name := range repro.Strategies2D() {
 		if name != "col2d" {
-			out = append(out, name)
+			add(name)
 		}
 	}
 	for _, base := range repro.LiftBases2D() {
-		out = append(out, "col2d:"+base)
+		add("col2d:" + base)
 	}
 	return out
+}
+
+// plan2D maps one choice of the tile2d axis: a native 2D mapper by name,
+// or "col2d:<base>" as the col2d lift of that base.
+func plan2D(an *repro.Analysis, choice string, p int, opts repro.StrategyOptions) (*repro.Plan, error) {
+	if base, ok := strings.CutPrefix(choice, "col2d:"); ok {
+		opts.Base = base
+		return an.Plan2D("col2d", p, opts)
+	}
+	return an.Plan2D(choice, p, opts)
 }

@@ -6,15 +6,16 @@ import (
 	"repro"
 )
 
-// The canonical pipeline: analyze, partition, schedule, simulate.
-func ExampleAnalyze() {
-	sys, err := repro.Analyze(repro.LAP30())
+// The pattern stage: ordering, symbolic factorization and the work model.
+func ExampleAnalyzePattern() {
+	a := repro.LAP30()
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("equations:", sys.A.N)
-	fmt.Println("factor nonzeros:", sys.F.NNZ())
-	fmt.Println("total work:", sys.TotalWork())
+	fmt.Println("equations:", a.N)
+	fmt.Println("factor nonzeros:", an.F.NNZ())
+	fmt.Println("total work:", an.Total)
 	// Output:
 	// equations: 900
 	// factor nonzeros: 16829
@@ -22,51 +23,67 @@ func ExampleAnalyze() {
 }
 
 // Comparing the paper's two mapping schemes on the same matrix.
-func ExampleSystem_Traffic() {
-	sys, err := repro.Analyze(repro.LAP30())
+func ExamplePlan_Traffic() {
+	an, err := repro.AnalyzePattern(repro.LAP30())
 	if err != nil {
 		panic(err)
 	}
-	part := sys.Partition(repro.PartitionOptions{Grain: 25, MinClusterWidth: 4})
-	block := sys.Traffic(sys.BlockSchedule(part, 16)).Total
-	wrap := sys.Traffic(sys.WrapSchedule(16)).Total
-	fmt.Println("block beats wrap:", block < wrap)
+	opts := repro.StrategyOptions{Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4}}
+	block, err := an.Plan("block", 16, opts)
+	if err != nil {
+		panic(err)
+	}
+	wrap, err := an.Plan("wrap", 16, opts)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("block beats wrap:", block.Traffic().Total < wrap.Traffic().Total)
 	// Output:
 	// block beats wrap: true
 }
 
 // Solving a linear system end to end (ordering and permutation handled
-// internally; x is returned in the original variable order).
-func ExampleSystem_Solve() {
-	sys, err := repro.Analyze(repro.Grid5(8, 8))
+// by the artifacts; x is returned in the original variable order).
+func ExampleFactor_Solve() {
+	a := repro.Grid5(8, 8)
+	an, err := repro.AnalyzePattern(a)
+	if err != nil {
+		panic(err)
+	}
+	pl, err := an.Plan("wrap", 4, repro.StrategyOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fa, err := pl.Factorize(a, repro.KernelCholesky)
 	if err != nil {
 		panic(err)
 	}
 	b := make([]float64, 64)
 	b[0] = 1
-	x, err := sys.Solve(b)
+	x, err := fa.Solve(b)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("residual below 1e-10: %v\n", sys.ResidualNorm(x, b) < 1e-10)
+	fmt.Printf("residual below 1e-10: %v\n", repro.ResidualNorm(a, x, b) < 1e-10)
 	// Output:
 	// residual below 1e-10: true
 }
 
 // Inspecting the partitioner's clusters and unit blocks.
-func ExampleSystem_Partition() {
-	sys, err := repro.Analyze(repro.FEGrid5(5)) // the paper's Figure 2 matrix
+func ExamplePartition() {
+	a := repro.FEGrid5(5) // the paper's Figure 2 matrix
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		panic(err)
 	}
-	part := sys.Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
+	part := an.Sys().Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
 	multi := 0
 	for _, cl := range part.Clusters {
 		if !cl.Single {
 			multi++
 		}
 	}
-	fmt.Println("41 unknowns:", sys.A.N == 41)
+	fmt.Println("41 unknowns:", a.N == 41)
 	fmt.Println("has multi-column clusters:", multi > 0)
 	// Output:
 	// 41 unknowns: true
@@ -75,13 +92,16 @@ func ExampleSystem_Partition() {
 
 // The load imbalance factor A of the paper's Section 4.
 func ExampleSchedule() {
-	sys, err := repro.Analyze(repro.LAP30())
+	an, err := repro.AnalyzePattern(repro.LAP30())
 	if err != nil {
 		panic(err)
 	}
-	wrap := sys.WrapSchedule(1)
-	fmt.Println("A on one processor:", wrap.Imbalance())
-	fmt.Println("efficiency:", wrap.Efficiency())
+	wrap, err := an.Plan("wrap", 1, repro.StrategyOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("A on one processor:", wrap.S1.Imbalance())
+	fmt.Println("efficiency:", wrap.S1.Efficiency())
 	// Output:
 	// A on one processor: 0
 	// efficiency: 1

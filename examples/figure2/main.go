@@ -20,22 +20,22 @@ func main() {
 	a := repro.FEGrid5(5)
 	fmt.Printf("5-point FE 5x5 grid: %d unknowns, %d lower nonzeros\n\n", a.N, a.NNZ())
 
-	sys, err := repro.Analyze(a)
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("matrix pattern (MMD-ordered):")
-	fmt.Println(sys.Permuted.Spy(0))
+	fmt.Println(an.Permuted.Spy(0))
 
 	// Identify clusters with the paper's defaults but allow narrow strips
 	// (width 2) so the small example shows multi-column clusters.
-	part := sys.Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
+	part := an.Sys().Partition(repro.PartitionOptions{Grain: 4, MinClusterWidth: 2})
 	var bounds []int
 	for _, cl := range part.Clusters {
 		bounds = append(bounds, cl.ColHi+1)
 	}
-	fmt.Printf("filled matrix, %d nonzeros, cluster boundaries marked with '|':\n", sys.F.NNZ())
-	fmt.Println(sys.F.Pattern().SpyWithBoundaries(bounds))
+	fmt.Printf("filled matrix, %d nonzeros, cluster boundaries marked with '|':\n", an.F.NNZ())
+	fmt.Println(an.F.Pattern().SpyWithBoundaries(bounds))
 
 	fmt.Println("cluster inventory (Section 3.1):")
 	for _, cl := range part.Clusters {

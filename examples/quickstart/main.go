@@ -16,30 +16,37 @@ import (
 
 func main() {
 	a := repro.LAP30()
-	sys, err := repro.Analyze(a)
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("LAP30: %d equations, %d nonzeros, factor has %d nonzeros\n",
-		a.N, a.NNZ(), sys.F.NNZ())
+		a.N, a.NNZ(), an.F.NNZ())
 
 	const procs = 16
-	part := sys.Partition(repro.PartitionOptions{Grain: 25, MinClusterWidth: 4})
+	opts := repro.StrategyOptions{Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4}}
+	part := an.Sys().Partition(opts.Part)
 	fmt.Printf("partitioned into %d clusters, %d unit blocks\n",
 		len(part.Clusters), len(part.Units))
 
-	block := sys.BlockSchedule(part, procs)
-	wrap := sys.WrapSchedule(procs)
-
-	bt := sys.Traffic(block)
-	wt := sys.Traffic(wrap)
+	// A Plan is one schedule with its task graph and fetch attribution;
+	// it answers both of the paper's questions itself.
+	block, err := an.Plan("block", procs, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	wrap, err := an.Plan("wrap", procs, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bt, wt := block.TrafficTotal(), wrap.TrafficTotal()
+	bA, wA := block.S1.Imbalance(), wrap.S1.Imbalance()
 
 	fmt.Printf("\n%-22s %12s %12s\n", "scheme", "traffic", "imbalance A")
-	fmt.Printf("%-22s %12d %12.3f\n", "block (g=25, w=4)", bt.Total, block.Imbalance())
-	fmt.Printf("%-22s %12d %12.3f\n", "wrap", wt.Total, wrap.Imbalance())
+	fmt.Printf("%-22s %12d %12.3f\n", "block (g=25, w=4)", bt, bA)
+	fmt.Printf("%-22s %12d %12.3f\n", "wrap", wt, wA)
 	fmt.Printf("\nblock saves %.0f%% of the communication; wrap balances %.1fx better.\n",
-		100*(1-float64(bt.Total)/float64(wt.Total)),
-		block.Imbalance()/wrap.Imbalance())
+		100*(1-float64(bt)/float64(wt)), bA/wA)
 
 	// The staged pipeline in one call: the cache content-addresses
 	// analysis, plan and factor, so the second solve against the same

@@ -20,12 +20,12 @@ import (
 func main() {
 	// A 24x24 9-point grid: 576 unknowns.
 	a := repro.Grid9(24, 24)
-	sys, err := repro.Analyze(a)
+	an, err := repro.AnalyzePattern(a)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("system: n=%d, nnz(A)=%d, nnz(L)=%d, fill-in=%d\n",
-		a.N, a.NNZ(), sys.F.NNZ(), sys.F.NNZ()-a.NNZ())
+		a.N, a.NNZ(), an.F.NNZ(), an.F.NNZ()-a.NNZ())
 
 	// Manufactured solution: x*_i = sin(i/10), b = A x*.
 	xStar := make([]float64, a.N)
@@ -34,8 +34,18 @@ func main() {
 	}
 	b := matVec(a, xStar)
 
-	// 1. Sequential direct solve on the original system.
-	x, err := sys.Solve(b)
+	// 1. Sequential direct solve on the original system: plan once,
+	// factor once with the serial kernel, then solve against the held
+	// Factor (ordering and permutation are handled by the artifacts).
+	pl, err := an.Plan("wrap", 8, repro.StrategyOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fa, err := pl.Factorize(a, repro.KernelCholesky)
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := fa.Solve(b)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,48 +56,34 @@ func main() {
 		}
 	}
 	fmt.Printf("sequential solve: residual=%.2e, max error vs manufactured x*=%.2e\n",
-		sys.ResidualNorm(x, b), worst)
+		repro.ResidualNorm(a, x, b), worst)
 
-	// 2. Block-parallel factorization on 8 simulated processors.
-	part := sys.Partition(repro.PartitionOptions{Grain: 16, MinClusterWidth: 4})
-	sc := sys.BlockSchedule(part, 8)
-	pv, err := sys.ParallelFactorize(part, sc)
+	// 2. Block-parallel factorization on 8 simulated processors: the same
+	// values through the unit-block engine of a block-granular plan.
+	blk, err := an.Plan("block", 8, repro.StrategyOptions{
+		Part: repro.PartitionOptions{Grain: 16, MinClusterWidth: 4},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	chol, err := sys.Factorize()
+	par, err := blk.FactorizeParallel(a, repro.KernelCholesky)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var dev float64
-	for k := range pv {
-		if d := math.Abs(pv[k] - chol.Val[k]); d > dev {
+	for k := range par.Val {
+		if d := math.Abs(par.Val[k] - fa.Val[k]); d > dev {
 			dev = d
 		}
 	}
 	fmt.Printf("parallel factorization (8 workers, %d unit blocks): max |L_par - L_seq| = %.2e\n",
-		len(part.Units), dev)
-
-	tr := sys.Traffic(sc)
+		len(blk.Tasks), dev)
 	fmt.Printf("simulated traffic at this schedule: %d units total, A=%.3f\n",
-		tr.Total, sc.Imbalance())
+		blk.TrafficTotal(), blk.S1.Imbalance())
 
-	// 3. The staged pipeline: analyze the pattern once, plan once, factor
-	// once, then solve many right-hand sides against the held Factor —
-	// no stage ever re-runs, and each solve is bitwise identical to the
-	// monolithic sys.Solve above.
-	an, err := repro.AnalyzePattern(a)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pl, err := an.Plan("wrap", 8, repro.StrategyOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fa, err := pl.Factorize(a, repro.KernelCholesky)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 3. Solve many: the held Factor serves any number of right-hand
+	// sides — no stage ever re-runs, and each batched solve is bitwise
+	// identical to the single solve above.
 	rhs := make([][]float64, 4)
 	rhs[0] = b
 	for r := 1; r < len(rhs); r++ {
@@ -103,12 +99,12 @@ func main() {
 	}
 	for i := range xs[0] {
 		if xs[0][i] != x[i] {
-			log.Fatalf("staged solve deviates from monolithic solve at x[%d]", i)
+			log.Fatalf("batched solve deviates from the single solve at x[%d]", i)
 		}
 	}
 	key := fa.Key.String()
 	fmt.Printf("staged pipeline: factored once (key %s...), solved %d right-hand sides; "+
-		"staged x == monolithic x bit for bit\n", key[:min(22, len(key))], len(rhs))
+		"batched x == single x bit for bit\n", key[:min(22, len(key))], len(rhs))
 }
 
 // matVec multiplies the full symmetric matrix by x.

@@ -23,9 +23,18 @@ import (
 const procs = 16
 
 func main() {
-	sys, err := repro.Analyze(repro.LAP30())
+	an, err := repro.AnalyzePattern(repro.LAP30())
 	if err != nil {
 		log.Fatal(err)
+	}
+	// plan maps LAP30 with the named strategy: one schedule with its task
+	// graph and fetch attribution, which every metric below reads.
+	plan := func(name string, o repro.StrategyOptions) *repro.Plan {
+		pl, err := an.Plan(name, procs, o)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pl
 	}
 	opts := repro.StrategyOptions{
 		Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4},
@@ -35,14 +44,9 @@ func main() {
 	fmt.Printf("%-14s %10s %12s %10s %12s\n",
 		"strategy", "traffic", "imbalance A", "1/(1+A)", "makespan eff")
 	for _, name := range repro.Strategies() {
-		sc, err := sys.MapStrategy(name, procs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr := sys.StrategyTraffic(opts, sc)
-		ms := sys.StrategyMakespan(opts, sc)
+		pl := plan(name, opts)
 		fmt.Printf("%-14s %10d %12.4f %10.3f %12.3f\n",
-			name, tr.Total, sc.Imbalance(), sc.Efficiency(), ms.Efficiency)
+			name, pl.TrafficTotal(), pl.S1.Imbalance(), pl.S1.Efficiency(), pl.Makespan().Efficiency)
 	}
 
 	fmt.Printf("\nblockcyclic block-size sweep (1 = wrap):\n\n")
@@ -50,12 +54,8 @@ func main() {
 	for _, bs := range []int{1, 2, 4, 8, 16, 32} {
 		o := opts
 		o.BlockSize = bs
-		sc, err := sys.MapStrategy("blockcyclic", procs, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-14d %10d %12.4f\n",
-			bs, sys.StrategyTraffic(o, sc).Total, sc.Imbalance())
+		pl := plan("blockcyclic", o)
+		fmt.Printf("%-14d %10d %12.4f\n", bs, pl.TrafficTotal(), pl.S1.Imbalance())
 	}
 
 	// contigtotal is optimal by construction: among all contiguous splits
@@ -67,37 +67,24 @@ func main() {
 	for _, slack := range []float64{0, 0.05, 0.1, 0.25} {
 		o := opts
 		o.Slack = slack
-		sc, err := sys.MapStrategy("contigtotal", procs, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-14g %10d %12.4f\n",
-			slack, sys.StrategyTraffic(o, sc).Total, sc.Imbalance())
+		pl := plan("contigtotal", o)
+		fmt.Printf("%-14g %10d %12.4f\n", slack, pl.TrafficTotal(), pl.S1.Imbalance())
 	}
 
 	fmt.Printf("\nrefine composed on each base (objective = imbalance, then traffic):\n\n")
 	fmt.Printf("%-14s %16s %16s %16s\n",
 		"base", "base A/traffic", "refined A", "refined traffic")
 	for _, base := range []string{"block", "wrap", "contiguous", "contigtotal", "rectilinear", "blockcyclic", "subcube"} {
-		baseSc, err := sys.MapStrategy(base, procs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
+		basePl := plan(base, opts)
 		ob := opts
 		ob.Base = base
-		balanced, err := sys.MapStrategy("refine", procs, ob)
-		if err != nil {
-			log.Fatal(err)
-		}
+		balanced := plan("refine", ob)
 		ot := ob
 		ot.Objective = "traffic"
-		lean, err := sys.MapStrategy("refine", procs, ot)
-		if err != nil {
-			log.Fatal(err)
-		}
+		lean := plan("refine", ot)
 		fmt.Printf("%-14s %8.4f/%7d %16.4f %16d\n",
-			base, baseSc.Imbalance(), sys.StrategyTraffic(opts, baseSc).Total,
-			balanced.Imbalance(), sys.StrategyTraffic(ot, lean).Total)
+			base, basePl.S1.Imbalance(), basePl.TrafficTotal(),
+			balanced.S1.Imbalance(), lean.TrafficTotal())
 	}
 
 	// The commspan objective hill-climbs the unified comm-aware dynamic
@@ -110,15 +97,8 @@ func main() {
 	oc.Objective = "commspan"
 	oc.Comm = cm
 	oc.MaxMoves = 200
-	baseSc, err := sys.MapStrategy("block", procs, oc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	refined, err := sys.MapStrategy("refine", procs, oc)
-	if err != nil {
-		log.Fatal(err)
-	}
+	unified := repro.SimOptions{Dynamic: true, Comm: cm}
 	fmt.Printf("%-14s %16s\n", "schedule", "unified span")
-	fmt.Printf("%-14s %16d\n", "block", sys.StrategyMakespanCommDynamic(oc, baseSc, cm).Makespan)
-	fmt.Printf("%-14s %16d\n", "refined", sys.StrategyMakespanCommDynamic(oc, refined, cm).Makespan)
+	fmt.Printf("%-14s %16d\n", "block", plan("block", oc).Simulate(unified).Makespan)
+	fmt.Printf("%-14s %16d\n", "refined", plan("refine", oc).Simulate(unified).Makespan)
 }

@@ -28,23 +28,40 @@ import (
 const procs = 16
 
 func main() {
-	sys, err := repro.Analyze(repro.LAP30())
+	an, err := repro.AnalyzePattern(repro.LAP30())
 	if err != nil {
 		log.Fatal(err)
 	}
 	cm := repro.CommModel{Alpha: 2, Beta: 10}
+	unified := repro.SimOptions{Dynamic: true, Comm: cm}
 	opts := repro.StrategyOptions{}
+	// plan1D and plan2D map LAP30 through the two registries.
+	plan1D := func(name string) *repro.Plan {
+		pl, err := an.Plan(name, procs, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pl
+	}
+	plan2D := func(name, base string) *repro.Plan {
+		o := opts
+		o.Base = base
+		pl, err := an.Plan2D(name, procs, o)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pl
+	}
 
 	fmt.Printf("LAP30 on %d processors, 2D tile ownership (alpha=%g, beta=%g):\n\n",
 		procs, cm.Alpha, cm.Beta)
 	fmt.Printf("%-20s %4s %9s %9s %9s %12s %11s\n",
 		"strategy", "R", "traffic", "fan-out", "fan-in", "imbalance A", "comm span")
-	show := func(label string, s2 *repro.Schedule2D) {
-		tr := sys.Traffic2D(s2)
-		span := sys.Makespan2DCommDynamic(s2, cm)
+	show := func(label string, pl *repro.Plan) {
+		tr := pl.Traffic2D()
 		fmt.Printf("%-20s %4d %9d %9d %9d %12.4f %11d\n",
-			label, s2.R(), tr.Total, tr.TotalFanOut(), tr.TotalFanIn(),
-			s2.Imbalance(), span.Makespan)
+			label, pl.S2.R(), tr.Total, tr.TotalFanOut(), tr.TotalFanIn(),
+			pl.S2.Imbalance(), pl.Simulate(unified).Makespan)
 		if tr.TotalFanOut()+tr.TotalFanIn() != tr.Total {
 			log.Fatalf("%s: conservation violated", label)
 		}
@@ -53,49 +70,21 @@ func main() {
 		if name == "col2d" {
 			continue // lifted per base below
 		}
-		s2, err := sys.MapStrategy2D(name, procs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		show(name, s2)
+		show(name, plan2D(name, ""))
 	}
 	for _, base := range repro.LiftBases2D() {
-		o := opts
-		o.Base = base
-		s2, err := sys.MapStrategy2D("col2d", procs, o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		show("col2d:"+base, s2)
+		show("col2d:"+base, plan2D("col2d", base))
 	}
 
 	// The col2d bridge is exact: the lifted wrap schedule reproduces the
 	// 1D traffic total and the 1D comm-aware dynamic makespan bit for bit.
-	wrap1d, err := sys.MapStrategy("wrap", procs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := opts
-	o.Base = "wrap"
-	wrap2d, err := sys.MapStrategy2D("col2d", procs, o)
-	if err != nil {
-		log.Fatal(err)
-	}
+	wrap1d, wrap2d := plan1D("wrap"), plan2D("col2d", "wrap")
 	fmt.Printf("\ncol2d:wrap vs 1D wrap: traffic %d vs %d, comm span %d vs %d\n",
-		sys.Traffic2D(wrap2d).Total, sys.StrategyTraffic(opts, wrap1d).Total,
-		sys.Makespan2DCommDynamic(wrap2d, cm).Makespan,
-		sys.StrategyMakespanCommDynamic(opts, wrap1d, cm).Makespan)
+		wrap2d.Traffic2D().Total, wrap1d.TrafficTotal(),
+		wrap2d.Simulate(unified).Makespan, wrap1d.Simulate(unified).Makespan)
 
 	// The rect2d guarantee: never more traffic than flattening the same
 	// cuts back to block columns (col2d:rectilinear).
-	rect2d, err := sys.MapStrategy2D("rect2d", procs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rect1d, err := sys.MapStrategy("rectilinear", procs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("rect2d traffic %d <= column-flattened rectilinear %d\n",
-		sys.Traffic2D(rect2d).Total, sys.StrategyTraffic(opts, rect1d).Total)
+		plan2D("rect2d", "").Traffic2D().Total, plan1D("rectilinear").TrafficTotal())
 }

@@ -74,7 +74,7 @@ func main() {
 		{"row-cyclic", cyclic},
 		{fmt.Sprintf("%dx%d tiles", tile, tile), tiled},
 	} {
-		r := repro.SimulateDAGDynamic(c.tasks, procs)
+		r := repro.Simulate(c.tasks, procs, repro.SimOptions{Dynamic: true})
 		fmt.Printf("%-14s %10d %12.3f %12d\n", c.name, r.Makespan, r.Efficiency, crossEdges(c.tasks))
 	}
 	fmt.Printf("\ncritical path: %d (lower bound for any mapping)\n", repro.CriticalPath(cyclic))

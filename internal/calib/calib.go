@@ -1,7 +1,7 @@
 // Package calib fits the communication-time model of the makespan
 // simulators (exec.CommModel, including the per-task fixed-overhead term
 // Gamma) to the measured per-task durations the real parallel engine
-// emits (exec.MeasureFactorize's TaskEvents). The fit is an ordinary
+// emits (exec.Program.Measure's TaskEvents). The fit is an ordinary
 // least-squares regression of each task's wall-clock nanoseconds on its
 // compute work, fetch volume, message count and a constant:
 //
@@ -105,7 +105,7 @@ type Fitter struct {
 // NewFitter returns an empty Fitter.
 func NewFitter() *Fitter { return &Fitter{} }
 
-// Add ingests one measured run: events are exec.MeasureFactorize's real
+// Add ingests one measured run: events are exec.Program.Measure's real
 // TaskEvents, tasks the graph they executed, and tc the per-task fetch
 // attribution (nil charges no communication). Zero- and negative-duration
 // events — clock-resolution artifacts — are counted as dropped, not
@@ -397,7 +397,7 @@ func (f *Fitter) procSpeeds(m CalibratedModel) []float64 {
 }
 
 // Calibrate is the one-shot entry point: it fits the homogeneous model to
-// a single measured run. events are exec.MeasureFactorize's per-task real
+// a single measured run. events are exec.Program.Measure's per-task real
 // TaskEvents, tasks the executed graph, tc the per-task fetch attribution
 // (nil charges no communication). Accumulate several runs through a
 // Fitter when fitting across processor counts or mappers.

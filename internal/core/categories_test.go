@@ -66,7 +66,7 @@ func categoryMatrix() *sparse.Matrix {
 
 // classifyOp maps one element update to the paper's category number.
 // Internal operations (both sources inside the target unit) return 0.
-func classifyOp(p *Partition, u model.Update) int {
+func classifyOp(p *Partition, u update) int {
 	sI := p.Units[p.ElemUnit[u.SrcI]]
 	sJ := p.Units[p.ElemUnit[u.SrcJ]]
 	tgt := p.Units[p.ElemUnit[u.Tgt]]
@@ -154,7 +154,7 @@ func TestDependencyCategories(t *testing.T) {
 		}
 		return false
 	}
-	ops.ForEachUpdate(func(u model.Update) {
+	forEachUpdate(ops, func(u update) {
 		cat := classifyOp(p, u)
 		seen[cat]++
 		// Completeness: every external source unit must be a predecessor.
@@ -183,7 +183,7 @@ func TestClassifierCoversAllOpsOnSuiteMatrix(t *testing.T) {
 	p := NewPartition(f, Options{Grain: 4, MinClusterWidth: 4})
 	ops := model.NewOps(f)
 	seen := make(map[int]int)
-	ops.ForEachUpdate(func(u model.Update) {
+	forEachUpdate(ops, func(u update) {
 		seen[classifyOp(p, u)]++
 	})
 	for cat := range seen {
@@ -196,4 +196,21 @@ func TestClassifierCoversAllOpsOnSuiteMatrix(t *testing.T) {
 			t.Errorf("category %d missing on LAP30 (histogram %v)", cat, seen)
 		}
 	}
+}
+
+// update is one pair update L[Tgt] -= L[SrcI]*L[SrcJ] by factor position:
+// for target (i, j) updated from column k, SrcI is (i, k) and SrcJ (j, k).
+type update struct {
+	Tgt, SrcI, SrcJ int32
+}
+
+// forEachUpdate is model.Ops.ForEachRun with the per-element loop supplied:
+// one callback per pair update, targets, sources and rows all increasing.
+func forEachUpdate(ops *model.Ops, fn func(u update)) {
+	rowInd := ops.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		for q := r.Lo; q < r.Hi; q++ {
+			fn(update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.Lo})
+		}
+	})
 }

@@ -43,18 +43,11 @@ func (c CommModel) Cost(vol, msgs int64) int64 {
 	return int64(c.Alpha*float64(vol)) + int64(c.Beta*float64(msgs)) + int64(c.Gamma)
 }
 
-// InflateTasks returns a copy of tasks whose durations include the comm
-// cost of their fetch volumes and message counts, plus the total comm time
-// added. vol and msgs may be nil (no communication charged for that term);
-// when non-nil they must align with tasks by ID.
-func InflateTasks(tasks []Task, cm CommModel, vol, msgs []int64) ([]Task, int64) {
-	out, _, comm := inflateTasks(tasks, cm, vol, msgs)
-	return out, comm
-}
-
-// inflateTasks is InflateTasks plus the per-task comm vector, which the
-// probe-aware simulators use to split each event's duration into compute
-// and communication.
+// inflateTasks returns a copy of tasks whose durations include the comm
+// cost of their fetch volumes and message counts, the per-task comm vector
+// (which lets a probe split each event's duration into compute and
+// communication) and the total comm time added. vol and msgs may be nil
+// (that term is not charged); Simulate has checked their lengths.
 func inflateTasks(tasks []Task, cm CommModel, vol, msgs []int64) ([]Task, []int64, int64) {
 	out := make([]Task, len(tasks))
 	per := make([]int64, len(tasks))
@@ -74,40 +67,4 @@ func inflateTasks(tasks []Task, cm CommModel, vol, msgs []int64) ([]Task, []int6
 		comm += c
 	}
 	return out, per, comm
-}
-
-// SimulateMakespanComm runs the static-order list simulation with
-// communication-aware task durations: work + cm.Cost(vol[i], msgs[i]).
-// With a zero model the result is identical to SimulateMakespan(tasks, p).
-// The result's TotalWork (and hence Efficiency) counts comm time as busy
-// time; Comm reports the communication share.
-func SimulateMakespanComm(tasks []Task, p int, cm CommModel, vol, msgs []int64) SimResult {
-	return SimulateMakespanCommProbe(tasks, p, cm, vol, msgs, nil)
-}
-
-// SimulateMakespanCommProbe is SimulateMakespanComm with a tracing probe
-// attached; each event's duration is split into its compute and comm
-// shares. A nil probe reproduces SimulateMakespanComm bit for bit.
-func SimulateMakespanCommProbe(tasks []Task, p int, cm CommModel, vol, msgs []int64, probe Probe) SimResult {
-	inflated, per, comm := inflateTasks(tasks, cm, vol, msgs)
-	res := simulateStatic(inflated, p, per, probe)
-	res.Comm = comm
-	return res
-}
-
-// SimulateMakespanDynamicComm is SimulateMakespanComm with the dynamic
-// critical-path-priority ready queue of SimulateMakespanDynamic.
-func SimulateMakespanDynamicComm(tasks []Task, p int, cm CommModel, vol, msgs []int64) SimResult {
-	return SimulateMakespanDynamicCommProbe(tasks, p, cm, vol, msgs, nil)
-}
-
-// SimulateMakespanDynamicCommProbe is SimulateMakespanDynamicComm with a
-// tracing probe attached; each event's duration is split into its compute
-// and comm shares. A nil probe reproduces SimulateMakespanDynamicComm bit
-// for bit.
-func SimulateMakespanDynamicCommProbe(tasks []Task, p int, cm CommModel, vol, msgs []int64, probe Probe) SimResult {
-	inflated, per, comm := inflateTasks(tasks, cm, vol, msgs)
-	res := simulateDynamic(inflated, p, per, probe)
-	res.Comm = comm
-	return res
 }

@@ -30,7 +30,7 @@ func TestGammaCost(t *testing.T) {
 	}
 }
 
-// TestGammaInflation checks that InflateTasks charges the fixed overhead
+// TestGammaInflation checks that inflateTasks charges the fixed overhead
 // to every task — including tasks with no communication at all — and that
 // the comm total grows by exactly ntasks * Gamma.
 func TestGammaInflation(t *testing.T) {
@@ -43,8 +43,8 @@ func TestGammaInflation(t *testing.T) {
 	msgs := []int64{0, 1, 0}
 	base := CommModel{Alpha: 2, Beta: 10}
 	over := CommModel{Alpha: 2, Beta: 10, Gamma: 6}
-	b, bcomm := InflateTasks(tasks, base, vol, msgs)
-	o, ocomm := InflateTasks(tasks, over, vol, msgs)
+	b, _, bcomm := inflateTasks(tasks, base, vol, msgs)
+	o, _, ocomm := inflateTasks(tasks, over, vol, msgs)
 	for i := range tasks {
 		if o[i].Work != b[i].Work+6 {
 			t.Errorf("task %d: inflated work %d, want %d + Gamma 6", i, o[i].Work, b[i].Work)
@@ -54,7 +54,7 @@ func TestGammaInflation(t *testing.T) {
 		t.Errorf("comm total %d, want %d + ntasks*Gamma %d", ocomm, bcomm, 6*int64(len(tasks)))
 	}
 	// Gamma-only models are charged even with nil vol/msgs vectors.
-	g, gcomm := InflateTasks(tasks, CommModel{Gamma: 2}, nil, nil)
+	g, _, gcomm := inflateTasks(tasks, CommModel{Gamma: 2}, nil, nil)
 	for i := range tasks {
 		if g[i].Work != tasks[i].Work+2 {
 			t.Errorf("task %d: Gamma-only inflated work %d, want %d", i, g[i].Work, tasks[i].Work+2)

@@ -43,12 +43,15 @@ func TestCommInflateTasks(t *testing.T) {
 	vol := []int64{4, 0, 2}
 	msgs := []int64{2, 0, 1}
 	cm := CommModel{Alpha: 2, Beta: 10}
-	inflated, comm := InflateTasks(tasks, cm, vol, msgs)
+	inflated, per, comm := inflateTasks(tasks, cm, vol, msgs)
 	wantWork := []int64{10 + 8 + 20, 1, 5 + 4 + 10}
 	var wantComm int64 = 28 + 0 + 14
 	for i := range inflated {
 		if inflated[i].Work != wantWork[i] {
 			t.Errorf("inflated[%d].Work = %d, want %d", i, inflated[i].Work, wantWork[i])
+		}
+		if per[i] != wantWork[i]-tasks[i].Work {
+			t.Errorf("per[%d] = %d, want the comm share %d", i, per[i], wantWork[i]-tasks[i].Work)
 		}
 	}
 	if comm != wantComm {
@@ -56,13 +59,13 @@ func TestCommInflateTasks(t *testing.T) {
 	}
 	// The input tasks are untouched.
 	if tasks[0].Work != 10 || tasks[2].Work != 5 {
-		t.Errorf("InflateTasks modified its input: %+v", tasks)
+		t.Errorf("inflateTasks modified its input: %+v", tasks)
 	}
 	// nil vol/msgs mean no communication for that term.
-	if _, c := InflateTasks(tasks, cm, nil, msgs); c != 30 {
+	if _, _, c := inflateTasks(tasks, cm, nil, msgs); c != 30 {
 		t.Errorf("nil vol: comm = %d, want 30", c)
 	}
-	if _, c := InflateTasks(tasks, cm, vol, nil); c != 12 {
+	if _, _, c := inflateTasks(tasks, cm, vol, nil); c != 12 {
 		t.Errorf("nil msgs: comm = %d, want 12", c)
 	}
 }
@@ -74,10 +77,10 @@ func TestCommZeroIdentityDAG(t *testing.T) {
 	vol := []int64{100, 200, 300}
 	msgs := []int64{7, 8, 9}
 	const p = 2
-	if got, want := SimulateMakespanComm(tasks, p, CommModel{}, vol, msgs), SimulateMakespan(tasks, p); got != want {
+	if got, want := Simulate(tasks, p, SimOptions{Comm: CommModel{}, Vol: vol, Msgs: msgs}), Simulate(tasks, p, SimOptions{}); got != want {
 		t.Errorf("static zero model: %+v != %+v", got, want)
 	}
-	if got, want := SimulateMakespanDynamicComm(tasks, p, CommModel{}, vol, msgs), SimulateMakespanDynamic(tasks, p); got != want {
+	if got, want := Simulate(tasks, p, SimOptions{Dynamic: true, Comm: CommModel{}, Vol: vol, Msgs: msgs}), Simulate(tasks, p, SimOptions{Dynamic: true}); got != want {
 		t.Errorf("dynamic zero model: %+v != %+v", got, want)
 	}
 }
@@ -92,7 +95,7 @@ func TestCommMonotonicStaticDAG(t *testing.T) {
 	const p = 2
 	prev := int64(-1)
 	for _, a := range []float64{0, 0.5, 1, 2, 5, 10} {
-		span := SimulateMakespanComm(tasks, p, CommModel{Alpha: a, Beta: 3}, vol, msgs).Makespan
+		span := Simulate(tasks, p, SimOptions{Comm: CommModel{Alpha: a, Beta: 3}, Vol: vol, Msgs: msgs}).Makespan
 		if span < prev {
 			t.Errorf("alpha=%g: static span %d < previous %d", a, span, prev)
 		}
@@ -100,7 +103,7 @@ func TestCommMonotonicStaticDAG(t *testing.T) {
 	}
 	prev = -1
 	for _, b := range []float64{0, 1, 5, 20} {
-		span := SimulateMakespanComm(tasks, p, CommModel{Alpha: 1, Beta: b}, vol, msgs).Makespan
+		span := Simulate(tasks, p, SimOptions{Comm: CommModel{Alpha: 1, Beta: b}, Vol: vol, Msgs: msgs}).Makespan
 		if span < prev {
 			t.Errorf("beta=%g: static span %d < previous %d", b, span, prev)
 		}
@@ -114,8 +117,8 @@ func TestCommMonotonicStaticDAG(t *testing.T) {
 func TestCommDynamicSlackDAG(t *testing.T) {
 	tasks := slackDAG()
 	const p = 2
-	st := SimulateMakespan(tasks, p)
-	dy := SimulateMakespanDynamic(tasks, p)
+	st := Simulate(tasks, p, SimOptions{})
+	dy := Simulate(tasks, p, SimOptions{Dynamic: true})
 	if st.Makespan != 16 || dy.Makespan != 11 {
 		t.Fatalf("slack DAG spans: static %d (want 16), dynamic %d (want 11)",
 			st.Makespan, dy.Makespan)
@@ -123,8 +126,8 @@ func TestCommDynamicSlackDAG(t *testing.T) {
 	vol := []int64{4, 1, 2}
 	msgs := []int64{2, 1, 1}
 	for _, cm := range []CommModel{{}, {Alpha: 1}, {Alpha: 2, Beta: 10}, {Beta: 5}} {
-		cst := SimulateMakespanComm(tasks, p, cm, vol, msgs)
-		cdy := SimulateMakespanDynamicComm(tasks, p, cm, vol, msgs)
+		cst := Simulate(tasks, p, SimOptions{Comm: cm, Vol: vol, Msgs: msgs})
+		cdy := Simulate(tasks, p, SimOptions{Dynamic: true, Comm: cm, Vol: vol, Msgs: msgs})
 		if cdy.Makespan > cst.Makespan {
 			t.Errorf("model %+v: dynamic span %d > static %d", cm, cdy.Makespan, cst.Makespan)
 		}

@@ -5,32 +5,12 @@ import (
 	"fmt"
 )
 
-// SimulateMakespanDynamic runs an event-driven list simulation in which
-// each processor, when idle, starts its highest-priority *ready* assigned
-// task instead of stalling on the static scan order. Priority is the
-// bottom level (the longest work-weighted path from the task to a sink),
-// the classical critical-path heuristic.
-//
-// Comparing this against SimulateMakespan separates two sources of idle
-// time: stalls caused by the static intra-processor order (recovered
-// here) and stalls intrinsic to the dependency graph and assignment
-// (not recoverable by any intra-processor reordering).
-func SimulateMakespanDynamic(tasks []Task, p int) SimResult {
-	return simulateDynamic(tasks, p, nil, nil)
-}
-
-// SimulateMakespanDynamicProbe is SimulateMakespanDynamic with a tracing
-// probe attached: one TaskEvent per task, emitted at its start time (so
-// events arrive ordered by start within each processor). A nil probe is
-// allowed and reproduces SimulateMakespanDynamic bit for bit.
-func SimulateMakespanDynamicProbe(tasks []Task, p int, probe Probe) SimResult {
-	return simulateDynamic(tasks, p, nil, probe)
-}
-
-// simulateDynamic is the event-driven simulation shared by the
-// compute-only and comm-aware entry points. comm, when non-nil, holds the
-// communication share of each task's Work (already included in it) so
-// events can split the duration; it never changes the simulated times.
+// simulateDynamic is the event-driven core of Simulate: each processor,
+// when idle, starts its highest-priority ready assigned task, priority
+// being the bottom level (the longest work-weighted path from the task to
+// a sink). comm, when non-nil, holds the communication share of each
+// task's Work (already included in it) so events can split the duration;
+// it never changes the simulated times.
 func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	mustProcs(p)
 	n := len(tasks)

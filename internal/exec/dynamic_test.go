@@ -8,20 +8,26 @@ import (
 	"repro/internal/sched"
 )
 
+// TestDynamicNeverWorseThanStatic draws random patterns and asserts what
+// holds for every fixed assignment: the dynamic span lies between the
+// lower bounds (critical path, heaviest processor) and the serial time,
+// and both disciplines account the same work. "Dynamic <= static" itself
+// is not a theorem — list scheduling has Graham anomalies, and a
+// priority-ordered ready queue can start a long task just before a
+// critical one becomes ready — so it is asserted only where it is pinned by
+// construction, on the hand-built slack DAGs of comm_test.go.
 func TestDynamicNeverWorseThanStatic(t *testing.T) {
-	// Dynamic ready-queue execution can only remove order-induced stalls,
-	// never add them, for the same assignment.
 	fc := func(seed int64) bool {
 		p := buildPipe(gen.Random(60, 1.4, seed), 4, 3)
 		for _, np := range []int{2, 4, 8} {
 			s := sched.BlockMap(p.part, np)
 			tasks := BlockTasks(p.part, s)
-			st := SimulateMakespan(tasks, np)
-			dy := SimulateMakespanDynamic(tasks, np)
-			if dy.Makespan > st.Makespan {
+			st := Simulate(tasks, np, SimOptions{})
+			dy := Simulate(tasks, np, SimOptions{Dynamic: true})
+			if dy.Makespan < CriticalPath(tasks) || dy.Makespan < s.MaxWork() {
 				return false
 			}
-			if dy.Makespan < CriticalPath(tasks) || dy.Makespan < s.MaxWork() {
+			if dy.Makespan > dy.TotalWork {
 				return false
 			}
 			if dy.TotalWork != st.TotalWork {
@@ -38,7 +44,7 @@ func TestDynamicNeverWorseThanStatic(t *testing.T) {
 func TestDynamicSingleProc(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 25, 4)
 	s := sched.BlockMap(p.part, 1)
-	r := SimulateMakespanDynamic(BlockTasks(p.part, s), 1)
+	r := Simulate(BlockTasks(p.part, s), 1, SimOptions{Dynamic: true})
 	if r.Makespan != r.TotalWork || r.Idle != 0 || r.Efficiency != 1 {
 		t.Fatalf("P=1 dynamic: %+v", r)
 	}
@@ -56,8 +62,8 @@ func TestDynamicKnownSchedule(t *testing.T) {
 		{ID: 2, Proc: 0, Work: 2, Preds: []int32{0}},
 		{ID: 3, Proc: 1, Work: 10, Preds: []int32{1}},
 	}
-	st := SimulateMakespan(tasks, 2)
-	dy := SimulateMakespanDynamic(tasks, 2)
+	st := Simulate(tasks, 2, SimOptions{})
+	dy := Simulate(tasks, 2, SimOptions{Dynamic: true})
 	// Bottom levels: t1 has 1+10=11 > t0's 5+2=7, so dynamic runs t1
 	// first: t1 done at 1, t3 done at 11; proc0: t0 at 6, t2 at 8.
 	if dy.Makespan != 11 {
@@ -73,8 +79,8 @@ func TestDynamicColumnTasks(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	for _, np := range []int{4, 16} {
 		tasks := ColumnTasks(p.f, p.ops, p.ew, np)
-		st := SimulateMakespan(tasks, np)
-		dy := SimulateMakespanDynamic(tasks, np)
+		st := Simulate(tasks, np, SimOptions{})
+		dy := Simulate(tasks, np, SimOptions{Dynamic: true})
 		if dy.Makespan > st.Makespan {
 			t.Errorf("P=%d: dynamic %d worse than static %d", np, dy.Makespan, st.Makespan)
 		}
@@ -87,6 +93,6 @@ func BenchmarkDynamicMakespanLap30(b *testing.B) {
 	tasks := BlockTasks(p.part, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateMakespanDynamic(tasks, 16)
+		Simulate(tasks, 16, SimOptions{Dynamic: true})
 	}
 }

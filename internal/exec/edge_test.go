@@ -23,13 +23,13 @@ func edgeSims(cm CommModel) []struct {
 		name string
 		run  func(tasks []Task, p int) SimResult
 	}{
-		{"static", func(ts []Task, p int) SimResult { return SimulateMakespan(ts, p) }},
-		{"dynamic", func(ts []Task, p int) SimResult { return SimulateMakespanDynamic(ts, p) }},
+		{"static", func(ts []Task, p int) SimResult { return Simulate(ts, p, SimOptions{}) }},
+		{"dynamic", func(ts []Task, p int) SimResult { return Simulate(ts, p, SimOptions{Dynamic: true}) }},
 		{"comm", func(ts []Task, p int) SimResult {
-			return SimulateMakespanComm(ts, p, cm, zeroVec(len(ts)), zeroVec(len(ts)))
+			return Simulate(ts, p, SimOptions{Comm: cm, Vol: zeroVec(len(ts)), Msgs: zeroVec(len(ts))})
 		}},
 		{"commdynamic", func(ts []Task, p int) SimResult {
-			return SimulateMakespanDynamicComm(ts, p, cm, zeroVec(len(ts)), zeroVec(len(ts)))
+			return Simulate(ts, p, SimOptions{Dynamic: true, Comm: cm, Vol: zeroVec(len(ts)), Msgs: zeroVec(len(ts))})
 		}},
 	}
 }
@@ -69,7 +69,7 @@ func TestSimulateZeroWork(t *testing.T) {
 	}
 	var events []TaskEvent
 	probe := probeFunc(func(ev TaskEvent) { events = append(events, ev) })
-	SimulateMakespanProbe(tasks, 4, probe)
+	Simulate(tasks, 4, SimOptions{Probe: probe})
 	if len(events) != len(tasks) {
 		t.Errorf("probe saw %d events for %d zero-work tasks", len(events), len(tasks))
 	}
@@ -101,8 +101,8 @@ func TestSimulateMoreProcsThanTasks(t *testing.T) {
 		name string
 		run  func(Probe) SimResult
 	}{
-		{"static", func(pr Probe) SimResult { return SimulateMakespanProbe(tasks, p, pr) }},
-		{"dynamic", func(pr Probe) SimResult { return SimulateMakespanDynamicProbe(tasks, p, pr) }},
+		{"static", func(pr Probe) SimResult { return Simulate(tasks, p, SimOptions{Probe: pr}) }},
+		{"dynamic", func(pr Probe) SimResult { return Simulate(tasks, p, SimOptions{Dynamic: true, Probe: pr}) }},
 	} {
 		var events []TaskEvent
 		res := probed.run(probeFunc(func(ev TaskEvent) { events = append(events, ev) }))
@@ -128,10 +128,10 @@ func TestSimulateMoreProcsThanTasks(t *testing.T) {
 func TestSimulateSingleTask(t *testing.T) {
 	tasks := []Task{{ID: 0, Proc: 1, Work: 10}}
 	want := SimResult{P: 2, Makespan: 10, TotalWork: 10, Idle: 10, Efficiency: 0.5}
-	if got := SimulateMakespan(tasks, 2); got != want {
+	if got := Simulate(tasks, 2, SimOptions{}); got != want {
 		t.Errorf("static: %+v, want %+v", got, want)
 	}
-	if got := SimulateMakespanDynamic(tasks, 2); got != want {
+	if got := Simulate(tasks, 2, SimOptions{Dynamic: true}); got != want {
 		t.Errorf("dynamic: %+v, want %+v", got, want)
 	}
 }

@@ -49,29 +49,68 @@ type SimResult struct {
 	Idle int64
 	// Efficiency is TotalWork / (P * Makespan).
 	Efficiency float64
-	// Comm is the summed communication time charged to tasks; zero for the
-	// compute-only simulators, and included in TotalWork (as busy time)
-	// for the comm-aware ones.
+	// Comm is the summed communication time charged to tasks: zero without
+	// a CommModel, and included in TotalWork (as busy time) with one.
 	Comm int64
 }
 
-// SimulateMakespan runs the static-order list simulation. Tasks must be
-// topologically ordered by ID (predecessor IDs smaller than successor
-// IDs); both the unit-block and the column task graphs satisfy this by
-// construction.
-func SimulateMakespan(tasks []Task, p int) SimResult {
-	return simulateStatic(tasks, p, nil, nil)
+// SimOptions selects the variant of Simulate. The zero value is the
+// compute-only simulation with static per-processor order and no tracing;
+// each field switches one axis of the {static, dynamic} x {compute, comm} x
+// {plain, traced} cube on.
+type SimOptions struct {
+	// Dynamic makes each idle processor start its highest-priority *ready*
+	// task (priority = bottom level, the classical critical-path heuristic)
+	// instead of stalling on the static scan order. Comparing the two
+	// separates stalls caused by the intra-processor order from stalls
+	// intrinsic to the dependency graph and the assignment.
+	Dynamic bool
+	// Comm charges task i Comm.Cost(Vol[i], Msgs[i]) on top of its work;
+	// the result's TotalWork (and Efficiency) then count communication as
+	// busy time and Comm reports its share. A zero model charges nothing
+	// and copies nothing: the run is the compute-only one, bit for bit.
+	Comm CommModel
+	// Vol and Msgs are the per-task fetch volumes and consolidated message
+	// counts Comm prices. Either may be nil (that term is not charged);
+	// non-nil slices must align with tasks by ID.
+	Vol, Msgs []int64
+	// Probe, when non-nil, receives one TaskEvent per task (in ID order
+	// from the static simulation, at its start time from the dynamic one)
+	// with the duration split into compute and communication. Probes
+	// observe only; with a nil probe no event is built.
+	Probe Probe
 }
 
-// SimulateMakespanProbe is SimulateMakespan with a tracing probe attached:
-// one TaskEvent per task, emitted in scan (ID) order. A nil probe is
-// allowed and reproduces SimulateMakespan bit for bit.
-func SimulateMakespanProbe(tasks []Task, p int, probe Probe) SimResult {
-	return simulateStatic(tasks, p, nil, probe)
+// Simulate runs the dependency-delay list simulation of tasks on p
+// processors: every task runs on its assigned processor for a duration
+// equal to its work (plus its communication cost under o.Comm) once its
+// predecessors have finished. Tasks must be topologically ordered by ID
+// (predecessor IDs smaller than successor IDs); the unit-block, column and
+// tile-segment task graphs satisfy this by construction.
+func Simulate(tasks []Task, p int, o SimOptions) SimResult {
+	if o.Vol != nil && len(o.Vol) != len(tasks) {
+		panic(fmt.Sprintf("exec: %d fetch volumes for %d tasks", len(o.Vol), len(tasks)))
+	}
+	if o.Msgs != nil && len(o.Msgs) != len(tasks) {
+		panic(fmt.Sprintf("exec: %d message counts for %d tasks", len(o.Msgs), len(tasks)))
+	}
+	var per []int64
+	var comm int64
+	if !o.Comm.IsZero() {
+		tasks, per, comm = inflateTasks(tasks, o.Comm, o.Vol, o.Msgs)
+	}
+	var res SimResult
+	if o.Dynamic {
+		res = simulateDynamic(tasks, p, per, o.Probe)
+	} else {
+		res = simulateStatic(tasks, p, per, o.Probe)
+	}
+	res.Comm = comm
+	return res
 }
 
-// simulateStatic is the static-order list simulation shared by the
-// compute-only and comm-aware entry points. comm, when non-nil, holds the
+// simulateStatic is the static-order core of Simulate: processors execute
+// their tasks in scan (ID) order. comm, when non-nil, holds the
 // communication share of each task's Work (already included in it) so
 // events can split the duration; it never changes the simulated times.
 func simulateStatic(tasks []Task, p int, comm []int64, probe Probe) SimResult {

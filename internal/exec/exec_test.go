@@ -43,7 +43,7 @@ func buildPipe(m *sparse.Matrix, g, w int) *pipe {
 func TestMakespanSingleProcEqualsTotal(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	s := sched.BlockMap(p.part, 1)
-	r := SimulateMakespan(BlockTasks(p.part, s), 1)
+	r := Simulate(BlockTasks(p.part, s), 1, SimOptions{})
 	if r.Makespan != r.TotalWork || r.Idle != 0 {
 		t.Fatalf("P=1: makespan %d, total %d, idle %d", r.Makespan, r.TotalWork, r.Idle)
 	}
@@ -59,7 +59,7 @@ func TestMakespanBounds(t *testing.T) {
 		for _, np := range []int{2, 4, 8} {
 			s := sched.BlockMap(p.part, np)
 			tasks := BlockTasks(p.part, s)
-			r := SimulateMakespan(tasks, np)
+			r := Simulate(tasks, np, SimOptions{})
 			cp := CriticalPath(tasks)
 			if r.Makespan < cp || r.Makespan < s.MaxWork() || r.Makespan > r.TotalWork {
 				return false
@@ -79,7 +79,7 @@ func TestMakespanWrapColumnTasks(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	for _, np := range []int{4, 16} {
 		tasks := ColumnTasks(p.f, p.ops, p.ew, np)
-		r := SimulateMakespan(tasks, np)
+		r := Simulate(tasks, np, SimOptions{})
 		if r.Makespan <= 0 || r.Efficiency <= 0 || r.Efficiency > 1 {
 			t.Fatalf("P=%d: implausible result %+v", np, r)
 		}
@@ -92,7 +92,7 @@ func TestDelayEfficiencyBelowBalanceBound(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 25, 4)
 	for _, np := range []int{4, 16, 32} {
 		s := sched.BlockMap(p.part, np)
-		r := SimulateMakespan(BlockTasks(p.part, s), np)
+		r := Simulate(BlockTasks(p.part, s), np, SimOptions{})
 		bound := s.Efficiency()
 		if r.Efficiency > bound+1e-9 {
 			t.Errorf("P=%d: delay efficiency %.4f above bound %.4f", np, r.Efficiency, bound)
@@ -110,7 +110,7 @@ func TestCriticalPathChain(t *testing.T) {
 	if cp := CriticalPath(tasks); cp != 10 {
 		t.Fatalf("critical path = %d, want 10", cp)
 	}
-	r := SimulateMakespan(tasks, 2)
+	r := Simulate(tasks, 2, SimOptions{})
 	if r.Makespan != 10 {
 		t.Fatalf("makespan = %d, want 10 (chain dominates)", r.Makespan)
 	}
@@ -203,7 +203,7 @@ func BenchmarkMakespanLap30(b *testing.B) {
 	tasks := BlockTasks(p.part, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateMakespan(tasks, 16)
+		Simulate(tasks, 16, SimOptions{})
 	}
 }
 

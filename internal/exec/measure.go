@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/numeric"
 	"repro/internal/sparse"
-	"repro/internal/symbolic"
 )
 
-// MeasureOptions configures MeasureFactorize.
+// MeasureOptions configures Program.Measure.
 type MeasureOptions struct {
 	// LDL selects the square-root-free LDLᵀ kernel (and
 	// numeric.FactorizeLDL as the serial reference) instead of Cholesky.
@@ -44,18 +43,15 @@ type Measurement struct {
 	Factor *NumericFactor
 }
 
-// MeasureFactorize times the serial reference factorization against the
-// parallel 2D engine on the same inputs, verifying bit-identity on every
-// parallel run. This is what makes the makespan simulators falsifiable:
-// the predicted schedule and the measured execution share one task graph.
-func MeasureFactorize(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, elemTask []int32, opts MeasureOptions) (*Measurement, error) {
+// Measure times the serial reference factorization against the compiled
+// program on the same inputs, verifying bit-identity on every parallel
+// run. This is what makes the makespan simulation falsifiable: the
+// predicted schedule and the measured execution share one task graph.
+func (pg *Program) Measure(m *sparse.Matrix, opts MeasureOptions) (*Measurement, error) {
+	f, p := pg.f, pg.p
 	reps := opts.Repeats
 	if reps <= 0 {
 		reps = 3
-	}
-	pg, err := Compile(f, p, tasks, elemTask)
-	if err != nil {
-		return nil, err
 	}
 	var serialVal []float64
 	serialNs := int64(math.MaxInt64)

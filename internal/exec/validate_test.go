@@ -213,7 +213,11 @@ func TestZeroSpanEfficiencyPinned(t *testing.T) {
 func TestMeasureFactorizeSmoke(t *testing.T) {
 	p := buildPipe(gen.Grid5(6, 6), 4, 4)
 	tasks, elemTask := serialColumnTasks(p)
-	mes, err := MeasureFactorize(p.m, p.f, 1, tasks, elemTask, MeasureOptions{Repeats: 2})
+	pg, err := Compile(p.f, 1, tasks, elemTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mes, err := pg.Measure(p.m, MeasureOptions{Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

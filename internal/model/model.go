@@ -71,18 +71,11 @@ func (o *Ops) RowCols(r int) []int32 { return o.rowCols[o.rowPtr[r]:o.rowPtr[r+1
 // internal storage.
 func (o *Ops) RowPositions(r int) []int32 { return o.rowPos[o.rowPtr[r]:o.rowPtr[r+1]] }
 
-// Update is one element-level operation L[tgt] -= L[srcI]*L[srcJ], where
-// the fields are indices into the factor's nonzero array (positions in
-// F.RowInd). For diagonal targets srcI == srcJ.
-type Update struct {
-	Tgt, SrcI, SrcJ int32
-}
-
 // Run is every pair update one source column k makes to one target
 // column j (k in the row structure of j): the source positions [Lo, Hi)
 // are the elements (i, k) of column k with i >= j, Lo being (j, k)
-// itself. The update at source position q has SrcI = q, SrcJ = Lo and
-// Tgt = Tgt[F.RowInd[q]].
+// itself. The update at source position q is
+// L[Tgt[F.RowInd[q]]] -= L[q] * L[Lo].
 type Run struct {
 	// Col is the target column j.
 	Col int
@@ -113,24 +106,6 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 			fn(Run{Col: j, Lo: pos[t], Hi: int32(f.ColPtr[k+1]), Tgt: tgt})
 		}
 	}
-}
-
-// ForEachUpdate calls fn for every pair-update operation of the
-// factorization: target columns in increasing order, within a target
-// column its source columns in increasing order, within a source column
-// rows in increasing order. For target element (i, j) updated from column
-// k, SrcI is the position of (i, k), SrcJ the position of (j, k), and Tgt
-// the position of (i, j).
-//
-// It is ForEachRun with the per-element loop supplied; code that runs per
-// plan loops over the runs itself.
-func (o *Ops) ForEachUpdate(fn func(u Update)) {
-	rowInd := o.F.RowInd
-	o.ForEachRun(func(r Run) {
-		for q := r.Lo; q < r.Hi; q++ {
-			fn(Update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.Lo})
-		}
-	})
 }
 
 // ForEachScale calls fn for every final diagonal update: for each

@@ -231,78 +231,3 @@ func BenchmarkSolveLap30(b *testing.B) {
 		c.Solve(rhs)
 	}
 }
-
-func TestMultifrontalMatchesLeftLooking(t *testing.T) {
-	// Two algorithmically independent factorizations must agree to
-	// rounding on every test family.
-	fc := func(seed int64) bool {
-		m := gen.Random(45, 1.4, seed)
-		pm, err := m.Permute(order.MMD(m))
-		if err != nil {
-			return false
-		}
-		f := symbolic.Analyze(pm)
-		left, err := Factorize(pm, f)
-		if err != nil {
-			return false
-		}
-		multi, err := FactorizeMultifrontal(pm, f)
-		if err != nil {
-			return false
-		}
-		for k := range left.Val {
-			if math.Abs(left.Val[k]-multi.Val[k]) > 1e-9*(1+math.Abs(left.Val[k])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(fc, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultifrontalSuite(t *testing.T) {
-	for _, tm := range gen.Suite() {
-		m := tm.Build()
-		pm, err := m.Permute(order.MMD(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := symbolic.Analyze(pm)
-		c, err := FactorizeMultifrontal(pm, f)
-		if err != nil {
-			t.Fatalf("%s: %v", tm.Name, err)
-		}
-		if r := FactorResidual(pm, c); r > 1e-8 {
-			t.Errorf("%s: multifrontal residual %g", tm.Name, r)
-		}
-	}
-}
-
-func TestMultifrontalNotSPD(t *testing.T) {
-	m, err := sparse.FromTriplets(2, []int{0, 1, 1}, []int{0, 0, 1}, []float64{1, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := symbolic.Analyze(m)
-	if _, err := FactorizeMultifrontal(m, f); err == nil {
-		t.Fatal("expected not-SPD error")
-	}
-	bare, _ := sparse.NewPattern(2, nil)
-	if _, err := FactorizeMultifrontal(bare, symbolic.Analyze(bare)); err == nil {
-		t.Fatal("expected pattern-only error")
-	}
-}
-
-func BenchmarkMultifrontalLap30(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	f := symbolic.Analyze(pm)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FactorizeMultifrontal(pm, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/part2d"
@@ -113,8 +114,8 @@ func TestSearchTelemetryAttached(t *testing.T) {
 		} else if tel.Best() != tel.Trajectory[len(tel.Trajectory)-1] {
 			t.Errorf("%s: Best() %d != trajectory tail %d", name, tel.Best(), tel.Trajectory[len(tel.Trajectory)-1])
 		}
-		got := strategy.Makespan(sys, strategy.Options{}, scT)
-		want := strategy.Makespan(sys, strategy.Options{}, sc)
+		got := exec.Simulate(strategy.Tasks(sys, strategy.Options{}, scT), p, exec.SimOptions{})
+		want := exec.Simulate(strategy.Tasks(sys, strategy.Options{}, sc), p, exec.SimOptions{})
 		if got != want {
 			t.Errorf("%s: telemetry perturbed the mapping: %+v != %+v", name, got, want)
 		}
@@ -142,8 +143,10 @@ func TestSearchTelemetryAttached(t *testing.T) {
 			t.Errorf("rect2d: trajectory rose at %d: %v", i, tel.Trajectory)
 		}
 	}
-	got := part2d.Makespan(sys.Ops, sys.ElemWork, s2T)
-	want := part2d.Makespan(sys.Ops, sys.ElemWork, s2)
+	tasksT, _ := part2d.Tasks(sys.Ops, sys.ElemWork, s2T)
+	tasks, _ := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
+	got := exec.Simulate(tasksT, p, exec.SimOptions{})
+	want := exec.Simulate(tasks, p, exec.SimOptions{})
 	if got != want {
 		t.Errorf("rect2d: telemetry perturbed the mapping: %+v != %+v", got, want)
 	}

@@ -6,10 +6,10 @@
 // The paper's core claims are about where time goes — load imbalance
 // versus communication versus dependency stalls (Section 4's idle-time
 // argument) — yet a SimResult collapses a full execution into five
-// numbers. This package keeps the execution: a Tracer attached to any of
-// the six makespan simulators (exec.SimulateMakespan, ...Dynamic, the two
-// ...Comm variants, and the part2d 2D simulators via their Probe entry
-// points) collects one exec.TaskEvent per task, and from those events
+// numbers. This package keeps the execution: a Tracer attached to any
+// variant of exec.Simulate (exec.SimOptions.Probe — static or dynamic,
+// with or without a CommModel, over 1D or 2D task graphs alike) collects
+// one exec.TaskEvent per task, and from those events
 //
 //   - BuildProfile aggregates the per-processor busy/comm/stall/idle
 //     breakdown (conserving busy+comm+idle = P x Makespan exactly), an

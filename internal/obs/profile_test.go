@@ -39,17 +39,17 @@ func tracedRun(t *testing.T, sys *strategy.Sys, name string, p int, kind string,
 		t.Fatalf("%s P=%d: %v", name, p, err)
 	}
 	tr := obs.NewTracer()
-	var res exec.SimResult
+	tc := strategy.FetchStats(sys, strategy.Options{}, sc)
+	o := exec.SimOptions{Probe: tr, Vol: tc.Vol, Msgs: tc.Msgs}
 	switch kind {
-	case "static":
-		res = strategy.MakespanProbe(sys, strategy.Options{}, sc, tr)
 	case "dynamic":
-		res = strategy.MakespanDynamicProbe(sys, strategy.Options{}, sc, tr)
+		o.Dynamic = true
 	case "comm":
-		res = strategy.MakespanCommProbe(sys, strategy.Options{}, sc, cm, tr)
+		o.Comm = cm
 	case "commdynamic":
-		res = strategy.MakespanCommDynamicProbe(sys, strategy.Options{}, sc, cm, tr)
+		o.Dynamic, o.Comm = true, cm
 	}
+	res := exec.Simulate(strategy.Tasks(sys, strategy.Options{}, sc), p, o)
 	return res, tr.Events
 }
 

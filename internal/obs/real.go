@@ -8,7 +8,7 @@ import (
 )
 
 // RealProfile aggregates the events of one real (wall-clock) execution —
-// exec.MeasureFactorize's per-task timings — into a Profile. It is the
+// exec.Program.Measure's per-task timings — into a Profile. It is the
 // tolerant sibling of BuildProfile: real events live on a nanosecond
 // timeline where a worker's first task can start after t = 0 with no
 // causing predecessor (goroutine startup, OS scheduling), so the

@@ -56,6 +56,19 @@ func buildNumSys(t testing.TB, name string, m *sparse.Matrix) *numSys {
 	}
 }
 
+// compile builds the program of s2's merged tile-segment task graph — what
+// pipeline.Plan compiles once for a 2D plan and FactorizeParallel and
+// Measure then run.
+func (ns *numSys) compile(t testing.TB, s2 *Schedule2D) *exec.Program {
+	t.Helper()
+	tasks, elemTask := Tasks(ns.ops, ns.ew, s2)
+	pg, err := exec.Compile(ns.f, s2.P, tasks, elemTask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pg
+}
+
 // hbRoundtrip pushes a matrix through the Harwell-Boeing writer and reader
 // so the sweep exercises the same path a real HB input takes.
 func hbRoundtrip(t testing.TB, m *sparse.Matrix) *sparse.Matrix {
@@ -119,7 +132,8 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s P=%d: map: %v", ns.name, e.label, p, err)
 				}
-				nf, err := ParallelFactorize(ns.m, ns.ops, ns.ew, s2)
+				pg := ns.compile(t, s2)
+				nf, _, err := pg.Run(ns.m, false, false)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: cholesky: %v", ns.name, e.label, p, err)
 				}
@@ -129,7 +143,7 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 							ns.name, e.label, p, q, nf.Val[q], ns.chol.Val[q])
 					}
 				}
-				lf, err := ParallelFactorizeLDL(ns.m, ns.ops, ns.ew, s2)
+				lf, _, err := pg.Run(ns.m, true, false)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: ldl: %v", ns.name, e.label, p, err)
 				}
@@ -155,7 +169,7 @@ func TestMeasureRealEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks, _ := Tasks(ns.ops, ns.ew, s2)
-		mes, err := Measure(ns.m, ns.ops, ns.ew, s2, exec.MeasureOptions{Repeats: 2})
+		mes, err := ns.compile(t, s2).Measure(ns.m, exec.MeasureOptions{Repeats: 2})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -198,7 +212,7 @@ func TestMeasureLDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mes, err := Measure(ns.m, ns.ops, ns.ew, s2, exec.MeasureOptions{LDL: true, Repeats: 2})
+	mes, err := ns.compile(t, s2).Measure(ns.m, exec.MeasureOptions{LDL: true, Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package part2d
 
-// Probe regression for the 2D tile simulators: tracing must not perturb
-// any of the four makespan variants, and the degenerate-geometry edge
+// Probe regression for the 2D tile-segment task graphs: tracing must not
+// perturb any of the four simulator variants, and the degenerate-geometry edge
 // cases (P far above the tile count) must keep Idle non-negative and
 // Efficiency within (0, 1].
 
@@ -12,12 +12,41 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/strategy"
 )
 
+// simulate runs exec.Simulate over s2's merged tile-segment task graph
+// with s2's own fetch attribution in o.Vol/o.Msgs — the test-side spelling
+// of what pipeline.Plan.Simulate does with a 2D plan's Tasks and Fetch.
+func simulate(sys *strategy.Sys, s2 *Schedule2D, o exec.SimOptions) exec.SimResult {
+	tasks, elemTask := Tasks(sys.Ops, sys.ElemWork, s2)
+	tc := FetchStats(sys.Ops, s2, len(tasks), elemTask)
+	o.Vol, o.Msgs = tc.Vol, tc.Msgs
+	return exec.Simulate(tasks, s2.P, o)
+}
+
+// simulate1D is simulate for a 1D schedule of the strategy registry.
+func simulate1D(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule, o exec.SimOptions) exec.SimResult {
+	tc := strategy.FetchStats(sys, opts, sc)
+	o.Vol, o.Msgs = tc.Vol, tc.Msgs
+	return exec.Simulate(strategy.Tasks(sys, opts, sc), sc.P, o)
+}
+
+// simKinds are the four untraced simulator variants ({static, dynamic} x
+// {compute, comm}) under one CommModel.
+func simKinds(cm exec.CommModel) map[string]exec.SimOptions {
+	return map[string]exec.SimOptions{
+		"static":      {},
+		"dynamic":     {Dynamic: true},
+		"comm":        {Comm: cm},
+		"commdynamic": {Dynamic: true, Comm: cm},
+	}
+}
+
 // TestProbe2DBitIdentity: every native 2D mapper at P in {1, 4, 16} on
-// LAP30 returns bit-identical SimResults untraced, with a nil probe, and
-// with a Tracer attached, for all four 2D simulators; the event stream
+// LAP30 returns bit-identical SimResults untraced and with a Tracer
+// attached, for all four simulator variants; the event stream
 // covers every merged tile-segment task exactly once and satisfies the
 // duration and stall/cause invariants.
 func TestProbe2DBitIdentity(t *testing.T) {
@@ -31,36 +60,12 @@ func TestProbe2DBitIdentity(t *testing.T) {
 			}
 			tasks, _ := Tasks(sys.Ops, sys.ElemWork, s2)
 			ntasks := len(tasks)
-			variants := []struct {
-				kind   string
-				plain  func() exec.SimResult
-				probed func(exec.Probe) exec.SimResult
-			}{
-				{"static",
-					func() exec.SimResult { return Makespan(sys.Ops, sys.ElemWork, s2) },
-					func(pr exec.Probe) exec.SimResult { return MakespanProbe(sys.Ops, sys.ElemWork, s2, pr) }},
-				{"dynamic",
-					func() exec.SimResult { return MakespanDynamic(sys.Ops, sys.ElemWork, s2) },
-					func(pr exec.Probe) exec.SimResult { return MakespanDynamicProbe(sys.Ops, sys.ElemWork, s2, pr) }},
-				{"comm",
-					func() exec.SimResult { return MakespanComm(sys.Ops, sys.ElemWork, s2, cm) },
-					func(pr exec.Probe) exec.SimResult {
-						return MakespanCommProbe(sys.Ops, sys.ElemWork, s2, cm, pr)
-					}},
-				{"commdynamic",
-					func() exec.SimResult { return MakespanCommDynamic(sys.Ops, sys.ElemWork, s2, cm) },
-					func(pr exec.Probe) exec.SimResult {
-						return MakespanCommDynamicProbe(sys.Ops, sys.ElemWork, s2, cm, pr)
-					}},
-			}
-			for _, v := range variants {
-				label := fmt.Sprintf("%s P=%d %s", name, p, v.kind)
-				want := v.plain()
-				if got := v.probed(nil); got != want {
-					t.Errorf("%s: nil probe %+v != untraced %+v", label, got, want)
-				}
+			for kind, o := range simKinds(cm) {
+				label := fmt.Sprintf("%s P=%d %s", name, p, kind)
+				want := simulate(sys, s2, o)
 				tr := obs.NewTracer()
-				if got := v.probed(tr); got != want {
+				o.Probe = tr
+				if got := simulate(sys, s2, o); got != want {
 					t.Errorf("%s: traced %+v != untraced %+v", label, got, want)
 				}
 				if len(tr.Events) != ntasks {
@@ -102,12 +107,8 @@ func TestMakespan2DDegenerateGeometry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for kind, res := range map[string]exec.SimResult{
-			"static":      Makespan(sys.Ops, sys.ElemWork, s2),
-			"dynamic":     MakespanDynamic(sys.Ops, sys.ElemWork, s2),
-			"comm":        MakespanComm(sys.Ops, sys.ElemWork, s2, cm),
-			"commdynamic": MakespanCommDynamic(sys.Ops, sys.ElemWork, s2, cm),
-		} {
+		for kind, o := range simKinds(cm) {
+			res := simulate(sys, s2, o)
 			if res.Idle < 0 {
 				t.Errorf("%s %s: negative idle %d", name, kind, res.Idle)
 			}

@@ -23,8 +23,8 @@ import (
 // owner, as produced by the col2d lift — each column collapses to a
 // single group whose work is the column work and whose predecessor set is
 // exactly the column's row structure, i.e. the graph of
-// exec.ColumnTasksMapped. The 2D makespan simulators are therefore
-// bit-identical to the 1D ones there, which the regression tests pin at
+// exec.ColumnTasksMapped. exec.Simulate is therefore bit-identical on a
+// lift and on its 1D schedule, which the regression tests pin at
 // P in {1, 4, 16}.
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
@@ -109,66 +109,8 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 // FetchStats attributes the 2D schedule's non-local fetches to the merged
 // tile-segment tasks of Tasks, with consolidated message counts (one
 // message per distinct source processor feeding a task). The volumes
-// partition Traffic(ops, s).Total exactly — the property that lets the
-// comm-aware makespan charge every fetch exactly once.
+// partition Traffic(ops, s).Total exactly — the property that lets
+// exec.Simulate under a CommModel charge every fetch exactly once.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks, elemTask)
-}
-
-// Makespan simulates dependency-delay execution of a 2D schedule with the
-// static-order list simulation over the merged tile-segment tasks.
-func Makespan(ops *model.Ops, elemWork []int64, s *Schedule2D) exec.SimResult {
-	return MakespanProbe(ops, elemWork, s, nil)
-}
-
-// MakespanProbe is Makespan with a tracing probe attached (one
-// exec.TaskEvent per merged tile-segment task). A nil probe reproduces
-// Makespan bit for bit.
-func MakespanProbe(ops *model.Ops, elemWork []int64, s *Schedule2D, probe exec.Probe) exec.SimResult {
-	tasks, _ := Tasks(ops, elemWork, s)
-	return exec.SimulateMakespanProbe(tasks, s.P, probe)
-}
-
-// MakespanDynamic is Makespan with the dynamic critical-path-priority
-// ready queue on each processor.
-func MakespanDynamic(ops *model.Ops, elemWork []int64, s *Schedule2D) exec.SimResult {
-	return MakespanDynamicProbe(ops, elemWork, s, nil)
-}
-
-// MakespanDynamicProbe is MakespanDynamic with a tracing probe attached.
-func MakespanDynamicProbe(ops *model.Ops, elemWork []int64, s *Schedule2D, probe exec.Probe) exec.SimResult {
-	tasks, _ := Tasks(ops, elemWork, s)
-	return exec.SimulateMakespanDynamicProbe(tasks, s.P, probe)
-}
-
-// MakespanComm simulates dependency-delay execution with
-// communication-aware task durations: every tile-segment task is charged
-// its compute work plus cm.Cost of the fetch volume and message count
-// FetchStats attributes to it. With a zero model the result is identical
-// to Makespan.
-func MakespanComm(ops *model.Ops, elemWork []int64, s *Schedule2D, cm exec.CommModel) exec.SimResult {
-	return MakespanCommProbe(ops, elemWork, s, cm, nil)
-}
-
-// MakespanCommProbe is MakespanComm with a tracing probe attached; events
-// split each task's duration into its compute and comm shares.
-func MakespanCommProbe(ops *model.Ops, elemWork []int64, s *Schedule2D, cm exec.CommModel, probe exec.Probe) exec.SimResult {
-	tasks, elemTask := Tasks(ops, elemWork, s)
-	tc := FetchStats(ops, s, len(tasks), elemTask)
-	return exec.SimulateMakespanCommProbe(tasks, s.P, cm, tc.Vol, tc.Msgs, probe)
-}
-
-// MakespanCommDynamic is MakespanComm with the dynamic ready queue; with a
-// zero model it is identical to MakespanDynamic.
-func MakespanCommDynamic(ops *model.Ops, elemWork []int64, s *Schedule2D, cm exec.CommModel) exec.SimResult {
-	return MakespanCommDynamicProbe(ops, elemWork, s, cm, nil)
-}
-
-// MakespanCommDynamicProbe is MakespanCommDynamic with a tracing probe
-// attached; events split each task's duration into its compute and comm
-// shares.
-func MakespanCommDynamicProbe(ops *model.Ops, elemWork []int64, s *Schedule2D, cm exec.CommModel, probe exec.Probe) exec.SimResult {
-	tasks, elemTask := Tasks(ops, elemWork, s)
-	tc := FetchStats(ops, s, len(tasks), elemTask)
-	return exec.SimulateMakespanDynamicCommProbe(tasks, s.P, cm, tc.Vol, tc.Msgs, probe)
 }

@@ -28,16 +28,16 @@ func TestCol2DMakespanBitIdentical1D(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := "col2d(" + base + ")"
-			if got, want := Makespan(sys.Ops, sys.ElemWork, s2), strategy.Makespan(sys, opts, sc); got != want {
+			if got, want := simulate(sys, s2, exec.SimOptions{}), simulate1D(sys, opts, sc, exec.SimOptions{}); got != want {
 				t.Errorf("%s P=%d static: 2D %+v != 1D %+v", label, p, got, want)
 			}
-			if got, want := MakespanDynamic(sys.Ops, sys.ElemWork, s2), strategy.MakespanDynamic(sys, opts, sc); got != want {
+			if got, want := simulate(sys, s2, exec.SimOptions{Dynamic: true}), simulate1D(sys, opts, sc, exec.SimOptions{Dynamic: true}); got != want {
 				t.Errorf("%s P=%d dynamic: 2D %+v != 1D %+v", label, p, got, want)
 			}
-			if got, want := MakespanComm(sys.Ops, sys.ElemWork, s2, cm), strategy.MakespanComm(sys, opts, sc, cm); got != want {
+			if got, want := simulate(sys, s2, exec.SimOptions{Comm: cm}), simulate1D(sys, opts, sc, exec.SimOptions{Comm: cm}); got != want {
 				t.Errorf("%s P=%d static comm: 2D %+v != 1D %+v", label, p, got, want)
 			}
-			if got, want := MakespanCommDynamic(sys.Ops, sys.ElemWork, s2, cm), strategy.MakespanCommDynamic(sys, opts, sc, cm); got != want {
+			if got, want := simulate(sys, s2, exec.SimOptions{Dynamic: true, Comm: cm}), simulate1D(sys, opts, sc, exec.SimOptions{Dynamic: true, Comm: cm}); got != want {
 				t.Errorf("%s P=%d dynamic comm: 2D %+v != 1D %+v", label, p, got, want)
 			}
 		}
@@ -57,14 +57,14 @@ func TestMakespan2DZeroModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := MakespanComm(sys.Ops, sys.ElemWork, s2, zero)
-			want := Makespan(sys.Ops, sys.ElemWork, s2)
+			got := simulate(sys, s2, exec.SimOptions{Comm: zero})
+			want := simulate(sys, s2, exec.SimOptions{})
 			got.Comm = want.Comm // Comm is the only field allowed to differ (it is 0 both ways)
 			if got != want {
 				t.Errorf("%s P=%d static: zero model %+v != compute-only %+v", name, p, got, want)
 			}
-			gd := MakespanCommDynamic(sys.Ops, sys.ElemWork, s2, zero)
-			wd := MakespanDynamic(sys.Ops, sys.ElemWork, s2)
+			gd := simulate(sys, s2, exec.SimOptions{Dynamic: true, Comm: zero})
+			wd := simulate(sys, s2, exec.SimOptions{Dynamic: true})
 			gd.Comm = wd.Comm
 			if gd != wd {
 				t.Errorf("%s P=%d dynamic: zero model %+v != compute-only %+v", name, p, gd, wd)

@@ -88,7 +88,8 @@ func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Ke
 
 // Factorize computes the numeric factor of a — a matrix with this
 // analysis' pattern — with the serial left-looking kernel. The values are
-// bit-for-bit what the monolithic System.Factorize/FactorizeLDL produce.
+// bit-for-bit what numeric.Factorize/FactorizeLDL produce on
+// An.PermutedWithValues(a).
 func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
 	if err := k.valid(); err != nil {
 		return nil, err
@@ -191,7 +192,7 @@ func (fa *Factor) solveSerial(pb []float64) []float64 {
 // Solve solves A·x = b in the original variable order with the serial
 // triangular sweeps. It performs no factorization work: the factor values
 // are already held. For serial-kernel factors the result is bit-for-bit
-// what the monolithic System.Solve produces.
+// the serial kernel's sweeps wrapped in the analysis permutation.
 func (fa *Factor) Solve(b []float64) ([]float64, error) {
 	if len(b) != fa.F.N {
 		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/part2d"
 	"repro/internal/sched"
+	"repro/internal/sparse"
 	"repro/internal/strategy"
 	"repro/internal/traffic"
 )
@@ -139,16 +140,65 @@ func (pl *Plan) Is2D() bool { return pl.S2 != nil }
 // schedule (the fetch volumes partition it exactly).
 func (pl *Plan) TrafficTotal() int64 { return pl.Fetch.TotalVol() }
 
-// Makespan simulates dependency-delay execution of the plan's task graph
-// with static per-processor order.
-func (pl *Plan) Makespan() exec.SimResult {
-	return exec.SimulateMakespan(pl.Tasks, pl.P)
+// Traffic runs the full data-traffic simulation of the plan's schedule —
+// per-processor totals and the processor-pair matrix behind TrafficTotal —
+// honoring the relaxed partition of a block-granular plan. A 2D plan is
+// simulated over its derived element ownership.
+func (pl *Plan) Traffic() *traffic.Result {
+	if pl.S2 != nil {
+		return traffic.Simulate(pl.An.Ops, pl.S2.Schedule())
+	}
+	return strategy.Traffic(pl.An.sys, pl.Opts, pl.S1)
 }
 
+// Traffic2D runs the tile-granular traffic simulation of a 2D plan: the
+// same deduplicated total, attributed per tile and split into fan-out
+// (row-direction) and fan-in (column-direction) volume. It is nil for a 1D
+// plan, which has no tiling.
+func (pl *Plan) Traffic2D() *part2d.TrafficResult {
+	if pl.S2 == nil {
+		return nil
+	}
+	return part2d.Traffic(pl.An.Ops, pl.S2)
+}
+
+// Simulate runs the dependency-delay simulation of the plan's task graph
+// on its P processors. o picks the variant (o.Dynamic, o.Comm, o.Probe);
+// o.Vol and o.Msgs are always the plan's own fetch attribution, so a
+// non-zero o.Comm charges every fetch of the schedule exactly once.
+func (pl *Plan) Simulate(o exec.SimOptions) exec.SimResult {
+	o.Vol, o.Msgs = pl.Fetch.Vol, pl.Fetch.Msgs
+	return exec.Simulate(pl.Tasks, pl.P, o)
+}
+
+// Makespan is Simulate with static per-processor order and no
+// communication charged.
+func (pl *Plan) Makespan() exec.SimResult { return pl.Simulate(exec.SimOptions{}) }
+
 // MakespanComm is Makespan with communication-aware task durations under
-// cm, charging each task its attributed fetch volume and message count.
+// cm.
 func (pl *Plan) MakespanComm(cm exec.CommModel) exec.SimResult {
-	return exec.SimulateMakespanComm(pl.Tasks, pl.P, cm, pl.Fetch.Vol, pl.Fetch.Msgs)
+	return pl.Simulate(exec.SimOptions{Comm: cm})
+}
+
+// Measure times the serial factorization of a against the plan's compiled
+// program (repeat-and-min on both sides, bit-identity verified on every
+// parallel run) and returns the wall-clock Measurement; its Events pair
+// with Tasks and Fetch in a calibration fit. Block-granular 1D plans run
+// on the unit-block engine, which has no compiled program to measure.
+func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measurement, error) {
+	pg, err := pl.program()
+	if err != nil {
+		return nil, err
+	}
+	if pg == nil {
+		return nil, fmt.Errorf("pipeline: block-granular plan %q has no compiled program to measure", pl.Strategy)
+	}
+	pm, err := pl.An.PermutedWithValues(a)
+	if err != nil {
+		return nil, err
+	}
+	return pg.Measure(pm, opts)
 }
 
 // columnOwners returns the processor owning each column's diagonal under

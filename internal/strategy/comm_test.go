@@ -105,11 +105,11 @@ func TestCommZeroRegression(t *testing.T) {
 						t.Fatalf("%s/%s P=%d: %v", name, mname, p, err)
 					}
 					var zero exec.CommModel
-					if got, want := MakespanComm(sys, opts, sc, zero), Makespan(sys, opts, sc); got != want {
+					if got, want := simulate(sys, opts, sc, exec.SimOptions{Comm: zero}), simulate(sys, opts, sc, exec.SimOptions{}); got != want {
 						t.Errorf("%s/%s P=%d static: zero model %+v != compute-only %+v",
 							name, mname, p, got, want)
 					}
-					if got, want := MakespanCommDynamic(sys, opts, sc, zero), MakespanDynamic(sys, opts, sc); got != want {
+					if got, want := simulate(sys, opts, sc, exec.SimOptions{Dynamic: true, Comm: zero}), simulate(sys, opts, sc, exec.SimOptions{Dynamic: true}); got != want {
 						t.Errorf("%s/%s P=%d dynamic: zero model %+v != compute-only %+v",
 							name, mname, p, got, want)
 					}
@@ -130,13 +130,13 @@ func TestCommMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := Makespan(sys, Options{}, sc)
-		baseDy := MakespanDynamic(sys, Options{}, sc)
+		base := simulate(sys, Options{}, sc, exec.SimOptions{})
+		baseDy := simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true})
 		prevSt, prevDy := int64(-1), int64(-1)
 		for _, a := range []float64{0, 0.5, 1, 2, 5} {
 			cm := exec.CommModel{Alpha: a, Beta: 2}
-			st := MakespanComm(sys, Options{}, sc, cm)
-			dy := MakespanCommDynamic(sys, Options{}, sc, cm)
+			st := simulate(sys, Options{}, sc, exec.SimOptions{Comm: cm})
+			dy := simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: cm})
 			if st.Makespan < base.Makespan || dy.Makespan < baseDy.Makespan {
 				t.Errorf("%s alpha=%g: comm-aware span below compute-only (static %d<%d or dynamic %d<%d)",
 					name, a, st.Makespan, base.Makespan, dy.Makespan, baseDy.Makespan)
@@ -155,7 +155,7 @@ func TestCommMonotonicity(t *testing.T) {
 		prevSt = -1
 		for _, b := range []float64{0, 1, 5, 20} {
 			cm := exec.CommModel{Alpha: 1, Beta: b}
-			st := MakespanComm(sys, Options{}, sc, cm)
+			st := simulate(sys, Options{}, sc, exec.SimOptions{Comm: cm})
 			if st.Makespan < prevSt {
 				t.Errorf("%s beta=%g: static span %d decreased from %d", name, b, st.Makespan, prevSt)
 			}
@@ -182,7 +182,10 @@ func TestCommSpanBounds(t *testing.T) {
 				}
 				tc := FetchStats(sys, Options{}, sc)
 				for _, cm := range []exec.CommModel{{}, {Alpha: 2, Beta: 10}} {
-					inflated, _ := exec.InflateTasks(Tasks(sys, Options{}, sc), cm, tc.Vol, tc.Msgs)
+					inflated := append([]exec.Task(nil), Tasks(sys, Options{}, sc)...)
+					for i := range inflated {
+						inflated[i].Work += cm.Cost(tc.Vol[i], tc.Msgs[i])
+					}
 					cp := exec.CriticalPath(inflated)
 					var w int64
 					for _, tk := range inflated {
@@ -192,8 +195,8 @@ func TestCommSpanBounds(t *testing.T) {
 					if bal := (w + int64(p) - 1) / int64(p); bal > lower {
 						lower = bal
 					}
-					st := MakespanComm(sys, Options{}, sc, cm)
-					dy := MakespanCommDynamic(sys, Options{}, sc, cm)
+					st := simulate(sys, Options{}, sc, exec.SimOptions{Comm: cm})
+					dy := simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: cm})
 					for _, r := range []struct {
 						kind string
 						res  exec.SimResult

@@ -1,9 +1,9 @@
 package strategy
 
-// Probe regression harness: tracing is strictly opt-in, so every probe
-// entry point must be bit-identical to its untraced counterpart — with a
-// nil probe (the zero-overhead path) and with a Tracer attached (probes
-// observe, they cannot perturb). The event stream itself must satisfy the
+// Probe regression harness: tracing is strictly opt-in, so every
+// simulator variant must return the same SimResult with a nil probe (the
+// zero-overhead path) and with a Tracer attached (probes observe, they
+// cannot perturb). The event stream itself must satisfy the
 // documented invariants: one event per task, duration == work + comm,
 // Stall > 0 exactly when a Cause predecessor is recorded, and the totals
 // reconciling with the SimResult.
@@ -15,6 +15,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -26,21 +27,41 @@ func probeFixtures(t testing.TB) map[string]*sparse.Matrix {
 	return fx
 }
 
-// checkProbeIdentity runs one simulator three ways — untraced, nil probe,
-// Tracer attached — and demands all three SimResults are equal, then
-// validates the collected event stream.
-func checkProbeIdentity(t *testing.T, label string, p, ntasks int,
-	plain func() exec.SimResult, probed func(exec.Probe) exec.SimResult) {
+// simulate runs exec.Simulate over sc's task graph with sc's own fetch
+// attribution in o.Vol/o.Msgs — the test-side spelling of what
+// pipeline.Plan.Simulate does with a plan's Tasks and Fetch.
+func simulate(sys *Sys, opts Options, sc *sched.Schedule, o exec.SimOptions) exec.SimResult {
+	tc := FetchStats(sys, opts, sc)
+	o.Vol, o.Msgs = tc.Vol, tc.Msgs
+	return exec.Simulate(Tasks(sys, opts, sc), sc.P, o)
+}
+
+// simKinds are the four untraced simulator variants ({static, dynamic} x
+// {compute, comm}) under one CommModel.
+func simKinds(cm exec.CommModel) map[string]exec.SimOptions {
+	return map[string]exec.SimOptions{
+		"static":      {},
+		"dynamic":     {Dynamic: true},
+		"comm":        {Comm: cm},
+		"commdynamic": {Dynamic: true, Comm: cm},
+	}
+}
+
+// checkProbeIdentity runs every simulator variant untraced and with a
+// Tracer attached, demands equal SimResults, then validates the collected
+// event stream.
+func checkProbeIdentity(t *testing.T, label string, p, ntasks int, cm exec.CommModel,
+	run func(exec.SimOptions) exec.SimResult) {
 	t.Helper()
-	want := plain()
-	if got := probed(nil); got != want {
-		t.Errorf("%s: nil probe %+v != untraced %+v", label, got, want)
+	for kind, o := range simKinds(cm) {
+		want := run(o)
+		tr := obs.NewTracer()
+		o.Probe = tr
+		if got := run(o); got != want {
+			t.Errorf("%s %s: traced %+v != untraced %+v", label, kind, got, want)
+		}
+		checkEvents(t, label+" "+kind, tr.Events, want, ntasks, p)
 	}
-	tr := obs.NewTracer()
-	if got := probed(tr); got != want {
-		t.Errorf("%s: traced %+v != untraced %+v", label, got, want)
-	}
-	checkEvents(t, label, tr.Events, want, ntasks, p)
 }
 
 // checkEvents validates a complete event stream against its SimResult.
@@ -89,9 +110,9 @@ func checkEvents(t *testing.T, label string, events []exec.TaskEvent, res exec.S
 }
 
 // TestProbeBitIdentity: for every registered strategy on the LAP30 and HB
-// fixtures at P in {1, 4, 16}, all four makespan simulators return
-// bit-identical SimResults untraced, with a nil probe, and with a Tracer
-// attached — and the traced event stream reconciles with the result.
+// fixtures at P in {1, 4, 16}, all four simulator variants return
+// bit-identical SimResults untraced and with a Tracer attached — and the
+// traced event stream reconciles with the result.
 func TestProbeBitIdentity(t *testing.T) {
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
 	for mname, m := range probeFixtures(t) {
@@ -104,18 +125,9 @@ func TestProbeBitIdentity(t *testing.T) {
 				}
 				ntasks := len(Tasks(sys, Options{}, sc))
 				label := fmt.Sprintf("%s/%s P=%d", name, mname, p)
-				checkProbeIdentity(t, label+" static", p, ntasks,
-					func() exec.SimResult { return Makespan(sys, Options{}, sc) },
-					func(pr exec.Probe) exec.SimResult { return MakespanProbe(sys, Options{}, sc, pr) })
-				checkProbeIdentity(t, label+" dynamic", p, ntasks,
-					func() exec.SimResult { return MakespanDynamic(sys, Options{}, sc) },
-					func(pr exec.Probe) exec.SimResult { return MakespanDynamicProbe(sys, Options{}, sc, pr) })
-				checkProbeIdentity(t, label+" comm", p, ntasks,
-					func() exec.SimResult { return MakespanComm(sys, Options{}, sc, cm) },
-					func(pr exec.Probe) exec.SimResult { return MakespanCommProbe(sys, Options{}, sc, cm, pr) })
-				checkProbeIdentity(t, label+" commdynamic", p, ntasks,
-					func() exec.SimResult { return MakespanCommDynamic(sys, Options{}, sc, cm) },
-					func(pr exec.Probe) exec.SimResult { return MakespanCommDynamicProbe(sys, Options{}, sc, cm, pr) })
+				checkProbeIdentity(t, label, p, ntasks, cm, func(o exec.SimOptions) exec.SimResult {
+					return simulate(sys, Options{}, sc, o)
+				})
 			}
 		}
 	}
@@ -130,13 +142,13 @@ func TestTracerReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
-	MakespanProbe(sys, Options{}, sc, tr)
+	simulate(sys, Options{}, sc, exec.SimOptions{Probe: tr})
 	first := len(tr.Events)
 	tr.Reset()
 	if len(tr.Events) != 0 {
 		t.Fatalf("Reset left %d events", len(tr.Events))
 	}
-	MakespanProbe(sys, Options{}, sc, tr)
+	simulate(sys, Options{}, sc, exec.SimOptions{Probe: tr})
 	if len(tr.Events) != first {
 		t.Errorf("second run collected %d events, first %d", len(tr.Events), first)
 	}

@@ -48,7 +48,7 @@ func TestSysConcurrentMappingShared(t *testing.T) {
 				// Evaluation paths exercise the partition cache again.
 				Traffic(sys, opts, sc)
 				FetchStats(sys, opts, sc)
-				Makespan(sys, opts, sc)
+				Tasks(sys, opts, sc)
 				sys.Partition(opts.Part)
 			}
 		}(g)

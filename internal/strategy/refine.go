@@ -361,7 +361,8 @@ func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own
 }
 
 // refineCommspan hill-climbs the unified comm-aware dynamic makespan
-// (the span of strategy.MakespanCommDynamic under opts.Comm): for each
+// (exec.Simulate, dynamic, under opts.Comm and the schedule's fetch
+// attribution): for each
 // unit it tries the processor owning the plurality of its dependency
 // neighborhood and the least-loaded processor, keeping a move only when
 // the re-evaluated span strictly decreases. The task graph's topology and
@@ -381,7 +382,9 @@ func refineCommspan(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, ow
 	tasks := Tasks(sys, opts, sc)
 	eval := func() int64 {
 		tc := FetchStats(sys, opts, sc)
-		return exec.SimulateMakespanDynamicComm(tasks, sc.P, opts.Comm, tc.Vol, tc.Msgs).Makespan
+		return exec.Simulate(tasks, sc.P, exec.SimOptions{
+			Dynamic: true, Comm: opts.Comm, Vol: tc.Vol, Msgs: tc.Msgs,
+		}).Makespan
 	}
 	cur := eval()
 	opts.Search.Objective(cur)

@@ -135,8 +135,8 @@ func TestRefineNeverWorsensCommspan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseSpan := MakespanCommDynamic(sys, opts, baseSc, cm).Makespan
-		refSpan := MakespanCommDynamic(sys, opts, ref, cm).Makespan
+		baseSpan := simulate(sys, opts, baseSc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
+		refSpan := simulate(sys, opts, ref, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
 		if refSpan > baseSpan {
 			t.Errorf("refine(%s, commspan) P=%d: span %d > base %d", base, p, refSpan, baseSpan)
 		}
@@ -160,8 +160,8 @@ func TestRefineCommspanImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseSpan := MakespanCommDynamic(sys, opts, baseSc, cm).Makespan
-	refSpan := MakespanCommDynamic(sys, opts, ref, cm).Makespan
+	baseSpan := simulate(sys, opts, baseSc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
+	refSpan := simulate(sys, opts, ref, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
 	if refSpan >= baseSpan {
 		t.Errorf("refine(wrap, commspan) P=%d: span %d did not improve on base %d",
 			p, refSpan, baseSpan)
@@ -183,13 +183,13 @@ func TestRefineCommspanZeroModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, base := MakespanDynamic(sys, opts, ref).Makespan, MakespanDynamic(sys, opts, baseSc).Makespan; got > base {
+	if got, base := simulate(sys, opts, ref, exec.SimOptions{Dynamic: true}).Makespan, simulate(sys, opts, baseSc, exec.SimOptions{Dynamic: true}).Makespan; got > base {
 		t.Errorf("refine(wrap, commspan, zero model): dynamic span %d > base %d", got, base)
 	}
 }
 
 // TestRefineCommspanRefineSchedule covers the public Refine entry point
-// (repro's RefineSchedule): refining an existing schedule in place of a
+// (strategy.Refine): refining an existing schedule in place of a
 // base-strategy re-run, the unified span never worsens and the input is
 // left untouched.
 func TestRefineCommspanRefineSchedule(t *testing.T) {
@@ -206,7 +206,7 @@ func TestRefineCommspanRefineSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, base := MakespanCommDynamic(sys, opts, ref, cm).Makespan, MakespanCommDynamic(sys, opts, baseSc, cm).Makespan; got > base {
+	if got, base := simulate(sys, opts, ref, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan, simulate(sys, opts, baseSc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan; got > base {
 		t.Errorf("Refine(commspan): span %d > input %d", got, base)
 	}
 	for q := range before {

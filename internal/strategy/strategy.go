@@ -312,8 +312,8 @@ func checkPartMatch(part *core.Partition, sc *sched.Schedule) {
 }
 
 // Traffic simulates the data traffic of a strategy schedule, honoring
-// relaxed partitions for block-granular schedules (the strategy analogue
-// of repro's TrafficPart). opts must be the Options the schedule was
+// relaxed partitions for block-granular schedules (what pipeline.Plan.Traffic
+// runs for a 1D plan). opts must be the Options the schedule was
 // mapped with.
 func Traffic(sys *Sys, opts Options, sc *sched.Schedule) *traffic.Result {
 	return traffic.Simulate(trafficOps(sys, opts, sc), sc)
@@ -347,8 +347,8 @@ func Tasks(sys *Sys, opts Options, sc *sched.Schedule) []exec.Task {
 // FetchStats attributes the schedule's non-local fetches to its makespan
 // tasks (per unit block or per column) with consolidated message counts,
 // honoring relaxed partitions like Traffic does. The volumes partition
-// Traffic(sys, opts, sc).Total exactly, which is what lets the comm-aware
-// makespan charge every fetch exactly once. opts must be the Options the
+// Traffic(sys, opts, sc).Total exactly, which is what lets exec.Simulate
+// under a CommModel charge every fetch exactly once. opts must be the Options the
 // schedule was mapped with.
 func FetchStats(sys *Sys, opts Options, sc *sched.Schedule) *traffic.TaskComm {
 	if sc.UnitProc != nil {
@@ -357,57 +357,4 @@ func FetchStats(sys *Sys, opts Options, sc *sched.Schedule) *traffic.TaskComm {
 		return traffic.FetchStats(pe.part, pe.ops, sc)
 	}
 	return traffic.FetchStatsColumns(sys.Ops, sc)
-}
-
-// Makespan simulates dependency-delay execution of a strategy schedule:
-// unit-block tasks for block-granular schedules, column tasks otherwise.
-// opts must be the Options the schedule was mapped with.
-func Makespan(sys *Sys, opts Options, sc *sched.Schedule) exec.SimResult {
-	return MakespanProbe(sys, opts, sc, nil)
-}
-
-// MakespanProbe is Makespan with a tracing probe attached (one
-// exec.TaskEvent per task). A nil probe reproduces Makespan bit for bit.
-func MakespanProbe(sys *Sys, opts Options, sc *sched.Schedule, probe exec.Probe) exec.SimResult {
-	return exec.SimulateMakespanProbe(Tasks(sys, opts, sc), sc.P, probe)
-}
-
-// MakespanDynamic is Makespan with the dynamic critical-path-priority
-// ready queue on each processor instead of static scan order.
-func MakespanDynamic(sys *Sys, opts Options, sc *sched.Schedule) exec.SimResult {
-	return MakespanDynamicProbe(sys, opts, sc, nil)
-}
-
-// MakespanDynamicProbe is MakespanDynamic with a tracing probe attached.
-func MakespanDynamicProbe(sys *Sys, opts Options, sc *sched.Schedule, probe exec.Probe) exec.SimResult {
-	return exec.SimulateMakespanDynamicProbe(Tasks(sys, opts, sc), sc.P, probe)
-}
-
-// MakespanComm simulates dependency-delay execution with
-// communication-aware task durations: every task is charged its compute
-// work plus cm.Cost of the fetch volume and message count FetchStats
-// attributes to it. With a zero model the result is identical to Makespan.
-func MakespanComm(sys *Sys, opts Options, sc *sched.Schedule, cm exec.CommModel) exec.SimResult {
-	return MakespanCommProbe(sys, opts, sc, cm, nil)
-}
-
-// MakespanCommProbe is MakespanComm with a tracing probe attached; events
-// split each task's duration into its compute and comm shares.
-func MakespanCommProbe(sys *Sys, opts Options, sc *sched.Schedule, cm exec.CommModel, probe exec.Probe) exec.SimResult {
-	tc := FetchStats(sys, opts, sc)
-	return exec.SimulateMakespanCommProbe(Tasks(sys, opts, sc), sc.P, cm, tc.Vol, tc.Msgs, probe)
-}
-
-// MakespanCommDynamic is MakespanComm with the dynamic ready queue; with a
-// zero model it is identical to MakespanDynamic.
-func MakespanCommDynamic(sys *Sys, opts Options, sc *sched.Schedule, cm exec.CommModel) exec.SimResult {
-	return MakespanCommDynamicProbe(sys, opts, sc, cm, nil)
-}
-
-// MakespanCommDynamicProbe is MakespanCommDynamic with a tracing probe
-// attached; events split each task's duration into its compute and comm
-// shares.
-func MakespanCommDynamicProbe(sys *Sys, opts Options, sc *sched.Schedule, cm exec.CommModel, probe exec.Probe) exec.SimResult {
-	tc := FetchStats(sys, opts, sc)
-	return exec.SimulateMakespanDynamicCommProbe(Tasks(sys, opts, sc), sc.P, cm, tc.Vol, tc.Msgs, probe)
 }

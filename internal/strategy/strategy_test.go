@@ -176,7 +176,7 @@ func TestMoreProcsThanColumns(t *testing.T) {
 				t.Errorf("%s P=%d: fetch volumes sum to %d, traffic total %d", name, p, got, want)
 			}
 			var zero exec.CommModel
-			if got, want := MakespanCommDynamic(sys, Options{}, sc, zero), MakespanDynamic(sys, Options{}, sc); got != want {
+			if got, want := simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: zero}), simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true}); got != want {
 				t.Errorf("%s P=%d: zero model dynamic %+v != compute-only %+v", name, p, got, want)
 			}
 		}
@@ -215,7 +215,7 @@ func TestRelaxedPartitionStrategies(t *testing.T) {
 		if tr.P != p || tr.Total < 0 {
 			t.Fatalf("%s relaxed: traffic result P=%d Total=%d", name, tr.P, tr.Total)
 		}
-		ms := Makespan(sys, o, sc)
+		ms := simulate(sys, o, sc, exec.SimOptions{})
 		if ms.TotalWork != part.TotalWork {
 			t.Fatalf("%s relaxed: makespan total work %d, want %d", name, ms.TotalWork, part.TotalWork)
 		}
@@ -257,7 +257,8 @@ func TestEvaluateOptsMismatch(t *testing.T) {
 		fn()
 	}
 	mustPanic("Traffic", func() { Traffic(sys, Options{}, sc) })
-	mustPanic("Makespan", func() { Makespan(sys, Options{}, sc) })
+	mustPanic("Tasks", func() { Tasks(sys, Options{}, sc) })
+	mustPanic("FetchStats", func() { FetchStats(sys, Options{}, sc) })
 }
 
 // TestPartitionCacheNormalized: zero options and explicit defaults are
@@ -284,7 +285,7 @@ func TestSimulatorsAcceptAll(t *testing.T) {
 		if tr.Total < 0 || tr.P != 4 {
 			t.Errorf("%s: traffic result P=%d Total=%d", name, tr.P, tr.Total)
 		}
-		ms := Makespan(sys, opts, sc)
+		ms := simulate(sys, opts, sc, exec.SimOptions{})
 		if ms.Efficiency <= 0 || ms.Efficiency > 1 {
 			t.Errorf("%s: makespan efficiency %g outside (0, 1]", name, ms.Efficiency)
 		}

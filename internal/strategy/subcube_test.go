@@ -107,10 +107,10 @@ func TestSubcubeConservation(t *testing.T) {
 				t.Errorf("%s P=%d: fetch volumes sum to %d, traffic total %d", mname, p, got, want)
 			}
 			var zero exec.CommModel
-			if got, want := MakespanComm(sys, Options{}, sc, zero), Makespan(sys, Options{}, sc); got != want {
+			if got, want := simulate(sys, Options{}, sc, exec.SimOptions{Comm: zero}), simulate(sys, Options{}, sc, exec.SimOptions{}); got != want {
 				t.Errorf("%s P=%d static: zero model %+v != compute-only %+v", mname, p, got, want)
 			}
-			if got, want := MakespanCommDynamic(sys, Options{}, sc, zero), MakespanDynamic(sys, Options{}, sc); got != want {
+			if got, want := simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: zero}), simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true}); got != want {
 				t.Errorf("%s P=%d dynamic: zero model %+v != compute-only %+v", mname, p, got, want)
 			}
 		}
@@ -133,7 +133,7 @@ func TestSubcubeLocalityLAP30(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			span[name] = MakespanCommDynamic(sys, Options{}, sc, cm).Makespan
+			span[name] = simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
 			tr[name] = Traffic(sys, Options{}, sc)
 		}
 		if span["subcube"] > span["wrap"] {
@@ -195,7 +195,7 @@ func TestSubcubeNDOrderLAP30(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkSchedule(t, sys, sc, name+"/ndorder", p)
-			span[name] = MakespanCommDynamic(sys, Options{}, sc, cm).Makespan
+			span[name] = simulate(sys, Options{}, sc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan
 			tr[name] = Traffic(sys, Options{}, sc).Total
 		}
 		if span["subcube"] > span["wrap"] {

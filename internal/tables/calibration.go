@@ -9,8 +9,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/part2d"
-	"repro/internal/strategy"
+	"repro/internal/pipeline"
 )
 
 // CalibrationRow is one cell of the calibration study (Ext-Cal): one 2D
@@ -62,62 +61,37 @@ type CalibrationStudy struct {
 // Gamma} plus the nanosecond scale, and each row is then re-predicted
 // under the fitted model. repeats <= 0 selects the engine default.
 func Calibration(p *Problem, procs []int, cm exec.CommModel, repeats int) (*CalibrationStudy, error) {
-	sys := p.StrategySys()
-	type entry struct {
-		label string
-		opts  strategy.Options
-		name  string
-	}
-	var entries []entry
-	for _, name := range part2d.Names2D() {
-		if name == "col2d" {
-			continue // enumerated per base below
-		}
-		entries = append(entries, entry{label: name, name: name})
-	}
-	for _, base := range part2d.LiftBases() {
-		entries = append(entries, entry{
-			label: "col2d:" + base,
-			name:  "col2d",
-			opts:  strategy.Options{Base: base},
-		})
-	}
 	// Pass 1: measure every (strategy, P) point and accumulate the fit
-	// samples; the schedules are kept for the post-fit prediction pass.
+	// samples; the plans are kept for the post-fit prediction pass.
 	type run struct {
-		e   entry
-		p   int
-		s2  *part2d.Schedule2D
-		mes *exec.Measurement
-		deg int
+		label string
+		pl    *pipeline.Plan
+		mes   *exec.Measurement
+		deg   int
 	}
 	fitter := calib.NewFitter()
 	var runs []run
 	for _, np := range procs {
-		for _, e := range entries {
-			s2, err := part2d.Map2D(e.name, sys, np, e.opts)
+		for _, e := range tile2DEntries() {
+			pl, err := p.plan2D(e, np)
 			if err != nil {
-				return nil, fmt.Errorf("tables: 2D strategy %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
+				return nil, err
 			}
-			mes, err := part2d.Measure(p.Permuted, p.Ops, p.ElemWork, s2,
-				exec.MeasureOptions{Repeats: repeats})
+			mes, err := pl.Measure(p.A, exec.MeasureOptions{Repeats: repeats})
 			if err != nil {
 				return nil, fmt.Errorf("tables: measuring %s on %s P=%d: %w",
 					e.label, p.Meta.Name, np, err)
 			}
-			tasks, elemTask := part2d.Tasks(p.Ops, p.ElemWork, s2)
-			tc := part2d.FetchStats(p.Ops, s2, len(tasks), elemTask)
-			if err := fitter.Add(mes.Events, tasks, tc); err != nil {
+			if err := fitter.Add(mes.Events, pl.Tasks, pl.Fetch); err != nil {
 				return nil, fmt.Errorf("tables: fitting %s on %s P=%d: %w",
 					e.label, p.Meta.Name, np, err)
 			}
-			prof, err := obs.RealProfile(mes.Events, s2.P)
+			prof, err := obs.RealProfile(mes.Events, np)
 			if err != nil {
 				return nil, fmt.Errorf("tables: profiling %s on %s P=%d: %w",
 					e.label, p.Meta.Name, np, err)
 			}
-			runs = append(runs, run{e: e, p: np, s2: s2, mes: mes, deg: prof.Degenerate})
+			runs = append(runs, run{label: e.label, pl: pl, mes: mes, deg: prof.Degenerate})
 		}
 	}
 	model, report, err := fitter.Fit(calib.Options{})
@@ -129,13 +103,13 @@ func Calibration(p *Problem, procs []int, cm exec.CommModel, repeats int) (*Cali
 	study := &CalibrationStudy{Model: model, Report: report}
 	var sumUncal, sumCal float64
 	for _, r := range runs {
-		uncal := part2d.MakespanComm(p.Ops, p.ElemWork, r.s2, cm).Makespan
-		cal := part2d.MakespanComm(p.Ops, p.ElemWork, r.s2, model.Comm).Makespan
+		uncal := r.pl.MakespanComm(cm).Makespan
+		cal := r.pl.MakespanComm(model.Comm).Makespan
 		uncalSpeedup := float64(p.Total) / float64(max64(uncal, 1))
 		calNs := model.SpanNs(cal)
 		calSpeedup := float64(r.mes.SerialNs) / math.Max(calNs, 1)
 		row := CalibrationRow{
-			Name: p.Meta.Name, P: r.p, Strategy: r.e.label,
+			Name: p.Meta.Name, P: r.pl.P, Strategy: r.label,
 			Repeats:      r.mes.Repeats,
 			SerialNs:     r.mes.SerialNs,
 			ParallelNs:   r.mes.ParallelNs,
@@ -146,7 +120,7 @@ func Calibration(p *Problem, procs []int, cm exec.CommModel, repeats int) (*Cali
 			CalNs:        int64(calNs),
 			UncalSpeedup: uncalSpeedup,
 			CalSpeedup:   calSpeedup,
-			Traffic:      part2d.Traffic(p.Ops, r.s2).Total,
+			Traffic:      r.pl.TrafficTotal(),
 			Degenerate:   r.deg,
 		}
 		study.Rows = append(study.Rows, row)

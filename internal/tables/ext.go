@@ -261,8 +261,8 @@ func DynamicCompare(problems []*Problem) []DynamicRow {
 			part := p.Part(25, DefaultWidth)
 			bs := sched.BlockMap(part, np)
 			tasks := exec.BlockTasks(part, bs)
-			st := exec.SimulateMakespan(tasks, np)
-			dy := exec.SimulateMakespanDynamic(tasks, np)
+			st := exec.Simulate(tasks, np, exec.SimOptions{})
+			dy := exec.Simulate(tasks, np, exec.SimOptions{Dynamic: true})
 			cp := exec.CriticalPath(tasks)
 			rows = append(rows, DynamicRow{
 				Name: p.Meta.Name, P: np, Scheme: "block g=25",
@@ -270,8 +270,8 @@ func DynamicCompare(problems []*Problem) []DynamicRow {
 				CritPathEff: exec.Efficiency(np, cp, st.TotalWork),
 			})
 			wtasks := exec.ColumnTasks(p.F, p.Ops, p.ElemWork, np)
-			wst := exec.SimulateMakespan(wtasks, np)
-			wdy := exec.SimulateMakespanDynamic(wtasks, np)
+			wst := exec.Simulate(wtasks, np, exec.SimOptions{})
+			wdy := exec.Simulate(wtasks, np, exec.SimOptions{Dynamic: true})
 			wcp := exec.CriticalPath(wtasks)
 			rows = append(rows, DynamicRow{
 				Name: p.Meta.Name, P: np, Scheme: "wrap",
@@ -438,10 +438,9 @@ func CommMakespan(p *Problem, procs int, costs []float64) []CommMakespanRow {
 	wTasks := exec.ColumnTasks(p.F, p.Ops, p.ElemWork, procs)
 	var rows []CommMakespanRow
 	for _, c := range costs {
-		bt := inflate(bTasks, bVol, c)
-		wt := inflate(wTasks, wVol, c)
-		bspan := exec.SimulateMakespanDynamic(bt, procs).Makespan
-		wspan := exec.SimulateMakespanDynamic(wt, procs).Makespan
+		cm := exec.CommModel{Alpha: c}
+		bspan := exec.Simulate(bTasks, procs, exec.SimOptions{Dynamic: true, Comm: cm, Vol: bVol}).Makespan
+		wspan := exec.Simulate(wTasks, procs, exec.SimOptions{Dynamic: true, Comm: cm, Vol: wVol}).Makespan
 		winner := "wrap"
 		if bspan < wspan {
 			winner = "block"
@@ -452,16 +451,6 @@ func CommMakespan(p *Problem, procs int, costs []float64) []CommMakespanRow {
 		})
 	}
 	return rows
-}
-
-// inflate copies tasks with durations work + c*volume.
-func inflate(tasks []exec.Task, vol []int64, c float64) []exec.Task {
-	out := make([]exec.Task, len(tasks))
-	for i, t := range tasks {
-		out[i] = t
-		out[i].Work = t.Work + int64(c*float64(vol[i]))
-	}
-	return out
 }
 
 // FormatCommMakespan renders the communication-aware makespan study.

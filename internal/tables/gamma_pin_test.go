@@ -5,17 +5,16 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gen"
-	"repro/internal/part2d"
 	"repro/internal/strategy"
 )
 
-// TestZeroGammaBitIdentity pins the makespans of all six comm-aware
-// simulators — the 1D static/dynamic strategy pair, the 2D static/dynamic
-// pair, and the underlying exec static/dynamic pair over the merged
-// tile-segment tasks — on BUS1138 at P in {1, 4, 16} against the values
-// the two-parameter CommModel produced before the Gamma overhead term
-// existed. A zero Gamma must charge exactly nothing, so these numbers can
-// never move.
+// TestZeroGammaBitIdentity pins the comm-aware makespans — the 1D wrap
+// plan and the 2D rect2dcyclic plan through Plan.Simulate, static and
+// dynamic, and exec.Simulate called directly on the 2D plan's tile-segment
+// tasks — on BUS1138 at P in {1, 4, 16} against the values the
+// two-parameter CommModel produced before the Gamma overhead term existed.
+// A zero Gamma must charge exactly nothing, so these numbers can never
+// move.
 func TestZeroGammaBitIdentity(t *testing.T) {
 	p, err := LoadProblem(gen.Suite()[0])
 	if err != nil {
@@ -25,11 +24,10 @@ func TestZeroGammaBitIdentity(t *testing.T) {
 		t.Fatalf("suite matrix 0 is %s, goldens were pinned on BUS1138", p.Meta.Name)
 	}
 	cm := exec.CommModel{Alpha: 2, Beta: 10, Gamma: 0}
-	sys := p.StrategySys()
 	opts := strategy.Options{}
-	// Pre-Gamma goldens: P, strategy comm static/dynamic (wrap), part2d
-	// comm static/dynamic (rect2dcyclic), exec comm static/dynamic over the
-	// same tile-segment tasks.
+	// Pre-Gamma goldens: P, wrap comm static/dynamic, rect2dcyclic comm
+	// static/dynamic, exec.Simulate static/dynamic over the same
+	// tile-segment tasks.
 	golden := [][7]int64{
 		{1, 33340, 33340, 33340, 33340, 33340, 33340},
 		{4, 37349, 28467, 32812, 23009, 32812, 23009},
@@ -37,37 +35,39 @@ func TestZeroGammaBitIdentity(t *testing.T) {
 	}
 	for _, g := range golden {
 		np := int(g[0])
-		sc, err := strategy.Map("wrap", sys, np, opts)
+		p1, err := p.An.Plan("wrap", np, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := part2d.Map2D("rect2dcyclic", sys, np, opts)
+		p2, err := p.An.Plan2D("rect2dcyclic", np, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tasks, elemTask := part2d.Tasks(p.Ops, p.ElemWork, s2)
-		tc := part2d.FetchStats(p.Ops, s2, len(tasks), elemTask)
+		static := exec.SimOptions{Comm: cm}
+		dynamic := exec.SimOptions{Comm: cm, Dynamic: true}
+		direct := exec.SimOptions{Comm: cm, Vol: p2.Fetch.Vol, Msgs: p2.Fetch.Msgs}
+		directDyn := direct
+		directDyn.Dynamic = true
 		got := [6]int64{
-			strategy.MakespanComm(sys, opts, sc, cm).Makespan,
-			strategy.MakespanCommDynamic(sys, opts, sc, cm).Makespan,
-			part2d.MakespanComm(p.Ops, p.ElemWork, s2, cm).Makespan,
-			part2d.MakespanCommDynamic(p.Ops, p.ElemWork, s2, cm).Makespan,
-			exec.SimulateMakespanComm(tasks, np, cm, tc.Vol, tc.Msgs).Makespan,
-			exec.SimulateMakespanDynamicComm(tasks, np, cm, tc.Vol, tc.Msgs).Makespan,
+			p1.Simulate(static).Makespan,
+			p1.Simulate(dynamic).Makespan,
+			p2.Simulate(static).Makespan,
+			p2.Simulate(dynamic).Makespan,
+			exec.Simulate(p2.Tasks, np, direct).Makespan,
+			exec.Simulate(p2.Tasks, np, directDyn).Makespan,
 		}
 		for k, want := range g[1:] {
 			if got[k] != want {
 				t.Errorf("P=%d simulator %d: makespan %d, pre-Gamma golden %d", np, k, got[k], want)
 			}
 		}
-		// A positive Gamma must strictly lengthen every simulator's span
-		// (each task pays the overhead, so even P=1 chains grow).
-		over := cm
-		over.Gamma = 7
-		if s := part2d.MakespanComm(p.Ops, p.ElemWork, s2, over).Makespan; s <= got[2] {
+		// A positive Gamma must strictly lengthen every span (each task
+		// pays the overhead, so even P=1 chains grow).
+		static.Comm.Gamma, dynamic.Comm.Gamma = 7, 7
+		if s := p2.Simulate(static).Makespan; s <= got[2] {
 			t.Errorf("P=%d: Gamma=7 static 2D span %d not above zero-Gamma %d", np, s, got[2])
 		}
-		if s := strategy.MakespanCommDynamic(sys, opts, sc, over).Makespan; s <= got[1] {
+		if s := p1.Simulate(dynamic).Makespan; s <= got[1] {
 			t.Errorf("P=%d: Gamma=7 dynamic 1D span %d not above zero-Gamma %d", np, s, got[1])
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/part2d"
+	"repro/internal/pipeline"
 	"repro/internal/strategy"
 )
 
@@ -22,51 +23,46 @@ import (
 func BenchLedger(problems []*Problem, procs []int, cm exec.CommModel) (*obs.Ledger, error) {
 	ledger := obs.NewLedger()
 	opts := strategy.Options{Part: core.Options{Grain: 25, MinClusterWidth: DefaultWidth}}
+	// record traces the comm-aware dynamic run of one mapped cell and
+	// profiles the events into a ledger record.
+	record := func(matrix, kind string, pl *pipeline.Plan) error {
+		tracer := obs.NewTracer()
+		res := pl.Simulate(exec.SimOptions{Dynamic: true, Comm: cm, Probe: tracer})
+		prof, err := obs.BuildProfile(tracer.Events, res)
+		if err != nil {
+			return err
+		}
+		sum := prof.Summary()
+		ledger.Add(obs.BenchRecord{
+			Matrix: matrix, Strategy: pl.Strategy, Kind: kind, P: pl.P,
+			Alpha: cm.Alpha, Beta: cm.Beta,
+			Makespan: res.Makespan, Traffic: pl.TrafficTotal(), Efficiency: res.Efficiency,
+			Profile: &sum,
+		})
+		return nil
+	}
 	for _, p := range problems {
-		sys := p.StrategySys()
 		for _, np := range procs {
 			for _, name := range strategy.Names() {
-				sc, err := strategy.Map(name, sys, np, opts)
+				pl, err := p.An.Plan(name, np, opts)
+				if err == nil {
+					err = record(p.Meta.Name, "strategy", pl)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
 				}
-				tr := strategy.Traffic(sys, opts, sc)
-				tracer := obs.NewTracer()
-				res := strategy.MakespanCommDynamicProbe(sys, opts, sc, cm, tracer)
-				prof, err := obs.BuildProfile(tracer.Events, res)
-				if err != nil {
-					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
-				}
-				sum := prof.Summary()
-				ledger.Add(obs.BenchRecord{
-					Matrix: p.Meta.Name, Strategy: name, Kind: "strategy", P: np,
-					Alpha: cm.Alpha, Beta: cm.Beta,
-					Makespan: res.Makespan, Traffic: tr.Total, Efficiency: res.Efficiency,
-					Profile: &sum,
-				})
 			}
 			for _, name := range part2d.Names2D() {
 				if name == "col2d" {
 					continue // parameterized by a base; its lifts equal 1D rows
 				}
-				s2, err := part2d.Map2D(name, sys, np, strategy.Options{})
+				pl, err := p.An.Plan2D(name, np, strategy.Options{})
+				if err == nil {
+					err = record(p.Meta.Name, "tile2d", pl)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
 				}
-				tr := part2d.Traffic(p.Ops, s2)
-				tracer := obs.NewTracer()
-				res := part2d.MakespanCommDynamicProbe(p.Ops, p.ElemWork, s2, cm, tracer)
-				prof, err := obs.BuildProfile(tracer.Events, res)
-				if err != nil {
-					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
-				}
-				sum := prof.Summary()
-				ledger.Add(obs.BenchRecord{
-					Matrix: p.Meta.Name, Strategy: name, Kind: "tile2d", P: np,
-					Alpha: cm.Alpha, Beta: cm.Beta,
-					Makespan: res.Makespan, Traffic: tr.Total, Efficiency: res.Efficiency,
-					Profile: &sum,
-				})
 			}
 		}
 	}

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/part2d"
-	"repro/internal/strategy"
 )
 
 // MeasureRow is one cell of the measured-vs-predicted study (Ext-W): one 2D
@@ -45,42 +43,20 @@ var MeasureProcs = []int{1, 4, 16, 64}
 // measured wall-clock speedup with the comm-aware static prediction under
 // cm (Ext-W). repeats <= 0 selects the engine default.
 func Measured(p *Problem, procs []int, cm exec.CommModel, repeats int) ([]MeasureRow, error) {
-	sys := p.StrategySys()
-	type entry struct {
-		label string
-		opts  strategy.Options
-		name  string
-	}
-	var entries []entry
-	for _, name := range part2d.Names2D() {
-		if name == "col2d" {
-			continue // enumerated per base below
-		}
-		entries = append(entries, entry{label: name, name: name})
-	}
-	for _, base := range part2d.LiftBases() {
-		entries = append(entries, entry{
-			label: "col2d:" + base,
-			name:  "col2d",
-			opts:  strategy.Options{Base: base},
-		})
-	}
 	var rows []MeasureRow
 	for _, np := range procs {
-		for _, e := range entries {
-			s2, err := part2d.Map2D(e.name, sys, np, e.opts)
+		for _, e := range tile2DEntries() {
+			pl, err := p.plan2D(e, np)
 			if err != nil {
-				return nil, fmt.Errorf("tables: 2D strategy %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
+				return nil, err
 			}
-			mes, err := part2d.Measure(p.Permuted, p.Ops, p.ElemWork, s2,
-				exec.MeasureOptions{Repeats: repeats})
+			mes, err := pl.Measure(p.A, exec.MeasureOptions{Repeats: repeats})
 			if err != nil {
 				return nil, fmt.Errorf("tables: measuring %s on %s P=%d: %w",
 					e.label, p.Meta.Name, np, err)
 			}
-			pred := part2d.MakespanComm(p.Ops, p.ElemWork, s2, cm)
-			prof, err := obs.RealProfile(mes.Events, s2.P)
+			pred := pl.MakespanComm(cm)
+			prof, err := obs.RealProfile(mes.Events, np)
 			if err != nil {
 				return nil, fmt.Errorf("tables: profiling %s on %s P=%d: %w",
 					e.label, p.Meta.Name, np, err)
@@ -94,7 +70,7 @@ func Measured(p *Problem, procs []int, cm exec.CommModel, repeats int) ([]Measur
 				PredSpeedup: float64(p.Total) /
 					float64(max64(pred.Makespan, 1)),
 				PredMakespan: pred.Makespan,
-				Traffic:      part2d.Traffic(p.Ops, s2).Total,
+				Traffic:      pl.TrafficTotal(),
 				Profile:      prof.Summary(),
 			})
 		}

@@ -23,13 +23,6 @@ type StrategyRow struct {
 	MakespanEff float64 // dependency-delay simulation efficiency
 }
 
-// StrategySys returns the strategy-subsystem view of a loaded problem —
-// the analysis artifact's shared, goroutine-safe instance (one partition
-// cache per problem, not one per call).
-func (p *Problem) StrategySys() *strategy.Sys {
-	return p.An.Sys()
-}
-
 // StrategyCompare evaluates every registered mapping strategy on every
 // problem and processor count with the paper's base partitioning knobs
 // (grain 25, the Tables 2-3 production setting). Strategies added through
@@ -40,21 +33,19 @@ func StrategyCompare(problems []*Problem, procs []int) ([]StrategyRow, error) {
 	opts := strategy.Options{Part: core.Options{Grain: 25, MinClusterWidth: DefaultWidth}}
 	var rows []StrategyRow
 	for _, p := range problems {
-		sys := p.StrategySys()
 		for _, np := range procs {
 			for _, name := range strategy.Names() {
-				sc, err := strategy.Map(name, sys, np, opts)
+				pl, err := p.An.Plan(name, np, opts)
 				if err != nil {
 					return nil, fmt.Errorf("tables: strategy %s on %s P=%d: %w",
 						name, p.Meta.Name, np, err)
 				}
-				tr := strategy.Traffic(sys, opts, sc)
-				ms := strategy.Makespan(sys, opts, sc)
+				total := pl.TrafficTotal()
 				rows = append(rows, StrategyRow{
 					Name: p.Meta.Name, P: np, Strategy: name,
-					Total: tr.Total, Mean: tr.Mean(),
-					A: sc.Imbalance(), BoundEff: sc.Efficiency(),
-					MakespanEff: ms.Efficiency,
+					Total: total, Mean: float64(total) / float64(np),
+					A: pl.S1.Imbalance(), BoundEff: pl.S1.Efficiency(),
+					MakespanEff: pl.Makespan().Efficiency,
 				})
 			}
 		}

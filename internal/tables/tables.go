@@ -31,13 +31,12 @@ var DefaultGrains = []int{4, 25}
 // DefaultWidth is the minimum cluster width used for Tables 2, 3 and 5.
 const DefaultWidth = 4
 
-// Problem is the table generators' view of one test matrix: the staged
-// pattern analysis (ordering, symbolic factor, work model, partition
-// cache) plus the permuted matrix with values for the numeric studies.
+// Problem is the table generators' view of one test matrix: the matrix
+// (with values, for the measured studies) and its staged pattern analysis
+// (ordering, symbolic factor, work model, partition cache).
 type Problem struct {
 	Meta     gen.TestMatrix
 	A        *sparse.Matrix
-	Permuted *sparse.Matrix // permuted pattern with values installed
 	An       *pipeline.Analysis
 	F        *symbolic.Factor
 	Ops      *model.Ops
@@ -54,14 +53,9 @@ func LoadProblem(tm gen.TestMatrix) (*Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tables: %s: %w", tm.Name, err)
 	}
-	pm, err := an.PermutedWithValues(a)
-	if err != nil {
-		return nil, fmt.Errorf("tables: %s: %w", tm.Name, err)
-	}
 	return &Problem{
 		Meta:     tm,
 		A:        a,
-		Permuted: pm,
 		An:       an,
 		F:        an.F,
 		Ops:      an.Ops,
@@ -352,7 +346,7 @@ func Makespan(problems []*Problem) []MakespanRow {
 			for _, g := range DefaultGrains {
 				s, _ := p.Block(g, DefaultWidth, np)
 				tasks := exec.BlockTasks(p.Part(g, DefaultWidth), s)
-				r := exec.SimulateMakespan(tasks, np)
+				r := exec.Simulate(tasks, np, exec.SimOptions{})
 				rows = append(rows, MakespanRow{
 					Name: p.Meta.Name, P: np, Scheme: fmt.Sprintf("block g=%d", g),
 					Makespan: r.Makespan, CritPath: exec.CriticalPath(tasks),
@@ -362,7 +356,7 @@ func Makespan(problems []*Problem) []MakespanRow {
 			}
 			ws, _ := p.Wrap(np)
 			tasks := exec.ColumnTasks(p.F, p.Ops, p.ElemWork, np)
-			r := exec.SimulateMakespan(tasks, np)
+			r := exec.Simulate(tasks, np, exec.SimOptions{})
 			rows = append(rows, MakespanRow{
 				Name: p.Meta.Name, P: np, Scheme: "wrap",
 				Makespan: r.Makespan, CritPath: exec.CriticalPath(tasks),

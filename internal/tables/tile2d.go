@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/part2d"
+	"repro/internal/pipeline"
 	"repro/internal/strategy"
 )
 
@@ -39,47 +40,60 @@ type Tile2DRow struct {
 // advantage over column flattening is largest.
 var Tile2DProcs = []int{4, 16, 64}
 
+// tile2DEntry is one point of the 2D strategy axis the Ext-T, Ext-W and
+// Ext-Cal studies share: a native tile mapper, or the col2d lift of one
+// column-granular 1D strategy, labelled "col2d:<base>".
+type tile2DEntry struct {
+	label, name string
+	opts        strategy.Options
+}
+
+// tile2DEntries enumerates that axis: every native 2D mapper (col2d
+// excluded, it is parameterized), then every col2d lift.
+func tile2DEntries() []tile2DEntry {
+	var entries []tile2DEntry
+	for _, name := range part2d.Names2D() {
+		if name != "col2d" {
+			entries = append(entries, tile2DEntry{label: name, name: name})
+		}
+	}
+	for _, base := range part2d.LiftBases() {
+		entries = append(entries, tile2DEntry{
+			label: "col2d:" + base, name: "col2d", opts: strategy.Options{Base: base},
+		})
+	}
+	return entries
+}
+
+// plan2D maps the problem with one entry of the 2D strategy axis.
+func (p *Problem) plan2D(e tile2DEntry, np int) (*pipeline.Plan, error) {
+	pl, err := p.An.Plan2D(e.name, np, e.opts)
+	if err != nil {
+		return nil, fmt.Errorf("tables: 2D strategy %s on %s P=%d: %w", e.label, p.Meta.Name, np, err)
+	}
+	return pl, nil
+}
+
 // Tile2D evaluates the native 2D tile mappers and the col2d lifts of the
 // column-granular 1D strategies (part2d.LiftBases) across the processor
 // sweep under one communication model (Ext-T).
 func Tile2D(p *Problem, procs []int, cm exec.CommModel) ([]Tile2DRow, error) {
-	sys := p.StrategySys()
 	var rows []Tile2DRow
-	type entry struct {
-		label string
-		opts  strategy.Options
-		name  string
-	}
-	var entries []entry
-	for _, name := range part2d.Names2D() {
-		if name == "col2d" {
-			continue // enumerated per base below
-		}
-		entries = append(entries, entry{label: name, name: name})
-	}
-	for _, base := range part2d.LiftBases() {
-		entries = append(entries, entry{
-			label: "col2d:" + base,
-			name:  "col2d",
-			opts:  strategy.Options{Base: base},
-		})
-	}
 	for _, np := range procs {
 		start := len(rows)
-		for _, e := range entries {
-			s2, err := part2d.Map2D(e.name, sys, np, e.opts)
+		for _, e := range tile2DEntries() {
+			pl, err := p.plan2D(e, np)
 			if err != nil {
-				return nil, fmt.Errorf("tables: 2D strategy %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
+				return nil, err
 			}
-			tr := part2d.Traffic(sys.Ops, s2)
-			comp := part2d.MakespanDynamic(sys.Ops, sys.ElemWork, s2)
-			comm := part2d.MakespanCommDynamic(sys.Ops, sys.ElemWork, s2, cm)
+			tr := pl.Traffic2D()
+			comp := pl.Simulate(exec.SimOptions{Dynamic: true})
+			comm := pl.Simulate(exec.SimOptions{Dynamic: true, Comm: cm})
 			rows = append(rows, Tile2DRow{
 				Name: p.Meta.Name, P: np, Strategy: e.label,
-				R:       s2.R(),
+				R:       pl.S2.R(),
 				Traffic: tr.Total, FanOut: tr.TotalFanOut(), FanIn: tr.TotalFanIn(),
-				A:           s2.Imbalance(),
+				A:           pl.S2.Imbalance(),
 				ComputeSpan: comp.Makespan, CommSpan: comm.Makespan,
 			})
 		}

@@ -42,21 +42,18 @@ func UnifiedComm(p *Problem, procs []int, names []string, cm exec.CommModel) ([]
 	if len(names) == 0 {
 		names = strategy.Names()
 	}
-	sys := p.StrategySys()
 	opts := strategy.Options{Part: core.Options{Grain: 25, MinClusterWidth: DefaultWidth}}
 	var rows []UnifiedRow
 	for _, np := range procs {
 		start := len(rows)
 		for _, name := range names {
-			sc, err := strategy.Map(name, sys, np, opts)
+			pl, err := p.An.Plan(name, np, opts)
 			if err != nil {
 				return nil, fmt.Errorf("tables: strategy %s on %s P=%d: %w",
 					name, p.Meta.Name, np, err)
 			}
-			tasks := strategy.Tasks(sys, opts, sc)
-			tc := strategy.FetchStats(sys, opts, sc)
-			comp := exec.SimulateMakespanDynamic(tasks, np)
-			comm := exec.SimulateMakespanDynamicComm(tasks, np, cm, tc.Vol, tc.Msgs)
+			comp := pl.Simulate(exec.SimOptions{Dynamic: true})
+			comm := pl.Simulate(exec.SimOptions{Dynamic: true, Comm: cm})
 			frac := 0.0
 			if comm.TotalWork > 0 {
 				frac = float64(comm.Comm) / float64(comm.TotalWork)
@@ -64,7 +61,7 @@ func UnifiedComm(p *Problem, procs []int, names []string, cm exec.CommModel) ([]
 			rows = append(rows, UnifiedRow{
 				Name: p.Meta.Name, P: np, Strategy: name,
 				ComputeSpan: comp.Makespan, CommSpan: comm.Makespan,
-				FetchVol: tc.TotalVol(), Msgs: tc.TotalMsgs(),
+				FetchVol: pl.Fetch.TotalVol(), Msgs: pl.Fetch.TotalMsgs(),
 				CommFrac: frac,
 			})
 		}

@@ -35,7 +35,7 @@ func refFetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(
 			tc.Msgs[task]++
 		}
 	}
-	ops.ForEachUpdate(func(u model.Update) {
+	forEachUpdate(ops, func(u update) {
 		access(u.SrcI, u.Tgt)
 		access(u.SrcJ, u.Tgt)
 	})
@@ -256,4 +256,21 @@ func columnUniform(f *symbolic.Factor, owners []int32) bool {
 		}
 	}
 	return true
+}
+
+// update is one pair update L[Tgt] -= L[SrcI]*L[SrcJ] by factor position:
+// for target (i, j) updated from column k, SrcI is (i, k) and SrcJ (j, k).
+type update struct {
+	Tgt, SrcI, SrcJ int32
+}
+
+// forEachUpdate is model.Ops.ForEachRun with the per-element loop supplied:
+// one callback per pair update, targets, sources and rows all increasing.
+func forEachUpdate(ops *model.Ops, fn func(u update)) {
+	rowInd := ops.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		for q := r.Lo; q < r.Hi; q++ {
+			fn(update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.Lo})
+		}
+	})
 }

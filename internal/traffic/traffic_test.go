@@ -77,7 +77,7 @@ func bruteTraffic(ops *model.Ops, s *sched.Schedule) int64 {
 		seen[k] = struct{}{}
 		total++
 	}
-	ops.ForEachUpdate(func(u model.Update) {
+	forEachUpdate(ops, func(u update) {
 		acc(u.SrcI, s.ElemProc[u.Tgt])
 		acc(u.SrcJ, s.ElemProc[u.Tgt])
 	})

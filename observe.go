@@ -1,19 +1,20 @@
 package repro
 
-// Observability surface: tracing probes for every makespan simulator,
+// Observability surface: the tracing probe of Simulate and Plan.Simulate,
 // execution profiles with critical-path attribution, Chrome trace / ASCII
 // Gantt export, search telemetry and the machine-readable bench ledger.
 // See internal/obs for the underlying layer; tracing is strictly opt-in
-// and a nil probe leaves every simulator bit-identical to its untraced
-// entry point.
+// (SimOptions.Probe) and a nil probe builds no event:
+//
+//	tr := repro.NewTracer()
+//	res := pl.Simulate(repro.SimOptions{Dynamic: true, Comm: cm, Probe: tr})
+//	prof, _ := repro.BuildProfile(tr.Events, res)
 
 import (
 	"io"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/part2d"
-	"repro/internal/strategy"
 )
 
 // TraceEvent is one traced task execution: placement, timing, the
@@ -21,7 +22,8 @@ import (
 // predecessor) the simulator charged before its start.
 type TraceEvent = exec.TaskEvent
 
-// Probe receives one TraceEvent per task from a traced simulation.
+// Probe receives one TraceEvent per task from a traced simulation
+// (SimOptions.Probe).
 type Probe = exec.Probe
 
 // Tracer is the standard Probe: it collects every event of one run.
@@ -52,8 +54,7 @@ type Ledger = obs.Ledger
 // BenchLedgerSchema is the ledger format tag ValidateLedger checks.
 const BenchLedgerSchema = obs.LedgerSchema
 
-// NewTracer returns an empty Tracer ready to attach to any traced
-// simulation entry point.
+// NewTracer returns an empty Tracer ready to attach as SimOptions.Probe.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewLedger returns an empty bench ledger with the current schema tag.
@@ -70,7 +71,7 @@ func BuildProfile(events []TraceEvent, res MakespanResult) (*Profile, error) {
 }
 
 // BuildRealProfile aggregates the per-task events of one real (wall-clock)
-// execution — MeasureFactorize2D's Events — into a Profile. Real events
+// execution — the Events of Plan.Measure — into a Profile. Real events
 // need not be time-contiguous (goroutine startup and OS scheduling leave
 // uncaused gaps), so this is the tolerant builder: no critical path is
 // extracted and stalls are counted only when a blocking predecessor was
@@ -107,78 +108,3 @@ func Gantt(events []TraceEvent, p int, makespan int64, width int) string {
 
 // TraceFormats lists the supported trace export formats.
 func TraceFormats() []string { return obs.TraceFormats() }
-
-// TraceMakespan is StrategyMakespan with tracing: it returns the result
-// plus one TraceEvent per task.
-func (s *System) TraceMakespan(opts StrategyOptions, sc *Schedule) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := strategy.MakespanProbe(s.strategySys(), opts, sc, t)
-	return res, t.Events
-}
-
-// TraceMakespanDynamic is StrategyMakespanDynamic with tracing.
-func (s *System) TraceMakespanDynamic(opts StrategyOptions, sc *Schedule) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := strategy.MakespanDynamicProbe(s.strategySys(), opts, sc, t)
-	return res, t.Events
-}
-
-// TraceMakespanComm is StrategyMakespanComm with tracing; each event
-// splits its duration into compute and communication.
-func (s *System) TraceMakespanComm(opts StrategyOptions, sc *Schedule, cm CommModel) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := strategy.MakespanCommProbe(s.strategySys(), opts, sc, cm, t)
-	return res, t.Events
-}
-
-// TraceMakespanCommDynamic is StrategyMakespanCommDynamic with tracing.
-func (s *System) TraceMakespanCommDynamic(opts StrategyOptions, sc *Schedule, cm CommModel) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := strategy.MakespanCommDynamicProbe(s.strategySys(), opts, sc, cm, t)
-	return res, t.Events
-}
-
-// TraceMakespan2D is Makespan2D with tracing over the merged tile-segment
-// tasks.
-func (s *System) TraceMakespan2D(sc *Schedule2D) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := part2d.MakespanProbe(s.an.Ops, s.an.ElemWork, sc, t)
-	return res, t.Events
-}
-
-// TraceMakespan2DDynamic is Makespan2DDynamic with tracing.
-func (s *System) TraceMakespan2DDynamic(sc *Schedule2D) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := part2d.MakespanDynamicProbe(s.an.Ops, s.an.ElemWork, sc, t)
-	return res, t.Events
-}
-
-// TraceMakespan2DComm is Makespan2DComm with tracing.
-func (s *System) TraceMakespan2DComm(sc *Schedule2D, cm CommModel) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := part2d.MakespanCommProbe(s.an.Ops, s.an.ElemWork, sc, cm, t)
-	return res, t.Events
-}
-
-// TraceMakespan2DCommDynamic is Makespan2DCommDynamic with tracing.
-func (s *System) TraceMakespan2DCommDynamic(sc *Schedule2D, cm CommModel) (MakespanResult, []TraceEvent) {
-	t := obs.NewTracer()
-	res := part2d.MakespanCommDynamicProbe(s.an.Ops, s.an.ElemWork, sc, cm, t)
-	return res, t.Events
-}
-
-// ProfileStrategy runs the comm-aware dynamic makespan simulation of a
-// strategy schedule under cm with tracing and aggregates the events into
-// a Profile (reconciling with the returned result exactly).
-func (s *System) ProfileStrategy(opts StrategyOptions, sc *Schedule, cm CommModel) (*Profile, MakespanResult, error) {
-	res, events := s.TraceMakespanCommDynamic(opts, sc, cm)
-	prof, err := obs.BuildProfile(events, res)
-	return prof, res, err
-}
-
-// ProfileStrategy2D is ProfileStrategy for a 2D tile schedule.
-func (s *System) ProfileStrategy2D(sc *Schedule2D, cm CommModel) (*Profile, MakespanResult, error) {
-	res, events := s.TraceMakespan2DCommDynamic(sc, cm)
-	prof, err := obs.BuildProfile(events, res)
-	return prof, res, err
-}

@@ -43,8 +43,8 @@ type Factor = pipeline.Factor
 // Kernel selects the numeric factorization kernel of a Factor.
 type Kernel = pipeline.Kernel
 
-// The two factorization kernels. (The bare name Cholesky is the numeric
-// factor type, kept for compatibility.)
+// The two factorization kernels: A = L·Lᵀ, and the square-root-free
+// A = L·D·Lᵀ for symmetric indefinite systems.
 const (
 	KernelCholesky = pipeline.Cholesky
 	KernelLDL      = pipeline.LDL

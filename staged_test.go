@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/exec"
+	"repro/internal/numeric"
 )
 
 // stagedRHS builds a deterministic right-hand side.
@@ -30,31 +32,52 @@ func bitEqual(t *testing.T, got, want []float64, what string) {
 	}
 }
 
-// TestStagedSolveBitIdenticalToMonolithic pins the tentpole contract on
-// every suite matrix: the staged pipeline (AnalyzePattern -> Plan ->
-// Factorize -> Solve) reproduces the monolithic System.Solve bit for
-// bit, for both kernels. The LDLᵀ monolithic baseline is assembled by
-// hand (factorize + permuted serial solve), since System never had an
-// LDL solve-through — the gap the staged Factor closes.
+// monolithic is the un-staged direct method of the paper's Section 2, run
+// by hand: values permuted into elimination order, one serial kernel
+// call, and the permute / sweep / unpermute of a solve. It is the
+// reference every staged artifact must reproduce bit for bit.
+type monolithic struct {
+	an *repro.Analysis
+	pm *repro.Matrix // permuted matrix with values
+}
+
+func newMonolithic(t *testing.T, an *repro.Analysis, a *repro.Matrix) monolithic {
+	t.Helper()
+	pm, err := an.PermutedWithValues(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return monolithic{an, pm}
+}
+
+// solve wraps one permuted-order sweep in the permutation.
+func (m monolithic) solve(b []float64, sweep func(pb []float64) []float64) []float64 {
+	pb := make([]float64, len(b))
+	for k, old := range m.an.Perm {
+		pb[k] = b[old]
+	}
+	px := sweep(pb)
+	x := make([]float64, len(b))
+	for k, old := range m.an.Perm {
+		x[old] = px[k]
+	}
+	return x
+}
+
+// TestStagedSolveBitIdenticalToMonolithic pins the staged contract on
+// every suite matrix: AnalyzePattern -> Plan -> Factorize -> Solve
+// reproduces the monolithic sequence — numeric.Factorize[LDL] on the
+// permuted matrix and a hand-permuted serial solve — bit for bit, factor
+// values and solution alike, for both kernels.
 func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 	for _, tm := range repro.TestMatrices() {
 		t.Run(tm.Name, func(t *testing.T) {
 			a := tm.Build()
 			b := stagedRHS(a.N)
-			sys, err := repro.Analyze(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an, err := repro.AnalyzePattern(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl, err := an.Plan("wrap", 4, repro.StrategyOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			an := analyze(t, a)
+			ref := newMonolithic(t, an, a)
+			pl := plan(t, an, "wrap", 4, repro.StrategyOptions{})
 
-			// Cholesky: staged vs System.Solve.
 			fa, err := pl.Factorize(a, repro.KernelCholesky)
 			if err != nil {
 				t.Fatal(err)
@@ -63,13 +86,13 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sys.Solve(b)
+			chol, err := numeric.Factorize(ref.pm, an.F)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bitEqual(t, got, want, "cholesky staged solve")
+			bitEqual(t, fa.Val, chol.Val, "cholesky staged factor")
+			bitEqual(t, got, ref.solve(b, chol.Solve), "cholesky staged solve")
 
-			// LDLᵀ: staged vs the hand-rolled monolithic sequence.
 			fl, err := pl.Factorize(a, repro.KernelLDL)
 			if err != nil {
 				t.Fatal(err)
@@ -78,20 +101,12 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ldl, err := sys.FactorizeLDL()
+			ldl, err := numeric.FactorizeLDL(ref.pm, an.F)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb := make([]float64, a.N)
-			for k, old := range sys.Order {
-				pb[k] = b[old]
-			}
-			px := ldl.Solve(pb)
-			wantL := make([]float64, a.N)
-			for k, old := range sys.Order {
-				wantL[old] = px[k]
-			}
-			bitEqual(t, gotL, wantL, "ldl staged solve")
+			bitEqual(t, fl.Val, ldl.Val, "ldl staged factor")
+			bitEqual(t, gotL, ref.solve(b, ldl.Solve), "ldl staged solve")
 		})
 	}
 }
@@ -99,29 +114,18 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 // TestStagedSolveParallelBitIdenticalToMonolithic pins the parallel
 // path on every suite matrix at P in {1, 4, 16}: a block-granular
 // staged plan factored by the parallel engine and solved by
-// Factor.SolveParallel reproduces the monolithic System.SolveParallel
-// (block-parallel factorization + parallel sweeps) bit for bit.
+// Factor.SolveParallel reproduces the monolithic sequence — the
+// unit-block engine over the plan's partition and schedule, then the
+// parallel sweeps, assembled by hand — bit for bit.
 func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
-	opts := repro.StrategyOptions{
-		Part: repro.PartitionOptions{Grain: 25, MinClusterWidth: 4},
-	}
 	for _, tm := range repro.TestMatrices() {
 		t.Run(tm.Name, func(t *testing.T) {
 			a := tm.Build()
 			b := stagedRHS(a.N)
-			sys, err := repro.Analyze(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			an, err := repro.AnalyzePattern(a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			an := analyze(t, a)
+			ref := newMonolithic(t, an, a)
 			for _, p := range []int{1, 4, 16} {
-				pl, err := an.Plan("block", p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pl := plan(t, an, "block", p, paperOpts)
 				fa, err := pl.FactorizeParallel(a, repro.KernelCholesky)
 				if err != nil {
 					t.Fatal(err)
@@ -130,12 +134,18 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				part := sys.Partition(opts.Part)
-				sc := sys.BlockSchedule(part, p)
-				want, err := sys.SolveParallel(part, sc, b)
+				nf, err := exec.ParallelFactorize(ref.pm, an.Sys().Partition(paperOpts.Part), pl.S1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				bitEqual(t, fa.Val, nf.Val, fmt.Sprintf("staged parallel factor P=%d", p))
+				want := ref.solve(b, func(pb []float64) []float64 {
+					px, err := exec.ParallelSolve(&numeric.Cholesky{F: nf.F, Val: nf.Val}, pl.S1, pb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return px
+				})
 				bitEqual(t, got, want, fmt.Sprintf("staged parallel solve P=%d", p))
 			}
 		})
@@ -144,15 +154,17 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 
 // TestStaged2DFactorBitIdenticalToMonolithic pins the 2D path: a staged
 // 2D plan factored in parallel carries values bit-identical to the
-// monolithic System.ParallelFactorize2D[LDL] over the same tile
-// schedule, and those in turn to the serial kernels.
+// serial kernels on the permuted matrix, for both kernels, and shares the
+// serial factor's content address.
 func TestStaged2DFactorBitIdenticalToMonolithic(t *testing.T) {
 	a := repro.LAP30()
-	sys, err := repro.Analyze(a)
+	an := analyze(t, a)
+	ref := newMonolithic(t, an, a)
+	chol, err := numeric.Factorize(ref.pm, an.F)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := repro.AnalyzePattern(a)
+	ldl, err := numeric.FactorizeLDL(ref.pm, an.F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,39 +174,22 @@ func TestStaged2DFactorBitIdenticalToMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := sys.MapStrategy2D("rect2dcyclic", p, repro.StrategyOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		fa, err := pl.FactorizeParallel(a, repro.KernelCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
-		val, err := sys.ParallelFactorize2D(s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, fa.Val, val, fmt.Sprintf("2D cholesky factor P=%d", p))
+		bitEqual(t, fa.Val, chol.Val, fmt.Sprintf("2D cholesky factor P=%d", p))
 
 		fl, err := pl.FactorizeParallel(a, repro.KernelLDL)
 		if err != nil {
 			t.Fatal(err)
 		}
-		valL, err := sys.ParallelFactorize2DLDL(s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitEqual(t, fl.Val, valL, fmt.Sprintf("2D ldl factor P=%d", p))
+		bitEqual(t, fl.Val, ldl.Val, fmt.Sprintf("2D ldl factor P=%d", p))
 
 		// The 2D chain engines replay the serial update order, so the
-		// staged parallel solve must match the staged *serial* factor's
-		// parallel solve bitwise as well (shared content address).
-		plSerial, err := an.Plan("wrap", p, repro.StrategyOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		faSerial, err := plSerial.Factorize(a, repro.KernelCholesky)
+		// parallel factor and a serial factor of any plan share one
+		// content address.
+		faSerial, err := plan(t, an, "wrap", p, repro.StrategyOptions{}).Factorize(a, repro.KernelCholesky)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +200,7 @@ func TestStaged2DFactorBitIdenticalToMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := sys.ResidualNorm(x2, b); r > 1e-8 {
+		if r := repro.ResidualNorm(a, x2, b); r > 1e-8 {
 			t.Fatalf("2D staged parallel solve residual %g", r)
 		}
 	}
@@ -340,17 +335,18 @@ func TestStagedFactorFromCacheHitBitIdentical(t *testing.T) {
 }
 
 // TestStagedConcurrentMappingAndSolves exercises the service workload
-// under the race detector: one shared System and one shared Cache serving
-// concurrent strategy mapping, staged solves and monolithic solves.
+// under the race detector: one shared Analysis and one shared Cache
+// serving concurrent strategy mapping and staged solves.
 func TestStagedConcurrentMappingAndSolves(t *testing.T) {
 	a := repro.LAP30()
-	sys, err := repro.Analyze(a)
+	an := analyze(t, a)
+	cache := repro.NewCache(0)
+	b := stagedRHS(a.N)
+	fa, err := plan(t, an, "wrap", 8, repro.StrategyOptions{}).Factorize(a, repro.KernelCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := repro.NewCache(0)
-	b := stagedRHS(a.N)
-	want, err := sys.Solve(b)
+	want, err := fa.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +358,8 @@ func TestStagedConcurrentMappingAndSolves(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				name := names[(g+i)%len(names)]
-				if _, err := sys.MapStrategy(name, 4+g, repro.StrategyOptions{}); err != nil {
-					t.Errorf("MapStrategy(%s): %v", name, err)
+				if _, err := an.Plan(name, 4+g, repro.StrategyOptions{}); err != nil {
+					t.Errorf("Plan(%s): %v", name, err)
 					return
 				}
 				x, err := cache.Solve(a, "wrap", 8, repro.StrategyOptions{}, repro.KernelCholesky, b)
