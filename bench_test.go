@@ -58,30 +58,22 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2 regenerates block-mapping communication (Table 2).
-func BenchmarkTable2(b *testing.B) {
+// BenchmarkTables2and3 regenerates block-mapping communication (Table 2)
+// and work distribution (Table 3), one experiment printed as two tables.
+func BenchmarkTables2and3(b *testing.B) {
 	ps := problems(b)
-	var rows []tables.Table2Row
+	var rows []tables.GrainPairRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.Table2(ps)
+		rows, err = tables.Tables2and3(ps)
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Name == "LAP30" && r.P == 16 {
 			b.ReportMetric(float64(r.TotalG4), "LAP30-P16-g4")
 			b.ReportMetric(float64(r.TotalG25), "LAP30-P16-g25")
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates block-mapping work distribution (Table 3).
-func BenchmarkTable3(b *testing.B) {
-	ps := problems(b)
-	var rows []tables.Table3Row
-	for i := 0; i < b.N; i++ {
-		rows = tables.Table3(ps)
-	}
-	for _, r := range rows {
-		if r.Name == "LAP30" && r.P == 16 {
 			b.ReportMetric(r.AG25, "LAP30-P16-A-g25")
 		}
 	}
@@ -90,9 +82,13 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the cluster-width sweep (Table 4).
 func BenchmarkTable4(b *testing.B) {
 	lap := lap30(b)
-	var rows []tables.Table4Row
+	var rows []tables.MappingRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.Table4(lap)
+		rows, err = tables.Table4(lap)
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Width == 8 && r.P == 16 {
@@ -104,9 +100,13 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkTable5 regenerates the wrap-mapping table (Table 5).
 func BenchmarkTable5(b *testing.B) {
 	ps := problems(b)
-	var rows []tables.Table5Row
+	var rows []tables.MappingRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.Table5(ps)
+		rows, err = tables.Table5(ps)
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Name == "LAP30" && r.P == 16 {
@@ -146,7 +146,7 @@ func BenchmarkFigure3(b *testing.B) {
 // against the element-level oracle on LAP30.
 func BenchmarkFigure4(b *testing.B) {
 	lap := lap30(b)
-	part := lap.Part(4, 4)
+	part := lap.An.Sys().Partition(core.Options{Grain: 4, MinClusterWidth: 4})
 	ops := model.NewOps(lap.F)
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -164,8 +164,12 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkExtMakespan(b *testing.B) {
 	ps := problems(b)
 	var rows []tables.MakespanRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.Makespan(ps)
+		rows, err = tables.Makespan(ps)
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Name == "LAP30" && r.P == 16 && r.Scheme == "block g=25" {
@@ -178,8 +182,12 @@ func BenchmarkExtMakespan(b *testing.B) {
 func BenchmarkExtPartners(b *testing.B) {
 	ps := problems(b)
 	var rows []tables.PartnersRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.Partners(ps)
+		rows, err = tables.Partners(ps)
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Name == "LAP30" && r.P == 32 {
@@ -193,9 +201,13 @@ func BenchmarkExtPartners(b *testing.B) {
 func BenchmarkExtGrainSweep(b *testing.B) {
 	lap := lap30(b)
 	grains := []int{2, 4, 8, 16, 25, 50, 100}
-	var rows []tables.GrainRow
+	var rows []tables.BlockRow
+	var err error
 	for i := 0; i < b.N; i++ {
-		rows = tables.GrainSweep(lap, 16, grains)
+		rows, err = tables.BlockSweep(lap, 16, grains, []int{tables.DefaultWidth})
+	}
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportMetric(float64(rows[len(rows)-1].Total), "g100-traffic")
 }

@@ -5,6 +5,8 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"math"
+	"strings"
 )
 
 // procNames are the parameter names (of type int) the analyzer treats as
@@ -24,9 +26,12 @@ var procValidators = map[string]bool{
 
 // ProcGuard requires every exported function or method with a
 // processor-count parameter to validate it before first use: a call to
-// checkProcs/mustProcs/checkProcCount (or a same-package function that
-// itself validates the forwarded parameter — so thin exported wrappers
-// over a validating core pass), or an explicit comparison against 0/1.
+// checkProcs/mustProcs/checkProcCount (or a same-package function or
+// method that itself validates the forwarded parameter — so thin exported
+// wrappers over a validating core pass — or an exported entry point of
+// another package of the module, which this analyzer holds to the same
+// contract), or an explicit comparison against 0/1. Handing the count to
+// package fmt only prints it and is not a use.
 // An unvalidated P reaches `make([]T, p)` or `j % p` and dies as an
 // index-out-of-range or divide-by-zero panic far from the caller's
 // mistake — the exact class PR 7 fixed in exec.ParallelSolve.
@@ -84,15 +89,16 @@ func runProcGuard(pass *Pass) {
 				if j < 0 {
 					return true
 				}
+				callee, _ := info.Uses[calleeIdent(x)].(*types.Func)
+				target, local := decls[callee]
 				switch {
-				case procValidators[calleeName(x)]:
+				case procValidators[calleeName(x)], local && validates(target, j),
+					!local && forwardsProc(pass.Pkg.Types, callee, j):
 					guards = append(guards, guard{x.Pos(), x.End(), x.End()})
-				default:
-					if id, ok := x.Fun.(*ast.Ident); ok {
-						if target, ok := decls[info.Uses[id]]; ok && validates(target, j) {
-							guards = append(guards, guard{x.Pos(), x.End(), x.End()})
-						}
-					}
+				case callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt":
+					// Only printed: not a use that can fail, and no validation
+					// of the uses after it either.
+					guards = append(guards, guard{x.Pos(), x.End(), token.Pos(math.MaxInt)})
 				}
 			}
 			return true
@@ -200,14 +206,41 @@ func argIndexOf(info *types.Info, call *ast.CallExpr, obj types.Object) int {
 	return -1
 }
 
-func calleeName(call *ast.CallExpr) string {
+// calleeIdent returns the identifier a call names its function or method
+// by, or nil for a computed callee.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
 	switch f := call.Fun.(type) {
 	case *ast.Ident:
-		return f.Name
+		return f
 	case *ast.SelectorExpr:
-		return f.Sel.Name
+		return f.Sel
+	}
+	return nil
+}
+
+func calleeName(call *ast.CallExpr) string {
+	if id := calleeIdent(call); id != nil {
+		return id.Name
 	}
 	return ""
+}
+
+// forwardsProc reports whether callee is an exported function or method of
+// another package of this module whose own j-th parameter is a processor
+// count. Such an entry point is held to this same contract, so handing it
+// the bare parameter validates it: the caller returns the callee's
+// "invalid processor count" error (or dies in its prefixed panic) rather
+// than keeping a private copy of the check.
+func forwardsProc(pkg *types.Package, callee *types.Func, j int) bool {
+	if callee == nil || !callee.Exported() || callee.Pkg() == nil || callee.Pkg() == pkg {
+		return false
+	}
+	module, _, _ := strings.Cut(pkg.Path(), "/")
+	if other, _, _ := strings.Cut(callee.Pkg().Path(), "/"); other != module {
+		return false
+	}
+	params := callee.Type().(*types.Signature).Params()
+	return j < params.Len() && procNames[params.At(j).Name()] && isInt(params.At(j))
 }
 
 // condComparesProc reports whether the if-condition contains a comparison

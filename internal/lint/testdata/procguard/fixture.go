@@ -3,7 +3,11 @@
 // first use.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/exec"
+)
 
 // mustProcs is the conventional validator the analyzer recognizes.
 func mustProcs(p int) {
@@ -47,4 +51,15 @@ func SpansGuarded(work []int64, p int) ([]int64, error) {
 // forwarded parameter: clean.
 func SpansWrapped(work []int64, p int) []int64 {
 	return SpansChecked(work, p)
+}
+
+// SpansForwarded hands the count to another package's exported entry
+// point, which is held to this same contract: clean.
+func SpansForwarded(span, total int64, p int) float64 {
+	return exec.Efficiency(p, span, total)
+}
+
+// Title only prints the count: clean.
+func Title(p int) string {
+	return fmt.Sprintf("P=%d", p)
 }

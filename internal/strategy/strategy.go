@@ -302,7 +302,7 @@ func columnOwners(f *symbolic.Factor, sc *sched.Schedule) []int32 {
 // checkPartMatch panics when a block-granular schedule does not belong
 // to the partition selected by opts.Part (e.g. the schedule was mapped
 // with different grain/width/relaxation options), the same loud failure
-// traffic.FetchVolumes gives for schedule/partition mismatches.
+// traffic.FetchStats gives for schedule/partition mismatches.
 func checkPartMatch(part *core.Partition, sc *sched.Schedule) {
 	if len(sc.UnitProc) != len(part.Units) || len(sc.ElemProc) != part.F.NNZ() {
 		panic(fmt.Sprintf(

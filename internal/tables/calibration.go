@@ -4,41 +4,28 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"text/tabwriter"
 
 	"repro/internal/calib"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
-// CalibrationRow is one cell of the calibration study (Ext-Cal): one 2D
-// strategy on one problem and processor count, with the measured wall
-// clock next to two predictions of it — the uncalibrated work-unit model
-// under the caller's CommModel (scaled by the measured serial rate, the
-// convention of the Ext-W speedup column) and the calibrated model fitted
-// to the study's own measured task durations.
+// CalibrationRow is one cell of the calibration study (Ext-Cal, and the
+// calibrate series of cmd/sweep): a measured cell — whose PredMakespan and
+// PredSpeedup are the uncalibrated work-unit prediction under the
+// caller's CommModel — next to the prediction of the calibrated model
+// fitted to the study's own measured task durations.
 type CalibrationRow struct {
-	Name     string
-	P        int
-	Strategy string
-	Repeats  int
-	// SerialNs and ParallelNs are the fastest measured serial and parallel
-	// runs; Speedup their ratio.
-	SerialNs, ParallelNs int64
-	Speedup              float64
-	// UncalSpan/CalSpan are the comm-aware static makespans in work units
-	// under the caller's model and the fitted model; UncalNs/CalNs their
-	// wall-clock conversions (serial-rate scaling and NsPerWork).
-	UncalSpan, CalSpan int64
-	UncalNs, CalNs     int64
-	// UncalSpeedup and CalSpeedup are the two predicted speedups the MAPE
-	// columns score against the measured Speedup.
-	UncalSpeedup, CalSpeedup float64
-	// Traffic is the deduplicated 2D fetch total; Degenerate the run's
-	// zero-duration measured events (clock resolution).
-	Traffic    int64
-	Degenerate int
+	MeasureRow
+	// CalSpan is the comm-aware static makespan in work units under the
+	// fitted model; UncalNs/CalNs the wall-clock conversions of both spans
+	// (serial-rate scaling, the convention of the Ext-W speedup column,
+	// and the fitted NsPerWork).
+	CalSpan        int64
+	UncalNs, CalNs int64
+	// CalSpeedup is the calibrated predicted speedup the MAPE column
+	// scores, next to PredSpeedup, against the measured Speedup.
+	CalSpeedup float64
 }
 
 // CalibrationStudy is the complete Ext-Cal result: the rows, the fitted
@@ -54,87 +41,47 @@ type CalibrationStudy struct {
 	MAPEUncal, MAPECal float64
 }
 
-// Calibration runs the Ext-Cal study: every native 2D tile mapper and
-// every col2d lift is executed for real across the processor sweep (the
-// same repeat-and-min, bit-identity-verified harness as Ext-W), all
-// measured task durations feed one least-squares fit of {Alpha, Beta,
-// Gamma} plus the nanosecond scale, and each row is then re-predicted
-// under the fitted model. repeats <= 0 selects the engine default.
-func Calibration(p *Problem, procs []int, cm exec.CommModel, repeats int) (*CalibrationStudy, error) {
-	// Pass 1: measure every (strategy, P) point and accumulate the fit
-	// samples; the plans are kept for the post-fit prediction pass.
-	type run struct {
-		label string
-		pl    *pipeline.Plan
-		mes   *exec.Measurement
-		deg   int
-	}
+// Calibration runs the Ext-Cal study over the executions of one Measured
+// pass: all measured task durations feed one least-squares fit of {Alpha,
+// Beta, Gamma} plus the nanosecond scale, and each row is then
+// re-predicted under the fitted model and scored, with the uncalibrated
+// prediction, against the measured wall clock.
+func Calibration(measured []MeasureRow) (*CalibrationStudy, error) {
 	fitter := calib.NewFitter()
-	var runs []run
-	for _, np := range procs {
-		for _, e := range tile2DEntries() {
-			pl, err := p.plan2D(e, np)
-			if err != nil {
-				return nil, err
-			}
-			mes, err := pl.Measure(p.A, exec.MeasureOptions{Repeats: repeats})
-			if err != nil {
-				return nil, fmt.Errorf("tables: measuring %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
-			}
-			if err := fitter.Add(mes.Events, pl.Tasks, pl.Fetch); err != nil {
-				return nil, fmt.Errorf("tables: fitting %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
-			}
-			prof, err := obs.RealProfile(mes.Events, np)
-			if err != nil {
-				return nil, fmt.Errorf("tables: profiling %s on %s P=%d: %w",
-					e.label, p.Meta.Name, np, err)
-			}
-			runs = append(runs, run{label: e.label, pl: pl, mes: mes, deg: prof.Degenerate})
+	for _, r := range measured {
+		if err := fitter.Add(r.events, r.Plan.Tasks, r.Plan.Fetch); err != nil {
+			return nil, fmt.Errorf("tables: fitting %s on %s P=%d: %w", r.Strategy, r.Name, r.P, err)
 		}
 	}
 	model, report, err := fitter.Fit(calib.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("tables: calibration fit on %s: %w", p.Meta.Name, err)
+		return nil, fmt.Errorf("tables: calibration fit: %w", err)
 	}
-	// Pass 2: re-simulate every point under both models and score the two
-	// speedup predictions against the measured wall clock.
 	study := &CalibrationStudy{Model: model, Report: report}
-	var sumUncal, sumCal float64
-	for _, r := range runs {
-		uncal := r.pl.MakespanComm(cm).Makespan
-		cal := r.pl.MakespanComm(model.Comm).Makespan
-		uncalSpeedup := float64(p.Total) / float64(max64(uncal, 1))
+	for _, r := range measured {
+		cal := r.Plan.MakespanComm(model.Comm).Makespan
 		calNs := model.SpanNs(cal)
-		calSpeedup := float64(r.mes.SerialNs) / math.Max(calNs, 1)
 		row := CalibrationRow{
-			Name: p.Meta.Name, P: r.pl.P, Strategy: r.label,
-			Repeats:      r.mes.Repeats,
-			SerialNs:     r.mes.SerialNs,
-			ParallelNs:   r.mes.ParallelNs,
-			Speedup:      r.mes.Speedup,
-			UncalSpan:    uncal,
-			CalSpan:      cal,
-			UncalNs:      int64(float64(r.mes.SerialNs) * float64(uncal) / float64(max64(p.Total, 1))),
-			CalNs:        int64(calNs),
-			UncalSpeedup: uncalSpeedup,
-			CalSpeedup:   calSpeedup,
-			Traffic:      r.pl.TrafficTotal(),
-			Degenerate:   r.deg,
+			MeasureRow: r,
+			CalSpan:    cal,
+			UncalNs:    int64(float64(r.SerialNs) * float64(r.PredMakespan) / float64(max(r.Plan.An.Total, 1))),
+			CalNs:      int64(calNs),
+			CalSpeedup: float64(r.SerialNs) / math.Max(calNs, 1),
 		}
 		study.Rows = append(study.Rows, row)
-		sumUncal += ape(uncalSpeedup, row.Speedup)
-		sumCal += ape(calSpeedup, row.Speedup)
+		study.MAPEUncal += row.UncalAPE()
+		study.MAPECal += row.CalAPE()
 	}
-	n := float64(len(study.Rows))
-	study.MAPEUncal = sumUncal / n
-	study.MAPECal = sumCal / n
+	study.MAPEUncal /= float64(len(measured))
+	study.MAPECal /= float64(len(measured))
 	return study, nil
 }
 
-// ape is the absolute percentage error of a prediction against a
-// measured value (percent).
+// UncalAPE and CalAPE are the absolute percentage errors of the two
+// predicted speedups against the measured one (percent).
+func (r CalibrationRow) UncalAPE() float64 { return ape(r.PredSpeedup, r.Speedup) }
+func (r CalibrationRow) CalAPE() float64   { return ape(r.CalSpeedup, r.Speedup) }
+
 func ape(pred, measured float64) float64 {
 	if measured == 0 {
 		return 0
@@ -146,25 +93,32 @@ func ape(pred, measured float64) float64 {
 // one row per (strategy, P) with both predictions and their errors, and
 // the MAPE footer the acceptance gate reads.
 func FormatCalibration(name string, cm exec.CommModel, st *CalibrationStudy) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ext-Cal: cost-model calibration (fit to measured task durations), %s, uncalibrated alpha=%g beta=%g\n",
-		name, cm.Alpha, cm.Beta)
-	fmt.Fprintf(&sb, "fit: alpha=%.4g beta=%.4g gamma=%.4g ns/work=%.4g R2=%.4f samples=%d dropped=%d terms=[%s]\n",
-		st.Model.Comm.Alpha, st.Model.Comm.Beta, st.Model.Comm.Gamma,
-		st.Model.NsPerWork, st.Report.R2, st.Report.Samples, st.Report.Dropped,
-		strings.Join(st.Report.Terms, " "))
-	fmt.Fprintf(&sb, "residual ns: p50=%d p90=%d p99=%d\n",
-		st.Report.ResidualP50, st.Report.ResidualP90, st.Report.ResidualP99)
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Appl\tP\tStrategy\tMeasured ns\tUncal ns\tCal ns\tSpeedup\tUncal pred\tCal pred\tDegenerate")
-	for _, r := range st.Rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%d\n",
-			r.Name, r.P, r.Strategy, r.ParallelNs, r.UncalNs, r.CalNs,
-			r.Speedup, r.UncalSpeedup, r.CalSpeedup, r.Degenerate)
-	}
-	w.Flush()
-	fmt.Fprintf(&sb, "speedup MAPE: uncalibrated %.1f%%, calibrated %.1f%%\n", st.MAPEUncal, st.MAPECal)
-	return sb.String()
+	title := fmt.Sprintf("Ext-Cal: cost-model calibration (fit to measured task durations), %s, uncalibrated alpha=%g beta=%g\n",
+		name, cm.Alpha, cm.Beta) +
+		fmt.Sprintf("fit: alpha=%.4g beta=%.4g gamma=%.4g ns/work=%.4g R2=%.4f samples=%d dropped=%d terms=[%s]\n",
+			st.Model.Comm.Alpha, st.Model.Comm.Beta, st.Model.Comm.Gamma,
+			st.Model.NsPerWork, st.Report.R2, st.Report.Samples, st.Report.Dropped,
+			strings.Join(st.Report.Terms, " ")) +
+		fmt.Sprintf("residual ns: p50=%d p90=%d p99=%d\n",
+			st.Report.ResidualP50, st.Report.ResidualP90, st.Report.ResidualP99)
+	return text(title,
+		"Appl\tP\tStrategy\tMeasured ns\tUncal ns\tCal ns\tSpeedup\tUncal pred\tCal pred\tDegenerate", st.Rows,
+		func(r CalibrationRow) string {
+			return fmt.Sprintf("%s\t%d\t%s\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\t%d", r.Name, r.P, r.Strategy, r.ParallelNs, r.UncalNs, r.CalNs,
+				r.Speedup, r.PredSpeedup, r.CalSpeedup, r.Profile.Degenerate)
+		}) + fmt.Sprintf("speedup MAPE: uncalibrated %.1f%%, calibrated %.1f%%\n", st.MAPEUncal, st.MAPECal)
+}
+
+// CalibrateCSV renders the calibrate series of cmd/sweep: every row
+// repeats the study's one fitted model next to its own two predictions.
+func CalibrateCSV(st *CalibrationStudy) string {
+	m := st.Model
+	return csv("strategy,procs,serial_ns,parallel_ns,measured_speedup,uncal_speedup,cal_speedup,uncal_ape,cal_ape,alpha,beta,gamma,ns_per_work,r2", st.Rows,
+		func(r CalibrationRow) string {
+			return fmt.Sprintf("%s,%d,%d,%d,%.4f,%.4f,%.4f,%.2f,%.2f,%.6g,%.6g,%.6g,%.6g,%.4f", r.Strategy, r.P, r.SerialNs, r.ParallelNs,
+				r.Speedup, r.PredSpeedup, r.CalSpeedup, r.UncalAPE(), r.CalAPE(),
+				m.Comm.Alpha, m.Comm.Beta, m.Comm.Gamma, m.NsPerWork, st.Report.R2)
+		})
 }
 
 // CalibrationRecords converts a study into bench-ledger records (Kind
@@ -178,28 +132,20 @@ func CalibrationRecords(st *CalibrationStudy) []obs.BenchRecord {
 	}
 	recs := make([]obs.BenchRecord, 0, len(st.Rows))
 	for _, r := range st.Rows {
-		recs = append(recs, obs.BenchRecord{
-			Matrix: r.Name, Strategy: r.Strategy, Kind: "calibrate",
-			P: r.P, Alpha: st.Model.Comm.Alpha, Beta: st.Model.Comm.Beta,
-			Makespan:   r.CalSpan,
-			Traffic:    r.Traffic,
-			Efficiency: r.Speedup / float64(r.P),
-
-			SerialNs:        r.SerialNs,
-			MeasuredNs:      r.ParallelNs,
-			MeasuredSpeedup: r.Speedup,
-			PredSpeedup:     r.CalSpeedup,
-			Calib: &obs.CalibSummary{
-				Gamma:     st.Model.Comm.Gamma,
-				NsPerWork: st.Model.NsPerWork,
-				R2:        st.Report.R2,
-				Samples:   st.Report.Samples,
-				Dropped:   st.Report.Dropped,
-				CalibNs:   r.CalNs,
-				MAPEUncal: st.MAPEUncal,
-				MAPECal:   st.MAPECal,
-			},
-		})
+		rec := r.measured("calibrate")
+		rec.Alpha, rec.Beta = st.Model.Comm.Alpha, st.Model.Comm.Beta
+		rec.Makespan, rec.PredSpeedup = r.CalSpan, r.CalSpeedup
+		rec.Calib = &obs.CalibSummary{
+			Gamma:     st.Model.Comm.Gamma,
+			NsPerWork: st.Model.NsPerWork,
+			R2:        st.Report.R2,
+			Samples:   st.Report.Samples,
+			Dropped:   st.Report.Dropped,
+			CalibNs:   r.CalNs,
+			MAPEUncal: st.MAPEUncal,
+			MAPECal:   st.MAPECal,
+		}
+		recs = append(recs, rec)
 	}
 	return recs
 }

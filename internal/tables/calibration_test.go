@@ -17,7 +17,7 @@ func TestCalibrationShapes(t *testing.T) {
 	p := commGoldenProblem(t)
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
 	procs := []int{1, 2}
-	st, err := Calibration(p, procs, cm, 1)
+	st, err := Calibration(must(Measured(p, procs, nil, cm, 1))(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +36,13 @@ func TestCalibrationShapes(t *testing.T) {
 		if r.ParallelNs < 1 || !(r.Speedup > 0) {
 			t.Errorf("%s P=%d: degenerate timing %+v", r.Strategy, r.P, r)
 		}
-		if !(r.UncalSpeedup > 0) || !(r.CalSpeedup > 0) {
+		if !(r.PredSpeedup > 0) || !(r.CalSpeedup > 0) {
 			t.Errorf("%s P=%d: degenerate prediction %+v", r.Strategy, r.P, r)
 		}
 		if r.CalNs < 1 || r.UncalNs < 1 {
 			t.Errorf("%s P=%d: degenerate ns prediction %+v", r.Strategy, r.P, r)
 		}
-		if r.CalSpan < r.UncalSpan {
+		if r.CalSpan < r.PredMakespan {
 			// The fitted model adds a non-negative Gamma to every task on
 			// top of non-negative comm terms, but its Alpha/Beta can fit
 			// below the caller's 2/10 — so no ordering between spans is
@@ -98,7 +98,7 @@ func TestCalibrationImprovesMAPE(t *testing.T) {
 		t.Fatal(err)
 	}
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
-	st, err := Calibration(p, []int{1, 4, 16}, cm, 1)
+	st, err := Calibration(must(Measured(p, []int{1, 4, 16}, nil, cm, 1))(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,14 @@ package tables
 
 import (
 	"fmt"
-	"strings"
-	"text/tabwriter"
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/order"
+	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/strategy"
 	"repro/internal/symbolic"
 	"repro/internal/traffic"
 )
@@ -31,52 +30,41 @@ type RelaxRow struct {
 // RelaxSweep measures cluster relaxation on an etree-postordered MMD
 // ordering of the problem's matrix (postordering makes supernode parents
 // adjacent, which is what gives relaxation room to merge).
-func RelaxSweep(tm gen.TestMatrix, procs, grain int, fracs []float64) ([]RelaxRow, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("tables: invalid processor count %d", procs)
-	}
-	a := tm.Build()
-	perm := order.MMD(a)
-	perm, err := symbolic.PostOrderPerm(a, perm)
+func RelaxSweep(p *Problem, np, grain int, fracs []float64) ([]RelaxRow, error) {
+	post, err := symbolic.PostOrderPerm(p.A, p.An.Perm)
 	if err != nil {
 		return nil, err
 	}
-	pm, err := a.Permute(perm)
+	q, err := newProblem(p.Meta, p.A, post)
 	if err != nil {
 		return nil, err
 	}
-	f := symbolic.Analyze(pm)
 	var rows []RelaxRow
 	for _, frac := range fracs {
-		part := core.NewPartition(f, core.Options{
+		pl, err := q.An.Plan("block", np, strategy.Options{Part: core.Options{
 			Grain: grain, MinClusterWidth: DefaultWidth, RelaxZeros: frac,
-		})
-		s := sched.BlockMap(part, procs)
-		r := traffic.Simulate(model.NewOps(part.F), s)
-		sn := part.F.Supernodes()
+		}})
+		if err != nil {
+			return nil, err
+		}
+		part := q.An.Sys().Partition(pl.Opts.Part)
 		rows = append(rows, RelaxRow{
 			Frac: frac, Merges: part.Relax.Merges, PaddedNNZ: part.Relax.PaddedNNZ,
-			Supernodes: len(sn) - 1, Units: len(part.Units),
-			Traffic: r.Total, A: s.Imbalance(), TotalWork: part.TotalWork,
+			Supernodes: len(part.F.Supernodes()) - 1, Units: len(part.Units),
+			Traffic: pl.TrafficTotal(), A: pl.S1.Imbalance(), TotalWork: part.TotalWork,
 		})
 	}
 	return rows, nil
 }
 
 // FormatRelaxSweep renders the relaxation ablation.
-func FormatRelaxSweep(name string, procs, grain int, rows []RelaxRow) string {
-	mustProcs(procs)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ext-D: Cluster relaxation (allowed zeros), %s postordered, P=%d, g=%d\n",
-		name, procs, grain)
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Frac\tMerges\tPadded nnz\tSupernodes\tUnits\tTraffic\tA\tTotal work")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.2f\t%d\t%d\t%d\t%d\t%d\t%.2f\t%d\n",
-			r.Frac, r.Merges, r.PaddedNNZ, r.Supernodes, r.Units, r.Traffic, r.A, r.TotalWork)
-	}
-	w.Flush()
-	return sb.String()
+func FormatRelaxSweep(name string, np, grain int, rows []RelaxRow) string {
+	return text(fmt.Sprintf("Ext-D: Cluster relaxation (allowed zeros), %s postordered, P=%d, g=%d\n", name, np, grain),
+		"Frac\tMerges\tPadded nnz\tSupernodes\tUnits\tTraffic\tA\tTotal work", rows,
+		func(r RelaxRow) string {
+			return fmt.Sprintf("%.2f\t%d\t%d\t%d\t%d\t%d\t%.2f\t%d",
+				r.Frac, r.Merges, r.PaddedNNZ, r.Supernodes, r.Units, r.Traffic, r.A, r.TotalWork)
+		})
 }
 
 // AllocRow compares the Section 3.4 allocator with the work-aware greedy
@@ -89,37 +77,32 @@ type AllocRow struct {
 }
 
 // AllocCompare runs both allocators over the suite at grain 25.
-func AllocCompare(problems []*Problem) []AllocRow {
-	var rows []AllocRow
-	for _, p := range problems {
-		for _, np := range DefaultProcs {
-			part := p.Part(25, DefaultWidth)
-			s34 := sched.BlockMap(part, np)
-			sgr := sched.BlockMapGreedy(part, np)
-			r34 := traffic.Simulate(p.Ops, s34)
-			rgr := traffic.Simulate(p.Ops, sgr)
-			rows = append(rows, AllocRow{
-				Name: p.Meta.Name, P: np,
-				A34: s34.Imbalance(), AGreedy: sgr.Imbalance(),
-				Traffic34: r34.Total, TrafficGreedy: rgr.Total,
-			})
+func AllocCompare(problems []*Problem) ([]AllocRow, error) {
+	return overSuite(problems, DefaultProcs, func(p *Problem, np int) ([]AllocRow, error) {
+		s34, err := p.An.Plan("block", np, Production)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return rows
+		sgr, err := p.An.Plan("blockgreedy", np, Production)
+		if err != nil {
+			return nil, err
+		}
+		return []AllocRow{{
+			Name: p.Meta.Name, P: np,
+			A34: s34.S1.Imbalance(), AGreedy: sgr.S1.Imbalance(),
+			Traffic34: s34.TrafficTotal(), TrafficGreedy: sgr.TrafficTotal(),
+		}}, nil
+	})
 }
 
 // FormatAllocCompare renders the allocator ablation.
 func FormatAllocCompare(rows []AllocRow) string {
-	var sb strings.Builder
-	sb.WriteString("Ext-E: Allocator ablation (Section 3.4 vs work-aware greedy), g=25\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Appl\tP\tA §3.4\tA greedy\tTraffic §3.4\tTraffic greedy")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%d\t%d\n",
-			r.Name, r.P, r.A34, r.AGreedy, r.Traffic34, r.TrafficGreedy)
-	}
-	w.Flush()
-	return sb.String()
+	return text("Ext-E: Allocator ablation (Section 3.4 vs work-aware greedy), g=25\n",
+		"Appl\tP\tA §3.4\tA greedy\tTraffic §3.4\tTraffic greedy", rows,
+		func(r AllocRow) string {
+			return fmt.Sprintf("%s\t%d\t%.2f\t%.2f\t%d\t%d",
+				r.Name, r.P, r.A34, r.AGreedy, r.Traffic34, r.TrafficGreedy)
+		})
 }
 
 // OrderRow compares fill-reducing orderings end to end (Ext-F).
@@ -127,24 +110,21 @@ type OrderRow struct {
 	Ordering     string
 	FactorNNZ    int
 	TotalWork    int64
-	WrapTraffic  int64 // P=16
-	BlockTraffic int64 // P=16, g=25
+	WrapTraffic  int64
+	BlockTraffic int64 // g=25
 	BlockA       float64
 }
 
 // OrderCompare runs the pipeline for natural, RCM, MMD, postordered MMD
 // and nested dissection orderings of one matrix.
-func OrderCompare(tm gen.TestMatrix, procs int) ([]OrderRow, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("tables: invalid processor count %d", procs)
-	}
-	a := tm.Build()
-	mmd := order.MMD(a)
+func OrderCompare(p *Problem, np int) ([]OrderRow, error) {
+	a, mmd := p.A, p.An.Perm
 	post, err := symbolic.PostOrderPerm(a, mmd)
 	if err != nil {
 		return nil, err
 	}
-	orderings := []struct {
+	var rows []OrderRow
+	for _, o := range []struct {
 		name string
 		perm []int
 	}{
@@ -153,43 +133,32 @@ func OrderCompare(tm gen.TestMatrix, procs int) ([]OrderRow, error) {
 		{"MMD", mmd},
 		{"MMD+post", post},
 		{"ND", order.NestedDissection(a, 32)},
-	}
-	var rows []OrderRow
-	for _, o := range orderings {
-		pm, err := a.Permute(o.perm)
+	} {
+		q, err := newProblem(p.Meta, a, o.perm)
 		if err != nil {
 			return nil, err
 		}
-		f := symbolic.Analyze(pm)
-		ops := model.NewOps(f)
-		ew := model.ElementWork(ops)
-		part := core.NewPartition(f, core.Options{Grain: 25, MinClusterWidth: DefaultWidth})
-		bs := sched.BlockMap(part, procs)
+		block, wrap, err := q.pair(np)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, OrderRow{
-			Ordering:     o.name,
-			FactorNNZ:    f.NNZ(),
-			TotalWork:    model.TotalWork(ew),
-			WrapTraffic:  traffic.Simulate(ops, sched.WrapMap(f, ew, procs)).Total,
-			BlockTraffic: traffic.Simulate(ops, bs).Total,
-			BlockA:       bs.Imbalance(),
+			Ordering: o.name, FactorNNZ: q.F.NNZ(), TotalWork: q.Total,
+			WrapTraffic: wrap.TrafficTotal(), BlockTraffic: block.TrafficTotal(),
+			BlockA: block.S1.Imbalance(),
 		})
 	}
 	return rows, nil
 }
 
 // FormatOrderCompare renders the ordering ablation.
-func FormatOrderCompare(name string, procs int, rows []OrderRow) string {
-	mustProcs(procs)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ext-F: Ordering ablation, %s, P=%d (block at g=25)\n", name, procs)
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Ordering\tnnz(L)\tTotal work\tWrap traffic\tBlock traffic\tBlock A")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.2f\n",
-			r.Ordering, r.FactorNNZ, r.TotalWork, r.WrapTraffic, r.BlockTraffic, r.BlockA)
-	}
-	w.Flush()
-	return sb.String()
+func FormatOrderCompare(name string, np int, rows []OrderRow) string {
+	return text(fmt.Sprintf("Ext-F: Ordering ablation, %s, P=%d (block at g=25)\n", name, np),
+		"Ordering\tnnz(L)\tTotal work\tWrap traffic\tBlock traffic\tBlock A", rows,
+		func(r OrderRow) string {
+			return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%.2f",
+				r.Ordering, r.FactorNNZ, r.TotalWork, r.WrapTraffic, r.BlockTraffic, r.BlockA)
+		})
 }
 
 // SolveRow reports triangular-solve load balance under the factorization's
@@ -204,42 +173,36 @@ type SolveRow struct {
 
 // SolveBalance measures how the factorization assignment balances the
 // solve phase, block (g=25) vs wrap.
-func SolveBalance(problems []*Problem) []SolveRow {
-	var rows []SolveRow
-	for _, p := range problems {
-		solveW := model.SolveElementWork(p.F)
-		for _, np := range DefaultProcs {
-			bs, _ := p.Block(25, DefaultWidth, np)
-			ws, _ := p.Wrap(np)
-			bSolve := bs.AccumulateElemWork(solveW)
-			wSolve := ws.AccumulateElemWork(solveW)
-			combined := make([]int64, np)
-			for q := range combined {
-				combined[q] = bs.Work[q] + bSolve[q]
-			}
-			rows = append(rows, SolveRow{
-				Name: p.Meta.Name, P: np,
-				FactorABlock: bs.Imbalance(), SolveABlock: sched.ImbalanceOf(bSolve),
-				CombinedABlock: sched.ImbalanceOf(combined),
-				FactorAWrap:    ws.Imbalance(), SolveAWrap: sched.ImbalanceOf(wSolve),
-			})
+func SolveBalance(problems []*Problem) ([]SolveRow, error) {
+	return overSuite(problems, DefaultProcs, func(p *Problem, np int) ([]SolveRow, error) {
+		block, wrap, err := p.pair(np)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return rows
+		solveW := model.SolveElementWork(p.F)
+		bs, ws := block.S1, wrap.S1
+		bSolve := bs.AccumulateElemWork(solveW)
+		combined := make([]int64, np)
+		for q := range combined {
+			combined[q] = bs.Work[q] + bSolve[q]
+		}
+		return []SolveRow{{
+			Name: p.Meta.Name, P: np,
+			FactorABlock: bs.Imbalance(), SolveABlock: sched.ImbalanceOf(bSolve),
+			CombinedABlock: sched.ImbalanceOf(combined),
+			FactorAWrap:    ws.Imbalance(), SolveAWrap: sched.ImbalanceOf(ws.AccumulateElemWork(solveW)),
+		}}, nil
+	})
 }
 
 // FormatSolveBalance renders the solve-phase study.
 func FormatSolveBalance(rows []SolveRow) string {
-	var sb strings.Builder
-	sb.WriteString("Ext-G: Triangular-solve load balance under the factorization assignment (block g=25)\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Appl\tP\tA factor (block)\tA solve (block)\tA combined\tA factor (wrap)\tA solve (wrap)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			r.Name, r.P, r.FactorABlock, r.SolveABlock, r.CombinedABlock, r.FactorAWrap, r.SolveAWrap)
-	}
-	w.Flush()
-	return sb.String()
+	return text("Ext-G: Triangular-solve load balance under the factorization assignment (block g=25)\n",
+		"Appl\tP\tA factor (block)\tA solve (block)\tA combined\tA factor (wrap)\tA solve (wrap)", rows,
+		func(r SolveRow) string {
+			return fmt.Sprintf("%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f",
+				r.Name, r.P, r.FactorABlock, r.SolveABlock, r.CombinedABlock, r.FactorAWrap, r.SolveAWrap)
+		})
 }
 
 // DynamicRow compares static scan-order execution with dynamic
@@ -254,47 +217,33 @@ type DynamicRow struct {
 
 // DynamicCompare measures how much a dynamic ready-queue recovers over
 // static scan-order execution for the block scheme (g=25) and wrap.
-func DynamicCompare(problems []*Problem) []DynamicRow {
-	var rows []DynamicRow
-	for _, p := range problems {
-		for _, np := range DefaultProcs {
-			part := p.Part(25, DefaultWidth)
-			bs := sched.BlockMap(part, np)
-			tasks := exec.BlockTasks(part, bs)
-			st := exec.Simulate(tasks, np, exec.SimOptions{})
-			dy := exec.Simulate(tasks, np, exec.SimOptions{Dynamic: true})
-			cp := exec.CriticalPath(tasks)
-			rows = append(rows, DynamicRow{
-				Name: p.Meta.Name, P: np, Scheme: "block g=25",
-				StaticEff: st.Efficiency, DynamicEff: dy.Efficiency,
-				CritPathEff: exec.Efficiency(np, cp, st.TotalWork),
-			})
-			wtasks := exec.ColumnTasks(p.F, p.Ops, p.ElemWork, np)
-			wst := exec.Simulate(wtasks, np, exec.SimOptions{})
-			wdy := exec.Simulate(wtasks, np, exec.SimOptions{Dynamic: true})
-			wcp := exec.CriticalPath(wtasks)
-			rows = append(rows, DynamicRow{
-				Name: p.Meta.Name, P: np, Scheme: "wrap",
-				StaticEff: wst.Efficiency, DynamicEff: wdy.Efficiency,
-				CritPathEff: exec.Efficiency(np, wcp, wst.TotalWork),
-			})
+func DynamicCompare(problems []*Problem) ([]DynamicRow, error) {
+	return overSuite(problems, DefaultProcs, func(p *Problem, np int) ([]DynamicRow, error) {
+		block, wrap, err := p.pair(np)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return rows
+		row := func(scheme string, pl *pipeline.Plan) DynamicRow {
+			st := pl.Makespan()
+			return DynamicRow{
+				Name: p.Meta.Name, P: np, Scheme: scheme,
+				StaticEff:   st.Efficiency,
+				DynamicEff:  pl.Simulate(exec.SimOptions{Dynamic: true}).Efficiency,
+				CritPathEff: exec.Efficiency(np, exec.CriticalPath(pl.Tasks), st.TotalWork),
+			}
+		}
+		return []DynamicRow{row("block g=25", block), row("wrap", wrap)}, nil
+	})
 }
 
 // FormatDynamicCompare renders the static-vs-dynamic execution study.
 func FormatDynamicCompare(rows []DynamicRow) string {
-	var sb strings.Builder
-	sb.WriteString("Ext-H: Static scan-order vs dynamic critical-path execution\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Appl\tP\tScheme\tEff static\tEff dynamic\tEff bound (CP)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%.3f\t%.3f\t%.3f\n",
-			r.Name, r.P, r.Scheme, r.StaticEff, r.DynamicEff, r.CritPathEff)
-	}
-	w.Flush()
-	return sb.String()
+	return text("Ext-H: Static scan-order vs dynamic critical-path execution\n",
+		"Appl\tP\tScheme\tEff static\tEff dynamic\tEff bound (CP)", rows,
+		func(r DynamicRow) string {
+			return fmt.Sprintf("%s\t%d\t%s\t%.3f\t%.3f\t%.3f",
+				r.Name, r.P, r.Scheme, r.StaticEff, r.DynamicEff, r.CritPathEff)
+		})
 }
 
 // CrossoverRow is one machine point of the block-vs-wrap crossover study
@@ -317,55 +266,41 @@ type CrossoverRow struct {
 }
 
 // Crossover sweeps the communication/computation cost ratio for one
-// problem and processor count.
-func Crossover(p *Problem, procs int, costs []float64) []CrossoverRow {
-	mustProcs(procs)
-	bs, br := p.Block(25, DefaultWidth, procs)
-	ws, wr := p.Wrap(procs)
-	var rows []CrossoverRow
-	for _, c := range costs {
-		bt := float64(bs.MaxWork()) + c*float64(br.MaxPerProc())
-		wt := float64(ws.MaxWork()) + c*float64(wr.MaxPerProc())
-		winner := "wrap"
-		if bt < wt {
-			winner = "block"
-		}
-		rows = append(rows, CrossoverRow{CommCost: c, BlockTime: bt, WrapTime: wt, Winner: winner})
+// problem and processor count. point is the communication cost at which
+// the block scheme begins to beat wrap under the closed-form model: -1 if
+// block never wins, 0 if it always does.
+func Crossover(p *Problem, np int, costs []float64) (rows []CrossoverRow, point float64, err error) {
+	block, wrap, err := p.pair(np)
+	if err != nil {
+		return nil, 0, err
 	}
-	return rows
+	bWork, bComm := float64(block.S1.MaxWork()), float64(block.Traffic().MaxPerProc())
+	wWork, wComm := float64(wrap.S1.MaxWork()), float64(wrap.Traffic().MaxPerProc())
+	for _, c := range costs {
+		bt, wt := bWork+c*bComm, wWork+c*wComm
+		rows = append(rows, CrossoverRow{CommCost: c, BlockTime: bt, WrapTime: wt, Winner: winner[bt < wt]})
+	}
+	// dw is block's balance penalty, dc its traffic saving.
+	switch dw, dc := bWork-wWork, wComm-bComm; {
+	case dc <= 0:
+		point = -1
+	case dw > 0:
+		point = dw / dc
+	}
+	return rows, point, nil
 }
 
-// CrossoverPoint returns the communication cost at which the block scheme
-// begins to beat wrap (binary search over the closed-form model), or -1 if
-// it always/never wins on the probed range.
-func CrossoverPoint(p *Problem, procs int) float64 {
-	mustProcs(procs)
-	bs, br := p.Block(25, DefaultWidth, procs)
-	ws, wr := p.Wrap(procs)
-	dw := float64(bs.MaxWork() - ws.MaxWork())       // block's balance penalty
-	dc := float64(wr.MaxPerProc() - br.MaxPerProc()) // block's traffic saving
-	if dc <= 0 {
-		return -1 // block never wins
-	}
-	if dw <= 0 {
-		return 0 // block always wins
-	}
-	return dw / dc
-}
+// winner names the faster mapping of a block-vs-wrap comparison, keyed by
+// whether block wins.
+var winner = map[bool]string{true: "block", false: "wrap"}
 
 // FormatCrossover renders the machine-parameter study.
-func FormatCrossover(name string, procs int, rows []CrossoverRow, point float64) string {
-	mustProcs(procs)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ext-I: Block-vs-wrap crossover, %s, P=%d (T = Wmax + c*maxTraffic)\n", name, procs)
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Comm cost c\tBlock time\tWrap time\tWinner")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.2f\t%.0f\t%.0f\t%s\n", r.CommCost, r.BlockTime, r.WrapTime, r.Winner)
-	}
-	w.Flush()
-	fmt.Fprintf(&sb, "crossover at c = %.2f work units per fetched element\n", point)
-	return sb.String()
+func FormatCrossover(name string, np int, rows []CrossoverRow, point float64) string {
+	return text(fmt.Sprintf("Ext-I: Block-vs-wrap crossover, %s, P=%d (T = Wmax + c*maxTraffic)\n", name, np),
+		"Comm cost c\tBlock time\tWrap time\tWinner", rows,
+		func(r CrossoverRow) string {
+			return fmt.Sprintf("%.2f\t%.0f\t%.0f\t%s", r.CommCost, r.BlockTime, r.WrapTime, r.Winner)
+		}) + fmt.Sprintf("crossover at c = %.2f work units per fetched element\n", point)
 }
 
 // MessageRow reports the consolidation study (Ext-K): the fifth step of
@@ -379,39 +314,31 @@ type MessageRow struct {
 }
 
 // Messages runs the consolidation for block (g=25) and wrap schedules.
-func Messages(problems []*Problem) []MessageRow {
-	var rows []MessageRow
-	for _, p := range problems {
-		for _, np := range DefaultProcs {
-			part := p.Part(25, DefaultWidth)
-			bs := sched.BlockMap(part, np)
-			ws := sched.WrapMap(p.F, p.ElemWork, np)
-			b := traffic.Consolidate(part, p.Ops, bs)
-			w := traffic.ConsolidateColumns(p.Ops, ws)
-			rows = append(rows, MessageRow{
-				Name: p.Meta.Name, P: np,
-				BlockMsgs: b.Messages, WrapMsgs: w.Messages,
-				BlockVolume: b.Elements, WrapVolume: w.Elements,
-				BlockMeanSize: b.MeanSize, WrapMeanSize: w.MeanSize,
-			})
+func Messages(problems []*Problem) ([]MessageRow, error) {
+	return overSuite(problems, DefaultProcs, func(p *Problem, np int) ([]MessageRow, error) {
+		block, wrap, err := p.pair(np)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return rows
+		b := traffic.Consolidate(p.An.Sys().Partition(block.Opts.Part), p.An.Ops, block.S1)
+		w := traffic.ConsolidateColumns(p.An.Ops, wrap.S1)
+		return []MessageRow{{
+			Name: p.Meta.Name, P: np,
+			BlockMsgs: b.Messages, WrapMsgs: w.Messages,
+			BlockVolume: b.Elements, WrapVolume: w.Elements,
+			BlockMeanSize: b.MeanSize, WrapMeanSize: w.MeanSize,
+		}}, nil
+	})
 }
 
 // FormatMessages renders the consolidation study.
 func FormatMessages(rows []MessageRow) string {
-	var sb strings.Builder
-	sb.WriteString("Ext-K: Message consolidation (paper pipeline step 5), block g=25 vs wrap\n")
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Appl\tP\tBlock msgs\tWrap msgs\tBlock vol\tWrap vol\tBlock mean size\tWrap mean size")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.1f\t%.1f\n",
-			r.Name, r.P, r.BlockMsgs, r.WrapMsgs, r.BlockVolume, r.WrapVolume,
-			r.BlockMeanSize, r.WrapMeanSize)
-	}
-	w.Flush()
-	return sb.String()
+	return text("Ext-K: Message consolidation (paper pipeline step 5), block g=25 vs wrap\n",
+		"Appl\tP\tBlock msgs\tWrap msgs\tBlock vol\tWrap vol\tBlock mean size\tWrap mean size", rows,
+		func(r MessageRow) string {
+			return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%.1f\t%.1f",
+				r.Name, r.P, r.BlockMsgs, r.WrapMsgs, r.BlockVolume, r.WrapVolume, r.BlockMeanSize, r.WrapMeanSize)
+		})
 }
 
 // CommMakespanRow is one point of the communication-aware makespan study
@@ -427,42 +354,28 @@ type CommMakespanRow struct {
 
 // CommMakespan sweeps the per-element communication cost and simulates
 // dynamic execution with communication-inflated task durations.
-func CommMakespan(p *Problem, procs int, costs []float64) []CommMakespanRow {
-	mustProcs(procs)
-	part := p.Part(25, DefaultWidth)
-	bs := sched.BlockMap(part, procs)
-	bVol := traffic.FetchVolumes(part, p.Ops, bs)
-	bTasks := exec.BlockTasks(part, bs)
-	ws := sched.WrapMap(p.F, p.ElemWork, procs)
-	wVol := traffic.FetchVolumesColumns(p.Ops, ws)
-	wTasks := exec.ColumnTasks(p.F, p.Ops, p.ElemWork, procs)
+func CommMakespan(p *Problem, np int, costs []float64) ([]CommMakespanRow, error) {
+	block, wrap, err := p.pair(np)
+	if err != nil {
+		return nil, err
+	}
 	var rows []CommMakespanRow
 	for _, c := range costs {
-		cm := exec.CommModel{Alpha: c}
-		bspan := exec.Simulate(bTasks, procs, exec.SimOptions{Dynamic: true, Comm: cm, Vol: bVol}).Makespan
-		wspan := exec.Simulate(wTasks, procs, exec.SimOptions{Dynamic: true, Comm: cm, Vol: wVol}).Makespan
-		winner := "wrap"
-		if bspan < wspan {
-			winner = "block"
-		}
+		sim := exec.SimOptions{Dynamic: true, Comm: exec.CommModel{Alpha: c}}
+		bspan, wspan := block.Simulate(sim).Makespan, wrap.Simulate(sim).Makespan
 		rows = append(rows, CommMakespanRow{
-			Name: p.Meta.Name, P: procs, CommCost: c,
-			BlockSpan: bspan, WrapSpan: wspan, Winner: winner,
+			Name: p.Meta.Name, P: np, CommCost: c,
+			BlockSpan: bspan, WrapSpan: wspan, Winner: winner[bspan < wspan],
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatCommMakespan renders the communication-aware makespan study.
-func FormatCommMakespan(name string, procs int, rows []CommMakespanRow) string {
-	mustProcs(procs)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Ext-L: Communication-aware makespan (dynamic exec), %s, P=%d, g=25\n", name, procs)
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Comm cost c\tBlock makespan\tWrap makespan\tWinner")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.1f\t%d\t%d\t%s\n", r.CommCost, r.BlockSpan, r.WrapSpan, r.Winner)
-	}
-	w.Flush()
-	return sb.String()
+func FormatCommMakespan(name string, np int, rows []CommMakespanRow) string {
+	return text(fmt.Sprintf("Ext-L: Communication-aware makespan (dynamic exec), %s, P=%d, g=25\n", name, np),
+		"Comm cost c\tBlock makespan\tWrap makespan\tWinner", rows,
+		func(r CommMakespanRow) string {
+			return fmt.Sprintf("%.1f\t%d\t%d\t%s", r.CommCost, r.BlockSpan, r.WrapSpan, r.Winner)
+		})
 }

@@ -1,24 +1,9 @@
 package tables
 
-import (
-	"testing"
-
-	"repro/internal/gen"
-)
-
-func lapMeta(t *testing.T) gen.TestMatrix {
-	t.Helper()
-	for _, tm := range gen.Suite() {
-		if tm.Name == "LAP30" {
-			return tm
-		}
-	}
-	t.Fatal("LAP30 missing")
-	return gen.TestMatrix{}
-}
+import "testing"
 
 func TestRelaxSweepShapes(t *testing.T) {
-	rows, err := RelaxSweep(lapMeta(t), 16, 25, []float64{0, 0.1, 0.25})
+	rows, err := RelaxSweep(loadLap(t), 16, 25, []float64{0, 0.1, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +37,7 @@ func TestRelaxSweepShapes(t *testing.T) {
 
 func TestAllocCompareImproves(t *testing.T) {
 	lap := loadLap(t)
-	rows := AllocCompare([]*Problem{lap})
+	rows := must(AllocCompare([]*Problem{lap}))(t)
 	var better, worse int
 	for _, r := range rows {
 		if r.AGreedy < r.A34 {
@@ -69,7 +54,7 @@ func TestAllocCompareImproves(t *testing.T) {
 }
 
 func TestOrderCompareShapes(t *testing.T) {
-	rows, err := OrderCompare(lapMeta(t), 16)
+	rows, err := OrderCompare(loadLap(t), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +76,7 @@ func TestOrderCompareShapes(t *testing.T) {
 
 func TestSolveBalanceShapes(t *testing.T) {
 	lap := loadLap(t)
-	rows := SolveBalance([]*Problem{lap})
+	rows := must(SolveBalance([]*Problem{lap}))(t)
 	for _, r := range rows {
 		// Combined imbalance is a work-weighted mix; it cannot exceed the
 		// max of the two phases' imbalances by construction.
@@ -111,7 +96,7 @@ func TestSolveBalanceShapes(t *testing.T) {
 
 func TestDynamicCompareRecovers(t *testing.T) {
 	lap := loadLap(t)
-	rows := DynamicCompare([]*Problem{lap})
+	rows := must(DynamicCompare([]*Problem{lap}))(t)
 	for _, r := range rows {
 		if r.DynamicEff < r.StaticEff-1e-9 {
 			t.Errorf("dynamic execution worse than static: %+v", r)
@@ -125,7 +110,7 @@ func TestDynamicCompareRecovers(t *testing.T) {
 
 func TestCommMakespanShapes(t *testing.T) {
 	lap := loadLap(t)
-	rows := CommMakespan(lap, 16, []float64{0, 5, 20})
+	rows := must(CommMakespan(lap, 16, []float64{0, 5, 20}))(t)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -1,68 +1,72 @@
 package tables
 
 import (
-	"fmt"
+	"io"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/part2d"
-	"repro/internal/pipeline"
 	"repro/internal/strategy"
 )
 
+// traced runs the comm-aware dynamic simulation of the cell's plan with a
+// tracer attached: the one run behind every simulated ledger record and
+// every exported trace.
+func (c Cell) traced(cm exec.CommModel) ([]exec.TaskEvent, exec.SimResult) {
+	tracer := obs.NewTracer()
+	res := c.Plan.Simulate(exec.SimOptions{Dynamic: true, Comm: cm, Probe: tracer})
+	return tracer.Events, res
+}
+
+// Record profiles the traced run into a bench-ledger record of the given
+// kind, so it carries the busy/comm/idle/stall breakdown and the
+// critical-path attribution next to the headline makespan, traffic and
+// efficiency numbers.
+func (c Cell) Record(kind string, cm exec.CommModel) (obs.BenchRecord, error) {
+	events, res := c.traced(cm)
+	prof, err := obs.BuildProfile(events, res)
+	if err != nil {
+		return obs.BenchRecord{}, err
+	}
+	sum := prof.Summary()
+	return obs.BenchRecord{
+		Matrix: c.Name, Strategy: c.Strategy, Kind: kind, P: c.P,
+		Alpha: cm.Alpha, Beta: cm.Beta,
+		Makespan: res.Makespan, Traffic: c.Plan.TrafficTotal(), Efficiency: res.Efficiency,
+		Profile: &sum,
+	}, nil
+}
+
+// WriteTrace exports the traced run in the named obs trace format.
+func (c Cell) WriteTrace(w io.Writer, format string, cm exec.CommModel) error {
+	events, res := c.traced(cm)
+	return obs.WriteTrace(w, format, events, res)
+}
+
 // BenchLedger benchmarks every registered mapping strategy — the 1D
-// registry with the paper's production partitioning knobs (grain 25,
-// width 4) and the native 2D mappers (col2d excluded, it is
-// parameterized) — on every problem and processor count, under the
-// comm-aware dynamic makespan simulation with cm. Each run is traced and
-// profiled, so every record carries the busy/comm/idle/stall breakdown
-// and the critical-path attribution next to the headline makespan,
-// traffic and efficiency numbers. The result is the machine-readable
-// BENCH_*.json payload CI archives per PR.
+// registry at the production partitioning (kind "strategy") and the
+// native 2D mappers (kind "tile2d"; col2d is parameterized by a base and
+// its lifts equal 1D rows) — on every problem and processor count, one
+// Record each. The result is the machine-readable BENCH_*.json payload CI
+// archives per PR.
 func BenchLedger(problems []*Problem, procs []int, cm exec.CommModel) (*obs.Ledger, error) {
 	ledger := obs.NewLedger()
-	opts := strategy.Options{Part: core.Options{Grain: 25, MinClusterWidth: DefaultWidth}}
-	// record traces the comm-aware dynamic run of one mapped cell and
-	// profiles the events into a ledger record.
-	record := func(matrix, kind string, pl *pipeline.Plan) error {
-		tracer := obs.NewTracer()
-		res := pl.Simulate(exec.SimOptions{Dynamic: true, Comm: cm, Probe: tracer})
-		prof, err := obs.BuildProfile(tracer.Events, res)
-		if err != nil {
-			return err
-		}
-		sum := prof.Summary()
-		ledger.Add(obs.BenchRecord{
-			Matrix: matrix, Strategy: pl.Strategy, Kind: kind, P: pl.P,
-			Alpha: cm.Alpha, Beta: cm.Beta,
-			Makespan: res.Makespan, Traffic: pl.TrafficTotal(), Efficiency: res.Efficiency,
-			Profile: &sum,
-		})
-		return nil
-	}
 	for _, p := range problems {
 		for _, np := range procs {
-			for _, name := range strategy.Names() {
-				pl, err := p.An.Plan(name, np, opts)
-				if err == nil {
-					err = record(p.Meta.Name, "strategy", pl)
-				}
+			for _, label := range slices.Concat(strategy.Names(), native2D()) {
+				c, err := p.Cell(label, np, Production)
 				if err != nil {
-					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
+					return nil, err
 				}
-			}
-			for _, name := range part2d.Names2D() {
-				if name == "col2d" {
-					continue // parameterized by a base; its lifts equal 1D rows
+				kind := "strategy"
+				if c.Plan.Is2D() {
+					kind = "tile2d"
 				}
-				pl, err := p.An.Plan2D(name, np, strategy.Options{})
-				if err == nil {
-					err = record(p.Meta.Name, "tile2d", pl)
-				}
+				rec, err := c.Record(kind, cm)
 				if err != nil {
-					return nil, fmt.Errorf("tables: ledger %s on %s P=%d: %w", name, p.Meta.Name, np, err)
+					return nil, err
 				}
+				ledger.Add(rec)
 			}
 		}
 	}

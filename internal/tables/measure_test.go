@@ -16,7 +16,7 @@ func TestMeasuredShapes(t *testing.T) {
 	p := commGoldenProblem(t)
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
 	procs := []int{1, 2}
-	rows, err := Measured(p, procs, cm, 1)
+	rows, err := Measured(p, procs, nil, cm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,15 @@ var PaperTable3 = map[string]map[int]paperWork{
 	},
 }
 
-// paperWidth is one paper entry of Table 4 (LAP30, g=4).
-type paperWidth struct {
+// paperMapping is one paper entry of Table 4 (LAP30, g=4) or Table 5
+// (wrap): total and mean traffic, mean work and the imbalance factor A.
+type paperMapping struct {
 	Total, Mean, MeanWork int64
 	A                     float64
 }
 
 // PaperTable4 rows: minimum cluster width -> processor count -> entry.
-var PaperTable4 = map[int]map[int]paperWidth{
+var PaperTable4 = map[int]map[int]paperMapping{
 	2: {
 		4:  {38936, 9734, 108644, 0.03},
 		16: {96235, 6015, 27161, 0.167},
@@ -111,14 +112,8 @@ var PaperTable4 = map[int]map[int]paperWidth{
 	},
 }
 
-// paperWrap is one paper entry of Table 5.
-type paperWrap struct {
-	Total, Mean, MeanWork int64
-	A                     float64
-}
-
 // PaperTable5 rows: matrix name -> processor count -> wrap-mapping entry.
-var PaperTable5 = map[string]map[int]paperWrap{
+var PaperTable5 = map[string]map[int]paperMapping{
 	"BUS1138": {
 		1:  {0, 0, 11164, 0},
 		4:  {2485, 621, 2791, 0.02},

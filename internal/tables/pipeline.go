@@ -4,102 +4,68 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/strategy"
 )
 
-// PipelineBench is the staged-pipeline throughput study: the same solve
-// request issued cold (empty artifact store: ordering, symbolic
-// factorization, mapping and numeric factorization all run) and warm
-// (every stage a cache hit: only the triangular sweeps run), which is
-// the factor-many/solve-many scenario the staged pipeline exists for.
-type PipelineBench struct {
-	Name     string
-	Strategy string
-	P        int
-	Solves   int   // warm requests timed
-	ColdNs   int64 // one full cold request
-	WarmNs   int64 // fastest warm request
-	Speedup  float64
-	Stats    map[string]artifact.Counts
-}
-
-// PipelineRecord runs the cold/warm study for one problem and converts it
-// into the bench-ledger row (Kind "pipeline"): SerialNs carries the cold
-// request, MeasuredNs the fastest warm request, MeasuredSpeedup their
-// ratio, and Hits/Misses the store counters that prove the warm requests
-// did zero symbolic, mapping and factorization work.
+// PipelineRecord runs the staged-pipeline throughput study for one
+// problem and returns its bench-ledger row (Kind "pipeline"): the same
+// solve request issued cold (empty artifact store: ordering, symbolic
+// factorization, mapping and numeric factorization all run) and then
+// solves times warm (every stage a cache hit: only the triangular sweeps
+// run), the factor-many/solve-many scenario the staged pipeline exists
+// for. SerialNs carries the cold request, MeasuredNs the fastest warm
+// request, MeasuredSpeedup their ratio, and Hits/Misses the store counters
+// that prove the warm requests did zero symbolic, mapping and
+// factorization work.
 func PipelineRecord(p *Problem, strategyName string, np, solves int) (obs.BenchRecord, error) {
-	pb, err := RunPipelineBench(p, strategyName, np, solves)
-	if err != nil {
-		return obs.BenchRecord{}, err
-	}
-	var hits, misses int64
-	//repro:allow maporder -- commutative integer sums over the per-kind counters; order cannot change the totals
-	for _, c := range pb.Stats {
-		hits += c.Hits
-		misses += c.Misses
-	}
-	pl, err := p.An.Plan(strategyName, np, strategy.Options{})
-	if err != nil {
-		return obs.BenchRecord{}, err
-	}
-	return obs.BenchRecord{
-		Matrix: pb.Name, Strategy: strategyName, Kind: "pipeline", P: np,
-		Makespan: pl.Makespan().Makespan, Traffic: pl.TrafficTotal(),
-		Efficiency:      1 - float64(pb.WarmNs)/float64(pb.ColdNs), // fraction of the cold request the cache removes
-		SerialNs:        pb.ColdNs,
-		MeasuredNs:      pb.WarmNs,
-		MeasuredSpeedup: pb.Speedup,
-		Hits:            hits,
-		Misses:          misses,
-	}, nil
-}
-
-// RunPipelineBench times one cold staged request against repeated warm
-// requests on the same pattern and values, through one shared cache.
-func RunPipelineBench(p *Problem, strategyName string, np, solves int) (*PipelineBench, error) {
-	if np < 1 {
-		return nil, fmt.Errorf("tables: invalid processor count %d", np)
-	}
-	if solves < 1 {
-		solves = 1
-	}
 	cache := pipeline.NewCache(0)
 	b := make([]float64, p.A.N)
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}
 	opts := strategy.Options{}
-
-	//repro:allow nondeterminism -- benchmark harness: wall-clock feeds only the reported cold/warm timings; the solved vectors are cache artifacts pinned by TestCacheServesIdenticalArtifacts
-	start := time.Now()
-	if _, err := cache.Solve(p.A, strategyName, np, opts, pipeline.Cholesky, b); err != nil {
-		return nil, fmt.Errorf("tables: pipeline cold solve on %s: %w", p.Meta.Name, err)
-	}
-	coldNs := time.Since(start).Nanoseconds()
-
-	warmNs := int64(0)
-	for i := 0; i < solves; i++ {
-		//repro:allow nondeterminism -- benchmark harness: warm-request timing only, never simulated results
-		start = time.Now()
+	// request times one solve through the shared cache.
+	request := func(temp string) (int64, error) {
+		//repro:allow nondeterminism -- benchmark harness: wall-clock feeds only the reported cold/warm timings; the solved vectors are cache artifacts pinned by TestCacheServesIdenticalArtifacts
+		start := time.Now()
 		if _, err := cache.Solve(p.A, strategyName, np, opts, pipeline.Cholesky, b); err != nil {
-			return nil, fmt.Errorf("tables: pipeline warm solve on %s: %w", p.Meta.Name, err)
+			return 0, fmt.Errorf("tables: pipeline %s solve on %s: %w", temp, p.Meta.Name, err)
 		}
-		ns := time.Since(start).Nanoseconds()
-		if warmNs == 0 || ns < warmNs {
-			warmNs = ns
-		}
+		return max(time.Since(start).Nanoseconds(), 1), nil
 	}
-	if warmNs < 1 {
-		warmNs = 1
+	coldNs, err := request("cold")
+	if err != nil {
+		return obs.BenchRecord{}, err
 	}
-	return &PipelineBench{
-		Name: p.Meta.Name, Strategy: strategyName, P: np, Solves: solves,
-		ColdNs: coldNs, WarmNs: warmNs,
-		Speedup: float64(coldNs) / float64(warmNs),
-		Stats:   cache.StatsByKind(),
+	warmNs, err := request("warm")
+	for i := 1; i < solves && err == nil; i++ {
+		var ns int64
+		ns, err = request("warm")
+		warmNs = min(warmNs, ns)
+	}
+	if err != nil {
+		return obs.BenchRecord{}, err
+	}
+	var hits, misses int64
+	//repro:allow maporder -- commutative integer sums over the per-kind counters; order cannot change the totals
+	for _, c := range cache.StatsByKind() {
+		hits += c.Hits
+		misses += c.Misses
+	}
+	pl, err := p.An.Plan(strategyName, np, opts)
+	if err != nil {
+		return obs.BenchRecord{}, err
+	}
+	return obs.BenchRecord{
+		Matrix: p.Meta.Name, Strategy: strategyName, Kind: "pipeline", P: np,
+		Makespan: pl.Makespan().Makespan, Traffic: pl.TrafficTotal(),
+		Efficiency:      1 - float64(warmNs)/float64(coldNs), // fraction of the cold request the cache removes
+		SerialNs:        coldNs,
+		MeasuredNs:      warmNs,
+		MeasuredSpeedup: float64(coldNs) / float64(warmNs),
+		Hits:            hits,
+		Misses:          misses,
 	}, nil
 }

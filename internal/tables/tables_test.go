@@ -1,26 +1,32 @@
 package tables
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/part2d"
+	"repro/internal/strategy"
 )
 
 func loadLap(t testing.TB) *Problem {
 	t.Helper()
-	for _, tmName := range []string{"LAP30"} {
-		_ = tmName
-	}
-	ps, err := LoadSuite()
+	p, err := LoadNamed("LAP30")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range ps {
-		if p.Meta.Name == "LAP30" {
-			return p
+	return p
+}
+
+// must unwraps a study's (rows, error) result.
+func must[R any](rows R, err error) func(testing.TB) R {
+	return func(t testing.TB) R {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rows
 	}
-	t.Fatal("LAP30 not in suite")
-	return nil
 }
 
 func TestTable1AllRows(t *testing.T) {
@@ -48,7 +54,7 @@ func TestTable1AllRows(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	lap := loadLap(t)
-	rows := Table2([]*Problem{lap})
+	rows := must(Tables2and3([]*Problem{lap}))(t)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3 (P sweep)", len(rows))
 	}
@@ -70,7 +76,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	lap := loadLap(t)
-	rows := Table3([]*Problem{lap})
+	rows := must(Tables2and3([]*Problem{lap}))(t)
 	for _, r := range rows {
 		if r.AG4 < 0 || r.AG25 < 0 {
 			t.Errorf("negative imbalance: %+v", r)
@@ -88,7 +94,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	lap := loadLap(t)
-	rows := Table4(lap)
+	rows := must(Table4(lap))(t)
 	if len(rows) != 9 {
 		t.Fatalf("%d rows, want 9 (3 widths x 3 P)", len(rows))
 	}
@@ -103,7 +109,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	lap := loadLap(t)
-	rows := Table5([]*Problem{lap})
+	rows := must(Table5([]*Problem{lap}))(t)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows, want 4 (P = 1,4,16,32)", len(rows))
 	}
@@ -123,11 +129,11 @@ func TestBlockBeatsWrapHeadline(t *testing.T) {
 	// Cross-table check of the paper's abstract: block-based partitioning
 	// yields lower communication, wrap better balance.
 	lap := loadLap(t)
-	t2 := Table2([]*Problem{lap})
-	t3 := Table3([]*Problem{lap})
-	t5 := Table5([]*Problem{lap})
+	t2 := must(Tables2and3([]*Problem{lap}))(t)
+	t3 := t2
+	t5 := must(Table5([]*Problem{lap}))(t)
 	for i, np := range DefaultProcs {
-		var wrapRow *Table5Row
+		var wrapRow *MappingRow
 		for k := range t5 {
 			if t5[k].P == np {
 				wrapRow = &t5[k]
@@ -144,7 +150,7 @@ func TestBlockBeatsWrapHeadline(t *testing.T) {
 
 func TestMakespanAndPartners(t *testing.T) {
 	lap := loadLap(t)
-	mk := Makespan([]*Problem{lap})
+	mk := must(Makespan([]*Problem{lap}))(t)
 	if len(mk) != 9 { // 3 procs x (2 grains + wrap)
 		t.Fatalf("%d makespan rows, want 9", len(mk))
 	}
@@ -158,7 +164,7 @@ func TestMakespanAndPartners(t *testing.T) {
 	}
 	_ = FormatMakespan(mk)
 
-	pr := Partners([]*Problem{lap})
+	pr := must(Partners([]*Problem{lap}))(t)
 	for _, r := range pr {
 		if r.BlockPartners > r.WrapPartners {
 			t.Errorf("block partners %.1f above wrap %.1f at P=%d", r.BlockPartners, r.WrapPartners, r.P)
@@ -169,7 +175,7 @@ func TestMakespanAndPartners(t *testing.T) {
 
 func TestGrainSweepMonotoneTraffic(t *testing.T) {
 	lap := loadLap(t)
-	rows := GrainSweep(lap, 16, []int{2, 4, 8, 16, 25, 50, 100})
+	rows := must(BlockSweep(lap, 16, []int{2, 4, 8, 16, 25, 50, 100}, []int{DefaultWidth}))(t)
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -184,4 +190,54 @@ func TestGrainSweepMonotoneTraffic(t *testing.T) {
 		t.Errorf("traffic did not fall across the sweep: %+v", rows)
 	}
 	_ = FormatGrainSweep("LAP30", 16, rows)
+}
+
+// TestPlanResolverAxis pins what the one resolver accepts — every
+// registered 1D strategy, every native 2D mapper, every col2d lift of a
+// liftable base, and bare col2d as the lift of its default base — that
+// ValidLabel agrees with it without building a plan, and that everything
+// else fails with the error of the registry it was looked up in.
+func TestPlanResolverAxis(t *testing.T) {
+	p := commGoldenProblem(t)
+	labels := slices.Concat(strategy.Names(), Labels2D())
+	if want := len(strategy.Names()) + len(part2d.Names2D()) - 1 + len(part2d.LiftBases()); len(labels) != want {
+		t.Fatalf("label axis has %d entries, want %d", len(labels), want)
+	}
+	for _, label := range append(labels, "col2d") {
+		c, err := p.Cell(label, 4, Production)
+		if err != nil || !ValidLabel(label) {
+			t.Errorf("%s: err %v, ValidLabel %v", label, err, ValidLabel(label))
+			continue
+		}
+		if is2D := !slices.Contains(strategy.Names(), label); c.Plan.Is2D() != is2D || c.Strategy != label {
+			t.Errorf("%s: resolved to a %v-2D plan labelled %q", label, c.Plan.Is2D(), c.Strategy)
+		}
+	}
+	lifted, err := p.Cell("col2d:wrap", 4, Production)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := p.Cell("col2d", 4, Production)
+	if err != nil || !slices.Equal(bare.Plan.S2.Owner, lifted.Plan.S2.Owner) || bare.Plan.TrafficTotal() != lifted.Plan.TrafficTotal() {
+		t.Errorf("bare col2d (err %v) is not the lift of its default base wrap", err)
+	}
+	for label, want := range map[string]string{
+		"col2d:block":  `part2d: "block" is not column-granular`,
+		"col2d:refine": "strategy: refine cannot use itself as base",
+		"col2d:zzz":    `strategy: unknown strategy "zzz"`,
+		"col2d:":       "strategy: unknown strategy",
+		"zzz":          `strategy: unknown strategy "zzz"`,
+		"":             "strategy: unknown strategy",
+	} {
+		_, err := p.Cell(label, 4, Production)
+		if err == nil || !strings.Contains(err.Error(), want) || ValidLabel(label) {
+			t.Errorf("%q: err %v (want %q), ValidLabel %v", label, err, want, ValidLabel(label))
+		}
+	}
+	if _, err := p.Cell("wrap", 0, Production); err == nil || err.Error() != "pipeline: invalid processor count 0" {
+		t.Errorf("P=0: err %v, want pipeline's invalid processor count", err)
+	}
+	if _, err := BlockSweep(p, 0, []int{25}, []int{4}); err == nil || err.Error() != "pipeline: invalid processor count 0" {
+		t.Errorf("BlockSweep at P=0: err %v, want pipeline's invalid processor count", err)
+	}
 }

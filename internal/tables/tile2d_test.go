@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/strategy"
 )
 
 // TestTile2DShapes covers the Ext-T table's structural contract: one row
@@ -15,7 +16,7 @@ func TestTile2DShapes(t *testing.T) {
 	p := commGoldenProblem(t)
 	procs := []int{1, 4}
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
-	rows, err := Tile2D(p, procs, cm)
+	rows, err := Tile2D(p, procs, nil, strategy.Options{}, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestTile2DShapes(t *testing.T) {
 
 	// The col2d:wrap row must agree with the 1D wrap fetch volume of the
 	// Ext-M study (the lift is exact, not approximately equal).
-	urows, err := UnifiedComm(p, []int{4}, []string{"wrap"}, cm)
+	urows, err := UnifiedComm(p, []int{4}, []string{"wrap"}, Production, cm)
 	if err != nil {
 		t.Fatal(err)
 	}

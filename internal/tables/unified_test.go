@@ -31,7 +31,7 @@ func commGoldenProblem(t *testing.T) *Problem {
 func TestCommUnifiedGolden(t *testing.T) {
 	p := commGoldenProblem(t)
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
-	rows, err := UnifiedComm(p, []int{2, 4}, []string{"block", "contiguous", "wrap"}, cm)
+	rows, err := UnifiedComm(p, []int{2, 4}, []string{"block", "contiguous", "wrap"}, Production, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCommUnifiedGolden(t *testing.T) {
 func TestCommUnifiedShapes(t *testing.T) {
 	p := commGoldenProblem(t)
 	procs := []int{1, 4}
-	rows, err := UnifiedComm(p, procs, nil, exec.CommModel{Alpha: 1})
+	rows, err := UnifiedComm(p, procs, nil, Production, exec.CommModel{Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCommUnifiedShapes(t *testing.T) {
 		}
 	}
 	// An empty non-nil names slice selects every registered strategy too.
-	empty, err := UnifiedComm(p, []int{2}, []string{}, exec.CommModel{})
+	empty, err := UnifiedComm(p, []int{2}, []string{}, Production, exec.CommModel{})
 	if err != nil {
 		t.Fatal(err)
 	}

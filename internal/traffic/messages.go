@@ -90,21 +90,3 @@ func AlphaBetaCost(st *MessageStats, r *Result, alpha, beta float64) float64 {
 	}
 	return alpha*float64(maxMsgs) + beta*float64(r.MaxPerProc())
 }
-
-// FetchVolumes attributes every distinct non-local element fetch to the
-// unit block whose update first requires it (fetch-on-first-use, matching
-// the caching model of Simulate), returning the per-unit fetch counts.
-// Feeding these into the makespan simulation with a per-element
-// communication cost unifies the paper's two separate metrics — traffic
-// and load balance — into a single time estimate (EXPERIMENTS.md Ext-L).
-// FetchStats additionally reports per-unit message counts for the
-// latency term of exec.CommModel.
-func FetchVolumes(part *core.Partition, ops *model.Ops, s *sched.Schedule) []int64 {
-	return FetchStats(part, ops, s).Vol
-}
-
-// FetchVolumesColumns is FetchVolumes for column-mapped schedules,
-// returning per-column fetch counts.
-func FetchVolumesColumns(ops *model.Ops, s *sched.Schedule) []int64 {
-	return FetchStatsColumns(ops, s).Vol
-}

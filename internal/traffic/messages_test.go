@@ -114,7 +114,7 @@ func TestFetchVolumesSumToTotal(t *testing.T) {
 		ops, part, ew := pipeline(m, 4, 3)
 		for _, p := range []int{2, 8} {
 			bs := sched.BlockMap(part, p)
-			vol := FetchVolumes(part, ops, bs)
+			vol := FetchStats(part, ops, bs).Vol
 			var sum int64
 			for _, v := range vol {
 				sum += v
@@ -123,7 +123,7 @@ func TestFetchVolumesSumToTotal(t *testing.T) {
 				return false
 			}
 			ws := sched.WrapMap(ops.F, ew, p)
-			cvol := FetchVolumesColumns(ops, ws)
+			cvol := FetchStatsColumns(ops, ws).Vol
 			sum = 0
 			for _, v := range cvol {
 				sum += v
@@ -142,7 +142,7 @@ func TestFetchVolumesSumToTotal(t *testing.T) {
 func TestFetchVolumesZeroOnOneProc(t *testing.T) {
 	ops, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
 	s := sched.BlockMap(part, 1)
-	for u, v := range FetchVolumes(part, ops, s) {
+	for u, v := range FetchStats(part, ops, s).Vol {
 		if v != 0 {
 			t.Fatalf("unit %d has fetch volume %d on one processor", u, v)
 		}

@@ -76,8 +76,6 @@ func BuildProfile(events []TraceEvent, res MakespanResult) (*Profile, error) {
 // uncaused gaps), so this is the tolerant builder: no critical path is
 // extracted and stalls are counted only when a blocking predecessor was
 // observed.
-//
-//repro:allow procguard -- thin wrapper; obs.RealProfile validates p and returns the error
 func BuildRealProfile(events []TraceEvent, p int) (*Profile, error) {
 	return obs.RealProfile(events, p)
 }
@@ -87,8 +85,6 @@ func FormatProfile(p *Profile) string { return obs.FormatProfile(p) }
 
 // WriteChromeTrace exports traced events as Chrome trace-event JSON
 // (Perfetto-loadable), one lane per processor.
-//
-//repro:allow procguard -- thin wrapper; obs.WriteChromeTrace validates p and returns the error
 func WriteChromeTrace(w io.Writer, events []TraceEvent, p int) error {
 	return obs.WriteChromeTrace(w, events, p)
 }
@@ -100,8 +96,6 @@ func WriteTrace(w io.Writer, format string, events []TraceEvent, res MakespanRes
 }
 
 // Gantt renders traced events as an ASCII per-processor timeline.
-//
-//repro:allow procguard -- thin wrapper; obs.Gantt guards p < 1 and renders a diagnostic line
 func Gantt(events []TraceEvent, p int, makespan int64, width int) string {
 	return obs.Gantt(events, p, makespan, width)
 }

@@ -198,8 +198,6 @@ type Measurement = exec.Measurement
 // their processor assignment); o selects static or dynamic per-processor
 // order, communication charges and tracing. Plan.Simulate is this call on
 // a plan's own task graph and fetch attribution.
-//
-//repro:allow procguard -- thin wrapper; exec.Simulate panics on p < 1 with its package prefix
 func Simulate(tasks []Task, p int, o SimOptions) MakespanResult {
 	return exec.Simulate(tasks, p, o)
 }
