@@ -16,7 +16,8 @@
 //     b(b-1)/2 sub-rectangles over near-equal column bands; rectangles
 //     split into near-square grids.
 //  3. Determine the dependencies between unit blocks (Section 3.3), the
-//     ten categories of Figure 4, computed with interval trees.
+//     ten categories of Figure 4, found by searching the sorted band and
+//     rectangle boundaries the partition already holds.
 //
 // Scheduling of the resulting units is in package sched.
 package core
@@ -182,12 +183,33 @@ func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Parti
 		panic(fmt.Sprintf("core: element work covers %d elements, factor has %d", len(elemWork), f.NNZ()))
 	}
 	p := &Partition{F: f, Opts: opts, Relax: stats}
-	p.identifyClusters()
-	p.partitionBlocks()
+	// The short slices of clusters and rectangles are cut from chunks
+	// sized to the matrix, shared across clusters.
+	chunk := max(f.N, 64)
+	ints, lists := arena[int]{chunk: 4 * chunk}, arena[[]int]{chunk: chunk}
+	p.identifyClusters(&arena[Rect]{chunk: chunk / 4})
+	p.partitionBlocks(&ints, &lists)
 	p.TotalWork = model.TotalWork(elemWork)
 	p.mapElements(elemWork)
 	p.computeDeps()
 	return p
+}
+
+// arena hands out sub-slices of shared chunks, so that the many short
+// slices a partition holds cost one allocation per chunk, not one each.
+type arena[T any] struct {
+	chunk int
+	free  []T
+}
+
+// take returns a zeroed slice of length and capacity n.
+func (a *arena[T]) take(n int) []T {
+	if n > len(a.free) {
+		a.free = make([]T, max(n, a.chunk))
+	}
+	s := a.free[:n:n]
+	a.free = a.free[n:]
+	return s
 }
 
 // UnitOf returns the unit ID containing factor element (i, j), i >= j.
@@ -212,16 +234,25 @@ func (p *Partition) UnitOf(i, j int) int {
 
 // identifyClusters finds the clusters of Section 3.1 from the factor's
 // fundamental supernodes, applying the minimum-width rule.
-func (p *Partition) identifyClusters() {
+func (p *Partition) identifyClusters(rects *arena[Rect]) {
 	f := p.F
 	starts := f.Supernodes()
 	p.ColCluster = make([]int32, f.N)
+	// "No strip of columns less than [width] columns wide is acceptable as
+	// a cluster — it is broken up into individual columns."
+	single := func(s, e int) bool { return e-s < p.Opts.MinClusterWidth || e-s == 1 }
+	count := 0
+	for k := 0; k+1 < len(starts); k++ {
+		if s, e := starts[k], starts[k+1]; single(s, e) {
+			count += e - s
+		} else {
+			count++
+		}
+	}
+	p.Clusters = make([]Cluster, 0, count)
 	for k := 0; k+1 < len(starts); k++ {
 		s, e := starts[k], starts[k+1]
-		if e-s < p.Opts.MinClusterWidth || e-s == 1 {
-			// "No strip of columns less than [width] columns wide is
-			// acceptable as a cluster — it is broken up into individual
-			// columns."
+		if single(s, e) {
 			for j := s; j < e; j++ {
 				id := len(p.Clusters)
 				p.Clusters = append(p.Clusters, Cluster{
@@ -235,21 +266,20 @@ func (p *Partition) identifyClusters() {
 		cl := Cluster{ID: id, ColLo: s, ColHi: e - 1}
 		// Dense rectangles below the triangle: the sub-diagonal rows of the
 		// first column (identical for all columns of a supernode) split
-		// into contiguous runs.
-		rows := f.Col(s)
-		var below []int
-		for _, r := range rows {
-			if r >= e {
-				below = append(below, r)
+		// into contiguous runs. Rows s..e-1 are the triangle.
+		below := f.Col(s)[e-s:]
+		runs := 0
+		for a, r := range below {
+			if a == 0 || r != below[a-1]+1 {
+				runs++
 			}
 		}
-		for a := 0; a < len(below); {
-			b := a
-			for b+1 < len(below) && below[b+1] == below[b]+1 {
-				b++
+		cl.Rects = rects.take(runs)[:0]
+		for a, r := range below {
+			if a == 0 || r != below[a-1]+1 {
+				cl.Rects = append(cl.Rects, Rect{RowLo: r})
 			}
-			cl.Rects = append(cl.Rects, Rect{RowLo: below[a], RowHi: below[b]})
-			a = b + 1
+			cl.Rects[len(cl.Rects)-1].RowHi = r
 		}
 		p.Clusters = append(p.Clusters, cl)
 		for j := s; j < e; j++ {
@@ -260,7 +290,7 @@ func (p *Partition) identifyClusters() {
 
 // partitionBlocks splits each cluster's dense blocks into unit blocks
 // (Section 3.2).
-func (p *Partition) partitionBlocks() {
+func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int]) {
 	g := p.Opts.Grain
 	for ci := range p.Clusters {
 		cl := &p.Clusters[ci]
@@ -286,15 +316,15 @@ func (p *Partition) partitionBlocks() {
 		for (b+1)*(b+2)/2 <= pd && b+1 <= m {
 			b++
 		}
-		cl.BandBounds = splitRange(cl.ColLo, cl.ColHi+1, b)
-		cl.TriUnits = make([]int, b)
-		cl.BandRects = make([][]int, b)
+		cl.BandBounds = splitRange(ints, cl.ColLo, cl.ColHi+1, b)
+		cl.TriUnits = ints.take(b)
+		cl.BandRects = lists.take(b)
 		for bi := 0; bi < b; bi++ {
 			lo, hi := cl.BandBounds[bi], cl.BandBounds[bi+1]-1
 			// Create the band's rectangles before its triangle: the
 			// triangle receives updates from the rectangles to its left
 			// (category 8), so unit IDs stay topologically ordered.
-			cl.BandRects[bi] = make([]int, bi)
+			cl.BandRects[bi] = ints.take(bi)
 			for bj := 0; bj < bi; bj++ {
 				clo, chi := cl.BandBounds[bj], cl.BandBounds[bj+1]-1
 				r := Unit{
@@ -313,7 +343,7 @@ func (p *Partition) partitionBlocks() {
 		}
 		// Allocation order within the triangle: triangles top to bottom,
 		// then band rectangles top to bottom, left to right.
-		cl.TriAlloc = append([]int(nil), cl.TriUnits...)
+		cl.TriAlloc = append(ints.take(b * (b + 1) / 2)[:0], cl.TriUnits...)
 		for bi := 1; bi < b; bi++ {
 			cl.TriAlloc = append(cl.TriAlloc, cl.BandRects[bi]...)
 		}
@@ -328,11 +358,11 @@ func (p *Partition) partitionBlocks() {
 				rpd = 1
 			}
 			qr, qc := gridShape(h, m, rpd)
-			r.RowSplits = splitRange(r.RowLo, r.RowHi+1, qr)
-			r.ColSplits = splitRange(cl.ColLo, cl.ColHi+1, qc)
-			r.Units = make([][]int, qr)
+			r.RowSplits = splitRange(ints, r.RowLo, r.RowHi+1, qr)
+			r.ColSplits = splitRange(ints, cl.ColLo, cl.ColHi+1, qc)
+			r.Units = lists.take(qr)
 			for a := 0; a < qr; a++ {
-				r.Units[a] = make([]int, qc)
+				r.Units[a] = ints.take(qc)
 				for c := 0; c < qc; c++ {
 					u := Unit{
 						ID: len(p.Units), Kind: Rectangle, Cluster: ci,
@@ -355,12 +385,12 @@ func lastRow(f *symbolic.Factor, j int) int {
 // splitRange divides [lo, hi) into parts near-equal contiguous pieces and
 // returns the part boundaries (len parts+1). Earlier pieces receive the
 // remainder, making the top bands of a triangle the (slightly) larger ones.
-func splitRange(lo, hi, parts int) []int {
+func splitRange(ints *arena[int], lo, hi, parts int) []int {
 	n := hi - lo
 	if parts > n {
 		parts = n
 	}
-	bounds := make([]int, parts+1)
+	bounds := ints.take(parts + 1)
 	base, rem := n/parts, n%parts
 	x := lo
 	for i := 0; i < parts; i++ {
@@ -400,33 +430,48 @@ func gridShape(h, w, pd int) (qr, qc int) {
 }
 
 // mapElements assigns every factor nonzero to its unit block and
-// accumulates per-unit element counts and work.
+// accumulates per-unit element counts and work. A cluster is dense on its
+// territory, so a column of it is a run of elements per unit it crosses —
+// its triangle band, the band rectangles below that, then one grid cell
+// per row split of every rectangle — and no element is searched for.
 func (p *Partition) mapElements(elemWork []int64) {
 	f := p.F
 	p.ElemUnit = make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		ci := p.ColCluster[j]
-		cl := &p.Clusters[ci]
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			i := f.RowInd[q]
-			var uid int
-			switch {
-			case cl.Single:
-				uid = cl.ColUnit
-			case i <= cl.ColHi:
-				rb := bandIndex(cl.BandBounds, i)
-				cb := bandIndex(cl.BandBounds, j)
-				if rb == cb {
-					uid = cl.TriUnits[rb]
-				} else {
-					uid = cl.BandRects[rb][cb]
-				}
-			default:
-				uid = cl.rectUnitOf(i, j)
-			}
+	// assign gives the elements at positions [q, q+count) to unit uid.
+	assign := func(uid, q, count int) int {
+		u := &p.Units[uid]
+		u.Elems += count
+		for end := q + count; q < end; q++ {
 			p.ElemUnit[q] = int32(uid)
-			p.Units[uid].Elems++
-			p.Units[uid].Work += elemWork[q]
+			u.Work += elemWork[q]
+		}
+		return q
+	}
+	for ci := range p.Clusters {
+		cl := &p.Clusters[ci]
+		if cl.Single {
+			assign(cl.ColUnit, f.ColPtr[cl.ColLo], f.ColLen(cl.ColLo))
+			continue
+		}
+		cb := 0 // band of column j
+		for j := cl.ColLo; j <= cl.ColHi; j++ {
+			if j == cl.BandBounds[cb+1] {
+				cb++
+			}
+			q := assign(cl.TriUnits[cb], f.ColPtr[j], cl.BandBounds[cb+1]-j)
+			for rb := cb + 1; rb < len(cl.TriUnits); rb++ {
+				q = assign(cl.BandRects[rb][cb], q, cl.BandBounds[rb+1]-cl.BandBounds[rb])
+			}
+			for ri := range cl.Rects {
+				r := &cl.Rects[ri]
+				c := bandIndex(r.ColSplits, j)
+				for a, row := range r.Units {
+					q = assign(row[c], q, r.RowSplits[a+1]-r.RowSplits[a])
+				}
+			}
+			if q != f.ColPtr[j+1] {
+				panic(fmt.Sprintf("core: column %d of cluster %d is not dense on the cluster's territory", j, cl.ID))
+			}
 		}
 	}
 }
@@ -444,23 +489,4 @@ func bandIndex(bounds []int, x int) int {
 		}
 	}
 	return lo
-}
-
-// rectUnitOf finds the below-triangle unit holding element (i, j).
-func (cl *Cluster) rectUnitOf(i, j int) int {
-	// Binary search the rectangle containing row i.
-	lo, hi := 0, len(cl.Rects)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if cl.Rects[mid].RowLo <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	r := &cl.Rects[lo]
-	if i < r.RowLo || i > r.RowHi {
-		panic(fmt.Sprintf("core: row %d not in any rectangle of cluster %d", i, cl.ID))
-	}
-	return r.Units[bandIndex(r.RowSplits, i)][bandIndex(r.ColSplits, j)]
 }

@@ -352,11 +352,17 @@ func TestIndependentColumnsExist(t *testing.T) {
 	}
 }
 
-func BenchmarkPartitionLap30(b *testing.B) {
+// TestPartitionAllocations pins the flat partitioner: clusters, bands and
+// rectangle grids cut from shared chunks, every Preds list from one array,
+// the dependency pass on stamp arrays — 73 005 allocations on LAP30 at
+// g = 4 when each cluster piece, each edge-map bucket and each Preds list
+// was its own.
+func TestPartitionAllocations(t *testing.T) {
 	f := analyzedMatrix(gen.Lap30())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewPartition(f, Options{Grain: 4, MinClusterWidth: 4})
+	ew := model.ElementWork(model.NewOps(f))
+	opts := Options{Grain: 4, MinClusterWidth: 4}
+	if got := testing.AllocsPerRun(5, func() { NewPartitionWork(f, opts, ew) }); got > 2500 {
+		t.Errorf("NewPartitionWork on LAP30 g=4: %.0f allocations, want <= 2500", got)
 	}
 }
 

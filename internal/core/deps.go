@@ -1,9 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
-	"repro/internal/interval"
 	"repro/internal/model"
 )
 
@@ -24,41 +24,77 @@ import (
 //
 // Categories 1-3 (column sources) consult the actual sparse structure of
 // the source column; categories 4-10 (dense-block source pairs) reduce to
-// interval intersections, evaluated here with interval trees. Because the
-// blocks are dense on their extents, the interval conditions are exact:
-// the result matches the element-level oracle (see depsOracle).
+// interval intersections. The paper evaluates those with interval trees;
+// here every interval is a band of a cluster's territory, so the sorted
+// BandBounds/RowSplits the partition already holds, a per-row index of the
+// territories and bandIndex answer the same queries. Because the blocks
+// are dense on their extents, the interval conditions are exact: the
+// result matches the element-level oracle (see DepsOracle).
+//
+// The column pass emits each (target, column) edge once, sources
+// increasing; a stable counting sort buckets them by target. The dense
+// pass visits targets in order and appends their sources behind the
+// bucket, de-duplicated by a stamp per source, so all Preds are cut from
+// one array.
 func (p *Partition) computeDeps() {
-	edges := make(map[int64]struct{})
-	addEdge := func(tgt, src int) {
-		if tgt != src {
-			edges[int64(tgt)<<32|int64(src)] = struct{}{}
-		}
+	t := p.territories()
+	nu := len(p.Units)
+	edges := p.columnSourceDeps(t)
+	// off[u] is where target u's column sources start in colSrc.
+	off := make([]int32, nu+1)
+	for _, u := range edges.tgt {
+		off[u+1]++
 	}
-	p.columnSourceDeps(addEdge)
-	p.denseSourceDeps(addEdge)
-	p.attachEdges(edges)
+	for u := 0; u < nu; u++ {
+		off[u+1] += off[u]
+	}
+	colSrc := make([]int32, len(edges.src))
+	next := slices.Clone(off[:nu])
+	for e, u := range edges.tgt {
+		colSrc[next[u]] = edges.src[e]
+		next[u]++
+	}
+	p.denseSourceDeps(t, off, colSrc)
 }
 
-// attachEdges converts the edge set into sorted per-unit Preds lists.
-func (p *Partition) attachEdges(edges map[int64]struct{}) {
-	counts := make([]int, len(p.Units))
-	for e := range edges {
-		counts[int(e>>32)]++
-	}
-	for u := range p.Units {
-		if counts[u] > 0 {
-			p.Units[u].Preds = make([]int32, 0, counts[u])
+// territory indexes the rows of the multi-column clusters: the clusters
+// whose territory — column strip or a rectangle below it — holds row r are
+// cluster[ptr[r]:ptr[r+1]], increasing.
+type territory struct {
+	ptr     []int32
+	cluster []int32
+}
+
+func (p *Partition) territories() territory {
+	type span struct{ lo, hi, cluster int }
+	var spans []span
+	for ci := range p.Clusters {
+		if cl := &p.Clusters[ci]; !cl.Single {
+			spans = append(spans, span{cl.ColLo, cl.ColHi, ci})
+			for ri := range cl.Rects {
+				spans = append(spans, span{cl.Rects[ri].RowLo, cl.Rects[ri].RowHi, ci})
+			}
 		}
 	}
-	for e := range edges {
-		t := int(e >> 32)
-		s := int32(e & 0xffffffff)
-		p.Units[t].Preds = append(p.Units[t].Preds, s)
+	n := p.F.N
+	ptr := make([]int32, n+2)
+	for _, s := range spans {
+		for r := s.lo; r <= s.hi; r++ {
+			ptr[r+2]++
+		}
 	}
-	for u := range p.Units {
-		pr := p.Units[u].Preds
-		sort.Slice(pr, func(a, b int) bool { return pr[a] < pr[b] })
+	for r := 0; r < n; r++ {
+		ptr[r+2] += ptr[r+1]
 	}
+	// ptr[r+1] is now the start of row r; filling advances it to the end.
+	cluster := make([]int32, ptr[n+1])
+	for _, s := range spans {
+		for r := s.lo; r <= s.hi; r++ {
+			cluster[ptr[r+1]] = int32(s.cluster)
+			ptr[r+1]++
+		}
+	}
+	return territory{ptr: ptr[:n+1], cluster: cluster}
 }
 
 // hits reports whether the sorted slice s has an element in [lo, hi].
@@ -71,67 +107,46 @@ func hits(s []int, lo, hi int) bool {
 // columns, triangles and rectangles. For each single-column cluster k the
 // sub-diagonal structure S of column k is walked once; every pair
 // (i, j) in S with i >= j is a target element, so a unit is a dependent
-// exactly when S meets both its row and its column extent.
-func (p *Partition) columnSourceDeps(addEdge func(tgt, src int)) {
+// exactly when S meets both its row and its column extent. The edges come
+// back with sources increasing and no edge twice.
+func (p *Partition) columnSourceDeps(t territory) (edges edgeList) {
 	f := p.F
-	// Region tree: map rows to the clusters whose territory (column strip
-	// or below-rectangle rows) contains them.
-	var regions interval.Tree
-	for ci := range p.Clusters {
-		cl := &p.Clusters[ci]
-		if cl.Single {
-			continue
-		}
-		regions.Insert(cl.ColLo, cl.ColHi, ci)
-		for ri := range cl.Rects {
-			regions.Insert(cl.Rects[ri].RowLo, cl.Rects[ri].RowHi, ci)
-		}
-	}
-	var hitBuf []int
-	seen := make([]bool, len(p.Clusters))
+	var hitClusters []int32
+	seen := make([]int32, len(p.Clusters)) // seen[c] == cu+1: c already hit by column unit cu
 	for ci := range p.Clusters {
 		cl := &p.Clusters[ci]
 		if !cl.Single {
 			continue
 		}
-		k := cl.ColLo
-		S := f.Col(k)[1:]
-		if len(S) == 0 {
-			continue
-		}
-		cu := cl.ColUnit
-		// Category 1: column k updates column j for every j in S that is
-		// itself a single-column cluster.
-		var hitClusters []int
+		S := f.Col(cl.ColLo)[1:]
+		cu := int32(cl.ColUnit)
+		hitClusters = hitClusters[:0]
 		for _, r := range S {
+			// Category 1: column k updates column j for every j in S that is
+			// itself a single-column cluster.
 			if rc := &p.Clusters[p.ColCluster[r]]; rc.Single {
-				addEdge(rc.ColUnit, cu)
+				edges.add(rc.ColUnit, cu)
+			}
+			// Multi-column clusters whose territory S touches.
+			for _, c := range t.cluster[t.ptr[r]:t.ptr[r+1]] {
+				if seen[c] != cu+1 {
+					seen[c] = cu + 1
+					hitClusters = append(hitClusters, c)
+				}
 			}
 		}
-		// Multi-column clusters whose territory S touches.
-		hitBuf = hitBuf[:0]
-		for _, r := range S {
-			hitBuf = regions.Stab(r, hitBuf)
-		}
-		for _, ci2 := range hitBuf {
-			if !seen[ci2] {
-				seen[ci2] = true
-				hitClusters = append(hitClusters, ci2)
-			}
-		}
-		for _, ci2 := range hitClusters {
-			seen[ci2] = false
-			tcl := &p.Clusters[ci2]
+		for _, c := range hitClusters {
+			tcl := &p.Clusters[c]
 			// Categories 2-3 against the triangle partition.
 			for bi, tu := range tcl.TriUnits {
 				lo, hi := tcl.BandBounds[bi], tcl.BandBounds[bi+1]-1
 				if hits(S, lo, hi) {
-					addEdge(tu, cu) // category 2: column updates triangle
+					edges.add(tu, cu) // category 2: column updates triangle
 					for bj := 0; bj < bi; bj++ {
 						clo, chi := tcl.BandBounds[bj], tcl.BandBounds[bj+1]-1
 						if hits(S, clo, chi) {
 							// category 3 within the partitioned triangle
-							addEdge(tcl.BandRects[bi][bj], cu)
+							edges.add(tcl.BandRects[bi][bj], cu)
 						}
 					}
 				}
@@ -148,121 +163,138 @@ func (p *Partition) columnSourceDeps(addEdge func(tgt, src int)) {
 					}
 					for c := 0; c+1 < len(r.ColSplits); c++ {
 						if hits(S, r.ColSplits[c], r.ColSplits[c+1]-1) {
-							addEdge(r.Units[a][c], cu)
+							edges.add(r.Units[a][c], cu)
 						}
 					}
 				}
 			}
 		}
 	}
+	return edges
+}
+
+// edgeList is a list of (target, source) unit pairs as parallel slices.
+type edgeList struct{ tgt, src []int32 }
+
+func (e *edgeList) add(tgt int, src int32) {
+	e.tgt = append(e.tgt, int32(tgt))
+	e.src = append(e.src, src)
 }
 
 // denseSourceDeps handles categories 4-10: source pairs drawn from the
-// dense unit blocks of one cluster.
-func (p *Partition) denseSourceDeps(addEdge func(tgt, src int)) {
+// dense unit blocks of one cluster. Targets are visited in order; each
+// one's list starts with its column sources colSrc[colOff[u]:colOff[u+1]]
+// and is sorted once the dense sources have joined them. Every list is
+// built in the one array preds — unit u's at preds[off[u]:off[u+1]] — and
+// attached once the array has stopped growing.
+func (p *Partition) denseSourceDeps(t territory, colOff, colSrc []int32) {
 	f := p.F
-	// Interval tree over the row extents of all dense units.
-	var rowTree interval.Tree
+	nu := len(p.Units)
+	off, preds := make([]int32, nu+1), make([]int32, 0, 2*len(colSrc))
+	// stamp[v] == ui+1: v is already a source of target ui (or is ui).
+	stamp := make([]int32, nu)
+	seen := make([]int32, len(p.Clusters)) // seen[c] == ui+1: cluster c already tried for ui
+	var aBuf, bBuf []int32
 	for ui := range p.Units {
 		u := &p.Units[ui]
-		if u.Kind != Column {
-			rowTree.Insert(u.RowLo, u.RowHi, ui)
-		}
-	}
-	var aBuf, bBuf []int
-	// Group source candidates by cluster using scratch lists.
-	type pair struct{ a, b []int }
-	byCluster := make(map[int]*pair)
-	for ui := range p.Units {
-		u := &p.Units[ui]
-		// j-source candidates: dense units whose rows meet U's columns.
-		aBuf = rowTree.Overlap(u.ColLo, u.ColHi, aBuf[:0])
-		if len(aBuf) == 0 {
-			continue
-		}
-		// i-source candidates: dense units whose rows meet U's rows.
-		bBuf = rowTree.Overlap(u.RowLo, u.RowHi, bBuf[:0])
-		if len(bBuf) == 0 {
-			continue
-		}
+		cur := int32(ui + 1)
+		stamp[ui] = cur
+		start := len(preds)
+		preds = append(preds, colSrc[colOff[ui]:colOff[ui+1]]...)
+		// For a sparse column target an overlap of extents is necessary but
+		// not sufficient: the i-source's rows must meet the actual
+		// structure of the target column.
 		var structJ []int
 		if u.Kind == Column {
 			structJ = f.Col(u.ColLo)
 		}
-		for k := range byCluster {
-			delete(byCluster, k)
-		}
-		for _, a := range aBuf {
-			c := p.Units[a].Cluster
-			pr := byCluster[c]
-			if pr == nil {
-				pr = &pair{}
-				byCluster[c] = pr
-			}
-			pr.a = append(pr.a, a)
-		}
-		for _, b := range bBuf {
-			// For sparse column targets the interval overlap is necessary
-			// but not sufficient: the source rows must meet the actual
-			// structure of the target column.
-			if u.Kind == Column {
-				vb := &p.Units[b]
-				if !hits(structJ, vb.RowLo, vb.RowHi) {
-					continue
-				}
-			}
-			c := p.Units[b].Cluster
-			pr := byCluster[c]
-			if pr == nil {
-				continue // no j-source in that cluster
-			}
-			pr.b = append(pr.b, b)
-		}
-		for _, pr := range byCluster {
-			if len(pr.b) == 0 {
+		// Both sources lie in one cluster, and the j-source's rows meet U's
+		// columns: only clusters whose territory does are candidates.
+		for _, c := range t.cluster[t.ptr[u.ColLo]:t.ptr[u.ColHi+1]] {
+			if seen[c] == cur {
 				continue
 			}
-			for _, a := range pr.a {
+			seen[c] = cur
+			scl := &p.Clusters[c]
+			// i-source candidates: dense units whose rows meet U's rows.
+			if bBuf = scl.rowUnits(u.RowLo, u.RowHi, structJ, bBuf[:0]); len(bBuf) == 0 {
+				continue
+			}
+			// j-source candidates: dense units whose rows meet U's columns.
+			aBuf = scl.rowUnits(u.ColLo, u.ColHi, nil, aBuf[:0])
+			for _, a := range aBuf {
 				va := &p.Units[a]
-				jLo := maxInt(va.RowLo, u.ColLo)
-				jHi := minInt(va.RowHi, u.ColHi)
-				for _, b := range pr.b {
+				jLo := max(va.RowLo, u.ColLo)
+				jHi := min(va.RowHi, u.ColHi)
+				for _, b := range bBuf {
+					if stamp[a] == cur && stamp[b] == cur {
+						continue // nothing new to learn from this pair
+					}
 					vb := &p.Units[b]
-					kLo := maxInt(va.ColLo, vb.ColLo)
-					kHi := minInt(va.ColHi, vb.ColHi)
+					kLo := max(va.ColLo, vb.ColLo)
+					kHi := min(va.ColHi, vb.ColHi)
 					if kLo > kHi {
 						continue // no common source column
 					}
 					// k < j: the smallest usable j.
-					jEff := maxInt(jLo, kLo+1)
+					jEff := max(jLo, kLo+1)
 					if jEff > jHi {
 						continue
 					}
 					// i >= j: U's rows must reach jEff within V2.
-					iHi := minInt(vb.RowHi, u.RowHi)
-					if iHi < jEff {
+					if min(vb.RowHi, u.RowHi) < jEff {
 						continue
 					}
-					addEdge(ui, a)
-					addEdge(ui, b)
+					for _, v := range [2]int32{a, b} {
+						if stamp[v] != cur {
+							stamp[v] = cur
+							preds = append(preds, v)
+						}
+					}
 				}
 			}
+		}
+		if len(preds) > start+int(colOff[ui+1]-colOff[ui]) {
+			slices.Sort(preds[start:])
+		}
+		off[ui+1] = int32(len(preds))
+	}
+	for u := range p.Units {
+		if lo, hi := off[u], off[u+1]; lo < hi {
+			p.Units[u].Preds = preds[lo:hi:hi]
 		}
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// rowUnits appends to dst the dense units of the cluster whose row extent
+// meets [x, y] and, when rows is non-nil, holds one of the sorted rows.
+func (cl *Cluster) rowUnits(x, y int, rows []int, dst []int32) []int32 {
+	if lo, hi := max(x, cl.ColLo), min(y, cl.ColHi); lo <= hi {
+		for rb := bandIndex(cl.BandBounds, lo); rb < len(cl.TriUnits) && cl.BandBounds[rb] <= hi; rb++ {
+			if rows != nil && !hits(rows, cl.BandBounds[rb], cl.BandBounds[rb+1]-1) {
+				continue
+			}
+			for _, v := range cl.BandRects[rb] {
+				dst = append(dst, int32(v))
+			}
+			dst = append(dst, int32(cl.TriUnits[rb]))
+		}
 	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
+	// Rectangles are by increasing rows: start at the first that ends at
+	// or after x.
+	first := sort.Search(len(cl.Rects), func(ri int) bool { return cl.Rects[ri].RowHi >= x })
+	for ri := first; ri < len(cl.Rects) && cl.Rects[ri].RowLo <= y; ri++ {
+		r := &cl.Rects[ri]
+		for a := bandIndex(r.RowSplits, max(x, r.RowLo)); a < len(r.Units) && r.RowSplits[a] <= y; a++ {
+			if rows != nil && !hits(rows, r.RowSplits[a], r.RowSplits[a+1]-1) {
+				continue
+			}
+			for _, v := range r.Units[a] {
+				dst = append(dst, int32(v))
+			}
+		}
 	}
-	return b
+	return dst
 }
 
 // DepsOracle computes the exact block dependency graph by enumerating

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/order"
 	"repro/internal/strategy"
@@ -466,5 +468,66 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 			t.Fatalf("RelaxZeros %g and %g pad BUS1138 to the same %d elements; the test tells nothing apart", prev, z, want)
 		}
 		seenLen[want] = z
+	}
+}
+
+// TestConcurrentPlansShareColumnViews: the per-column work vector (and,
+// behind it, contigtotal's fetch references) is built once per Analysis by
+// whichever plan asks first, then shared read-only. Concurrent plans of
+// the strategies that read it — run under -race — must all see the one
+// copy, unmodified, and produce the plans a lone caller gets.
+func TestConcurrentPlansShareColumnViews(t *testing.T) {
+	an, err := NewAnalysis(gen.Grid9(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := NewAnalysis(gen.Grid9(16, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []struct {
+		name string
+		opts strategy.Options
+	}{
+		{"contiguous", strategy.Options{}},
+		{"contigtotal", strategy.Options{}},
+		{"contigtotal", strategy.Options{Slack: 0.25, Beta2: 2}},
+		{"subcube", strategy.Options{}},
+		{"refine", strategy.Options{Base: "contiguous"}},
+		{"refine", strategy.Options{Base: "wrap", Objective: "traffic"}},
+	}
+	var wg sync.WaitGroup
+	views := make([]*int64, 12)
+	for g := range views {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range cells {
+				c := cells[(g+i)%len(cells)]
+				pl, err := an.Plan(c.name, 4, c.opts)
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					return
+				}
+				want, err := lone.Plan(c.name, 4, c.opts)
+				if err != nil {
+					t.Errorf("%s: %v", c.name, err)
+					return
+				}
+				if !slices.Equal(pl.S1.ElemProc, want.S1.ElemProc) {
+					t.Errorf("%s %+v: concurrent plan differs from a lone one", c.name, c.opts)
+				}
+			}
+			views[g] = &an.Sys().ColumnWork()[0]
+		}(g)
+	}
+	wg.Wait()
+	for g, v := range views {
+		if v != views[0] {
+			t.Fatalf("goroutine %d saw its own column work vector", g)
+		}
+	}
+	if got, want := an.Sys().ColumnWork(), model.ColumnWork(an.F, an.Sys().ElemWork); !slices.Equal(got, want) {
+		t.Fatal("the shared column work vector was written to")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/traffic"
@@ -298,5 +299,43 @@ func TestContiguousSplitTotalInfeasible(t *testing.T) {
 	}
 	if bounds := ContiguousSplitTotal(work, refs, 3, maxCol-1, 0); bounds != nil {
 		t.Errorf("infeasible bound returned %v, want nil", bounds)
+	}
+}
+
+// TestContigTotalTrials pins the relaxations the DP evaluates on LAP30:
+// the transitions between states that k blocks can reach and p-k blocks
+// can finish from. Relaxing every (i, j) of the work window in every layer
+// took 836 006 / 2 573 448 / 5 426 231 at P = 4 / 16 / 64.
+func TestContigTotalTrials(t *testing.T) {
+	sys := newTestSys(t, gen.Lap30())
+	for _, c := range []struct {
+		p      int
+		trials int64
+	}{{4, 6}, {16, 2224}, {64, 625994}} {
+		var tel obs.SearchTelemetry
+		if _, err := Map("contigtotal", sys, c.p, Options{Search: &tel}); err != nil {
+			t.Fatal(err)
+		}
+		if tel.Trials != c.trials || tel.Trials != tel.Accepted+tel.Rejected {
+			t.Errorf("P=%d: %d trials (%d accepted + %d rejected), want %d", c.p, tel.Trials, tel.Accepted, tel.Rejected, c.trials)
+		}
+	}
+}
+
+// TestContigTotalAllocations pins the flat DP on a Sys that already holds
+// its column views: prefix sums, bands, the two banded tables, one cost
+// row and the schedule — 1 621 allocations when every start had its own
+// cost row, every layer its own parent row and every call its own refs.
+func TestContigTotalAllocations(t *testing.T) {
+	sys := newTestSys(t, gen.Lap30())
+	sys.ColumnWork()
+	sys.columnRefs()
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Map("contigtotal", sys, 16, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 150 {
+		t.Errorf("contigtotal on LAP30 at P=16: %.0f allocations, want <= 150", got)
 	}
 }

@@ -10,8 +10,9 @@ import (
 	"repro/internal/symbolic"
 )
 
-// TestSysConcurrentMappingShared pins the goroutine-safety of Sys — in
-// particular the per-option partition cache — under the service workload:
+// TestSysConcurrentMappingShared pins the goroutine-safety of Sys — the
+// per-option partition cache and the lazily built column views (work
+// vector, contigtotal's fetch references) — under the service workload:
 // many concurrent mapping, partition and evaluation calls sharing one
 // analysis. Run with -race (the CI race job does), any unguarded map
 // access here fails the build.
@@ -30,7 +31,7 @@ func TestSysConcurrentMappingShared(t *testing.T) {
 		{Part: core.Options{Grain: 25, MinClusterWidth: 4}},
 		{Part: core.Options{Grain: 8, MinClusterWidth: 4, RelaxZeros: 4}},
 	}
-	names := []string{"block", "wrap", "contiguous", "blockcyclic"}
+	names := []string{"block", "wrap", "contiguous", "blockcyclic", "contigtotal", "subcube"}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
@@ -63,5 +64,9 @@ func TestSysConcurrentMappingShared(t *testing.T) {
 	}
 	if len(seen) != len(optsets) {
 		t.Fatalf("distinct partitions = %d, want %d", len(seen), len(optsets))
+	}
+	// So must the column views: one copy each, never rebuilt.
+	if &sys.ColumnWork()[0] != &sys.ColumnWork()[0] || &sys.columnRefs()[0] != &sys.columnRefs()[0] {
+		t.Fatal("column views rebuilt between calls")
 	}
 }

@@ -80,6 +80,12 @@ type Sys struct {
 
 	mu    sync.Mutex
 	parts map[core.Options]*partEntry
+
+	// Column views of the analysis, built by the first mapper that asks
+	// (never by NewSys: a Sys that only ever plans wrap holds neither) and
+	// read-only from then on.
+	colWork []int64
+	colRefs [][]traffic.ColRef
 }
 
 type partEntry struct {
@@ -130,9 +136,27 @@ func (s *Sys) partition(opts core.Options) *partEntry {
 	return pe
 }
 
-// ColumnWork returns the per-column work vector of the analysis factor.
+// ColumnWork returns the per-column work vector of the analysis factor,
+// computed once per Sys. The slice is shared by every caller and must not
+// be modified.
 func (s *Sys) ColumnWork() []int64 {
-	return model.ColumnWork(s.F, s.ElemWork)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.colWork == nil {
+		s.colWork = model.ColumnWork(s.F, s.ElemWork)
+	}
+	return s.colWork
+}
+
+// columnRefs returns traffic.ColumnRefs of the analysis ops, computed once
+// per Sys and shared read-only like ColumnWork.
+func (s *Sys) columnRefs() [][]traffic.ColRef {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.colRefs == nil {
+		s.colRefs = traffic.ColumnRefs(s.Ops)
+	}
+	return s.colRefs
 }
 
 // Options carries the per-strategy knobs. The zero value selects sensible

@@ -18,7 +18,7 @@ type ColRef struct {
 // one ColRef per column k < j with L[j,k] != 0, carrying the fetch
 // volume Vol = |{i in struct(k) : i >= j}| that a processor owning j but
 // not k must transfer under the paper's fetch-on-first-use traffic
-// model.
+// model. Each list is by increasing Col (the order of Ops.RowCols).
 //
 // Because the reference sets of two targets j1 < j2 in the same source
 // column are nested suffixes (suffix(j1) contains suffix(j2)), the
@@ -31,13 +31,15 @@ type ColRef struct {
 func ColumnRefs(ops *model.Ops) [][]ColRef {
 	f := ops.F
 	refs := make([][]ColRef, f.N)
+	arena := make([]ColRef, f.NNZ()-f.N) // one reference per off-diagonal element
 	for j := 0; j < f.N; j++ {
 		cols := ops.RowCols(j)
 		pos := ops.RowPositions(j)
 		if len(cols) == 0 {
 			continue
 		}
-		rj := make([]ColRef, len(cols))
+		rj := arena[:len(cols):len(cols)]
+		arena = arena[len(cols):]
 		for t, k := range cols {
 			// pos[t] is the position of (j, k) in column k; the suffix
 			// from there to the end of the column is the reference set.
