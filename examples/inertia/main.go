@@ -6,8 +6,9 @@
 // By Sylvester's law of inertia, factoring A - sigma*I = L D Lᵀ and
 // counting the negative entries of D gives the number of eigenvalues of A
 // below sigma. The program slices the spectrum of a 9-point Laplacian this
-// way, running every factorization through the block-parallel executor
-// over the same partition and schedule used for the paper's experiments.
+// way, running every factorization through the compiled block program —
+// one task per unit block of the same partition and schedule used for the
+// paper's experiments, with the LDLᵀ kernel.
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 		for j := 0; j < shifted.N; j++ {
 			shifted.Val[shifted.ColPtr[j]] -= sigma
 		}
-		// Run the factorization through the block-parallel executor.
+		// Run the factorization through the plan's compiled block program.
 		fa, err := pl.FactorizeParallel(shifted, repro.KernelLDL)
 		if err != nil {
 			log.Fatalf("sigma=%g: %v (pivot hit zero: pick a different shift)", sigma, err)

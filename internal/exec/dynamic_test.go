@@ -78,7 +78,7 @@ func TestDynamicKnownSchedule(t *testing.T) {
 func TestDynamicColumnTasks(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	for _, np := range []int{4, 16} {
-		tasks := ColumnTasks(p.f, p.ops, p.ew, np)
+		tasks := columnTasks(p.f, p.ops, p.ew, np)
 		st := Simulate(tasks, np, SimOptions{})
 		dy := Simulate(tasks, np, SimOptions{Dynamic: true})
 		if dy.Makespan > st.Makespan {

@@ -11,24 +11,22 @@
 // a task's predecessors complete. The resulting makespan, idle fraction
 // and delay-aware efficiency refine the paper's A-based efficiency bound.
 //
-// Parallel execution: a real multi-goroutine factorization executes the
-// unit blocks concurrently, one worker per simulated processor,
-// synchronizing only on the block dependency graph. Matching the
-// sequential factor numerically proves the dependency graph of
-// core.Partition is sufficient for correct parallel execution.
+// Parallel execution: Compile (any column-partitioned task graph) and
+// CompileBlocks (the unit blocks of a core.Partition under a schedule) lay
+// a task graph out as a Program, which factorizes with one worker per
+// processor synchronizing only on the graph's dependency counters. Every
+// column's updates replay the serial left-looking order, so the factor is
+// bit-for-bit numeric.Factorize's — which proves the dependency graph of
+// core.Partition sufficient for correct parallel execution and makes the
+// simulated schedule the one that actually runs.
 package exec
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/numeric"
 	"repro/internal/sched"
-	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
 
@@ -171,20 +169,9 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 	return tasks
 }
 
-// ColumnTasks builds the task graph of the wrap-mapped column algorithm:
-// one task per column, depending on every column of its row structure.
-func ColumnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []int64, p int) []Task {
-	mustProcs(p)
-	owner := make([]int32, f.N)
-	for j := range owner {
-		owner[j] = int32(j % p)
-	}
-	return ColumnTasksMapped(f, ops, elemWork, owner)
-}
-
-// ColumnTasksMapped is ColumnTasks for an arbitrary column-to-processor
-// assignment (owner[j] is the processor of column j), the task graph of
-// any column-granular mapping strategy.
+// ColumnTasksMapped builds the task graph of a column-granular mapping:
+// one task per column, run by owner[j] and depending on every column of
+// its row structure.
 func ColumnTasksMapped(f *symbolic.Factor, ops *model.Ops, elemWork []int64, owner []int32) []Task {
 	colWork := model.ColumnWork(f, elemWork)
 	tasks := make([]Task, f.N)
@@ -217,198 +204,6 @@ func CriticalPath(tasks []Task) int64 {
 		}
 	}
 	return best
-}
-
-// ParallelFactorize executes the numeric factorization concurrently: one
-// worker goroutine per processor, each processing its assigned unit blocks
-// in scan order, blocking until a block's predecessors (augmented with the
-// diagonal-scale dependencies) are complete. The element kernel computes
-//
-//	L[i,j] = (A[i,j] - sum_{k<j} L[i,k]*L[j,k]) / L[j,j]
-//
-// by intersecting the row structures of i and j, so a unit only reads
-// elements owned by its predecessors or earlier elements of itself.
-func ParallelFactorize(m *sparse.Matrix, part *core.Partition, s *sched.Schedule) (*NumericFactor, error) {
-	return parallelFactorize(m, part, s, false)
-}
-
-// ParallelFactorizeLDL executes the square-root-free LDL^T factorization
-// over the same partition, schedule and dependency graph. The paper's
-// Section 5 claims the methodology adapts "very easily ... to other
-// factoring methods"; this is that adaptation — only the element kernel
-// changes. The returned values follow numeric.LDL's convention (diagonal
-// positions hold D, off-diagonals hold unit-L entries).
-func ParallelFactorizeLDL(m *sparse.Matrix, part *core.Partition, s *sched.Schedule) (*NumericFactor, error) {
-	return parallelFactorize(m, part, s, true)
-}
-
-func parallelFactorize(m *sparse.Matrix, part *core.Partition, s *sched.Schedule, ldl bool) (*NumericFactor, error) {
-	if m.Val == nil {
-		return nil, fmt.Errorf("exec: matrix has no values")
-	}
-	f := part.F
-	if m.N != f.N {
-		return nil, fmt.Errorf("exec: dimension mismatch")
-	}
-	if err := checkProcCount(s.P); err != nil {
-		return nil, err
-	}
-	for ui, pr := range s.UnitProc {
-		if err := checkProc(pr, s.P); err != nil {
-			return nil, fmt.Errorf("exec: unit %d: %w", ui, err)
-		}
-	}
-	ops := model.NewOps(f)
-	// Execution dependencies: the update-pair preds plus the unit of the
-	// diagonal element of every column a unit touches (for the scale).
-	execPreds := make([][]int32, len(part.Units))
-	for ui := range part.Units {
-		u := &part.Units[ui]
-		// Deduplicate in insertion order (never by map iteration — the
-		// worker synchronization below must see one deterministic graph),
-		// then sort; TestParallelFactorizeDeterminism pins the bit-stability
-		// of the resulting factors across runs.
-		seen := make(map[int32]bool, len(u.Preds))
-		ep := make([]int32, 0, len(u.Preds))
-		add := func(pr int32) {
-			if !seen[pr] {
-				seen[pr] = true
-				ep = append(ep, pr)
-			}
-		}
-		for _, pr := range u.Preds {
-			add(pr)
-		}
-		for j := u.ColLo; j <= u.ColHi && j < f.N; j++ {
-			if du := part.ElemUnit[f.ColPtr[j]]; int(du) != ui {
-				add(du)
-			}
-		}
-		sort.Slice(ep, func(a, b int) bool { return ep[a] < ep[b] })
-		execPreds[ui] = ep
-	}
-	// Per-processor unit lists in scan (ID) order.
-	perProc := make([][]int, s.P)
-	for ui, pr := range s.UnitProc {
-		perProc[pr] = append(perProc[pr], ui)
-	}
-	// Unit -> its elements (positions), grouped by column in ascending
-	// column then row order, which is the order ElemUnit was built in.
-	unitElems := make([][]int32, len(part.Units))
-	for q := range part.ElemUnit {
-		u := part.ElemUnit[q]
-		unitElems[u] = append(unitElems[u], int32(q))
-	}
-	val := numeric.ScatterA(m, f)
-	colOf := numeric.ColIndex(f)
-	// position lookup: for (r, c) find the value index.
-	posOf := func(r, c int) int {
-		col := f.Col(c)
-		lo, hi := 0, len(col)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if col[mid] < r {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return f.ColPtr[c] + lo
-	}
-
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	done := make([]bool, len(part.Units))
-	var firstErr error
-
-	computeUnit := func(ui int) error {
-		for _, q := range unitElems[ui] {
-			i := f.RowInd[q]
-			j := int(colOf[q])
-			sum := val[q]
-			// Intersect row structures of i and j for columns k < j.
-			ri, rj := ops.RowCols(i), ops.RowCols(j)
-			a, b := 0, 0
-			for a < len(ri) && b < len(rj) {
-				switch {
-				case ri[a] < rj[b]:
-					a++
-				case ri[a] > rj[b]:
-					b++
-				default:
-					k := int(ri[a])
-					prod := val[posOf(i, k)] * val[posOf(j, k)]
-					if ldl {
-						prod *= val[f.ColPtr[k]] // D[k]
-					}
-					sum -= prod
-					a++
-					b++
-				}
-			}
-			if i == j {
-				if ldl {
-					if sum == 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
-						return fmt.Errorf("exec: unusable pivot %g at column %d (want finite nonzero)", sum, j)
-					}
-					val[q] = sum
-				} else {
-					if sum <= 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
-						return fmt.Errorf("exec: unusable pivot %g at column %d (want finite positive)", sum, j)
-					}
-					val[q] = math.Sqrt(sum)
-				}
-			} else {
-				val[q] = sum / val[f.ColPtr[j]]
-			}
-		}
-		return nil
-	}
-
-	var wg sync.WaitGroup
-	for p := 0; p < s.P; p++ {
-		wg.Add(1)
-		//repro:allow nondeterminism -- one worker per processor over the pred-synchronized unit graph; factors are pinned bitwise against numeric.Factorize by TestParallelFactorizeMatchesSequential and TestParallelFactorizeDeterminism under -race
-		go func(units []int) {
-			defer wg.Done()
-			for _, ui := range units {
-				mu.Lock()
-				for !allDone(done, execPreds[ui]) && firstErr == nil {
-					cond.Wait()
-				}
-				if firstErr != nil {
-					mu.Unlock()
-					return
-				}
-				mu.Unlock()
-				err := computeUnit(ui)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				done[ui] = true
-				cond.Broadcast()
-				mu.Unlock()
-				if err != nil {
-					return
-				}
-			}
-		}(perProc[p])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &NumericFactor{F: f, Val: val}, nil
-}
-
-func allDone(done []bool, preds []int32) bool {
-	for _, p := range preds {
-		if !done[p] {
-			return false
-		}
-	}
-	return true
 }
 
 // NumericFactor is the numeric output of the parallel execution; Val

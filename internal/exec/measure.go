@@ -11,16 +11,16 @@ import (
 
 // MeasureOptions configures Program.Measure.
 type MeasureOptions struct {
-	// LDL selects the square-root-free LDLᵀ kernel (and
-	// numeric.FactorizeLDL as the serial reference) instead of Cholesky.
-	LDL bool
+	// Kernel selects the factorization, for the program and for the
+	// serial reference alike; the zero value is Cholesky.
+	Kernel numeric.Kernel
 	// Repeats is the repeat-and-min count applied to both the serial and
 	// the parallel timing; <= 0 selects 3.
 	Repeats int
 }
 
 // Measurement is the outcome of one wall-clock comparison between the
-// serial factorization and the parallel 2D engine on the same matrix and
+// serial factorization and the compiled program on the same matrix and
 // task graph. Times are minima over Repeats runs (repeat-and-min filters
 // scheduler noise); the task graph is compiled once, outside the timed
 // region, and every parallel run is verified bit-for-bit against the
@@ -58,19 +58,9 @@ func (pg *Program) Measure(m *sparse.Matrix, opts MeasureOptions) (*Measurement,
 	for r := 0; r < reps; r++ {
 		//repro:allow nondeterminism -- measurement harness: wall-clock feeds only the reported SerialNs timing, never factor values; the parallel/serial bit-comparison below is the determinism check itself
 		start := time.Now()
-		var val []float64
-		if opts.LDL {
-			l, err := numeric.FactorizeLDL(m, f)
-			if err != nil {
-				return nil, err
-			}
-			val = l.Val
-		} else {
-			c, err := numeric.Factorize(m, f)
-			if err != nil {
-				return nil, err
-			}
-			val = c.Val
+		val, err := opts.Kernel.Factorize(m, f)
+		if err != nil {
+			return nil, err
 		}
 		if d := time.Since(start).Nanoseconds(); d < serialNs {
 			serialNs = d
@@ -83,7 +73,7 @@ func (pg *Program) Measure(m *sparse.Matrix, opts MeasureOptions) (*Measurement,
 	for r := 0; r < reps; r++ {
 		//repro:allow nondeterminism -- measurement harness: wall-clock feeds only the reported ParallelNs timing; every rep's values are compared bit-for-bit against the serial factor right below
 		start := time.Now()
-		nf, events, err := pg.Run(m, opts.LDL, true)
+		nf, events, err := pg.Run(m, opts.Kernel, true)
 		d := time.Since(start).Nanoseconds()
 		if err != nil {
 			return nil, err

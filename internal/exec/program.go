@@ -7,22 +7,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/numeric"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
 
-// Program is the compiled form of one column-partitioned task graph over
-// one symbolic factor — in particular the merged tile-segment graph of a
-// 2D tile schedule (part2d.Tasks) or the column graph of a 1D schedule
-// (ColumnTasksMapped with elemTask = numeric.ColIndex). Compile validates
-// the graph once and lays it out as flat arrays; Run then factorizes any
-// matrix with the factor's pattern, any number of times and from any
-// number of goroutines at once, doing no per-run work beyond scattering
-// the values and resetting the dependency counters.
+// Program is the compiled form of one task graph over one symbolic factor:
+// the merged tile-segment graph of a 2D tile schedule (part2d.Tasks), the
+// column graph of a 1D schedule (ColumnTasksMapped with elemTask =
+// numeric.ColIndex) or the unit-block graph of a block schedule
+// (CompileBlocks). Compile validates the graph once and lays it out as
+// flat arrays; Run then factorizes any matrix with the factor's pattern,
+// any number of times and from any number of goroutines at once, doing no
+// per-run work beyond scattering the values and resetting the dependency
+// counters.
 //
-// The factor a Run produces is bit-for-bit equal to numeric.Factorize
-// (numeric.FactorizeLDL with ldl set): every column's updates are applied
+// The factor a Run produces is bit-for-bit equal to the serial kernel's
+// (numeric.Factorize or FactorizeLDL): every column's updates are applied
 // in the serial left-looking chain order (numeric.Chains) with the
 // identical association, so every element sees exactly the serial
 // sequence of floating-point operations however the tasks interleave.
@@ -33,11 +36,12 @@ type Program struct {
 	p int
 
 	proc []int32 // task -> worker
-	col  []int32 // task -> its target column
-	// whole marks a task that owns every element of its column: it runs
-	// the serial inner loop verbatim. A partial task (a 2D tile segment)
-	// lists its elements in elems[elemPtr[t]:elemPtr[t+1]], ascending.
-	whole   []bool
+	// col is the column of a task that owns every element of one column
+	// and nothing else: it runs the serial inner loop verbatim. Any other
+	// task (a 2D tile segment, a unit block) has col -1 and lists its
+	// elements in elems[elemPtr[t]:elemPtr[t+1]], ascending — column by
+	// column.
+	col     []int32
 	elemPtr []int32
 	elems   []int32
 
@@ -53,7 +57,8 @@ type Program struct {
 // Compile validates a task graph for the factor f on p workers and lays it
 // out for execution. tasks must be topologically ordered by ID with
 // processors in [0, p), and elemTask must assign every factor position to
-// a task of its own column; malformed inputs are reported as errors (the
+// a task whose predecessors own the sources of its updates and the
+// diagonals it scales by; malformed inputs are reported as errors (the
 // validator is shared with ParallelSolve), never as panics or races.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
 	if err := checkProcCount(p); err != nil {
@@ -70,15 +75,15 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		f: f, p: p,
 		proc:    make([]int32, nt),
 		col:     make([]int32, nt),
-		whole:   make([]bool, nt),
 		elemPtr: make([]int32, nt+1),
 		indeg:   make([]int32, nt),
 		succPtr: make([]int32, nt+1),
 		own:     make([]int32, p),
 		colOf:   numeric.ColIndex(f),
 	}
-	// Pin the one-column-per-task invariant the kernel relies on and count
-	// every task's elements (into elemPtr[t+1], prefix-summed below).
+	// Find every task's column (-1 none yet, manyCols several) and count
+	// its elements (into elemPtr[t+1], prefix-summed below).
+	const manyCols = -2
 	for i := range pg.col {
 		pg.col[i] = -1
 	}
@@ -86,24 +91,25 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		if t < 0 || int(t) >= nt {
 			return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
 		}
-		j := pg.colOf[q]
-		if pg.col[t] >= 0 && pg.col[t] != j {
-			return nil, fmt.Errorf("exec: task %d spans columns %d and %d", t, pg.col[t], j)
+		if j := pg.colOf[q]; pg.col[t] == -1 {
+			pg.col[t] = j
+		} else if pg.col[t] != j {
+			pg.col[t] = manyCols
 		}
-		pg.col[t] = j
 		pg.elemPtr[t+1]++
 	}
 	for t := 0; t < nt; t++ {
 		if j := pg.col[t]; j >= 0 && int(pg.elemPtr[t+1]) == f.ColLen(int(j)) {
-			pg.whole[t] = true
 			pg.elemPtr[t+1] = 0 // a whole column needs no element list
+		} else {
+			pg.col[t] = -1
 		}
 		pg.elemPtr[t+1] += pg.elemPtr[t]
 	}
 	pg.elems = make([]int32, pg.elemPtr[nt])
 	fill := append([]int32(nil), pg.elemPtr[:nt]...)
 	for q, t := range elemTask {
-		if !pg.whole[t] {
+		if pg.col[t] < 0 {
 			pg.elems[fill[t]] = int32(q)
 			fill[t]++
 		}
@@ -133,26 +139,66 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	return pg, nil
 }
 
+// CompileBlocks compiles the block-granular schedule s of part: one task
+// per unit block over the partition's own factor (part.F, the padded one
+// when relaxed), run by the unit's processor. The execution graph is
+// BlockTasks plus the scale edges: a unit also waits for the unit holding
+// the diagonal of every column it touches.
+func CompileBlocks(part *core.Partition, s *sched.Schedule) (*Program, error) {
+	f := part.F
+	if len(s.UnitProc) != len(part.Units) || len(s.ElemProc) != f.NNZ() {
+		return nil, fmt.Errorf("exec: schedule covers a different partition")
+	}
+	tasks := BlockTasks(part, s)
+	seen := make([]int32, len(tasks)) // seen[v] == u+1: v already precedes u
+	for ui := range tasks {
+		u := &part.Units[ui]
+		preds := u.Preds[:len(u.Preds):len(u.Preds)] // appending copies: the partition keeps its own
+		mark := int32(ui + 1)
+		seen[ui] = mark
+		for _, pr := range preds {
+			seen[pr] = mark
+		}
+		for j := u.ColLo; j <= u.ColHi; j++ {
+			if du := part.ElemUnit[f.ColPtr[j]]; seen[du] != mark {
+				seen[du] = mark
+				preds = append(preds, du)
+			}
+		}
+		tasks[ui].Preds = preds
+	}
+	return Compile(f, s.P, tasks, part.ElemUnit)
+}
+
 // Run factorizes m, whose pattern must be a subset of the program's
 // factor structure, with one worker goroutine per processor that owns a
 // task. Each worker drains a ready queue of its own tasks, lowest ID
 // first; the worker that retires a task's last predecessor feeds it to its
 // owner's queue, waking the owner if it is parked. A single-processor
-// program runs inline in ID order. With record set every task execution
-// is timestamped (nanoseconds since the workers started) and the events
-// are returned indexed by task ID; Cause is the predecessor whose
-// retirement released a task its worker was parked for, -1 otherwise.
+// program runs inline in ID order. k selects the kernel; with record set
+// every task execution is timestamped (nanoseconds since the workers
+// started) and the events are returned indexed by task ID; Cause is the
+// predecessor whose retirement released a task its worker was parked for,
+// -1 otherwise.
 //
 // A pivot the serial kernel would reject is reported as an error naming
-// the same column; every worker has exited by the time Run returns.
-func (pg *Program) Run(m *sparse.Matrix, ldl, record bool) (*NumericFactor, []TaskEvent, error) {
+// the same column, an entry of m outside the factor structure as an error
+// naming the entry; every worker has exited by the time Run returns.
+func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*NumericFactor, []TaskEvent, error) {
+	if err := k.Valid(); err != nil {
+		return nil, nil, err
+	}
 	if m.Val == nil {
 		return nil, nil, fmt.Errorf("exec: matrix has no values")
 	}
 	if m.N != pg.f.N {
 		return nil, nil, fmt.Errorf("exec: dimension mismatch %d vs %d", m.N, pg.f.N)
 	}
-	r := &run{pg: pg, val: numeric.ScatterA(m, pg.f), ldl: ldl}
+	val, err := numeric.ScatterA(m, pg.f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: %w", err)
+	}
+	r := &run{pg: pg, val: val, ldl: k == numeric.KernelLDL}
 	if record {
 		r.events = make([]TaskEvent, len(pg.proc))
 		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
@@ -387,18 +433,26 @@ func (r *run) newKernel() *kernel {
 	return k
 }
 
-// task applies the target column's updates to task t's elements in the
-// serial chain order, then scales them.
+// task runs task t: a whole column through the serial inner loop, any
+// other task as its column segments in ascending column order, so a
+// segment finds the task's own earlier columns final.
 func (k *kernel) task(t int32) error {
 	pg := k.r.pg
-	j := int(pg.col[t])
-	if j < 0 {
-		return nil // a task with no elements
+	if j := pg.col[t]; j >= 0 {
+		return k.wholeColumn(int(j))
 	}
-	if pg.whole[t] {
-		return k.wholeColumn(j)
+	elems := pg.elems[pg.elemPtr[t]:pg.elemPtr[t+1]]
+	for len(elems) > 0 {
+		j, n := pg.colOf[elems[0]], 1
+		for n < len(elems) && pg.colOf[elems[n]] == j {
+			n++
+		}
+		if err := k.partial(int(j), elems[:n]); err != nil {
+			return err
+		}
+		elems = elems[n:]
 	}
-	return k.partial(j, pg.elems[pg.elemPtr[t]:pg.elemPtr[t+1]])
+	return nil
 }
 
 // wholeColumn is one iteration of the serial left-looking loop: the same
@@ -443,8 +497,10 @@ func (k *kernel) wholeColumn(j int) error {
 	return nil
 }
 
-// partial runs a task owning only some rows of column j (elems, ascending
-// positions): the stamp filters every source column down to those rows.
+// partial runs one column segment — the rows of column j a task owns
+// (elems, ascending positions): it applies the column's updates to them in
+// the serial chain order, the stamp filtering every source column down to
+// those rows, then scales them.
 func (k *kernel) partial(j int, elems []int32) error {
 	pg, val, w, stamp := k.r.pg, k.r.val, k.w, k.stamp
 	f := pg.f
@@ -502,7 +558,8 @@ func (k *kernel) partial(j int, elems []int32) error {
 		elems = elems[1:]
 	} else {
 		// The diagonal belongs to another task; the scale dependency
-		// (ForEachScale in the task graph) guarantees it is final.
+		// (ForEachScale in the tile graph, CompileBlocks' diagonal edges)
+		// guarantees it is final.
 		d = val[diag]
 	}
 	for _, q := range elems {

@@ -52,7 +52,7 @@ func TestSimulateVariants(t *testing.T) {
 	for _, np := range []int{1, 4, 16} {
 		graphs := map[string][]Task{
 			"block":  BlockTasks(p.part, sched.BlockMap(p.part, np)),
-			"column": ColumnTasks(p.f, p.ops, p.ew, np),
+			"column": columnTasks(p.f, p.ops, p.ew, np),
 		}
 		for _, gname := range []string{"block", "column"} {
 			tasks := graphs[gname]
@@ -125,7 +125,7 @@ func TestSimulateVariants(t *testing.T) {
 // so the run allocates no per-task copy.
 func TestSimulateZeroCommCopiesNothing(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 25, 4)
-	tasks := ColumnTasks(p.f, p.ops, p.ew, 4)
+	tasks := columnTasks(p.f, p.ops, p.ew, 4)
 	vol := make([]int64, len(tasks))
 	perRun := func(o SimOptions) float64 {
 		return testing.AllocsPerRun(5, func() { Simulate(tasks, 4, o) })

@@ -11,7 +11,7 @@ import (
 )
 
 // solveSetup validates the rhs and schedule against the factor structure
-// and derives what both parallel triangular solvers share: the
+// and derives what the two sweeps of ParallelSolve share: the
 // per-processor column lists (a column belongs to the owner of its
 // diagonal element), the row-structure ops, the backward-sweep dependency
 // lists, and a positional lookup for L[i][j].
@@ -62,35 +62,47 @@ func solveSetup(f *symbolic.Factor, s *sched.Schedule, b []float64) (ops *model.
 	return ops, perProc, backDeps, posOf, nil
 }
 
-// ParallelSolve runs the two triangular solves of the paper's step 4
-// (L·y = b, then Lᵀ·x = y) with one worker goroutine per simulated
-// processor, each owning the columns the schedule assigns to it (a column
-// belongs to the owner of its diagonal element).
+// ParallelSolve runs the two triangular solves of the paper's step 4 over
+// the factor values val of structure f, with one worker goroutine per
+// simulated processor, each owning the columns the schedule assigns to it
+// (a column belongs to the owner of its diagonal element).
 //
 // Both sweeps use the fan-in formulation, so every solution component is
-// written exactly once by its owner:
+// written exactly once by its owner. For Cholesky (L·y = b, Lᵀ·x = y):
 //
 //	forward:  y[j] = (b[j] - Σ_{k in rowstruct(j)} L[j,k]·y[k]) / L[j,j]
 //	backward: x[j] = (y[j] - Σ_{i in struct(j), i>j} L[i,j]·x[i]) / L[j,j]
 //
+// For LDLᵀ (unit L, diagonal positions hold D) neither sweep divides by
+// the diagonal; w = D⁻¹·z is folded into the backward start instead:
+//
+//	forward:  z[j] = b[j] - Σ_{k in rowstruct(j)} L[j,k]·z[k]
+//	backward: x[j] = z[j]/D[j] - Σ_{i in struct(j), i>j} L[i,j]·x[i]
+//
 // The forward sweep's dependencies are the factor's row structure; the
 // backward sweep's are the column structure, traversed in reverse.
-func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]float64, error) {
-	f := chol.F
+func ParallelSolve(k numeric.Kernel, f *symbolic.Factor, val []float64, s *sched.Schedule, b []float64) ([]float64, error) {
+	if err := k.Valid(); err != nil {
+		return nil, err
+	}
 	n := f.N
 	ops, perProc, backDeps, posOf, err := solveSetup(f, s, b)
 	if err != nil {
 		return nil, err
 	}
+	ldl := k == numeric.KernelLDL
 
 	// Forward sweep.
 	y := make([]float64, n)
 	runSweep(s.P, perProc, false, func(j int) {
 		sum := b[j]
-		for _, k := range ops.RowCols(j) {
-			sum -= chol.Val[posOf(j, int(k))] * y[k]
+		for _, c := range ops.RowCols(j) {
+			sum -= val[posOf(j, int(c))] * y[c]
 		}
-		y[j] = sum / chol.Val[f.ColPtr[j]]
+		if !ldl {
+			sum /= val[f.ColPtr[j]]
+		}
+		y[j] = sum
 	}, func(j int) []int32 { return ops.RowCols(j) }, n)
 
 	// Backward sweep: dependencies are struct(j) below the diagonal,
@@ -98,49 +110,14 @@ func ParallelSolve(chol *numeric.Cholesky, s *sched.Schedule, b []float64) ([]fl
 	x := make([]float64, n)
 	runSweep(s.P, perProc, true, func(j int) {
 		sum := y[j]
-		for q := f.ColPtr[j] + 1; q < f.ColPtr[j+1]; q++ {
-			sum -= chol.Val[q] * x[f.RowInd[q]]
+		if ldl {
+			sum /= val[f.ColPtr[j]]
 		}
-		x[j] = sum / chol.Val[f.ColPtr[j]]
-	}, func(j int) []int32 { return backDeps[j] }, n)
-	return x, nil
-}
-
-// ParallelSolveLDL is ParallelSolve for an LDLᵀ factorization: the same
-// fan-in sweeps adapted to the unit lower triangle and explicit diagonal
-// (L·z = b, w = D⁻¹·z folded into the backward start, Lᵀ·x = w):
-//
-//	forward:  z[j] = b[j] - Σ_{k in rowstruct(j)} L[j,k]·z[k]
-//	backward: x[j] = z[j]/D[j] - Σ_{i in struct(j), i>j} L[i,j]·x[i]
-//
-// Together with ParallelFactorizeLDL / Program.Run's LDLᵀ kernel this closes
-// the LDLᵀ pipeline: both kernels now factor *and* solve in parallel
-// under any column-ownership schedule.
-func ParallelSolveLDL(ldl *numeric.LDL, s *sched.Schedule, b []float64) ([]float64, error) {
-	f := ldl.F
-	n := f.N
-	ops, perProc, backDeps, posOf, err := solveSetup(f, s, b)
-	if err != nil {
-		return nil, err
-	}
-
-	// Forward sweep over the unit lower triangle (no diagonal divide).
-	z := make([]float64, n)
-	runSweep(s.P, perProc, false, func(j int) {
-		sum := b[j]
-		for _, k := range ops.RowCols(j) {
-			sum -= ldl.Val[posOf(j, int(k))] * z[k]
-		}
-		z[j] = sum
-	}, func(j int) []int32 { return ops.RowCols(j) }, n)
-
-	// Backward sweep; the diagonal solve w = D⁻¹·z is folded into each
-	// column's starting value.
-	x := make([]float64, n)
-	runSweep(s.P, perProc, true, func(j int) {
-		sum := z[j] / ldl.Val[f.ColPtr[j]]
 		for q := f.ColPtr[j] + 1; q < f.ColPtr[j+1]; q++ {
-			sum -= ldl.Val[q] * x[f.RowInd[q]]
+			sum -= val[q] * x[f.RowInd[q]]
+		}
+		if !ldl {
+			sum /= val[f.ColPtr[j]]
 		}
 		x[j] = sum
 	}, func(j int) []int32 { return backDeps[j] }, n)
@@ -183,4 +160,13 @@ func runSweep(p int, perProc [][]int, reverse bool, compute func(j int), deps fu
 		}(cols)
 	}
 	wg.Wait()
+}
+
+func allDone(done []bool, preds []int32) bool {
+	for _, p := range preds {
+		if !done[p] {
+			return false
+		}
+	}
+	return true
 }

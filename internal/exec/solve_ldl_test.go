@@ -33,7 +33,7 @@ func TestParallelSolveLDLMatchesSequential(t *testing.T) {
 				sched.BlockMap(p.part, np),
 				sched.WrapMap(p.f, p.ew, np),
 			} {
-				got, err := ParallelSolveLDL(ldl, s, b)
+				got, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
 				if err != nil {
 					t.Fatalf("seed %d P=%d: %v", seed, np, err)
 				}
@@ -63,12 +63,12 @@ func TestParallelSolveLDLDeterministic(t *testing.T) {
 		b[i] = math.Sin(float64(i))
 	}
 	s := sched.WrapMap(p.f, p.ew, 8)
-	first, err := ParallelSolveLDL(ldl, s, b)
+	first, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 5; r++ {
-		again, err := ParallelSolveLDL(ldl, s, b)
+		again, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestParallelSolveLDLIndefinite(t *testing.T) {
 		b[i] = 1
 	}
 	s := sched.BlockMap(p.part, 4)
-	x, err := ParallelSolveLDL(ldl, s, b)
+	x, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestParallelSolveLDLErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sched.BlockMap(p.part, 2)
-	if _, err := ParallelSolveLDL(ldl, s, make([]float64, 3)); err == nil {
+	if _, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, make([]float64, 3)); err == nil {
 		t.Fatal("expected rhs length error")
 	}
 	bad := &sched.Schedule{P: 0, ElemProc: make([]int32, p.f.NNZ())}
-	if _, err := ParallelSolveLDL(ldl, bad, make([]float64, p.f.N)); err == nil {
+	if _, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, bad, make([]float64, p.f.N)); err == nil {
 		t.Fatal("expected processor count error")
 	}
 }

@@ -66,7 +66,7 @@ func TestParallelSolveEveryStrategy(t *testing.T) {
 					t.Logf("%s %s P=%d: mapper refused: %v", fx.name, name, p, err)
 					continue
 				}
-				got, err := exec.ParallelSolve(chol, sc, b)
+				got, err := exec.ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, sc, b)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: %v", fx.name, name, p, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/numeric"
 	"repro/internal/sched"
@@ -24,7 +25,7 @@ func TestParallelSolveRejectsZeroProcs(t *testing.T) {
 	}
 	s := sched.BlockMap(p.part, 2)
 	bad := &sched.Schedule{P: 0, ElemProc: s.ElemProc}
-	if _, err := ParallelSolve(chol, bad, make([]float64, p.m.N)); err == nil {
+	if _, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, bad, make([]float64, p.m.N)); err == nil {
 		t.Fatal("expected error for P=0 schedule")
 	} else if !strings.Contains(err.Error(), "processor count") {
 		t.Fatalf("unexpected error: %v", err)
@@ -43,7 +44,7 @@ func TestParallelSolveRejectsOutOfRangeOwner(t *testing.T) {
 		copy(ep, s.ElemProc)
 		ep[p.f.ColPtr[0]] = owner // corrupt column 0's diagonal owner
 		bad := &sched.Schedule{P: 2, ElemProc: ep}
-		if _, err := ParallelSolve(chol, bad, make([]float64, p.m.N)); err == nil {
+		if _, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, bad, make([]float64, p.m.N)); err == nil {
 			t.Fatalf("expected error for owner %d on P=2", owner)
 		} else if !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("owner %d: unexpected error: %v", owner, err)
@@ -51,18 +52,56 @@ func TestParallelSolveRejectsOutOfRangeOwner(t *testing.T) {
 	}
 }
 
-// The 1D block engine shares the validator: corrupt unit owners error out
-// instead of racing or panicking.
+// The block compile entry shares the validator: corrupt unit owners error
+// out instead of racing or panicking.
 func TestParallelFactorizeRejectsBadOwners(t *testing.T) {
 	p := buildPipe(gen.Grid5(4, 4), 4, 4)
 	s := sched.BlockMap(p.part, 2)
 	s.UnitProc[0] = 7
-	if _, err := ParallelFactorize(p.m, p.part, s); err == nil {
+	if _, err := blockFactorize(p.m, p.part, s, numeric.KernelCholesky); err == nil {
 		t.Fatal("expected error for out-of-range unit owner")
 	}
 	s.P = 0
-	if _, err := ParallelFactorize(p.m, p.part, s); err == nil {
+	if _, err := blockFactorize(p.m, p.part, s, numeric.KernelCholesky); err == nil {
 		t.Fatal("expected error for P=0 schedule")
+	}
+}
+
+// A schedule mapped over another partition of the same factor (other Part
+// options: more units, or a padded structure) is an error, not an index
+// panic on its UnitProc / the partition's ElemUnit.
+func TestProgramBlocksRejectForeignSchedule(t *testing.T) {
+	p := buildPipe(gen.Lap30(), 4, 4)
+	coarse := core.NewPartition(p.f, core.Options{Grain: 25, MinClusterWidth: 4})
+	relaxed := core.NewPartition(p.f, core.Options{Grain: 4, MinClusterWidth: 4, RelaxZeros: 0.3})
+	if len(coarse.Units) >= len(p.part.Units) || relaxed.F.NNZ() == p.f.NNZ() {
+		t.Fatalf("fixture: %d / %d units, %d / %d elements", len(coarse.Units), len(p.part.Units), relaxed.F.NNZ(), p.f.NNZ())
+	}
+	for name, c := range map[string]struct{ part, other *core.Partition }{
+		"fewer units":    {p.part, coarse},
+		"more units":     {coarse, p.part},
+		"other elements": {p.part, relaxed},
+	} {
+		_, err := CompileBlocks(c.part, sched.BlockMap(c.other, 4))
+		if err == nil || !strings.Contains(err.Error(), "schedule covers a different partition") {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+}
+
+// Run promises errors, never panics: a matrix with an entry outside the
+// program's factor structure used to walk ScatterA off the column.
+func TestProgramRunRejectsForeignPattern(t *testing.T) {
+	chain := gen.Grid5(1, 16) // tridiagonal: no fill, so column 0 holds rows {0, 1}
+	p := &pipe{m: chain, f: symbolic.Analyze(chain)}
+	tasks, elemTask := serialColumnTasks(p)
+	grid := gen.Grid5(4, 4) // same n, entry (4, 0)
+	if grid.N != chain.N {
+		t.Fatalf("fixture: n = %d and %d", grid.N, chain.N)
+	}
+	_, err := compileRun(grid, p.f, 1, tasks, elemTask, numeric.KernelCholesky)
+	if err == nil || !strings.Contains(err.Error(), "outside the factor structure") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -84,12 +123,12 @@ func serialColumnTasks(p *pipe) ([]Task, []int32) {
 }
 
 // compileRun is the whole engine on one input: Compile, then one Run.
-func compileRun(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, elemTask []int32, ldl bool) (*NumericFactor, error) {
+func compileRun(m *sparse.Matrix, f *symbolic.Factor, p int, tasks []Task, elemTask []int32, k numeric.Kernel) (*NumericFactor, error) {
 	pg, err := Compile(f, p, tasks, elemTask)
 	if err != nil {
 		return nil, err
 	}
-	nf, _, err := pg.Run(m, ldl, false)
+	nf, _, err := pg.Run(m, k, false)
 	return nf, err
 }
 
@@ -100,7 +139,7 @@ func TestParallelFactorize2DSerialGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := compileRun(p.m, p.f, 1, tasks, elemTask, false)
+	got, err := compileRun(p.m, p.f, 1, tasks, elemTask, numeric.KernelCholesky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,52 +158,45 @@ func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 		run  func() error
 	}{
 		{"zero procs", func() error {
-			_, err := compileRun(p.m, p.f, 0, tasks, elemTask, false)
+			_, err := compileRun(p.m, p.f, 0, tasks, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 		{"no values", func() error {
 			pat := *p.m
 			pat.Val = nil
-			_, err := compileRun(&pat, p.f, 1, tasks, elemTask, false)
+			_, err := compileRun(&pat, p.f, 1, tasks, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 		{"short elemTask", func() error {
-			_, err := compileRun(p.m, p.f, 1, tasks, elemTask[:3], false)
+			_, err := compileRun(p.m, p.f, 1, tasks, elemTask[:3], numeric.KernelCholesky)
 			return err
 		}},
 		{"task out of range", func() error {
 			bad := make([]int32, len(elemTask))
 			copy(bad, elemTask)
 			bad[0] = int32(len(tasks))
-			_, err := compileRun(p.m, p.f, 1, tasks, bad, false)
-			return err
-		}},
-		{"task spans columns", func() error {
-			bad := make([]int32, len(elemTask))
-			copy(bad, elemTask)
-			bad[p.f.ColPtr[1]] = 0 // column 1's diagonal into column 0's task
-			_, err := compileRun(p.m, p.f, 1, tasks, bad, false)
+			_, err := compileRun(p.m, p.f, 1, tasks, bad, numeric.KernelCholesky)
 			return err
 		}},
 		{"proc out of range", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].Proc = 5
-			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 		{"forward pred", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].Preds = []int32{1}
-			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 		{"task ID out of order", func() error {
 			bad := make([]Task, len(tasks))
 			copy(bad, tasks)
 			bad[0].ID = 3
-			_, err := compileRun(p.m, p.f, 1, bad, elemTask, false)
+			_, err := compileRun(p.m, p.f, 1, bad, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 	}
@@ -184,10 +216,10 @@ func TestParallelFactorize2DRejectsBadPivot(t *testing.T) {
 	m.Val = make([]float64, len(p.m.Val))
 	copy(m.Val, p.m.Val)
 	m.Val[m.ColPtr[0]] = math.Inf(1)
-	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, false); err == nil {
+	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, numeric.KernelCholesky); err == nil {
 		t.Fatal("Cholesky: expected pivot error for +Inf diagonal")
 	}
-	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, true); err == nil {
+	if _, err := compileRun(&m, p.f, 1, tasks, elemTask, numeric.KernelLDL); err == nil {
 		t.Fatal("LDL: expected pivot error for +Inf diagonal")
 	}
 }

@@ -8,8 +8,8 @@ import (
 // MapOrder flags `range` over map-typed expressions in the
 // determinism-critical packages. Go randomizes map iteration order per
 // run, so any map range on the path to simulated spans, traffic totals,
-// schedules or factor values is a latent bit-reproducibility bug (the
-// class audited at exec.parallelFactorize's predecessor-set build).
+// schedules or factor values is a latent bit-reproducibility bug (which is
+// why exec.CompileBlocks deduplicates predecessor sets with a stamp array).
 // Either iterate sorted keys, collect insertion-ordered slices alongside
 // the map, or suppress with an order-insensitivity argument:
 //

@@ -1,13 +1,15 @@
 package numeric
 
 import (
+	"fmt"
+
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
 
 // Chains replays the link/ptr chain bookkeeping of the left-looking column
-// algorithm (Factorize and FactorizeLDL share it verbatim) over the
-// symbolic structure alone, recording the exact update schedule the serial
+// algorithm (Kernel.Factorize, the body of Factorize and FactorizeLDL) over
+// the symbolic structure alone, recording the exact update schedule the serial
 // factorization executes: for every target column j, the chain entries
 // head[j] <= c < head[j+1] list — in serial application order — the value
 // position pos[c] of the element (j, k) whose source column k updates j.
@@ -73,8 +75,8 @@ func ColIndex(f *symbolic.Factor) []int32 {
 // the returned slice is aligned with f's structure, holding A's value at
 // every position in A's pattern and zero elsewhere — the starting state of
 // every left-looking factorization. m's pattern must be a subset of f's
-// (f is Analyze(m) or a superset).
-func ScatterA(m *sparse.Matrix, f *symbolic.Factor) []float64 {
+// (f is Analyze(m) or a superset); an entry outside it is an error.
+func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	val := make([]float64, f.NNZ())
 	for j := 0; j < m.N; j++ {
 		cj := m.Col(j)
@@ -83,11 +85,14 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) []float64 {
 		base := f.ColPtr[j]
 		t := 0
 		for k, i := range cj {
-			for fc[t] != i {
+			for t < len(fc) && fc[t] != i {
 				t++
+			}
+			if t == len(fc) {
+				return nil, fmt.Errorf("numeric: entry (%d, %d) lies outside the factor structure", i, j)
 			}
 			val[base+t] = vj[k]
 		}
 	}
-	return val
+	return val, nil
 }

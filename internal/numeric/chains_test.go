@@ -22,7 +22,10 @@ func replayFactorize(t *testing.T, m *gridCase) {
 	f := m.f
 	head, pos := Chains(f)
 	colOf := ColIndex(f)
-	val := ScatterA(m.m, f)
+	val, err := ScatterA(m.m, f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := f.N
 	tpos := make([]int32, n)
 	stamp := make([]int32, n)

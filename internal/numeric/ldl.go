@@ -1,9 +1,6 @@
 package numeric
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
@@ -30,69 +27,9 @@ type LDL struct {
 // whose leading minors are nonsingular (D may carry negative entries);
 // a zero pivot is reported as an error.
 func FactorizeLDL(m *sparse.Matrix, f *symbolic.Factor) (*LDL, error) {
-	if m.Val == nil {
-		return nil, fmt.Errorf("numeric: matrix has no values")
-	}
-	if m.N != f.N {
-		return nil, fmt.Errorf("numeric: dimension mismatch %d vs %d", m.N, f.N)
-	}
-	n := m.N
-	val := make([]float64, f.NNZ())
-	w := make([]float64, n)
-	ptr := make([]int, n)
-	link := make([]int, n)
-	nextCol := make([]int, n)
-	for i := range link {
-		link[i] = -1
-		nextCol[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		cj := f.Col(j)
-		for _, i := range cj {
-			w[i] = 0
-		}
-		acol := m.Col(j)
-		avals := m.ColVal(j)
-		for k, i := range acol {
-			w[i] = avals[k]
-		}
-		for k := link[j]; k != -1; {
-			nk := nextCol[k]
-			p := ptr[k]
-			end := f.ColPtr[k+1]
-			dk := val[f.ColPtr[k]] // D[k]
-			rs, vs := f.RowInd[p:end], val[p:end]
-			ljk := vs[0]
-			for x, i := range rs {
-				w[i] -= vs[x] * dk * ljk
-			}
-			ptr[k] = p + 1
-			if p+1 < end {
-				r := f.RowInd[p+1]
-				nextCol[k] = link[r]
-				link[r] = k
-			}
-			k = nk
-		}
-		// The pivot must be finite and nonzero: ±Inf (overflow in the
-		// update sums) would otherwise divide the off-diagonals into
-		// zeros/NaNs and silently pollute Val.
-		pivot := w[j]
-		if pivot == 0 || math.IsNaN(pivot) || math.IsInf(pivot, 0) {
-			return nil, fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", pivot, j)
-		}
-		base := f.ColPtr[j]
-		val[base] = pivot
-		vs := val[base+1 : f.ColPtr[j+1]]
-		for x, i := range cj[1:] {
-			vs[x] = w[i] / pivot
-		}
-		if f.ColPtr[j+1] > base+1 {
-			ptr[j] = base + 1
-			r := f.RowInd[base+1]
-			nextCol[j] = link[r]
-			link[r] = j
-		}
+	val, err := KernelLDL.Factorize(m, f)
+	if err != nil {
+		return nil, err
 	}
 	return &LDL{F: f, Val: val}, nil
 }

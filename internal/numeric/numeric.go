@@ -40,15 +40,32 @@ func (e *NotPositiveDefiniteError) Error() string {
 // Factorize computes the numeric Cholesky factor of m using the symbolic
 // structure f (which must be Analyze(m) or a superset of the true
 // structure). It implements the classical left-looking column algorithm:
-// column j receives one update from every column k < j with L[j][k] != 0,
+// column j receives one update from every column c < j with L[j][c] != 0,
 // then is scaled by the square root of its diagonal.
 func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
+	val, err := KernelCholesky.Factorize(m, f)
+	if err != nil {
+		return nil, err
+	}
+	return &Cholesky{F: f, Val: val}, nil
+}
+
+// Factorize runs the serial left-looking factorization k selects and
+// returns the values aligned with f: Factorize's for KernelCholesky,
+// FactorizeLDL's for KernelLDL. The two differ only in the D[c] factor of
+// an update and in the pivot (rule, square root); the chain bookkeeping
+// is shared, which is what Chains replays.
+func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
+	if err := k.Valid(); err != nil {
+		return nil, err
+	}
 	if m.Val == nil {
 		return nil, fmt.Errorf("numeric: matrix has no values")
 	}
 	if m.N != f.N {
 		return nil, fmt.Errorf("numeric: dimension mismatch %d vs %d", m.N, f.N)
 	}
+	ldl := k == KernelLDL
 	n := m.N
 	val := make([]float64, f.NNZ())
 	w := make([]float64, n)   // dense accumulator for the current column
@@ -67,37 +84,50 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 		}
 		acol := m.Col(j)
 		avals := m.ColVal(j)
-		for k, i := range acol {
-			w[i] = avals[k]
+		for t, i := range acol {
+			w[i] = avals[t]
 		}
-		// Apply updates from all columns k with L[j][k] != 0.
-		for k := link[j]; k != -1; {
-			nk := nextCol[k]
-			p := ptr[k]
-			end := f.ColPtr[k+1]
+		// Apply updates from all columns c with L[j][c] != 0.
+		for c := link[j]; c != -1; {
+			nc := nextCol[c]
+			p := ptr[c]
+			end := f.ColPtr[c+1]
 			rs, vs := f.RowInd[p:end], val[p:end]
-			ljk := vs[0]
-			for x, i := range rs {
-				w[i] -= vs[x] * ljk
+			ljc := vs[0]
+			if ldl {
+				dc := val[f.ColPtr[c]] // D[c]
+				for x, i := range rs {
+					w[i] -= vs[x] * dc * ljc
+				}
+			} else {
+				for x, i := range rs {
+					w[i] -= vs[x] * ljc
+				}
 			}
-			// Advance column k to its next row block.
-			ptr[k] = p + 1
+			// Advance column c to its next row block.
+			ptr[c] = p + 1
 			if p+1 < end {
 				r := f.RowInd[p+1]
-				nextCol[k] = link[r]
-				link[r] = k
+				nextCol[c] = link[r]
+				link[r] = c
 			}
-			k = nk
+			c = nc
 		}
-		// Scale. The pivot must be finite and positive: besides the
-		// nonpositive/NaN cases, +Inf (an overflowed or Inf-contaminated
-		// diagonal) would silently survive the square root and poison the
+		// Scale. The pivot must be finite and positive (nonzero for LDLᵀ):
+		// besides the nonpositive/NaN cases, ±Inf (an overflowed or
+		// Inf-contaminated diagonal) would silently survive the square
+		// root or divide the off-diagonals into zeros/NaNs and poison the
 		// factor.
-		pivot := w[j]
-		if pivot <= 0 || math.IsNaN(pivot) || math.IsInf(pivot, 0) {
-			return nil, &NotPositiveDefiniteError{Column: j, Pivot: pivot}
+		d := w[j]
+		if math.IsNaN(d) || math.IsInf(d, 0) || d == 0 || (!ldl && d < 0) {
+			if ldl {
+				return nil, fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
+			}
+			return nil, &NotPositiveDefiniteError{Column: j, Pivot: d}
 		}
-		d := math.Sqrt(pivot)
+		if !ldl {
+			d = math.Sqrt(d)
+		}
 		base := f.ColPtr[j]
 		val[base] = d
 		vs := val[base+1 : f.ColPtr[j+1]]
@@ -112,7 +142,7 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 			link[r] = j
 		}
 	}
-	return &Cholesky{F: f, Val: val}, nil
+	return val, nil
 }
 
 // LowerSolve solves L*y = b in place of a fresh slice and returns y.

@@ -133,7 +133,7 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 					t.Fatalf("%s %s P=%d: map: %v", ns.name, e.label, p, err)
 				}
 				pg := ns.compile(t, s2)
-				nf, _, err := pg.Run(ns.m, false, false)
+				nf, _, err := pg.Run(ns.m, numeric.KernelCholesky, false)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: cholesky: %v", ns.name, e.label, p, err)
 				}
@@ -143,7 +143,7 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 							ns.name, e.label, p, q, nf.Val[q], ns.chol.Val[q])
 					}
 				}
-				lf, _, err := pg.Run(ns.m, true, false)
+				lf, _, err := pg.Run(ns.m, numeric.KernelLDL, false)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: ldl: %v", ns.name, e.label, p, err)
 				}
@@ -212,7 +212,7 @@ func TestMeasureLDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mes, err := ns.compile(t, s2).Measure(ns.m, exec.MeasureOptions{LDL: true, Repeats: 2})
+	mes, err := ns.compile(t, s2).Measure(ns.m, exec.MeasureOptions{Kernel: numeric.KernelLDL, Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +224,12 @@ func TestMeasureLDL(t *testing.T) {
 }
 
 // One compiled Program serves any values with its pattern, from any number
-// of goroutines at once: a tile graph (partial-column tasks) and a lifted
-// column graph (whole-column tasks) each factor an SPD matrix, a rescaled
-// one and an indefinite one (LDLᵀ), sequentially and then concurrently,
-// every result bitwise the serial kernel's. Recorded events name as Cause
-// only a predecessor that had finished.
+// of goroutines at once: a tile graph (partial-column tasks), a lifted
+// column graph (whole-column tasks) and a unit-block graph (multi-column
+// tasks) each factor an SPD matrix, a rescaled one and an indefinite one
+// (LDLᵀ), sequentially and then concurrently, every result bitwise the
+// serial kernel's. Recorded events name as Cause only a predecessor that
+// had finished.
 func TestProgramReuseAcrossValues(t *testing.T) {
 	ns := buildNumSys(t, "grid9-12x12", gen.Grid9(12, 12))
 	scaledBy := func(c float64) *sparse.Matrix {
@@ -258,14 +259,22 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 	cases := []struct {
 		name string
 		m    *sparse.Matrix
-		ldl  bool
+		k    numeric.Kernel
 		want []float64
 	}{
-		{"spd", ns.m, false, ns.chol.Val},
-		{"rescaled", scaled, false, wantScaled.Val},
-		{"indefinite", indefinite, true, wantLDL.Val},
+		{"spd", ns.m, numeric.KernelCholesky, ns.chol.Val},
+		{"rescaled", scaled, numeric.KernelCholesky, wantScaled.Val},
+		{"indefinite", indefinite, numeric.KernelLDL, wantLDL.Val},
 	}
 
+	// tasks is the graph the program was compiled from; the block program
+	// adds scale edges of its own, so its causes are checked for order only.
+	type entry struct {
+		name  string
+		pg    *exec.Program
+		tasks []exec.Task
+	}
+	var entries []entry
 	for _, e := range []struct {
 		name string
 		opts strategy.Options
@@ -279,10 +288,24 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		entries = append(entries, entry{e.name, pg, tasks})
+	}
+	sc, err := strategy.Map("block", ns.sys, 4, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := exec.CompileBlocks(ns.sys.Partition(strategy.Options{}.Part), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = append(entries, entry{"block", blocks, nil})
+
+	for _, e := range entries {
+		pg, tasks := e.pg, e.tasks
 		run := func(record bool) func(i int) error {
 			return func(i int) error {
 				c := cases[i%len(cases)]
-				nf, events, err := pg.Run(c.m, c.ldl, record)
+				nf, events, err := pg.Run(c.m, c.k, record)
 				if err != nil {
 					return fmt.Errorf("%s %s: %v", e.name, c.name, err)
 				}
@@ -295,8 +318,13 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 					if ev.Cause < 0 {
 						continue
 					}
-					k := sort.Search(len(tasks[ev.Task].Preds), func(k int) bool { return tasks[ev.Task].Preds[k] >= ev.Cause })
-					if k == len(tasks[ev.Task].Preds) || tasks[ev.Task].Preds[k] != ev.Cause || events[ev.Cause].Finish > ev.Start {
+					named := tasks == nil
+					if !named {
+						preds := tasks[ev.Task].Preds
+						k := sort.Search(len(preds), func(k int) bool { return preds[k] >= ev.Cause })
+						named = k < len(preds) && preds[k] == ev.Cause
+					}
+					if !named || events[ev.Cause].Finish > ev.Start {
 						return fmt.Errorf("%s %s: task %d names cause %d, not a finished predecessor", e.name, c.name, ev.Task, ev.Cause)
 					}
 				}

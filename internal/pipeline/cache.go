@@ -83,15 +83,15 @@ func (c *Cache) Factor(pl *Plan, a *sparse.Matrix, k Kernel) (*Factor, error) {
 	return c.factor(pl, a, k, false)
 }
 
-// FactorParallel is Factor built with the parallel engines. Chain-order
-// engines share the serial key (the values are bit-identical); the 1D
-// block engine's key mixes in the plan.
+// FactorParallel is Factor built with the plan's compiled program. It
+// shares the serial key (the values are bit-identical) unless the plan is
+// a relaxed block plan, whose key mixes in the plan.
 func (c *Cache) FactorParallel(pl *Plan, a *sparse.Matrix, k Kernel) (*Factor, error) {
 	return c.factor(pl, a, k, true)
 }
 
 func (c *Cache) factor(pl *Plan, a *sparse.Matrix, k Kernel, parallel bool) (*Factor, error) {
-	if err := k.valid(); err != nil {
+	if err := k.Valid(); err != nil {
 		return nil, err
 	}
 	if a.Val == nil {

@@ -17,33 +17,16 @@ import (
 // errNoValues reports a values-stage operation on a pattern-only matrix.
 var errNoValues = errors.New("pipeline: matrix has no values")
 
-// Kernel selects the numeric factorization kernel of a Factor.
-type Kernel int
+// Kernel selects the numeric factorization kernel of a Factor; it is
+// numeric's enum under the names this package has always exported.
+type Kernel = numeric.Kernel
 
 const (
 	// Cholesky is A = L·Lᵀ (symmetric positive definite).
-	Cholesky Kernel = iota
+	Cholesky = numeric.KernelCholesky
 	// LDL is the square-root-free A = L·D·Lᵀ (symmetric indefinite).
-	LDL
+	LDL = numeric.KernelLDL
 )
-
-// String returns the kernel name ("cholesky" or "ldl").
-func (k Kernel) String() string {
-	switch k {
-	case Cholesky:
-		return "cholesky"
-	case LDL:
-		return "ldl"
-	}
-	return fmt.Sprintf("kernel(%d)", int(k))
-}
-
-func (k Kernel) valid() error {
-	if k != Cholesky && k != LDL {
-		return fmt.Errorf("pipeline: unknown kernel %d", int(k))
-	}
-	return nil
-}
 
 // Factor is the numeric-stage artifact: factor values over a symbolic
 // structure, carrying the Plan it was built from. Its solve methods never
@@ -52,14 +35,13 @@ type Factor struct {
 	Plan   *Plan
 	Kernel Kernel
 	// F is the structure Val aligns with: the analysis factor, or the
-	// plan's relaxed partition factor when the 1D block engine ran over a
-	// zero-padded superset structure.
+	// zero-padded superset structure of a relaxed block plan factored in
+	// parallel.
 	F   *symbolic.Factor
 	Val []float64
 	// Key content-addresses this artifact by (pattern, ordering, values,
-	// kernel) — plus the plan for block-engine factors, whose rounding
-	// depends on the partition (serial and exact-chain-order parallel
-	// factors are bit-identical and share one key).
+	// kernel): serial and parallel factors are bit-identical and share one
+	// key. A parallel factor over a relaxed structure adds the plan.
 	Key artifact.Key
 
 	solveOnce sync.Once
@@ -68,19 +50,18 @@ type Factor struct {
 
 // FactorKey returns the content address of the Factor that Factorize
 // (parallel=false) or FactorizeParallel (parallel=true) would build from
-// this plan and a's values, without factorizing. Serial factors and the
-// compiled engine's factors (2D plans and column-granular 1D plans) share
-// one key: the engine replays the exact serial update order
-// (numeric.Chains), so they are bit-for-bit interchangeable. The 1D block engine accumulates
-// updates by structure intersection — and may run over a relaxed,
-// zero-padded factor — so its key mixes in the plan.
+// this plan and a's values, without factorizing. The two share one key:
+// the compiled engine replays the exact serial update order
+// (numeric.Chains) over the same structure, so the factors are bit-for-bit
+// interchangeable. The one exception is a relaxed block plan, whose
+// parallel factor lives on the plan's zero-padded structure: its key mixes
+// in the plan.
 func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Key {
 	h := artifact.NewHasher("factor")
 	h.Key(pl.An.Key)
 	h.Str(k.String())
 	h.Key(artifact.Key{Kind: "values", Sum: artifact.ValuesSum(a)})
-	if parallel && pl.S2 == nil && pl.S1.UnitProc != nil {
-		h.Str("blockengine")
+	if parallel && pl.S2 == nil && pl.S1.UnitProc != nil && pl.Opts.Part.RelaxZeros > 0 {
 		h.Key(pl.Key)
 	}
 	return h.Sum()
@@ -91,19 +72,19 @@ func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Ke
 // bit-for-bit what numeric.Factorize/FactorizeLDL produce on
 // An.PermutedWithValues(a).
 func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
-	if err := k.valid(); err != nil {
+	if err := k.Valid(); err != nil {
 		return nil, err
 	}
 	return pl.factor(a, k, false, pl.FactorKey(k, a, false))
 }
 
 // FactorizeParallel computes the numeric factor with one worker goroutine
-// per processor of the plan. 2D plans and column-granular 1D plans run
-// the plan's compiled exact-serial-chain-order program (bit-identical to
-// Factorize); block-granular 1D plans run the unit-block engine over the
-// plan's partition, which may be a relaxed superset structure.
+// per processor of the plan, running the plan's compiled
+// exact-serial-chain-order program: bit-identical to Factorize, or — for a
+// relaxed block plan — to the serial kernel over the plan's zero-padded
+// structure.
 func (pl *Plan) FactorizeParallel(a *sparse.Matrix, k Kernel) (*Factor, error) {
-	if err := k.valid(); err != nil {
+	if err := k.Valid(); err != nil {
 		return nil, err
 	}
 	return pl.factor(a, k, true, pl.FactorKey(k, a, true))
@@ -117,31 +98,18 @@ func (pl *Plan) factor(a *sparse.Matrix, k Kernel, parallel bool, key artifact.K
 	if err != nil {
 		return nil, err
 	}
-	var nf *exec.NumericFactor
-	if parallel {
-		nf, err = pl.runParallel(pm, k)
-	} else {
-		nf, err = pl.runSerial(pm, k)
+	if !parallel {
+		val, err := k.Factorize(pm, pl.An.F)
+		if err != nil {
+			return nil, err
+		}
+		return &Factor{Plan: pl, Kernel: k, F: pl.An.F, Val: val, Key: key}, nil
 	}
+	nf, err := pl.runParallel(pm, k)
 	if err != nil {
 		return nil, err
 	}
 	return &Factor{Plan: pl, Kernel: k, F: nf.F, Val: nf.Val, Key: key}, nil
-}
-
-func (pl *Plan) runSerial(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, error) {
-	if k == LDL {
-		l, err := numeric.FactorizeLDL(pm, pl.An.F)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.NumericFactor{F: l.F, Val: l.Val}, nil
-	}
-	c, err := numeric.Factorize(pm, pl.An.F)
-	if err != nil {
-		return nil, err
-	}
-	return &exec.NumericFactor{F: c.F, Val: c.Val}, nil
 }
 
 func (pl *Plan) runParallel(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, error) {
@@ -149,15 +117,8 @@ func (pl *Plan) runParallel(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, e
 	if err != nil {
 		return nil, err
 	}
-	if pg != nil {
-		nf, _, err := pg.Run(pm, k == LDL, false)
-		return nf, err
-	}
-	part := pl.An.sys.Partition(pl.Opts.Part)
-	if k == LDL {
-		return exec.ParallelFactorizeLDL(pm, part, pl.S1)
-	}
-	return exec.ParallelFactorize(pm, part, pl.S1)
+	nf, _, err := pg.Run(pm, k, false)
+	return nf, err
 }
 
 // N returns the system dimension.
@@ -183,10 +144,7 @@ func (fa *Factor) unpermute(px []float64) []float64 {
 
 // solveSerial runs the serial triangular solves on a permuted rhs.
 func (fa *Factor) solveSerial(pb []float64) []float64 {
-	if fa.Kernel == LDL {
-		return (&numeric.LDL{F: fa.F, Val: fa.Val}).Solve(pb)
-	}
-	return (&numeric.Cholesky{F: fa.F, Val: fa.Val}).Solve(pb)
+	return fa.Kernel.Solve(fa.F, fa.Val, pb)
 }
 
 // Solve solves A·x = b in the original variable order with the serial
@@ -268,15 +226,7 @@ func (fa *Factor) SolveParallel(b []float64) ([]float64, error) {
 	if len(b) != fa.F.N {
 		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
 	}
-	s := fa.solveSchedule()
-	pb := fa.permute(b)
-	var px []float64
-	var err error
-	if fa.Kernel == LDL {
-		px, err = exec.ParallelSolveLDL(&numeric.LDL{F: fa.F, Val: fa.Val}, s, pb)
-	} else {
-		px, err = exec.ParallelSolve(&numeric.Cholesky{F: fa.F, Val: fa.Val}, s, pb)
-	}
+	px, err := exec.ParallelSolve(fa.Kernel, fa.F, fa.Val, fa.solveSchedule(), fa.permute(b))
 	if err != nil {
 		return nil, err
 	}

@@ -133,39 +133,70 @@ func TestFirstFactorizeParallelAllocation(t *testing.T) {
 	t.Logf("first FactorizeParallel: %.1f bytes per factor nonzero", perNNZ)
 }
 
-// TestFactorBlockEngineKeyIncludesPlan pins that the 1D block engine —
-// whose rounding depends on the partition, and which may run over a
-// relaxed structure — never shares a key with serial factors.
-func TestFactorBlockEngineKeyIncludesPlan(t *testing.T) {
-	a := gen.Grid9(15, 15)
+// TestBlockPlanBitIdentity: block-granular plans run on the compiled
+// engine like every other plan, so for every suite matrix, block strategy,
+// processor count (through P > n) and kernel the parallel factor is the
+// serial one bit for bit and shares its key. Under -race this is the
+// data-race exercise of multi-column tasks.
+func TestBlockPlanBitIdentity(t *testing.T) {
+	for _, tm := range gen.Suite() {
+		a := tm.Build()
+		an, err := NewAnalysis(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := map[Kernel]*Factor{}
+		for _, name := range []string{"block", "blockgreedy", "refine"} {
+			for _, p := range []int{1, 2, 8, 64, an.N() + 1} {
+				pl, err := an.Plan(name, p, strategy.Options{})
+				if err != nil {
+					t.Fatalf("%s %s P=%d: %v", tm.Name, name, p, err)
+				}
+				if pl.S1.UnitProc == nil {
+					t.Fatalf("%s plan is not block-granular", name)
+				}
+				for _, k := range []Kernel{Cholesky, LDL} {
+					if serial[k] == nil {
+						if serial[k], err = pl.Factorize(a, k); err != nil {
+							t.Fatal(err)
+						}
+					}
+					par, err := pl.FactorizeParallel(a, k)
+					if err != nil {
+						t.Fatalf("%s %s P=%d %s: %v", tm.Name, name, p, k, err)
+					}
+					what := tm.Name + " " + name + " " + k.String()
+					bitEqual(t, par.Val, serial[k].Val, what)
+					if par.F != an.F || par.Key != serial[k].Key {
+						t.Fatalf("%s P=%d: parallel factor key %s, serial %s", what, p, par.Key, serial[k].Key)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFactorRelaxedKeyIncludesPlan: the parallel factor of a relaxed block
+// plan lives on the plan's zero-padded structure — bitwise the serial
+// kernel over that structure — so it is the one factor that never shares
+// a key with the serial one; it solves the original system on either
+// sweep.
+func TestFactorRelaxedKeyIncludesPlan(t *testing.T) {
+	a := gen.Lap30()
 	an, err := NewAnalysis(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := an.Plan("block", 4, strategy.Options{})
+	opts := strategy.Options{Part: core.Options{RelaxZeros: 0.3}}
+	pl, err := an.Plan("block", 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.S1.UnitProc == nil {
-		t.Fatal("block plan is not block-granular")
+	padded := an.sys.Partition(opts.Part).F
+	if padded.NNZ() <= an.F.NNZ() {
+		t.Fatal("the relaxed partition pads nothing")
 	}
-	serial, err := pl.Factorize(a, Cholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := pl.FactorizeParallel(a, Cholesky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Key == serial.Key {
-		t.Fatal("block-engine factor key must differ from the serial key")
-	}
-	// And it must solve correctly even over a relaxed factor.
-	relaxed, err := an.Plan("block", 4, strategy.Options{Part: core.Options{RelaxZeros: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := relaxed.FactorizeParallel(a, LDL)
+	pm, err := an.PermutedWithValues(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +204,31 @@ func TestFactorBlockEngineKeyIncludesPlan(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%5) - 2
 	}
-	x, err := fr.SolveParallel(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := numeric.ResidualNorm(a, x, b); r > 1e-8 {
-		t.Fatalf("relaxed block LDL parallel solve residual %g", r)
+	for _, k := range []Kernel{Cholesky, LDL} {
+		par, err := pl.FactorizeParallel(a, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := k.Factorize(pm, padded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.F != padded {
+			t.Fatalf("%s: relaxed parallel factor is not over the plan's structure", k)
+		}
+		bitEqual(t, par.Val, want, "relaxed block "+k.String())
+		if par.Key == pl.FactorKey(k, a, false) {
+			t.Fatalf("%s: relaxed parallel factor shares the serial key", k)
+		}
+		for name, solve := range map[string]func([]float64) ([]float64, error){"Solve": par.Solve, "SolveParallel": par.SolveParallel} {
+			x, err := solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := numeric.ResidualNorm(a, x, b); r > 1e-10 {
+				t.Fatalf("relaxed block %s %s residual %g", k, name, r)
+			}
+		}
 	}
 }
 

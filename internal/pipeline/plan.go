@@ -37,8 +37,8 @@ type Plan struct {
 
 	// elemTask maps factor elements to task IDs (2D plans only).
 	elemTask []int32
-	// prog is Tasks compiled for the exact-serial-order engine, built on
-	// the first parallel factorization and shared by every later one.
+	// prog is the plan compiled for the exact-serial-order engine, built
+	// on the first parallel factorization and shared by every later one.
 	progOnce sync.Once
 	prog     *exec.Program
 	progErr  error
@@ -184,15 +184,12 @@ func (pl *Plan) MakespanComm(cm exec.CommModel) exec.SimResult {
 // Measure times the serial factorization of a against the plan's compiled
 // program (repeat-and-min on both sides, bit-identity verified on every
 // parallel run) and returns the wall-clock Measurement; its Events pair
-// with Tasks and Fetch in a calibration fit. Block-granular 1D plans run
-// on the unit-block engine, which has no compiled program to measure.
+// with Tasks and Fetch in a calibration fit. The serial side of a relaxed
+// block plan runs over the plan's zero-padded structure, like the program.
 func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measurement, error) {
 	pg, err := pl.program()
 	if err != nil {
 		return nil, err
-	}
-	if pg == nil {
-		return nil, fmt.Errorf("pipeline: block-granular plan %q has no compiled program to measure", pl.Strategy)
 	}
 	pm, err := pl.An.PermutedWithValues(a)
 	if err != nil {
@@ -212,13 +209,11 @@ func (pl *Plan) columnOwners() []int32 {
 			b := int(pl.S2.BlockOf[j])
 			owner[j] = pl.S2.Owner[part2d.TileID(b, b)]
 		}
-	case pl.S1.UnitProc != nil:
-		f := pl.An.sys.Partition(pl.Opts.Part).F
-		for j := 0; j < n; j++ {
-			owner[j] = pl.S1.ElemProc[f.ColPtr[j]]
-		}
 	default:
 		f := pl.An.F
+		if pl.S1.UnitProc != nil {
+			f = pl.An.sys.Partition(pl.Opts.Part).F
+		}
 		for j := 0; j < n; j++ {
 			owner[j] = pl.S1.ElemProc[f.ColPtr[j]]
 		}
@@ -226,21 +221,20 @@ func (pl *Plan) columnOwners() []int32 {
 	return owner
 }
 
-// program returns the plan's task graph compiled for the
-// exact-serial-order engine: the tile-segment graph of a 2D plan, or the
-// column graph of a column-granular 1D plan, whose task j owns exactly
-// column j. Block-granular 1D plans (which may run over a relaxed factor)
-// return nil and use the 1D block engine instead.
+// program returns the plan compiled for the exact-serial-order engine:
+// the tile-segment graph of a 2D plan, the column graph of a
+// column-granular 1D plan (task j owns exactly column j), or the
+// unit-block graph of a block-granular one over its partition's factor.
 func (pl *Plan) program() (*exec.Program, error) {
-	if pl.S2 == nil && pl.S1.UnitProc != nil {
-		return nil, nil
-	}
 	pl.progOnce.Do(func() {
-		elemTask := pl.elemTask
-		if pl.S2 == nil {
-			elemTask = numeric.ColIndex(pl.An.F)
+		switch {
+		case pl.S2 != nil:
+			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, pl.elemTask)
+		case pl.S1.UnitProc != nil:
+			pl.prog, pl.progErr = exec.CompileBlocks(pl.An.sys.Partition(pl.Opts.Part), pl.S1)
+		default:
+			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, numeric.ColIndex(pl.An.F))
 		}
-		pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, elemTask)
 	})
 	return pl.prog, pl.progErr
 }

@@ -176,10 +176,10 @@ func TestPlanSimulateChargesOwnFetch(t *testing.T) {
 }
 
 // TestPlanMeasure: Measure times the plan's compiled program against the
-// serial kernel on the caller's (unpermuted) matrix, for 2D plans and
-// column-granular 1D plans and both kernels; its events pair with the
-// plan's Tasks, and its factor is the serial one bit for bit. Block-granular
-// plans have no compiled program, and a foreign pattern is refused.
+// serial kernel on the caller's (unpermuted) matrix, for 2D plans,
+// column-granular and block-granular 1D plans and both kernels; its events
+// pair with the plan's Tasks, and its factor is the serial one bit for
+// bit. A foreign pattern is refused.
 func TestPlanMeasure(t *testing.T) {
 	a := gen.Grid9(8, 8)
 	an, err := NewAnalysis(a)
@@ -194,9 +194,13 @@ func TestPlanMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range []*Plan{wrap, tiles} {
+	block, err := an.Plan("block", 4, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range []*Plan{wrap, tiles, block} {
 		for _, k := range []Kernel{Cholesky, LDL} {
-			mes, err := pl.Measure(a, exec.MeasureOptions{LDL: k == LDL, Repeats: 2})
+			mes, err := pl.Measure(a, exec.MeasureOptions{Kernel: k, Repeats: 2})
 			if err != nil {
 				t.Fatalf("%s %s: %v", pl.Strategy, k, err)
 			}
@@ -204,19 +208,18 @@ func TestPlanMeasure(t *testing.T) {
 				t.Fatalf("%s %s: P=%d repeats=%d events=%d, want %d/2/%d",
 					pl.Strategy, k, mes.P, mes.Repeats, len(mes.Events), pl.P, len(pl.Tasks))
 			}
+			for i, ev := range mes.Events {
+				if int(ev.Task) != pl.Tasks[i].ID || ev.Proc != pl.Tasks[i].Proc {
+					t.Fatalf("%s %s: event %d is task %d on %d, plan task %d on %d",
+						pl.Strategy, k, i, ev.Task, ev.Proc, pl.Tasks[i].ID, pl.Tasks[i].Proc)
+				}
+			}
 			serial, err := pl.Factorize(a, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bitEqual(t, mes.Factor.Val, serial.Val, pl.Strategy+" "+k.String()+" measured factor")
 		}
-	}
-	block, err := an.Plan("block", 4, strategy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := block.Measure(a, exec.MeasureOptions{}); err == nil {
-		t.Error("block-granular plan: expected an error, it has no compiled program")
 	}
 	if _, err := wrap.Measure(gen.Grid9(8, 9), exec.MeasureOptions{}); err == nil {
 		t.Error("foreign pattern: expected an error")

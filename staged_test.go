@@ -114,9 +114,10 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 // TestStagedSolveParallelBitIdenticalToMonolithic pins the parallel
 // path on every suite matrix at P in {1, 4, 16}: a block-granular
 // staged plan factored by the parallel engine and solved by
-// Factor.SolveParallel reproduces the monolithic sequence — the
-// unit-block engine over the plan's partition and schedule, then the
-// parallel sweeps, assembled by hand — bit for bit.
+// Factor.SolveParallel reproduces the monolithic sequence — the block
+// program compiled from the plan's partition and schedule, then the
+// parallel sweeps, assembled by hand — bit for bit, and that factor is
+// the serial kernel's.
 func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 	for _, tm := range repro.TestMatrices() {
 		t.Run(tm.Name, func(t *testing.T) {
@@ -134,13 +135,22 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				nf, err := exec.ParallelFactorize(ref.pm, an.Sys().Partition(paperOpts.Part), pl.S1)
+				pg, err := exec.CompileBlocks(an.Sys().Partition(paperOpts.Part), pl.S1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nf, _, err := pg.Run(ref.pm, numeric.KernelCholesky, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				bitEqual(t, fa.Val, nf.Val, fmt.Sprintf("staged parallel factor P=%d", p))
+				chol, err := numeric.Factorize(ref.pm, an.F)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitEqual(t, nf.Val, chol.Val, fmt.Sprintf("block program vs serial kernel P=%d", p))
 				want := ref.solve(b, func(pb []float64) []float64 {
-					px, err := exec.ParallelSolve(&numeric.Cholesky{F: nf.F, Val: nf.Val}, pl.S1, pb)
+					px, err := exec.ParallelSolve(numeric.KernelCholesky, nf.F, nf.Val, pl.S1, pb)
 					if err != nil {
 						t.Fatal(err)
 					}
