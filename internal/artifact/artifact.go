@@ -39,7 +39,10 @@ func (k Key) String() string { return k.Kind + ":" + hex.EncodeToString(k.Sum[:]
 type Hasher struct {
 	kind string
 	h    hash.Hash
-	buf  [8]byte
+	// buf stages the fixed-width fields (n bytes pending) so the digest
+	// absorbs blocks, not 8 bytes per interface call; same byte stream.
+	n   int
+	buf [4096]byte
 }
 
 // NewHasher starts a digest for an artifact of the given kind. The kind
@@ -51,10 +54,19 @@ func NewHasher(kind string) *Hasher {
 	return hs
 }
 
+// flush hands the staged bytes to the digest.
+func (hs *Hasher) flush() {
+	hs.h.Write(hs.buf[:hs.n])
+	hs.n = 0
+}
+
 // I64 appends one signed integer.
 func (hs *Hasher) I64(v int64) {
-	binary.LittleEndian.PutUint64(hs.buf[:], uint64(v))
-	hs.h.Write(hs.buf[:])
+	if hs.n == len(hs.buf) {
+		hs.flush()
+	}
+	binary.LittleEndian.PutUint64(hs.buf[hs.n:], uint64(v))
+	hs.n += 8
 }
 
 // F64 appends one float64 by its IEEE-754 bit pattern (distinguishes
@@ -64,6 +76,7 @@ func (hs *Hasher) F64(v float64) { hs.I64(int64(math.Float64bits(v))) }
 // Str appends a length-prefixed string.
 func (hs *Hasher) Str(s string) {
 	hs.I64(int64(len(s)))
+	hs.flush()
 	hs.h.Write([]byte(s))
 }
 
@@ -95,6 +108,7 @@ func (hs *Hasher) Key(k Key) {
 func (hs *Hasher) Sum() Key {
 	var k Key
 	k.Kind = hs.kind
+	hs.flush()
 	hs.h.Sum(k.Sum[:0])
 	return k
 }

@@ -1,8 +1,11 @@
 package artifact
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -72,6 +75,106 @@ func TestHasherPrefixSafety(t *testing.T) {
 	if NewHasher("a").Sum() == NewHasher("b").Sum() {
 		t.Fatal("kind not mixed into digest")
 	}
+}
+
+// TestHasherMatchesStraightLineSHA256 feeds the same fields to a Hasher
+// and, one Write each, to a bare sha256: the staging buffer must not move
+// a byte of the stream, or every stored Key silently re-keys. The slices
+// straddle the buffer size, Sum is taken mid-stream and the stream goes
+// on, and the pattern and values digests are rebuilt by hand.
+func TestHasherMatchesStraightLineSHA256(t *testing.T) {
+	ref := sha256.New()
+	le := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		ref.Write(b[:])
+	}
+	str := func(s string) { le(uint64(len(s))); ref.Write([]byte(s)) }
+	check := func(hs *Hasher, what string) {
+		t.Helper()
+		var want [sha256.Size]byte
+		ref.Sum(want[:0])
+		if got := hs.Sum(); got.Sum != want || got.Kind != "kind" {
+			t.Fatalf("%s: staged digest differs from the straight-line one", what)
+		}
+	}
+	hs := NewHasher("kind")
+	str("kind")
+	check(hs, "kind only")
+	for _, n := range []int{0, 1, 511, 512, 513, 1024, 5000} {
+		ints := make([]int, n)
+		f64s := make([]float64, n)
+		for i := range ints {
+			ints[i] = i*7919 - n
+			f64s[i] = math.Sqrt(float64(i)) - 3
+		}
+		hs.Ints(ints)
+		le(uint64(n))
+		for _, v := range ints {
+			le(uint64(int64(v)))
+		}
+		check(hs, fmt.Sprintf("Ints(%d)", n))
+		hs.F64s(f64s)
+		le(uint64(n))
+		for _, v := range f64s {
+			le(math.Float64bits(v))
+		}
+		hs.Str("between")
+		str("between")
+		hs.I64(-1)
+		le(math.MaxUint64)
+		hs.F64(math.Copysign(0, -1))
+		le(1 << 63)
+		inner := Key{Kind: "inner", Sum: [sha256.Size]byte{1, 2, 3, byte(n)}}
+		hs.Key(inner)
+		str("inner")
+		ref.Write(inner.Sum[:])
+		check(hs, fmt.Sprintf("after %d", n))
+	}
+
+	m := gen.Grid9(30, 30) // 900 column pointers, ~4 000 indices and values
+	ref.Reset()
+	str("pattern")
+	le(uint64(m.N))
+	le(uint64(len(m.ColPtr)))
+	for _, v := range m.ColPtr {
+		le(uint64(v))
+	}
+	le(uint64(len(m.RowInd)))
+	for _, v := range m.RowInd {
+		le(uint64(v))
+	}
+	var want [sha256.Size]byte
+	ref.Sum(want[:0])
+	if PatternSum(m) != want {
+		t.Fatal("PatternSum differs from the straight-line digest")
+	}
+	ref.Reset()
+	str("values")
+	le(uint64(len(m.Val)))
+	for _, v := range m.Val {
+		le(math.Float64bits(v))
+	}
+	ref.Sum(want[:0])
+	if ValuesSum(m) != want {
+		t.Fatal("ValuesSum differs from the straight-line digest")
+	}
+}
+
+// BenchmarkSums times the two content hashes of a warm request on the
+// benchmark's grid.
+func BenchmarkSums(b *testing.B) {
+	m := gen.Grid9(60, 60)
+	b.Run("PatternSum", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PatternSum(m)
+		}
+	})
+	b.Run("ValuesSum", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ValuesSum(m)
+		}
+	})
 }
 
 func key(kind string, i int) Key {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -296,6 +297,9 @@ func TestParallelLDLIndefinite(t *testing.T) {
 	}
 }
 
+// TestParallelSolveMatchesSequential holds the compiled sweeps to the
+// serial ones bit for bit on random patterns: every sum runs in the serial
+// order, so there is no tolerance to grant.
 func TestParallelSolveMatchesSequential(t *testing.T) {
 	fc := func(seed int64) bool {
 		m := gen.Random(50, 1.3, seed)
@@ -304,39 +308,18 @@ func TestParallelSolveMatchesSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b := make([]float64, p.m.N)
-		for i := range b {
-			b[i] = float64((i*13)%7) - 3
-		}
+		b := solveRHS(p.m.N)
 		want := chol.Solve(b)
-		var scale float64
-		for i := range want {
-			if a := math.Abs(want[i]); a > scale {
-				scale = a
-			}
-		}
-		for _, np := range []int{2, 4, 8} {
-			for _, s := range []*sched.Schedule{
-				sched.BlockMap(p.part, np),
-				sched.WrapMap(p.f, p.ew, np),
-			} {
-				got, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, s, b)
-				if err != nil {
-					return false
-				}
-				for i := range want {
-					// Different summation orders across the sweeps; allow a
-					// conditioning-scaled tolerance.
-					if math.Abs(got[i]-want[i]) > 1e-7*(1+scale) {
-						return false
-					}
-				}
+		for _, np := range []int{1, 2, 4, 8, 51} {
+			got, err := parallelSolve(numeric.KernelCholesky, p.f, chol.Val, np, b)
+			if err != nil || firstBitDiff(got, want) >= 0 {
+				return false
 			}
 		}
 		return true
 	}
-	// Fixed source: numeric comparisons must not depend on quick's
-	// time-based default seeding.
+	// Fixed source: the cases must not depend on quick's time-based
+	// default seeding.
 	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(42))}
 	if err := quick.Check(fc, cfg); err != nil {
 		t.Fatal(err)
@@ -354,8 +337,7 @@ func TestParallelSolveSuite(t *testing.T) {
 		for i := range b {
 			b[i] = 1
 		}
-		s := sched.BlockMap(p.part, 8)
-		x, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, s, b)
+		x, err := parallelSolve(numeric.KernelCholesky, p.f, chol.Val, 8, b)
 		if err != nil {
 			t.Fatalf("%s: %v", tm.Name, err)
 		}
@@ -365,14 +347,60 @@ func TestParallelSolveSuite(t *testing.T) {
 	}
 }
 
+// TestParallelSolveEveryP runs the compiled sweeps at P in {1, 4, 16, 64}
+// on LAP30 and on a small matrix where P >= n, each solution bitwise the
+// serial one. (The factorization schedule no longer enters the sweeps, so
+// the sweep over the strategy registry this test used to be is a sweep
+// over P.) Under -race this is the solver's data-race exercise.
+func TestParallelSolveEveryP(t *testing.T) {
+	for name, m := range map[string]*sparse.Matrix{
+		"LAP30":     gen.Lap30(),
+		"grid9-6x6": gen.Grid9(6, 6), // n = 36 < 64: exercises P >= n
+	} {
+		p := buildPipe(m, 25, 4)
+		chol, err := numeric.Factorize(p.m, p.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := solveRHS(p.m.N)
+		want := chol.Solve(b)
+		for _, np := range []int{1, 4, 16, 64} {
+			got, err := parallelSolve(numeric.KernelCholesky, p.f, chol.Val, np, b)
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", name, np, err)
+			}
+			if q := firstBitDiff(got, want); q >= 0 {
+				t.Fatalf("%s P=%d: x[%d] = %v, serial %v", name, np, q, got[q], want[q])
+			}
+		}
+	}
+}
+
+// TestParallelSolveErrors: a short rhs, a foreign value vector and an
+// invalid kernel are error values, never panics.
 func TestParallelSolveErrors(t *testing.T) {
 	p := buildPipe(gen.Grid5(4, 4), 4, 4)
 	chol, err := numeric.Factorize(p.m, p.f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.BlockMap(p.part, 2)
-	if _, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, s, make([]float64, 3)); err == nil {
-		t.Fatal("expected rhs length error")
+	sp, err := CompileSolve(p.f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		k    numeric.Kernel
+		val  []float64
+		n    int
+		want string
+	}{
+		"short rhs":    {numeric.KernelCholesky, chol.Val, 3, "rhs length 3, want 16"},
+		"long rhs":     {numeric.KernelLDL, chol.Val, 17, "rhs length 17, want 16"},
+		"bad kernel":   {numeric.Kernel(7), chol.Val, 16, "unknown kernel 7"},
+		"short values": {numeric.KernelCholesky, chol.Val[:5], 16, "5 factor values"},
+	} {
+		if err := sp.Run(c.k, c.val, make([]float64, c.n)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 }

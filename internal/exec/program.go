@@ -58,8 +58,8 @@ type Program struct {
 // out for execution. tasks must be topologically ordered by ID with
 // processors in [0, p), and elemTask must assign every factor position to
 // a task whose predecessors own the sources of its updates and the
-// diagonals it scales by; malformed inputs are reported as errors (the
-// validator is shared with ParallelSolve), never as panics or races.
+// diagonals it scales by; malformed inputs are reported as errors, never
+// as panics or races.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
 	if err := checkProcCount(p); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/numeric"
-	"repro/internal/sched"
 )
 
 func TestParallelSolveLDLMatchesSequential(t *testing.T) {
@@ -17,40 +16,22 @@ func TestParallelSolveLDLMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := make([]float64, p.m.N)
-		for i := range b {
-			b[i] = float64((i*17)%11) - 5
-		}
+		b := solveRHS(p.m.N)
 		want := ldl.Solve(b)
-		var scale float64
-		for i := range want {
-			if a := math.Abs(want[i]); a > scale {
-				scale = a
-			}
-		}
 		for _, np := range []int{1, 2, 4, 8} {
-			for _, s := range []*sched.Schedule{
-				sched.BlockMap(p.part, np),
-				sched.WrapMap(p.f, p.ew, np),
-			} {
-				got, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
-				if err != nil {
-					t.Fatalf("seed %d P=%d: %v", seed, np, err)
-				}
-				for i := range want {
-					// Fan-in vs scatter summation order; allow a
-					// conditioning-scaled tolerance.
-					if math.Abs(got[i]-want[i]) > 1e-7*(1+scale) {
-						t.Fatalf("seed %d P=%d: x[%d] = %g, serial %g", seed, np, i, got[i], want[i])
-					}
-				}
+			got, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, np, b)
+			if err != nil {
+				t.Fatalf("seed %d P=%d: %v", seed, np, err)
+			}
+			if q := firstBitDiff(got, want); q >= 0 {
+				t.Fatalf("seed %d P=%d: x[%d] = %v, serial %v", seed, np, q, got[q], want[q])
 			}
 		}
 	}
 }
 
 // TestParallelSolveLDLDeterministic pins run-to-run bit-identity: every
-// component is computed by one owner with a fixed reduction order, so the
+// component is computed by one worker with a fixed reduction order, so the
 // result must not depend on goroutine interleaving.
 func TestParallelSolveLDLDeterministic(t *testing.T) {
 	p := buildPipe(gen.Grid9(12, 12), 16, 4)
@@ -62,13 +43,12 @@ func TestParallelSolveLDLDeterministic(t *testing.T) {
 	for i := range b {
 		b[i] = math.Sin(float64(i))
 	}
-	s := sched.WrapMap(p.f, p.ew, 8)
-	first, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
+	first, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, 8, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 5; r++ {
-		again, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
+		again, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, 8, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +77,7 @@ func TestParallelSolveLDLIndefinite(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	s := sched.BlockMap(p.part, 4)
-	x, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, b)
+	x, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, 4, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +92,10 @@ func TestParallelSolveLDLErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.BlockMap(p.part, 2)
-	if _, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, s, make([]float64, 3)); err == nil {
+	if _, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, 2, make([]float64, 3)); err == nil {
 		t.Fatal("expected rhs length error")
 	}
-	bad := &sched.Schedule{P: 0, ElemProc: make([]int32, p.f.NNZ())}
-	if _, err := ParallelSolve(numeric.KernelLDL, ldl.F, ldl.Val, bad, make([]float64, p.f.N)); err == nil {
+	if _, err := parallelSolve(numeric.KernelLDL, p.f, ldl.Val, 0, make([]float64, p.f.N)); err == nil {
 		t.Fatal("expected processor count error")
 	}
 }

@@ -14,40 +14,20 @@ import (
 	"repro/internal/symbolic"
 )
 
-// Regression: ParallelSolve used to index its per-processor buckets with
-// schedule-supplied owner ids without validating them, so a schedule with
-// P = 0 or an out-of-range owner panicked instead of returning an error.
+// Regression: the parallel solves used to index per-processor buckets
+// without validating the processor count, so P = 0 panicked instead of
+// returning an error.
 func TestParallelSolveRejectsZeroProcs(t *testing.T) {
 	p := buildPipe(gen.Grid5(4, 4), 4, 4)
 	chol, err := numeric.Factorize(p.m, p.f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.BlockMap(p.part, 2)
-	bad := &sched.Schedule{P: 0, ElemProc: s.ElemProc}
-	if _, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, bad, make([]float64, p.m.N)); err == nil {
-		t.Fatal("expected error for P=0 schedule")
-	} else if !strings.Contains(err.Error(), "processor count") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-func TestParallelSolveRejectsOutOfRangeOwner(t *testing.T) {
-	p := buildPipe(gen.Grid5(4, 4), 4, 4)
-	chol, err := numeric.Factorize(p.m, p.f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, owner := range []int32{-1, 2, 99} {
-		s := sched.BlockMap(p.part, 2)
-		ep := make([]int32, len(s.ElemProc))
-		copy(ep, s.ElemProc)
-		ep[p.f.ColPtr[0]] = owner // corrupt column 0's diagonal owner
-		bad := &sched.Schedule{P: 2, ElemProc: ep}
-		if _, err := ParallelSolve(numeric.KernelCholesky, chol.F, chol.Val, bad, make([]float64, p.m.N)); err == nil {
-			t.Fatalf("expected error for owner %d on P=2", owner)
-		} else if !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("owner %d: unexpected error: %v", owner, err)
+	for _, np := range []int{0, -3} {
+		if _, err := parallelSolve(numeric.KernelCholesky, p.f, chol.Val, np, make([]float64, p.m.N)); err == nil {
+			t.Fatalf("expected error for P=%d", np)
+		} else if !strings.Contains(err.Error(), "invalid processor count") {
+			t.Fatalf("unexpected error: %v", err)
 		}
 	}
 }

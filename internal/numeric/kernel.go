@@ -38,10 +38,45 @@ func (k Kernel) Valid() error {
 }
 
 // Solve runs the serial triangular sweeps of the kernel that produced val
-// over f ((*Cholesky).Solve or (*LDL).Solve).
-func (k Kernel) Solve(f *symbolic.Factor, val, b []float64) []float64 {
-	if k == KernelLDL {
-		return (&LDL{F: f, Val: val}).Solve(b)
+// over f in place: x holds the right-hand side on entry and the solution
+// on return. (*Cholesky).Solve and (*LDL).Solve are this on a copy.
+func (k Kernel) Solve(f *symbolic.Factor, val, x []float64) {
+	k.lower(f, val, x)
+	k.upper(f, val, x)
+}
+
+// lower overwrites x, holding b, with the solution of L·y = b. LDLᵀ's L
+// has a unit diagonal: the diagonal positions of val hold D.
+func (k Kernel) lower(f *symbolic.Factor, val, x []float64) {
+	for j := 0; j < f.N; j++ {
+		base, end := f.ColPtr[j], f.ColPtr[j+1]
+		if k != KernelLDL {
+			x[j] /= val[base]
+		}
+		xj := x[j]
+		rs, vs := f.RowInd[base+1:end], val[base+1:end]
+		for q, i := range rs {
+			x[i] -= vs[q] * xj
+		}
 	}
-	return (&Cholesky{F: f, Val: val}).Solve(b)
+}
+
+// upper overwrites x, holding y, with the solution of Lᵀ·x = y, or for
+// LDLᵀ of Lᵀ·x = D⁻¹·y.
+func (k Kernel) upper(f *symbolic.Factor, val, x []float64) {
+	for j := f.N - 1; j >= 0; j-- {
+		base, end := f.ColPtr[j], f.ColPtr[j+1]
+		sum := x[j]
+		if k == KernelLDL {
+			sum /= val[base]
+		}
+		rs, vs := f.RowInd[base+1:end], val[base+1:end]
+		for q, i := range rs {
+			sum -= vs[q] * x[i]
+		}
+		if k != KernelLDL {
+			sum /= val[base]
+		}
+		x[j] = sum
+	}
 }

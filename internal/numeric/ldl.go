@@ -37,31 +37,8 @@ func FactorizeLDL(m *sparse.Matrix, f *symbolic.Factor) (*LDL, error) {
 // Solve solves A·x = b using the computed factorization: L·z = b,
 // w = D⁻¹·z, Lᵀ·x = w.
 func (l *LDL) Solve(b []float64) []float64 {
-	n := l.F.N
 	x := append([]float64(nil), b...)
-	// Forward: L z = b (unit diagonal).
-	for j := 0; j < n; j++ {
-		base, end := l.F.ColPtr[j], l.F.ColPtr[j+1]
-		zj := x[j]
-		rs, vs := l.F.RowInd[base+1:end], l.Val[base+1:end]
-		for q, i := range rs {
-			x[i] -= vs[q] * zj
-		}
-	}
-	// Diagonal.
-	for j := 0; j < n; j++ {
-		x[j] /= l.Val[l.F.ColPtr[j]]
-	}
-	// Backward: Lᵀ x = w.
-	for j := n - 1; j >= 0; j-- {
-		base, end := l.F.ColPtr[j], l.F.ColPtr[j+1]
-		sum := x[j]
-		rs, vs := l.F.RowInd[base+1:end], l.Val[base+1:end]
-		for q, i := range rs {
-			sum -= vs[q] * x[i]
-		}
-		x[j] = sum
-	}
+	KernelLDL.Solve(l.F, l.Val, x)
 	return x
 }
 

@@ -145,41 +145,25 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 	return val, nil
 }
 
-// LowerSolve solves L*y = b in place of a fresh slice and returns y.
+// LowerSolve solves L*y = b and returns y in a fresh slice.
 func (c *Cholesky) LowerSolve(b []float64) []float64 {
-	n := c.F.N
 	y := append([]float64(nil), b...)
-	for j := 0; j < n; j++ {
-		base, end := c.F.ColPtr[j], c.F.ColPtr[j+1]
-		y[j] /= c.Val[base]
-		yj := y[j]
-		rs, vs := c.F.RowInd[base+1:end], c.Val[base+1:end]
-		for q, i := range rs {
-			y[i] -= vs[q] * yj
-		}
-	}
+	KernelCholesky.lower(c.F, c.Val, y)
 	return y
 }
 
-// UpperSolve solves Lᵀ*x = y and returns x.
+// UpperSolve solves Lᵀ*x = y and returns x in a fresh slice.
 func (c *Cholesky) UpperSolve(y []float64) []float64 {
-	n := c.F.N
 	x := append([]float64(nil), y...)
-	for j := n - 1; j >= 0; j-- {
-		base, end := c.F.ColPtr[j], c.F.ColPtr[j+1]
-		sum := x[j]
-		rs, vs := c.F.RowInd[base+1:end], c.Val[base+1:end]
-		for q, i := range rs {
-			sum -= vs[q] * x[i]
-		}
-		x[j] = sum / c.Val[base]
-	}
+	KernelCholesky.upper(c.F, c.Val, x)
 	return x
 }
 
 // Solve solves A*x = b for the matrix that was factorized.
 func (c *Cholesky) Solve(b []float64) []float64 {
-	return c.UpperSolve(c.LowerSolve(b))
+	x := append([]float64(nil), b...)
+	KernelCholesky.Solve(c.F, c.Val, x)
+	return x
 }
 
 // L returns the factor as a lower-triangular sparse matrix with values.

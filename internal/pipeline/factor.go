@@ -9,7 +9,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/exec"
 	"repro/internal/numeric"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
@@ -43,9 +42,6 @@ type Factor struct {
 	// kernel): serial and parallel factors are bit-identical and share one
 	// key. A parallel factor over a relaxed structure adds the plan.
 	Key artifact.Key
-
-	solveOnce sync.Once
-	solveSch  *sched.Schedule
 }
 
 // FactorKey returns the content address of the Factor that Factorize
@@ -124,39 +120,37 @@ func (pl *Plan) runParallel(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, e
 // N returns the system dimension.
 func (fa *Factor) N() int { return fa.F.N }
 
-// permute maps a right-hand side into elimination order; unpermute maps a
-// solution back.
-func (fa *Factor) permute(b []float64) []float64 {
-	pb := make([]float64, len(b))
+// solve is the body of every solve method: b, checked, is permuted into
+// elimination order, sweep overwrites that copy with the solution, and the
+// solution is mapped back to the original variable order.
+func (fa *Factor) solve(b []float64, sweep func(pb []float64) error) ([]float64, error) {
+	if len(b) != fa.F.N {
+		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
+	}
+	pb, x := make([]float64, len(b)), make([]float64, len(b))
 	for k, old := range fa.Plan.An.Perm {
 		pb[k] = b[old]
 	}
-	return pb
-}
-
-func (fa *Factor) unpermute(px []float64) []float64 {
-	x := make([]float64, len(px))
-	for k, old := range fa.Plan.An.Perm {
-		x[old] = px[k]
+	if err := sweep(pb); err != nil {
+		return nil, err
 	}
-	return x
+	for k, old := range fa.Plan.An.Perm {
+		x[old] = pb[k]
+	}
+	return x, nil
 }
 
-// solveSerial runs the serial triangular solves on a permuted rhs.
-func (fa *Factor) solveSerial(pb []float64) []float64 {
-	return fa.Kernel.Solve(fa.F, fa.Val, pb)
+// serial is the sweep of Solve: the kernel's serial triangular solves.
+func (fa *Factor) serial(pb []float64) error {
+	fa.Kernel.Solve(fa.F, fa.Val, pb)
+	return nil
 }
 
 // Solve solves A·x = b in the original variable order with the serial
 // triangular sweeps. It performs no factorization work: the factor values
 // are already held. For serial-kernel factors the result is bit-for-bit
 // the serial kernel's sweeps wrapped in the analysis permutation.
-func (fa *Factor) Solve(b []float64) ([]float64, error) {
-	if len(b) != fa.F.N {
-		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
-	}
-	return fa.unpermute(fa.solveSerial(fa.permute(b))), nil
-}
+func (fa *Factor) Solve(b []float64) ([]float64, error) { return fa.solve(b, fa.serial) }
 
 // SolveBatch solves one system per right-hand side, fanning the
 // independent solves out over worker goroutines. Each solution is
@@ -168,30 +162,15 @@ func (fa *Factor) SolveBatch(bs [][]float64) ([][]float64, error) {
 		}
 	}
 	xs := make([][]float64, len(bs))
-	workers := runtime.NumCPU()
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64
-	var mu sync.Mutex
+	workers := min(runtime.NumCPU(), len(bs))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		//repro:allow nondeterminism -- each worker claims whole independent right-hand sides and writes only its own xs[i] slot; TestSolveBatchBitIdentical pins every solution against the serial Solve
+		//repro:allow nondeterminism -- worker w takes the independent right-hand sides w, w+workers, … (equal cost each) and writes only its own xs[i] slots; TestSolveBatchBitIdentical pins every solution against the serial Solve
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := int(next)
-				next++
-				mu.Unlock()
-				if i >= len(bs) {
-					return
-				}
-				xs[i] = fa.unpermute(fa.solveSerial(fa.permute(bs[i])))
+			for i := w; i < len(bs); i += workers {
+				xs[i], _ = fa.Solve(bs[i]) // the lengths are checked
 			}
 		}()
 	}
@@ -199,36 +178,15 @@ func (fa *Factor) SolveBatch(bs [][]float64) ([][]float64, error) {
 	return xs, nil
 }
 
-// solveSchedule derives the column-ownership schedule of the parallel
-// sweeps from the plan, expanded over this factor's structure. Built once
-// and reused by every SolveParallel call.
-func (fa *Factor) solveSchedule() *sched.Schedule {
-	fa.solveOnce.Do(func() {
-		owner := fa.Plan.columnOwners()
-		f := fa.F
-		ep := make([]int32, f.NNZ())
-		for j := 0; j < f.N; j++ {
-			for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-				ep[q] = owner[j]
-			}
-		}
-		fa.solveSch = &sched.Schedule{P: fa.Plan.P, ElemProc: ep}
-	})
-	return fa.solveSch
-}
-
-// SolveParallel solves A·x = b with the parallel fan-in triangular sweeps
-// (one worker per processor of the plan, columns owned per the plan's
-// diagonal ownership), for either kernel. Like Solve it never
-// re-factorizes. The result is deterministic run to run; it differs from
-// Solve only in floating-point summation order.
+// SolveParallel solves A·x = b with the plan's compiled parallel sweeps
+// (exec.SolveProgram: independent elimination-tree subtrees side by side
+// on the plan's P workers, their common ancestors serially), for either
+// kernel. Like Solve it never re-factorizes, and the result is bit-for-bit
+// Solve's: every component is summed in the serial order.
 func (fa *Factor) SolveParallel(b []float64) ([]float64, error) {
-	if len(b) != fa.F.N {
-		return nil, fmt.Errorf("pipeline: rhs length %d, want %d", len(b), fa.F.N)
-	}
-	px, err := exec.ParallelSolve(fa.Kernel, fa.F, fa.Val, fa.solveSchedule(), fa.permute(b))
+	sp, err := fa.Plan.solveProgram(fa.F)
 	if err != nil {
 		return nil, err
 	}
-	return fa.unpermute(px), nil
+	return fa.solve(b, func(pb []float64) error { return sp.Run(fa.Kernel, fa.Val, pb) })
 }

@@ -1,16 +1,21 @@
 package pipeline
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/order"
+	"repro/internal/sparse"
 	"repro/internal/strategy"
 )
 
@@ -173,6 +178,102 @@ func TestBlockPlanBitIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolveProgramBitIdentity: SolveParallel is Solve bit for bit, for both
+// kernels, on every plan kind — column 1D, block, a relaxed block plan
+// factored in parallel over its padded structure, 2D — at every P through
+// P > n, and twice running. Factor values do not depend on P, so each
+// (kind, kernel) factors once and the P sweep re-plans around the values.
+// Under -race this is the data-race exercise of the compiled sweeps.
+func TestSolveProgramBitIdentity(t *testing.T) {
+	type fixture struct {
+		name string
+		a    *sparse.Matrix
+	}
+	fixtures := []fixture{{"GRID9-60", gen.Grid9(60, 60)}}
+	for _, tm := range gen.Suite() {
+		fixtures = append(fixtures, fixture{tm.Name, tm.Build()})
+	}
+	relaxed := strategy.Options{Part: core.Options{RelaxZeros: 0.3}}
+	kinds := []struct {
+		name     string
+		plan     func(an *Analysis, p int) (*Plan, error)
+		parallel bool
+	}{
+		{"wrap", func(an *Analysis, p int) (*Plan, error) { return an.Plan("wrap", p, strategy.Options{}) }, false},
+		{"block", func(an *Analysis, p int) (*Plan, error) { return an.Plan("block", p, strategy.Options{}) }, true},
+		{"block relaxed", func(an *Analysis, p int) (*Plan, error) { return an.Plan("block", p, relaxed) }, true},
+		{"rect2dcyclic", func(an *Analysis, p int) (*Plan, error) { return an.Plan2D("rect2dcyclic", p, strategy.Options{}) }, true},
+	}
+	for _, fx := range fixtures {
+		an, err := NewAnalysis(fx.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, an.N())
+		for i := range b {
+			b[i] = float64((i*7)%13) - 6 + 1/float64(i+3)
+		}
+		for _, kind := range kinds {
+			for _, k := range []Kernel{Cholesky, LDL} {
+				var held *Factor
+				for _, p := range []int{4, 1, 2, 3, 16, 64, an.N() + 1} {
+					what := fmt.Sprintf("%s %s %s P=%d", fx.name, kind.name, k, p)
+					pl, err := kind.plan(an, p)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if held == nil {
+						if held, err = pl.factor(fx.a, k, kind.parallel, artifact.Key{}); err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if padded := kind.name == "block relaxed"; padded != (held.F != an.F) {
+							t.Fatalf("%s: padded structure = %v", what, !padded)
+						}
+					}
+					fa := &Factor{Plan: pl, Kernel: k, F: held.F, Val: held.Val}
+					want, err := fa.Solve(b)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					for run := 0; run < 2; run++ {
+						got, err := fa.SolveParallel(b)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+							t.Fatalf("%s run %d: SolveParallel is not Solve bit for bit", what, run)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveParallelRejectsForeignStructure: a Factor over a structure that
+// is neither of its plan's is an error, not a program compiled into the
+// shared plan.
+func TestSolveParallelRejectsForeignStructure(t *testing.T) {
+	a := gen.Grid9(6, 6)
+	an, err := NewAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa, err := pl.Factorize(a, Cholesky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := *an.F
+	fa.F = &foreign
+	if _, err := fa.SolveParallel(make([]float64, an.N())); err == nil || !strings.Contains(err.Error(), "not one of its plan's") {
+		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/strategy"
+	"repro/internal/symbolic"
 	"repro/internal/traffic"
 )
 
@@ -42,6 +43,14 @@ type Plan struct {
 	progOnce sync.Once
 	prog     *exec.Program
 	progErr  error
+	// sweeps are the compiled parallel solves (plans persist, factors
+	// churn), one per structure a Factor of this plan can carry: the
+	// analysis factor, and the padded one of a relaxed block plan.
+	sweeps [2]struct {
+		once sync.Once
+		prog *exec.SolveProgram
+		err  error
+	}
 }
 
 // hashOptions mixes every mapping-relevant field of opts into h.
@@ -198,29 +207,6 @@ func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measu
 	return pg.Measure(pm, opts)
 }
 
-// columnOwners returns the processor owning each column's diagonal under
-// this plan (over the structure the plan's schedule covers).
-func (pl *Plan) columnOwners() []int32 {
-	n := pl.An.F.N
-	owner := make([]int32, n)
-	switch {
-	case pl.S2 != nil:
-		for j := 0; j < n; j++ {
-			b := int(pl.S2.BlockOf[j])
-			owner[j] = pl.S2.Owner[part2d.TileID(b, b)]
-		}
-	default:
-		f := pl.An.F
-		if pl.S1.UnitProc != nil {
-			f = pl.An.sys.Partition(pl.Opts.Part).F
-		}
-		for j := 0; j < n; j++ {
-			owner[j] = pl.S1.ElemProc[f.ColPtr[j]]
-		}
-	}
-	return owner
-}
-
 // program returns the plan compiled for the exact-serial-order engine:
 // the tile-segment graph of a 2D plan, the column graph of a
 // column-granular 1D plan (task j owns exactly column j), or the
@@ -237,4 +223,18 @@ func (pl *Plan) program() (*exec.Program, error) {
 		}
 	})
 	return pl.prog, pl.progErr
+}
+
+// solveProgram returns the sweeps over f — the structure of one of this
+// plan's Factors — compiled for the plan's P workers on first use.
+func (pl *Plan) solveProgram(f *symbolic.Factor) (*exec.SolveProgram, error) {
+	sw := &pl.sweeps[0]
+	if f != pl.An.F {
+		if pl.S1 == nil || f != pl.An.sys.Partition(pl.Opts.Part).F {
+			return nil, fmt.Errorf("pipeline: factor structure is not one of its plan's")
+		}
+		sw = &pl.sweeps[1]
+	}
+	sw.once.Do(func() { sw.prog, sw.err = exec.CompileSolve(f, pl.P) })
+	return sw.prog, sw.err
 }

@@ -249,7 +249,7 @@ func TestSolveParallelEndToEnd(t *testing.T) {
 	if r := repro.ResidualNorm(a, x, b); r > 1e-9 {
 		t.Errorf("parallel solve residual %g", r)
 	}
-	// Agreement with the sequential pipeline.
+	// Bit for bit the sequential pipeline.
 	ser, err := pl.Factorize(a, repro.KernelCholesky)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +259,8 @@ func TestSolveParallelEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-8*(1+math.Abs(want[i])) {
-			t.Fatalf("component %d: parallel %g vs sequential %g", i, x[i], want[i])
+		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("component %d: parallel %v vs sequential %v", i, x[i], want[i])
 		}
 	}
 }

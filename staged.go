@@ -10,10 +10,13 @@ package repro
 //
 // so analysis happens once per sparsity pattern, mapping once per
 // (pattern, strategy, P), factorization once per (pattern, values,
-// kernel), and every solve call touches only the triangular sweeps. A
-// Cache content-addresses the three stages in an LRU-bounded
-// artifact.Store, serving repeat requests against recurring patterns —
-// the factorization-as-a-service scenario — from memory:
+// kernel), and every solve call touches only the triangular sweeps —
+// SolveParallel the ones compiled once per plan (independent
+// elimination-tree subtrees side by side on its P workers, one join per
+// sweep), bit for bit the serial Solve. A Cache content-addresses the
+// three stages in an LRU-bounded artifact.Store, serving repeat requests
+// against recurring patterns — the factorization-as-a-service scenario —
+// from memory:
 //
 //	cache := repro.NewCache(256)
 //	an, _ := cache.Analysis(a)                                // pattern hash

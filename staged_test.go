@@ -116,8 +116,8 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 // staged plan factored by the parallel engine and solved by
 // Factor.SolveParallel reproduces the monolithic sequence — the block
 // program compiled from the plan's partition and schedule, then the
-// parallel sweeps, assembled by hand — bit for bit, and that factor is
-// the serial kernel's.
+// sweeps compiled for P workers, assembled by hand — bit for bit, that
+// factor is the serial kernel's, and the solve is the serial sweeps'.
 func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 	for _, tm := range repro.TestMatrices() {
 		t.Run(tm.Name, func(t *testing.T) {
@@ -150,13 +150,18 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 				}
 				bitEqual(t, nf.Val, chol.Val, fmt.Sprintf("block program vs serial kernel P=%d", p))
 				want := ref.solve(b, func(pb []float64) []float64 {
-					px, err := exec.ParallelSolve(numeric.KernelCholesky, nf.F, nf.Val, pl.S1, pb)
+					sp, err := exec.CompileSolve(nf.F, p)
 					if err != nil {
+						t.Fatal(err)
+					}
+					px := append([]float64(nil), pb...)
+					if err := sp.Run(numeric.KernelCholesky, nf.Val, px); err != nil {
 						t.Fatal(err)
 					}
 					return px
 				})
 				bitEqual(t, got, want, fmt.Sprintf("staged parallel solve P=%d", p))
+				bitEqual(t, got, ref.solve(b, chol.Solve), fmt.Sprintf("staged parallel solve vs serial sweeps P=%d", p))
 			}
 		})
 	}
