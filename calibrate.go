@@ -5,10 +5,7 @@ package repro
 // parallel engine emits (Plan.Measure), so Plan.Simulate predicts wall
 // clock instead of abstract work units. See internal/calib for the fit.
 
-import (
-	"repro/internal/calib"
-	"repro/internal/obs"
-)
+import "repro/internal/calib"
 
 // CalibratedModel is a fitted cost model: the work-unit CommModel (with
 // Gamma) SimOptions.Comm takes unchanged, the nanosecond-per-work-unit
@@ -30,9 +27,6 @@ type FitOptions = calib.Options
 // Fitter accumulates measured runs across processor counts and mappers
 // into one least-squares fit.
 type Fitter = calib.Fitter
-
-// CalibSummary is the fit block of kind "calibrate" ledger records.
-type CalibSummary = obs.CalibSummary
 
 // NewFitter returns an empty calibration fitter.
 func NewFitter() *Fitter { return calib.NewFitter() }

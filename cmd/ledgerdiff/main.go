@@ -1,104 +1,78 @@
-// Command ledgerdiff compares two bench ledgers (BENCH_*.json) and
-// reports per-configuration drift: every (matrix, kind, strategy, p) key
-// present in both files is diffed on makespan, traffic and measured
-// wall clock, keys present in only one file are flagged, and the exit
-// status is nonzero when a deterministic metric (makespan or traffic) of
-// a gated kind drifts past -tolerance. Measured nanoseconds are printed
-// but never gated — wall clock is machine- and load-dependent, while
-// simulated spans and traffic must reproduce exactly on equal code.
-//
-// The calibrate kind is ungated by default: its makespan is simulated
-// under a model fitted to wall-clock timings, so it inherits their
-// machine dependence.
+// Command ledgerdiff compares two bench ledgers (BENCH_*.json) and is
+// the constant-ledger gate: every (matrix, kind, strategy, p) key present
+// in both files is diffed on makespan and traffic, keys present in only
+// one file are flagged, and the exit status is nonzero when any record
+// drifted or a baseline key is missing from the current ledger. A ledger
+// holds simulated counts only — functions of the code alone — so nothing
+// is tolerated and no kind is exempt. Both files must pass
+// obs.ValidateLedger (schema tag, at least one record, required keys) and
+// carry each key once; anything else is an error, never an empty diff.
 //
 // Usage:
 //
 //	ledgerdiff BENCH_baseline.json BENCH_current.json
-//	ledgerdiff -tolerance 0.05 -kinds strategy,tile2d BENCH_a.json BENCH_b.json
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// defaultGatedKinds are the record kinds whose makespan and traffic are
-// deterministic functions of the code and therefore regression-gated.
-const defaultGatedKinds = "strategy,tile2d,measure,pipeline,comm"
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ledgerdiff: ")
-	tolerance := flag.Float64("tolerance", 0,
-		"maximum relative drift of a gated metric before the exit status turns nonzero (0 = exact match)")
-	kinds := flag.String("kinds", defaultGatedKinds,
-		"comma-separated record kinds whose makespan/traffic drift is gated")
-	flag.Parse()
-	if err := validateTolerance(*tolerance); err != nil {
-		log.Fatal(err)
+	if len(os.Args) != 3 {
+		log.Fatal("usage: ledgerdiff BASELINE.json CURRENT.json")
 	}
-	gated, err := parseKinds(*kinds)
+	baseline, err := os.ReadFile(os.Args[1])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if flag.NArg() != 2 {
-		log.Fatal("usage: ledgerdiff [-tolerance t] [-kinds a,b] BASELINE.json CURRENT.json")
-	}
-	baseline, err := os.ReadFile(flag.Arg(0))
+	current, err := os.ReadFile(os.Args[2])
 	if err != nil {
 		log.Fatal(err)
 	}
-	current, err := os.ReadFile(flag.Arg(1))
+	failed, err := run(baseline, current, os.Stdout)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exceed, err := run(baseline, current, *tolerance, gated, os.Stdout)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if exceed > 0 {
+	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// validateTolerance rejects a drift bound the gate cannot honour.
-func validateTolerance(t float64) error {
-	// !(t >= 0) also rejects NaN, which a plain t < 0 lets through.
-	if !(t >= 0) || math.IsInf(t, 0) {
-		return fmt.Errorf("invalid -tolerance %g (must be finite and >= 0)", t)
-	}
-	return nil
-}
-
-// parseKinds splits the -kinds list into a set, rejecting empty entries
-// so a stray comma cannot silently ungate a kind.
-func parseKinds(s string) (map[string]bool, error) {
-	gated := make(map[string]bool)
-	if s == "" {
-		return gated, nil
-	}
-	for _, k := range strings.Split(s, ",") {
-		k = strings.TrimSpace(k)
-		if k == "" {
-			return nil, fmt.Errorf("invalid -kinds %q (empty entry)", s)
-		}
-		gated[k] = true
-	}
-	return gated, nil
 }
 
 // key identifies one benchmarked configuration across ledgers.
 func key(r obs.BenchRecord) string {
 	return fmt.Sprintf("%s/%s/%s/P=%d", r.Matrix, r.Kind, r.Strategy, r.P)
+}
+
+// index validates one serialized ledger and returns its records by key.
+// A key carried twice is an error: a map would silently keep the last
+// copy and compare only that one.
+func index(data []byte) (map[string]obs.BenchRecord, error) {
+	if err := obs.ValidateLedger(data); err != nil {
+		return nil, err
+	}
+	var l obs.Ledger
+	if err := json.Unmarshal(data, &l); err != nil {
+		return nil, err
+	}
+	recs := make(map[string]obs.BenchRecord, len(l.Records))
+	for _, r := range l.Records {
+		k := key(r)
+		if _, dup := recs[k]; dup {
+			return nil, fmt.Errorf("duplicate key %s", k)
+		}
+		recs[k] = r
+	}
+	return recs, nil
 }
 
 // relDrift is the relative change from old to new, guarded for zero
@@ -112,23 +86,16 @@ func relDrift(old, new int64) float64 {
 
 // run diffs two serialized ledgers and writes the report: one line per
 // drifted or missing key (sorted), then a summary. It returns how many
-// gated keys exceeded the tolerance — missing gated keys count, extra
-// keys are informational only.
-func run(baseline, current []byte, tolerance float64, gated map[string]bool, w io.Writer) (int, error) {
-	var base, cur obs.Ledger
-	if err := json.Unmarshal(baseline, &base); err != nil {
+// keys fail the gate — drifted ones and ones missing from the current
+// ledger; keys new in the current ledger are informational only.
+func run(baseline, current []byte, w io.Writer) (int, error) {
+	baseRecs, err := index(baseline)
+	if err != nil {
 		return 0, fmt.Errorf("baseline ledger: %w", err)
 	}
-	if err := json.Unmarshal(current, &cur); err != nil {
+	curRecs, err := index(current)
+	if err != nil {
 		return 0, fmt.Errorf("current ledger: %w", err)
-	}
-	baseRecs := make(map[string]obs.BenchRecord)
-	for _, r := range base.Records {
-		baseRecs[key(r)] = r
-	}
-	curRecs := make(map[string]obs.BenchRecord)
-	for _, r := range cur.Records {
-		curRecs[key(r)] = r
 	}
 	keys := make([]string, 0, len(baseRecs))
 	for k := range baseRecs {
@@ -141,43 +108,27 @@ func run(baseline, current []byte, tolerance float64, gated map[string]bool, w i
 	}
 	sort.Strings(keys)
 
-	exceed, compared, drifted := 0, 0, 0
+	compared, drifted, missing := 0, 0, 0
 	for _, k := range keys {
 		b, inBase := baseRecs[k]
 		c, inCur := curRecs[k]
 		switch {
 		case !inCur:
-			if gated[b.Kind] {
-				exceed++
-				fmt.Fprintf(w, "%s: missing from current ledger EXCEEDS\n", k)
-			} else {
-				fmt.Fprintf(w, "%s: missing from current ledger\n", k)
-			}
+			missing++
+			fmt.Fprintf(w, "%s: missing from current ledger\n", k)
 		case !inBase:
 			fmt.Fprintf(w, "%s: new in current ledger\n", k)
 		default:
 			compared++
-			spanDrift := relDrift(b.Makespan, c.Makespan)
-			trafDrift := relDrift(b.Traffic, c.Traffic)
-			if spanDrift == 0 && trafDrift == 0 && b.MeasuredNs == c.MeasuredNs {
+			if b.Makespan == c.Makespan && b.Traffic == c.Traffic {
 				continue
 			}
 			drifted++
-			over := gated[b.Kind] && (spanDrift > tolerance || trafDrift > tolerance)
-			if over {
-				exceed++
-			}
-			mark := ""
-			if over {
-				mark = " EXCEEDS"
-			}
-			fmt.Fprintf(w, "%s: makespan %d -> %d (%.2f%%), traffic %d -> %d (%.2f%%), measured_ns %d -> %d (not gated)%s\n",
-				k, b.Makespan, c.Makespan, 100*spanDrift,
-				b.Traffic, c.Traffic, 100*trafDrift,
-				b.MeasuredNs, c.MeasuredNs, mark)
+			fmt.Fprintf(w, "%s: makespan %d -> %d (%.2f%%), traffic %d -> %d (%.2f%%)\n",
+				k, b.Makespan, c.Makespan, 100*relDrift(b.Makespan, c.Makespan),
+				b.Traffic, c.Traffic, 100*relDrift(b.Traffic, c.Traffic))
 		}
 	}
-	fmt.Fprintf(w, "ledgerdiff: %d keys compared, %d drifted, %d exceed tolerance %g\n",
-		compared, drifted, exceed, tolerance)
-	return exceed, nil
+	fmt.Fprintf(w, "ledgerdiff: %d keys compared, %d drifted, %d missing\n", compared, drifted, missing)
+	return drifted + missing, nil
 }

@@ -21,141 +21,108 @@ func ledgerBytes(t *testing.T, recs ...obs.BenchRecord) []byte {
 	return []byte(sb.String())
 }
 
-func rec(kind string, p int, makespan, traffic, measured int64) obs.BenchRecord {
+func rec(kind string, p int, makespan, traffic int64) obs.BenchRecord {
 	return obs.BenchRecord{
 		Matrix: "LAP30", Strategy: "rect2dcyclic", Kind: kind, P: p,
 		Alpha: 2, Beta: 10, Makespan: makespan, Traffic: traffic,
-		Efficiency: 0.5, MeasuredNs: measured,
+		Efficiency: 0.5,
 	}
 }
 
 // TestDiffGolden pins the report: identical ledgers are silent apart
-// from the summary, a drifted gated metric prints the full delta line
-// with the EXCEEDS mark, and measured_ns drift alone is reported but
-// never gated.
+// from the summary, and any drifted metric prints the full delta line
+// and fails the gate, whatever the record's kind.
 func TestDiffGolden(t *testing.T) {
-	gated := map[string]bool{"tile2d": true}
-	base := ledgerBytes(t, rec("tile2d", 4, 1000, 50, 700))
+	base := ledgerBytes(t, rec("tile2d", 4, 1000, 50), rec("comm", 4, 1000, 50))
 
 	var sb strings.Builder
-	exceed, err := run(base, base, 0, gated, &sb)
+	failed, err := run(base, base, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exceed != 0 {
-		t.Errorf("identical ledgers: exceed = %d", exceed)
+	if failed != 0 {
+		t.Errorf("identical ledgers: failed = %d", failed)
 	}
-	if got, want := sb.String(), "ledgerdiff: 1 keys compared, 0 drifted, 0 exceed tolerance 0\n"; got != want {
+	if got, want := sb.String(), "ledgerdiff: 2 keys compared, 0 drifted, 0 missing\n"; got != want {
 		t.Errorf("identical ledgers report:\n got %q\nwant %q", got, want)
 	}
 
 	sb.Reset()
-	cur := ledgerBytes(t, rec("tile2d", 4, 1100, 50, 900))
-	exceed, err = run(base, cur, 0, gated, &sb)
+	cur := ledgerBytes(t, rec("tile2d", 4, 1100, 50), rec("comm", 4, 1000, 51))
+	failed, err = run(base, cur, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exceed != 1 {
-		t.Errorf("10%% makespan drift at tolerance 0: exceed = %d, want 1", exceed)
+	if failed != 2 {
+		t.Errorf("two drifted records: failed = %d, want 2", failed)
 	}
-	want := "LAP30/tile2d/rect2dcyclic/P=4: makespan 1000 -> 1100 (10.00%), traffic 50 -> 50 (0.00%), measured_ns 700 -> 900 (not gated) EXCEEDS\n" +
-		"ledgerdiff: 1 keys compared, 1 drifted, 1 exceed tolerance 0\n"
+	want := "LAP30/comm/rect2dcyclic/P=4: makespan 1000 -> 1000 (0.00%), traffic 50 -> 51 (2.00%)\n" +
+		"LAP30/tile2d/rect2dcyclic/P=4: makespan 1000 -> 1100 (10.00%), traffic 50 -> 50 (0.00%)\n" +
+		"ledgerdiff: 2 keys compared, 2 drifted, 0 missing\n"
 	if sb.String() != want {
 		t.Errorf("drift report:\n got %q\nwant %q", sb.String(), want)
 	}
-
-	// Wall clock alone drifts: reported, never an exceedance.
-	sb.Reset()
-	cur = ledgerBytes(t, rec("tile2d", 4, 1000, 50, 90000))
-	exceed, err = run(base, cur, 0, gated, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exceed != 0 {
-		t.Errorf("measured_ns-only drift gated: exceed = %d\n%s", exceed, sb.String())
-	}
-	if !strings.Contains(sb.String(), "measured_ns 700 -> 90000") {
-		t.Errorf("measured_ns drift unreported:\n%s", sb.String())
-	}
 }
 
-// TestDiffTolerance pins the regression gate arithmetic: a 10% drift
-// passes a 0.2 tolerance and fails a 0.05 one, ungated kinds never trip
-// it, and a gated key missing from the current ledger counts.
-func TestDiffTolerance(t *testing.T) {
-	gated := map[string]bool{"tile2d": true}
-	base := ledgerBytes(t, rec("tile2d", 4, 1000, 50, 700))
-	cur := ledgerBytes(t, rec("tile2d", 4, 1100, 50, 700))
-
+// TestDiffMissingKey pins the two one-sided cases: a baseline key
+// vanishing from the current ledger is a regression, a key only the
+// current ledger has is reported and passes.
+func TestDiffMissingKey(t *testing.T) {
+	both := rec("tile2d", 4, 1000, 50)
 	var sb strings.Builder
-	exceed, err := run(base, cur, 0.2, gated, &sb)
+	failed, err := run(ledgerBytes(t, both, rec("tile2d", 16, 700, 90)), ledgerBytes(t, both), &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exceed != 0 {
-		t.Errorf("10%% drift at tolerance 0.2: exceed = %d\n%s", exceed, sb.String())
-	}
-	sb.Reset()
-	exceed, err = run(base, cur, 0.05, gated, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exceed != 1 {
-		t.Errorf("10%% drift at tolerance 0.05: exceed = %d, want 1", exceed)
+	if failed != 1 || !strings.Contains(sb.String(), "P=16: missing from current ledger") {
+		t.Errorf("missing key: failed = %d\n%s", failed, sb.String())
 	}
 
-	// The same drift on an ungated kind (calibrate's fitted spans are
-	// machine-dependent) never exceeds.
 	sb.Reset()
-	exceed, err = run(ledgerBytes(t, rec("calibrate", 4, 1000, 50, 700)),
-		ledgerBytes(t, rec("calibrate", 4, 2000, 50, 700)), 0, gated, &sb)
+	failed, err = run(ledgerBytes(t, both), ledgerBytes(t, both, rec("tile2d", 16, 700, 90)), &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exceed != 0 {
-		t.Errorf("ungated kind tripped the gate: exceed = %d\n%s", exceed, sb.String())
-	}
-
-	// A gated key vanishing from the current ledger is a regression.
-	sb.Reset()
-	exceed, err = run(base, ledgerBytes(t), 0.2, gated, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exceed != 1 || !strings.Contains(sb.String(), "missing from current ledger EXCEEDS") {
-		t.Errorf("missing gated key: exceed = %d\n%s", exceed, sb.String())
+	if failed != 0 || !strings.Contains(sb.String(), "P=16: new in current ledger") {
+		t.Errorf("new key: failed = %d\n%s", failed, sb.String())
 	}
 }
 
-// TestValidateTolerance pins the fail-fast -tolerance gate.
-func TestValidateTolerance(t *testing.T) {
-	for _, bad := range []float64{-0.1, -1} {
-		if err := validateTolerance(bad); err == nil || !strings.Contains(err.Error(), "-tolerance") {
-			t.Errorf("validateTolerance(%g) = %v, want named rejection", bad, err)
+// TestRejectsInvalidLedger closes the first vacuous pass: a truncated or
+// foreign file on either side used to decode to zero records, compare
+// "0 keys" and exit 0 against anything. Both inputs go through
+// obs.ValidateLedger, and the error says which side failed.
+func TestRejectsInvalidLedger(t *testing.T) {
+	good := ledgerBytes(t, rec("tile2d", 4, 1000, 50))
+	for _, tc := range []struct{ name, data, want string }{
+		{"empty object", `{}`, "schema"},
+		{"wrong schema tag", strings.Replace(string(good), obs.LedgerSchema, "repro-bench/v1", 1), `schema "repro-bench/v1"`},
+		{"zero records", string(ledgerBytes(t)), "zero records"},
+		{"record without its metrics", `{"schema":"` + obs.LedgerSchema + `","records":[{"matrix":"LAP30"}]}`, "missing keys"},
+	} {
+		if _, err := run([]byte(tc.data), good, new(strings.Builder)); err == nil ||
+			!strings.Contains(err.Error(), "baseline ledger") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s as baseline: error %v, want baseline ledger ... %s", tc.name, err, tc.want)
 		}
-	}
-	for _, ok := range []float64{0, 0.05, 1} {
-		if err := validateTolerance(ok); err != nil {
-			t.Errorf("validateTolerance(%g) = %v, want nil", ok, err)
+		if _, err := run(good, []byte(tc.data), new(strings.Builder)); err == nil ||
+			!strings.Contains(err.Error(), "current ledger") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s as current: error %v, want current ledger ... %s", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestParseKinds pins the -kinds parser: lists split into a set, empty
-// entries are rejected, and the empty string gates nothing.
-func TestParseKinds(t *testing.T) {
-	gated, err := parseKinds("strategy, tile2d")
-	if err != nil {
-		t.Fatal(err)
+// TestRejectsDuplicateKey closes the second: records are indexed by key,
+// and a ledger carrying one key twice — a drifted and an undrifted copy,
+// or the same cell under two comm models — used to compare only the last
+// copy. A duplicate in either file is an error naming the key.
+func TestRejectsDuplicateKey(t *testing.T) {
+	base := ledgerBytes(t, rec("tile2d", 4, 1000, 50))
+	twice := ledgerBytes(t, rec("tile2d", 4, 2000, 50), rec("tile2d", 4, 1000, 50))
+	const want = "duplicate key LAP30/tile2d/rect2dcyclic/P=4"
+	if _, err := run(base, twice, new(strings.Builder)); err == nil || !strings.Contains(err.Error(), "current ledger: "+want) {
+		t.Errorf("duplicate in current: error %v, want %q", err, want)
 	}
-	if !gated["strategy"] || !gated["tile2d"] || len(gated) != 2 {
-		t.Errorf("parseKinds set = %v", gated)
-	}
-	if _, err := parseKinds("strategy,,tile2d"); err == nil {
-		t.Error("empty entry accepted")
-	}
-	gated, err = parseKinds("")
-	if err != nil || len(gated) != 0 {
-		t.Errorf("parseKinds(\"\") = %v, %v", gated, err)
+	if _, err := run(twice, base, new(strings.Builder)); err == nil || !strings.Contains(err.Error(), "baseline ledger: "+want) {
+		t.Errorf("duplicate in baseline: error %v, want %q", err, want)
 	}
 }

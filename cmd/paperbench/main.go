@@ -5,14 +5,14 @@
 // BENCH_*.json, and -trace exports one simulated execution as a Chrome
 // trace (Perfetto-loadable) or an ASCII Gantt chart.
 //
-// With -measure it additionally runs the real parallel 2D engine
-// (bit-identity verified against the serial factor) and prints measured
-// wall-clock speedups next to the comm-aware predictions; the rows join
-// the ledger as kind "measure". With -calibrate it fits {Alpha, Beta,
-// Gamma} and the nanosecond scale to the measured per-task durations and
-// prints the Ext-Cal table (measured vs uncalibrated vs calibrated
-// prediction with MAPE columns); the rows join the ledger as kind
-// "calibrate". Both flags together share one measurement pass.
+// Two tables time real runs and therefore stay out of -table all: measure
+// runs the parallel 2D engine (bit-identity verified against the serial
+// factor) and prints measured wall-clock speedups next to the comm-aware
+// predictions; calibrate fits {Alpha, Beta, Gamma} and the nanosecond
+// scale to the measured per-task durations and prints the Ext-Cal table
+// (measured vs uncalibrated vs calibrated prediction with MAPE columns).
+// Their numbers are one machine's and never enter the ledger, which holds
+// only what cmd/ledgerdiff gates exactly.
 //
 // The command computes nothing itself: internal/tables holds every study
 // and its renderers, and this file is flag parsing plus the -table
@@ -22,10 +22,9 @@
 //
 //	paperbench [-table 1|2|3|4|5|...|all|none]
 //	paperbench -table none -ledger BENCH_pr.json -matrix LAP30
-//	paperbench -table none -measure -repeats 2 -matrix LAP30 -ledger BENCH_measure.json
-//	paperbench -table none -calibrate -repeats 2 -matrix LAP30 -ledger BENCH_calib.json
+//	paperbench -table measure -repeats 2 -matrix LAP30
+//	paperbench -table calibrate -repeats 2 -matrix LAP30
 //	paperbench -table none -trace trace.json -tracestrategy rect2dcyclic -traceprocs 64
-//	paperbench -checkledger BENCH_pr.json
 package main
 
 import (
@@ -44,63 +43,75 @@ import (
 )
 
 // suite is what a table is rendered from: the five problems of Table 1,
-// LAP30 among them (the single-matrix studies' subject), and the comm
-// model of the -alpha/-beta flags.
+// LAP30 among them (the single-matrix studies' subject), the comm model
+// of the -alpha/-beta flags, and for the timed tables the -matrix problem
+// and the -repeats count.
 type suite struct {
-	ps  []*tables.Problem
-	lap *tables.Problem
-	cm  repro.CommModel
+	ps    []*tables.Problem
+	lap   *tables.Problem
+	cm    repro.CommModel
+	focus *tables.Problem
+	reps  int
 }
 
-// tableEntry renders one study of internal/tables as text.
+// measured is the measurement pass of the two timed tables: every 2D
+// strategy on the -matrix problem across tables.MeasureProcs.
+func (s suite) measured() ([]tables.MeasureRow, error) {
+	return tables.Measured(s.focus, tables.MeasureProcs, nil, s.cm, s.reps)
+}
+
+// tableEntry renders one study of internal/tables as text. The timed
+// tables run the real engine: -table all leaves them out, as cmd/sweep's
+// -kind all leaves out its measured kinds.
 type tableEntry struct {
-	name string
-	text func(s suite) (string, error)
+	name  string
+	timed bool
+	text  func(s suite) (string, error)
 }
 
 // registry is the -table axis in print order; it is also what validates
 // -table.
 var registry = []tableEntry{
-	{"1", func(s suite) (string, error) { return tables.FormatTable1(tables.Table1(s.ps)), nil }},
-	{"2", func(s suite) (string, error) { return show(tables.FormatTable2)(tables.Tables2and3(s.ps)) }},
-	{"3", func(s suite) (string, error) { return show(tables.FormatTable3)(tables.Tables2and3(s.ps)) }},
-	{"4", func(s suite) (string, error) { return show(tables.FormatTable4)(tables.Table4(s.lap)) }},
-	{"5", func(s suite) (string, error) { return show(tables.FormatTable5)(tables.Table5(s.ps)) }},
-	{"makespan", func(s suite) (string, error) { return show(tables.FormatMakespan)(tables.Makespan(s.ps)) }},
-	{"partners", func(s suite) (string, error) { return show(tables.FormatPartners)(tables.Partners(s.ps)) }},
-	{"grain", func(s suite) (string, error) {
+	{name: "1", text: func(s suite) (string, error) { return tables.FormatTable1(tables.Table1(s.ps)), nil }},
+	{name: "2", text: func(s suite) (string, error) { return show(tables.FormatTable2)(tables.Tables2and3(s.ps)) }},
+	{name: "3", text: func(s suite) (string, error) { return show(tables.FormatTable3)(tables.Tables2and3(s.ps)) }},
+	{name: "4", text: func(s suite) (string, error) { return show(tables.FormatTable4)(tables.Table4(s.lap)) }},
+	{name: "5", text: func(s suite) (string, error) { return show(tables.FormatTable5)(tables.Table5(s.ps)) }},
+	{name: "makespan", text: func(s suite) (string, error) { return show(tables.FormatMakespan)(tables.Makespan(s.ps)) }},
+	{name: "partners", text: func(s suite) (string, error) { return show(tables.FormatPartners)(tables.Partners(s.ps)) }},
+	{name: "grain", text: func(s suite) (string, error) {
 		rows, err := tables.BlockSweep(s.lap, 16, []int{2, 4, 8, 16, 25, 50, 100, 200}, []int{tables.DefaultWidth})
 		return tables.FormatGrainSweep("LAP30", 16, rows), err
 	}},
-	{"relax", func(s suite) (string, error) {
+	{name: "relax", text: func(s suite) (string, error) {
 		rows, err := tables.RelaxSweep(s.lap, 16, 25, []float64{0, 0.05, 0.1, 0.25, 0.5})
 		return tables.FormatRelaxSweep("LAP30", 16, 25, rows), err
 	}},
-	{"alloc", func(s suite) (string, error) { return show(tables.FormatAllocCompare)(tables.AllocCompare(s.ps)) }},
-	{"order", func(s suite) (string, error) {
+	{name: "alloc", text: func(s suite) (string, error) { return show(tables.FormatAllocCompare)(tables.AllocCompare(s.ps)) }},
+	{name: "order", text: func(s suite) (string, error) {
 		rows, err := tables.OrderCompare(s.lap, 16)
 		return tables.FormatOrderCompare("LAP30", 16, rows), err
 	}},
-	{"solve", func(s suite) (string, error) { return show(tables.FormatSolveBalance)(tables.SolveBalance(s.ps)) }},
-	{"dynamic", func(s suite) (string, error) { return show(tables.FormatDynamicCompare)(tables.DynamicCompare(s.ps)) }},
-	{"messages", func(s suite) (string, error) { return show(tables.FormatMessages)(tables.Messages(s.ps)) }},
-	{"commspan", func(s suite) (string, error) {
+	{name: "solve", text: func(s suite) (string, error) { return show(tables.FormatSolveBalance)(tables.SolveBalance(s.ps)) }},
+	{name: "dynamic", text: func(s suite) (string, error) { return show(tables.FormatDynamicCompare)(tables.DynamicCompare(s.ps)) }},
+	{name: "messages", text: func(s suite) (string, error) { return show(tables.FormatMessages)(tables.Messages(s.ps)) }},
+	{name: "commspan", text: func(s suite) (string, error) {
 		rows, err := tables.CommMakespan(s.lap, 16, []float64{0, 1, 2, 5, 10, 20})
 		return tables.FormatCommMakespan("LAP30", 16, rows), err
 	}},
-	{"unified", func(s suite) (string, error) {
+	{name: "unified", text: func(s suite) (string, error) {
 		rows, err := tables.UnifiedComm(s.lap, tables.WrapProcs, nil, tables.Production, s.cm)
 		return tables.FormatUnifiedComm("LAP30", s.cm, rows), err
 	}},
-	{"strategy", func(s suite) (string, error) {
+	{name: "strategy", text: func(s suite) (string, error) {
 		rows, err := tables.StrategyCompare(s.ps, tables.DefaultProcs, nil, tables.Production)
 		return tables.FormatStrategyCompare(rows), err
 	}},
-	{"tile2d", func(s suite) (string, error) {
+	{name: "tile2d", text: func(s suite) (string, error) {
 		rows, err := tables.Tile2D(s.lap, tables.Tile2DProcs, nil, repro.StrategyOptions{}, s.cm)
 		return tables.FormatTile2D("LAP30", s.cm, rows), err
 	}},
-	{"crossover", func(s suite) (string, error) {
+	{name: "crossover", text: func(s suite) (string, error) {
 		rows, point, err := tables.Crossover(s.lap, 16, []float64{0, 0.5, 1, 2, 5, 10, 20, 50})
 		out := tables.FormatCrossover("LAP30", 16, rows, point) + "\n"
 		for _, p := range s.ps {
@@ -110,6 +121,21 @@ var registry = []tableEntry{
 			out += fmt.Sprintf("%-10s P=16 crossover c = %.2f\n", p.Meta.Name, point)
 		}
 		return out, err
+	}},
+	{name: "measure", timed: true, text: func(s suite) (string, error) {
+		rows, err := s.measured()
+		return tables.FormatMeasured(s.focus.Meta.Name, s.cm, rows), err
+	}},
+	{name: "calibrate", timed: true, text: func(s suite) (string, error) {
+		rows, err := s.measured()
+		if err != nil {
+			return "", err
+		}
+		st, err := tables.Calibration(rows)
+		if err != nil {
+			return "", err
+		}
+		return tables.FormatCalibration(s.focus.Meta.Name, s.cm, st), nil
 	}},
 }
 
@@ -140,19 +166,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all",
-		"which table to regenerate: 1..5, makespan, partners, grain, relax, alloc, order, solve, dynamic, crossover, messages, commspan, unified, strategy, tile2d, all, or none (tables off; useful with -ledger/-trace)")
+		"which table to regenerate: 1..5, makespan, partners, grain, relax, alloc, order, solve, dynamic, crossover, messages, commspan, unified, strategy, tile2d, all, none (tables off; useful with -ledger/-trace), or one of the timed tables measure and calibrate (real engine runs on -matrix, not part of all)")
 	alpha := fs.Float64("alpha", 2, "comm model: work units per fetched element (unified table, ledger, trace)")
 	beta := fs.Float64("beta", 10, "comm model: work units per received message (unified table, ledger, trace)")
 	ledgerPath := fs.String("ledger", "", "write the machine-readable bench ledger (BENCH_*.json) to this path")
-	checkLedger := fs.String("checkledger", "", "validate an existing bench ledger file and exit (the CI gate)")
-	matrix := fs.String("matrix", "", "restrict -ledger to one suite matrix and select the -trace matrix (default: all for the ledger, LAP30 for the trace)")
+	matrix := fs.String("matrix", "", "restrict -ledger to one suite matrix and select the matrix of -trace and the timed tables (default: all for the ledger, LAP30 otherwise)")
 	tracePath := fs.String("trace", "", "write one traced comm-aware dynamic simulation to this path")
 	traceFormat := fs.String("traceformat", "chrome", "trace export format: "+strings.Join(repro.TraceFormats(), " or "))
 	traceStrategy := fs.String("tracestrategy", "wrap", "strategy of the traced run: a 1D strategy, a native 2D mapper, or col2d:<base>")
 	traceProcs := fs.Int("traceprocs", 16, "processor count of the traced run")
-	measure := fs.Bool("measure", false, "run the real parallel engine on every 2D strategy (-matrix or LAP30) and print measured vs predicted speedups; with -ledger the rows join the ledger as kind \"measure\"")
-	calibrate := fs.Bool("calibrate", false, "measure every 2D strategy (-matrix or LAP30), fit the cost model to the per-task durations, and print the Ext-Cal calibration table; with -ledger the rows join the ledger as kind \"calibrate\"")
-	repeats := fs.Int("repeats", 3, "repeat-and-min count for -measure and -calibrate timings")
+	repeats := fs.Int("repeats", 3, "repeat-and-min count for the timings of -table measure and -table calibrate")
 	fs.Parse(args)
 	// !(x >= 0) also rejects NaN, which a plain x < 0 lets through.
 	if !(*alpha >= 0) || !(*beta >= 0) || math.IsInf(*alpha, 0) || math.IsInf(*beta, 0) {
@@ -161,18 +184,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cm := repro.CommModel{Alpha: *alpha, Beta: *beta}
 	if err := validateRepeats(*repeats); err != nil {
 		return err
-	}
-
-	if *checkLedger != "" {
-		data, err := os.ReadFile(*checkLedger)
-		if err != nil {
-			return err
-		}
-		if err := repro.ValidateLedger(data); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: valid %s ledger\n", *checkLedger, repro.BenchLedgerSchema)
-		return nil
 	}
 
 	// Fail fast on every knob before any matrix is built: -table, -matrix,
@@ -224,9 +235,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	byName := func(name string) *tables.Problem {
 		return ps[slices.IndexFunc(ps, func(p *tables.Problem) bool { return p.Meta.Name == name })]
 	}
-	s := suite{ps: ps, lap: byName("LAP30"), cm: cm}
+	s := suite{ps: ps, lap: byName("LAP30"), cm: cm, focus: byName(focus), reps: *repeats}
 	for _, e := range registry {
-		if *table != "all" && *table != e.name {
+		if *table != e.name && (*table != "all" || e.timed) {
 			continue
 		}
 		text, err := e.text(s)
@@ -236,48 +247,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, text)
 	}
 
-	// -measure and -calibrate share one pass over the engine grid, so the
-	// measure and calibrate rows of one run describe the same executions.
-	mp := byName(focus)
-	var measured []tables.MeasureRow
-	var calStudy *tables.CalibrationStudy
-	if *measure || *calibrate {
-		runs, err := tables.Measured(mp, tables.MeasureProcs, nil, cm, *repeats)
-		if err != nil {
-			return err
-		}
-		if *measure {
-			measured = runs
-			fmt.Fprintln(stdout, tables.FormatMeasured(mp.Meta.Name, cm, measured))
-		}
-		if *calibrate {
-			if calStudy, err = tables.Calibration(runs); err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, tables.FormatCalibration(mp.Meta.Name, cm, calStudy))
-		}
-	}
-
 	if f := files["-ledger"]; f != nil {
 		bench := ps
 		if *matrix != "" {
-			bench = []*tables.Problem{mp}
+			bench = []*tables.Problem{s.focus}
 		}
 		ledger, err := tables.BenchLedger(bench, tables.DefaultProcs, cm)
 		if err != nil {
 			return err
-		}
-		ledger.Records = append(ledger.Records, tables.MeasureRecords(measured, cm)...)
-		ledger.Records = append(ledger.Records, tables.CalibrationRecords(calStudy)...)
-		// One staged-pipeline row per benched matrix: a cold request
-		// against an empty artifact store vs repeated warm requests, with
-		// the cache hit/miss counters (gated by -checkledger).
-		for _, p := range bench {
-			rec, err := tables.PipelineRecord(p, "wrap", 4, 5)
-			if err != nil {
-				return err
-			}
-			ledger.Add(rec)
 		}
 		if err := ledger.Write(f); err != nil {
 			return err
@@ -285,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "wrote %s (%d records)\n", *ledgerPath, len(ledger.Records))
 	}
 	if f := files["-trace"]; f != nil {
-		c, err := mp.Cell(*traceStrategy, *traceProcs, tables.Production)
+		c, err := s.focus.Cell(*traceStrategy, *traceProcs, tables.Production)
 		if err != nil {
 			return err
 		}
@@ -299,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // validateRepeats rejects a repeat-and-min count the measurement harness
 // cannot honour. Checked unconditionally at startup so a bad -repeats
-// fails before any table work, even when -measure/-calibrate are off.
+// fails before any table work, even when no timed table is selected.
 func validateRepeats(r int) error {
 	if r < 1 {
 		return fmt.Errorf("invalid -repeats %d (want >= 1)", r)

@@ -2,22 +2,23 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/tables"
 )
 
 // TestValidateRepeats pins the fail-fast -repeats gate: zero and negative
 // counts are rejected with the offending value in the message, valid
 // counts pass. The check runs unconditionally at startup, so a bad
-// -repeats dies before any table work even without -measure/-calibrate.
+// -repeats dies before any table work even when no timed table is selected.
 func TestValidateRepeats(t *testing.T) {
 	for _, r := range []int{0, -1, -100} {
 		err := validateRepeats(r)
@@ -61,8 +62,8 @@ func TestTableAllGolden(t *testing.T) {
 
 // TestRejectsBeforeLoading pins the fail-fast contract: an unknown -table
 // (usage and exit 2), -matrix, trace strategy or trace format is refused
-// against its registry before the suite is loaded, and leaves no output
-// file behind.
+// against its registry, and a -repeats the timed tables cannot honour by
+// its range, before the suite is loaded, and leaves no output file behind.
 func TestRejectsBeforeLoading(t *testing.T) {
 	calls := 0
 	real := loadSuite
@@ -80,6 +81,7 @@ func TestRejectsBeforeLoading(t *testing.T) {
 		{[]string{"-table", "none", "-matrix", "NOPE", "-ledger", ledger}, `unknown matrix "NOPE"`, ""},
 		{[]string{"-table", "none", "-trace", ledger, "-tracestrategy", "col2d:block"}, `unknown trace strategy "col2d:block"`, ""},
 		{[]string{"-table", "none", "-trace", ledger, "-traceformat", "svg"}, `unknown trace format "svg"`, ""},
+		{[]string{"-table", "measure", "-repeats", "0", "-ledger", ledger}, "invalid -repeats 0", ""},
 	} {
 		var stderr bytes.Buffer
 		err := run(tc.args, io.Discard, &stderr)
@@ -101,52 +103,93 @@ func TestRejectsBeforeLoading(t *testing.T) {
 	}
 }
 
-// TestMeasureAndCalibrateShareOnePass runs the CI bench-smoke invocation:
-// -measure and -calibrate together time the engine grid once, so the
-// measure and calibrate ledger rows of a cell carry the same wall clock,
-// and the smoke ledger passes its own gate.
-func TestMeasureAndCalibrateShareOnePass(t *testing.T) {
+// timedRows keeps the rows of a timed table (the lines that start with
+// the matrix name) as comma-joined picks of their 1-based
+// whitespace-separated fields, sorted: the text tables run P-major where
+// cmd/sweep's series run label-major.
+func timedRows(text string, keep ...int) []string {
+	var rows []string
+	for _, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || fields[0] != "LAP30" {
+			continue
+		}
+		var kept []string
+		for _, k := range keep {
+			kept = append(kept, fields[k-1])
+		}
+		rows = append(rows, strings.Join(kept, ","))
+	}
+	slices.Sort(rows)
+	return rows
+}
+
+// TestTimedTables pins the two tables that run the real engine. They are
+// registry entries like any other study, flagged so -table all leaves
+// them out (TestTableAllGolden holds -table all to its pre-change bytes),
+// and what they print is deterministic where cmd/sweep's measured series
+// are: the (label, P) axis with the predicted span and traffic of
+// measure and the uncalibrated predicted speedup of calibrate, checked
+// against sweep's own column goldens (calibrate prints two decimals of
+// the golden's four).
+func TestTimedTables(t *testing.T) {
+	var timed []string
+	for _, e := range registry {
+		if e.timed {
+			timed = append(timed, e.name)
+		}
+	}
+	if !slices.Equal(timed, []string{"measure", "calibrate"}) {
+		t.Fatalf("timed tables %v, want measure and calibrate", timed)
+	}
 	if testing.Short() {
 		t.Skip("real measured runs on LAP30")
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_smoke.json")
-	args := []string{"-table", "none", "-matrix", "LAP30", "-measure", "-calibrate", "-repeats", "1", "-ledger", path}
-	if err := run(args, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
+	golden := func(kind string) []string {
+		data, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "lap30_"+kind+".cols.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:]
+		slices.Sort(rows)
+		return rows
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	table := func(name string) string {
+		var stdout bytes.Buffer
+		if err := run([]string{"-table", name, "-repeats", "1"}, &stdout, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String()
 	}
-	if err := repro.ValidateLedger(data); err != nil {
-		t.Fatal(err)
+
+	// Appl P Strategy Serial Parallel Speedup PredSpeedup PredSpan Traffic
+	out := table("measure")
+	if got, want := timedRows(out, 3, 2, 8, 9), golden("measure"); !slices.Equal(got, want) {
+		t.Errorf("-table measure deterministic columns drifted from sweep's golden:\n got %v\nwant %v\n%s", got, want, out)
 	}
-	var ledger repro.Ledger
-	if err := json.Unmarshal(data, &ledger); err != nil {
-		t.Fatal(err)
+
+	// Appl P Strategy Measured Uncal Cal Speedup UncalPred CalPred Degenerate
+	out = table("calibrate")
+	got, want := timedRows(out, 3, 2, 8), golden("calibrate")
+	if len(got) != len(want) {
+		t.Fatalf("-table calibrate has %d rows, sweep's golden %d:\n%s", len(got), len(want), out)
 	}
-	type key struct {
-		strategy string
-		p        int
+	pred := func(row string) (axis string, v float64) {
+		i := strings.LastIndex(row, ",")
+		v, err := strconv.ParseFloat(row[i+1:], 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", row, err)
+		}
+		return row[:i], v
 	}
-	measured := make(map[key]repro.BenchRecord)
-	for _, r := range ledger.Records {
-		if r.Kind == "measure" {
-			measured[key{r.Strategy, r.P}] = r
+	for i := range got {
+		gAxis, g := pred(got[i])
+		wAxis, w := pred(want[i])
+		if gAxis != wAxis || math.Abs(g-w) > 0.005+1e-9 {
+			t.Errorf("-table calibrate row %q, sweep's golden %q", got[i], want[i])
 		}
 	}
-	calibrated := 0
-	for _, r := range ledger.Records {
-		if r.Kind != "calibrate" {
-			continue
-		}
-		calibrated++
-		m, ok := measured[key{r.Strategy, r.P}]
-		if !ok || m.SerialNs != r.SerialNs || m.MeasuredNs != r.MeasuredNs || m.Traffic != r.Traffic {
-			t.Errorf("%s P=%d: calibrate row %+v does not describe the measure row's execution %+v", r.Strategy, r.P, r, m)
-		}
-	}
-	if want := len(tables.Labels2D()) * len(tables.MeasureProcs); calibrated != want || len(measured) != want {
-		t.Errorf("%d measure and %d calibrate rows, want %d each", len(measured), calibrated, want)
+	if !strings.Contains(out, "speedup MAPE: uncalibrated ") {
+		t.Errorf("-table calibrate lost its MAPE footer:\n%s", out)
 	}
 }

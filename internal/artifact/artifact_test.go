@@ -161,22 +161,6 @@ func TestHasherMatchesStraightLineSHA256(t *testing.T) {
 	}
 }
 
-// BenchmarkSums times the two content hashes of a warm request on the
-// benchmark's grid.
-func BenchmarkSums(b *testing.B) {
-	m := gen.Grid9(60, 60)
-	b.Run("PatternSum", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PatternSum(m)
-		}
-	})
-	b.Run("ValuesSum", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ValuesSum(m)
-		}
-	})
-}
-
 func key(kind string, i int) Key {
 	h := NewHasher(kind)
 	h.I64(int64(i))

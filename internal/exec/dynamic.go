@@ -3,6 +3,8 @@ package exec
 import (
 	"container/heap"
 	"fmt"
+
+	"repro/internal/sched"
 )
 
 // simulateDynamic is the event-driven core of Simulate: each processor,
@@ -12,7 +14,7 @@ import (
 // task's Work (already included in it) so events can split the duration;
 // it never changes the simulated times.
 func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
-	mustProcs(p)
+	sched.MustProcs("exec", p)
 	n := len(tasks)
 	// Bottom levels, successors and indegrees.
 	succs := make([][]int32, n)

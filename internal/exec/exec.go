@@ -112,7 +112,7 @@ func Simulate(tasks []Task, p int, o SimOptions) SimResult {
 // communication share of each task's Work (already included in it) so
 // events can split the duration; it never changes the simulated times.
 func simulateStatic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
-	mustProcs(p)
+	sched.MustProcs("exec", p)
 	procFree := make([]int64, p)
 	finish := make([]int64, len(tasks))
 	var total int64

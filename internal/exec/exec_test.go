@@ -45,7 +45,7 @@ func buildPipe(m *sparse.Matrix, g, w int) *pipe {
 // columnTasks is ColumnTasksMapped under the wrap mapping: column j on
 // processor j mod p.
 func columnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []int64, p int) []Task {
-	mustProcs(p)
+	sched.MustProcs("exec", p)
 	owner := make([]int32, f.N)
 	for j := range owner {
 		owner[j] = int32(j % p)
@@ -240,16 +240,6 @@ func BenchmarkParallelFactorizeLap30(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-func BenchmarkMakespanLap30(b *testing.B) {
-	p := buildPipe(gen.Lap30(), 4, 4)
-	s := sched.BlockMap(p.part, 16)
-	tasks := BlockTasks(p.part, s)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Simulate(tasks, 16, SimOptions{})
 	}
 }
 

@@ -1,5 +1,7 @@
 package exec
 
+import "repro/internal/sched"
+
 // TaskEvent describes one task execution inside a makespan simulation:
 // where it ran, when, how its duration splits into compute and
 // communication, and what bound its start time. The makespan simulators
@@ -50,7 +52,7 @@ type Probe interface {
 // (P*Makespan)); work conservation guarantees TotalWork <= P*Makespan, so
 // Idle is non-negative there too.
 func finalize(p int, span, total int64) SimResult {
-	mustProcs(p)
+	sched.MustProcs("exec", p)
 	res := SimResult{P: p, Makespan: span, TotalWork: total}
 	if span > 0 {
 		res.Idle = int64(p)*span - total

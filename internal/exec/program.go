@@ -61,7 +61,7 @@ type Program struct {
 // diagonals it scales by; malformed inputs are reported as errors, never
 // as panics or races.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
-	if err := checkProcCount(p); err != nil {
+	if err := sched.CheckProcs("exec", p); err != nil {
 		return nil, err
 	}
 	if err := checkTasks(tasks, p); err != nil {

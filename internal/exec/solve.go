@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/numeric"
+	"repro/internal/sched"
 	"repro/internal/symbolic"
 )
 
@@ -35,7 +36,7 @@ type SolveProgram struct {
 // chunks are the LPT packing of the frontier that is left. A chain never fits
 // (p > 1) and lands in the top whole: the serial sweep.
 func CompileSolve(f *symbolic.Factor, p int) (*SolveProgram, error) {
-	if err := checkProcCount(p); err != nil {
+	if err := sched.CheckProcs("exec", p); err != nil {
 		return nil, err
 	}
 	n := f.N

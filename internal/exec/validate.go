@@ -2,26 +2,6 @@ package exec
 
 import "fmt"
 
-// checkProcCount mirrors the strategy registry's processor-count contract
-// (strategy.checkProcs): library entry points return an error on a
-// non-positive P instead of panicking later on a zero-length per-processor
-// slice.
-func checkProcCount(p int) error {
-	if p < 1 {
-		return fmt.Errorf("exec: invalid processor count %d", p)
-	}
-	return nil
-}
-
-// mustProcs is checkProcCount for entry points with no error return (the
-// simulators and task-graph builders): a non-positive P is a caller bug
-// and panics with the package prefix, mirroring sched's contract.
-func mustProcs(p int) {
-	if p < 1 {
-		panic(fmt.Sprintf("exec: invalid processor count %d", p))
-	}
-}
-
 // checkProc validates one schedule-supplied owner id against the
 // processor count. Schedules are caller-constructed data; an out-of-range
 // owner must surface as an error, not an index-out-of-range panic.

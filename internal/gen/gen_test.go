@@ -213,13 +213,3 @@ func TestRandomConnectedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSuiteBuild(b *testing.B) {
-	for _, tm := range Suite() {
-		b.Run(tm.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tm.Build()
-			}
-		})
-	}
-}

@@ -227,32 +227,6 @@ func TestRoundTripFullSuite(t *testing.T) {
 	}
 }
 
-func BenchmarkWriteLap30(b *testing.B) {
-	m := gen.Lap30()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Write(&buf, m, "lap30", "LAP30"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReadLap30(b *testing.B) {
-	m := gen.Lap30()
-	var buf bytes.Buffer
-	if err := Write(&buf, m, "lap30", "LAP30"); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestReadNeverPanicsOnMutations(t *testing.T) {
 	// Failure injection: truncations, deletions and byte flips of a valid
 	// file must produce an error or a valid matrix — never a panic or a

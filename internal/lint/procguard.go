@@ -16,29 +16,22 @@ var procNames = map[string]bool{
 	"procCount": true, "numProcs": true,
 }
 
-// procValidators are the conventional validation helpers: a call passing
-// the parameter to any of these counts as a guard (strategy.checkProcs
-// returns an error, strategy.mustProcs and the sched/exec equivalents
-// panic with the package prefix).
-var procValidators = map[string]bool{
-	"mustProcs": true, "checkProcs": true, "checkProcCount": true,
-}
-
 // ProcGuard requires every exported function or method with a
-// processor-count parameter to validate it before first use: a call to
-// checkProcs/mustProcs/checkProcCount (or a same-package function or
-// method that itself validates the forwarded parameter — so thin exported
-// wrappers over a validating core pass — or an exported entry point of
-// another package of the module, which this analyzer holds to the same
-// contract), or an explicit comparison against 0/1. Handing the count to
-// package fmt only prints it and is not a use.
+// processor-count parameter to validate it before first use: by handing
+// it to an exported entry point of another package of the module, which
+// this analyzer holds to the same contract (the module's one guard,
+// sched.CheckProcs / sched.MustProcs, is such an entry point), to a
+// same-package function or method that itself validates the forwarded
+// parameter (so thin exported wrappers over a validating core pass), or by
+// an explicit comparison against 0/1. Handing the count to package fmt
+// only prints it and is not a use.
 // An unvalidated P reaches `make([]T, p)` or `j % p` and dies as an
 // index-out-of-range or divide-by-zero panic far from the caller's
 // mistake — the exact class PR 7 fixed in exec.ParallelSolve.
 var ProcGuard = &Analyzer{
 	Name: "procguard",
 	Doc: "exported functions with a processor-count parameter (p, np, procs, ...) must " +
-		"validate it via checkProcs/mustProcs or an explicit < 1 guard before first use",
+		"validate it via sched.CheckProcs/MustProcs or an explicit < 1 guard before first use",
 	Run: runProcGuard,
 }
 
@@ -92,8 +85,7 @@ func runProcGuard(pass *Pass) {
 				callee, _ := info.Uses[calleeIdent(x)].(*types.Func)
 				target, local := decls[callee]
 				switch {
-				case procValidators[calleeName(x)], local && validates(target, j),
-					!local && forwardsProc(pass.Pkg.Types, callee, j):
+				case local && validates(target, j), !local && forwardsProc(pass.Pkg.Types, callee, j):
 					guards = append(guards, guard{x.Pos(), x.End(), x.End()})
 				case callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "fmt":
 					// Only printed: not a use that can fail, and no validation
@@ -157,7 +149,7 @@ func runProcGuard(pass *Pass) {
 			for _, name := range field.Names {
 				if procNames[name.Name] && isInt(info.Defs[name]) && !validates(fd, idx) {
 					pass.Reportf(name.Pos(),
-						"exported %s does not validate processor count %q before first use; call checkProcs/mustProcs or guard with an explicit < 1 check",
+						"exported %s does not validate processor count %q before first use; call sched.CheckProcs/MustProcs or guard with an explicit < 1 check",
 						funcName(fd), name.Name)
 				}
 				idx++
@@ -216,13 +208,6 @@ func calleeIdent(call *ast.CallExpr) *ast.Ident {
 		return f.Sel
 	}
 	return nil
-}
-
-func calleeName(call *ast.CallExpr) string {
-	if id := calleeIdent(call); id != nil {
-		return id.Name
-	}
-	return ""
 }
 
 // forwardsProc reports whether callee is an exported function or method of

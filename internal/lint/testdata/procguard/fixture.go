@@ -7,14 +7,8 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 )
-
-// mustProcs is the conventional validator the analyzer recognizes.
-func mustProcs(p int) {
-	if p < 1 {
-		panic(fmt.Sprintf("sim: invalid processor count %d", p))
-	}
-}
 
 // Spans sizes a per-processor slice with an unvalidated count: flagged.
 func Spans(work []int64, p int) []int64 { // want "does not validate processor count"
@@ -25,9 +19,9 @@ func Spans(work []int64, p int) []int64 { // want "does not validate processor c
 	return out
 }
 
-// SpansChecked validates through the conventional helper: clean.
+// SpansChecked validates through the module's one guard: clean.
 func SpansChecked(work []int64, p int) []int64 {
-	mustProcs(p)
+	sched.MustProcs("sim", p)
 	out := make([]int64, p)
 	for i, w := range work {
 		out[i%p] += w

@@ -166,19 +166,6 @@ func TestDenseWorkClosedForm(t *testing.T) {
 	}
 }
 
-func BenchmarkForEachUpdateLap30(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	fac := symbolic.Analyze(pm)
-	o := NewOps(fac)
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		o.ForEachUpdate(func(u Update) { sink += int64(u.Tgt) })
-	}
-	_ = sink
-}
-
 func TestSolveElementWorkTotals(t *testing.T) {
 	fac := analyzed(5)
 	w := SolveElementWork(fac)

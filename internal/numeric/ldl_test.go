@@ -140,15 +140,3 @@ func TestLDLErrors(t *testing.T) {
 		t.Fatal("expected zero-pivot error")
 	}
 }
-
-func BenchmarkFactorizeLDLLap30(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	f := symbolic.Analyze(pm)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FactorizeLDL(pm, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -201,33 +201,3 @@ func TestDimensionMismatch(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
-
-func BenchmarkFactorizeLap30(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	fac := symbolic.Analyze(pm)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Factorize(pm, fac); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveLap30(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	fac := symbolic.Analyze(pm)
-	c, err := Factorize(pm, fac)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]float64, pm.N)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Solve(rhs)
-	}
-}

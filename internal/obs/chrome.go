@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 )
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -49,8 +50,8 @@ type chromeTrace struct {
 // simulation's work units (reported as microseconds, the format's native
 // unit) and are emitted in non-decreasing order.
 func WriteChromeTrace(w io.Writer, events []exec.TaskEvent, p int) error {
-	if p < 1 {
-		return fmt.Errorf("obs: invalid processor count %d", p)
+	if err := sched.CheckProcs("obs", p); err != nil {
+		return err
 	}
 	trace := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	for proc := 0; proc < p; proc++ {

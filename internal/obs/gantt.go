@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 )
 
 // Gantt renders a traced simulation as an ASCII per-processor timeline,
@@ -20,8 +21,8 @@ import (
 // visible at the cost of exact proportionality; later segments overwrite
 // earlier ones within a cell, making the busy share the visible one.
 func Gantt(events []exec.TaskEvent, p int, makespan int64, width int) string {
-	if p < 1 {
-		return fmt.Sprintf("gantt: invalid processor count %d\n", p)
+	if err := sched.CheckProcs("gantt", p); err != nil {
+		return err.Error() + "\n"
 	}
 	if width <= 0 {
 		width = 80

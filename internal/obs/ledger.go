@@ -9,7 +9,7 @@ import (
 
 // LedgerSchema identifies the bench ledger format; bump it on any
 // incompatible change to BenchRecord.
-const LedgerSchema = "repro-bench/v1"
+const LedgerSchema = "repro-bench/v2"
 
 // ProfileSummary is the compact per-run slice of a Profile that goes into
 // the bench ledger: the global time breakdown plus the critical-path
@@ -41,31 +41,13 @@ func (p *Profile) Summary() ProfileSummary {
 	}
 }
 
-// CalibSummary is the fit block every kind "calibrate" record carries:
-// the fitted cost-model parameters (Alpha and Beta live in the record's
-// own fields), the fit diagnostics, and the row's calibrated wall-clock
-// prediction next to the speedup MAPE of the whole study. None of its
-// fields are omitempty — ValidateLedger insists on the block's keys, and
-// a legitimately zero Gamma must still serialize.
-type CalibSummary struct {
-	Gamma     float64 `json:"gamma"`       // fitted per-task overhead, work units
-	NsPerWork float64 `json:"ns_per_work"` // fitted serial rate, ns per work unit
-	R2        float64 `json:"r2"`
-	Samples   int     `json:"samples"`
-	Dropped   int     `json:"dropped"`       // zero-/negative-duration events excluded
-	CalibNs   int64   `json:"calibrated_ns"` // this row's calibrated span prediction, ns
-	MAPEUncal float64 `json:"mape_uncalibrated"`
-	MAPECal   float64 `json:"mape_calibrated"`
-}
-
 // BenchRecord is one benchmarked run in the ledger: a (matrix, strategy,
-// P, comm model) point with its makespan, traffic, efficiency and profile
-// summary. Kind distinguishes the mapping family ("strategy" for the 1D
-// column mappers, "tile2d" for the native 2D mappers) — or "measure" for a
-// real wall-clock execution, whose rows additionally carry the measured
-// times and the measured-vs-predicted speedups (and whose Makespan is the
-// simulator's prediction, Efficiency the measured speedup over P, Profile
-// the real-run breakdown).
+// P, comm model) point with its simulated makespan, traffic, efficiency
+// and profile summary. Kind names the mapping family ("strategy" for the
+// 1D column mappers, "tile2d" for the native 2D mappers) or the sweep
+// series that filed the row. Every field is a function of the code alone,
+// which is what lets cmd/ledgerdiff gate every record exactly; wall clock
+// is measured by ./benchmark and never enters a ledger.
 type BenchRecord struct {
 	Matrix     string          `json:"matrix"`
 	Strategy   string          `json:"strategy"`
@@ -77,21 +59,6 @@ type BenchRecord struct {
 	Traffic    int64           `json:"traffic"`
 	Efficiency float64         `json:"efficiency"`
 	Profile    *ProfileSummary `json:"profile,omitempty"`
-	// Real-execution fields, set on Kind "measure" and "pipeline" records.
-	SerialNs        int64   `json:"serial_ns,omitempty"`
-	MeasuredNs      int64   `json:"measured_ns,omitempty"`
-	MeasuredSpeedup float64 `json:"measured_speedup,omitempty"`
-	PredSpeedup     float64 `json:"predicted_speedup,omitempty"`
-	// Artifact-cache counters, set only on Kind "pipeline" records (the
-	// staged analyze-once/factor-many benchmark): store hits and misses
-	// accumulated across the benchmarked request sequence.
-	Hits   int64 `json:"hits,omitempty"`
-	Misses int64 `json:"misses,omitempty"`
-	// Calib is the fit block of Kind "calibrate" records: the record's
-	// Alpha/Beta/Makespan then describe the *fitted* model and its
-	// calibrated span, and Calib carries Gamma, the nanosecond scale, the
-	// fit diagnostics and the study's MAPE columns.
-	Calib *CalibSummary `json:"calib,omitempty"`
 }
 
 // Ledger is the machine-readable bench output, written as BENCH_*.json:
@@ -119,35 +86,6 @@ func (l *Ledger) Write(w io.Writer) error {
 var ledgerRequiredKeys = []string{
 	"matrix", "strategy", "kind", "p", "alpha", "beta",
 	"makespan", "traffic", "efficiency",
-}
-
-// measureRequiredKeys are additionally required on kind "measure" records:
-// a real-execution row without its measured times is useless to the
-// measured-vs-predicted trend check.
-var measureRequiredKeys = []string{
-	"serial_ns", "measured_ns", "measured_speedup", "predicted_speedup",
-}
-
-// pipelineRequiredKeys are additionally required on kind "pipeline"
-// records: the staged-pipeline row pairs cold/warm wall-clock times
-// (serial_ns = cold, measured_ns = warm) with the artifact-store
-// counters that prove the warm path did no symbolic or numeric work.
-var pipelineRequiredKeys = []string{
-	"serial_ns", "measured_ns", "measured_speedup", "hits", "misses",
-}
-
-// calibrateRequiredKeys are additionally required on kind "calibrate"
-// records: the measured times the fit consumed plus the calib block.
-var calibrateRequiredKeys = []string{
-	"serial_ns", "measured_ns", "measured_speedup", "predicted_speedup", "calib",
-}
-
-// calibBlockRequiredKeys are required inside the calib block itself —
-// a fit record without its parameters or MAPE is useless to the
-// calibration trend check.
-var calibBlockRequiredKeys = []string{
-	"gamma", "ns_per_work", "r2", "samples", "dropped",
-	"calibrated_ns", "mape_uncalibrated", "mape_calibrated",
 }
 
 // ValidateLedger checks that data is a parseable ledger with the current
@@ -179,33 +117,6 @@ func ValidateLedger(data []byte) error {
 		for _, k := range ledgerRequiredKeys {
 			if _, ok := rec[k]; !ok {
 				missing = append(missing, k)
-			}
-		}
-		switch kind, _ := rec["kind"].(string); kind {
-		case "measure":
-			for _, k := range measureRequiredKeys {
-				if _, ok := rec[k]; !ok {
-					missing = append(missing, k)
-				}
-			}
-		case "pipeline":
-			for _, k := range pipelineRequiredKeys {
-				if _, ok := rec[k]; !ok {
-					missing = append(missing, k)
-				}
-			}
-		case "calibrate":
-			for _, k := range calibrateRequiredKeys {
-				if _, ok := rec[k]; !ok {
-					missing = append(missing, k)
-				}
-			}
-			if blk, ok := rec["calib"].(map[string]any); ok {
-				for _, k := range calibBlockRequiredKeys {
-					if _, ok := blk[k]; !ok {
-						missing = append(missing, "calib."+k)
-					}
-				}
 			}
 		}
 		if len(missing) > 0 {

@@ -44,10 +44,10 @@ func TestValidateLedgerRejects(t *testing.T) {
 	}{
 		{"not json", "{", "not valid JSON"},
 		{"wrong schema", `{"schema":"repro-bench/v0","records":[{}]}`, "schema"},
-		{"no records array", `{"schema":"repro-bench/v1"}`, "no records"},
-		{"zero records", `{"schema":"repro-bench/v1","records":[]}`, "zero records"},
-		{"record not object", `{"schema":"repro-bench/v1","records":[3]}`, "not an object"},
-		{"missing keys", `{"schema":"repro-bench/v1","records":[{"matrix":"X","p":4}]}`, "missing keys"},
+		{"no records array", `{"schema":"repro-bench/v2"}`, "no records"},
+		{"zero records", `{"schema":"repro-bench/v2","records":[]}`, "zero records"},
+		{"record not object", `{"schema":"repro-bench/v2","records":[3]}`, "not an object"},
+		{"missing keys", `{"schema":"repro-bench/v2","records":[{"matrix":"X","p":4}]}`, "missing keys"},
 	}
 	for _, tc := range cases {
 		err := obs.ValidateLedger([]byte(tc.data))

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/sched"
 )
 
 // RealProfile aggregates the events of one real (wall-clock) execution —
@@ -23,8 +24,8 @@ import (
 // Tasks but add nothing to Busy, so the count is what makes the
 // clock-resolution artifact visible.
 func RealProfile(events []exec.TaskEvent, p int) (*Profile, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("obs: invalid processor count %d", p)
+	if err := sched.CheckProcs("obs", p); err != nil {
+		return nil, err
 	}
 	prof := &Profile{P: p, Procs: make([]ProcProfile, p)}
 	for i := range prof.Procs {

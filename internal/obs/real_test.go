@@ -1,8 +1,6 @@
 package obs_test
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -50,53 +48,5 @@ func TestRealProfileRejects(t *testing.T) {
 	rev := []exec.TaskEvent{{Task: 0, Proc: 0, Start: 5, Finish: 2}}
 	if _, err := obs.RealProfile(rev, 1); err == nil {
 		t.Error("expected error for finish before start")
-	}
-}
-
-// Measure-kind records demand the measured fields: a ledger that labels a
-// row "measure" without its wall-clock numbers fails the CI gate.
-func TestValidateLedgerMeasureKind(t *testing.T) {
-	l := obs.NewLedger()
-	l.Add(obs.BenchRecord{
-		Matrix: "LAP30", Strategy: "rect2dcyclic", Kind: "measure", P: 4,
-		Alpha: 2, Beta: 10, Makespan: 30, Traffic: 50, Efficiency: 0.2,
-		SerialNs: 1000, MeasuredNs: 1200, MeasuredSpeedup: 0.83, PredSpeedup: 3.1,
-	})
-	var buf bytes.Buffer
-	if err := l.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateLedger(buf.Bytes()); err != nil {
-		t.Errorf("complete measure record rejected: %v", err)
-	}
-
-	// The same record without measured fields: omitempty drops them from
-	// the JSON, and the validator must notice.
-	l2 := obs.NewLedger()
-	l2.Add(obs.BenchRecord{
-		Matrix: "LAP30", Strategy: "rect2dcyclic", Kind: "measure", P: 4,
-		Alpha: 2, Beta: 10, Makespan: 30, Traffic: 50, Efficiency: 0.2,
-	})
-	buf.Reset()
-	if err := l2.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	err := obs.ValidateLedger(buf.Bytes())
-	if err == nil || !strings.Contains(err.Error(), "measured_ns") {
-		t.Errorf("incomplete measure record: error = %v, want missing measured_ns", err)
-	}
-
-	// Non-measure kinds stay valid without the measured fields.
-	l3 := obs.NewLedger()
-	l3.Add(obs.BenchRecord{
-		Matrix: "LAP30", Strategy: "wrap", Kind: "strategy", P: 4,
-		Alpha: 2, Beta: 10, Makespan: 30, Traffic: 50, Efficiency: 0.8,
-	})
-	buf.Reset()
-	if err := l3.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateLedger(buf.Bytes()); err != nil {
-		t.Errorf("strategy record rejected: %v", err)
 	}
 }

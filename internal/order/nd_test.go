@@ -76,11 +76,3 @@ func TestNDDisconnectedAndDense(t *testing.T) {
 		t.Error("ND failed on empty")
 	}
 }
-
-func BenchmarkNDLap30(b *testing.B) {
-	m := gen.Lap30()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NestedDissection(m, 32)
-	}
-}

@@ -213,19 +213,3 @@ func TestIsPermutationRejects(t *testing.T) {
 		t.Fatal("IsPermutation rejected valid input")
 	}
 }
-
-func BenchmarkMMDLap30(b *testing.B) {
-	m := gen.Lap30()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MMD(m)
-	}
-}
-
-func BenchmarkRCMLap30(b *testing.B) {
-	m := gen.Lap30()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RCM(m)
-	}
-}

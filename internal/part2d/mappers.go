@@ -63,19 +63,10 @@ func Names2D() []string {
 	return names
 }
 
-// checkProcs mirrors strategy.checkProcs for the 2D entry points: a
-// non-positive P is a caller error, reported before any mapper runs.
-func checkProcs(p int) error {
-	if p < 1 {
-		return fmt.Errorf("part2d: invalid processor count %d", p)
-	}
-	return nil
-}
-
 // Map2D runs the named 2D strategy, returning a descriptive error when
 // the name is unknown.
 func Map2D(name string, sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
 	m, ok := Lookup2D(name)
@@ -127,7 +118,7 @@ func (rect2dMapper) Name() string { return "rect2d" }
 const defaultRect2DEvals = 128
 
 func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
 	bounds := rectBounds(sys, p)
@@ -256,7 +247,7 @@ type rect2dlptMapper struct{}
 func (rect2dlptMapper) Name() string { return "rect2dlpt" }
 
 func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
 	bounds := rectBounds(sys, p)
@@ -296,7 +287,7 @@ type rect2dcyclicMapper struct{}
 func (rect2dcyclicMapper) Name() string { return "rect2dcyclic" }
 
 func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
 	bounds := rectBounds(sys, p)
@@ -341,7 +332,7 @@ type col2dMapper struct{}
 func (col2dMapper) Name() string { return "col2d" }
 
 func (col2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
 	base := opts.Base

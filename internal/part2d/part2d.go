@@ -103,8 +103,8 @@ func (s *Schedule2D) Schedule() *sched.Schedule {
 // tiles with processors in [0, p). The derived fields (BlockOf, ElemProc,
 // Work) are computed from the factor structure and elemWork.
 func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int32) (*Schedule2D, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("part2d: invalid processor count %d", p)
+	if err := sched.CheckProcs("part2d", p); err != nil {
+		return nil, err
 	}
 	r := len(bounds) - 1
 	if r < 0 || bounds[0] != 0 || bounds[r] != f.N {

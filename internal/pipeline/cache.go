@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"repro/internal/artifact"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/strategy"
 )
@@ -50,7 +51,7 @@ func (c *Cache) Analysis(a *sparse.Matrix) (*Analysis, error) {
 // Plan returns the cached 1D plan for (name, p, opts) over an, mapping on
 // a miss. A repeat call is a hit and performs zero mapping work.
 func (c *Cache) Plan(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
 	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, false), func() (any, error) {
@@ -64,7 +65,7 @@ func (c *Cache) Plan(an *Analysis, name string, p int, opts strategy.Options) (*
 
 // Plan2D is Plan over the 2D tile-strategy registry.
 func (c *Cache) Plan2D(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
 	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, true), func() (any, error) {
@@ -113,7 +114,7 @@ func (c *Cache) factor(pl *Plan, a *sparse.Matrix, k Kernel, parallel bool) (*Fa
 // one-call convenience the CLIs use; staged callers hold the artifacts
 // themselves.
 func (c *Cache) Solve(a *sparse.Matrix, name string, p int, opts strategy.Options, k Kernel, b []float64) ([]float64, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
 	an, err := c.Analysis(a)

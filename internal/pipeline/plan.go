@@ -72,25 +72,13 @@ func hashOptions(h *artifact.Hasher, opts strategy.Options) {
 	h.F64(opts.Comm.Beta)
 }
 
-// checkProcs mirrors strategy.checkProcs at the pipeline entry points,
-// so an invalid P surfaces as an error before any key is computed or any
-// mapper runs.
-func checkProcs(p int) error {
-	if p < 1 {
-		return fmt.Errorf("pipeline: invalid processor count %d", p)
-	}
-	return nil
-}
-
 // PlanKey returns the content address of the plan (name, p, opts) would
 // build from this analysis; dim2 selects the 2D registry. Computing the
 // key never runs the mapper, which is what lets a cache decide hit/miss
 // first. An invalid P has no plan and therefore no address: PlanKey
 // panics, and the error-returning entry points validate before keying.
 func (an *Analysis) PlanKey(name string, p int, opts strategy.Options, dim2 bool) artifact.Key {
-	if p < 1 {
-		panic(fmt.Sprintf("pipeline: invalid processor count %d", p))
-	}
+	sched.MustProcs("pipeline", p)
 	h := artifact.NewHasher("plan")
 	h.Key(an.Key)
 	if dim2 {
@@ -107,7 +95,7 @@ func (an *Analysis) PlanKey(name string, p int, opts strategy.Options, dim2 bool
 // Plan maps the analysis with the named 1D strategy and derives the task
 // graph and fetch stats the downstream stages need.
 func (an *Analysis) Plan(name string, p int, opts strategy.Options) (*Plan, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
 	sc, err := strategy.Map(name, an.sys, p, opts)
@@ -125,7 +113,7 @@ func (an *Analysis) Plan(name string, p int, opts strategy.Options) (*Plan, erro
 // Plan2D maps the analysis with the named 2D strategy from the part2d
 // registry.
 func (an *Analysis) Plan2D(name string, p int, opts strategy.Options) (*Plan, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
 	s2, err := part2d.Map2D(name, an.sys, p, opts)

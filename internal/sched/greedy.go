@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -24,9 +23,7 @@ import (
 // The ablation in EXPERIMENTS.md quantifies how much imbalance this
 // removes and what it costs in communication.
 func BlockMapGreedy(part *core.Partition, p int) *Schedule {
-	if p < 1 {
-		panic(fmt.Sprintf("sched: invalid processor count %d", p))
-	}
+	MustProcs("sched", p)
 	units := part.Units
 	unitProc := make([]int32, len(units))
 	for i := range unitProc {

@@ -105,11 +105,3 @@ func TestGreedyDependentColumnsOnPredProc(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkBlockMapGreedyLap30(b *testing.B) {
-	_, part, _ := pipeline(gen.Lap30(), 4, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BlockMapGreedy(part, 16)
-	}
-}

@@ -20,7 +20,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -86,9 +85,7 @@ func (s *Schedule) Efficiency() float64 {
 // WrapMap assigns column j of the factor to processor j mod P and derives
 // element ownership and per-processor work.
 func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
-	if p < 1 {
-		panic(fmt.Sprintf("sched: invalid processor count %d", p))
-	}
+	MustProcs("sched", p)
 	s := &Schedule{
 		P:        p,
 		ElemProc: make([]int32, f.NNZ()),
@@ -106,9 +103,7 @@ func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
 
 // BlockMap runs the Section 3.4 allocator on a partition.
 func BlockMap(part *core.Partition, p int) *Schedule {
-	if p < 1 {
-		panic(fmt.Sprintf("sched: invalid processor count %d", p))
-	}
+	MustProcs("sched", p)
 	units := part.Units
 	unitProc := make([]int32, len(units))
 	for i := range unitProc {

@@ -209,22 +209,6 @@ func TestWrapPanicsOnBadP(t *testing.T) {
 	WrapMap(f, ew, 0)
 }
 
-func BenchmarkBlockMapLap30(b *testing.B) {
-	_, part, _ := pipeline(gen.Lap30(), 4, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BlockMap(part, 16)
-	}
-}
-
-func BenchmarkWrapMapLap30(b *testing.B) {
-	f, _, ew := pipeline(gen.Lap30(), 4, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WrapMap(f, ew, 16)
-	}
-}
-
 func TestBlockMapPanicsOnBadP(t *testing.T) {
 	_, part, _ := pipeline(gen.Grid5(3, 3), 4, 4)
 	defer func() {

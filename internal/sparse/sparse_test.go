@@ -355,56 +355,3 @@ func TestSpyWithBoundaries(t *testing.T) {
 		t.Errorf("SpyWithBoundaries =\n%q\nwant\n%q", s, want)
 	}
 }
-
-func BenchmarkPermute(b *testing.B) {
-	m := mustBench(b)
-	order := make([]int, m.N)
-	for i := range order {
-		order[i] = (i*7 + 3) % m.N
-	}
-	// Make it a permutation (7 coprime with 900).
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Permute(order); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAdjacency(b *testing.B) {
-	m := mustBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Adjacency()
-	}
-}
-
-// mustBench builds a 30x30 9-point grid inline (sparse cannot import gen).
-func mustBench(b *testing.B) *Matrix {
-	b.Helper()
-	var edges [][2]int
-	side := 30
-	id := func(r, c int) int { return r*side + c }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			if c+1 < side {
-				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
-			}
-			if r+1 < side {
-				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
-				if c+1 < side {
-					edges = append(edges, [2]int{id(r, c), id(r+1, c+1)})
-				}
-				if c > 0 {
-					edges = append(edges, [2]int{id(r, c), id(r+1, c-1)})
-				}
-			}
-		}
-	}
-	m, err := NewPattern(side*side, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.SetLaplacianValues(1)
-	return m
-}

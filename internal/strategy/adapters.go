@@ -10,7 +10,7 @@ type blockMapper struct{}
 func (blockMapper) Name() string { return "block" }
 
 func (blockMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	return sched.BlockMap(sys.Partition(opts.Part), p), nil
@@ -22,7 +22,7 @@ type blockGreedyMapper struct{}
 func (blockGreedyMapper) Name() string { return "blockgreedy" }
 
 func (blockGreedyMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	return sched.BlockMapGreedy(sys.Partition(opts.Part), p), nil
@@ -34,7 +34,7 @@ type wrapMapper struct{}
 func (wrapMapper) Name() string { return "wrap" }
 
 func (wrapMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	return sched.WrapMap(sys.F, sys.ElemWork, p), nil

@@ -19,7 +19,7 @@ type blockCyclicMapper struct{}
 func (blockCyclicMapper) Name() string { return "blockcyclic" }
 
 func (blockCyclicMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	bs := opts.BlockSize

@@ -35,7 +35,7 @@ type contigTotalMapper struct{}
 func (contigTotalMapper) Name() string { return "contigtotal" }
 
 func (contigTotalMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	work := sys.ColumnWork()
@@ -80,7 +80,7 @@ func slackBound(bstar int64, slack float64) int64 {
 // nil when no partition into at most p blocks of work <= maxWork exists
 // (maxWork below OptimalBottleneck(work, p)); with maxWork >= B* a
 // solution always exists. It panics on p < 1, the shared contract of
-// the exported split helpers (see mustProcs).
+// the exported split helpers (see split.go).
 //
 // The DP runs over block end positions: dp[k][j] is the minimal total
 // objective of covering columns [0, j) with k blocks, with transitions
@@ -110,7 +110,7 @@ func ContiguousSplitTotal(work []int64, refs [][]traffic.ColRef, p int, maxWork 
 // when it improved the state's best) and records the optimal objective as
 // the trajectory's final point.
 func contiguousSplitTotal(work []int64, refs [][]traffic.ColRef, p int, maxWork int64, beta2 float64, tel *obs.SearchTelemetry) []int {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	n := len(work)
 	bounds := make([]int, p+1)
 	bounds[p] = n

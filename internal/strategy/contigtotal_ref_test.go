@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 	"repro/internal/traffic"
@@ -20,7 +21,7 @@ import (
 // trial counts are the old ones (the band evaluates fewer relaxations by
 // design, so Trials is not compared).
 func refContiguousSplitTotal(work []int64, refs [][]traffic.ColRef, p int, maxWork int64, beta2 float64, tel *obs.SearchTelemetry) []int {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	n := len(work)
 	bounds := make([]int, p+1)
 	bounds[p] = n

@@ -16,7 +16,7 @@ type contiguousMapper struct{}
 func (contiguousMapper) Name() string { return "contiguous" }
 
 func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	bounds := ContiguousSplit(sys.ColumnWork(), p)
@@ -28,7 +28,7 @@ func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, err
 // block boundaries (length p+1, bounds[k] <= bounds[k+1], bounds[0] = 0,
 // bounds[p] = n; trailing blocks may be empty when p > n). It panics on
 // p < 1, the shared contract of the exported split helpers (see
-// mustProcs); the mappers validate p and return an error instead.
+// split.go); the mappers validate p and return an error instead.
 //
 // The optimal bottleneck B* is found by binary search over candidate
 // bottleneck values, each probed with a greedy feasibility scan over the
@@ -37,7 +37,7 @@ func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, err
 // with OptimalBottleneck. The returned split is the greedy left-packed
 // partition at B*, which attains the optimum exactly.
 func ContiguousSplit(work []int64, p int) []int {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	n := len(work)
 	bounds := make([]int, p+1)
 	bounds[p] = n

@@ -24,7 +24,7 @@ type rectilinearMapper struct{}
 func (rectilinearMapper) Name() string { return "rectilinear" }
 
 func (rectilinearMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	bounds := RectilinearCuts(sys.Ops, sys.ElemWork, p)
@@ -41,7 +41,7 @@ func init() { Register(rectilinearMapper{}) }
 // by elemWork. The boundaries come back in ContiguousSplit's format
 // (length p+1, bounds[0] = 0, bounds[p] = n, trailing intervals empty
 // when fewer than p are needed). It panics on p < 1, the shared
-// contract of the exported split helpers (see mustProcs).
+// contract of the exported split helpers (see split.go).
 //
 // The bound is refined by binary search: a candidate tile bound B is
 // probed by growing intervals greedily (close an interval just before
@@ -49,7 +49,7 @@ func init() { Register(rectilinearMapper{}) }
 // intervals cover all n indices. The search keeps the cuts of the
 // smallest feasible bound.
 func RectilinearCuts(ops *model.Ops, elemWork []int64, p int) []int {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	n := ops.F.N
 	bounds := make([]int, p+1)
 	bounds[p] = n

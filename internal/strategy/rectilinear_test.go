@@ -112,8 +112,8 @@ func TestRectilinearLocalityLAP30(t *testing.T) {
 }
 
 // TestSplitHelperContract locks the processor-count contract of the
-// exported split helpers: all of them panic on p < 1 (mustProcs), while
-// the registered mappers return an error (checkProcs) — tested for the
+// exported split helpers: all of them panic on p < 1 (sched.MustProcs), while
+// the registered mappers return an error (sched.CheckProcs) — tested for the
 // whole registry by TestInvalidProcs.
 func TestSplitHelperContract(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(4, 4))

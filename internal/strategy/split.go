@@ -1,19 +1,15 @@
 package strategy
 
-import "fmt"
+import "repro/internal/sched"
 
 // Split-helper contract: the exported low-level split helpers of this
 // package — ContiguousSplit, ContiguousSplitTotal, RectilinearCuts and
 // SubcubeOwners — all panic on a processor count below one (a programmer
 // error, like an out-of-range index), while the Mapper.Map
-// implementations wrapping them validate p first and return an error
-// (checkProcs), the contract CLIs and the repro API rely on. mustProcs
-// is the single enforcement point of the panic half.
-func mustProcs(p int) {
-	if p < 1 {
-		panic(fmt.Sprintf("strategy: invalid processor count %d", p))
-	}
-}
+// implementations wrapping them validate p first and return an error,
+// the contract CLIs and the repro API rely on. Both halves are the one
+// guard in internal/sched (MustProcs and CheckProcs) under this package's
+// prefix.
 
 // prefixWork returns the inclusive-exclusive prefix sums of work:
 // pre[j] = work[0] + ... + work[j-1], so a contiguous block [i, j) has
@@ -31,9 +27,9 @@ func prefixWork(work []int64) []int64 {
 // bottleneck B* that ContiguousSplit attains and the work bound
 // ContiguousSplitTotal constrains its blocks by. Found by binary search
 // over candidate bottlenecks, each probed with a greedy feasibility scan
-// (Ahrens 2020's probe). It panics on p < 1 (see mustProcs).
+// (Ahrens 2020's probe). It panics on p < 1 (the contract above).
 func OptimalBottleneck(work []int64, p int) int64 {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	var lo, hi int64 // lo = max item (any block must hold it), hi = total
 	for _, w := range work {
 		if w > lo {

@@ -260,7 +260,7 @@ func Names() []string {
 // Map runs the named strategy, returning a descriptive error when the
 // name is unknown.
 func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	m, ok := Lookup(name)
@@ -269,16 +269,6 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 			name, strings.Join(Names(), ", "))
 	}
 	return m.Map(sys, p, opts)
-}
-
-// checkProcs is the error half of the processor-count contract: every
-// Mapper.Map validates p with it and returns the error, while the
-// exported low-level split helpers panic via mustProcs (see split.go).
-func checkProcs(p int) error {
-	if p < 1 {
-		return fmt.Errorf("strategy: invalid processor count %d", p)
-	}
-	return nil
 }
 
 // leastLoaded returns the index of the smallest entry of load, ties to

@@ -23,7 +23,7 @@ type subcubeMapper struct{}
 func (subcubeMapper) Name() string { return "subcube" }
 
 func (subcubeMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := checkProcs(p); err != nil {
+	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
 	owner := SubcubeOwners(sys.F.Parent, sys.ColumnWork(), p)
@@ -38,9 +38,9 @@ func init() { Register(subcubeMapper{}) }
 // gets an owner in [0, p); with p greater than the number of columns the
 // surplus processors are simply left idle, which keeps the schedule well
 // formed at any scale. It panics on p < 1, the shared contract of the
-// exported split helpers (see mustProcs).
+// exported split helpers (see split.go).
 func SubcubeOwners(parent []int, colWork []int64, p int) []int32 {
-	mustProcs(p)
+	sched.MustProcs("strategy", p)
 	children := symbolic.Children(parent)
 	sub := symbolic.SubtreeSums(parent, colWork)
 	owner := make([]int32, len(parent))

@@ -313,12 +313,3 @@ func TestSortIntsLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkAnalyzeLap30MMD(b *testing.B) {
-	m := gen.Lap30()
-	pm, _ := m.Permute(order.MMD(m))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Analyze(pm)
-	}
-}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/exec"
-	"repro/internal/obs"
 )
 
 // CalibrationRow is one cell of the calibration study (Ext-Cal, and the
@@ -119,33 +118,4 @@ func CalibrateCSV(st *CalibrationStudy) string {
 				r.Speedup, r.PredSpeedup, r.CalSpeedup, r.UncalAPE(), r.CalAPE(),
 				m.Comm.Alpha, m.Comm.Beta, m.Comm.Gamma, m.NsPerWork, st.Report.R2)
 		})
-}
-
-// CalibrationRecords converts a study into bench-ledger records (Kind
-// "calibrate"): Alpha/Beta/Makespan describe the fitted model and its
-// calibrated span, the measured fields mirror the measure rows, and the
-// calib block carries Gamma, the scale, the diagnostics and the MAPE
-// columns (identical on every record of one study).
-func CalibrationRecords(st *CalibrationStudy) []obs.BenchRecord {
-	if st == nil {
-		return nil
-	}
-	recs := make([]obs.BenchRecord, 0, len(st.Rows))
-	for _, r := range st.Rows {
-		rec := r.measured("calibrate")
-		rec.Alpha, rec.Beta = st.Model.Comm.Alpha, st.Model.Comm.Beta
-		rec.Makespan, rec.PredSpeedup = r.CalSpan, r.CalSpeedup
-		rec.Calib = &obs.CalibSummary{
-			Gamma:     st.Model.Comm.Gamma,
-			NsPerWork: st.Model.NsPerWork,
-			R2:        st.Report.R2,
-			Samples:   st.Report.Samples,
-			Dropped:   st.Report.Dropped,
-			CalibNs:   r.CalNs,
-			MAPEUncal: st.MAPEUncal,
-			MAPECal:   st.MAPECal,
-		}
-		recs = append(recs, rec)
-	}
-	return recs
 }

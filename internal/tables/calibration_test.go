@@ -6,13 +6,11 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gen"
-	"repro/internal/obs"
 )
 
 // TestCalibrationShapes runs the Ext-Cal study end to end on the small
-// golden problem: full strategy x P coverage, a usable fit, both
-// predictions populated on every row, and rows surviving the ledger gate
-// as kind "calibrate".
+// golden problem: full strategy x P coverage, a usable fit and both
+// predictions populated on every row.
 func TestCalibrationShapes(t *testing.T) {
 	p := commGoldenProblem(t)
 	cm := exec.CommModel{Alpha: 2, Beta: 10}
@@ -61,26 +59,6 @@ func TestCalibrationShapes(t *testing.T) {
 		}
 	}
 
-	l := obs.NewLedger()
-	for _, rec := range CalibrationRecords(st) {
-		if rec.Kind != "calibrate" {
-			t.Fatalf("record kind %q", rec.Kind)
-		}
-		if rec.Calib == nil {
-			t.Fatal("calibrate record missing calib block")
-		}
-		l.Add(rec)
-	}
-	var sb strings.Builder
-	if err := l.Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.ValidateLedger([]byte(sb.String())); err != nil {
-		t.Fatalf("calibrate records fail the ledger gate: %v", err)
-	}
-	if CalibrationRecords(nil) != nil {
-		t.Error("nil study must produce no records")
-	}
 }
 
 // TestCalibrationImprovesMAPE is the acceptance pin: on LAP30's measured

@@ -91,32 +91,3 @@ func MeasureCSV(rows []MeasureRow) string {
 				r.Strategy, r.P, r.SerialNs, r.ParallelNs, r.Speedup, r.PredSpeedup, r.PredMakespan, r.Traffic)
 		})
 }
-
-// measured is the record both real-execution ledger kinds share: the
-// measured times next to the row's identity and traffic.
-func (r MeasureRow) measured(kind string) obs.BenchRecord {
-	return obs.BenchRecord{
-		Matrix: r.Name, Strategy: r.Strategy, Kind: kind, P: r.P,
-		Traffic:    r.Traffic,
-		Efficiency: r.Speedup / float64(r.P),
-
-		SerialNs:        r.SerialNs,
-		MeasuredNs:      r.ParallelNs,
-		MeasuredSpeedup: r.Speedup,
-	}
-}
-
-// MeasureRecords converts measured rows into bench-ledger records (Kind
-// "measure"): Makespan carries the prediction, Efficiency the measured
-// speedup over P, and the real-run profile summary rides along.
-func MeasureRecords(rows []MeasureRow, cm exec.CommModel) []obs.BenchRecord {
-	recs := make([]obs.BenchRecord, 0, len(rows))
-	for _, r := range rows {
-		rec := r.measured("measure")
-		rec.Alpha, rec.Beta = cm.Alpha, cm.Beta
-		rec.Makespan, rec.PredSpeedup = r.PredMakespan, r.PredSpeedup
-		rec.Profile = &r.Profile
-		recs = append(recs, rec)
-	}
-	return recs
-}

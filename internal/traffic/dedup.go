@@ -1,8 +1,9 @@
 package traffic
 
 import (
-	"fmt"
 	"math/bits"
+
+	"repro/internal/sched"
 )
 
 // FetchDedup tracks distinct (element, processor) first fetches — the
@@ -20,9 +21,7 @@ type FetchDedup struct {
 // NewFetchDedup sizes the tracker for a factor with nnz elements
 // scheduled on p processors.
 func NewFetchDedup(p, nnz int) *FetchDedup {
-	if p < 1 {
-		panic(fmt.Sprintf("traffic: invalid processor count %d", p))
-	}
+	sched.MustProcs("traffic", p)
 	words := (p + 63) / 64
 	return &FetchDedup{words: words, mask: make([]uint64, words*nnz)}
 }

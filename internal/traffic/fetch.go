@@ -135,9 +135,7 @@ func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int
 	if len(taskOf) != ops.F.NNZ() {
 		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), ops.F.NNZ()))
 	}
-	if s.P < 1 {
-		panic(fmt.Sprintf("traffic: invalid processor count %d", s.P))
-	}
+	sched.MustProcs("traffic", s.P)
 	ch := newCharger(s.P, ntasks, taskOf)
 	firstFetches(ops, s, ch)
 	return ch.tc
@@ -175,9 +173,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	if len(s.ElemProc) != f.NNZ() {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
 	}
-	if s.P < 1 {
-		panic(fmt.Sprintf("traffic: invalid processor count %d", s.P))
-	}
+	sched.MustProcs("traffic", s.P)
 	colOwner, ok := columnOwners(f, s)
 	if !ok {
 		return FetchStatsTasks(ops, s, f.N, columnIndex(f))

@@ -42,9 +42,7 @@ func NewIncremental(ops *model.Ops, s *sched.Schedule) *Incremental {
 	if len(s.ElemProc) != nnz {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
 	}
-	if s.P < 1 {
-		panic(fmt.Sprintf("traffic: invalid processor count %d", s.P))
-	}
+	sched.MustProcs("traffic", s.P)
 	t := &Incremental{
 		ops:   ops,
 		s:     s,

@@ -99,15 +99,6 @@ func TestAlphaBetaCost(t *testing.T) {
 	}
 }
 
-func BenchmarkConsolidateLap30(b *testing.B) {
-	ops, part, _ := pipeline(gen.Lap30(), 25, 4)
-	s := sched.BlockMap(part, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Consolidate(part, ops, s)
-	}
-}
-
 func TestFetchVolumesSumToTotal(t *testing.T) {
 	fc := func(seed int64) bool {
 		m := gen.Random(40, 1.3, seed)

@@ -210,24 +210,6 @@ func TestSimulatePanicsOnMismatch(t *testing.T) {
 	Simulate(ops, s)
 }
 
-func BenchmarkSimulateWrapLap30(b *testing.B) {
-	ops, _, ew := pipeline(gen.Lap30(), 4, 4)
-	s := sched.WrapMap(ops.F, ew, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Simulate(ops, s)
-	}
-}
-
-func BenchmarkSimulateBlockLap30(b *testing.B) {
-	ops, part, _ := pipeline(gen.Lap30(), 4, 4)
-	s := sched.BlockMap(part, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Simulate(ops, s)
-	}
-}
-
 func TestHopWeightedTraffic(t *testing.T) {
 	// Hand-checkable: a 4-proc hypercube (2D): distance(0,3)=2.
 	r := &Result{P: 4, Pair: [][]int64{
