@@ -13,8 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro"
@@ -23,57 +26,76 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sparsefactor: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		matrix = flag.String("matrix", "LAP30", "test matrix name (BUS1138, CANN1072, DWT512, LAP30, LSHP1009)")
-		hbFile = flag.String("hb", "", "read the matrix from a Harwell-Boeing file instead")
-		procs  = flag.Int("procs", 16, "number of processors")
-		grain  = flag.Int("grain", 4, "grain size g (min elements per unit block)")
-		width  = flag.Int("width", 4, "minimum cluster width")
-		scheme = flag.String("scheme", "both", "mapping scheme: block, wrap, or both")
-		alloc  = flag.String("alloc", "paper", "block allocator: paper (Section 3.4) or greedy (work-aware)")
-		relax  = flag.Float64("relax", 0, "cluster relaxation: allowed zero fraction (0 disables)")
-		solve  = flag.Bool("solve", false, "also run a numeric solve and report the residual")
+		matrix = fs.String("matrix", "LAP30", "test matrix name (BUS1138, CANN1072, DWT512, LAP30, LSHP1009)")
+		hbFile = fs.String("hb", "", "read the matrix from a Harwell-Boeing file instead")
+		procs  = fs.Int("procs", 16, "number of processors")
+		grain  = fs.Int("grain", 4, "grain size g (min elements per unit block)")
+		width  = fs.Int("width", 4, "minimum cluster width")
+		scheme = fs.String("scheme", "both", "mapping scheme: block, wrap, or both")
+		alloc  = fs.String("alloc", "paper", "block allocator: paper (Section 3.4) or greedy (work-aware)")
+		relax  = fs.Float64("relax", 0, "cluster relaxation: allowed zero fraction (0 disables)")
+		solve  = fs.Bool("solve", false, "also run a numeric solve and report the residual")
 	)
-	flag.Parse()
+	fs.Parse(args)
+	for _, f := range []struct {
+		name, value string
+		accepted    []string
+	}{
+		{"scheme", *scheme, []string{"block", "wrap", "both"}},
+		{"alloc", *alloc, []string{"paper", "greedy"}},
+	} {
+		if !slices.Contains(f.accepted, f.value) {
+			return fmt.Errorf("unknown -%s %q (accepted: %s)", f.name, f.value, strings.Join(f.accepted, ", "))
+		}
+	}
 
 	var m *repro.Matrix
 	name := *matrix
 	if *hbFile != "" {
 		f, err := os.Open(*hbFile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var hdr repro.HBHeader
 		m, hdr, err = repro.ReadHB(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		name = hdr.Key
 	} else {
 		var err error
 		m, _, err = repro.BuildMatrix(*matrix)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	an, err := repro.AnalyzePattern(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: n=%d nnz(A)=%d nnz(L)=%d total work=%d\n",
+	fmt.Fprintf(stdout, "%s: n=%d nnz(A)=%d nnz(L)=%d total work=%d\n",
 		name, m.N, m.NNZ(), an.F.NNZ(), an.Total)
 
 	// report prints the paper's two metrics and the dependency-delay
 	// simulation of one mapped plan.
 	report := func(pl *repro.Plan) {
 		tr, sc, mk := pl.Traffic(), pl.S1, pl.Makespan()
-		fmt.Printf("  traffic: total=%d mean/proc=%.0f max/proc=%d partners/proc=%.1f\n",
+		fmt.Fprintf(stdout, "  traffic: total=%d mean/proc=%.0f max/proc=%d partners/proc=%.1f\n",
 			tr.Total, tr.Mean(), tr.MaxPerProc(), tr.MeanPartners())
-		fmt.Printf("  balance: A=%.3f efficiency bound=%.3f\n", sc.Imbalance(), sc.Efficiency())
-		fmt.Printf("  delays:  makespan=%d efficiency=%.3f idle=%.1f%%\n",
-			mk.Makespan, mk.Efficiency, 100*float64(mk.Idle)/float64(int64(*procs)*mk.Makespan))
+		fmt.Fprintf(stdout, "  balance: A=%.3f efficiency bound=%.3f\n", sc.Imbalance(), sc.Efficiency())
+		fmt.Fprintf(stdout, "  delays:  makespan=%d efficiency=%.3f idle=%.1f%%\n",
+			mk.Makespan, mk.Efficiency, mk.IdlePct())
 	}
 	if *scheme == "block" || *scheme == "both" {
 		opts := repro.StrategyOptions{Part: repro.PartitionOptions{
@@ -85,22 +107,22 @@ func main() {
 		}
 		pl, err := an.Plan(strategy, *procs, opts)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		part := an.Sys().Partition(opts.Part)
-		fmt.Printf("\nblock mapping (g=%d, width=%d, P=%d, alloc=%s): %d unit blocks\n",
+		fmt.Fprintf(stdout, "\nblock mapping (g=%d, width=%d, P=%d, alloc=%s): %d unit blocks\n",
 			*grain, *width, *procs, *alloc, len(part.Units))
 		if part.Relax.Merges > 0 {
-			fmt.Printf("  relaxation: %v\n", part.Relax)
+			fmt.Fprintf(stdout, "  relaxation: %v\n", part.Relax)
 		}
 		report(pl)
 	}
 	if *scheme == "wrap" || *scheme == "both" {
 		pl, err := an.Plan("wrap", *procs, repro.StrategyOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\nwrap mapping (P=%d):\n", *procs)
+		fmt.Fprintf(stdout, "\nwrap mapping (P=%d):\n", *procs)
 		report(pl)
 	}
 	if *solve {
@@ -116,24 +138,18 @@ func main() {
 		start := time.Now()
 		x, err := cache.Solve(m, "wrap", *procs, opts, repro.KernelCholesky, b)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		cold := time.Since(start)
 		start = time.Now()
 		if _, err := cache.Solve(m, "wrap", *procs, opts, repro.KernelCholesky, b); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		warm := time.Since(start)
 		st := cache.Stats()
-		fmt.Printf("\nsolve: residual=%.3g\n", repro.ResidualNorm(m, x, b))
-		fmt.Printf("  staged cache: cold=%v warm=%v (%.1fx) hits=%d misses=%d\n",
-			cold, warm, float64(cold)/float64(max64(warm.Nanoseconds(), 1)), st.Hits, st.Misses)
+		fmt.Fprintf(stdout, "\nsolve: residual=%.3g\n", repro.ResidualNorm(m, x, b))
+		fmt.Fprintf(stdout, "  staged cache: cold=%v warm=%v (%.1fx) hits=%d misses=%d\n",
+			cold, warm, float64(cold)/float64(max(warm.Nanoseconds(), 1)), st.Hits, st.Misses)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return nil
 }

@@ -11,7 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro"
@@ -20,13 +22,21 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("spy: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		matrix = flag.String("matrix", "fegrid5", "matrix name (fegrid5 or a suite name)")
-		maxDim = flag.Int("max", 0, "downsample plots to at most this many rows (0 = full)")
-		width  = flag.Int("width", 4, "minimum cluster width for the cluster overlay")
-		grain  = flag.Int("grain", 4, "grain size for the partition summary")
+		matrix = fs.String("matrix", "fegrid5", "matrix name (fegrid5 or a suite name)")
+		maxDim = fs.Int("max", 0, "downsample plots to at most this many rows (0 = full)")
+		width  = fs.Int("width", 4, "minimum cluster width for the cluster overlay")
+		grain  = fs.Int("grain", 4, "grain size for the partition summary")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var m *repro.Matrix
 	if strings.EqualFold(*matrix, "fegrid5") {
@@ -35,28 +45,28 @@ func main() {
 		var err error
 		m, _, err = repro.BuildMatrix(*matrix)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	an, err := repro.AnalyzePattern(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: n=%d, nnz(A)=%d, nnz(L)=%d after MMD ordering\n\n",
+	fmt.Fprintf(stdout, "%s: n=%d, nnz(A)=%d, nnz(L)=%d after MMD ordering\n\n",
 		*matrix, m.N, m.NNZ(), an.F.NNZ())
 
 	part := an.Sys().Partition(repro.PartitionOptions{Grain: *grain, MinClusterWidth: *width})
 	filled := an.F.Pattern()
 	if *maxDim > 0 && m.N > *maxDim {
-		fmt.Println("filled matrix (downsampled):")
-		fmt.Println(filled.Spy(*maxDim))
+		fmt.Fprintln(stdout, "filled matrix (downsampled):")
+		fmt.Fprintln(stdout, filled.Spy(*maxDim))
 	} else {
 		var bounds []int
 		for _, cl := range part.Clusters {
 			bounds = append(bounds, cl.ColHi+1)
 		}
-		fmt.Println("filled matrix with cluster boundaries ('|'):")
-		fmt.Println(filled.SpyWithBoundaries(bounds))
+		fmt.Fprintln(stdout, "filled matrix with cluster boundaries ('|'):")
+		fmt.Fprintln(stdout, filled.SpyWithBoundaries(bounds))
 	}
 
 	multi, single := 0, 0
@@ -67,13 +77,14 @@ func main() {
 			multi++
 		}
 	}
-	fmt.Printf("clusters: %d multi-column, %d single-column; %d unit blocks (g=%d, width=%d)\n",
+	fmt.Fprintf(stdout, "clusters: %d multi-column, %d single-column; %d unit blocks (g=%d, width=%d)\n",
 		multi, single, len(part.Units), *grain, *width)
 	for _, cl := range part.Clusters {
 		if cl.Single {
 			continue
 		}
-		fmt.Printf("  cluster cols %d..%d: triangle in %d bands, %d rectangles below\n",
+		fmt.Fprintf(stdout, "  cluster cols %d..%d: triangle in %d bands, %d rectangles below\n",
 			cl.ColLo, cl.ColHi, len(cl.TriUnits), len(cl.Rects))
 	}
+	return nil
 }

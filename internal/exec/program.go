@@ -17,7 +17,7 @@ import (
 // Program is the compiled form of one task graph over one symbolic factor:
 // the merged tile-segment graph of a 2D tile schedule (part2d.Tasks), the
 // column graph of a 1D schedule (ColumnTasksMapped with elemTask =
-// numeric.ColIndex) or the unit-block graph of a block schedule
+// symbolic.Factor.ColIndex) or the unit-block graph of a block schedule
 // (CompileBlocks). Compile validates the graph once and lays it out as
 // flat arrays; Run then factorizes any matrix with the factor's pattern,
 // any number of times and from any number of goroutines at once, doing no
@@ -51,7 +51,7 @@ type Program struct {
 	own     []int32 // worker -> number of tasks
 
 	head, pos []int32 // the serial update schedule (numeric.Chains)
-	colOf     []int32 // factor position -> column (numeric.ColIndex)
+	colOf     []int32 // factor position -> column (Factor.ColIndex)
 }
 
 // Compile validates a task graph for the factor f on p workers and lays it
@@ -79,7 +79,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		indeg:   make([]int32, nt),
 		succPtr: make([]int32, nt+1),
 		own:     make([]int32, p),
-		colOf:   numeric.ColIndex(f),
+		colOf:   f.ColIndex(),
 	}
 	// Find every task's column (-1 none yet, manyCols several) and count
 	// its elements (into elemPtr[t+1], prefix-summed below).

@@ -36,7 +36,7 @@ func TestProgramBadPivotStopsWorkers(t *testing.T) {
 	colName := fmt.Sprintf("at column %d ", npd.Column)
 
 	for _, procs := range []int{1, 2, 16} {
-		cols, err := Compile(p.f, procs, columnTasks(p.f, p.ops, p.ew, procs), numeric.ColIndex(p.f))
+		cols, err := Compile(p.f, procs, columnTasks(p.f, p.ops, p.ew, procs), p.f.ColIndex())
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/sparse"
 )
@@ -342,7 +343,7 @@ func Suite() []TestMatrix {
 // case-insensitive on ASCII.
 func ByName(name string) (*sparse.Matrix, TestMatrix, error) {
 	for _, tm := range Suite() {
-		if equalFold(tm.Name, name) {
+		if strings.EqualFold(tm.Name, name) {
 			return tm.Build(), tm, nil
 		}
 	}
@@ -352,25 +353,6 @@ func ByName(name string) (*sparse.Matrix, TestMatrix, error) {
 	}
 	sort.Strings(names)
 	return nil, TestMatrix{}, fmt.Errorf("gen: unknown matrix %q (known: %v)", name, names)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'a' <= ca && ca <= 'z' {
-			ca -= 'a' - 'A'
-		}
-		if 'a' <= cb && cb <= 'z' {
-			cb -= 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // Random returns a random connected symmetric SPD matrix for property

@@ -1,10 +1,10 @@
 // Package lint is a repo-native static-analysis framework enforcing the
 // invariants the reproduction's headline claims rest on: bit-reproducible
 // simulators (maporder, nondeterminism), the panic-message policy and the
-// no-panic rule for commands (panicpolicy), validated processor counts at
-// exported entry points (procguard — the PR 7 ParallelSolve panic class),
-// and mutex discipline for shared state (lockedfield — the PR 8
-// tables.Problem race class).
+// no-panic rule for commands (panicpolicy), and validated processor
+// counts at exported entry points (procguard — the PR 7 ParallelSolve
+// panic class). Mutex discipline is not linted: the CI race job owns it,
+// with a concurrent test per mutex.
 //
 // The framework is stdlib-only (go/parser + go/types + a source importer;
 // go.mod stays zero-dependency): a shared package loader resolves

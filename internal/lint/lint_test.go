@@ -127,7 +127,6 @@ func TestFixtures(t *testing.T) {
 		{"panicpolicy", "panicpolicy"},
 		{"panicmain", "panicpolicy"},
 		{"procguard", "procguard"},
-		{"lockedfield", "lockedfield"},
 		{"nondet", "nondeterminism"},
 		{"suppress", "maporder"},
 	}

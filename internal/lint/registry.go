@@ -8,7 +8,7 @@ import (
 
 // All returns every shipped analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapOrder, PanicPolicy, ProcGuard, LockedField, NonDeterminism}
+	return []*Analyzer{MapOrder, PanicPolicy, ProcGuard, NonDeterminism}
 }
 
 // Select resolves a comma-separated analyzer-name list against All().
@@ -54,9 +54,9 @@ var detCritical = map[string]bool{
 	"calib":    true,
 }
 
-// exprPath renders a selector/ident chain ("s", "s.inner") for comparing
-// lock targets against field-access bases; expressions that are not plain
-// chains render with a unique placeholder so they never match.
+// exprPath renders the selector/ident chain of a receiver type ("Store",
+// "pkg.T"); expressions that are not plain chains render with a
+// placeholder.
 func exprPath(e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
@@ -66,8 +66,6 @@ func exprPath(e ast.Expr) string {
 	case *ast.ParenExpr:
 		return exprPath(x.X)
 	case *ast.StarExpr:
-		return exprPath(x.X)
-	case *ast.UnaryExpr:
 		return exprPath(x.X)
 	}
 	return fmt.Sprintf("<expr@%d>", e.Pos())

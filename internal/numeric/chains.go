@@ -20,7 +20,7 @@ import (
 // column's updates in exactly this order; the parallel 2D engine in
 // internal/exec does, which is what makes its bit-identity guarantee hold
 // rather than a tolerance comparison. The source column of entry c is
-// recoverable as the column containing pos[c] (see ColIndex).
+// recoverable as the column containing pos[c] (see symbolic.Factor.ColIndex).
 func Chains(f *symbolic.Factor) (head, pos []int32) {
 	n := f.N
 	ptr := make([]int, n)
@@ -58,17 +58,6 @@ func Chains(f *symbolic.Factor) (head, pos []int32) {
 		}
 	}
 	return head, pos
-}
-
-// ColIndex maps every factor nonzero position to its column.
-func ColIndex(f *symbolic.Factor) []int32 {
-	colOf := make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	return colOf
 }
 
 // ScatterA scatters the lower-triangle values of m into factor positions:

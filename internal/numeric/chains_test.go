@@ -21,7 +21,7 @@ func replayFactorize(t *testing.T, m *gridCase) {
 	t.Helper()
 	f := m.f
 	head, pos := Chains(f)
-	colOf := ColIndex(f)
+	colOf := f.ColIndex()
 	val, err := ScatterA(m.m, f)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestChainsShape(t *testing.T) {
 		t.Fatalf("head shape: len %d, head[0]=%d, head[n]=%d, len(pos)=%d",
 			len(head), head[0], head[f.N], len(pos))
 	}
-	colOf := ColIndex(f)
+	colOf := f.ColIndex()
 	seen := make(map[int32]bool, len(pos))
 	for j := 0; j < f.N; j++ {
 		for ci := head[j]; ci < head[j+1]; ci++ {

@@ -102,11 +102,6 @@ func (p *Profile) CriticalComm() int64 {
 func BuildProfile(events []exec.TaskEvent, res exec.SimResult) (*Profile, error) {
 	p := res.P
 	prof := &Profile{P: p, Makespan: res.Makespan, Procs: make([]ProcProfile, p)}
-	for i := range prof.Procs {
-		prof.Procs[i].Proc = i
-	}
-	// Per-processor event lists ordered by start time (simulators emit
-	// per-processor events in start order already; sort to stay agnostic).
 	perProc := make([][]exec.TaskEvent, p)
 	for _, ev := range events {
 		if ev.Proc < 0 || int(ev.Proc) >= p {
@@ -118,6 +113,20 @@ func BuildProfile(events []exec.TaskEvent, res exec.SimResult) (*Profile, error)
 		}
 		perProc[ev.Proc] = append(perProc[ev.Proc], ev)
 	}
+	prof.aggregate(perProc)
+	cp, err := criticalPath(perProc, events)
+	if err != nil {
+		return nil, err
+	}
+	prof.Critical = cp
+	return prof, nil
+}
+
+// aggregate fills the per-processor breakdown and the idle-gap histogram
+// from each processor's events, which it sorts by start time (simulators
+// emit them in start order already; sorting stays agnostic). Makespan
+// must already be set.
+func (prof *Profile) aggregate(perProc [][]exec.TaskEvent) {
 	for proc := range perProc {
 		evs := perProc[proc]
 		sort.Slice(evs, func(a, b int) bool {
@@ -127,6 +136,7 @@ func BuildProfile(events []exec.TaskEvent, res exec.SimResult) (*Profile, error)
 			return evs[a].Task < evs[b].Task
 		})
 		pp := &prof.Procs[proc]
+		pp.Proc = proc
 		pp.Tasks = len(evs)
 		var last int64
 		for _, ev := range evs {
@@ -145,12 +155,6 @@ func BuildProfile(events []exec.TaskEvent, res exec.SimResult) (*Profile, error)
 		}
 		pp.Idle = prof.Makespan - pp.Busy - pp.Comm
 	}
-	cp, err := criticalPath(perProc, events)
-	if err != nil {
-		return nil, err
-	}
-	prof.Critical = cp
-	return prof, nil
 }
 
 // criticalPath walks the makespan-realizing chain backwards: from the

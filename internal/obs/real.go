@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/sched"
@@ -28,9 +27,6 @@ func RealProfile(events []exec.TaskEvent, p int) (*Profile, error) {
 		return nil, err
 	}
 	prof := &Profile{P: p, Procs: make([]ProcProfile, p)}
-	for i := range prof.Procs {
-		prof.Procs[i].Proc = i
-	}
 	perProc := make([][]exec.TaskEvent, p)
 	for _, ev := range events {
 		if ev.Proc < 0 || int(ev.Proc) >= p {
@@ -47,32 +43,6 @@ func RealProfile(events []exec.TaskEvent, p int) (*Profile, error) {
 		}
 		perProc[ev.Proc] = append(perProc[ev.Proc], ev)
 	}
-	for proc := range perProc {
-		evs := perProc[proc]
-		sort.Slice(evs, func(a, b int) bool {
-			if evs[a].Start != evs[b].Start {
-				return evs[a].Start < evs[b].Start
-			}
-			return evs[a].Task < evs[b].Task
-		})
-		pp := &prof.Procs[proc]
-		pp.Tasks = len(evs)
-		var last int64
-		for _, ev := range evs {
-			pp.Busy += ev.Work
-			pp.Comm += ev.Comm
-			if ev.Cause >= 0 {
-				pp.Stall += ev.Stall
-			}
-			if gap := ev.Start - last; gap > 0 {
-				prof.IdleGaps.Add(gap)
-			}
-			last = ev.Finish
-		}
-		if gap := prof.Makespan - last; gap > 0 {
-			prof.IdleGaps.Add(gap)
-		}
-		pp.Idle = prof.Makespan - pp.Busy - pp.Comm
-	}
+	prof.aggregate(perProc)
 	return prof, nil
 }

@@ -137,18 +137,3 @@ func bfsLevels(adj [][]int, root int) (int, []int) {
 		frontier = next
 	}
 }
-
-// Bandwidth returns the maximum |i-j| over stored off-diagonal entries,
-// a quality metric for RCM.
-func Bandwidth(m *sparse.Matrix) int {
-	bw := 0
-	for j := 0; j < m.N; j++ {
-		col := m.Col(j)
-		if len(col) > 1 {
-			if d := col[len(col)-1] - j; d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}

@@ -202,12 +202,7 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 		if evals >= budget {
 			break
 		}
-		least := int32(0)
-		for k := 1; k < p; k++ {
-			if load[k] < load[least] {
-				least = int32(k)
-			}
-		}
+		least := int32(sched.LeastLoaded(load))
 		// Diagonal tiles never move, so the row block's diagonal owner is
 		// the row's "home" processor — the fan-out destination the tile's
 		// sources already visit.
@@ -265,12 +260,7 @@ func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*
 	owner := make([]int32, len(tw))
 	load := make([]int64, p)
 	for _, t := range order {
-		least := 0
-		for k := 1; k < p; k++ {
-			if load[k] < load[least] {
-				least = k
-			}
-		}
+		least := sched.LeastLoaded(load)
 		owner[t] = int32(least)
 		load[least] += tw[t]
 	}

@@ -51,25 +51,23 @@ func (c *Cache) Analysis(a *sparse.Matrix) (*Analysis, error) {
 // Plan returns the cached 1D plan for (name, p, opts) over an, mapping on
 // a miss. A repeat call is a hit and performs zero mapping work.
 func (c *Cache) Plan(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
-	if err := sched.CheckProcs("pipeline", p); err != nil {
-		return nil, err
-	}
-	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, false), func() (any, error) {
-		return an.Plan(name, p, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Plan), nil
+	return c.plan(an, name, p, opts, false)
 }
 
 // Plan2D is Plan over the 2D tile-strategy registry.
 func (c *Cache) Plan2D(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
+	return c.plan(an, name, p, opts, true)
+}
+
+func (c *Cache) plan(an *Analysis, name string, p int, opts strategy.Options, dim2 bool) (*Plan, error) {
 	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
-	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, true), func() (any, error) {
-		return an.Plan2D(name, p, opts)
+	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, dim2), func() (any, error) {
+		if dim2 {
+			return an.Plan2D(name, p, opts)
+		}
+		return an.Plan(name, p, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/exec"
-	"repro/internal/numeric"
 	"repro/internal/part2d"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -207,7 +206,7 @@ func (pl *Plan) program() (*exec.Program, error) {
 		case pl.S1.UnitProc != nil:
 			pl.prog, pl.progErr = exec.CompileBlocks(pl.An.sys.Partition(pl.Opts.Part), pl.S1)
 		default:
-			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, numeric.ColIndex(pl.An.F))
+			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, pl.An.F.ColIndex())
 		}
 	})
 	return pl.prog, pl.progErr

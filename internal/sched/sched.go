@@ -10,12 +10,14 @@
 //     back to a global round-robin marker over Pg; the units of each
 //     rectangle below a triangle cycle through the triangle's processor
 //     set Pt ordered by increasing assigned work, re-sorted after every
-//     rectangle.
+//     rectangle. BlockMapGreedy is the same allocator with its pick rule
+//     switched from "first / next in turn" to "least loaded": one scan
+//     (blockMap), two names.
 //
 //   - WrapMap: the classical wrap (cyclic) column mapping — column j of
 //     the permuted matrix belongs to processor j mod P.
 //
-// Both produce a Schedule exposing the owner of every factor element, the
+// All produce a Schedule exposing the owner of every factor element, the
 // granularity at which the traffic simulator counts non-local accesses.
 package sched
 
@@ -23,7 +25,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/symbolic"
 )
 
@@ -102,7 +103,40 @@ func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
 }
 
 // BlockMap runs the Section 3.4 allocator on a partition.
-func BlockMap(part *core.Partition, p int) *Schedule {
+func BlockMap(part *core.Partition, p int) *Schedule { return blockMap(part, p, false) }
+
+// BlockMapGreedy is the "more sophisticated" allocator the paper's
+// Section 5 anticipates ("the load balance can be improved by using more
+// sophisticated strategies to allocate blocks to processors"): the same
+// scan with every pick work-aware. The ablation in EXPERIMENTS.md
+// quantifies how much imbalance this removes and what it costs in
+// communication.
+func BlockMapGreedy(part *core.Partition, p int) *Schedule { return blockMap(part, p, true) }
+
+// LeastLoaded returns the index of the smallest entry of load, ties to
+// the lowest index.
+func LeastLoaded(load []int64) int {
+	best := 0
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// blockMap is the one Section 3.4 scan. Locality comes first under both
+// pick policies; greedy selects how a choice among equally local
+// processors is made:
+//
+//   - a unit with no usable predecessor processor takes the next
+//     processor of a round-robin counter (the wrap of step 1, the Pg
+//     marker of step 2), or the least-loaded processor;
+//   - a unit with usable predecessor processors takes the first of them
+//     (the paper's "arbitrarily picked"), or the least loaded of them.
+//
+// Rectangles cycle through Pt by increasing work under both.
+func blockMap(part *core.Partition, p int, greedy bool) *Schedule {
 	MustProcs("sched", p)
 	units := part.Units
 	unitProc := make([]int32, len(units))
@@ -114,71 +148,71 @@ func BlockMap(part *core.Partition, p int) *Schedule {
 		unitProc[u] = proc
 		work[proc] += units[u].Work
 	}
+	next := 0
+	free := func() int32 {
+		if greedy {
+			return int32(LeastLoaded(work))
+		}
+		proc := int32(next % p)
+		next++
+		return proc
+	}
+	// inPa marks Pa, the processors already used inside the triangle
+	// being allocated; it is all false between triangles.
+	inPa := make([]bool, p)
+	var paList []int32
+	// local picks among the processors of u's already placed predecessors
+	// that are outside Pa, or takes a free processor when there is none
+	// (for a single column only possible when the engine saw a dependency
+	// whose source is later in scan order, which construction prevents).
+	local := func(u int) int32 {
+		proc := int32(-1)
+		for _, pr := range units[u].Preds {
+			pp := unitProc[pr]
+			if pp < 0 || inPa[pp] {
+				continue
+			}
+			if !greedy {
+				return pp
+			}
+			if proc < 0 || work[pp] < work[proc] {
+				proc = pp
+			}
+		}
+		if proc < 0 {
+			proc = free()
+		}
+		return proc
+	}
 
 	// Step 1: independent columns are allocated in wrap-around fashion.
-	next := 0
 	for ci := range part.Clusters {
 		cl := &part.Clusters[ci]
 		if cl.Single && len(units[cl.ColUnit].Preds) == 0 {
-			assign(cl.ColUnit, int32(next%p))
-			next++
+			assign(cl.ColUnit, free())
 		}
 	}
 
-	// Step 2: scan the remaining clusters left to right.
-	marker := 0 // the Pg round-robin marker
-	inPa := make([]bool, p)
-	var paList []int32
+	// Step 2: scan the remaining clusters left to right; the round-robin
+	// marker over Pg starts at processor 0.
+	next = 0
 	for ci := range part.Clusters {
 		cl := &part.Clusters[ci]
 		if cl.Single {
-			u := cl.ColUnit
-			if unitProc[u] >= 0 {
-				continue // independent, already placed
-			}
 			// "The entire column is allocated to a processor, which is
 			// arbitrarily picked from the set of processors which worked
-			// on the column's predecessors." Deterministically: the first
-			// assigned predecessor.
-			proc := int32(-1)
-			for _, pr := range units[u].Preds {
-				if pp := unitProc[pr]; pp >= 0 {
-					proc = pp
-					break
-				}
+			// on the column's predecessors."
+			if u := cl.ColUnit; unitProc[u] < 0 { // else independent, already placed
+				assign(u, local(u))
 			}
-			if proc < 0 {
-				// No assigned predecessor (only possible when the engine
-				// saw a dependency whose source is later in scan order,
-				// which construction prevents; keep a safe fallback).
-				proc = int32(marker)
-				marker = (marker + 1) % p
-			}
-			assign(u, proc)
 			continue
 		}
 
-		// Triangle partition units, in allocation order. Pa is the set of
-		// processors already used inside this triangle.
-		for _, pr := range paList {
-			inPa[pr] = false
-		}
+		// Triangle partition units, in allocation order: a predecessor's
+		// processor not yet in Pa, else a free one.
 		paList = paList[:0]
 		for _, u := range cl.TriAlloc {
-			proc := int32(-1)
-			for _, pr := range units[u].Preds {
-				pp := unitProc[pr]
-				if pp >= 0 && !inPa[pp] {
-					proc = pp
-					break
-				}
-			}
-			if proc < 0 {
-				// All predecessor processors already in Pa: take the
-				// currently available processor and advance the marker.
-				proc = int32(marker)
-				marker = (marker + 1) % p
-			}
+			proc := local(u)
 			assign(u, proc)
 			if !inPa[proc] {
 				inPa[proc] = true
@@ -189,7 +223,10 @@ func BlockMap(part *core.Partition, p int) *Schedule {
 		// Rectangles below the triangle: restrict to Pt, the processors of
 		// the triangle units, cycling in order of increasing work and
 		// re-sorting after each rectangle.
-		pt := append([]int32(nil), paList...)
+		for _, pr := range paList {
+			inPa[pr] = false
+		}
+		pt := paList
 		for ri := range cl.Rects {
 			r := &cl.Rects[ri]
 			sort.Slice(pt, func(a, b int) bool {
@@ -219,14 +256,6 @@ func BlockMap(part *core.Partition, p int) *Schedule {
 		s.ElemProc[q] = unitProc[part.ElemUnit[q]]
 	}
 	return s
-}
-
-// ColumnWorkOf is a convenience wrapper computing element work and the
-// derived schedule-independent totals for a factor.
-func ColumnWorkOf(f *symbolic.Factor) (elemWork []int64, total int64) {
-	ops := model.NewOps(f)
-	elemWork = model.ElementWork(ops)
-	return elemWork, model.TotalWork(elemWork)
 }
 
 // AccumulateElemWork sums an arbitrary per-element cost vector (e.g. the

@@ -1,16 +1,30 @@
 package sched
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
+
+// columnWorkOf computes element work and its total for a factor.
+func columnWorkOf(f *symbolic.Factor) (elemWork []int64, total int64) {
+	ops := model.NewOps(f)
+	elemWork = model.ElementWork(ops)
+	return elemWork, model.TotalWork(elemWork)
+}
 
 func pipeline(m *sparse.Matrix, g, w int) (*symbolic.Factor, *core.Partition, []int64) {
 	pm, err := m.Permute(order.MMD(m))
@@ -19,7 +33,7 @@ func pipeline(m *sparse.Matrix, g, w int) (*symbolic.Factor, *core.Partition, []
 	}
 	f := symbolic.Analyze(pm)
 	part := core.NewPartition(f, core.Options{Grain: g, MinClusterWidth: w})
-	ew, _ := ColumnWorkOf(f)
+	ew, _ := columnWorkOf(f)
 	return f, part, ew
 }
 
@@ -265,5 +279,59 @@ func TestImbalanceEmptyProcessors(t *testing.T) {
 	}
 	if e := s.Efficiency(); e <= 0 || e >= 1 {
 		t.Errorf("efficiency %g out of range", e)
+	}
+}
+
+// TestBlockMapGolden pins both Section 3.4 entry points, unit by unit,
+// against the schedules of the commit that still had two allocator bodies:
+// one FNV-1a hash of UnitProc and Work per allocator and cell of
+// gen.Suite() × grain × width × relaxation × P (P past the unit count
+// included: n + 1).
+func TestBlockMapGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "blockmap.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := func(s *Schedule) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, pr := range s.UnitProc {
+			binary.LittleEndian.PutUint32(b[:4], uint32(pr))
+			h.Write(b[:4])
+		}
+		for _, w := range s.Work {
+			binary.LittleEndian.PutUint64(b[:], uint64(w))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	var got strings.Builder
+	for _, tm := range gen.Suite() {
+		m := tm.Build()
+		pm, err := m.Permute(order.MMD(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := symbolic.Analyze(pm)
+		for _, g := range []int{1, 4, 25, 100} {
+			for _, w := range []int{2, 4, 8} {
+				for _, rz := range []float64{0, 0.3} {
+					part := core.NewPartition(f, core.Options{Grain: g, MinClusterWidth: w, RelaxZeros: rz})
+					for _, p := range []int{1, 2, 3, 16, 64, f.N + 1} {
+						fmt.Fprintf(&got, "%s g=%d w=%d rz=%g P=%d block=%016x greedy=%016x\n",
+							tm.Name, g, w, rz, p, hash(BlockMap(part, p)), hash(BlockMapGreedy(part, p)))
+					}
+				}
+			}
+		}
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d drifted from testdata/blockmap.golden:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, golden %d", len(gl), len(wl))
 	}
 }

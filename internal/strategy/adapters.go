@@ -4,28 +4,23 @@ import (
 	"repro/internal/sched"
 )
 
-// blockMapper adapts the paper's Section 3.4 unit-block allocator.
-type blockMapper struct{}
-
-func (blockMapper) Name() string { return "block" }
-
-func (blockMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
-	return sched.BlockMap(sys.Partition(opts.Part), p), nil
+// blockMapper adapts the paper's Section 3.4 unit-block allocator under
+// either pick rule: "block" (the paper's) and "blockgreedy" (work-aware).
+type blockMapper struct {
+	name   string
+	greedy bool
 }
 
-// blockGreedyMapper adapts the work-aware Section 3.4 variant.
-type blockGreedyMapper struct{}
+func (m blockMapper) Name() string { return m.name }
 
-func (blockGreedyMapper) Name() string { return "blockgreedy" }
-
-func (blockGreedyMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
+func (m blockMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
-	return sched.BlockMapGreedy(sys.Partition(opts.Part), p), nil
+	if m.greedy {
+		return sched.BlockMapGreedy(sys.Partition(opts.Part), p), nil
+	}
+	return sched.BlockMap(sys.Partition(opts.Part), p), nil
 }
 
 // wrapMapper adapts the classical wrap (cyclic) column mapping.
@@ -41,7 +36,7 @@ func (wrapMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 }
 
 func init() {
-	Register(blockMapper{})
-	Register(blockGreedyMapper{})
+	Register(blockMapper{name: "block"})
+	Register(blockMapper{name: "blockgreedy", greedy: true})
 	Register(wrapMapper{})
 }

@@ -211,7 +211,7 @@ func refineImbalance(sc *sched.Schedule, mv []movable, own []int32, maxMoves int
 		byProc[own[u]] = append(byProc[own[u]], u)
 	}
 	for moves := 0; moves < maxMoves; {
-		dst := int32(leastLoaded(sc.Work))
+		dst := int32(sched.LeastLoaded(sc.Work))
 		// Scan sources from most loaded down; the first source with an
 		// improving move takes it.
 		order := make([]int32, 0, p)
@@ -401,7 +401,7 @@ func refineCommspan(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, ow
 				continue
 			}
 			near := pluralityOwner(mv, succs, own, u, tally)
-			idle := int32(leastLoaded(sc.Work))
+			idle := int32(sched.LeastLoaded(sc.Work))
 			for ci, tgt := range [...]int32{near, idle} {
 				src := own[u]
 				if tgt == src || (ci == 1 && tgt == near) {

@@ -271,19 +271,6 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	return m.Map(sys, p, opts)
 }
 
-// leastLoaded returns the index of the smallest entry of load, ties to
-// the lowest index — the argmin scan the refinement passes and the
-// subcube packer share.
-func leastLoaded(load []int64) int {
-	best := 0
-	for i := 1; i < len(load); i++ {
-		if load[i] < load[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // columnSchedule derives a schedule from a column-to-processor assignment
 // (owner[j] is the processor of column j).
 func columnSchedule(sys *Sys, p int, owner []int32) *sched.Schedule {

@@ -154,7 +154,7 @@ func packGreedy(nodes []int, sub []int64, lo, hi int, assignAll func(nodes []int
 	})
 	load := make([]int64, hi-lo)
 	for _, v := range order {
-		best := leastLoaded(load)
+		best := sched.LeastLoaded(load)
 		load[best] += sub[v]
 		assignAll([]int{v}, int32(lo+best))
 	}

@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -61,7 +62,7 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 				}
 			}
 		}
-		sortInts(g.below)
+		slices.Sort(g.below)
 		return g
 	}
 	merged := []group{}
@@ -92,7 +93,7 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 			panic("symbolic: padded area below real count")
 		}
 		if float64(zeros) <= maxFrac*float64(area) {
-			sortInts(below)
+			slices.Sort(below)
 			cur = group{lo: lo, hi: hi, below: below, real: real}
 			stats.Merges++
 			continue

@@ -39,6 +39,17 @@ func (f *Factor) Col(j int) []int { return f.RowInd[f.ColPtr[j]:f.ColPtr[j+1]] }
 // ColLen returns the number of nonzeros in column j including the diagonal.
 func (f *Factor) ColLen(j int) int { return f.ColPtr[j+1] - f.ColPtr[j] }
 
+// ColIndex maps every factor nonzero position to its column.
+func (f *Factor) ColIndex() []int32 {
+	colOf := make([]int32, f.NNZ())
+	for j := 0; j < f.N; j++ {
+		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+			colOf[q] = int32(j)
+		}
+	}
+	return colOf
+}
+
 // Has reports whether position (i, j), i >= j, is in the factor structure.
 func (f *Factor) Has(i, j int) bool {
 	col := f.Col(j)
@@ -224,66 +235,6 @@ func Analyze(m *sparse.Matrix) *Factor {
 	}
 	return f
 }
-
-// sortInts is an insertion/quick hybrid for the small per-column buffers.
-func sortInts(a []int) {
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			for k := i; k > 0 && a[k] < a[k-1]; k-- {
-				a[k], a[k-1] = a[k-1], a[k]
-			}
-		}
-		return
-	}
-	quickSortInts(a)
-}
-
-func quickSortInts(a []int) {
-	for len(a) > 24 {
-		p := partitionInts(a)
-		if p < len(a)-p {
-			quickSortInts(a[:p])
-			a = a[p+1:]
-		} else {
-			quickSortInts(a[p+1:])
-			a = a[:p]
-		}
-	}
-	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k] < a[k-1]; k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
-}
-
-func partitionInts(a []int) int {
-	mid := len(a) / 2
-	if a[mid] < a[0] {
-		a[mid], a[0] = a[0], a[mid]
-	}
-	if a[len(a)-1] < a[mid] {
-		a[len(a)-1], a[mid] = a[mid], a[len(a)-1]
-		if a[mid] < a[0] {
-			a[mid], a[0] = a[0], a[mid]
-		}
-	}
-	pivot := a[mid]
-	a[mid], a[len(a)-2] = a[len(a)-2], a[mid]
-	i := 0
-	for k := 1; k < len(a)-2; k++ {
-		if a[k] < pivot {
-			i++
-			if i != k {
-				a[i], a[k] = a[k], a[i]
-			}
-		}
-	}
-	a[i+1], a[len(a)-2] = a[len(a)-2], a[i+1]
-	return i + 1
-}
-
-// FillIn returns the number of structural nonzeros added by factorization.
-func FillIn(m *sparse.Matrix, f *Factor) int { return f.NNZ() - m.NNZ() }
 
 // Supernodes returns the fundamental supernode partition of the factor:
 // starts[k] is the first column of supernode k, and starts has one extra

@@ -4,7 +4,11 @@ package symbolic
 // (row lists as [][]int, a column merge into a growing buffer per column,
 // sorted), kept as the oracle the rewrite is held to.
 
-import "repro/internal/sparse"
+import (
+	"slices"
+
+	"repro/internal/sparse"
+)
 
 // refEliminationTree computes the elimination tree of the symmetric matrix m
 // using Liu's algorithm with path compression. parent[j] = -1 marks roots.
@@ -98,7 +102,7 @@ func refAnalyze(m *sparse.Matrix) *Factor {
 				}
 			}
 		}
-		sortInts(buf)
+		slices.Sort(buf)
 		cols[j] = buf
 	}
 	f := &Factor{N: n, ColPtr: make([]int, n+1), Parent: parent}

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -306,7 +307,7 @@ func TestSortIntsLarge(t *testing.T) {
 			x = x*6364136223846793005 + 1442695040888963407
 			a[i] = int(x % 1000)
 		}
-		sortInts(a)
+		slices.Sort(a)
 		return sort.IntsAreSorted(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -176,7 +176,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	sched.MustProcs("traffic", s.P)
 	colOwner, ok := columnOwners(f, s)
 	if !ok {
-		return FetchStatsTasks(ops, s, f.N, columnIndex(f))
+		return FetchStatsTasks(ops, s, f.N, f.ColIndex())
 	}
 	ch := newCharger(s.P, f.N, nil)
 	stamp := make([]int32, s.P) // stamp[q] == k+1: q already fetched from column k
@@ -214,15 +214,4 @@ func columnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
 		colOwner[j] = o
 	}
 	return colOwner, true
-}
-
-// columnIndex returns the column of every factor nonzero position.
-func columnIndex(f *symbolic.Factor) []int32 {
-	colOf := make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			colOf[q] = int32(j)
-		}
-	}
-	return colOf
 }

@@ -42,7 +42,7 @@ func TestFetchAttributionStrategyGrid(t *testing.T) {
 		if testing.Short() || raceBuild {
 			procs = []int{2, 65}
 		}
-		colOf := traffic.ColumnIndex(sys.F)
+		colOf := sys.F.ColIndex()
 		// A relaxed partition pads the factor; its schedules are scored
 		// over that factor's ops.
 		partOps := make([]*model.Ops, len(optSets))

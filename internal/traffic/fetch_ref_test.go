@@ -67,7 +67,7 @@ func checkColumns(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, 
 	if _, ok := columnOwners(ops.F, s); ok != uniform {
 		t.Fatalf("%s: column-uniform = %v, want %v", name, ok, uniform)
 	}
-	colOf := columnIndex(ops.F)
+	colOf := ops.F.ColIndex()
 	checkAttribution(t, name+"/columns", ops, s, colOf, FetchStatsColumns(ops, s))
 	checkAttribution(t, name+"/run kernel", ops, s, colOf, FetchStatsTasks(ops, s, ops.F.N, colOf))
 }
@@ -115,7 +115,7 @@ func TestFetchStatsPanics(t *testing.T) {
 	s := sched.WrapMap(ops.F, ew, 3)
 	short := &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1]}
 	noProcs := &sched.Schedule{ElemProc: s.ElemProc}
-	colOf := columnIndex(ops.F)
+	colOf := ops.F.ColIndex()
 	for name, fn := range map[string]func(){
 		"columns, short schedule": func() { FetchStatsColumns(ops, short) },
 		"columns, P = 0":          func() { FetchStatsColumns(ops, noProcs) },
@@ -153,7 +153,7 @@ func TestFetchStatsAllocs(t *testing.T) {
 			t.Errorf("P=%d: FetchStatsColumns allocates %.0f objects on LAP30, %.0f on a 6x6 grid; want equal and at most 8", p, cols, base)
 		}
 		run := allocs(func() { FetchStats(part, large, bl) })
-		colOf := columnIndex(small.F)
+		colOf := small.F.ColIndex()
 		if base := allocs(func() { FetchStatsTasks(small, ws, small.F.N, colOf) }); run != base || run > 8 {
 			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30, the run kernel %.0f on a 6x6 grid; want equal and at most 8", p, run, base)
 		}
@@ -168,7 +168,7 @@ func TestFetchStatsAllocs(t *testing.T) {
 func BenchmarkFetchAttribution(b *testing.B) {
 	for _, tm := range gen.Suite() {
 		ops, part, ew := pipeline(tm.Build(), 4, 4)
-		colOf := columnIndex(ops.F)
+		colOf := ops.F.ColIndex()
 		wrap, block := sched.WrapMap(ops.F, ew, 16), sched.BlockMap(part, 16)
 		for _, bc := range []struct {
 			name string

@@ -46,7 +46,7 @@ func NewIncremental(ops *model.Ops, s *sched.Schedule) *Incremental {
 	t := &Incremental{
 		ops:   ops,
 		s:     s,
-		colOf: columnIndex(ops.F),
+		colOf: ops.F.ColIndex(),
 		count: make([]int32, nnz*s.P),
 	}
 	owner, rowInd := s.ElemProc, ops.F.RowInd

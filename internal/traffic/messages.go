@@ -75,18 +75,5 @@ func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *Messa
 // pair — the natural consolidation unit when whole columns live on one
 // processor.
 func ConsolidateColumns(ops *model.Ops, s *sched.Schedule) *MessageStats {
-	return consolidate(ops, s, columnIndex(ops.F))
-}
-
-// AlphaBetaCost evaluates the classical linear communication model for
-// the busiest processor: alpha per received message plus beta per
-// received element, alpha and beta in work units.
-func AlphaBetaCost(st *MessageStats, r *Result, alpha, beta float64) float64 {
-	var maxMsgs int64
-	for _, m := range st.PerProc {
-		if m > maxMsgs {
-			maxMsgs = m
-		}
-	}
-	return alpha*float64(maxMsgs) + beta*float64(r.MaxPerProc())
+	return consolidate(ops, s, ops.F.ColIndex())
 }

@@ -78,27 +78,6 @@ func TestConsolidateSingleProcessor(t *testing.T) {
 	}
 }
 
-func TestAlphaBetaCost(t *testing.T) {
-	ops, part, _ := pipeline(gen.Lap30(), 25, 4)
-	s := sched.BlockMap(part, 16)
-	st := Consolidate(part, ops, s)
-	r := Simulate(ops, s)
-	// beta-only equals beta * max per-proc elements.
-	if got, want := AlphaBetaCost(st, r, 0, 2), 2*float64(r.MaxPerProc()); got != want {
-		t.Errorf("beta-only cost %g, want %g", got, want)
-	}
-	// alpha-only is proportional to the max per-proc message count.
-	var maxMsgs int64
-	for _, m := range st.PerProc {
-		if m > maxMsgs {
-			maxMsgs = m
-		}
-	}
-	if got, want := AlphaBetaCost(st, r, 3, 0), 3*float64(maxMsgs); got != want {
-		t.Errorf("alpha-only cost %g, want %g", got, want)
-	}
-}
-
 func TestFetchVolumesSumToTotal(t *testing.T) {
 	fc := func(seed int64) bool {
 		m := gen.Random(40, 1.3, seed)
