@@ -26,9 +26,10 @@ import (
 //
 // The factor a Run produces is bit-for-bit equal to the serial kernel's
 // (numeric.Factorize or FactorizeLDL): every column's updates are applied
-// in the serial left-looking chain order (numeric.Chains) with the
-// identical association, so every element sees exactly the serial
-// sequence of floating-point operations however the tasks interleave.
+// in ascending source column (the factor's row index, the order of
+// model.Ops.ForEachRun) with the identical association, so every element
+// sees exactly the serial sequence of floating-point operations however
+// the tasks interleave.
 // That makes the run deterministic and the comm-aware makespan simulators
 // falsifiable — the task graph they predict is what actually runs.
 type Program struct {
@@ -37,7 +38,7 @@ type Program struct {
 
 	proc []int32 // task -> worker
 	// col is the column of a task that owns every element of one column
-	// and nothing else: it runs the serial inner loop verbatim. Any other
+	// and nothing else: it is one numeric.Kernel.Column step. Any other
 	// task (a 2D tile segment, a unit block) has col -1 and lists its
 	// elements in elems[elemPtr[t]:elemPtr[t+1]], ascending — column by
 	// column.
@@ -50,8 +51,7 @@ type Program struct {
 	succ    []int32
 	own     []int32 // worker -> number of tasks
 
-	head, pos []int32 // the serial update schedule (numeric.Chains)
-	colOf     []int32 // factor position -> column (Factor.ColIndex)
+	colOf []int32 // factor position -> column (Factor.ColIndex)
 }
 
 // Compile validates a task graph for the factor f on p workers and lays it
@@ -135,7 +135,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 			fill[pr]++
 		}
 	}
-	pg.head, pg.pos = numeric.Chains(f)
+	f.Rows() // built here, not by the first task to need it
 	return pg, nil
 }
 
@@ -198,7 +198,7 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: %w", err)
 	}
-	r := &run{pg: pg, val: val, ldl: k == numeric.KernelLDL}
+	r := &run{pg: pg, val: val, kern: k}
 	if record {
 		r.events = make([]TaskEvent, len(pg.proc))
 		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
@@ -243,7 +243,7 @@ func (r *run) parallel() {
 			continue
 		}
 		wg.Add(1)
-		//repro:allow nondeterminism -- one worker per processor over the task DAG; a column's updates replay the serial chain order inside one task and tasks are ordered by their dependency counters, pinned bitwise by TestParallelFactorizeBitIdentity under -race
+		//repro:allow nondeterminism -- one worker per processor over the task DAG; a column's updates are applied in the serial order, ascending source column, inside one task and tasks are ordered by their dependency counters, pinned bitwise by TestParallelFactorizeBitIdentity under -race
 		go func(w int32) {
 			defer wg.Done()
 			r.work(w)
@@ -256,7 +256,7 @@ func (r *run) parallel() {
 type run struct {
 	pg      *Program
 	val     []float64
-	ldl     bool
+	kern    numeric.Kernel
 	pending []atomic.Int32 // task -> predecessors still running
 	queues  []*readyQueue  // one per worker; nil for a worker with no task
 
@@ -433,13 +433,18 @@ func (r *run) newKernel() *kernel {
 	return k
 }
 
-// task runs task t: a whole column through the serial inner loop, any
-// other task as its column segments in ascending column order, so a
-// segment finds the task's own earlier columns final.
+// task runs task t: a whole column as the serial kernel's own step (a
+// rejected pivot reported under this package's name), any other task as
+// its column segments in ascending column order, so a segment finds the
+// task's own earlier columns final.
 func (k *kernel) task(t int32) error {
-	pg := k.r.pg
-	if j := pg.col[t]; j >= 0 {
-		return k.wholeColumn(int(j))
+	r := k.r
+	pg := r.pg
+	if j := int(pg.col[t]); j >= 0 {
+		if d, ok := r.kern.Column(pg.f, r.val, k.w, j); !ok {
+			return checkPivot(d, j, r.kern == numeric.KernelLDL)
+		}
+		return nil
 	}
 	elems := pg.elems[pg.elemPtr[t]:pg.elemPtr[t+1]]
 	for len(elems) > 0 {
@@ -455,52 +460,12 @@ func (k *kernel) task(t int32) error {
 	return nil
 }
 
-// wholeColumn is one iteration of the serial left-looking loop: the same
-// operations in the same order as numeric.Factorize / FactorizeLDL, with
-// the chain bookkeeping read from the compiled schedule.
-func (k *kernel) wholeColumn(j int) error {
-	pg, val, w := k.r.pg, k.r.val, k.w
-	f := pg.f
-	lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-	rows, col := f.RowInd[lo:hi], val[lo:hi]
-	for x, i := range rows {
-		w[i] = col[x]
-	}
-	ldl := k.r.ldl
-	for _, p := range pg.pos[pg.head[j]:pg.head[j+1]] {
-		c := int(pg.colOf[p])
-		end := f.ColPtr[c+1]
-		rs, vs := f.RowInd[p:end], val[p:end]
-		ljk := vs[0]
-		if ldl {
-			dk := val[f.ColPtr[c]]
-			for x, i := range rs {
-				w[i] -= vs[x] * dk * ljk
-			}
-		} else {
-			for x, i := range rs {
-				w[i] -= vs[x] * ljk
-			}
-		}
-	}
-	d := w[j]
-	if err := checkPivot(d, j, ldl); err != nil {
-		return err
-	}
-	if !ldl {
-		d = math.Sqrt(d)
-	}
-	col[0] = d
-	for x := 1; x < len(rows); x++ {
-		col[x] = w[rows[x]] / d
-	}
-	return nil
-}
-
 // partial runs one column segment — the rows of column j a task owns
 // (elems, ascending positions): it applies the column's updates to them in
-// the serial chain order, the stamp filtering every source column down to
-// those rows, then scales them.
+// the serial order, ascending source column over the factor's row index,
+// the stamp filtering every source column down to those rows, then scales
+// them. It is the one update loop beside numeric's: same sources, same
+// order, same multiplier, so a segment's elements get the serial bits.
 func (k *kernel) partial(j int, elems []int32) error {
 	pg, val, w, stamp := k.r.pg, k.r.val, k.w, k.stamp
 	f := pg.f
@@ -511,35 +476,32 @@ func (k *kernel) partial(j int, elems []int32) error {
 		w[i] = val[q]
 		stamp[i] = round
 	}
-	ldl := k.r.ldl
-	for _, p := range pg.pos[pg.head[j]:pg.head[j+1]] {
-		c := int(pg.colOf[p])
-		end := f.ColPtr[c+1]
+	ldl := k.r.kern == numeric.KernelLDL
+	ri := f.Rows()
+	pos := ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+	for t, c := range ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]] {
+		p, end := int(pos[t]), f.ColPtr[c+1]
 		rs, vs := f.RowInd[p:end], val[p:end]
-		// ljk (and D[k] for LDL) are loaded lazily, on the first row this
-		// task owns: the update (i, j) <- (i, k), (j, k) then guarantees
-		// both source tasks are among this task's predecessors, so the
-		// reads are synchronized. A chain entry touching none of the
-		// task's rows must not read column k at all — its tasks may still
-		// be in flight.
+		// The multiplier — L[j,c], times D[c] for LDLᵀ — is loaded lazily,
+		// on the first row this task owns: the update (i, j) <- (i, c),
+		// (j, c) then guarantees both source tasks are among this task's
+		// predecessors, so the reads are synchronized. A source touching
+		// none of the task's rows must not read column c at all — its tasks
+		// may still be in flight.
 		loaded := false
-		var ljk, dk float64
+		var l float64
 		for x, i := range rs {
 			if stamp[i] != round {
 				continue
 			}
 			if !loaded {
-				ljk = vs[0]
+				l = vs[0]
 				if ldl {
-					dk = val[f.ColPtr[c]]
+					l = val[f.ColPtr[c]] * vs[0]
 				}
 				loaded = true
 			}
-			if ldl {
-				w[i] -= vs[x] * dk * ljk
-			} else {
-				w[i] -= vs[x] * ljk
-			}
+			w[i] -= vs[x] * l
 		}
 	}
 	diag := int32(f.ColPtr[j])

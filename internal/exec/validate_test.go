@@ -79,9 +79,16 @@ func TestProgramRunRejectsForeignPattern(t *testing.T) {
 	if grid.N != chain.N {
 		t.Fatalf("fixture: n = %d and %d", grid.N, chain.N)
 	}
-	_, err := compileRun(grid, p.f, 1, tasks, elemTask, numeric.KernelCholesky)
-	if err == nil || !strings.Contains(err.Error(), "outside the factor structure") {
-		t.Fatalf("err = %v", err)
+	for _, k := range []numeric.Kernel{numeric.KernelCholesky, numeric.KernelLDL} {
+		_, err := compileRun(grid, p.f, 1, tasks, elemTask, k)
+		if err == nil || !strings.Contains(err.Error(), "outside the factor structure") {
+			t.Fatalf("%v: err = %v", k, err)
+		}
+		// The serial kernel starts from the same scatter: same entry, same
+		// words, never the factor of the entries that did fit.
+		if _, serr := k.Factorize(grid, p.f); serr == nil || err.Error() != "exec: "+serr.Error() {
+			t.Fatalf("%v: serial kernel says %v, engine %v", k, serr, err)
+		}
 	}
 }
 

@@ -29,36 +29,11 @@ type Ops struct {
 	rowPtr, rowCols, rowPos []int32
 }
 
-// NewOps prepares the operation enumerator for a factor structure.
+// NewOps prepares the operation enumerator for a factor structure; its
+// rows are views of the factor's own row index, one copy per factor.
 func NewOps(f *symbolic.Factor) *Ops {
-	n := f.N
-	o := &Ops{F: f, rowPtr: make([]int32, n+1)}
-	for j := 0; j < n; j++ {
-		for _, i := range f.Col(j)[1:] {
-			o.rowPtr[i+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		o.rowPtr[i+1] += o.rowPtr[i]
-	}
-	half := f.NNZ() - n
-	both := make([]int32, 2*half)
-	o.rowCols, o.rowPos = both[:half:half], both[half:]
-	// rowPtr[i] is the cursor of row i while the rows fill, which leaves it
-	// at the start of row i+1: shift back afterwards.
-	for j := 0; j < n; j++ {
-		base := f.ColPtr[j]
-		for t, i := range f.Col(j)[1:] {
-			at := o.rowPtr[i]
-			o.rowPtr[i]++
-			o.rowCols[at], o.rowPos[at] = int32(j), int32(base+1+t)
-		}
-	}
-	copy(o.rowPtr[1:], o.rowPtr[:n])
-	if n > 0 {
-		o.rowPtr[0] = 0
-	}
-	return o
+	r := f.Rows()
+	return &Ops{F: f, rowPtr: r.Ptr, rowCols: r.Cols, rowPos: r.Pos}
 }
 
 // RowCols returns the columns k < r with L[r,k] != 0 (the factor's row

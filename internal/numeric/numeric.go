@@ -41,7 +41,7 @@ func (e *NotPositiveDefiniteError) Error() string {
 // structure f (which must be Analyze(m) or a superset of the true
 // structure). It implements the classical left-looking column algorithm:
 // column j receives one update from every column c < j with L[j][c] != 0,
-// then is scaled by the square root of its diagonal.
+// in ascending c, then is scaled by the square root of its diagonal.
 func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 	val, err := KernelCholesky.Factorize(m, f)
 	if err != nil {
@@ -52,9 +52,9 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 
 // Factorize runs the serial left-looking factorization k selects and
 // returns the values aligned with f: Factorize's for KernelCholesky,
-// FactorizeLDL's for KernelLDL. The two differ only in the D[c] factor of
-// an update and in the pivot (rule, square root); the chain bookkeeping
-// is shared, which is what Chains replays.
+// FactorizeLDL's for KernelLDL. It is ScatterA, then Column for every
+// column in turn; the two kernels differ only in the D[k] factor of an
+// update and in the pivot (rule, square root).
 func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	if err := k.Valid(); err != nil {
 		return nil, err
@@ -65,81 +65,17 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 	if m.N != f.N {
 		return nil, fmt.Errorf("numeric: dimension mismatch %d vs %d", m.N, f.N)
 	}
-	ldl := k == KernelLDL
-	n := m.N
-	val := make([]float64, f.NNZ())
-	w := make([]float64, n)   // dense accumulator for the current column
-	ptr := make([]int, n)     // per-column pointer to next update row
-	link := make([]int, n)    // link[r]: head of column chain keyed by row r
-	nextCol := make([]int, n) // chain links
-	for i := range link {
-		link[i] = -1
-		nextCol[i] = -1
+	val, err := ScatterA(m, f)
+	if err != nil {
+		return nil, err
 	}
-	for j := 0; j < n; j++ {
-		cj := f.Col(j)
-		// Scatter A's column j into w.
-		for _, i := range cj {
-			w[i] = 0
-		}
-		acol := m.Col(j)
-		avals := m.ColVal(j)
-		for t, i := range acol {
-			w[i] = avals[t]
-		}
-		// Apply updates from all columns c with L[j][c] != 0.
-		for c := link[j]; c != -1; {
-			nc := nextCol[c]
-			p := ptr[c]
-			end := f.ColPtr[c+1]
-			rs, vs := f.RowInd[p:end], val[p:end]
-			ljc := vs[0]
-			if ldl {
-				dc := val[f.ColPtr[c]] // D[c]
-				for x, i := range rs {
-					w[i] -= vs[x] * dc * ljc
-				}
-			} else {
-				for x, i := range rs {
-					w[i] -= vs[x] * ljc
-				}
-			}
-			// Advance column c to its next row block.
-			ptr[c] = p + 1
-			if p+1 < end {
-				r := f.RowInd[p+1]
-				nextCol[c] = link[r]
-				link[r] = c
-			}
-			c = nc
-		}
-		// Scale. The pivot must be finite and positive (nonzero for LDLᵀ):
-		// besides the nonpositive/NaN cases, ±Inf (an overflowed or
-		// Inf-contaminated diagonal) would silently survive the square
-		// root or divide the off-diagonals into zeros/NaNs and poison the
-		// factor.
-		d := w[j]
-		if math.IsNaN(d) || math.IsInf(d, 0) || d == 0 || (!ldl && d < 0) {
-			if ldl {
+	w := make([]float64, f.N) // dense accumulator for the current column
+	for j := 0; j < f.N; j++ {
+		if d, ok := k.Column(f, val, w, j); !ok {
+			if k == KernelLDL {
 				return nil, fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
 			}
 			return nil, &NotPositiveDefiniteError{Column: j, Pivot: d}
-		}
-		if !ldl {
-			d = math.Sqrt(d)
-		}
-		base := f.ColPtr[j]
-		val[base] = d
-		vs := val[base+1 : f.ColPtr[j+1]]
-		for x, i := range cj[1:] {
-			vs[x] = w[i] / d
-		}
-		// Register column j for its first sub-diagonal row.
-		if f.ColPtr[j+1] > base+1 {
-			ptr[j] = base + 1
-			r := f.RowInd[base+1]
-			nextCol[j] = link[r]
-			link[r] = j
 		}
 	}
 	return val, nil

@@ -47,11 +47,11 @@ type Factor struct {
 // FactorKey returns the content address of the Factor that Factorize
 // (parallel=false) or FactorizeParallel (parallel=true) would build from
 // this plan and a's values, without factorizing. The two share one key:
-// the compiled engine replays the exact serial update order
-// (numeric.Chains) over the same structure, so the factors are bit-for-bit
-// interchangeable. The one exception is a relaxed block plan, whose
-// parallel factor lives on the plan's zero-padded structure: its key mixes
-// in the plan.
+// the compiled engine applies every column's updates in the serial
+// kernel's order (ascending source column, the factor's row index) over
+// the same structure, so the factors are bit-for-bit interchangeable. The
+// one exception is a relaxed block plan, whose parallel factor lives on the
+// plan's zero-padded structure: its key mixes in the plan.
 func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Key {
 	h := artifact.NewHasher("factor")
 	h.Key(pl.An.Key)
@@ -76,7 +76,7 @@ func (pl *Plan) Factorize(a *sparse.Matrix, k Kernel) (*Factor, error) {
 
 // FactorizeParallel computes the numeric factor with one worker goroutine
 // per processor of the plan, running the plan's compiled
-// exact-serial-chain-order program: bit-identical to Factorize, or — for a
+// exact-serial-order program: bit-identical to Factorize, or — for a
 // relaxed block plan — to the serial kernel over the plan's zero-padded
 // structure.
 func (pl *Plan) FactorizeParallel(a *sparse.Matrix, k Kernel) (*Factor, error) {

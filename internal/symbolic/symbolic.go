@@ -12,6 +12,7 @@ package symbolic
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -27,6 +28,55 @@ type Factor struct {
 	// Parent is the elimination tree: Parent[j] is the parent of column j,
 	// or -1 for a root.
 	Parent []int
+
+	rowsOnce sync.Once
+	rows     RowIndex
+}
+
+// RowIndex is the strict lower triangle of a factor structure by rows: row
+// r is the slice [Ptr[r], Ptr[r+1]) of two parallel arrays, Cols listing
+// the columns k < r with L[r,k] != 0, increasing, and Pos the factor
+// nonzero position of each (r, k). Read in that order it is the canonical
+// update sequence of column r, which every numeric kernel follows.
+type RowIndex struct {
+	Ptr, Cols, Pos []int32
+}
+
+// Rows returns the row index of f, built on first use and shared from then
+// on by model.Ops, the serial kernel and every compiled program; it is
+// read-only and safe to ask for from any number of goroutines.
+func (f *Factor) Rows() *RowIndex {
+	f.rowsOnce.Do(func() {
+		n := f.N
+		ptr := make([]int32, n+1)
+		for j := 0; j < n; j++ {
+			for _, i := range f.Col(j)[1:] {
+				ptr[i+1]++
+			}
+		}
+		for i := 0; i < n; i++ {
+			ptr[i+1] += ptr[i]
+		}
+		half := f.NNZ() - n
+		both := make([]int32, 2*half)
+		cols, pos := both[:half:half], both[half:]
+		// ptr[i] is the cursor of row i while the rows fill, which leaves it
+		// at the start of row i+1: shift back afterwards.
+		for j := 0; j < n; j++ {
+			base := f.ColPtr[j]
+			for t, i := range f.Col(j)[1:] {
+				at := ptr[i]
+				ptr[i]++
+				cols[at], pos[at] = int32(j), int32(base+1+t)
+			}
+		}
+		copy(ptr[1:], ptr[:n])
+		if n > 0 {
+			ptr[0] = 0
+		}
+		f.rows = RowIndex{Ptr: ptr, Cols: cols, Pos: pos}
+	})
+	return &f.rows
 }
 
 // NNZ returns the number of structural nonzeros of L (lower, incl. diag).
