@@ -2,121 +2,18 @@ package part2d
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/strategy"
-	"repro/internal/traffic"
 )
 
-// referenceGuardedOwners is the rect2d descent as it was before
-// traffic.Incremental: the same start, the same trial order and the same
-// accept rule, with every trial scored by a full traffic.Simulate. It is
-// the reference trafficGuardedOwners is pinned against and nothing else
-// calls it.
-func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, tel *obs.SearchTelemetry) []int32 {
-	f := sys.F
-	r := len(bounds) - 1
-	tw := TileWork(f, sys.ElemWork, bounds)
-	blockOf := blockIndex(f.N, bounds)
-	owner := make([]int32, len(tw))
-	rowOf := make([]int, len(tw))
-	for rr := 0; rr < r; rr++ {
-		for cc := 0; cc <= rr; cc++ {
-			owner[TileID(rr, cc)] = int32(cc)
-			rowOf[TileID(rr, cc)] = rr
-		}
-	}
-	if p < 2 || r < 2 {
-		return owner
-	}
-	elems := make([][]int32, len(tw))
-	elemProc := make([]int32, f.NNZ())
-	load := make([]int64, p)
-	for j := 0; j < f.N; j++ {
-		c := int(blockOf[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			id := TileID(int(blockOf[f.RowInd[q]]), c)
-			elems[id] = append(elems[id], int32(q))
-			elemProc[q] = owner[id]
-			load[owner[id]] += sys.ElemWork[q]
-		}
-	}
-	sc := &sched.Schedule{P: p, ElemProc: elemProc, Work: load}
-	setOwner := func(id int, dst int32) {
-		src := owner[id]
-		owner[id] = dst
-		load[src] -= tw[id]
-		load[dst] += tw[id]
-		for _, q := range elems[id] {
-			elemProc[q] = dst
-		}
-	}
-	sumsq := func() float64 {
-		var s float64
-		for _, l := range load {
-			s += float64(l) * float64(l)
-		}
-		return s
-	}
-	cur := traffic.Simulate(sys.Ops, sc).Total
-	tel.Objective(cur)
-	offs := make([]int, 0, len(tw)-r)
-	for rr := 1; rr < r; rr++ {
-		for cc := 0; cc < rr; cc++ {
-			offs = append(offs, TileID(rr, cc))
-		}
-	}
-	sort.Slice(offs, func(a, b int) bool {
-		if tw[offs[a]] != tw[offs[b]] {
-			return tw[offs[a]] > tw[offs[b]]
-		}
-		return offs[a] < offs[b]
-	})
-	evals := 0
-	for _, id := range offs {
-		if evals >= budget {
-			break
-		}
-		least := int32(0)
-		for k := 1; k < p; k++ {
-			if load[k] < load[least] {
-				least = int32(k)
-			}
-		}
-		home := owner[TileID(rowOf[id], rowOf[id])]
-		for ci, dst := range [...]int32{home, least} {
-			src := owner[id]
-			if dst == src || (ci == 1 && dst == home) {
-				continue
-			}
-			before := sumsq()
-			setOwner(id, dst)
-			evals++
-			nt := traffic.Simulate(sys.Ops, sc).Total
-			if nt < cur || (nt == cur && sumsq() < before) {
-				cur = nt
-				tel.Trial(true)
-				tel.Objective(nt)
-				break
-			}
-			setOwner(id, src)
-			tel.Trial(false)
-			if evals >= budget {
-				break
-			}
-		}
-	}
-	return owner
-}
-
 // TestRect2DDescentMatchesReference: the oracle is exact, so the descent
-// must take every decision the re-simulating one takes — the same tile
-// owners and the same telemetry (trials, accepted, rejected, the traffic
-// after each kept move), under the default budget and under budgets that
-// stop it mid-tile.
+// must take every decision the re-simulating one over the dense table
+// (tiles_ref_test.go) takes — the same tile owners and the same telemetry
+// (trials, accepted, rejected, the traffic after each kept move; the
+// trials spent on empty tiles included), under the default budget and
+// under budgets that stop it mid-tile.
 func TestRect2DDescentMatchesReference(t *testing.T) {
 	procs := []int{2, 4, 16, 64}
 	if testing.Short() {
@@ -128,7 +25,7 @@ func TestRect2DDescentMatchesReference(t *testing.T) {
 			t.Fatalf("suite has no %s", name)
 		}
 		for _, p := range procs {
-			bounds := rectBounds(sys, p)
+			bounds := refBounds(sys, p)
 			for _, maxMoves := range []int{0, 1, 7} {
 				opts := strategy.Options{MaxMoves: maxMoves, Search: &obs.SearchTelemetry{}}
 				s2, err := Map2D("rect2d", sys, p, opts)
@@ -141,7 +38,7 @@ func TestRect2DDescentMatchesReference(t *testing.T) {
 				}
 				wantTel := &obs.SearchTelemetry{}
 				want := referenceGuardedOwners(sys, p, bounds, budget, wantTel)
-				if !reflect.DeepEqual(s2.Owner, want) {
+				if !sameTileOwners(s2, want) {
 					t.Errorf("%s P=%d MaxMoves=%d: tile owners differ from the re-simulating descent", name, p, maxMoves)
 				}
 				if !reflect.DeepEqual(opts.Search, wantTel) {

@@ -2,6 +2,7 @@ package part2d
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,12 +78,14 @@ func Map2D(name string, sys *strategy.Sys, p int, opts strategy.Options) (*Sched
 	return m.Map2D(sys, p, opts)
 }
 
-// rectBounds computes the shared diagonal intervals of the symmetric
-// rectilinear partition (the existing 1D rectilinear cuts) and compresses
-// away the empty trailing intervals RectilinearCuts pads with.
+// rectBounds returns the shared diagonal intervals of the symmetric
+// rectilinear partition — the 1D rectilinear cuts, computed once per
+// analysis and P and shared with the 1D mapper — without the empty
+// trailing intervals RectilinearCuts pads with. The cuts are read-only, so
+// the compaction writes a fresh slice.
 func rectBounds(sys *strategy.Sys, p int) []int {
-	cuts := strategy.RectilinearCuts(sys.Ops, sys.ElemWork, p)
-	bounds := cuts[:1]
+	cuts := sys.RectilinearCuts(p)
+	bounds := []int{cuts[0]}
 	for _, b := range cuts[1:] {
 		if b > bounds[len(bounds)-1] {
 			bounds = append(bounds, b)
@@ -126,8 +129,9 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 	if budget <= 0 {
 		budget = defaultRect2DEvals
 	}
-	owner := trafficGuardedOwners(sys, p, bounds, budget, opts.Search)
-	return New(sys.F, sys.ElemWork, p, bounds, owner)
+	tl := newTiling(sys.F, bounds)
+	owner := trafficGuardedOwners(sys, p, tl, budget, opts.Search)
+	return newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner), nil
 }
 
 // trafficGuardedOwners runs the rect2d descent: flattened start, then
@@ -137,44 +141,58 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 // 4·nnz(L)·P bytes, dropped on return): a trial moves the tile's elements
 // and a rejected one moves them back. tel, when non-nil, records one
 // trial per evaluation and the traffic trajectory of the kept moves.
-func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, tel *obs.SearchTelemetry) []int32 {
-	f := sys.F
-	r := len(bounds) - 1
-	tw := TileWork(f, sys.ElemWork, bounds)
-	blockOf := blockIndex(f.N, bounds)
-	owner := make([]int32, len(tw))
-	rowOf := make([]int, len(tw))
-	for rr := 0; rr < r; rr++ {
-		for cc := 0; cc <= rr; cc++ {
-			owner[TileID(rr, cc)] = int32(cc)
-			rowOf[TileID(rr, cc)] = rr
+//
+// The trial order is the one over all R(R-1)/2 off-diagonal tiles: by
+// work, heaviest first, ties in row-major order. An empty tile has zero
+// work, moves no element and no load, so its trials are rejected without
+// touching the state, but they still spend the budget. The descent
+// therefore visits the non-empty tiles of positive work by the sort, then
+// walks the zero-work positions in row-major order — empty ones included,
+// each costing at least one trial, so the walk ends within the budget.
+// (Element work is never negative.)
+func trafficGuardedOwners(sys *strategy.Sys, p int, tl *tiling, budget int, tel *obs.SearchTelemetry) []int32 {
+	r := len(tl.ptr) - 1
+	owner := make([]int32, len(tl.row))
+	var offs []int32
+	for c := 0; c < r; c++ {
+		for t := tl.ptr[c]; t < tl.ptr[c+1]; t++ {
+			owner[t] = int32(c)
+			if tl.row[t] != int32(c) {
+				offs = append(offs, t)
+			}
 		}
 	}
 	if p < 2 || r < 2 {
 		return owner
 	}
-	// Incremental state: the element list of every tile, the derived
-	// element ownership and per-processor loads.
-	elems := make([][]int32, len(tw))
-	elemProc := make([]int32, f.NNZ())
+	// Incremental state: the element list of every tile (CSR, positions
+	// ascending), the derived element ownership and per-processor loads.
+	tw := tl.work(sys.ElemWork)
+	elemPtr := make([]int32, len(tl.row)+1)
+	for _, t := range tl.elemTile {
+		elemPtr[t+1]++
+	}
+	for t := range tl.row {
+		elemPtr[t+1] += elemPtr[t]
+	}
+	next := slices.Clone(elemPtr[:len(tl.row)])
+	elems := make([]int32, len(tl.elemTile))
+	elemProc := make([]int32, len(tl.elemTile))
 	load := make([]int64, p)
-	for j := 0; j < f.N; j++ {
-		c := int(blockOf[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			id := TileID(int(blockOf[f.RowInd[q]]), c)
-			elems[id] = append(elems[id], int32(q))
-			elemProc[q] = owner[id]
-			load[owner[id]] += sys.ElemWork[q]
-		}
+	for q, t := range tl.elemTile {
+		elems[next[t]] = int32(q)
+		next[t]++
+		elemProc[q] = owner[t]
+		load[owner[t]] += sys.ElemWork[q]
 	}
 	inc := traffic.NewIncremental(sys.Ops, &sched.Schedule{P: p, ElemProc: elemProc})
-	// setOwner moves tile id to dst and returns the traffic after it.
-	setOwner := func(id int, dst int32) int64 {
-		src := owner[id]
-		owner[id] = dst
-		load[src] -= tw[id]
-		load[dst] += tw[id]
-		return inc.Move(elems[id], dst)
+	// setOwner moves tile t to dst and returns the traffic after it.
+	setOwner := func(t int32, dst int32) int64 {
+		src := owner[t]
+		owner[t] = dst
+		load[src] -= tw[t]
+		load[dst] += tw[t]
+		return inc.Move(elems[elemPtr[t]:elemPtr[t+1]], dst)
 	}
 	sumsq := func() float64 {
 		var s float64
@@ -185,46 +203,56 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 	}
 	cur := inc.Total()
 	tel.Objective(cur)
-	offs := make([]int, 0, len(tw)-r)
-	for rr := 1; rr < r; rr++ {
-		for cc := 0; cc < rr; cc++ {
-			offs = append(offs, TileID(rr, cc))
-		}
-	}
-	sort.Slice(offs, func(a, b int) bool {
-		if tw[offs[a]] != tw[offs[b]] {
-			return tw[offs[a]] > tw[offs[b]]
-		}
-		return offs[a] < offs[b]
-	})
 	evals := 0
-	for _, id := range offs {
-		if evals >= budget {
-			break
-		}
+	// try runs the trials of off-diagonal tile (rr, cc), t < 0 when it is
+	// empty. Diagonal tiles never move, so the row block's diagonal owner
+	// is rr — the row's "home" processor, the fan-out destination the
+	// tile's sources already visit.
+	try := func(t int32, rr, cc int) {
 		least := int32(sched.LeastLoaded(load))
-		// Diagonal tiles never move, so the row block's diagonal owner is
-		// the row's "home" processor — the fan-out destination the tile's
-		// sources already visit.
-		home := owner[TileID(rowOf[id], rowOf[id])]
+		home := int32(rr)
 		for ci, dst := range [...]int32{home, least} {
-			src := owner[id]
+			src := int32(cc)
+			if t >= 0 {
+				src = owner[t]
+			}
 			if dst == src || (ci == 1 && dst == home) {
 				continue // never repeat an identical trial
 			}
 			before := sumsq()
-			nt := setOwner(id, dst)
+			nt := cur
+			if t >= 0 {
+				nt = setOwner(t, dst)
+			}
 			evals++
 			if nt < cur || (nt == cur && sumsq() < before) {
 				cur = nt
 				tel.Trial(true)
 				tel.Objective(nt)
-				break
+				return
 			}
-			setOwner(id, src)
+			if t >= 0 {
+				setOwner(t, src)
+			}
 			tel.Trial(false)
 			if evals >= budget {
-				break
+				return
+			}
+		}
+	}
+	tl.heaviestFirst(offs, tw)
+	for k := 0; k < len(offs) && tw[offs[k]] > 0 && evals < budget; k++ {
+		t := offs[k]
+		try(t, int(tl.row[t]), tl.col(t))
+	}
+	for rr := 1; rr < r && evals < budget; rr++ {
+		for cc := 0; cc < rr && evals < budget; cc++ {
+			t, ok := findTile(tl.ptr, tl.row, rr, cc)
+			switch {
+			case !ok:
+				try(-1, rr, cc)
+			case tw[t] == 0:
+				try(int32(t), rr, cc)
 			}
 		}
 	}
@@ -236,7 +264,8 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, te
 // the least-loaded processor. It is the balance extreme of the 2D family:
 // near-perfect load balance (tiles are much finer than block columns) at
 // the cost of scattering each block column's readers, hence more
-// deduplicated traffic than rect2d's guarded descent.
+// deduplicated traffic than rect2d's guarded descent. Only non-empty tiles
+// are dealt: an empty one adds no load, so it changes no later pick.
 type rect2dlptMapper struct{}
 
 func (rect2dlptMapper) Name() string { return "rect2dlpt" }
@@ -246,17 +275,13 @@ func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*
 		return nil, err
 	}
 	bounds := rectBounds(sys, p)
-	tw := TileWork(sys.F, sys.ElemWork, bounds)
-	order := make([]int, len(tw))
-	for i := range order {
-		order[i] = i
+	tl := newTiling(sys.F, bounds)
+	tw := tl.work(sys.ElemWork)
+	order := make([]int32, len(tw))
+	for t := range order {
+		order[t] = int32(t)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if tw[order[a]] != tw[order[b]] {
-			return tw[order[a]] > tw[order[b]]
-		}
-		return order[a] < order[b]
-	})
+	tl.heaviestFirst(order, tw)
 	owner := make([]int32, len(tw))
 	load := make([]int64, p)
 	for _, t := range order {
@@ -264,7 +289,7 @@ func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*
 		owner[t] = int32(least)
 		load[least] += tw[t]
 	}
-	return New(sys.F, sys.ElemWork, p, bounds, owner)
+	return newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner), nil
 }
 
 // rect2dcyclicMapper uses the same rectilinear diagonal intervals but
@@ -280,8 +305,6 @@ func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options)
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
-	bounds := rectBounds(sys, p)
-	r := len(bounds) - 1
 	pr := 1
 	for d := 2; d*d <= p; d++ {
 		if p%d == 0 {
@@ -289,13 +312,9 @@ func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options)
 		}
 	}
 	pc := p / pr
-	owner := make([]int32, r*(r+1)/2)
-	for rr := 0; rr < r; rr++ {
-		for cc := 0; cc <= rr; cc++ {
-			owner[TileID(rr, cc)] = int32((rr%pr)*pc + cc%pc)
-		}
-	}
-	return New(sys.F, sys.ElemWork, p, bounds, owner)
+	return New(sys.F, sys.ElemWork, p, rectBounds(sys, p), func(r, c int) int32 {
+		return int32((r%pr)*pc + c%pc)
+	})
 }
 
 // LiftBases lists the shipped column-granular 1D strategies the col2d
@@ -368,15 +387,7 @@ func Lift(sys *strategy.Sys, sc *sched.Schedule, name string) (*Schedule2D, erro
 	if f.N > 0 {
 		bounds = append(bounds, f.N)
 	}
-	r := len(bounds) - 1
-	owner := make([]int32, r*(r+1)/2)
-	for cc := 0; cc < r; cc++ {
-		o := owner1d[bounds[cc]]
-		for rr := cc; rr < r; rr++ {
-			owner[TileID(rr, cc)] = o
-		}
-	}
-	return New(sys.F, sys.ElemWork, sc.P, bounds, owner)
+	return New(sys.F, sys.ElemWork, sc.P, bounds, func(_, c int) int32 { return owner1d[bounds[c]] })
 }
 
 func init() {

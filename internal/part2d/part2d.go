@@ -9,8 +9,9 @@
 // (Yasar et al. 2020) in particular computes a genuinely 2D tiling and
 // then discards it. This package keeps the tiling: a Schedule2D carries
 // the shared row/column interval boundaries and one owner per
-// lower-triangle tile, and the package mirrors the whole 1D measurement
-// stack at tile granularity:
+// lower-triangle tile that holds a factor nonzero (an empty tile costs
+// nothing), and the package mirrors the whole 1D measurement stack at tile
+// granularity:
 //
 //   - Traffic: the fan-out/fan-in data-traffic simulator. Fetches of pair
 //     -update sources (i, k) travel along the row of tiles of the target's
@@ -25,7 +26,10 @@
 //     makespan simulators. On a column-granular tiling (every tile of a
 //     block column sharing one owner — the col2d lift of any 1D strategy)
 //     the graph collapses to exactly the 1D column task graph, so the 2D
-//     simulators are bit-identical to the 1D ones there.
+//     simulators are bit-identical to the 1D ones there. Tasks and
+//     FetchStats detect that case in O(nnz(L)) and return the 1D graph and
+//     closed-form fetch attribution themselves instead of walking every
+//     update.
 //   - A Mapper2D registry (Register2D/Map2D) seeded with rect2d (tiles
 //     from the rectilinear cuts, owners by a traffic-guarded descent from
 //     the column-flattened assignment, never exceeding its traffic),
@@ -42,27 +46,36 @@
 package part2d
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/symbolic"
 )
 
-// Schedule2D assigns every lower-triangle tile of a shared diagonal
-// interval structure to a processor. The intervals tile the symmetric
-// factor structure: factor element (i, j) belongs to the tile formed by
-// i's interval (its row block) and j's interval (its column block); the
-// factor is lower triangular and the intervals are shared by rows and
-// columns, so row block >= column block always and only the R(R+1)/2
-// lower-triangle tiles exist.
+// Schedule2D assigns every structurally non-empty lower-triangle tile of a
+// shared diagonal interval structure to a processor. The intervals tile
+// the symmetric factor structure: factor element (i, j) belongs to the
+// tile formed by i's interval (its row block) and j's interval (its column
+// block); the factor is lower triangular and the intervals are shared by
+// rows and columns, so row block >= column block always. Of the R(R+1)/2
+// lower-triangle tiles only those holding a factor nonzero are stored — at
+// most nnz(L) of them — so a schedule costs O(nnz(L) + R) whatever R is (a
+// col2d lift of wrap has R = n).
 type Schedule2D struct {
 	P int
 	// Bounds holds the shared diagonal interval boundaries, length R+1
 	// with Bounds[0] = 0 and Bounds[R] = n; interval r is
 	// [Bounds[r], Bounds[r+1]) and is never empty.
 	Bounds []int
-	// Owner maps each lower-triangle tile to its processor, packed row by
-	// row: tile (r, c) with c <= r lives at index r(r+1)/2 + c.
+	// TilePtr and TileRow index the non-empty tiles, CSR over block
+	// columns: block column c's tiles are t in [TilePtr[c], TilePtr[c+1]),
+	// their row blocks TileRow[t] ascending, the diagonal tile (c, c)
+	// first (it always holds the diagonal).
+	TilePtr []int32
+	TileRow []int32
+	// Owner[t] is the processor owning tile t.
 	Owner []int32
 	// BlockOf[i] is the diagonal interval of index i.
 	BlockOf []int32
@@ -77,14 +90,26 @@ type Schedule2D struct {
 // R returns the number of diagonal intervals (the tiling is R x R).
 func (s *Schedule2D) R() int { return len(s.Bounds) - 1 }
 
-// Tiles returns the number of lower-triangle tiles, R(R+1)/2.
-func (s *Schedule2D) Tiles() int { r := s.R(); return r * (r + 1) / 2 }
+// Tiles returns the number of non-empty tiles, at most nnz(L).
+func (s *Schedule2D) Tiles() int { return len(s.Owner) }
 
-// TileID returns the packed index of tile (r, c); c <= r is required.
-func TileID(r, c int) int { return r*(r+1)/2 + c }
+// TileOwner returns the processor owning tile (r, c), or -1 when the tile
+// holds no factor nonzero (an empty tile has no owner); c <= r is
+// required.
+func (s *Schedule2D) TileOwner(r, c int) int32 {
+	if t, ok := findTile(s.TilePtr, s.TileRow, r, c); ok {
+		return s.Owner[t]
+	}
+	return -1
+}
 
-// TileOwner returns the processor owning tile (r, c).
-func (s *Schedule2D) TileOwner(r, c int) int32 { return s.Owner[TileID(r, c)] }
+// findTile returns the index of tile (r, c) in the index (ptr, row), and
+// whether the tile is there (non-empty).
+func findTile(ptr, row []int32, r, c int) (int, bool) {
+	lo := int(ptr[c])
+	k, ok := slices.BinarySearch(row[lo:ptr[c+1]], int32(r))
+	return lo + k, ok
+}
 
 // Imbalance returns the paper's load imbalance factor A over the tile
 // ownership's per-processor work.
@@ -99,10 +124,11 @@ func (s *Schedule2D) Schedule() *sched.Schedule {
 }
 
 // New validates and completes a 2D schedule: bounds must be strictly
-// increasing from 0 to f.N, owner must cover the R(R+1)/2 lower-triangle
-// tiles with processors in [0, p). The derived fields (BlockOf, ElemProc,
-// Work) are computed from the factor structure and elemWork.
-func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int32) (*Schedule2D, error) {
+// increasing from 0 to f.N, and owner(r, c) — consulted once for every
+// non-empty tile (r, c) and for no other — must name a processor in
+// [0, p). The derived fields (the tile index, BlockOf, ElemProc, Work) are
+// computed from the factor structure and elemWork.
+func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
@@ -115,31 +141,129 @@ func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int3
 			return nil, fmt.Errorf("part2d: bounds not strictly increasing at %d", k)
 		}
 	}
-	if len(owner) != r*(r+1)/2 {
-		return nil, fmt.Errorf("part2d: %d tile owners for %d tiles", len(owner), r*(r+1)/2)
-	}
-	for t, o := range owner {
-		if o < 0 || int(o) >= p {
-			return nil, fmt.Errorf("part2d: tile %d owned by out-of-range processor %d", t, o)
+	tl := newTiling(f, bounds)
+	own := make([]int32, len(tl.row))
+	for c := 0; c < r; c++ {
+		for t := tl.ptr[c]; t < tl.ptr[c+1]; t++ {
+			o := owner(int(tl.row[t]), c)
+			if o < 0 || int(o) >= p {
+				return nil, fmt.Errorf("part2d: tile (%d, %d) owned by out-of-range processor %d", tl.row[t], c, o)
+			}
+			own[t] = o
 		}
 	}
+	return newSchedule(f, elemWork, p, bounds, tl, own), nil
+}
+
+// newSchedule completes a schedule over the tiling of bounds from one
+// in-range owner per tile.
+func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *tiling, owner []int32) *Schedule2D {
 	s := &Schedule2D{
-		P:       p,
-		Bounds:  append([]int(nil), bounds...),
-		Owner:   append([]int32(nil), owner...),
-		BlockOf: blockIndex(f.N, bounds),
-		Work:    make([]int64, p),
+		P:        p,
+		Bounds:   slices.Clone(bounds),
+		TilePtr:  tl.ptr,
+		TileRow:  tl.row,
+		Owner:    owner,
+		BlockOf:  tl.blockOf,
+		Work:     make([]int64, p),
+		ElemProc: make([]int32, f.NNZ()),
 	}
-	s.ElemProc = make([]int32, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		c := int(s.BlockOf[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			proc := s.Owner[TileID(int(s.BlockOf[f.RowInd[q]]), c)]
-			s.ElemProc[q] = proc
-			s.Work[proc] += elemWork[q]
+	for q, t := range tl.elemTile {
+		proc := owner[t]
+		s.ElemProc[q] = proc
+		s.Work[proc] += elemWork[q]
+	}
+	return s
+}
+
+// tiling is the non-empty tile index of a diagonal interval structure in
+// Schedule2D's layout (ptr, row), plus the tile of every factor nonzero.
+// Building it is O(nnz(L) + R) time and space.
+type tiling struct {
+	blockOf  []int32
+	ptr, row []int32
+	elemTile []int32
+}
+
+func newTiling(f *symbolic.Factor, bounds []int) *tiling {
+	r := len(bounds) - 1
+	tl := &tiling{blockOf: blockIndex(f.N, bounds), ptr: make([]int32, r+1)}
+	// Two passes over each block column's elements, so the row index is
+	// allocated once at its size: count the distinct row blocks, then list
+	// them. seen[rb] holds the last pass's key (c+1 counting, -(c+1)
+	// listing) that met row block rb.
+	seen := make([]int32, r)
+	rowBlocks := func(c int, key int32, fn func(rb int32)) {
+		for _, i := range f.RowInd[f.ColPtr[bounds[c]]:f.ColPtr[bounds[c+1]]] {
+			if rb := tl.blockOf[i]; seen[rb] != key {
+				seen[rb] = key
+				fn(rb)
+			}
 		}
 	}
-	return s, nil
+	for c := 0; c < r; c++ {
+		tl.ptr[c+1] = tl.ptr[c]
+		rowBlocks(c, int32(c+1), func(int32) { tl.ptr[c+1]++ })
+	}
+	tl.row = make([]int32, 0, tl.ptr[r])
+	for c := 0; c < r; c++ {
+		rowBlocks(c, -int32(c+1), func(rb int32) { tl.row = append(tl.row, rb) })
+		slices.Sort(tl.row[tl.ptr[c]:])
+	}
+	tl.elemTile = elemTiles(f, bounds, tl.blockOf, tl.ptr, tl.row)
+	return tl
+}
+
+// elemTiles maps every factor nonzero to its tile of the index (ptr, row).
+// A block column's elements are the contiguous positions of its columns,
+// so one R-entry row-block -> tile slot serves every block column in turn.
+func elemTiles(f *symbolic.Factor, bounds []int, blockOf, ptr, row []int32) []int32 {
+	slot := make([]int32, len(bounds)-1)
+	elemTile := make([]int32, f.NNZ())
+	for c := 0; c+1 < len(bounds); c++ {
+		for t := ptr[c]; t < ptr[c+1]; t++ {
+			slot[row[t]] = t
+		}
+		for q := f.ColPtr[bounds[c]]; q < f.ColPtr[bounds[c+1]]; q++ {
+			elemTile[q] = slot[blockOf[f.RowInd[q]]]
+		}
+	}
+	return elemTile
+}
+
+// work accumulates elemWork per tile: element (i, j) is charged to tile
+// (blockOf(i), blockOf(j)). This is the load vector the rect2d descent
+// orders its trials by and the LPT owner assignment balances.
+func (tl *tiling) work(elemWork []int64) []int64 {
+	tw := make([]int64, len(tl.row))
+	for q, t := range tl.elemTile {
+		tw[t] += elemWork[q]
+	}
+	return tw
+}
+
+// heaviestFirst sorts tile ids by work, heaviest first, ties in row-major
+// (row block, then column block) order — the order of the packed
+// lower-triangle index the mappers once sorted a dense table by. Empty
+// tiles are not in the index; where they would have sorted is the
+// callers' business (rect2dlpt, trafficGuardedOwners).
+func (tl *tiling) heaviestFirst(ids []int32, tw []int64) {
+	slices.SortFunc(ids, func(a, b int32) int {
+		switch {
+		case tw[a] != tw[b]:
+			return cmp.Compare(tw[b], tw[a])
+		case tl.row[a] != tl.row[b]:
+			return cmp.Compare(tl.row[a], tl.row[b])
+		}
+		return cmp.Compare(tl.col(a), tl.col(b))
+	})
+}
+
+// col returns the block column of tile t (every block column has at least
+// its diagonal tile, so ptr is strictly increasing).
+func (tl *tiling) col(t int32) int {
+	c, _ := slices.BinarySearch(tl.ptr, t+1)
+	return c - 1
 }
 
 // blockIndex expands interval boundaries into a per-index interval map.
@@ -151,20 +275,4 @@ func blockIndex(n int, bounds []int) []int32 {
 		}
 	}
 	return blockOf
-}
-
-// TileWork accumulates elemWork per lower-triangle tile of the interval
-// structure: element (i, j) is charged to tile (blockOf(i), blockOf(j)).
-// This is the load vector the rect2d LPT owner assignment balances.
-func TileWork(f *symbolic.Factor, elemWork []int64, bounds []int) []int64 {
-	blockOf := blockIndex(f.N, bounds)
-	r := len(bounds) - 1
-	tw := make([]int64, r*(r+1)/2)
-	for j := 0; j < f.N; j++ {
-		c := int(blockOf[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			tw[TileID(int(blockOf[f.RowInd[q]]), c)] += elemWork[q]
-		}
-	}
-	return tw
 }

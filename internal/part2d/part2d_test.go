@@ -1,9 +1,12 @@
 package part2d
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/order"
@@ -100,28 +103,58 @@ func TestNewValidation(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(3, 3))
 	n := sys.F.N
 	good := []int{0, n}
-	if _, err := New(sys.F, sys.ElemWork, 0, good, []int32{0}); err == nil {
+	on := func(o int32) func(r, c int) int32 { return func(int, int) int32 { return o } }
+	if _, err := New(sys.F, sys.ElemWork, 0, good, on(0)); err == nil {
 		t.Error("New with p=0 succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, n - 1}, []int32{0}); err == nil {
+	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, n - 1}, on(0)); err == nil {
 		t.Error("New with bounds not reaching n succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, 3, 3, n}, make([]int32, 6)); err == nil {
+	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, 3, 3, n}, on(0)); err == nil {
 		t.Error("New with an empty interval succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, good, []int32{0, 0}); err == nil {
-		t.Error("New with wrong owner count succeeded")
-	}
-	if _, err := New(sys.F, sys.ElemWork, 2, good, []int32{5}); err == nil {
+	if _, err := New(sys.F, sys.ElemWork, 2, good, on(5)); err == nil {
 		t.Error("New with out-of-range owner succeeded")
 	}
-	s, err := New(sys.F, sys.ElemWork, 2, good, []int32{1})
+	if _, err := New(sys.F, sys.ElemWork, 2, good, on(-1)); err == nil {
+		t.Error("New with negative owner succeeded")
+	}
+	s, err := New(sys.F, sys.ElemWork, 2, good, on(1))
 	if err != nil {
 		t.Fatalf("New on a valid single-tile schedule: %v", err)
 	}
 	if s.R() != 1 || s.Tiles() != 1 || s.Work[1] != sys.Total {
 		t.Errorf("single-tile schedule: R=%d tiles=%d work=%v (total %d)",
 			s.R(), s.Tiles(), s.Work, sys.Total)
+	}
+	// The rule is consulted for the non-empty tiles only: with one
+	// interval per index, tile (r, c) is element (r, c), and an
+	// out-of-range owner on an empty one is never seen.
+	perIndex := make([]int, n+1)
+	for i := range perIndex {
+		perIndex[i] = i
+	}
+	asked := 0
+	s, err = New(sys.F, sys.ElemWork, 2, perIndex, func(r, c int) int32 {
+		if !sys.F.Has(r, c) {
+			return 7
+		}
+		asked++
+		return 0
+	})
+	if err != nil || asked != sys.F.NNZ() || s.Tiles() != sys.F.NNZ() {
+		t.Fatalf("one interval per index: %v, rule asked %d times, %d tiles, want %d each", err, asked, s.Tiles(), sys.F.NNZ())
+	}
+	for r := 0; r < n; r++ {
+		for c := 0; c <= r; c++ {
+			want := int32(-1) // an empty tile has no owner
+			if sys.F.Has(r, c) {
+				want = 0
+			}
+			if got := s.TileOwner(r, c); got != want {
+				t.Errorf("tile (%d, %d) has owner %d, want %d", r, c, got, want)
+			}
+		}
 	}
 }
 
@@ -253,14 +286,95 @@ func TestRect2DGenuinely2D(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := 0
-	for rr := 0; rr < s2.R(); rr++ {
-		for cc := 0; cc < rr; cc++ {
-			if s2.TileOwner(rr, cc) != s2.TileOwner(cc, cc) {
+	for c := 0; c < s2.R(); c++ {
+		for t := s2.TilePtr[c] + 1; t < s2.TilePtr[c+1]; t++ {
+			if s2.Owner[t] != s2.TileOwner(c, c) {
 				moved++
 			}
 		}
 	}
 	if moved == 0 {
 		t.Error("rect2d at P=16 on LAP30 kept the column-flattened ownership; want a 2D assignment")
+	}
+}
+
+// TestLiftMemoryPin: the wrap lift at the refactor workload's size (P = 2,
+// so R = n = 14 400 and a dense owner table would hold 104 M entries)
+// stores one tile per factor nonzero, allocates a small constant times
+// nnz(L) bytes and takes well under a second.
+func TestLiftMemoryPin(t *testing.T) {
+	sys := newTestSys(t, gen.Grid9(120, 120))
+	sc, err := strategy.Map("wrap", sys, 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	s2, err := Lift(sys, sc, "wrap")
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz := sys.F.NNZ()
+	if s2.R() != sys.F.N || s2.Tiles() != nnz {
+		t.Fatalf("wrap lift: R = %d (n = %d), %d tiles for %d nonzeros", s2.R(), sys.F.N, s2.Tiles(), nnz)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Lift(wrap, Grid9(120,120), P=2): %d bytes = %.1f x nnz(L) = %d, %v", bytes, float64(bytes)/float64(nnz), nnz, elapsed)
+	if bytes > 24*uint64(nnz) {
+		t.Errorf("Lift allocated %d bytes, want <= 24 x nnz(L) = %d", bytes, 24*nnz)
+	}
+	if !raceBuild && elapsed > 250*time.Millisecond {
+		t.Errorf("Lift took %v, want well under a second", elapsed)
+	}
+}
+
+// TestRectCutsSharedReadOnly: the rectilinear cuts are computed once per
+// Sys and P and shared by the 1D rectilinear mapper and the three rect2d
+// mappers, so no reader may write to them. Planning the 2D mappers first
+// and the 1D one last on one Sys gives exactly the plans fresh Sys give,
+// the memo still holds strategy.RectilinearCuts' answer, and the bounds
+// rectBounds hands out are its own: scribbling on them reaches nobody.
+func TestRectCutsSharedReadOnly(t *testing.T) {
+	for _, name := range []string{"LAP30", "BUS1138"} {
+		base := suite(t)[name]
+		fresh := func() *strategy.Sys { return strategy.NewSys(base.F, base.Ops, base.ElemWork) }
+		for _, p := range []int{4, 16, 64} {
+			shared := fresh()
+			for _, m := range []string{"rect2d", "rect2dlpt", "rect2dcyclic"} {
+				got, err := Map2D(m, shared, p, strategy.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Map2D(m, fresh(), p, strategy.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Bounds, want.Bounds) || !slices.Equal(got.Owner, want.Owner) || !slices.Equal(got.ElemProc, want.ElemProc) {
+					t.Fatalf("%s %s P=%d: plan on a shared Sys differs from a fresh one", name, m, p)
+				}
+			}
+			bounds := rectBounds(shared, p)
+			for i := range bounds {
+				bounds[i] = -1
+			}
+			got, err := strategy.Map("rectilinear", shared, p, strategy.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := strategy.Map("rectilinear", fresh(), p, strategy.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.ElemProc, want.ElemProc) {
+				t.Fatalf("%s P=%d: 1D rectilinear after the 2D mappers differs from a fresh plan", name, p)
+			}
+			cuts := shared.RectilinearCuts(p)
+			if !slices.Equal(cuts, strategy.RectilinearCuts(base.Ops, base.ElemWork, p)) || &cuts[0] != &shared.RectilinearCuts(p)[0] {
+				t.Fatalf("%s P=%d: the shared cuts were rebuilt or written to: %v", name, p, cuts)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/model"
+	"repro/internal/symbolic"
 	"repro/internal/traffic"
 )
 
@@ -25,9 +26,15 @@ import (
 // exactly the column's row structure, i.e. the graph of
 // exec.ColumnTasksMapped. exec.Simulate is therefore bit-identical on a
 // lift and on its 1D schedule, which the regression tests pin at
-// P in {1, 4, 16}.
+// P in {1, 4, 16}. That case is checked on the element ownership in
+// O(nnz(L)), never assumed from the mapper, and answered with
+// exec.ColumnTasksMapped's graph and the column index as the element map
+// (task j is column j) without walking a single update.
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
+	if owner, ok := traffic.ColumnOwners(f, s.Schedule()); ok {
+		return exec.ColumnTasksMapped(f, ops, elemWork, owner), f.ColIndex()
+	}
 	elemTask := make([]int32, f.NNZ())
 	var tasks []exec.Task
 	// Per-column owner -> task lookup; columns touch at most P owners.
@@ -38,9 +45,8 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 	var groups []group
 	for j := 0; j < f.N; j++ {
 		groups = groups[:0]
-		c := int(s.BlockOf[j])
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			proc := s.Owner[TileID(int(s.BlockOf[f.RowInd[q]]), c)]
+			proc := s.ElemProc[q]
 			task := int32(-1)
 			for _, g := range groups {
 				if g.proc == proc {
@@ -111,6 +117,31 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 // message per distinct source processor feeding a task). The volumes
 // partition Traffic(ops, s).Total exactly — the property that lets
 // exec.Simulate under a CommModel charge every fetch exactly once.
+//
+// When the task map is the column index (what Tasks returns for a
+// column-granular schedule — checked in O(nnz(L)), never assumed), the
+// attribution is traffic.FetchStatsColumns': its closed form on
+// column-uniform owners, task by task the element walk's answer, and the
+// walk itself otherwise.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
+	if ntasks == ops.F.N && isColumnIndex(ops.F, elemTask) {
+		return traffic.FetchStatsColumns(ops, s.Schedule())
+	}
 	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks, elemTask)
+}
+
+// isColumnIndex reports whether elemTask maps every factor nonzero to its
+// column.
+func isColumnIndex(f *symbolic.Factor, elemTask []int32) bool {
+	if len(elemTask) != f.NNZ() {
+		return false
+	}
+	for j := 0; j < f.N; j++ {
+		for _, t := range elemTask[f.ColPtr[j]:f.ColPtr[j+1]] {
+			if t != int32(j) {
+				return false
+			}
+		}
+	}
+	return true
 }

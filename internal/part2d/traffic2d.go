@@ -32,7 +32,7 @@ type TrafficResult struct {
 	// Total is the system-wide deduplicated data traffic.
 	Total int64
 	// FanOut[t] counts the row-direction fetches attributed to tile t
-	// (packed lower-triangle index, see TileID).
+	// (the schedule's tile index, see Schedule2D.TilePtr).
 	FanOut []int64
 	// FanIn[t] counts the column-direction fetches attributed to tile t.
 	FanIn []int64
@@ -69,8 +69,8 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 	res := &TrafficResult{
 		P:       s.P,
 		R:       s.R(),
-		FanOut:  make([]int64, s.Tiles()),
-		FanIn:   make([]int64, s.Tiles()),
+		FanOut:  make([]int64, len(s.Owner)),
+		FanIn:   make([]int64, len(s.Owner)),
 		PerProc: make([]int64, s.P),
 	}
 	// A first fetch is charged to the tile of the target that required it.
@@ -79,31 +79,30 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 	// in the target's column of tiles, a fan-in.
 	fetched := traffic.NewFetchDedup(s.P, nnz)
 	owner, rowInd := s.ElemProc, f.RowInd
-	charge := func(dir []int64, tile int, proc int32) {
+	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
+	charge := func(dir []int64, tgt, proc int32) {
 		res.Total++
 		res.PerProc[proc]++
-		dir[tile]++
+		dir[tile[tgt]]++
 	}
 	ops.ForEachRun(func(r model.Run) {
-		c := int(s.BlockOf[r.Col])
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
-			i := rowInd[q]
-			proc := owner[r.Tgt[i]]
+			tgt := r.Tgt[rowInd[q]]
+			proc := owner[tgt]
 			if owner[q] != proc && fetched.FirstFetch(q, proc) {
-				charge(res.FanOut, TileID(int(s.BlockOf[i]), c), proc)
+				charge(res.FanOut, tgt, proc)
 			}
 			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
-				charge(res.FanIn, TileID(int(s.BlockOf[i]), c), proc)
+				charge(res.FanIn, tgt, proc)
 			}
 		}
 	})
 	for j := 0; j < f.N; j++ {
-		c := int(s.BlockOf[j])
 		diag := int32(f.ColPtr[j])
 		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
 			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
-				charge(res.FanIn, TileID(int(s.BlockOf[rowInd[q]]), c), proc)
+				charge(res.FanIn, q, proc)
 			}
 		}
 	}

@@ -623,10 +623,12 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 }
 
 // TestConcurrentPlansShareColumnViews: the per-column work vector (and,
-// behind it, contigtotal's fetch references) is built once per Analysis by
-// whichever plan asks first, then shared read-only. Concurrent plans of
-// the strategies that read it — run under -race — must all see the one
-// copy, unmodified, and produce the plans a lone caller gets.
+// behind it, contigtotal's fetch references) and the rectilinear cuts of
+// each P are built once per Analysis by whichever plan asks first, then
+// shared read-only. Concurrent plans of the strategies that read them —
+// the 1D rectilinear mapper and the three rect2d mappers share the cuts —
+// run under -race, must all see the one copy, unmodified, and produce the
+// plans a lone caller gets.
 func TestConcurrentPlansShareColumnViews(t *testing.T) {
 	an, err := NewAnalysis(gen.Grid9(16, 16))
 	if err != nil {
@@ -639,46 +641,70 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 	cells := []struct {
 		name string
 		opts strategy.Options
+		dim2 bool
 	}{
-		{"contiguous", strategy.Options{}},
-		{"contigtotal", strategy.Options{}},
-		{"contigtotal", strategy.Options{Slack: 0.25, Beta2: 2}},
-		{"subcube", strategy.Options{}},
-		{"refine", strategy.Options{Base: "contiguous"}},
-		{"refine", strategy.Options{Base: "wrap", Objective: "traffic"}},
+		{"contiguous", strategy.Options{}, false},
+		{"contigtotal", strategy.Options{}, false},
+		{"contigtotal", strategy.Options{Slack: 0.25, Beta2: 2}, false},
+		{"subcube", strategy.Options{}, false},
+		{"refine", strategy.Options{Base: "contiguous"}, false},
+		{"refine", strategy.Options{Base: "wrap", Objective: "traffic"}, false},
+		{"rectilinear", strategy.Options{}, false},
+		{"rect2d", strategy.Options{}, true},
+		{"rect2dlpt", strategy.Options{}, true},
+		{"rect2dcyclic", strategy.Options{}, true},
+	}
+	plan := func(an *Analysis, name string, opts strategy.Options, dim2 bool) ([]int32, error) {
+		if dim2 {
+			pl, err := an.Plan2D(name, 4, opts)
+			if err != nil {
+				return nil, err
+			}
+			return pl.S2.ElemProc, nil
+		}
+		pl, err := an.Plan(name, 4, opts)
+		if err != nil {
+			return nil, err
+		}
+		return pl.S1.ElemProc, nil
 	}
 	var wg sync.WaitGroup
 	views := make([]*int64, 12)
+	cuts := make([]*int, len(views))
 	for g := range views {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := range cells {
 				c := cells[(g+i)%len(cells)]
-				pl, err := an.Plan(c.name, 4, c.opts)
+				got, err := plan(an, c.name, c.opts, c.dim2)
 				if err != nil {
 					t.Errorf("%s: %v", c.name, err)
 					return
 				}
-				want, err := lone.Plan(c.name, 4, c.opts)
+				want, err := plan(lone, c.name, c.opts, c.dim2)
 				if err != nil {
 					t.Errorf("%s: %v", c.name, err)
 					return
 				}
-				if !slices.Equal(pl.S1.ElemProc, want.S1.ElemProc) {
+				if !slices.Equal(got, want) {
 					t.Errorf("%s %+v: concurrent plan differs from a lone one", c.name, c.opts)
 				}
 			}
 			views[g] = &an.Sys().ColumnWork()[0]
+			cuts[g] = &an.Sys().RectilinearCuts(4)[0]
 		}(g)
 	}
 	wg.Wait()
-	for g, v := range views {
-		if v != views[0] {
-			t.Fatalf("goroutine %d saw its own column work vector", g)
+	for g := range views {
+		if views[g] != views[0] || cuts[g] != cuts[0] {
+			t.Fatalf("goroutine %d saw its own column work vector or rectilinear cuts", g)
 		}
 	}
 	if got, want := an.Sys().ColumnWork(), model.ColumnWork(an.F, an.Sys().ElemWork); !slices.Equal(got, want) {
 		t.Fatal("the shared column work vector was written to")
+	}
+	if got, want := an.Sys().RectilinearCuts(4), strategy.RectilinearCuts(an.Ops, an.ElemWork, 4); !slices.Equal(got, want) {
+		t.Fatal("the shared rectilinear cuts were written to")
 	}
 }

@@ -27,8 +27,7 @@ func (rectilinearMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
-	bounds := RectilinearCuts(sys.Ops, sys.ElemWork, p)
-	return columnSchedule(sys, p, ownersFromBounds(sys.F.N, bounds)), nil
+	return columnSchedule(sys, p, ownersFromBounds(sys.F.N, sys.RectilinearCuts(p))), nil
 }
 
 func init() { Register(rectilinearMapper{}) }

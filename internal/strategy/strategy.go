@@ -86,6 +86,9 @@ type Sys struct {
 	// read-only from then on.
 	colWork []int64
 	colRefs [][]traffic.ColRef
+	// rectCuts memoizes RectilinearCuts per processor count, shared the
+	// same way.
+	rectCuts map[int][]int
 }
 
 type partEntry struct {
@@ -157,6 +160,25 @@ func (s *Sys) columnRefs() [][]traffic.ColRef {
 		s.colRefs = traffic.ColumnRefs(s.Ops)
 	}
 	return s.colRefs
+}
+
+// RectilinearCuts returns RectilinearCuts(s.Ops, s.ElemWork, p), computed
+// once per Sys and p: the 1D rectilinear mapper and the three rect2d
+// mappers of part2d all start from these cuts. The slice is shared by
+// every caller and must not be modified.
+func (s *Sys) RectilinearCuts(p int) []int {
+	sched.MustProcs("strategy", p)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cuts, ok := s.rectCuts[p]
+	if !ok {
+		if s.rectCuts == nil {
+			s.rectCuts = make(map[int][]int)
+		}
+		cuts = RectilinearCuts(s.Ops, s.ElemWork, p)
+		s.rectCuts[p] = cuts
+	}
+	return cuts
 }
 
 // Options carries the per-strategy knobs. The zero value selects sensible

@@ -174,7 +174,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
 	}
 	sched.MustProcs("traffic", s.P)
-	colOwner, ok := columnOwners(f, s)
+	colOwner, ok := ColumnOwners(f, s)
 	if !ok {
 		return FetchStatsTasks(ops, s, f.N, f.ColIndex())
 	}
@@ -196,10 +196,11 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	return ch.tc
 }
 
-// columnOwners returns the owner of every column of s, and whether s is
+// ColumnOwners returns the owner of every column of s, and whether s is
 // column-uniform: every element of a column on the column's owner, every
-// owner a processor of s.
-func columnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
+// owner a processor of s. It is the O(nnz(L)) check behind the closed form
+// above and behind part2d.Tasks' column graph.
+func ColumnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
 	colOwner := make([]int32, f.N)
 	for j := 0; j < f.N; j++ {
 		o := s.ElemProc[f.ColPtr[j]]

@@ -163,8 +163,9 @@ func RefineObjectives() []string { return strategy.Objectives() }
 
 // ------------------------------------------------------- 2D tile ownership
 
-// Schedule2D assigns every lower-triangle tile of a shared diagonal
-// interval structure to a processor — the 2D generalization of a column
+// Schedule2D assigns every lower-triangle tile that holds a factor nonzero,
+// of a shared diagonal interval structure, to a processor — the 2D
+// generalization of a column
 // schedule, in which a block column may be split by rows across
 // processors (see internal/part2d).
 type Schedule2D = part2d.Schedule2D
