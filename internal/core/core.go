@@ -16,14 +16,15 @@
 //     b(b-1)/2 sub-rectangles over near-equal column bands; rectangles
 //     split into near-square grids.
 //  3. Determine the dependencies between unit blocks (Section 3.3), the
-//     ten categories of Figure 4, found by searching the sorted band and
-//     rectangle boundaries the partition already holds.
+//     ten categories of Figure 4, found by merge walks and sweeps over the
+//     sorted row bands and column classes the partition already holds.
 //
 // Scheduling of the resulting units is in package sched.
 package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/symbolic"
@@ -105,6 +106,33 @@ type Cluster struct {
 	BandRects  [][]int
 	TriAlloc   []int
 	Rects      []Rect
+
+	// The cluster's unit grid as rows by columns, for multi-column
+	// clusters: rows are its row bands top to bottom (the triangle bands,
+	// then every rectangle's row splits), classes the first columns of its
+	// column classes — maximal runs of columns sharing a triangle band and
+	// every rectangle's column split — with ColHi+1 last. Every (row band,
+	// class) pair at or below the class's own triangle band is one unit
+	// (unitAt).
+	rows    []rowBand
+	classes []int
+}
+
+// rowBand is one row band of a multi-column cluster: rows lo..hi, row r
+// being at offset r+shift of the cluster's first column. units lists the
+// band's units left to right for a rectangle row split (nil for a
+// triangle band).
+type rowBand struct {
+	lo, hi, shift int
+	units         []int
+}
+
+// unitAt returns the unit of cl holding row band b in the column class
+// starting at column x (b.hi >= x): the unit of element (max(b.lo, x), x).
+// Column x holds the cluster's territory from row x down, so that element's
+// offset in it is its offset in the first column less x-ColLo.
+func (p *Partition) unitAt(cl *Cluster, b *rowBand, x int) int32 {
+	return p.ElemUnit[p.F.ColPtr[x]-(x-cl.ColLo)+max(b.lo, x)+b.shift]
 }
 
 // Width returns the number of columns in the cluster.
@@ -141,7 +169,8 @@ func (o Options) Normalized() Options {
 }
 
 // Partition is the partitioner output: clusters, unit blocks, the
-// element-to-unit map and the dependency graph.
+// element-to-unit map and the dependency graph — and, built on first use,
+// the read map the fetch attribution of its schedules replays (ReadMap).
 type Partition struct {
 	// F is the factor structure partitioned. With Options.RelaxZeros > 0
 	// this is the padded (relaxed) factor, a closed superset of the input.
@@ -156,6 +185,9 @@ type Partition struct {
 	TotalWork int64
 	// Relax reports what relaxation did (zero value when disabled).
 	Relax symbolic.RelaxStats
+
+	readsOnce sync.Once // guards reads, which ReadMap builds once
+	reads     *ReadMap
 }
 
 // NewPartition runs the partitioning pipeline of Section 3 on the factor
@@ -188,7 +220,7 @@ func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Parti
 	chunk := max(f.N, 64)
 	ints, lists := arena[int]{chunk: 4 * chunk}, arena[[]int]{chunk: chunk}
 	p.identifyClusters(&arena[Rect]{chunk: chunk / 4})
-	p.partitionBlocks(&ints, &lists)
+	p.partitionBlocks(&ints, &lists, &arena[rowBand]{chunk: chunk / 4})
 	p.TotalWork = model.TotalWork(elemWork)
 	p.mapElements(elemWork)
 	p.computeDeps()
@@ -290,8 +322,24 @@ func (p *Partition) identifyClusters(rects *arena[Rect]) {
 
 // partitionBlocks splits each cluster's dense blocks into unit blocks
 // (Section 3.2).
-func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int]) {
+func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int], bands *arena[rowBand]) {
 	g := p.Opts.Grain
+	nu := 0
+	for ci := range p.Clusters {
+		cl := &p.Clusters[ci]
+		if cl.Single {
+			nu++
+			continue
+		}
+		b := triangleBands(cl.Width(), g)
+		nu += b * (b + 1) / 2
+		for ri := range cl.Rects {
+			qr, qc := rectGrid(&cl.Rects[ri], cl.Width(), g)
+			nu += qr * qc
+		}
+	}
+	p.Units = make([]Unit, 0, nu)
+	split := make([]bool, p.F.N+1) // split[x]: a class starts at column x
 	for ci := range p.Clusters {
 		cl := &p.Clusters[ci]
 		if cl.Single {
@@ -305,17 +353,7 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int]) {
 			continue
 		}
 		m := cl.Width()
-		// Triangle: number of bands b is the largest with b(b+1)/2 units
-		// not exceeding Pd = max(1, triangle-elements / g).
-		triElems := m * (m + 1) / 2
-		pd := triElems / g
-		if pd < 1 {
-			pd = 1
-		}
-		b := 1
-		for (b+1)*(b+2)/2 <= pd && b+1 <= m {
-			b++
-		}
+		b := triangleBands(m, g)
 		cl.BandBounds = splitRange(ints, cl.ColLo, cl.ColHi+1, b)
 		cl.TriUnits = ints.take(b)
 		cl.BandRects = lists.take(b)
@@ -347,17 +385,10 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int]) {
 		for bi := 1; bi < b; bi++ {
 			cl.TriAlloc = append(cl.TriAlloc, cl.BandRects[bi]...)
 		}
-		// Rectangles below the triangle: near-square grids of at most
-		// Pd = max(1, area/g) cells.
+		// Rectangles below the triangle.
 		for ri := range cl.Rects {
 			r := &cl.Rects[ri]
-			h := r.RowHi - r.RowLo + 1
-			area := h * m
-			rpd := area / g
-			if rpd < 1 {
-				rpd = 1
-			}
-			qr, qc := gridShape(h, m, rpd)
+			qr, qc := rectGrid(r, m, g)
 			r.RowSplits = splitRange(ints, r.RowLo, r.RowHi+1, qr)
 			r.ColSplits = splitRange(ints, cl.ColLo, cl.ColHi+1, qc)
 			r.Units = lists.take(qr)
@@ -373,6 +404,69 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int]) {
 					p.Units = append(p.Units, u)
 				}
 			}
+		}
+		cl.gridIndex(split, ints, bands)
+	}
+}
+
+// triangleBands returns the number of bands b of a width-m cluster's
+// triangle: the largest with b(b+1)/2 units not exceeding Pd = max(1,
+// triangle-elements / g).
+func triangleBands(m, g int) int {
+	pd := max(m*(m+1)/2/g, 1)
+	b := 1
+	for (b+1)*(b+2)/2 <= pd && b+1 <= m {
+		b++
+	}
+	return b
+}
+
+// rectGrid returns the grid a rectangle below a width-m cluster's triangle
+// is cut into: near-square, of at most Pd = max(1, area/g) cells.
+func rectGrid(r *Rect, m, g int) (qr, qc int) {
+	h := r.RowHi - r.RowLo + 1
+	return gridShape(h, m, max(h*m/g, 1))
+}
+
+// gridIndex lists the row bands and column classes of a partitioned
+// multi-column cluster. In its first column the m triangle rows come
+// first, then the rectangles' rows in order. split is all false on entry
+// and on return.
+func (cl *Cluster) gridIndex(split []bool, ints *arena[int], bands *arena[rowBand]) {
+	nb := len(cl.TriUnits)
+	for ri := range cl.Rects {
+		nb += len(cl.Rects[ri].Units)
+	}
+	cl.rows = bands.take(nb)[:0]
+	for bi := range cl.TriUnits {
+		cl.rows = append(cl.rows, rowBand{lo: cl.BandBounds[bi], hi: cl.BandBounds[bi+1] - 1, shift: -cl.ColLo})
+	}
+	off := cl.Width()
+	for ri := range cl.Rects {
+		r := &cl.Rects[ri]
+		for a, units := range r.Units {
+			cl.rows = append(cl.rows, rowBand{lo: r.RowSplits[a], hi: r.RowSplits[a+1] - 1, shift: off - r.RowLo, units: units})
+		}
+		off += r.RowHi - r.RowLo + 1
+	}
+	nc := 0
+	mark := func(xs []int) {
+		for _, x := range xs {
+			if !split[x] {
+				split[x] = true
+				nc++
+			}
+		}
+	}
+	mark(cl.BandBounds)
+	for ri := range cl.Rects {
+		mark(cl.Rects[ri].ColSplits)
+	}
+	cl.classes = ints.take(nc)[:0]
+	for x := cl.ColLo; x <= cl.ColHi+1; x++ {
+		if split[x] {
+			cl.classes = append(cl.classes, x)
+			split[x] = false
 		}
 	}
 }

@@ -98,14 +98,36 @@ func (o *Ops) ForEachScale(fn func(tgt, diag int32)) {
 
 // UpdateCounts returns, for every factor nonzero position, the number of
 // pair updates it receives.
+//
+// The sources of target column j are taken in passes: a run of
+// consecutive sources of row j, each the elimination-tree parent of the
+// one before and all holding the same number of rows from row j down,
+// holds the same rows (a column's rows below its diagonal are all in its
+// parent's), so the run updates each of them once per source and one walk
+// of those rows adds its length. This is numeric.passWidth's rule without
+// its cap of four.
 func (o *Ops) UpdateCounts() []int32 {
-	counts := make([]int32, o.F.NNZ())
-	rowInd := o.F.RowInd
-	o.ForEachRun(func(r Run) {
-		for _, i := range rowInd[r.Lo:r.Hi] {
-			counts[r.Tgt[i]]++
+	f := o.F
+	counts := make([]int32, f.NNZ())
+	tgt := make([]int32, f.N) // tgt[i]: position of (i, j) in the current column j
+	for j := 0; j < f.N; j++ {
+		base := f.ColPtr[j]
+		for t, i := range f.Col(j) {
+			tgt[i] = int32(base + t)
 		}
-	})
+		cols, pos := o.RowCols(j), o.RowPositions(j)
+		for t := 0; t < len(cols); {
+			lo, hi := int(pos[t]), f.ColPtr[cols[t]+1]
+			m := t + 1
+			for m < len(cols) && f.Parent[cols[m-1]] == int(cols[m]) && f.ColPtr[cols[m]+1]-int(pos[m]) == hi-lo {
+				m++
+			}
+			for _, i := range f.RowInd[lo:hi] {
+				counts[tgt[i]] += int32(m - t)
+			}
+			t = m
+		}
+	}
 	return counts
 }
 

@@ -623,12 +623,13 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 }
 
 // TestConcurrentPlansShareColumnViews: the per-column work vector (and,
-// behind it, contigtotal's fetch references) and the rectilinear cuts of
-// each P are built once per Analysis by whichever plan asks first, then
-// shared read-only. Concurrent plans of the strategies that read them —
-// the 1D rectilinear mapper and the three rect2d mappers share the cuts —
-// run under -race, must all see the one copy, unmodified, and produce the
-// plans a lone caller gets.
+// behind it, contigtotal's fetch references), the rectilinear cuts of each
+// P and each partition's read map are built once by whichever plan asks
+// first, then shared read-only. Concurrent plans of the strategies that
+// read them — the 1D rectilinear mapper and the three rect2d mappers share
+// the cuts, the block-granular plans of one grain the read map — run under
+// -race, must all see the one copy, unmodified, and produce the plans (and
+// fetch attributions) a lone caller gets.
 func TestConcurrentPlansShareColumnViews(t *testing.T) {
 	an, err := NewAnalysis(gen.Grid9(16, 16))
 	if err != nil {
@@ -638,6 +639,7 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g25 := core.Options{Grain: 25}
 	cells := []struct {
 		name string
 		opts strategy.Options
@@ -653,36 +655,43 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 		{"rect2d", strategy.Options{}, true},
 		{"rect2dlpt", strategy.Options{}, true},
 		{"rect2dcyclic", strategy.Options{}, true},
+		{"block", strategy.Options{}, false},
+		{"block", strategy.Options{Part: g25}, false},
+		{"blockgreedy", strategy.Options{}, false},
+		{"blockgreedy", strategy.Options{Part: g25}, false},
+		{"refine", strategy.Options{Base: "block"}, false},
+		{"refine", strategy.Options{Base: "block", Part: g25}, false},
 	}
-	plan := func(an *Analysis, name string, opts strategy.Options, dim2 bool) ([]int32, error) {
+	plan := func(an *Analysis, name string, opts strategy.Options, dim2 bool) (*Plan, []int32, error) {
 		if dim2 {
 			pl, err := an.Plan2D(name, 4, opts)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return pl.S2.ElemProc, nil
+			return pl, pl.S2.ElemProc, nil
 		}
 		pl, err := an.Plan(name, 4, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return pl.S1.ElemProc, nil
+		return pl, pl.S1.ElemProc, nil
 	}
 	var wg sync.WaitGroup
 	views := make([]*int64, 12)
 	cuts := make([]*int, len(views))
+	maps := make([][2]*core.ReadMap, len(views))
 	for g := range views {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := range cells {
 				c := cells[(g+i)%len(cells)]
-				got, err := plan(an, c.name, c.opts, c.dim2)
+				gotPl, got, err := plan(an, c.name, c.opts, c.dim2)
 				if err != nil {
 					t.Errorf("%s: %v", c.name, err)
 					return
 				}
-				want, err := plan(lone, c.name, c.opts, c.dim2)
+				wantPl, want, err := plan(lone, c.name, c.opts, c.dim2)
 				if err != nil {
 					t.Errorf("%s: %v", c.name, err)
 					return
@@ -690,15 +699,19 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Errorf("%s %+v: concurrent plan differs from a lone one", c.name, c.opts)
 				}
+				if !slices.Equal(gotPl.Fetch.Vol, wantPl.Fetch.Vol) || !slices.Equal(gotPl.Fetch.Msgs, wantPl.Fetch.Msgs) {
+					t.Errorf("%s %+v: concurrent fetch attribution differs from a lone one", c.name, c.opts)
+				}
 			}
 			views[g] = &an.Sys().ColumnWork()[0]
 			cuts[g] = &an.Sys().RectilinearCuts(4)[0]
+			maps[g] = [2]*core.ReadMap{an.Sys().Partition(core.Options{}).ReadMap(), an.Sys().Partition(g25).ReadMap()}
 		}(g)
 	}
 	wg.Wait()
 	for g := range views {
-		if views[g] != views[0] || cuts[g] != cuts[0] {
-			t.Fatalf("goroutine %d saw its own column work vector or rectilinear cuts", g)
+		if views[g] != views[0] || cuts[g] != cuts[0] || maps[g] != maps[0] {
+			t.Fatalf("goroutine %d saw its own column work vector, rectilinear cuts or read map", g)
 		}
 	}
 	if got, want := an.Sys().ColumnWork(), model.ColumnWork(an.F, an.Sys().ElemWork); !slices.Equal(got, want) {

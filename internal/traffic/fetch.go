@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -87,9 +88,10 @@ func firstFetches(ops *model.Ops, s *sched.Schedule, ch *charger) *FetchDedup {
 }
 
 // charger books first fetches to tasks: one unit of Vol to taskOf[tgt] of
-// the target whose update (or scale) required the fetch, and one message
-// the first time that task reads from the fetched element's owner. from
-// holds, per task, a ⌈P/64⌉-word mask of the processors it has heard from.
+// the target whose update (or scale) required the fetch, and the fetched
+// element's owner to the processors that task hears from. from holds, per
+// task, a ⌈P/64⌉-word mask of those processors; done counts one message per
+// bit.
 type charger struct {
 	tc     *TaskComm
 	taskOf []int32
@@ -111,13 +113,20 @@ func (c *charger) charge(tgt, owner int32) {
 	c.message(int(task), owner)
 }
 
-// message counts one message to task from processor owner, once.
+// message records that task receives a message from processor owner.
 func (c *charger) message(task int, owner int32) {
-	w := &c.from[task*c.words+int(owner>>6)]
-	if bit := uint64(1) << (uint(owner) & 63); *w&bit == 0 {
-		*w |= bit
-		c.tc.Msgs[task]++
+	c.from[task*c.words+int(owner>>6)] |= 1 << (uint(owner) & 63)
+}
+
+// done counts every task's messages, one per processor it hears from, and
+// returns the attribution.
+func (c *charger) done() *TaskComm {
+	for t := range c.tc.Msgs {
+		for _, w := range c.from[t*c.words:][:c.words] {
+			c.tc.Msgs[t] += int64(bits.OnesCount64(w))
+		}
 	}
+	return c.tc
 }
 
 // FetchStatsTasks attributes every distinct non-local fetch of a schedule
@@ -138,18 +147,139 @@ func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int
 	sched.MustProcs("traffic", s.P)
 	ch := newCharger(s.P, ntasks, taskOf)
 	firstFetches(ops, s, ch)
-	return ch.tc
+	return ch.done()
 }
 
 // FetchStats attributes every distinct non-local fetch of a
 // block-partitioned schedule to the unit block whose update first requires
 // it, with per-unit message counts (one message per distinct source
 // processor feeding a unit).
+//
+// When the schedule is unit-uniform — every element on its unit's
+// processor, every unit on a processor of the schedule; checked in
+// O(nnz(L)), never assumed — and ops enumerates the partition's own
+// factor, the attribution replays the partition's read map (replayReads).
+// Any other schedule takes the walk, FetchStatsTasks over the
+// element-to-unit map.
 func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskComm {
-	if len(part.ElemUnit) != ops.F.NNZ() {
+	f := ops.F
+	if len(part.ElemUnit) != f.NNZ() {
 		panic("traffic: schedule/partition/factor mismatch")
 	}
-	return FetchStatsTasks(ops, s, len(part.Units), part.ElemUnit)
+	if len(s.ElemProc) != f.NNZ() {
+		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
+	}
+	sched.MustProcs("traffic", s.P)
+	if part.F != f || !unitUniform(part, s) {
+		return FetchStatsTasks(ops, s, len(part.Units), part.ElemUnit)
+	}
+	return replayReads(part, s)
+}
+
+// replayReads is FetchStats on a unit-uniform schedule: the walk replayed
+// from the read map (core.ReadMap), one source column at a time. Each
+// processor keeps a bitset over the column's positions of what it owns or
+// has fetched, and an entry of unit u fetches, on u's processor, its bits
+// not yet set, charging them to u and their owners to u's messages. The
+// scales then take one stamp pass over the columns. That is O(entries +
+// nnz(L) + fetches) instead of O(#updates), with Vol and Msgs equal to the
+// walk's task by task.
+func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
+	f, rm := part.F, part.ReadMap()
+	ch := newCharger(s.P, len(part.Units), nil)
+	owner := s.ElemProc
+	longest := 0
+	for k := 0; k < f.N; k++ {
+		longest = max(longest, f.ColLen(k)-1)
+	}
+	words := (longest + 63) / 64
+	// held[p*words:][:words] marks the positions of the current column
+	// processor p owns or has fetched; stamp[p] == k+1 when they are
+	// column k's. starts marks the positions whose owner is not the one
+	// before's.
+	held, starts := make([]uint64, s.P*words), make([]uint64, words)
+	stamp := make([]int32, s.P)
+	unitProc, vol := s.UnitProc, ch.tc.Vol
+	for k, reads := range rm.Cols {
+		if len(reads) == 0 {
+			continue
+		}
+		base := int32(f.ColPtr[k] + 1)
+		col := owner[base:f.ColPtr[k+1]]
+		nw := (len(col) + 63) / 64
+		mark := int32(k + 1)
+		clear(starts[:nw])
+		prev := int32(-1)
+		for b, o := range col {
+			w := held[int(o)*words:][:nw]
+			if stamp[o] != mark {
+				stamp[o] = mark
+				clear(w)
+			}
+			bit := uint64(1) << (b & 63)
+			w[b>>6] |= bit
+			if o != prev {
+				starts[b>>6] |= bit
+				prev = o
+			}
+		}
+		for _, rd := range reads {
+			p := int(unitProc[rd.Unit])
+			if stamp[p] != mark {
+				stamp[p] = mark
+				clear(held[p*words:][:nw])
+			}
+			x := p*words + int(rd.Word)
+			m := rd.Bits &^ held[x]
+			if m == 0 {
+				continue
+			}
+			held[x] |= m
+			u := int(rd.Unit)
+			vol[u] += int64(bits.OnesCount64(m))
+			// Every owner of a new bit owns the first bit of its stretch of
+			// new bits or a new bit where an owner's run starts.
+			for c := m&^(m<<1) | m&starts[rd.Word]; c != 0; c &= c - 1 {
+				ch.message(u, col[int(rd.Word)<<6|bits.TrailingZeros64(c)])
+			}
+		}
+	}
+	// The scales: processor p reads diagonal j for every element of column
+	// j it owns, and fetches it once if it does not own it.
+	clear(stamp)
+	for j := 0; j < f.N; j++ {
+		diag := f.ColPtr[j]
+		od, mark := owner[diag], int32(j+1)
+		for q := diag + 1; q < f.ColPtr[j+1]; q++ {
+			if p := owner[q]; p != od && stamp[p] != mark {
+				stamp[p] = mark
+				u := int(part.ElemUnit[q])
+				vol[u]++
+				ch.message(u, od)
+			}
+		}
+	}
+	return ch.done()
+}
+
+// unitUniform reports whether every element of s sits on its unit's
+// processor and every unit on a processor of s: the check behind
+// FetchStats's replay of the read map.
+func unitUniform(part *core.Partition, s *sched.Schedule) bool {
+	if len(s.UnitProc) != len(part.Units) {
+		return false
+	}
+	for _, p := range s.UnitProc {
+		if p < 0 || int(p) >= s.P {
+			return false
+		}
+	}
+	for q, u := range part.ElemUnit {
+		if s.ElemProc[q] != s.UnitProc[u] {
+			return false
+		}
+	}
+	return true
 }
 
 // FetchStatsColumns is FetchStats for column-mapped schedules, attributing
@@ -193,7 +323,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 			ch.message(j, o)
 		}
 	}
-	return ch.tc
+	return ch.done()
 }
 
 // ColumnOwners returns the owner of every column of s, and whether s is

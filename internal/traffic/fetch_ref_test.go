@@ -137,14 +137,15 @@ func TestFetchStatsPanics(t *testing.T) {
 
 // TestFetchStatsAllocs: the attribution allocates a fixed set of objects —
 // the result, the masks, the stamps, the enumerator's scatter — whatever
-// the schedule fetches: no map, nothing per fetch.
+// the schedule fetches: no map, nothing per fetch. The block replay's read
+// map is the partition's, built by the first call and not again.
 func TestFetchStatsAllocs(t *testing.T) {
-	small, _, smallWork := pipeline(gen.Grid9(6, 6), 4, 4)
+	small, smallPart, smallWork := pipeline(gen.Grid9(6, 6), 4, 4)
 	large, part, largeWork := pipeline(gen.Lap30(), 4, 4)
 	allocs := func(fn func()) float64 { return testing.AllocsPerRun(5, fn) }
 	for _, p := range []int{4, 100} {
 		ws, wl := sched.WrapMap(small.F, smallWork, p), sched.WrapMap(large.F, largeWork, p)
-		bl := sched.BlockMap(part, p)
+		bs, bl := sched.BlockMap(smallPart, p), sched.BlockMap(part, p)
 		if fl := Simulate(large, wl).Total; fl < 100*Simulate(small, ws).Total/10 {
 			t.Fatalf("P=%d: LAP30 fetches %d elements, not ten times the small grid's; the pin compares nothing", p, fl)
 		}
@@ -152,24 +153,30 @@ func TestFetchStatsAllocs(t *testing.T) {
 		if base := allocs(func() { FetchStatsColumns(small, ws) }); cols != base || cols > 8 {
 			t.Errorf("P=%d: FetchStatsColumns allocates %.0f objects on LAP30, %.0f on a 6x6 grid; want equal and at most 8", p, cols, base)
 		}
-		run := allocs(func() { FetchStats(part, large, bl) })
+		blocks := allocs(func() { FetchStats(part, large, bl) })
+		if base := allocs(func() { FetchStats(smallPart, small, bs) }); blocks != base || blocks > 8 {
+			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30, %.0f on a 6x6 grid; want equal and at most 8", p, blocks, base)
+		}
+		run := allocs(func() { FetchStatsTasks(large, bl, len(part.Units), part.ElemUnit) })
 		colOf := small.F.ColIndex()
 		if base := allocs(func() { FetchStatsTasks(small, ws, small.F.N, colOf) }); run != base || run > 8 {
-			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30, the run kernel %.0f on a 6x6 grid; want equal and at most 8", p, run, base)
+			t.Errorf("P=%d: the run kernel allocates %.0f objects on LAP30's block schedule, %.0f on a 6x6 grid; want equal and at most 8", p, run, base)
 		}
 	}
 }
 
 // BenchmarkFetchAttribution times, per suite matrix at P = 16, the walk
 // this file keeps as the reference against what replaced it: the closed
-// form and the run kernel on a wrap schedule, the run kernel on the block
-// schedule. It regenerates the fetch-attribution rows of ROADMAP.md and
+// form and the run kernel on a wrap schedule, the run kernel and the
+// read-map replay (its map built before the timing) on the block schedule.
+// It regenerates the fetch-attribution rows of ROADMAP.md and
 // EXPERIMENTS.md.
 func BenchmarkFetchAttribution(b *testing.B) {
 	for _, tm := range gen.Suite() {
 		ops, part, ew := pipeline(tm.Build(), 4, 4)
 		colOf := ops.F.ColIndex()
 		wrap, block := sched.WrapMap(ops.F, ew, 16), sched.BlockMap(part, 16)
+		part.ReadMap()
 		for _, bc := range []struct {
 			name string
 			fn   func()
@@ -180,7 +187,8 @@ func BenchmarkFetchAttribution(b *testing.B) {
 			{"blocks/reference", func() {
 				refFetchPerTask(ops, block, len(part.Units), func(q int32) int32 { return part.ElemUnit[q] })
 			}},
-			{"blocks/runs", func() { FetchStats(part, ops, block) }},
+			{"blocks/runs", func() { FetchStatsTasks(ops, block, len(part.Units), part.ElemUnit) }},
+			{"blocks/replay", func() { FetchStats(part, ops, block) }},
 		} {
 			b.Run(tm.Name+"/"+bc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -214,10 +222,59 @@ func fuzzOwners(f *symbolic.Factor, p int, script []byte) []int32 {
 	return owners
 }
 
+// checkBlocks holds FetchStats to the reference walk over the unit map on
+// a block schedule, having checked that it takes the path expected of it:
+// the read-map replay when uniform, the walk otherwise.
+func checkBlocks(t testing.TB, name string, part *core.Partition, ops *model.Ops, s *sched.Schedule, uniform bool) {
+	t.Helper()
+	if got := unitUniform(part, s); got != uniform {
+		t.Fatalf("%s: unit-uniform = %v, want %v", name, got, uniform)
+	}
+	checkAttribution(t, name, ops, s, part.ElemUnit, FetchStats(part, ops, s))
+}
+
+// fuzzBlocks partitions the factor under options drawn from the script and
+// holds the block attribution to the reference walk on the schedules of
+// both Section 3.4 allocators, on a unit-owner shuffle and, with one
+// element moved off its unit's processor, on a schedule the replay must
+// refuse.
+func fuzzBlocks(t *testing.T, fac *symbolic.Factor, p int, script []byte) {
+	at := func(i int) int {
+		if len(script) == 0 {
+			return i
+		}
+		return int(script[i%len(script)])
+	}
+	part := core.NewPartition(fac, core.Options{
+		Grain:           1 + at(0)%30,
+		MinClusterWidth: 2 + at(1)%4,
+		RelaxZeros:      float64(at(2)%4) * 0.15,
+	})
+	ops := model.NewOps(part.F)
+	shuffle := &sched.Schedule{P: p, UnitProc: make([]int32, len(part.Units)), ElemProc: make([]int32, part.F.NNZ())}
+	for u := range shuffle.UnitProc {
+		shuffle.UnitProc[u] = int32(at(3+u) % p)
+	}
+	for q, u := range part.ElemUnit {
+		shuffle.ElemProc[q] = shuffle.UnitProc[u]
+	}
+	checkBlocks(t, "fuzz/block", part, ops, sched.BlockMap(part, p), true)
+	checkBlocks(t, "fuzz/blockgreedy", part, ops, sched.BlockMapGreedy(part, p), true)
+	checkBlocks(t, "fuzz/unit-owner shuffle", part, ops, shuffle, true)
+	if p > 1 {
+		s := sched.BlockMap(part, p)
+		q := at(4) % len(s.ElemProc)
+		s.ElemProc[q] = (s.ElemProc[q] + 1) % int32(p)
+		checkBlocks(t, "fuzz/one element re-owned", part, ops, s, false)
+	}
+}
+
 // FuzzFetchAttribution holds the run kernel to the reference walk on a
 // fuzzer-written pattern with fuzzer-written owners (element-granular, P
-// past n and past 64) under a random task map, and the closed form to the
-// run kernel whenever the owners are column-uniform.
+// past n and past 64) under a random task map, the closed form to the run
+// kernel whenever the owners are column-uniform, and the block replay to
+// the walk over a partition cut with fuzzer-written grain, width and
+// relaxation (fuzzBlocks).
 func FuzzFetchAttribution(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 0, 1, 1, 2, 0, 2, 0, 1, 2, 1, 0, 2, 2, 0})              // dense 4x4, P = 3, uniform
 	f.Add([]byte{3, 2, 3, 0, 1, 1, 2, 0, 2, 1, 0, 1, 2, 0, 1, 2, 0, 1})           // same, element owners
@@ -242,6 +299,7 @@ func FuzzFetchAttribution(f *testing.F) {
 		}
 		checkAttribution(t, "fuzz/tasks", ops, s, taskOf, FetchStatsTasks(ops, s, ntasks, taskOf))
 		checkColumns(t, "fuzz", ops, s, columnUniform(fac, owners))
+		fuzzBlocks(t, fac, p, script)
 	})
 }
 
