@@ -28,8 +28,11 @@
 //     the graph collapses to exactly the 1D column task graph, so the 2D
 //     simulators are bit-identical to the 1D ones there. Tasks and
 //     FetchStats detect that case in O(nnz(L)) and return the 1D graph and
-//     closed-form fetch attribution themselves instead of walking every
-//     update.
+//     closed-form fetch attribution themselves. On any other tile-uniform
+//     schedule the graph, FetchStats and Traffic are one pass over the
+//     row-block segments of the factor's columns — one visit per segment a
+//     run reads, not per update — with answers identical to the update
+//     walk's, which stays the test oracle.
 //   - A Mapper2D registry (Register2D/Map2D) seeded with rect2d (tiles
 //     from the rectilinear cuts, owners by a traffic-guarded descent from
 //     the column-flattened assignment, never exceeding its traffic),
@@ -94,9 +97,12 @@ func (s *Schedule2D) R() int { return len(s.Bounds) - 1 }
 func (s *Schedule2D) Tiles() int { return len(s.Owner) }
 
 // TileOwner returns the processor owning tile (r, c), or -1 when the tile
-// holds no factor nonzero (an empty tile has no owner); c <= r is
-// required.
+// holds no factor nonzero (an empty tile has no owner) or lies outside the
+// lower triangle 0 <= c <= r < R.
 func (s *Schedule2D) TileOwner(r, c int) int32 {
+	if c < 0 || c > r || r >= s.R() {
+		return -1
+	}
 	if t, ok := findTile(s.TilePtr, s.TileRow, r, c); ok {
 		return s.Owner[t]
 	}

@@ -99,6 +99,32 @@ func TestMap2DInvalidProcs(t *testing.T) {
 	}
 }
 
+// TestTileOwnerOutOfRange: TileOwner answers -1, never panics, for any
+// (r, c) outside the lower triangle 0 <= c <= r < R.
+func TestTileOwnerOutOfRange(t *testing.T) {
+	sys := newTestSys(t, gen.Grid5(4, 4))
+	s, err := New(sys.F, sys.ElemWork, 3, []int{0, 5, 11, sys.F.N}, func(r, c int) int32 { return int32(r+c) % 3 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.R()
+	for _, tc := range []struct{ r, c int }{
+		{-1, 0}, {0, -1}, {-1, -1}, {-5, -7}, // negative
+		{0, 1}, {1, 2}, {r - 2, r - 1}, // r < c
+		{r, 0}, {r, r}, {r - 1, r}, {r + 1, r}, {0, r}, // r or c = R and past it
+		{1 << 40, 0}, {0, -1 << 40},
+	} {
+		if got := s.TileOwner(tc.r, tc.c); got != -1 {
+			t.Errorf("TileOwner(%d, %d) = %d, want -1", tc.r, tc.c, got)
+		}
+	}
+	for c := 0; c < r; c++ {
+		if got, want := s.TileOwner(c, c), int32(2*c)%3; got != want {
+			t.Errorf("TileOwner(%d, %d) = %d, want %d", c, c, got, want)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(3, 3))
 	n := sys.F.N

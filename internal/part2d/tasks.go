@@ -1,7 +1,7 @@
 package part2d
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/exec"
 	"repro/internal/model"
@@ -14,11 +14,13 @@ import (
 // every target column, its row-block segments are grouped by owning
 // processor and each group is one task (a processor computes all of its
 // elements of a target column as one unit, so no dependency separates two
-// segments it owns). Dependencies follow the fan-out/fan-in structure of
-// the tile updates: the task of target (i, j) depends on the tasks of its
-// pair-update sources (i, k) (fan-out along block row block(i)) and
-// (j, k) (fan-in along block column block(j)), and every off-diagonal
-// group of a column depends on the column's diagonal group (the scale).
+// segments it owns). Tasks are numbered column by column, within a column
+// in the order their processors first appear going down its rows.
+// Dependencies follow the fan-out/fan-in structure of the tile updates:
+// the task of target (i, j) depends on the tasks of its pair-update
+// sources (i, k) (fan-out along block row block(i)) and (j, k) (fan-in
+// along block column block(j)), and every off-diagonal group of a column
+// depends on the column's diagonal group (the scale).
 //
 // On a column-granular tiling — every tile of a block column sharing one
 // owner, as produced by the col2d lift — each column collapses to a
@@ -29,86 +31,27 @@ import (
 // P in {1, 4, 16}. That case is checked on the element ownership in
 // O(nnz(L)), never assumed from the mapper, and answered with
 // exec.ColumnTasksMapped's graph and the column index as the element map
-// (task j is column j) without walking a single update.
+// (task j is column j).
+//
+// Any other schedule is priced by row-block segment, not by update (see
+// segments): every update of the run (j, k) that reads one segment S of
+// source column k writes rows of one segment of column j, so the run adds
+// one (target task, source task) pair per segment it reads, plus the
+// multiplier's. That is O(nnz(L) + segment visits) time, and the
+// predecessor lists are cut from one shared slice.
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
 	if owner, ok := traffic.ColumnOwners(f, s.Schedule()); ok {
 		return exec.ColumnTasksMapped(f, ops, elemWork, owner), f.ColIndex()
 	}
-	elemTask := make([]int32, f.NNZ())
-	var tasks []exec.Task
-	// Per-column owner -> task lookup; columns touch at most P owners.
-	type group struct {
-		proc int32
-		task int32
-	}
-	var groups []group
-	for j := 0; j < f.N; j++ {
-		groups = groups[:0]
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			proc := s.ElemProc[q]
-			task := int32(-1)
-			for _, g := range groups {
-				if g.proc == proc {
-					task = g.task
-					break
-				}
-			}
-			if task < 0 {
-				task = int32(len(tasks))
-				tasks = append(tasks, exec.Task{ID: int(task), Proc: proc})
-				groups = append(groups, group{proc: proc, task: task})
-			}
-			elemTask[q] = task
-			tasks[task].Work += elemWork[q]
-		}
-	}
-	// Predecessors: one pass over the update runs. stamp[src] is a
-	// best-effort duplicate filter (the final sort+dedup makes it exact);
-	// it is keyed by the last target a source task was recorded for, which
-	// catches the long runs of identical (target task, source task) pairs
-	// the column-driven enumeration produces.
-	preds := make([][]int32, len(tasks))
-	stamp := make([]int32, len(tasks))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	rowInd := f.RowInd
-	ops.ForEachRun(func(r model.Run) {
-		srcJ := elemTask[r.Lo]
-		for q := r.Lo; q < r.Hi; q++ {
-			t := elemTask[r.Tgt[rowInd[q]]]
-			if src := elemTask[q]; src != t && stamp[src] != t {
-				stamp[src] = t
-				preds[t] = append(preds[t], src)
-			}
-			if srcJ != t && stamp[srcJ] != t {
-				stamp[srcJ] = t
-				preds[t] = append(preds[t], srcJ)
-			}
-		}
-	})
-	// The scale: every off-diagonal group of a column reads its diagonal.
-	for j := 0; j < f.N; j++ {
-		diag := elemTask[f.ColPtr[j]]
-		for _, t := range elemTask[f.ColPtr[j]+1 : f.ColPtr[j+1]] {
-			if diag != t && stamp[diag] != t {
-				stamp[diag] = t
-				preds[t] = append(preds[t], diag)
-			}
-		}
-	}
-	for i := range preds {
-		p := preds[i]
-		sort.Slice(p, func(a, b int) bool { return p[a] < p[b] })
-		out := p[:0]
-		for k, v := range p {
-			if k == 0 || v != p[k-1] {
-				out = append(out, v)
-			}
-		}
-		tasks[i].Preds = out
-	}
+	return segmentTasks(ops, elemWork, s)
+}
+
+// segmentTasks is Tasks' segment pass, on any schedule.
+func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
+	sg := segmentsOf(ops.F, s)
+	tasks, elemTask, first, rel := sg.tasks(elemWork)
+	sg.preds(ops, tasks, first, rel)
 	return tasks, elemTask
 }
 
@@ -122,12 +65,45 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 // column-granular schedule — checked in O(nnz(L)), never assumed), the
 // attribution is traffic.FetchStatsColumns': its closed form on
 // column-uniform owners, task by task the element walk's answer, and the
-// walk itself otherwise.
+// walk itself otherwise. When the schedule is tile-uniform and the task
+// map is constant on every row-block segment (both checked in O(nnz(L))),
+// the attribution is the segment pass, task by task the walk's answer;
+// any other input takes the walk, traffic.FetchStatsTasks.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
-	if ntasks == ops.F.N && isColumnIndex(ops.F, elemTask) {
+	f := ops.F
+	if ntasks == f.N && isColumnIndex(f, elemTask) {
 		return traffic.FetchStatsColumns(ops, s.Schedule())
 	}
+	if tc, ok := segmentFetchStats(f, s, ntasks, elemTask); ok {
+		return tc
+	}
 	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks, elemTask)
+}
+
+// segmentFetchStats is FetchStats' segment pass, and whether it applies:
+// s tile-uniform and elemTask constant on every row-block segment.
+func segmentFetchStats(f *symbolic.Factor, s *Schedule2D, ntasks int, elemTask []int32) (*traffic.TaskComm, bool) {
+	sg, ok := tileSegments(f, s)
+	if !ok {
+		return nil, false
+	}
+	segTask, ok := sg.taskOf(elemTask, ntasks)
+	if !ok {
+		return nil, false
+	}
+	words := (s.P + 63) / 64
+	vol, from := make([]int64, len(segTask)), make([]uint64, words*ntasks)
+	sg.fetches(f, s.P, vol, vol, from, segTask)
+	tc := &traffic.TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
+	for u, t := range segTask {
+		tc.Vol[t] += vol[u]
+	}
+	for t := range tc.Msgs {
+		for _, w := range from[t*words:][:words] {
+			tc.Msgs[t] += int64(bits.OnesCount64(w))
+		}
+	}
+	return tc, true
 }
 
 // isColumnIndex reports whether elemTask maps every factor nonzero to its
@@ -144,4 +120,414 @@ func isColumnIndex(f *symbolic.Factor, elemTask []int32) bool {
 		}
 	}
 	return true
+}
+
+// segments cuts every column of the factor into its row-block segments:
+// the maximal runs of positions whose rows share one block of a
+// nondecreasing block map. Column j's segments are u in [col[j],
+// col[j+1]), rows ascending, so its first segment holds the diagonal and
+// has block blockOf[j]; segment u covers positions [start[u], start[u+1])
+// (start carries a sentinel nnz(L)) and every element of it is owned by
+// proc[u].
+//
+// Under a tile-uniform schedule every element (i, j) is owned by the
+// owner of tile (block(i), block(j)), and the segment passes rest on three
+// facts the fill theorem gives:
+//
+//   - The run (j, k) — the pair updates source column k makes to target
+//     column j — reads the segments of struct(k) from row j down (the
+//     first one from row j on). Segment S of block b is owned by
+//     o = owner(b, block(k)), and every row of S is a row of column j in
+//     block b, owned by p = owner(b, block(j)): one column-j segment.
+//   - The runs of one source column come in increasing j, and every row j
+//     of one segment g of struct(k) has block(j) = block(g). So every run
+//     of g reads each later segment S on the same processor, and the
+//     first of them (g's leader, its first row) reads all of S: a
+//     processor's reads of S are nested suffixes, and its first read of S
+//     is at the leader of the first segment g <= S whose rows make it
+//     S's target owner.
+//   - The multiplier (j, k) lies in the segment g holding row j. A target
+//     owner of the run fetches it separately only when it neither owns g
+//     nor has read g — the same test for every run of g.
+//
+// Any schedule is tile-uniform under the identity block map, where every
+// segment is one element; Tasks and Traffic take that map when the
+// schedule's own tiles fail the check, so their answers never depend on
+// ElemProc agreeing with Owner — only their cost does.
+type segments struct {
+	col, start, block, proc []int32
+}
+
+// segmentsOf cuts f by s's own tiles when s is tile-uniform and into
+// single elements otherwise.
+func segmentsOf(f *symbolic.Factor, s *Schedule2D) *segments {
+	if sg, ok := tileSegments(f, s); ok {
+		return sg
+	}
+	nnz := f.NNZ()
+	sg := &segments{col: make([]int32, f.N+1), start: make([]int32, nnz+1), block: make([]int32, nnz), proc: s.ElemProc}
+	for j := range f.N {
+		sg.col[j+1] = int32(f.ColPtr[j+1])
+	}
+	for q, i := range f.RowInd {
+		sg.start[q], sg.block[q] = int32(q), int32(i)
+	}
+	sg.start[nnz] = int32(nnz)
+	return sg
+}
+
+// tileSegments cuts f by s's block map, and reports whether s is
+// tile-uniform: every element on its tile's owner — ElemProc[q] ==
+// Owner[tile(q)] over a well-formed tile index and a nondecreasing
+// BlockOf — and every owner a processor of s. That is the check behind
+// the segment passes, made in the same O(nnz(L)) pass as the cut: they
+// never assume it of a schedule's exported fields.
+func tileSegments(f *symbolic.Factor, s *Schedule2D) (*segments, bool) {
+	r := len(s.TilePtr) - 1
+	if s.P < 1 || r < 0 || len(s.BlockOf) != f.N || len(s.ElemProc) != f.NNZ() ||
+		s.TilePtr[0] != 0 || int(s.TilePtr[r]) != len(s.TileRow) || len(s.Owner) != len(s.TileRow) {
+		return nil, false
+	}
+	for _, o := range s.Owner {
+		if o < 0 || int(o) >= s.P {
+			return nil, false
+		}
+	}
+	// end[b] is one past block b's last row.
+	end := make([]int, r)
+	for i, b := range s.BlockOf {
+		if b < 0 || int(b) >= r || int(b) > i || (i > 0 && b < s.BlockOf[i-1]) {
+			return nil, false
+		}
+		end[b] = i + 1
+	}
+	nnz := f.NNZ()
+	sg := &segments{
+		col:   make([]int32, f.N+1),
+		start: make([]int32, 0, nnz+1),
+		block: make([]int32, 0, nnz),
+		proc:  make([]int32, 0, nnz),
+	}
+	// slot[rb] is the tile of row block rb in the current block column c
+	// when mark[rb] == c+1.
+	slot, mark := make([]int32, r), make([]int32, r)
+	blockOf, elemProc := s.BlockOf, s.ElemProc
+	for j := 0; j < f.N; j++ {
+		c := blockOf[j]
+		if j == 0 || c != blockOf[j-1] {
+			lo, hi := s.TilePtr[c], s.TilePtr[c+1]
+			if lo < 0 || lo > hi || int(hi) > len(s.TileRow) {
+				return nil, false
+			}
+			for t := lo; t < hi; t++ {
+				rb := s.TileRow[t]
+				if rb < 0 || int(rb) >= r {
+					return nil, false
+				}
+				slot[rb], mark[rb] = t, c+1
+			}
+		}
+		for q, z := f.ColPtr[j], f.ColPtr[j+1]; q < z; {
+			b := blockOf[f.RowInd[q]]
+			if mark[b] != c+1 {
+				return nil, false
+			}
+			o := s.Owner[slot[b]]
+			sg.start = append(sg.start, int32(q))
+			sg.block = append(sg.block, b)
+			sg.proc = append(sg.proc, o)
+			for e := end[b]; q < z && f.RowInd[q] < e; q++ {
+				if elemProc[q] != o {
+					return nil, false
+				}
+			}
+		}
+		sg.col[j+1] = int32(len(sg.block))
+	}
+	sg.start = append(sg.start, int32(nnz))
+	return sg, true
+}
+
+// longest returns the most segments of one column.
+func (sg *segments) longest() int {
+	m := int32(0)
+	for j := 0; j+1 < len(sg.col); j++ {
+		m = max(m, sg.col[j+1]-sg.col[j])
+	}
+	return int(m)
+}
+
+// taskOf returns the task of every segment under the element-to-task map
+// elemTask, and whether the map is constant on every segment with tasks
+// in [0, ntasks) — what lets the fetch pass charge a segment's fetches to
+// one task.
+func (sg *segments) taskOf(elemTask []int32, ntasks int) ([]int32, bool) {
+	if len(elemTask) != int(sg.start[len(sg.block)]) {
+		return nil, false
+	}
+	segTask := make([]int32, len(sg.block))
+	for u := range segTask {
+		t := elemTask[sg.start[u]]
+		if t < 0 || int(t) >= ntasks {
+			return nil, false
+		}
+		for _, x := range elemTask[sg.start[u]+1 : sg.start[u+1]] {
+			if x != t {
+				return nil, false
+			}
+		}
+		segTask[u] = t
+	}
+	return segTask, true
+}
+
+// tasks groups every column's segments by owner into tasks: their Proc
+// and Work, and the task of every element. Column j's tasks are [first[j],
+// first[j+1]), numbered as their owners first appear going down the
+// column, and segment u's task is first[j] + rel[u]. Predecessors are left
+// to preds.
+func (sg *segments) tasks(elemWork []int64) (tasks []exec.Task, elemTask, first, rel []int32) {
+	n := len(sg.col) - 1
+	first, rel = make([]int32, n+1), make([]int32, len(sg.block))
+	groups := make([]int32, 0, sg.longest()) // first segment of each task of the current column
+	for j := 0; j < n; j++ {
+		groups = groups[:0]
+		for u := sg.col[j]; u < sg.col[j+1]; u++ {
+			g := 0
+			for g < len(groups) && sg.proc[groups[g]] != sg.proc[u] {
+				g++
+			}
+			if g == len(groups) {
+				groups = append(groups, u)
+			}
+			rel[u] = int32(g)
+		}
+		first[j+1] = first[j] + int32(len(groups))
+	}
+	tasks = make([]exec.Task, first[n])
+	elemTask = make([]int32, sg.start[len(sg.block)])
+	for j := 0; j < n; j++ {
+		for u := sg.col[j]; u < sg.col[j+1]; u++ {
+			t := first[j] + rel[u]
+			task := &tasks[t]
+			task.ID, task.Proc = int(t), sg.proc[u]
+			for q := sg.start[u]; q < sg.start[u+1]; q++ {
+				elemTask[q] = t
+				task.Work += elemWork[q]
+			}
+		}
+	}
+	return tasks, elemTask, first, rel
+}
+
+// preds fills every task's predecessor list, target column by target
+// column: the run (j, k) adds, for each segment S of struct(k) it reads,
+// the pair (task of S's rows in column j, task of S) and the pair (the
+// same target, task of the multiplier's segment); every task of column j
+// but its first depends on the first (the diagonal's: the scale). A run's
+// sources are gathered as one mask per target over the source column's
+// tasks, so they come out once and ascending; a target's runs come in
+// increasing source column and the scale last, so a stable counting sort
+// by target leaves every list sorted. The lists are cut from one slice of
+// their exact total length.
+func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32) {
+	n := len(sg.col) - 1
+	widest := int32(0)
+	for j := 0; j < n; j++ {
+		widest = max(widest, first[j+1]-first[j])
+	}
+	// run[x] is the segment of source column k holding the multiplier of
+	// the x-th run (j, k), in row-structure order: the runs of one source
+	// come in increasing target order, so a cursor per column finds them.
+	// bound is a column's pair count were every pair new.
+	cursor := make([]int32, n)
+	copy(cursor, sg.col[:n])
+	run := make([]int32, 0, int(sg.start[len(sg.block)])-n)
+	most, total := 0, 0
+	for j := 0; j < n; j++ {
+		bound := int(first[j+1]-first[j]) - 1
+		pos := ops.RowPositions(j)
+		for x, k := range ops.RowCols(j) {
+			u := cursor[k]
+			for sg.start[u+1] <= pos[x] {
+				u++
+			}
+			cursor[k] = u
+			run = append(run, u)
+			bound += 2 * int(sg.col[k+1]-u)
+		}
+		most, total = max(most, bound), total+bound
+	}
+	// mask[t*words:][:words] holds the current run's sources for target t
+	// of the column, tick[t] == r+1 once the r-th run touched t; tb[b] is
+	// the column's target of row block b.
+	words := int(widest+63) / 64
+	mask, tick, touched := make([]uint64, int(widest)*words), make([]int32, widest), make([]int32, 0, widest)
+	tb, cnt := make([]int32, n), make([]int32, widest+1)
+	type entry struct {
+		t, base int32 // t relative to the column's first task
+		bits    uint64
+	}
+	buf := make([]entry, 0, most*words)
+	all, begin := make([]int32, total), make([]int32, len(tasks)+1)
+	w, r := int32(0), int32(0)
+	for j := 0; j < n; j++ {
+		f0, g := first[j], first[j+1]-first[j]
+		buf = buf[:0]
+		for u := sg.col[j]; u < sg.col[j+1]; u++ {
+			tb[sg.block[u]] = rel[u]
+		}
+		for _, k := range ops.RowCols(j) {
+			u, z := run[r], sg.col[k+1]
+			r++
+			for s := u; s < z; s++ {
+				t := tb[sg.block[s]]
+				if tick[t] != r {
+					tick[t] = r
+					touched = append(touched, t)
+				}
+				v := rel[s]
+				mask[int(t)*words+int(v>>6)] |= 1 << (v & 63)
+			}
+			v, k0 := rel[u], first[k]
+			for _, t := range touched {
+				m := mask[int(t)*words:][:words]
+				m[v>>6] |= 1 << (v & 63)
+				for y, b := range m {
+					if b != 0 {
+						buf = append(buf, entry{t, k0 + int32(64*y), b})
+						m[y] = 0
+					}
+				}
+			}
+			touched = touched[:0]
+		}
+		for t := int32(1); t < g; t++ {
+			buf = append(buf, entry{t, f0, 1})
+		}
+		// Stable counting sort by target.
+		clear(cnt[:g+1])
+		for _, e := range buf {
+			cnt[e.t+1] += int32(bits.OnesCount64(e.bits))
+		}
+		for t := int32(0); t < g; t++ {
+			cnt[t+1] += cnt[t]
+			begin[f0+t] = w + cnt[t]
+		}
+		for _, e := range buf {
+			p := w + cnt[e.t]
+			for b := e.bits; b != 0; b &= b - 1 {
+				all[p] = e.base + int32(bits.TrailingZeros64(b))
+				p++
+			}
+			cnt[e.t] = p - w
+		}
+		w += cnt[g-1]
+	}
+	begin[len(tasks)] = w
+	out := make([]int32, w)
+	copy(out, all)
+	for t := range tasks {
+		if b, e := begin[t], begin[t+1]; e > b {
+			tasks[t].Preds = out[b:e:e]
+		}
+	}
+}
+
+// fetches replays the first fetches of the element walk (one per distinct
+// non-local (element, processor) pair, as traffic.Simulate dedups them)
+// from the segments, source column by source column. Every batch of n
+// elements first fetched by the owner of target segment u, whose update
+// (or scale) first required them, adds n to out[u] when they are a
+// pair-update source and to in[u] when they are a multiplier or a
+// diagonal; when from is non-nil it also sets the sending processor's bit
+// in from[key[u]*words:][:words], words = (p+63)/64. Per source column k
+// it keeps a bitset over the processors per segment of k, set where the
+// processor owns or has read the segment; the scales take one stamp pass.
+// Every elemProc must lie in [0, p).
+func (sg *segments) fetches(f *symbolic.Factor, p int, out, in []int64, from []uint64, key []int32) {
+	longest := sg.longest()
+	words := (p + 63) / 64
+	held := make([]uint64, longest*words)     // held[(s-a)*words:][:words]: the holders of segment s
+	seen := make([]int32, p)                  // seen[q] == g+1: q met in the runs of segment g
+	mult := make([]int32, 0, min(p, longest)) // the blocks of the multiplier's separate readers
+	send := func(u, owner int32) {
+		if from != nil {
+			from[int(key[u])*words+int(owner>>6)] |= 1 << (owner & 63)
+		}
+	}
+	for k := 0; k+1 < len(sg.col); k++ {
+		a, z, off := sg.col[k], sg.col[k+1], int32(f.ColPtr[k]+1)
+		if sg.start[a+1] <= off {
+			a++ // the diagonal alone
+		}
+		if a >= z {
+			continue
+		}
+		col := held[:int(z-a)*words]
+		clear(col)
+		for s := a; s < z; s++ {
+			q := sg.proc[s]
+			col[int(s-a)*words+int(q>>6)] |= 1 << (q & 63)
+		}
+		for g := a; g < z; g++ {
+			lo := max(sg.start[g], off)
+			og := sg.proc[g]
+			hg := col[int(g-a)*words:][:words]
+			// g's leader reads every segment from g on.
+			v := sg.col[f.RowInd[lo]]
+			mult = mult[:0]
+			for s := g; s < z; s++ {
+				for sg.block[v] != sg.block[s] {
+					v++
+				}
+				q := sg.proc[v]
+				w, bit := &col[int(s-a)*words+int(q>>6)], uint64(1)<<(q&63)
+				// A segment holding the diagonal is never charged here: its
+				// leader's target lies in the same diagonal tile.
+				if *w&bit == 0 {
+					*w |= bit
+					out[v] += int64(sg.start[s+1] - sg.start[s])
+					send(v, sg.proc[s])
+				}
+				if seen[q] != g+1 {
+					seen[q] = g + 1
+					if hg[q>>6]&bit == 0 {
+						mult = append(mult, sg.block[s])
+						in[v]++
+						send(v, og)
+					}
+				}
+			}
+			if len(mult) == 0 {
+				continue
+			}
+			// The other runs of g fetch the same multiplier owners'.
+			for x := lo + 1; x < sg.start[g+1]; x++ {
+				v := sg.col[f.RowInd[x]]
+				for _, b := range mult {
+					for sg.block[v] != b {
+						v++
+					}
+					in[v]++
+					send(v, og)
+				}
+			}
+		}
+	}
+	// The scales: column j's diagonal is read once by every other owner of
+	// the column, charged to its first segment there.
+	stamp := seen // stamp[q] == j+1: q charged column j's diagonal
+	clear(stamp)
+	for j := 0; j+1 < len(sg.col); j++ {
+		d := sg.col[j]
+		od := sg.proc[d]
+		for u := d + 1; u < sg.col[j+1]; u++ {
+			if q := sg.proc[u]; q != od && stamp[q] != int32(j+1) {
+				stamp[q] = int32(j + 1)
+				in[u]++
+				send(u, od)
+			}
+		}
+	}
 }

@@ -1,0 +1,263 @@
+package part2d
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/strategy"
+	"repro/internal/traffic"
+)
+
+// The element walk: Tasks' predecessor pass and Traffic's first-fetch
+// pass as they were before the segment passes, visiting every pair update
+// of the factorization. Nothing but the tests calls them; the segment
+// passes (and the dense-table oracle in tiles_ref_test.go) are pinned to
+// them. FetchStats' walk is traffic.FetchStatsTasks, which is not test
+// code: it stays the fallback.
+
+// walkTasks is the merged tile-segment task graph over the element
+// ownership elemProc, one update at a time.
+func walkTasks(ops *model.Ops, elemWork []int64, elemProc []int32) ([]exec.Task, []int32) {
+	f := ops.F
+	elemTask := make([]int32, f.NNZ())
+	var tasks []exec.Task
+	type group struct {
+		proc int32
+		task int32
+	}
+	var groups []group
+	for j := 0; j < f.N; j++ {
+		groups = groups[:0]
+		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+			proc := elemProc[q]
+			task := int32(-1)
+			for _, g := range groups {
+				if g.proc == proc {
+					task = g.task
+					break
+				}
+			}
+			if task < 0 {
+				task = int32(len(tasks))
+				tasks = append(tasks, exec.Task{ID: int(task), Proc: proc})
+				groups = append(groups, group{proc: proc, task: task})
+			}
+			elemTask[q] = task
+			tasks[task].Work += elemWork[q]
+		}
+	}
+	preds := make([][]int32, len(tasks))
+	stamp := make([]int32, len(tasks))
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	rowInd := f.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		srcJ := elemTask[r.Lo]
+		for q := r.Lo; q < r.Hi; q++ {
+			t := elemTask[r.Tgt[rowInd[q]]]
+			if src := elemTask[q]; src != t && stamp[src] != t {
+				stamp[src] = t
+				preds[t] = append(preds[t], src)
+			}
+			if srcJ != t && stamp[srcJ] != t {
+				stamp[srcJ] = t
+				preds[t] = append(preds[t], srcJ)
+			}
+		}
+	})
+	for j := 0; j < f.N; j++ {
+		diag := elemTask[f.ColPtr[j]]
+		for _, t := range elemTask[f.ColPtr[j]+1 : f.ColPtr[j+1]] {
+			if diag != t && stamp[diag] != t {
+				stamp[diag] = t
+				preds[t] = append(preds[t], diag)
+			}
+		}
+	}
+	for i := range preds {
+		p := preds[i]
+		sort.Slice(p, func(a, b int) bool { return p[a] < p[b] })
+		out := p[:0]
+		for k, v := range p {
+			if k == 0 || v != p[k-1] {
+				out = append(out, v)
+			}
+		}
+		tasks[i].Preds = out
+	}
+	return tasks, elemTask
+}
+
+// walkTraffic is the tile-granular traffic simulation over the element
+// ownership elemProc on p processors, one update at a time: every first
+// fetch charged to tileOf of its target, fan-out for a pair-update
+// source, fan-in for a multiplier or a diagonal.
+func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int) *TrafficResult {
+	f := ops.F
+	res := &TrafficResult{
+		P: p, R: r,
+		FanOut:  make([]int64, ntiles),
+		FanIn:   make([]int64, ntiles),
+		PerProc: make([]int64, p),
+	}
+	fetched := traffic.NewFetchDedup(p, f.NNZ())
+	owner, rowInd := elemProc, f.RowInd
+	charge := func(dir []int64, tgt, proc int32) {
+		res.Total++
+		res.PerProc[proc]++
+		dir[tileOf[tgt]]++
+	}
+	ops.ForEachRun(func(r model.Run) {
+		lo, ownerLo := r.Lo, owner[r.Lo]
+		for q := lo; q < r.Hi; q++ {
+			tgt := r.Tgt[rowInd[q]]
+			proc := owner[tgt]
+			if owner[q] != proc && fetched.FirstFetch(q, proc) {
+				charge(res.FanOut, tgt, proc)
+			}
+			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
+				charge(res.FanIn, tgt, proc)
+			}
+		}
+	})
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
+				charge(res.FanIn, q, proc)
+			}
+		}
+	}
+	return res
+}
+
+// checkSegmentsMatchWalk holds Tasks, FetchStats and Traffic — and the
+// segment passes themselves, past the column-granular shortcut — to the
+// element walk: the same tasks (ID, Proc, Work, Preds with nil equal to
+// empty) and element map, the same Vol and Msgs task by task, the same
+// per-tile fan-out and fan-in. It reports whether s took the segment pass
+// under its own tiles (false: the identity tiling, and FetchStats' walk).
+func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D) bool {
+	t.Helper()
+	f := ops.F
+	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.ElemProc)
+	wantFetch := traffic.FetchStatsTasks(ops, s.Schedule(), len(wantTasks), wantElemTask)
+	for _, e := range []struct {
+		name string
+		fn   func(*model.Ops, []int64, *Schedule2D) ([]exec.Task, []int32)
+	}{{"Tasks", Tasks}, {"segmentTasks", segmentTasks}} {
+		tasks, elemTask := e.fn(ops, elemWork, s)
+		if err := sameTasks(tasks, wantTasks); err != nil || !slices.Equal(elemTask, wantElemTask) {
+			t.Fatalf("%s: %s differ from the walk: %v", label, e.name, err)
+		}
+		if got := FetchStats(ops, s, len(tasks), elemTask); !reflect.DeepEqual(got, wantFetch) {
+			t.Fatalf("%s: FetchStats differ from the walk (vol %d msgs %d, want %d / %d)",
+				label, got.TotalVol(), got.TotalMsgs(), wantFetch.TotalVol(), wantFetch.TotalMsgs())
+		}
+	}
+	got, tiled := segmentFetchStats(f, s, len(wantTasks), wantElemTask)
+	if _, uniform := tileSegments(f, s); tiled != uniform {
+		t.Fatalf("%s: segment fetch pass taken = %v on a schedule with tile-uniform = %v", label, tiled, !tiled)
+	}
+	if tiled && !reflect.DeepEqual(got, wantFetch) {
+		t.Fatalf("%s: segment fetch pass differs from the walk (vol %d msgs %d, want %d / %d)",
+			label, got.TotalVol(), got.TotalMsgs(), wantFetch.TotalVol(), wantFetch.TotalMsgs())
+	}
+	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
+	if tr, want := Traffic(ops, s), walkTraffic(ops, s.P, s.R(), s.ElemProc, tile, len(s.Owner)); !reflect.DeepEqual(tr, want) {
+		t.Fatalf("%s: Traffic differs from the walk (total %d fan-out %d fan-in %d, want %d / %d / %d)",
+			label, tr.Total, tr.TotalFanOut(), tr.TotalFanIn(), want.Total, want.TotalFanOut(), want.TotalFanIn())
+	}
+	return tiled
+}
+
+// randomOwners is a schedule over bounds whose every tile gets a seeded
+// random owner: genuinely 2D, with none of a mapper's structure.
+func randomOwners(t testing.TB, sys *strategy.Sys, p int, bounds []int, seed int64) *Schedule2D {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s2, err := New(sys.F, sys.ElemWork, p, bounds, func(int, int) int32 { return int32(rng.Intn(p)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
+// TestSegmentTasksMatchWalk: on every suite matrix, every registered 2D
+// mapper and the col2d lift of every column-granular 1D strategy at
+// P in {1, 2, 4, 16, 64, 65, n+7}, schedules with seeded random tile
+// owners, and a schedule whose ElemProc was broken by hand (which must
+// leave its own tiles for the identity tiling and FetchStats' walk), the
+// segment passes are the element walk task by task and tile by tile.
+func TestSegmentTasksMatchWalk(t *testing.T) {
+	for mname, sys := range suite(t) {
+		procs := []int{1, 2, 4, 16, 64, 65, sys.F.N + 7}
+		if raceBuild || testing.Short() {
+			procs = []int{2, 16, 65}
+		}
+		for _, p := range procs {
+			for _, name := range Names2D() {
+				s2, err := Map2D(name, sys, p, strategy.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s/%s P=%d", name, mname, p)
+				if !checkSegmentsMatchWalk(t, label, sys.Ops, sys.ElemWork, s2) {
+					t.Fatalf("%s: a mapper's schedule is not tile-uniform", label)
+				}
+			}
+			for _, base := range LiftBases() {
+				sc, err := strategy.Map(base, sys, p, strategy.Options{Base: base})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2, err := Lift(sys, sc, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSegmentsMatchWalk(t, fmt.Sprintf("col2d(%s)/%s P=%d", base, mname, p), sys.Ops, sys.ElemWork, s2)
+			}
+			bounds := refBounds(sys, p)
+			checkSegmentsMatchWalk(t, fmt.Sprintf("random owners/%s P=%d", mname, p), sys.Ops, sys.ElemWork,
+				randomOwners(t, sys, p, bounds, int64(p)))
+		}
+	}
+	sys := lapSys(t)
+	s2 := randomOwners(t, sys, 7, refBounds(sys, 16), 1)
+	s2.ElemProc[len(s2.ElemProc)/2] = (s2.ElemProc[len(s2.ElemProc)/2] + 1) % 7
+	if checkSegmentsMatchWalk(t, "hand-broken ElemProc", sys.Ops, sys.ElemWork, s2) {
+		t.Fatal("hand-broken ElemProc: segment pass taken on a schedule that is not tile-uniform")
+	}
+}
+
+// TestSegmentTasksAllocs: Tasks + FetchStats on a genuinely 2D plan
+// allocate the same number of times on LAP30 and on a 16 x larger grid —
+// nothing per task, per predecessor list or per fetch.
+func TestSegmentTasksAllocs(t *testing.T) {
+	allocs := func(sys *strategy.Sys) float64 {
+		s2, err := Map2D("rect2dlpt", sys, 16, strategy.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := tileSegments(sys.F, s2); !ok {
+			t.Fatal("rect2dlpt schedule is not tile-uniform")
+		}
+		return testing.AllocsPerRun(3, func() {
+			tasks, elemTask := Tasks(sys.Ops, sys.ElemWork, s2)
+			FetchStats(sys.Ops, s2, len(tasks), elemTask)
+		})
+	}
+	small, large := allocs(lapSys(t)), allocs(newTestSys(t, gen.Grid9(60, 60)))
+	t.Logf("Tasks + FetchStats allocations: LAP30 %v, Grid9(60,60) %v", small, large)
+	if small != large {
+		t.Errorf("allocations grow with the matrix: LAP30 %v, Grid9(60,60) %v", small, large)
+	}
+}

@@ -253,122 +253,18 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 	return owner
 }
 
-// refTasks is the merged tile-segment task walk reading the dense table.
-func refTasks(ops *model.Ops, elemWork []int64, s *refSchedule) ([]exec.Task, []int32) {
-	f := ops.F
-	elemTask := make([]int32, f.NNZ())
-	var tasks []exec.Task
-	type group struct {
-		proc int32
-		task int32
-	}
-	var groups []group
-	for j := 0; j < f.N; j++ {
-		groups = groups[:0]
-		c := int(s.BlockOf[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			proc := s.Owner[denseID(int(s.BlockOf[f.RowInd[q]]), c)]
-			task := int32(-1)
-			for _, g := range groups {
-				if g.proc == proc {
-					task = g.task
-					break
-				}
-			}
-			if task < 0 {
-				task = int32(len(tasks))
-				tasks = append(tasks, exec.Task{ID: int(task), Proc: proc})
-				groups = append(groups, group{proc: proc, task: task})
-			}
-			elemTask[q] = task
-			tasks[task].Work += elemWork[q]
-		}
-	}
-	preds := make([][]int32, len(tasks))
-	stamp := make([]int32, len(tasks))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	rowInd := f.RowInd
-	ops.ForEachRun(func(r model.Run) {
-		srcJ := elemTask[r.Lo]
-		for q := r.Lo; q < r.Hi; q++ {
-			t := elemTask[r.Tgt[rowInd[q]]]
-			if src := elemTask[q]; src != t && stamp[src] != t {
-				stamp[src] = t
-				preds[t] = append(preds[t], src)
-			}
-			if srcJ != t && stamp[srcJ] != t {
-				stamp[srcJ] = t
-				preds[t] = append(preds[t], srcJ)
-			}
-		}
-	})
-	for j := 0; j < f.N; j++ {
-		diag := elemTask[f.ColPtr[j]]
-		for _, t := range elemTask[f.ColPtr[j]+1 : f.ColPtr[j+1]] {
-			if diag != t && stamp[diag] != t {
-				stamp[diag] = t
-				preds[t] = append(preds[t], diag)
-			}
-		}
-	}
-	for i := range preds {
-		p := preds[i]
-		sort.Slice(p, func(a, b int) bool { return p[a] < p[b] })
-		out := p[:0]
-		for k, v := range p {
-			if k == 0 || v != p[k-1] {
-				out = append(out, v)
-			}
-		}
-		tasks[i].Preds = out
-	}
-	return tasks, elemTask
-}
-
-// refTraffic is the tile-granular traffic simulation over the dense table:
-// per-tile volumes packed by denseID.
+// refTraffic is the tile-granular traffic walk charging the dense
+// table's tiles: per-tile volumes packed by denseID.
 func refTraffic(ops *model.Ops, s *refSchedule) *TrafficResult {
 	f := ops.F
 	r := len(s.Bounds) - 1
-	res := &TrafficResult{
-		P: s.P, R: r,
-		FanOut:  make([]int64, r*(r+1)/2),
-		FanIn:   make([]int64, r*(r+1)/2),
-		PerProc: make([]int64, s.P),
-	}
-	fetched := traffic.NewFetchDedup(s.P, f.NNZ())
-	owner, rowInd := s.ElemProc, f.RowInd
-	charge := func(dir []int64, tile int, proc int32) {
-		res.Total++
-		res.PerProc[proc]++
-		dir[tile]++
-	}
-	ops.ForEachRun(func(r model.Run) {
-		c := int(s.BlockOf[r.Col])
-		lo, ownerLo := r.Lo, owner[r.Lo]
-		for q := lo; q < r.Hi; q++ {
-			i := rowInd[q]
-			proc := owner[r.Tgt[i]]
-			if owner[q] != proc && fetched.FirstFetch(q, proc) {
-				charge(res.FanOut, denseID(int(s.BlockOf[i]), c), proc)
-			}
-			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
-				charge(res.FanIn, denseID(int(s.BlockOf[i]), c), proc)
-			}
-		}
-	})
+	tileOf := make([]int32, f.NNZ())
 	for j := 0; j < f.N; j++ {
-		c := int(s.BlockOf[j])
-		diag := int32(f.ColPtr[j])
-		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
-			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
-				charge(res.FanIn, denseID(int(s.BlockOf[rowInd[q]]), c), proc)
-			}
+		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+			tileOf[q] = int32(denseID(int(s.BlockOf[f.RowInd[q]]), int(s.BlockOf[j])))
 		}
 	}
-	return res
+	return walkTraffic(ops, s.P, r, s.ElemProc, tileOf, r*(r+1)/2)
 }
 
 // sameTileOwners reports whether the sparse store's owners are the dense
@@ -443,7 +339,7 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int6
 	}
 
 	tasks, elemTask := Tasks(ops, elemWork, s)
-	wantTasks, wantElemTask := refTasks(ops, elemWork, ref)
+	wantTasks, wantElemTask := walkTasks(ops, elemWork, ref.ElemProc)
 	if err := sameTasks(tasks, wantTasks); err != nil || !slices.Equal(elemTask, wantElemTask) {
 		t.Fatalf("%s: Tasks differ from the dense walk: %v", label, err)
 	}
@@ -597,7 +493,9 @@ func fuzzTiles(data []byte) (m *sparse.Matrix, p int, mode byte, cuts uint32, sc
 // fuzzer-written patterns, bounds and tile owners: New under an arbitrary
 // owner rule or a column-granular one (the closed forms), and every mapper
 // and the lift of a fuzzer-written column ownership. Every schedule's
-// fan-out plus fan-in is traffic.Simulate's total.
+// fan-out plus fan-in is traffic.Simulate's total, and its segment passes
+// are the element walk (tasks_ref_test.go); a New schedule with one
+// element re-owned must leave its tiles for the walk.
 func FuzzTiles2D(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 0, 0b101, 0, 0, 0, 1, 1, 2, 0, 2, 0, 1, 1, 0})              // dense 4x4, P = 3
 	f.Add([]byte{22, 69, 40, 1, 0x55, 0x55, 0x55, 0, 5, 5, 9, 9, 1, 1, 20, 3, 7, 9})  // P = 70 > 64 > n, column-granular
@@ -622,6 +520,9 @@ func FuzzTiles2D(f *testing.F) {
 		check := func(label string, s2 *Schedule2D, ref *refSchedule) {
 			t.Helper()
 			checkAgainstRef(t, label, ops, sys.ElemWork, s2, ref)
+			if !checkSegmentsMatchWalk(t, label, ops, sys.ElemWork, s2) {
+				t.Fatalf("%s: schedule is not tile-uniform", label)
+			}
 			tr := Traffic(ops, s2)
 			if sim := traffic.Simulate(ops, s2.Schedule()).Total; tr.TotalFanOut()+tr.TotalFanIn() != sim {
 				t.Fatalf("%s: fan-out %d + fan-in %d != Simulate total %d", label, tr.TotalFanOut(), tr.TotalFanIn(), sim)
@@ -645,6 +546,19 @@ func FuzzTiles2D(f *testing.F) {
 				t.Fatal(err)
 			}
 			check("New", s2, refNew(fac, sys.ElemWork, p, bounds, denseOwners(len(bounds)-1, rule)))
+			if p > 1 {
+				// One element re-owned: the passes must leave the schedule's
+				// own tiles for the walk and still answer the same.
+				q := fac.NNZ() / 2
+				if len(script) > 0 {
+					q = int(script[0]) % fac.NNZ()
+				}
+				s2.ElemProc = slices.Clone(s2.ElemProc)
+				s2.ElemProc[q] = (s2.ElemProc[q] + 1) % int32(p)
+				if checkSegmentsMatchWalk(t, "New, one element re-owned", ops, sys.ElemWork, s2) {
+					t.Fatal("New, one element re-owned: segment pass taken on a schedule that is not tile-uniform")
+				}
+			}
 		default:
 			budget := 1 + int(mode/3)%16
 			bounds := refBounds(sys, p)

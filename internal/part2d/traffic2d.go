@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/traffic"
 )
 
 // TrafficResult is the outcome of the 2D tile-granular data-traffic
@@ -59,12 +58,20 @@ func (r *TrafficResult) Mean() float64 { return float64(r.Total) / float64(r.P) 
 
 // Traffic runs the 2D tile-granular traffic simulation. The factor ops
 // must be built over the same symbolic factor the schedule was computed
-// from.
+// from, and every element owner must be a processor of s. It is the
+// segment pass of Tasks and FetchStats (see segments): O(nnz(L) + segment
+// visits) on a tile-uniform schedule, the identity tiling's pass — one
+// element per segment — on any other.
 func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 	f := ops.F
 	nnz := f.NNZ()
 	if len(s.ElemProc) != nnz {
 		panic(fmt.Sprintf("part2d: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
+	}
+	for _, o := range s.ElemProc {
+		if o < 0 || int(o) >= s.P {
+			panic(fmt.Sprintf("part2d: element owned by processor %d outside [0, %d)", o, s.P))
+		}
 	}
 	res := &TrafficResult{
 		P:       s.P,
@@ -74,37 +81,16 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 		PerProc: make([]int64, s.P),
 	}
 	// A first fetch is charged to the tile of the target that required it.
-	// Source (i, k) sits in tile (block(i), block(k)) — the target's row of
-	// tiles, a fan-out; source (j, k) and the scaling diagonal (j, j) sit
-	// in the target's column of tiles, a fan-in.
-	fetched := traffic.NewFetchDedup(s.P, nnz)
-	owner, rowInd := s.ElemProc, f.RowInd
 	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
-	charge := func(dir []int64, tgt, proc int32) {
-		res.Total++
-		res.PerProc[proc]++
-		dir[tile[tgt]]++
+	sg := segmentsOf(f, s)
+	out, in := make([]int64, len(sg.block)), make([]int64, len(sg.block))
+	sg.fetches(f, s.P, out, in, nil, nil)
+	for u, q := range sg.proc {
+		t := tile[sg.start[u]]
+		res.FanOut[t] += out[u]
+		res.FanIn[t] += in[u]
+		res.PerProc[q] += out[u] + in[u]
 	}
-	ops.ForEachRun(func(r model.Run) {
-		lo, ownerLo := r.Lo, owner[r.Lo]
-		for q := lo; q < r.Hi; q++ {
-			tgt := r.Tgt[rowInd[q]]
-			proc := owner[tgt]
-			if owner[q] != proc && fetched.FirstFetch(q, proc) {
-				charge(res.FanOut, tgt, proc)
-			}
-			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
-				charge(res.FanIn, tgt, proc)
-			}
-		}
-	})
-	for j := 0; j < f.N; j++ {
-		diag := int32(f.ColPtr[j])
-		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
-			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
-				charge(res.FanIn, q, proc)
-			}
-		}
-	}
+	res.Total = sum(res.PerProc)
 	return res
 }

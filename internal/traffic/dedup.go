@@ -9,8 +9,8 @@ import (
 // FetchDedup tracks distinct (element, processor) first fetches — the
 // deduplication rule of the paper's caching model ("once a data element
 // is fetched, that element is stored locally"), shared by every traffic
-// simulator in this package and by the 2D tile simulator
-// (part2d.Traffic). Every element carries a bitmask of ⌈P/64⌉ words, one
+// simulator in this package and by the element walk the 2D segment pass
+// is tested against. Every element carries a bitmask of ⌈P/64⌉ words, one
 // bit per processor, so any processor count takes the same path; the
 // tracker holds 8·⌈P/64⌉·nnz bytes.
 type FetchDedup struct {
