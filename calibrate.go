@@ -9,8 +9,7 @@ import "repro/internal/calib"
 
 // CalibratedModel is a fitted cost model: the work-unit CommModel (with
 // Gamma) SimOptions.Comm takes unchanged, the nanosecond-per-work-unit
-// scale that converts simulated spans into predicted wall clock, and
-// optional per-processor speed multipliers.
+// scale that converts simulated spans into predicted wall clock.
 type CalibratedModel = calib.CalibratedModel
 
 // FitReport carries the fit diagnostics: sample and dropped-event
@@ -20,9 +19,6 @@ type FitReport = calib.FitReport
 
 // CalibSample is one measured task execution in a calibration fit.
 type CalibSample = calib.Sample
-
-// FitOptions configures Fitter.Fit (per-processor speed multipliers).
-type FitOptions = calib.Options
 
 // Fitter accumulates measured runs across processor counts and mappers
 // into one least-squares fit.

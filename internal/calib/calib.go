@@ -12,10 +12,8 @@
 // simulators' work units, giving CalibratedModel{Comm: {Alpha: a/s,
 // Beta: b/s, Gamma: g/s}, NsPerWork: s}. Coefficients the data drives
 // negative are clamped by refitting without the offending regressor (the
-// simulators require non-negative charges), and an optional per-processor
-// pass fits a speed multiplier per processor for heterogeneous machines.
-// Everything is deterministic given the samples: same events in, same
-// model out.
+// simulators require non-negative charges). Everything is deterministic
+// given the samples: same events in, same model out.
 package calib
 
 import (
@@ -35,12 +33,11 @@ type Sample struct {
 	Work  int64 // compute work units (multiply-add pairs)
 	Vol   int64 // fetched non-local elements attributed to the task
 	Msgs  int64 // consolidated messages received by the task
-	Proc  int32 // executing processor (per-processor fit only)
 }
 
 // CalibratedModel is a fitted cost model: the work-unit CommModel the
-// simulators consume, the nanosecond scale that converts simulated spans
-// into predicted wall clock, and optional per-processor speed multipliers.
+// simulators consume and the nanosecond scale that converts simulated spans
+// into predicted wall clock.
 type CalibratedModel struct {
 	// Comm carries the fitted Alpha, Beta and Gamma in work units; feed it
 	// to any comm-aware makespan simulator unchanged.
@@ -48,10 +45,6 @@ type CalibratedModel struct {
 	// NsPerWork is the fitted serial rate: nanoseconds per work unit.
 	// Multiply a simulated span by it to predict wall-clock nanoseconds.
 	NsPerWork float64
-	// ProcSpeed[q], when non-nil, is processor q's fitted speed multiplier
-	// relative to the homogeneous model (> 1 means faster: measured time
-	// below prediction). Nil means the fit was homogeneous.
-	ProcSpeed []float64
 }
 
 // PredictTaskNs returns the model's wall-clock prediction for one task.
@@ -85,21 +78,12 @@ type FitReport struct {
 	Residuals obs.Histogram
 }
 
-// Options configures Fitter.Fit.
-type Options struct {
-	// PerProc fits a speed multiplier per processor after the homogeneous
-	// pass: ProcSpeed[q] = predicted_ns(q) / measured_ns(q) over q's
-	// samples (1 for processors with no samples).
-	PerProc bool
-}
-
 // Fitter accumulates samples across any number of measured runs — fitting
 // several processor counts and mappers at once is what identifies Alpha
 // and Beta separately from Gamma.
 type Fitter struct {
 	samples []Sample
 	dropped int
-	maxProc int32
 }
 
 // NewFitter returns an empty Fitter.
@@ -123,7 +107,7 @@ func (f *Fitter) Add(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.Tas
 			f.dropped++
 			continue
 		}
-		s := Sample{DurNs: dur, Work: tasks[ev.Task].Work, Proc: ev.Proc}
+		s := Sample{DurNs: dur, Work: tasks[ev.Task].Work}
 		if tc != nil {
 			s.Vol = tc.Vol[ev.Task]
 			s.Msgs = tc.Msgs[ev.Task]
@@ -141,9 +125,6 @@ func (f *Fitter) AddSample(s Sample) {
 		return
 	}
 	f.samples = append(f.samples, s)
-	if s.Proc > f.maxProc {
-		f.maxProc = s.Proc
-	}
 }
 
 // Len reports the number of accumulated (fit-eligible) samples.
@@ -159,7 +140,7 @@ var termNames = [4]string{"work", "vol", "msgs", "const"}
 // and returns the calibrated model with its report. It needs at least two
 // samples and a positive fitted work rate; regressors driven negative are
 // dropped and the remainder refitted.
-func (f *Fitter) Fit(opts Options) (CalibratedModel, FitReport, error) {
+func (f *Fitter) Fit() (CalibratedModel, FitReport, error) {
 	var model CalibratedModel
 	report := FitReport{Samples: len(f.samples), Dropped: f.dropped}
 	if len(f.samples) < 2 {
@@ -254,9 +235,6 @@ func (f *Fitter) Fit(opts Options) (CalibratedModel, FitReport, error) {
 		report.Terms = append(report.Terms, termNames[col])
 	}
 	f.residuals(model, &report)
-	if opts.PerProc {
-		model.ProcSpeed = f.procSpeeds(model)
-	}
 	return model, report, nil
 }
 
@@ -375,27 +353,6 @@ func (f *Fitter) residuals(m CalibratedModel, report *FitReport) {
 	report.ResidualP99 = pct(0.99)
 }
 
-// procSpeeds fits the per-processor speed multipliers of the homogeneous
-// model: speed_q = predicted_ns(q) / measured_ns(q) over processor q's
-// samples. Processors with no samples (or a degenerate ratio) get 1.
-func (f *Fitter) procSpeeds(m CalibratedModel) []float64 {
-	n := int(f.maxProc) + 1
-	pred := make([]float64, n)
-	meas := make([]float64, n)
-	for _, s := range f.samples {
-		pred[s.Proc] += m.PredictTaskNs(s.Work, s.Vol, s.Msgs)
-		meas[s.Proc] += float64(s.DurNs)
-	}
-	speeds := make([]float64, n)
-	for q := range speeds {
-		speeds[q] = 1
-		if meas[q] > 0 && pred[q] > 0 {
-			speeds[q] = pred[q] / meas[q]
-		}
-	}
-	return speeds
-}
-
 // Calibrate is the one-shot entry point: it fits the homogeneous model to
 // a single measured run. events are exec.Program.Measure's per-task real
 // TaskEvents, tasks the executed graph, tc the per-task fetch attribution
@@ -406,5 +363,5 @@ func Calibrate(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm)
 	if err := f.Add(events, tasks, tc); err != nil {
 		return CalibratedModel{}, FitReport{}, err
 	}
-	return f.Fit(Options{})
+	return f.Fit()
 }

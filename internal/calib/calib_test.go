@@ -140,42 +140,11 @@ func TestCalibrateDropsDegenerate(t *testing.T) {
 	}
 }
 
-// TestFitterPerProc checks the heterogeneous pass: samples from a
-// processor running 2x slower than the model must fit a speed near 0.5,
-// and untouched processors stay at 1.
-func TestFitterPerProc(t *testing.T) {
-	events, tasks, tc := synthEvents(200, 10, 2, 10, 30)
-	for i := range events {
-		if events[i].Proc == 2 {
-			events[i].Finish *= 2 // processor 2 is half speed
-		}
-	}
-	f := NewFitter()
-	if err := f.Add(events, tasks, tc); err != nil {
-		t.Fatal(err)
-	}
-	model, _, err := f.Fit(Options{PerProc: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(model.ProcSpeed) != 4 {
-		t.Fatalf("ProcSpeed has %d entries, want 4", len(model.ProcSpeed))
-	}
-	if s := model.ProcSpeed[2]; s > 0.7 {
-		t.Errorf("slow processor speed = %g, want well below the others", s)
-	}
-	for q, s := range model.ProcSpeed {
-		if q != 2 && (s < 0.8 || s > 1.6) {
-			t.Errorf("processor %d speed = %g, want near 1", q, s)
-		}
-	}
-}
-
 // TestFitterErrors pins the failure modes: too few samples, out-of-range
 // events, mismatched fetch stats.
 func TestFitterErrors(t *testing.T) {
 	f := NewFitter()
-	if _, _, err := f.Fit(Options{}); err == nil {
+	if _, _, err := f.Fit(); err == nil {
 		t.Error("Fit on empty fitter: no error")
 	}
 	tasks := []exec.Task{{ID: 0, Work: 5}}

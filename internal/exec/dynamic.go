@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -12,41 +12,54 @@ import (
 // being the bottom level (the longest work-weighted path from the task to
 // a sink). comm, when non-nil, holds the communication share of each
 // task's Work (already included in it) so events can split the duration;
-// it never changes the simulated times.
+// it never changes the simulated times. Its allocations do not grow with
+// the graph: successors are one CSR array and every heap is sized up front.
 func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	sched.MustProcs("exec", p)
 	n := len(tasks)
-	// Bottom levels, successors and indegrees.
-	succs := make([][]int32, n)
-	indeg := make([]int, n)
+	// Successors succ[succPtr[t]:succPtr[t+1]], ascending; indegrees; the
+	// number of tasks per processor.
+	succPtr, indeg, own := make([]int32, n+1), make([]int32, n), make([]int, p)
 	var total int64
 	for i := range tasks {
 		if tasks[i].ID != i {
 			panic(fmt.Sprintf("exec: task %d out of order", tasks[i].ID))
 		}
 		total += tasks[i].Work
+		indeg[i] = int32(len(tasks[i].Preds))
+		own[tasks[i].Proc]++
 		for _, pr := range tasks[i].Preds {
-			succs[pr] = append(succs[pr], int32(i))
-			indeg[i]++
+			succPtr[pr+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		succPtr[i+1] += succPtr[i]
+	}
+	succ, at := make([]int32, succPtr[n]), slices.Clone(succPtr[:n])
+	for i := range tasks {
+		for _, pr := range tasks[i].Preds {
+			succ[at[pr]] = int32(i)
+			at[pr]++
 		}
 	}
 	bottom := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
 		var out int64
-		for _, s := range succs[i] {
-			if bottom[s] > out {
-				out = bottom[s]
-			}
+		for _, s := range succ[succPtr[i]:succPtr[i+1]] {
+			out = max(out, bottom[s])
 		}
 		bottom[i] = out + tasks[i].Work
 	}
 
-	// Per-processor ready heaps ordered by descending bottom level.
-	ready := make([]taskHeap, p)
+	// Per-processor ready heaps, keyed on the negated bottom level (larger
+	// first, then lower ID), cut from one array at their task counts.
+	ready, items := make([]minHeap, p), make(minHeap, n)
+	for pr, c := range own {
+		ready[pr], items = items[:0:c], items[c:]
+	}
 	for i := range tasks {
 		if indeg[i] == 0 {
-			pr := tasks[i].Proc
-			heap.Push(&ready[pr], heapItem{id: int32(i), prio: bottom[i]})
+			ready[tasks[i].Proc].push(-bottom[i], int32(i))
 		}
 	}
 	// Probe-only state: the finish time of each processor's last completed
@@ -66,16 +79,18 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	for i := range running {
 		running[i] = -1
 	}
-	var eventQ eventHeap
+	// Completion events keyed on (time, processor); a processor has at most
+	// one outstanding.
+	events := make(minHeap, 0, p)
 	now := int64(0)
 	remaining := n
 	start := func(proc int) {
-		if running[proc] != -1 || ready[proc].Len() == 0 {
+		if running[proc] != -1 || len(ready[proc]) == 0 {
 			return
 		}
-		it := heap.Pop(&ready[proc]).(heapItem)
-		running[proc] = it.id
-		procBusyUntil[proc] = now + tasks[it.id].Work
+		id := ready[proc].pop().id
+		running[proc] = id
+		procBusyUntil[proc] = now + tasks[id].Work
 		if probe != nil {
 			stall := now - lastFinish[proc]
 			cause := int32(-1)
@@ -83,32 +98,32 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 				// The processor idled past its last finish, so this task
 				// started the moment it became ready: the readying
 				// predecessor is the dependency it stalled on.
-				cause = readyCause[it.id]
+				cause = readyCause[id]
 			}
 			var c int64
 			if comm != nil {
-				c = comm[it.id]
+				c = comm[id]
 			}
 			probe.OnTask(TaskEvent{
-				Task: it.id, Proc: int32(proc),
+				Task: id, Proc: int32(proc),
 				Start: now, Finish: procBusyUntil[proc],
-				Work: tasks[it.id].Work - c, Comm: c,
+				Work: tasks[id].Work - c, Comm: c,
 				Stall: stall, Cause: cause,
 			})
 		}
-		heap.Push(&eventQ, event{t: procBusyUntil[proc], proc: int32(proc)})
+		events.push(procBusyUntil[proc], int32(proc))
 	}
 	for proc := 0; proc < p; proc++ {
 		start(proc)
 	}
 	var span int64
 	for remaining > 0 {
-		if eventQ.Len() == 0 {
+		if len(events) == 0 {
 			panic("exec: dynamic simulation deadlocked (dependency cycle?)")
 		}
-		ev := heap.Pop(&eventQ).(event)
-		now = ev.t
-		proc := int(ev.proc)
+		ev := events.pop()
+		now = ev.key
+		proc := int(ev.id)
 		done := running[proc]
 		if done == -1 {
 			continue // stale event
@@ -121,14 +136,14 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 		if now > span {
 			span = now
 		}
-		for _, s := range succs[done] {
+		for _, s := range succ[succPtr[done]:succPtr[done+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				if probe != nil {
 					readyCause[s] = done
 				}
 				sp := tasks[s].Proc
-				heap.Push(&ready[sp], heapItem{id: s, prio: bottom[s]})
+				ready[sp].push(-bottom[s], s)
 				if running[sp] == -1 {
 					start(int(sp))
 				}
@@ -139,50 +154,60 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	return finalize(p, span, total)
 }
 
+// minHeap is the package's one priority queue: a binary min-heap of (key,
+// id) pairs, ordered by key, then id. Every queue built on it — the
+// dynamic simulator's ready and event queues, CompileSolve's frontier and
+// worker loads, the engine's per-worker ready queue — orders distinct ids,
+// so its pop sequence does not depend on how the heap was built.
+type minHeap []heapItem
+
 type heapItem struct {
-	id   int32
-	prio int64
+	key int64
+	id  int32
 }
 
-type taskHeap []heapItem
+func (h minHeap) less(a, b int) bool {
+	return h[a].key < h[b].key || h[a].key == h[b].key && h[a].id < h[b].id
+}
 
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(a, b int) bool {
-	if h[a].prio != h[b].prio {
-		return h[a].prio > h[b].prio // larger bottom level first
+func (h *minHeap) push(key int64, id int32) {
+	s := append(*h, heapItem{key, id})
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.less(i, up) {
+			break
+		}
+		s[up], s[i] = s[i], s[up]
+		i = up
 	}
-	return h[a].id < h[b].id
-}
-func (h taskHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *taskHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *taskHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	*h = s
 }
 
-type event struct {
-	t    int64
-	proc int32
+// pop removes and returns the least item; the heap must not be empty.
+func (h *minHeap) pop() heapItem {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	s.down(0)
+	*h = s
+	return top
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(a, b int) bool {
-	if h[a].t != h[b].t {
-		return h[a].t < h[b].t
+// down restores the heap order below i after its item grew.
+func (h minHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return h[a].proc < h[b].proc
-}
-func (h eventHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -87,6 +87,21 @@ func TestDynamicColumnTasks(t *testing.T) {
 	}
 }
 
+// TestSimulateDynamicAllocs: the dynamic simulator allocates the same
+// number of times on a graph and on one 16 x larger — nothing per task,
+// per successor or per heap push.
+func TestSimulateDynamicAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := buildPipe(gen.Grid9(n, n), 4, 4)
+		tasks := columnTasks(p.f, p.ops, p.ew, 4)
+		return testing.AllocsPerRun(3, func() { Simulate(tasks, 4, SimOptions{Dynamic: true}) })
+	}
+	small, large := allocs(10), allocs(40)
+	if small != large {
+		t.Errorf("allocations grow with the graph: %v on Grid9(10,10), %v on Grid9(40,40)", small, large)
+	}
+}
+
 // BenchmarkDynamicMakespanLap30 is where ROADMAP's layer row for the
 // dynamic simulator comes from (ms and, with -benchmem, allocations per
 // run on a g = 4 block plan at P = 16): ./benchmark times the static and

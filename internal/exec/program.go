@@ -224,11 +224,11 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 func (r *run) parallel() {
 	pg := r.pg
 	r.pending = make([]atomic.Int32, len(pg.indeg))
-	ready := make([][]int32, pg.p) // ascending, so already heap-ordered
+	ready := make([]minHeap, pg.p) // ascending ids, so already heap-ordered
 	for t, d := range pg.indeg {
 		r.pending[t].Store(d)
 		if d == 0 {
-			ready[pg.proc[t]] = append(ready[pg.proc[t]], int32(t))
+			ready[pg.proc[t]] = append(ready[pg.proc[t]], heapItem{id: int32(t)})
 		}
 	}
 	r.queues = make([]*readyQueue, pg.p)
@@ -268,13 +268,13 @@ type run struct {
 	t0     time.Time
 }
 
-// readyQueue is one worker's min-heap of ready task IDs. Any worker
-// pushes; only the owner pops and parks.
+// readyQueue is one worker's heap of ready task IDs, lowest first (every
+// key 0). Any worker pushes; only the owner pops and parks.
 type readyQueue struct {
 	wake chan struct{} // one slot: a token sent before the owner parks is kept
 
 	mu     sync.Mutex
-	heap   []int32
+	heap   minHeap
 	parked bool
 	// wokenFor is the task whose push unparked the owner and wokenBy the
 	// predecessor that pushed it.
@@ -294,16 +294,7 @@ func (q *readyQueue) signal() {
 // the owner if it was parked.
 func (q *readyQueue) push(t, by int32) {
 	q.mu.Lock()
-	h := append(q.heap, t)
-	for i := len(h) - 1; i > 0; {
-		up := (i - 1) / 2
-		if h[up] <= h[i] {
-			break
-		}
-		h[up], h[i] = h[i], h[up]
-		i = up
-	}
-	q.heap = h
+	q.heap.push(0, t)
 	wake := q.parked
 	if wake {
 		q.parked = false
@@ -321,30 +312,11 @@ func (q *readyQueue) push(t, by int32) {
 func (q *readyQueue) pop() (t, cause int32, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	h := q.heap
-	if len(h) == 0 {
+	if len(q.heap) == 0 {
 		q.parked = true
 		return 0, -1, false
 	}
-	t = h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= last {
-			break
-		}
-		if c+1 < last && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	q.heap = h
+	t = q.heap.pop().id
 	cause = -1
 	if t == q.wokenFor {
 		cause, q.wokenFor = q.wokenBy, -1

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -46,7 +45,9 @@ func CompileSolve(f *symbolic.Factor, p int) (*SolveProgram, error) {
 	for j := range child {
 		child[j] = -1
 	}
-	var frontier taskHeap
+	// The frontier pops the heaviest subtree first (key -weight), the loads
+	// the least-loaded worker (key load), lower ids first on ties.
+	var frontier minHeap
 	var rest int64 // summed weight of the columns not in the top
 	for j := 0; j < n; j++ {
 		sub[j] += int64(f.ColLen(j))
@@ -54,12 +55,11 @@ func CompileSolve(f *symbolic.Factor, p int) (*SolveProgram, error) {
 			sub[pa] += sub[j]
 			sibling[j], child[pa] = child[pa], int32(j)
 		} else {
-			frontier = append(frontier, heapItem{id: int32(j), prio: sub[j]})
+			frontier.push(-sub[j], int32(j))
 			rest += sub[j]
 		}
 	}
-	heap.Init(&frontier)
-	loads := make(taskHeap, p) // prio = -load: the least-loaded worker on top
+	loads := make(minHeap, p)
 	for w := range loads {
 		loads[w].id = int32(w)
 	}
@@ -69,18 +69,18 @@ func CompileSolve(f *symbolic.Factor, p int) (*SolveProgram, error) {
 	for j := range owner {
 		owner[j] = below
 	}
-	for frontier.Len() > 0 {
-		it := heap.Pop(&frontier).(heapItem)
-		if float64(it.prio-loads[0].prio) <= 1.1*float64(rest)/float64(p) {
+	for len(frontier) > 0 {
+		it := frontier.pop()
+		if float64(loads[0].key-it.key) <= 1.1*float64(rest)/float64(p) {
 			owner[it.id] = loads[0].id
-			loads[0].prio -= it.prio
-			heap.Fix(&loads, 0)
+			loads[0].key -= it.key
+			loads.down(0)
 			continue
 		}
 		owner[it.id] = inTop
 		rest -= int64(f.ColLen(int(it.id)))
 		for c := child[it.id]; c >= 0; c = sibling[c] {
-			heap.Push(&frontier, heapItem{id: c, prio: sub[c]})
+			frontier.push(-sub[c], c)
 		}
 	}
 	sp := &SolveProgram{f: f, chunks: make([][]int32, p), cut: make([]int32, n)}

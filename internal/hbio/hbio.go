@@ -237,11 +237,12 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	ptrCrd, err1 := strconv.Atoi(c2[1])
 	indCrd, err2 := strconv.Atoi(c2[2])
 	valCrd, err3 := strconv.Atoi(c2[3])
-	rhsCrd := 0
+	var rhsCrd int // RHSCRD is optional: absent means no right-hand side
+	var err4 error
 	if len(c2) >= 5 {
-		rhsCrd, _ = strconv.Atoi(c2[4])
+		rhsCrd, err4 = strconv.Atoi(c2[4])
 	}
-	if err1 != nil || err2 != nil || err3 != nil || ptrCrd < 0 || indCrd < 0 || valCrd < 0 {
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || ptrCrd < 0 || indCrd < 0 || valCrd < 0 || rhsCrd < 0 {
 		return nil, hdr, fmt.Errorf("hbio: bad card counts %q", lines[1])
 	}
 	l3 := lines[2]

@@ -191,6 +191,17 @@ func TestReadErrors(t *testing.T) {
 			"(16I5)          (16I5)          (2E20.12)           \n" +
 			"    1\n",
 	}
+	// A valid file but for its RHSCRD, which must not read as "no
+	// right-hand side".
+	for _, rhs := range []string{"x", "-1"} {
+		cases["rhs count "+rhs] = "t\n" +
+			"             3             1             1             1" + strings.Repeat(" ", 14-len(rhs)) + rhs + "\n" +
+			"RSA                         2             2             2             0\n" +
+			"(16I5)          (16I5)          (2E20.12)           \n" +
+			"    1    2    3\n" +
+			"    1    2\n" +
+			"             1.0E+00             2.0E+00\n"
+	}
 	for name, file := range cases {
 		if _, _, err := Read(strings.NewReader(file)); err == nil {
 			t.Errorf("%s: expected error", name)

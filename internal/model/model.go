@@ -155,7 +155,7 @@ func ColumnWork(f *symbolic.Factor, elemWork []int64) []int64 {
 	return w
 }
 
-// TotalWork sums all element work.
+// TotalWork sums all element work, or any other per-item count.
 func TotalWork(elemWork []int64) int64 {
 	var s int64
 	for _, w := range elemWork {

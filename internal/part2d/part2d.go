@@ -54,6 +54,7 @@ import (
 	"slices"
 
 	"repro/internal/sched"
+	"repro/internal/strategy"
 	"repro/internal/symbolic"
 )
 
@@ -193,7 +194,7 @@ type tiling struct {
 
 func newTiling(f *symbolic.Factor, bounds []int) *tiling {
 	r := len(bounds) - 1
-	tl := &tiling{blockOf: blockIndex(f.N, bounds), ptr: make([]int32, r+1)}
+	tl := &tiling{blockOf: strategy.IntervalIndex(f.N, bounds), ptr: make([]int32, r+1)}
 	// Two passes over each block column's elements, so the row index is
 	// allocated once at its size: count the distinct row blocks, then list
 	// them. seen[rb] holds the last pass's key (c+1 counting, -(c+1)
@@ -270,15 +271,4 @@ func (tl *tiling) heaviestFirst(ids []int32, tw []int64) {
 func (tl *tiling) col(t int32) int {
 	c, _ := slices.BinarySearch(tl.ptr, t+1)
 	return c - 1
-}
-
-// blockIndex expands interval boundaries into a per-index interval map.
-func blockIndex(n int, bounds []int) []int32 {
-	blockOf := make([]int32, n)
-	for k := 0; k+1 < len(bounds); k++ {
-		for i := bounds[k]; i < bounds[k+1]; i++ {
-			blockOf[i] = int32(k)
-		}
-	}
-	return blockOf
 }

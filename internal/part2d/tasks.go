@@ -1,6 +1,7 @@
 package part2d
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/exec"
@@ -65,45 +66,38 @@ func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task,
 // column-granular schedule — checked in O(nnz(L)), never assumed), the
 // attribution is traffic.FetchStatsColumns': its closed form on
 // column-uniform owners, task by task the element walk's answer, and the
-// walk itself otherwise. When the schedule is tile-uniform and the task
-// map is constant on every row-block segment (both checked in O(nnz(L))),
-// the attribution is the segment pass, task by task the walk's answer;
-// any other input takes the walk, traffic.FetchStatsTasks.
+// walk itself otherwise. Any other input takes the segment pass over
+// fetchSegments' tiling, task by task the walk's answer.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	f := ops.F
 	if ntasks == f.N && isColumnIndex(f, elemTask) {
 		return traffic.FetchStatsColumns(ops, s.Schedule())
 	}
-	if tc, ok := segmentFetchStats(f, s, ntasks, elemTask); ok {
-		return tc
-	}
-	return traffic.FetchStatsTasks(ops, s.Schedule(), ntasks, elemTask)
-}
-
-// segmentFetchStats is FetchStats' segment pass, and whether it applies:
-// s tile-uniform and elemTask constant on every row-block segment.
-func segmentFetchStats(f *symbolic.Factor, s *Schedule2D, ntasks int, elemTask []int32) (*traffic.TaskComm, bool) {
-	sg, ok := tileSegments(f, s)
-	if !ok {
-		return nil, false
-	}
-	segTask, ok := sg.taskOf(elemTask, ntasks)
-	if !ok {
-		return nil, false
-	}
-	words := (s.P + 63) / 64
-	vol, from := make([]int64, len(segTask)), make([]uint64, words*ntasks)
-	sg.fetches(f, s.P, vol, vol, from, segTask)
-	tc := &traffic.TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
+	sg, segTask := fetchSegments(f, s, ntasks, elemTask)
+	vol, ch := make([]int64, len(segTask)), traffic.NewCharger(s.P, ntasks, nil)
+	sg.fetches(f, s.P, vol, vol, &ch, segTask)
+	tc := ch.Done()
 	for u, t := range segTask {
 		tc.Vol[t] += vol[u]
 	}
-	for t := range tc.Msgs {
-		for _, w := range from[t*words:][:words] {
-			tc.Msgs[t] += int64(bits.OnesCount64(w))
+	return tc
+}
+
+// fetchSegments returns the segments FetchStats' pass runs over and the
+// task of each: s's own tiles when s is tile-uniform and elemTask is
+// constant on every row-block segment (both checked in O(nnz(L))), the
+// identity tiling otherwise.
+func fetchSegments(f *symbolic.Factor, s *Schedule2D, ntasks int, elemTask []int32) (*segments, []int32) {
+	if sg, ok := tileSegments(f, s); ok {
+		if segTask, ok := sg.taskOf(elemTask, ntasks); ok {
+			return sg, segTask
 		}
 	}
-	return tc, true
+	sg := elementSegments(f, s)
+	if segTask, ok := sg.taskOf(elemTask, ntasks); ok {
+		return sg, segTask
+	}
+	panic(fmt.Sprintf("part2d: task map of %d elements does not fit %d elements and %d tasks", len(elemTask), f.NNZ(), ntasks))
 }
 
 // isColumnIndex reports whether elemTask maps every factor nonzero to its
@@ -164,7 +158,21 @@ func segmentsOf(f *symbolic.Factor, s *Schedule2D) *segments {
 	if sg, ok := tileSegments(f, s); ok {
 		return sg
 	}
+	return elementSegments(f, s)
+}
+
+// elementSegments cuts f under the identity block map: every element is
+// a segment, owned by its ElemProc, which must cover f and lie in [0, P).
+func elementSegments(f *symbolic.Factor, s *Schedule2D) *segments {
 	nnz := f.NNZ()
+	if len(s.ElemProc) != nnz {
+		panic(fmt.Sprintf("part2d: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
+	}
+	for _, o := range s.ElemProc {
+		if o < 0 || int(o) >= s.P {
+			panic(fmt.Sprintf("part2d: element owned by processor %d outside [0, %d)", o, s.P))
+		}
+	}
 	sg := &segments{col: make([]int32, f.N+1), start: make([]int32, nnz+1), block: make([]int32, nnz), proc: s.ElemProc}
 	for j := range f.N {
 		sg.col[j+1] = int32(f.ColPtr[j+1])
@@ -440,20 +448,20 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 // elements first fetched by the owner of target segment u, whose update
 // (or scale) first required them, adds n to out[u] when they are a
 // pair-update source and to in[u] when they are a multiplier or a
-// diagonal; when from is non-nil it also sets the sending processor's bit
-// in from[key[u]*words:][:words], words = (p+63)/64. Per source column k
+// diagonal; when ch is non-nil it also records a message from the sending
+// processor to task key[u]. Per source column k
 // it keeps a bitset over the processors per segment of k, set where the
 // processor owns or has read the segment; the scales take one stamp pass.
 // Every elemProc must lie in [0, p).
-func (sg *segments) fetches(f *symbolic.Factor, p int, out, in []int64, from []uint64, key []int32) {
+func (sg *segments) fetches(f *symbolic.Factor, p int, out, in []int64, ch *traffic.Charger, key []int32) {
 	longest := sg.longest()
 	words := (p + 63) / 64
 	held := make([]uint64, longest*words)     // held[(s-a)*words:][:words]: the holders of segment s
 	seen := make([]int32, p)                  // seen[q] == g+1: q met in the runs of segment g
 	mult := make([]int32, 0, min(p, longest)) // the blocks of the multiplier's separate readers
 	send := func(u, owner int32) {
-		if from != nil {
-			from[int(key[u])*words+int(owner>>6)] |= 1 << (owner & 63)
+		if ch != nil {
+			ch.Message(int(key[u]), owner)
 		}
 	}
 	for k := 0; k+1 < len(sg.col); k++ {

@@ -20,7 +20,7 @@ import (
 // of the factorization. Nothing but the tests calls them; the segment
 // passes (and the dense-table oracle in tiles_ref_test.go) are pinned to
 // them. FetchStats' walk is traffic.FetchStatsTasks, which is not test
-// code: it stays the fallback.
+// code: it stays traffic's fallback.
 
 // walkTasks is the merged tile-segment task graph over the element
 // ownership elemProc, one update at a time.
@@ -143,8 +143,14 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 // segment passes themselves, past the column-granular shortcut — to the
 // element walk: the same tasks (ID, Proc, Work, Preds with nil equal to
 // empty) and element map, the same Vol and Msgs task by task, the same
-// per-tile fan-out and fan-in. It reports whether s took the segment pass
-// under its own tiles (false: the identity tiling, and FetchStats' walk).
+// per-tile fan-out and fan-in. FetchStats is held to the walk a second
+// time under one task per element, a map that splits every tile segment
+// of more than one element, so that it takes the identity tiling on a
+// tile-uniform schedule too. Both fallbacks give the walk's answers, so
+// the path FetchStats takes is checked on its own (fetchSegments): the
+// schedule's own tiles under the walk's task map when s is tile-uniform,
+// single elements under one task per element. It reports whether s is
+// tile-uniform (false: every pass took the identity tiling).
 func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D) bool {
 	t.Helper()
 	f := ops.F
@@ -163,20 +169,28 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 				label, got.TotalVol(), got.TotalMsgs(), wantFetch.TotalVol(), wantFetch.TotalMsgs())
 		}
 	}
-	got, tiled := segmentFetchStats(f, s, len(wantTasks), wantElemTask)
-	if _, uniform := tileSegments(f, s); tiled != uniform {
-		t.Fatalf("%s: segment fetch pass taken = %v on a schedule with tile-uniform = %v", label, tiled, !tiled)
+	sg, uniform := tileSegments(f, s)
+	if fs, _ := fetchSegments(f, s, len(wantTasks), wantElemTask); uniform && !reflect.DeepEqual(fs, sg) {
+		t.Fatalf("%s: FetchStats left the schedule's own tiles", label)
 	}
-	if tiled && !reflect.DeepEqual(got, wantFetch) {
-		t.Fatalf("%s: segment fetch pass differs from the walk (vol %d msgs %d, want %d / %d)",
-			label, got.TotalVol(), got.TotalMsgs(), wantFetch.TotalVol(), wantFetch.TotalMsgs())
+	perElem := make([]int32, f.NNZ())
+	for q := range perElem {
+		perElem[q] = int32(q)
+	}
+	if fs, _ := fetchSegments(f, s, len(perElem), perElem); len(fs.block) != f.NNZ() {
+		t.Fatalf("%s: FetchStats kept tile segments that one task per element splits", label)
+	}
+	got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(ops, s.Schedule(), len(perElem), perElem)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: FetchStats under one task per element differ from the walk (vol %d msgs %d, want %d / %d)",
+			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
 	}
 	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
 	if tr, want := Traffic(ops, s), walkTraffic(ops, s.P, s.R(), s.ElemProc, tile, len(s.Owner)); !reflect.DeepEqual(tr, want) {
 		t.Fatalf("%s: Traffic differs from the walk (total %d fan-out %d fan-in %d, want %d / %d / %d)",
 			label, tr.Total, tr.TotalFanOut(), tr.TotalFanIn(), want.Total, want.TotalFanOut(), want.TotalFanIn())
 	}
-	return tiled
+	return uniform
 }
 
 // randomOwners is a schedule over bounds whose every tile gets a seeded
@@ -195,8 +209,9 @@ func randomOwners(t testing.TB, sys *strategy.Sys, p int, bounds []int, seed int
 // mapper and the col2d lift of every column-granular 1D strategy at
 // P in {1, 2, 4, 16, 64, 65, n+7}, schedules with seeded random tile
 // owners, and a schedule whose ElemProc was broken by hand (which must
-// leave its own tiles for the identity tiling and FetchStats' walk), the
-// segment passes are the element walk task by task and tile by tile.
+// leave its own tiles for the identity tiling), the segment passes are the
+// element walk task by task and tile by tile — FetchStats also under a
+// task map that splits the tile segments (see checkSegmentsMatchWalk).
 func TestSegmentTasksMatchWalk(t *testing.T) {
 	for mname, sys := range suite(t) {
 		procs := []int{1, 2, 4, 16, 64, 65, sys.F.N + 7}

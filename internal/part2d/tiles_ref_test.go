@@ -46,7 +46,7 @@ func (s *refSchedule) schedule() *sched.Schedule {
 func refNew(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int32) *refSchedule {
 	s := &refSchedule{
 		P: p, Bounds: bounds, Owner: owner,
-		BlockOf: blockIndex(f.N, bounds), Work: make([]int64, p), ElemProc: make([]int32, f.NNZ()),
+		BlockOf: strategy.IntervalIndex(f.N, bounds), Work: make([]int64, p), ElemProc: make([]int32, f.NNZ()),
 	}
 	for j := 0; j < f.N; j++ {
 		c := int(s.BlockOf[j])
@@ -72,7 +72,7 @@ func denseOwners(r int, owner func(r, c int) int32) []int32 {
 
 // refTileWork accumulates elemWork per packed lower-triangle tile.
 func refTileWork(f *symbolic.Factor, elemWork []int64, bounds []int) []int64 {
-	blockOf := blockIndex(f.N, bounds)
+	blockOf := strategy.IntervalIndex(f.N, bounds)
 	r := len(bounds) - 1
 	tw := make([]int64, r*(r+1)/2)
 	for j := 0; j < f.N; j++ {
@@ -161,7 +161,7 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 	f := sys.F
 	r := len(bounds) - 1
 	tw := refTileWork(f, sys.ElemWork, bounds)
-	blockOf := blockIndex(f.N, bounds)
+	blockOf := strategy.IntervalIndex(f.N, bounds)
 	owner := make([]int32, len(tw))
 	rowOf := make([]int, len(tw))
 	for rr := 0; rr < r; rr++ {

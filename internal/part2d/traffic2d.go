@@ -1,10 +1,6 @@
 package part2d
 
-import (
-	"fmt"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // TrafficResult is the outcome of the 2D tile-granular data-traffic
 // simulation. The deduplication rule is exactly traffic.Simulate's — one
@@ -40,18 +36,10 @@ type TrafficResult struct {
 }
 
 // TotalFanOut sums the row-direction volumes over all tiles.
-func (r *TrafficResult) TotalFanOut() int64 { return sum(r.FanOut) }
+func (r *TrafficResult) TotalFanOut() int64 { return model.TotalWork(r.FanOut) }
 
 // TotalFanIn sums the column-direction volumes over all tiles.
-func (r *TrafficResult) TotalFanIn() int64 { return sum(r.FanIn) }
-
-func sum(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
+func (r *TrafficResult) TotalFanIn() int64 { return model.TotalWork(r.FanIn) }
 
 // Mean returns the mean traffic per processor.
 func (r *TrafficResult) Mean() float64 { return float64(r.Total) / float64(r.P) }
@@ -64,15 +52,6 @@ func (r *TrafficResult) Mean() float64 { return float64(r.Total) / float64(r.P) 
 // element per segment — on any other.
 func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 	f := ops.F
-	nnz := f.NNZ()
-	if len(s.ElemProc) != nnz {
-		panic(fmt.Sprintf("part2d: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
-	}
-	for _, o := range s.ElemProc {
-		if o < 0 || int(o) >= s.P {
-			panic(fmt.Sprintf("part2d: element owned by processor %d outside [0, %d)", o, s.P))
-		}
-	}
 	res := &TrafficResult{
 		P:       s.P,
 		R:       s.R(),
@@ -91,6 +70,6 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 		res.FanIn[t] += in[u]
 		res.PerProc[q] += out[u] + in[u]
 	}
-	res.Total = sum(res.PerProc)
+	res.Total = model.TotalWork(res.PerProc)
 	return res
 }

@@ -99,7 +99,7 @@ func TestContigTotalBruteForce(t *testing.T) {
 				if splitMaxWork(work, bounds) > bstar {
 					return
 				}
-				sc := columnSchedule(sys, p, ownersFromBounds(n, bounds))
+				sc := columnSchedule(sys, p, IntervalIndex(n, bounds))
 				if tr := Traffic(sys, Options{}, sc).Total; best < 0 || tr < best {
 					best = tr
 				}
@@ -120,7 +120,7 @@ func TestContigTotalBruteForce(t *testing.T) {
 			// on the split it returns (oracle consistency).
 			refs := traffic.ColumnRefs(sys.Ops)
 			bounds := ContiguousSplitTotal(work, refs, p, bstar, 0)
-			sc2 := columnSchedule(sys, p, ownersFromBounds(n, bounds))
+			sc2 := columnSchedule(sys, p, IntervalIndex(n, bounds))
 			if tr := Traffic(sys, Options{}, sc2).Total; tr != got {
 				t.Errorf("matrix %d P=%d: helper split traffic %d, mapper traffic %d", mi, p, tr, got)
 			}
@@ -219,7 +219,7 @@ func TestContigTotalBeta2Monotonic(t *testing.T) {
 		if bounds == nil {
 			t.Fatalf("beta2=%g: no feasible split", beta2)
 		}
-		sc := columnSchedule(sys, p, ownersFromBounds(sys.F.N, bounds))
+		sc := columnSchedule(sys, p, IntervalIndex(sys.F.N, bounds))
 		vol := Traffic(sys, Options{}, sc).Total
 		msgs := splitMessages(refs, bounds)
 		if prevMsgs >= 0 && msgs > prevMsgs {

@@ -20,7 +20,7 @@ func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, err
 		return nil, err
 	}
 	bounds := ContiguousSplit(sys.ColumnWork(), p)
-	return columnSchedule(sys, p, ownersFromBounds(sys.F.N, bounds)), nil
+	return columnSchedule(sys, p, IntervalIndex(sys.F.N, bounds)), nil
 }
 
 // ContiguousSplit partitions items 0..n-1 into p contiguous blocks

@@ -62,15 +62,17 @@ func OptimalBottleneck(work []int64, p int) int64 {
 	return lo
 }
 
-// ownersFromBounds expands block boundaries (length p+1, as returned by
-// the split helpers) into a column-to-processor assignment: columns
-// [bounds[k], bounds[k+1]) belong to processor k.
-func ownersFromBounds(n int, bounds []int) []int32 {
-	owner := make([]int32, n)
+// IntervalIndex expands interval boundaries (length k+1, as the split
+// helpers and RectilinearCuts return them) into the interval of every index
+// in [0, n): i lies in interval k when bounds[k] <= i < bounds[k+1]. It is
+// a contiguous split's column-to-processor assignment and a 2D tiling's
+// block map.
+func IntervalIndex(n int, bounds []int) []int32 {
+	of := make([]int32, n)
 	for k := 0; k+1 < len(bounds); k++ {
-		for j := bounds[k]; j < bounds[k+1]; j++ {
-			owner[j] = int32(k)
+		for i := bounds[k]; i < bounds[k+1]; i++ {
+			of[i] = int32(k)
 		}
 	}
-	return owner
+	return of
 }

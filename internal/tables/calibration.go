@@ -52,7 +52,7 @@ func Calibration(measured []MeasureRow) (*CalibrationStudy, error) {
 			return nil, fmt.Errorf("tables: fitting %s on %s P=%d: %w", r.Strategy, r.Name, r.P, err)
 		}
 	}
-	model, report, err := fitter.Fit(calib.Options{})
+	model, report, err := fitter.Fit()
 	if err != nil {
 		return nil, fmt.Errorf("tables: calibration fit: %w", err)
 	}

@@ -54,7 +54,7 @@ func (tc *TaskComm) TotalMsgs() int64 {
 // the consolidation step report is a tally of that final set; the fetch
 // attribution also needs to know which access came first, so a non-nil
 // ch is told of every first fetch as it is found.
-func firstFetches(ops *model.Ops, s *sched.Schedule, ch *charger) *FetchDedup {
+func firstFetches(ops *model.Ops, s *sched.Schedule, ch *Charger) *FetchDedup {
 	f := ops.F
 	nnz := f.NNZ()
 	if len(s.ElemProc) != nnz {
@@ -75,52 +75,76 @@ func firstFetches(ops *model.Ops, s *sched.Schedule, ch *charger) *FetchDedup {
 			}
 		}
 	})
-	for j := 0; j < f.N; j++ {
-		diag := int32(f.ColPtr[j])
-		ownerDiag := owner[diag]
-		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
-			if proc := owner[q]; ownerDiag != proc && fetched.FirstFetch(diag, proc) && ch != nil {
-				ch.charge(q, ownerDiag)
-			}
-		}
-	}
+	scaleFetches(f, owner, s.P, fetched, ch)
 	return fetched
 }
 
-// charger books first fetches to tasks: one unit of Vol to taskOf[tgt] of
-// the target whose update (or scale) required the fetch, and the fetched
-// element's owner to the processors that task hears from. from holds, per
-// task, a ⌈P/64⌉-word mask of those processors; done counts one message per
-// bit.
-type charger struct {
+// scaleFetches is the scale half of both the walk and the read-map
+// replay: processor p reads column j's diagonal for every element of
+// column j it owns, and fetches it once, charged to the first such
+// element, when it does not own it. The diagonal is never a pair-update
+// source, so a per-column stamp selects exactly the walk's first fetches;
+// fetched, when non-nil, is marked with them and ch, when non-nil, charged.
+func scaleFetches(f *symbolic.Factor, owner []int32, p int, fetched *FetchDedup, ch *Charger) {
+	stamp := make([]int32, p) // stamp[q] == j+1: q fetched column j's diagonal
+	for j := 0; j < f.N; j++ {
+		diag := int32(f.ColPtr[j])
+		od, mark := owner[diag], int32(j+1)
+		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
+			if pq := owner[q]; pq != od && stamp[pq] != mark {
+				stamp[pq] = mark
+				if fetched != nil {
+					fetched.FirstFetch(diag, pq)
+				}
+				if ch != nil {
+					ch.charge(q, od)
+				}
+			}
+		}
+	}
+}
+
+// Charger books first fetches to tasks, and is the one place where (task,
+// sender) pairs become TaskComm.Msgs: each task keeps a ⌈P/64⌉-word mask of
+// the processors it hears from, and Done counts one message per bit. A
+// caller outside this package adds its volumes to the Vol Done returns.
+type Charger struct {
 	tc     *TaskComm
-	taskOf []int32
+	taskOf []int32 // for charge: the task of a fetch's target position
 	words  int
 	from   []uint64
 }
 
-func newCharger(p, ntasks int, taskOf []int32) *charger {
+// NewCharger returns a charger for ntasks tasks on p processors, by value:
+// one that does not outlive its caller's frame costs no allocation. taskOf
+// maps a fetch's target position to its task for the walk's own charges;
+// a caller that only reports messages passes nil.
+func NewCharger(p, ntasks int, taskOf []int32) Charger {
+	sched.MustProcs("traffic", p)
 	words := (p + 63) / 64
-	return &charger{
+	return Charger{
 		tc:     &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)},
-		taskOf: taskOf, words: words, from: make([]uint64, words*ntasks),
+		taskOf: taskOf,
+		words:  words, from: make([]uint64, words*ntasks),
 	}
 }
 
-func (c *charger) charge(tgt, owner int32) {
+// charge books one fetch to taskOf[tgt], the task of the target whose
+// update (or scale) required it, sent by processor owner.
+func (c *Charger) charge(tgt, owner int32) {
 	task := c.taskOf[tgt]
 	c.tc.Vol[task]++
-	c.message(int(task), owner)
+	c.Message(int(task), owner)
 }
 
-// message records that task receives a message from processor owner.
-func (c *charger) message(task int, owner int32) {
+// Message records that task receives a message from processor owner.
+func (c *Charger) Message(task int, owner int32) {
 	c.from[task*c.words+int(owner>>6)] |= 1 << (uint(owner) & 63)
 }
 
-// done counts every task's messages, one per processor it hears from, and
+// Done counts every task's messages, one per processor it hears from, and
 // returns the attribution.
-func (c *charger) done() *TaskComm {
+func (c *Charger) Done() *TaskComm {
 	for t := range c.tc.Msgs {
 		for _, w := range c.from[t*c.words:][:c.words] {
 			c.tc.Msgs[t] += int64(bits.OnesCount64(w))
@@ -144,10 +168,9 @@ func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int
 	if len(taskOf) != ops.F.NNZ() {
 		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), ops.F.NNZ()))
 	}
-	sched.MustProcs("traffic", s.P)
-	ch := newCharger(s.P, ntasks, taskOf)
-	firstFetches(ops, s, ch)
-	return ch.done()
+	ch := NewCharger(s.P, ntasks, taskOf)
+	firstFetches(ops, s, &ch)
+	return ch.Done()
 }
 
 // FetchStats attributes every distinct non-local fetch of a
@@ -181,12 +204,12 @@ func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskCo
 // processor keeps a bitset over the column's positions of what it owns or
 // has fetched, and an entry of unit u fetches, on u's processor, its bits
 // not yet set, charging them to u and their owners to u's messages. The
-// scales then take one stamp pass over the columns. That is O(entries +
+// scales then take the walk's own pass, scaleFetches. That is O(entries +
 // nnz(L) + fetches) instead of O(#updates), with Vol and Msgs equal to the
 // walk's task by task.
 func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
 	f, rm := part.F, part.ReadMap()
-	ch := newCharger(s.P, len(part.Units), nil)
+	ch := NewCharger(s.P, len(part.Units), part.ElemUnit) // taskOf for the scales
 	owner := s.ElemProc
 	longest := 0
 	for k := 0; k < f.N; k++ {
@@ -240,26 +263,12 @@ func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
 			// Every owner of a new bit owns the first bit of its stretch of
 			// new bits or a new bit where an owner's run starts.
 			for c := m&^(m<<1) | m&starts[rd.Word]; c != 0; c &= c - 1 {
-				ch.message(u, col[int(rd.Word)<<6|bits.TrailingZeros64(c)])
+				ch.Message(u, col[int(rd.Word)<<6|bits.TrailingZeros64(c)])
 			}
 		}
 	}
-	// The scales: processor p reads diagonal j for every element of column
-	// j it owns, and fetches it once if it does not own it.
-	clear(stamp)
-	for j := 0; j < f.N; j++ {
-		diag := f.ColPtr[j]
-		od, mark := owner[diag], int32(j+1)
-		for q := diag + 1; q < f.ColPtr[j+1]; q++ {
-			if p := owner[q]; p != od && stamp[p] != mark {
-				stamp[p] = mark
-				u := int(part.ElemUnit[q])
-				vol[u]++
-				ch.message(u, od)
-			}
-		}
-	}
-	return ch.done()
+	scaleFetches(f, owner, s.P, nil, &ch)
+	return ch.Done()
 }
 
 // unitUniform reports whether every element of s sits on its unit's
@@ -308,7 +317,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	if !ok {
 		return FetchStatsTasks(ops, s, f.N, f.ColIndex())
 	}
-	ch := newCharger(s.P, f.N, nil)
+	ch := NewCharger(s.P, f.N, nil)
 	stamp := make([]int32, s.P) // stamp[q] == k+1: q already fetched from column k
 	for k := 0; k < f.N; k++ {
 		o, end := colOwner[k], f.ColPtr[k+1]
@@ -320,10 +329,10 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 			}
 			stamp[q] = int32(k + 1)
 			ch.tc.Vol[j] += int64(end - p)
-			ch.message(j, o)
+			ch.Message(j, o)
 		}
 	}
-	return ch.done()
+	return ch.Done()
 }
 
 // ColumnOwners returns the owner of every column of s, and whether s is
