@@ -492,7 +492,7 @@ func (k *kernel) partial(j int, elems []int32) error {
 		elems = elems[1:]
 	} else {
 		// The diagonal belongs to another task; the scale dependency
-		// (ForEachScale in the tile graph, CompileBlocks' diagonal edges)
+		// (the tile graph's scale edges, CompileBlocks' diagonal edges)
 		// guarantees it is final.
 		d = val[diag]
 	}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -308,6 +309,11 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	if err != nil {
 		return nil, hdr, fmt.Errorf("hbio: pointer block: %w", err)
 	}
+	// Column j holds entries ptr[j]..ptr[j+1]-1, so the pointers must run
+	// from 1 to NNZ+1 without decreasing, or entries are skipped or misread.
+	if ptr[0] != 1 || ptr[hdr.NCol] != hdr.NNZ+1 || !slices.IsSorted(ptr) {
+		return nil, hdr, fmt.Errorf("hbio: pointer block must run from 1 to %d without decreasing", hdr.NNZ+1)
+	}
 	ind, err := parseIntBlock(indBlock, indFmt, hdr.NNZ)
 	if err != nil {
 		return nil, hdr, fmt.Errorf("hbio: index block: %w", err)
@@ -325,9 +331,6 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	var tv []float64
 	for j := 0; j < hdr.NCol; j++ {
 		for p := ptr[j] - 1; p < ptr[j+1]-1; p++ {
-			if p < 0 || p >= len(ind) {
-				return nil, hdr, fmt.Errorf("hbio: pointer out of range at column %d", j)
-			}
 			rows = append(rows, ind[p]-1)
 			cols = append(cols, j)
 			if vals != nil {

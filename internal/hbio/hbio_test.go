@@ -202,6 +202,25 @@ func TestReadErrors(t *testing.T) {
 			"    1    2\n" +
 			"             1.0E+00             2.0E+00\n"
 	}
+	// Grid9(3, 3) as Write writes it, but for a pointer line whose column
+	// loop would skip or misread entries: it must start at 1, never
+	// decrease and end one past the last index (NNZ 29).
+	var grid bytes.Buffer
+	if err := Write(&grid, gen.Grid9(3, 3), "grid", "G3"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(grid.String(), "\n")
+	const ptrLine = "       1       5      10      13      17      22      25      27      29      30\n"
+	if lines[4] != ptrLine {
+		t.Fatalf("Write's pointer line is %q, want %q", lines[4], ptrLine)
+	}
+	for name, ptrs := range map[string]string{
+		"pointers decrease":       "       1      10       5      13      17      22      25      27      29      30\n",
+		"pointers end at NNZ":     "       1       5      10      13      17      22      25      27      29      29\n",
+		"pointers start past one": "       3       5      10      13      17      22      25      27      29      30\n",
+	} {
+		cases[name] = strings.Join(lines[:4], "") + ptrs + strings.Join(lines[5:], "")
+	}
 	for name, file := range cases {
 		if _, _, err := Read(strings.NewReader(file)); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -83,19 +83,6 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 	}
 }
 
-// ForEachScale calls fn for every final diagonal update: for each
-// off-diagonal element (i, j), its scale by the diagonal (j, j); and for
-// each diagonal element, its square root (diag position passed twice).
-func (o *Ops) ForEachScale(fn func(tgt, diag int32)) {
-	f := o.F
-	for j := 0; j < f.N; j++ {
-		base := int32(f.ColPtr[j])
-		for q := base; q < int32(f.ColPtr[j+1]); q++ {
-			fn(q, base)
-		}
-	}
-}
-
 // UpdateCounts returns, for every factor nonzero position, the number of
 // pair updates it receives.
 //

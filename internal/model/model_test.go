@@ -126,21 +126,6 @@ func TestElementWorkTotals(t *testing.T) {
 	}
 }
 
-func TestForEachScale(t *testing.T) {
-	fac := analyzed(3)
-	o := NewOps(fac)
-	count := 0
-	o.ForEachScale(func(tgt, diag int32) {
-		if fac.RowInd[diag] > fac.RowInd[tgt] {
-			t.Fatal("diag row exceeds target row")
-		}
-		count++
-	})
-	if count != fac.NNZ() {
-		t.Fatalf("scale ops = %d, want nnz %d", count, fac.NNZ())
-	}
-}
-
 func TestDenseWorkClosedForm(t *testing.T) {
 	// For a dense matrix, work(i,j) = 2*(j) + 1 with 0-based j (j updates
 	// from columns 0..j-1), so total = sum_j (n-j)*(2j+1).

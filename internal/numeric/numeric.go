@@ -27,14 +27,16 @@ type Cholesky struct {
 	Val []float64
 }
 
-// NotPositiveDefiniteError reports a nonpositive pivot during factorization.
+// NotPositiveDefiniteError reports a Cholesky pivot that is not finite
+// and positive: a nonpositive one, or an infinite or NaN one from
+// non-finite values.
 type NotPositiveDefiniteError struct {
 	Column int
 	Pivot  float64
 }
 
 func (e *NotPositiveDefiniteError) Error() string {
-	return fmt.Sprintf("numeric: nonpositive pivot %g at column %d", e.Pivot, e.Column)
+	return fmt.Sprintf("numeric: unusable pivot %g at column %d (want finite positive)", e.Pivot, e.Column)
 }
 
 // Factorize computes the numeric Cholesky factor of m using the symbolic

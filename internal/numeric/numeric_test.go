@@ -65,6 +65,29 @@ func TestFactorizeNotSPD(t *testing.T) {
 	if npd.Column != 1 {
 		t.Errorf("failure column = %d, want 1", npd.Column)
 	}
+	if want := "numeric: unusable pivot -3 at column 1 (want finite positive)"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+}
+
+// TestFactorizeInfinitePivot: an infinite diagonal is no nonpositive
+// pivot, and the error says what is wrong with it.
+func TestFactorizeInfinitePivot(t *testing.T) {
+	m, err := sparse.FromTriplets(2, []int{0, 1, 1}, []int{0, 0, 1}, []float64{math.Inf(1), 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Factorize(m, symbolic.Analyze(m))
+	npd, ok := err.(*NotPositiveDefiniteError)
+	if !ok {
+		t.Fatalf("error %v (%T), want *NotPositiveDefiniteError", err, err)
+	}
+	if npd.Column != 0 || !math.IsInf(npd.Pivot, 1) {
+		t.Errorf("pivot %g at column %d, want +Inf at 0", npd.Pivot, npd.Column)
+	}
+	if want := "numeric: unusable pivot +Inf at column 0 (want finite positive)"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
 }
 
 func TestFactorizeRejectsPatternOnly(t *testing.T) {

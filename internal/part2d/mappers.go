@@ -2,7 +2,6 @@ package part2d
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,11 +112,11 @@ type rect2dMapper struct{}
 func (rect2dMapper) Name() string { return "rect2d" }
 
 // defaultRect2DEvals bounds the trials of the rect2d descent. A trial
-// moves one tile through traffic.Incremental and costs the tile's
-// elements times their row structures, not a traffic simulation. The
-// budget is not sized to that cost: the descent's answer depends on it,
-// so raising it changes every rect2d schedule and count in the ledger and
-// belongs in a change that says so.
+// moves one tile through traffic.Incremental and costs the tile's read
+// records and elements, not a traffic simulation. The budget is not sized
+// to that cost: the descent's answer depends on it, so raising it changes
+// every rect2d schedule and count in the ledger and belongs in a change
+// that says so.
 const defaultRect2DEvals = 128
 
 func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
@@ -130,16 +129,16 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 		budget = defaultRect2DEvals
 	}
 	tl := newTiling(sys.F, bounds)
-	owner := trafficGuardedOwners(sys, p, tl, budget, opts.Search)
+	owner := trafficGuardedOwners(sys, p, bounds, tl, budget, opts.Search)
 	return newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner), nil
 }
 
 // trafficGuardedOwners runs the rect2d descent: flattened start, then
 // traffic-guarded single-tile moves, heaviest tiles first, within the
 // evaluation budget. The traffic of every trial is exact and comes from
-// one traffic.Incremental built over the start (about one simulation,
-// 4·nnz(L)·P bytes, dropped on return): a trial moves the tile's elements
-// and a rejected one moves them back. tel, when non-nil, records one
+// one traffic.Incremental built over the start with the tiles as its
+// groups (4·nnz(L)·P bytes, dropped on return): a trial moves the tile
+// and a rejected one moves it back. tel, when non-nil, records one
 // trial per evaluation and the traffic trajectory of the kept moves.
 //
 // The trial order is the one over all R(R-1)/2 off-diagonal tiles: by
@@ -150,14 +149,17 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 // walks the zero-work positions in row-major order — empty ones included,
 // each costing at least one trial, so the walk ends within the budget.
 // (Element work is never negative.)
-func trafficGuardedOwners(sys *strategy.Sys, p int, tl *tiling, budget int, tel *obs.SearchTelemetry) []int32 {
+func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, tl *tiling, budget int, tel *obs.SearchTelemetry) []int32 {
 	r := len(tl.ptr) - 1
 	owner := make([]int32, len(tl.row))
+	boxes := make([]traffic.Box, len(tl.row))
 	var offs []int32
 	for c := 0; c < r; c++ {
 		for t := tl.ptr[c]; t < tl.ptr[c+1]; t++ {
+			rb := tl.row[t]
 			owner[t] = int32(c)
-			if tl.row[t] != int32(c) {
+			boxes[t] = traffic.Box{Col0: bounds[c], Col1: bounds[c+1], Row0: bounds[rb], Row1: bounds[rb+1]}
+			if rb != int32(c) {
 				offs = append(offs, t)
 			}
 		}
@@ -165,34 +167,18 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, tl *tiling, budget int, tel 
 	if p < 2 || r < 2 {
 		return owner
 	}
-	// Incremental state: the element list of every tile (CSR, positions
-	// ascending), the derived element ownership and per-processor loads.
-	tw := tl.work(sys.ElemWork)
-	elemPtr := make([]int32, len(tl.row)+1)
-	for _, t := range tl.elemTile {
-		elemPtr[t+1]++
-	}
-	for t := range tl.row {
-		elemPtr[t+1] += elemPtr[t]
-	}
-	next := slices.Clone(elemPtr[:len(tl.row)])
-	elems := make([]int32, len(tl.elemTile))
-	elemProc := make([]int32, len(tl.elemTile))
-	load := make([]int64, p)
-	for q, t := range tl.elemTile {
-		elems[next[t]] = int32(q)
-		next[t]++
-		elemProc[q] = owner[t]
-		load[owner[t]] += sys.ElemWork[q]
-	}
-	inc := traffic.NewIncremental(sys.Ops, &sched.Schedule{P: p, ElemProc: elemProc})
+	// Incremental state: one traffic group per tile over the start's
+	// element ownership, and the per-processor loads.
+	start := newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner)
+	tw, load := tl.work(sys.ElemWork), start.Work
+	inc := traffic.NewIncremental(traffic.NewGroups(sys.Ops, boxes), start.Schedule())
 	// setOwner moves tile t to dst and returns the traffic after it.
 	setOwner := func(t int32, dst int32) int64 {
 		src := owner[t]
 		owner[t] = dst
 		load[src] -= tw[t]
 		load[dst] += tw[t]
-		return inc.Move(elems[elemPtr[t]:elemPtr[t+1]], dst)
+		return inc.Move(int(t), dst)
 	}
 	sumsq := func() float64 {
 		var s float64

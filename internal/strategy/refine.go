@@ -15,10 +15,10 @@ import (
 // O(P + units-on-source); commspan moves each re-run the fetch
 // attribution plus the dynamic makespan simulation, the most expensive
 // evaluation of the three. A traffic move costs only the moved unit's
-// elements times their row structures (traffic.Incremental). Its budget
-// is not sized to that cost: the refined schedule depends on it, so
-// raising it changes the schedules and counts in the ledger and belongs
-// in a change that says so.
+// read records and elements (traffic.Incremental). Its budget is not
+// sized to that cost: the refined schedule depends on it, so raising it
+// changes the schedules and counts in the ledger and belongs in a change
+// that says so.
 const (
 	defaultImbalanceMoves = 1024
 	defaultTrafficMoves   = 64
@@ -310,17 +310,18 @@ func pluralityOwner(mv []movable, succs [][]int32, own []int32, u int, tally []i
 // refineTraffic tries moving each unit to the processor owning most of
 // its dependency neighborhood (predecessors and successors), keeping a
 // move only when the total traffic strictly decreases. The totals are
-// exact: one traffic.Incremental is built over the input schedule (about
-// one simulation, 4·nnz(L)·P bytes, dropped on return), a trial moves the
-// unit's elements through it and a rejected one moves them back.
+// exact: one traffic.Incremental is built over the input schedule with
+// the units as its groups (4·nnz(L)·P bytes, dropped on return; the
+// groups' records are the Sys's, built once), a trial moves the unit
+// through it and a rejected one moves it back.
 func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int) {
 	if maxMoves <= 0 {
 		maxMoves = defaultTrafficMoves
 	}
-	inc := traffic.NewIncremental(trafficOps(sys, opts, sc), sc)
+	inc := traffic.NewIncremental(sys.trafficGroups(opts, sc), sc)
 	// trial moves unit u to dst and returns the traffic after it.
 	trial := func(u int, dst int32) int64 {
-		t := inc.Move(mv[u].elems, dst)
+		t := inc.Move(u, dst)
 		reown(sc, mv, own, u, dst)
 		return t
 	}

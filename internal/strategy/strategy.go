@@ -84,8 +84,9 @@ type Sys struct {
 	// Column views of the analysis, built by the first mapper that asks
 	// (never by NewSys: a Sys that only ever plans wrap holds neither) and
 	// read-only from then on.
-	colWork []int64
-	colRefs [][]traffic.ColRef
+	colWork   []int64
+	colRefs   [][]traffic.ColRef
+	colGroups *traffic.Groups
 	// rectCuts memoizes RectilinearCuts per processor count, shared the
 	// same way.
 	rectCuts map[int][]int
@@ -94,6 +95,9 @@ type Sys struct {
 type partEntry struct {
 	part *core.Partition
 	ops  *model.Ops // ops of part.F (== Sys.Ops unless relaxed)
+	// groups are the units as traffic groups, built on first use.
+	groupsOnce sync.Once
+	groups     *traffic.Groups
 }
 
 // NewSys builds a Sys from an analyzed factor. ops and elemWork may be
@@ -334,24 +338,46 @@ func checkPartMatch(part *core.Partition, sc *sched.Schedule) {
 	}
 }
 
-// Traffic simulates the data traffic of a strategy schedule, honoring
-// relaxed partitions for block-granular schedules (what pipeline.Plan.Traffic
-// runs for a 1D plan). opts must be the Options the schedule was
-// mapped with.
+// Traffic simulates the data traffic of a strategy schedule (what
+// pipeline.Plan.Traffic runs for a 1D plan), over the ops of the
+// partition's own factor for a block-granular schedule (relaxation pads
+// it). opts must be the Options the schedule was mapped with.
 func Traffic(sys *Sys, opts Options, sc *sched.Schedule) *traffic.Result {
-	return traffic.Simulate(trafficOps(sys, opts, sc), sc)
+	ops := sys.Ops
+	if sc.UnitProc != nil {
+		pe := sys.partition(opts.Part)
+		checkPartMatch(pe.part, sc)
+		ops = pe.ops
+	}
+	return traffic.Simulate(ops, sc)
 }
 
-// trafficOps returns the operation structure the traffic model of sc runs
-// over: the ops of the partition's own factor for a block-granular
-// schedule (relaxation pads it), the analysis ops otherwise.
-func trafficOps(sys *Sys, opts Options, sc *sched.Schedule) *model.Ops {
-	if sc.UnitProc == nil {
-		return sys.Ops
+// trafficGroups returns the traffic groups of refine's movables for sc —
+// the unit blocks of opts.Part's partition for a block-granular schedule,
+// the columns otherwise. They depend on structure only, so they are built
+// once per Sys and serve every processor count and every start.
+func (s *Sys) trafficGroups(opts Options, sc *sched.Schedule) *traffic.Groups {
+	if sc.UnitProc != nil {
+		pe := s.partition(opts.Part)
+		pe.groupsOnce.Do(func() {
+			boxes := make([]traffic.Box, len(pe.part.Units))
+			for i, u := range pe.part.Units {
+				boxes[i] = traffic.Box{Col0: u.ColLo, Col1: u.ColHi + 1, Row0: u.RowLo, Row1: u.RowHi + 1}
+			}
+			pe.groups = traffic.NewGroups(pe.ops, boxes)
+		})
+		return pe.groups
 	}
-	pe := sys.partition(opts.Part)
-	checkPartMatch(pe.part, sc)
-	return pe.ops
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.colGroups == nil {
+		boxes := make([]traffic.Box, s.F.N)
+		for j := range boxes {
+			boxes[j] = traffic.Box{Col0: j, Col1: j + 1, Row0: j, Row1: s.F.N}
+		}
+		s.colGroups = traffic.NewGroups(s.Ops, boxes)
+	}
+	return s.colGroups
 }
 
 // Tasks builds the makespan task graph of a strategy schedule: unit-block

@@ -8,3 +8,14 @@ var (
 	CheckAttribution = checkAttribution
 	UnitUniform      = unitUniform
 )
+
+// GroupsSize counts a Groups' records (first position, end,
+// multiplicity), the positions they cover and the reads they stand for
+// (positions times multiplicity).
+func GroupsSize(gs *Groups) (records, positions, reads int) {
+	for _, r := range gs.reads {
+		positions += int(r.hi - r.lo)
+		reads += int(r.hi-r.lo) * int(r.m)
+	}
+	return len(gs.reads), positions, reads
+}

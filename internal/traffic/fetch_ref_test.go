@@ -39,7 +39,7 @@ func refFetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(
 		access(u.SrcI, u.Tgt)
 		access(u.SrcJ, u.Tgt)
 	})
-	ops.ForEachScale(func(tgt, diag int32) {
+	forEachScale(ops, func(tgt, diag int32) {
 		access(diag, tgt)
 	})
 	return tc
@@ -331,4 +331,17 @@ func forEachUpdate(ops *model.Ops, fn func(u update)) {
 			fn(update{Tgt: r.Tgt[rowInd[q]], SrcI: q, SrcJ: r.Lo})
 		}
 	})
+}
+
+// forEachScale calls fn for every final diagonal update: for each
+// off-diagonal element (i, j), its scale by the diagonal (j, j); and for
+// each diagonal element, its square root (diag position passed twice).
+func forEachScale(ops *model.Ops, fn func(tgt, diag int32)) {
+	f := ops.F
+	for j := 0; j < f.N; j++ {
+		base := int32(f.ColPtr[j])
+		for q := base; q < int32(f.ColPtr[j+1]); q++ {
+			fn(q, base)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -14,29 +15,38 @@ import (
 
 // oracleCheck drives one Incremental and holds it to its contract: after
 // every move the total is Simulate's on the schedule as it now stands,
-// and the schedule's ElemProc is what the moves so far say.
+// the reader-count table is the element-list oracle's (refIncremental, on
+// its own copy of the schedule, moving the group's elements), and the
+// schedule's ElemProc is what the moves so far say.
 type oracleCheck struct {
-	t    testing.TB
-	name string
-	ops  *model.Ops
-	s    *sched.Schedule
-	inc  *Incremental
-	want []int32 // ElemProc replayed from the moves alone
-	n    int     // moves made
+	t     testing.TB
+	name  string
+	ops   *model.Ops
+	s     *sched.Schedule
+	elems [][]int32 // the elements of each group
+	inc   *Incremental
+	ref   *refIncremental
+	want  []int32 // ElemProc replayed from the moves alone
+	n     int     // moves made
 }
 
-func newOracleCheck(t testing.TB, name string, ops *model.Ops, s *sched.Schedule) *oracleCheck {
-	c := &oracleCheck{t: t, name: name, ops: ops, s: s, want: append([]int32(nil), s.ElemProc...)}
-	c.inc = NewIncremental(ops, s)
+func newOracleCheck(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, boxes []Box) *oracleCheck {
+	c := &oracleCheck{t: t, name: name, ops: ops, s: s, want: slices.Clone(s.ElemProc)}
+	for _, b := range boxes {
+		c.elems = append(c.elems, boxElems(ops.F, b))
+	}
+	c.ref = newRefIncremental(ops, &sched.Schedule{P: s.P, ElemProc: slices.Clone(s.ElemProc)})
+	c.inc = NewIncremental(NewGroups(ops, boxes), s)
 	c.verify(c.inc.Total(), "build")
 	return c
 }
 
-func (c *oracleCheck) move(elems []int32, dst int32, what string) int64 {
+func (c *oracleCheck) move(g int, dst int32, what string) int64 {
 	c.t.Helper()
 	c.n++
-	got := c.inc.Move(elems, dst)
-	for _, q := range elems {
+	got := c.inc.Move(g, dst)
+	c.ref.Move(c.elems[g], dst)
+	for _, q := range c.elems[g] {
 		c.want[q] = dst
 	}
 	c.verify(got, what)
@@ -51,21 +61,26 @@ func (c *oracleCheck) verify(got int64, what string) {
 	if want := Simulate(c.ops, c.s).Total; got != want {
 		c.t.Fatalf("%s move %d (%s): incremental total %d, Simulate %d", c.name, c.n, what, got, want)
 	}
+	if got != c.ref.total {
+		c.t.Fatalf("%s move %d (%s): group total %d, element-list oracle %d", c.name, c.n, what, got, c.ref.total)
+	}
+	if !slices.Equal(c.inc.count, c.ref.count) {
+		c.t.Fatalf("%s move %d (%s): reader counts differ from the element-list oracle's", c.name, c.n, what)
+	}
 	for q, w := range c.want {
-		if c.s.ElemProc[q] != w {
-			c.t.Fatalf("%s move %d (%s): ElemProc[%d] = %d, the moves say %d", c.name, c.n, what, q, c.s.ElemProc[q], w)
+		if c.s.ElemProc[q] != w || c.ref.s.ElemProc[q] != w {
+			c.t.Fatalf("%s move %d (%s): ElemProc[%d] = %d (oracle %d), the moves say %d", c.name, c.n, what, q, c.s.ElemProc[q], c.ref.s.ElemProc[q], w)
 		}
 	}
 }
 
-// tileElems lists the factor positions with row in [r0, r1) and column in
-// [c0, c1) — the element set of a 2D tile (empty when the box holds no
-// nonzero).
-func tileElems(f *symbolic.Factor, r0, r1, c0, c1 int) []int32 {
+// boxElems lists the factor positions inside box b — a group's elements
+// (none when the box holds no nonzero).
+func boxElems(f *symbolic.Factor, b Box) []int32 {
 	var out []int32
-	for j := c0; j < c1 && j < f.N; j++ {
+	for j := b.Col0; j < b.Col1; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if i := f.RowInd[q]; i >= r0 && i < r1 {
+			if i := f.RowInd[q]; i >= b.Row0 && i < b.Row1 {
 				out = append(out, int32(q))
 			}
 		}
@@ -73,71 +88,130 @@ func tileElems(f *symbolic.Factor, r0, r1, c0, c1 int) []int32 {
 	return out
 }
 
-// randomMoves makes moves random moves of every shape the searches use —
-// tiles, whole columns, unit blocks when units is non-nil — plus the edge
-// cases: a move to the current owner, an empty set, an immediate revert.
-func (c *oracleCheck) randomMoves(rng *rand.Rand, moves int, units [][]int32) {
+// The four group families the searches and the tests declare.
+
+// tileBoxes is every lower-triangle tile of the intervals of bounds, the
+// empty ones included.
+func tileBoxes(bounds []int) []Box {
+	var out []Box
+	for c := 0; c+1 < len(bounds); c++ {
+		for r := c; r+1 < len(bounds); r++ {
+			out = append(out, Box{bounds[c], bounds[c+1], bounds[r], bounds[r+1]})
+		}
+	}
+	return out
+}
+
+// columnBoxes is column j with its rows, j..n.
+func columnBoxes(n int) []Box {
+	out := make([]Box, n)
+	for j := range out {
+		out[j] = Box{j, j + 1, j, n}
+	}
+	return out
+}
+
+// unitBoxes is the extents of every unit block.
+func unitBoxes(part *core.Partition) []Box {
+	out := make([]Box, len(part.Units))
+	for i, u := range part.Units {
+		out[i] = Box{u.ColLo, u.ColHi + 1, u.RowLo, u.RowHi + 1}
+	}
+	return out
+}
+
+// elementBoxes is one box per factor element.
+func elementBoxes(f *symbolic.Factor) []Box {
+	out := make([]Box, 0, f.NNZ())
+	for j := 0; j < f.N; j++ {
+		for _, i := range f.Col(j) {
+			out = append(out, Box{j, j + 1, i, i + 1})
+		}
+	}
+	return out
+}
+
+// randomBounds cuts [0, n) at random points.
+func randomBounds(rng *rand.Rand, n int) []int {
+	bounds := []int{0}
+	for x := 1; x < n; x++ {
+		if rng.Intn(4) == 0 {
+			bounds = append(bounds, x)
+		}
+	}
+	return append(bounds, n)
+}
+
+// groupSchedule gives every group one owner, owner(g), and each element
+// its group's.
+func groupSchedule(f *symbolic.Factor, p int, boxes []Box, owner func(g int) int32) *sched.Schedule {
+	s := &sched.Schedule{P: p, ElemProc: make([]int32, f.NNZ())}
+	for g, b := range boxes {
+		for _, q := range boxElems(f, b) {
+			s.ElemProc[q] = owner(g)
+		}
+	}
+	return s
+}
+
+// randomMoves makes random group moves plus the edge cases: a move to the
+// current owner, an immediate revert.
+func (c *oracleCheck) randomMoves(rng *rand.Rand, moves int) {
 	c.t.Helper()
-	f, p := c.ops.F, c.s.P
+	p := c.s.P
 	for k := 0; k < moves; k++ {
-		dst := int32(rng.Intn(p))
-		switch kind := rng.Intn(6); {
-		case kind == 0:
-			r0, c0 := rng.Intn(f.N), rng.Intn(f.N)
-			c.move(tileElems(f, r0, r0+1+rng.Intn(f.N/3+1), c0, c0+1+rng.Intn(f.N/3+1)), dst, "tile")
-		case kind == 1:
-			j := rng.Intn(f.N)
-			c.move(tileElems(f, 0, f.N, j, j+1), dst, "column")
-		case kind == 2 && units != nil:
-			c.move(units[rng.Intn(len(units))], dst, "unit block")
-		case kind == 3:
-			c.move(nil, dst, "empty set")
-		case kind == 4:
-			// Every element already on its destination: nothing may change.
-			q := int32(rng.Intn(f.NNZ()))
+		g, dst := rng.Intn(len(c.elems)), int32(rng.Intn(p))
+		switch kind := rng.Intn(4); {
+		case kind == 0 && len(c.elems[g]) > 0:
+			// The group's own owner: nothing may change.
 			before := c.inc.Total()
-			if got := c.move([]int32{q, q}, c.s.ElemProc[q], "current owner"); got != before {
+			if got := c.move(g, c.s.ElemProc[c.elems[g][0]], "current owner"); got != before {
 				c.t.Fatalf("%s: a move to the current owner changed the total %d -> %d", c.name, before, got)
 			}
-		default:
-			// A trial and its rejection: one column out and back.
-			j := rng.Intn(f.N)
-			col := tileElems(f, 0, f.N, j, j+1)
-			src := c.s.ElemProc[col[0]]
-			c.move(col, src, "column gather")
+		case kind == 1 && len(c.elems[g]) > 0:
+			// A trial and its rejection.
+			src := c.s.ElemProc[c.elems[g][0]]
 			before := c.inc.Total()
-			c.move(col, dst, "trial")
-			if got := c.move(col, src, "revert"); got != before {
+			c.move(g, dst, "trial")
+			if got := c.move(g, src, "revert"); got != before {
 				c.t.Fatalf("%s: revert left total %d, was %d before the trial", c.name, got, before)
 			}
+		default:
+			c.move(g, dst, "move")
 		}
 	}
 }
 
-func unitElems(part *core.Partition) [][]int32 {
-	units := make([][]int32, len(part.Units))
-	for q, u := range part.ElemUnit {
-		units[u] = append(units[u], int32(q))
+// checkFamilies runs every group family over one analysis at P = p: tiles
+// of random bounds under random owners, columns from a wrap start, unit
+// blocks from a block start and single elements from a wrap start.
+func checkFamilies(t *testing.T, name string, ops *model.Ops, part *core.Partition, ew []int64, p, moves int, rng *rand.Rand) {
+	f := ops.F
+	tiles := tileBoxes(randomBounds(rng, f.N))
+	tileOwner := make([]int32, len(tiles))
+	for g := range tileOwner {
+		tileOwner[g] = int32(rng.Intn(p))
 	}
-	return units
+	newOracleCheck(t, name+"/tiles", ops, groupSchedule(f, p, tiles, func(g int) int32 { return tileOwner[g] }), tiles).randomMoves(rng, moves)
+	newOracleCheck(t, name+"/columns", ops, sched.WrapMap(f, ew, p), columnBoxes(f.N)).randomMoves(rng, moves)
+	newOracleCheck(t, name+"/units", ops, sched.BlockMap(part, p), unitBoxes(part)).randomMoves(rng, moves)
+	newOracleCheck(t, name+"/elements", ops, sched.WrapMap(f, ew, p), elementBoxes(f)).randomMoves(rng, moves)
 }
 
-// TestIncrementalMatchesSimulateSuite: on every suite matrix, from a wrap
-// and from a block start, at narrow, one-word, two-word and wide processor
-// counts, every move leaves the oracle equal to a fresh simulation.
+// TestIncrementalMatchesSimulateSuite: on every suite matrix, at narrow,
+// one-word, two-word and wide processor counts, every group move of every
+// family leaves the counter equal to a fresh simulation and to the
+// element-list oracle.
 func TestIncrementalMatchesSimulateSuite(t *testing.T) {
 	procs := []int{1, 2, 16, 64, 65, 100}
-	moves := 10
+	moves := 5
 	if testing.Short() {
-		procs, moves = []int{2, 65}, 5
+		procs, moves = []int{2, 65}, 3
 	}
 	for mi, tm := range gen.Suite() {
 		ops, part, ew := pipeline(tm.Build(), 4, 4)
-		units := unitElems(part)
 		for _, p := range procs {
-			rng := rand.New(rand.NewSource(int64(1000*mi + p)))
-			newOracleCheck(t, tm.Name+"/wrap", ops, sched.WrapMap(ops.F, ew, p)).randomMoves(rng, moves, nil)
-			newOracleCheck(t, tm.Name+"/block", ops, sched.BlockMap(part, p)).randomMoves(rng, moves, units)
+			checkFamilies(t, tm.Name, ops, part, ew, p, moves, rand.New(rand.NewSource(int64(1000*mi+p))))
 		}
 	}
 }
@@ -148,11 +222,8 @@ func TestIncrementalMatchesSimulateRandom(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 12 + int(seed)*3
 		ops, part, ew := pipeline(gen.Random(n, 1.3, seed), 3, 3)
-		units := unitElems(part)
 		for _, p := range []int{1, 2, 16, 64, 65, 100, n + 1, 2 * n} {
-			rng := rand.New(rand.NewSource(seed<<8 + int64(p)))
-			newOracleCheck(t, "random/wrap", ops, sched.WrapMap(ops.F, ew, p)).randomMoves(rng, 25, nil)
-			newOracleCheck(t, "random/block", ops, sched.BlockMap(part, p)).randomMoves(rng, 25, units)
+			checkFamilies(t, "random", ops, part, ew, p, 25, rand.New(rand.NewSource(seed<<8+int64(p))))
 		}
 	}
 }
@@ -160,7 +231,7 @@ func TestIncrementalMatchesSimulateRandom(t *testing.T) {
 // TestIncrementalRelaxedPartition: a relaxed partition pads the factor, so
 // its schedule covers the partition's factor and must be scored over that
 // factor's ops — the pair strategy.Traffic passes, and what refine's
-// traffic objective hands the oracle.
+// traffic objective hands the counter with the units as groups.
 func TestIncrementalRelaxedPartition(t *testing.T) {
 	padded := false
 	for _, tm := range gen.Suite() {
@@ -171,10 +242,9 @@ func TestIncrementalRelaxedPartition(t *testing.T) {
 		}
 		padded = true
 		pops := model.NewOps(part.F)
-		units := unitElems(part)
 		for _, p := range []int{2, 16, 65} {
 			rng := rand.New(rand.NewSource(int64(p)))
-			newOracleCheck(t, tm.Name+"/relaxed", pops, sched.BlockMap(part, p)).randomMoves(rng, 12, units)
+			newOracleCheck(t, tm.Name+"/relaxed", pops, sched.BlockMap(part, p), unitBoxes(part)).randomMoves(rng, 12)
 		}
 	}
 	if !padded {
@@ -184,7 +254,9 @@ func TestIncrementalRelaxedPartition(t *testing.T) {
 
 func TestIncrementalPanics(t *testing.T) {
 	ops, _, ew := pipeline(gen.Grid9(5, 5), 4, 4)
+	n := ops.F.N
 	s := sched.WrapMap(ops.F, ew, 3)
+	cols := columnBoxes(n)
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -194,18 +266,31 @@ func TestIncrementalPanics(t *testing.T) {
 		}()
 		fn()
 	}
+	groups := NewGroups(ops, cols)
 	mustPanic("short schedule", func() {
-		NewIncremental(ops, &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1]})
+		NewIncremental(groups, &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1]})
 	})
-	mustPanic("P = 0", func() { NewIncremental(ops, &sched.Schedule{ElemProc: s.ElemProc}) })
-	inc := NewIncremental(ops, s)
-	mustPanic("dst = P", func() { inc.Move([]int32{0}, 3) })
-	mustPanic("dst < 0", func() { inc.Move([]int32{0}, -1) })
+	mustPanic("P = 0", func() { NewIncremental(groups, &sched.Schedule{ElemProc: s.ElemProc}) })
+	mustPanic("box above its columns", func() {
+		NewGroups(ops, append(slices.Clone(cols[1:]), Box{0, 1, 0, 1}, Box{1, 2, 0, n}))
+	})
+	mustPanic("box straddling its columns", func() {
+		NewGroups(ops, append(slices.Clone(cols[:n-2]), Box{n - 2, n, n - 1, n}))
+	})
+	mustPanic("element left out", func() { NewGroups(ops, cols[1:]) })
+	mustPanic("element held twice", func() { NewGroups(ops, append(slices.Clone(cols), Box{0, 1, 0, 1})) })
+	mustPanic("element held twice across strips", func() {
+		NewGroups(ops, append(slices.Clone(cols[2:]), Box{0, 2, 0, n}, Box{0, 1, 0, n}))
+	})
+	mustPanic("group with two owners", func() { NewIncremental(NewGroups(ops, tileBoxes([]int{0, n})), s) })
+	inc := NewIncremental(groups, s)
+	mustPanic("dst = P", func() { inc.Move(0, 3) })
+	mustPanic("dst < 0", func() { inc.Move(0, -1) })
 }
 
 // fuzzCase decodes bytes into a small symmetric pattern (n <= 24, natural
 // order), a processor count that may exceed both n and 64, and a move
-// script of 4-byte records (kind, x, y, dst).
+// script.
 func fuzzCase(data []byte) (m *sparse.Matrix, p int, script []byte) {
 	if len(data) < 3 {
 		return nil, 0, nil
@@ -226,8 +311,12 @@ func fuzzCase(data []byte) (m *sparse.Matrix, p int, script []byte) {
 	return m, p, data
 }
 
-// FuzzIncrementalTraffic holds the oracle to Simulate after every move of
-// a fuzzer-written script on a fuzzer-written pattern.
+// FuzzIncrementalTraffic holds the counter to Simulate and to the
+// element-list oracle after every move of a fuzzer-written script on a
+// fuzzer-written pattern. The script's first byte picks the groups: tiles
+// of bounds cut where the next three bytes have a bit set, columns, unit
+// blocks of a grain the next byte sets, or single elements. Then each
+// 3-byte record (hi, lo, dst) moves group (hi<<8|lo) mod the group count.
 func FuzzIncrementalTraffic(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 0, 1, 1, 2, 0, 2, 0, 1, 0, 1, 1, 2, 2, 0})           // dense 4x4, P = 3
 	f.Add([]byte{22, 69, 40, 0, 5, 5, 9, 9, 1, 1, 20, 3, 7, 0, 4, 1, 65})      // P = 70 > 64 > n
@@ -240,19 +329,38 @@ func FuzzIncrementalTraffic(f *testing.F) {
 		}
 		fac := symbolic.Analyze(m)
 		ops := model.NewOps(fac)
-		c := newOracleCheck(t, "fuzz", ops, sched.WrapMap(fac, model.ElementWork(ops), p))
-		n := fac.N
-		for ; len(script) >= 4; script = script[4:] {
-			kind, x, y, dst := script[0], int(script[1]), int(script[2]), int32(int(script[3])%p)
-			switch kind % 3 {
-			case 0:
-				c.move(tileElems(fac, 0, n, x%n, x%n+1), dst, "column")
-			case 1:
-				size := 1 + int(kind/3)%5
-				c.move(tileElems(fac, x%n, x%n+size, y%n, y%n+size), dst, "tile")
-			default:
-				c.move([]int32{int32((x<<8 | y) % fac.NNZ())}, dst, "element")
+		wrap := sched.WrapMap(fac, model.ElementWork(ops), p)
+		byte0 := func() int {
+			if len(script) == 0 {
+				return 0
 			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		var c *oracleCheck
+		switch byte0() % 4 {
+		case 0:
+			bits := byte0() | byte0()<<8 | byte0()<<16
+			bounds := []int{0}
+			for x := 1; x < fac.N; x++ {
+				if bits>>(x-1)&1 == 1 {
+					bounds = append(bounds, x)
+				}
+			}
+			tiles := tileBoxes(append(bounds, fac.N))
+			c = newOracleCheck(t, "tiles", ops, groupSchedule(fac, p, tiles, func(g int) int32 { return int32(g % p) }), tiles)
+		case 1:
+			c = newOracleCheck(t, "columns", ops, wrap, columnBoxes(fac.N))
+		case 2:
+			g := byte0()
+			part := core.NewPartition(fac, core.Options{Grain: 1 + g%8, MinClusterWidth: 1 + g/8%4})
+			c = newOracleCheck(t, "units", ops, sched.BlockMap(part, p), unitBoxes(part))
+		default:
+			c = newOracleCheck(t, "elements", ops, wrap, elementBoxes(fac))
+		}
+		for ; len(script) >= 3; script = script[3:] {
+			c.move((int(script[0])<<8|int(script[1]))%len(c.elems), int32(int(script[2])%p), "move")
 		}
 	})
 }

@@ -81,7 +81,7 @@ func bruteTraffic(ops *model.Ops, s *sched.Schedule) int64 {
 		acc(u.SrcI, s.ElemProc[u.Tgt])
 		acc(u.SrcJ, s.ElemProc[u.Tgt])
 	})
-	ops.ForEachScale(func(tgt, diag int32) { acc(diag, s.ElemProc[tgt]) })
+	forEachScale(ops, func(tgt, diag int32) { acc(diag, s.ElemProc[tgt]) })
 	return total
 }
 
