@@ -326,12 +326,20 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 		}
 	}
 	// Convert from 1-based CSC lower triangle. The HB convention stores
-	// the lower triangle for symmetric types, matching sparse.Matrix.
+	// the lower triangle for symmetric types, matching sparse.Matrix: every
+	// row of column j lies in [j, NRow) and appears once, or FromTriplets
+	// would mirror an upper entry or sum a repeated one without a word.
 	var rows, cols []int
 	var tv []float64
+	seen := make([]int, hdr.NRow) // seen[i] == j+1: column j holds row i
 	for j := 0; j < hdr.NCol; j++ {
 		for p := ptr[j] - 1; p < ptr[j+1]-1; p++ {
-			rows = append(rows, ind[p]-1)
+			i := ind[p] - 1
+			if i < j || i >= hdr.NRow || seen[i] == j+1 {
+				return nil, hdr, fmt.Errorf("hbio: column %d: row %d repeated or outside %d..%d", j+1, i+1, j+1, hdr.NRow)
+			}
+			seen[i] = j + 1
+			rows = append(rows, i)
 			cols = append(cols, j)
 			if vals != nil {
 				tv = append(tv, vals[p])

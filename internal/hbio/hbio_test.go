@@ -221,6 +221,18 @@ func TestReadErrors(t *testing.T) {
 	} {
 		cases[name] = strings.Join(lines[:4], "") + ptrs + strings.Join(lines[5:], "")
 	}
+	// The same file but for an index line that repeats a row in column 1,
+	// or puts column 2's first row above its diagonal.
+	const indLine = "       1       2       4       5       2       3       4       5       6       3\n"
+	if lines[5] != indLine {
+		t.Fatalf("Write's first index line is %q, want %q", lines[5], indLine)
+	}
+	for name, inds := range map[string]string{
+		"row repeated":       "       1       1       4       5       2       3       4       5       6       3\n",
+		"row above diagonal": "       1       2       4       5       1       3       4       5       6       3\n",
+	} {
+		cases[name] = strings.Join(lines[:5], "") + inds + strings.Join(lines[6:], "")
+	}
 	for name, file := range cases {
 		if _, _, err := Read(strings.NewReader(file)); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -2,9 +2,6 @@ package part2d
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -22,46 +19,17 @@ type Mapper2D interface {
 	Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Mapper2D)
-)
+var registry strategy.Registry[Mapper2D]
 
 // Register2D adds a 2D strategy to the registry. It panics on an empty
 // name or a duplicate registration, mirroring strategy.Register.
-func Register2D(m Mapper2D) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	name := m.Name()
-	if name == "" {
-		panic("part2d: Register2D with empty name")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("part2d: Register2D called twice for %q", name))
-	}
-	registry[name] = m
-}
+func Register2D(m Mapper2D) { registry.Register(m) }
 
 // Lookup2D returns the registered 2D strategy with the given name.
-func Lookup2D(name string) (Mapper2D, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	m, ok := registry[name]
-	return m, ok
-}
+func Lookup2D(name string) (Mapper2D, bool) { return registry.Lookup(name) }
 
 // Names2D returns the sorted names of all registered 2D strategies.
-func Names2D() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	//repro:allow maporder -- key collection for the sort.Strings below; iteration order never escapes
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names2D() []string { return registry.Names() }
 
 // Map2D runs the named 2D strategy, returning a descriptive error when
 // the name is unknown.
@@ -69,10 +37,9 @@ func Map2D(name string, sys *strategy.Sys, p int, opts strategy.Options) (*Sched
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
-	m, ok := Lookup2D(name)
-	if !ok {
-		return nil, fmt.Errorf("part2d: unknown 2D strategy %q (registered: %s)",
-			name, strings.Join(Names2D(), ", "))
+	m, err := registry.Find("part2d: unknown 2D strategy", name)
+	if err != nil {
+		return nil, err
 	}
 	return m.Map2D(sys, p, opts)
 }
@@ -170,7 +137,7 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, tl *tiling, bu
 	// Incremental state: one traffic group per tile over the start's
 	// element ownership, and the per-processor loads.
 	start := newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner)
-	tw, load := tl.work(sys.ElemWork), start.Work
+	tw, load := tl.work(sys.ElemWork), start.work
 	inc := traffic.NewIncremental(traffic.NewGroups(sys.Ops, boxes), start.Schedule())
 	// setOwner moves tile t to dst and returns the traffic after it.
 	setOwner := func(t int32, dst int32) int64 {

@@ -1,7 +1,9 @@
 // Package part2d is the 2D tile-ownership subsystem: it generalizes the
 // repository's 1D schedules (whole block columns owned by one processor)
 // to schedules that assign each (rowBlock, colBlock) tile of a shared
-// diagonal interval structure to a processor.
+// diagonal interval structure to a processor. A schedule is fully given by
+// its interval cuts and one owner per non-empty tile, and only this
+// package builds one.
 //
 // The paper's central claim is that the *shape* of a partition — not just
 // its balance — determines communication. Every 1D strategy flattens the
@@ -26,13 +28,13 @@
 //     makespan simulators. On a column-granular tiling (every tile of a
 //     block column sharing one owner — the col2d lift of any 1D strategy)
 //     the graph collapses to exactly the 1D column task graph, so the 2D
-//     simulators are bit-identical to the 1D ones there. Tasks and
-//     FetchStats detect that case in O(nnz(L)) and return the 1D graph and
-//     closed-form fetch attribution themselves. On any other tile-uniform
-//     schedule the graph, FetchStats and Traffic are one pass over the
-//     row-block segments of the factor's columns — one visit per segment a
-//     run reads, not per update — with answers identical to the update
-//     walk's, which stays the test oracle.
+//     simulators are bit-identical to the 1D ones there. Tasks reads that
+//     case off the tile owners in O(tiles) and returns the 1D graph, and
+//     FetchStats the closed-form fetch attribution. On any other schedule
+//     the graph, FetchStats and Traffic are one pass over the row-block
+//     segments the tile index cuts the factor's columns into — one visit
+//     per segment a run reads, not per update — with answers identical to
+//     the update walk's, which stays the test oracle.
 //   - A Mapper2D registry (Register2D/Map2D) seeded with rect2d (tiles
 //     from the rectilinear cuts, owners by a traffic-guarded descent from
 //     the column-flattened assignment, never exceeding its traffic),
@@ -67,35 +69,40 @@ import (
 // lower-triangle tiles only those holding a factor nonzero are stored — at
 // most nnz(L) of them — so a schedule costs O(nnz(L) + R) whatever R is (a
 // col2d lift of wrap has R = n).
+//
+// A schedule is valid by construction: New, Lift and the registered
+// mappers are its only constructors, and each puts every element on its
+// tile's owner. Tasks, FetchStats and Traffic read the tile owners and
+// re-check none of that.
 type Schedule2D struct {
 	P int
-	// Bounds holds the shared diagonal interval boundaries, length R+1
-	// with Bounds[0] = 0 and Bounds[R] = n; interval r is
-	// [Bounds[r], Bounds[r+1]) and is never empty.
-	Bounds []int
-	// TilePtr and TileRow index the non-empty tiles, CSR over block
-	// columns: block column c's tiles are t in [TilePtr[c], TilePtr[c+1]),
-	// their row blocks TileRow[t] ascending, the diagonal tile (c, c)
+	// bounds holds the shared diagonal interval boundaries, length R+1
+	// with bounds[0] = 0 and bounds[R] = n; interval r is
+	// [bounds[r], bounds[r+1]) and is never empty.
+	bounds []int
+	// tilePtr and tileRow index the non-empty tiles, CSR over block
+	// columns: block column c's tiles are t in [tilePtr[c], tilePtr[c+1]),
+	// their row blocks tileRow[t] ascending, the diagonal tile (c, c)
 	// first (it always holds the diagonal).
-	TilePtr []int32
-	TileRow []int32
-	// Owner[t] is the processor owning tile t.
-	Owner []int32
-	// BlockOf[i] is the diagonal interval of index i.
-	BlockOf []int32
-	// Work is the total factorization work owned by each processor.
-	Work []int64
-	// ElemProc is the derived element ownership: ElemProc[q] is the owner
+	tilePtr []int32
+	tileRow []int32
+	// owner[t] is the processor owning tile t.
+	owner []int32
+	// blockOf[i] is the diagonal interval of index i.
+	blockOf []int32
+	// work is the total factorization work owned by each processor.
+	work []int64
+	// elemProc is the derived element ownership: elemProc[q] is the owner
 	// of the tile containing factor nonzero q, the granularity at which
 	// the traffic simulators deduplicate fetches.
-	ElemProc []int32
+	elemProc []int32
 }
 
 // R returns the number of diagonal intervals (the tiling is R x R).
-func (s *Schedule2D) R() int { return len(s.Bounds) - 1 }
+func (s *Schedule2D) R() int { return len(s.bounds) - 1 }
 
 // Tiles returns the number of non-empty tiles, at most nnz(L).
-func (s *Schedule2D) Tiles() int { return len(s.Owner) }
+func (s *Schedule2D) Tiles() int { return len(s.owner) }
 
 // TileOwner returns the processor owning tile (r, c), or -1 when the tile
 // holds no factor nonzero (an empty tile has no owner) or lies outside the
@@ -104,8 +111,8 @@ func (s *Schedule2D) TileOwner(r, c int) int32 {
 	if c < 0 || c > r || r >= s.R() {
 		return -1
 	}
-	if t, ok := findTile(s.TilePtr, s.TileRow, r, c); ok {
-		return s.Owner[t]
+	if t, ok := findTile(s.tilePtr, s.tileRow, r, c); ok {
+		return s.owner[t]
 	}
 	return -1
 }
@@ -120,21 +127,22 @@ func findTile(ptr, row []int32, r, c int) (int, bool) {
 
 // Imbalance returns the paper's load imbalance factor A over the tile
 // ownership's per-processor work.
-func (s *Schedule2D) Imbalance() float64 { return sched.ImbalanceOf(s.Work) }
+func (s *Schedule2D) Imbalance() float64 { return sched.ImbalanceOf(s.work) }
 
 // Schedule bridges to the 1D schedule type over the derived element
 // ownership, so every element-granular 1D simulator (traffic.Simulate in
 // particular) evaluates the 2D assignment unchanged. The returned
-// schedule aliases the receiver's ElemProc and Work slices.
+// schedule aliases the receiver's element ownership and work slices.
 func (s *Schedule2D) Schedule() *sched.Schedule {
-	return &sched.Schedule{P: s.P, ElemProc: s.ElemProc, Work: s.Work}
+	return &sched.Schedule{P: s.P, ElemProc: s.elemProc, Work: s.work}
 }
 
 // New validates and completes a 2D schedule: bounds must be strictly
 // increasing from 0 to f.N, and owner(r, c) — consulted once for every
 // non-empty tile (r, c) and for no other — must name a processor in
-// [0, p). The derived fields (the tile index, BlockOf, ElemProc, Work) are
-// computed from the factor structure and elemWork.
+// [0, p). The derived fields (the tile index, the interval of every
+// index, the element ownership, the per-processor work) are computed from
+// the factor structure and elemWork.
 func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
@@ -167,18 +175,18 @@ func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r
 func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *tiling, owner []int32) *Schedule2D {
 	s := &Schedule2D{
 		P:        p,
-		Bounds:   slices.Clone(bounds),
-		TilePtr:  tl.ptr,
-		TileRow:  tl.row,
-		Owner:    owner,
-		BlockOf:  tl.blockOf,
-		Work:     make([]int64, p),
-		ElemProc: make([]int32, f.NNZ()),
+		bounds:   slices.Clone(bounds),
+		tilePtr:  tl.ptr,
+		tileRow:  tl.row,
+		owner:    owner,
+		blockOf:  tl.blockOf,
+		work:     make([]int64, p),
+		elemProc: make([]int32, f.NNZ()),
 	}
 	for q, t := range tl.elemTile {
 		proc := owner[t]
-		s.ElemProc[q] = proc
-		s.Work[proc] += elemWork[q]
+		s.elemProc[q] = proc
+		s.work[proc] += elemWork[q]
 	}
 	return s
 }
@@ -217,25 +225,21 @@ func newTiling(f *symbolic.Factor, bounds []int) *tiling {
 		rowBlocks(c, -int32(c+1), func(rb int32) { tl.row = append(tl.row, rb) })
 		slices.Sort(tl.row[tl.ptr[c]:])
 	}
-	tl.elemTile = elemTiles(f, bounds, tl.blockOf, tl.ptr, tl.row)
-	return tl
-}
-
-// elemTiles maps every factor nonzero to its tile of the index (ptr, row).
-// A block column's elements are the contiguous positions of its columns,
-// so one R-entry row-block -> tile slot serves every block column in turn.
-func elemTiles(f *symbolic.Factor, bounds []int, blockOf, ptr, row []int32) []int32 {
-	slot := make([]int32, len(bounds)-1)
-	elemTile := make([]int32, f.NNZ())
-	for c := 0; c+1 < len(bounds); c++ {
-		for t := ptr[c]; t < ptr[c+1]; t++ {
-			slot[row[t]] = t
+	// The tile of every element. A block column's elements are the
+	// contiguous positions of its columns, so one R-entry slot (slot[rb]
+	// the tile of row block rb in block column c; seen's storage, done
+	// with) serves every block column in turn.
+	slot := seen
+	tl.elemTile = make([]int32, f.NNZ())
+	for c := 0; c < r; c++ {
+		for t := tl.ptr[c]; t < tl.ptr[c+1]; t++ {
+			slot[tl.row[t]] = t
 		}
 		for q := f.ColPtr[bounds[c]]; q < f.ColPtr[bounds[c+1]]; q++ {
-			elemTile[q] = slot[blockOf[f.RowInd[q]]]
+			tl.elemTile[q] = slot[tl.blockOf[f.RowInd[q]]]
 		}
 	}
-	return elemTile
+	return tl
 }
 
 // work accumulates elemWork per tile: element (i, j) is charged to tile

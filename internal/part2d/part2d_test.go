@@ -149,9 +149,9 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New on a valid single-tile schedule: %v", err)
 	}
-	if s.R() != 1 || s.Tiles() != 1 || s.Work[1] != sys.Total {
+	if s.R() != 1 || s.Tiles() != 1 || s.work[1] != sys.Total {
 		t.Errorf("single-tile schedule: R=%d tiles=%d work=%v (total %d)",
-			s.R(), s.Tiles(), s.Work, sys.Total)
+			s.R(), s.Tiles(), s.work, sys.Total)
 	}
 	// The rule is consulted for the non-empty tiles only: with one
 	// interval per index, tile (r, c) is element (r, c), and an
@@ -193,7 +193,7 @@ func checkSchedule2D(t *testing.T, sys *strategy.Sys, s *Schedule2D, label strin
 		t.Fatalf("%s: P = %d, want %d", label, s.P, p)
 	}
 	var tot int64
-	for _, w := range s.Work {
+	for _, w := range s.work {
 		tot += w
 	}
 	if tot != sys.Total {
@@ -201,10 +201,10 @@ func checkSchedule2D(t *testing.T, sys *strategy.Sys, s *Schedule2D, label strin
 	}
 	f := sys.F
 	for j := 0; j < f.N; j++ {
-		c := int(s.BlockOf[j])
+		c := int(s.blockOf[j])
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			want := s.TileOwner(int(s.BlockOf[f.RowInd[q]]), c)
-			if got := s.ElemProc[q]; got != want {
+			want := s.TileOwner(int(s.blockOf[f.RowInd[q]]), c)
+			if got := s.elemProc[q]; got != want {
 				t.Fatalf("%s: element %d owned by %d, tile owner %d", label, q, got, want)
 			}
 			if want < 0 || int(want) >= p {
@@ -275,9 +275,9 @@ func TestCol2DLiftReproduces1D(t *testing.T) {
 				label := "col2d(" + base + ")/" + mname
 				checkSchedule2D(t, sys, s2, label, p)
 				for q, want := range sc.ElemProc {
-					if s2.ElemProc[q] != want {
+					if s2.elemProc[q] != want {
 						t.Fatalf("%s P=%d: element %d owned by %d, 1D owner %d",
-							label, p, q, s2.ElemProc[q], want)
+							label, p, q, s2.elemProc[q], want)
 					}
 				}
 				tr := Traffic(sys.Ops, s2)
@@ -313,8 +313,8 @@ func TestRect2DGenuinely2D(t *testing.T) {
 	}
 	moved := 0
 	for c := 0; c < s2.R(); c++ {
-		for t := s2.TilePtr[c] + 1; t < s2.TilePtr[c+1]; t++ {
-			if s2.Owner[t] != s2.TileOwner(c, c) {
+		for t := s2.tilePtr[c] + 1; t < s2.tilePtr[c+1]; t++ {
+			if s2.owner[t] != s2.TileOwner(c, c) {
 				moved++
 			}
 		}
@@ -378,7 +378,7 @@ func TestRectCutsSharedReadOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.Bounds, want.Bounds) || !slices.Equal(got.Owner, want.Owner) || !slices.Equal(got.ElemProc, want.ElemProc) {
+				if !slices.Equal(got.bounds, want.bounds) || !slices.Equal(got.owner, want.owner) || !slices.Equal(got.elemProc, want.elemProc) {
 					t.Fatalf("%s %s P=%d: plan on a shared Sys differs from a fresh one", name, m, p)
 				}
 			}

@@ -23,14 +23,14 @@ import (
 // along block column block(j)), and every off-diagonal group of a column
 // depends on the column's diagonal group (the scale).
 //
-// On a column-granular tiling — every tile of a block column sharing one
-// owner, as produced by the col2d lift — each column collapses to a
-// single group whose work is the column work and whose predecessor set is
-// exactly the column's row structure, i.e. the graph of
+// On a column-granular tiling — every tile of a block column on the
+// owner of its diagonal tile, as produced by the col2d lift — each column
+// collapses to a single group whose work is the column work and whose
+// predecessor set is exactly the column's row structure, i.e. the graph of
 // exec.ColumnTasksMapped. exec.Simulate is therefore bit-identical on a
 // lift and on its 1D schedule, which the regression tests pin at
-// P in {1, 4, 16}. That case is checked on the element ownership in
-// O(nnz(L)), never assumed from the mapper, and answered with
+// P in {1, 4, 16}. That case is read off the tile owners in O(tiles),
+// never assumed from the mapper, and answered with
 // exec.ColumnTasksMapped's graph and the column index as the element map
 // (task j is column j).
 //
@@ -42,15 +42,35 @@ import (
 // predecessor lists are cut from one shared slice.
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
-	if owner, ok := traffic.ColumnOwners(f, s.Schedule()); ok {
+	if owner, ok := s.columnOwners(); ok {
 		return exec.ColumnTasksMapped(f, ops, elemWork, owner), f.ColIndex()
 	}
 	return segmentTasks(ops, elemWork, s)
 }
 
+// columnOwners returns the owner of every column, and whether s is
+// column-granular: every tile of a block column on its diagonal tile's
+// owner (every column holds its diagonal, so that is every element of the
+// column on one processor).
+func (s *Schedule2D) columnOwners() ([]int32, bool) {
+	for c := 0; c < s.R(); c++ {
+		lo, hi := s.tilePtr[c], s.tilePtr[c+1]
+		for _, o := range s.owner[lo+1 : hi] {
+			if o != s.owner[lo] {
+				return nil, false
+			}
+		}
+	}
+	owner := make([]int32, len(s.blockOf))
+	for j, c := range s.blockOf {
+		owner[j] = s.owner[s.tilePtr[c]]
+	}
+	return owner, true
+}
+
 // segmentTasks is Tasks' segment pass, on any schedule.
 func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
-	sg := segmentsOf(ops.F, s)
+	sg := tileSegments(ops.F, s)
 	tasks, elemTask, first, rel := sg.tasks(elemWork)
 	sg.preds(ops, tasks, first, rel)
 	return tasks, elemTask
@@ -63,17 +83,20 @@ func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task,
 // exec.Simulate under a CommModel charge every fetch exactly once.
 //
 // When the task map is the column index (what Tasks returns for a
-// column-granular schedule — checked in O(nnz(L)), never assumed), the
-// attribution is traffic.FetchStatsColumns': its closed form on
-// column-uniform owners, task by task the element walk's answer, and the
-// walk itself otherwise. Any other input takes the segment pass over
-// fetchSegments' tiling, task by task the walk's answer.
+// column-granular schedule), the attribution is
+// traffic.FetchStatsColumns': its closed form on column-uniform owners,
+// task by task the element walk's answer, and the walk itself otherwise.
+// Any other task map must be constant on every row-block segment with
+// tasks in [0, ntasks) — every map Tasks returns is — and takes the
+// segment pass, task by task the walk's answer; FetchStats panics on a map
+// that splits a segment.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	f := ops.F
 	if ntasks == f.N && isColumnIndex(f, elemTask) {
 		return traffic.FetchStatsColumns(ops, s.Schedule())
 	}
-	sg, segTask := fetchSegments(f, s, ntasks, elemTask)
+	sg := tileSegments(f, s)
+	segTask := sg.taskOf(elemTask, ntasks)
 	vol, ch := make([]int64, len(segTask)), traffic.NewCharger(s.P, ntasks, nil)
 	sg.fetches(f, s.P, vol, vol, &ch, segTask)
 	tc := ch.Done()
@@ -81,23 +104,6 @@ func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *tr
 		tc.Vol[t] += vol[u]
 	}
 	return tc
-}
-
-// fetchSegments returns the segments FetchStats' pass runs over and the
-// task of each: s's own tiles when s is tile-uniform and elemTask is
-// constant on every row-block segment (both checked in O(nnz(L))), the
-// identity tiling otherwise.
-func fetchSegments(f *symbolic.Factor, s *Schedule2D, ntasks int, elemTask []int32) (*segments, []int32) {
-	if sg, ok := tileSegments(f, s); ok {
-		if segTask, ok := sg.taskOf(elemTask, ntasks); ok {
-			return sg, segTask
-		}
-	}
-	sg := elementSegments(f, s)
-	if segTask, ok := sg.taskOf(elemTask, ntasks); ok {
-		return sg, segTask
-	}
-	panic(fmt.Sprintf("part2d: task map of %d elements does not fit %d elements and %d tasks", len(elemTask), f.NNZ(), ntasks))
 }
 
 // isColumnIndex reports whether elemTask maps every factor nonzero to its
@@ -117,16 +123,15 @@ func isColumnIndex(f *symbolic.Factor, elemTask []int32) bool {
 }
 
 // segments cuts every column of the factor into its row-block segments:
-// the maximal runs of positions whose rows share one block of a
-// nondecreasing block map. Column j's segments are u in [col[j],
-// col[j+1]), rows ascending, so its first segment holds the diagonal and
-// has block blockOf[j]; segment u covers positions [start[u], start[u+1])
-// (start carries a sentinel nnz(L)) and every element of it is owned by
-// proc[u].
+// the maximal runs of positions whose rows share one row block. Column j's
+// segments are u in [col[j], col[j+1]), rows ascending, so its first
+// segment holds the diagonal and has block blockOf[j]; segment u covers
+// positions [start[u], start[u+1]) (start carries a sentinel nnz(L)) and
+// is owned by proc[u], the owner of its tile (block[u], blockOf[j]).
 //
-// Under a tile-uniform schedule every element (i, j) is owned by the
-// owner of tile (block(i), block(j)), and the segment passes rest on three
-// facts the fill theorem gives:
+// Every element (i, j) of a schedule is owned by the owner of tile
+// (block(i), block(j)), and the segment passes rest on three facts the
+// fill theorem gives:
 //
 //   - The run (j, k) — the pair updates source column k makes to target
 //     column j — reads the segments of struct(k) from row j down (the
@@ -143,72 +148,13 @@ func isColumnIndex(f *symbolic.Factor, elemTask []int32) bool {
 //   - The multiplier (j, k) lies in the segment g holding row j. A target
 //     owner of the run fetches it separately only when it neither owns g
 //     nor has read g — the same test for every run of g.
-//
-// Any schedule is tile-uniform under the identity block map, where every
-// segment is one element; Tasks and Traffic take that map when the
-// schedule's own tiles fail the check, so their answers never depend on
-// ElemProc agreeing with Owner — only their cost does.
 type segments struct {
 	col, start, block, proc []int32
 }
 
-// segmentsOf cuts f by s's own tiles when s is tile-uniform and into
-// single elements otherwise.
-func segmentsOf(f *symbolic.Factor, s *Schedule2D) *segments {
-	if sg, ok := tileSegments(f, s); ok {
-		return sg
-	}
-	return elementSegments(f, s)
-}
-
-// elementSegments cuts f under the identity block map: every element is
-// a segment, owned by its ElemProc, which must cover f and lie in [0, P).
-func elementSegments(f *symbolic.Factor, s *Schedule2D) *segments {
-	nnz := f.NNZ()
-	if len(s.ElemProc) != nnz {
-		panic(fmt.Sprintf("part2d: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
-	}
-	for _, o := range s.ElemProc {
-		if o < 0 || int(o) >= s.P {
-			panic(fmt.Sprintf("part2d: element owned by processor %d outside [0, %d)", o, s.P))
-		}
-	}
-	sg := &segments{col: make([]int32, f.N+1), start: make([]int32, nnz+1), block: make([]int32, nnz), proc: s.ElemProc}
-	for j := range f.N {
-		sg.col[j+1] = int32(f.ColPtr[j+1])
-	}
-	for q, i := range f.RowInd {
-		sg.start[q], sg.block[q] = int32(q), int32(i)
-	}
-	sg.start[nnz] = int32(nnz)
-	return sg
-}
-
-// tileSegments cuts f by s's block map, and reports whether s is
-// tile-uniform: every element on its tile's owner — ElemProc[q] ==
-// Owner[tile(q)] over a well-formed tile index and a nondecreasing
-// BlockOf — and every owner a processor of s. That is the check behind
-// the segment passes, made in the same O(nnz(L)) pass as the cut: they
-// never assume it of a schedule's exported fields.
-func tileSegments(f *symbolic.Factor, s *Schedule2D) (*segments, bool) {
-	r := len(s.TilePtr) - 1
-	if s.P < 1 || r < 0 || len(s.BlockOf) != f.N || len(s.ElemProc) != f.NNZ() ||
-		s.TilePtr[0] != 0 || int(s.TilePtr[r]) != len(s.TileRow) || len(s.Owner) != len(s.TileRow) {
-		return nil, false
-	}
-	for _, o := range s.Owner {
-		if o < 0 || int(o) >= s.P {
-			return nil, false
-		}
-	}
-	// end[b] is one past block b's last row.
-	end := make([]int, r)
-	for i, b := range s.BlockOf {
-		if b < 0 || int(b) >= r || int(b) > i || (i > 0 && b < s.BlockOf[i-1]) {
-			return nil, false
-		}
-		end[b] = i + 1
-	}
+// tileSegments cuts f, the factor s was built over, by s's tile index in
+// one pass over the row indices.
+func tileSegments(f *symbolic.Factor, s *Schedule2D) *segments {
 	nnz := f.NNZ()
 	sg := &segments{
 		col:   make([]int32, f.N+1),
@@ -216,44 +162,27 @@ func tileSegments(f *symbolic.Factor, s *Schedule2D) (*segments, bool) {
 		block: make([]int32, 0, nnz),
 		proc:  make([]int32, 0, nnz),
 	}
-	// slot[rb] is the tile of row block rb in the current block column c
-	// when mark[rb] == c+1.
-	slot, mark := make([]int32, r), make([]int32, r)
-	blockOf, elemProc := s.BlockOf, s.ElemProc
+	// slot[rb] is the tile of row block rb in the current block column.
+	slot := make([]int32, s.R())
 	for j := 0; j < f.N; j++ {
-		c := blockOf[j]
-		if j == 0 || c != blockOf[j-1] {
-			lo, hi := s.TilePtr[c], s.TilePtr[c+1]
-			if lo < 0 || lo > hi || int(hi) > len(s.TileRow) {
-				return nil, false
-			}
-			for t := lo; t < hi; t++ {
-				rb := s.TileRow[t]
-				if rb < 0 || int(rb) >= r {
-					return nil, false
-				}
-				slot[rb], mark[rb] = t, c+1
+		if c := s.blockOf[j]; j == 0 || c != s.blockOf[j-1] {
+			for t := s.tilePtr[c]; t < s.tilePtr[c+1]; t++ {
+				slot[s.tileRow[t]] = t
 			}
 		}
 		for q, z := f.ColPtr[j], f.ColPtr[j+1]; q < z; {
-			b := blockOf[f.RowInd[q]]
-			if mark[b] != c+1 {
-				return nil, false
-			}
-			o := s.Owner[slot[b]]
+			b := s.blockOf[f.RowInd[q]]
 			sg.start = append(sg.start, int32(q))
 			sg.block = append(sg.block, b)
-			sg.proc = append(sg.proc, o)
-			for e := end[b]; q < z && f.RowInd[q] < e; q++ {
-				if elemProc[q] != o {
-					return nil, false
-				}
+			sg.proc = append(sg.proc, s.owner[slot[b]])
+			for e := s.bounds[b+1]; q < z && f.RowInd[q] < e; {
+				q++
 			}
 		}
 		sg.col[j+1] = int32(len(sg.block))
 	}
 	sg.start = append(sg.start, int32(nnz))
-	return sg, true
+	return sg
 }
 
 // longest returns the most segments of one column.
@@ -266,27 +195,27 @@ func (sg *segments) longest() int {
 }
 
 // taskOf returns the task of every segment under the element-to-task map
-// elemTask, and whether the map is constant on every segment with tasks
-// in [0, ntasks) — what lets the fetch pass charge a segment's fetches to
-// one task.
-func (sg *segments) taskOf(elemTask []int32, ntasks int) ([]int32, bool) {
+// elemTask, which must cover the factor, be constant on every segment and
+// name tasks in [0, ntasks) — what lets the fetch pass charge a segment's
+// fetches to one task. It panics on any other map.
+func (sg *segments) taskOf(elemTask []int32, ntasks int) []int32 {
 	if len(elemTask) != int(sg.start[len(sg.block)]) {
-		return nil, false
+		panic(fmt.Sprintf("part2d: task map covers %d elements, factor has %d", len(elemTask), sg.start[len(sg.block)]))
 	}
 	segTask := make([]int32, len(sg.block))
 	for u := range segTask {
 		t := elemTask[sg.start[u]]
 		if t < 0 || int(t) >= ntasks {
-			return nil, false
+			panic(fmt.Sprintf("part2d: element %d mapped to task %d of %d", sg.start[u], t, ntasks))
 		}
 		for _, x := range elemTask[sg.start[u]+1 : sg.start[u+1]] {
 			if x != t {
-				return nil, false
+				panic(fmt.Sprintf("part2d: task map splits the row-block segment at element %d", sg.start[u]))
 			}
 		}
 		segTask[u] = t
 	}
-	return segTask, true
+	return segTask
 }
 
 // tasks groups every column's segments by owner into tasks: their Proc
@@ -452,7 +381,6 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 // processor to task key[u]. Per source column k
 // it keeps a bitset over the processors per segment of k, set where the
 // processor owns or has read the segment; the scales take one stamp pass.
-// Every elemProc must lie in [0, p).
 func (sg *segments) fetches(f *symbolic.Factor, p int, out, in []int64, ch *traffic.Charger, key []int32) {
 	longest := sg.longest()
 	words := (p + 63) / 64

@@ -140,21 +140,16 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 }
 
 // checkSegmentsMatchWalk holds Tasks, FetchStats and Traffic — and the
-// segment passes themselves, past the column-granular shortcut — to the
-// element walk: the same tasks (ID, Proc, Work, Preds with nil equal to
-// empty) and element map, the same Vol and Msgs task by task, the same
-// per-tile fan-out and fan-in. FetchStats is held to the walk a second
-// time under one task per element, a map that splits every tile segment
-// of more than one element, so that it takes the identity tiling on a
-// tile-uniform schedule too. Both fallbacks give the walk's answers, so
-// the path FetchStats takes is checked on its own (fetchSegments): the
-// schedule's own tiles under the walk's task map when s is tile-uniform,
-// single elements under one task per element. It reports whether s is
-// tile-uniform (false: every pass took the identity tiling).
-func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D) bool {
+// segment pass itself, past the column-granular shortcut — to the element
+// walk: the same tasks (ID, Proc, Work, Preds with nil equal to empty) and
+// element map, the same Vol and Msgs task by task, the same per-tile
+// fan-out and fan-in. FetchStats must accept every map Tasks returns, and
+// panic on one task per element when that splits a row-block segment (it
+// equals the walk when it does not).
+func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D) {
 	t.Helper()
 	f := ops.F
-	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.ElemProc)
+	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.elemProc)
 	wantFetch := traffic.FetchStatsTasks(ops, s.Schedule(), len(wantTasks), wantElemTask)
 	for _, e := range []struct {
 		name string
@@ -169,28 +164,30 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 				label, got.TotalVol(), got.TotalMsgs(), wantFetch.TotalVol(), wantFetch.TotalMsgs())
 		}
 	}
-	sg, uniform := tileSegments(f, s)
-	if fs, _ := fetchSegments(f, s, len(wantTasks), wantElemTask); uniform && !reflect.DeepEqual(fs, sg) {
-		t.Fatalf("%s: FetchStats left the schedule's own tiles", label)
-	}
 	perElem := make([]int32, f.NNZ())
 	for q := range perElem {
 		perElem[q] = int32(q)
 	}
-	if fs, _ := fetchSegments(f, s, len(perElem), perElem); len(fs.block) != f.NNZ() {
-		t.Fatalf("%s: FetchStats kept tile segments that one task per element splits", label)
-	}
-	got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(ops, s.Schedule(), len(perElem), perElem)
-	if !reflect.DeepEqual(got, want) {
+	if split := len(tileSegments(f, s).block) < f.NNZ(); split {
+		if !panics(func() { FetchStats(ops, s, len(perElem), perElem) }) {
+			t.Fatalf("%s: FetchStats accepted a task map that splits a row-block segment", label)
+		}
+	} else if got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(ops, s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats under one task per element differ from the walk (vol %d msgs %d, want %d / %d)",
 			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
 	}
-	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
-	if tr, want := Traffic(ops, s), walkTraffic(ops, s.P, s.R(), s.ElemProc, tile, len(s.Owner)); !reflect.DeepEqual(tr, want) {
+	tile := newTiling(f, s.bounds).elemTile
+	if tr, want := Traffic(ops, s), walkTraffic(ops, s.P, s.R(), s.elemProc, tile, s.Tiles()); !reflect.DeepEqual(tr, want) {
 		t.Fatalf("%s: Traffic differs from the walk (total %d fan-out %d fan-in %d, want %d / %d / %d)",
 			label, tr.Total, tr.TotalFanOut(), tr.TotalFanIn(), want.Total, want.TotalFanOut(), want.TotalFanIn())
 	}
-	return uniform
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }
 
 // randomOwners is a schedule over bounds whose every tile gets a seeded
@@ -207,11 +204,10 @@ func randomOwners(t testing.TB, sys *strategy.Sys, p int, bounds []int, seed int
 
 // TestSegmentTasksMatchWalk: on every suite matrix, every registered 2D
 // mapper and the col2d lift of every column-granular 1D strategy at
-// P in {1, 2, 4, 16, 64, 65, n+7}, schedules with seeded random tile
-// owners, and a schedule whose ElemProc was broken by hand (which must
-// leave its own tiles for the identity tiling), the segment passes are the
-// element walk task by task and tile by tile — FetchStats also under a
-// task map that splits the tile segments (see checkSegmentsMatchWalk).
+// P in {1, 2, 4, 16, 64, 65, n+7}, and schedules with seeded random tile
+// owners, the segment passes are the element walk task by task and tile
+// by tile, FetchStats accepts the task map Tasks returns and rejects one
+// that splits a segment (see checkSegmentsMatchWalk).
 func TestSegmentTasksMatchWalk(t *testing.T) {
 	for mname, sys := range suite(t) {
 		procs := []int{1, 2, 4, 16, 64, 65, sys.F.N + 7}
@@ -224,10 +220,7 @@ func TestSegmentTasksMatchWalk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("%s/%s P=%d", name, mname, p)
-				if !checkSegmentsMatchWalk(t, label, sys.Ops, sys.ElemWork, s2) {
-					t.Fatalf("%s: a mapper's schedule is not tile-uniform", label)
-				}
+				checkSegmentsMatchWalk(t, fmt.Sprintf("%s/%s P=%d", name, mname, p), sys.Ops, sys.ElemWork, s2)
 			}
 			for _, base := range LiftBases() {
 				sc, err := strategy.Map(base, sys, p, strategy.Options{Base: base})
@@ -245,12 +238,6 @@ func TestSegmentTasksMatchWalk(t *testing.T) {
 				randomOwners(t, sys, p, bounds, int64(p)))
 		}
 	}
-	sys := lapSys(t)
-	s2 := randomOwners(t, sys, 7, refBounds(sys, 16), 1)
-	s2.ElemProc[len(s2.ElemProc)/2] = (s2.ElemProc[len(s2.ElemProc)/2] + 1) % 7
-	if checkSegmentsMatchWalk(t, "hand-broken ElemProc", sys.Ops, sys.ElemWork, s2) {
-		t.Fatal("hand-broken ElemProc: segment pass taken on a schedule that is not tile-uniform")
-	}
 }
 
 // TestSegmentTasksAllocs: Tasks + FetchStats on a genuinely 2D plan
@@ -262,8 +249,8 @@ func TestSegmentTasksAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := tileSegments(sys.F, s2); !ok {
-			t.Fatal("rect2dlpt schedule is not tile-uniform")
+		if _, ok := s2.columnOwners(); ok {
+			t.Fatal("rect2dlpt schedule is column-granular: Tasks would skip the segment pass")
 		}
 		return testing.AllocsPerRun(3, func() {
 			tasks, elemTask := Tasks(sys.Ops, sys.ElemWork, s2)

@@ -103,9 +103,9 @@ func TestTasks2DStructure(t *testing.T) {
 		t.Errorf("task work sums to %d, want %d", total, sys.Total)
 	}
 	for q, task := range elemTask {
-		if s2.ElemProc[q] != tasks[task].Proc {
+		if s2.elemProc[q] != tasks[task].Proc {
 			t.Fatalf("element %d on proc %d but its task %d on %d",
-				q, s2.ElemProc[q], task, tasks[task].Proc)
+				q, s2.elemProc[q], task, tasks[task].Proc)
 		}
 	}
 	tc := FetchStats(sys.Ops, s2, len(tasks), elemTask)

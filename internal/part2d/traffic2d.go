@@ -27,7 +27,8 @@ type TrafficResult struct {
 	// Total is the system-wide deduplicated data traffic.
 	Total int64
 	// FanOut[t] counts the row-direction fetches attributed to tile t
-	// (the schedule's tile index, see Schedule2D.TilePtr).
+	// (the schedule's tile index: block column by block column, row
+	// blocks ascending, as Schedule2D stores them).
 	FanOut []int64
 	// FanIn[t] counts the column-direction fetches attributed to tile t.
 	FanIn []int64
@@ -46,29 +47,27 @@ func (r *TrafficResult) Mean() float64 { return float64(r.Total) / float64(r.P) 
 
 // Traffic runs the 2D tile-granular traffic simulation. The factor ops
 // must be built over the same symbolic factor the schedule was computed
-// from, and every element owner must be a processor of s. It is the
-// segment pass of Tasks and FetchStats (see segments): O(nnz(L) + segment
-// visits) on a tile-uniform schedule, the identity tiling's pass — one
-// element per segment — on any other.
+// from. It is the segment pass of Tasks and FetchStats (see segments),
+// O(nnz(L) + segment visits), with every segment's fetches charged to its
+// tile, found in the tile index.
 func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
-	f := ops.F
 	res := &TrafficResult{
 		P:       s.P,
 		R:       s.R(),
-		FanOut:  make([]int64, len(s.Owner)),
-		FanIn:   make([]int64, len(s.Owner)),
+		FanOut:  make([]int64, s.Tiles()),
+		FanIn:   make([]int64, s.Tiles()),
 		PerProc: make([]int64, s.P),
 	}
-	// A first fetch is charged to the tile of the target that required it.
-	tile := elemTiles(f, s.Bounds, s.BlockOf, s.TilePtr, s.TileRow)
-	sg := segmentsOf(f, s)
+	sg := tileSegments(ops.F, s)
 	out, in := make([]int64, len(sg.block)), make([]int64, len(sg.block))
-	sg.fetches(f, s.P, out, in, nil, nil)
-	for u, q := range sg.proc {
-		t := tile[sg.start[u]]
-		res.FanOut[t] += out[u]
-		res.FanIn[t] += in[u]
-		res.PerProc[q] += out[u] + in[u]
+	sg.fetches(ops.F, s.P, out, in, nil, nil)
+	for j := 0; j+1 < len(sg.col); j++ {
+		for u := sg.col[j]; u < sg.col[j+1]; u++ {
+			t, _ := findTile(s.tilePtr, s.tileRow, int(sg.block[u]), int(s.blockOf[j]))
+			res.FanOut[t] += out[u]
+			res.FanIn[t] += in[u]
+			res.PerProc[sg.proc[u]] += out[u] + in[u]
+		}
 	}
 	res.Total = model.TotalWork(res.PerProc)
 	return res

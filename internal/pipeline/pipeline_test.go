@@ -668,7 +668,7 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			return pl, pl.S2.ElemProc, nil
+			return pl, pl.S2.Schedule().ElemProc, nil
 		}
 		pl, err := an.Plan(name, 4, opts)
 		if err != nil {

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/exec"
@@ -29,27 +28,29 @@ const (
 // moving movables between processors, never accepting a worsening move.
 type objectiveFunc func(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int)
 
-// objectives is the refinement-objective table; Refine derives both its
-// dispatch and its unknown-objective error message from it, so a new
-// objective registered here is automatically reachable and advertised.
-var objectives = map[string]objectiveFunc{
-	"imbalance": func(_ *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int) {
+// objectives is the refinement-objective table, sorted by name; Refine
+// derives both its dispatch and its unknown-objective error message from
+// it, so a new objective added here is automatically reachable and
+// advertised.
+var objectives = []struct {
+	name string
+	fn   objectiveFunc
+}{
+	{"commspan", refineCommspan},
+	{"imbalance", func(_ *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int) {
 		refineImbalance(sc, mv, own, maxMoves, opts.Search)
-	},
-	"traffic":  refineTraffic,
-	"commspan": refineCommspan,
+	}},
+	{"traffic", refineTraffic},
 }
 
 // Objectives returns the sorted names of the refinement objectives the
 // refine strategy accepts, derived from the objective table (so CLIs can
 // validate and advertise the set without hardcoding it).
 func Objectives() []string {
-	names := make([]string, 0, len(objectives))
-	//repro:allow maporder -- key collection for the sort.Strings below; iteration order never escapes
-	for n := range objectives {
-		names = append(names, n)
+	names := make([]string, len(objectives))
+	for i, o := range objectives {
+		names[i] = o.name
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -105,13 +106,14 @@ func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, erro
 	if name == "" {
 		name = "imbalance"
 	}
-	obj, ok := objectives[name]
-	if !ok {
-		return nil, fmt.Errorf("strategy: unknown refine objective %q (want %s)",
-			opts.Objective, strings.Join(Objectives(), ", "))
+	for _, o := range objectives {
+		if o.name == name {
+			o.fn(sys, opts, sc, mv, own, opts.MaxMoves)
+			return sc, nil
+		}
 	}
-	obj(sys, opts, sc, mv, own, opts.MaxMoves)
-	return sc, nil
+	return nil, fmt.Errorf("strategy: unknown refine objective %q (want %s)",
+		opts.Objective, strings.Join(Objectives(), ", "))
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {

@@ -54,7 +54,7 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -242,46 +242,67 @@ type Mapper interface {
 	Map(sys *Sys, p int, opts Options) (*sched.Schedule, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Mapper)
-)
-
-// Register adds a strategy to the registry. It panics on an empty name or
-// a duplicate registration, mirroring database/sql.Register.
-func Register(m Mapper) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	name := m.Name()
-	if name == "" {
-		panic("strategy: Register with empty name")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("strategy: Register called twice for %q", name))
-	}
-	registry[name] = m
+// Registry is a name → mapper table kept sorted by name, safe for
+// concurrent use. The 1D strategies (Register, Lookup, Names, Map) live in
+// one and part2d's 2D mappers in another; its zero value is empty.
+type Registry[M interface{ Name() string }] struct {
+	mu      sync.RWMutex
+	names   []string // sorted
+	mappers []M      // mappers[i] is registered as names[i]
 }
+
+// Register adds m under m.Name(). It panics on an empty name or a
+// duplicate registration, mirroring database/sql.Register.
+func (r *Registry[M]) Register(m M) {
+	name := m.Name()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i, dup := slices.BinarySearch(r.names, name)
+	if name == "" || dup {
+		panic(fmt.Sprintf("strategy: %T registered under an empty or taken name %q", m, name))
+	}
+	r.names = slices.Insert(r.names, i, name)
+	r.mappers = slices.Insert(r.mappers, i, m)
+}
+
+// Lookup returns the mapper registered under name.
+func (r *Registry[M]) Lookup(name string) (M, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if i, ok := slices.BinarySearch(r.names, name); ok {
+		return r.mappers[i], true
+	}
+	var none M
+	return none, false
+}
+
+// Names returns the sorted names of all registered mappers.
+func (r *Registry[M]) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Clone(r.names)
+}
+
+// Find is Lookup with an error for an unknown name: unknown, then the name
+// and every registered one.
+func (r *Registry[M]) Find(unknown, name string) (M, error) {
+	m, ok := r.Lookup(name)
+	if !ok {
+		return m, fmt.Errorf("%s %q (registered: %s)", unknown, name, strings.Join(r.Names(), ", "))
+	}
+	return m, nil
+}
+
+var registry Registry[Mapper]
+
+// Register adds a strategy to the registry (see Registry.Register).
+func Register(m Mapper) { registry.Register(m) }
 
 // Lookup returns the registered strategy with the given name.
-func Lookup(name string) (Mapper, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	m, ok := registry[name]
-	return m, ok
-}
+func Lookup(name string) (Mapper, bool) { return registry.Lookup(name) }
 
 // Names returns the sorted names of all registered strategies.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	//repro:allow maporder -- key collection for the sort.Strings below; iteration order never escapes
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
 
 // Map runs the named strategy, returning a descriptive error when the
 // name is unknown.
@@ -289,10 +310,9 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
-	m, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("strategy: unknown strategy %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+	m, err := registry.Find("strategy: unknown strategy", name)
+	if err != nil {
+		return nil, err
 	}
 	return m.Map(sys, p, opts)
 }

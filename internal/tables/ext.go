@@ -320,8 +320,8 @@ func Messages(problems []*Problem) ([]MessageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := traffic.Consolidate(p.An.Sys().Partition(block.Opts.Part), p.An.Ops, block.S1)
-		w := traffic.ConsolidateColumns(p.An.Ops, wrap.S1)
+		b := traffic.Consolidate(p.An.Ops, block.S1, p.An.Sys().Partition(block.Opts.Part).ElemUnit)
+		w := traffic.Consolidate(p.An.Ops, wrap.S1, p.An.Ops.F.ColIndex())
 		return []MessageRow{{
 			Name: p.Meta.Name, P: np,
 			BlockMsgs: b.Messages, WrapMsgs: w.Messages,

@@ -218,7 +218,7 @@ func TestPlanResolverAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare, err := p.Cell("col2d", 4, Production)
-	if err != nil || !slices.Equal(bare.Plan.S2.Owner, lifted.Plan.S2.Owner) || bare.Plan.TrafficTotal() != lifted.Plan.TrafficTotal() {
+	if err != nil || !slices.Equal(bare.Plan.S2.Schedule().ElemProc, lifted.Plan.S2.Schedule().ElemProc) || bare.Plan.TrafficTotal() != lifted.Plan.TrafficTotal() {
 		t.Errorf("bare col2d (err %v) is not the lift of its default base wrap", err)
 	}
 	for label, want := range map[string]string{

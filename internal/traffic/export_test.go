@@ -9,13 +9,27 @@ var (
 	UnitUniform      = unitUniform
 )
 
-// GroupsSize counts a Groups' records (first position, end,
-// multiplicity), the positions they cover and the reads they stand for
-// (positions times multiplicity).
-func GroupsSize(gs *Groups) (records, positions, reads int) {
+// GroupsSize counts a Groups' records and the positions they cover.
+func GroupsSize(gs *Groups) (records, positions int) {
 	for _, r := range gs.reads {
 		positions += int(r.hi - r.lo)
-		reads += int(r.hi-r.lo) * int(r.m)
 	}
-	return len(gs.reads), positions, reads
+	return len(gs.reads), positions
+}
+
+// GroupsRepeat returns a group that reads some position in two records,
+// or -1 when every group reads each of its positions once.
+func GroupsRepeat(gs *Groups) int {
+	seen := make([]int32, gs.nnz) // seen[q] == g+1: group g reads q
+	for g := 0; g+1 < len(gs.readPtr); g++ {
+		for _, r := range gs.reads[gs.readPtr[g]:gs.readPtr[g+1]] {
+			for q := r.lo; q < r.hi; q++ {
+				if seen[q] == int32(g+1) {
+					return g
+				}
+				seen[q] = int32(g + 1)
+			}
+		}
+	}
+	return -1
 }

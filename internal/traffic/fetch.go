@@ -29,22 +29,10 @@ type TaskComm struct {
 
 // TotalVol returns the summed per-task fetch volume, which equals the
 // system-wide data traffic of Simulate on the same schedule.
-func (tc *TaskComm) TotalVol() int64 {
-	var s int64
-	for _, v := range tc.Vol {
-		s += v
-	}
-	return s
-}
+func (tc *TaskComm) TotalVol() int64 { return model.TotalWork(tc.Vol) }
 
 // TotalMsgs returns the summed per-task message count.
-func (tc *TaskComm) TotalMsgs() int64 {
-	var s int64
-	for _, m := range tc.Msgs {
-		s += m
-	}
-	return s
-}
+func (tc *TaskComm) TotalMsgs() int64 { return model.TotalWork(tc.Msgs) }
 
 // firstFetches is the one element-level walk of the traffic model: it
 // visits every source access of the factorization — the two sources of
@@ -158,8 +146,8 @@ func (c *Charger) Done() *TaskComm {
 // fetch first required by an update (or the scale) of the factor element
 // at position q. The dedup rule is identical to Simulate's, so the
 // per-task volumes partition the traffic total exactly whatever the
-// granularity — unit blocks (FetchStats), columns (FetchStatsColumns), or
-// the merged tile-segment tasks of the 2D subsystem (part2d.FetchStats).
+// granularity: unit blocks (FetchStats' fallback), columns
+// (FetchStatsColumns' fallback) or any other task map.
 //
 // It is the element-level walk: O(#updates) time — every pair update of
 // the factorization is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks)
@@ -313,7 +301,7 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
 	}
 	sched.MustProcs("traffic", s.P)
-	colOwner, ok := ColumnOwners(f, s)
+	colOwner, ok := columnOwners(f, s)
 	if !ok {
 		return FetchStatsTasks(ops, s, f.N, f.ColIndex())
 	}
@@ -335,11 +323,11 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	return ch.Done()
 }
 
-// ColumnOwners returns the owner of every column of s, and whether s is
+// columnOwners returns the owner of every column of s, and whether s is
 // column-uniform: every element of a column on the column's owner, every
 // owner a processor of s. It is the O(nnz(L)) check behind the closed form
-// above and behind part2d.Tasks' column graph.
-func ColumnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
+// above.
+func columnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
 	colOwner := make([]int32, f.N)
 	for j := 0; j < f.N; j++ {
 		o := s.ElemProc[f.ColPtr[j]]

@@ -64,7 +64,7 @@ func checkAttribution(t testing.TB, name string, ops *model.Ops, s *sched.Schedu
 // the run kernel over the column index.
 func checkColumns(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, uniform bool) {
 	t.Helper()
-	if _, ok := ColumnOwners(ops.F, s); ok != uniform {
+	if _, ok := columnOwners(ops.F, s); ok != uniform {
 		t.Fatalf("%s: column-uniform = %v, want %v", name, ok, uniform)
 	}
 	colOf := ops.F.ColIndex()
@@ -105,7 +105,7 @@ func TestFetchColumnsOwnerOutOfRange(t *testing.T) {
 	for q := ops.F.ColPtr[3]; q < ops.F.ColPtr[4]; q++ {
 		s.ElemProc[q] = 4
 	}
-	if _, ok := ColumnOwners(ops.F, s); ok {
+	if _, ok := columnOwners(ops.F, s); ok {
 		t.Fatal("a column owned by processor P passed the uniformity check")
 	}
 }

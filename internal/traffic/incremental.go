@@ -31,14 +31,17 @@ type Incremental struct {
 }
 
 // Groups is a partition of a factor's elements into boxes, each box's
-// reads stored once as records (first position, end, multiplicity). They
-// come from pairs of column segments, not from the updates: for a source
-// column k, let A be k's positions in the box's columns and B its
-// positions in the box's rows. The box's targets from k are (i, j) for j
-// in A, i in B, i >= j, each reading (i, k) and (j, k). When A is a
-// prefix of B, that reads each position of A |B|+1 times and each of B∖A
-// |A| times; when A lies before B, |B| and |A| times. The scales read the
-// diagonal of column j once per position the box holds in column j.
+// reads stored once as records: runs of positions [lo, hi) the box reads.
+// Traffic is a set — once a processor has fetched an element, using it
+// again costs nothing — so a record says which positions a box reads, not
+// how often. Records come from pairs of column segments, not from the
+// updates: for a source column k, let A be k's positions in the box's
+// columns and B its positions in the box's rows. The box's targets from k
+// are (i, j) for j in A, i in B, i >= j, each reading (i, k) and (j, k).
+// When A is a prefix of B, the box reads B, one record; when A lies before
+// B, it reads A and B, two. The scales read the diagonal of every column
+// the box holds a position of, one record per column. A box reads each
+// position in at most one record.
 //
 // Groups depend on structure only, not on owners, so one serves every
 // Incremental over a schedule whose owners are uniform on its boxes; it
@@ -48,7 +51,7 @@ type Groups struct {
 	// Group g holds the elements elems[elemPtr[g]:elemPtr[g+1]] and reads
 	// reads[readPtr[g]:readPtr[g+1]].
 	elemPtr, readPtr []int32
-	elems, reads     []record // elems' m is unused
+	elems, reads     []record
 }
 
 // Box is one group: the factor elements with column in [Col0, Col1) and
@@ -57,8 +60,8 @@ type Groups struct {
 // column with the rows below it) or lie below them (Row0 >= Col1).
 type Box struct{ Col0, Col1, Row0, Row1 int }
 
-// record is the positions [lo, hi), each read m times.
-type record struct{ lo, hi, m int32 }
+// record is the positions [lo, hi).
+type record struct{ lo, hi int32 }
 
 // NewGroups builds the groups of boxes over ops' factor. The boxes must
 // hold every factor element exactly once; a box may be empty.
@@ -127,10 +130,8 @@ func NewGroups(ops *model.Ops, boxes []Box) *Groups {
 	}
 	elems, elemOf := make([]record, 0, nnz), make([]int32, 0, nnz) // a span holds an element or more
 	reads, readOf := make([]record, 0, nnz), make([]int32, 0, nnz)
-	read := func(g int32, lo, hi, m int) {
-		if lo < hi {
-			reads, readOf = append(reads, record{int32(lo), int32(hi), int32(m)}), append(readOf, g)
-		}
+	read := func(g int32, lo, hi int) {
+		reads, readOf = append(reads, record{int32(lo), int32(hi)}), append(readOf, g)
 	}
 	seen := make([]int32, len(first)-1)
 	for k := 0; k < f.N; k++ {
@@ -138,8 +139,8 @@ func NewGroups(ops *model.Ops, boxes []Box) *Groups {
 		// Column k's own elements, split among the boxes holding them.
 		for _, st := range at[atPtr[k]:atPtr[k+1]] {
 			runs(st, diag, end, func(g int32, lo, hi int) {
-				elems, elemOf = append(elems, record{lo: int32(lo), hi: int32(hi)}), append(elemOf, g)
-				read(g, diag, diag+1, hi-lo)
+				elems, elemOf = append(elems, record{int32(lo), int32(hi)}), append(elemOf, g)
+				read(g, diag, diag+1)
 			})
 		}
 		// k as a source: for each strip, A is the run of k's rows in the
@@ -155,13 +156,10 @@ func NewGroups(ops *model.Ops, boxes []Box) *Groups {
 					aHi++
 				}
 				runs(st, aLo, end, func(g int32, lo, hi int) {
-					if lo == aLo { // A is a prefix of B
-						read(g, aLo, aHi, hi-lo+1)
-						read(g, aHi, hi, aHi-aLo)
-					} else {
-						read(g, aLo, aHi, hi-lo)
-						read(g, lo, hi, aHi-aLo)
+					if lo > aLo { // A lies before B
+						read(g, aLo, aHi)
 					}
+					read(g, lo, hi)
 				})
 			}
 		}
@@ -234,14 +232,16 @@ func NewIncremental(gs *Groups, s *sched.Schedule) *Incremental {
 // Total returns the current data traffic of the schedule.
 func (t *Incremental) Total() int64 { return t.total }
 
-// read adds group g's reads, sign times (1 or -1), to the counts of proc.
+// read adds (sign 1) or removes (sign -1) group g's reads to or from the
+// counts of proc. A count is the number of proc's groups reading the
+// position, and only whether it is positive reaches the total.
 func (t *Incremental) read(g int, sign, proc int32) {
 	p, owner := t.s.P, t.s.ElemProc
 	for _, r := range t.g.reads[t.g.readPtr[g]:t.g.readPtr[g+1]] {
 		for q := int(r.lo); q < int(r.hi); q++ {
 			c := &t.count[q*p+int(proc)]
 			before := *c > 0
-			*c += sign * r.m
+			*c += sign
 			if after := *c > 0; owner[q] != proc && before != after {
 				t.total += int64(sign)
 			}

@@ -11,7 +11,8 @@ import (
 // count table, built by the update walk, with a Move that reassigns any
 // list of elements and finds each moved target's sources by merging the
 // row structures of its row and column. It is the oracle the group
-// counter's totals and tables are held to, and nothing else calls it.
+// counter's totals and readers (count > 0) are held to, and nothing else
+// calls it.
 type refIncremental struct {
 	ops   *model.Ops
 	s     *sched.Schedule

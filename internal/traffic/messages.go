@@ -1,7 +1,8 @@
 package traffic
 
 import (
-	"repro/internal/core"
+	"fmt"
+
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -30,11 +31,15 @@ type MessageStats struct {
 	MaxSize  int64
 }
 
-// consolidate runs the element-fetch simulation and groups distinct
-// fetches into messages keyed by (groupOf[element], destination).
-func consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageStats {
-	if len(s.ElemProc) != ops.F.NNZ() {
-		panic("traffic: schedule covers a different factor")
+// Consolidate runs the element-fetch simulation and groups the distinct
+// fetches into messages, one per (source group, destination processor)
+// pair: groupOf maps every factor element to its group — the unit blocks
+// of a block-partitioned schedule (core.Partition.ElemUnit), the columns
+// of a column-mapped one (symbolic.Factor.ColIndex), the natural
+// consolidation unit when whole columns live on one processor.
+func Consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageStats {
+	if nnz := ops.F.NNZ(); len(s.ElemProc) != nnz || len(groupOf) != nnz {
+		panic(fmt.Sprintf("traffic: schedule (%d elements) or groups (%d) over a different factor (%d)", len(s.ElemProc), len(groupOf), nnz))
 	}
 	type key struct {
 		group int32
@@ -58,22 +63,4 @@ func consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageSta
 		st.MeanSize = float64(st.Elements) / float64(st.Messages)
 	}
 	return st
-}
-
-// Consolidate groups the non-local fetches of a block-partitioned
-// schedule into messages, one per (source unit block, destination
-// processor) pair.
-func Consolidate(part *core.Partition, ops *model.Ops, s *sched.Schedule) *MessageStats {
-	if len(part.ElemUnit) != ops.F.NNZ() {
-		panic("traffic: partition built over a different factor")
-	}
-	return consolidate(ops, s, part.ElemUnit)
-}
-
-// ConsolidateColumns groups the fetches of a column-mapped (wrap)
-// schedule into messages, one per (source column, destination processor)
-// pair — the natural consolidation unit when whole columns live on one
-// processor.
-func ConsolidateColumns(ops *model.Ops, s *sched.Schedule) *MessageStats {
-	return consolidate(ops, s, ops.F.ColIndex())
 }

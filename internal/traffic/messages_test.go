@@ -16,11 +16,11 @@ func TestConsolidateVolumeMatchesSimulate(t *testing.T) {
 		ops, part, ew := pipeline(m, 4, 3)
 		for _, p := range []int{2, 8, 16} {
 			bs := sched.BlockMap(part, p)
-			if Consolidate(part, ops, bs).Elements != Simulate(ops, bs).Total {
+			if Consolidate(ops, bs, part.ElemUnit).Elements != Simulate(ops, bs).Total {
 				return false
 			}
 			ws := sched.WrapMap(ops.F, ew, p)
-			if ConsolidateColumns(ops, ws).Elements != Simulate(ops, ws).Total {
+			if Consolidate(ops, ws, ops.F.ColIndex()).Elements != Simulate(ops, ws).Total {
 				return false
 			}
 		}
@@ -34,7 +34,7 @@ func TestConsolidateVolumeMatchesSimulate(t *testing.T) {
 func TestConsolidateBasics(t *testing.T) {
 	ops, part, _ := pipeline(gen.Lap30(), 25, 4)
 	s := sched.BlockMap(part, 16)
-	st := Consolidate(part, ops, s)
+	st := Consolidate(ops, s, part.ElemUnit)
 	if st.Messages <= 0 || st.Messages > st.Elements {
 		t.Fatalf("messages %d, elements %d", st.Messages, st.Elements)
 	}
@@ -57,8 +57,8 @@ func TestBlockConsolidatesBetterThanWrap(t *testing.T) {
 		ops, part, ew := pipeline(tm.Build(), 25, 4)
 		bs := sched.BlockMap(part, 16)
 		ws := sched.WrapMap(ops.F, ew, 16)
-		b := Consolidate(part, ops, bs)
-		w := ConsolidateColumns(ops, ws)
+		b := Consolidate(ops, bs, part.ElemUnit)
+		w := Consolidate(ops, ws, ops.F.ColIndex())
 		if b.Messages >= w.Messages {
 			t.Errorf("%s: block messages %d not below wrap %d", tm.Name, b.Messages, w.Messages)
 		}
@@ -72,7 +72,7 @@ func TestBlockConsolidatesBetterThanWrap(t *testing.T) {
 func TestConsolidateSingleProcessor(t *testing.T) {
 	ops, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
 	s := sched.BlockMap(part, 1)
-	st := Consolidate(part, ops, s)
+	st := Consolidate(ops, s, part.ElemUnit)
 	if st.Messages != 0 || st.Elements != 0 {
 		t.Fatalf("P=1 produced messages: %+v", st)
 	}
