@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/order"
+	"repro/internal/sparse"
 )
 
 // TestPatternSumDeterministic pins the content addressing: rebuilding the
@@ -78,10 +79,12 @@ func TestHasherPrefixSafety(t *testing.T) {
 }
 
 // TestHasherMatchesStraightLineSHA256 feeds the same fields to a Hasher
-// and, one Write each, to a bare sha256: the staging buffer must not move
-// a byte of the stream, or every stored Key silently re-keys. The slices
-// straddle the buffer size, Sum is taken mid-stream and the stream goes
-// on, and the pattern and values digests are rebuilt by hand.
+// and, one Write each, to a bare sha256: neither the staging buffer nor
+// the in-place slices may move a byte of the stream, or every stored Key
+// silently re-keys. The slices straddle the buffer size, Sum is taken
+// mid-stream and the stream goes on, and the values digest is rebuilt by
+// hand at 8 bytes per value. The pattern digest is rebuilt at each of its
+// three index widths.
 func TestHasherMatchesStraightLineSHA256(t *testing.T) {
 	ref := sha256.New()
 	le := func(v uint64) {
@@ -133,22 +136,35 @@ func TestHasherMatchesStraightLineSHA256(t *testing.T) {
 	}
 
 	m := gen.Grid9(30, 30) // 900 column pointers, ~4 000 indices and values
-	ref.Reset()
-	str("pattern")
-	le(uint64(m.N))
-	le(uint64(len(m.ColPtr)))
-	for _, v := range m.ColPtr {
-		le(uint64(v))
+	wide := gen.Grid9(120, 120)
+	if wide.NNZ() <= 1<<16 {
+		t.Fatal("Grid9(120,120) no longer needs 4-byte indices")
 	}
-	le(uint64(len(m.RowInd)))
-	for _, v := range m.RowInd {
-		le(uint64(v))
+	invalid := *m
+	invalid.RowInd = append([]int(nil), m.RowInd...)
+	invalid.RowInd[7] = -1
+	for _, c := range []struct {
+		m *sparse.Matrix
+		w int
+	}{{m, 2}, {wide, 4}, {&invalid, 8}} {
+		ref.Reset()
+		str("pattern")
+		le(uint64(c.m.N))
+		le(uint64(c.w))
+		le(uint64(len(c.m.ColPtr)))
+		le(uint64(len(c.m.RowInd)))
+		for _, v := range append(append([]int(nil), c.m.ColPtr...), c.m.RowInd...) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			ref.Write(b[:c.w])
+		}
+		var want [sha256.Size]byte
+		ref.Sum(want[:0])
+		if PatternSum(c.m) != want {
+			t.Fatalf("PatternSum of n = %d differs from the straight-line digest at %d-byte indices", c.m.N, c.w)
+		}
 	}
 	var want [sha256.Size]byte
-	ref.Sum(want[:0])
-	if PatternSum(m) != want {
-		t.Fatal("PatternSum differs from the straight-line digest")
-	}
 	ref.Reset()
 	str("values")
 	le(uint64(len(m.Val)))

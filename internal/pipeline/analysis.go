@@ -60,16 +60,11 @@ type Analysis struct {
 // analysis of a's pattern: the pattern digest plus the MMD ordering tag.
 // Computing it never runs the ordering or the symbolic factorization.
 func AnalysisKey(a *sparse.Matrix) artifact.Key {
-	h := analysisHasher()
-	mixPattern(h, a)
-	return h.Sum()
-}
-
-func analysisHasher() *artifact.Hasher {
 	h := artifact.NewHasher("analysis")
 	h.I64(int64(0)) // ordering tag: 0 = MMD
 	h.Str("mmd")
-	return h
+	mixPattern(h, a)
+	return h.Sum()
 }
 
 // mixPattern appends the pattern digest of a to an analysis hasher.
@@ -85,7 +80,7 @@ func NewAnalysis(a *sparse.Matrix) (*Analysis, error) {
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("pipeline: invalid matrix: %w", err)
 	}
-	return newAnalysis(a, order.MMD(a), analysisHasher())
+	return newAnalysis(a, order.MMD(a), AnalysisKey(a))
 }
 
 // NewAnalysisOrdered is NewAnalysis with a caller-supplied elimination
@@ -101,11 +96,13 @@ func NewAnalysisOrdered(a *sparse.Matrix, perm []int) (*Analysis, error) {
 	h := artifact.NewHasher("analysis")
 	h.I64(int64(1)) // ordering tag: 1 = explicit permutation
 	h.Ints(perm)
-	return newAnalysis(a, perm, h)
+	mixPattern(h, a)
+	return newAnalysis(a, perm, h.Sum())
 }
 
-func newAnalysis(a *sparse.Matrix, perm []int, h *artifact.Hasher) (*Analysis, error) {
-	mixPattern(h, a)
+// newAnalysis analyzes the valid matrix a under perm; key is the
+// analysis' content address, which the caller has already computed.
+func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, error) {
 	// Permute an index-valued copy of the pattern: the permuted values
 	// recover, for every permuted position, the original position its
 	// value comes from (exact: positions stay far below 2^53).
@@ -134,7 +131,7 @@ func newAnalysis(a *sparse.Matrix, perm []int, h *artifact.Hasher) (*Analysis, e
 		Ops:      ops,
 		ElemWork: ew,
 		Total:    model.TotalWork(ew),
-		Key:      h.Sum(),
+		Key:      key,
 		valPerm:  valPerm,
 		sys:      strategy.NewSys(f, ops, ew),
 	}, nil
@@ -150,13 +147,20 @@ func (an *Analysis) N() int { return an.Pattern.N }
 // PermuteValues maps the values of a — a matrix with exactly this
 // analysis' pattern — into the permuted value layout, without re-running
 // the structural permutation. The result is bitwise identical to
-// a.Permute(Perm).Val: values are moved, never recomputed.
+// a.Permute(Perm).Val: values are moved, never recomputed. A pattern other
+// than the analysis' or a value count other than its nnz is an error.
 func (an *Analysis) PermuteValues(a *sparse.Matrix) ([]float64, error) {
 	if a.Val == nil {
-		return nil, fmt.Errorf("pipeline: matrix has no values")
+		return nil, errNoValues
+	}
+	if len(a.ColPtr) != len(an.Pattern.ColPtr) {
+		return nil, fmt.Errorf("pipeline: matrix has %d column pointers, the analysis %d", len(a.ColPtr), len(an.Pattern.ColPtr))
 	}
 	if !sparse.PatternEqual(a, an.Pattern) {
 		return nil, fmt.Errorf("pipeline: matrix pattern does not match the analysis (key %s)", an.Key)
+	}
+	if len(a.Val) != len(an.valPerm) {
+		return nil, fmt.Errorf("pipeline: matrix has %d values, the analysis pattern %d entries", len(a.Val), len(an.valPerm))
 	}
 	pv := make([]float64, len(an.valPerm))
 	for q, src := range an.valPerm {

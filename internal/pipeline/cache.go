@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"repro/internal/artifact"
+	"repro/internal/order"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/strategy"
@@ -35,12 +36,22 @@ func (c *Cache) StatsByKind() map[string]artifact.Counts { return c.store.StatsB
 // Analysis returns the cached analysis of a's pattern under MMD, building
 // it on a miss. A repeat call with any matrix of the same pattern is a
 // hit and performs zero symbolic work.
+//
+// An invalid a returns a.Validate()'s error. The pattern is validated on a
+// miss only: a hit means a pattern with the same digest passed Validate
+// when its analysis was built, the trust that already skips the ordering
+// and the symbolic factorization. The O(1) length check on the values runs
+// on every call.
 func (c *Cache) Analysis(a *sparse.Matrix) (*Analysis, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
+	if a.Val != nil && len(a.Val) != len(a.RowInd) {
+		return nil, a.Validate()
 	}
-	v, _, err := c.store.GetOrBuild(AnalysisKey(a), func() (any, error) {
-		return NewAnalysis(a)
+	key := AnalysisKey(a)
+	v, _, err := c.store.GetOrBuild(key, func() (any, error) {
+		if err := a.Validate(); err != nil {
+			return nil, err
+		}
+		return newAnalysis(a, order.MMD(a), key)
 	})
 	if err != nil {
 		return nil, err
