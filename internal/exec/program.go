@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,48 +17,45 @@ import (
 // the merged tile-segment graph of a 2D tile schedule (part2d.Tasks), the
 // column graph of a 1D schedule (ColumnTasksMapped with elemTask =
 // symbolic.Factor.ColIndex) or the unit-block graph of a block schedule
-// (CompileBlocks). Compile validates the graph once and lays it out as
-// flat arrays; Run then factorizes any matrix with the factor's pattern,
-// any number of times and from any number of goroutines at once, doing no
-// per-run work beyond scattering the values and resetting the dependency
-// counters.
+// (CompileBlocks), laid out once as flat arrays. Run then factorizes any
+// matrix with the factor's pattern, any number of times and from any
+// number of goroutines at once, doing no per-run work beyond scattering
+// the values and resetting the dependency counters.
 //
-// The factor a Run produces is bit-for-bit equal to the serial kernel's
-// (numeric.Factorize or FactorizeLDL): every column's updates are applied
-// in ascending source column (the factor's row index, the order of
-// model.Ops.ForEachRun) with the identical association, so every element
-// sees exactly the serial sequence of floating-point operations however
-// the tasks interleave.
+// A task is a list of runs — ranges of consecutive positions of one
+// column: a whole column, a tile's rows of it, a unit block's band — and
+// every run is one numeric.Kernel.Segment call, the serial kernel's own
+// step. So the factor a Run produces is bit-for-bit the serial kernel's
+// (numeric.Factorize or FactorizeLDL) however the columns are cut and the
+// tasks interleave: every element takes its updates in ascending source
+// column (the order of model.Ops.ForEachRun) with the same association.
 // That makes the run deterministic and the comm-aware makespan simulators
 // falsifiable — the task graph they predict is what actually runs.
 type Program struct {
 	f *symbolic.Factor
 	p int
 
-	proc []int32 // task -> worker
-	// col is the column of a task that owns every element of one column
-	// and nothing else: it is one numeric.Kernel.Column step. Any other
-	// task (a 2D tile segment, a unit block) has col -1 and lists its
-	// elements in elems[elemPtr[t]:elemPtr[t+1]], ascending — column by
-	// column.
-	col     []int32
-	elemPtr []int32
-	elems   []int32
+	proc   []int32 // task -> worker
+	runPtr []int32 // the runs of t are runs[runPtr[t]:runPtr[t+1]], ascending
+	runs   []segment
 
 	indeg   []int32 // task -> number of predecessors
 	succPtr []int32 // successors of t are succ[succPtr[t]:succPtr[t+1]]
 	succ    []int32
 	own     []int32 // worker -> number of tasks
-
-	colOf []int32 // factor position -> column (Factor.ColIndex)
 }
 
-// Compile validates a task graph for the factor f on p workers and lays it
-// out for execution. tasks must be topologically ordered by ID with
-// processors in [0, p), and elemTask must assign every factor position to
-// a task whose predecessors own the sources of its updates and the
-// diagonals it scales by; malformed inputs are reported as errors, never
-// as panics or races.
+// segment is one run of a task: positions [lo, hi) of column j.
+type segment struct{ j, lo, hi int32 }
+
+// Compile lays out a task graph for the factor f on p workers; elemTask
+// assigns every factor position to a task. It checks the shape — tasks
+// topologically ordered by ID, processors in [0, p), every task in range
+// — and reports a malformed one as an error. It does not check that a
+// task's predecessors own the sources of its updates and the diagonals it
+// scales by: that is the constructors' contract (ColumnTasksMapped,
+// part2d.Tasks, CompileBlocks), pinned by the bit-identity tests, and
+// Measure checks every run bitwise.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
 	if err := sched.CheckProcs("exec", p); err != nil {
 		return nil, err
@@ -74,44 +70,37 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	pg := &Program{
 		f: f, p: p,
 		proc:    make([]int32, nt),
-		col:     make([]int32, nt),
-		elemPtr: make([]int32, nt+1),
+		runPtr:  make([]int32, nt+1),
 		indeg:   make([]int32, nt),
 		succPtr: make([]int32, nt+1),
 		own:     make([]int32, p),
-		colOf:   f.ColIndex(),
 	}
-	// Find every task's column (-1 none yet, manyCols several) and count
-	// its elements (into elemPtr[t+1], prefix-summed below).
-	const manyCols = -2
-	for i := range pg.col {
-		pg.col[i] = -1
-	}
-	for q, t := range elemTask {
-		if t < 0 || int(t) >= nt {
-			return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
+	// A run starts at each column's first position and wherever the task
+	// changes: count each task's runs (prefix-summed below), then fill them
+	// in ascending position.
+	for j := 0; j < f.N; j++ {
+		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+			if t := elemTask[q]; t < 0 || int(t) >= nt {
+				return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
+			} else if q == f.ColPtr[j] || t != elemTask[q-1] {
+				pg.runPtr[t+1]++
+			}
 		}
-		if j := pg.colOf[q]; pg.col[t] == -1 {
-			pg.col[t] = j
-		} else if pg.col[t] != j {
-			pg.col[t] = manyCols
-		}
-		pg.elemPtr[t+1]++
 	}
 	for t := 0; t < nt; t++ {
-		if j := pg.col[t]; j >= 0 && int(pg.elemPtr[t+1]) == f.ColLen(int(j)) {
-			pg.elemPtr[t+1] = 0 // a whole column needs no element list
-		} else {
-			pg.col[t] = -1
-		}
-		pg.elemPtr[t+1] += pg.elemPtr[t]
+		pg.runPtr[t+1] += pg.runPtr[t]
 	}
-	pg.elems = make([]int32, pg.elemPtr[nt])
-	fill := append([]int32(nil), pg.elemPtr[:nt]...)
-	for q, t := range elemTask {
-		if pg.col[t] < 0 {
-			pg.elems[fill[t]] = int32(q)
+	pg.runs = make([]segment, pg.runPtr[nt])
+	fill := append([]int32(nil), pg.runPtr[:nt]...)
+	for j := 0; j < f.N; j++ {
+		for q, end := f.ColPtr[j], f.ColPtr[j+1]; q < end; {
+			t, hi := elemTask[q], q+1
+			for hi < end && elemTask[hi] == t {
+				hi++
+			}
+			pg.runs[fill[t]] = segment{int32(j), int32(q), int32(hi)}
 			fill[t]++
+			q = hi
 		}
 	}
 	// Successor lists, the transpose of Preds, in ascending task order.
@@ -181,9 +170,10 @@ func CompileBlocks(part *core.Partition, s *sched.Schedule) (*Program, error) {
 // predecessor whose retirement released a task its worker was parked for,
 // -1 otherwise.
 //
-// A pivot the serial kernel would reject is reported as an error naming
-// the same column, an entry of m outside the factor structure as an error
-// naming the entry; every worker has exited by the time Run returns.
+// A pivot the serial kernel would reject is reported as the serial
+// kernel's error (errors.As finds its *numeric.NotPositiveDefiniteError),
+// an entry of m outside the factor structure as an error naming the
+// entry; every worker has exited by the time Run returns.
 func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*NumericFactor, []TaskEvent, error) {
 	if err := k.Valid(); err != nil {
 		return nil, nil, err
@@ -205,10 +195,10 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 		r.t0 = time.Now()
 	}
 	if pg.p == 1 {
-		k := r.newKernel()
+		acc := make([]float64, pg.f.N)
 		var prev int64
 		for t := 0; t < len(pg.proc) && r.err == nil; t++ {
-			r.err = r.exec(k, int32(t), 0, -1, &prev)
+			r.err = r.exec(acc, int32(t), 0, -1, &prev)
 		}
 	} else {
 		r.parallel()
@@ -342,7 +332,7 @@ func (r *run) fail(err error) {
 func (r *run) work(w int32) {
 	pg := r.pg
 	q := r.queues[w]
-	k := r.newKernel()
+	acc := make([]float64, pg.f.N)
 	var prev int64
 	for left := pg.own[w]; left > 0; {
 		if r.aborted.Load() {
@@ -353,7 +343,7 @@ func (r *run) work(w int32) {
 			<-q.wake
 			continue
 		}
-		if err := r.exec(k, t, w, cause, &prev); err != nil {
+		if err := r.exec(acc, t, w, cause, &prev); err != nil {
 			r.fail(err)
 			return
 		}
@@ -368,12 +358,12 @@ func (r *run) work(w int32) {
 
 // exec runs task t on worker w, recording its event when asked; prev is
 // the worker's previous finish time.
-func (r *run) exec(k *kernel, t, w, cause int32, prev *int64) error {
+func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	if r.events == nil {
-		return k.task(t)
+		return r.task(acc, t)
 	}
 	start := time.Since(r.t0).Nanoseconds()
-	if err := k.task(t); err != nil {
+	if err := r.task(acc, t); err != nil {
 		return err
 	}
 	finish := time.Since(r.t0).Nanoseconds()
@@ -387,130 +377,16 @@ func (r *run) exec(k *kernel, t, w, cause int32, prev *int64) error {
 	return nil
 }
 
-// kernel is one worker's numeric state: the dense accumulator of the
-// column in progress, as in numeric.Factorize, and for partial tasks the
-// stamp that marks the rows the task owns.
-type kernel struct {
-	r     *run
-	w     []float64
-	stamp []int32
-	round int32
-}
-
-func (r *run) newKernel() *kernel {
-	k := &kernel{r: r, w: make([]float64, r.pg.f.N)}
-	if len(r.pg.elems) > 0 {
-		k.stamp = make([]int32, r.pg.f.N)
-	}
-	return k
-}
-
-// task runs task t: a whole column as the serial kernel's own step (a
-// rejected pivot reported under this package's name), any other task as
-// its column segments in ascending column order, so a segment finds the
-// task's own earlier columns final.
-func (k *kernel) task(t int32) error {
-	r := k.r
+// task runs task t's runs in ascending position, so a run finds the
+// task's own earlier columns final; acc is the worker's dense accumulator,
+// as in numeric.Factorize. A rejected pivot is reported under this
+// package's name.
+func (r *run) task(acc []float64, t int32) error {
 	pg := r.pg
-	if j := int(pg.col[t]); j >= 0 {
-		if d, ok := r.kern.Column(pg.f, r.val, k.w, j); !ok {
-			return checkPivot(d, j, r.kern == numeric.KernelLDL)
+	for _, s := range pg.runs[pg.runPtr[t]:pg.runPtr[t+1]] {
+		if err := r.kern.Segment(pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi)); err != nil {
+			return fmt.Errorf("exec: %w", err)
 		}
-		return nil
-	}
-	elems := pg.elems[pg.elemPtr[t]:pg.elemPtr[t+1]]
-	for len(elems) > 0 {
-		j, n := pg.colOf[elems[0]], 1
-		for n < len(elems) && pg.colOf[elems[n]] == j {
-			n++
-		}
-		if err := k.partial(int(j), elems[:n]); err != nil {
-			return err
-		}
-		elems = elems[n:]
-	}
-	return nil
-}
-
-// partial runs one column segment — the rows of column j a task owns
-// (elems, ascending positions): it applies the column's updates to them in
-// the serial order, ascending source column over the factor's row index,
-// the stamp filtering every source column down to those rows, then scales
-// them. It is the one update loop beside numeric's: same sources, same
-// order, same multiplier, so a segment's elements get the serial bits.
-func (k *kernel) partial(j int, elems []int32) error {
-	pg, val, w, stamp := k.r.pg, k.r.val, k.w, k.stamp
-	f := pg.f
-	k.round++
-	round := k.round
-	for _, q := range elems {
-		i := f.RowInd[q]
-		w[i] = val[q]
-		stamp[i] = round
-	}
-	ldl := k.r.kern == numeric.KernelLDL
-	ri := f.Rows()
-	pos := ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
-	for t, c := range ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]] {
-		p, end := int(pos[t]), f.ColPtr[c+1]
-		rs, vs := f.RowInd[p:end], val[p:end]
-		// The multiplier — L[j,c], times D[c] for LDLᵀ — is loaded lazily,
-		// on the first row this task owns: the update (i, j) <- (i, c),
-		// (j, c) then guarantees both source tasks are among this task's
-		// predecessors, so the reads are synchronized. A source touching
-		// none of the task's rows must not read column c at all — its tasks
-		// may still be in flight.
-		loaded := false
-		var l float64
-		for x, i := range rs {
-			if stamp[i] != round {
-				continue
-			}
-			if !loaded {
-				l = vs[0]
-				if ldl {
-					l = val[f.ColPtr[c]] * vs[0]
-				}
-				loaded = true
-			}
-			w[i] -= vs[x] * l
-		}
-	}
-	diag := int32(f.ColPtr[j])
-	var d float64
-	if elems[0] == diag {
-		// This task owns the diagonal: compute the pivot and scale its own
-		// off-diagonal elements.
-		d = w[j]
-		if err := checkPivot(d, j, ldl); err != nil {
-			return err
-		}
-		if !ldl {
-			d = math.Sqrt(d)
-		}
-		val[diag] = d
-		elems = elems[1:]
-	} else {
-		// The diagonal belongs to another task; the scale dependency
-		// (the tile graph's scale edges, CompileBlocks' diagonal edges)
-		// guarantees it is final.
-		d = val[diag]
-	}
-	for _, q := range elems {
-		val[q] = w[f.RowInd[q]] / d
-	}
-	return nil
-}
-
-// checkPivot applies the serial kernels' pivot rule to column j's updated
-// diagonal: finite and positive for Cholesky, finite and nonzero for LDLᵀ.
-func checkPivot(v float64, j int, ldl bool) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 || (!ldl && v < 0) {
-		want := "positive"
-		if ldl {
-			want = "nonzero"
-		}
-		return fmt.Errorf("exec: unusable pivot %g at column %d (want finite %s)", v, j, want)
 	}
 	return nil
 }

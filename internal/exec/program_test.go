@@ -14,9 +14,10 @@ import (
 )
 
 // A pivot the serial kernel rejects must come back from the compiled
-// engine as an error naming the same column at any worker count, with
-// every worker gone, and must leave the Program fit to run again — for
-// whole-column tasks and for unit blocks (multi-column tasks) alike.
+// engine as the serial kernel's error (a *numeric.NotPositiveDefiniteError
+// under this package's prefix) at any worker count, with every worker
+// gone, and must leave the Program fit to run again — for whole-column
+// tasks and for unit blocks (multi-column tasks) alike.
 func TestProgramBadPivotStopsWorkers(t *testing.T) {
 	p := buildPipe(gen.Grid9(12, 12), 4, 4)
 	want, err := numeric.Factorize(p.m, p.f)
@@ -51,7 +52,9 @@ func TestProgramBadPivotStopsWorkers(t *testing.T) {
 			pg := c.pg
 			before := runtime.NumGoroutine()
 			for rep := 0; rep < 20; rep++ {
-				if _, _, err := pg.Run(&bad, numeric.KernelCholesky, rep%2 == 1); err == nil || !strings.Contains(err.Error(), colName) {
+				_, _, err := pg.Run(&bad, numeric.KernelCholesky, rep%2 == 1)
+				var got *numeric.NotPositiveDefiniteError
+				if err == nil || !strings.Contains(err.Error(), colName) || !errors.As(err, &got) || *got != *npd {
 					t.Fatalf("P=%d %s: err = %v, want one naming column %d", procs, c.kind, err, npd.Column)
 				}
 			}

@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
@@ -38,28 +39,58 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 // column j of val — A's values (ScatterA) on entry, every column that
 // updates it final — receives its updates, pivot and scale in place; w is
 // scratch of length f.N. A pivot the kernel rejects comes back with ok
-// false and the column untouched: it must be finite and positive (nonzero
-// for LDLᵀ) — ±Inf, an overflowed or Inf-contaminated diagonal, would
-// survive the square root or divide the off-diagonals into zeros and NaNs.
+// false and the column untouched. It is Segment over the whole column.
 func (k Kernel) Column(f *symbolic.Factor, val, w []float64, j int) (pivot float64, ok bool) {
-	lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+	lo := f.ColPtr[j]
+	if k.Segment(f, val, w, j, lo, f.ColPtr[j+1]) != nil {
+		return w[j], false
+	}
+	return val[lo], true
+}
+
+// Segment is the left-looking step over positions [lo, hi) of column j,
+// lo < hi — a run of the column's rows, the whole column included: the run
+// receives its updates, its pivot if it holds the diagonal, and its
+// scale. The sources updating the run and, for a run below the diagonal,
+// the diagonal must be final; a source with no row in the run is not read
+// at all, not even its multiplier. However the column is cut, its
+// elements get the whole column's bits.
+//
+// A rejected pivot is an error and leaves the column untouched: it must
+// be finite and positive (nonzero for LDLᵀ) — ±Inf, an overflowed or
+// Inf-contaminated diagonal, would survive the square root or divide the
+// off-diagonals into zeros and NaNs. Cholesky's is a
+// *NotPositiveDefiniteError.
+func (k Kernel) Segment(f *symbolic.Factor, val, w []float64, j, lo, hi int) error {
 	rows, col := f.RowInd[lo:hi], val[lo:hi]
 	for x, i := range rows {
 		w[i] = col[x]
 	}
-	k.update(f, val, w, j)
-	d := w[j]
-	if math.IsNaN(d) || math.IsInf(d, 0) || d == 0 || (k != KernelLDL && d < 0) {
-		return d, false
+	diag := f.ColPtr[j]
+	if lo == diag && hi == f.ColPtr[j+1] {
+		k.update(f, val, w, j)
+	} else {
+		k.updateRun(f, val, w, j, rows[0], rows[len(rows)-1])
 	}
-	if k != KernelLDL {
-		d = math.Sqrt(d)
+	d := val[diag]
+	if lo == diag {
+		d = w[j]
+		if math.IsNaN(d) || math.IsInf(d, 0) || d == 0 || (k != KernelLDL && d < 0) {
+			if k == KernelLDL {
+				return fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
+			}
+			return &NotPositiveDefiniteError{Column: j, Pivot: d}
+		}
+		if k != KernelLDL {
+			d = math.Sqrt(d)
+		}
+		col[0] = d
+		rows, col = rows[1:], col[1:]
 	}
-	col[0] = d
-	for x := 1; x < len(rows); x++ {
-		col[x] = w[rows[x]] / d
+	for x, i := range rows {
+		col[x] = w[i] / d
 	}
-	return d, true
+	return nil
 }
 
 // passWidth reports how many of the sources cols[t:] of row j the update
@@ -80,13 +111,11 @@ func passWidth(f *symbolic.Factor, cols, pos []int32, t, n int) int {
 }
 
 // update applies to w, holding column j, every pair update of the column:
-// w[i] -= L[i,k]·l for each source column k of row j (symbolic.Factor.Rows)
-// in ascending k and each row i >= j of column k, where l is L[j,k] for
-// Cholesky and D[k]·L[j,k] for LDLᵀ. That order, one source at a time,
+// w[i] -= L[i,c]·l for each source column c of row j (symbolic.Factor.Rows)
+// in ascending c and each row i >= j of column c, where l is L[j,c] for
+// Cholesky and D[c]·L[j,c] for LDLᵀ. That order, one source at a time,
 // defines the factor's bits; four (or two) sources with the same rows go
 // through one pass, which subtracts from each element in the same order.
-// This is the one unfiltered update loop: the engine's partial tasks walk
-// the same index in the same order behind their row filter.
 func (k Kernel) update(f *symbolic.Factor, val, w []float64, j int) {
 	ri := f.Rows()
 	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
@@ -123,11 +152,64 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, j int) {
 	}
 }
 
-// sub4, sub2 and sub1 are the passes of update; every statement is one
-// multiply and one subtract, in source order, so an architecture that fuses
-// them fuses all arms alike. They are kept out of line: inlined into update
-// the loops compete for registers and the counter and slice bases spill to
-// the stack on every iteration (22 ms against 16 on Grid9(120,120), amd64).
+// updateRun is update restricted to column j's rows in [rlo, rhi]: the
+// same sources in the same order through the same passes, each over the
+// slice of its tail in the band, found by search (an end of the band
+// that is an end of the column needs none) — the band holds every row of
+// struct(j) in it and struct(c) below j lies in struct(j). A source with
+// no row there is not read. update keeps a loop of its own: folded into
+// it, the search and its bookkeeping cost the whole-column step 3–7 %,
+// even behind a loop-invariant branch.
+func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, j, rlo, rhi int) {
+	ri := f.Rows()
+	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
+	// src is source t as its values from row j down, a rows in, and its
+	// multiplier.
+	src := func(t, a int) ([]float64, float64) {
+		p := int(pos[t])
+		if k == KernelLDL {
+			return val[p+a:], val[f.ColPtr[cols[t]]] * val[p]
+		}
+		return val[p+a:], val[p]
+	}
+	for t := 0; t < len(cols); {
+		p := int(pos[t])
+		n := f.ColPtr[cols[t]+1] - p
+		g := passWidth(f, cols, pos, t, n)
+		rs, a := f.RowInd[p:p+n], 0
+		if rlo > j {
+			a = sort.SearchInts(rs, rlo)
+		}
+		if rs = rs[a:]; rhi < last {
+			rs = rs[:sort.SearchInts(rs, rhi+1)]
+		}
+		switch {
+		case len(rs) == 0:
+		case g == 4:
+			v0, l0 := src(t, a)
+			v1, l1 := src(t+1, a)
+			v2, l2 := src(t+2, a)
+			v3, l3 := src(t+3, a)
+			sub4(w, rs, v0, v1, v2, v3, l0, l1, l2, l3)
+		case g == 2:
+			v0, l0 := src(t, a)
+			v1, l1 := src(t+1, a)
+			sub2(w, rs, v0, v1, l0, l1)
+		default:
+			v0, l0 := src(t, a)
+			sub1(w, rs, v0, l0)
+		}
+		t += g
+	}
+}
+
+// sub4, sub2 and sub1 are the passes of update and updateRun; every
+// statement is one multiply and one subtract, in source order, so an
+// architecture that fuses them fuses all arms alike. They are kept out of
+// line: inlined into update the loops compete for registers and the
+// counter and slice bases spill to the stack on every iteration (22 ms
+// against 16 on Grid9(120,120), amd64).
 //
 //go:noinline
 func sub4(w []float64, rs []int, v0, v1, v2, v3 []float64, l0, l1, l2, l3 float64) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/numeric"
 	"repro/internal/order"
 	"repro/internal/pipeline"
@@ -92,10 +93,11 @@ func errColumn(err error) int {
 
 // FuzzColumnUpdate holds the grouped column body to the one-source-at-a-time
 // oracle, bit for bit and for both kernels, and the compiled engine to the
-// serial kernel — whole columns on a wrap plan at P = 1, 3 and n + 1, column
-// segments on a block plan — on fuzzer-written matrices; a value either
-// kernel must refuse is refused by the oracle, the serial kernel and every
-// engine run at the same column.
+// serial kernel — whole columns on a wrap plan at P = 1, 3 and n + 1, runs
+// of unit blocks on block plans at grain 4 and 25, tile runs (a task may
+// own several of one column) on a rect2dcyclic plan at P = 4 — on
+// fuzzer-written matrices; a value either kernel must refuse is refused by
+// the oracle, the serial kernel and every engine run at the same column.
 func FuzzColumnUpdate(f *testing.F) {
 	f.Add([]byte{3, 6, 0, 0, 0, 1, 1, 2, 0, 2, 0, 3, 1, 3, 2, 3, 200, 7, 130, 9, 77, 255})                     // dense 4x4: one supernode of width 4
 	f.Add([]byte{9, 9, 0, 0, 0, 9, 1, 9, 2, 9, 3, 9, 4, 9, 5, 9, 6, 9, 7, 9, 8, 9})                            // an arrow: nine singles into one column
@@ -114,10 +116,13 @@ func FuzzColumnUpdate(f *testing.F) {
 			t.Fatal(err)
 		}
 		type plan struct {
-			name string
-			p    int
+			name  string
+			p     int
+			grain int
+			dim2  bool
 		}
-		plans := []plan{{"wrap", 1}, {"wrap", 3}, {"wrap", m.N + 1}, {"block", 3}}
+		plans := []plan{{"wrap", 1, 0, false}, {"wrap", 3, 0, false}, {"wrap", m.N + 1, 0, false},
+			{"block", 3, 0, false}, {"block", 3, 25, false}, {"rect2dcyclic", 4, 0, true}}
 		for _, k := range []numeric.Kernel{numeric.KernelCholesky, numeric.KernelLDL} {
 			want, bad, err := numeric.RefFactorize(k, m, an.F)
 			if err != nil {
@@ -143,7 +148,11 @@ func FuzzColumnUpdate(f *testing.F) {
 			got, err := k.Factorize(m, an.F)
 			check("serial", got, err)
 			for _, c := range plans {
-				pl, err := an.Plan(c.name, c.p, strategy.Options{})
+				plan := an.Plan
+				if c.dim2 {
+					plan = an.Plan2D
+				}
+				pl, err := plan(c.name, c.p, strategy.Options{Part: core.Options{Grain: c.grain}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +161,7 @@ func FuzzColumnUpdate(f *testing.F) {
 				if err == nil {
 					val = fa.Val
 				}
-				check(fmt.Sprintf("engine %s P=%d", c.name, c.p), val, err)
+				check(fmt.Sprintf("engine %s g=%d P=%d", c.name, c.grain, c.p), val, err)
 			}
 		}
 	})

@@ -54,9 +54,10 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 
 // Factorize runs the serial left-looking factorization k selects and
 // returns the values aligned with f: Factorize's for KernelCholesky,
-// FactorizeLDL's for KernelLDL. It is ScatterA, then Column for every
-// column in turn; the two kernels differ only in the D[k] factor of an
-// update and in the pivot (rule, square root).
+// FactorizeLDL's for KernelLDL. It is ScatterA, then Segment over every
+// whole column in turn (Column's step, whose rejected pivot is the error);
+// the two kernels differ only in the D[k] factor of an update and in the
+// pivot (rule, square root).
 func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	if err := k.Valid(); err != nil {
 		return nil, err
@@ -73,11 +74,8 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 	}
 	w := make([]float64, f.N) // dense accumulator for the current column
 	for j := 0; j < f.N; j++ {
-		if d, ok := k.Column(f, val, w, j); !ok {
-			if k == KernelLDL {
-				return nil, fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
-			}
-			return nil, &NotPositiveDefiniteError{Column: j, Pivot: d}
+		if err := k.Segment(f, val, w, j, f.ColPtr[j], f.ColPtr[j+1]); err != nil {
+			return nil, err
 		}
 	}
 	return val, nil

@@ -112,12 +112,12 @@ func mapperEntries() []struct {
 	return out
 }
 
-var bitIdentityProcs = []int{1, 4, 16, 64}
+var bitIdentityProcs = []int{1, 4, 16, 64, 65}
 
 // The tentpole property: for every registered 2D mapper and every col2d
-// lift, at every processor count (including P >= n on the 8x8 grid), the
-// parallel engine's factor is bit-for-bit equal to the serial reference —
-// for both kernels. Run with -race this is also the engine's data-race
+// lift, at every processor count (including P > 64 and P > n on the 8x8
+// grid), the parallel engine's factor is bit-for-bit equal to the serial
+// reference — for both kernels. Run with -race this is also the engine's data-race
 // exercise.
 func TestParallelFactorizeBitIdentity(t *testing.T) {
 	systems := []*numSys{

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -719,5 +720,47 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 	}
 	if got, want := an.Sys().RectilinearCuts(4), strategy.RectilinearCuts(an.Ops, an.ElemWork, 4); !slices.Equal(got, want) {
 		t.Fatal("the shared rectilinear cuts were written to")
+	}
+}
+
+// A matrix that is not positive definite fails as a
+// *numeric.NotPositiveDefiniteError naming the serial kernel's column on
+// every path: the serial factor, the compiled engine on whole columns
+// (wrap), unit blocks and 2D tile segments at P = 1 and 2, and the
+// cache's parallel factor.
+func TestParallelNotPositiveDefiniteError(t *testing.T) {
+	m := gen.Grid9(12, 12)
+	m.Val[m.ColPtr[m.N/2]] = -1
+	an, err := NewAnalysis(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *numeric.NotPositiveDefiniteError
+	pl, err := an.Plan("wrap", 1, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Factorize(m, Cholesky); !errors.As(err, &want) {
+		t.Fatalf("serial: err = %v (%T), want *numeric.NotPositiveDefiniteError", err, err)
+	}
+	cache := NewCache(8)
+	for _, p := range []int{1, 2} {
+		for _, c := range []struct {
+			name string
+			dim2 bool
+		}{{"wrap", false}, {"block", false}, {"rect2dcyclic", true}} {
+			pl, err := cache.plan(an, c.name, p, strategy.Options{}, c.dim2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = pl.FactorizeParallel(m, Cholesky)
+			_, cerr := cache.FactorParallel(pl, m, Cholesky)
+			for _, err := range []error{err, cerr} {
+				var npd *numeric.NotPositiveDefiniteError
+				if !errors.As(err, &npd) || npd.Column != want.Column || !strings.HasPrefix(err.Error(), "exec: ") {
+					t.Fatalf("%s P=%d: err = %v (%T), want an exec error wrapping %v", c.name, p, err, err, want)
+				}
+			}
+		}
 	}
 }
