@@ -17,21 +17,10 @@ type CalibratedModel = calib.CalibratedModel
 // histogram.
 type FitReport = calib.FitReport
 
-// CalibSample is one measured task execution in a calibration fit.
-type CalibSample = calib.Sample
-
-// Fitter accumulates measured runs across processor counts and mappers
-// into one least-squares fit.
-type Fitter = calib.Fitter
-
-// NewFitter returns an empty calibration fitter.
-func NewFitter() *Fitter { return calib.NewFitter() }
-
 // Calibrate fits {Alpha, Beta, Gamma} and the nanosecond scale to one
 // measured run of a plan: events are the per-task TaskEvents of
 // pl.Measure, tasks and tc the plan's Tasks and Fetch (tc may be nil to
-// charge no communication). Fit across several runs with a Fitter when
-// calibrating over processor counts or mappers.
+// charge no communication).
 func Calibrate(events []TraceEvent, tasks []Task, tc *TaskComm) (CalibratedModel, FitReport, error) {
 	return calib.Calibrate(events, tasks, tc)
 }

@@ -5,14 +5,13 @@
 // BENCH_*.json, and -trace exports one simulated execution as a Chrome
 // trace (Perfetto-loadable) or an ASCII Gantt chart.
 //
-// Two tables time real runs and therefore stay out of -table all: measure
+// One table times real runs and therefore stays out of -table all: measure
 // runs the parallel 2D engine (bit-identity verified against the serial
-// factor) and prints measured wall-clock speedups next to the comm-aware
-// predictions; calibrate fits {Alpha, Beta, Gamma} and the nanosecond
-// scale to the measured per-task durations and prints the Ext-Cal table
-// (measured vs uncalibrated vs calibrated prediction with MAPE columns).
-// Their numbers are one machine's and never enter the ledger, which holds
-// only what cmd/ledgerdiff gates exactly.
+// factor), fits {Alpha, Beta, Gamma} and the nanosecond scale to the
+// measured per-task durations, and prints each measured wall-clock
+// speedup next to the comm-aware prediction, uncalibrated and calibrated,
+// with their MAPEs. Its numbers are one machine's and never enter the
+// ledger, which holds only what cmd/ledgerdiff gates exactly.
 //
 // The command computes nothing itself: internal/tables holds every study
 // and its renderers, and this file is flag parsing plus the -table
@@ -23,7 +22,6 @@
 //	paperbench [-table 1|2|3|4|5|...|all|none]
 //	paperbench -table none -ledger BENCH_pr.json -matrix LAP30
 //	paperbench -table measure -repeats 2 -matrix LAP30
-//	paperbench -table calibrate -repeats 2 -matrix LAP30
 //	paperbench -table none -trace trace.json -tracestrategy rect2dcyclic -traceprocs 64
 package main
 
@@ -44,7 +42,7 @@ import (
 
 // suite is what a table is rendered from: the five problems of Table 1,
 // LAP30 among them (the single-matrix studies' subject), the comm model
-// of the -alpha/-beta flags, and for the timed tables the -matrix problem
+// of the -alpha/-beta flags, and for the timed table the -matrix problem
 // and the -repeats count.
 type suite struct {
 	ps    []*tables.Problem
@@ -54,15 +52,9 @@ type suite struct {
 	reps  int
 }
 
-// measured is the measurement pass of the two timed tables: every 2D
-// strategy on the -matrix problem across tables.MeasureProcs.
-func (s suite) measured() ([]tables.MeasureRow, error) {
-	return tables.Measured(s.focus, tables.MeasureProcs, nil, s.cm, s.reps)
-}
-
 // tableEntry renders one study of internal/tables as text. The timed
-// tables run the real engine: -table all leaves them out, as cmd/sweep's
-// -kind all leaves out its measured kinds.
+// table runs the real engine: -table all leaves it out, as cmd/sweep's
+// -kind all leaves out its measured kind.
 type tableEntry struct {
 	name  string
 	timed bool
@@ -123,19 +115,11 @@ var registry = []tableEntry{
 		return out, err
 	}},
 	{name: "measure", timed: true, text: func(s suite) (string, error) {
-		rows, err := s.measured()
-		return tables.FormatMeasured(s.focus.Meta.Name, s.cm, rows), err
-	}},
-	{name: "calibrate", timed: true, text: func(s suite) (string, error) {
-		rows, err := s.measured()
+		st, err := tables.Measured(s.focus, tables.MeasureProcs, nil, s.cm, s.reps)
 		if err != nil {
 			return "", err
 		}
-		st, err := tables.Calibration(rows)
-		if err != nil {
-			return "", err
-		}
-		return tables.FormatCalibration(s.focus.Meta.Name, s.cm, st), nil
+		return tables.FormatMeasured(s.focus.Meta.Name, s.cm, st), nil
 	}},
 }
 
@@ -166,16 +150,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all",
-		"which table to regenerate: 1..5, makespan, partners, grain, relax, alloc, order, solve, dynamic, crossover, messages, commspan, unified, strategy, tile2d, all, none (tables off; useful with -ledger/-trace), or one of the timed tables measure and calibrate (real engine runs on -matrix, not part of all)")
+		"which table to regenerate: 1..5, makespan, partners, grain, relax, alloc, order, solve, dynamic, crossover, messages, commspan, unified, strategy, tile2d, all, none (tables off; useful with -ledger/-trace), or the timed table measure (real engine runs on -matrix, not part of all)")
 	alpha := fs.Float64("alpha", 2, "comm model: work units per fetched element (unified table, ledger, trace)")
 	beta := fs.Float64("beta", 10, "comm model: work units per received message (unified table, ledger, trace)")
 	ledgerPath := fs.String("ledger", "", "write the machine-readable bench ledger (BENCH_*.json) to this path")
-	matrix := fs.String("matrix", "", "restrict -ledger to one suite matrix and select the matrix of -trace and the timed tables (default: all for the ledger, LAP30 otherwise)")
+	matrix := fs.String("matrix", "", "restrict -ledger to one suite matrix and select the matrix of -trace and the timed table (default: all for the ledger, LAP30 otherwise)")
 	tracePath := fs.String("trace", "", "write one traced comm-aware dynamic simulation to this path")
 	traceFormat := fs.String("traceformat", "chrome", "trace export format: "+strings.Join(repro.TraceFormats(), " or "))
 	traceStrategy := fs.String("tracestrategy", "wrap", "strategy of the traced run: a 1D strategy, a native 2D mapper, or col2d:<base>")
 	traceProcs := fs.Int("traceprocs", 16, "processor count of the traced run")
-	repeats := fs.Int("repeats", 3, "repeat-and-min count for the timings of -table measure and -table calibrate")
+	repeats := fs.Int("repeats", 3, "repeat-and-min count for the timings of -table measure")
 	fs.Parse(args)
 	// !(x >= 0) also rejects NaN, which a plain x < 0 lets through.
 	if !(*alpha >= 0) || !(*beta >= 0) || math.IsInf(*alpha, 0) || math.IsInf(*beta, 0) {

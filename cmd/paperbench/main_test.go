@@ -124,14 +124,14 @@ func timedRows(text string, keep ...int) []string {
 	return rows
 }
 
-// TestTimedTables pins the two tables that run the real engine. They are
-// registry entries like any other study, flagged so -table all leaves
-// them out (TestTableAllGolden holds -table all to its pre-change bytes),
-// and what they print is deterministic where cmd/sweep's measured series
-// are: the (label, P) axis with the predicted span and traffic of
-// measure and the uncalibrated predicted speedup of calibrate, checked
-// against sweep's own column goldens (calibrate prints two decimals of
-// the golden's four).
+// TestTimedTables pins the table that runs the real engine. It is a
+// registry entry like any other study, flagged so -table all leaves it
+// out (TestTableAllGolden holds -table all to its pre-change bytes), and
+// what it prints is deterministic where cmd/sweep's measured series is:
+// the (label, P) axis with the uncalibrated predicted speedup, span and
+// traffic, checked against sweep's own column golden (the table prints
+// two decimals of the golden's four speedup digits), and the MAPE footer
+// of the fit.
 func TestTimedTables(t *testing.T) {
 	var timed []string
 	for _, e := range registry {
@@ -139,57 +139,39 @@ func TestTimedTables(t *testing.T) {
 			timed = append(timed, e.name)
 		}
 	}
-	if !slices.Equal(timed, []string{"measure", "calibrate"}) {
-		t.Fatalf("timed tables %v, want measure and calibrate", timed)
+	if !slices.Equal(timed, []string{"measure"}) {
+		t.Fatalf("timed tables %v, want measure", timed)
 	}
 	if testing.Short() {
 		t.Skip("real measured runs on LAP30")
 	}
-	golden := func(kind string) []string {
-		data, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "lap30_"+kind+".cols.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:]
-		slices.Sort(rows)
-		return rows
+	data, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "lap30_measure.cols.csv"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	table := func(name string) string {
-		var stdout bytes.Buffer
-		if err := run([]string{"-table", name, "-repeats", "1"}, &stdout, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String()
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:]
+	slices.Sort(want)
+	var stdout bytes.Buffer
+	if err := run([]string{"-table", "measure", "-repeats", "1"}, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
 	}
+	out := stdout.String()
 
-	// Appl P Strategy Serial Parallel Speedup PredSpeedup PredSpan Traffic
-	out := table("measure")
-	if got, want := timedRows(out, 3, 2, 8, 9), golden("measure"); !slices.Equal(got, want) {
-		t.Errorf("-table measure deterministic columns drifted from sweep's golden:\n got %v\nwant %v\n%s", got, want, out)
-	}
-
-	// Appl P Strategy Measured Uncal Cal Speedup UncalPred CalPred Degenerate
-	out = table("calibrate")
-	got, want := timedRows(out, 3, 2, 8), golden("calibrate")
+	// Appl P Strategy Serial Parallel Speedup PredSpeedup PredSpan Traffic ...
+	got := timedRows(out, 3, 2, 7, 8, 9)
 	if len(got) != len(want) {
-		t.Fatalf("-table calibrate has %d rows, sweep's golden %d:\n%s", len(got), len(want), out)
-	}
-	pred := func(row string) (axis string, v float64) {
-		i := strings.LastIndex(row, ",")
-		v, err := strconv.ParseFloat(row[i+1:], 64)
-		if err != nil {
-			t.Fatalf("row %q: %v", row, err)
-		}
-		return row[:i], v
+		t.Fatalf("-table measure has %d rows, sweep's golden %d:\n%s", len(got), len(want), out)
 	}
 	for i := range got {
-		gAxis, g := pred(got[i])
-		wAxis, w := pred(want[i])
-		if gAxis != wAxis || math.Abs(g-w) > 0.005+1e-9 {
-			t.Errorf("-table calibrate row %q, sweep's golden %q", got[i], want[i])
+		g, w := strings.Split(got[i], ","), strings.Split(want[i], ",")
+		gp, err1 := strconv.ParseFloat(g[2], 64)
+		wp, err2 := strconv.ParseFloat(w[2], 64)
+		if err1 != nil || err2 != nil || !slices.Equal(append(g[:2:2], g[3:]...), append(w[:2:2], w[3:]...)) ||
+			math.Abs(gp-wp) > 0.005+1e-9 {
+			t.Errorf("-table measure row %q, sweep's golden %q", got[i], want[i])
 		}
 	}
 	if !strings.Contains(out, "speedup MAPE: uncalibrated ") {
-		t.Errorf("-table calibrate lost its MAPE footer:\n%s", out)
+		t.Errorf("-table measure lost its MAPE footer:\n%s", out)
 	}
 }

@@ -19,7 +19,6 @@
 //	sweep -kind tile2d   -matrix LAP30 -alpha 2 -beta 10 > tile2d.csv
 //	sweep -kind tile2d   -strategy col2d:rectilinear -matrix LAP30
 //	sweep -kind measure  -matrix LAP30 -repeats 3 > measure.csv
-//	sweep -kind calibrate -matrix LAP30 -repeats 3 > calibrate.csv
 //	sweep -kind all      -out data/         # every series for every matrix
 //	sweep -kind strategy -matrix LAP30 -ledger BENCH_lap30.json
 //	sweep -kind tile2d   -strategy rect2dcyclic -procs 64 -trace trace.json
@@ -94,8 +93,8 @@ func perLabel[R any](labels []string, study func(label []string) ([]R, error)) (
 
 // series is one -kind: a study of internal/tables rendered as CSV. The
 // bench kinds also return their cells, which -ledger and -trace replay;
-// the 2D kinds validate -strategy against the 2D axis; the measured kinds
-// time real runs (they honour -repeats and stay out of -kind all).
+// the 2D kinds validate -strategy against the 2D axis; the measured kind
+// times real runs (it honours -repeats and stays out of -kind all).
 type series struct {
 	name                 string
 	bench, dim2, measure bool
@@ -133,32 +132,12 @@ var registry = []series{
 		return tables.Tile2DCSV(rows), tables.Cells(rows), err
 	}},
 	{name: "measure", dim2: true, measure: true, csv: func(p *tables.Problem, o params) (string, []tables.Cell, error) {
-		rows, err := measured(p, o)
-		return tables.MeasureCSV(rows), nil, err
-	}},
-	{name: "calibrate", dim2: true, measure: true, csv: func(p *tables.Problem, o params) (string, []tables.Cell, error) {
-		// Pass 1 measures every 2D strategy across the processor sweep;
-		// pass 2 pools the per-task durations into one fit and scores the
-		// uncalibrated and calibrated speedup predictions per row.
-		rows, err := measured(p, o)
+		st, err := tables.Measured(p, measureSweep, o.axis(tables.Labels2D()), o.cm, o.reps)
 		if err != nil {
 			return "", nil, err
 		}
-		st, err := tables.Calibration(rows)
-		if err != nil {
-			return "", nil, err
-		}
-		return tables.CalibrateCSV(st), nil, nil
+		return tables.MeasureCSV(st), nil, nil
 	}},
-}
-
-// measured is the measurement pass of the two measured kinds: real
-// wall-clock runs of the parallel 2D engine (bit-identity verified on
-// every run) next to the comm-aware static prediction of the same graph.
-func measured(p *tables.Problem, o params) ([]tables.MeasureRow, error) {
-	return perLabel(o.axis(tables.Labels2D()), func(l []string) ([]tables.MeasureRow, error) {
-		return tables.Measured(p, measureSweep, l, o.cm, o.reps)
-	})
 }
 
 // benchKinds lists the kinds -ledger and -trace apply to.
@@ -197,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var o params
-	kind := fs.String("kind", "procs", "series: procs, grain, width, strategy, comm, tile2d, measure, calibrate, or all")
+	kind := fs.String("kind", "procs", "series: procs, grain, width, strategy, comm, tile2d, measure, or all")
 	matrix := fs.String("matrix", "LAP30", "test matrix name")
 	fs.IntVar(&o.procs, "procs", 16, "processors (grain, width and strategy sweeps)")
 	fs.IntVar(&o.grain, "grain", 25, "grain size (procs, width and strategy sweeps)")

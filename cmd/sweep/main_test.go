@@ -15,23 +15,21 @@ import (
 )
 
 // TestValidateRepeats pins the fail-fast -repeats gate: the measurement
-// kinds reject zero and negative counts with the kind and value in the
+// kind rejects zero and negative counts with the kind and value in the
 // message, while purely simulated kinds ignore the flag entirely.
 func TestValidateRepeats(t *testing.T) {
-	for _, kind := range []string{"measure", "calibrate"} {
-		for _, reps := range []int{0, -1, -7} {
-			err := validateRepeats(kind, reps)
-			if err == nil {
-				t.Errorf("validateRepeats(%q, %d) accepted", kind, reps)
-				continue
-			}
-			if !strings.Contains(err.Error(), kind) || !strings.Contains(err.Error(), "-repeats") {
-				t.Errorf("validateRepeats(%q, %d) error %q does not name the kind and flag", kind, reps, err)
-			}
+	for _, reps := range []int{0, -1, -7} {
+		err := validateRepeats("measure", reps)
+		if err == nil {
+			t.Errorf("validateRepeats(measure, %d) accepted", reps)
+			continue
 		}
-		if err := validateRepeats(kind, 1); err != nil {
-			t.Errorf("validateRepeats(%q, 1) = %v, want nil", kind, err)
+		if !strings.Contains(err.Error(), "measure") || !strings.Contains(err.Error(), "-repeats") {
+			t.Errorf("validateRepeats(measure, %d) error %q does not name the kind and flag", reps, err)
 		}
+	}
+	if err := validateRepeats("measure", 1); err != nil {
+		t.Errorf("validateRepeats(measure, 1) = %v, want nil", err)
 	}
 	for _, kind := range []string{"procs", "grain", "strategy", "tile2d"} {
 		if err := validateRepeats(kind, 0); err != nil {
@@ -79,23 +77,20 @@ func TestSeriesGolden(t *testing.T) {
 	}
 }
 
-// TestMeasuredSeriesDeterministicColumns pins what a wall-clock series
-// fixes run to run: the row axis (label, P) with the predicted span and
-// traffic of the measure series and the uncalibrated speedup of the
-// calibrate series.
+// TestMeasuredSeriesDeterministicColumns pins what the wall-clock series
+// fixes run to run: the row axis (label, P) with the uncalibrated
+// predicted speedup, span and traffic.
 func TestMeasuredSeriesDeterministicColumns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real measured runs on LAP30")
 	}
-	for kind, keep := range map[string][]int{"measure": {1, 2, 7, 8}, "calibrate": {1, 2, 6}} {
-		want, err := os.ReadFile(filepath.Join("testdata", "lap30_"+kind+".cols.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := columns(sweepOut(t, "-kind", kind, "-matrix", "LAP30", "-repeats", "1"), keep...)
-		if got != string(want) {
-			t.Errorf("-kind %s deterministic columns drifted:\n%s", kind, got)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "lap30_measure.cols.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := columns(sweepOut(t, "-kind", "measure", "-matrix", "LAP30", "-repeats", "1"), 1, 2, 6, 7, 8)
+	if got != string(want) {
+		t.Errorf("-kind measure deterministic columns drifted:\n%s", got)
 	}
 }
 

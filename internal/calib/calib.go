@@ -1,7 +1,7 @@
 // Package calib fits the communication-time model of the makespan
 // simulators (exec.CommModel, including the per-task fixed-overhead term
 // Gamma) to the measured per-task durations the real parallel engine
-// emits (exec.Program.Measure's TaskEvents). The fit is an ordinary
+// emits (exec.Program.Measure's TaskEvents). The fit is a non-negative
 // least-squares regression of each task's wall-clock nanoseconds on its
 // compute work, fetch volume, message count and a constant:
 //
@@ -10,16 +10,21 @@
 // The work coefficient s is the machine's serial rate in nanoseconds per
 // work unit; dividing the other coefficients by it converts them into the
 // simulators' work units, giving CalibratedModel{Comm: {Alpha: a/s,
-// Beta: b/s, Gamma: g/s}, NsPerWork: s}. Coefficients the data drives
-// negative are clamped by refitting without the offending regressor (the
-// simulators require non-negative charges). Everything is deterministic
-// given the samples: same events in, same model out.
+// Beta: b/s, Gamma: g/s}, NsPerWork: s}. The simulators require
+// non-negative charges, so the fit is the best non-negative support: of
+// the least-squares fits over the subsets of the terms that keep work,
+// the lowest residual with no negative coefficient and a positive work
+// rate. That is the exact non-negative least-squares optimum whenever the
+// optimum prices work at all. Samples extracts one run's samples; Fit
+// pools any number of runs (several processor counts and mappers are what
+// identify Alpha and Beta separately from Gamma). Everything is
+// deterministic given the samples: same samples in, same model out.
 package calib
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -65,9 +70,9 @@ func (m CalibratedModel) SpanNs(makespan int64) float64 {
 type FitReport struct {
 	Samples int // measured events that entered the fit
 	Dropped int // zero- or negative-duration events excluded (clock resolution)
-	// Terms lists the regressors the final fit kept, in design order out
-	// of "work", "vol", "msgs", "const"; a term is dropped when the data
-	// drives its coefficient negative.
+	// Terms lists the regressors of the chosen support, in design order
+	// out of "work", "vol", "msgs", "const"; a term is left out when every
+	// fit that prices it non-negatively fits worse.
 	Terms []string
 	// R2 is the coefficient of determination of the final fit.
 	R2 float64
@@ -78,213 +83,139 @@ type FitReport struct {
 	Residuals obs.Histogram
 }
 
-// Fitter accumulates samples across any number of measured runs — fitting
-// several processor counts and mappers at once is what identifies Alpha
-// and Beta separately from Gamma.
-type Fitter struct {
-	samples []Sample
-	dropped int
-}
-
-// NewFitter returns an empty Fitter.
-func NewFitter() *Fitter { return &Fitter{} }
-
-// Add ingests one measured run: events are exec.Program.Measure's real
-// TaskEvents, tasks the graph they executed, and tc the per-task fetch
-// attribution (nil charges no communication). Zero- and negative-duration
-// events — clock-resolution artifacts — are counted as dropped, not
-// fitted.
-func (f *Fitter) Add(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm) error {
-	for _, ev := range events {
+// Samples extracts the samples of one measured run, one per event:
+// events are exec.Program.Measure's real TaskEvents, tasks the graph they
+// executed, and tc the per-task fetch attribution (nil charges no
+// communication). Zero- and negative-duration events are kept; Fit drops
+// them.
+func Samples(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm) ([]Sample, error) {
+	if tc != nil && (len(tc.Vol) != len(tasks) || len(tc.Msgs) != len(tasks)) {
+		return nil, fmt.Errorf("calib: fetch stats cover %d tasks, graph has %d", len(tc.Vol), len(tasks))
+	}
+	out := make([]Sample, len(events))
+	for i, ev := range events {
 		if ev.Task < 0 || int(ev.Task) >= len(tasks) {
-			return fmt.Errorf("calib: event for task %d, graph has %d tasks", ev.Task, len(tasks))
+			return nil, fmt.Errorf("calib: event for task %d, graph has %d tasks", ev.Task, len(tasks))
 		}
-		if tc != nil && (len(tc.Vol) != len(tasks) || len(tc.Msgs) != len(tasks)) {
-			return fmt.Errorf("calib: fetch stats cover %d tasks, graph has %d", len(tc.Vol), len(tasks))
-		}
-		dur := ev.Finish - ev.Start
-		if dur <= 0 {
-			f.dropped++
-			continue
-		}
-		s := Sample{DurNs: dur, Work: tasks[ev.Task].Work}
+		out[i] = Sample{DurNs: ev.Finish - ev.Start, Work: tasks[ev.Task].Work}
 		if tc != nil {
-			s.Vol = tc.Vol[ev.Task]
-			s.Msgs = tc.Msgs[ev.Task]
+			out[i].Vol, out[i].Msgs = tc.Vol[ev.Task], tc.Msgs[ev.Task]
 		}
-		f.AddSample(s)
 	}
-	return nil
+	return out, nil
 }
-
-// AddSample ingests one pre-extracted sample; non-positive durations are
-// counted as dropped.
-func (f *Fitter) AddSample(s Sample) {
-	if s.DurNs <= 0 {
-		f.dropped++
-		return
-	}
-	f.samples = append(f.samples, s)
-}
-
-// Len reports the number of accumulated (fit-eligible) samples.
-func (f *Fitter) Len() int { return len(f.samples) }
-
-// Dropped reports the accumulated zero-/negative-duration event count.
-func (f *Fitter) Dropped() int { return f.dropped }
 
 // termNames indexes the design columns of the regression.
 var termNames = [4]string{"work", "vol", "msgs", "const"}
 
-// Fit solves the least-squares regression over the accumulated samples
-// and returns the calibrated model with its report. It needs at least two
-// samples and a positive fitted work rate; regressors driven negative are
-// dropped and the remainder refitted.
-func (f *Fitter) Fit() (CalibratedModel, FitReport, error) {
+// Fit solves the non-negative least-squares regression over the samples
+// and returns the calibrated model with its report. Zero- and
+// negative-duration samples — clock-resolution artifacts — are counted
+// as dropped, not fitted. It needs at least two samples and a positive
+// fitted work rate.
+func Fit(samples []Sample) (CalibratedModel, FitReport, error) {
 	var model CalibratedModel
-	report := FitReport{Samples: len(f.samples), Dropped: f.dropped}
-	if len(f.samples) < 2 {
-		return model, report, fmt.Errorf("calib: %d samples, need at least 2", len(f.samples))
+	var kept []Sample
+	for _, s := range samples {
+		if s.DurNs > 0 {
+			kept = append(kept, s)
+		}
 	}
-	// Active design columns: work, vol, msgs, const. Work must survive —
-	// it anchors the ns-per-work-unit scale. Vol and msgs columns with no
-	// variation across the samples are excluded up front (they are
-	// collinear with the constant; their effect lands in Gamma), and the
-	// rest are dropped one at a time (most negative first) until all
-	// remaining coefficients are non-negative, the standard active-set
-	// clamp for tiny NNLS systems.
-	active := []int{0}
-	if f.varies(func(s Sample) int64 { return s.Vol }) {
-		active = append(active, 1)
+	report := FitReport{Samples: len(kept), Dropped: len(samples) - len(kept)}
+	if len(kept) < 2 {
+		return model, report, fmt.Errorf("calib: %d samples, need at least 2", len(kept))
 	}
-	if f.varies(func(s Sample) int64 { return s.Msgs }) {
-		active = append(active, 2)
+	// The normal equations over all four columns, once; each support
+	// solves its own principal submatrix.
+	var ata [4][4]float64
+	var aty [4]float64
+	for _, s := range kept {
+		x := row(s)
+		for i := range x {
+			for j := range x {
+				ata[i][j] += x[i] * x[j]
+			}
+			aty[i] += x[i] * float64(s.DurNs)
+		}
 	}
-	active = append(active, 3)
+	// A vol or msgs column with no variation across the samples is
+	// collinear with the constant, so it stays out and its effect lands
+	// in Gamma.
+	flat := 0
+	for col := 1; col <= 2; col++ {
+		if !slices.ContainsFunc(kept, func(s Sample) bool { return row(s)[col] != row(kept[0])[col] }) {
+			flat |= 1 << (col - 1)
+		}
+	}
+	// Every support that keeps work — bit k of mask adds column k+1 — in
+	// mask order: the lowest residual among the fits with no negative
+	// coefficient and a positive work rate wins, ties to the first.
 	var coef [4]float64
-	for {
-		sol, ok := f.solve(active)
-		if !ok {
-			// Singular normal equations: a collinear or all-zero column.
-			// Drop the last non-work column and retry.
-			if len(active) == 1 {
-				return model, report, fmt.Errorf("calib: degenerate samples (no work variation)")
-			}
-			active = active[:len(active)-1]
+	var best []int
+	bestSSR := math.Inf(1)
+	for mask := 0; mask < 8; mask++ {
+		if mask&flat != 0 {
 			continue
 		}
-		worst, worstIdx := 0.0, -1
-		for k, col := range active {
-			if col == 0 {
-				continue
-			}
-			if sol[k] < worst {
-				worst, worstIdx = sol[k], k
+		support := []int{0}
+		for k := range 3 {
+			if mask&(1<<k) != 0 {
+				support = append(support, k+1)
 			}
 		}
-		if worstIdx < 0 {
-			for i := range coef {
-				coef[i] = 0
-			}
-			for k, col := range active {
-				coef[col] = sol[k]
-			}
-			break
+		c, ok := solve(&ata, &aty, support)
+		if !ok && mask == 0 {
+			return model, report, fmt.Errorf("calib: degenerate samples (no work variation)")
 		}
-		active = append(active[:worstIdx], active[worstIdx+1:]...)
-	}
-	// Tiny or overhead-dominated sample sets can drive the work rate
-	// itself negative (the regressors soak up what little work signal
-	// there is). Shed the remaining non-work columns one at a time — the
-	// work-only fit sum(w*d)/sum(w^2) is positive whenever any work is —
-	// before giving up.
-	for !(coef[0] > 0) && len(active) > 1 {
-		active = active[:len(active)-1]
-		sol, ok := f.solve(active)
-		if !ok {
+		if !ok || !(c[0] > 0) || slices.ContainsFunc(c[1:], func(v float64) bool { return v < 0 }) {
 			continue
 		}
-		clamped := false
-		for k, col := range active {
-			if col != 0 && sol[k] < 0 {
-				clamped = true
-			}
-		}
-		if clamped {
-			continue
-		}
-		for i := range coef {
-			coef[i] = 0
-		}
-		for k, col := range active {
-			coef[col] = sol[k]
+		if ssr := sumSquares(kept, c); ssr < bestSSR {
+			coef, best, bestSSR = c, support, ssr
 		}
 	}
-	if !(coef[0] > 0) || math.IsInf(coef[0], 0) {
-		return model, report, fmt.Errorf("calib: fitted work rate %g ns/unit not positive", coef[0])
+	if best == nil {
+		return model, report, fmt.Errorf("calib: no non-negative fit with a positive work rate")
 	}
-	model = CalibratedModel{
-		Comm: exec.CommModel{
-			Alpha: coef[1] / coef[0],
-			Beta:  coef[2] / coef[0],
-			Gamma: coef[3] / coef[0],
-		},
-		NsPerWork: coef[0],
-	}
-	for _, col := range activeCols(coef) {
+	model = CalibratedModel{NsPerWork: coef[0],
+		Comm: exec.CommModel{Alpha: coef[1] / coef[0], Beta: coef[2] / coef[0], Gamma: coef[3] / coef[0]}}
+	for _, col := range best {
 		report.Terms = append(report.Terms, termNames[col])
 	}
-	f.residuals(model, &report)
+	residuals(kept, model, &report)
 	return model, report, nil
 }
 
-// varies reports whether a regressor takes more than one value across
-// the samples.
-func (f *Fitter) varies(get func(Sample) int64) bool {
-	for _, s := range f.samples[1:] {
-		if get(s) != get(f.samples[0]) {
-			return true
-		}
-	}
-	return false
+// row is a sample's design row: work, vol, msgs, const.
+func row(s Sample) [4]float64 {
+	return [4]float64{float64(s.Work), float64(s.Vol), float64(s.Msgs), 1}
 }
 
-// activeCols lists the design columns with nonzero coefficients, always
-// including work (column 0).
-func activeCols(coef [4]float64) []int {
-	out := []int{0}
-	for col := 1; col < 4; col++ {
-		if coef[col] != 0 {
-			out = append(out, col)
-		}
-	}
-	return out
-}
-
-// solve fits the least-squares coefficients over the active design
-// columns by solving the normal equations with Gaussian elimination and
-// partial pivoting. ok is false when the system is singular.
-func (f *Fitter) solve(active []int) ([]float64, bool) {
-	n := len(active)
-	ata := make([][]float64, n)
-	atb := make([]float64, n)
-	for i := range ata {
-		ata[i] = make([]float64, n)
-	}
-	row := func(s Sample) [4]float64 {
-		return [4]float64{float64(s.Work), float64(s.Vol), float64(s.Msgs), 1}
-	}
-	for _, s := range f.samples {
+// sumSquares is the residual sum of squares of coefficients c.
+func sumSquares(samples []Sample, c [4]float64) float64 {
+	var ssr float64
+	for _, s := range samples {
 		x := row(s)
-		y := float64(s.DurNs)
-		for i, ci := range active {
-			for j, cj := range active {
-				ata[i][j] += x[ci] * x[cj]
-			}
-			atb[i] += x[ci] * y
-		}
+		r := float64(s.DurNs) - (c[0]*x[0] + c[1]*x[1] + c[2]*x[2] + c[3]*x[3])
+		ssr += r * r
 	}
-	// Gaussian elimination with partial pivoting on the n x n system.
+	return ssr
+}
+
+// solve fits the least-squares coefficients over the support's design
+// columns by solving its principal submatrix of the normal equations with
+// Gaussian elimination and partial pivoting; columns off the support
+// stay zero. ok is false when the system is singular.
+func solve(fullATA *[4][4]float64, fullATY *[4]float64, support []int) (coef [4]float64, ok bool) {
+	n := len(support)
+	var ata [4][4]float64
+	var atb [4]float64
+	for i, ci := range support {
+		for j, cj := range support {
+			ata[i][j] = fullATA[ci][cj]
+		}
+		atb[i] = fullATY[ci]
+	}
 	for col := 0; col < n; col++ {
 		pivot := col
 		for r := col + 1; r < n; r++ {
@@ -293,7 +224,7 @@ func (f *Fitter) solve(active []int) ([]float64, bool) {
 			}
 		}
 		if math.Abs(ata[pivot][col]) < 1e-12 {
-			return nil, false
+			return coef, false
 		}
 		ata[col], ata[pivot] = ata[pivot], ata[col]
 		atb[col], atb[pivot] = atb[pivot], atb[col]
@@ -305,34 +236,30 @@ func (f *Fitter) solve(active []int) ([]float64, bool) {
 			atb[r] -= m * atb[col]
 		}
 	}
-	sol := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		v := atb[r]
 		for c := r + 1; c < n; c++ {
-			v -= ata[r][c] * sol[c]
+			v -= ata[r][c] * coef[support[c]]
 		}
-		sol[r] = v / ata[r][r]
-	}
-	for _, v := range sol {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false
+		coef[support[r]] = v / ata[r][r]
+		if math.IsNaN(coef[support[r]]) || math.IsInf(coef[support[r]], 0) {
+			return coef, false
 		}
 	}
-	return sol, true
+	return coef, true
 }
 
 // residuals fills the report's R², percentiles and histogram from the
 // final model's per-sample predictions.
-func (f *Fitter) residuals(m CalibratedModel, report *FitReport) {
-	abs := make([]int64, 0, len(f.samples))
+func residuals(samples []Sample, m CalibratedModel, report *FitReport) {
+	abs := make([]int64, 0, len(samples))
 	var mean, ssr, sst float64
-	for _, s := range f.samples {
+	for _, s := range samples {
 		mean += float64(s.DurNs)
 	}
-	mean /= float64(len(f.samples))
-	for _, s := range f.samples {
-		pred := m.PredictTaskNs(s.Work, s.Vol, s.Msgs)
-		r := float64(s.DurNs) - pred
+	mean /= float64(len(samples))
+	for _, s := range samples {
+		r := float64(s.DurNs) - m.PredictTaskNs(s.Work, s.Vol, s.Msgs)
 		ssr += r * r
 		d := float64(s.DurNs) - mean
 		sst += d * d
@@ -343,25 +270,20 @@ func (f *Fitter) residuals(m CalibratedModel, report *FitReport) {
 	if sst > 0 {
 		report.R2 = 1 - ssr/sst
 	}
-	sort.Slice(abs, func(a, b int) bool { return abs[a] < abs[b] })
-	pct := func(q float64) int64 {
-		idx := int(q * float64(len(abs)-1))
-		return abs[idx]
-	}
-	report.ResidualP50 = pct(0.50)
-	report.ResidualP90 = pct(0.90)
-	report.ResidualP99 = pct(0.99)
+	slices.Sort(abs)
+	pct := func(q float64) int64 { return abs[int(q*float64(len(abs)-1))] }
+	report.ResidualP50, report.ResidualP90, report.ResidualP99 = pct(0.50), pct(0.90), pct(0.99)
 }
 
-// Calibrate is the one-shot entry point: it fits the homogeneous model to
-// a single measured run. events are exec.Program.Measure's per-task real
+// Calibrate is the one-shot entry point: it fits the model to a single
+// measured run. events are exec.Program.Measure's per-task real
 // TaskEvents, tasks the executed graph, tc the per-task fetch attribution
-// (nil charges no communication). Accumulate several runs through a
-// Fitter when fitting across processor counts or mappers.
+// (nil charges no communication). Pool several runs' Samples into one
+// Fit when fitting across processor counts or mappers.
 func Calibrate(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm) (CalibratedModel, FitReport, error) {
-	f := NewFitter()
-	if err := f.Add(events, tasks, tc); err != nil {
+	samples, err := Samples(events, tasks, tc)
+	if err != nil {
 		return CalibratedModel{}, FitReport{}, err
 	}
-	return f.Fit()
+	return Fit(samples)
 }

@@ -1,6 +1,7 @@
 package calib
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -141,19 +142,23 @@ func TestCalibrateDropsDegenerate(t *testing.T) {
 }
 
 // TestFitterErrors pins the failure modes: too few samples, out-of-range
-// events, mismatched fetch stats.
+// events, mismatched fetch stats. The last two are errors on their own,
+// with no valid event before them, and fetch stats that do not cover the
+// graph are rejected even for an empty run.
 func TestFitterErrors(t *testing.T) {
-	f := NewFitter()
-	if _, _, err := f.Fit(); err == nil {
-		t.Error("Fit on empty fitter: no error")
+	if _, _, err := Fit(nil); err == nil {
+		t.Error("Fit on no samples: no error")
 	}
 	tasks := []exec.Task{{ID: 0, Work: 5}}
-	if err := f.Add([]exec.TaskEvent{{Task: 9, Finish: 10}}, tasks, nil); err == nil {
+	if _, err := Samples([]exec.TaskEvent{{Task: 9, Finish: 10}}, tasks, nil); err == nil {
 		t.Error("out-of-range event task: no error")
 	}
 	bad := &traffic.TaskComm{Vol: make([]int64, 3), Msgs: make([]int64, 3)}
-	if err := f.Add([]exec.TaskEvent{{Task: 0, Finish: 10}}, tasks, bad); err == nil {
+	if _, err := Samples([]exec.TaskEvent{{Task: 0, Finish: 10}}, tasks, bad); err == nil {
 		t.Error("mismatched fetch stats: no error")
+	}
+	if _, err := Samples(nil, tasks, bad); err == nil {
+		t.Error("mismatched fetch stats on an empty run: no error")
 	}
 }
 
@@ -177,5 +182,121 @@ func TestCalibrateNilFetchStats(t *testing.T) {
 	}
 	if math.Abs(model.Comm.Gamma-25) > 1 {
 		t.Errorf("Gamma = %g, want ~25 (100ns / 4ns-per-unit)", model.Comm.Gamma)
+	}
+}
+
+// clampCase is a sample set on which dropping the most negative term and
+// refitting (an active-set clamp) settles on work alone, SSR 1.159e6,
+// while pricing vol as well fits better: work 7.26 + vol 8.11, SSR
+// 1.089e6.
+var clampCase = []Sample{{494, 38, 24, 3}, {662, 12, 31, 9}, {918, 52, 6, 1}, {24, 67, 34, 7}, {967, 43, 26, 2}}
+
+// normal returns AᵀA and Aᵀy of the samples' design.
+func normal(samples []Sample) (ata [4][4]float64, aty [4]float64) {
+	for _, s := range samples {
+		x := row(s)
+		for i := range x {
+			for j := range x {
+				ata[i][j] += x[i] * x[j]
+			}
+			aty[i] += x[i] * float64(s.DurNs)
+		}
+	}
+	return ata, aty
+}
+
+// nnlsOracle is the non-negative least-squares optimum over all four
+// terms, work held to >= 0 like the others, by cyclic coordinate descent
+// on the normal equations: an independent route to the optimum that
+// enumerates no supports.
+func nnlsOracle(samples []Sample) [4]float64 {
+	ata, aty := normal(samples)
+	var c [4]float64
+	for range 200000 {
+		moved := 0.0
+		for i := range c {
+			g := -aty[i]
+			for j := range c {
+				g += ata[i][j] * c[j]
+			}
+			next := max(0, c[i]-g/ata[i][i])
+			moved = max(moved, math.Abs(next-c[i])/max(1, math.Abs(next)))
+			c[i] = next
+		}
+		if moved < 1e-14 {
+			break
+		}
+	}
+	return c
+}
+
+// TestFitIsNonNegativeOptimum holds Fit to the KKT conditions of
+// non-negative least squares: at the returned coefficients c the gradient
+// g = Aᵀ(Ac − y) vanishes on every positive coefficient and is
+// non-negative on every zeroed non-work term, so no feasible direction
+// lowers the residual. Tolerances scale with ‖Aᵀy‖. The zeroed-term
+// condition holds wherever the optimum prices work at all (nnlsOracle's
+// work rate is positive); a set whose optimum is overhead alone has no
+// best fit with a positive work rate, so there Fit keeps the best
+// support that prices work, which clampCase pins. It runs over clampCase
+// and 300 seeded random sample sets whose durations carry a work signal
+// under noise.
+func TestFitIsNonNegativeOptimum(t *testing.T) {
+	kkt := func(name string, samples []Sample, zeroed bool) [4]float64 {
+		t.Helper()
+		m, _, err := Fit(samples)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := m.NsPerWork
+		c := [4]float64{s, m.Comm.Alpha * s, m.Comm.Beta * s, m.Comm.Gamma * s}
+		ata, aty := normal(samples)
+		tol := 1e-9 * math.Sqrt(aty[0]*aty[0]+aty[1]*aty[1]+aty[2]*aty[2]+aty[3]*aty[3])
+		for i := range c {
+			g := -aty[i]
+			for j := range c {
+				g += ata[i][j] * c[j]
+			}
+			if c[i] < 0 || (i == 0 && c[i] == 0) {
+				t.Errorf("%s: %s = %g infeasible", name, termNames[i], c[i])
+			}
+			if c[i] > 0 && math.Abs(g) > tol {
+				t.Errorf("%s: %s = %g is positive but its gradient is %g (tol %g)", name, termNames[i], c[i], g, tol)
+			}
+			if zeroed && c[i] == 0 && g < -tol {
+				t.Errorf("%s: %s is zeroed but its gradient is %g < 0: pricing it lowers the residual", name, termNames[i], g)
+			}
+		}
+		return c
+	}
+	if o := nnlsOracle(clampCase); o[0] != 0 {
+		t.Fatalf("clampCase optimum %v prices work; the case is meant to have none", o)
+	}
+	c := kkt("clampCase", clampCase, false)
+	if math.Abs(c[0]-7.26) > 0.005 || math.Abs(c[1]-8.11) > 0.005 || c[2] != 0 || c[3] != 0 {
+		t.Errorf("clampCase fit %v, want work 7.26 and vol 8.11 alone", c)
+	}
+	state := uint64(2024)
+	next := func(mod int64) int64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int64(state>>33) % mod
+	}
+	checked := 0
+	for trial := range 300 {
+		samples := make([]Sample, 5+next(20))
+		rate := 1 + next(20)
+		for i := range samples {
+			s := Sample{Work: 1 + next(100), Vol: next(40), Msgs: next(10)}
+			s.DurNs = rate*s.Work + next(1000)
+			samples[i] = s
+		}
+		pricesWork := nnlsOracle(samples)[0] > 0
+		kkt(fmt.Sprintf("trial %d", trial), samples, pricesWork)
+		if pricesWork {
+			checked++
+		}
+	}
+	if checked < 200 {
+		t.Errorf("only %d of 300 random sets price work at the optimum, want >= 200", checked)
 	}
 }

@@ -95,8 +95,8 @@ func LoadSuite() ([]*Problem, error) {
 
 // ------------------------------------------------------- plans and cells
 
-// Labels2D enumerates the 2D strategy axis the Ext-T, Ext-W and Ext-Cal
-// studies and the tile2d/measure/calibrate series share: every native 2D
+// Labels2D enumerates the 2D strategy axis the Ext-T and Ext-W studies
+// and the tile2d/measure series share: every native 2D
 // mapper (col2d excluded, it is parameterized), then the col2d lift of
 // every column-granular 1D strategy, spelled "col2d:<base>".
 func Labels2D() []string {
