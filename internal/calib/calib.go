@@ -86,8 +86,9 @@ type FitReport struct {
 // Samples extracts the samples of one measured run, one per event:
 // events are exec.Program.Measure's real TaskEvents, tasks the graph they
 // executed, and tc the per-task fetch attribution (nil charges no
-// communication). Zero- and negative-duration events are kept; Fit drops
-// them.
+// communication). A sample's duration is the event's Work, the task's busy
+// time: Finish-Start for a task run whole, the two halves' sum for a split
+// column. Zero- and negative-duration events are kept; Fit drops them.
 func Samples(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm) ([]Sample, error) {
 	if tc != nil && (len(tc.Vol) != len(tasks) || len(tc.Msgs) != len(tasks)) {
 		return nil, fmt.Errorf("calib: fetch stats cover %d tasks, graph has %d", len(tc.Vol), len(tasks))
@@ -97,7 +98,7 @@ func Samples(events []exec.TaskEvent, tasks []exec.Task, tc *traffic.TaskComm) (
 		if ev.Task < 0 || int(ev.Task) >= len(tasks) {
 			return nil, fmt.Errorf("calib: event for task %d, graph has %d tasks", ev.Task, len(tasks))
 		}
-		out[i] = Sample{DurNs: ev.Finish - ev.Start, Work: tasks[ev.Task].Work}
+		out[i] = Sample{DurNs: ev.Work, Work: tasks[ev.Task].Work}
 		if tc != nil {
 			out[i].Vol, out[i].Msgs = tc.Vol[ev.Task], tc.Msgs[ev.Task]
 		}

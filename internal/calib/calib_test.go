@@ -29,7 +29,7 @@ func synthEvents(n int, scale, alpha, beta, gamma float64) ([]exec.TaskEvent, []
 		tasks[i] = exec.Task{ID: i, Work: w}
 		tc.Vol[i], tc.Msgs[i] = v, m
 		dur := int64(math.Round(scale * (float64(w) + alpha*float64(v) + beta*float64(m) + gamma)))
-		events[i] = exec.TaskEvent{Task: int32(i), Proc: int32(i % 4), Start: 0, Finish: dur}
+		events[i] = exec.TaskEvent{Task: int32(i), Proc: int32(i % 4), Start: 0, Finish: dur, Work: dur}
 	}
 	return events, tasks, tc
 }
@@ -107,7 +107,7 @@ func TestCalibrateClampsNegative(t *testing.T) {
 		w := int64(1 + i)
 		tasks[i] = exec.Task{ID: i, Work: w}
 		tc.Vol[i] = int64(n - i) // anti-correlated with duration
-		events[i] = exec.TaskEvent{Task: int32(i), Finish: 10 * w}
+		events[i] = exec.TaskEvent{Task: int32(i), Finish: 10 * w, Work: 10 * w}
 	}
 	model, report, err := Calibrate(events, tasks, tc)
 	if err != nil {
@@ -127,9 +127,9 @@ func TestCalibrateClampsNegative(t *testing.T) {
 // as dropped instead of fitting them.
 func TestCalibrateDropsDegenerate(t *testing.T) {
 	events, tasks, tc := synthEvents(50, 10, 2, 10, 30)
-	events[3].Finish = events[3].Start             // zero duration
-	events[7].Finish = events[7].Start - 5         // negative duration
-	_, report, err := Calibrate(events, tasks, tc) //nolint
+	events[3].Finish, events[3].Work = events[3].Start, 0    // zero duration
+	events[7].Finish, events[7].Work = events[7].Start-5, -5 // negative duration
+	_, report, err := Calibrate(events, tasks, tc)           //nolint
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCalibrateNilFetchStats(t *testing.T) {
 	for i := 0; i < n; i++ {
 		w := int64(1 + (i*7)%97)
 		tasks[i] = exec.Task{ID: i, Work: w}
-		events[i] = exec.TaskEvent{Task: int32(i), Finish: 4*w + 100}
+		events[i] = exec.TaskEvent{Task: int32(i), Finish: 4*w + 100, Work: 4*w + 100}
 	}
 	model, _, err := Calibrate(events, tasks, nil)
 	if err != nil {

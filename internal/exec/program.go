@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +32,28 @@ import (
 // column (the order of model.Ops.ForEachRun) with the same association.
 // That makes the run deterministic and the comm-aware makespan simulators
 // falsifiable — the task graph they predict is what actually runs.
+//
+// In a column program (every task one whole column: ColumnTasksMapped, a
+// column-granular lift) a column whose last source — the largest c with
+// L[j,c] != 0 — belongs to another worker and comes after much more work
+// runs as two tasks on its owner (see split): the first half applies the
+// earlier sources as soon as they are final and leaves exact partial sums
+// in the column, the second waits for the last source and finishes. So
+// wrap's alternating chains no longer stall a worker for the whole of the
+// other's previous column. The graph's tasks, owners, traffic and span do
+// not change, and Run still reports one event per task of the graph.
 type Program struct {
 	f *symbolic.Factor
 	p int
 
-	proc   []int32 // task -> worker
-	runPtr []int32 // the runs of t are runs[runPtr[t]:runPtr[t+1]], ascending
+	proc   []int32 // task -> worker; the graph's tasks, then the first halves
+	runPtr []int32 // the runs of graph task t are runs[runPtr[t]:runPtr[t+1]], ascending
 	runs   []segment
+	// halves[k] is split column k, in ascending task order: its second
+	// half is the graph's task halves[k].task, whose one run has j == ^k,
+	// and its first half is task len(runPtr)-1+k. Empty unless Compile
+	// split a column.
+	halves []half
 
 	indeg   []int32 // task -> number of predecessors
 	succPtr []int32 // successors of t are succ[succPtr[t]:succPtr[t+1]]
@@ -47,6 +63,20 @@ type Program struct {
 
 // segment is one run of a task: positions [lo, hi) of column j.
 type segment struct{ j, lo, hi int32 }
+
+// half is one split column: column j of graph task task, whose last
+// source is column last.
+type half struct{ task, j, last int32 }
+
+// splitRatio is the split rule: a column splits when the updates of its
+// sources before the remote last one number at least splitRatio times
+// that source's updates plus the column's own length (its pivot and
+// scale). Below it the first half is too short to cover the wait and
+// only adds a task. On Grid9(120,120) under wrap at P = 2, 4 splits 3 970
+// of 14 400 columns; on a two-vCPU Xeon the benchmark's P = 2 factor read
+// 17.4–19.6 ms at 4, 18.3–21.1 at 16 and 19.9–21.6 splitting every column
+// whose last source is remote (four runs each, interleaved).
+const splitRatio = 4
 
 // Compile lays out a task graph for the factor f on p workers; elemTask
 // assigns every factor position to a task. It checks the shape — tasks
@@ -67,14 +97,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
 	}
 	nt := len(tasks)
-	pg := &Program{
-		f: f, p: p,
-		proc:    make([]int32, nt),
-		runPtr:  make([]int32, nt+1),
-		indeg:   make([]int32, nt),
-		succPtr: make([]int32, nt+1),
-		own:     make([]int32, p),
-	}
+	pg := &Program{f: f, p: p, runPtr: make([]int32, nt+1), own: make([]int32, p)}
 	// A run starts at each column's first position and wherever the task
 	// changes: count each task's runs (prefix-summed below), then fill them
 	// in ascending position.
@@ -103,29 +126,135 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 			q = hi
 		}
 	}
-	// Successor lists, the transpose of Preds, in ascending task order.
-	for i := range tasks {
-		t := &tasks[i]
-		pg.proc[i] = t.Proc
-		pg.own[t.Proc]++
-		pg.indeg[i] = int32(len(t.Preds))
-		for _, pr := range t.Preds {
+	f.Rows() // built here, not by the first task to need it
+	preds := pg.split(tasks)
+	// Successor lists, the transpose of the predecessors, in ascending
+	// task order.
+	n := len(preds)
+	pg.proc = make([]int32, n)
+	pg.indeg = make([]int32, n)
+	pg.succPtr = make([]int32, n+1)
+	for i, ps := range preds {
+		if i < nt {
+			pg.proc[i] = tasks[i].Proc
+		} else {
+			pg.proc[i] = tasks[pg.halves[i-nt].task].Proc
+		}
+		pg.own[pg.proc[i]]++
+		pg.indeg[i] = int32(len(ps))
+		for _, pr := range ps {
 			pg.succPtr[pr+1]++
 		}
 	}
-	for t := 0; t < nt; t++ {
+	for t := 0; t < n; t++ {
 		pg.succPtr[t+1] += pg.succPtr[t]
 	}
-	pg.succ = make([]int32, pg.succPtr[nt])
-	copy(fill, pg.succPtr[:nt])
-	for i := range tasks {
-		for _, pr := range tasks[i].Preds {
+	pg.succ = make([]int32, pg.succPtr[n])
+	fill = append(fill[:0], pg.succPtr[:n]...)
+	for i, ps := range preds {
+		for _, pr := range ps {
 			pg.succ[fill[pr]] = int32(i)
 			fill[pr]++
 		}
 	}
-	f.Rows() // built here, not by the first task to need it
 	return pg, nil
+}
+
+// split picks the columns of a column program that run as two tasks,
+// records them in pg.halves and marks each one's run, and returns every
+// program task's predecessors: the tasks' own, except that a split
+// column's first half (task len(tasks)+k) takes its column's but the last
+// source's, and its second half waits for the first half and that source.
+// A column splits when its last source's task — its last predecessor, as
+// the constructors list them in ascending order — runs on another worker
+// (so never at P = 1) and the sources before it carry at least splitRatio
+// times that source's updates plus the column's length. A program with a
+// task that is not one whole column splits nothing.
+func (pg *Program) split(tasks []Task) [][]int32 {
+	f, nt := pg.f, len(tasks)
+	colTask, ri := pg.columnTasks(tasks), f.Rows()
+	for t := 0; colTask != nil && t < nt; t++ {
+		s := &pg.runs[pg.runPtr[t]]
+		cols, pos := ri.Cols[ri.Ptr[s.j]:ri.Ptr[s.j+1]], ri.Pos[ri.Ptr[s.j]:ri.Ptr[s.j+1]]
+		if len(cols) == 0 {
+			continue
+		}
+		e, ps := len(cols)-1, tasks[t].Preds
+		last := cols[e]
+		if len(ps) == 0 || ps[len(ps)-1] != colTask[last] || tasks[colTask[last]].Proc == tasks[t].Proc {
+			continue
+		}
+		// Source c's updates to column j are its rows from j down.
+		need := splitRatio * (f.ColPtr[last+1] - int(pos[e]) + int(s.hi-s.lo))
+		for x, c := range cols[:e] {
+			need -= f.ColPtr[c+1] - int(pos[x])
+			if need <= 0 {
+				break
+			}
+		}
+		if need > 0 {
+			continue
+		}
+		pg.halves = append(pg.halves, half{task: int32(t), j: s.j, last: last})
+		s.j = ^int32(len(pg.halves) - 1)
+	}
+	preds := make([][]int32, nt+len(pg.halves))
+	for t := range tasks {
+		preds[t] = tasks[t].Preds
+	}
+	second := make([]int32, 2*len(pg.halves))
+	for k, h := range pg.halves {
+		ps := preds[h.task]
+		preds[nt+k] = ps[: len(ps)-1 : len(ps)-1]
+		second[2*k], second[2*k+1] = int32(nt+k), ps[len(ps)-1]
+		preds[h.task] = second[2*k : 2*k+2 : 2*k+2]
+	}
+	return preds
+}
+
+// columnTasks returns the task of every column when each task of the
+// program is one whole column and there is more than one worker, nil
+// otherwise.
+func (pg *Program) columnTasks(tasks []Task) []int32 {
+	f := pg.f
+	if pg.p == 1 || len(tasks) != f.N {
+		return nil
+	}
+	colTask := make([]int32, f.N)
+	for t := range tasks {
+		if pg.runPtr[t+1]-pg.runPtr[t] != 1 {
+			return nil
+		}
+		s := pg.runs[pg.runPtr[t]]
+		if int(s.lo) != f.ColPtr[s.j] || int(s.hi) != f.ColPtr[s.j+1] {
+			return nil
+		}
+		colTask[s.j] = int32(t)
+	}
+	return colTask
+}
+
+// Tasks reports how many tasks a Run executes: one per task of the
+// compiled graph, plus one for each split column's first half.
+func (pg *Program) Tasks() int { return len(pg.proc) }
+
+// secondHalf reports whether graph task t is split column k's second
+// half. (In a program that splits, every graph task is one run.)
+func (pg *Program) secondHalf(t int32) (k int, ok bool) {
+	if len(pg.halves) == 0 {
+		return 0, false
+	}
+	j := pg.runs[pg.runPtr[t]].j
+	return int(^j), j < 0
+}
+
+// graphTask is the task of the compiled graph that program task t runs
+// all or half of.
+func (pg *Program) graphTask(t int32) int32 {
+	if k := int(t) - (len(pg.runPtr) - 1); k >= 0 {
+		return pg.halves[k].task
+	}
+	return t
 }
 
 // CompileBlocks compiles the block-granular schedule s of part: one task
@@ -161,14 +290,19 @@ func CompileBlocks(part *core.Partition, s *sched.Schedule) (*Program, error) {
 
 // Run factorizes m, whose pattern must be a subset of the program's
 // factor structure, with one worker goroutine per processor that owns a
-// task. Each worker drains a ready queue of its own tasks, lowest ID
-// first; the worker that retires a task's last predecessor feeds it to its
-// owner's queue, waking the owner if it is parked. A single-processor
+// task. Each worker drains a ready queue of its own tasks, lowest graph
+// task first (a split column's first half ranks as its column); the worker
+// that retires a task's last predecessor feeds it to its owner's queue,
+// waking the owner if it is parked. An owner with nothing ready polls the
+// queue's length a bounded while before it parks. A single-processor
 // program runs inline in ID order. k selects the kernel; with record set
 // every task execution is timestamped (nanoseconds since the workers
-// started) and the events are returned indexed by task ID; Cause is the
-// predecessor whose retirement released a task its worker was parked for,
-// -1 otherwise.
+// started) and the events are returned indexed by task ID of the compiled
+// graph; Cause is the predecessor whose retirement released a task its
+// worker was waiting for, -1 otherwise. A split column's two halves fold
+// into its one event: Start and Cause from the first, Finish from the
+// second, Work and Stall summed, so Work is the column's busy time and
+// Finish-Start may also span other tasks run between the halves.
 //
 // A pivot the serial kernel would reject is reported as the serial
 // kernel's error (errors.As finds its *numeric.NotPositiveDefiniteError),
@@ -190,7 +324,7 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 	}
 	r := &run{pg: pg, val: val, kern: k}
 	if record {
-		r.events = make([]TaskEvent, len(pg.proc))
+		r.events = make([]TaskEvent, len(pg.runPtr)-1)
 		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
 		r.t0 = time.Now()
 	}
@@ -214,17 +348,28 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 func (r *run) parallel() {
 	pg := r.pg
 	r.pending = make([]atomic.Int32, len(pg.indeg))
-	ready := make([]minHeap, pg.p) // ascending ids, so already heap-ordered
+	r.queues = make([]*readyQueue, pg.p)
+	workers := 0
+	for w := range r.queues {
+		if pg.own[w] > 0 {
+			r.queues[w] = &readyQueue{wake: make(chan struct{}, 1), wokenFor: -1}
+			workers++
+		}
+	}
+	// A polling worker holds its processor: with more workers than
+	// processors it would keep one with work from running.
+	if workers <= runtime.GOMAXPROCS(0) {
+		r.poll = pollRounds
+	}
 	for t, d := range pg.indeg {
 		r.pending[t].Store(d)
 		if d == 0 {
-			ready[pg.proc[t]] = append(ready[pg.proc[t]], heapItem{id: int32(t)})
+			r.queues[pg.proc[t]].heap.push(int64(pg.graphTask(int32(t))), int32(t))
 		}
 	}
-	r.queues = make([]*readyQueue, pg.p)
-	for w := range r.queues {
-		if pg.own[w] > 0 {
-			r.queues[w] = &readyQueue{wake: make(chan struct{}, 1), heap: ready[w], wokenFor: -1}
+	for _, q := range r.queues {
+		if q != nil {
+			q.n.Store(int32(len(q.heap)))
 		}
 	}
 	var wg sync.WaitGroup
@@ -250,26 +395,46 @@ type run struct {
 	pending []atomic.Int32 // task -> predecessors still running
 	queues  []*readyQueue  // one per worker; nil for a worker with no task
 
+	poll     int // pollRounds, or 0 when the workers outnumber the processors
 	aborted  atomic.Bool
 	failOnce sync.Once
 	err      error
 
-	events []TaskEvent // by task ID; nil unless recording
+	events []TaskEvent // by graph task ID; nil unless recording
 	t0     time.Time
 }
 
-// readyQueue is one worker's heap of ready task IDs, lowest first (every
-// key 0). Any worker pushes; only the owner pops and parks.
+// readyQueue is one worker's heap of ready task IDs, keyed by graph task.
+// Any worker pushes; only the owner pops, polls and parks.
 type readyQueue struct {
 	wake chan struct{} // one slot: a token sent before the owner parks is kept
+	n    atomic.Int32  // len(heap), for the owner to poll without the lock
 
-	mu     sync.Mutex
-	heap   minHeap
-	parked bool
-	// wokenFor is the task whose push unparked the owner and wokenBy the
-	// predecessor that pushed it.
+	mu    sync.Mutex
+	heap  minHeap
+	state int8 // busy, polling or parked
+	// wokenFor is the task whose push ended the owner's wait and wokenBy
+	// the predecessor that pushed it.
 	wokenFor, wokenBy int32
 }
+
+// The owner's states: running tasks, polling an empty queue, parked on
+// wake.
+const (
+	busy int8 = iota
+	polling
+	parked
+)
+
+// pollRounds bounds how many times an owner with nothing ready reads its
+// queue's length before it parks, ≈ 7 µs on a two-vCPU Xeon: longer than
+// the other worker takes to finish one column of a wrap chain (≈ 1 µs),
+// short enough that a worker whose next task is far off gives its core
+// back soon. On Grid9(120,120) under wrap at P = 2 there, 1<<16 rounds
+// (≈ 115 µs) ran 5–10 % faster than 1<<12 with two cores free, but with
+// the process pinned to one CPU every bound ran slower than parking at
+// once, 1<<12 by 7 % in the median of five rounds and 1<<16 by 2.5 ×.
+const pollRounds = 1 << 12
 
 // signal unparks the owner. The slot is free whenever a push found the
 // owner parked; it can be taken only by fail's token, which wakes it too.
@@ -280,14 +445,15 @@ func (q *readyQueue) signal() {
 	}
 }
 
-// push adds ready task t, released by the retirement of task by, and wakes
-// the owner if it was parked.
-func (q *readyQueue) push(t, by int32) {
+// push adds ready task t of graph task key, released by the retirement of
+// task by, and wakes the owner if it was parked.
+func (q *readyQueue) push(key, t, by int32) {
 	q.mu.Lock()
-	q.heap.push(0, t)
-	wake := q.parked
-	if wake {
-		q.parked = false
+	q.heap.push(int64(key), t)
+	q.n.Store(int32(len(q.heap)))
+	wake := q.state == parked
+	if q.state != busy {
+		q.state = busy
 		q.wokenFor, q.wokenBy = t, by
 	}
 	q.mu.Unlock()
@@ -296,22 +462,40 @@ func (q *readyQueue) push(t, by int32) {
 	}
 }
 
-// pop removes the lowest ready task and the predecessor that woke the
-// owner for it (-1 if none); with nothing ready it marks the owner parked
-// and returns ok false.
+// pop removes the lowest ready task and the predecessor that ended the
+// owner's wait for it (-1 if none); with nothing ready it marks the owner
+// polling and returns ok false.
 func (q *readyQueue) pop() (t, cause int32, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.heap) == 0 {
-		q.parked = true
+		q.state = polling
 		return 0, -1, false
 	}
 	t = q.heap.pop().id
+	q.n.Store(int32(len(q.heap)))
 	cause = -1
 	if t == q.wokenFor {
 		cause, q.wokenFor = q.wokenBy, -1
 	}
 	return t, cause, true
+}
+
+// wait is the owner's wait after pop found nothing ready: it polls the
+// queue's length for up to rounds reads, then parks on wake unless a push
+// came in meanwhile.
+func (q *readyQueue) wait(rounds int, aborted *atomic.Bool) {
+	for i := 0; i < rounds && q.n.Load() == 0 && !aborted.Load(); i++ {
+	}
+	q.mu.Lock()
+	park := q.state == polling
+	if park {
+		q.state = parked
+	}
+	q.mu.Unlock()
+	if park {
+		<-q.wake
+	}
 }
 
 // fail records the first error and stops every worker.
@@ -327,7 +511,7 @@ func (r *run) fail(err error) {
 	})
 }
 
-// work is worker w's loop: run own ready tasks until all are done, park
+// work is worker w's loop: run own ready tasks until all are done, wait
 // when none is ready.
 func (r *run) work(w int32) {
 	pg := r.pg
@@ -340,7 +524,7 @@ func (r *run) work(w int32) {
 		}
 		t, cause, ok := q.pop()
 		if !ok {
-			<-q.wake
+			q.wait(r.poll, &r.aborted)
 			continue
 		}
 		if err := r.exec(acc, t, w, cause, &prev); err != nil {
@@ -350,14 +534,17 @@ func (r *run) work(w int32) {
 		left--
 		for _, s := range pg.succ[pg.succPtr[t]:pg.succPtr[t+1]] {
 			if r.pending[s].Add(-1) == 0 {
-				r.queues[pg.proc[s]].push(s, t)
+				r.queues[pg.proc[s]].push(pg.graphTask(s), s, t)
 			}
 		}
 	}
 }
 
 // exec runs task t on worker w, recording its event when asked; prev is
-// the worker's previous finish time.
+// the worker's previous finish time. A split column's first half opens
+// the column's event, Cause included (whatever the second half waited for
+// finished after that Start), and its second half adds to it. A cause is
+// a predecessor, so never a first half here.
 func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	if r.events == nil {
 		return r.task(acc, t)
@@ -367,24 +554,39 @@ func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 		return err
 	}
 	finish := time.Since(r.t0).Nanoseconds()
-	r.events[t] = TaskEvent{
-		Task: t, Proc: w,
-		Start: start, Finish: finish,
-		Work:  finish - start,
-		Stall: start - *prev, Cause: cause,
+	pg := r.pg
+	g := pg.graphTask(t)
+	ev := &r.events[g]
+	if _, second := pg.secondHalf(g); g != t || !second {
+		*ev = TaskEvent{Task: g, Proc: w, Start: start, Cause: cause}
 	}
+	ev.Finish = finish
+	ev.Work += finish - start
+	ev.Stall += start - *prev
 	*prev = finish
 	return nil
 }
 
 // task runs task t's runs in ascending position, so a run finds the
 // task's own earlier columns final; acc is the worker's dense accumulator,
-// as in numeric.Factorize. A rejected pivot is reported under this
+// as in numeric.Factorize. A split column's first half applies the
+// sources before its last and its second half the rest, from the partial
+// sums the first left in place. A rejected pivot is reported under this
 // package's name.
 func (r *run) task(acc []float64, t int32) error {
-	pg := r.pg
+	pg, f := r.pg, r.pg.f
+	if k := int(t) - (len(pg.runPtr) - 1); k >= 0 {
+		h := pg.halves[k]
+		j := int(h.j)
+		return r.kern.Step(f, r.val, acc, j, f.ColPtr[j], f.ColPtr[j+1], 0, int(h.last), false)
+	}
 	for _, s := range pg.runs[pg.runPtr[t]:pg.runPtr[t+1]] {
-		if err := r.kern.Segment(pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi)); err != nil {
+		from := int32(0)
+		if s.j < 0 {
+			h := pg.halves[^s.j]
+			s.j, from = h.j, h.last
+		}
+		if err := r.kern.Step(f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(from), int(s.j), true); err != nil {
 			return fmt.Errorf("exec: %w", err)
 		}
 	}

@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -54,7 +55,7 @@ func (k Kernel) Column(f *symbolic.Factor, val, w []float64, j int) (pivot float
 // scale. The sources updating the run and, for a run below the diagonal,
 // the diagonal must be final; a source with no row in the run is not read
 // at all, not even its multiplier. However the column is cut, its
-// elements get the whole column's bits.
+// elements get the whole column's bits. It is Step over every source.
 //
 // A rejected pivot is an error and leaves the column untouched: it must
 // be finite and positive (nonzero for LDLᵀ) — ±Inf, an overflowed or
@@ -62,15 +63,40 @@ func (k Kernel) Column(f *symbolic.Factor, val, w []float64, j int) (pivot float
 // off-diagonals into zeros and NaNs. Cholesky's is a
 // *NotPositiveDefiniteError.
 func (k Kernel) Segment(f *symbolic.Factor, val, w []float64, j, lo, hi int) error {
+	return k.Step(f, val, w, j, lo, hi, 0, j, true)
+}
+
+// Step is Segment restricted to the sources c with from <= c < to: the run
+// [lo, hi) of column j receives the updates of those sources only, each
+// element still taking them in ascending c. With finish set it then takes
+// its pivot and scale, as Segment does; without, it stores its partial
+// sums back into its own positions, exact float64 values, and a later Step
+// over the following sources resumes from them. So a column applied as
+// Step(0, c, false) then Step(c, j, true) gets Segment's bits, and the
+// first call reads no source at or after c, nor the diagonal.
+func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to int, finish bool) error {
 	rows, col := f.RowInd[lo:hi], val[lo:hi]
 	for x, i := range rows {
 		w[i] = col[x]
 	}
+	ri := f.Rows()
+	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+	if from > 0 || to < j {
+		a, _ := slices.BinarySearch(cols, int32(from))
+		b, _ := slices.BinarySearch(cols, int32(to))
+		cols, pos = cols[a:b], pos[a:b]
+	}
 	diag := f.ColPtr[j]
 	if lo == diag && hi == f.ColPtr[j+1] {
-		k.update(f, val, w, j)
+		k.update(f, val, w, cols, pos)
 	} else {
-		k.updateRun(f, val, w, j, rows[0], rows[len(rows)-1])
+		k.updateRun(f, val, w, cols, pos, j, rows[0], rows[len(rows)-1])
+	}
+	if !finish {
+		for x, i := range rows {
+			col[x] = w[i]
+		}
+		return nil
 	}
 	d := val[diag]
 	if lo == diag {
@@ -110,15 +136,14 @@ func passWidth(f *symbolic.Factor, cols, pos []int32, t, n int) int {
 	return g
 }
 
-// update applies to w, holding column j, every pair update of the column:
-// w[i] -= L[i,c]·l for each source column c of row j (symbolic.Factor.Rows)
-// in ascending c and each row i >= j of column c, where l is L[j,c] for
-// Cholesky and D[c]·L[j,c] for LDLᵀ. That order, one source at a time,
-// defines the factor's bits; four (or two) sources with the same rows go
-// through one pass, which subtracts from each element in the same order.
-func (k Kernel) update(f *symbolic.Factor, val, w []float64, j int) {
-	ri := f.Rows()
-	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+// update applies to w, holding column j, the pair updates of the sources
+// cols, a run of row j's entries (symbolic.Factor.Rows) whose values start
+// at pos: w[i] -= L[i,c]·l for each source c in ascending order and each
+// row i >= j of column c, where l is L[j,c] for Cholesky and D[c]·L[j,c]
+// for LDLᵀ. That order, one source at a time, defines the factor's bits;
+// four (or two) sources with the same rows go through one pass, which
+// subtracts from each element in the same order.
+func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, pos []int32) {
 	// src is source t as its values from row j down and its multiplier.
 	src := func(t, n int) ([]float64, float64) {
 		p := int(pos[t])
@@ -160,9 +185,7 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, j int) {
 // no row there is not read. update keeps a loop of its own: folded into
 // it, the search and its bookkeeping cost the whole-column step 3–7 %,
 // even behind a loop-invariant branch.
-func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, j, rlo, rhi int) {
-	ri := f.Rows()
-	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int32, j, rlo, rhi int) {
 	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
 	// src is source t as its values from row j down, a rows in, and its
 	// multiplier.

@@ -4,10 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/numeric"
 	"repro/internal/order"
 	"repro/internal/pipeline"
@@ -93,11 +97,14 @@ func errColumn(err error) int {
 
 // FuzzColumnUpdate holds the grouped column body to the one-source-at-a-time
 // oracle, bit for bit and for both kernels, and the compiled engine to the
-// serial kernel — whole columns on a wrap plan at P = 1, 3 and n + 1, runs
-// of unit blocks on block plans at grain 4 and 25, tile runs (a task may
-// own several of one column) on a rect2dcyclic plan at P = 4 — on
-// fuzzer-written matrices; a value either kernel must refuse is refused by
-// the oracle, the serial kernel and every engine run at the same column.
+// serial kernel — whole columns on a wrap plan at P = 1, 2, 3 and n + 1
+// (at P = 2 and 3 some columns run as two tasks, split at their last
+// source; corpus split-* has such programs, TestColumnUpdateCorpusSplits
+// checks it), runs of unit blocks on block plans at grain 4 and 25, tile
+// runs (a task may own several of one column) on a rect2dcyclic plan at
+// P = 4 — on fuzzer-written matrices; a value either kernel must refuse
+// is refused by the oracle, the serial kernel and every engine run at the
+// same column.
 func FuzzColumnUpdate(f *testing.F) {
 	f.Add([]byte{3, 6, 0, 0, 0, 1, 1, 2, 0, 2, 0, 3, 1, 3, 2, 3, 200, 7, 130, 9, 77, 255})                     // dense 4x4: one supernode of width 4
 	f.Add([]byte{9, 9, 0, 0, 0, 9, 1, 9, 2, 9, 3, 9, 4, 9, 5, 9, 6, 9, 7, 9, 8, 9})                            // an arrow: nine singles into one column
@@ -121,7 +128,7 @@ func FuzzColumnUpdate(f *testing.F) {
 			grain int
 			dim2  bool
 		}
-		plans := []plan{{"wrap", 1, 0, false}, {"wrap", 3, 0, false}, {"wrap", m.N + 1, 0, false},
+		plans := []plan{{"wrap", 1, 0, false}, {"wrap", 2, 0, false}, {"wrap", 3, 0, false}, {"wrap", m.N + 1, 0, false},
 			{"block", 3, 0, false}, {"block", 3, 25, false}, {"rect2dcyclic", 4, 0, true}}
 		for _, k := range []numeric.Kernel{numeric.KernelCholesky, numeric.KernelLDL} {
 			want, bad, err := numeric.RefFactorize(k, m, an.F)
@@ -165,4 +172,45 @@ func FuzzColumnUpdate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestColumnUpdateCorpusSplits: the corpus entries named split-* are
+// matrices whose wrap program at P = 2 runs more tasks than columns, so
+// FuzzColumnUpdate's seed run always covers split columns; split-1 also
+// negates the diagonal of a split column, which its second half rejects.
+func TestColumnUpdateCorpusSplits(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzColumnUpdate/split-*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no split-* corpus entries (%v)", err)
+	}
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not one []byte entry (%v)", name, err)
+		}
+		m := fuzzColumnCase([]byte(data))
+		if m == nil {
+			t.Fatalf("%s: decodes to no matrix", name)
+		}
+		an, err := pipeline.NewAnalysisOrdered(m, order.Natural(m.N))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := an.Plan("wrap", 2, strategy.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := exec.Compile(an.F, pl.P, pl.Tasks, an.F.ColIndex())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pg.Tasks() <= m.N {
+			t.Errorf("%s: wrap at P = 2 runs %d tasks for %d columns, want a split", name, pg.Tasks(), m.N)
+		}
+	}
 }

@@ -172,3 +172,60 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 		}
 	}
 }
+
+// TestStepSplitAtLastSource pins what lets the engine run a column in two
+// halves: Step over the sources before the column's last one, then Step
+// over the rest with finish set, gives the whole column's bits. While the
+// first half runs, the last source and every column after j hold NaN, so
+// it reads neither; the partial sums it leaves in column j are all the
+// second half starts from.
+func TestStepSplitAtLastSource(t *testing.T) {
+	for _, tm := range gen.Suite() {
+		m0 := tm.Build()
+		pm, err := m0.Permute(order.MMD(m0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := symbolic.Analyze(pm)
+		ri := f.Rows()
+		for _, km := range segmentKernels(pm) {
+			k, m := km.k, km.m
+			want, err := k.Factorize(m, f)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tm.Name, k, err)
+			}
+			a, err := ScatterA(m, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Columns before j hold their factor, j and after NaN.
+			val := make([]float64, f.NNZ())
+			for q := range val {
+				val[q] = math.NaN()
+			}
+			w := make([]float64, f.N)
+			for j := 0; j < f.N; j++ {
+				lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+				copy(val[lo:hi], a[lo:hi])
+				last := j
+				if e := ri.Ptr[j+1]; e > ri.Ptr[j] {
+					last = int(ri.Cols[e-1])
+					c := val[f.ColPtr[last]:f.ColPtr[last+1]]
+					for q := range c {
+						c[q] = math.NaN()
+					}
+					if err := k.Step(f, val, w, j, lo, hi, 0, last, false); err != nil {
+						t.Fatalf("%s %v: column %d first half: %v", tm.Name, k, j, err)
+					}
+					copy(c, want[f.ColPtr[last]:f.ColPtr[last+1]])
+				}
+				if err := k.Step(f, val, w, j, lo, hi, last, j, true); err != nil {
+					t.Fatalf("%s %v: column %d second half: %v", tm.Name, k, j, err)
+				}
+				if err := sameBits(val[lo:hi], want[lo:hi]); err != nil {
+					t.Fatalf("%s %v: column %d split at source %d: %v", tm.Name, k, j, last, err)
+				}
+			}
+		}
+	}
+}

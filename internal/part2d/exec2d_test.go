@@ -112,19 +112,21 @@ func mapperEntries() []struct {
 	return out
 }
 
-var bitIdentityProcs = []int{1, 4, 16, 64, 65}
+var bitIdentityProcs = []int{1, 2, 3, 4, 16, 64, 65}
 
 // The tentpole property: for every registered 2D mapper and every col2d
 // lift, at every processor count (including P > 64 and P > n on the 8x8
 // grid), the parallel engine's factor is bit-for-bit equal to the serial
-// reference — for both kernels. Run with -race this is also the engine's data-race
-// exercise.
+// reference — for both kernels. The col2d lifts at small P include
+// programs that split columns into two tasks, and the sweep fails if none
+// does. Run with -race this is also the engine's data-race exercise.
 func TestParallelFactorizeBitIdentity(t *testing.T) {
 	systems := []*numSys{
 		buildNumSys(t, "LAP30", gen.Lap30()),
 		buildNumSys(t, "grid9-8x8", gen.Grid9(8, 8)),
 		buildNumSys(t, "hb-fegrid5", hbRoundtrip(t, gen.FEGrid5(5))),
 	}
+	split := 0
 	for _, ns := range systems {
 		for _, e := range mapperEntries() {
 			for _, p := range bitIdentityProcs {
@@ -133,6 +135,9 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 					t.Fatalf("%s %s P=%d: map: %v", ns.name, e.label, p, err)
 				}
 				pg := ns.compile(t, s2)
+				if e.name == "col2d" && pg.Tasks() > ns.f.N {
+					split++
+				}
 				nf, _, err := pg.Run(ns.m, numeric.KernelCholesky, false)
 				if err != nil {
 					t.Fatalf("%s %s P=%d: cholesky: %v", ns.name, e.label, p, err)
@@ -156,6 +161,10 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 			}
 		}
 	}
+	if split == 0 {
+		t.Fatal("no col2d program split a column")
+	}
+	t.Logf("%d col2d programs split columns", split)
 }
 
 // Measure must verify bit-identity on every repeat, produce well-formed

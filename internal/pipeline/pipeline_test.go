@@ -84,7 +84,7 @@ func TestFactorChainEnginesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []int{1, 4, 16} {
+		for _, p := range []int{1, 2, 3, 4, 16} {
 			pl1, err := an.Plan("wrap", p, strategy.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -225,3 +225,62 @@ func TestPlanMeasure(t *testing.T) {
 		t.Error("foreign pattern: expected an error")
 	}
 }
+
+// TestMeasureSplitColumns: wrap at P = 2 splits columns whose last source
+// is the other worker's into two tasks, and Measure still reports one
+// event per plan task, on the task's own worker, that obs.RealProfile
+// aggregates. A worker runs its tasks one after another and each half
+// adds its busy time to Work and the gap before it to Stall, so on every
+// worker Σ (Work + Stall) over the folded events is the worker's last
+// finish exactly: no half is lost or counted twice.
+func TestMeasureSplitColumns(t *testing.T) {
+	a := gen.Grid9(60, 60)
+	an, err := NewAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pl.program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.Tasks() <= len(pl.Tasks) {
+		t.Fatalf("program runs %d tasks for %d plan tasks: no column split", pg.Tasks(), len(pl.Tasks))
+	}
+	for _, k := range []Kernel{Cholesky, LDL} {
+		mes, err := pl.Measure(a, exec.MeasureOptions{Kernel: k, Repeats: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if len(mes.Events) != len(pl.Tasks) {
+			t.Fatalf("%s: %d events for %d plan tasks", k, len(mes.Events), len(pl.Tasks))
+		}
+		var busy, spent, last [2]int64
+		for i, ev := range mes.Events {
+			if int(ev.Task) != i || ev.Proc != pl.Tasks[i].Proc {
+				t.Fatalf("%s: event %d is task %d on %d, plan task on %d", k, i, ev.Task, ev.Proc, pl.Tasks[i].Proc)
+			}
+			if ev.Work < 0 || ev.Stall < 0 || ev.Work > ev.Finish-ev.Start {
+				t.Fatalf("%s: malformed event %+v", k, ev)
+			}
+			busy[ev.Proc] += ev.Work
+			spent[ev.Proc] += ev.Work + ev.Stall
+			last[ev.Proc] = max(last[ev.Proc], ev.Finish)
+		}
+		if spent != last {
+			t.Fatalf("%s: per-worker work + stall %v, last finishes %v", k, spent, last)
+		}
+		prof, err := obs.RealProfile(mes.Events, pl.P)
+		if err != nil {
+			t.Fatalf("%s: real profile: %v", k, err)
+		}
+		for w, pp := range prof.Procs {
+			if pp.Busy != busy[w] {
+				t.Fatalf("%s: worker %d profile busy %d, events %d", k, w, pp.Busy, busy[w])
+			}
+		}
+	}
+}
