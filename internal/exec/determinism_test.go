@@ -11,7 +11,7 @@ import (
 
 // TestParallelFactorizeDeterminism pins bit-for-bit stability of the
 // block program across repeated compilations and runs on the same
-// schedule: the workers synchronize on the unit graph CompileBlocks builds
+// schedule: the workers synchronize on the unit graph Compile builds
 // (never by map iteration), and every column segment replays the serial
 // update order. If scheduling order ever leaked into the numerics, two
 // runs would disagree in the low bits here. CI runs this with -race and

@@ -11,14 +11,17 @@
 // a task's predecessors complete. The resulting makespan, idle fraction
 // and delay-aware efficiency refine the paper's A-based efficiency bound.
 //
-// Parallel execution: Compile (any column-partitioned task graph) and
-// CompileBlocks (the unit blocks of a core.Partition under a schedule) lay
-// a task graph out as a Program, which factorizes with one worker per
-// processor synchronizing only on the graph's dependency counters. Every
-// column's updates replay the serial left-looking order, so the factor is
-// bit-for-bit numeric.Factorize's — which proves the dependency graph of
-// core.Partition sufficient for correct parallel execution and makes the
-// simulated schedule the one that actually runs.
+// Parallel execution: Compile, the one way in, lays a task graph over the
+// factor's positions (columns, tiles, or the unit blocks of a
+// core.Partition) out as a Program of steps, each a run of one column
+// with a range of its sources, and adds the scale rule's edges: a run
+// below its column's diagonal waits for the task that holds it (column
+// and tile graphs have them all already). The Program factorizes with one
+// worker per processor synchronizing only on the dependency counters.
+// Every column's updates replay the serial left-looking order, so the
+// factor is bit-for-bit numeric.Factorize's — which proves the dependency
+// graph of core.Partition, plus the scale edges, sufficient for correct
+// parallel execution and makes the simulated schedule the one that runs.
 package exec
 
 import (

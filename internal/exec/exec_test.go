@@ -53,10 +53,16 @@ func columnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []int64, p int) []
 	return ColumnTasksMapped(f, ops, elemWork, owner)
 }
 
-// blockFactorize is the whole engine on one block schedule: CompileBlocks,
+// compileBlocks compiles the block schedule s of part as a block plan
+// does: its unit graph over the partition's own factor.
+func compileBlocks(part *core.Partition, s *sched.Schedule) (*Program, error) {
+	return Compile(part.F, s.P, BlockTasks(part, s), part.ElemUnit)
+}
+
+// blockFactorize is the whole engine on one block schedule: compileBlocks,
 // then one Run.
 func blockFactorize(m *sparse.Matrix, part *core.Partition, s *sched.Schedule, k numeric.Kernel) (*NumericFactor, error) {
-	pg, err := CompileBlocks(part, s)
+	pg, err := compileBlocks(part, s)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +234,7 @@ func BenchmarkParallelFactorizeLap30(b *testing.B) {
 	for _, g := range []int{4, 25} {
 		part := core.NewPartition(lap.f, core.Options{Grain: g, MinClusterWidth: 4})
 		for _, procs := range []int{1, 2, 8} {
-			pg, err := CompileBlocks(part, sched.BlockMap(part, procs))
+			pg, err := compileBlocks(part, sched.BlockMap(part, procs))
 			if err != nil {
 				b.Fatal(err)
 			}

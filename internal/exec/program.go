@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/numeric"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -18,20 +17,28 @@ import (
 // the merged tile-segment graph of a 2D tile schedule (part2d.Tasks), the
 // column graph of a 1D schedule (ColumnTasksMapped with elemTask =
 // symbolic.Factor.ColIndex) or the unit-block graph of a block schedule
-// (CompileBlocks), laid out once as flat arrays. Run then factorizes any
-// matrix with the factor's pattern, any number of times and from any
-// number of goroutines at once, doing no per-run work beyond scattering
-// the values and resetting the dependency counters.
+// (BlockTasks with elemTask = core.Partition.ElemUnit, over the
+// partition's own factor), laid out once as flat arrays. Run then
+// factorizes any matrix with the factor's pattern, any number of times and
+// from any number of goroutines at once, doing no per-run work beyond
+// scattering the values and resetting the dependency counters.
 //
-// A task is a list of runs — ranges of consecutive positions of one
-// column: a whole column, a tile's rows of it, a unit block's band — and
-// every run is one numeric.Kernel.Segment call, the serial kernel's own
-// step. So the factor a Run produces is bit-for-bit the serial kernel's
-// (numeric.Factorize or FactorizeLDL) however the columns are cut and the
-// tasks interleave: every element takes its updates in ascending source
-// column (the order of model.Ops.ForEachRun) with the same association.
-// That makes the run deterministic and the comm-aware makespan simulators
-// falsifiable — the task graph they predict is what actually runs.
+// A task is a list of steps. A step is a run of consecutive positions of
+// one column — a whole column, a tile's rows of it, a unit block's band —
+// and the range of source columns it applies; it pivots and scales when
+// that range ends at the column itself. Every step is one
+// numeric.Kernel.Step call, the serial kernel's own step. So the factor a
+// Run produces is bit-for-bit the serial kernel's (numeric.Factorize or
+// FactorizeLDL) however the columns are cut and the tasks interleave:
+// every element takes its updates in ascending source column (the order
+// of model.Ops.ForEachRun) with the same association. That makes the run
+// deterministic and the comm-aware makespan simulators falsifiable — the
+// task graph they predict is what actually runs.
+//
+// The graph that runs is the caller's plus the scale rule's edges (see
+// preds): a run below its column's diagonal waits for the task that
+// holds the diagonal. Column and 2D tile graphs carry those edges already,
+// so the rule adds none to them; a unit-block graph gets them here.
 //
 // In a column program (every task one whole column: ColumnTasksMapped, a
 // column-granular lift) a column whose last source — the largest c with
@@ -46,14 +53,13 @@ type Program struct {
 	f *symbolic.Factor
 	p int
 
-	proc   []int32 // task -> worker; the graph's tasks, then the first halves
-	runPtr []int32 // the runs of graph task t are runs[runPtr[t]:runPtr[t+1]], ascending
-	runs   []segment
-	// halves[k] is split column k, in ascending task order: its second
-	// half is the graph's task halves[k].task, whose one run has j == ^k,
-	// and its first half is task len(runPtr)-1+k. Empty unless Compile
-	// split a column.
-	halves []half
+	proc    []int32 // task -> worker; the graph's tasks, then the first halves
+	stepPtr []int32 // the steps of task t are steps[stepPtr[t]:stepPtr[t+1]], ascending
+	steps   []step
+	// first[k] is the graph task of split column k, whose first half is
+	// program task len(proc)-len(first)+k. Empty unless Compile split a
+	// column.
+	first []int32
 
 	indeg   []int32 // task -> number of predecessors
 	succPtr []int32 // successors of t are succ[succPtr[t]:succPtr[t+1]]
@@ -61,12 +67,10 @@ type Program struct {
 	own     []int32 // worker -> number of tasks
 }
 
-// segment is one run of a task: positions [lo, hi) of column j.
-type segment struct{ j, lo, hi int32 }
-
-// half is one split column: column j of graph task task, whose last
-// source is column last.
-type half struct{ task, j, last int32 }
+// step is one step of a task: positions [lo, hi) of column j receive the
+// updates of the sources c with from <= c < to, then, when to == j, their
+// pivot and scale.
+type step struct{ j, lo, hi, from, to int32 }
 
 // splitRatio is the split rule: a column splits when the updates of its
 // sources before the remote last one number at least splitRatio times
@@ -79,55 +83,57 @@ type half struct{ task, j, last int32 }
 const splitRatio = 4
 
 // Compile lays out a task graph for the factor f on p workers; elemTask
-// assigns every factor position to a task. It checks the shape — tasks
-// topologically ordered by ID, processors in [0, p), every task in range
-// — and reports a malformed one as an error. It does not check that a
-// task's predecessors own the sources of its updates and the diagonals it
-// scales by: that is the constructors' contract (ColumnTasksMapped,
-// part2d.Tasks, CompileBlocks), pinned by the bit-identity tests, and
-// Measure checks every run bitwise.
+// assigns every factor position to a task. It is the one way into the
+// engine. It checks the shape — tasks topologically ordered by ID,
+// processors in [0, p), every position mapped to a task in range, every
+// diagonal a step scales by held by an earlier task — and reports a
+// malformed one as an error. It does not check that a task's
+// predecessors own the sources of its updates: that is the constructors'
+// contract (ColumnTasksMapped, part2d.Tasks, BlockTasks), pinned by the
+// bit-identity tests, and Measure checks every run bitwise.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
 	if err := sched.CheckProcs("exec", p); err != nil {
-		return nil, err
-	}
-	if err := checkTasks(tasks, p); err != nil {
 		return nil, err
 	}
 	if len(elemTask) != f.NNZ() {
 		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
 	}
 	nt := len(tasks)
-	pg := &Program{f: f, p: p, runPtr: make([]int32, nt+1), own: make([]int32, p)}
+	pg := &Program{f: f, p: p, stepPtr: make([]int32, nt+1), own: make([]int32, p)}
 	// A run starts at each column's first position and wherever the task
 	// changes: count each task's runs (prefix-summed below), then fill them
-	// in ascending position.
+	// in ascending position, each a step over all of its column's sources.
 	for j := 0; j < f.N; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
 			if t := elemTask[q]; t < 0 || int(t) >= nt {
 				return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
 			} else if q == f.ColPtr[j] || t != elemTask[q-1] {
-				pg.runPtr[t+1]++
+				pg.stepPtr[t+1]++
 			}
 		}
 	}
 	for t := 0; t < nt; t++ {
-		pg.runPtr[t+1] += pg.runPtr[t]
+		pg.stepPtr[t+1] += pg.stepPtr[t]
 	}
-	pg.runs = make([]segment, pg.runPtr[nt])
-	fill := append([]int32(nil), pg.runPtr[:nt]...)
+	pg.steps = make([]step, pg.stepPtr[nt])
+	fill := append([]int32(nil), pg.stepPtr[:nt]...)
 	for j := 0; j < f.N; j++ {
 		for q, end := f.ColPtr[j], f.ColPtr[j+1]; q < end; {
 			t, hi := elemTask[q], q+1
 			for hi < end && elemTask[hi] == t {
 				hi++
 			}
-			pg.runs[fill[t]] = segment{int32(j), int32(q), int32(hi)}
+			pg.steps[fill[t]] = step{int32(j), int32(q), int32(hi), 0, int32(j)}
 			fill[t]++
 			q = hi
 		}
 	}
 	f.Rows() // built here, not by the first task to need it
-	preds := pg.split(tasks)
+	preds, err := pg.preds(tasks, elemTask)
+	if err != nil {
+		return nil, err
+	}
+	preds = pg.split(tasks, elemTask, preds)
 	// Successor lists, the transpose of the predecessors, in ascending
 	// task order.
 	n := len(preds)
@@ -135,11 +141,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	pg.indeg = make([]int32, n)
 	pg.succPtr = make([]int32, n+1)
 	for i, ps := range preds {
-		if i < nt {
-			pg.proc[i] = tasks[i].Proc
-		} else {
-			pg.proc[i] = tasks[pg.halves[i-nt].task].Proc
-		}
+		pg.proc[i] = tasks[pg.graphTask(int32(i))].Proc
 		pg.own[pg.proc[i]]++
 		pg.indeg[i] = int32(len(ps))
 		for _, pr := range ps {
@@ -160,28 +162,86 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	return pg, nil
 }
 
-// split picks the columns of a column program that run as two tasks,
-// records them in pg.halves and marks each one's run, and returns every
-// program task's predecessors: the tasks' own, except that a split
-// column's first half (task len(tasks)+k) takes its column's but the last
-// source's, and its second half waits for the first half and that source.
-// A column splits when its last source's task — its last predecessor, as
-// the constructors list them in ascending order — runs on another worker
-// (so never at P = 1) and the sources before it carry at least splitRatio
+// preds checks the caller's graph — IDs equal to the slice index
+// (topological order), processors in [0, p), predecessors strictly
+// earlier — and returns every task's predecessors under the scale rule: a
+// step that starts below its column's diagonal scales by it, so its task
+// also waits for the task holding it, which must be an earlier one. A
+// task's list is the caller's own when it lacks no such task, and a copy
+// with the missing ones appended otherwise: the caller's lists
+// (core.Unit.Preds for a block graph) are never written. The simulators
+// panic on a malformed graph (they only ever see graphs the package
+// itself built); the engine takes caller-supplied ones and returns errors.
+func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
+	f := pg.f
+	preds := make([][]int32, len(tasks))
+	var seen []int32 // seen[v] == t+1: v is task t or already precedes it
+	for t := range tasks {
+		ps, mark := tasks[t].Preds, int32(t+1)
+		if tasks[t].ID != t {
+			return nil, fmt.Errorf("exec: task %d out of order (ID %d)", t, tasks[t].ID)
+		}
+		if w := tasks[t].Proc; w < 0 || int(w) >= pg.p {
+			return nil, fmt.Errorf("exec: task %d: processor %d out of range [0, %d)", t, w, pg.p)
+		}
+		for _, pr := range ps {
+			if pr < 0 || int(pr) >= t {
+				return nil, fmt.Errorf("exec: task %d depends on non-earlier task %d", t, pr)
+			}
+		}
+		for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
+			diag := f.ColPtr[s.j]
+			if d := elemTask[diag]; int(s.lo) != diag && int(d) != t {
+				if seen == nil {
+					seen = make([]int32, len(tasks))
+				}
+				if seen[t] != mark {
+					seen[t] = mark
+					for _, pr := range ps {
+						seen[pr] = mark
+					}
+					ps = ps[:len(ps):len(ps)] // appending copies
+				}
+				if seen[d] != mark {
+					if int(d) > t {
+						return nil, fmt.Errorf("exec: task %d scales by the diagonal of column %d, held by later task %d", t, s.j, d)
+					}
+					seen[d] = mark
+					ps = append(ps, d)
+				}
+			}
+		}
+		preds[t] = ps
+	}
+	return preds, nil
+}
+
+// split picks the columns of a column program that run as two tasks and
+// returns every program task's predecessors: preds, the graph's, except
+// that split column k's first half — program task len(preds)+k, a step
+// over the sources before the last one — takes its column's but the last
+// source's, and its second half, the graph task's step now starting at
+// the last source, waits for the first half and that source. A column
+// splits when its last source's task — its last predecessor, as the
+// constructors list them in ascending order — runs on another worker (so
+// never at P = 1) and the sources before it carry at least splitRatio
 // times that source's updates plus the column's length. A program with a
 // task that is not one whole column splits nothing.
-func (pg *Program) split(tasks []Task) [][]int32 {
-	f, nt := pg.f, len(tasks)
-	colTask, ri := pg.columnTasks(tasks), f.Rows()
-	for t := 0; colTask != nil && t < nt; t++ {
-		s := &pg.runs[pg.runPtr[t]]
+func (pg *Program) split(tasks []Task, elemTask []int32, preds [][]int32) [][]int32 {
+	if !pg.columnProgram() {
+		return preds
+	}
+	f, nt, ri := pg.f, len(tasks), pg.f.Rows()
+	for t := 0; t < nt; t++ {
+		s := &pg.steps[pg.stepPtr[t]]
 		cols, pos := ri.Cols[ri.Ptr[s.j]:ri.Ptr[s.j+1]], ri.Pos[ri.Ptr[s.j]:ri.Ptr[s.j+1]]
 		if len(cols) == 0 {
 			continue
 		}
-		e, ps := len(cols)-1, tasks[t].Preds
+		e, ps := len(cols)-1, preds[t]
 		last := cols[e]
-		if len(ps) == 0 || ps[len(ps)-1] != colTask[last] || tasks[colTask[last]].Proc == tasks[t].Proc {
+		lt := elemTask[f.ColPtr[last]]
+		if len(ps) == 0 || ps[len(ps)-1] != lt || tasks[lt].Proc == tasks[t].Proc {
 			continue
 		}
 		// Source c's updates to column j are its rows from j down.
@@ -195,97 +255,47 @@ func (pg *Program) split(tasks []Task) [][]int32 {
 		if need > 0 {
 			continue
 		}
-		pg.halves = append(pg.halves, half{task: int32(t), j: s.j, last: last})
-		s.j = ^int32(len(pg.halves) - 1)
+		s.from = last
+		pg.first = append(pg.first, int32(t))
+		pg.steps = append(pg.steps, step{s.j, s.lo, s.hi, 0, last})
+		pg.stepPtr = append(pg.stepPtr, int32(len(pg.steps)))
 	}
-	preds := make([][]int32, nt+len(pg.halves))
-	for t := range tasks {
-		preds[t] = tasks[t].Preds
-	}
-	second := make([]int32, 2*len(pg.halves))
-	for k, h := range pg.halves {
-		ps := preds[h.task]
-		preds[nt+k] = ps[: len(ps)-1 : len(ps)-1]
+	second := make([]int32, 2*len(pg.first))
+	for k, t := range pg.first {
+		ps := preds[t]
+		preds = append(preds, ps[:len(ps)-1:len(ps)-1])
 		second[2*k], second[2*k+1] = int32(nt+k), ps[len(ps)-1]
-		preds[h.task] = second[2*k : 2*k+2 : 2*k+2]
+		preds[t] = second[2*k : 2*k+2 : 2*k+2]
 	}
 	return preds
 }
 
-// columnTasks returns the task of every column when each task of the
-// program is one whole column and there is more than one worker, nil
-// otherwise.
-func (pg *Program) columnTasks(tasks []Task) []int32 {
-	f := pg.f
-	if pg.p == 1 || len(tasks) != f.N {
-		return nil
+// columnProgram reports whether each task of the program is one whole
+// column and there is more than one worker: with one step per task and as
+// many tasks as columns, every column is one step.
+func (pg *Program) columnProgram() bool {
+	if pg.p == 1 || len(pg.stepPtr) != pg.f.N+1 {
+		return false
 	}
-	colTask := make([]int32, f.N)
-	for t := range tasks {
-		if pg.runPtr[t+1]-pg.runPtr[t] != 1 {
-			return nil
+	for t, q := range pg.stepPtr {
+		if int(q) != t {
+			return false
 		}
-		s := pg.runs[pg.runPtr[t]]
-		if int(s.lo) != f.ColPtr[s.j] || int(s.hi) != f.ColPtr[s.j+1] {
-			return nil
-		}
-		colTask[s.j] = int32(t)
 	}
-	return colTask
+	return true
 }
 
 // Tasks reports how many tasks a Run executes: one per task of the
 // compiled graph, plus one for each split column's first half.
 func (pg *Program) Tasks() int { return len(pg.proc) }
 
-// secondHalf reports whether graph task t is split column k's second
-// half. (In a program that splits, every graph task is one run.)
-func (pg *Program) secondHalf(t int32) (k int, ok bool) {
-	if len(pg.halves) == 0 {
-		return 0, false
-	}
-	j := pg.runs[pg.runPtr[t]].j
-	return int(^j), j < 0
-}
-
 // graphTask is the task of the compiled graph that program task t runs
 // all or half of.
 func (pg *Program) graphTask(t int32) int32 {
-	if k := int(t) - (len(pg.runPtr) - 1); k >= 0 {
-		return pg.halves[k].task
+	if k := int(t) - (len(pg.proc) - len(pg.first)); k >= 0 {
+		return pg.first[k]
 	}
 	return t
-}
-
-// CompileBlocks compiles the block-granular schedule s of part: one task
-// per unit block over the partition's own factor (part.F, the padded one
-// when relaxed), run by the unit's processor. The execution graph is
-// BlockTasks plus the scale edges: a unit also waits for the unit holding
-// the diagonal of every column it touches.
-func CompileBlocks(part *core.Partition, s *sched.Schedule) (*Program, error) {
-	f := part.F
-	if len(s.UnitProc) != len(part.Units) || len(s.ElemProc) != f.NNZ() {
-		return nil, fmt.Errorf("exec: schedule covers a different partition")
-	}
-	tasks := BlockTasks(part, s)
-	seen := make([]int32, len(tasks)) // seen[v] == u+1: v already precedes u
-	for ui := range tasks {
-		u := &part.Units[ui]
-		preds := u.Preds[:len(u.Preds):len(u.Preds)] // appending copies: the partition keeps its own
-		mark := int32(ui + 1)
-		seen[ui] = mark
-		for _, pr := range preds {
-			seen[pr] = mark
-		}
-		for j := u.ColLo; j <= u.ColHi; j++ {
-			if du := part.ElemUnit[f.ColPtr[j]]; seen[du] != mark {
-				seen[du] = mark
-				preds = append(preds, du)
-			}
-		}
-		tasks[ui].Preds = preds
-	}
-	return Compile(f, s.P, tasks, part.ElemUnit)
 }
 
 // Run factorizes m, whose pattern must be a subset of the program's
@@ -324,7 +334,7 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 	}
 	r := &run{pg: pg, val: val, kern: k}
 	if record {
-		r.events = make([]TaskEvent, len(pg.runPtr)-1)
+		r.events = make([]TaskEvent, len(pg.proc)-len(pg.first))
 		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
 		r.t0 = time.Now()
 	}
@@ -543,8 +553,9 @@ func (r *run) work(w int32) {
 // exec runs task t on worker w, recording its event when asked; prev is
 // the worker's previous finish time. A split column's first half opens
 // the column's event, Cause included (whatever the second half waited for
-// finished after that Start), and its second half adds to it. A cause is
-// a predecessor, so never a first half here.
+// finished after that Start), and its second half — the graph task whose
+// step resumes at a source past 0 — adds to it. A cause is a predecessor,
+// so never a first half here.
 func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	if r.events == nil {
 		return r.task(acc, t)
@@ -557,7 +568,7 @@ func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	pg := r.pg
 	g := pg.graphTask(t)
 	ev := &r.events[g]
-	if _, second := pg.secondHalf(g); g != t || !second {
+	if g != t || len(pg.first) == 0 || pg.steps[pg.stepPtr[t]].from == 0 {
 		*ev = TaskEvent{Task: g, Proc: w, Start: start, Cause: cause}
 	}
 	ev.Finish = finish
@@ -567,26 +578,14 @@ func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	return nil
 }
 
-// task runs task t's runs in ascending position, so a run finds the
+// task runs task t's steps in ascending position, so a step finds the
 // task's own earlier columns final; acc is the worker's dense accumulator,
-// as in numeric.Factorize. A split column's first half applies the
-// sources before its last and its second half the rest, from the partial
-// sums the first left in place. A rejected pivot is reported under this
+// as in numeric.Factorize. A rejected pivot is reported under this
 // package's name.
 func (r *run) task(acc []float64, t int32) error {
-	pg, f := r.pg, r.pg.f
-	if k := int(t) - (len(pg.runPtr) - 1); k >= 0 {
-		h := pg.halves[k]
-		j := int(h.j)
-		return r.kern.Step(f, r.val, acc, j, f.ColPtr[j], f.ColPtr[j+1], 0, int(h.last), false)
-	}
-	for _, s := range pg.runs[pg.runPtr[t]:pg.runPtr[t+1]] {
-		from := int32(0)
-		if s.j < 0 {
-			h := pg.halves[^s.j]
-			s.j, from = h.j, h.last
-		}
-		if err := r.kern.Step(f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(from), int(s.j), true); err != nil {
+	pg := r.pg
+	for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
+		if err := r.kern.Step(pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(s.from), int(s.to), s.to == s.j); err != nil {
 			return fmt.Errorf("exec: %w", err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestProgramBadPivotStopsWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}
-		blocks, err := CompileBlocks(p.part, sched.BlockMap(p.part, procs))
+		blocks, err := compileBlocks(p.part, sched.BlockMap(p.part, procs))
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}
@@ -60,10 +60,10 @@ func TestProgramBadPivotStopsWorkers(t *testing.T) {
 			kind{fmt.Sprintf("P=%d columns", procs), cols, mid, midErr},
 			kind{fmt.Sprintf("P=%d blocks", procs), blocks, mid, midErr})
 		if procs == 2 {
-			if len(cols.halves) == 0 {
+			if len(cols.first) == 0 {
 				t.Fatal("P=2: wrap splits no column")
 			}
-			bad, npd := badAt(int(cols.halves[len(cols.halves)/2].j))
+			bad, npd := badAt(int(cols.first[len(cols.first)/2]))
 			kinds = append(kinds, kind{"P=2 split column", cols, bad, npd})
 		}
 	}

@@ -47,9 +47,9 @@ func TestParallelFactorizeRejectsBadOwners(t *testing.T) {
 	}
 }
 
-// A schedule mapped over another partition of the same factor (other Part
-// options: more units, or a padded structure) is an error, not an index
-// panic on its UnitProc / the partition's ElemUnit.
+// A block schedule's element map taken from another partition of the
+// same factor (other Part options: fewer units, or a padded structure) is
+// Compile's error, not an index panic on the tasks or the factor.
 func TestProgramBlocksRejectForeignSchedule(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 4, 4)
 	coarse := core.NewPartition(p.f, core.Options{Grain: 25, MinClusterWidth: 4})
@@ -57,13 +57,15 @@ func TestProgramBlocksRejectForeignSchedule(t *testing.T) {
 	if len(coarse.Units) >= len(p.part.Units) || relaxed.F.NNZ() == p.f.NNZ() {
 		t.Fatalf("fixture: %d / %d units, %d / %d elements", len(coarse.Units), len(p.part.Units), relaxed.F.NNZ(), p.f.NNZ())
 	}
-	for name, c := range map[string]struct{ part, other *core.Partition }{
-		"fewer units":    {p.part, coarse},
-		"more units":     {coarse, p.part},
-		"other elements": {p.part, relaxed},
+	for name, c := range map[string]struct {
+		part, other *core.Partition
+		want        string
+	}{
+		"fewer units":    {coarse, p.part, "out-of-range task"},
+		"other elements": {p.part, relaxed, "element-task map covers"},
 	} {
-		_, err := CompileBlocks(c.part, sched.BlockMap(c.other, 4))
-		if err == nil || !strings.Contains(err.Error(), "schedule covers a different partition") {
+		_, err := Compile(p.f, 4, BlockTasks(c.part, sched.BlockMap(c.part, 4)), c.other.ElemUnit)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v", name, err)
 		}
 	}
@@ -177,6 +179,16 @@ func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 			copy(bad, tasks)
 			bad[0].Preds = []int32{1}
 			_, err := compileRun(p.m, p.f, 1, bad, elemTask, numeric.KernelCholesky)
+			return err
+		}},
+		{"diagonal held by a later task", func() error {
+			bad := make([]int32, len(elemTask))
+			copy(bad, elemTask)
+			bad[p.f.ColPtr[1]] = 2
+			_, err := compileRun(p.m, p.f, 1, tasks, bad, numeric.KernelCholesky)
+			if err == nil || !strings.Contains(err.Error(), "held by later task 2") {
+				return nil
+			}
 			return err
 		}},
 		{"task ID out of order", func() error {

@@ -9,7 +9,8 @@ import (
 // determinism-critical packages. Go randomizes map iteration order per
 // run, so any map range on the path to simulated spans, traffic totals,
 // schedules or factor values is a latent bit-reproducibility bug (which is
-// why exec.CompileBlocks deduplicates predecessor sets with a stamp array).
+// why exec.Compile's scale rule deduplicates predecessor sets with a
+// marker array, not a set).
 // Either iterate sorted keys, collect insertion-ordered slices alongside
 // the map, or suppress with an order-insensitivity argument:
 //

@@ -303,7 +303,8 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := exec.CompileBlocks(ns.sys.Partition(strategy.Options{}.Part), sc)
+	part := ns.sys.Partition(strategy.Options{}.Part)
+	blocks, err := exec.Compile(part.F, sc.P, exec.BlockTasks(part, sc), part.ElemUnit)
 	if err != nil {
 		t.Fatal(err)
 	}

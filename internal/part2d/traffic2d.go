@@ -54,8 +54,8 @@ func Traffic(ops *model.Ops, s *Schedule2D) *TrafficResult {
 	res := &TrafficResult{
 		P:       s.P,
 		R:       s.R(),
-		FanOut:  make([]int64, s.Tiles()),
-		FanIn:   make([]int64, s.Tiles()),
+		FanOut:  make([]int64, len(s.owner)),
+		FanIn:   make([]int64, len(s.owner)),
 		PerProc: make([]int64, s.P),
 	}
 	sg := tileSegments(ops.F, s)

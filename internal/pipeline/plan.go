@@ -200,14 +200,14 @@ func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measu
 // unit-block graph of a block-granular one over its partition's factor.
 func (pl *Plan) program() (*exec.Program, error) {
 	pl.progOnce.Do(func() {
-		switch {
-		case pl.S2 != nil:
-			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, pl.elemTask)
-		case pl.S1.UnitProc != nil:
-			pl.prog, pl.progErr = exec.CompileBlocks(pl.An.sys.Partition(pl.Opts.Part), pl.S1)
-		default:
-			pl.prog, pl.progErr = exec.Compile(pl.An.F, pl.P, pl.Tasks, pl.An.F.ColIndex())
+		f, elemTask := pl.An.F, pl.elemTask
+		if pl.S1 != nil && pl.S1.UnitProc != nil {
+			part := pl.An.sys.Partition(pl.Opts.Part)
+			f, elemTask = part.F, part.ElemUnit
+		} else if pl.S1 != nil {
+			elemTask = f.ColIndex()
 		}
+		pl.prog, pl.progErr = exec.Compile(f, pl.P, pl.Tasks, elemTask)
 	})
 	return pl.prog, pl.progErr
 }

@@ -135,7 +135,8 @@ func TestStagedSolveParallelBitIdenticalToMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pg, err := exec.CompileBlocks(an.Sys().Partition(paperOpts.Part), pl.S1)
+				part := an.Sys().Partition(paperOpts.Part)
+				pg, err := exec.Compile(part.F, p, exec.BlockTasks(part, pl.S1), part.ElemUnit)
 				if err != nil {
 					t.Fatal(err)
 				}
