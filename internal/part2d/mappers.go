@@ -274,7 +274,7 @@ func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options)
 // bridge lifts — the single source the Ext-T table, the tile2d sweep,
 // the example and the bit-identity tests all enumerate. Block-granular
 // strategies (block, blockgreedy, refine over them) are excluded because
-// Lift rejects schedules that split a column across processors; a new
+// Lift rejects schedules without column owners; a new
 // column-granular 1D strategy joins every 2D surface by being added
 // here.
 func LiftBases() []string {
@@ -311,25 +311,15 @@ func (col2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sche
 // Lift converts a column-granular 1D schedule into the equivalent 2D tile
 // schedule (the col2d bridge): diagonal intervals are the maximal runs of
 // constant column ownership, and every tile of a block column belongs to
-// the column's 1D owner. It rejects schedules over a different factor
-// (relaxed partitions) and schedules that split a column across
-// processors, neither of which is expressible as tile ownership over
-// shared column intervals. name labels errors.
+// the column's 1D owner. It reads the schedule's column owners (ColProc)
+// and rejects a schedule without them over sys.F — a block-granular one,
+// relaxed factors included — which is not expressible as tile ownership
+// over shared column intervals. name labels errors.
 func Lift(sys *strategy.Sys, sc *sched.Schedule, name string) (*Schedule2D, error) {
-	f := sys.F
-	if len(sc.ElemProc) != f.NNZ() {
-		return nil, fmt.Errorf("part2d: %q works on a relaxed factor (%d elements vs %d); lift requires the analysis factor",
-			name, len(sc.ElemProc), f.NNZ())
-	}
-	owner1d := make([]int32, f.N)
-	for j := 0; j < f.N; j++ {
-		o := sc.ElemProc[f.ColPtr[j]]
-		for q := f.ColPtr[j] + 1; q < f.ColPtr[j+1]; q++ {
-			if sc.ElemProc[q] != o {
-				return nil, fmt.Errorf("part2d: %q is not column-granular (column %d split across processors)", name, j)
-			}
-		}
-		owner1d[j] = o
+	f, owner1d := sys.F, sc.ColProc
+	if len(owner1d) != f.N {
+		return nil, fmt.Errorf("part2d: %q is not column-granular over the analysis factor (%d column owners, %d columns)",
+			name, len(owner1d), f.N)
 	}
 	bounds := []int{0}
 	for j := 1; j < f.N; j++ {

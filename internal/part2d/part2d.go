@@ -28,9 +28,10 @@
 //     makespan simulators. On a column-granular tiling (every tile of a
 //     block column sharing one owner — the col2d lift of any 1D strategy)
 //     the graph collapses to exactly the 1D column task graph, so the 2D
-//     simulators are bit-identical to the 1D ones there. Tasks reads that
-//     case off the tile owners in O(tiles) and returns the 1D graph, and
-//     FetchStats the closed-form fetch attribution. On any other schedule
+//     simulators are bit-identical to the 1D ones there. The constructor
+//     reads that case off the tile owners once, in O(tiles), Tasks returns
+//     the 1D graph and FetchStats the closed-form fetch attribution over
+//     the column owners it keeps. On any other schedule
 //     the graph, FetchStats and Traffic are one pass over the row-block
 //     segments the tile index cuts the factor's columns into — one visit
 //     per segment a run reads, not per update — with answers identical to
@@ -96,6 +97,10 @@ type Schedule2D struct {
 	// of the tile containing factor nonzero q, the granularity at which
 	// the traffic simulators deduplicate fetches.
 	elemProc []int32
+	// colProc is the owner of every column when the tiling is
+	// column-granular (every tile of a block column on its diagonal
+	// tile's owner), nil otherwise.
+	colProc []int32
 }
 
 // R returns the number of diagonal intervals (the tiling is R x R).
@@ -131,10 +136,11 @@ func (s *Schedule2D) Imbalance() float64 { return sched.ImbalanceOf(s.work) }
 
 // Schedule bridges to the 1D schedule type over the derived element
 // ownership, so every element-granular 1D simulator (traffic.Simulate in
-// particular) evaluates the 2D assignment unchanged. The returned
-// schedule aliases the receiver's element ownership and work slices.
+// particular) evaluates the 2D assignment unchanged. On a column-granular
+// tiling it also carries the column owners as ColProc. The returned
+// schedule aliases the receiver's slices.
 func (s *Schedule2D) Schedule() *sched.Schedule {
-	return &sched.Schedule{P: s.P, ElemProc: s.elemProc, Work: s.work}
+	return &sched.Schedule{P: s.P, ElemProc: s.elemProc, ColProc: s.colProc, Work: s.work}
 }
 
 // New validates and completes a 2D schedule: bounds must be strictly
@@ -182,6 +188,7 @@ func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *
 		blockOf:  tl.blockOf,
 		work:     make([]int64, p),
 		elemProc: make([]int32, f.NNZ()),
+		colProc:  colProcOf(tl, owner),
 	}
 	for q, t := range tl.elemTile {
 		proc := owner[t]
@@ -189,6 +196,26 @@ func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *
 		s.work[proc] += elemWork[q]
 	}
 	return s
+}
+
+// colProcOf returns the owner of every column when every tile of each
+// block column is on its diagonal tile's owner (every column holds its
+// diagonal, so that is every element of the column on one processor), and
+// nil otherwise. It reads the tile owners once, O(tiles + n).
+func colProcOf(tl *tiling, owner []int32) []int32 {
+	for c := 0; c+1 < len(tl.ptr); c++ {
+		lo, hi := tl.ptr[c], tl.ptr[c+1]
+		for _, o := range owner[lo+1 : hi] {
+			if o != owner[lo] {
+				return nil
+			}
+		}
+	}
+	col := make([]int32, len(tl.blockOf))
+	for j, c := range tl.blockOf {
+		col[j] = owner[tl.ptr[c]]
+	}
+	return col
 }
 
 // tiling is the non-empty tile index of a diagonal interval structure in

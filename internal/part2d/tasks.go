@@ -29,10 +29,10 @@ import (
 // predecessor set is exactly the column's row structure, i.e. the graph of
 // exec.ColumnTasksMapped. exec.Simulate is therefore bit-identical on a
 // lift and on its 1D schedule, which the regression tests pin at
-// P in {1, 4, 16}. That case is read off the tile owners in O(tiles),
-// never assumed from the mapper, and answered with
-// exec.ColumnTasksMapped's graph and the column index as the element map
-// (task j is column j).
+// P in {1, 4, 16}. The constructor reads that case off the tile owners
+// once, in O(tiles), never assumed from the mapper, and Tasks answers it
+// with exec.ColumnTasksMapped's graph over those column owners and the
+// column index as the element map (task j is column j).
 //
 // Any other schedule is priced by row-block segment, not by update (see
 // segments): every update of the run (j, k) that reads one segment S of
@@ -42,30 +42,10 @@ import (
 // predecessor lists are cut from one shared slice.
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
-	if owner, ok := s.columnOwners(); ok {
-		return exec.ColumnTasksMapped(f, ops, elemWork, owner), f.ColIndex()
+	if s.colProc != nil {
+		return exec.ColumnTasksMapped(f, ops, elemWork, s.colProc), f.ColIndex()
 	}
 	return segmentTasks(ops, elemWork, s)
-}
-
-// columnOwners returns the owner of every column, and whether s is
-// column-granular: every tile of a block column on its diagonal tile's
-// owner (every column holds its diagonal, so that is every element of the
-// column on one processor).
-func (s *Schedule2D) columnOwners() ([]int32, bool) {
-	for c := 0; c < s.R(); c++ {
-		lo, hi := s.tilePtr[c], s.tilePtr[c+1]
-		for _, o := range s.owner[lo+1 : hi] {
-			if o != s.owner[lo] {
-				return nil, false
-			}
-		}
-	}
-	owner := make([]int32, len(s.blockOf))
-	for j, c := range s.blockOf {
-		owner[j] = s.owner[s.tilePtr[c]]
-	}
-	return owner, true
 }
 
 // segmentTasks is Tasks' segment pass, on any schedule.
@@ -82,17 +62,16 @@ func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task,
 // partition Traffic(ops, s).Total exactly — the property that lets
 // exec.Simulate under a CommModel charge every fetch exactly once.
 //
-// When the task map is the column index (what Tasks returns for a
-// column-granular schedule), the attribution is
-// traffic.FetchStatsColumns': its closed form on column-uniform owners,
-// task by task the element walk's answer, and the walk itself otherwise.
-// Any other task map must be constant on every row-block segment with
-// tasks in [0, ntasks) — every map Tasks returns is — and takes the
-// segment pass, task by task the walk's answer; FetchStats panics on a map
-// that splits a segment.
+// When the schedule is column-granular and the task map is the column
+// index (what Tasks returns for it), the attribution is
+// traffic.FetchStatsColumns' closed form on the column owners, task by
+// task the element walk's answer. Any other task map must be constant on
+// every row-block segment with tasks in [0, ntasks) — every map Tasks
+// returns is — and takes the segment pass, task by task the walk's
+// answer; FetchStats panics on a map that splits a segment.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	f := ops.F
-	if ntasks == f.N && isColumnIndex(f, elemTask) {
+	if s.colProc != nil && ntasks == f.N && isColumnIndex(f, elemTask) {
 		return traffic.FetchStatsColumns(ops, s.Schedule())
 	}
 	sg := tileSegments(f, s)

@@ -249,7 +249,7 @@ func TestSegmentTasksAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s2.columnOwners(); ok {
+		if s2.colProc != nil {
 			t.Fatal("rect2dlpt schedule is column-granular: Tasks would skip the segment pass")
 		}
 		return testing.AllocsPerRun(3, func() {

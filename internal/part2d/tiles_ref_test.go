@@ -97,13 +97,25 @@ func refBounds(sys *strategy.Sys, p int) []int {
 	return bounds
 }
 
+// refColProc returns the owner of every column when each column's element
+// owners agree, nil otherwise: what a schedule's column owners must be.
+func refColProc(f *symbolic.Factor, elemProc []int32) []int32 {
+	col := make([]int32, f.N)
+	for j := range col {
+		col[j] = elemProc[f.ColPtr[j]]
+		for _, o := range elemProc[f.ColPtr[j]:f.ColPtr[j+1]] {
+			if o != col[j] {
+				return nil
+			}
+		}
+	}
+	return col
+}
+
 // refLift is Lift of a column-granular 1D schedule over the dense table.
 func refLift(sys *strategy.Sys, sc *sched.Schedule) *refSchedule {
 	f := sys.F
-	owner1d := make([]int32, f.N)
-	for j := range owner1d {
-		owner1d[j] = sc.ElemProc[f.ColPtr[j]]
-	}
+	owner1d := refColProc(f, sc.ElemProc)
 	bounds := []int{0}
 	for j := 1; j < f.N; j++ {
 		if owner1d[j] != owner1d[j-1] {
@@ -305,6 +317,9 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int6
 		!slices.Equal(s.elemProc, ref.ElemProc) || !slices.Equal(s.work, ref.Work) {
 		t.Fatalf("%s: schedule differs from the dense oracle's", label)
 	}
+	if want := refColProc(f, ref.ElemProc); (s.colProc == nil) != (want == nil) || !slices.Equal(s.colProc, want) {
+		t.Fatalf("%s: column owners (nil %v) differ from the element owners' (nil %v)", label, s.colProc == nil, want == nil)
+	}
 	r := s.R()
 	if len(s.tilePtr) != r+1 || s.tilePtr[0] != 0 || int(s.tilePtr[r]) != len(s.tileRow) || len(s.owner) != len(s.tileRow) {
 		t.Fatalf("%s: malformed tile index (R = %d, %d pointers, %d rows, %d owners)", label, r, len(s.tilePtr), len(s.tileRow), len(s.owner))
@@ -428,8 +443,8 @@ func TestMappersMatchDenseOracle(t *testing.T) {
 }
 
 // TestReownedLiftFallsThrough: a wrap lift with one off-diagonal tile
-// re-owned is no longer column-granular; Tasks and FetchStats must notice,
-// take the segment pass, and still match the oracle.
+// re-owned is no longer column-granular; the constructor must notice, so
+// Tasks and FetchStats take the segment pass and still match the oracle.
 func TestReownedLiftFallsThrough(t *testing.T) {
 	sys := lapSys(t)
 	const p = 4
@@ -565,13 +580,11 @@ func FuzzTiles2D(f *testing.F) {
 				}
 				check(e.name, s2, refNew(fac, sys.ElemWork, p, bounds, e.owner))
 			}
-			sc := &sched.Schedule{P: p, ElemProc: make([]int32, fac.NNZ()), Work: make([]int64, p)}
-			for j := 0; j < n; j++ {
-				for q := fac.ColPtr[j]; q < fac.ColPtr[j+1]; q++ {
-					sc.ElemProc[q] = at(j)
-					sc.Work[at(j)] += sys.ElemWork[q]
-				}
+			cols := make([]int32, n)
+			for j := range cols {
+				cols[j] = at(j)
 			}
+			sc := sched.ColumnMap(fac, sys.ElemWork, p, cols)
 			s2, err = Lift(sys, sc, "fuzz")
 			if err != nil {
 				t.Fatal(err)

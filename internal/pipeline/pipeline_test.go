@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/numeric"
@@ -504,6 +505,7 @@ func TestKeyDeterminism(t *testing.T) {
 		{"p", an.PlanKey("wrap", 8, strategy.Options{}, false)},
 		{"dim", an.PlanKey("wrap", 4, strategy.Options{}, true)},
 		{"opts", an.PlanKey("wrap", 4, strategy.Options{BlockSize: 8}, false)},
+		{"comm gamma", an.PlanKey("wrap", 4, strategy.Options{Comm: exec.CommModel{Gamma: 1}}, false)},
 		{"analysis", anOrd.PlanKey("wrap", 4, strategy.Options{}, false)},
 	}
 	for _, v := range variants {
@@ -620,6 +622,44 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 			t.Fatalf("RelaxZeros %g and %g pad BUS1138 to the same %d elements; the test tells nothing apart", prev, z, want)
 		}
 		seenLen[want] = z
+	}
+}
+
+// TestCachePlanHonorsCommGamma: refine's commspan objective prices every
+// task with exec.CommModel.Cost, fixed overhead Gamma included, so two
+// requests that differ only in Gamma map different schedules; the cache
+// must hand each its own plan, not the first one's.
+func TestCachePlanHonorsCommGamma(t *testing.T) {
+	a := gen.Lap30()
+	c := NewCache(0)
+	an, err := c.Analysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optsOf := func(gamma float64) strategy.Options {
+		return strategy.Options{Objective: "commspan", Comm: exec.CommModel{Alpha: 2, Beta: 10, Gamma: gamma}}
+	}
+	if _, err := c.Plan(an, "refine", 16, optsOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Plan(an, "refine", 16, optsOf(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := an.Plan("refine", 16, optsOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := an.Plan("refine", 16, optsOf(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(zero.S1.ElemProc, want.S1.ElemProc) {
+		t.Fatal("Gamma 0 and 1000 map the same schedule on LAP30; the test tells nothing apart")
+	}
+	if !slices.Equal(got.S1.ElemProc, want.S1.ElemProc) {
+		t.Fatalf("the cache served Gamma 1000 a plan with traffic %d; its own plan has %d",
+			got.TrafficTotal(), want.TrafficTotal())
 	}
 }
 

@@ -69,6 +69,7 @@ func hashOptions(h *artifact.Hasher, opts strategy.Options) {
 	h.F64(opts.Beta2)
 	h.F64(opts.Comm.Alpha)
 	h.F64(opts.Comm.Beta)
+	h.F64(opts.Comm.Gamma)
 }
 
 // PlanKey returns the content address of the plan (name, p, opts) would

@@ -15,27 +15,40 @@
 //     (blockMap), two names.
 //
 //   - WrapMap: the classical wrap (cyclic) column mapping — column j of
-//     the permuted matrix belongs to processor j mod P.
+//     the permuted matrix belongs to processor j mod P — one case of
+//     ColumnMap, the constructor of every column-granular schedule.
 //
-// All produce a Schedule exposing the owner of every factor element, the
-// granularity at which the traffic simulator counts non-local accesses.
+// A Schedule is its owner vector, one owner per unit block (UnitProc) or
+// per column (ColProc); the constructor derives from it the owner of every
+// factor element (ElemProc, the granularity at which the traffic simulator
+// counts non-local accesses) and the per-processor work.
 package sched
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/symbolic"
 )
 
-// Schedule is a complete assignment of factorization work to P processors.
+// Schedule is a complete assignment of factorization work to P
+// processors. Its owner vector — UnitProc for a block-granular schedule,
+// ColProc for a column-granular one, exactly one set by this package's
+// constructors — is the assignment; ElemProc and Work are derived from it.
+// A schedule with neither (part2d's bridge of a tiling that splits a
+// column) is evaluated through ElemProc alone.
 type Schedule struct {
 	P int
-	// ElemProc maps every factor nonzero position to its owning processor.
+	// ElemProc maps every factor nonzero position to its owning processor,
+	// derived from the owner vector.
 	ElemProc []int32
-	// UnitProc maps unit IDs to processors (block scheme only; nil for
-	// wrap mapping).
+	// UnitProc maps unit IDs to processors (block-granular schedules; nil
+	// for column-granular ones).
 	UnitProc []int32
+	// ColProc maps column j to its processor (column-granular schedules;
+	// nil for block-granular ones).
+	ColProc []int32
 	// Work is the total computational work assigned to each processor
 	// under the paper's work model.
 	Work []int64
@@ -83,17 +96,32 @@ func (s *Schedule) Efficiency() float64 {
 	return avg / float64(mw)
 }
 
-// WrapMap assigns column j of the factor to processor j mod P and derives
-// element ownership and per-processor work.
+// WrapMap assigns column j of the factor to processor j mod P.
 func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
 	MustProcs("sched", p)
+	owner := make([]int32, f.N)
+	for j := range owner {
+		owner[j] = int32(j % p)
+	}
+	return ColumnMap(f, elemWork, p, owner)
+}
+
+// ColumnMap is the one constructor of column-granular schedules: column j
+// of the factor goes to processor owner[j], every owner in [0, p). The
+// schedule keeps owner as its ColProc and derives element ownership and
+// per-processor work from it.
+func ColumnMap(f *symbolic.Factor, elemWork []int64, p int, owner []int32) *Schedule {
+	MustProcs("sched", p)
+	if len(owner) != f.N {
+		panic(fmt.Sprintf("sched: %d column owners for %d columns", len(owner), f.N))
+	}
 	s := &Schedule{
 		P:        p,
+		ColProc:  owner,
 		ElemProc: make([]int32, f.NNZ()),
 		Work:     make([]int64, p),
 	}
-	for j := 0; j < f.N; j++ {
-		proc := int32(j % p)
+	for j, proc := range owner {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
 			s.ElemProc[q] = proc
 			s.Work[proc] += elemWork[q]

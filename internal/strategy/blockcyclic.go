@@ -30,7 +30,7 @@ func (blockCyclicMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 	for j := range owner {
 		owner[j] = int32((j / bs) % p)
 	}
-	return columnSchedule(sys, p, owner), nil
+	return sched.ColumnMap(sys.F, sys.ElemWork, p, owner), nil
 }
 
 func init() { Register(blockCyclicMapper{}) }

@@ -45,7 +45,7 @@ func (contigTotalMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 		beta2 = 0
 	}
 	bounds := contiguousSplitTotal(work, sys.columnRefs(), p, bound, beta2, opts.Search)
-	return columnSchedule(sys, p, IntervalIndex(sys.F.N, bounds)), nil
+	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, bounds)), nil
 }
 
 func init() { Register(contigTotalMapper{}) }

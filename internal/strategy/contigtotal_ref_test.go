@@ -267,7 +267,7 @@ func FuzzContigTotalSplit(f *testing.F) {
 			if splitMaxWork(work, b) > maxWork {
 				return
 			}
-			sc := columnSchedule(sys, p, IntervalIndex(n, b))
+			sc := sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(n, b))
 			if tr := Traffic(sys, Options{}, sc).Total; best < 0 || tr < best {
 				best = tr
 			}
@@ -276,7 +276,7 @@ func FuzzContigTotalSplit(f *testing.F) {
 			t.Fatalf("bounds %v, exhaustive optimum %d", bounds, best)
 		}
 		if bounds != nil {
-			sc := columnSchedule(sys, p, IntervalIndex(n, bounds))
+			sc := sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(n, bounds))
 			if got := Traffic(sys, Options{}, sc).Total; got != best {
 				t.Fatalf("traffic %d, exhaustive optimum %d", got, best)
 			}

@@ -27,7 +27,7 @@ func (rectilinearMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
-	return columnSchedule(sys, p, IntervalIndex(sys.F.N, sys.RectilinearCuts(p))), nil
+	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, sys.RectilinearCuts(p))), nil
 }
 
 func init() { Register(rectilinearMapper{}) }

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/exec"
@@ -117,19 +118,18 @@ func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, erro
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {
-	c := &sched.Schedule{
+	return &sched.Schedule{
 		P:        s.P,
-		ElemProc: append([]int32(nil), s.ElemProc...),
-		Work:     append([]int64(nil), s.Work...),
+		ElemProc: slices.Clone(s.ElemProc),
+		UnitProc: slices.Clone(s.UnitProc),
+		ColProc:  slices.Clone(s.ColProc),
+		Work:     slices.Clone(s.Work),
 	}
-	if s.UnitProc != nil {
-		c.UnitProc = append([]int32(nil), s.UnitProc...)
-	}
-	return c
 }
 
-// movables builds the refinement units of a schedule and the current
-// owner of each.
+// movables builds the refinement units of a schedule and returns them
+// with the schedule's own owner vector, UnitProc or ColProc, which the
+// pass then moves them in.
 func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, error) {
 	if sc.UnitProc != nil {
 		part := sys.Partition(opts.Part)
@@ -144,11 +144,11 @@ func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, e
 		for q, uid := range part.ElemUnit {
 			mv[uid].elems = append(mv[uid].elems, int32(q))
 		}
-		return mv, append([]int32(nil), sc.UnitProc...), nil
+		return mv, sc.UnitProc, nil
 	}
 	f := sys.F
-	if len(sc.ElemProc) != f.NNZ() {
-		return nil, nil, fmt.Errorf("strategy: schedule does not match the analysis factor")
+	if len(sc.ColProc) != f.N || len(sc.ElemProc) != f.NNZ() {
+		return nil, nil, fmt.Errorf("strategy: schedule is not a column schedule of the analysis factor")
 	}
 	colWork := sys.ColumnWork()
 	mv := make([]movable, f.N)
@@ -159,7 +159,7 @@ func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, e
 		}
 		mv[j] = movable{work: colWork[j], elems: elems, preds: sys.Ops.RowCols(j)}
 	}
-	return mv, columnOwners(f, sc), nil
+	return mv, sc.ColProc, nil
 }
 
 // move reassigns movable u to processor dst, updating the schedule's
@@ -172,15 +172,12 @@ func move(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
 }
 
 // reown is move without the element ownership, for the traffic objective,
-// whose oracle writes ElemProc itself.
+// whose oracle writes ElemProc itself. own is the schedule's owner vector.
 func reown(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
 	src := own[u]
 	own[u] = dst
 	sc.Work[src] -= mv[u].work
 	sc.Work[dst] += mv[u].work
-	if sc.UnitProc != nil {
-		sc.UnitProc[u] = dst
-	}
 }
 
 // refineImbalance repeatedly moves a unit from an overloaded processor to

@@ -233,10 +233,10 @@ type Options struct {
 }
 
 // Mapper is one partitioning/mapping strategy. Map assigns the
-// factorization work of sys to p processors and returns the schedule;
-// the schedule's ElemProc must cover every nonzero of the factor the
-// strategy worked on (sys.F, or the relaxed partition factor for
-// block-based strategies).
+// factorization work of sys to p processors and returns the schedule:
+// column-granular, built by sched.ColumnMap over sys.F, or
+// block-granular, with UnitProc over the partition of opts.Part (whose
+// factor relaxation may pad).
 type Mapper interface {
 	Name() string
 	Map(sys *Sys, p int, opts Options) (*sched.Schedule, error)
@@ -317,35 +317,6 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	return m.Map(sys, p, opts)
 }
 
-// columnSchedule derives a schedule from a column-to-processor assignment
-// (owner[j] is the processor of column j).
-func columnSchedule(sys *Sys, p int, owner []int32) *sched.Schedule {
-	f := sys.F
-	s := &sched.Schedule{
-		P:        p,
-		ElemProc: make([]int32, f.NNZ()),
-		Work:     make([]int64, p),
-	}
-	for j := 0; j < f.N; j++ {
-		proc := owner[j]
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			s.ElemProc[q] = proc
-			s.Work[proc] += sys.ElemWork[q]
-		}
-	}
-	return s
-}
-
-// columnOwners recovers the column-to-processor assignment of a
-// column-granular schedule (every element of a column shares one owner).
-func columnOwners(f *symbolic.Factor, sc *sched.Schedule) []int32 {
-	owner := make([]int32, f.N)
-	for j := 0; j < f.N; j++ {
-		owner[j] = sc.ElemProc[f.ColPtr[j]]
-	}
-	return owner
-}
-
 // checkPartMatch panics when a block-granular schedule does not belong
 // to the partition selected by opts.Part (e.g. the schedule was mapped
 // with different grain/width/relaxation options), the same loud failure
@@ -409,8 +380,7 @@ func Tasks(sys *Sys, opts Options, sc *sched.Schedule) []exec.Task {
 		checkPartMatch(part, sc)
 		return exec.BlockTasks(part, sc)
 	}
-	owner := columnOwners(sys.F, sc)
-	return exec.ColumnTasksMapped(sys.F, sys.Ops, sys.ElemWork, owner)
+	return exec.ColumnTasksMapped(sys.F, sys.Ops, sys.ElemWork, sc.ColProc)
 }
 
 // FetchStats attributes the schedule's non-local fetches to its makespan

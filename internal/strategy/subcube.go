@@ -27,7 +27,7 @@ func (subcubeMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error)
 		return nil, err
 	}
 	owner := SubcubeOwners(sys.F.Parent, sys.ColumnWork(), p)
-	return columnSchedule(sys, p, owner), nil
+	return sched.ColumnMap(sys.F, sys.ElemWork, p, owner), nil
 }
 
 func init() { Register(subcubeMapper{}) }

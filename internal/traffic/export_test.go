@@ -2,11 +2,11 @@ package traffic
 
 // The reference check, for the strategy and 2D grids of
 // fetch_grid_test.go (package traffic_test, which may import the packages
-// that import this one), and the test that sends a block schedule down the
-// read-map replay.
+// that import this one), and the column owners of an element map, for
+// owners_test.go.
 var (
 	CheckAttribution = checkAttribution
-	UnitUniform      = unitUniform
+	OwnerPerColumn   = ownerPerColumn
 )
 
 // GroupsSize counts a Groups' records and the positions they cover.

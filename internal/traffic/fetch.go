@@ -146,10 +146,10 @@ func (c *Charger) Done() *TaskComm {
 // fetch first required by an update (or the scale) of the factor element
 // at position q. The dedup rule is identical to Simulate's, so the
 // per-task volumes partition the traffic total exactly whatever the
-// granularity: unit blocks (FetchStats' fallback), columns
-// (FetchStatsColumns' fallback) or any other task map.
+// granularity and whatever the element ownership.
 //
-// It is the element-level walk: O(#updates) time — every pair update of
+// It is the element-level walk, the reference FetchStats and
+// FetchStatsColumns are held to: O(#updates) time — every pair update of
 // the factorization is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks)
 // bytes of transient masks, allocated up front and nothing per fetch.
 func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
@@ -164,30 +164,23 @@ func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int
 // FetchStats attributes every distinct non-local fetch of a
 // block-partitioned schedule to the unit block whose update first requires
 // it, with per-unit message counts (one message per distinct source
-// processor feeding a unit).
-//
-// When the schedule is unit-uniform — every element on its unit's
-// processor, every unit on a processor of the schedule; checked in
-// O(nnz(L)), never assumed — and ops enumerates the partition's own
-// factor, the attribution replays the partition's read map (replayReads).
-// Any other schedule takes the walk, FetchStatsTasks over the
-// element-to-unit map.
+// processor feeding a unit). It replays the partition's read map
+// (replayReads) on the schedule's unit owners. s must be a block schedule
+// of part (UnitProc over its units) and ops must enumerate part.F; any
+// other shape panics.
 func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskComm {
 	f := ops.F
-	if len(part.ElemUnit) != f.NNZ() {
+	if part.F != f || len(part.ElemUnit) != f.NNZ() || len(s.UnitProc) != len(part.Units) {
 		panic("traffic: schedule/partition/factor mismatch")
 	}
 	if len(s.ElemProc) != f.NNZ() {
 		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
 	}
 	sched.MustProcs("traffic", s.P)
-	if part.F != f || !unitUniform(part, s) {
-		return FetchStatsTasks(ops, s, len(part.Units), part.ElemUnit)
-	}
 	return replayReads(part, s)
 }
 
-// replayReads is FetchStats on a unit-uniform schedule: the walk replayed
+// replayReads is FetchStats' body: the walk replayed
 // from the read map (core.ReadMap), one source column at a time. Each
 // processor keeps a bitset over the column's positions of what it owns or
 // has fetched, and an entry of unit u fetches, on u's processor, its bits
@@ -259,52 +252,25 @@ func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
 	return ch.Done()
 }
 
-// unitUniform reports whether every element of s sits on its unit's
-// processor and every unit on a processor of s: the check behind
-// FetchStats's replay of the read map.
-func unitUniform(part *core.Partition, s *sched.Schedule) bool {
-	if len(s.UnitProc) != len(part.Units) {
-		return false
-	}
-	for _, p := range s.UnitProc {
-		if p < 0 || int(p) >= s.P {
-			return false
-		}
-	}
-	for q, u := range part.ElemUnit {
-		if s.ElemProc[q] != s.UnitProc[u] {
-			return false
-		}
-	}
-	return true
-}
-
-// FetchStatsColumns is FetchStats for column-mapped schedules, attributing
-// fetches and messages to columns.
-//
-// When every column of the schedule has one owner — checked in O(nnz(L)),
-// never assumed — the attribution is computed in closed form, in
-// O(nnz(L) + n·⌈P/64⌉) instead of O(#updates). The sources target column
-// j reads in source column k are the suffix of struct(k) from row j down
-// (ColumnRefs), suffixes of one column are nested, and the walk visits
-// target columns in increasing order; so the first target row j of
-// struct(k) that a processor q != owner(k) owns fetches the whole suffix
-// on q's behalf, every later row of q in struct(k) finds it cached, and
-// the scales read only their own column. One pass over struct(k) with a
-// P-entry stamp therefore gives exactly the Vol and Msgs of the
-// element-level walk, task by task, not merely the same total. A schedule
-// with any column split between owners (or an owner outside [0, P)) falls
-// through to that walk, FetchStatsTasks over the column index.
+// FetchStatsColumns is FetchStats for column-granular schedules,
+// attributing fetches and messages to columns, computed in closed form on
+// the schedule's column owners (ColProc; any other shape panics) in
+// O(nnz(L) + n·⌈P/64⌉) instead of the walk's O(#updates). The sources
+// target column j reads in source column k are the suffix of struct(k)
+// from row j down (ColumnRefs), suffixes of one column are nested, and the
+// walk visits target columns in increasing order; so the first target row
+// j of struct(k) that a processor q != owner(k) owns fetches the whole
+// suffix on q's behalf, every later row of q in struct(k) finds it cached,
+// and the scales read only their own column. One pass over struct(k) with
+// a P-entry stamp therefore gives exactly the Vol and Msgs of the
+// element-level walk, task by task, not merely the same total.
 func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 	f := ops.F
-	if len(s.ElemProc) != f.NNZ() {
-		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
+	if len(s.ColProc) != f.N {
+		panic(fmt.Sprintf("traffic: schedule has %d column owners, factor has %d columns", len(s.ColProc), f.N))
 	}
 	sched.MustProcs("traffic", s.P)
-	colOwner, ok := columnOwners(f, s)
-	if !ok {
-		return FetchStatsTasks(ops, s, f.N, f.ColIndex())
-	}
+	colOwner := s.ColProc
 	ch := NewCharger(s.P, f.N, nil)
 	stamp := make([]int32, s.P) // stamp[q] == k+1: q already fetched from column k
 	for k := 0; k < f.N; k++ {
@@ -321,25 +287,4 @@ func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
 		}
 	}
 	return ch.Done()
-}
-
-// columnOwners returns the owner of every column of s, and whether s is
-// column-uniform: every element of a column on the column's owner, every
-// owner a processor of s. It is the O(nnz(L)) check behind the closed form
-// above.
-func columnOwners(f *symbolic.Factor, s *sched.Schedule) ([]int32, bool) {
-	colOwner := make([]int32, f.N)
-	for j := 0; j < f.N; j++ {
-		o := s.ElemProc[f.ColPtr[j]]
-		if o < 0 || int(o) >= s.P {
-			return nil, false
-		}
-		for _, q := range s.ElemProc[f.ColPtr[j]+1 : f.ColPtr[j+1]] {
-			if q != o {
-				return nil, false
-			}
-		}
-		colOwner[j] = o
-	}
-	return colOwner, true
 }

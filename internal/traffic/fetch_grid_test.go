@@ -26,10 +26,9 @@ func suiteSys(t *testing.T, tm gen.TestMatrix) *strategy.Sys {
 
 // TestFetchAttributionStrategyGrid: every registered strategy, through
 // strategy.FetchStats (the closed form for the column-granular ones, the
-// read-map replay for the block-granular rest, all of which are
-// unit-uniform), equals the reference walk at one-word, two-word and
-// past-n processor counts under the three option sets the studies use; the
-// column schedules also through the run kernel.
+// read-map replay for the block-granular rest), equals the reference walk
+// at one-word, two-word and past-n processor counts under the three option
+// sets the studies use; the column schedules also through the run kernel.
 func TestFetchAttributionStrategyGrid(t *testing.T) {
 	optSets := []strategy.Options{
 		{},
@@ -68,11 +67,7 @@ func TestFetchAttributionStrategyGrid(t *testing.T) {
 							traffic.FetchStatsTasks(sys.Ops, sc, n, colOf))
 						break // a column schedule does not read opts.Part
 					}
-					part := sys.Partition(opts.Part)
-					if !traffic.UnitUniform(part, sc) {
-						t.Fatalf("%s: block schedule is not unit-uniform; FetchStats walked it", cell)
-					}
-					traffic.CheckAttribution(t, cell, partOps[oi], sc, part.ElemUnit, got)
+					traffic.CheckAttribution(t, cell, partOps[oi], sc, sys.Partition(opts.Part).ElemUnit, got)
 				}
 			}
 		}

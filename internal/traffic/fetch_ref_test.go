@@ -59,70 +59,37 @@ func checkAttribution(t testing.TB, name string, ops *model.Ops, s *sched.Schedu
 	}
 }
 
-// checkColumns holds both column paths to the reference: FetchStatsColumns
-// (the closed form when uniform is true, the fall-through otherwise) and
-// the run kernel over the column index.
-func checkColumns(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, uniform bool) {
+// checkColumns holds both column paths to the reference on a
+// column-granular schedule: FetchStatsColumns' closed form and the run
+// kernel over the column index.
+func checkColumns(t testing.TB, name string, ops *model.Ops, s *sched.Schedule) {
 	t.Helper()
-	if _, ok := columnOwners(ops.F, s); ok != uniform {
-		t.Fatalf("%s: column-uniform = %v, want %v", name, ok, uniform)
-	}
 	colOf := ops.F.ColIndex()
 	checkAttribution(t, name+"/columns", ops, s, colOf, FetchStatsColumns(ops, s))
 	checkAttribution(t, name+"/run kernel", ops, s, colOf, FetchStatsTasks(ops, s, ops.F.N, colOf))
 }
 
-// TestFetchColumnsFallThrough: one element of one column re-owned makes the
-// schedule no longer column-uniform; FetchStatsColumns must notice, take
-// the element-level walk and still match the reference.
-func TestFetchColumnsFallThrough(t *testing.T) {
-	for _, tm := range gen.Suite() {
-		ops, _, ew := pipeline(tm.Build(), 4, 4)
-		f := ops.F
-		for _, p := range []int{2, 16, 65} {
-			s := sched.WrapMap(f, ew, p)
-			checkColumns(t, tm.Name+"/wrap", ops, s, true)
-			// The last element of the longest column moves to the next processor.
-			long := 0
-			for j := 1; j < f.N; j++ {
-				if f.ColLen(j) > f.ColLen(long) {
-					long = j
-				}
-			}
-			q := f.ColPtr[long+1] - 1
-			s.ElemProc[q] = (s.ElemProc[q] + 1) % int32(p)
-			checkColumns(t, tm.Name+"/one element re-owned", ops, s, false)
-		}
-	}
-}
-
-// TestFetchColumnsOwnerOutOfRange: an owner that is no processor of the
-// schedule is not something the closed form may index a stamp with; the
-// uniformity check rejects it before any stamp is read.
-func TestFetchColumnsOwnerOutOfRange(t *testing.T) {
-	ops, _, ew := pipeline(gen.Grid9(4, 4), 4, 4)
-	s := sched.WrapMap(ops.F, ew, 4)
-	for q := ops.F.ColPtr[3]; q < ops.F.ColPtr[4]; q++ {
-		s.ElemProc[q] = 4
-	}
-	if _, ok := columnOwners(ops.F, s); ok {
-		t.Fatal("a column owned by processor P passed the uniformity check")
-	}
-}
-
 func TestFetchStatsPanics(t *testing.T) {
 	ops, part, ew := pipeline(gen.Grid9(5, 5), 4, 4)
-	s := sched.WrapMap(ops.F, ew, 3)
-	short := &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1]}
-	noProcs := &sched.Schedule{ElemProc: s.ElemProc}
+	s, bs := sched.WrapMap(ops.F, ew, 3), sched.BlockMap(part, 3)
+	short := &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1], ColProc: s.ColProc[1:]}
+	noProcs := &sched.Schedule{ElemProc: s.ElemProc, ColProc: s.ColProc}
+	_, twin, _ := pipeline(gen.Grid9(5, 5), 4, 4) // the same structure, analyzed again
 	colOf := ops.F.ColIndex()
 	for name, fn := range map[string]func(){
 		"columns, short schedule": func() { FetchStatsColumns(ops, short) },
 		"columns, P = 0":          func() { FetchStatsColumns(ops, noProcs) },
+		"columns, no ColProc":     func() { FetchStatsColumns(ops, bs) },
 		"tasks, short schedule":   func() { FetchStatsTasks(ops, short, ops.F.N, colOf) },
 		"tasks, P = 0":            func() { FetchStatsTasks(ops, noProcs, ops.F.N, colOf) },
 		"tasks, short task map":   func() { FetchStatsTasks(ops, s, ops.F.N, colOf[1:]) },
-		"units, short partition":  func() { FetchStats(&core.Partition{Units: part.Units, ElemUnit: part.ElemUnit[1:]}, ops, s) },
+		"units, short partition": func() {
+			FetchStats(&core.Partition{F: part.F, Units: part.Units, ElemUnit: part.ElemUnit[1:]}, ops, bs)
+		},
+		"units, no UnitProc": func() { FetchStats(part, ops, s) },
+		"units, partition over another factor": func() {
+			FetchStats(twin, ops, sched.BlockMap(twin, 3))
+		},
 	} {
 		func() {
 			defer func() {
@@ -222,22 +189,16 @@ func fuzzOwners(f *symbolic.Factor, p int, script []byte) []int32 {
 	return owners
 }
 
-// checkBlocks holds FetchStats to the reference walk over the unit map on
-// a block schedule, having checked that it takes the path expected of it:
-// the read-map replay when uniform, the walk otherwise.
-func checkBlocks(t testing.TB, name string, part *core.Partition, ops *model.Ops, s *sched.Schedule, uniform bool) {
+// checkBlocks holds FetchStats' read-map replay to the reference walk over
+// the unit map on a block schedule.
+func checkBlocks(t testing.TB, name string, part *core.Partition, ops *model.Ops, s *sched.Schedule) {
 	t.Helper()
-	if got := unitUniform(part, s); got != uniform {
-		t.Fatalf("%s: unit-uniform = %v, want %v", name, got, uniform)
-	}
 	checkAttribution(t, name, ops, s, part.ElemUnit, FetchStats(part, ops, s))
 }
 
 // fuzzBlocks partitions the factor under options drawn from the script and
 // holds the block attribution to the reference walk on the schedules of
-// both Section 3.4 allocators, on a unit-owner shuffle and, with one
-// element moved off its unit's processor, on a schedule the replay must
-// refuse.
+// both Section 3.4 allocators and on a unit-owner shuffle.
 func fuzzBlocks(t *testing.T, fac *symbolic.Factor, p int, script []byte) {
 	at := func(i int) int {
 		if len(script) == 0 {
@@ -258,23 +219,17 @@ func fuzzBlocks(t *testing.T, fac *symbolic.Factor, p int, script []byte) {
 	for q, u := range part.ElemUnit {
 		shuffle.ElemProc[q] = shuffle.UnitProc[u]
 	}
-	checkBlocks(t, "fuzz/block", part, ops, sched.BlockMap(part, p), true)
-	checkBlocks(t, "fuzz/blockgreedy", part, ops, sched.BlockMapGreedy(part, p), true)
-	checkBlocks(t, "fuzz/unit-owner shuffle", part, ops, shuffle, true)
-	if p > 1 {
-		s := sched.BlockMap(part, p)
-		q := at(4) % len(s.ElemProc)
-		s.ElemProc[q] = (s.ElemProc[q] + 1) % int32(p)
-		checkBlocks(t, "fuzz/one element re-owned", part, ops, s, false)
-	}
+	checkBlocks(t, "fuzz/block", part, ops, sched.BlockMap(part, p))
+	checkBlocks(t, "fuzz/blockgreedy", part, ops, sched.BlockMapGreedy(part, p))
+	checkBlocks(t, "fuzz/unit-owner shuffle", part, ops, shuffle)
 }
 
 // FuzzFetchAttribution holds the run kernel to the reference walk on a
 // fuzzer-written pattern with fuzzer-written owners (element-granular, P
 // past n and past 64) under a random task map, the closed form to the run
-// kernel whenever the owners are column-uniform, and the block replay to
-// the walk over a partition cut with fuzzer-written grain, width and
-// relaxation (fuzzBlocks).
+// kernel on the column schedule of those owners whenever every column has
+// one, and the block replay to the walk over a partition cut with
+// fuzzer-written grain, width and relaxation (fuzzBlocks).
 func FuzzFetchAttribution(f *testing.F) {
 	f.Add([]byte{3, 2, 3, 0, 1, 1, 2, 0, 2, 0, 1, 2, 1, 0, 2, 2, 0})              // dense 4x4, P = 3, uniform
 	f.Add([]byte{3, 2, 3, 0, 1, 1, 2, 0, 2, 1, 0, 1, 2, 0, 1, 2, 0, 1})           // same, element owners
@@ -298,22 +253,27 @@ func FuzzFetchAttribution(f *testing.F) {
 			taskOf[q] = int32(rng.Intn(ntasks))
 		}
 		checkAttribution(t, "fuzz/tasks", ops, s, taskOf, FetchStatsTasks(ops, s, ntasks, taskOf))
-		checkColumns(t, "fuzz", ops, s, columnUniform(fac, owners))
+		if cols := ownerPerColumn(fac, owners); cols != nil {
+			checkColumns(t, "fuzz", ops, sched.ColumnMap(fac, model.ElementWork(ops), p, cols))
+		}
 		fuzzBlocks(t, fac, p, script)
 	})
 }
 
-// columnUniform says which path FetchStatsColumns must take: element
-// owners drawn one by one can still agree on every column.
-func columnUniform(f *symbolic.Factor, owners []int32) bool {
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if owners[q] != owners[f.ColPtr[j]] {
-				return false
+// ownerPerColumn returns the owner of every column when each column's
+// element owners agree (element owners drawn one by one can), nil
+// otherwise.
+func ownerPerColumn(f *symbolic.Factor, owners []int32) []int32 {
+	cols := make([]int32, f.N)
+	for j := range cols {
+		cols[j] = owners[f.ColPtr[j]]
+		for _, o := range owners[f.ColPtr[j]:f.ColPtr[j+1]] {
+			if o != cols[j] {
+				return nil
 			}
 		}
 	}
-	return true
+	return cols
 }
 
 // update is one pair update L[Tgt] -= L[SrcI]*L[SrcJ] by factor position:

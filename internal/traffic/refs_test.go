@@ -21,18 +21,6 @@ func refsTestOps(t *testing.T, m *sparse.Matrix) *model.Ops {
 	return model.NewOps(symbolic.Analyze(pm))
 }
 
-// columnOwnerSchedule builds a column-granular schedule from an explicit
-// column-to-processor assignment (work left zero; Simulate ignores it).
-func columnOwnerSchedule(f *symbolic.Factor, p int, owner []int32) *sched.Schedule {
-	s := &sched.Schedule{P: p, ElemProc: make([]int32, f.NNZ()), Work: make([]int64, p)}
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			s.ElemProc[q] = owner[j]
-		}
-	}
-	return s
-}
-
 // refsTotal computes the deduplicated traffic of a column schedule from
 // ColumnRefs alone: per (source column, fetching processor), the volume
 // of the processor's smallest target column (reference sets are nested
@@ -116,7 +104,7 @@ func TestColumnRefsReproduceSimulate(t *testing.T) {
 		procs := map[string]int{"one-col-per-proc": f.N, "wrap3": 3, "contig4": 4}
 		for sname, owner := range schedules {
 			p := procs[sname]
-			sc := columnOwnerSchedule(f, p, owner)
+			sc := sched.ColumnMap(f, model.ElementWork(ops), p, owner)
 			if got, want := refsTotal(ops, refs, owner), Simulate(ops, sc).Total; got != want {
 				t.Errorf("%s/%s: refs-derived total %d, Simulate total %d", name, sname, got, want)
 			}
