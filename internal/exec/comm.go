@@ -43,17 +43,15 @@ func (c CommModel) Cost(vol, msgs int64) int64 {
 	return int64(c.Alpha*float64(vol)) + int64(c.Beta*float64(msgs)) + int64(c.Gamma)
 }
 
-// inflateTasks returns a copy of tasks whose durations include the comm
-// cost of their fetch volumes and message counts, the per-task comm vector
-// (which lets a probe split each event's duration into compute and
-// communication) and the total comm time added. vol and msgs may be nil
-// (that term is not charged); Simulate has checked their lengths.
-func inflateTasks(tasks []Task, cm CommModel, vol, msgs []int64) ([]Task, []int64, int64) {
-	out := make([]Task, len(tasks))
-	per := make([]int64, len(tasks))
+// commCosts returns the comm cost of each of n tasks' fetch volume and
+// message count and their total; the simulators add task i's cost to its
+// Work as they read it, and a probe splits each event's duration into the
+// two. vol and msgs may be nil (that term is not charged); Simulate has
+// checked their lengths.
+func commCosts(n int, cm CommModel, vol, msgs []int64) ([]int64, int64) {
+	per := make([]int64, n)
 	var comm int64
-	for i, t := range tasks {
-		out[i] = t
+	for i := range per {
 		var v, m int64
 		if vol != nil {
 			v = vol[i]
@@ -61,10 +59,17 @@ func inflateTasks(tasks []Task, cm CommModel, vol, msgs []int64) ([]Task, []int6
 		if msgs != nil {
 			m = msgs[i]
 		}
-		c := cm.Cost(v, m)
-		out[i].Work = t.Work + c
-		per[i] = c
-		comm += c
+		per[i] = cm.Cost(v, m)
+		comm += per[i]
 	}
-	return out, per, comm
+	return per, comm
+}
+
+// duration is task i's simulated time: its Work plus, when comm is
+// non-nil, its comm cost.
+func duration(tasks []Task, comm []int64, i int) int64 {
+	if comm == nil {
+		return tasks[i].Work
+	}
+	return tasks[i].Work + comm[i]
 }

@@ -30,9 +30,10 @@ func TestGammaCost(t *testing.T) {
 	}
 }
 
-// TestGammaInflation checks that inflateTasks charges the fixed overhead
-// to every task — including tasks with no communication at all — and that
-// the comm total grows by exactly ntasks * Gamma.
+// TestGammaInflation checks that the cost vector charges the fixed
+// overhead to every task — including tasks with no communication at all —
+// that the comm total grows by exactly ntasks * Gamma, and that the
+// simulators run a Gamma model as the hand-inflated tasks.
 func TestGammaInflation(t *testing.T) {
 	tasks := []Task{
 		{ID: 0, Work: 5},
@@ -43,24 +44,26 @@ func TestGammaInflation(t *testing.T) {
 	msgs := []int64{0, 1, 0}
 	base := CommModel{Alpha: 2, Beta: 10}
 	over := CommModel{Alpha: 2, Beta: 10, Gamma: 6}
-	b, _, bcomm := inflateTasks(tasks, base, vol, msgs)
-	o, _, ocomm := inflateTasks(tasks, over, vol, msgs)
+	b, bcomm := commCosts(len(tasks), base, vol, msgs)
+	o, ocomm := commCosts(len(tasks), over, vol, msgs)
 	for i := range tasks {
-		if o[i].Work != b[i].Work+6 {
-			t.Errorf("task %d: inflated work %d, want %d + Gamma 6", i, o[i].Work, b[i].Work)
+		if o[i] != b[i]+6 {
+			t.Errorf("task %d: cost %d, want %d + Gamma 6", i, o[i], b[i])
 		}
 	}
 	if ocomm != bcomm+6*int64(len(tasks)) {
 		t.Errorf("comm total %d, want %d + ntasks*Gamma %d", ocomm, bcomm, 6*int64(len(tasks)))
 	}
 	// Gamma-only models are charged even with nil vol/msgs vectors.
-	g, _, gcomm := inflateTasks(tasks, CommModel{Gamma: 2}, nil, nil)
+	g, gcomm := commCosts(len(tasks), CommModel{Gamma: 2}, nil, nil)
 	for i := range tasks {
-		if g[i].Work != tasks[i].Work+2 {
-			t.Errorf("task %d: Gamma-only inflated work %d, want %d", i, g[i].Work, tasks[i].Work+2)
+		if g[i] != 2 {
+			t.Errorf("task %d: Gamma-only cost %d, want 2", i, g[i])
 		}
 	}
 	if gcomm != 2*int64(len(tasks)) {
 		t.Errorf("Gamma-only comm total %d, want %d", gcomm, 2*int64(len(tasks)))
 	}
+	checkInflated(t, "Gamma", tasks, 2, SimOptions{Comm: over, Vol: vol, Msgs: msgs})
+	checkInflated(t, "Gamma only", tasks, 2, SimOptions{Comm: CommModel{Gamma: 2}})
 }

@@ -1,6 +1,11 @@
 package exec
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // slackDAG is a three-task graph with intra-processor slack: processor 1's
 // first task in scan order depends on a long task on processor 0, while
@@ -38,35 +43,98 @@ func TestCommModelCost(t *testing.T) {
 	}
 }
 
+// TestCommInflateTasks pins the per-task comm cost vector and its total,
+// and holds the comm-aware simulators to plain simulations of tasks
+// inflated by hand, on the slack DAG and on a seeded random graph.
 func TestCommInflateTasks(t *testing.T) {
 	tasks := slackDAG()
 	vol := []int64{4, 0, 2}
 	msgs := []int64{2, 0, 1}
 	cm := CommModel{Alpha: 2, Beta: 10}
-	inflated, per, comm := inflateTasks(tasks, cm, vol, msgs)
-	wantWork := []int64{10 + 8 + 20, 1, 5 + 4 + 10}
-	var wantComm int64 = 28 + 0 + 14
-	for i := range inflated {
-		if inflated[i].Work != wantWork[i] {
-			t.Errorf("inflated[%d].Work = %d, want %d", i, inflated[i].Work, wantWork[i])
-		}
-		if per[i] != wantWork[i]-tasks[i].Work {
-			t.Errorf("per[%d] = %d, want the comm share %d", i, per[i], wantWork[i]-tasks[i].Work)
-		}
+	per, comm := commCosts(len(tasks), cm, vol, msgs)
+	if want := []int64{8 + 20, 0, 4 + 10}; !slices.Equal(per, want) {
+		t.Errorf("per = %v, want %v", per, want)
 	}
-	if comm != wantComm {
-		t.Errorf("comm total = %d, want %d", comm, wantComm)
-	}
-	// The input tasks are untouched.
-	if tasks[0].Work != 10 || tasks[2].Work != 5 {
-		t.Errorf("inflateTasks modified its input: %+v", tasks)
+	if comm != 28+0+14 {
+		t.Errorf("comm total = %d, want %d", comm, 28+0+14)
 	}
 	// nil vol/msgs mean no communication for that term.
-	if _, _, c := inflateTasks(tasks, cm, nil, msgs); c != 30 {
+	if _, c := commCosts(len(tasks), cm, nil, msgs); c != 30 {
 		t.Errorf("nil vol: comm = %d, want 30", c)
 	}
-	if _, _, c := inflateTasks(tasks, cm, vol, nil); c != 12 {
+	if _, c := commCosts(len(tasks), cm, vol, nil); c != 12 {
 		t.Errorf("nil msgs: comm = %d, want 12", c)
+	}
+	checkInflated(t, "slack DAG", tasks, 2, SimOptions{Comm: cm, Vol: vol, Msgs: msgs})
+
+	rng := rand.New(rand.NewSource(7))
+	const n, p = 60, 4
+	tasks, vol, msgs = make([]Task, n), make([]int64, n), make([]int64, n)
+	for i := range tasks {
+		tasks[i] = Task{ID: i, Proc: int32(rng.Intn(p)), Work: rng.Int63n(50)}
+		for pr := 0; pr < i; pr++ {
+			if rng.Intn(8) == 0 {
+				tasks[i].Preds = append(tasks[i].Preds, int32(pr))
+			}
+		}
+		vol[i], msgs[i] = rng.Int63n(30), rng.Int63n(4)
+	}
+	for _, cm := range []CommModel{{Alpha: 1.5}, {Beta: 7}, {Alpha: 0.5, Beta: 3, Gamma: 2}} {
+		checkInflated(t, fmt.Sprintf("random DAG %+v", cm), tasks, p, SimOptions{Comm: cm, Vol: vol, Msgs: msgs})
+	}
+}
+
+// checkInflated runs the comm-aware simulation o (static and dynamic) of
+// tasks and the plain one of a copy whose Work holds each task's work plus
+// its comm cost, and wants the same makespan and total, and event for
+// event the same interval, stall and cause, with the comm run's duration
+// split into the task's own Work and its cost. tasks must be left as given.
+func checkInflated(t *testing.T, what string, tasks []Task, p int, o SimOptions) {
+	t.Helper()
+	inflated := slices.Clone(tasks)
+	work := make([]int64, len(tasks))
+	var comm int64
+	for i := range inflated {
+		var v, m int64
+		if o.Vol != nil {
+			v = o.Vol[i]
+		}
+		if o.Msgs != nil {
+			m = o.Msgs[i]
+		}
+		c := o.Comm.Cost(v, m)
+		inflated[i].Work += c
+		work[i] = tasks[i].Work
+		comm += c
+	}
+	for _, dynamic := range []bool{false, true} {
+		var got, want []TaskEvent
+		o.Dynamic = dynamic
+		o.Probe = probeFunc(func(ev TaskEvent) { got = append(got, ev) })
+		res := Simulate(tasks, p, o)
+		plain := Simulate(inflated, p, SimOptions{Dynamic: dynamic, Probe: probeFunc(func(ev TaskEvent) { want = append(want, ev) })})
+		if res.Makespan != plain.Makespan || res.TotalWork != plain.TotalWork || res.Comm != comm {
+			t.Fatalf("%s dynamic=%v: makespan %d, total %d, comm %d; inflated by hand %d, %d, %d",
+				what, dynamic, res.Makespan, res.TotalWork, res.Comm, plain.Makespan, plain.TotalWork, comm)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s dynamic=%v: %d events, inflated by hand %d", what, dynamic, len(got), len(want))
+		}
+		for e, g := range got {
+			w := want[e]
+			if g.Work != work[g.Task] || g.Work+g.Comm != w.Work || w.Comm != 0 {
+				t.Fatalf("%s dynamic=%v: event %d splits %d + %d, want %d + %d", what, dynamic, e, g.Work, g.Comm, work[g.Task], w.Work-work[g.Task])
+			}
+			g.Work, g.Comm = w.Work, 0
+			if g != w {
+				t.Fatalf("%s dynamic=%v: event %d = %+v, inflated by hand %+v", what, dynamic, e, g, w)
+			}
+		}
+	}
+	for i := range tasks {
+		if tasks[i].Work != work[i] {
+			t.Fatalf("%s: the simulation changed task %d's work", what, i)
+		}
 	}
 }
 

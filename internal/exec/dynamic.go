@@ -10,9 +10,8 @@ import (
 // simulateDynamic is the event-driven core of Simulate: each processor,
 // when idle, starts its highest-priority ready assigned task, priority
 // being the bottom level (the longest work-weighted path from the task to
-// a sink). comm, when non-nil, holds the communication share of each
-// task's Work (already included in it) so events can split the duration;
-// it never changes the simulated times. Its allocations do not grow with
+// a sink). comm, when non-nil, holds each task's communication cost, which
+// its duration adds to its Work. Its allocations do not grow with
 // the graph: successors are one CSR array and every heap is sized up front.
 func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	sched.MustProcs("exec", p)
@@ -25,7 +24,7 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 		if tasks[i].ID != i {
 			panic(fmt.Sprintf("exec: task %d out of order", tasks[i].ID))
 		}
-		total += tasks[i].Work
+		total += duration(tasks, comm, i)
 		indeg[i] = int32(len(tasks[i].Preds))
 		own[tasks[i].Proc]++
 		for _, pr := range tasks[i].Preds {
@@ -48,7 +47,7 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 		for _, s := range succ[succPtr[i]:succPtr[i+1]] {
 			out = max(out, bottom[s])
 		}
-		bottom[i] = out + tasks[i].Work
+		bottom[i] = out + duration(tasks, comm, i)
 	}
 
 	// Per-processor ready heaps, keyed on the negated bottom level (larger
@@ -90,7 +89,8 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 		}
 		id := ready[proc].pop().id
 		running[proc] = id
-		procBusyUntil[proc] = now + tasks[id].Work
+		d := duration(tasks, comm, int(id))
+		procBusyUntil[proc] = now + d
 		if probe != nil {
 			stall := now - lastFinish[proc]
 			cause := int32(-1)
@@ -100,14 +100,10 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 				// predecessor is the dependency it stalled on.
 				cause = readyCause[id]
 			}
-			var c int64
-			if comm != nil {
-				c = comm[id]
-			}
 			probe.OnTask(TaskEvent{
 				Task: id, Proc: int32(proc),
 				Start: now, Finish: procBusyUntil[proc],
-				Work: tasks[id].Work - c, Comm: c,
+				Work: tasks[id].Work, Comm: d - tasks[id].Work,
 				Stall: stall, Cause: cause,
 			})
 		}

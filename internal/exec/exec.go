@@ -68,8 +68,8 @@ type SimOptions struct {
 	Dynamic bool
 	// Comm charges task i Comm.Cost(Vol[i], Msgs[i]) on top of its work;
 	// the result's TotalWork (and Efficiency) then count communication as
-	// busy time and Comm reports its share. A zero model charges nothing
-	// and copies nothing: the run is the compute-only one, bit for bit.
+	// busy time and Comm reports its share. A zero model charges nothing:
+	// the run is the compute-only one, bit for bit.
 	Comm CommModel
 	// Vol and Msgs are the per-task fetch volumes and consolidated message
 	// counts Comm prices. Either may be nil (that term is not charged);
@@ -98,7 +98,7 @@ func Simulate(tasks []Task, p int, o SimOptions) SimResult {
 	var per []int64
 	var comm int64
 	if !o.Comm.IsZero() {
-		tasks, per, comm = inflateTasks(tasks, o.Comm, o.Vol, o.Msgs)
+		per, comm = commCosts(len(tasks), o.Comm, o.Vol, o.Msgs)
 	}
 	var res SimResult
 	if o.Dynamic {
@@ -111,9 +111,8 @@ func Simulate(tasks []Task, p int, o SimOptions) SimResult {
 }
 
 // simulateStatic is the static-order core of Simulate: processors execute
-// their tasks in scan (ID) order. comm, when non-nil, holds the
-// communication share of each task's Work (already included in it) so
-// events can split the duration; it never changes the simulated times.
+// their tasks in scan (ID) order. comm, when non-nil, holds each task's
+// communication cost, which its duration adds to its Work.
 func simulateStatic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	sched.MustProcs("exec", p)
 	procFree := make([]int64, p)
@@ -136,18 +135,15 @@ func simulateStatic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 				cause = pr
 			}
 		}
-		finish[i] = start + t.Work
+		d := duration(tasks, comm, i)
+		finish[i] = start + d
 		procFree[t.Proc] = finish[i]
-		total += t.Work
+		total += d
 		if probe != nil {
-			var c int64
-			if comm != nil {
-				c = comm[i]
-			}
 			probe.OnTask(TaskEvent{
 				Task: int32(i), Proc: t.Proc,
 				Start: start, Finish: finish[i],
-				Work: t.Work - c, Comm: c,
+				Work: t.Work, Comm: d - t.Work,
 				Stall: start - free, Cause: cause,
 			})
 		}

@@ -121,8 +121,8 @@ func TestSimulateVariants(t *testing.T) {
 }
 
 // TestSimulateZeroCommCopiesNothing pins the cost contract behind
-// Plan.Makespan: without a CommModel the task slice is simulated in place,
-// so the run allocates no per-task copy.
+// Plan.Makespan: the task slice is always simulated in place, so the run
+// allocates no per-task copy, and a CommModel adds only its cost vector.
 func TestSimulateZeroCommCopiesNothing(t *testing.T) {
 	p := buildPipe(gen.Lap30(), 25, 4)
 	tasks := columnTasks(p.f, p.ops, p.ew, 4)
@@ -134,8 +134,8 @@ func TestSimulateZeroCommCopiesNothing(t *testing.T) {
 	if plain != zero {
 		t.Errorf("zero CommModel allocates %v times, compute-only %v", zero, plain)
 	}
-	if charged := perRun(SimOptions{Comm: CommModel{Alpha: 1}, Vol: vol}); charged != plain+2 {
-		t.Errorf("charged run allocates %v times, want the compute-only %v + the inflated tasks and the comm vector",
+	if charged := perRun(SimOptions{Comm: CommModel{Alpha: 1}, Vol: vol}); charged != plain+1 {
+		t.Errorf("charged run allocates %v times, want the compute-only %v + the comm vector",
 			charged, plain)
 	}
 }

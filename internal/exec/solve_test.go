@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -109,6 +110,35 @@ func checkSolveBits(t *testing.T, what string, m *sparse.Matrix, sp *SolveProgra
 		}
 		if q := firstBitDiff(x, c.want); q >= 0 {
 			t.Fatalf("%s %v: x[%d] = %v, serial %v", what, c.k, q, x[q], c.want[q])
+		}
+		checkSolveWide(t, what, c.k, f, c.val, b)
+	}
+}
+
+// checkSolveWide runs numeric's 8-wide sweep on eight right-hand sides
+// derived from b (rhs r is b rotated by r places, plus r/8) and holds each
+// solution to the serial sweeps on that rhs alone, bit for bit.
+func checkSolveWide(t *testing.T, what string, k numeric.Kernel, f *symbolic.Factor, val, b []float64) {
+	t.Helper()
+	const w = numeric.SolveWidth
+	n := f.N
+	panel := make([]float64, n*w)
+	for i := 0; i < n; i++ {
+		for r := 0; r < w; r++ {
+			panel[i*w+r] = b[(i+r)%n] + float64(r)/w
+		}
+	}
+	k.SolveWide(f, val, panel)
+	x := make([]float64, n)
+	for r := 0; r < w; r++ {
+		for i := range x {
+			x[i] = b[(i+r)%n] + float64(r)/w
+		}
+		k.Solve(f, val, x)
+		for i := range x {
+			if math.Float64bits(panel[i*w+r]) != math.Float64bits(x[i]) {
+				t.Fatalf("%s %v: 8-wide rhs %d x[%d] = %v, serial %v", what, k, r, i, panel[i*w+r], x[i])
+			}
 		}
 	}
 }
@@ -291,7 +321,7 @@ func FuzzSolveProgram(f *testing.F) {
 
 // BenchmarkSolveProgram times the compiled sweeps and their compile on
 // the benchmark's grid and on LAP30 beside the serial sweeps (EXPERIMENTS
-// Solve-1).
+// Solve-1) and the 8-wide sweep, per rhs (EXPERIMENTS Batch-1).
 func BenchmarkSolveProgram(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -309,6 +339,18 @@ func BenchmarkSolveProgram(b *testing.B) {
 				copy(x, rhs)
 				numeric.KernelCholesky.Solve(p.f, chol.Val, x)
 			}
+		})
+		panel := make([]float64, p.f.N*numeric.SolveWidth)
+		b.Run(c.name+"/wide", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for q, v := range rhs {
+					for r := 0; r < numeric.SolveWidth; r++ {
+						panel[q*numeric.SolveWidth+r] = v
+					}
+				}
+				numeric.KernelCholesky.SolveWide(p.f, chol.Val, panel)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numeric.SolveWidth), "ns/rhs")
 		})
 		for _, np := range []int{1, 2, 4} {
 			sp, err := CompileSolve(p.f, np)

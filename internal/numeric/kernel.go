@@ -80,3 +80,85 @@ func (k Kernel) upper(f *symbolic.Factor, val, x []float64) {
 		x[j] = sum
 	}
 }
+
+// SolveWidth is the number of right-hand sides SolveWide carries through
+// one pair of sweeps.
+const SolveWidth = 8
+
+// SolveWide runs Solve on SolveWidth right-hand sides at once, in place
+// and interleaved row-major: x[i*SolveWidth+r] is component i of rhs r on
+// entry and of its solution on return. Each off-diagonal position's row
+// index and value are loaded once for all of them, and every component
+// meets Solve's operations in Solve's order, so each solution is Solve's
+// bit for bit.
+func (k Kernel) SolveWide(f *symbolic.Factor, val, x []float64) {
+	x = x[:f.N*SolveWidth]
+	for j := 0; j < f.N; j++ {
+		base, end, d := f.ColPtr[j], f.ColPtr[j+1], val[f.ColPtr[j]]
+		xj := (*[SolveWidth]float64)(x[j*SolveWidth:])
+		if k != KernelLDL {
+			div8(xj, d)
+		}
+		sub8(x, f.RowInd[base+1:end], val[base+1:end], xj)
+	}
+	for j := f.N - 1; j >= 0; j-- {
+		base, end, d := f.ColPtr[j], f.ColPtr[j+1], val[f.ColPtr[j]]
+		xj := (*[SolveWidth]float64)(x[j*SolveWidth:])
+		if k == KernelLDL {
+			div8(xj, d)
+		}
+		dot8(x, f.RowInd[base+1:end], val[base+1:end], xj)
+		if k != KernelLDL {
+			div8(xj, d)
+		}
+	}
+}
+
+// div8 divides each of the eight components a by the diagonal value d.
+func div8(a *[8]float64, d float64) {
+	for r := range a {
+		a[r] /= d
+	}
+}
+
+// sub8 is lower's column update on eight right-hand sides: the column's
+// eight finished components a stay in registers, and row i of x takes
+// x[i*8+r] -= v*a[r], as lower's x[i] -= v*x[j].
+//
+//go:noinline
+func sub8(x []float64, rs []int, vs []float64, a *[8]float64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	vs = vs[:len(rs)]
+	for q, i := range rs {
+		v, y := vs[q], (*[8]float64)(x[i*8:])
+		y[0] -= v * a0
+		y[1] -= v * a1
+		y[2] -= v * a2
+		y[3] -= v * a3
+		y[4] -= v * a4
+		y[5] -= v * a5
+		y[6] -= v * a6
+		y[7] -= v * a7
+	}
+}
+
+// dot8 is upper's row sum on eight right-hand sides: the eight sums a
+// run side by side, each taking a[r] -= v*x[i*8+r] in upper's order.
+//
+//go:noinline
+func dot8(x []float64, rs []int, vs []float64, a *[8]float64) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	vs = vs[:len(rs)]
+	for q, i := range rs {
+		v, y := vs[q], (*[8]float64)(x[i*8:])
+		a0 -= v * y[0]
+		a1 -= v * y[1]
+		a2 -= v * y[2]
+		a3 -= v * y[3]
+		a4 -= v * y[4]
+		a5 -= v * y[5]
+		a6 -= v * y[6]
+		a7 -= v * y[7]
+	}
+	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
+}

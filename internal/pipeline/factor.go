@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/artifact"
 	"repro/internal/exec"
@@ -152,30 +153,70 @@ func (fa *Factor) serial(pb []float64) error {
 // the serial kernel's sweeps wrapped in the analysis permutation.
 func (fa *Factor) Solve(b []float64) ([]float64, error) { return fa.solve(b, fa.serial) }
 
-// SolveBatch solves one system per right-hand side, fanning the
-// independent solves out over worker goroutines. Each solution is
-// bit-for-bit identical to Solve on that rhs alone.
+// SolveBatch solves one system per right-hand side. It cuts the batch
+// into groups of numeric.SolveWidth (eight) and carries each group through
+// one 8-wide pair of sweeps (numeric.Kernel.SolveWide), so every factor
+// nonzero is loaded once per group rather than once per rhs; the
+// len(bs) mod 8 rhs left over go through Solve. Workers, at most
+// GOMAXPROCS and one per group, claim groups off one counter. Each
+// solution is bit-for-bit Solve's on that rhs alone.
 func (fa *Factor) SolveBatch(bs [][]float64) ([][]float64, error) {
 	for i, b := range bs {
 		if len(b) != fa.F.N {
 			return nil, fmt.Errorf("pipeline: rhs %d length %d, want %d", i, len(b), fa.F.N)
 		}
 	}
+	const w = numeric.SolveWidth
 	xs := make([][]float64, len(bs))
-	workers := min(runtime.NumCPU(), len(bs))
+	groups := len(bs) / w
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//repro:allow nondeterminism -- worker w takes the independent right-hand sides w, w+workers, … (equal cost each) and writes only its own xs[i] slots; TestSolveBatchBitIdentical pins every solution against the serial Solve
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(bs); i += workers {
-				xs[i], _ = fa.Solve(bs[i]) // the lengths are checked
+	claim := func() {
+		defer wg.Done()
+		var panel []float64
+		for g := int(next.Add(1) - 1); g < groups; g = int(next.Add(1) - 1) {
+			if panel == nil {
+				panel = make([]float64, fa.F.N*w)
 			}
-		}()
+			fa.sweepGroup(bs[g*w:(g+1)*w], xs[g*w:(g+1)*w], panel)
+		}
+	}
+	for range min(runtime.GOMAXPROCS(0), groups) - 1 {
+		wg.Add(1)
+		//repro:allow nondeterminism -- groups claimed off a counter, each writing only its own xs slots; every solution is the 8-wide sweep of its own rhs whichever goroutine claims it, and TestSolveBatchBitIdentical pins each against the serial Solve
+		go claim()
+	}
+	wg.Add(1)
+	claim()
+	for i := groups * w; i < len(bs); i++ {
+		xs[i], _ = fa.Solve(bs[i]) // the lengths are checked
 	}
 	wg.Wait()
 	return xs, nil
+}
+
+// sweepGroup solves the numeric.SolveWidth systems bs into xs on one
+// panel: the right-hand sides are gathered through the analysis
+// permutation, swept together and scattered back.
+func (fa *Factor) sweepGroup(bs, xs [][]float64, panel []float64) {
+	const w = numeric.SolveWidth
+	perm := fa.Plan.An.Perm
+	for k, old := range perm {
+		row := (*[w]float64)(panel[k*w:])
+		for r, b := range bs {
+			row[r] = b[old]
+		}
+	}
+	fa.Kernel.SolveWide(fa.F, fa.Val, panel)
+	for r := range xs {
+		xs[r] = make([]float64, len(perm))
+	}
+	for k, old := range perm {
+		row := (*[w]float64)(panel[k*w:])
+		for r, x := range xs {
+			x[old] = row[r]
+		}
+	}
 }
 
 // SolveParallel solves A·x = b with the plan's compiled parallel sweeps

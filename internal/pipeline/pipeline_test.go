@@ -335,38 +335,80 @@ func TestFactorRelaxedKeyIncludesPlan(t *testing.T) {
 	}
 }
 
-// TestSolveBatchBitIdentical pins SolveBatch against one-at-a-time Solve.
+// TestSolveBatchBitIdentical pins SolveBatch against one-at-a-time Solve,
+// bit for bit: both kernels (LDLᵀ on an indefinite matrix), the serial
+// factor and a relaxed block plan's parallel one over its zero-padded
+// structure, batch sizes on both sides of the 8-rhs group, at GOMAXPROCS 1
+// and 2.
 func TestSolveBatchBitIdentical(t *testing.T) {
-	a := gen.Grid9(12, 12)
-	an, err := NewAnalysis(a)
+	spd := gen.Grid9(12, 12)
+	indef := &sparse.Matrix{N: spd.N, ColPtr: spd.ColPtr, RowInd: spd.RowInd, Val: slices.Clone(spd.Val)}
+	for j := 0; j < indef.N; j += 3 {
+		indef.Val[indef.ColPtr[j]] = -indef.Val[indef.ColPtr[j]]
+	}
+	an, err := NewAnalysis(spd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := an.Plan("contiguous", 4, strategy.Options{})
+	serial, err := an.Plan("contiguous", 4, strategy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fa, err := pl.Factorize(a, Cholesky)
+	relaxed, err := an.Plan("block", 4, strategy.Options{Part: core.Options{RelaxZeros: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := make([][]float64, 9)
-	for r := range bs {
-		bs[r] = make([]float64, an.N())
-		for i := range bs[r] {
-			bs[r][i] = float64((i*(r+3))%13) - 6
-		}
-	}
-	xs, err := fa.SolveBatch(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range bs {
-		want, err := fa.Solve(bs[r])
+	var fas []*Factor
+	for _, c := range []struct {
+		k Kernel
+		a *sparse.Matrix
+	}{{Cholesky, spd}, {LDL, indef}} {
+		fa, err := serial.Factorize(c.a, c.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitEqual(t, xs[r], want, "batch rhs")
+		pa, err := relaxed.FactorizeParallel(c.a, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa.F.NNZ() <= an.F.NNZ() {
+			t.Fatalf("%s: the relaxed block factor pads nothing", c.k)
+		}
+		fas = append(fas, fa, pa)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, m := range []int{0, 1, 7, 8, 9, 16, 17, 64} {
+			bs := make([][]float64, m)
+			for r := range bs {
+				bs[r] = make([]float64, an.N())
+				for i := range bs[r] {
+					bs[r][i] = float64((i*(r+3))%13) - 6 + 1/float64(i+r+2)
+				}
+			}
+			for f, fa := range fas {
+				what := fmt.Sprintf("%s factor %d, %d rhs, GOMAXPROCS %d", fa.Kernel, f, m, procs)
+				xs, err := fa.SolveBatch(bs)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if len(xs) != m {
+					t.Fatalf("%s: %d solutions", what, len(xs))
+				}
+				for r, b := range bs {
+					want, err := fa.Solve(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if math.Float64bits(xs[r][i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s: rhs %d x[%d] = %v, Solve %v", what, r, i, xs[r][i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
