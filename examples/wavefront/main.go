@@ -31,7 +31,7 @@ func main() {
 		tasks := make([]repro.Task, n)
 		for i := 0; i < side; i++ {
 			for j := 0; j < side; j++ {
-				t := repro.Task{ID: id(i, j), Proc: proc(i, j), Work: 1}
+				t := repro.Task{Proc: proc(i, j), Work: 1}
 				if i > 0 {
 					t.Preds = append(t.Preds, int32(id(i-1, j)))
 				}

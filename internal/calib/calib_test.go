@@ -26,7 +26,7 @@ func synthEvents(n int, scale, alpha, beta, gamma float64) ([]exec.TaskEvent, []
 		w := 1 + next(400)
 		v := next(50)
 		m := next(6)
-		tasks[i] = exec.Task{ID: i, Work: w}
+		tasks[i] = exec.Task{Work: w}
 		tc.Vol[i], tc.Msgs[i] = v, m
 		dur := int64(math.Round(scale * (float64(w) + alpha*float64(v) + beta*float64(m) + gamma)))
 		events[i] = exec.TaskEvent{Task: int32(i), Proc: int32(i % 4), Start: 0, Finish: dur, Work: dur}
@@ -105,7 +105,7 @@ func TestCalibrateClampsNegative(t *testing.T) {
 	events := make([]exec.TaskEvent, n)
 	for i := 0; i < n; i++ {
 		w := int64(1 + i)
-		tasks[i] = exec.Task{ID: i, Work: w}
+		tasks[i] = exec.Task{Work: w}
 		tc.Vol[i] = int64(n - i) // anti-correlated with duration
 		events[i] = exec.TaskEvent{Task: int32(i), Finish: 10 * w, Work: 10 * w}
 	}
@@ -149,7 +149,7 @@ func TestFitterErrors(t *testing.T) {
 	if _, _, err := Fit(nil); err == nil {
 		t.Error("Fit on no samples: no error")
 	}
-	tasks := []exec.Task{{ID: 0, Work: 5}}
+	tasks := []exec.Task{{Work: 5}}
 	if _, err := Samples([]exec.TaskEvent{{Task: 9, Finish: 10}}, tasks, nil); err == nil {
 		t.Error("out-of-range event task: no error")
 	}
@@ -170,7 +170,7 @@ func TestCalibrateNilFetchStats(t *testing.T) {
 	events := make([]exec.TaskEvent, n)
 	for i := 0; i < n; i++ {
 		w := int64(1 + (i*7)%97)
-		tasks[i] = exec.Task{ID: i, Work: w}
+		tasks[i] = exec.Task{Work: w}
 		events[i] = exec.TaskEvent{Task: int32(i), Finish: 4*w + 100, Work: 4*w + 100}
 	}
 	model, _, err := Calibrate(events, tasks, nil)

@@ -36,9 +36,9 @@ func TestGammaCost(t *testing.T) {
 // simulators run a Gamma model as the hand-inflated tasks.
 func TestGammaInflation(t *testing.T) {
 	tasks := []Task{
-		{ID: 0, Work: 5},
-		{ID: 1, Work: 3, Preds: []int32{0}},
-		{ID: 2, Work: 8, Preds: []int32{0}},
+		{Work: 5},
+		{Work: 3, Preds: []int32{0}},
+		{Work: 8, Preds: []int32{0}},
 	}
 	vol := []int64{0, 4, 0}
 	msgs := []int64{0, 1, 0}

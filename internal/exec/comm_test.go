@@ -13,9 +13,9 @@ import (
 // dynamic ready queue runs the free task first.
 func slackDAG() []Task {
 	return []Task{
-		{ID: 0, Proc: 0, Work: 10},
-		{ID: 1, Proc: 1, Work: 1, Preds: []int32{0}},
-		{ID: 2, Proc: 1, Work: 5},
+		{Proc: 0, Work: 10},
+		{Proc: 1, Work: 1, Preds: []int32{0}},
+		{Proc: 1, Work: 5},
 	}
 }
 
@@ -71,7 +71,7 @@ func TestCommInflateTasks(t *testing.T) {
 	const n, p = 60, 4
 	tasks, vol, msgs = make([]Task, n), make([]int64, n), make([]int64, n)
 	for i := range tasks {
-		tasks[i] = Task{ID: i, Proc: int32(rng.Intn(p)), Work: rng.Int63n(50)}
+		tasks[i] = Task{Proc: int32(rng.Intn(p)), Work: rng.Int63n(50)}
 		for pr := 0; pr < i; pr++ {
 			if rng.Intn(8) == 0 {
 				tasks[i].Preds = append(tasks[i].Preds, int32(pr))

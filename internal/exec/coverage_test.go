@@ -156,7 +156,7 @@ func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 	n := sys.F.N
 	chain, reversed := make([]exec.Task, n), make([]int32, sys.F.NNZ())
 	for j := 0; j < n; j++ {
-		chain[j] = exec.Task{ID: j}
+		chain[j] = exec.Task{}
 		if j > 0 {
 			chain[j].Preds = []int32{int32(j - 1)}
 		}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/sched"
@@ -21,9 +20,6 @@ func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	succPtr, indeg, own := make([]int32, n+1), make([]int32, n), make([]int, p)
 	var total int64
 	for i := range tasks {
-		if tasks[i].ID != i {
-			panic(fmt.Sprintf("exec: task %d out of order", tasks[i].ID))
-		}
 		total += duration(tasks, comm, i)
 		indeg[i] = int32(len(tasks[i].Preds))
 		own[tasks[i].Proc]++

@@ -57,10 +57,10 @@ func TestDynamicKnownSchedule(t *testing.T) {
 	// Static order on proc 0 runs t0, t1, t2 -> t1 done at 6, so t3
 	// starts at 6. Dynamic priority puts t1 first when profitable.
 	tasks := []Task{
-		{ID: 0, Proc: 0, Work: 5},
-		{ID: 1, Proc: 0, Work: 1},
-		{ID: 2, Proc: 0, Work: 2, Preds: []int32{0}},
-		{ID: 3, Proc: 1, Work: 10, Preds: []int32{1}},
+		{Proc: 0, Work: 5},
+		{Proc: 0, Work: 1},
+		{Proc: 0, Work: 2, Preds: []int32{0}},
+		{Proc: 1, Work: 10, Preds: []int32{1}},
 	}
 	st := Simulate(tasks, 2, SimOptions{})
 	dy := Simulate(tasks, 2, SimOptions{Dynamic: true})

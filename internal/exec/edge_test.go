@@ -56,9 +56,9 @@ func TestSimulateEmptyTaskList(t *testing.T) {
 func TestSimulateZeroWork(t *testing.T) {
 	cm := CommModel{Alpha: 2, Beta: 10}
 	tasks := []Task{
-		{ID: 0, Proc: 0},
-		{ID: 1, Proc: 1, Preds: []int32{0}},
-		{ID: 2, Proc: 0, Preds: []int32{1}},
+		{Proc: 0},
+		{Proc: 1, Preds: []int32{0}},
+		{Proc: 0, Preds: []int32{1}},
 	}
 	for _, sim := range edgeSims(cm) {
 		got := sim.run(tasks, 4)
@@ -87,8 +87,8 @@ func (f probeFunc) OnTask(ev TaskEvent) { f(ev) }
 func TestSimulateMoreProcsThanTasks(t *testing.T) {
 	cm := CommModel{Alpha: 2, Beta: 10}
 	tasks := []Task{
-		{ID: 0, Proc: 0, Work: 7},
-		{ID: 1, Proc: 3, Work: 5, Preds: []int32{0}},
+		{Proc: 0, Work: 7},
+		{Proc: 3, Work: 5, Preds: []int32{0}},
 	}
 	const p = 16
 	want := SimResult{P: p, Makespan: 12, TotalWork: 12, Idle: 16*12 - 12, Efficiency: 12.0 / (16 * 12)}
@@ -126,7 +126,7 @@ func TestSimulateMoreProcsThanTasks(t *testing.T) {
 // TestSimulateSingleTask sanity-pins the non-degenerate formulas on the
 // smallest real input: one task on one of two processors.
 func TestSimulateSingleTask(t *testing.T) {
-	tasks := []Task{{ID: 0, Proc: 1, Work: 10}}
+	tasks := []Task{{Proc: 1, Work: 10}}
 	want := SimResult{P: 2, Makespan: 10, TotalWork: 10, Idle: 10, Efficiency: 0.5}
 	if got := Simulate(tasks, 2, SimOptions{}); got != want {
 		t.Errorf("static: %+v, want %+v", got, want)

@@ -33,9 +33,10 @@ import (
 	"repro/internal/symbolic"
 )
 
-// Task is a schedulable piece of work for the makespan simulation.
+// Task is a schedulable piece of work for the makespan simulation. A
+// task's ID is its index in the graph's slice; Preds name earlier tasks by
+// that index.
 type Task struct {
-	ID    int
 	Proc  int32
 	Work  int64
 	Preds []int32
@@ -85,8 +86,8 @@ type SimOptions struct {
 // Simulate runs the dependency-delay list simulation of tasks on p
 // processors: every task runs on its assigned processor for a duration
 // equal to its work (plus its communication cost under o.Comm) once its
-// predecessors have finished. Tasks must be topologically ordered by ID
-// (predecessor IDs smaller than successor IDs); the unit-block, column and
+// predecessors have finished. Every task's predecessors must come earlier
+// in the slice (by index); the unit-block, column and
 // tile-segment task graphs satisfy this by construction.
 func Simulate(tasks []Task, p int, o SimOptions) SimResult {
 	if o.Vol != nil && len(o.Vol) != len(tasks) {
@@ -120,9 +121,6 @@ func simulateStatic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	var total int64
 	for i := range tasks {
 		t := &tasks[i]
-		if t.ID != i {
-			panic(fmt.Sprintf("exec: task %d out of order", t.ID))
-		}
 		free := procFree[t.Proc]
 		start := free
 		cause := int32(-1)
@@ -163,7 +161,7 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 	tasks := make([]Task, len(part.Units))
 	for i := range part.Units {
 		u := &part.Units[i]
-		tasks[i] = Task{ID: i, Proc: s.UnitProc[i], Work: u.Work, Preds: u.Preds}
+		tasks[i] = Task{Proc: s.UnitProc[i], Work: u.Work, Preds: u.Preds}
 	}
 	return tasks
 }
@@ -176,7 +174,6 @@ func ColumnTasksMapped(f *symbolic.Factor, ops *model.Ops, elemWork []int64, own
 	tasks := make([]Task, f.N)
 	for j := 0; j < f.N; j++ {
 		tasks[j] = Task{
-			ID:    j,
 			Proc:  owner[j],
 			Work:  colWork[j],
 			Preds: ops.RowCols(j),

@@ -146,10 +146,10 @@ func TestDelayEfficiencyBelowBalanceBound(t *testing.T) {
 
 func TestCriticalPathChain(t *testing.T) {
 	tasks := []Task{
-		{ID: 0, Proc: 0, Work: 5},
-		{ID: 1, Proc: 1, Work: 3, Preds: []int32{0}},
-		{ID: 2, Proc: 0, Work: 2, Preds: []int32{1}},
-		{ID: 3, Proc: 1, Work: 1},
+		{Proc: 0, Work: 5},
+		{Proc: 1, Work: 3, Preds: []int32{0}},
+		{Proc: 0, Work: 2, Preds: []int32{1}},
+		{Proc: 1, Work: 1},
 	}
 	if cp := CriticalPath(tasks); cp != 10 {
 		t.Fatalf("critical path = %d, want 10", cp)

@@ -84,10 +84,10 @@ const splitRatio = 4
 
 // Compile lays out a task graph for the factor f on p workers; elemTask
 // assigns every factor position to a task. It is the one way into the
-// engine. It checks the shape — tasks topologically ordered by ID,
-// processors in [0, p), every position mapped to a task in range, every
-// diagonal a step scales by held by an earlier task — and reports a
-// malformed one as an error. It does not check that a task's
+// engine. It checks the shape — every task's predecessors earlier in the
+// slice (by index), processors in [0, p), every position mapped to a task
+// in range, every diagonal a step scales by held by an earlier task — and
+// reports a malformed one as an error. It does not check that a task's
 // predecessors own the sources of its updates: that is the constructors'
 // contract (ColumnTasksMapped, part2d.Tasks, BlockTasks), pinned by the
 // bit-identity tests, and Measure checks every run bitwise.
@@ -162,25 +162,22 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	return pg, nil
 }
 
-// preds checks the caller's graph — IDs equal to the slice index
-// (topological order), processors in [0, p), predecessors strictly
-// earlier — and returns every task's predecessors under the scale rule: a
-// step that starts below its column's diagonal scales by it, so its task
-// also waits for the task holding it, which must be an earlier one. A
-// task's list is the caller's own when it lacks no such task, and a copy
-// with the missing ones appended otherwise: the caller's lists
-// (core.Unit.Preds for a block graph) are never written. The simulators
-// panic on a malformed graph (they only ever see graphs the package
-// itself built); the engine takes caller-supplied ones and returns errors.
+// preds checks the caller's graph — processors in [0, p), predecessors
+// strictly earlier in the slice (by index) — and returns every task's
+// predecessors under the scale rule: a step that starts below its
+// column's diagonal scales by it, so its task also waits for the task
+// holding it, which must be an earlier one. A task's list is the caller's
+// own when it lacks no such task, and a copy with the missing ones
+// appended otherwise: the caller's lists (core.Unit.Preds for a block
+// graph) are never written. The simulators panic on a malformed graph
+// (they only ever see graphs the package itself built); the engine takes
+// caller-supplied ones and returns errors.
 func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 	f := pg.f
 	preds := make([][]int32, len(tasks))
 	var seen []int32 // seen[v] == t+1: v is task t or already precedes it
 	for t := range tasks {
 		ps, mark := tasks[t].Preds, int32(t+1)
-		if tasks[t].ID != t {
-			return nil, fmt.Errorf("exec: task %d out of order (ID %d)", t, tasks[t].ID)
-		}
 		if w := tasks[t].Proc; w < 0 || int(w) >= pg.p {
 			return nil, fmt.Errorf("exec: task %d: processor %d out of range [0, %d)", t, w, pg.p)
 		}

@@ -100,7 +100,7 @@ func serialColumnTasks(p *pipe) ([]Task, []int32) {
 	tasks := make([]Task, p.f.N)
 	elemTask := make([]int32, p.f.NNZ())
 	for j := 0; j < p.f.N; j++ {
-		tasks[j] = Task{ID: j, Proc: 0, Work: 1}
+		tasks[j] = Task{Proc: 0, Work: 1}
 		if j > 0 {
 			tasks[j].Preds = []int32{int32(j - 1)}
 		}
@@ -189,13 +189,6 @@ func TestParallelFactorize2DRejectsMalformed(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "held by later task 2") {
 				return nil
 			}
-			return err
-		}},
-		{"task ID out of order", func() error {
-			bad := make([]Task, len(tasks))
-			copy(bad, tasks)
-			bad[0].ID = 3
-			_, err := compileRun(p.m, p.f, 1, bad, elemTask, numeric.KernelCholesky)
 			return err
 		}},
 	}

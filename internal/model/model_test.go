@@ -56,7 +56,7 @@ func TestUpdatesAreValid(t *testing.T) {
 }
 
 // TestRunsVisitTargetsInOrder pins the order every first-use attribution
-// (and the closed form of traffic.FetchStatsColumns) relies on: target
+// (and the closed form of traffic.FetchStats on column schedules) relies on: target
 // columns increasing, source columns increasing within a target, and each
 // run the suffix of its source column starting at the target's row.
 func TestRunsVisitTargetsInOrder(t *testing.T) {

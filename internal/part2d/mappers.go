@@ -312,14 +312,14 @@ func (col2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sche
 // schedule (the col2d bridge): diagonal intervals are the maximal runs of
 // constant column ownership, and every tile of a block column belongs to
 // the column's 1D owner. It reads the schedule's column owners (ColProc)
-// and rejects a schedule without them over sys.F — a block-granular one,
-// relaxed factors included — which is not expressible as tile ownership
-// over shared column intervals. name labels errors.
+// and rejects a schedule without them or over another factor than sys.F —
+// a block-granular one, relaxed factors included — which is not
+// expressible as tile ownership over shared column intervals. name labels
+// errors.
 func Lift(sys *strategy.Sys, sc *sched.Schedule, name string) (*Schedule2D, error) {
 	f, owner1d := sys.F, sc.ColProc
-	if len(owner1d) != f.N {
-		return nil, fmt.Errorf("part2d: %q is not column-granular over the analysis factor (%d column owners, %d columns)",
-			name, len(owner1d), f.N)
+	if owner1d == nil || sc.F != f {
+		return nil, fmt.Errorf("part2d: %q is not column-granular over the analysis factor", name)
 	}
 	bounds := []int{0}
 	for j := 1; j < f.N; j++ {

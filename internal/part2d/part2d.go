@@ -77,6 +77,8 @@ import (
 // re-check none of that.
 type Schedule2D struct {
 	P int
+	// f is the factor the tiling covers, the analysis factor.
+	f *symbolic.Factor
 	// bounds holds the shared diagonal interval boundaries, length R+1
 	// with bounds[0] = 0 and bounds[R] = n; interval r is
 	// [bounds[r], bounds[r+1]) and is never empty.
@@ -135,12 +137,12 @@ func findTile(ptr, row []int32, r, c int) (int, bool) {
 func (s *Schedule2D) Imbalance() float64 { return sched.ImbalanceOf(s.work) }
 
 // Schedule bridges to the 1D schedule type over the derived element
-// ownership, so every element-granular 1D simulator (traffic.Simulate in
-// particular) evaluates the 2D assignment unchanged. On a column-granular
-// tiling it also carries the column owners as ColProc. The returned
-// schedule aliases the receiver's slices.
+// ownership of the analysis factor, so every element-granular 1D simulator
+// (traffic.Simulate in particular) evaluates the 2D assignment unchanged.
+// On a column-granular tiling it also carries the column owners as
+// ColProc. The returned schedule aliases the receiver's slices.
 func (s *Schedule2D) Schedule() *sched.Schedule {
-	return &sched.Schedule{P: s.P, ElemProc: s.elemProc, ColProc: s.colProc, Work: s.work}
+	return &sched.Schedule{P: s.P, F: s.f, ElemProc: s.elemProc, ColProc: s.colProc, Work: s.work}
 }
 
 // New validates and completes a 2D schedule: bounds must be strictly
@@ -181,6 +183,7 @@ func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r
 func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *tiling, owner []int32) *Schedule2D {
 	s := &Schedule2D{
 		P:        p,
+		f:        f,
 		bounds:   slices.Clone(bounds),
 		tilePtr:  tl.ptr,
 		tileRow:  tl.row,

@@ -236,7 +236,7 @@ func TestConservation2DSuite(t *testing.T) {
 				if got := tr.TotalFanOut() + tr.TotalFanIn(); got != tr.Total {
 					t.Errorf("%s P=%d: fanout+fanin = %d, total %d", label, p, got, tr.Total)
 				}
-				sim := traffic.Simulate(sys.Ops, s2.Schedule())
+				sim := traffic.Simulate(s2.Schedule())
 				if tr.Total != sim.Total {
 					t.Errorf("%s P=%d: 2D total %d != deduplicated Simulate total %d",
 						label, p, tr.Total, sim.Total)

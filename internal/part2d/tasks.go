@@ -63,8 +63,8 @@ func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task,
 // exec.Simulate under a CommModel charge every fetch exactly once.
 //
 // When the schedule is column-granular and the task map is the column
-// index (what Tasks returns for it), the attribution is
-// traffic.FetchStatsColumns' closed form on the column owners, task by
+// index (what Tasks returns for it), the attribution is traffic.FetchStats
+// of the Schedule bridge, the closed form on the column owners, task by
 // task the element walk's answer. Any other task map must be constant on
 // every row-block segment with tasks in [0, ntasks) — every map Tasks
 // returns is — and takes the segment pass, task by task the walk's
@@ -72,7 +72,7 @@ func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task,
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	f := ops.F
 	if s.colProc != nil && ntasks == f.N && isColumnIndex(f, elemTask) {
-		return traffic.FetchStatsColumns(ops, s.Schedule())
+		return traffic.FetchStats(s.Schedule())
 	}
 	sg := tileSegments(f, s)
 	segTask := sg.taskOf(elemTask, ntasks)
@@ -226,7 +226,7 @@ func (sg *segments) tasks(elemWork []int64) (tasks []exec.Task, elemTask, first,
 		for u := sg.col[j]; u < sg.col[j+1]; u++ {
 			t := first[j] + rel[u]
 			task := &tasks[t]
-			task.ID, task.Proc = int(t), sg.proc[u]
+			task.Proc = sg.proc[u]
 			for q := sg.start[u]; q < sg.start[u+1]; q++ {
 				elemTask[q] = t
 				task.Work += elemWork[q]

@@ -46,7 +46,7 @@ func walkTasks(ops *model.Ops, elemWork []int64, elemProc []int32) ([]exec.Task,
 			}
 			if task < 0 {
 				task = int32(len(tasks))
-				tasks = append(tasks, exec.Task{ID: int(task), Proc: proc})
+				tasks = append(tasks, exec.Task{Proc: proc})
 				groups = append(groups, group{proc: proc, task: task})
 			}
 			elemTask[q] = task
@@ -150,7 +150,7 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 	t.Helper()
 	f := ops.F
 	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.elemProc)
-	wantFetch := traffic.FetchStatsTasks(ops, s.Schedule(), len(wantTasks), wantElemTask)
+	wantFetch := traffic.FetchStatsTasks(s.Schedule(), len(wantTasks), wantElemTask)
 	for _, e := range []struct {
 		name string
 		fn   func(*model.Ops, []int64, *Schedule2D) ([]exec.Task, []int32)
@@ -172,7 +172,7 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		if !panics(func() { FetchStats(ops, s, len(perElem), perElem) }) {
 			t.Fatalf("%s: FetchStats accepted a task map that splits a row-block segment", label)
 		}
-	} else if got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(ops, s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
+	} else if got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats under one task per element differ from the walk (vol %d msgs %d, want %d / %d)",
 			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
 	}

@@ -30,6 +30,7 @@ func denseID(r, c int) int { return r*(r+1)/2 + c }
 // refSchedule is a Schedule2D with the dense owner table.
 type refSchedule struct {
 	P        int
+	F        *symbolic.Factor
 	Bounds   []int
 	Owner    []int32 // packed by denseID
 	BlockOf  []int32
@@ -38,14 +39,14 @@ type refSchedule struct {
 }
 
 func (s *refSchedule) schedule() *sched.Schedule {
-	return &sched.Schedule{P: s.P, ElemProc: s.ElemProc, Work: s.Work}
+	return &sched.Schedule{P: s.P, F: s.F, ElemProc: s.ElemProc, Work: s.Work}
 }
 
 // refNew is New over a dense owner table (inputs are valid by
 // construction in the tests).
 func refNew(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int32) *refSchedule {
 	s := &refSchedule{
-		P: p, Bounds: bounds, Owner: owner,
+		P: p, F: f, Bounds: bounds, Owner: owner,
 		BlockOf: strategy.IntervalIndex(f.N, bounds), Work: make([]int64, p), ElemProc: make([]int32, f.NNZ()),
 	}
 	for j := 0; j < f.N; j++ {
@@ -197,7 +198,7 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 			load[owner[id]] += sys.ElemWork[q]
 		}
 	}
-	sc := &sched.Schedule{P: p, ElemProc: elemProc, Work: load}
+	sc := &sched.Schedule{P: p, F: sys.F, ElemProc: elemProc, Work: load}
 	setOwner := func(id int, dst int32) {
 		src := owner[id]
 		owner[id] = dst
@@ -214,7 +215,7 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 		}
 		return s
 	}
-	cur := traffic.Simulate(sys.Ops, sc).Total
+	cur := traffic.Simulate(sc).Total
 	tel.Objective(cur)
 	offs := make([]int, 0, len(tw)-r)
 	for rr := 1; rr < r; rr++ {
@@ -248,7 +249,7 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 			before := sumsq()
 			setOwner(id, dst)
 			evals++
-			nt := traffic.Simulate(sys.Ops, sc).Total
+			nt := traffic.Simulate(sc).Total
 			if nt < cur || (nt == cur && sumsq() < before) {
 				cur = nt
 				tel.Trial(true)
@@ -298,7 +299,7 @@ func sameTasks(a, b []exec.Task) error {
 		return fmt.Errorf("%d tasks, want %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Proc != b[i].Proc || a[i].Work != b[i].Work || !slices.Equal(a[i].Preds, b[i].Preds) {
+		if a[i].Proc != b[i].Proc || a[i].Work != b[i].Work || !slices.Equal(a[i].Preds, b[i].Preds) {
 			return fmt.Errorf("task %d = %+v, want %+v", i, a[i], b[i])
 		}
 	}
@@ -359,7 +360,7 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int6
 		t.Fatalf("%s: Tasks differ from the dense walk: %v", label, err)
 	}
 	got := FetchStats(ops, s, len(tasks), elemTask)
-	want := traffic.FetchStatsTasks(ops, ref.schedule(), len(wantTasks), wantElemTask)
+	want := traffic.FetchStatsTasks(ref.schedule(), len(wantTasks), wantElemTask)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats differ from the walk (vol %d msgs %d, want %d / %d)",
 			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
@@ -536,7 +537,7 @@ func FuzzTiles2D(f *testing.F) {
 			checkAgainstRef(t, label, ops, sys.ElemWork, s2, ref)
 			checkSegmentsMatchWalk(t, label, ops, sys.ElemWork, s2)
 			tr := Traffic(ops, s2)
-			if sim := traffic.Simulate(ops, s2.Schedule()).Total; tr.TotalFanOut()+tr.TotalFanIn() != sim {
+			if sim := traffic.Simulate(s2.Schedule()).Total; tr.TotalFanOut()+tr.TotalFanIn() != sim {
 				t.Fatalf("%s: fan-out %d + fan-in %d != Simulate total %d", label, tr.TotalFanOut(), tr.TotalFanIn(), sim)
 			}
 		}

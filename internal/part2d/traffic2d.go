@@ -17,9 +17,9 @@ import "repro/internal/model"
 //     block column block(j), toward its diagonal-block owner.
 //
 // Every first fetch is classified exactly one way, so
-// sum(FanOut) + sum(FanIn) == Total == traffic.Simulate(ops,
-// s.Schedule()).Total — the 2D analogue of the traffic.ColumnRefs /
-// Simulate identity, pinned by the conservation tests.
+// sum(FanOut) + sum(FanIn) == Total == traffic.Simulate(s.Schedule()).Total
+// — the 2D analogue of the traffic.ColumnRefs / Simulate identity, pinned
+// by the conservation tests.
 type TrafficResult struct {
 	P int
 	// R is the number of diagonal intervals of the schedule's tiling.

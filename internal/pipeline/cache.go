@@ -114,7 +114,13 @@ func (c *Cache) factor(pl *Plan, a *sparse.Matrix, k Kernel, parallel bool) (*Fa
 	if err != nil {
 		return nil, err
 	}
-	return v.(*Factor), nil
+	fa := v.(*Factor)
+	if fa.Plan != pl { // stored by another plan: one key, bit-identical values
+		cp := *fa
+		cp.Plan = pl
+		return &cp, nil
+	}
+	return fa, nil
 }
 
 // Solve runs the full staged pipeline through the cache — analysis, 1D

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -135,4 +136,59 @@ func TestWarmSolveAllocations(t *testing.T) {
 		t.Fatalf("a warm Cache.Solve allocated %.0f times, want <= 12", got)
 	}
 	t.Logf("warm Cache.Solve: %.0f allocations", got)
+}
+
+// TestCachedFactorCarriesItsPlan: FactorKey leaves the plan out where the
+// factors are bit-identical, so two plans of one pattern share the stored
+// values; the Factor the cache returns must still carry the plan it was
+// asked for, whichever plan stored it, serial or parallel, and its
+// parallel solve must be its serial one bit for bit.
+func TestCachedFactorCarriesItsPlan(t *testing.T) {
+	a := gen.Grid9(12, 12)
+	b := make([]float64, a.N)
+	for i := range b {
+		b[i] = float64(i%7) - 3
+	}
+	for _, order := range [][2]string{{"wrap", "block"}, {"block", "wrap"}} {
+		for _, parallel := range []bool{false, true} {
+			c := NewCache(0)
+			an, err := c.Analysis(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans := map[string]*Plan{}
+			for name, p := range map[string]int{"wrap": 2, "block": 16} {
+				if plans[name], err = c.Plan(an, name, p, strategy.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			get := c.Factor
+			if parallel {
+				get = c.FactorParallel
+			}
+			for _, name := range order {
+				pl := plans[name]
+				fa, err := get(pl, a, Cholesky)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fa.Plan != pl {
+					t.Errorf("%v parallel=%v: the %s factor carries the %s P=%d plan", order, parallel, name, fa.Plan.Strategy, fa.Plan.P)
+				}
+				x, err := fa.Solve(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				y, err := fa.SolveParallel(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+						t.Fatalf("%v parallel=%v %s: SolveParallel differs from Solve at %d", order, parallel, name, i)
+					}
+				}
+			}
+		}
+	}
 }

@@ -52,13 +52,13 @@ type Factor struct {
 // kernel's order (ascending source column, the factor's row index) over
 // the same structure, so the factors are bit-for-bit interchangeable. The
 // one exception is a relaxed block plan, whose parallel factor lives on the
-// plan's zero-padded structure: its key mixes in the plan.
+// plan's zero-padded structure, its schedule's F: its key mixes in the plan.
 func (pl *Plan) FactorKey(k Kernel, a *sparse.Matrix, parallel bool) artifact.Key {
 	h := artifact.NewHasher("factor")
 	h.Key(pl.An.Key)
 	h.Str(k.String())
 	h.Key(artifact.Key{Kind: "values", Sum: artifact.ValuesSum(a)})
-	if parallel && pl.S2 == nil && pl.S1.UnitProc != nil && pl.Opts.Part.RelaxZeros > 0 {
+	if parallel && pl.S1 != nil && pl.S1.F != pl.An.F {
 		h.Key(pl.Key)
 	}
 	return h.Sum()

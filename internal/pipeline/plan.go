@@ -139,13 +139,14 @@ func (pl *Plan) TrafficTotal() int64 { return pl.Fetch.TotalVol() }
 
 // Traffic runs the full data-traffic simulation of the plan's schedule —
 // per-processor totals and the processor-pair matrix behind TrafficTotal —
-// honoring the relaxed partition of a block-granular plan. A 2D plan is
-// simulated over its derived element ownership.
+// over the factor the schedule assigns (padded for a relaxed block plan).
+// A 2D plan is simulated over its derived element ownership.
 func (pl *Plan) Traffic() *traffic.Result {
+	s := pl.S1
 	if pl.S2 != nil {
-		return traffic.Simulate(pl.An.Ops, pl.S2.Schedule())
+		s = pl.S2.Schedule()
 	}
-	return strategy.Traffic(pl.An.sys, pl.Opts, pl.S1)
+	return traffic.Simulate(s)
 }
 
 // Traffic2D runs the tile-granular traffic simulation of a 2D plan: the
@@ -202,10 +203,9 @@ func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measu
 func (pl *Plan) program() (*exec.Program, error) {
 	pl.progOnce.Do(func() {
 		f, elemTask := pl.An.F, pl.elemTask
-		if pl.S1 != nil && pl.S1.UnitProc != nil {
-			part := pl.An.sys.Partition(pl.Opts.Part)
-			f, elemTask = part.F, part.ElemUnit
-		} else if pl.S1 != nil {
+		if s := pl.S1; s != nil && s.Part != nil {
+			f, elemTask = s.F, s.Part.ElemUnit
+		} else if s != nil {
 			elemTask = f.ColIndex()
 		}
 		pl.prog, pl.progErr = exec.Compile(f, pl.P, pl.Tasks, elemTask)
@@ -218,7 +218,7 @@ func (pl *Plan) program() (*exec.Program, error) {
 func (pl *Plan) solveProgram(f *symbolic.Factor) (*exec.SolveProgram, error) {
 	sw := &pl.sweeps[0]
 	if f != pl.An.F {
-		if pl.S1 == nil || f != pl.An.sys.Partition(pl.Opts.Part).F {
+		if pl.S1 == nil || f != pl.S1.F {
 			return nil, fmt.Errorf("pipeline: factor structure is not one of its plan's")
 		}
 		sw = &pl.sweeps[1]

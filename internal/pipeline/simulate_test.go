@@ -209,9 +209,9 @@ func TestPlanMeasure(t *testing.T) {
 					pl.Strategy, k, mes.P, mes.Repeats, len(mes.Events), pl.P, len(pl.Tasks))
 			}
 			for i, ev := range mes.Events {
-				if int(ev.Task) != pl.Tasks[i].ID || ev.Proc != pl.Tasks[i].Proc {
-					t.Fatalf("%s %s: event %d is task %d on %d, plan task %d on %d",
-						pl.Strategy, k, i, ev.Task, ev.Proc, pl.Tasks[i].ID, pl.Tasks[i].Proc)
+				if int(ev.Task) != i || ev.Proc != pl.Tasks[i].Proc {
+					t.Fatalf("%s %s: event %d is task %d on %d, plan task on %d",
+						pl.Strategy, k, i, ev.Task, ev.Proc, pl.Tasks[i].Proc)
 				}
 			}
 			serial, err := pl.Factorize(a, k)

@@ -19,7 +19,8 @@
 //     ColumnMap, the constructor of every column-granular schedule.
 //
 // A Schedule is its owner vector, one owner per unit block (UnitProc) or
-// per column (ColProc); the constructor derives from it the owner of every
+// per column (ColProc), and the structure that vector assigns (F, and Part
+// for unit blocks); the constructor derives from them the owner of every
 // factor element (ElemProc, the granularity at which the traffic simulator
 // counts non-local accesses) and the per-processor work.
 package sched
@@ -40,6 +41,11 @@ import (
 // column) is evaluated through ElemProc alone.
 type Schedule struct {
 	P int
+	// F is the factor ElemProc indexes: the partition's (padded when
+	// relaxed) for a block-granular schedule, the analysis factor otherwise.
+	F *symbolic.Factor
+	// Part is the partition UnitProc indexes, set exactly when UnitProc is.
+	Part *core.Partition
 	// ElemProc maps every factor nonzero position to its owning processor,
 	// derived from the owner vector.
 	ElemProc []int32
@@ -117,6 +123,7 @@ func ColumnMap(f *symbolic.Factor, elemWork []int64, p int, owner []int32) *Sche
 	}
 	s := &Schedule{
 		P:        p,
+		F:        f,
 		ColProc:  owner,
 		ElemProc: make([]int32, f.NNZ()),
 		Work:     make([]int64, p),
@@ -276,6 +283,8 @@ func blockMap(part *core.Partition, p int, greedy bool) *Schedule {
 	// Derive element ownership.
 	s := &Schedule{
 		P:        p,
+		F:        part.F,
+		Part:     part,
 		ElemProc: make([]int32, part.F.NNZ()),
 		UnitProc: unitProc,
 		Work:     work,

@@ -94,12 +94,12 @@ type movable struct {
 
 // Refine runs the greedy local-refinement pass of the "refine" strategy
 // on an existing schedule, returning a new schedule (the input is left
-// untouched). The granularity is inferred from the schedule: unit blocks
-// when UnitProc is present (the partition comes from opts.Part), columns
-// otherwise.
+// untouched). The granularity is the schedule's own: the unit blocks of
+// its partition when it has one, its columns otherwise, which must be
+// those of sys.F.
 func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, error) {
 	sc := cloneSchedule(base)
-	mv, own, err := movables(sys, opts, sc)
+	mv, own, err := movables(sys, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +120,8 @@ func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, erro
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {
 	return &sched.Schedule{
 		P:        s.P,
+		F:        s.F,
+		Part:     s.Part,
 		ElemProc: slices.Clone(s.ElemProc),
 		UnitProc: slices.Clone(s.UnitProc),
 		ColProc:  slices.Clone(s.ColProc),
@@ -130,12 +132,8 @@ func cloneSchedule(s *sched.Schedule) *sched.Schedule {
 // movables builds the refinement units of a schedule and returns them
 // with the schedule's own owner vector, UnitProc or ColProc, which the
 // pass then moves them in.
-func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, error) {
-	if sc.UnitProc != nil {
-		part := sys.Partition(opts.Part)
-		if len(sc.UnitProc) != len(part.Units) || len(sc.ElemProc) != part.F.NNZ() {
-			return nil, nil, fmt.Errorf("strategy: schedule does not match the partition of opts.Part")
-		}
+func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
+	if part := sc.Part; part != nil {
 		mv := make([]movable, len(part.Units))
 		for i := range part.Units {
 			u := &part.Units[i]
@@ -147,7 +145,7 @@ func movables(sys *Sys, opts Options, sc *sched.Schedule) ([]movable, []int32, e
 		return mv, sc.UnitProc, nil
 	}
 	f := sys.F
-	if len(sc.ColProc) != f.N || len(sc.ElemProc) != f.NNZ() {
+	if sc.ColProc == nil || sc.F != f {
 		return nil, nil, fmt.Errorf("strategy: schedule is not a column schedule of the analysis factor")
 	}
 	colWork := sys.ColumnWork()
@@ -317,7 +315,7 @@ func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own
 	if maxMoves <= 0 {
 		maxMoves = defaultTrafficMoves
 	}
-	inc := traffic.NewIncremental(sys.trafficGroups(opts, sc), sc)
+	inc := traffic.NewIncremental(sys.trafficGroups(sc), sc)
 	// trial moves unit u to dst and returns the traffic after it.
 	trial := func(u int, dst int32) int64 {
 		t := inc.Move(u, dst)

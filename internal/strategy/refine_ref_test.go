@@ -96,7 +96,7 @@ func TestRefineTrafficMatchesReference(t *testing.T) {
 					want := cloneSchedule(base)
 					wantOpts := opts
 					wantOpts.Search = &obs.SearchTelemetry{}
-					mv, own, err := movables(sys, wantOpts, want)
+					mv, own, err := movables(sys, want)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -119,6 +119,44 @@ func TestRefineTrafficMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRefineTrafficForeignPartition: Refine on a block schedule built by
+// another Sys refines over that schedule's own partition, even when the
+// Sys it is handed holds a partition of the same options over another
+// matrix, and returns what the schedule's own Sys returns.
+func TestRefineTrafficForeignPartition(t *testing.T) {
+	lap, _, err := gen.ByName("LAP30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus, _, err := gen.ByName("BUS1138")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, other := newTestSys(t, lap), newTestSys(t, bus)
+	for _, part := range []core.Options{{}, {RelaxZeros: 0.3}} {
+		opts := Options{Part: part, Objective: "traffic", MaxMoves: 20}
+		other.Partition(part)
+		base, err := Map("block", own, 16, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Refine(own, opts, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Refine(other, opts, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.UnitProc, want.UnitProc) || !reflect.DeepEqual(got.ElemProc, want.ElemProc) {
+			t.Errorf("relax=%.1f: Refine through another Sys moved other units", part.RelaxZeros)
+		}
+		if got.Part != base.Part || got.F != base.F {
+			t.Errorf("relax=%.1f: refined schedule lost its structure", part.RelaxZeros)
 		}
 	}
 }

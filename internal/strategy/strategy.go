@@ -79,7 +79,10 @@ type Sys struct {
 	Total int64
 
 	mu    sync.Mutex
-	parts map[core.Options]*partEntry
+	parts map[core.Options]*core.Partition
+	// unitGroups are the unit blocks of each partition refine has scored,
+	// as traffic groups, keyed by the partition itself.
+	unitGroups map[*core.Partition]*traffic.Groups
 
 	// Column views of the analysis, built by the first mapper that asks
 	// (never by NewSys: a Sys that only ever plans wrap holds neither) and
@@ -90,14 +93,6 @@ type Sys struct {
 	// rectCuts memoizes RectilinearCuts per processor count, shared the
 	// same way.
 	rectCuts map[int][]int
-}
-
-type partEntry struct {
-	part *core.Partition
-	ops  *model.Ops // ops of part.F (== Sys.Ops unless relaxed)
-	// groups are the units as traffic groups, built on first use.
-	groupsOnce sync.Once
-	groups     *traffic.Groups
 }
 
 // NewSys builds a Sys from an analyzed factor. ops and elemWork may be
@@ -112,35 +107,25 @@ func NewSys(f *symbolic.Factor, ops *model.Ops, elemWork []int64) *Sys {
 	return &Sys{
 		F: f, Ops: ops, ElemWork: elemWork,
 		Total: model.TotalWork(elemWork),
-		parts: make(map[core.Options]*partEntry),
+		parts: make(map[core.Options]*core.Partition),
 	}
 }
 
 // Partition returns the (cached) unit-block partition for the given
 // options.
 func (s *Sys) Partition(opts core.Options) *core.Partition {
-	return s.partition(opts).part
-}
-
-func (s *Sys) partition(opts core.Options) *partEntry {
 	opts = opts.Normalized() // one cache entry per distinct partitioning
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.parts == nil {
-		s.parts = make(map[core.Options]*partEntry)
+		s.parts = make(map[core.Options]*core.Partition)
 	}
-	pe, ok := s.parts[opts]
+	part, ok := s.parts[opts]
 	if !ok {
-		part := core.NewPartitionWork(s.F, opts, s.ElemWork)
-		ops := s.Ops
-		if part.F != s.F {
-			// Relaxation padded the factor; simulators need its own ops.
-			ops = model.NewOps(part.F)
-		}
-		pe = &partEntry{part: part, ops: ops}
-		s.parts[opts] = pe
+		part = core.NewPartitionWork(s.F, opts, s.ElemWork)
+		s.parts[opts] = part
 	}
-	return pe
+	return part
 }
 
 // ColumnWork returns the per-column work vector of the analysis factor,
@@ -235,8 +220,10 @@ type Options struct {
 // Mapper is one partitioning/mapping strategy. Map assigns the
 // factorization work of sys to p processors and returns the schedule:
 // column-granular, built by sched.ColumnMap over sys.F, or
-// block-granular, with UnitProc over the partition of opts.Part (whose
-// factor relaxation may pad).
+// block-granular, built over sys.Partition(opts.Part) (whose factor
+// relaxation may pad). Either way the schedule carries the structure it
+// assigns (Schedule.F, and Schedule.Part for unit blocks), which is all
+// Tasks, FetchStats, Traffic and Refine read of it.
 type Mapper interface {
 	Name() string
 	Map(sys *Sys, p int, opts Options) (*sched.Schedule, error)
@@ -317,50 +304,37 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	return m.Map(sys, p, opts)
 }
 
-// checkPartMatch panics when a block-granular schedule does not belong
-// to the partition selected by opts.Part (e.g. the schedule was mapped
-// with different grain/width/relaxation options), the same loud failure
-// traffic.FetchStats gives for schedule/partition mismatches.
-func checkPartMatch(part *core.Partition, sc *sched.Schedule) {
-	if len(sc.UnitProc) != len(part.Units) || len(sc.ElemProc) != part.F.NNZ() {
-		panic(fmt.Sprintf(
-			"strategy: schedule (units=%d, elems=%d) does not match the partition of opts.Part (units=%d, elems=%d); evaluate with the same Options the schedule was mapped with",
-			len(sc.UnitProc), len(sc.ElemProc), len(part.Units), part.F.NNZ()))
-	}
-}
-
 // Traffic simulates the data traffic of a strategy schedule (what
-// pipeline.Plan.Traffic runs for a 1D plan), over the ops of the
-// partition's own factor for a block-granular schedule (relaxation pads
-// it). opts must be the Options the schedule was mapped with.
+// pipeline.Plan.Traffic runs for a 1D plan): traffic.Simulate over the
+// factor the schedule assigns, padded for a relaxed block schedule. sys
+// and opts are unread; the benchmark adapter names this signature.
 func Traffic(sys *Sys, opts Options, sc *sched.Schedule) *traffic.Result {
-	ops := sys.Ops
-	if sc.UnitProc != nil {
-		pe := sys.partition(opts.Part)
-		checkPartMatch(pe.part, sc)
-		ops = pe.ops
-	}
-	return traffic.Simulate(ops, sc)
+	return traffic.Simulate(sc)
 }
 
 // trafficGroups returns the traffic groups of refine's movables for sc —
-// the unit blocks of opts.Part's partition for a block-granular schedule,
-// the columns otherwise. They depend on structure only, so they are built
-// once per Sys and serve every processor count and every start.
-func (s *Sys) trafficGroups(opts Options, sc *sched.Schedule) *traffic.Groups {
-	if sc.UnitProc != nil {
-		pe := s.partition(opts.Part)
-		pe.groupsOnce.Do(func() {
-			boxes := make([]traffic.Box, len(pe.part.Units))
-			for i, u := range pe.part.Units {
-				boxes[i] = traffic.Box{Col0: u.ColLo, Col1: u.ColHi + 1, Row0: u.RowLo, Row1: u.RowHi + 1}
-			}
-			pe.groups = traffic.NewGroups(pe.ops, boxes)
-		})
-		return pe.groups
-	}
+// the unit blocks of its partition for a block-granular schedule, the
+// columns otherwise. They depend on structure only, so they are built
+// once per Sys and partition and serve every processor count and every
+// start.
+func (s *Sys) trafficGroups(sc *sched.Schedule) *traffic.Groups {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if part := sc.Part; part != nil {
+		g := s.unitGroups[part]
+		if g == nil {
+			boxes := make([]traffic.Box, len(part.Units))
+			for i, u := range part.Units {
+				boxes[i] = traffic.Box{Col0: u.ColLo, Col1: u.ColHi + 1, Row0: u.RowLo, Row1: u.RowHi + 1}
+			}
+			g = traffic.NewGroups(model.NewOps(part.F), boxes)
+			if s.unitGroups == nil {
+				s.unitGroups = make(map[*core.Partition]*traffic.Groups)
+			}
+			s.unitGroups[part] = g
+		}
+		return g
+	}
 	if s.colGroups == nil {
 		boxes := make([]traffic.Box, s.F.N)
 		for j := range boxes {
@@ -372,28 +346,22 @@ func (s *Sys) trafficGroups(opts Options, sc *sched.Schedule) *traffic.Groups {
 }
 
 // Tasks builds the makespan task graph of a strategy schedule: unit-block
-// tasks for block-granular schedules, column tasks otherwise. opts must be
-// the Options the schedule was mapped with.
+// tasks over its partition for a block-granular schedule, column tasks of
+// sys' analysis otherwise. opts is unread; the benchmark adapter names
+// this signature.
 func Tasks(sys *Sys, opts Options, sc *sched.Schedule) []exec.Task {
-	if sc.UnitProc != nil {
-		part := sys.Partition(opts.Part)
-		checkPartMatch(part, sc)
-		return exec.BlockTasks(part, sc)
+	if sc.Part != nil {
+		return exec.BlockTasks(sc.Part, sc)
 	}
 	return exec.ColumnTasksMapped(sys.F, sys.Ops, sys.ElemWork, sc.ColProc)
 }
 
 // FetchStats attributes the schedule's non-local fetches to its makespan
-// tasks (per unit block or per column) with consolidated message counts,
-// honoring relaxed partitions like Traffic does. The volumes partition
-// Traffic(sys, opts, sc).Total exactly, which is what lets exec.Simulate
-// under a CommModel charge every fetch exactly once. opts must be the Options the
-// schedule was mapped with.
+// tasks (per unit block or per column) with consolidated message counts:
+// traffic.FetchStats. The volumes partition Traffic's total exactly, which
+// is what lets exec.Simulate under a CommModel charge every fetch exactly
+// once. sys and opts are unread; the benchmark adapter names this
+// signature.
 func FetchStats(sys *Sys, opts Options, sc *sched.Schedule) *traffic.TaskComm {
-	if sc.UnitProc != nil {
-		pe := sys.partition(opts.Part)
-		checkPartMatch(pe.part, sc)
-		return traffic.FetchStats(pe.part, pe.ops, sc)
-	}
-	return traffic.FetchStatsColumns(sys.Ops, sc)
+	return traffic.FetchStats(sc)
 }

@@ -1,7 +1,7 @@
 package strategy
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,29 +236,34 @@ func TestRelaxedPartitionStrategies(t *testing.T) {
 	}
 }
 
-// TestEvaluateOptsMismatch: evaluating a block-granular schedule with
-// Options selecting a different partition must fail loudly, not index
-// out of range or silently miscount.
+// TestEvaluateOptsMismatch: a schedule carries the structure it assigns,
+// so Tasks, FetchStats and Traffic of a relaxed block schedule called with
+// Options selecting another partition return exactly what they return
+// with the Options it was mapped with.
 func TestEvaluateOptsMismatch(t *testing.T) {
-	sys := newTestSys(t, gen.Grid9(8, 8))
-	sc, err := Map("block", sys, 4, Options{Part: core.Options{Grain: 25}})
+	sys := newTestSys(t, gen.Grid9(12, 12))
+	opts := Options{Part: core.Options{Grain: 25, RelaxZeros: 0.3}}
+	sc, err := Map("block", sys, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if r := recover(); r == nil {
-				t.Errorf("%s with mismatched opts did not panic", name)
-			} else if !strings.Contains(fmt.Sprint(r), "does not match") {
-				t.Errorf("%s panic = %v, want a schedule/partition mismatch message", name, r)
-			}
-		}()
-		fn()
+	if sc.F == sys.F {
+		t.Fatal("relaxation did not pad the grid; the case compares nothing")
 	}
-	mustPanic("Traffic", func() { Traffic(sys, Options{}, sc) })
-	mustPanic("Tasks", func() { Tasks(sys, Options{}, sc) })
-	mustPanic("FetchStats", func() { FetchStats(sys, Options{}, sc) })
+	for _, other := range []Options{{}, {Part: core.Options{Grain: 4, RelaxZeros: 0.1}}} {
+		if got, want := Tasks(sys, other, sc), Tasks(sys, opts, sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tasks with %+v differs from Tasks with the mapping options", other.Part)
+		}
+		if got, want := FetchStats(sys, other, sc), FetchStats(sys, opts, sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("FetchStats with %+v differs from FetchStats with the mapping options", other.Part)
+		}
+		if got, want := Traffic(sys, other, sc), Traffic(sys, opts, sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("Traffic with %+v differs from Traffic with the mapping options", other.Part)
+		}
+	}
+	if got, want := FetchStats(sys, Options{}, sc).TotalVol(), Traffic(sys, opts, sc).Total; got != want {
+		t.Errorf("FetchStats volumes sum to %d, Traffic total %d", got, want)
+	}
 }
 
 // TestPartitionCacheNormalized: zero options and explicit defaults are

@@ -47,7 +47,7 @@ func RelaxSweep(p *Problem, np, grain int, fracs []float64) ([]RelaxRow, error) 
 		if err != nil {
 			return nil, err
 		}
-		part := q.An.Sys().Partition(pl.Opts.Part)
+		part := pl.S1.Part
 		rows = append(rows, RelaxRow{
 			Frac: frac, Merges: part.Relax.Merges, PaddedNNZ: part.Relax.PaddedNNZ,
 			Supernodes: len(part.F.Supernodes()) - 1, Units: len(part.Units),
@@ -320,8 +320,8 @@ func Messages(problems []*Problem) ([]MessageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := traffic.Consolidate(p.An.Ops, block.S1, p.An.Sys().Partition(block.Opts.Part).ElemUnit)
-		w := traffic.Consolidate(p.An.Ops, wrap.S1, p.An.Ops.F.ColIndex())
+		b := traffic.Consolidate(block.S1, block.S1.Part.ElemUnit)
+		w := traffic.Consolidate(wrap.S1, wrap.S1.F.ColIndex())
 		return []MessageRow{{
 			Name: p.Meta.Name, P: np,
 			BlockMsgs: b.Messages, WrapMsgs: w.Messages,

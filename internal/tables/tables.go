@@ -557,9 +557,8 @@ func BlockSweep(p *Problem, np int, grains, widths []int) ([]BlockRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			part := p.An.Sys().Partition(pl.Opts.Part)
 			rows = append(rows, BlockRow{
-				Grain: g, Width: w, Units: len(part.Units), Clusters: len(part.Clusters),
+				Grain: g, Width: w, Units: len(pl.S1.Part.Units), Clusters: len(pl.S1.Part.Clusters),
 				Total: pl.TrafficTotal(), A: pl.S1.Imbalance(),
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/symbolic"
@@ -35,22 +34,18 @@ func (tc *TaskComm) TotalVol() int64 { return model.TotalWork(tc.Vol) }
 func (tc *TaskComm) TotalMsgs() int64 { return model.TotalWork(tc.Msgs) }
 
 // firstFetches is the one element-level walk of the traffic model: it
-// visits every source access of the factorization — the two sources of
-// every pair update, run by run in model.Ops.ForEachRun's order, then the
-// diagonal read of every scale — and marks each distinct non-local
-// (element, processor) pair in the returned tracker. What Simulate and
-// the consolidation step report is a tally of that final set; the fetch
-// attribution also needs to know which access came first, so a non-nil
-// ch is told of every first fetch as it is found.
-func firstFetches(ops *model.Ops, s *sched.Schedule, ch *Charger) *FetchDedup {
-	f := ops.F
-	nnz := f.NNZ()
-	if len(s.ElemProc) != nnz {
-		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), nnz))
-	}
-	fetched := NewFetchDedup(s.P, nnz)
+// visits every source access of the factorization of s.F — the two
+// sources of every pair update, run by run in model.Ops.ForEachRun's
+// order, then the diagonal read of every scale — and marks each distinct
+// non-local (element, processor) pair in the returned tracker. What
+// Simulate and the consolidation step report is a tally of that final
+// set; the fetch attribution also needs to know which access came first,
+// so a non-nil ch is told of every first fetch as it is found.
+func firstFetches(s *sched.Schedule, ch *Charger) *FetchDedup {
+	f := s.F
+	fetched := NewFetchDedup(s.P, f.NNZ())
 	owner, rowInd := s.ElemProc, f.RowInd
-	ops.ForEachRun(func(r model.Run) {
+	model.NewOps(f).ForEachRun(func(r model.Run) {
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
 			tgt := r.Tgt[rowInd[q]]
@@ -148,47 +143,49 @@ func (c *Charger) Done() *TaskComm {
 // per-task volumes partition the traffic total exactly whatever the
 // granularity and whatever the element ownership.
 //
-// It is the element-level walk, the reference FetchStats and
-// FetchStatsColumns are held to: O(#updates) time — every pair update of
-// the factorization is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks)
-// bytes of transient masks, allocated up front and nothing per fetch.
-func FetchStatsTasks(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
-	if len(taskOf) != ops.F.NNZ() {
-		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), ops.F.NNZ()))
+// It is the element-level walk, the reference both of FetchStats' passes
+// are held to: O(#updates) time — every pair update of the factorization
+// is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks) bytes of transient
+// masks, allocated up front and nothing per fetch.
+func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
+	if len(taskOf) != s.F.NNZ() {
+		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), s.F.NNZ()))
 	}
 	ch := NewCharger(s.P, ntasks, taskOf)
-	firstFetches(ops, s, &ch)
+	firstFetches(s, &ch)
 	return ch.Done()
 }
 
-// FetchStats attributes every distinct non-local fetch of a
-// block-partitioned schedule to the unit block whose update first requires
-// it, with per-unit message counts (one message per distinct source
-// processor feeding a unit). It replays the partition's read map
-// (replayReads) on the schedule's unit owners. s must be a block schedule
-// of part (UnitProc over its units) and ops must enumerate part.F; any
-// other shape panics.
-func FetchStats(part *core.Partition, ops *model.Ops, s *sched.Schedule) *TaskComm {
-	f := ops.F
-	if part.F != f || len(part.ElemUnit) != f.NNZ() || len(s.UnitProc) != len(part.Units) {
-		panic("traffic: schedule/partition/factor mismatch")
+// FetchStats attributes every distinct non-local fetch of a schedule to
+// its makespan tasks — the unit blocks of a block-granular schedule, the
+// columns of a column-granular one — with per-task message counts (one
+// message per distinct source processor feeding a task). It reads the
+// schedule's own owner vector: UnitProc takes the replay of the
+// partition's read map (replayReads), ColProc the closed form
+// (columnFetches). Both are task by task the element walk's answer,
+// FetchStatsTasks over Part.ElemUnit or the column index. A schedule with
+// neither vector has no task granularity here and panics.
+func FetchStats(s *sched.Schedule) *TaskComm {
+	switch {
+	case s.Part != nil:
+		return replayReads(s)
+	case s.ColProc != nil:
+		return columnFetches(s)
 	}
-	if len(s.ElemProc) != f.NNZ() {
-		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), f.NNZ()))
-	}
-	sched.MustProcs("traffic", s.P)
-	return replayReads(part, s)
+	panic("traffic: FetchStats of a schedule with neither unit nor column owners")
 }
 
-// replayReads is FetchStats' body: the walk replayed
-// from the read map (core.ReadMap), one source column at a time. Each
+// replayReads is FetchStats of a block-granular schedule: the walk
+// replayed from the read map of its partition (core.ReadMap), one source
+// column at a time. Each
 // processor keeps a bitset over the column's positions of what it owns or
 // has fetched, and an entry of unit u fetches, on u's processor, its bits
 // not yet set, charging them to u and their owners to u's messages. The
 // scales then take the walk's own pass, scaleFetches. That is O(entries +
 // nnz(L) + fetches) instead of O(#updates), with Vol and Msgs equal to the
 // walk's task by task.
-func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
+func replayReads(s *sched.Schedule) *TaskComm {
+	part := s.Part
 	f, rm := part.F, part.ReadMap()
 	ch := NewCharger(s.P, len(part.Units), part.ElemUnit) // taskOf for the scales
 	owner := s.ElemProc
@@ -252,25 +249,19 @@ func replayReads(part *core.Partition, s *sched.Schedule) *TaskComm {
 	return ch.Done()
 }
 
-// FetchStatsColumns is FetchStats for column-granular schedules,
-// attributing fetches and messages to columns, computed in closed form on
-// the schedule's column owners (ColProc; any other shape panics) in
-// O(nnz(L) + n·⌈P/64⌉) instead of the walk's O(#updates). The sources
-// target column j reads in source column k are the suffix of struct(k)
-// from row j down (ColumnRefs), suffixes of one column are nested, and the
-// walk visits target columns in increasing order; so the first target row
-// j of struct(k) that a processor q != owner(k) owns fetches the whole
-// suffix on q's behalf, every later row of q in struct(k) finds it cached,
-// and the scales read only their own column. One pass over struct(k) with
-// a P-entry stamp therefore gives exactly the Vol and Msgs of the
+// columnFetches is FetchStats of a column-granular schedule, computed in
+// closed form on its column owners (ColProc) in O(nnz(L) + n·⌈P/64⌉)
+// instead of the walk's O(#updates). The sources target column j reads in
+// source column k are the suffix of struct(k) from row j down
+// (ColumnRefs), suffixes of one column are nested, and the walk visits
+// target columns in increasing order; so the first target row j of
+// struct(k) that a processor q != owner(k) owns fetches the whole suffix
+// on q's behalf, every later row of q in struct(k) finds it cached, and
+// the scales read only their own column. One pass over struct(k) with a
+// P-entry stamp therefore gives exactly the Vol and Msgs of the
 // element-level walk, task by task, not merely the same total.
-func FetchStatsColumns(ops *model.Ops, s *sched.Schedule) *TaskComm {
-	f := ops.F
-	if len(s.ColProc) != f.N {
-		panic(fmt.Sprintf("traffic: schedule has %d column owners, factor has %d columns", len(s.ColProc), f.N))
-	}
-	sched.MustProcs("traffic", s.P)
-	colOwner := s.ColProc
+func columnFetches(s *sched.Schedule) *TaskComm {
+	f, colOwner := s.F, s.ColProc
 	ch := NewCharger(s.P, f.N, nil)
 	stamp := make([]int32, s.P) // stamp[q] == k+1: q already fetched from column k
 	for k := 0; k < f.N; k++ {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/part2d"
 	"repro/internal/strategy"
@@ -43,15 +42,6 @@ func TestFetchAttributionStrategyGrid(t *testing.T) {
 			procs = []int{2, 65}
 		}
 		colOf := sys.F.ColIndex()
-		// A relaxed partition pads the factor; its schedules are scored
-		// over that factor's ops.
-		partOps := make([]*model.Ops, len(optSets))
-		for oi, opts := range optSets {
-			partOps[oi] = sys.Ops
-			if pf := sys.Partition(opts.Part).F; pf != sys.F {
-				partOps[oi] = model.NewOps(pf)
-			}
-		}
 		for _, name := range strategy.Names() {
 			for _, p := range procs {
 				for oi, opts := range optSets {
@@ -61,13 +51,15 @@ func TestFetchAttributionStrategyGrid(t *testing.T) {
 						t.Fatalf("%s: %v", cell, err)
 					}
 					got := strategy.FetchStats(sys, opts, sc)
-					if sc.UnitProc == nil {
-						traffic.CheckAttribution(t, cell, sys.Ops, sc, colOf, got)
-						traffic.CheckAttribution(t, cell+"/run kernel", sys.Ops, sc, colOf,
-							traffic.FetchStatsTasks(sys.Ops, sc, n, colOf))
+					if sc.Part == nil {
+						traffic.CheckAttribution(t, cell, sc, colOf, got)
+						traffic.CheckAttribution(t, cell+"/run kernel", sc, colOf,
+							traffic.FetchStatsTasks(sc, n, colOf))
 						break // a column schedule does not read opts.Part
 					}
-					traffic.CheckAttribution(t, cell, partOps[oi], sc, sys.Partition(opts.Part).ElemUnit, got)
+					// A relaxed partition pads the factor, which the
+					// schedule carries and the walk reads.
+					traffic.CheckAttribution(t, cell, sc, sc.Part.ElemUnit, got)
 				}
 			}
 		}
@@ -88,7 +80,7 @@ func TestFetchAttribution2DGrid(t *testing.T) {
 					t.Fatalf("%s: %v", cell, err)
 				}
 				tasks, elemTask := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
-				traffic.CheckAttribution(t, cell, sys.Ops, s2.Schedule(), elemTask,
+				traffic.CheckAttribution(t, cell, s2.Schedule(), elemTask,
 					part2d.FetchStats(sys.Ops, s2, len(tasks), elemTask))
 			}
 		}

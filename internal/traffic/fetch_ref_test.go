@@ -16,8 +16,9 @@ import (
 // and the closed form: one closure call per source access of every
 // element-level update, a map for the (source processor, task) pairs. It
 // is the reference the code in fetch.go is pinned to, whole TaskComm.
-func refFetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32) *TaskComm {
-	nnz := ops.F.NNZ()
+func refFetchPerTask(s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32) *TaskComm {
+	ops := model.NewOps(s.F)
+	nnz := s.F.NNZ()
 	tc := &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
 	fetched := NewFetchDedup(s.P, nnz)
 	msgSeen := make(map[int64]struct{}) // distinct (source processor, task) pairs
@@ -47,49 +48,41 @@ func refFetchPerTask(ops *model.Ops, s *sched.Schedule, ntasks int, taskOf func(
 
 // checkAttribution holds got to the reference walk over taskOf, and its
 // volumes to Simulate's total.
-func checkAttribution(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, taskOf []int32, got *TaskComm) {
+func checkAttribution(t testing.TB, name string, s *sched.Schedule, taskOf []int32, got *TaskComm) {
 	t.Helper()
-	want := refFetchPerTask(ops, s, len(got.Vol), func(tgt int32) int32 { return taskOf[tgt] })
+	want := refFetchPerTask(s, len(got.Vol), func(tgt int32) int32 { return taskOf[tgt] })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: attribution differs from the reference walk (vol %d msgs %d, want %d / %d)",
 			name, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
 	}
-	if sim := Simulate(ops, s).Total; got.TotalVol() != sim {
+	if sim := Simulate(s).Total; got.TotalVol() != sim {
 		t.Fatalf("%s: volumes sum to %d, Simulate total %d", name, got.TotalVol(), sim)
 	}
 }
 
 // checkColumns holds both column paths to the reference on a
-// column-granular schedule: FetchStatsColumns' closed form and the run
-// kernel over the column index.
-func checkColumns(t testing.TB, name string, ops *model.Ops, s *sched.Schedule) {
+// column-granular schedule: FetchStats' closed form and the run kernel over
+// the column index.
+func checkColumns(t testing.TB, name string, s *sched.Schedule) {
 	t.Helper()
-	colOf := ops.F.ColIndex()
-	checkAttribution(t, name+"/columns", ops, s, colOf, FetchStatsColumns(ops, s))
-	checkAttribution(t, name+"/run kernel", ops, s, colOf, FetchStatsTasks(ops, s, ops.F.N, colOf))
+	colOf := s.F.ColIndex()
+	checkAttribution(t, name+"/columns", s, colOf, FetchStats(s))
+	checkAttribution(t, name+"/run kernel", s, colOf, FetchStatsTasks(s, s.F.N, colOf))
 }
 
 func TestFetchStatsPanics(t *testing.T) {
 	ops, part, ew := pipeline(gen.Grid9(5, 5), 4, 4)
 	s, bs := sched.WrapMap(ops.F, ew, 3), sched.BlockMap(part, 3)
-	short := &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1], ColProc: s.ColProc[1:]}
-	noProcs := &sched.Schedule{ElemProc: s.ElemProc, ColProc: s.ColProc}
-	_, twin, _ := pipeline(gen.Grid9(5, 5), 4, 4) // the same structure, analyzed again
+	noProcs := &sched.Schedule{F: s.F, ElemProc: s.ElemProc, ColProc: s.ColProc}
+	noUnitProcs := &sched.Schedule{F: bs.F, Part: bs.Part, ElemProc: bs.ElemProc, UnitProc: bs.UnitProc}
+	neither := &sched.Schedule{P: 3, F: s.F, ElemProc: s.ElemProc, Work: s.Work}
 	colOf := ops.F.ColIndex()
 	for name, fn := range map[string]func(){
-		"columns, short schedule": func() { FetchStatsColumns(ops, short) },
-		"columns, P = 0":          func() { FetchStatsColumns(ops, noProcs) },
-		"columns, no ColProc":     func() { FetchStatsColumns(ops, bs) },
-		"tasks, short schedule":   func() { FetchStatsTasks(ops, short, ops.F.N, colOf) },
-		"tasks, P = 0":            func() { FetchStatsTasks(ops, noProcs, ops.F.N, colOf) },
-		"tasks, short task map":   func() { FetchStatsTasks(ops, s, ops.F.N, colOf[1:]) },
-		"units, short partition": func() {
-			FetchStats(&core.Partition{F: part.F, Units: part.Units, ElemUnit: part.ElemUnit[1:]}, ops, bs)
-		},
-		"units, no UnitProc": func() { FetchStats(part, ops, s) },
-		"units, partition over another factor": func() {
-			FetchStats(twin, ops, sched.BlockMap(twin, 3))
-		},
+		"columns, P = 0":        func() { FetchStats(noProcs) },
+		"units, P = 0":          func() { FetchStats(noUnitProcs) },
+		"neither owner vector":  func() { FetchStats(neither) },
+		"tasks, P = 0":          func() { FetchStatsTasks(noProcs, ops.F.N, colOf) },
+		"tasks, short task map": func() { FetchStatsTasks(s, ops.F.N, colOf[1:]) },
 	} {
 		func() {
 			defer func() {
@@ -113,20 +106,20 @@ func TestFetchStatsAllocs(t *testing.T) {
 	for _, p := range []int{4, 100} {
 		ws, wl := sched.WrapMap(small.F, smallWork, p), sched.WrapMap(large.F, largeWork, p)
 		bs, bl := sched.BlockMap(smallPart, p), sched.BlockMap(part, p)
-		if fl := Simulate(large, wl).Total; fl < 100*Simulate(small, ws).Total/10 {
+		if fl := Simulate(wl).Total; fl < 100*Simulate(ws).Total/10 {
 			t.Fatalf("P=%d: LAP30 fetches %d elements, not ten times the small grid's; the pin compares nothing", p, fl)
 		}
-		cols := allocs(func() { FetchStatsColumns(large, wl) })
-		if base := allocs(func() { FetchStatsColumns(small, ws) }); cols != base || cols > 8 {
-			t.Errorf("P=%d: FetchStatsColumns allocates %.0f objects on LAP30, %.0f on a 6x6 grid; want equal and at most 8", p, cols, base)
+		cols := allocs(func() { FetchStats(wl) })
+		if base := allocs(func() { FetchStats(ws) }); cols != base || cols > 8 {
+			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30's column schedule, %.0f on a 6x6 grid; want equal and at most 8", p, cols, base)
 		}
-		blocks := allocs(func() { FetchStats(part, large, bl) })
-		if base := allocs(func() { FetchStats(smallPart, small, bs) }); blocks != base || blocks > 8 {
-			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30, %.0f on a 6x6 grid; want equal and at most 8", p, blocks, base)
+		blocks := allocs(func() { FetchStats(bl) })
+		if base := allocs(func() { FetchStats(bs) }); blocks != base || blocks > 8 {
+			t.Errorf("P=%d: FetchStats allocates %.0f objects on LAP30's block schedule, %.0f on a 6x6 grid; want equal and at most 8", p, blocks, base)
 		}
-		run := allocs(func() { FetchStatsTasks(large, bl, len(part.Units), part.ElemUnit) })
+		run := allocs(func() { FetchStatsTasks(bl, len(part.Units), part.ElemUnit) })
 		colOf := small.F.ColIndex()
-		if base := allocs(func() { FetchStatsTasks(small, ws, small.F.N, colOf) }); run != base || run > 8 {
+		if base := allocs(func() { FetchStatsTasks(ws, small.F.N, colOf) }); run != base || run > 8 {
 			t.Errorf("P=%d: the run kernel allocates %.0f objects on LAP30's block schedule, %.0f on a 6x6 grid; want equal and at most 8", p, run, base)
 		}
 	}
@@ -148,14 +141,14 @@ func BenchmarkFetchAttribution(b *testing.B) {
 			name string
 			fn   func()
 		}{
-			{"columns/reference", func() { refFetchPerTask(ops, wrap, ops.F.N, func(q int32) int32 { return colOf[q] }) }},
-			{"columns/closed", func() { FetchStatsColumns(ops, wrap) }},
-			{"columns/runs", func() { FetchStatsTasks(ops, wrap, ops.F.N, colOf) }},
+			{"columns/reference", func() { refFetchPerTask(wrap, ops.F.N, func(q int32) int32 { return colOf[q] }) }},
+			{"columns/closed", func() { FetchStats(wrap) }},
+			{"columns/runs", func() { FetchStatsTasks(wrap, ops.F.N, colOf) }},
 			{"blocks/reference", func() {
-				refFetchPerTask(ops, block, len(part.Units), func(q int32) int32 { return part.ElemUnit[q] })
+				refFetchPerTask(block, len(part.Units), func(q int32) int32 { return part.ElemUnit[q] })
 			}},
-			{"blocks/runs", func() { FetchStatsTasks(ops, block, len(part.Units), part.ElemUnit) }},
-			{"blocks/replay", func() { FetchStats(part, ops, block) }},
+			{"blocks/runs", func() { FetchStatsTasks(block, len(part.Units), part.ElemUnit) }},
+			{"blocks/replay", func() { FetchStats(block) }},
 		} {
 			b.Run(tm.Name+"/"+bc.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -191,9 +184,9 @@ func fuzzOwners(f *symbolic.Factor, p int, script []byte) []int32 {
 
 // checkBlocks holds FetchStats' read-map replay to the reference walk over
 // the unit map on a block schedule.
-func checkBlocks(t testing.TB, name string, part *core.Partition, ops *model.Ops, s *sched.Schedule) {
+func checkBlocks(t testing.TB, name string, s *sched.Schedule) {
 	t.Helper()
-	checkAttribution(t, name, ops, s, part.ElemUnit, FetchStats(part, ops, s))
+	checkAttribution(t, name, s, s.Part.ElemUnit, FetchStats(s))
 }
 
 // fuzzBlocks partitions the factor under options drawn from the script and
@@ -211,17 +204,16 @@ func fuzzBlocks(t *testing.T, fac *symbolic.Factor, p int, script []byte) {
 		MinClusterWidth: 2 + at(1)%4,
 		RelaxZeros:      float64(at(2)%4) * 0.15,
 	})
-	ops := model.NewOps(part.F)
-	shuffle := &sched.Schedule{P: p, UnitProc: make([]int32, len(part.Units)), ElemProc: make([]int32, part.F.NNZ())}
+	shuffle := &sched.Schedule{P: p, F: part.F, Part: part, UnitProc: make([]int32, len(part.Units)), ElemProc: make([]int32, part.F.NNZ())}
 	for u := range shuffle.UnitProc {
 		shuffle.UnitProc[u] = int32(at(3+u) % p)
 	}
 	for q, u := range part.ElemUnit {
 		shuffle.ElemProc[q] = shuffle.UnitProc[u]
 	}
-	checkBlocks(t, "fuzz/block", part, ops, sched.BlockMap(part, p))
-	checkBlocks(t, "fuzz/blockgreedy", part, ops, sched.BlockMapGreedy(part, p))
-	checkBlocks(t, "fuzz/unit-owner shuffle", part, ops, shuffle)
+	checkBlocks(t, "fuzz/block", sched.BlockMap(part, p))
+	checkBlocks(t, "fuzz/blockgreedy", sched.BlockMapGreedy(part, p))
+	checkBlocks(t, "fuzz/unit-owner shuffle", shuffle)
 }
 
 // FuzzFetchAttribution holds the run kernel to the reference walk on a
@@ -242,9 +234,8 @@ func FuzzFetchAttribution(f *testing.F) {
 			return
 		}
 		fac := symbolic.Analyze(m)
-		ops := model.NewOps(fac)
 		owners := fuzzOwners(fac, p, script)
-		s := &sched.Schedule{P: p, ElemProc: owners}
+		s := &sched.Schedule{P: p, F: fac, ElemProc: owners}
 		// A random task map: any number of tasks up to one per element.
 		rng := rand.New(rand.NewSource(int64(len(data))<<8 | int64(data[0])))
 		ntasks := 1 + rng.Intn(fac.NNZ())
@@ -252,9 +243,9 @@ func FuzzFetchAttribution(f *testing.F) {
 		for q := range taskOf {
 			taskOf[q] = int32(rng.Intn(ntasks))
 		}
-		checkAttribution(t, "fuzz/tasks", ops, s, taskOf, FetchStatsTasks(ops, s, ntasks, taskOf))
+		checkAttribution(t, "fuzz/tasks", s, taskOf, FetchStatsTasks(s, ntasks, taskOf))
 		if cols := ownerPerColumn(fac, owners); cols != nil {
-			checkColumns(t, "fuzz", ops, sched.ColumnMap(fac, model.ElementWork(ops), p, cols))
+			checkColumns(t, "fuzz", sched.ColumnMap(fac, model.ElementWork(model.NewOps(fac)), p, cols))
 		}
 		fuzzBlocks(t, fac, p, script)
 	})

@@ -17,11 +17,11 @@ func TestCommFetchStatsConservation(t *testing.T) {
 		ops, part, ew := pipeline(m, 4, 3)
 		for _, p := range []int{2, 8, 16} {
 			bs := sched.BlockMap(part, p)
-			if FetchStats(part, ops, bs).TotalVol() != Simulate(ops, bs).Total {
+			if FetchStats(bs).TotalVol() != Simulate(bs).Total {
 				return false
 			}
 			ws := sched.WrapMap(ops.F, ew, p)
-			if FetchStatsColumns(ops, ws).TotalVol() != Simulate(ops, ws).Total {
+			if FetchStats(ws).TotalVol() != Simulate(ws).Total {
 				return false
 			}
 		}
@@ -38,7 +38,7 @@ func TestCommFetchStatsBasics(t *testing.T) {
 	ops, part, ew := pipeline(gen.Lap30(), 25, 4)
 	const p = 16
 	bs := sched.BlockMap(part, p)
-	tc := FetchStats(part, ops, bs)
+	tc := FetchStats(bs)
 	if len(tc.Vol) != len(part.Units) || len(tc.Msgs) != len(part.Units) {
 		t.Fatalf("per-unit stats cover %d/%d tasks, partition has %d units",
 			len(tc.Vol), len(tc.Msgs), len(part.Units))
@@ -48,7 +48,7 @@ func TestCommFetchStatsBasics(t *testing.T) {
 		t.Error("block schedule at P=16 produced no messages")
 	}
 	ws := sched.WrapMap(ops.F, ew, p)
-	wc := FetchStatsColumns(ops, ws)
+	wc := FetchStats(ws)
 	if len(wc.Vol) != ops.F.N {
 		t.Fatalf("per-column stats cover %d tasks, factor has %d columns", len(wc.Vol), ops.F.N)
 	}
@@ -74,11 +74,11 @@ func checkTaskComm(t *testing.T, tc *TaskComm, p int) {
 func TestCommFetchStatsSingleProc(t *testing.T) {
 	ops, part, ew := pipeline(gen.Grid9(6, 6), 4, 3)
 	bs := sched.BlockMap(part, 1)
-	if tc := FetchStats(part, ops, bs); tc.TotalVol() != 0 || tc.TotalMsgs() != 0 {
+	if tc := FetchStats(bs); tc.TotalVol() != 0 || tc.TotalMsgs() != 0 {
 		t.Errorf("P=1 block: vol %d msgs %d, want 0", tc.TotalVol(), tc.TotalMsgs())
 	}
 	ws := sched.WrapMap(ops.F, ew, 1)
-	if tc := FetchStatsColumns(ops, ws); tc.TotalVol() != 0 || tc.TotalMsgs() != 0 {
+	if tc := FetchStats(ws); tc.TotalVol() != 0 || tc.TotalMsgs() != 0 {
 		t.Errorf("P=1 wrap: vol %d msgs %d, want 0", tc.TotalVol(), tc.TotalMsgs())
 	}
 }

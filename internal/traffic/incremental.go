@@ -12,8 +12,8 @@ import (
 // Incremental is Simulate's total kept exact under group moves, for the
 // searches that reassign one owner-uniform group of elements per trial
 // (the rect2d descent's tiles, refine's columns or unit blocks): Move
-// returns the new total, which always equals Simulate(ops, s).Total for
-// the schedule's current ElemProc, and a rejected trial is a Move back.
+// returns the new total, which always equals Simulate(s).Total for the
+// schedule's current ElemProc, and a rejected trial is a Move back.
 //
 // The state is one reader count per (element, processor), filled from
 // the groups' records, each group's under its owner; the total is the

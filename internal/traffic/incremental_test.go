@@ -37,7 +37,7 @@ func newOracleCheck(t testing.TB, name string, ops *model.Ops, s *sched.Schedule
 	for _, b := range boxes {
 		c.elems = append(c.elems, boxElems(ops.F, b))
 	}
-	c.ref = newRefIncremental(ops, &sched.Schedule{P: s.P, ElemProc: slices.Clone(s.ElemProc)})
+	c.ref = newRefIncremental(ops, &sched.Schedule{P: s.P, F: s.F, ElemProc: slices.Clone(s.ElemProc)})
 	c.inc = NewIncremental(NewGroups(ops, boxes), s)
 	c.verify(c.inc.Total(), "build")
 	return c
@@ -60,7 +60,7 @@ func (c *oracleCheck) verify(got int64, what string) {
 	if total := c.inc.Total(); got != total {
 		c.t.Fatalf("%s move %d (%s): Move returned %d, Total() %d", c.name, c.n, what, got, total)
 	}
-	if want := Simulate(c.ops, c.s).Total; got != want {
+	if want := Simulate(c.s).Total; got != want {
 		c.t.Fatalf("%s move %d (%s): incremental total %d, Simulate %d", c.name, c.n, what, got, want)
 	}
 	if got != c.ref.total {
@@ -149,7 +149,7 @@ func randomBounds(rng *rand.Rand, n int) []int {
 // groupSchedule gives every group one owner, owner(g), and each element
 // its group's.
 func groupSchedule(f *symbolic.Factor, p int, boxes []Box, owner func(g int) int32) *sched.Schedule {
-	s := &sched.Schedule{P: p, ElemProc: make([]int32, f.NNZ())}
+	s := &sched.Schedule{P: p, F: f, ElemProc: make([]int32, f.NNZ())}
 	for g, b := range boxes {
 		for _, q := range boxElems(f, b) {
 			s.ElemProc[q] = owner(g)

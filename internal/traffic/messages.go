@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 
-	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -31,22 +30,23 @@ type MessageStats struct {
 	MaxSize  int64
 }
 
-// Consolidate runs the element-fetch simulation and groups the distinct
-// fetches into messages, one per (source group, destination processor)
-// pair: groupOf maps every factor element to its group — the unit blocks
-// of a block-partitioned schedule (core.Partition.ElemUnit), the columns
-// of a column-mapped one (symbolic.Factor.ColIndex), the natural
-// consolidation unit when whole columns live on one processor.
-func Consolidate(ops *model.Ops, s *sched.Schedule, groupOf []int32) *MessageStats {
-	if nnz := ops.F.NNZ(); len(s.ElemProc) != nnz || len(groupOf) != nnz {
-		panic(fmt.Sprintf("traffic: schedule (%d elements) or groups (%d) over a different factor (%d)", len(s.ElemProc), len(groupOf), nnz))
+// Consolidate runs the element-fetch simulation of a schedule over the
+// factor it assigns, s.F, and groups the distinct fetches into messages,
+// one per (source group, destination processor) pair: groupOf maps every
+// element of s.F to its group — the unit blocks of a block-partitioned
+// schedule (s.Part.ElemUnit), the columns of a column-mapped one
+// (symbolic.Factor.ColIndex), the natural consolidation unit when whole
+// columns live on one processor.
+func Consolidate(s *sched.Schedule, groupOf []int32) *MessageStats {
+	if nnz := s.F.NNZ(); len(groupOf) != nnz {
+		panic(fmt.Sprintf("traffic: %d groups over a factor of %d elements", len(groupOf), nnz))
 	}
 	type key struct {
 		group int32
 		proc  int32
 	}
 	sizes := make(map[key]int64)
-	firstFetches(ops, s, nil).each(func(elem, proc int32) {
+	firstFetches(s, nil).each(func(elem, proc int32) {
 		sizes[key{groupOf[elem], proc}]++
 	})
 	st := &MessageStats{P: s.P, PerProc: make([]int64, s.P)}

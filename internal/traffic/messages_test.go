@@ -16,11 +16,11 @@ func TestConsolidateVolumeMatchesSimulate(t *testing.T) {
 		ops, part, ew := pipeline(m, 4, 3)
 		for _, p := range []int{2, 8, 16} {
 			bs := sched.BlockMap(part, p)
-			if Consolidate(ops, bs, part.ElemUnit).Elements != Simulate(ops, bs).Total {
+			if Consolidate(bs, part.ElemUnit).Elements != Simulate(bs).Total {
 				return false
 			}
 			ws := sched.WrapMap(ops.F, ew, p)
-			if Consolidate(ops, ws, ops.F.ColIndex()).Elements != Simulate(ops, ws).Total {
+			if Consolidate(ws, ops.F.ColIndex()).Elements != Simulate(ws).Total {
 				return false
 			}
 		}
@@ -32,9 +32,9 @@ func TestConsolidateVolumeMatchesSimulate(t *testing.T) {
 }
 
 func TestConsolidateBasics(t *testing.T) {
-	ops, part, _ := pipeline(gen.Lap30(), 25, 4)
+	_, part, _ := pipeline(gen.Lap30(), 25, 4)
 	s := sched.BlockMap(part, 16)
-	st := Consolidate(ops, s, part.ElemUnit)
+	st := Consolidate(s, part.ElemUnit)
 	if st.Messages <= 0 || st.Messages > st.Elements {
 		t.Fatalf("messages %d, elements %d", st.Messages, st.Elements)
 	}
@@ -57,8 +57,8 @@ func TestBlockConsolidatesBetterThanWrap(t *testing.T) {
 		ops, part, ew := pipeline(tm.Build(), 25, 4)
 		bs := sched.BlockMap(part, 16)
 		ws := sched.WrapMap(ops.F, ew, 16)
-		b := Consolidate(ops, bs, part.ElemUnit)
-		w := Consolidate(ops, ws, ops.F.ColIndex())
+		b := Consolidate(bs, part.ElemUnit)
+		w := Consolidate(ws, ops.F.ColIndex())
 		if b.Messages >= w.Messages {
 			t.Errorf("%s: block messages %d not below wrap %d", tm.Name, b.Messages, w.Messages)
 		}
@@ -70,9 +70,9 @@ func TestBlockConsolidatesBetterThanWrap(t *testing.T) {
 }
 
 func TestConsolidateSingleProcessor(t *testing.T) {
-	ops, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
+	_, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
 	s := sched.BlockMap(part, 1)
-	st := Consolidate(ops, s, part.ElemUnit)
+	st := Consolidate(s, part.ElemUnit)
 	if st.Messages != 0 || st.Elements != 0 {
 		t.Fatalf("P=1 produced messages: %+v", st)
 	}
@@ -84,21 +84,21 @@ func TestFetchVolumesSumToTotal(t *testing.T) {
 		ops, part, ew := pipeline(m, 4, 3)
 		for _, p := range []int{2, 8} {
 			bs := sched.BlockMap(part, p)
-			vol := FetchStats(part, ops, bs).Vol
+			vol := FetchStats(bs).Vol
 			var sum int64
 			for _, v := range vol {
 				sum += v
 			}
-			if sum != Simulate(ops, bs).Total {
+			if sum != Simulate(bs).Total {
 				return false
 			}
 			ws := sched.WrapMap(ops.F, ew, p)
-			cvol := FetchStatsColumns(ops, ws).Vol
+			cvol := FetchStats(ws).Vol
 			sum = 0
 			for _, v := range cvol {
 				sum += v
 			}
-			if sum != Simulate(ops, ws).Total {
+			if sum != Simulate(ws).Total {
 				return false
 			}
 		}
@@ -110,9 +110,9 @@ func TestFetchVolumesSumToTotal(t *testing.T) {
 }
 
 func TestFetchVolumesZeroOnOneProc(t *testing.T) {
-	ops, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
+	_, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
 	s := sched.BlockMap(part, 1)
-	for u, v := range FetchStats(part, ops, s).Vol {
+	for u, v := range FetchStats(s).Vol {
 		if v != 0 {
 			t.Fatalf("unit %d has fetch volume %d on one processor", u, v)
 		}

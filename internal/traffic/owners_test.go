@@ -15,17 +15,30 @@ import (
 
 // ownersHold returns how sc departs from the owner-vector format, "" when
 // it keeps it: exactly one of UnitProc (over the units of opts.Part's
-// partition) and ColProc (over sys.F's columns) is set, every owner is a
-// processor of sc, every element sits on its unit's or column's owner, and
-// Work is the per-processor sum of the element work. A block schedule is
-// checked over its partition's factor, which relaxation may pad.
+// partition) and ColProc (over sys.F's columns) is set, the schedule
+// carries the structure that vector indexes (Part, set exactly when
+// UnitProc is, and F: the partition's factor, padded when relaxed, or
+// sys.F), every owner is a processor of sc, every element sits on its
+// unit's or column's owner, and Work is the per-processor sum of the
+// element work.
 func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) string {
 	f, elemWork, owner, of := sys.F, sys.ElemWork, sc.ColProc, sys.F.ColIndex()
 	switch {
 	case (sc.UnitProc == nil) == (sc.ColProc == nil):
 		return fmt.Sprintf("UnitProc set %v, ColProc set %v; want exactly one", sc.UnitProc != nil, sc.ColProc != nil)
+	case (sc.Part == nil) != (sc.UnitProc == nil):
+		return fmt.Sprintf("Part set %v, UnitProc set %v; want both or neither", sc.Part != nil, sc.UnitProc != nil)
 	case sc.UnitProc != nil:
 		part := sys.Partition(opts.Part)
+		if sc.Part != part {
+			return "Part is not the partition of the mapping options"
+		}
+		if sc.F != part.F {
+			return "F is not the factor of the schedule's partition"
+		}
+		if part.Opts.RelaxZeros == 0 && sc.F != f {
+			return "F of an unrelaxed block schedule is not the analysis factor"
+		}
 		if part.F != f {
 			f, elemWork = part.F, model.ElementWork(model.NewOps(part.F))
 		}
@@ -33,6 +46,8 @@ func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) st
 		if len(owner) != len(part.Units) {
 			return fmt.Sprintf("%d unit owners for %d units", len(owner), len(part.Units))
 		}
+	case sc.F != f:
+		return "F of a column schedule is not the analysis factor"
 	case len(owner) != f.N:
 		return fmt.Sprintf("%d column owners for %d columns", len(owner), f.N)
 	}
@@ -60,14 +75,17 @@ func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) st
 }
 
 // columnsHold returns how a 2D schedule's bridge departs from its
-// tiling, "" when it does not: Schedule().ColProc is set exactly when
-// every column's elements share one owner (equivalently, every block
-// column's tiles do: each non-empty tile of a block column holds an
-// element of a column whose diagonal is in the diagonal tile), and then
-// keeps the owner-vector format.
+// tiling, "" when it does not: Schedule() carries the analysis factor and
+// no partition, its ColProc is set exactly when every column's elements
+// share one owner (equivalently, every block column's tiles do: each
+// non-empty tile of a block column holds an element of a column whose
+// diagonal is in the diagonal tile), and then it keeps the owner-vector
+// format.
 func columnsHold(sys *strategy.Sys, s2 *part2d.Schedule2D) string {
 	sc := s2.Schedule()
 	switch want := traffic.OwnerPerColumn(sys.F, sc.ElemProc); {
+	case sc.F != sys.F || sc.Part != nil:
+		return "the bridge is not over the analysis factor alone"
 	case want == nil && sc.ColProc != nil:
 		return "ColProc set on a tiling that splits a column"
 	case want != nil && sc.ColProc == nil:
@@ -78,12 +96,13 @@ func columnsHold(sys *strategy.Sys, s2 *part2d.Schedule2D) string {
 	return ownersHold(sys, strategy.Options{}, sc)
 }
 
-// TestSchedulesKeepTheirOwners is the invariant behind FetchStats',
-// FetchStatsColumns', strategy.Tasks' and part2d.Lift's reading the owner
-// vector without checking it: the suite under every registered 1D
-// strategy (block-granular ones at grain 4 and 25 and at relaxation 0.3,
-// refine over block and wrap under every objective) and every 2D mapper
-// and lift, at five processor counts (two under -race and -short).
+// TestSchedulesKeepTheirOwners is the invariant behind traffic.Simulate's,
+// FetchStats', strategy.Tasks', refine's and part2d.Lift's reading the
+// owner vector and the structure a schedule carries without checking
+// either: the suite under every registered 1D strategy (block-granular
+// ones at grain 4 and 25 and at relaxation 0.3, refine over block and wrap
+// under every objective, whose clones must keep F and Part) and every 2D
+// mapper and lift, at five processor counts (two under -race and -short).
 func TestSchedulesKeepTheirOwners(t *testing.T) {
 	parts := []core.Options{{Grain: 4}, {Grain: 25}, {RelaxZeros: 0.3}}
 	var configs []strategy.Options

@@ -105,7 +105,7 @@ func TestColumnRefsReproduceSimulate(t *testing.T) {
 		for sname, owner := range schedules {
 			p := procs[sname]
 			sc := sched.ColumnMap(f, model.ElementWork(ops), p, owner)
-			if got, want := refsTotal(ops, refs, owner), Simulate(ops, sc).Total; got != want {
+			if got, want := refsTotal(ops, refs, owner), Simulate(sc).Total; got != want {
 				t.Errorf("%s/%s: refs-derived total %d, Simulate total %d", name, sname, got, want)
 			}
 		}

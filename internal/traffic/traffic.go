@@ -22,7 +22,6 @@
 package traffic
 
 import (
-	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -76,14 +75,14 @@ func (r *Result) MeanPartners() float64 {
 	return float64(sum) / float64(r.P)
 }
 
-// Simulate runs the traffic model for a schedule. The factor ops must be
-// built over the same symbolic factor the schedule was computed from.
+// Simulate runs the traffic model for a schedule over the factor it
+// assigns, s.F.
 //
 // It always takes the element-level walk (O(#updates)), whatever the
-// schedule's shape: it is the oracle the closed form of FetchStatsColumns
-// and the reader counts of Incremental are held to.
-func Simulate(ops *model.Ops, s *sched.Schedule) *Result {
-	fetched := firstFetches(ops, s, nil)
+// schedule's shape: it is the oracle the passes of FetchStats and the
+// reader counts of Incremental are held to.
+func Simulate(s *sched.Schedule) *Result {
+	fetched := firstFetches(s, nil)
 	r := &Result{
 		P:       s.P,
 		PerProc: make([]int64, s.P),

@@ -195,8 +195,8 @@ type MeasureOptions = exec.MeasureOptions
 type Measurement = exec.Measurement
 
 // Simulate runs the dependency-delay simulation of an arbitrary task DAG
-// on p processors (tasks must be topologically ordered by ID and carry
-// their processor assignment); o selects static or dynamic per-processor
+// on p processors (every task's predecessors earlier in the slice, by
+// index, and each task carrying its processor assignment); o selects static or dynamic per-processor
 // order, communication charges and tracing. Plan.Simulate is this call on
 // a plan's own task graph and fetch attribution.
 func Simulate(tasks []Task, p int, o SimOptions) MakespanResult {

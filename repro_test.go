@@ -267,9 +267,9 @@ func TestSolveParallelEndToEnd(t *testing.T) {
 
 func TestSimulateDAGAPI(t *testing.T) {
 	tasks := []repro.Task{
-		{ID: 0, Proc: 0, Work: 4},
-		{ID: 1, Proc: 1, Work: 4},
-		{ID: 2, Proc: 0, Work: 4, Preds: []int32{0, 1}},
+		{Proc: 0, Work: 4},
+		{Proc: 1, Work: 4},
+		{Proc: 0, Work: 4, Preds: []int32{0, 1}},
 	}
 	if cp := repro.CriticalPath(tasks); cp != 8 {
 		t.Fatalf("critical path %d, want 8", cp)
@@ -285,13 +285,21 @@ func TestSimulateDAGAPI(t *testing.T) {
 }
 
 // TestTrafficPartConsistentWhenUnrelaxed: on an unrelaxed partition the
-// plan's traffic (simulated over the partition's own structure) is the
-// traffic of its schedule over the analysis structure.
+// schedule assigns the analysis factor itself, and the plan's traffic
+// (simulated over the schedule's own structure) is the traffic of its
+// owners over the analysis structure.
 func TestTrafficPartConsistentWhenUnrelaxed(t *testing.T) {
 	an := analyze(t, repro.LAP30())
 	pl := plan(t, an, "block", 16, repro.StrategyOptions{Part: repro.PartitionOptions{Grain: 25}})
-	if a, b := traffic.Simulate(an.Ops, pl.S1).Total, pl.Traffic().Total; a != b {
+	s := *pl.S1
+	s.F = an.Ops.F
+	if a, b := traffic.Simulate(&s).Total, pl.Traffic().Total; a != b {
 		t.Fatalf("traffic over the analysis ops %d != Plan.Traffic %d on unrelaxed partition", a, b)
+	}
+	// FactorKey tells a relaxed plan's factor from the analysis one by
+	// this pointer.
+	if pl.S1.F != an.Ops.F || pl.S1.Part == nil || pl.S1.Part.F != an.Ops.F {
+		t.Fatal("unrelaxed block schedule does not assign the analysis factor")
 	}
 }
 
