@@ -1,16 +1,16 @@
-// Strategies: the pluggable partitioning-strategy registry end to end.
+// Strategies: the partitioning-strategy table end to end.
 //
 // The paper compares two fixed mapping schemes; internal/strategy turns
-// the choice into a registry so any number of schemes produce ordinary
-// schedules that the traffic, load-balance and makespan simulators
-// evaluate unchanged. This example maps LAP30 on 16 processors with every
-// registered strategy, then shows the composition knobs: the blockcyclic
-// block-size sweep (interpolating from wrap to contiguous locality), the
-// work-slack sweep of the total-communication-optimal contigtotal
-// mapper, the refine pass stacked on different bases (including the
-// subtree-to-subcube, symmetric-rectilinear and contigtotal mappers),
-// and a refine pass driven directly by the unified comm-aware dynamic
-// makespan (objective "commspan").
+// the choice into a table of named functions so any number of schemes
+// produce ordinary schedules that the traffic, load-balance and makespan
+// simulators evaluate unchanged. This example maps LAP30 on 16 processors
+// with every strategy in the table, then shows the composition knobs:
+// the blockcyclic block-size sweep (interpolating from wrap to contiguous
+// locality), the work-slack sweep of the total-communication-optimal
+// contigtotal mapper, the refine pass stacked on different bases
+// (including the subtree-to-subcube, symmetric-rectilinear and
+// contigtotal mappers), and a refine pass driven directly by the unified
+// comm-aware dynamic makespan (objective "commspan").
 package main
 
 import (

@@ -9,39 +9,34 @@ import (
 	"repro/internal/traffic"
 )
 
-// Mapper2D is one 2D partitioning/mapping strategy: Map2D assigns the
-// factorization work of sys to p processors at tile granularity and
-// returns the 2D schedule. Mappers consume the same strategy.Sys and
-// strategy.Options as the 1D registry, so the two registries share every
-// analysis product and knob.
-type Mapper2D interface {
-	Name() string
-	Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error)
+// map2DFunc is one 2D strategy: it assigns the factorization work of sys
+// to p processors, p already validated by Map2D, at tile granularity. It
+// reads the same strategy.Sys and strategy.Options as the 1D strategies,
+// so the two tables share every analysis product and knob.
+type map2DFunc func(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error)
+
+// mappers2D is the 2D strategy table.
+var mappers2D = strategy.Registry[map2DFunc]{
+	{"col2d", col2d},
+	{"rect2d", rect2d},
+	{"rect2dcyclic", rect2dCyclic},
+	{"rect2dlpt", rect2dLPT},
 }
 
-var registry strategy.Registry[Mapper2D]
-
-// Register2D adds a 2D strategy to the registry. It panics on an empty
-// name or a duplicate registration, mirroring strategy.Register.
-func Register2D(m Mapper2D) { registry.Register(m) }
-
-// Lookup2D returns the registered 2D strategy with the given name.
-func Lookup2D(name string) (Mapper2D, bool) { return registry.Lookup(name) }
-
-// Names2D returns the sorted names of all registered 2D strategies.
-func Names2D() []string { return registry.Names() }
+// Names2D returns the sorted names of all 2D strategies.
+func Names2D() []string { return mappers2D.Names() }
 
 // Map2D runs the named 2D strategy, returning a descriptive error when
-// the name is unknown.
+// the name is unknown or p is below one.
 func Map2D(name string, sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
-	m, err := registry.Find("part2d: unknown 2D strategy", name)
+	m, err := mappers2D.Find("part2d: unknown 2D strategy", name)
 	if err != nil {
 		return nil, err
 	}
-	return m.Map2D(sys, p, opts)
+	return m(sys, p, opts)
 }
 
 // rectBounds returns the shared diagonal intervals of the symmetric
@@ -60,7 +55,7 @@ func rectBounds(sys *strategy.Sys, p int) []int {
 	return bounds
 }
 
-// rect2dMapper keeps the 2D tile structure the 1D rectilinear mapper
+// rect2d keeps the 2D tile structure the 1D rectilinear mapper
 // flattens away. The shared diagonal intervals come from the same
 // binary-search cuts (minimal maximum tile work); ownership starts from
 // the column-flattened assignment (every tile of block column c to
@@ -74,22 +69,7 @@ func rectBounds(sys *strategy.Sys, p int) []int {
 // by the Ext-T regression on LAP30. Options.MaxMoves caps the number of
 // trial evaluations (<= 0 selects the default of 128, the same knob the
 // 1D refine strategy uses).
-type rect2dMapper struct{}
-
-func (rect2dMapper) Name() string { return "rect2d" }
-
-// defaultRect2DEvals bounds the trials of the rect2d descent. A trial
-// moves one tile through traffic.Incremental and costs the tile's read
-// records and elements, not a traffic simulation. The budget is not sized
-// to that cost: the descent's answer depends on it, so raising it changes
-// every rect2d schedule and count in the ledger and belongs in a change
-// that says so.
-const defaultRect2DEvals = 128
-
-func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := sched.CheckProcs("part2d", p); err != nil {
-		return nil, err
-	}
+func rect2d(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
 	bounds := rectBounds(sys, p)
 	budget := opts.MaxMoves
 	if budget <= 0 {
@@ -99,6 +79,14 @@ func (rect2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Sch
 	owner := trafficGuardedOwners(sys, p, bounds, tl, budget, opts.Search)
 	return newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner), nil
 }
+
+// defaultRect2DEvals bounds the trials of the rect2d descent. A trial
+// moves one tile through traffic.Incremental and costs the tile's read
+// records and elements, not a traffic simulation. The budget is not sized
+// to that cost: the descent's answer depends on it, so raising it changes
+// every rect2d schedule and count in the ledger and belongs in a change
+// that says so.
+const defaultRect2DEvals = 128
 
 // trafficGuardedOwners runs the rect2d descent: flattened start, then
 // traffic-guarded single-tile moves, heaviest tiles first, within the
@@ -212,21 +200,14 @@ func trafficGuardedOwners(sys *strategy.Sys, p int, bounds []int, tl *tiling, bu
 	return owner
 }
 
-// rect2dlptMapper shares rect2d's diagonal intervals but assigns every
+// rect2dLPT shares rect2d's diagonal intervals but assigns every
 // lower-triangle tile by greedy tile-work LPT — heaviest tile first onto
 // the least-loaded processor. It is the balance extreme of the 2D family:
 // near-perfect load balance (tiles are much finer than block columns) at
 // the cost of scattering each block column's readers, hence more
 // deduplicated traffic than rect2d's guarded descent. Only non-empty tiles
 // are dealt: an empty one adds no load, so it changes no later pick.
-type rect2dlptMapper struct{}
-
-func (rect2dlptMapper) Name() string { return "rect2dlpt" }
-
-func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := sched.CheckProcs("part2d", p); err != nil {
-		return nil, err
-	}
+func rect2dLPT(sys *strategy.Sys, p int, _ strategy.Options) (*Schedule2D, error) {
 	bounds := rectBounds(sys, p)
 	tl := newTiling(sys.F, bounds)
 	tw := tl.work(sys.ElemWork)
@@ -245,19 +226,12 @@ func (rect2dlptMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*
 	return newSchedule(sys.F, sys.ElemWork, p, bounds, tl, owner), nil
 }
 
-// rect2dcyclicMapper uses the same rectilinear diagonal intervals but
+// rect2dCyclic uses the same rectilinear diagonal intervals but
 // assigns tile owners by 2D wrap over a pr x pc processor grid (pr the
 // largest divisor of p at most sqrt(p)): tile (r, c) goes to processor
 // (r mod pr)*pc + (c mod pc), the classical 2D block-cyclic layout that
 // bounds every tile row's and tile column's owner set by pc and pr.
-type rect2dcyclicMapper struct{}
-
-func (rect2dcyclicMapper) Name() string { return "rect2dcyclic" }
-
-func (rect2dcyclicMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := sched.CheckProcs("part2d", p); err != nil {
-		return nil, err
-	}
+func rect2dCyclic(sys *strategy.Sys, p int, _ strategy.Options) (*Schedule2D, error) {
 	pr := 1
 	for d := 2; d*d <= p; d++ {
 		if p%d == 0 {
@@ -281,7 +255,7 @@ func LiftBases() []string {
 	return []string{"wrap", "contiguous", "contigtotal", "rectilinear", "subcube", "blockcyclic"}
 }
 
-// col2dMapper lifts any registered column-granular 1D strategy into the
+// col2d lifts any column-granular 1D strategy into the
 // 2D subsystem: it runs the base strategy (opts.Base, default "wrap"),
 // derives the maximal runs of constant column ownership as the diagonal
 // intervals, and assigns every tile of a block column to the column's 1D
@@ -289,14 +263,7 @@ func LiftBases() []string {
 // schedule's, its 2D traffic total equals the 1D simulated total, and the
 // 2D makespan simulators are bit-identical to the 1D ones — the bridge
 // that makes every existing mapper comparable in the 2D simulators.
-type col2dMapper struct{}
-
-func (col2dMapper) Name() string { return "col2d" }
-
-func (col2dMapper) Map2D(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
-	if err := sched.CheckProcs("part2d", p); err != nil {
-		return nil, err
-	}
+func col2d(sys *strategy.Sys, p int, opts strategy.Options) (*Schedule2D, error) {
 	base := opts.Base
 	if base == "" {
 		base = "wrap"
@@ -331,11 +298,4 @@ func Lift(sys *strategy.Sys, sc *sched.Schedule, name string) (*Schedule2D, erro
 		bounds = append(bounds, f.N)
 	}
 	return New(sys.F, sys.ElemWork, sc.P, bounds, func(_, c int) int32 { return owner1d[bounds[c]] })
-}
-
-func init() {
-	Register2D(rect2dMapper{})
-	Register2D(rect2dlptMapper{})
-	Register2D(rect2dcyclicMapper{})
-	Register2D(col2dMapper{})
 }

@@ -36,19 +36,19 @@
 //     segments the tile index cuts the factor's columns into — one visit
 //     per segment a run reads, not per update — with answers identical to
 //     the update walk's, which stays the test oracle.
-//   - A Mapper2D registry (Register2D/Map2D) seeded with rect2d (tiles
-//     from the rectilinear cuts, owners by a traffic-guarded descent from
-//     the column-flattened assignment, never exceeding its traffic),
+//   - A table of 2D mappers (Names2D/Map2D): rect2d (tiles from the
+//     rectilinear cuts, owners by a traffic-guarded descent from the
+//     column-flattened assignment, never exceeding its traffic),
 //     rect2dlpt (the same tiles, owners by greedy tile-work LPT),
 //     rect2dcyclic (owners by 2D wrap over a processor grid) and col2d
-//     (any registered column-granular 1D strategy lifted to a tiling
-//     whose block columns it owns — the bridge that makes every existing
-//     mapper comparable in the 2D simulators).
+//     (any column-granular 1D strategy lifted to a tiling whose block
+//     columns it owns — the bridge that makes every existing mapper
+//     comparable in the 2D simulators).
 //
 // This is the architectural step that opens 2D algorithms (block-cyclic
-// 2D, subcube-2D) as drop-ins: a new Mapper2D registers itself and
-// immediately appears in the repro API, cmd/sweep -kind tile2d,
-// cmd/paperbench -table tile2d and the Ext-T tables.
+// 2D, subcube-2D) as drop-ins: a new 2D mapper is one entry of the table
+// in mappers.go and immediately appears in the repro API, cmd/sweep
+// -kind tile2d, cmd/paperbench -table tile2d and the Ext-T tables.
 package part2d
 
 import (
@@ -71,7 +71,7 @@ import (
 // most nnz(L) of them — so a schedule costs O(nnz(L) + R) whatever R is (a
 // col2d lift of wrap has R = n).
 //
-// A schedule is valid by construction: New, Lift and the registered
+// A schedule is valid by construction: New, Lift and the table's
 // mappers are its only constructors, and each puts every element on its
 // tile's owner. Tasks, FetchStats and Traffic read the tile owners and
 // re-check none of that.

@@ -48,46 +48,25 @@ func suite(t testing.TB) map[string]*strategy.Sys {
 
 func lapSys(t testing.TB) *strategy.Sys { return suite(t)["LAP30"] }
 
-type testMapper2D struct{ name string }
-
-func (m testMapper2D) Name() string { return m.name }
-func (m testMapper2D) Map2D(*strategy.Sys, int, strategy.Options) (*Schedule2D, error) {
-	return nil, nil
-}
-
+// TestRegistry2D holds the 2D mapper table to the shipped list: sorted,
+// unique, and every name listed by the error an unknown name gets.
 func TestRegistry2D(t *testing.T) {
+	want := []string{"col2d", "rect2d", "rect2dcyclic", "rect2dlpt"}
 	names := Names2D()
-	for _, want := range []string{"col2d", "rect2d", "rect2dcyclic", "rect2dlpt"} {
-		if _, ok := Lookup2D(want); !ok {
-			t.Errorf("Lookup2D(%q) = false, want registered", want)
-		}
+	if !slices.Equal(names, want) {
+		t.Errorf("Names2D() = %v, want %v", names, want)
 	}
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
-			t.Errorf("Names2D() not sorted: %v", names)
+			t.Errorf("Names2D() not sorted and unique: %v", names)
 		}
 	}
-	if _, ok := Lookup2D("no-such-strategy"); ok {
-		t.Error("Lookup2D of unknown strategy succeeded")
+	list := "(registered: " + strings.Join(want, ", ") + ")"
+	for _, name := range []string{"no-such-strategy", "", "RECT2D", "wrap"} {
+		if _, err := Map2D(name, nil, 4, strategy.Options{}); err == nil || !strings.HasSuffix(err.Error(), list) {
+			t.Errorf("Map2D(%q) error = %v, want one ending %s", name, err, list)
+		}
 	}
-	if _, err := Map2D("no-such-strategy", nil, 4, strategy.Options{}); err == nil ||
-		!strings.Contains(err.Error(), "rect2d") {
-		t.Errorf("Map2D(unknown) error = %v, want one listing registered names", err)
-	}
-}
-
-func TestRegister2DPanics(t *testing.T) {
-	mustPanic := func(name string, m Mapper2D) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register2D(%q) did not panic", name)
-			}
-		}()
-		Register2D(m)
-	}
-	mustPanic("duplicate", testMapper2D{name: "rect2d"})
-	mustPanic("empty", testMapper2D{name: ""})
 }
 
 func TestMap2DInvalidProcs(t *testing.T) {

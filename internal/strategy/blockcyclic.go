@@ -8,20 +8,13 @@ import (
 // Options.BlockSize is unset.
 const DefaultBlockSize = 4
 
-// blockCyclicMapper deals fixed-size blocks of consecutive columns to
+// blockCyclic deals fixed-size blocks of consecutive columns to
 // processors cyclically: column j belongs to processor (j/b) mod P. Block
 // size 1 is exactly the wrap mapping; growing b trades the wrap mapping's
 // fine-grained balance for supernode locality (consecutive columns of a
 // cluster tend to land together), the classical ScaLAPACK-style
 // compromise between cyclic and contiguous layouts.
-type blockCyclicMapper struct{}
-
-func (blockCyclicMapper) Name() string { return "blockcyclic" }
-
-func (blockCyclicMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
+func blockCyclic(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	bs := opts.BlockSize
 	if bs <= 0 {
 		bs = DefaultBlockSize
@@ -32,5 +25,3 @@ func (blockCyclicMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 	}
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, owner), nil
 }
-
-func init() { Register(blockCyclicMapper{}) }

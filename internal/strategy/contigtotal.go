@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/obs"
@@ -8,7 +9,7 @@ import (
 	"repro/internal/traffic"
 )
 
-// contigTotalMapper assigns contiguous column blocks minimizing the
+// contigTotal assigns contiguous column blocks minimizing the
 // *total* communication volume — Ahrens (2020)'s other objective, the
 // complement of the bottleneck-optimal "contiguous" strategy. The work
 // constraint comes first: every block's work is bounded by
@@ -30,14 +31,9 @@ import (
 // (volume + Beta2 x messages, one message per distinct source column a
 // block fetches across its left cut), trading volume for message
 // consolidation; the optimum's message count never increases with Beta2.
-type contigTotalMapper struct{}
-
-func (contigTotalMapper) Name() string { return "contigtotal" }
-
-func (contigTotalMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
+// A split whose objective overflows to +Inf (a Beta2 near MaxFloat64) is
+// an error, not a schedule.
+func contigTotal(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	work := sys.ColumnWork()
 	bound := slackBound(OptimalBottleneck(work, p), opts.Slack)
 	beta2 := opts.Beta2
@@ -45,10 +41,11 @@ func (contigTotalMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, er
 		beta2 = 0
 	}
 	bounds := contiguousSplitTotal(work, sys.columnRefs(), p, bound, beta2, opts.Search)
+	if bounds == nil {
+		return nil, fmt.Errorf("strategy: contigtotal found no finite split (Slack %g, Beta2 %g)", opts.Slack, opts.Beta2)
+	}
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, bounds)), nil
 }
-
-func init() { Register(contigTotalMapper{}) }
 
 // slackBound is the work bound (1 + slack) bstar, saturating at MaxInt64;
 // a slack <= 0 selects bstar.

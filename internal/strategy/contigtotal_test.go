@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -281,6 +283,38 @@ func TestContigTotalBeta2Mapper(t *testing.T) {
 	}
 	if hm, lm := splitMessages(refs, boundsOf(high)), splitMessages(refs, boundsOf(low)); hm > lm {
 		t.Errorf("mapper with Beta2=500 has %d messages > %d at Beta2=0", hm, lm)
+	}
+}
+
+// TestContigTotalNonFiniteOptions: a NaN slack and a NaN, infinite or
+// overflowing β₂ are errors, never a schedule (they once put all of LAP30's
+// work on processor 0), while an infinite slack and a large finite β₂
+// still map every column.
+func TestContigTotalNonFiniteOptions(t *testing.T) {
+	sys := newTestSys(t, gen.Lap30())
+	for _, tc := range []struct {
+		slack, beta2 float64
+		ok           bool
+	}{
+		{math.NaN(), 0, false},
+		{0, math.NaN(), false},
+		{0, math.Inf(1), false},
+		{0, math.Inf(-1), false},
+		{0, 1e308, false},
+		{math.Inf(1), 0, true},
+		{math.Inf(-1), 0, true},
+		{0, 1e300, true},
+	} {
+		label := fmt.Sprintf("contigtotal slack=%g beta2=%g", tc.slack, tc.beta2)
+		sc, err := Map("contigtotal", sys, 4, Options{Slack: tc.slack, Beta2: tc.beta2})
+		switch {
+		case !tc.ok && err == nil:
+			t.Errorf("%s: Work %v, want an error", label, sc.Work)
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", label, err)
+		case tc.ok:
+			checkSchedule(t, sys, sc, label, 4)
+		}
 	}
 }
 

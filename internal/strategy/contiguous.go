@@ -4,21 +4,14 @@ import (
 	"repro/internal/sched"
 )
 
-// contiguousMapper assigns work-balanced contiguous column blocks:
+// contiguous assigns work-balanced contiguous column blocks:
 // processor k owns the k-th block of consecutive columns, with the block
 // boundaries chosen to minimize the bottleneck (the maximum per-block
 // work). Contiguous partitions preserve the elimination-tree locality of
 // a fill-reducing ordering — a column's row structure points mostly at
 // nearby columns — so they trade the wrap mapping's perfect balance for
 // far less communication without the paper's partitioning machinery.
-type contiguousMapper struct{}
-
-func (contiguousMapper) Name() string { return "contiguous" }
-
-func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
+func contiguous(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
 	bounds := ContiguousSplit(sys.ColumnWork(), p)
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, bounds)), nil
 }
@@ -28,7 +21,7 @@ func (contiguousMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, err
 // block boundaries (length p+1, bounds[k] <= bounds[k+1], bounds[0] = 0,
 // bounds[p] = n; trailing blocks may be empty when p > n). It panics on
 // p < 1, the shared contract of the exported split helpers (see
-// split.go); the mappers validate p and return an error instead.
+// split.go); Map validates p and returns an error instead.
 //
 // The optimal bottleneck B* is found by binary search over candidate
 // bottleneck values, each probed with a greedy feasibility scan over the
@@ -60,5 +53,3 @@ func ContiguousSplit(work []int64, p int) []int {
 	}
 	return bounds
 }
-
-func init() { Register(contiguousMapper{}) }

@@ -5,7 +5,7 @@ import (
 	"repro/internal/sched"
 )
 
-// rectilinearMapper implements symmetric rectilinear block partitioning
+// rectilinear implements symmetric rectilinear block partitioning
 // (Yasar, Rajamanickam et al. 2020, "On Symmetric Rectilinear Matrix
 // Partitioning"): one set of diagonal intervals is shared by the rows
 // and the columns of the symmetric factor structure, tiling it into
@@ -19,18 +19,9 @@ import (
 // processor, so the 1D column schedule inherits the symmetric block
 // structure: processor t owns the whole block column under tile (t, t),
 // and every non-local fetch crosses one of the shared cut lines.
-type rectilinearMapper struct{}
-
-func (rectilinearMapper) Name() string { return "rectilinear" }
-
-func (rectilinearMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
+func rectilinear(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, sys.RectilinearCuts(p))), nil
 }
-
-func init() { Register(rectilinearMapper{}) }
 
 // RectilinearCuts computes the shared row/column interval boundaries of
 // a symmetric rectilinear partition into at most p diagonal intervals,

@@ -3,7 +3,6 @@ package strategy
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -29,14 +28,10 @@ const (
 // moving movables between processors, never accepting a worsening move.
 type objectiveFunc func(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int)
 
-// objectives is the refinement-objective table, sorted by name; Refine
-// derives both its dispatch and its unknown-objective error message from
-// it, so a new objective added here is automatically reachable and
-// advertised.
-var objectives = []struct {
-	name string
-	fn   objectiveFunc
-}{
+// objectives is the refinement-objective table; Refine dispatches on it
+// and lists it in its unknown-objective error, so a new objective added
+// here is automatically reachable and advertised.
+var objectives = Registry[objectiveFunc]{
 	{"commspan", refineCommspan},
 	{"imbalance", func(_ *Sys, opts Options, sc *sched.Schedule, mv []movable, own []int32, maxMoves int) {
 		refineImbalance(sc, mv, own, maxMoves, opts.Search)
@@ -45,17 +40,11 @@ var objectives = []struct {
 }
 
 // Objectives returns the sorted names of the refinement objectives the
-// refine strategy accepts, derived from the objective table (so CLIs can
-// validate and advertise the set without hardcoding it).
-func Objectives() []string {
-	names := make([]string, len(objectives))
-	for i, o := range objectives {
-		names[i] = o.name
-	}
-	return names
-}
+// refine strategy accepts (so CLIs can validate and advertise the set
+// without hardcoding it).
+func Objectives() []string { return objectives.Names() }
 
-// refineMapper composes a greedy local-refinement pass on top of any base
+// refine composes a greedy local-refinement pass on top of any base
 // strategy: it repeatedly moves one schedulable unit (a unit block for
 // block-granular bases, a column otherwise) between processors while the
 // move strictly improves the objective — the paper's load imbalance
@@ -63,11 +52,7 @@ func Objectives() []string {
 // comm-aware dynamic makespan. The pass never accepts a worsening move,
 // so the refined schedule's objective is never worse than the base
 // schedule's.
-type refineMapper struct{}
-
-func (refineMapper) Name() string { return "refine" }
-
-func (refineMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
+func refine(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	base := opts.Base
 	if base == "" {
 		base = "block"
@@ -81,8 +66,6 @@ func (refineMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) 
 	}
 	return Refine(sys, opts, sc)
 }
-
-func init() { Register(refineMapper{}) }
 
 // movable is one unit the refinement pass may reassign: a unit block of
 // the partition, or a whole column for column-granular schedules.
@@ -107,14 +90,12 @@ func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, erro
 	if name == "" {
 		name = "imbalance"
 	}
-	for _, o := range objectives {
-		if o.name == name {
-			o.fn(sys, opts, sc, mv, own, opts.MaxMoves)
-			return sc, nil
-		}
+	fn, err := objectives.Find("strategy: unknown refine objective", name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("strategy: unknown refine objective %q (want %s)",
-		opts.Objective, strings.Join(Objectives(), ", "))
+	fn(sys, opts, sc, mv, own, opts.MaxMoves)
+	return sc, nil
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {

@@ -5,9 +5,9 @@ import "repro/internal/sched"
 // Split-helper contract: the exported low-level split helpers of this
 // package — ContiguousSplit, ContiguousSplitTotal, RectilinearCuts and
 // SubcubeOwners — all panic on a processor count below one (a programmer
-// error, like an out-of-range index), while the Mapper.Map
-// implementations wrapping them validate p first and return an error,
-// the contract CLIs and the repro API rely on. Both halves are the one
+// error, like an out-of-range index), while Map, the one way into the
+// strategies wrapping them, validates p first and returns an error, the
+// contract CLIs and the repro API rely on. Both halves are the one
 // guard in internal/sched (MustProcs and CheckProcs) under this package's
 // prefix.
 

@@ -1,16 +1,16 @@
-// Package strategy is a pluggable registry of partitioning/mapping
-// strategies for the sparse Cholesky factorization pipeline.
+// Package strategy is the table of partitioning/mapping strategies for
+// the sparse Cholesky factorization pipeline.
 //
 // The paper compares exactly two mapping schemes — the Section 3.4 block
 // heuristic and the classical wrap (cyclic) column mapping — and the rest
 // of the repository measures them with scheme-agnostic simulators (data
 // traffic, load imbalance, dependency-delay makespan). This package
 // decouples "how work is assigned to processors" from "how an assignment
-// is evaluated": every strategy is a Mapper producing an ordinary
-// sched.Schedule, so the existing simulators evaluate any registered
-// scheme unchanged.
+// is evaluated": every strategy is a function producing an ordinary
+// sched.Schedule, so the existing simulators evaluate any scheme
+// unchanged.
 //
-// Nine strategies ship with the registry:
+// Nine strategies make up the table:
 //
 //   - block: the paper's Section 3.4 unit-block allocation heuristic.
 //   - blockgreedy: its work-aware variant (every fallback decision picks
@@ -46,15 +46,15 @@
 //     imbalance factor A, the simulated data traffic, or the unified
 //     comm-aware dynamic makespan ("commspan").
 //
-// New strategies register themselves with Register (typically from an
-// init function) and immediately become available to the repro API,
-// cmd/sweep -kind strategy, cmd/paperbench -table strategy and the
-// cross-strategy tables.
+// A new strategy is one entry of the table in this package's init (a
+// name and an unexported function; Map validates p before calling it)
+// and is immediately available to the repro API, cmd/sweep -kind
+// strategy, cmd/paperbench -table strategy and the cross-strategy tables.
 package strategy
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"sync"
 
@@ -195,7 +195,8 @@ type Options struct {
 	// every block's work is bounded by (1 + Slack) times the optimal
 	// contiguous bottleneck, so larger values widen the feasible set the
 	// total-traffic DP minimizes over (never increasing the optimum).
-	// Values <= 0 select 0, i.e. only bottleneck-optimal splits.
+	// Values <= 0 select 0, i.e. only bottleneck-optimal splits; NaN is
+	// an error.
 	Slack float64
 	// Beta2 weights per-cut message counts into the contigtotal
 	// objective: the DP minimizes volume + Beta2 x messages, where a
@@ -203,7 +204,8 @@ type Options struct {
 	// across its left cut (the per-cut counts traffic.ColumnRefs
 	// exposes). Zero (the default) minimizes pure volume; raising Beta2
 	// never increases the optimal split's message count (a scalarization
-	// exchange argument, regression-tested on LAP30).
+	// exchange argument, regression-tested on LAP30). NaN and infinities
+	// are errors.
 	Beta2 float64
 	// Comm is the communication-time model the "commspan" refine
 	// objective minimizes the dynamic makespan under. The zero value
@@ -217,91 +219,85 @@ type Options struct {
 	Search *obs.SearchTelemetry
 }
 
-// Mapper is one partitioning/mapping strategy. Map assigns the
-// factorization work of sys to p processors and returns the schedule:
-// column-granular, built by sched.ColumnMap over sys.F, or
-// block-granular, built over sys.Partition(opts.Part) (whose factor
-// relaxation may pad). Either way the schedule carries the structure it
-// assigns (Schedule.F, and Schedule.Part for unit blocks), which is all
-// Tasks, FetchStats, Traffic and Refine read of it.
-type Mapper interface {
-	Name() string
-	Map(sys *Sys, p int, opts Options) (*sched.Schedule, error)
+// Registry is a name → function table, sorted by name and fixed once
+// built: the 1D strategies (Names, Map), part2d's 2D mappers and refine's
+// objectives are one each.
+type Registry[F any] []struct {
+	Name string
+	Fn   F
 }
 
-// Registry is a name → mapper table kept sorted by name, safe for
-// concurrent use. The 1D strategies (Register, Lookup, Names, Map) live in
-// one and part2d's 2D mappers in another; its zero value is empty.
-type Registry[M interface{ Name() string }] struct {
-	mu      sync.RWMutex
-	names   []string // sorted
-	mappers []M      // mappers[i] is registered as names[i]
-}
-
-// Register adds m under m.Name(). It panics on an empty name or a
-// duplicate registration, mirroring database/sql.Register.
-func (r *Registry[M]) Register(m M) {
-	name := m.Name()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, dup := slices.BinarySearch(r.names, name)
-	if name == "" || dup {
-		panic(fmt.Sprintf("strategy: %T registered under an empty or taken name %q", m, name))
+// Names returns the sorted names of the table's entries.
+func (r Registry[F]) Names() []string {
+	names := make([]string, len(r))
+	for i, e := range r {
+		names[i] = e.Name
 	}
-	r.names = slices.Insert(r.names, i, name)
-	r.mappers = slices.Insert(r.mappers, i, m)
+	return names
 }
 
-// Lookup returns the mapper registered under name.
-func (r *Registry[M]) Lookup(name string) (M, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if i, ok := slices.BinarySearch(r.names, name); ok {
-		return r.mappers[i], true
+// Find returns the function registered under name, or an error naming
+// unknown, then name and every registered name.
+func (r Registry[F]) Find(unknown, name string) (F, error) {
+	for _, e := range r {
+		if e.Name == name {
+			return e.Fn, nil
+		}
 	}
-	var none M
-	return none, false
+	var none F
+	return none, fmt.Errorf("%s %q (registered: %s)", unknown, name, strings.Join(r.Names(), ", "))
 }
 
-// Names returns the sorted names of all registered mappers.
-func (r *Registry[M]) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return slices.Clone(r.names)
-}
+// mapFunc is one 1D strategy: it assigns the factorization work of sys to
+// p processors, p already validated by Map.
+type mapFunc func(sys *Sys, p int, opts Options) (*sched.Schedule, error)
 
-// Find is Lookup with an error for an unknown name: unknown, then the name
-// and every registered one.
-func (r *Registry[M]) Find(unknown, name string) (M, error) {
-	m, ok := r.Lookup(name)
-	if !ok {
-		return m, fmt.Errorf("%s %q (registered: %s)", unknown, name, strings.Join(r.Names(), ", "))
+// strategies is the 1D strategy table. It is filled in init, not by a
+// literal: refine reaches its base through Map, which reads the table.
+var strategies Registry[mapFunc]
+
+func init() {
+	strategies = Registry[mapFunc]{
+		{"block", func(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
+			return sched.BlockMap(sys.Partition(opts.Part), p), nil
+		}},
+		{"blockcyclic", blockCyclic},
+		{"blockgreedy", func(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
+			return sched.BlockMapGreedy(sys.Partition(opts.Part), p), nil
+		}},
+		{"contigtotal", contigTotal},
+		{"contiguous", contiguous},
+		{"rectilinear", rectilinear},
+		{"refine", refine},
+		{"subcube", subcube},
+		{"wrap", func(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
+			return sched.WrapMap(sys.F, sys.ElemWork, p), nil
+		}},
 	}
-	return m, nil
 }
 
-var registry Registry[Mapper]
-
-// Register adds a strategy to the registry (see Registry.Register).
-func Register(m Mapper) { registry.Register(m) }
-
-// Lookup returns the registered strategy with the given name.
-func Lookup(name string) (Mapper, bool) { return registry.Lookup(name) }
-
-// Names returns the sorted names of all registered strategies.
-func Names() []string { return registry.Names() }
+// Names returns the sorted names of all 1D strategies.
+func Names() []string { return strategies.Names() }
 
 // Map runs the named strategy, returning a descriptive error when the
-// name is unknown.
+// name is unknown, p is below one, or opts.Slack is NaN or opts.Beta2 NaN
+// or infinite. The schedule is column-granular, built by sched.ColumnMap
+// over sys.F, or block-granular, built over sys.Partition(opts.Part)
+// (whose factor relaxation may pad). Either way it carries the structure
+// it assigns (Schedule.F, and Schedule.Part for unit blocks), which is all
+// Tasks, FetchStats, Traffic and Refine read of it.
 func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	if err := sched.CheckProcs("strategy", p); err != nil {
 		return nil, err
 	}
-	m, err := registry.Find("strategy: unknown strategy", name)
+	if math.IsNaN(opts.Slack) || math.IsNaN(opts.Beta2) || math.IsInf(opts.Beta2, 0) {
+		return nil, fmt.Errorf("strategy: invalid Slack %g or Beta2 %g", opts.Slack, opts.Beta2)
+	}
+	m, err := strategies.Find("strategy: unknown strategy", name)
 	if err != nil {
 		return nil, err
 	}
-	return m.Map(sys, p, opts)
+	return m(sys, p, opts)
 }
 
 // Traffic simulates the data traffic of a strategy schedule (what

@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,50 +27,41 @@ func newTestSys(t testing.TB, m *sparse.Matrix) *Sys {
 	return NewSys(symbolic.Analyze(pm), nil, nil)
 }
 
-type testMapper struct{ name string }
-
-func (m testMapper) Name() string { return m.name }
-func (m testMapper) Map(*Sys, int, Options) (*sched.Schedule, error) {
-	return nil, nil
-}
-
+// TestRegistry holds the strategy and refine-objective tables to the
+// shipped lists: sorted, unique, and every name listed by the error an
+// unknown name gets.
 func TestRegistry(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"block", "blockcyclic", "blockgreedy", "contiguous",
-		"contigtotal", "rectilinear", "refine", "subcube", "wrap"} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("Lookup(%q) = false, want registered", want)
+	sys := newTestSys(t, gen.Grid5(4, 4))
+	for _, tc := range []struct {
+		table   string
+		names   []string
+		want    []string
+		unknown func() error
+	}{
+		{"strategies", Names(),
+			[]string{"block", "blockcyclic", "blockgreedy", "contigtotal", "contiguous",
+				"rectilinear", "refine", "subcube", "wrap"},
+			func() error { _, err := Map("no-such-strategy", sys, 4, Options{}); return err }},
+		{"objectives", Objectives(),
+			[]string{"commspan", "imbalance", "traffic"},
+			func() error {
+				_, err := Map("refine", sys, 4, Options{Objective: "no-such-objective"})
+				return err
+			}},
+	} {
+		if !slices.Equal(tc.names, tc.want) {
+			t.Errorf("%s: names %v, want %v", tc.table, tc.names, tc.want)
 		}
-	}
-	if len(names) < 5 {
-		t.Errorf("Names() = %v, want at least the five shipped strategies", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
-		}
-	}
-	if _, ok := Lookup("no-such-strategy"); ok {
-		t.Error("Lookup of unknown strategy succeeded")
-	}
-	if _, err := Map("no-such-strategy", nil, 4, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "wrap") {
-		t.Errorf("Map(unknown) error = %v, want one listing registered names", err)
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, m Mapper) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("Register(%q) did not panic", name)
+		for i := 1; i < len(tc.names); i++ {
+			if tc.names[i-1] >= tc.names[i] {
+				t.Errorf("%s: names not sorted and unique: %v", tc.table, tc.names)
 			}
-		}()
-		Register(m)
+		}
+		list := "(registered: " + strings.Join(tc.want, ", ") + ")"
+		if err := tc.unknown(); err == nil || !strings.HasSuffix(err.Error(), list) {
+			t.Errorf("%s: unknown-name error %v, want one ending %s", tc.table, err, list)
+		}
 	}
-	mustPanic("duplicate", testMapper{name: "wrap"})
-	mustPanic("empty", testMapper{name: ""})
 }
 
 func TestInvalidProcs(t *testing.T) {
@@ -160,7 +152,7 @@ func TestMoreProcsThanColumns(t *testing.T) {
 	// pad trailing empty intervals); fail loudly if either ever
 	// unregisters rather than silently losing the regression.
 	for _, want := range []string{"contigtotal", "rectilinear"} {
-		if _, ok := Lookup(want); !ok {
+		if !slices.Contains(Names(), want) {
 			t.Fatalf("strategy %q is not registered; the P >= n regression must cover it", want)
 		}
 	}

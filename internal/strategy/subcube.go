@@ -7,7 +7,7 @@ import (
 	"repro/internal/symbolic"
 )
 
-// subcubeMapper implements subtree-to-subcube allocation over the
+// subcube implements subtree-to-subcube allocation over the
 // elimination tree (George/Liu/Ng's scheme, generalized to arbitrary
 // processor counts by Pothen & Sun's proportional mapping): the whole
 // processor set starts at the top of the tree, the shared top separator
@@ -18,19 +18,10 @@ import (
 // fill-reducing) ordering this is the mapping the paper credits for the
 // block scheme's locality at scale: independent subtrees never share
 // owners, so their factorization communicates nothing.
-type subcubeMapper struct{}
-
-func (subcubeMapper) Name() string { return "subcube" }
-
-func (subcubeMapper) Map(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	if err := sched.CheckProcs("strategy", p); err != nil {
-		return nil, err
-	}
+func subcube(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
 	owner := SubcubeOwners(sys.F.Parent, sys.ColumnWork(), p)
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, owner), nil
 }
-
-func init() { Register(subcubeMapper{}) }
 
 // SubcubeOwners computes the subtree-to-subcube column-to-processor
 // assignment for an elimination forest (Parent convention of

@@ -20,8 +20,8 @@ type StrategyRow struct {
 }
 
 // StrategyCompare evaluates the named 1D strategies (every registered one
-// when names is empty, so additions through strategy.Register appear with
-// no changes here) on every problem and processor count under opts.
+// when names is empty, so a new entry of strategy's table appears with no
+// changes here) on every problem and processor count under opts.
 func StrategyCompare(problems []*Problem, procs []int, names []string, opts strategy.Options) ([]StrategyRow, error) {
 	if len(names) == 0 {
 		names = strategy.Names()
