@@ -253,7 +253,7 @@ func TestCol2DLiftReproduces1D(t *testing.T) {
 				}
 				label := "col2d(" + base + ")/" + mname
 				checkSchedule2D(t, sys, s2, label, p)
-				for q, want := range sc.ElemProc {
+				for q, want := range elemOwners(sc) {
 					if s2.elemProc[q] != want {
 						t.Fatalf("%s P=%d: element %d owned by %d, 1D owner %d",
 							label, p, q, s2.elemProc[q], want)
@@ -373,7 +373,7 @@ func TestRectCutsSharedReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.ElemProc, want.ElemProc) {
+			if !slices.Equal(got.ColProc, want.ColProc) || !slices.Equal(got.Work, want.Work) {
 				t.Fatalf("%s P=%d: 1D rectilinear after the 2D mappers differs from a fresh plan", name, p)
 			}
 			cuts := shared.RectilinearCuts(p)

@@ -113,10 +113,19 @@ func refColProc(f *symbolic.Factor, elemProc []int32) []int32 {
 	return col
 }
 
+// elemOwners is the owner of every element of sc.F, read column by column.
+func elemOwners(sc *sched.Schedule) []int32 {
+	var out []int32
+	for j := 0; j < sc.F.N; j++ {
+		out = sc.AppendOwners(out, j)
+	}
+	return out
+}
+
 // refLift is Lift of a column-granular 1D schedule over the dense table.
 func refLift(sys *strategy.Sys, sc *sched.Schedule) *refSchedule {
 	f := sys.F
-	owner1d := refColProc(f, sc.ElemProc)
+	owner1d := refColProc(f, elemOwners(sc))
 	bounds := []int{0}
 	for j := 1; j < f.N; j++ {
 		if owner1d[j] != owner1d[j-1] {

@@ -19,6 +19,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/artifact"
 	"repro/internal/model"
@@ -52,7 +53,7 @@ type Analysis struct {
 
 	// valPerm maps permuted value positions back to original ones:
 	// permutedVal[q] = origVal[valPerm[q]].
-	valPerm []int
+	valPerm []int32
 	sys     *strategy.Sys
 }
 
@@ -103,6 +104,9 @@ func NewAnalysisOrdered(a *sparse.Matrix, perm []int) (*Analysis, error) {
 // newAnalysis analyzes the valid matrix a under perm; key is the
 // analysis' content address, which the caller has already computed.
 func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, error) {
+	if int64(a.NNZ()) > math.MaxInt32 {
+		return nil, fmt.Errorf("pipeline: %d stored entries; the value map holds fewer than 2^31", a.NNZ())
+	}
 	// Permute an index-valued copy of the pattern: the permuted values
 	// recover, for every permuted position, the original position its
 	// value comes from (exact: positions stay far below 2^53).
@@ -115,9 +119,9 @@ func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, err
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	valPerm := make([]int, len(pidx.Val))
+	valPerm := make([]int32, len(pidx.Val))
 	for q, v := range pidx.Val {
-		valPerm[q] = int(v)
+		valPerm[q] = int32(v)
 	}
 	pm := &sparse.Matrix{N: pidx.N, ColPtr: pidx.ColPtr, RowInd: pidx.RowInd}
 	f := symbolic.Analyze(pm)

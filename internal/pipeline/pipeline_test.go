@@ -17,6 +17,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/order"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/strategy"
 	"repro/internal/symbolic"
@@ -657,7 +658,7 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := an.Sys().Partition(opts.Part).F.NNZ()
-		if got := len(pl.S1.ElemProc); got != want {
+		if got := len(elemOwners(pl.S1)); got != want {
 			t.Fatalf("RelaxZeros %g: cached plan covers %d elements, its partition's factor has %d", z, got, want)
 		}
 		if prev, dup := seenLen[want]; dup {
@@ -665,6 +666,15 @@ func TestPlanKeyDistinguishesRelaxFractions(t *testing.T) {
 		}
 		seenLen[want] = z
 	}
+}
+
+// elemOwners is the owner of every element of sc.F, read column by column.
+func elemOwners(sc *sched.Schedule) []int32 {
+	var out []int32
+	for j := 0; j < sc.F.N; j++ {
+		out = sc.AppendOwners(out, j)
+	}
+	return out
 }
 
 // TestCachePlanHonorsCommGamma: refine's commspan objective prices every
@@ -696,10 +706,10 @@ func TestCachePlanHonorsCommGamma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slices.Equal(zero.S1.ElemProc, want.S1.ElemProc) {
+	if slices.Equal(elemOwners(zero.S1), elemOwners(want.S1)) {
 		t.Fatal("Gamma 0 and 1000 map the same schedule on LAP30; the test tells nothing apart")
 	}
-	if !slices.Equal(got.S1.ElemProc, want.S1.ElemProc) {
+	if !slices.Equal(elemOwners(got.S1), elemOwners(want.S1)) {
 		t.Fatalf("the cache served Gamma 1000 a plan with traffic %d; its own plan has %d",
 			got.TrafficTotal(), want.TrafficTotal())
 	}
@@ -757,7 +767,7 @@ func TestConcurrentPlansShareColumnViews(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return pl, pl.S1.ElemProc, nil
+		return pl, elemOwners(pl.S1), nil
 	}
 	var wg sync.WaitGroup
 	views := make([]*int64, 12)

@@ -19,10 +19,11 @@
 //     ColumnMap, the constructor of every column-granular schedule.
 //
 // A Schedule is its owner vector, one owner per unit block (UnitProc) or
-// per column (ColProc), and the structure that vector assigns (F, and Part
-// for unit blocks); the constructor derives from them the owner of every
-// factor element (ElemProc, the granularity at which the traffic simulator
-// counts non-local accesses) and the per-processor work.
+// per column (ColProc), the structure that vector assigns (F, and Part for
+// unit blocks) and the per-processor work derived from them: O(n + P) or
+// O(units + P) words. The owner of a factor element, the granularity at
+// which the traffic simulator counts non-local accesses, is derived where
+// it is read, column by column (AppendOwners).
 package sched
 
 import (
@@ -30,24 +31,27 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/symbolic"
 )
 
 // Schedule is a complete assignment of factorization work to P
 // processors. Its owner vector — UnitProc for a block-granular schedule,
 // ColProc for a column-granular one, exactly one set by this package's
-// constructors — is the assignment; ElemProc and Work are derived from it.
-// A schedule with neither (part2d's bridge of a tiling that splits a
-// column) is evaluated through ElemProc alone.
+// constructors — is the assignment; Work is derived from it, and so is
+// the owner of every element of F (AppendOwners). A schedule with neither
+// (part2d's bridge of a tiling that splits a column) is evaluated through
+// ElemProc alone.
 type Schedule struct {
 	P int
-	// F is the factor ElemProc indexes: the partition's (padded when
+	// F is the factor the schedule assigns: the partition's (padded when
 	// relaxed) for a block-granular schedule, the analysis factor otherwise.
 	F *symbolic.Factor
 	// Part is the partition UnitProc indexes, set exactly when UnitProc is.
 	Part *core.Partition
-	// ElemProc maps every factor nonzero position to its owning processor,
-	// derived from the owner vector.
+	// ElemProc maps every factor nonzero position to its owning processor
+	// for a schedule with no owner vector (part2d's element-granular
+	// bridge); nil for the schedules of this package.
 	ElemProc []int32
 	// UnitProc maps unit IDs to processors (block-granular schedules; nil
 	// for column-granular ones).
@@ -61,13 +65,7 @@ type Schedule struct {
 }
 
 // TotalWork returns the summed work of all processors.
-func (s *Schedule) TotalWork() int64 {
-	var t int64
-	for _, w := range s.Work {
-		t += w
-	}
-	return t
-}
+func (s *Schedule) TotalWork() int64 { return model.TotalWork(s.Work) }
 
 // MaxWork returns the largest per-processor work.
 func (s *Schedule) MaxWork() int64 {
@@ -83,13 +81,7 @@ func (s *Schedule) MaxWork() int64 {
 // Imbalance returns the paper's load imbalance factor
 // A = (Wmax - Wavg) * N / Wtot = Wmax*N/Wtot - 1, which is 0 for a
 // perfectly balanced assignment.
-func (s *Schedule) Imbalance() float64 {
-	tot := s.TotalWork()
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.MaxWork())*float64(s.P)/float64(tot) - 1
-}
+func (s *Schedule) Imbalance() float64 { return ImbalanceOf(s.Work) }
 
 // Efficiency returns 1/(1+A), the paper's e = Wavg/Wmax: parallel
 // efficiency in the absence of dependency delays.
@@ -114,23 +106,15 @@ func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
 
 // ColumnMap is the one constructor of column-granular schedules: column j
 // of the factor goes to processor owner[j], every owner in [0, p). The
-// schedule keeps owner as its ColProc and derives element ownership and
-// per-processor work from it.
+// schedule keeps owner as its ColProc and derives per-processor work.
 func ColumnMap(f *symbolic.Factor, elemWork []int64, p int, owner []int32) *Schedule {
 	MustProcs("sched", p)
 	if len(owner) != f.N {
 		panic(fmt.Sprintf("sched: %d column owners for %d columns", len(owner), f.N))
 	}
-	s := &Schedule{
-		P:        p,
-		F:        f,
-		ColProc:  owner,
-		ElemProc: make([]int32, f.NNZ()),
-		Work:     make([]int64, p),
-	}
+	s := &Schedule{P: p, F: f, ColProc: owner, Work: make([]int64, p)}
 	for j, proc := range owner {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			s.ElemProc[q] = proc
 			s.Work[proc] += elemWork[q]
 		}
 	}
@@ -280,19 +264,30 @@ func blockMap(part *core.Partition, p int, greedy bool) *Schedule {
 		}
 	}
 
-	// Derive element ownership.
-	s := &Schedule{
-		P:        p,
-		F:        part.F,
-		Part:     part,
-		ElemProc: make([]int32, part.F.NNZ()),
-		UnitProc: unitProc,
-		Work:     work,
+	return &Schedule{P: p, F: part.F, Part: part, UnitProc: unitProc, Work: work}
+}
+
+// AppendOwners appends to dst the owner of every position of column j of
+// F, in position order, and returns the extended slice: the column's
+// ColProc entry, or the UnitProc entry of each position's unit, or the
+// column's run of ElemProc for a schedule with no owner vector. It is the
+// one derivation of element ownership; a caller that reads the column
+// into a reused buffer allocates nothing.
+func (s *Schedule) AppendOwners(dst []int32, j int) []int32 {
+	lo, hi := s.F.ColPtr[j], s.F.ColPtr[j+1]
+	switch {
+	case s.ColProc != nil:
+		for o := s.ColProc[j]; lo < hi; lo++ {
+			dst = append(dst, o)
+		}
+	case s.UnitProc != nil:
+		for _, u := range s.Part.ElemUnit[lo:hi] {
+			dst = append(dst, s.UnitProc[u])
+		}
+	default:
+		dst = append(dst, s.ElemProc[lo:hi]...)
 	}
-	for q := range s.ElemProc {
-		s.ElemProc[q] = unitProc[part.ElemUnit[q]]
-	}
-	return s
+	return dst
 }
 
 // AccumulateElemWork sums an arbitrary per-element cost vector (e.g. the
@@ -300,8 +295,12 @@ func blockMap(part *core.Partition, p int, greedy bool) *Schedule {
 // element ownership, returning per-processor totals.
 func (s *Schedule) AccumulateElemWork(elemWork []int64) []int64 {
 	out := make([]int64, s.P)
-	for q, pr := range s.ElemProc {
-		out[pr] += elemWork[q]
+	var col []int32
+	for j := 0; j < s.F.N; j++ {
+		col = s.AppendOwners(col[:0], j)
+		for i, pr := range col {
+			out[pr] += elemWork[s.F.ColPtr[j]+i]
+		}
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,11 +42,35 @@ func TestWrapMapOwnership(t *testing.T) {
 	f, _, ew := pipeline(gen.Grid5(6, 6), 4, 4)
 	s := WrapMap(f, ew, 4)
 	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if s.ElemProc[q] != int32(j%4) {
-				t.Fatalf("element in column %d owned by %d", j, s.ElemProc[q])
+		if s.ColProc[j] != int32(j%4) {
+			t.Fatalf("column %d owned by %d", j, s.ColProc[j])
+		}
+		col := s.AppendOwners(nil, j)
+		if len(col) != f.ColLen(j) {
+			t.Fatalf("column %d: %d owners for %d elements", j, len(col), f.ColLen(j))
+		}
+		for _, o := range col {
+			if o != int32(j%4) {
+				t.Fatalf("element in column %d owned by %d", j, o)
 			}
 		}
+	}
+}
+
+// TestColumnScheduleHoldsNoElementOwners: building a wrap schedule
+// allocates its column owners and its work, O(n + P) words, not one owner
+// per nonzero of L.
+func TestColumnScheduleHoldsNoElementOwners(t *testing.T) {
+	f, _, ew := pipeline(gen.Grid9(60, 60), 4, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := WrapMap(f, ew, 16)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*f.NNZ()); got >= bound {
+		t.Fatalf("WrapMap allocated %d bytes, want below 4·nnz(L) = %d", got, bound)
+	}
+	if s.ElemProc != nil {
+		t.Fatal("a column schedule holds element owners")
 	}
 }
 
@@ -93,7 +118,14 @@ func TestBlockMapAssignsEveryUnit(t *testing.T) {
 				t.Fatalf("P=%d: unit %d assigned to %d", p, u, pr)
 			}
 		}
-		for q, pr := range s.ElemProc {
+		var owners []int32
+		for j := 0; j < part.F.N; j++ {
+			owners = s.AppendOwners(owners, j)
+		}
+		if len(owners) != part.F.NNZ() {
+			t.Fatalf("P=%d: %d element owners for %d elements", p, len(owners), part.F.NNZ())
+		}
+		for q, pr := range owners {
 			if pr != s.UnitProc[part.ElemUnit[q]] {
 				t.Fatal("element ownership inconsistent with unit ownership")
 			}

@@ -257,8 +257,9 @@ func TestContigTotalBeta2Mapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q := range zero.ElemProc {
-		if neg.ElemProc[q] != zero.ElemProc[q] {
+	negOwners := elemOwners(neg)
+	for q, o := range elemOwners(zero) {
+		if negOwners[q] != o {
 			t.Fatalf("negative Beta2 changed the schedule at element %d", q)
 		}
 	}

@@ -71,7 +71,7 @@ func refine(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 // the partition, or a whole column for column-granular schedules.
 type movable struct {
 	work  int64
-	elems []int32 // factor nonzero positions owned by this unit
+	elems int     // factor nonzeros in this unit
 	preds []int32 // movable IDs this unit reads from (locality signal)
 }
 
@@ -103,7 +103,6 @@ func cloneSchedule(s *sched.Schedule) *sched.Schedule {
 		P:        s.P,
 		F:        s.F,
 		Part:     s.Part,
-		ElemProc: slices.Clone(s.ElemProc),
 		UnitProc: slices.Clone(s.UnitProc),
 		ColProc:  slices.Clone(s.ColProc),
 		Work:     slices.Clone(s.Work),
@@ -118,10 +117,7 @@ func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
 		mv := make([]movable, len(part.Units))
 		for i := range part.Units {
 			u := &part.Units[i]
-			mv[i] = movable{work: u.Work, preds: u.Preds}
-		}
-		for q, uid := range part.ElemUnit {
-			mv[uid].elems = append(mv[uid].elems, int32(q))
+			mv[i] = movable{work: u.Work, elems: u.Elems, preds: u.Preds}
 		}
 		return mv, sc.UnitProc, nil
 	}
@@ -132,26 +128,13 @@ func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
 	colWork := sys.ColumnWork()
 	mv := make([]movable, f.N)
 	for j := 0; j < f.N; j++ {
-		elems := make([]int32, 0, f.ColPtr[j+1]-f.ColPtr[j])
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			elems = append(elems, int32(q))
-		}
-		mv[j] = movable{work: colWork[j], elems: elems, preds: sys.Ops.RowCols(j)}
+		mv[j] = movable{work: colWork[j], elems: f.ColLen(j), preds: sys.Ops.RowCols(j)}
 	}
 	return mv, sc.ColProc, nil
 }
 
-// move reassigns movable u to processor dst, updating the schedule's
-// element ownership and per-processor work in place.
-func move(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
-	for _, q := range mv[u].elems {
-		sc.ElemProc[q] = dst
-	}
-	reown(sc, mv, own, u, dst)
-}
-
-// reown is move without the element ownership, for the traffic objective,
-// whose oracle writes ElemProc itself. own is the schedule's owner vector.
+// reown reassigns movable u to processor dst, updating the schedule's
+// owner vector own and its per-processor work in place.
 func reown(sc *sched.Schedule, mv []movable, own []int32, u int, dst int32) {
 	src := own[u]
 	own[u] = dst
@@ -228,7 +211,7 @@ func refineImbalance(sc *sched.Schedule, mv []movable, own []int32, maxMoves int
 			if best < 0 {
 				continue
 			}
-			move(sc, mv, own, best, dst)
+			reown(sc, mv, own, best, dst)
 			list := byProc[src]
 			for i, u := range list {
 				if u == best {
@@ -314,7 +297,7 @@ func refineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, own
 			if moves >= maxMoves {
 				return
 			}
-			if mv[u].work == 0 && len(mv[u].elems) == 0 {
+			if mv[u].work == 0 && mv[u].elems == 0 {
 				continue
 			}
 			tgt := pluralityOwner(mv, succs, own, u, tally)
@@ -376,7 +359,7 @@ func refineCommspan(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, ow
 			if moves >= maxMoves {
 				return
 			}
-			if mv[u].work == 0 && len(mv[u].elems) == 0 {
+			if mv[u].work == 0 && mv[u].elems == 0 {
 				continue
 			}
 			near := pluralityOwner(mv, succs, own, u, tally)
@@ -386,7 +369,7 @@ func refineCommspan(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, ow
 				if tgt == src || (ci == 1 && tgt == near) {
 					continue
 				}
-				move(sc, mv, own, u, tgt)
+				reown(sc, mv, own, u, tgt)
 				tasks[u].Proc = tgt
 				moves++
 				if t := eval(); t < cur {
@@ -396,7 +379,7 @@ func refineCommspan(sys *Sys, opts Options, sc *sched.Schedule, mv []movable, ow
 					opts.Search.Objective(t)
 					break
 				}
-				move(sc, mv, own, u, src)
+				reown(sc, mv, own, u, src)
 				tasks[u].Proc = src
 				opts.Search.Trial(false)
 				if moves >= maxMoves {

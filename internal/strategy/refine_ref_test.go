@@ -31,7 +31,7 @@ func referenceRefineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []mov
 			if moves >= maxMoves {
 				return
 			}
-			if mv[u].work == 0 && len(mv[u].elems) == 0 {
+			if mv[u].work == 0 && mv[u].elems == 0 {
 				continue
 			}
 			tgt := pluralityOwner(mv, succs, own, u, tally)
@@ -39,7 +39,7 @@ func referenceRefineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []mov
 				continue
 			}
 			src := own[u]
-			move(sc, mv, own, u, tgt)
+			reown(sc, mv, own, u, tgt)
 			moves++
 			if t := simulate(); t < cur {
 				cur = t
@@ -47,7 +47,7 @@ func referenceRefineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []mov
 				opts.Search.Trial(true)
 				opts.Search.Objective(t)
 			} else {
-				move(sc, mv, own, u, src)
+				reown(sc, mv, own, u, src)
 				opts.Search.Trial(false)
 			}
 		}
@@ -59,7 +59,7 @@ func referenceRefineTraffic(sys *Sys, opts Options, sc *sched.Schedule, mv []mov
 
 // TestRefineTrafficMatchesReference: the oracle is exact, so refine's
 // traffic objective must return the schedule the re-simulating loop
-// returns — element owners, unit owners and per-processor work — with the
+// returns — column owners, unit owners and per-processor work — with the
 // same telemetry, over block-granular bases (plain and relaxed, where the
 // schedule covers the partition's padded factor) and column-granular ones.
 func TestRefineTrafficMatchesReference(t *testing.T) {
@@ -102,8 +102,8 @@ func TestRefineTrafficMatchesReference(t *testing.T) {
 					}
 					referenceRefineTraffic(sys, wantOpts, want, mv, own, maxMoves)
 					label := name + "/" + c.base
-					if !reflect.DeepEqual(got.ElemProc, want.ElemProc) {
-						t.Errorf("%s relax=%.1f P=%d MaxMoves=%d: ElemProc differs from the re-simulating loop", label, c.part.RelaxZeros, p, maxMoves)
+					if !reflect.DeepEqual(got.ColProc, want.ColProc) {
+						t.Errorf("%s relax=%.1f P=%d MaxMoves=%d: ColProc differs from the re-simulating loop", label, c.part.RelaxZeros, p, maxMoves)
 					}
 					if !reflect.DeepEqual(got.UnitProc, want.UnitProc) {
 						t.Errorf("%s relax=%.1f P=%d MaxMoves=%d: UnitProc differs", label, c.part.RelaxZeros, p, maxMoves)
@@ -152,7 +152,7 @@ func TestRefineTrafficForeignPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.UnitProc, want.UnitProc) || !reflect.DeepEqual(got.ElemProc, want.ElemProc) {
+		if !reflect.DeepEqual(got.UnitProc, want.UnitProc) || !reflect.DeepEqual(got.ColProc, want.ColProc) {
 			t.Errorf("relax=%.1f: Refine through another Sys moved other units", part.RelaxZeros)
 		}
 		if got.Part != base.Part || got.F != base.F {

@@ -1,9 +1,13 @@
 package strategy
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
 )
@@ -94,7 +98,7 @@ func TestRefineLeavesBaseUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	work := append([]int64(nil), baseSc.Work...)
-	elem := append([]int32(nil), baseSc.ElemProc...)
+	elem := elemOwners(baseSc)
 	unit := append([]int32(nil), baseSc.UnitProc...)
 	if _, err := Refine(sys, Options{}, baseSc); err != nil {
 		t.Fatal(err)
@@ -104,8 +108,8 @@ func TestRefineLeavesBaseUntouched(t *testing.T) {
 			t.Fatalf("Refine mutated base Work[%d]", k)
 		}
 	}
-	for q := range elem {
-		if baseSc.ElemProc[q] != elem[q] {
+	for q, o := range elemOwners(baseSc) {
+		if o != elem[q] {
 			t.Fatalf("Refine mutated base ElemProc[%d]", q)
 		}
 	}
@@ -201,7 +205,7 @@ func TestRefineCommspanRefineSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]int32(nil), baseSc.ElemProc...)
+	before := elemOwners(baseSc)
 	ref, err := Refine(sys, opts, baseSc)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +213,8 @@ func TestRefineCommspanRefineSchedule(t *testing.T) {
 	if got, base := simulate(sys, opts, ref, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan, simulate(sys, opts, baseSc, exec.SimOptions{Dynamic: true, Comm: cm}).Makespan; got > base {
 		t.Errorf("Refine(commspan): span %d > input %d", got, base)
 	}
-	for q := range before {
-		if baseSc.ElemProc[q] != before[q] {
+	for q, o := range elemOwners(baseSc) {
+		if o != before[q] {
 			t.Fatalf("Refine(commspan) mutated its input at element %d", q)
 		}
 	}
@@ -234,6 +238,60 @@ func TestRefineErrors(t *testing.T) {
 	for _, want := range Objectives() {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-objective error %q does not list objective %q", err, want)
+		}
+	}
+}
+
+// TestMapRejectsInvalidCosts: a NaN, infinite or negative term of the
+// commspan cost model would make refine search on garbage spans (a NaN or
+// infinite cost truncates to MinInt64, a negative one rewards traffic), and
+// a NaN RelaxZeros partitions like zero under another plan key; Map rejects
+// each. The zero model and finite non-negative terms map what Refine maps
+// from the same base.
+func TestMapRejectsInvalidCosts(t *testing.T) {
+	sys := newTestSys(t, gen.Grid9(8, 8))
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		comm  exec.CommModel
+		relax float64
+		ok    bool
+	}{
+		{comm: exec.CommModel{Alpha: nan}},
+		{comm: exec.CommModel{Alpha: inf}},
+		{comm: exec.CommModel{Alpha: -5}},
+		{comm: exec.CommModel{Beta: nan}},
+		{comm: exec.CommModel{Beta: inf}},
+		{comm: exec.CommModel{Beta: -1}},
+		{comm: exec.CommModel{Gamma: nan}},
+		{comm: exec.CommModel{Gamma: inf}},
+		{comm: exec.CommModel{Gamma: -1}},
+		{comm: exec.CommModel{Alpha: 2, Beta: 10}, relax: nan},
+		{ok: true},
+		{comm: exec.CommModel{Alpha: 2, Beta: 10, Gamma: 1000}, ok: true},
+		{comm: exec.CommModel{Alpha: 0.5}, relax: 0.3, ok: true},
+	} {
+		opts := Options{Objective: "commspan", Comm: tc.comm, Part: core.Options{RelaxZeros: tc.relax}, MaxMoves: 40}
+		label := fmt.Sprintf("Comm %+v RelaxZeros %g", tc.comm, tc.relax)
+		got, err := Map("refine", sys, 4, opts)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: mapped, want an error", label)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		base, err := Map("block", sys, 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Refine(sys, opts, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.UnitProc, want.UnitProc) || !slices.Equal(got.Work, want.Work) {
+			t.Errorf("%s: Map maps another schedule than Refine", label)
 		}
 	}
 }

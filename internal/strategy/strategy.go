@@ -280,8 +280,10 @@ func init() {
 func Names() []string { return strategies.Names() }
 
 // Map runs the named strategy, returning a descriptive error when the
-// name is unknown, p is below one, or opts.Slack is NaN or opts.Beta2 NaN
-// or infinite. The schedule is column-granular, built by sched.ColumnMap
+// name is unknown, p is below one, opts.Slack is NaN, opts.Beta2 NaN or
+// infinite, opts.Part.RelaxZeros NaN, or a term of opts.Comm NaN,
+// infinite or negative (commspan would search on garbage costs). The
+// schedule is column-granular, built by sched.ColumnMap
 // over sys.F, or block-granular, built over sys.Partition(opts.Part)
 // (whose factor relaxation may pad). Either way it carries the structure
 // it assigns (Schedule.F, and Schedule.Part for unit blocks), which is all
@@ -292,6 +294,14 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	}
 	if math.IsNaN(opts.Slack) || math.IsNaN(opts.Beta2) || math.IsInf(opts.Beta2, 0) {
 		return nil, fmt.Errorf("strategy: invalid Slack %g or Beta2 %g", opts.Slack, opts.Beta2)
+	}
+	if math.IsNaN(opts.Part.RelaxZeros) {
+		return nil, fmt.Errorf("strategy: invalid RelaxZeros %g", opts.Part.RelaxZeros)
+	}
+	for _, x := range [...]float64{opts.Comm.Alpha, opts.Comm.Beta, opts.Comm.Gamma} {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return nil, fmt.Errorf("strategy: invalid Comm %+v: every term must be finite and non-negative", opts.Comm)
+		}
 	}
 	m, err := strategies.Find("strategy: unknown strategy", name)
 	if err != nil {

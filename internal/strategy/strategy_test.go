@@ -99,17 +99,27 @@ func TestStrategyInvariants(t *testing.T) {
 	}
 }
 
+// elemOwners is the owner of every element of sc.F, read column by column.
+func elemOwners(sc *sched.Schedule) []int32 {
+	var out []int32
+	for j := 0; j < sc.F.N; j++ {
+		out = sc.AppendOwners(out, j)
+	}
+	return out
+}
+
 func checkSchedule(t *testing.T, sys *Sys, sc *sched.Schedule, label string, p int) {
 	t.Helper()
 	if sc.P != p || len(sc.Work) != p {
 		t.Fatalf("%s P=%d: schedule has P=%d, len(Work)=%d", label, p, sc.P, len(sc.Work))
 	}
-	if len(sc.ElemProc) != sys.F.NNZ() {
-		t.Fatalf("%s P=%d: ElemProc covers %d nonzeros, factor has %d",
-			label, p, len(sc.ElemProc), sys.F.NNZ())
+	owners := elemOwners(sc)
+	if len(owners) != sys.F.NNZ() {
+		t.Fatalf("%s P=%d: element owners cover %d nonzeros, factor has %d",
+			label, p, len(owners), sys.F.NNZ())
 	}
 	perProc := make([]int64, p)
-	for q, proc := range sc.ElemProc {
+	for q, proc := range owners {
 		if proc < 0 || int(proc) >= p {
 			t.Fatalf("%s P=%d: element %d owned by out-of-range processor %d", label, p, q, proc)
 		}
@@ -195,9 +205,9 @@ func TestRelaxedPartitionStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sc.ElemProc) != part.F.NNZ() {
-			t.Fatalf("%s relaxed: ElemProc covers %d nonzeros, padded factor has %d",
-				name, len(sc.ElemProc), part.F.NNZ())
+		if n := len(elemOwners(sc)); sc.F != part.F || n != part.F.NNZ() {
+			t.Fatalf("%s relaxed: element owners cover %d nonzeros, padded factor has %d",
+				name, n, part.F.NNZ())
 		}
 		if got := sc.TotalWork(); got != part.TotalWork {
 			t.Fatalf("%s relaxed: total scheduled work %d, want padded total %d",
@@ -267,9 +277,8 @@ func TestPartitionCacheNormalized(t *testing.T) {
 	}
 }
 
-// TestUnitGranularity checks that block-granular schedules keep UnitProc
-// and ElemProc consistent and that simulators accept every strategy's
-// schedule.
+// TestSimulatorsAcceptAll checks that the traffic and makespan simulators
+// accept every strategy's schedule.
 func TestSimulatorsAcceptAll(t *testing.T) {
 	sys := newTestSys(t, gen.Grid9(8, 8))
 	opts := Options{}

@@ -2,11 +2,13 @@ package traffic
 
 // The reference check, for the strategy and 2D grids of
 // fetch_grid_test.go (package traffic_test, which may import the packages
-// that import this one), and the column owners of an element map, for
-// owners_test.go.
+// that import this one), and, for owners_test.go, the column owners of an
+// element map and a schedule's element owners, derived and reference.
 var (
 	CheckAttribution = checkAttribution
 	OwnerPerColumn   = ownerPerColumn
+	ElemOwners       = elemOwners
+	RefElemProc      = refElemProc
 )
 
 // GroupsSize counts a Groups' records and the positions they cover.

@@ -37,14 +37,15 @@ func (tc *TaskComm) TotalMsgs() int64 { return model.TotalWork(tc.Msgs) }
 // visits every source access of the factorization of s.F — the two
 // sources of every pair update, run by run in model.Ops.ForEachRun's
 // order, then the diagonal read of every scale — and marks each distinct
-// non-local (element, processor) pair in the returned tracker. What
-// Simulate and the consolidation step report is a tally of that final
-// set; the fetch attribution also needs to know which access came first,
-// so a non-nil ch is told of every first fetch as it is found.
-func firstFetches(s *sched.Schedule, ch *Charger) *FetchDedup {
+// non-local (element, processor) pair in the returned tracker. owner is
+// the owner of every element of s.F (elemOwners). What Simulate and the
+// consolidation step report is a tally of that final set; the fetch
+// attribution also needs to know which access came first, so a non-nil
+// ch is told of every first fetch as it is found.
+func firstFetches(s *sched.Schedule, owner []int32, ch *Charger) *FetchDedup {
 	f := s.F
 	fetched := NewFetchDedup(s.P, f.NNZ())
-	owner, rowInd := s.ElemProc, f.RowInd
+	rowInd := f.RowInd
 	model.NewOps(f).ForEachRun(func(r model.Run) {
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
@@ -58,29 +59,40 @@ func firstFetches(s *sched.Schedule, ch *Charger) *FetchDedup {
 			}
 		}
 	})
-	scaleFetches(f, owner, s.P, fetched, ch)
+	scaleFetches(f, s.P, func(j int) []int32 { return owner[f.ColPtr[j]:f.ColPtr[j+1]] }, fetched, ch)
 	return fetched
+}
+
+// elemOwners is the owner of every element of s.F, one transient slice
+// for the element-level readers: the walk and Incremental.
+func elemOwners(s *sched.Schedule) []int32 {
+	owner := make([]int32, 0, s.F.NNZ())
+	for j := 0; j < s.F.N; j++ {
+		owner = s.AppendOwners(owner, j)
+	}
+	return owner
 }
 
 // scaleFetches is the scale half of both the walk and the read-map
 // replay: processor p reads column j's diagonal for every element of
 // column j it owns, and fetches it once, charged to the first such
-// element, when it does not own it. The diagonal is never a pair-update
-// source, so a per-column stamp selects exactly the walk's first fetches;
-// fetched, when non-nil, is marked with them and ch, when non-nil, charged.
-func scaleFetches(f *symbolic.Factor, owner []int32, p int, fetched *FetchDedup, ch *Charger) {
+// element, when it does not own it. colOwners(j) is the owner of every
+// position of column j. The diagonal is never a pair-update source, so a
+// per-column stamp selects exactly the walk's first fetches; fetched,
+// when non-nil, is marked with them and ch, when non-nil, charged.
+func scaleFetches(f *symbolic.Factor, p int, colOwners func(j int) []int32, fetched *FetchDedup, ch *Charger) {
 	stamp := make([]int32, p) // stamp[q] == j+1: q fetched column j's diagonal
 	for j := 0; j < f.N; j++ {
-		diag := int32(f.ColPtr[j])
-		od, mark := owner[diag], int32(j+1)
-		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
-			if pq := owner[q]; pq != od && stamp[pq] != mark {
+		col, diag := colOwners(j), int32(f.ColPtr[j])
+		od, mark := col[0], int32(j+1)
+		for i, pq := range col[1:] {
+			if pq != od && stamp[pq] != mark {
 				stamp[pq] = mark
 				if fetched != nil {
 					fetched.FirstFetch(diag, pq)
 				}
 				if ch != nil {
-					ch.charge(q, od)
+					ch.charge(diag+1+int32(i), od)
 				}
 			}
 		}
@@ -105,8 +117,9 @@ type Charger struct {
 func NewCharger(p, ntasks int, taskOf []int32) Charger {
 	sched.MustProcs("traffic", p)
 	words := (p + 63) / 64
+	counts := make([]int64, 2*ntasks) // Vol and Msgs, one allocation
 	return Charger{
-		tc:     &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)},
+		tc:     &TaskComm{Vol: counts[:ntasks:ntasks], Msgs: counts[ntasks:]},
 		taskOf: taskOf,
 		words:  words, from: make([]uint64, words*ntasks),
 	}
@@ -152,7 +165,7 @@ func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
 		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), s.F.NNZ()))
 	}
 	ch := NewCharger(s.P, ntasks, taskOf)
-	firstFetches(s, &ch)
+	firstFetches(s, elemOwners(s), &ch)
 	return ch.Done()
 }
 
@@ -188,11 +201,13 @@ func replayReads(s *sched.Schedule) *TaskComm {
 	part := s.Part
 	f, rm := part.F, part.ReadMap()
 	ch := NewCharger(s.P, len(part.Units), part.ElemUnit) // taskOf for the scales
-	owner := s.ElemProc
 	longest := 0
 	for k := 0; k < f.N; k++ {
 		longest = max(longest, f.ColLen(k)-1)
 	}
+	// colOwners reads the owners of column k's positions into one buffer.
+	buf := make([]int32, 0, longest+1)
+	colOwners := func(k int) []int32 { return s.AppendOwners(buf[:0], k) }
 	words := (longest + 63) / 64
 	// held[p*words:][:words] marks the positions of the current column
 	// processor p owns or has fetched; stamp[p] == k+1 when they are
@@ -205,8 +220,7 @@ func replayReads(s *sched.Schedule) *TaskComm {
 		if len(reads) == 0 {
 			continue
 		}
-		base := int32(f.ColPtr[k] + 1)
-		col := owner[base:f.ColPtr[k+1]]
+		col := colOwners(k)[1:]
 		nw := (len(col) + 63) / 64
 		mark := int32(k + 1)
 		clear(starts[:nw])
@@ -245,7 +259,7 @@ func replayReads(s *sched.Schedule) *TaskComm {
 			}
 		}
 	}
-	scaleFetches(f, owner, s.P, nil, &ch)
+	scaleFetches(f, s.P, colOwners, nil, &ch)
 	return ch.Done()
 }
 

@@ -22,9 +22,10 @@ func refFetchPerTask(s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32
 	tc := &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
 	fetched := NewFetchDedup(s.P, nnz)
 	msgSeen := make(map[int64]struct{}) // distinct (source processor, task) pairs
+	owners := refElemProc(s)
 	access := func(elem, tgt int32) {
-		proc := s.ElemProc[tgt]
-		owner := s.ElemProc[elem]
+		proc := owners[tgt]
+		owner := owners[elem]
 		if owner == proc || !fetched.FirstFetch(elem, proc) {
 			return
 		}
@@ -73,9 +74,9 @@ func checkColumns(t testing.TB, name string, s *sched.Schedule) {
 func TestFetchStatsPanics(t *testing.T) {
 	ops, part, ew := pipeline(gen.Grid9(5, 5), 4, 4)
 	s, bs := sched.WrapMap(ops.F, ew, 3), sched.BlockMap(part, 3)
-	noProcs := &sched.Schedule{F: s.F, ElemProc: s.ElemProc, ColProc: s.ColProc}
-	noUnitProcs := &sched.Schedule{F: bs.F, Part: bs.Part, ElemProc: bs.ElemProc, UnitProc: bs.UnitProc}
-	neither := &sched.Schedule{P: 3, F: s.F, ElemProc: s.ElemProc, Work: s.Work}
+	noProcs := &sched.Schedule{F: s.F, ColProc: s.ColProc}
+	noUnitProcs := &sched.Schedule{F: bs.F, Part: bs.Part, UnitProc: bs.UnitProc}
+	neither := &sched.Schedule{P: 3, F: s.F, ElemProc: refElemProc(s), Work: s.Work}
 	colOf := ops.F.ColIndex()
 	for name, fn := range map[string]func(){
 		"columns, P = 0":        func() { FetchStats(noProcs) },
@@ -204,12 +205,9 @@ func fuzzBlocks(t *testing.T, fac *symbolic.Factor, p int, script []byte) {
 		MinClusterWidth: 2 + at(1)%4,
 		RelaxZeros:      float64(at(2)%4) * 0.15,
 	})
-	shuffle := &sched.Schedule{P: p, F: part.F, Part: part, UnitProc: make([]int32, len(part.Units)), ElemProc: make([]int32, part.F.NNZ())}
+	shuffle := &sched.Schedule{P: p, F: part.F, Part: part, UnitProc: make([]int32, len(part.Units))}
 	for u := range shuffle.UnitProc {
 		shuffle.UnitProc[u] = int32(at(3+u) % p)
-	}
-	for q, u := range part.ElemUnit {
-		shuffle.ElemProc[q] = shuffle.UnitProc[u]
 	}
 	checkBlocks(t, "fuzz/block", sched.BlockMap(part, p))
 	checkBlocks(t, "fuzz/blockgreedy", sched.BlockMapGreedy(part, p))

@@ -13,21 +13,25 @@ import (
 // searches that reassign one owner-uniform group of elements per trial
 // (the rect2d descent's tiles, refine's columns or unit blocks): Move
 // returns the new total, which always equals Simulate(s).Total for the
-// schedule's current ElemProc, and a rejected trial is a Move back.
+// schedule s with every group on the owner its moves have given it, and a
+// rejected trial is a Move back.
 //
 // The state is one reader count per (element, processor), filled from
 // the groups' records, each group's under its owner; the total is the
 // number of pairs with a count and a processor other than the element's
 // owner. A move shifts its group's reads from the old owner to the new
 // one and flips which of its elements' readers are local; that is all it
-// touches. The table holds 4·nnz(L)·P bytes (1.1 MB for LAP30 at P = 16,
-// 144 MB for n = 14 400 at P = 64), so it is meant to live for one search.
+// touches. The counter keeps its own owner of every element, moved with
+// its group, and never writes the schedule. The table holds 4·nnz(L)·P
+// bytes (1.1 MB for LAP30 at P = 16, 144 MB for n = 14 400 at P = 64), so
+// it is meant to live for one search.
 type Incremental struct {
-	s     *sched.Schedule
+	p     int
 	g     *Groups
 	count []int32 // count[e*P+p]
 	total int64
 	owner []int32 // owner[g] is group g's processor, -1 when it holds no element
+	elem  []int32 // elem[q] is element q's processor
 }
 
 // Groups is a partition of a factor's elements into boxes, each box's
@@ -202,19 +206,18 @@ func byGroup[T any](groups int, items []T, of []int32) ([]int32, []T) {
 
 // NewIncremental builds the counter for schedule s over the groups gs,
 // which must be built over the symbolic factor the schedule was computed
-// from, each group's elements having one owner in s. The counter keeps s
-// and writes s.ElemProc on every Move; s.Work and s.UnitProc stay the
-// caller's to maintain.
+// from, each group's elements having one owner in s. The counter reads s
+// once; its owner vector, Work and the rest stay the caller's to maintain.
 func NewIncremental(gs *Groups, s *sched.Schedule) *Incremental {
-	if len(s.ElemProc) != gs.nnz {
-		panic(fmt.Sprintf("traffic: schedule covers %d elements, factor has %d", len(s.ElemProc), gs.nnz))
+	if nnz := s.F.NNZ(); nnz != gs.nnz {
+		panic(fmt.Sprintf("traffic: schedule over %d elements, groups over %d", nnz, gs.nnz))
 	}
 	sched.MustProcs("traffic", s.P)
-	t := &Incremental{s: s, g: gs, count: make([]int32, gs.nnz*s.P), owner: make([]int32, len(gs.elemPtr)-1)}
+	t := &Incremental{p: s.P, g: gs, count: make([]int32, gs.nnz*s.P), owner: make([]int32, len(gs.elemPtr)-1), elem: elemOwners(s)}
 	for g := range t.owner {
 		t.owner[g] = -1
 		for _, e := range gs.elems[gs.elemPtr[g]:gs.elemPtr[g+1]] {
-			for _, o := range s.ElemProc[e.lo:e.hi] {
+			for _, o := range t.elem[e.lo:e.hi] {
 				if t.owner[g] < 0 {
 					t.owner[g] = o
 				} else if o != t.owner[g] {
@@ -236,7 +239,7 @@ func (t *Incremental) Total() int64 { return t.total }
 // counts of proc. A count is the number of proc's groups reading the
 // position, and only whether it is positive reaches the total.
 func (t *Incremental) read(g int, sign, proc int32) {
-	p, owner := t.s.P, t.s.ElemProc
+	p, owner := t.p, t.elem
 	for _, r := range t.g.reads[t.g.readPtr[g]:t.g.readPtr[g+1]] {
 		for q := int(r.lo); q < int(r.hi); q++ {
 			c := &t.count[q*p+int(proc)]
@@ -253,7 +256,7 @@ func (t *Incremental) read(g int, sign, proc int32) {
 // move to the current owner, or of a group holding no element, changes
 // nothing. The cost is g's records and its own elements.
 func (t *Incremental) Move(g int, dst int32) int64 {
-	p := t.s.P
+	p := t.p
 	if dst < 0 || int(dst) >= p {
 		panic(fmt.Sprintf("traffic: move to processor %d of %d", dst, p))
 	}
@@ -274,7 +277,7 @@ func (t *Incremental) Move(g int, dst int32) int64 {
 			if row[dst] > 0 {
 				t.total--
 			}
-			t.s.ElemProc[q] = dst
+			t.elem[q] = dst
 		}
 	}
 	t.owner[g] = dst

@@ -14,30 +14,33 @@ import (
 )
 
 // oracleCheck drives one Incremental and holds it to its contract: after
-// every move the total is Simulate's on the schedule as it now stands,
-// the (element, processor) pairs the table counts a reader for are the
-// element-list oracle's, entry for entry (refIncremental, on its own copy
-// of the schedule, moving the group's elements; it counts reads, the
-// table counts reading groups, and only count > 0 reaches a total), and
-// the schedule's ElemProc is what the moves so far say.
+// every move the total is Simulate's on the element owners the moves so
+// far say, the (element, processor) pairs the table counts a reader for
+// are the element-list oracle's, entry for entry (refIncremental, on its
+// own copy of the owners, moving the group's elements; it counts reads,
+// the table counts reading groups, and only count > 0 reaches a total),
+// the counter's own element owners are what the moves say, and the
+// schedule it was built from is left as it was.
 type oracleCheck struct {
 	t     testing.TB
 	name  string
 	ops   *model.Ops
 	s     *sched.Schedule
+	start []int32   // the element owners of s
 	elems [][]int32 // the elements of each group
 	inc   *Incremental
 	ref   *refIncremental
-	want  []int32 // ElemProc replayed from the moves alone
+	want  []int32 // element owners replayed from the moves alone
 	n     int     // moves made
 }
 
 func newOracleCheck(t testing.TB, name string, ops *model.Ops, s *sched.Schedule, boxes []Box) *oracleCheck {
-	c := &oracleCheck{t: t, name: name, ops: ops, s: s, want: slices.Clone(s.ElemProc)}
+	start := slices.Clone(refElemProc(s))
+	c := &oracleCheck{t: t, name: name, ops: ops, s: s, start: start, want: slices.Clone(start)}
 	for _, b := range boxes {
 		c.elems = append(c.elems, boxElems(ops.F, b))
 	}
-	c.ref = newRefIncremental(ops, &sched.Schedule{P: s.P, F: s.F, ElemProc: slices.Clone(s.ElemProc)})
+	c.ref = newRefIncremental(ops, &sched.Schedule{P: s.P, F: s.F, ElemProc: slices.Clone(start)})
 	c.inc = NewIncremental(NewGroups(ops, boxes), s)
 	c.verify(c.inc.Total(), "build")
 	return c
@@ -60,7 +63,7 @@ func (c *oracleCheck) verify(got int64, what string) {
 	if total := c.inc.Total(); got != total {
 		c.t.Fatalf("%s move %d (%s): Move returned %d, Total() %d", c.name, c.n, what, got, total)
 	}
-	if want := Simulate(c.s).Total; got != want {
+	if want := Simulate(&sched.Schedule{P: c.s.P, F: c.s.F, ElemProc: c.want}).Total; got != want {
 		c.t.Fatalf("%s move %d (%s): incremental total %d, Simulate %d", c.name, c.n, what, got, want)
 	}
 	if got != c.ref.total {
@@ -72,9 +75,12 @@ func (c *oracleCheck) verify(got int64, what string) {
 		}
 	}
 	for q, w := range c.want {
-		if c.s.ElemProc[q] != w || c.ref.s.ElemProc[q] != w {
-			c.t.Fatalf("%s move %d (%s): ElemProc[%d] = %d (oracle %d), the moves say %d", c.name, c.n, what, q, c.s.ElemProc[q], c.ref.s.ElemProc[q], w)
+		if c.inc.elem[q] != w || c.ref.s.ElemProc[q] != w {
+			c.t.Fatalf("%s move %d (%s): element %d on %d (oracle %d), the moves say %d", c.name, c.n, what, q, c.inc.elem[q], c.ref.s.ElemProc[q], w)
 		}
+	}
+	if !slices.Equal(refElemProc(c.s), c.start) {
+		c.t.Fatalf("%s move %d (%s): the counter wrote the schedule it was built from", c.name, c.n, what)
 	}
 }
 
@@ -169,12 +175,12 @@ func (c *oracleCheck) randomMoves(rng *rand.Rand, moves int) {
 		case kind == 0 && len(c.elems[g]) > 0:
 			// The group's own owner: nothing may change.
 			before := c.inc.Total()
-			if got := c.move(g, c.s.ElemProc[c.elems[g][0]], "current owner"); got != before {
+			if got := c.move(g, c.want[c.elems[g][0]], "current owner"); got != before {
 				c.t.Fatalf("%s: a move to the current owner changed the total %d -> %d", c.name, before, got)
 			}
 		case kind == 1 && len(c.elems[g]) > 0:
 			// A trial and its rejection.
-			src := c.s.ElemProc[c.elems[g][0]]
+			src := c.want[c.elems[g][0]]
 			before := c.inc.Total()
 			c.move(g, dst, "trial")
 			if got := c.move(g, src, "revert"); got != before {
@@ -271,10 +277,9 @@ func TestIncrementalPanics(t *testing.T) {
 		fn()
 	}
 	groups := NewGroups(ops, cols)
-	mustPanic("short schedule", func() {
-		NewIncremental(groups, &sched.Schedule{P: 3, ElemProc: s.ElemProc[:len(s.ElemProc)-1]})
-	})
-	mustPanic("P = 0", func() { NewIncremental(groups, &sched.Schedule{ElemProc: s.ElemProc}) })
+	small, _, smallWork := pipeline(gen.Grid9(4, 4), 4, 4)
+	mustPanic("schedule over another factor", func() { NewIncremental(groups, sched.WrapMap(small.F, smallWork, 3)) })
+	mustPanic("P = 0", func() { NewIncremental(groups, &sched.Schedule{F: s.F, ColProc: s.ColProc}) })
 	mustPanic("box above its columns", func() {
 		NewGroups(ops, append(slices.Clone(cols[1:]), Box{0, 1, 0, 1}, Box{1, 2, 0, n}))
 	})

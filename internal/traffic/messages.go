@@ -46,7 +46,7 @@ func Consolidate(s *sched.Schedule, groupOf []int32) *MessageStats {
 		proc  int32
 	}
 	sizes := make(map[key]int64)
-	firstFetches(s, nil).each(func(elem, proc int32) {
+	firstFetches(s, elemOwners(s), nil).each(func(elem, proc int32) {
 		sizes[key{groupOf[elem], proc}]++
 	})
 	st := &MessageStats{P: s.P, PerProc: make([]int64, s.P)}

@@ -2,6 +2,11 @@ package traffic_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -56,13 +61,20 @@ func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) st
 			return fmt.Sprintf("owner %d of %d is no processor of P = %d", i, o, sc.P)
 		}
 	}
-	if len(sc.ElemProc) != f.NNZ() {
-		return fmt.Sprintf("%d element owners for %d elements", len(sc.ElemProc), f.NNZ())
+	elems := traffic.ElemOwners(sc)
+	if len(elems) != f.NNZ() {
+		return fmt.Sprintf("%d element owners for %d elements", len(elems), f.NNZ())
+	}
+	if sc.ElemProc != nil && len(sc.ElemProc) != f.NNZ() {
+		return fmt.Sprintf("ElemProc holds %d owners for %d elements", len(sc.ElemProc), f.NNZ())
 	}
 	work := make([]int64, sc.P)
-	for q, o := range sc.ElemProc {
+	for q, o := range elems {
 		if o != owner[of[q]] {
 			return fmt.Sprintf("element %d on %d, its owner %d on %d", q, o, of[q], owner[of[q]])
+		}
+		if sc.ElemProc != nil && sc.ElemProc[q] != o {
+			return fmt.Sprintf("ElemProc puts element %d on %d, its owner %d on %d", q, sc.ElemProc[q], of[q], o)
 		}
 		work[o] += elemWork[q]
 	}
@@ -92,6 +104,8 @@ func columnsHold(sys *strategy.Sys, s2 *part2d.Schedule2D) string {
 		return "ColProc nil on a column-granular tiling"
 	case want == nil:
 		return ""
+	case !slices.Equal(sc.ColProc, want):
+		return "ColProc is not the owner of the bridge's columns"
 	}
 	return ownersHold(sys, strategy.Options{}, sc)
 }
@@ -138,6 +152,9 @@ func TestSchedulesKeepTheirOwners(t *testing.T) {
 					if msg := ownersHold(sys, opts, sc); msg != "" {
 						t.Fatalf("%s %s P=%d %+v: %s", tm.Name, name, p, opts, msg)
 					}
+					if sc.ElemProc != nil {
+						t.Fatalf("%s %s P=%d %+v: a 1D schedule holds one owner per element", tm.Name, name, p, opts)
+					}
 					schedules++
 				}
 			}
@@ -177,7 +194,8 @@ func TestSchedulesKeepTheirOwners(t *testing.T) {
 }
 
 // TestOwnersHoldCatchesReownedElement: the invariant check is not vacuous —
-// one element moved off its column's or unit's owner is reported.
+// one element kept off its column's or unit's owner, and one column or unit
+// re-owned without its work, are reported.
 func TestOwnersHoldCatchesReownedElement(t *testing.T) {
 	sys := suiteSys(t, gen.Suite()[0])
 	const p = 3
@@ -190,10 +208,117 @@ func TestOwnersHoldCatchesReownedElement(t *testing.T) {
 		if msg := ownersHold(sys, opts, sc); msg != "" {
 			t.Fatalf("%s: %s before the plant", name, msg)
 		}
-		q := len(sc.ElemProc) / 2
-		sc.ElemProc[q] = (sc.ElemProc[q] + 1) % p
+		elems := traffic.ElemOwners(sc)
+		q := len(elems) / 2
+		elems[q] = (elems[q] + 1) % p
+		planted := *sc
+		planted.ElemProc = elems
+		if ownersHold(sys, opts, &planted) == "" {
+			t.Errorf("%s: element %d kept off its owner, and the check passed", name, q)
+		}
+		owner, i := sc.ColProc, int(sys.F.ColIndex()[q])
+		if sc.Part != nil {
+			owner, i = sc.UnitProc, int(sc.Part.ElemUnit[q])
+		}
+		owner[i] = (owner[i] + 1) % p
 		if ownersHold(sys, opts, sc) == "" {
-			t.Errorf("%s: element %d re-owned, and the check passed", name, q)
+			t.Errorf("%s: owner %d moved without its work, and the check passed", name, i)
 		}
 	}
+}
+
+// TestElemOwnersAndTotalsPinned pins, on every cell of ownerCells, the
+// element owners every reader derives (sched.Schedule.AppendOwners, column
+// by column) to the per-element derivation the constructors used to store
+// (traffic.RefElemProc), and traffic.Simulate, FetchStats and an
+// Incremental to the totals they gave while the schedules still stored it
+// (testdata/totals.golden, written by the commit before the derivation
+// moved to its readers).
+func TestElemOwnersAndTotalsPinned(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "totals.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		cell, totals, _ := strings.Cut(line, " simulate=")
+		want[cell] = "simulate=" + totals
+	}
+	cells := 0
+	ownerCells(t, func(cell string, sys *strategy.Sys, sc *sched.Schedule) {
+		if sc.ElemProc != nil {
+			t.Fatalf("%s: a 1D schedule holds one owner per element", cell)
+		}
+		if got, ref := traffic.ElemOwners(sc), traffic.RefElemProc(sc); !slices.Equal(got, ref) {
+			t.Fatalf("%s: derived element owners differ from the reference derivation", cell)
+		}
+		w, ok := want[cell]
+		if !ok {
+			t.Fatalf("%s: no such cell in testdata/totals.golden", cell)
+		}
+		if got := cellTotals(sys, sc); got != w {
+			t.Errorf("%s: %s, pinned %s", cell, got, w)
+		}
+		cells++
+	})
+	if !testing.Short() && !raceBuild && cells != len(want) {
+		t.Fatalf("%d cells checked, testdata/totals.golden has %d", cells, len(want))
+	}
+}
+
+// ownerCells is the grid the owner derivation and the traffic totals are
+// pinned on: the suite under every registered 1D strategy at P = 1, 2, 4,
+// 16, 64 and n + 1 (two under -race and -short), the block-granular ones
+// also at grain 25 and at relaxation 0.3. fn receives each cell's label,
+// system, options and schedule.
+func ownerCells(t *testing.T, fn func(cell string, sys *strategy.Sys, sc *sched.Schedule)) {
+	parts := []core.Options{{}, {Grain: 25}, {RelaxZeros: 0.3}}
+	for _, tm := range gen.Suite() {
+		sys := suiteSys(t, tm)
+		procs := []int{1, 2, 4, 16, 64, sys.F.N + 1}
+		if testing.Short() || raceBuild {
+			procs = procs[1:3]
+		}
+		for _, name := range strategy.Names() {
+			for _, p := range procs {
+				for pi, po := range parts {
+					sc, err := strategy.Map(name, sys, p, strategy.Options{Part: po})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pi > 0 && sc.Part == nil {
+						break // a column schedule does not read opts.Part
+					}
+					pl := "P=" + strconv.Itoa(p)
+					if p == sys.F.N+1 {
+						pl = "P=n+1"
+					}
+					fn(fmt.Sprintf("%s %s %s g=%d rz=%g", tm.Name, name, pl, po.Grain, po.RelaxZeros), sys, sc)
+				}
+			}
+		}
+	}
+}
+
+// cellTotals is one cell's traffic.Simulate total, FetchStats volume and
+// messages, and, at P <= 64, the total of an Incremental over the
+// schedule's columns or unit blocks.
+func cellTotals(sys *strategy.Sys, sc *sched.Schedule) string {
+	tc := traffic.FetchStats(sc)
+	out := fmt.Sprintf("simulate=%d vol=%d msgs=%d", traffic.Simulate(sc).Total, tc.TotalVol(), tc.TotalMsgs())
+	if sc.P > 64 {
+		return out
+	}
+	ops, boxes := sys.Ops, make([]traffic.Box, 0, sc.F.N)
+	if part := sc.Part; part != nil {
+		ops = model.NewOps(part.F)
+		for _, u := range part.Units {
+			boxes = append(boxes, traffic.Box{Col0: u.ColLo, Col1: u.ColHi + 1, Row0: u.RowLo, Row1: u.RowHi + 1})
+		}
+	} else {
+		for j := 0; j < sc.F.N; j++ {
+			boxes = append(boxes, traffic.Box{Col0: j, Col1: j + 1, Row0: j, Row1: sc.F.N})
+		}
+	}
+	return out + fmt.Sprintf(" incremental=%d", traffic.NewIncremental(traffic.NewGroups(ops, boxes), sc).Total())
 }

@@ -22,6 +22,9 @@
 package traffic
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/sched"
 )
 
@@ -41,15 +44,7 @@ type Result struct {
 func (r *Result) Mean() float64 { return float64(r.Total) / float64(r.P) }
 
 // MaxPerProc returns the largest per-processor traffic.
-func (r *Result) MaxPerProc() int64 {
-	var m int64
-	for _, t := range r.PerProc {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
+func (r *Result) MaxPerProc() int64 { return slices.Max(r.PerProc) }
 
 // Partners returns, for each processor, the number of distinct processors
 // it exchanges data with (in either direction).
@@ -82,7 +77,8 @@ func (r *Result) MeanPartners() float64 {
 // schedule's shape: it is the oracle the passes of FetchStats and the
 // reader counts of Incremental are held to.
 func Simulate(s *sched.Schedule) *Result {
-	fetched := firstFetches(s, nil)
+	owner := elemOwners(s)
+	fetched := firstFetches(s, owner, nil)
 	r := &Result{
 		P:       s.P,
 		PerProc: make([]int64, s.P),
@@ -94,7 +90,7 @@ func Simulate(s *sched.Schedule) *Result {
 	fetched.each(func(elem, proc int32) {
 		r.Total++
 		r.PerProc[proc]++
-		r.Pair[s.ElemProc[elem]][proc]++
+		r.Pair[owner[elem]][proc]++
 	})
 	return r
 }
@@ -112,19 +108,9 @@ func (r *Result) HopWeightedTraffic() int64 {
 	for o := 0; o < r.P; o++ {
 		for a := 0; a < r.P; a++ {
 			if v := r.Pair[o][a]; v > 0 {
-				total += v * int64(hamming(uint(o), uint(a)))
+				total += v * int64(bits.OnesCount(uint(o^a)))
 			}
 		}
 	}
 	return total
-}
-
-func hamming(a, b uint) int {
-	x := a ^ b
-	d := 0
-	for x != 0 {
-		x &= x - 1
-		d++
-	}
-	return d
 }

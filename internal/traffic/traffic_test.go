@@ -66,8 +66,9 @@ func TestDense3x3WrapByHand(t *testing.T) {
 func bruteTraffic(ops *model.Ops, s *sched.Schedule) int64 {
 	seen := make(map[[2]int32]struct{})
 	var total int64
+	owner := refElemProc(s)
 	acc := func(elem, proc int32) {
-		if s.ElemProc[elem] == proc {
+		if owner[elem] == proc {
 			return
 		}
 		k := [2]int32{elem, proc}
@@ -78,10 +79,10 @@ func bruteTraffic(ops *model.Ops, s *sched.Schedule) int64 {
 		total++
 	}
 	forEachUpdate(ops, func(u update) {
-		acc(u.SrcI, s.ElemProc[u.Tgt])
-		acc(u.SrcJ, s.ElemProc[u.Tgt])
+		acc(u.SrcI, owner[u.Tgt])
+		acc(u.SrcJ, owner[u.Tgt])
 	})
-	forEachScale(ops, func(tgt, diag int32) { acc(diag, s.ElemProc[tgt]) })
+	forEachScale(ops, func(tgt, diag int32) { acc(diag, owner[tgt]) })
 	return total
 }
 
