@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"slices"
 	"strings"
@@ -161,11 +160,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	traceProcs := fs.Int("traceprocs", 16, "processor count of the traced run")
 	repeats := fs.Int("repeats", 3, "repeat-and-min count for the timings of -table measure")
 	fs.Parse(args)
-	// !(x >= 0) also rejects NaN, which a plain x < 0 lets through.
-	if !(*alpha >= 0) || !(*beta >= 0) || math.IsInf(*alpha, 0) || math.IsInf(*beta, 0) {
-		return fmt.Errorf("invalid comm model: alpha=%g beta=%g (both must be finite and >= 0)", *alpha, *beta)
-	}
 	cm := repro.CommModel{Alpha: *alpha, Beta: *beta}
+	if err := cm.Valid(); err != nil {
+		return fmt.Errorf("-alpha/-beta: %w", err)
+	}
 	if err := validateRepeats(*repeats); err != nil {
 		return err
 	}

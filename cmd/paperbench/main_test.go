@@ -82,6 +82,9 @@ func TestRejectsBeforeLoading(t *testing.T) {
 		{[]string{"-table", "none", "-trace", ledger, "-tracestrategy", "col2d:block"}, `unknown trace strategy "col2d:block"`, ""},
 		{[]string{"-table", "none", "-trace", ledger, "-traceformat", "svg"}, `unknown trace format "svg"`, ""},
 		{[]string{"-table", "measure", "-repeats", "0", "-ledger", ledger}, "invalid -repeats 0", ""},
+		{[]string{"-table", "unified", "-alpha", "NaN", "-ledger", ledger}, "-alpha/-beta: invalid CommModel: Alpha = NaN", ""},
+		{[]string{"-table", "unified", "-beta", "-5"}, "-alpha/-beta: invalid CommModel: Beta = -5", ""},
+		{[]string{"-table", "unified", "-alpha", "+Inf"}, "-alpha/-beta: invalid CommModel: Alpha = +Inf", ""},
 	} {
 		var stderr bytes.Buffer
 		err := run(tc.args, io.Discard, &stderr)

@@ -195,9 +195,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Every flag is checked against its registry before any matrix is
 	// built, and the observability files are created up front, so a typo
 	// can't surface after a long simulation or mid-CSV.
-	// !(x >= 0) also rejects NaN, which a plain x < 0 lets through.
-	if !(o.cm.Alpha >= 0) || !(o.cm.Beta >= 0) || math.IsInf(o.cm.Alpha, 0) || math.IsInf(o.cm.Beta, 0) {
-		return fmt.Errorf("invalid comm model: alpha=%g beta=%g (both must be finite and >= 0)", o.cm.Alpha, o.cm.Beta)
+	if err := o.cm.Valid(); err != nil {
+		return fmt.Errorf("-alpha/-beta: %w", err)
 	}
 	if !(o.beta2 >= 0) || math.IsInf(o.beta2, 0) {
 		return fmt.Errorf("invalid -beta2 %g (must be finite and >= 0)", o.beta2)

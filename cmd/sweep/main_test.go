@@ -180,6 +180,9 @@ func TestRejectsBeforeLoading(t *testing.T) {
 		{[]string{"-kind", "grain", "-ledger", filepath.Join(t.TempDir(), "l.json")}, "-ledger requires -kind strategy, comm, tile2d"},
 		{[]string{"-kind", "measure", "-repeats", "0"}, "invalid -repeats 0 for -kind measure"},
 		{[]string{"-kind", "all"}, "-kind all requires -out"},
+		{[]string{"-kind", "comm", "-alpha", "NaN"}, "-alpha/-beta: invalid CommModel: Alpha = NaN"},
+		{[]string{"-kind", "comm", "-alpha", "-5"}, "-alpha/-beta: invalid CommModel: Alpha = -5"},
+		{[]string{"-kind", "tile2d", "-beta", "+Inf"}, "-alpha/-beta: invalid CommModel: Beta = +Inf"},
 	} {
 		err := run(tc.args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

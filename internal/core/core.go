@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -248,17 +249,8 @@ func (a *arena[T]) take(n int) []T {
 // It panics if (i, j) is not in the factor structure.
 func (p *Partition) UnitOf(i, j int) int {
 	f := p.F
-	col := f.Col(j)
-	lo, hi := 0, len(col)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if col[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(col) || col[lo] != i {
+	lo, ok := slices.BinarySearch(f.Col(j), int32(i))
+	if !ok {
 		panic(fmt.Sprintf("core: element (%d,%d) not in factor", i, j))
 	}
 	return int(p.ElemUnit[f.ColPtr[j]+lo])
@@ -309,9 +301,9 @@ func (p *Partition) identifyClusters(rects *arena[Rect]) {
 		cl.Rects = rects.take(runs)[:0]
 		for a, r := range below {
 			if a == 0 || r != below[a-1]+1 {
-				cl.Rects = append(cl.Rects, Rect{RowLo: r})
+				cl.Rects = append(cl.Rects, Rect{RowLo: int(r)})
 			}
-			cl.Rects[len(cl.Rects)-1].RowHi = r
+			cl.Rects[len(cl.Rects)-1].RowHi = int(r)
 		}
 		p.Clusters = append(p.Clusters, cl)
 		for j := s; j < e; j++ {
@@ -472,8 +464,7 @@ func (cl *Cluster) gridIndex(split []bool, ints *arena[int], bands *arena[rowBan
 }
 
 func lastRow(f *symbolic.Factor, j int) int {
-	col := f.Col(j)
-	return col[len(col)-1]
+	return int(f.RowInd[f.ColPtr[j+1]-1])
 }
 
 // splitRange divides [lo, hi) into parts near-equal contiguous pieces and

@@ -68,7 +68,7 @@ func checkInvariants(t *testing.T, p *Partition) {
 	// Element-unit map consistent with unit extents.
 	for j := 0; j < f.N; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			i := f.RowInd[q]
+			i := int(f.RowInd[q])
 			u := &p.Units[p.ElemUnit[q]]
 			if j < u.ColLo || j > u.ColHi || i < u.RowLo || i > u.RowHi {
 				t.Fatalf("element (%d,%d) mapped to unit %d with extents rows %d..%d cols %d..%d",
@@ -257,7 +257,7 @@ func TestUnitOfMatchesElemUnit(t *testing.T) {
 	f := p.F
 	for j := 0; j < f.N; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if got, want := p.UnitOf(f.RowInd[q], j), int(p.ElemUnit[q]); got != want {
+			if got, want := p.UnitOf(int(f.RowInd[q]), j), int(p.ElemUnit[q]); got != want {
 				t.Fatalf("UnitOf(%d,%d) = %d, want %d", f.RowInd[q], j, got, want)
 			}
 		}

@@ -99,10 +99,10 @@ func (p *Partition) territories() territory {
 // splitsHit appends to dst, increasing, the indices b of the bands
 // [bounds[b], bounds[b+1]) that hold one of the sorted values, all of
 // which lie in [bounds[0], bounds[len-1]): one merge walk of both.
-func splitsHit(bounds, vals, dst []int) []int {
+func splitsHit(bounds []int, vals []int32, dst []int) []int {
 	b := 0
 	for _, v := range vals {
-		for v >= bounds[b+1] {
+		for int(v) >= bounds[b+1] {
 			b++
 		}
 		if len(dst) == 0 || dst[len(dst)-1] != b {
@@ -145,7 +145,7 @@ func (p *Partition) columnSourceDeps() (edges edgeList) {
 			// S[x:y] are the rows of S in the cluster's columns, S[y:] rows
 			// of its rectangles.
 			y := x
-			for y < len(S) && S[y] <= tcl.ColHi {
+			for y < len(S) && int(S[y]) <= tcl.ColHi {
 				y++
 			}
 			cols := S[x:y]
@@ -160,11 +160,11 @@ func (p *Partition) columnSourceDeps() (edges edgeList) {
 			// Category 3 against the rectangles below the triangle.
 			for ri, z := 0, y; z < len(S); ri++ {
 				r := &tcl.Rects[ri]
-				if r.RowHi < S[z] {
+				if r.RowHi < int(S[z]) {
 					continue
 				}
 				z0 := z
-				for z < len(S) && S[z] <= r.RowHi {
+				for z < len(S) && int(S[z]) <= r.RowHi {
 					z++
 				}
 				rowsHit = splitsHit(r.RowSplits, S[z0:z], rowsHit[:0])
@@ -216,7 +216,7 @@ func (p *Partition) denseSourceDeps(t territory, colOff, colSrc []int32) {
 		// For a sparse column target an overlap of extents is necessary but
 		// not sufficient: the i-source's rows must meet the actual
 		// structure of the target column.
-		var structJ []int
+		var structJ []int32
 		if u.Kind == Column {
 			structJ = f.Col(u.ColLo)
 		}
@@ -346,17 +346,17 @@ func merge(dst, x, y []int32) []int32 {
 
 // bandsMeeting appends to dst the indices of the cluster's row bands that
 // meet rows [x, y] and, when rows is non-nil, hold one of the sorted rows.
-func (cl *Cluster) bandsMeeting(x, y int, rows []int, dst []int32) []int32 {
+func (cl *Cluster) bandsMeeting(x, y int, rows []int32, dst []int32) []int32 {
 	b := sort.Search(len(cl.rows), func(b int) bool { return cl.rows[b].hi >= x })
 	for ; b < len(cl.rows) && cl.rows[b].lo <= y; b++ {
 		if rows != nil {
-			for len(rows) > 0 && rows[0] < cl.rows[b].lo {
+			for len(rows) > 0 && int(rows[0]) < cl.rows[b].lo {
 				rows = rows[1:]
 			}
 			if len(rows) == 0 {
 				break
 			}
-			if rows[0] > cl.rows[b].hi {
+			if int(rows[0]) > cl.rows[b].hi {
 				continue
 			}
 		}

@@ -72,8 +72,8 @@ func refIdentifyClusters(p *Partition) {
 		rows := f.Col(s)
 		var below []int
 		for _, r := range rows {
-			if r >= e {
-				below = append(below, r)
+			if int(r) >= e {
+				below = append(below, int(r))
 			}
 		}
 		for a := 0; a < len(below); {
@@ -211,7 +211,7 @@ func refMapElements(p *Partition, elemWork []int64) {
 		ci := p.ColCluster[j]
 		cl := &p.Clusters[ci]
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			i := f.RowInd[q]
+			i := int(f.RowInd[q])
 			var uid int
 			switch {
 			case cl.Single:
@@ -308,9 +308,9 @@ func refAttachEdges(p *Partition, edges map[int64]struct{}) {
 }
 
 // refHits reports whether the sorted slice s has an element in [lo, hi].
-func refHits(s []int, lo, hi int) bool {
-	k := sort.SearchInts(s, lo)
-	return k < len(s) && s[k] <= hi
+func refHits(s []int32, lo, hi int) bool {
+	k, _ := slices.BinarySearch(s, int32(lo))
+	return k < len(s) && int(s[k]) <= hi
 }
 
 // refColumnSourceDeps handles categories 1-3: a single column k updates
@@ -357,7 +357,7 @@ func refColumnSourceDeps(p *Partition, addEdge func(tgt, src int)) {
 		// Multi-column clusters whose territory S touches.
 		hitBuf = hitBuf[:0]
 		for _, r := range S {
-			hitBuf = regions.Stab(r, hitBuf)
+			hitBuf = regions.Stab(int(r), hitBuf)
 		}
 		for _, ci2 := range hitBuf {
 			if !seen[ci2] {
@@ -431,7 +431,7 @@ func refDenseSourceDeps(p *Partition, addEdge func(tgt, src int)) {
 		if len(bBuf) == 0 {
 			continue
 		}
-		var structJ []int
+		var structJ []int32
 		if u.Kind == Column {
 			structJ = f.Col(u.ColLo)
 		}

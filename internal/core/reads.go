@@ -85,14 +85,14 @@ func (p *Partition) buildReadMap() *ReadMap {
 				continue
 			}
 			runs = cl.bandRuns(f.RowInd, a, end, runs[:0])
-			x := sort.SearchInts(cl.classes, f.RowInd[a]+1) - 1 // class of row a
+			x := sort.SearchInts(cl.classes, int(f.RowInd[a])+1) - 1 // class of row a
 			r := 0
-			for a < end && f.RowInd[a] <= cl.ColHi {
-				for f.RowInd[a] >= cl.classes[x+1] {
+			for a < end && int(f.RowInd[a]) <= cl.ColHi {
+				for int(f.RowInd[a]) >= cl.classes[x+1] {
 					x++
 				}
 				g := a + 1
-				for g < end && f.RowInd[g] < cl.classes[x+1] {
+				for g < end && int(f.RowInd[g]) < cl.classes[x+1] {
 					g++
 				}
 				for runs[r].hi <= a {
@@ -129,10 +129,10 @@ func span(w, lo, hi int32) uint64 {
 
 // bandRuns appends to dst the runs of positions [a, end) whose rows,
 // increasing and all in the cluster's territory, share a row band.
-func (cl *Cluster) bandRuns(rowInd []int, a, end int32, dst []readRun) []readRun {
+func (cl *Cluster) bandRuns(rowInd []int32, a, end int32, dst []readRun) []readRun {
 	b := 0
 	for q := a; q < end; q++ {
-		r := rowInd[q]
+		r := int(rowInd[q])
 		if q > a && r <= cl.rows[b].hi {
 			dst[len(dst)-1].hi = q + 1
 			continue

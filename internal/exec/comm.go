@@ -1,5 +1,10 @@
 package exec
 
+import (
+	"fmt"
+	"math"
+)
+
 // CommModel is the linear communication-time model of the makespan
 // simulators: fetching one non-local element costs Alpha work units
 // (the bandwidth term, the paper's per-element data traffic) and every
@@ -29,6 +34,22 @@ type CommModel struct {
 	Alpha float64 // work units per fetched non-local element
 	Beta  float64 // work units per received message
 	Gamma float64 // work units of fixed overhead per task
+}
+
+// Valid reports the first term that is NaN, infinite or negative as an
+// error naming it. Such a term corrupts every priced duration: a NaN or
+// infinite cost truncates to -2⁶³ on amd64, a negative one shortens a
+// task below its work.
+func (c CommModel) Valid() error {
+	for _, t := range [...]struct {
+		name string
+		v    float64
+	}{{"Alpha", c.Alpha}, {"Beta", c.Beta}, {"Gamma", c.Gamma}} {
+		if !(t.v >= 0) || math.IsInf(t.v, 1) {
+			return fmt.Errorf("invalid CommModel: %s = %g, every term must be finite and non-negative", t.name, t.v)
+		}
+	}
+	return nil
 }
 
 // IsZero reports whether the model charges nothing.

@@ -2,9 +2,14 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/sched"
 )
 
 // slackDAG is a three-task graph with intra-processor slack: processor 1's
@@ -205,6 +210,45 @@ func TestCommDynamicSlackDAG(t *testing.T) {
 		}
 		if cst.Comm != cdy.Comm {
 			t.Errorf("model %+v: static comm %d != dynamic comm %d", cm, cst.Comm, cdy.Comm)
+		}
+	}
+}
+
+// TestSimulateRejectsInvalidCommModel: a NaN, infinite or negative term
+// of the model panics with its name, as mismatched lengths do, on every
+// simulator. Unchecked, block at P = 4 on LAP30 read makespan 0, Comm
+// -2⁶³ and efficiency 1 under Alpha NaN, and a makespan below the
+// compute-only one under Alpha -5.
+func TestSimulateRejectsInvalidCommModel(t *testing.T) {
+	pp := buildPipe(gen.Lap30(), 25, 4)
+	tasks := BlockTasks(pp.part, sched.BlockMap(pp.part, 4))
+	ones := make([]int64, len(tasks))
+	for i := range ones {
+		ones[i] = 1
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cm   CommModel
+		name string
+	}{
+		{CommModel{Alpha: nan}, "Alpha = NaN"},
+		{CommModel{Alpha: -5}, "Alpha = -5"},
+		{CommModel{Alpha: inf}, "Alpha = +Inf"},
+		{CommModel{Alpha: 2, Beta: nan}, "Beta = NaN"},
+		{CommModel{Beta: -inf}, "Beta = -Inf"},
+		{CommModel{Gamma: -1}, "Gamma = -1"},
+		{CommModel{Alpha: 2, Beta: 10, Gamma: inf}, "Gamma = +Inf"},
+	} {
+		for _, dyn := range []bool{false, true} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.HasPrefix(msg, "exec: ") || !strings.Contains(msg, tc.name) {
+						t.Errorf("%+v dynamic=%t: panic %q, want one naming %q", tc.cm, dyn, msg, tc.name)
+					}
+				}()
+				Simulate(tasks, 4, SimOptions{Dynamic: dyn, Comm: tc.cm, Vol: ones, Msgs: ones})
+			}()
 		}
 	}
 }

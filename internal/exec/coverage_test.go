@@ -2,7 +2,7 @@ package exec_test
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -67,7 +67,9 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 				}
 				p := int(pos[x])
 				rs := f.RowInd[p:f.ColPtr[c+1]]
-				a, b := p+sort.SearchInts(rs, rlo), p+sort.SearchInts(rs, rhi+1)
+				a, _ := slices.BinarySearch(rs, rlo)
+				b, _ := slices.BinarySearch(rs, rhi+1)
+				a, b = p+a, p+b
 				if a < b && near[fin[p]] != mark {
 					return at(fmt.Sprintf("L[%d,%d]", j, c), p)
 				}

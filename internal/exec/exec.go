@@ -88,8 +88,12 @@ type SimOptions struct {
 // equal to its work (plus its communication cost under o.Comm) once its
 // predecessors have finished. Every task's predecessors must come earlier
 // in the slice (by index); the unit-block, column and
-// tile-segment task graphs satisfy this by construction.
+// tile-segment task graphs satisfy this by construction. A CommModel that
+// fails Valid panics, as mismatched lengths do.
 func Simulate(tasks []Task, p int, o SimOptions) SimResult {
+	if err := o.Comm.Valid(); err != nil {
+		panic(fmt.Sprintf("exec: Simulate: %v", err))
+	}
 	if o.Vol != nil && len(o.Vol) != len(tasks) {
 		panic(fmt.Sprintf("exec: %d fetch volumes for %d tasks", len(o.Vol), len(tasks)))
 	}

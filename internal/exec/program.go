@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,8 +41,8 @@ import (
 // holds the diagonal. Column and 2D tile graphs carry those edges already,
 // so the rule adds none to them; a unit-block graph gets them here.
 //
-// In a column program (every task one whole column: ColumnTasksMapped, a
-// column-granular lift) a column whose last source — the largest c with
+// In a column graph (ColumnTasksMapped's, a column-granular lift's) on
+// more than one worker a column whose last source — the largest c with
 // L[j,c] != 0 — belongs to another worker and comes after much more work
 // runs as two tasks on its owner (see split): the first half applies the
 // earlier sources as soon as they are final and leaves exact partial sums
@@ -49,22 +50,36 @@ import (
 // wrap's alternating chains no longer stall a worker for the whole of the
 // other's previous column. The graph's tasks, owners, traffic and span do
 // not change, and Run still reports one event per task of the graph.
+//
+// The edges are held once. A one-worker program runs its tasks in index
+// order and keeps none. A column graph — task j is column j and waits on
+// exactly row j of f.Rows(), as ColumnTasksMapped builds it — reads its
+// successors off the factor: column c's are the rows below its diagonal,
+// f.RowInd[ColPtr[c]+1 : ColPtr[c+1]]. Only a block or tile graph on more
+// than one worker keeps a transposed successor list.
 type Program struct {
 	f *symbolic.Factor
 	p int
 
-	proc    []int32 // task -> worker; the graph's tasks, then the first halves
+	// tasks is the caller's graph, held, not copied: each task's worker,
+	// and at P = 1 all the program knows of its edges.
+	tasks   []Task
 	stepPtr []int32 // the steps of task t are steps[stepPtr[t]:stepPtr[t+1]], ascending
 	steps   []step
 	// first[k] is the graph task of split column k, whose first half is
-	// program task len(proc)-len(first)+k. Empty unless Compile split a
-	// column.
+	// program task len(tasks)+k. Empty unless Compile split a column.
 	first []int32
 
-	indeg   []int32 // task -> number of predecessors
-	succPtr []int32 // successors of t are succ[succPtr[t]:succPtr[t+1]]
+	// The edges of a program on more than one worker.
+	indeg []int32 // task -> number of predecessors
+	own   []int32 // worker -> number of tasks
+	// column marks a column graph; half[j] is then column j's first-half
+	// task, or -1 (nil when no column split).
+	column bool
+	half   []int32
+	// Any other graph's successors of t are succ[succPtr[t]:succPtr[t+1]].
+	succPtr []int32
 	succ    []int32
-	own     []int32 // worker -> number of tasks
 }
 
 // step is one step of a task: positions [lo, hi) of column j receive the
@@ -90,7 +105,9 @@ const splitRatio = 4
 // reports a malformed one as an error. It does not check that a task's
 // predecessors own the sources of its updates: that is the constructors'
 // contract (ColumnTasksMapped, part2d.Tasks, BlockTasks), pinned by the
-// bit-identity tests, and Measure checks every run bitwise.
+// bit-identity tests, and Measure checks every run bitwise. The program
+// holds tasks, not a copy, so they must not change while it is in use (a
+// Plan never changes its Tasks); f's row index is built here.
 func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Program, error) {
 	if err := sched.CheckProcs("exec", p); err != nil {
 		return nil, err
@@ -99,7 +116,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
 	}
 	nt := len(tasks)
-	pg := &Program{f: f, p: p, stepPtr: make([]int32, nt+1), own: make([]int32, p)}
+	pg := &Program{f: f, p: p, tasks: tasks, stepPtr: make([]int32, nt+1)}
 	// A run starts at each column's first position and wherever the task
 	// changes: count each task's runs (prefix-summed below), then fill them
 	// in ascending position, each a step over all of its column's sources.
@@ -133,17 +150,33 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if err != nil {
 		return nil, err
 	}
-	preds = pg.split(tasks, elemTask, preds)
+	if p == 1 {
+		return pg, nil
+	}
+	pg.column = pg.columnGraph(preds)
+	preds = pg.split(preds)
+	n := len(preds)
+	pg.indeg, pg.own = make([]int32, n), make([]int32, p)
+	for i, ps := range preds {
+		pg.own[tasks[pg.graphTask(int32(i))].Proc]++
+		pg.indeg[i] = int32(len(ps))
+	}
+	if pg.column {
+		if len(pg.first) > 0 {
+			pg.half = make([]int32, f.N)
+			for j := range pg.half {
+				pg.half[j] = -1
+			}
+			for k, t := range pg.first {
+				pg.half[t] = int32(nt + k)
+			}
+		}
+		return pg, nil
+	}
 	// Successor lists, the transpose of the predecessors, in ascending
 	// task order.
-	n := len(preds)
-	pg.proc = make([]int32, n)
-	pg.indeg = make([]int32, n)
 	pg.succPtr = make([]int32, n+1)
-	for i, ps := range preds {
-		pg.proc[i] = tasks[pg.graphTask(int32(i))].Proc
-		pg.own[pg.proc[i]]++
-		pg.indeg[i] = int32(len(ps))
+	for _, ps := range preds {
 		for _, pr := range ps {
 			pg.succPtr[pr+1]++
 		}
@@ -160,6 +193,45 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		}
 	}
 	return pg, nil
+}
+
+// columnGraph reports whether preds, the graph's, are those of the column
+// graph of the factor: as many tasks as columns, each of one step, task
+// j's on column j (n steps for n columns, so each is a whole column), and
+// task j waiting on the columns of row j of f.Rows() in ascending order.
+func (pg *Program) columnGraph(preds [][]int32) bool {
+	if len(preds) != pg.f.N {
+		return false
+	}
+	ri := pg.f.Rows()
+	for t, ps := range preds {
+		if pg.stepPtr[t+1] != int32(t+1) || pg.steps[t].j != int32(t) || !slices.Equal(ps, ri.Cols[ri.Ptr[t]:ri.Ptr[t+1]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// successors appends to dst the program tasks that wait for task t. A
+// first half's is its column. In a column graph column t's are the rows
+// below its diagonal, each row's own task, or its first half unless t is
+// the last source of the split column (the second half's step starts
+// there). In any other graph they are the transposed list.
+func (pg *Program) successors(dst []int32, t int32) []int32 {
+	if g := pg.graphTask(t); g != t {
+		return append(dst, g)
+	}
+	if !pg.column {
+		return append(dst, pg.succ[pg.succPtr[t]:pg.succPtr[t+1]]...)
+	}
+	f := pg.f
+	for _, i := range f.RowInd[f.ColPtr[t]+1 : f.ColPtr[t+1]] {
+		if pg.half != nil && pg.half[i] >= 0 && t < pg.steps[i].from {
+			i = pg.half[i]
+		}
+		dst = append(dst, i)
+	}
+	return dst
 }
 
 // preds checks the caller's graph — processors in [0, p), predecessors
@@ -213,35 +285,31 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 	return preds, nil
 }
 
-// split picks the columns of a column program that run as two tasks and
+// split picks the columns of a column graph that run as two tasks and
 // returns every program task's predecessors: preds, the graph's, except
 // that split column k's first half — program task len(preds)+k, a step
 // over the sources before the last one — takes its column's but the last
 // source's, and its second half, the graph task's step now starting at
 // the last source, waits for the first half and that source. A column
-// splits when its last source's task — its last predecessor, as the
-// constructors list them in ascending order — runs on another worker (so
-// never at P = 1) and the sources before it carry at least splitRatio
-// times that source's updates plus the column's length. A program with a
-// task that is not one whole column splits nothing.
-func (pg *Program) split(tasks []Task, elemTask []int32, preds [][]int32) [][]int32 {
-	if !pg.columnProgram() {
+// splits when its last source runs on another worker and the sources
+// before it carry at least splitRatio times that source's updates plus
+// the column's length. Any other graph splits nothing.
+func (pg *Program) split(preds [][]int32) [][]int32 {
+	if !pg.column {
 		return preds
 	}
-	f, nt, ri := pg.f, len(tasks), pg.f.Rows()
-	for t := 0; t < nt; t++ {
-		s := &pg.steps[pg.stepPtr[t]]
-		cols, pos := ri.Cols[ri.Ptr[s.j]:ri.Ptr[s.j+1]], ri.Pos[ri.Ptr[s.j]:ri.Ptr[s.j+1]]
+	tasks, f, ri := pg.tasks, pg.f, pg.f.Rows()
+	for j, cols := range preds {
 		if len(cols) == 0 {
 			continue
 		}
-		e, ps := len(cols)-1, preds[t]
-		last := cols[e]
-		lt := elemTask[f.ColPtr[last]]
-		if len(ps) == 0 || ps[len(ps)-1] != lt || tasks[lt].Proc == tasks[t].Proc {
+		e := len(cols) - 1
+		last, pos := cols[e], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+		if tasks[last].Proc == tasks[j].Proc {
 			continue
 		}
 		// Source c's updates to column j are its rows from j down.
+		s := &pg.steps[j]
 		need := splitRatio * (f.ColPtr[last+1] - int(pos[e]) + int(s.hi-s.lo))
 		for x, c := range cols[:e] {
 			need -= f.ColPtr[c+1] - int(pos[x])
@@ -253,10 +321,11 @@ func (pg *Program) split(tasks []Task, elemTask []int32, preds [][]int32) [][]in
 			continue
 		}
 		s.from = last
-		pg.first = append(pg.first, int32(t))
+		pg.first = append(pg.first, int32(j))
 		pg.steps = append(pg.steps, step{s.j, s.lo, s.hi, 0, last})
 		pg.stepPtr = append(pg.stepPtr, int32(len(pg.steps)))
 	}
+	nt := len(preds)
 	second := make([]int32, 2*len(pg.first))
 	for k, t := range pg.first {
 		ps := preds[t]
@@ -267,29 +336,14 @@ func (pg *Program) split(tasks []Task, elemTask []int32, preds [][]int32) [][]in
 	return preds
 }
 
-// columnProgram reports whether each task of the program is one whole
-// column and there is more than one worker: with one step per task and as
-// many tasks as columns, every column is one step.
-func (pg *Program) columnProgram() bool {
-	if pg.p == 1 || len(pg.stepPtr) != pg.f.N+1 {
-		return false
-	}
-	for t, q := range pg.stepPtr {
-		if int(q) != t {
-			return false
-		}
-	}
-	return true
-}
-
 // Tasks reports how many tasks a Run executes: one per task of the
 // compiled graph, plus one for each split column's first half.
-func (pg *Program) Tasks() int { return len(pg.proc) }
+func (pg *Program) Tasks() int { return len(pg.tasks) + len(pg.first) }
 
 // graphTask is the task of the compiled graph that program task t runs
 // all or half of.
 func (pg *Program) graphTask(t int32) int32 {
-	if k := int(t) - (len(pg.proc) - len(pg.first)); k >= 0 {
+	if k := int(t) - len(pg.tasks); k >= 0 {
 		return pg.first[k]
 	}
 	return t
@@ -331,14 +385,14 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 	}
 	r := &run{pg: pg, val: val, kern: k}
 	if record {
-		r.events = make([]TaskEvent, len(pg.proc)-len(pg.first))
+		r.events = make([]TaskEvent, len(pg.tasks))
 		//repro:allow nondeterminism -- t0 anchors measurement-only trace timestamps; factor values never see it (TestMeasureRealEvents checks the trace, TestParallelFactorizeBitIdentity pins the numerics)
 		r.t0 = time.Now()
 	}
 	if pg.p == 1 {
 		acc := make([]float64, pg.f.N)
 		var prev int64
-		for t := 0; t < len(pg.proc) && r.err == nil; t++ {
+		for t := 0; t < len(pg.tasks) && r.err == nil; t++ {
 			r.err = r.exec(acc, int32(t), 0, -1, &prev)
 		}
 	} else {
@@ -371,7 +425,8 @@ func (r *run) parallel() {
 	for t, d := range pg.indeg {
 		r.pending[t].Store(d)
 		if d == 0 {
-			r.queues[pg.proc[t]].heap.push(int64(pg.graphTask(int32(t))), int32(t))
+			g := pg.graphTask(int32(t))
+			r.queues[pg.tasks[g].Proc].heap.push(int64(g), int32(t))
 		}
 	}
 	for _, q := range r.queues {
@@ -525,6 +580,7 @@ func (r *run) work(w int32) {
 	q := r.queues[w]
 	acc := make([]float64, pg.f.N)
 	var prev int64
+	var succ []int32
 	for left := pg.own[w]; left > 0; {
 		if r.aborted.Load() {
 			return
@@ -539,9 +595,11 @@ func (r *run) work(w int32) {
 			return
 		}
 		left--
-		for _, s := range pg.succ[pg.succPtr[t]:pg.succPtr[t+1]] {
+		succ = pg.successors(succ[:0], t)
+		for _, s := range succ {
 			if r.pending[s].Add(-1) == 0 {
-				r.queues[pg.proc[s]].push(pg.graphTask(s), s, t)
+				g := pg.graphTask(s)
+				r.queues[pg.tasks[g].Proc].push(g, s, t)
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func TestUpdatesAreValid(t *testing.T) {
 		j := colOf[u.Tgt]
 		si, sk := fac.RowInd[u.SrcI], colOf[u.SrcI]
 		sj, sk2 := fac.RowInd[u.SrcJ], colOf[u.SrcJ]
-		if si != i || sj != j || sk != sk2 || sk >= j || j > i {
+		if si != i || int(sj) != int(j) || sk != sk2 || sk >= j || int(j) > int(i) {
 			t.Fatalf("bad update: tgt=(%d,%d) srcI=(%d,%d) srcJ=(%d,%d)", i, j, si, sk, sj, sk2)
 		}
 	})
@@ -76,7 +76,7 @@ func TestRunsVisitTargetsInOrder(t *testing.T) {
 			t.Fatalf("run (target %d, source %d) follows (target %d, source %d)", r.Col, k, lastCol, lastSrc)
 		}
 		lastCol, lastSrc = r.Col, k
-		if fac.RowInd[r.Lo] != r.Col || k >= r.Col || int(r.Hi) != fac.ColPtr[k+1] {
+		if int(fac.RowInd[r.Lo]) != r.Col || k >= r.Col || int(r.Hi) != fac.ColPtr[k+1] {
 			t.Fatalf("run of target %d: sources [%d, %d) are not the suffix of column %d from row %d", r.Col, r.Lo, r.Hi, k, r.Col)
 		}
 		for q := r.Lo; q < r.Hi; q++ {

@@ -25,7 +25,7 @@ func refFactorize(k Kernel, m *sparse.Matrix, f *symbolic.Factor) (val []float64
 	rowPos := make([][]int, n) // row j -> positions of (j, k), k ascending
 	colOf := f.ColIndex()
 	for q, i := range f.RowInd {
-		if int(colOf[q]) != i {
+		if colOf[q] != i {
 			rowPos[i] = append(rowPos[i], q)
 		}
 	}
@@ -233,7 +233,7 @@ func TestGroupsHaveIdenticalTails(t *testing.T) {
 					t.Fatalf("%s: row %d entry %d: pass width %d of %d entries", c.name, j, at, g, len(cols))
 				}
 				lead := f.RowInd[pos[at]:f.ColPtr[cols[at]+1]]
-				if lead[0] != j {
+				if int(lead[0]) != j {
 					t.Fatalf("%s: row %d entry %d points at row %d", c.name, j, at, lead[0])
 				}
 				for u := 1; u < g; u++ {

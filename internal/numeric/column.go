@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
@@ -24,7 +23,7 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 		base := f.ColPtr[j]
 		t := 0
 		for k, i := range cj {
-			for t < len(fc) && fc[t] != i {
+			for t < len(fc) && int(fc[t]) != i {
 				t++
 			}
 			if t == len(fc) {
@@ -185,7 +184,7 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, pos []int32) 
 // no row there is not read. update keeps a loop of its own: folded into
 // it, the search and its bookkeeping cost the whole-column step 3–7 %,
 // even behind a loop-invariant branch.
-func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int32, j, rlo, rhi int) {
+func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int32, j int, rlo, rhi int32) {
 	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
 	// src is source t as its values from row j down, a rows in, and its
 	// multiplier.
@@ -201,11 +200,12 @@ func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int3
 		n := f.ColPtr[cols[t]+1] - p
 		g := passWidth(f, cols, pos, t, n)
 		rs, a := f.RowInd[p:p+n], 0
-		if rlo > j {
-			a = sort.SearchInts(rs, rlo)
+		if int(rlo) > j {
+			a, _ = slices.BinarySearch(rs, rlo)
 		}
 		if rs = rs[a:]; rhi < last {
-			rs = rs[:sort.SearchInts(rs, rhi+1)]
+			b, _ := slices.BinarySearch(rs, rhi+1)
+			rs = rs[:b]
 		}
 		switch {
 		case len(rs) == 0:
@@ -235,7 +235,7 @@ func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int3
 // against 16 on Grid9(120,120), amd64).
 //
 //go:noinline
-func sub4(w []float64, rs []int, v0, v1, v2, v3 []float64, l0, l1, l2, l3 float64) {
+func sub4(w []float64, rs []int32, v0, v1, v2, v3 []float64, l0, l1, l2, l3 float64) {
 	v0, v1, v2, v3 = v0[:len(rs)], v1[:len(rs)], v2[:len(rs)], v3[:len(rs)]
 	for x, i := range rs {
 		s := w[i]
@@ -248,7 +248,7 @@ func sub4(w []float64, rs []int, v0, v1, v2, v3 []float64, l0, l1, l2, l3 float6
 }
 
 //go:noinline
-func sub2(w []float64, rs []int, v0, v1 []float64, l0, l1 float64) {
+func sub2(w []float64, rs []int32, v0, v1 []float64, l0, l1 float64) {
 	v0, v1 = v0[:len(rs)], v1[:len(rs)]
 	for x, i := range rs {
 		s := w[i]
@@ -259,7 +259,7 @@ func sub2(w []float64, rs []int, v0, v1 []float64, l0, l1 float64) {
 }
 
 //go:noinline
-func sub1(w []float64, rs []int, v0 []float64, l0 float64) {
+func sub1(w []float64, rs []int32, v0 []float64, l0 float64) {
 	v0 = v0[:len(rs)]
 	for x, i := range rs {
 		w[i] -= v0[x] * l0

@@ -126,7 +126,7 @@ func div8(a *[8]float64, d float64) {
 // x[i*8+r] -= v*a[r], as lower's x[i] -= v*x[j].
 //
 //go:noinline
-func sub8(x []float64, rs []int, vs []float64, a *[8]float64) {
+func sub8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 	vs = vs[:len(rs)]
 	for q, i := range rs {
@@ -146,7 +146,7 @@ func sub8(x []float64, rs []int, vs []float64, a *[8]float64) {
 // run side by side, each taking a[r] -= v*x[i*8+r] in upper's order.
 //
 //go:noinline
-func dot8(x []float64, rs []int, vs []float64, a *[8]float64) {
+func dot8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 	vs = vs[:len(rs)]
 	for q, i := range rs {

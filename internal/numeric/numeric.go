@@ -104,12 +104,9 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 
 // L returns the factor as a lower-triangular sparse matrix with values.
 func (c *Cholesky) L() *sparse.Matrix {
-	return &sparse.Matrix{
-		N:      c.F.N,
-		ColPtr: append([]int(nil), c.F.ColPtr...),
-		RowInd: append([]int(nil), c.F.RowInd...),
-		Val:    append([]float64(nil), c.Val...),
-	}
+	l := c.F.Pattern()
+	l.Val = append([]float64(nil), c.Val...)
+	return l
 }
 
 // MatVec computes y = A*x for the full symmetric matrix stored as its
@@ -169,7 +166,7 @@ func FactorResidual(m *sparse.Matrix, c *Cholesky) float64 {
 		base := c.F.ColPtr[k]
 		for a := 0; a < len(col); a++ {
 			for b := a; b < len(col); b++ {
-				key := [2]int{col[b], col[a]}
+				key := [2]int{int(col[b]), int(col[a])}
 				if _, ok := acc[key]; ok {
 					acc[key] += c.Val[base+a] * c.Val[base+b]
 				}

@@ -208,7 +208,7 @@ func densePermuted(m *sparse.Matrix, perm []int) (colPtr, rowInd []int, val []fl
 	return colPtr, rowInd, val
 }
 
-func denseFactor(pm *sparse.Matrix) (colPtr, rowInd, parent []int) {
+func denseFactor(pm *sparse.Matrix) (colPtr []int, rowInd []int32, parent []int) {
 	n := pm.N
 	has := make([]bool, n*n)
 	for j := 0; j < n; j++ {
@@ -223,7 +223,7 @@ func denseFactor(pm *sparse.Matrix) (colPtr, rowInd, parent []int) {
 			if !has[r*n+c] {
 				continue
 			}
-			rowInd = append(rowInd, r)
+			rowInd = append(rowInd, int32(r))
 			switch {
 			case r == c:
 			case first < 0:
@@ -268,8 +268,8 @@ func FuzzMMDPerm(f *testing.F) {
 			t.Fatalf("Permute departs from the dense permutation (n=%d)", m.N)
 		}
 		fac := symbolic.Analyze(pm)
-		colPtr, rowInd, parent := denseFactor(pm)
-		if !slices.Equal(fac.ColPtr, colPtr) || !slices.Equal(fac.RowInd, rowInd) || !slices.Equal(fac.Parent, parent) {
+		lColPtr, lRowInd, parent := denseFactor(pm)
+		if !slices.Equal(fac.ColPtr, lColPtr) || !slices.Equal(fac.RowInd, lRowInd) || !slices.Equal(fac.Parent, parent) {
 			t.Fatalf("Analyze departs from dense elimination (n=%d)", m.N)
 		}
 	})

@@ -154,7 +154,7 @@ func tileSegments(f *symbolic.Factor, s *Schedule2D) *segments {
 			sg.start = append(sg.start, int32(q))
 			sg.block = append(sg.block, b)
 			sg.proc = append(sg.proc, s.owner[slot[b]])
-			for e := s.bounds[b+1]; q < z && f.RowInd[q] < e; {
+			for e := s.bounds[b+1]; q < z && int(f.RowInd[q]) < e; {
 				q++
 			}
 		}

@@ -124,7 +124,10 @@ func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, err
 		valPerm[q] = int32(v)
 	}
 	pm := &sparse.Matrix{N: pidx.N, ColPtr: pidx.ColPtr, RowInd: pidx.RowInd}
-	f := symbolic.Analyze(pm)
+	f, err := symbolic.NewFactor(pm)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	ops := model.NewOps(f)
 	ew := model.ElementWork(ops)
 	return &Analysis{

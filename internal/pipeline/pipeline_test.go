@@ -856,3 +856,40 @@ func TestParallelNotPositiveDefiniteError(t *testing.T) {
 		}
 	}
 }
+
+// An analysis whose factor has 2³¹ or more nonzeros is an error, found
+// by symbolic's counting pass before anything of that size is allocated:
+// every position is held as an int32 (the row index, the compiled
+// programs' steps and task maps) and would wrap silently. The arrow
+// pattern eliminated hub-first fills completely: at n = 65 537 nnz(L) is
+// n(n+1)/2 = 2 147 581 953, just past the limit, from 2n − 1 entries of A.
+// The column counts take O(nnz(A)) time, so the test runs in milliseconds.
+func TestAnalysisRejectsInt32Overflow(t *testing.T) {
+	const n = 65537
+	a := &sparse.Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int, 0, 2*n-1)}
+	for i := 0; i < n; i++ {
+		a.RowInd = append(a.RowInd, i) // column 0, the hub: every row
+	}
+	for j := 1; j <= n; j++ {
+		a.ColPtr[j] = len(a.RowInd)
+		if j < n {
+			a.RowInd = append(a.RowInd, j)
+		}
+	}
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	an, err := NewAnalysisOrdered(a, identity)
+	runtime.ReadMemStats(&after)
+	if err == nil || an != nil || !strings.Contains(err.Error(), "2147581953 nonzeros") {
+		t.Fatalf("analysis %v, error %v; want an error naming 2147581953 nonzeros", an != nil, err)
+	}
+	// Nothing sized by nnz(L): the pattern stage allocates O(n) words.
+	if total := after.TotalAlloc - before.TotalAlloc; total > 1<<24 {
+		t.Errorf("the rejected analysis allocated %d bytes", total)
+	}
+	t.Log(err)
+}

@@ -298,10 +298,8 @@ func Map(name string, sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	if math.IsNaN(opts.Part.RelaxZeros) {
 		return nil, fmt.Errorf("strategy: invalid RelaxZeros %g", opts.Part.RelaxZeros)
 	}
-	for _, x := range [...]float64{opts.Comm.Alpha, opts.Comm.Beta, opts.Comm.Gamma} {
-		if !(x >= 0) || math.IsInf(x, 1) {
-			return nil, fmt.Errorf("strategy: invalid Comm %+v: every term must be finite and non-negative", opts.Comm)
-		}
+	if err := opts.Comm.Valid(); err != nil {
+		return nil, fmt.Errorf("strategy: %w", err)
 	}
 	m, err := strategies.Find("strategy: unknown strategy", name)
 	if err != nil {

@@ -55,8 +55,8 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 		seen := map[int]bool{}
 		for j := lo; j <= hi; j++ {
 			g.real += f.ColLen(j)
-			for _, r := range f.Col(j) {
-				if r > hi && !seen[r] {
+			for _, r32 := range f.Col(j) {
+				if r := int(r32); r > hi && !seen[r] {
 					seen[r] = true
 					g.below = append(g.below, r)
 				}

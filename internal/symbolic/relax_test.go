@@ -47,7 +47,7 @@ func TestRelaxSupersetProperty(t *testing.T) {
 		// Every original entry survives.
 		for j := 0; j < f.N; j++ {
 			for _, i := range f.Col(j) {
-				if !out.Has(i, j) {
+				if !out.Has(int(i), j) {
 					return false
 				}
 			}
@@ -71,7 +71,7 @@ func TestRelaxClosure(t *testing.T) {
 			col := out.Col(k)[1:]
 			for a := 0; a < len(col); a++ {
 				for b := a; b < len(col); b++ {
-					if !out.Has(col[b], col[a]) {
+					if !out.Has(int(col[b]), int(col[a])) {
 						return false
 					}
 				}

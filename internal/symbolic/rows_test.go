@@ -64,7 +64,7 @@ func TestRowIndexShape(t *testing.T) {
 					t.Fatalf("%s: position %d listed twice", name, q)
 				}
 				seen[q] = true
-				if colOf[q] != k || f.RowInd[q] != r || !f.Has(r, int(k)) {
+				if colOf[q] != k || int(f.RowInd[q]) != r || !f.Has(r, int(k)) {
 					t.Fatalf("%s: row %d entry (column %d, position %d) is element (%d, %d)", name, r, k, q, f.RowInd[q], colOf[q])
 				}
 			}

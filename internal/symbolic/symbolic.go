@@ -12,6 +12,8 @@ package symbolic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/sparse"
@@ -20,11 +22,15 @@ import (
 // Factor holds the nonzero structure of the Cholesky factor L of a
 // symmetric matrix, in compressed sparse column form over the lower
 // triangle. The first entry of every column is its diagonal; row indices
-// are strictly increasing within a column.
+// are strictly increasing within a column. A row index takes four bytes:
+// it is held once, by RowInd, and read in place by every kernel, by the
+// row index (Rows) and by a compiled column graph, whose successors are
+// the rows below each diagonal. Positions index RowInd and stay below
+// MaxNNZ, so they fit an int32 too; ColPtr stays []int.
 type Factor struct {
 	N      int
 	ColPtr []int
-	RowInd []int
+	RowInd []int32
 	// Parent is the elimination tree: Parent[j] is the parent of column j,
 	// or -1 for a root.
 	Parent []int
@@ -84,7 +90,7 @@ func (f *Factor) NNZ() int { return len(f.RowInd) }
 
 // Col returns the sorted row indices of column j, including the diagonal.
 // The slice aliases internal storage.
-func (f *Factor) Col(j int) []int { return f.RowInd[f.ColPtr[j]:f.ColPtr[j+1]] }
+func (f *Factor) Col(j int) []int32 { return f.RowInd[f.ColPtr[j]:f.ColPtr[j+1]] }
 
 // ColLen returns the number of nonzeros in column j including the diagonal.
 func (f *Factor) ColLen(j int) int { return f.ColPtr[j+1] - f.ColPtr[j] }
@@ -102,27 +108,18 @@ func (f *Factor) ColIndex() []int32 {
 
 // Has reports whether position (i, j), i >= j, is in the factor structure.
 func (f *Factor) Has(i, j int) bool {
-	col := f.Col(j)
-	lo, hi := 0, len(col)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if col[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(col) && col[lo] == i
+	_, ok := slices.BinarySearch(f.Col(j), int32(i))
+	return ok
 }
 
 // Pattern converts the factor structure to a sparse.Matrix pattern
 // (no values), e.g. for spy plots.
 func (f *Factor) Pattern() *sparse.Matrix {
-	return &sparse.Matrix{
-		N:      f.N,
-		ColPtr: append([]int(nil), f.ColPtr...),
-		RowInd: append([]int(nil), f.RowInd...),
+	rowInd := make([]int, len(f.RowInd))
+	for q, i := range f.RowInd {
+		rowInd[q] = int(i)
 	}
+	return &sparse.Matrix{N: f.N, ColPtr: append([]int(nil), f.ColPtr...), RowInd: rowInd}
 }
 
 // rowIndex returns the strict lower triangle of m by rows: the columns
@@ -187,103 +184,176 @@ func etree(ptr, idx, ancestor []int) []int {
 }
 
 // PostOrder returns a postordering of the forest given by parent:
-// every node appears after all of its children. Children are visited in
-// increasing order, making the result deterministic.
+// every node appears after all of its children. Roots and the children of
+// every node are visited in increasing order, making the result
+// deterministic.
 func PostOrder(parent []int) []int {
 	n := len(parent)
-	head := make([]int, n) // first child
-	next := make([]int, n) // next sibling
-	for i := range head {
-		head[i] = -1
-		next[i] = -1
-	}
-	var roots []int
-	// Build child lists in decreasing order so traversal sees increasing.
-	for j := n - 1; j >= 0; j-- {
-		p := parent[j]
-		if p == -1 {
-			roots = append(roots, j)
-			continue
-		}
-		next[j] = head[p]
-		head[p] = j
-	}
-	// roots currently in decreasing order; reverse for determinism.
-	for i, k := 0, len(roots)-1; i < k; i, k = i+1, k-1 {
-		roots[i], roots[k] = roots[k], roots[i]
-	}
-	post := make([]int, 0, n)
-	stack := make([]int, 0, 64)
-	var childBuf []int
-	for _, r := range roots {
-		stack = append(stack, r)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			if head[v] != -1 {
-				// Push children in reverse so they pop in increasing order.
-				childBuf = childBuf[:0]
-				for c := head[v]; c != -1; c = next[c] {
-					childBuf = append(childBuf, c)
-				}
-				head[v] = -1 // children pushed once
-				for k := len(childBuf) - 1; k >= 0; k-- {
-					stack = append(stack, childBuf[k])
-				}
-				continue
-			}
-			stack = stack[:len(stack)-1]
-			post = append(post, v)
-		}
-	}
-	if len(post) != n {
-		panic(fmt.Sprintf("symbolic: postorder produced %d of %d", len(post), n))
+	w := make([]int, 4*n)
+	post := w[:n:n]
+	if k := postOrder(parent, post, w[n:]); k != n {
+		panic(fmt.Sprintf("symbolic: postorder produced %d of %d", k, n))
 	}
 	return post
 }
 
-// Analyze computes the full symbolic factorization of m: the elimination
-// tree and the complete nonzero structure of L. It runs in time
-// proportional to the size of the output structure.
-//
-// Row i of L is the union of the tree paths from the columns of row i of A
-// up to i (its row subtree). Walking every row subtree once counts the
-// columns; walking them again in increasing i appends i to each column it
-// meets, so the columns come out sorted and sized exactly.
-func Analyze(m *sparse.Matrix) *Factor {
-	n := m.N
-	ptr, idx := rowIndex(m)
-	work := make([]int, 2*n)
-	mark, next := work[:n], work[n:]
-	f := &Factor{N: n, ColPtr: make([]int, n+1), Parent: etree(ptr, idx, mark)}
-	parent := f.Parent
-	// A walk from row i reads mark[k] only for k < i, which row k of the
-	// same sweep set to k: what etree or an earlier sweep left is never read.
-	for i := 0; i < n; i++ {
-		mark[i] = i
-		for _, k := range idx[ptr[i]:ptr[i+1]] {
-			for ; mark[k] != i; k = parent[k] {
-				mark[k] = i
-				f.ColPtr[k+1]++
-			}
+// postOrder writes PostOrder(parent) into post and returns how many nodes
+// it placed, n unless parent has a cycle; w is scratch of length 3n: child
+// lists and the depth-first stack.
+func postOrder(parent, post, w []int) int {
+	n := len(parent)
+	head, next, stack := w[:n], w[n:2*n], w[2*n:3*n]
+	for j := range head {
+		head[j] = -1
+	}
+	// Lists built from the last child to the first pop in increasing order.
+	for j := n - 1; j >= 0; j-- {
+		if p := parent[j]; p != -1 {
+			next[j], head[p] = head[p], j
 		}
 	}
-	for j := 0; j < n; j++ {
-		f.ColPtr[j+1] += f.ColPtr[j] + 1 // the diagonal
+	k := 0
+	for r, p := range parent {
+		if p != -1 {
+			continue
+		}
+		top := 0
+		stack[0] = r
+		for top >= 0 {
+			v := stack[top]
+			if c := head[v]; c != -1 {
+				head[v] = next[c]
+				top++
+				stack[top] = c
+				continue
+			}
+			top--
+			post[k] = v
+			k++
+		}
 	}
-	f.RowInd = make([]int, f.ColPtr[n])
+	return k
+}
+
+// MaxNNZ is the largest number of nonzeros a factor may have: positions,
+// like row indices, are int32 wherever they are held (RowInd, Rows, the
+// compiled programs' steps and task maps).
+const MaxNNZ = math.MaxInt32
+
+// Analyze computes the full symbolic factorization of m: the elimination
+// tree and the complete nonzero structure of L. It runs in time
+// proportional to the size of the output structure. A factor of more than
+// MaxNNZ nonzeros panics; NewFactor reports it as an error.
+func Analyze(m *sparse.Matrix) *Factor {
+	f, err := NewFactor(m)
+	if err != nil {
+		panic(fmt.Sprintf("symbolic: %v", err))
+	}
+	return f
+}
+
+// NewFactor is Analyze with a factor past MaxNNZ nonzeros an error, found
+// by the counting pass before anything of that size is allocated.
+//
+// Row i of L is the union of the tree paths from the columns of row i of A
+// up to i (its row subtree). colCounts sizes the columns in O(nnz(A))
+// time; walking every row subtree in increasing i then appends i to each
+// column it meets, so the columns come out sorted.
+func NewFactor(m *sparse.Matrix) (*Factor, error) {
+	n := m.N
+	ptr, idx := rowIndex(m)
+	work := make([]int, 5*n)
+	mark, next := work[:n], work[n:2*n]
+	f := &Factor{N: n, ColPtr: make([]int, n+1), Parent: etree(ptr, idx, mark)}
+	parent := f.Parent
+	colCounts(m, parent, f.ColPtr[1:], work)
+	for j := 0; j < n; j++ {
+		f.ColPtr[j+1] += f.ColPtr[j]
+	}
+	if f.ColPtr[n] > MaxNNZ {
+		return nil, fmt.Errorf("factor has %d nonzeros, more than %d (positions are int32)", f.ColPtr[n], MaxNNZ)
+	}
+	// A walk from row i reads mark[k] only for k < i, which row k of the
+	// same sweep set to k: what etree and colCounts left is never read.
+	f.RowInd = make([]int32, f.ColPtr[n])
 	for i := 0; i < n; i++ {
 		mark[i] = i
-		f.RowInd[f.ColPtr[i]] = i
+		f.RowInd[f.ColPtr[i]] = int32(i)
 		next[i] = f.ColPtr[i] + 1
 		for _, k := range idx[ptr[i]:ptr[i+1]] {
 			for ; mark[k] != i; k = parent[k] {
 				mark[k] = i
-				f.RowInd[next[k]] = i
+				f.RowInd[next[k]] = int32(i)
 				next[k]++
 			}
 		}
 	}
-	return f
+	return f, nil
+}
+
+// colCounts sets count[j] to the length of column j of L, the diagonal
+// included, without forming L: the skeleton algorithm of Gilbert, Ng and
+// Peyton (CSparse's cs_counts) in O(nnz(A)·α(n)) time and O(n) space.
+// Column j of L holds the rows whose row subtree contains j. Visiting the
+// columns in postorder, an entry A(i,j), i > j, whose column j is a leaf
+// of row i's subtree adds one to j; unless it is the row's first leaf,
+// the least common ancestor of it and the row's previous leaf takes one
+// back. Summed up the tree, the deltas count each row subtree through
+// every one of its columns exactly once. w is scratch of length 5n.
+func colCounts(m *sparse.Matrix, parent, count, w []int) {
+	n := m.N
+	post := w[4*n : 5*n]
+	postOrder(parent, post, w)
+	first, maxFirst, prevLeaf, ancestor := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n]
+	for j := 0; j < n; j++ {
+		first[j], maxFirst[j], prevLeaf[j], ancestor[j] = -1, -1, -1, j
+	}
+	// first[j] is the postorder index of j's first descendant; a leaf
+	// starts at 1, every other column at 0.
+	for k, j := range post {
+		count[j] = 0
+		if first[j] == -1 {
+			count[j] = 1
+		}
+		for ; j != -1 && first[j] == -1; j = parent[j] {
+			first[j] = k
+		}
+	}
+	for _, j := range post {
+		if p := parent[j]; p != -1 {
+			count[p]--
+		}
+		for _, i := range m.Col(j)[1:] {
+			// j is a leaf of row i's subtree unless a descendant of it was
+			// one already.
+			if first[j] <= maxFirst[i] {
+				continue
+			}
+			maxFirst[i] = first[j]
+			prev := prevLeaf[i]
+			prevLeaf[i] = j
+			count[j]++
+			if prev == -1 {
+				continue
+			}
+			q := prev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for s := prev; s != q; {
+				s, ancestor[s] = ancestor[s], q
+			}
+			count[q]--
+		}
+		if p := parent[j]; p != -1 {
+			ancestor[j] = p
+		}
+	}
+	for j := 0; j < n; j++ {
+		if p := parent[j]; p != -1 {
+			count[p] += count[j]
+		}
+	}
 }
 
 // Supernodes returns the fundamental supernode partition of the factor:

@@ -110,10 +110,12 @@ func refAnalyze(m *sparse.Matrix) *Factor {
 	for j := 0; j < n; j++ {
 		nnz += len(cols[j])
 	}
-	f.RowInd = make([]int, 0, nnz)
+	f.RowInd = make([]int32, 0, nnz)
 	for j := 0; j < n; j++ {
 		f.ColPtr[j] = len(f.RowInd)
-		f.RowInd = append(f.RowInd, cols[j]...)
+		for _, i := range cols[j] {
+			f.RowInd = append(f.RowInd, int32(i))
+		}
 	}
 	f.ColPtr[n] = len(f.RowInd)
 	return f

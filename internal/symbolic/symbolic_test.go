@@ -67,7 +67,7 @@ func checkFactorMatchesBrute(t *testing.T, m *sparse.Matrix) {
 			t.Fatalf("col %d: got %v, want %v", j, got, want[j])
 		}
 		for k := range got {
-			if got[k] != want[j][k] {
+			if int(got[k]) != want[j][k] {
 				t.Fatalf("col %d: got %v, want %v", j, got, want[j])
 			}
 		}
@@ -116,7 +116,7 @@ func TestAnalyzeMatchesBruteForceRandom(t *testing.T) {
 				return false
 			}
 			for k := range got {
-				if got[k] != want[j][k] {
+				if int(got[k]) != want[j][k] {
 					return false
 				}
 			}

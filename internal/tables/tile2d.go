@@ -41,6 +41,9 @@ var Tile2DProcs = []int{4, 16, 64}
 // column-granular 1D strategies) across the processor sweep under opts
 // and one communication model (Ext-T).
 func Tile2D(p *Problem, procs []int, labels []string, opts strategy.Options, cm exec.CommModel) ([]Tile2DRow, error) {
+	if err := cm.Valid(); err != nil {
+		return nil, fmt.Errorf("tables: %w", err)
+	}
 	if len(labels) == 0 {
 		labels = Labels2D()
 	}

@@ -39,6 +39,9 @@ type UnifiedRow struct {
 // subcube automatically) across the processor sweep under opts and one
 // communication model.
 func UnifiedComm(p *Problem, procs []int, names []string, opts strategy.Options, cm exec.CommModel) ([]UnifiedRow, error) {
+	if err := cm.Valid(); err != nil {
+		return nil, fmt.Errorf("tables: %w", err)
+	}
 	if len(names) == 0 {
 		names = strategy.Names()
 	}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/exec"
@@ -90,5 +91,20 @@ func TestCommUnifiedShapes(t *testing.T) {
 	}
 	if len(empty) != nstrat {
 		t.Errorf("empty names: %d rows, want %d", len(empty), nstrat)
+	}
+}
+
+// TestUnifiedCommRejectsInvalidModel: a NaN, infinite or negative term is
+// an error naming it before any cell is planned (the simulators would
+// panic on it), in both comm-priced studies.
+func TestUnifiedCommRejectsInvalidModel(t *testing.T) {
+	p := commGoldenProblem(t)
+	for _, cm := range []exec.CommModel{{Alpha: math.NaN()}, {Alpha: -5}, {Beta: math.Inf(1)}, {Alpha: 2, Beta: 10, Gamma: -1}} {
+		if rows, err := UnifiedComm(p, []int{4}, []string{"block"}, Production, cm); err == nil || rows != nil {
+			t.Errorf("UnifiedComm %+v: %d rows, error %v", cm, len(rows), err)
+		}
+		if rows, err := Tile2D(p, []int{4}, nil, Production, cm); err == nil || rows != nil {
+			t.Errorf("Tile2D %+v: %d rows, error %v", cm, len(rows), err)
+		}
 	}
 }

@@ -281,7 +281,7 @@ func columnFetches(s *sched.Schedule) *TaskComm {
 	for k := 0; k < f.N; k++ {
 		o, end := colOwner[k], f.ColPtr[k+1]
 		for p := f.ColPtr[k] + 1; p < end; p++ {
-			j := f.RowInd[p]
+			j := int(f.RowInd[p])
 			q := colOwner[j]
 			if q == o || stamp[q] == int32(k+1) {
 				continue

@@ -117,14 +117,14 @@ func NewGroups(ops *model.Ops, boxes []Box) *Groups {
 			if pos == end {
 				return
 			}
-			for pos < end && rowInd[pos] < boxes[g].Row0 {
+			for pos < end && int(rowInd[pos]) < boxes[g].Row0 {
 				pos++
 			}
 			lo := pos
-			if rowInd[end-1] < boxes[g].Row1 {
+			if int(rowInd[end-1]) < boxes[g].Row1 {
 				pos = end
 			}
-			for pos < end && rowInd[pos] < boxes[g].Row1 {
+			for pos < end && int(rowInd[pos]) < boxes[g].Row1 {
 				pos++
 			}
 			if pos > lo {
@@ -156,7 +156,7 @@ func NewGroups(ops *model.Ops, boxes []Box) *Groups {
 				}
 				seen[st] = int32(k + 1)
 				aHi := aLo + 1
-				for aHi < end && rowInd[aHi] < boxes[order[first[st]]].Col1 {
+				for aHi < end && int(rowInd[aHi]) < boxes[order[first[st]]].Col1 {
 					aHi++
 				}
 				runs(st, aLo, end, func(g int32, lo, hi int) {

@@ -80,7 +80,7 @@ func (t *refIncremental) Move(elems []int32, dst int32) int64 {
 		if old == dst {
 			continue
 		}
-		i, j := f.RowInd[q], int(t.colOf[q])
+		i, j := int(f.RowInd[q]), int(t.colOf[q])
 		ci, pi := t.ops.RowCols(i), t.ops.RowPositions(i)
 		cj, pj := t.ops.RowCols(j), t.ops.RowPositions(j)
 		for a, b := 0, 0; a < len(ci) && b < len(cj); {

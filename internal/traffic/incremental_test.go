@@ -90,7 +90,7 @@ func boxElems(f *symbolic.Factor, b Box) []int32 {
 	var out []int32
 	for j := b.Col0; j < b.Col1; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if i := f.RowInd[q]; i >= b.Row0 && i < b.Row1 {
+			if i := int(f.RowInd[q]); i >= b.Row0 && i < b.Row1 {
 				out = append(out, int32(q))
 			}
 		}
@@ -135,7 +135,7 @@ func elementBoxes(f *symbolic.Factor) []Box {
 	out := make([]Box, 0, f.NNZ())
 	for j := 0; j < f.N; j++ {
 		for _, i := range f.Col(j) {
-			out = append(out, Box{j, j + 1, i, i + 1})
+			out = append(out, Box{j, j + 1, int(i), int(i) + 1})
 		}
 	}
 	return out

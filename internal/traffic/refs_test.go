@@ -65,7 +65,7 @@ func TestColumnRefsVolumes(t *testing.T) {
 			}
 			var want int64
 			for _, i := range f.Col(int(r.Col)) {
-				if i >= j {
+				if int(i) >= j {
 					want++
 				}
 			}
