@@ -15,7 +15,8 @@ func ProgramGraph(pg *Program) (steps [][][5]int32, preds [][]int32, graph []int
 	n := pg.Tasks()
 	steps, preds, graph = make([][][5]int32, n), make([][]int32, n), make([]int32, n)
 	for t := 0; t < n; t++ {
-		for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
+		var buf [1]step
+		for _, s := range pg.taskSteps(int32(t), &buf) {
 			steps[t] = append(steps[t], [5]int32{s.j, s.lo, s.hi, s.from, s.to})
 		}
 		graph[t] = pg.graphTask(int32(t))
@@ -43,7 +44,8 @@ func ProgramGraph(pg *Program) (steps [][][5]int32, preds [][]int32, graph []int
 func scalePreds(pg *Program) [][]int32 {
 	elemTask := make([]int32, pg.f.NNZ())
 	for t := range pg.tasks {
-		for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
+		var buf [1]step
+		for _, s := range pg.taskSteps(int32(t), &buf) {
 			for q := s.lo; q < s.hi; q++ {
 				elemTask[q] = int32(t)
 			}

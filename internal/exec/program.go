@@ -63,8 +63,11 @@ type Program struct {
 
 	// tasks is the caller's graph, held, not copied: each task's worker,
 	// and at P = 1 all the program knows of its edges.
-	tasks   []Task
-	stepPtr []int32 // the steps of task t are steps[stepPtr[t]:stepPtr[t+1]], ascending
+	tasks []Task
+	// The steps of task t are steps[stepPtr[t]:stepPtr[t+1]], ascending.
+	// A graph whose task j is column j, whole, holds no stepPtr and only
+	// its split columns' steps (see taskSteps).
+	stepPtr []int32
 	steps   []step
 	// first[k] is the graph task of split column k, whose first half is
 	// program task len(tasks)+k. Empty unless Compile split a column.
@@ -116,33 +119,44 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
 	}
 	nt := len(tasks)
-	pg := &Program{f: f, p: p, tasks: tasks, stepPtr: make([]int32, nt+1)}
-	// A run starts at each column's first position and wherever the task
-	// changes: count each task's runs (prefix-summed below), then fill them
-	// in ascending position, each a step over all of its column's sources.
-	for j := 0; j < f.N; j++ {
-		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			if t := elemTask[q]; t < 0 || int(t) >= nt {
-				return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
-			} else if q == f.ColPtr[j] || t != elemTask[q-1] {
-				pg.stepPtr[t+1]++
-			}
+	pg := &Program{f: f, p: p, tasks: tasks}
+	// A graph whose task j is column j, whole, lays out no step (see
+	// taskSteps). Any other: a run starts at each column's first position
+	// and wherever the task changes. Count each task's runs (prefix-summed
+	// below), then fill them in ascending position, each a step over all of
+	// its column's sources.
+	whole := nt == f.N
+	for j := 0; whole && j < f.N; j++ {
+		for _, t := range elemTask[f.ColPtr[j]:f.ColPtr[j+1]] {
+			whole = whole && t == int32(j)
 		}
 	}
-	for t := 0; t < nt; t++ {
-		pg.stepPtr[t+1] += pg.stepPtr[t]
-	}
-	pg.steps = make([]step, pg.stepPtr[nt])
-	fill := append([]int32(nil), pg.stepPtr[:nt]...)
-	for j := 0; j < f.N; j++ {
-		for q, end := f.ColPtr[j], f.ColPtr[j+1]; q < end; {
-			t, hi := elemTask[q], q+1
-			for hi < end && elemTask[hi] == t {
-				hi++
+	if !whole {
+		pg.stepPtr = make([]int32, nt+1)
+		for j := 0; j < f.N; j++ {
+			for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
+				if t := elemTask[q]; t < 0 || int(t) >= nt {
+					return nil, fmt.Errorf("exec: position %d mapped to out-of-range task %d", q, t)
+				} else if q == f.ColPtr[j] || t != elemTask[q-1] {
+					pg.stepPtr[t+1]++
+				}
 			}
-			pg.steps[fill[t]] = step{int32(j), int32(q), int32(hi), 0, int32(j)}
-			fill[t]++
-			q = hi
+		}
+		for t := 0; t < nt; t++ {
+			pg.stepPtr[t+1] += pg.stepPtr[t]
+		}
+		pg.steps = make([]step, pg.stepPtr[nt])
+		fill := append([]int32(nil), pg.stepPtr[:nt]...)
+		for j := 0; j < f.N; j++ {
+			for q, end := f.ColPtr[j], f.ColPtr[j+1]; q < end; {
+				t, hi := elemTask[q], q+1
+				for hi < end && elemTask[hi] == t {
+					hi++
+				}
+				pg.steps[fill[t]] = step{int32(j), int32(q), int32(hi), 0, int32(j)}
+				fill[t]++
+				q = hi
+			}
 		}
 	}
 	f.Rows() // built here, not by the first task to need it
@@ -153,7 +167,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if p == 1 {
 		return pg, nil
 	}
-	pg.column = pg.columnGraph(preds)
+	pg.column = whole && pg.columnGraph(preds)
 	preds = pg.split(preds)
 	n := len(preds)
 	pg.indeg, pg.own = make([]int32, n), make([]int32, p)
@@ -185,7 +199,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		pg.succPtr[t+1] += pg.succPtr[t]
 	}
 	pg.succ = make([]int32, pg.succPtr[n])
-	fill = append(fill[:0], pg.succPtr[:n]...)
+	fill := append([]int32(nil), pg.succPtr[:n]...)
 	for i, ps := range preds {
 		for _, pr := range ps {
 			pg.succ[fill[pr]] = int32(i)
@@ -195,17 +209,32 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	return pg, nil
 }
 
-// columnGraph reports whether preds, the graph's, are those of the column
-// graph of the factor: as many tasks as columns, each of one step, task
-// j's on column j (n steps for n columns, so each is a whole column), and
-// task j waiting on the columns of row j of f.Rows() in ascending order.
-func (pg *Program) columnGraph(preds [][]int32) bool {
-	if len(preds) != pg.f.N {
-		return false
+// taskSteps returns program task t's steps. A graph whose task j is
+// column j, whole, holds no stepPtr: split column k's halves are steps[2k]
+// (program task len(tasks)+k) and steps[2k+1] (its graph task), and any
+// other task's one step is its column, written into buf.
+func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
+	nt := int32(len(pg.tasks))
+	switch {
+	case pg.stepPtr != nil:
+		return pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]]
+	case t >= nt:
+		return pg.steps[2*(t-nt):][:1]
+	case pg.half != nil && pg.half[t] >= 0:
+		return pg.steps[2*(pg.half[t]-nt)+1:][:1]
 	}
+	f := pg.f
+	buf[0] = step{t, int32(f.ColPtr[t]), int32(f.ColPtr[t+1]), 0, t}
+	return buf[:]
+}
+
+// columnGraph reports whether preds, the graph's, are those of the column
+// graph of the factor, given that task j is column j: task j waits on the
+// columns of row j of f.Rows() in ascending order.
+func (pg *Program) columnGraph(preds [][]int32) bool {
 	ri := pg.f.Rows()
 	for t, ps := range preds {
-		if pg.stepPtr[t+1] != int32(t+1) || pg.steps[t].j != int32(t) || !slices.Equal(ps, ri.Cols[ri.Ptr[t]:ri.Ptr[t+1]]) {
+		if !slices.Equal(ps, ri.Cols[ri.Ptr[t]:ri.Ptr[t+1]]) {
 			return false
 		}
 	}
@@ -224,9 +253,9 @@ func (pg *Program) successors(dst []int32, t int32) []int32 {
 	if !pg.column {
 		return append(dst, pg.succ[pg.succPtr[t]:pg.succPtr[t+1]]...)
 	}
-	f := pg.f
+	f, nt := pg.f, int32(len(pg.tasks))
 	for _, i := range f.RowInd[f.ColPtr[t]+1 : f.ColPtr[t+1]] {
-		if pg.half != nil && pg.half[i] >= 0 && t < pg.steps[i].from {
+		if pg.half != nil && pg.half[i] >= 0 && t < pg.steps[2*(pg.half[i]-nt)+1].from {
 			i = pg.half[i]
 		}
 		dst = append(dst, i)
@@ -258,7 +287,8 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 				return nil, fmt.Errorf("exec: task %d depends on non-earlier task %d", t, pr)
 			}
 		}
-		for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
+		var buf [1]step
+		for _, s := range pg.taskSteps(int32(t), &buf) {
 			diag := f.ColPtr[s.j]
 			if d := elemTask[diag]; int(s.lo) != diag && int(d) != t {
 				if seen == nil {
@@ -309,8 +339,8 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 			continue
 		}
 		// Source c's updates to column j are its rows from j down.
-		s := &pg.steps[j]
-		need := splitRatio * (f.ColPtr[last+1] - int(pos[e]) + int(s.hi-s.lo))
+		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+		need := splitRatio * (f.ColPtr[last+1] - int(pos[e]) + hi - lo)
 		for x, c := range cols[:e] {
 			need -= f.ColPtr[c+1] - int(pos[x])
 			if need <= 0 {
@@ -320,10 +350,8 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 		if need > 0 {
 			continue
 		}
-		s.from = last
 		pg.first = append(pg.first, int32(j))
-		pg.steps = append(pg.steps, step{s.j, s.lo, s.hi, 0, last})
-		pg.stepPtr = append(pg.stepPtr, int32(len(pg.steps)))
+		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
 	}
 	nt := len(preds)
 	second := make([]int32, 2*len(pg.first))
@@ -623,7 +651,8 @@ func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 	pg := r.pg
 	g := pg.graphTask(t)
 	ev := &r.events[g]
-	if g != t || len(pg.first) == 0 || pg.steps[pg.stepPtr[t]].from == 0 {
+	var buf [1]step
+	if g != t || len(pg.first) == 0 || pg.taskSteps(t, &buf)[0].from == 0 {
 		*ev = TaskEvent{Task: g, Proc: w, Start: start, Cause: cause}
 	}
 	ev.Finish = finish
@@ -638,9 +667,9 @@ func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
 // as in numeric.Factorize. A rejected pivot is reported under this
 // package's name.
 func (r *run) task(acc []float64, t int32) error {
-	pg := r.pg
-	for _, s := range pg.steps[pg.stepPtr[t]:pg.stepPtr[t+1]] {
-		if err := r.kern.Step(pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(s.from), int(s.to), s.to == s.j); err != nil {
+	var buf [1]step
+	for _, s := range r.pg.taskSteps(t, &buf) {
+		if err := r.kern.Step(r.pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(s.from), int(s.to), s.to == s.j); err != nil {
 			return fmt.Errorf("exec: %w", err)
 		}
 	}

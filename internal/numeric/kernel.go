@@ -99,7 +99,7 @@ func (k Kernel) SolveWide(f *symbolic.Factor, val, x []float64) {
 		if k != KernelLDL {
 			div8(xj, d)
 		}
-		sub8(x, f.RowInd[base+1:end], val[base+1:end], xj)
+		sub8Pass(x, f.RowInd[base+1:end], val[base+1:end], xj)
 	}
 	for j := f.N - 1; j >= 0; j-- {
 		base, end, d := f.ColPtr[j], f.ColPtr[j+1], val[f.ColPtr[j]]
@@ -107,12 +107,17 @@ func (k Kernel) SolveWide(f *symbolic.Factor, val, x []float64) {
 		if k == KernelLDL {
 			div8(xj, d)
 		}
-		dot8(x, f.RowInd[base+1:end], val[base+1:end], xj)
+		dot8Pass(x, f.RowInd[base+1:end], val[base+1:end], xj)
 		if k != KernelLDL {
 			div8(xj, d)
 		}
 	}
 }
+
+// sub8Pass and dot8Pass are the passes SolveWide runs: sub8 and dot8
+// below, the only path on other architectures and on amd64 CPUs without
+// AVX2, or their AVX2 assembly (kernel_amd64.go), which keeps their bits.
+var sub8Pass, dot8Pass = sub8, dot8
 
 // div8 divides each of the eight components a by the diagonal value d.
 func div8(a *[8]float64, d float64) {
@@ -130,7 +135,7 @@ func sub8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 	vs = vs[:len(rs)]
 	for q, i := range rs {
-		v, y := vs[q], (*[8]float64)(x[i*8:])
+		v, y := vs[q], (*[8]float64)(x[int(i)*8:])
 		y[0] -= v * a0
 		y[1] -= v * a1
 		y[2] -= v * a2
@@ -150,7 +155,7 @@ func dot8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
 	vs = vs[:len(rs)]
 	for q, i := range rs {
-		v, y := vs[q], (*[8]float64)(x[i*8:])
+		v, y := vs[q], (*[8]float64)(x[int(i)*8:])
 		a0 -= v * y[0]
 		a1 -= v * y[1]
 		a2 -= v * y[2]

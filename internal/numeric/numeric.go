@@ -9,6 +9,14 @@
 // internal/exec must produce the same factor), and it grounds the work
 // model used by the scheduler (2 units per off-diagonal pair update, 1 unit
 // per diagonal update).
+//
+// Kernel.SolveWide carries eight right-hand sides through one pair of
+// sweeps. Its passes are sub8 and dot8 in Go, or on amd64 CPUs with AVX2
+// the same passes in assembly (kernel_amd64.s), chosen once at package
+// init from CPUID (leaf 1: OSXSAVE and AVX; leaf 7: AVX2) and XGETBV
+// (XMM and YMM state saved by the OS). The assembly keeps Solve's bits:
+// each lane multiplies and then subtracts, rounding the product as the
+// Go statement y -= v*a does, and never fuses the two into an FMA.
 package numeric
 
 import (

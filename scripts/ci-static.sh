@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # ci-static.sh runs the static steps of .github/workflows/ci.yml locally:
-# gofmt, go vet, reprolint and every "one …" invariant step. The steps'
+# gofmt, go vet (also for GOARCH=arm64), reprolint and every "one …"
+# invariant step. The steps'
 # run: blocks are read from the workflow file itself, so the greps have one
 # copy. Each block runs as GitHub Actions runs it (bash -eo pipefail) from
 # the repository root; the script stops non-zero on the first red step.
@@ -65,7 +66,7 @@ extract() {
 		name = $0
 		sub(/^ *- name: */, "", name)
 		name = unquote(name)
-		keep = name == "gofmt" || name == "go vet" || name == "reprolint" || name ~ /^one /
+		keep = name == "gofmt" || name ~ /^go vet/ || name == "reprolint" || name ~ /^one /
 		next
 	}
 	keep && /^ *run: */ {
