@@ -106,13 +106,15 @@ func CompileSolve(f *symbolic.Factor, p int) (*SolveProgram, error) {
 
 // Run overwrites x, holding a right-hand side in elimination order, with
 // the solution under the kernel-k factor values val over the program's
-// structure. Two fork-joins, no lock. The forward sweep L·y = b is the
-// serial column sweep cut in two: the chunks side by side, each column
-// updating the rows of its own chunk, then the caller alone, over the spill
-// columns, every update of a top row. The backward sweep Lᵀ·x = y reads
-// only ancestors: the top first, then the chunks side by side. A component
-// meets its updates in ascending source column, as in numeric's serial
-// sweeps, on one goroutine per phase: the result is theirs bit for bit.
+// structure. Two fork-joins, no lock; every column goes through numeric's
+// sweep bodies, Kernel.Forward and Kernel.Backward. The forward sweep
+// L·y = b is the serial column sweep cut in two: the chunks side by side,
+// each column applying its chunk's part [ColPtr[j], cut[j]), then the
+// caller alone the rest of every spill column, every update of a top row.
+// The backward sweep Lᵀ·x = y reads only ancestors: the top first, then
+// the chunks side by side, each descending. A component meets its updates
+// in ascending source column, as in Kernel.Solve, on one goroutine per
+// phase: the result is Solve's bit for bit.
 func (sp *SolveProgram) Run(k numeric.Kernel, val, x []float64) error {
 	if err := k.Valid(); err != nil {
 		return err
@@ -123,57 +125,23 @@ func (sp *SolveProgram) Run(k numeric.Kernel, val, x []float64) error {
 	if len(val) != sp.f.NNZ() {
 		return fmt.Errorf("exec: %d factor values, want %d", len(val), sp.f.NNZ())
 	}
-	ldl := k == numeric.KernelLDL
-	sp.fork(func(cols []int32) { sp.forward(cols, false, ldl, val, x) })
-	sp.forward(sp.spill, true, ldl, val, x)
-	sp.backward(sp.top, ldl, val, x)
-	sp.fork(func(cols []int32) { sp.backward(cols, ldl, val, x) })
-	return nil
-}
-
-// forward applies one part of every column of cols, ascending: the chunk's
-// [ColPtr[j], cut[j]), or with spilled set the rest. A diagonal in the part
-// finishes y[j] (LDLᵀ: holds D, y[j] stands); any other entry updates a later one.
-func (sp *SolveProgram) forward(cols []int32, spilled, ldl bool, val, x []float64) {
 	f, cut := sp.f, sp.cut
-	for _, j := range cols {
-		lo, hi := f.ColPtr[j], int(cut[j])
-		if spilled {
-			lo, hi = hi, f.ColPtr[j+1]
+	sp.fork(func(cols []int32) {
+		for _, j := range cols {
+			k.Forward(f, val, x, int(j), f.ColPtr[j], int(cut[j]))
 		}
-		if lo == f.ColPtr[j] {
-			if !ldl {
-				x[j] /= val[lo]
-			}
-			lo++
-		}
-		xj := x[j]
-		rs, vs := f.RowInd[lo:hi], val[lo:hi]
-		for q, i := range rs {
-			x[i] -= vs[q] * xj
+	})
+	for _, j := range sp.spill {
+		k.Forward(f, val, x, int(j), int(cut[j]), f.ColPtr[j+1])
+	}
+	backward := func(cols []int32) {
+		for t := len(cols) - 1; t >= 0; t-- {
+			k.Backward(f, val, x, int(cols[t]))
 		}
 	}
-}
-
-// backward finishes x[j], descending, from its finished ancestors (LDLᵀ: from y[j]/D[j]).
-func (sp *SolveProgram) backward(cols []int32, ldl bool, val, x []float64) {
-	f := sp.f
-	for t := len(cols) - 1; t >= 0; t-- {
-		j := cols[t]
-		base, end := f.ColPtr[j], f.ColPtr[j+1]
-		sum := x[j]
-		if ldl {
-			sum /= val[base]
-		}
-		rs, vs := f.RowInd[base+1:end], val[base+1:end]
-		for q, i := range rs {
-			sum -= vs[q] * x[i]
-		}
-		if !ldl {
-			sum /= val[base]
-		}
-		x[j] = sum
-	}
+	backward(sp.top)
+	sp.fork(backward)
+	return nil
 }
 
 // fork runs sweep over every chunk and joins. The caller and one goroutine

@@ -35,19 +35,6 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	return val, nil
 }
 
-// Column is one step of the left-looking factorization under kernel k:
-// column j of val — A's values (ScatterA) on entry, every column that
-// updates it final — receives its updates, pivot and scale in place; w is
-// scratch of length f.N. A pivot the kernel rejects comes back with ok
-// false and the column untouched. It is Segment over the whole column.
-func (k Kernel) Column(f *symbolic.Factor, val, w []float64, j int) (pivot float64, ok bool) {
-	lo := f.ColPtr[j]
-	if k.Segment(f, val, w, j, lo, f.ColPtr[j+1]) != nil {
-		return w[j], false
-	}
-	return val[lo], true
-}
-
 // Segment is the left-looking step over positions [lo, hi) of column j,
 // lo < hi — a run of the column's rows, the whole column included: the run
 // receives its updates, its pivot if it holds the diagonal, and its

@@ -39,46 +39,58 @@ func (k Kernel) Valid() error {
 
 // Solve runs the serial triangular sweeps of the kernel that produced val
 // over f in place: x holds the right-hand side on entry and the solution
-// on return. (*Cholesky).Solve and (*LDL).Solve are this on a copy.
+// on return. It is Forward over every whole column, ascending, then
+// Backward over every column, descending; (*Cholesky).Solve and
+// (*LDL).Solve are this on a copy, and exec.SolveProgram runs the same
+// two bodies over its cut of the elimination tree.
 func (k Kernel) Solve(f *symbolic.Factor, val, x []float64) {
-	k.lower(f, val, x)
-	k.upper(f, val, x)
-}
-
-// lower overwrites x, holding b, with the solution of L·y = b. LDLᵀ's L
-// has a unit diagonal: the diagonal positions of val hold D.
-func (k Kernel) lower(f *symbolic.Factor, val, x []float64) {
 	for j := 0; j < f.N; j++ {
-		base, end := f.ColPtr[j], f.ColPtr[j+1]
-		if k != KernelLDL {
-			x[j] /= val[base]
-		}
-		xj := x[j]
-		rs, vs := f.RowInd[base+1:end], val[base+1:end]
-		for q, i := range rs {
-			x[i] -= vs[q] * xj
-		}
+		k.Forward(f, val, x, j, f.ColPtr[j], f.ColPtr[j+1])
+	}
+	for j := f.N - 1; j >= 0; j-- {
+		k.Backward(f, val, x, j)
 	}
 }
 
-// upper overwrites x, holding y, with the solution of Lᵀ·x = y, or for
-// LDLᵀ of Lᵀ·x = D⁻¹·y.
-func (k Kernel) upper(f *symbolic.Factor, val, x []float64) {
-	for j := f.N - 1; j >= 0; j-- {
-		base, end := f.ColPtr[j], f.ColPtr[j+1]
-		sum := x[j]
-		if k == KernelLDL {
-			sum /= val[base]
-		}
-		rs, vs := f.RowInd[base+1:end], val[base+1:end]
-		for q, i := range rs {
-			sum -= vs[q] * x[i]
-		}
+// Forward applies positions [lo, hi) of column j, lo < hi, to the sweep
+// L·y = b in x: a part that holds the diagonal finishes y[j] (Cholesky
+// divides it by the diagonal; LDLᵀ's L has a unit diagonal, the position
+// holds D and y[j] stays), and every other position updates a later
+// component, x[i] -= L[i,j]·y[j]. Columns applied whole in ascending
+// order leave y in x; a column cut into parts, the diagonal's first, gets
+// the whole column's bits.
+func (k Kernel) Forward(f *symbolic.Factor, val, x []float64, j, lo, hi int) {
+	if lo == f.ColPtr[j] {
 		if k != KernelLDL {
-			sum /= val[base]
+			x[j] /= val[lo]
 		}
-		x[j] = sum
+		lo++
 	}
+	xj := x[j]
+	rs, vs := f.RowInd[lo:hi], val[lo:hi]
+	for q, i := range rs {
+		x[i] -= vs[q] * xj
+	}
+}
+
+// Backward finishes x[j], holding y[j], from its ancestors' finished
+// components: the row j of Lᵀ·x = y, or for LDLᵀ of Lᵀ·x = D⁻¹·y.
+// Columns applied in descending order after the forward sweep leave the
+// solution in x.
+func (k Kernel) Backward(f *symbolic.Factor, val, x []float64, j int) {
+	base, end := f.ColPtr[j], f.ColPtr[j+1]
+	sum := x[j]
+	if k == KernelLDL {
+		sum /= val[base]
+	}
+	rs, vs := f.RowInd[base+1:end], val[base+1:end]
+	for q, i := range rs {
+		sum -= vs[q] * x[i]
+	}
+	if k != KernelLDL {
+		sum /= val[base]
+	}
+	x[j] = sum
 }
 
 // SolveWidth is the number of right-hand sides SolveWide carries through
@@ -126,9 +138,9 @@ func div8(a *[8]float64, d float64) {
 	}
 }
 
-// sub8 is lower's column update on eight right-hand sides: the column's
+// sub8 is Forward's column update on eight right-hand sides: the column's
 // eight finished components a stay in registers, and row i of x takes
-// x[i*8+r] -= v*a[r], as lower's x[i] -= v*x[j].
+// x[i*8+r] -= v*a[r], as Forward's x[i] -= v*x[j].
 //
 //go:noinline
 func sub8(x []float64, rs []int32, vs []float64, a *[8]float64) {
@@ -147,8 +159,8 @@ func sub8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	}
 }
 
-// dot8 is upper's row sum on eight right-hand sides: the eight sums a
-// run side by side, each taking a[r] -= v*x[i*8+r] in upper's order.
+// dot8 is Backward's row sum on eight right-hand sides: the eight sums a
+// run side by side, each taking a[r] -= v*x[i*8+r] in Backward's order.
 //
 //go:noinline
 func dot8(x []float64, rs []int32, vs []float64, a *[8]float64) {

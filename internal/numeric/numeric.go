@@ -10,6 +10,12 @@
 // model used by the scheduler (2 units per off-diagonal pair update, 1 unit
 // per diagonal update).
 //
+// The triangular sweeps have one body each: Kernel.Forward applies
+// positions [lo, hi) of a column to L·y = b, and Kernel.Backward finishes
+// one component of Lᵀ·x = y. Kernel.Solve is the two loops over them, and
+// exec.SolveProgram makes the same calls over its cut of the elimination
+// tree, so the serial and the parallel solves share their bits.
+//
 // Kernel.SolveWide carries eight right-hand sides through one pair of
 // sweeps. Its passes are sub8 and dot8 in Go, or on amd64 CPUs with AVX2
 // the same passes in assembly (kernel_amd64.s), chosen once at package
@@ -63,9 +69,9 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 // Factorize runs the serial left-looking factorization k selects and
 // returns the values aligned with f: Factorize's for KernelCholesky,
 // FactorizeLDL's for KernelLDL. It is ScatterA, then Segment over every
-// whole column in turn (Column's step, whose rejected pivot is the error);
-// the two kernels differ only in the D[k] factor of an update and in the
-// pivot (rule, square root).
+// whole column in turn, whose rejected pivot is the error; the two
+// kernels differ only in the D[k] factor of an update and in the pivot
+// (rule, square root).
 func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	if err := k.Valid(); err != nil {
 		return nil, err
@@ -87,20 +93,6 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 		}
 	}
 	return val, nil
-}
-
-// LowerSolve solves L*y = b and returns y in a fresh slice.
-func (c *Cholesky) LowerSolve(b []float64) []float64 {
-	y := append([]float64(nil), b...)
-	KernelCholesky.lower(c.F, c.Val, y)
-	return y
-}
-
-// UpperSolve solves Lᵀ*x = y and returns x in a fresh slice.
-func (c *Cholesky) UpperSolve(y []float64) []float64 {
-	x := append([]float64(nil), y...)
-	KernelCholesky.upper(c.F, c.Val, x)
-	return x
 }
 
 // Solve solves A*x = b for the matrix that was factorized.

@@ -163,6 +163,8 @@ func TestSolveSuiteMatrices(t *testing.T) {
 	}
 }
 
+// TestLowerUpperSolveConsistency: the Forward loop over whole columns
+// leaves y with L·y = b, and the Backward loop after it x with Lᵀ·x = y.
 func TestLowerUpperSolveConsistency(t *testing.T) {
 	m := gen.Grid5(5, 5)
 	fac := symbolic.Analyze(m)
@@ -170,23 +172,34 @@ func TestLowerUpperSolveConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]float64, m.N)
-	b[0] = 1
-	y := c.LowerSolve(b)
-	// L*y must equal b.
-	lm := c.L()
 	n := m.N
-	got := make([]float64, n)
+	b := make([]float64, n)
+	b[0] = 1
+	y := append([]float64(nil), b...)
+	for j := 0; j < n; j++ {
+		KernelCholesky.Forward(fac, c.Val, y, j, fac.ColPtr[j], fac.ColPtr[j+1])
+	}
+	x := append([]float64(nil), y...)
+	for j := n - 1; j >= 0; j-- {
+		KernelCholesky.Backward(fac, c.Val, x, j)
+	}
+	// L*y must equal b, and Lᵀ*x must equal y.
+	lm := c.L()
+	ly, ltx := make([]float64, n), make([]float64, n)
 	for j := 0; j < n; j++ {
 		cj := lm.Col(j)
 		vj := lm.ColVal(j)
 		for k, i := range cj {
-			got[i] += vj[k] * y[j]
+			ly[i] += vj[k] * y[j]
+			ltx[j] += vj[k] * x[i]
 		}
 	}
 	for i := range b {
-		if math.Abs(got[i]-b[i]) > 1e-12 {
-			t.Fatalf("L*y != b at %d: %g vs %g", i, got[i], b[i])
+		if math.Abs(ly[i]-b[i]) > 1e-12 {
+			t.Fatalf("L*y != b at %d: %g vs %g", i, ly[i], b[i])
+		}
+		if math.Abs(ltx[i]-y[i]) > 1e-12 {
+			t.Fatalf("Lᵀ*x != y at %d: %g vs %g", i, ltx[i], y[i])
 		}
 	}
 }

@@ -45,8 +45,8 @@ func segmentKernels(m *sparse.Matrix) []struct {
 // TestSegmentMatchesColumn: cutting every column into runs at random
 // points and applying them — the diagonal's run first, the rest in random
 // order, one scratch vector throughout — gives bit for bit the factor of
-// whole Column steps, on every structure of the oracle sweep (the suite's
-// under -race) and for both kernels.
+// whole-column Segment calls, on every structure of the oracle sweep (the
+// suite's under -race) and for both kernels.
 func TestSegmentMatchesColumn(t *testing.T) {
 	for ci, c := range sweepCases(t) {
 		if raceBuild && ci >= 6*len(gen.Suite()) {
@@ -61,8 +61,8 @@ func TestSegmentMatchesColumn(t *testing.T) {
 			val := append([]float64(nil), want...)
 			w := make([]float64, c.f.N)
 			for j := 0; j < c.f.N; j++ {
-				if d, ok := k.Column(c.f, want, w, j); !ok {
-					t.Fatalf("%s %v: column %d rejects pivot %g", c.name, k, j, d)
+				if err := k.Segment(c.f, want, w, j, c.f.ColPtr[j], c.f.ColPtr[j+1]); err != nil {
+					t.Fatalf("%s %v: column %d: %v", c.name, k, j, err)
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
