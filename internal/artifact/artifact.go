@@ -108,7 +108,7 @@ func (hs *Hasher) Ints(v []int) {
 		hs.inPlace(unsafe.Pointer(unsafe.SliceData(v)), len(v))
 		return
 	}
-	staged(hs, v, 8, intBits)
+	staged(hs, v, 8, intBits[int])
 }
 
 // F64s appends a length-prefixed []float64 of bit patterns.
@@ -129,12 +129,12 @@ func (hs *Hasher) inPlace(p unsafe.Pointer, n int) {
 }
 
 // fixed stages v little-endian at w ∈ {2, 4, 8} bytes per entry; every
-// entry must fit in w bytes (w = 8 takes any int). A little-endian host
-// stores each entry as a native word of w bytes.
-func (hs *Hasher) fixed(v []int, w int) {
+// entry must fit in w bytes (w = 8 takes any int, sign-extended). A
+// little-endian host stores each entry as a native word of w bytes.
+func fixed[E int | int32](hs *Hasher, v []E, w int) {
 	switch {
 	case !littleEndian:
-		staged(hs, v, w, intBits)
+		staged(hs, v, w, intBits[E])
 	case w == 2:
 		narrow[uint16](hs, v)
 	case w == 4:
@@ -147,7 +147,7 @@ func (hs *Hasher) fixed(v []int, w int) {
 // narrow stages v as native words of type T, a buffer at a time. The
 // buffer is flushed to a multiple of T's size first (a flush never moves a
 // byte of the stream), so every word is aligned.
-func narrow[T uint16 | uint32 | uint64](hs *Hasher, v []int) {
+func narrow[T uint16 | uint32 | uint64, E int | int32](hs *Hasher, v []E) {
 	size := int(unsafe.Sizeof(T(0)))
 	for len(v) > 0 {
 		if hs.n%size != 0 || len(hs.buf)-hs.n < size {
@@ -166,7 +166,7 @@ func narrow[T uint16 | uint32 | uint64](hs *Hasher, v []int) {
 // staged writes the low w bytes of each entry's word little-endian, on any
 // host: the path of big-endian hosts, and the reference the in-place and
 // native-word paths are tested against.
-func staged[E int | float64](hs *Hasher, v []E, w int, word func(E) uint64) {
+func staged[E int | int32 | float64](hs *Hasher, v []E, w int, word func(E) uint64) {
 	var b [8]byte
 	for _, x := range v {
 		if len(hs.buf)-hs.n < w {
@@ -177,7 +177,7 @@ func staged[E int | float64](hs *Hasher, v []E, w int, word func(E) uint64) {
 	}
 }
 
-func intBits(x int) uint64 { return uint64(x) }
+func intBits[E int | int32](x E) uint64 { return uint64(x) }
 
 // Key appends another artifact's key (stage chaining: a Plan's digest
 // includes its Analysis' key; a Factor's includes its Plan's).
@@ -201,21 +201,22 @@ func (hs *Hasher) Sum() Key {
 // indexWidth is the narrowest of 2, 4 and 8 bytes that holds every entry
 // of cols and rows. A negative entry, which only an invalid matrix has,
 // sets the top bit and so takes 8 bytes.
-func indexWidth(cols, rows []int) int {
-	var or uint64
-	for _, x := range cols {
-		or |= uint64(x)
-	}
-	for _, x := range rows {
-		or |= uint64(x)
-	}
-	switch {
+func indexWidth(cols []int, rows []int32) int {
+	switch or := orBits(cols) | orBits(rows); {
 	case or < 1<<16:
 		return 2
 	case or < 1<<32:
 		return 4
 	}
 	return 8
+}
+
+// orBits is the bitwise or of v's entries, each sign-extended to 64 bits.
+func orBits[E int | int32](v []E) (or uint64) {
+	for _, x := range v {
+		or |= uint64(x)
+	}
+	return or
 }
 
 // PatternSum digests the CSC sparsity pattern of m — dimension, column
@@ -232,8 +233,8 @@ func PatternSum(m *sparse.Matrix) [sha256.Size]byte {
 	hs.I64(int64(w))
 	hs.I64(int64(len(m.ColPtr)))
 	hs.I64(int64(len(m.RowInd)))
-	hs.fixed(m.ColPtr, w)
-	hs.fixed(m.RowInd, w)
+	fixed(hs, m.ColPtr, w)
+	fixed(hs, m.RowInd, w)
 	return hs.Sum().Sum
 }
 

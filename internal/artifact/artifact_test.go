@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,7 +142,7 @@ func TestHasherMatchesStraightLineSHA256(t *testing.T) {
 		t.Fatal("Grid9(120,120) no longer needs 4-byte indices")
 	}
 	invalid := *m
-	invalid.RowInd = append([]int(nil), m.RowInd...)
+	invalid.RowInd = slices.Clone(m.RowInd)
 	invalid.RowInd[7] = -1
 	for _, c := range []struct {
 		m *sparse.Matrix
@@ -153,7 +154,7 @@ func TestHasherMatchesStraightLineSHA256(t *testing.T) {
 		le(uint64(c.w))
 		le(uint64(len(c.m.ColPtr)))
 		le(uint64(len(c.m.RowInd)))
-		for _, v := range append(append([]int(nil), c.m.ColPtr...), c.m.RowInd...) {
+		for _, v := range append(slices.Clone(c.m.ColPtr), ints(c.m.RowInd)...) {
 			var b [8]byte
 			binary.LittleEndian.PutUint64(b[:], uint64(v))
 			ref.Write(b[:c.w])

@@ -12,6 +12,24 @@ import (
 	"repro/internal/sparse"
 )
 
+// ints widens row indices to the ints the reference digest takes.
+func ints(rows []int32) []int {
+	out := make([]int, len(rows))
+	for k, r := range rows {
+		out[k] = int(r)
+	}
+	return out
+}
+
+// refSum is refPatternSum of m at the definitional width, or at w if w > 0.
+func refSum(m *sparse.Matrix, w int) [sha256.Size]byte {
+	rows := ints(m.RowInd)
+	if w == 0 {
+		w = refWidth(m.ColPtr, rows)
+	}
+	return refPatternSum(m.N, m.ColPtr, rows, w)
+}
+
 // refWidth is the index width by its definition: the narrowest of 2, 4
 // and 8 bytes such that every entry x has 0 <= x < 2^(8w).
 func refWidth(cols, rows []int) int {
@@ -58,9 +76,9 @@ func chain(n, k int) *sparse.Matrix {
 	m := &sparse.Matrix{N: n, ColPtr: make([]int, 0, n+1)}
 	for j := 0; j < n; j++ {
 		m.ColPtr = append(m.ColPtr, len(m.RowInd))
-		m.RowInd = append(m.RowInd, j)
+		m.RowInd = append(m.RowInd, int32(j))
 		if j < k && j+1 < n {
-			m.RowInd = append(m.RowInd, j+1)
+			m.RowInd = append(m.RowInd, int32(j+1))
 		}
 	}
 	m.ColPtr = append(m.ColPtr, len(m.RowInd))
@@ -68,13 +86,20 @@ func chain(n, k int) *sparse.Matrix {
 }
 
 // TestPatternSumWidth pins the width at its boundaries: N and nnz at
-// 2¹⁶ − 1 against 2¹⁶, an entry at 2³² − 1 against 2³², and a negative
-// entry, each against the straight-line digest at the width it must take.
+// 2¹⁶ − 1 against 2¹⁶, a row at 2¹⁶ − 1 against 2¹⁶ and at the top of
+// int32, a column pointer at 2³² − 1 against 2³² (only ColPtr holds one),
+// and negative entries in either array, each against the straight-line
+// digest at the width it must take.
 func TestPatternSumWidth(t *testing.T) {
 	big := int(int64(1)<<32 - 1) // an index only a 64-bit int holds
-	withEntry := func(m *sparse.Matrix, at, v int) *sparse.Matrix {
+	withEntry := func(m *sparse.Matrix, at int, v int32) *sparse.Matrix {
 		c := m.Clone()
 		c.RowInd[at] = v
+		return c
+	}
+	withPtr := func(m *sparse.Matrix, at, v int) *sparse.Matrix {
+		c := m.Clone()
+		c.ColPtr[at] = v
 		return c
 	}
 	base := chain(10, 9)
@@ -88,20 +113,24 @@ func TestPatternSumWidth(t *testing.T) {
 		{"N = 2^16", chain(1<<16, 0), 4, true},
 		{"nnz = 2^16-1", chain(40000, 1<<16-1-40000), 2, true},
 		{"nnz = 2^16", chain(40000, 1<<16-40000), 4, true},
-		{"entry 2^32-1", withEntry(base, 3, big), 4, false},
-		{"entry 2^32", withEntry(base, 3, big+1), 8, false},
-		{"entry -1", withEntry(base, 3, -1), 8, false},
-		{"entry MinInt", withEntry(base, 3, math.MinInt), 8, false},
+		{"row 2^16-1", withEntry(base, 3, 1<<16-1), 2, false},
+		{"row 2^16", withEntry(base, 3, 1<<16), 4, false},
+		{"row MaxInt32", withEntry(base, 3, math.MaxInt32), 4, false},
+		{"pointer 2^32-1", withPtr(base, 3, big), 4, false},
+		{"pointer 2^32", withPtr(base, 3, big+1), 8, false},
+		{"row -1", withEntry(base, 3, -1), 8, false},
+		{"row MinInt32", withEntry(base, 3, math.MinInt32), 8, false},
+		{"pointer MinInt", withPtr(base, 3, math.MinInt), 8, false},
 		{"small", base, 2, true},
 	}
 	for _, c := range cases {
 		if got := c.m.Validate() == nil; got != c.valid {
 			t.Fatalf("%s: valid = %v, want %v", c.name, got, c.valid)
 		}
-		if w := refWidth(c.m.ColPtr, c.m.RowInd); w != c.w {
+		if w := refWidth(c.m.ColPtr, ints(c.m.RowInd)); w != c.w {
 			t.Fatalf("%s: the case is %d bytes wide, not %d", c.name, w, c.w)
 		}
-		if PatternSum(c.m) != refPatternSum(c.m.N, c.m.ColPtr, c.m.RowInd, c.w) {
+		if PatternSum(c.m) != refSum(c.m, c.w) {
 			t.Fatalf("%s: PatternSum is not the straight-line digest at %d-byte indices", c.name, c.w)
 		}
 	}
@@ -131,11 +160,12 @@ func TestPatternSumInvalid(t *testing.T) {
 		{"decreasing ColPtr", mutate(func(m *sparse.Matrix) { m.ColPtr[2], m.ColPtr[3] = m.ColPtr[3], m.ColPtr[2] })},
 		{"missing diagonal", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]] = 2 })},
 		{"rows not increasing", mutate(func(m *sparse.Matrix) { m.RowInd[1], m.RowInd[2] = m.RowInd[2], m.RowInd[1] })},
-		{"row out of range", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]-1] = m.N })},
+		{"row out of range", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]-1] = int32(m.N) })},
 		{"negative row", mutate(func(m *sparse.Matrix) { m.RowInd[1] = -1 })},
-		{"huge row", mutate(func(m *sparse.Matrix) { m.RowInd[1] = math.MaxInt })},
+		{"huge row", mutate(func(m *sparse.Matrix) { m.RowInd[1] = math.MaxInt32 })},
+		{"huge pointer", mutate(func(m *sparse.Matrix) { m.ColPtr[1] = math.MaxInt })},
 		{"last pointer moved to the rows", mutate(func(m *sparse.Matrix) {
-			m.RowInd = append([]int{m.ColPtr[m.N]}, m.RowInd...)
+			m.RowInd = append([]int32{int32(m.ColPtr[m.N])}, m.RowInd...)
 			m.ColPtr = m.ColPtr[:m.N]
 		})},
 	}
@@ -148,7 +178,7 @@ func TestPatternSumInvalid(t *testing.T) {
 		if got == want {
 			t.Fatalf("%s: digest equals its valid twin's", c.name)
 		}
-		if got != refPatternSum(c.m.N, c.m.ColPtr, c.m.RowInd, refWidth(c.m.ColPtr, c.m.RowInd)) {
+		if got != refSum(c.m, 0) {
 			t.Fatalf("%s: PatternSum is not the straight-line digest", c.name)
 		}
 	}
@@ -183,17 +213,24 @@ func TestInPlaceMatchesStaged(t *testing.T) {
 			}
 			inPlace.Ints(ints)
 			ref.I64(int64(n))
-			staged(ref, ints, 8, intBits)
+			staged(ref, ints, 8, intBits[int])
 			if inPlace.Sum() != ref.Sum() {
 				t.Fatalf("%s: Ints differs from its staged path", what)
 			}
 			for _, w := range []int{2, 4, 8} {
 				narrowed := make([]int, n)
+				rows := make([]int32, n)
 				for i, x := range ints {
 					narrowed[i] = x & (1<<(8*w-1) - 1)
+					rows[i] = int32(narrowed[i])
+					if w == 8 {
+						rows[i] = int32(x) // negative rows sign-extend
+					}
 				}
-				inPlace.fixed(narrowed, w)
-				staged(ref, narrowed, w, intBits)
+				fixed(inPlace, narrowed, w)
+				staged(ref, narrowed, w, intBits[int])
+				fixed(inPlace, rows, w)
+				staged(ref, rows, w, intBits[int32])
 				if inPlace.Sum() != ref.Sum() {
 					t.Fatalf("%s: %d-byte indices differ from their staged path", what, w)
 				}
@@ -213,7 +250,7 @@ func TestWarmKeyAllocations(t *testing.T) {
 		hs.Str("a string")
 		hs.Key(k)
 		hs.F64s(m.Val)
-		hs.Ints(m.RowInd)
+		hs.Ints(m.ColPtr)
 		_ = hs.Sum()
 	}); got != 0 {
 		t.Fatalf("absorbing fields allocated %.0f times, want 0", got)
@@ -226,11 +263,12 @@ func TestWarmKeyAllocations(t *testing.T) {
 }
 
 // FuzzPatternSum: PatternSum never panics on fuzzer-written patterns,
-// valid or not, with entries either side of 2¹⁶ and 2³² and negative; it
-// equals the straight-line digest at the definitional width; and of two
-// patterns derived from one input (an entry changed, an entry moved
-// between the arrays, N changed) the digests agree iff N, ColPtr and
-// RowInd do.
+// valid or not, with entries either side of 2¹⁶ and negative in both
+// arrays, either side of 2³² in ColPtr and at the top of int32 in RowInd,
+// whose int32 cannot hold 2³²; it equals the straight-line digest at the
+// definitional width; and of two patterns derived from one input (an
+// entry changed, an entry moved between the arrays, N changed) the
+// digests agree iff N, ColPtr and RowInd do.
 func FuzzPatternSum(f *testing.F) {
 	// Each entry is three bytes: a range selector and a 16-bit offset.
 	entry := func(sel byte, v uint16) []byte { return []byte{sel, byte(v), byte(v >> 8)} }
@@ -245,41 +283,48 @@ func FuzzPatternSum(f *testing.F) {
 	seed(5, 1, 0, 0, -1, entry(3, 0), entry(0, 1), entry(3, 0xffff))
 	seed(-1, 0, 1, 0, 0)
 	f.Fuzz(func(t *testing.T, n int64, data []byte, cut uint8, op uint8, pos uint16, delta int64) {
-		vals := make([]int, 0, len(data)/3)
+		a := &sparse.Matrix{N: int(n)}
+		c := min(int(cut), len(data)/3)
 		for i := 0; i+3 <= len(data); i += 3 {
 			v := int64(data[i+1]) | int64(data[i+2])<<8
 			switch data[i] % 4 {
 			case 1: // either side of 2^16
 				v += 1<<16 - 1<<15
-			case 2: // either side of 2^32
-				v += 1<<32 - 1<<15
+			case 2: // either side of 2^32 in ColPtr, the top of int32 in RowInd
+				if i/3 < c {
+					v += 1<<32 - 1<<15
+				} else {
+					v += math.MaxInt32 - 0xffff
+				}
 			case 3:
 				v = -1 - v
 			}
-			vals = append(vals, int(v))
+			if i/3 < c {
+				a.ColPtr = append(a.ColPtr, int(v))
+			} else {
+				a.RowInd = append(a.RowInd, int32(v))
+			}
 		}
-		c := min(int(cut), len(vals))
-		a := &sparse.Matrix{N: int(n), ColPtr: vals[:c:c], RowInd: vals[c:]}
-		if got := PatternSum(a); got != refPatternSum(a.N, a.ColPtr, a.RowInd, refWidth(a.ColPtr, a.RowInd)) {
+		if got := PatternSum(a); got != refSum(a, 0) {
 			t.Fatal("PatternSum is not the straight-line digest")
 		}
 		b := &sparse.Matrix{N: a.N, ColPtr: slices.Clone(a.ColPtr), RowInd: slices.Clone(a.RowInd)}
 		switch op % 3 {
 		case 0:
-			if all := len(vals); all > 0 {
+			if all := c + len(b.RowInd); all > 0 {
 				i := int(pos) % all
 				if i < c {
 					b.ColPtr[i] += int(delta)
 				} else {
-					b.RowInd[i-c] += int(delta)
+					b.RowInd[i-c] += int32(delta)
 				}
 			}
 		case 1:
 			if c > 0 {
-				b.RowInd = append([]int{b.ColPtr[c-1]}, b.RowInd...)
+				b.RowInd = append([]int32{int32(b.ColPtr[c-1])}, b.RowInd...)
 				b.ColPtr = b.ColPtr[:c-1]
 			} else if len(b.RowInd) > 0 {
-				b.ColPtr = append(b.ColPtr, b.RowInd[0])
+				b.ColPtr = append(b.ColPtr, int(b.RowInd[0]))
 				b.RowInd = b.RowInd[1:]
 			}
 		case 2:

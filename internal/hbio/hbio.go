@@ -169,25 +169,9 @@ func Write(w io.Writer, m *sparse.Matrix, title, key string) error {
 	}
 	fmt.Fprintf(bw, "%-16s%-16s%-20s%-20s\n", ptrFmt.String(), indFmt.String(), valStr, "")
 
-	writeInts := func(xs []int, f format) {
-		for k, x := range xs {
-			fmt.Fprintf(bw, "%*d", f.width, x)
-			if (k+1)%f.perLine == 0 || k == len(xs)-1 {
-				bw.WriteByte('\n')
-			}
-		}
-	}
 	// 1-based pointers and indices, per the Fortran convention.
-	ptr := make([]int, len(m.ColPtr))
-	for i, p := range m.ColPtr {
-		ptr[i] = p + 1
-	}
-	ind := make([]int, len(m.RowInd))
-	for i, r := range m.RowInd {
-		ind[i] = r + 1
-	}
-	writeInts(ptr, ptrFmt)
-	writeInts(ind, indFmt)
+	writeInts(bw, m.ColPtr, ptrFmt)
+	writeInts(bw, m.RowInd, indFmt)
 	if m.Val != nil {
 		for k, v := range m.Val {
 			fmt.Fprintf(bw, "%*.*E", valFmt.width, valFmt.prec, v)
@@ -197,6 +181,16 @@ func Write(w io.Writer, m *sparse.Matrix, title, key string) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// writeInts writes xs, each plus one, in format f's cards.
+func writeInts[E int | int32](bw *bufio.Writer, xs []E, f format) {
+	for k, x := range xs {
+		fmt.Fprintf(bw, "%*d", f.width, int(x)+1)
+		if (k+1)%f.perLine == 0 || k == len(xs)-1 {
+			bw.WriteByte('\n')
+		}
+	}
 }
 
 func cardCount(n, perLine int) int {
@@ -264,7 +258,7 @@ func Read(r io.Reader) (*sparse.Matrix, Header, error) {
 	// Every entry takes at least one byte, which bounds what the parsers
 	// below allocate by the size of the input.
 	if err1 != nil || err2 != nil || err3 != nil ||
-		hdr.NRow < 0 || hdr.NRow >= size || hdr.NNZ < 0 || hdr.NNZ > size {
+		hdr.NRow < 0 || hdr.NRow >= size || hdr.NRow > sparse.MaxN || hdr.NNZ < 0 || hdr.NNZ > size {
 		return nil, hdr, fmt.Errorf("hbio: bad dimensions %q", l3)
 	}
 	if hdr.NRow != hdr.NCol {

@@ -185,6 +185,13 @@ func TestReadErrors(t *testing.T) {
 			"             x             y             z             w\n" +
 			"RSA                         2             2             3             0\n" +
 			"(16I5)          (16I5)          (2E20.12)           \n",
+		"dimension past int32": "t\n" +
+			"             3             1             1             1             0\n" +
+			"RSA                2147483648    2147483648             2             0\n" +
+			"(16I5)          (16I5)          (2E20.12)           \n" +
+			"    1    2    3\n" +
+			"    1    2\n" +
+			"             1.0E+00             2.0E+00\n",
 		"truncated body": "t\n" +
 			"             9             3             3             3             0\n" +
 			"RSA                         9             9             9             0\n" +

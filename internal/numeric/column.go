@@ -23,7 +23,7 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 		base := f.ColPtr[j]
 		t := 0
 		for k, i := range cj {
-			for t < len(fc) && int(fc[t]) != i {
+			for t < len(fc) && fc[t] != i {
 				t++
 			}
 			if t == len(fc) {

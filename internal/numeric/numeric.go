@@ -158,7 +158,7 @@ func FactorResidual(m *sparse.Matrix, c *Cholesky) float64 {
 	acc := make(map[[2]int]float64, m.NNZ())
 	for j := 0; j < n; j++ {
 		for _, i := range m.Col(j) {
-			acc[[2]int{i, j}] = 0
+			acc[[2]int{int(i), j}] = 0
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -178,7 +178,7 @@ func FactorResidual(m *sparse.Matrix, c *Cholesky) float64 {
 		cj := m.Col(j)
 		vj := m.ColVal(j)
 		for k, i := range cj {
-			d := math.Abs(acc[[2]int{i, j}] - vj[k])
+			d := math.Abs(acc[[2]int{int(i), j}] - vj[k])
 			if d > worst {
 				worst = d
 			}

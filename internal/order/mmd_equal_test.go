@@ -185,7 +185,7 @@ func fuzzPattern(data []byte) *sparse.Matrix {
 // densePermuted and denseFactor are the front end's products by brute
 // force on a dense copy, the oracles of the layers whose own references
 // sit in their packages' test files.
-func densePermuted(m *sparse.Matrix, perm []int) (colPtr, rowInd []int, val []float64) {
+func densePermuted(m *sparse.Matrix, perm []int) (colPtr []int, rowInd []int32, val []float64) {
 	n := m.N
 	inv := Inverse(perm)
 	has := make([]bool, n*n)
@@ -200,7 +200,7 @@ func densePermuted(m *sparse.Matrix, perm []int) (colPtr, rowInd []int, val []fl
 	for c := 0; c < n; c++ {
 		for r := c; r < n; r++ {
 			if has[r*n+c] {
-				rowInd, val = append(rowInd, r), append(val, at[r*n+c])
+				rowInd, val = append(rowInd, int32(r)), append(val, at[r*n+c])
 			}
 		}
 		colPtr = append(colPtr, len(rowInd))
@@ -213,7 +213,7 @@ func denseFactor(pm *sparse.Matrix) (colPtr []int, rowInd []int32, parent []int)
 	has := make([]bool, n*n)
 	for j := 0; j < n; j++ {
 		for _, i := range pm.Col(j) {
-			has[i*n+j] = true
+			has[int(i)*n+j] = true
 		}
 	}
 	colPtr = []int{0}

@@ -164,7 +164,7 @@ func bandwidth(m *sparse.Matrix) int {
 	for j := 0; j < m.N; j++ {
 		col := m.Col(j)
 		if len(col) > 1 {
-			if d := col[len(col)-1] - j; d > bw {
+			if d := int(col[len(col)-1]) - j; d > bw {
 				bw = d
 			}
 		}

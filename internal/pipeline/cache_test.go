@@ -81,7 +81,7 @@ func TestInvalidMatrixValidatedOnMiss(t *testing.T) {
 		{"decreasing ColPtr", mutate(func(m *sparse.Matrix) { m.ColPtr[2], m.ColPtr[3] = m.ColPtr[3], m.ColPtr[2] })},
 		{"missing diagonal", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]] = 2 })},
 		{"rows not increasing", mutate(func(m *sparse.Matrix) { m.RowInd[1], m.RowInd[2] = m.RowInd[2], m.RowInd[1] })},
-		{"row out of range", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]-1] = m.N })},
+		{"row out of range", mutate(func(m *sparse.Matrix) { m.RowInd[m.ColPtr[1]-1] = int32(m.N) })},
 		{"wrong len(Val)", mutate(func(m *sparse.Matrix) { m.Val = m.Val[1:] })},
 	}
 	b := make([]float64, twin.N)

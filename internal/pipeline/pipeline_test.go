@@ -866,14 +866,14 @@ func TestParallelNotPositiveDefiniteError(t *testing.T) {
 // The column counts take O(nnz(A)) time, so the test runs in milliseconds.
 func TestAnalysisRejectsInt32Overflow(t *testing.T) {
 	const n = 65537
-	a := &sparse.Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int, 0, 2*n-1)}
+	a := &sparse.Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int32, 0, 2*n-1)}
 	for i := 0; i < n; i++ {
-		a.RowInd = append(a.RowInd, i) // column 0, the hub: every row
+		a.RowInd = append(a.RowInd, int32(i)) // column 0, the hub: every row
 	}
 	for j := 1; j <= n; j++ {
 		a.ColPtr[j] = len(a.RowInd)
 		if j < n {
-			a.RowInd = append(a.RowInd, j)
+			a.RowInd = append(a.RowInd, int32(j))
 		}
 	}
 	identity := make([]int, n)

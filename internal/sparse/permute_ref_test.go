@@ -68,3 +68,27 @@ func (m *Matrix) refPermute(order []int) (*Matrix, error) {
 	}
 	return assembleWithDiagonal(n, colIdx, colVal, withVal), nil
 }
+
+// assembleWithDiagonal is the assembly refPermute used: it builds the CSC
+// arrays from sorted, deduplicated per-column row lists, inserting each
+// missing diagonal.
+func assembleWithDiagonal(n int, colIdx [][]int, colVal [][]float64, withVal bool) *Matrix {
+	m := &Matrix{N: n, ColPtr: make([]int, n+1)}
+	for j := 0; j < n; j++ {
+		m.ColPtr[j] = len(m.RowInd)
+		if len(colIdx[j]) == 0 || colIdx[j][0] != j {
+			m.RowInd = append(m.RowInd, int32(j))
+			if withVal {
+				m.Val = append(m.Val, 0)
+			}
+		}
+		for k, r := range colIdx[j] {
+			m.RowInd = append(m.RowInd, int32(r))
+			if withVal {
+				m.Val = append(m.Val, colVal[j][k])
+			}
+		}
+	}
+	m.ColPtr[n] = len(m.RowInd)
+	return m
+}

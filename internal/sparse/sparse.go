@@ -9,15 +9,30 @@
 package sparse
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
+
+// MaxN is the largest dimension a Matrix holds: its row indices are int32.
+const MaxN = math.MaxInt32
+
+// checkDim rejects a dimension whose row indices int32 cannot hold.
+func checkDim(n int) error {
+	if n < 0 || n > MaxN {
+		return fmt.Errorf("sparse: dimension %d outside [0, %d]", n, MaxN)
+	}
+	return nil
+}
 
 // Matrix is a sparse symmetric matrix stored as its lower triangle
 // (including the diagonal) in compressed sparse column form.
 //
 // Invariants (checked by Validate):
+//   - 0 <= N <= MaxN, so every row index fits RowInd's int32.
 //   - len(ColPtr) == N+1, ColPtr[0] == 0, ColPtr monotone non-decreasing.
 //   - Row indices within each column are strictly increasing.
 //   - The first entry of column j is the diagonal element j.
@@ -25,7 +40,7 @@ import (
 type Matrix struct {
 	N      int
 	ColPtr []int
-	RowInd []int
+	RowInd []int32
 	// Val holds the numerical values aligned with RowInd, or nil for a
 	// pattern-only matrix.
 	Val []float64
@@ -39,7 +54,7 @@ func (m *Matrix) OffDiagNNZ() int { return len(m.RowInd) - m.N }
 
 // Col returns the row indices of column j (including the diagonal entry).
 // The returned slice aliases the matrix storage and must not be modified.
-func (m *Matrix) Col(j int) []int { return m.RowInd[m.ColPtr[j]:m.ColPtr[j+1]] }
+func (m *Matrix) Col(j int) []int32 { return m.RowInd[m.ColPtr[j]:m.ColPtr[j+1]] }
 
 // ColVal returns the values of column j aligned with Col(j).
 // It returns nil for a pattern-only matrix.
@@ -52,9 +67,18 @@ func (m *Matrix) ColVal(j int) []float64 {
 
 // Has reports whether the lower-triangle position (i, j), i >= j, is stored.
 func (m *Matrix) Has(i, j int) bool {
-	col := m.Col(j)
-	k := sort.SearchInts(col, i)
-	return k < len(col) && col[k] == i
+	_, ok := m.find(i, j)
+	return ok
+}
+
+// find returns the storage position of (i, j), i >= j, and whether it is
+// stored; a row outside [0, N) is not.
+func (m *Matrix) find(i, j int) (int, bool) {
+	if i < 0 || i >= m.N {
+		return 0, false
+	}
+	k, ok := slices.BinarySearch(m.Col(j), int32(i))
+	return m.ColPtr[j] + k, ok
 }
 
 // At returns the value at (i, j) of the full symmetric matrix, or 0 if the
@@ -66,18 +90,16 @@ func (m *Matrix) At(i, j int) float64 {
 	if i < j {
 		i, j = j, i
 	}
-	col := m.Col(j)
-	k := sort.SearchInts(col, i)
-	if k < len(col) && col[k] == i {
-		return m.ColVal(j)[k]
+	if k, ok := m.find(i, j); ok {
+		return m.Val[k]
 	}
 	return 0
 }
 
 // Validate checks the structural invariants of the matrix.
 func (m *Matrix) Validate() error {
-	if m.N < 0 {
-		return errors.New("sparse: negative dimension")
+	if err := checkDim(m.N); err != nil {
+		return err
 	}
 	if len(m.ColPtr) != m.N+1 {
 		return fmt.Errorf("sparse: len(ColPtr)=%d, want %d", len(m.ColPtr), m.N+1)
@@ -93,14 +115,14 @@ func (m *Matrix) Validate() error {
 		if hi > len(m.RowInd) {
 			return fmt.Errorf("sparse: ColPtr[%d]=%d exceeds nnz %d", j+1, hi, len(m.RowInd))
 		}
-		if lo == hi || m.RowInd[lo] != j {
+		if lo == hi || int(m.RowInd[lo]) != j {
 			return fmt.Errorf("sparse: column %d missing diagonal entry", j)
 		}
 		for k := lo + 1; k < hi; k++ {
 			if m.RowInd[k] <= m.RowInd[k-1] {
 				return fmt.Errorf("sparse: rows not strictly increasing in column %d", j)
 			}
-			if m.RowInd[k] >= m.N {
+			if int(m.RowInd[k]) >= m.N {
 				return fmt.Errorf("sparse: row index %d out of range in column %d", m.RowInd[k], j)
 			}
 		}
@@ -119,7 +141,7 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{
 		N:      m.N,
 		ColPtr: append([]int(nil), m.ColPtr...),
-		RowInd: append([]int(nil), m.RowInd...),
+		RowInd: append([]int32(nil), m.RowInd...),
 	}
 	if m.Val != nil {
 		c.Val = append([]float64(nil), m.Val...)
@@ -130,41 +152,14 @@ func (m *Matrix) Clone() *Matrix {
 // PatternEqual reports whether two matrices have identical dimension and
 // lower-triangle sparsity patterns.
 func PatternEqual(a, b *Matrix) bool {
-	if a.N != b.N || len(a.RowInd) != len(b.RowInd) {
-		return false
-	}
-	for j := 0; j <= a.N; j++ {
-		if a.ColPtr[j] != b.ColPtr[j] {
-			return false
-		}
-	}
-	for k, r := range a.RowInd {
-		if b.RowInd[k] != r {
-			return false
-		}
-	}
-	return true
+	return a.N == b.N && slices.Equal(a.ColPtr, b.ColPtr) && slices.Equal(a.RowInd, b.RowInd)
 }
 
 // NewPattern builds a pattern-only symmetric matrix of dimension n from an
 // undirected edge list. Self-loops and duplicate edges are tolerated; the
 // diagonal is always present.
 func NewPattern(n int, edges [][2]int) (*Matrix, error) {
-	cols := make([][]int, n)
-	for _, e := range edges {
-		i, j := e[0], e[1]
-		if i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("sparse: edge (%d,%d) out of range for n=%d", i, j, n)
-		}
-		if i == j {
-			continue
-		}
-		if i < j {
-			i, j = j, i
-		}
-		cols[j] = append(cols[j], i)
-	}
-	return fromColumnLists(n, cols, nil), nil
+	return assemble(n, len(edges), func(k int) (int, int) { return edges[k][0], edges[k][1] }, nil)
 }
 
 // FromTriplets builds a symmetric matrix from triplet (coordinate) data.
@@ -177,114 +172,71 @@ func FromTriplets(n int, rows, colsIdx []int, v []float64) (*Matrix, error) {
 	if v != nil && len(v) != len(rows) {
 		return nil, errors.New("sparse: values length mismatch")
 	}
+	return assemble(n, len(rows), func(k int) (int, int) { return rows[k], colsIdx[k] }, v)
+}
+
+// assemble builds the lower triangle of the n × n symmetric matrix holding
+// the count entries at(k), each in either triangle, and every diagonal.
+// Duplicates merge, their values v[k] summed in input order; v == nil
+// makes a pattern-only matrix. A dimension past MaxN is rejected before
+// anything n-sized is allocated.
+func assemble(n, count int, at func(k int) (i, j int), v []float64) (*Matrix, error) {
+	if err := checkDim(n); err != nil {
+		return nil, err
+	}
 	type ent struct {
-		r int
+		r int32
 		v float64
 	}
 	cols := make([][]ent, n)
-	for k := range rows {
-		i, j := rows[k], colsIdx[k]
+	for k := range count {
+		i, j := at(k)
 		if i < 0 || i >= n || j < 0 || j >= n {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for n=%d", i, j, n)
 		}
-		if i < j {
-			i, j = j, i
-		}
-		var val float64
+		e := ent{r: int32(max(i, j))}
 		if v != nil {
-			val = v[k]
+			e.v = v[k]
 		}
-		cols[j] = append(cols[j], ent{i, val})
+		cols[min(i, j)] = append(cols[min(i, j)], e)
 	}
-	colIdx := make([][]int, n)
-	var colVal [][]float64
-	if v != nil {
-		colVal = make([][]float64, n)
-	}
-	for j := 0; j < n; j++ {
-		sort.Slice(cols[j], func(a, b int) bool { return cols[j][a].r < cols[j][b].r })
-		for _, e := range cols[j] {
-			last := len(colIdx[j]) - 1
-			if last >= 0 && colIdx[j][last] == e.r {
-				if colVal != nil {
-					colVal[j][last] += e.v
-				}
+	nnz := 0
+	for j, c := range cols {
+		slices.SortStableFunc(c, func(a, b ent) int { return cmp.Compare(a.r, b.r) })
+		out := c[:0]
+		for _, e := range c {
+			if last := len(out) - 1; last >= 0 && out[last].r == e.r {
+				out[last].v += e.v
 				continue
 			}
-			colIdx[j] = append(colIdx[j], e.r)
-			if colVal != nil {
-				colVal[j] = append(colVal[j], e.v)
-			}
+			out = append(out, e)
 		}
-	}
-	m := assembleWithDiagonal(n, colIdx, colVal, v != nil)
-	return m, nil
-}
-
-// fromColumnLists assembles a matrix from per-column strictly-sub-diagonal
-// row lists (unsorted, possibly with duplicates). Diagonals are added.
-func fromColumnLists(n int, cols [][]int, vals [][]float64) *Matrix {
-	colIdx := make([][]int, n)
-	for j := 0; j < n; j++ {
-		if len(cols[j]) == 0 {
-			continue
-		}
-		c := append([]int(nil), cols[j]...)
-		sort.Ints(c)
-		out := c[:0]
-		prev := -1
-		for _, r := range c {
-			if r != prev {
-				out = append(out, r)
-				prev = r
-			}
-		}
-		colIdx[j] = out
-	}
-	return assembleWithDiagonal(n, colIdx, vals, vals != nil)
-}
-
-// assembleWithDiagonal builds the final CSC arrays, inserting diagonal
-// entries where missing. colIdx[j] must be sorted, deduplicated row lists
-// that may or may not include the diagonal.
-func assembleWithDiagonal(n int, colIdx [][]int, colVal [][]float64, withVal bool) *Matrix {
-	m := &Matrix{N: n, ColPtr: make([]int, n+1)}
-	nnz := 0
-	for j := 0; j < n; j++ {
-		nnz += len(colIdx[j])
-		if len(colIdx[j]) == 0 || colIdx[j][0] != j {
+		cols[j] = out
+		nnz += len(out)
+		if len(out) == 0 || out[0].r != int32(j) {
 			nnz++
 		}
 	}
-	m.RowInd = make([]int, 0, nnz)
-	if withVal {
+	m := &Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int32, 0, nnz)}
+	if v != nil {
 		m.Val = make([]float64, 0, nnz)
 	}
-	for j := 0; j < n; j++ {
-		m.ColPtr[j] = len(m.RowInd)
-		hasDiag := len(colIdx[j]) > 0 && colIdx[j][0] == j
-		if !hasDiag {
-			m.RowInd = append(m.RowInd, j)
-			if withVal {
+	for j, c := range cols {
+		if len(c) == 0 || c[0].r != int32(j) {
+			m.RowInd = append(m.RowInd, int32(j))
+			if v != nil {
 				m.Val = append(m.Val, 0)
 			}
 		}
-		for k, r := range colIdx[j] {
-			if r < j {
-				panic(fmt.Sprintf("sparse: super-diagonal row %d in column %d", r, j))
-			}
-			m.RowInd = append(m.RowInd, r)
-			if withVal {
-				if colVal != nil && colVal[j] != nil {
-					m.Val = append(m.Val, colVal[j][k])
-				} else {
-					m.Val = append(m.Val, 0)
-				}
+		for _, e := range c {
+			m.RowInd = append(m.RowInd, e.r)
+			if v != nil {
+				m.Val = append(m.Val, e.v)
 			}
 		}
+		m.ColPtr[j+1] = len(m.RowInd)
 	}
-	m.ColPtr[n] = len(m.RowInd)
-	return m
+	return m, nil
 }
 
 // Adjacency returns the adjacency lists of the full symmetric pattern,
@@ -303,7 +255,7 @@ func (m *Matrix) Adjacency() [][]int {
 	}
 	for j := 0; j < m.N; j++ {
 		for _, i := range m.Col(j)[1:] {
-			adj[j] = append(adj[j], i)
+			adj[j] = append(adj[j], int(i))
 			adj[i] = append(adj[i], j)
 		}
 	}
@@ -328,14 +280,18 @@ func (m *Matrix) Degrees() []int {
 
 // Permute returns B = A(order, order): the symmetric permutation of m where
 // order[k] gives the original index of the k-th row/column of the result.
-// order must be a permutation of 0..N-1. A column of m without its
-// diagonal entry is an error.
+// order must be a permutation of 0..N-1. A dimension past MaxN, a row
+// index outside [0, N) and a column of m without its diagonal entry are
+// errors.
 //
 // Entries are bucketed by new row and the rows swept in increasing order,
 // each entry appended to its new column: every column comes out sorted,
 // in time linear in the matrix.
 func (m *Matrix) Permute(order []int) (*Matrix, error) {
 	n, nnz := m.N, len(m.RowInd)
+	if err := checkDim(n); err != nil {
+		return nil, err
+	}
 	if len(order) != n {
 		return nil, fmt.Errorf("sparse: permutation length %d, want %d", len(order), n)
 	}
@@ -350,12 +306,15 @@ func (m *Matrix) Permute(order []int) (*Matrix, error) {
 		}
 		inv[old] = newIdx
 	}
-	p := &Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int, nnz)}
+	p := &Matrix{N: n, ColPtr: make([]int, n+1), RowInd: make([]int32, nnz)}
 	if m.Val != nil {
 		p.Val = make([]float64, nnz)
 	}
 	for j := 0; j < n; j++ {
 		for _, i := range m.Col(j) {
+			if i < 0 || int(i) >= n {
+				return nil, fmt.Errorf("sparse: row index %d out of range in column %d", i, j)
+			}
 			rowEnd[max(inv[i], inv[j])+1]++
 			p.ColPtr[min(inv[i], inv[j])+1]++
 		}
@@ -381,7 +340,7 @@ func (m *Matrix) Permute(order []int) (*Matrix, error) {
 		for ; at < 2*rowEnd[r]; at += 2 {
 			q := next[bucket[at]]
 			next[bucket[at]]++
-			p.RowInd[q] = r
+			p.RowInd[q] = int32(r)
 			if p.Val != nil {
 				p.Val[q] = m.Val[bucket[at+1]]
 			}
@@ -390,7 +349,7 @@ func (m *Matrix) Permute(order []int) (*Matrix, error) {
 	// No row of a column lies above its diagonal, so the diagonal, where
 	// present, came first.
 	for c := 0; c < n; c++ {
-		if p.ColPtr[c] == p.ColPtr[c+1] || p.RowInd[p.ColPtr[c]] != c {
+		if p.ColPtr[c] == p.ColPtr[c+1] || int(p.RowInd[p.ColPtr[c]]) != c {
 			return nil, fmt.Errorf("sparse: column %d missing diagonal entry", order[c])
 		}
 	}

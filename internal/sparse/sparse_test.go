@@ -26,7 +26,7 @@ func TestNewPatternBasic(t *testing.T) {
 	if m.NNZ() != 4+3 {
 		t.Fatalf("nnz = %d, want 7", m.NNZ())
 	}
-	wantCols := [][]int{{0, 1, 3}, {1, 2}, {2}, {3}}
+	wantCols := [][]int32{{0, 1, 3}, {1, 2}, {2}, {3}}
 	for j, want := range wantCols {
 		if got := m.Col(j); !reflect.DeepEqual(got, want) {
 			t.Errorf("col %d = %v, want %v", j, got, want)
@@ -172,8 +172,8 @@ func TestPermuteRejectsBadInput(t *testing.T) {
 	}
 	// Column 1 has lost its diagonal; an empty column is the same fault.
 	for _, bad := range []*Matrix{
-		{N: 3, ColPtr: []int{0, 2, 3, 4}, RowInd: []int{0, 1, 2, 2}},
-		{N: 3, ColPtr: []int{0, 2, 2, 3}, RowInd: []int{0, 1, 2}},
+		{N: 3, ColPtr: []int{0, 2, 3, 4}, RowInd: []int32{0, 1, 2, 2}},
+		{N: 3, ColPtr: []int{0, 2, 2, 3}, RowInd: []int32{0, 1, 2}},
 	} {
 		for _, perm := range [][]int{{0, 1, 2}, {2, 0, 1}} {
 			if _, err := bad.Permute(perm); err == nil || !strings.Contains(err.Error(), "column 1 missing diagonal") {
@@ -230,7 +230,7 @@ func TestPermuteRoundTripProperty(t *testing.T) {
 		}
 		for j := 0; j < m.N; j++ {
 			for _, i := range m.Col(j) {
-				if m.At(i, j) != back.At(i, j) {
+				if m.At(int(i), j) != back.At(int(i), j) {
 					return false
 				}
 			}

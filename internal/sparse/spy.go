@@ -29,7 +29,7 @@ func (m *Matrix) Spy(maxDim int) string {
 	cell := func(idx int) int { return idx * dim / n }
 	for j := 0; j < n; j++ {
 		for _, i := range m.Col(j) {
-			r, c := cell(i), cell(j)
+			r, c := cell(int(i)), cell(j)
 			if r == c {
 				if grid[r][c] != '*' {
 					grid[r][c] = '\\'

@@ -46,17 +46,17 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 
 	// Greedy left-to-right merging over adjacent supernode strips.
 	type group struct {
-		lo, hi int   // column range, inclusive
-		below  []int // union of rows > hi, sorted
-		real   int   // real nonzeros inside the group's columns
+		lo, hi int     // column range, inclusive
+		below  []int32 // union of rows > hi, sorted
+		real   int     // real nonzeros inside the group's columns
 	}
 	mkGroup := func(lo, hi int) group {
 		g := group{lo: lo, hi: hi}
-		seen := map[int]bool{}
+		seen := map[int32]bool{}
 		for j := lo; j <= hi; j++ {
 			g.real += f.ColLen(j)
-			for _, r32 := range f.Col(j) {
-				if r := int(r32); r > hi && !seen[r] {
+			for _, r := range f.Col(j) {
+				if int(r) > hi && !seen[r] {
 					seen[r] = true
 					g.below = append(g.below, r)
 				}
@@ -72,16 +72,16 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 		// Candidate merge of cur and next.
 		lo, hi := cur.lo, next.hi
 		width := hi - lo + 1
-		seen := map[int]bool{}
-		var below []int
+		seen := map[int32]bool{}
+		var below []int32
 		for _, r := range cur.below {
-			if r > hi && !seen[r] {
+			if int(r) > hi && !seen[r] {
 				seen[r] = true
 				below = append(below, r)
 			}
 		}
 		for _, r := range next.below {
-			if r > hi && !seen[r] {
+			if int(r) > hi && !seen[r] {
 				seen[r] = true
 				below = append(below, r)
 			}
@@ -103,31 +103,19 @@ func Relax(f *Factor, maxFrac float64) (*Factor, RelaxStats) {
 	}
 	merged = append(merged, cur)
 
-	// Build the padded lower-triangular pattern and close it (padding can
-	// break the fill property; re-analyzing restores it).
-	colIdx := make([][]int, n)
+	// Build the padded lower-triangular pattern, the groups covering the
+	// columns in order, and close it (padding can break the fill property;
+	// re-analyzing restores it).
+	padded := &sparse.Matrix{N: n, ColPtr: make([]int, n+1)}
 	for _, g := range merged {
 		for j := g.lo; j <= g.hi; j++ {
-			rows := make([]int, 0, g.hi-j+1+len(g.below))
 			for r := j; r <= g.hi; r++ {
-				rows = append(rows, r)
+				padded.RowInd = append(padded.RowInd, int32(r))
 			}
-			rows = append(rows, g.below...)
-			colIdx[j] = rows
+			padded.RowInd = append(padded.RowInd, g.below...)
+			padded.ColPtr[j+1] = len(padded.RowInd)
 		}
 	}
-	ptr := make([]int, n+1)
-	nnz := 0
-	for j := 0; j < n; j++ {
-		nnz += len(colIdx[j])
-	}
-	rowInd := make([]int, 0, nnz)
-	for j := 0; j < n; j++ {
-		ptr[j] = len(rowInd)
-		rowInd = append(rowInd, colIdx[j]...)
-	}
-	ptr[n] = len(rowInd)
-	padded := &sparse.Matrix{N: n, ColPtr: ptr, RowInd: rowInd}
 	if err := padded.Validate(); err != nil {
 		panic(fmt.Sprintf("symbolic: relax produced invalid pattern: %v", err))
 	}

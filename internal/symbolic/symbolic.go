@@ -115,11 +115,7 @@ func (f *Factor) Has(i, j int) bool {
 // Pattern converts the factor structure to a sparse.Matrix pattern
 // (no values), e.g. for spy plots.
 func (f *Factor) Pattern() *sparse.Matrix {
-	rowInd := make([]int, len(f.RowInd))
-	for q, i := range f.RowInd {
-		rowInd[q] = int(i)
-	}
-	return &sparse.Matrix{N: f.N, ColPtr: append([]int(nil), f.ColPtr...), RowInd: rowInd}
+	return &sparse.Matrix{N: f.N, ColPtr: slices.Clone(f.ColPtr), RowInd: slices.Clone(f.RowInd)}
 }
 
 // rowIndex returns the strict lower triangle of m by rows: the columns

@@ -88,7 +88,7 @@ func refAnalyze(m *sparse.Matrix) *Factor {
 		for _, i := range m.Col(j)[1:] {
 			if mark[i] != j {
 				mark[i] = j
-				buf = append(buf, i)
+				buf = append(buf, int(i))
 			}
 		}
 		for c := childHead[j]; c != -1; c = childNext[c] {

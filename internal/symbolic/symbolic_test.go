@@ -21,7 +21,7 @@ func bruteFactor(m *sparse.Matrix) [][]int {
 	}
 	for j := 0; j < n; j++ {
 		for _, i := range m.Col(j)[1:] {
-			adj[j][i] = true
+			adj[j][int(i)] = true
 			adj[i][j] = true
 		}
 	}

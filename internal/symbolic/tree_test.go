@@ -87,9 +87,9 @@ func tridiag(n int) *sparse.Matrix {
 	m := &sparse.Matrix{N: n, ColPtr: make([]int, n+1)}
 	for j := 0; j < n; j++ {
 		m.ColPtr[j] = len(m.RowInd)
-		m.RowInd = append(m.RowInd, j)
+		m.RowInd = append(m.RowInd, int32(j))
 		if j+1 < n {
-			m.RowInd = append(m.RowInd, j+1)
+			m.RowInd = append(m.RowInd, int32(j+1))
 		}
 	}
 	m.ColPtr[n] = len(m.RowInd)

@@ -136,7 +136,7 @@ func TestHBRoundTripViaPublicAPI(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalid(t *testing.T) {
-	bad := &repro.Matrix{N: 2, ColPtr: []int{0, 1}, RowInd: []int{0}}
+	bad := &repro.Matrix{N: 2, ColPtr: []int{0, 1}, RowInd: []int32{0}}
 	if _, err := repro.AnalyzePattern(bad); err == nil {
 		t.Fatal("expected validation error")
 	}
