@@ -60,7 +60,7 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 				return fmt.Sprintf("task %d, step (%d, %d, %d, %d, %d): %s at position %d, written by task %d", t, j, lo, hi, from, to, what, q, fin[q])
 			}
 			rlo, rhi := f.RowInd[lo], f.RowInd[hi-1]
-			cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+			cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], f.AppendRowPos(nil, j)
 			for x, c := range cols {
 				if c < from || c >= to {
 					continue

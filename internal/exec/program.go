@@ -333,19 +333,18 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 		if len(cols) == 0 {
 			continue
 		}
-		e := len(cols) - 1
-		last, pos := cols[e], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+		// Source c's updates to column j are its rows from j down, its
+		// run's tail; the last source ends the row's last run.
+		e, x, end := len(cols)-1, ri.RunPtr[j], ri.RunPtr[j+1]
+		last := cols[e]
 		if tasks[last].Proc == tasks[j].Proc {
 			continue
 		}
-		// Source c's updates to column j are its rows from j down.
 		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		need := splitRatio * (f.ColPtr[last+1] - int(pos[e]) + hi - lo)
-		for x, c := range cols[:e] {
-			need -= f.ColPtr[c+1] - int(pos[x])
-			if need <= 0 {
-				break
-			}
+		need := splitRatio * (int(ri.Tail[end-1]) + hi - lo)
+		for ; need > 0 && e > 0; x++ {
+			m := min(int(ri.RunLen[x]), e)
+			need, e = need-m*int(ri.Tail[x]), e-m
 		}
 		if need > 0 {
 			continue

@@ -22,29 +22,18 @@ import "repro/internal/symbolic"
 // factorization over the symbolic structure f.
 type Ops struct {
 	F *symbolic.Factor
-	// Row r of the factor's strict lower triangle is the slice
-	// [rowPtr[r], rowPtr[r+1]) of two parallel arrays: rowCols lists the
-	// columns k < r with L[r,k] != 0, increasing, and rowPos the factor
-	// nonzero position of each (r, k).
-	rowPtr, rowCols, rowPos []int32
+	// rows is the factor's row index: its strict lower triangle by rows,
+	// in supernode runs.
+	rows *symbolic.RowIndex
 }
 
 // NewOps prepares the operation enumerator for a factor structure; its
-// rows are views of the factor's own row index, one copy per factor.
-func NewOps(f *symbolic.Factor) *Ops {
-	r := f.Rows()
-	return &Ops{F: f, rowPtr: r.Ptr, rowCols: r.Cols, rowPos: r.Pos}
-}
+// rows are the factor's own row index, one copy per factor.
+func NewOps(f *symbolic.Factor) *Ops { return &Ops{F: f, rows: f.Rows()} }
 
 // RowCols returns the columns k < r with L[r,k] != 0 (the factor's row
 // structure), in increasing order. The slice aliases internal storage.
-func (o *Ops) RowCols(r int) []int32 { return o.rowCols[o.rowPtr[r]:o.rowPtr[r+1]] }
-
-// RowPositions returns, parallel to RowCols(r), the factor nonzero
-// positions of row r's off-diagonal entries: RowPositions(r)[t] is the
-// position of element (r, RowCols(r)[t]) in F.RowInd. The slice aliases
-// internal storage.
-func (o *Ops) RowPositions(r int) []int32 { return o.rowPos[o.rowPtr[r]:o.rowPtr[r+1]] }
+func (o *Ops) RowCols(r int) []int32 { return o.rows.Cols[o.rows.Ptr[r]:o.rows.Ptr[r+1]] }
 
 // Run is every pair update one source column k makes to one target
 // column j (k in the row structure of j): the source positions [Lo, Hi)
@@ -69,16 +58,24 @@ type Run struct {
 // loops over [r.Lo, r.Hi) itself, so the cost of the callback is paid per
 // factor nonzero, not per update.
 func (o *Ops) ForEachRun(fn func(r Run)) {
-	f := o.F
+	f, ri := o.F, o.rows
 	tgt := make([]int32, f.N)
 	for j := 0; j < f.N; j++ {
 		base := f.ColPtr[j]
 		for t, i := range f.Col(j) {
 			tgt[i] = int32(base + t)
 		}
-		pos := o.RowPositions(j)
-		for t, k := range o.RowCols(j) {
-			fn(Run{Col: j, Lo: pos[t], Hi: int32(f.ColPtr[k+1]), Tgt: tgt})
+		// x is the next run; left counts the entries the current one has
+		// left, all with its tail.
+		x, left, tail := ri.RunPtr[j], uint8(0), int32(0)
+		for _, k := range o.RowCols(j) {
+			if left == 0 {
+				left, tail = ri.RunLen[x], ri.Tail[x]
+				x++
+			}
+			left--
+			hi := int32(f.ColPtr[k+1])
+			fn(Run{Col: j, Lo: hi - tail, Hi: hi, Tgt: tgt})
 		}
 	}
 }
@@ -86,15 +83,12 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 // UpdateCounts returns, for every factor nonzero position, the number of
 // pair updates it receives.
 //
-// The sources of target column j are taken in passes: a run of
-// consecutive sources of row j, each the elimination-tree parent of the
-// one before and all holding the same number of rows from row j down,
-// holds the same rows (a column's rows below its diagonal are all in its
-// parent's), so the run updates each of them once per source and one walk
-// of those rows adds its length. This is numeric.passWidth's rule without
-// its cap of four.
+// The sources of target column j are taken run by run (symbolic.RowIndex):
+// the sources of a run hold the same rows from row j down, so the run
+// updates each of them once per source and one walk of those rows adds
+// its length.
 func (o *Ops) UpdateCounts() []int32 {
-	f := o.F
+	f, ri := o.F, o.rows
 	counts := make([]int32, f.NNZ())
 	tgt := make([]int32, f.N) // tgt[i]: position of (i, j) in the current column j
 	for j := 0; j < f.N; j++ {
@@ -102,17 +96,13 @@ func (o *Ops) UpdateCounts() []int32 {
 		for t, i := range f.Col(j) {
 			tgt[i] = int32(base + t)
 		}
-		cols, pos := o.RowCols(j), o.RowPositions(j)
-		for t := 0; t < len(cols); {
-			lo, hi := int(pos[t]), f.ColPtr[cols[t]+1]
-			m := t + 1
-			for m < len(cols) && f.Parent[cols[m-1]] == int(cols[m]) && f.ColPtr[cols[m]+1]-int(pos[m]) == hi-lo {
-				m++
+		e := ri.Ptr[j]
+		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+			hi := f.ColPtr[ri.Cols[e]+1]
+			for _, i := range f.RowInd[hi-int(ri.Tail[x]) : hi] {
+				counts[tgt[i]] += int32(ri.RunLen[x])
 			}
-			for _, i := range f.RowInd[lo:hi] {
-				counts[tgt[i]] += int32(m - t)
-			}
-			t = m
+			e += int32(ri.RunLen[x])
 		}
 	}
 	return counts
@@ -149,18 +139,6 @@ func TotalWork(elemWork []int64) int64 {
 		s += w
 	}
 	return s
-}
-
-// CountUpdates returns the total number of pair-update operations,
-// sum over columns k of c_k*(c_k+1)/2 where c_k is the number of
-// sub-diagonal nonzeros of column k. Used to cross-check enumeration.
-func CountUpdates(f *symbolic.Factor) int64 {
-	var u int64
-	for k := 0; k < f.N; k++ {
-		c := int64(f.ColLen(k) - 1)
-		u += c * (c + 1) / 2
-	}
-	return u
 }
 
 // SolveElementWork returns the per-element work of the two triangular

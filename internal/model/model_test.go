@@ -26,7 +26,7 @@ func TestForEachUpdateCountMatchesFormula(t *testing.T) {
 		o := NewOps(fac)
 		var count int64
 		o.ForEachUpdate(func(Update) { count++ })
-		return count == CountUpdates(fac)
+		return count == countUpdates(fac)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestElementWorkTotals(t *testing.T) {
 		ew := ElementWork(o)
 		// Total = 2*U + nnz(L), the identity used to validate against the
 		// paper's Table 5 P=1 work numbers.
-		want := 2*CountUpdates(fac) + int64(fac.NNZ())
+		want := 2*countUpdates(fac) + int64(fac.NNZ())
 		if TotalWork(ew) != want {
 			return false
 		}
@@ -185,7 +185,7 @@ func TestRowColsMatchColumnStructure(t *testing.T) {
 
 // TestRowIndexMatchesPerRowLists rebuilds the row index the way NewOps
 // did before it moved to two arenas — one appended list per row — and
-// holds RowCols and RowPositions to it.
+// holds RowCols and the positions the runs give to it.
 func TestRowIndexMatchesPerRowLists(t *testing.T) {
 	facs := []*symbolic.Factor{analyzed(3), analyzed(9), symbolic.Analyze(gen.Random(1, 0, 1)), symbolic.Analyze(gen.Random(0, 0, 1))}
 	lap := gen.Lap30()
@@ -204,7 +204,7 @@ func TestRowIndexMatchesPerRowLists(t *testing.T) {
 		}
 		o := NewOps(fac)
 		for r := 0; r < fac.N; r++ {
-			if !slices.Equal(o.RowCols(r), cols[r]) || !slices.Equal(o.RowPositions(r), pos[r]) {
+			if !slices.Equal(o.RowCols(r), cols[r]) || !slices.Equal(fac.AppendRowPos(nil, r), pos[r]) {
 				t.Fatalf("n=%d: row %d of the index departs from the per-row lists", fac.N, r)
 			}
 		}

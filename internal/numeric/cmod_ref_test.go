@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -21,14 +22,7 @@ func refFactorize(k Kernel, m *sparse.Matrix, f *symbolic.Factor) (val []float64
 	if val, err = ScatterA(m, f); err != nil {
 		return nil, -1, err
 	}
-	n := f.N
-	rowPos := make([][]int, n) // row j -> positions of (j, k), k ascending
-	colOf := f.ColIndex()
-	for q, i := range f.RowInd {
-		if colOf[q] != i {
-			rowPos[i] = append(rowPos[i], q)
-		}
-	}
+	n, rowPos, colOf := f.N, refRowPos(f), f.ColIndex()
 	tpos := make([]int, n)
 	for j := 0; j < n; j++ {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
@@ -58,6 +52,19 @@ func refFactorize(k Kernel, m *sparse.Matrix, f *symbolic.Factor) (val []float64
 		}
 	}
 	return val, -1, nil
+}
+
+// refRowPos is the positions of each row's off-diagonal entries, their
+// columns ascending, built from the columns rather than read from
+// Factor.Rows.
+func refRowPos(f *symbolic.Factor) [][]int {
+	rowPos, colOf := make([][]int, f.N), f.ColIndex()
+	for q, i := range f.RowInd {
+		if colOf[q] != i {
+			rowPos[i] = append(rowPos[i], q)
+		}
+	}
+	return rowPos
 }
 
 // sweepCase is one (matrix, structure) pair of the oracle sweep; m is
@@ -125,8 +132,7 @@ func withIndefiniteDiagonal(m *sparse.Matrix) *sparse.Matrix {
 // identity for Cholesky) and ‖A‖max, column by column: entry (i, j) of the
 // product is the sum over k <= j of L[i,k]·D[k]·L[j,k].
 func factorResidual(k Kernel, m *sparse.Matrix, f *symbolic.Factor, val []float64) (worst, norm float64) {
-	ri := f.Rows()
-	acc := make([]float64, f.N)
+	acc, rowPos, colOf := make([]float64, f.N), refRowPos(f), f.ColIndex()
 	// lv is L's value at position q of column c (LDLᵀ keeps D on the
 	// diagonal positions; L's own diagonal is 1) and d is D[c].
 	lv := func(q, c int) float64 {
@@ -148,8 +154,8 @@ func factorResidual(k Kernel, m *sparse.Matrix, f *symbolic.Factor, val []float6
 				acc[f.RowInd[q]] += lv(q, c) * l
 			}
 		}
-		for e := ri.Ptr[j]; e < ri.Ptr[j+1]; e++ {
-			add(int(ri.Pos[e]), int(ri.Cols[e]))
+		for _, q := range rowPos[j] {
+			add(q, int(colOf[q]))
 		}
 		add(f.ColPtr[j], j)
 		for t, i := range m.Col(j) {
@@ -207,11 +213,73 @@ func TestFactorizeBitwiseRef(t *testing.T) {
 	}
 }
 
-// TestGroupsHaveIdenticalTails: every pass the body forms — two or four
-// consecutive sources of a row — really has element-wise equal row lists
-// from the target row down, which is what lets one index load serve all of
-// them. The share of multiply-adds per pass width is logged (-v): it is the
-// table of EXPERIMENTS.md Kern-1.
+// TestFactorizeLongRunsBitwiseRef: an arrow matrix of n = 600, its hub
+// first, fills its factor completely, so row j has j sources in one
+// supernode, held as records of at most 255 (three for the last rows).
+// Both kernels give the oracle's factor bit for bit, whole and with every
+// column applied as two Steps cut at a third of its sources, inside a
+// record.
+func TestFactorizeLongRunsBitwiseRef(t *testing.T) {
+	const n = 600
+	var is, js []int
+	var vs []float64
+	for i := 0; i < n; i++ {
+		is, js, vs = append(is, i), append(js, i), append(vs, float64(4*n+i%7))
+		if i > 0 {
+			is, js, vs = append(is, i), append(js, 0), append(vs, -1-float64(i%5)/7)
+		}
+	}
+	m, err := sparse.FromTriplets(n, is, js, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := symbolic.Analyze(m)
+	ri := f.Rows()
+	if f.NNZ() != n*(n+1)/2 || ri.RunPtr[n]-ri.RunPtr[n-1] != 3 || ri.RunLen[ri.RunPtr[n-1]] != 255 {
+		t.Fatalf("nnz %d, last row in %d records: not the dense factor", f.NNZ(), ri.RunPtr[n]-ri.RunPtr[n-1])
+	}
+	for _, k := range []Kernel{KernelCholesky, KernelLDL} {
+		for _, m := range []*sparse.Matrix{m, withIndefiniteDiagonal(m)} {
+			if k == KernelCholesky && m.Val[m.ColPtr[0]] < 0 {
+				continue
+			}
+			want, bad, err := refFactorize(k, m, f)
+			if err != nil || bad >= 0 {
+				t.Fatalf("%v: oracle failed: column %d, %v", k, bad, err)
+			}
+			got, err := k.Factorize(m, f)
+			if err != nil {
+				t.Fatalf("%v: %v", k, err)
+			}
+			if err := sameBits(got, want); err != nil {
+				t.Fatalf("%v: runs past 255 diverged from the oracle at %v", k, err)
+			}
+			val, err := ScatterA(m, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := make([]float64, n)
+			for j := 0; j < n; j++ {
+				lo, hi := f.ColPtr[j], f.ColPtr[j+1]
+				if err := k.Step(f, val, w, j, lo, hi, 0, j/3, false); err != nil {
+					t.Fatal(err)
+				}
+				if err := k.Step(f, val, w, j, lo, hi, j/3, j, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sameBits(val, want); err != nil {
+				t.Fatalf("%v: columns cut inside a record diverged from the oracle at %v", k, err)
+			}
+		}
+	}
+}
+
+// TestGroupsHaveIdenticalTails: the sources of every run the body walks
+// really have element-wise equal row lists from the target row down, which
+// is what lets one index load serve a pass of four or two of them. The
+// share of multiply-adds per pass width is logged (-v): it is the table of
+// EXPERIMENTS.md Kern-1.
 func TestGroupsHaveIdenticalTails(t *testing.T) {
 	cases := sweepCases(t)
 	if !testing.Short() {
@@ -226,31 +294,23 @@ func TestGroupsHaveIdenticalTails(t *testing.T) {
 		f, ri := c.f, c.f.Rows()
 		var madds [5]int64
 		for j := 0; j < f.N; j++ {
-			cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
-			for at := 0; at < len(cols); {
-				g := passWidth(f, cols, pos, at, f.ColPtr[cols[at]+1]-int(pos[at]))
-				if g != 1 && g != 2 && g != 4 || at+g > len(cols) {
-					t.Fatalf("%s: row %d entry %d: pass width %d of %d entries", c.name, j, at, g, len(cols))
-				}
-				lead := f.RowInd[pos[at]:f.ColPtr[cols[at]+1]]
+			e := ri.Ptr[j]
+			for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+				n, run := int(ri.Tail[x]), ri.Cols[e:e+int32(ri.RunLen[x])]
+				e += int32(ri.RunLen[x])
+				lead := f.RowInd[f.ColPtr[run[0]+1]-n : f.ColPtr[run[0]+1]]
 				if int(lead[0]) != j {
-					t.Fatalf("%s: row %d entry %d points at row %d", c.name, j, at, lead[0])
+					t.Fatalf("%s: row %d run %d of %d sources points at row %d", c.name, j, x, len(run), lead[0])
 				}
-				for u := 1; u < g; u++ {
-					tail := f.RowInd[pos[at+u]:f.ColPtr[cols[at+u]+1]]
-					if len(tail) != len(lead) {
-						t.Fatalf("%s: row %d: columns %d and %d grouped with tails of %d and %d rows",
-							c.name, j, cols[at], cols[at+u], len(lead), len(tail))
-					}
-					for x := range lead {
-						if tail[x] != lead[x] {
-							t.Fatalf("%s: row %d: columns %d and %d grouped, tails differ at %d: row %d vs %d",
-								c.name, j, cols[at], cols[at+u], x, lead[x], tail[x])
-						}
+				for _, k := range run[1:] {
+					tail := f.RowInd[f.ColPtr[k+1]-n : f.ColPtr[k+1]]
+					if !slices.Equal(tail, lead) || f.ColPtr[k]+n >= f.ColPtr[k+1] {
+						t.Fatalf("%s: row %d: columns %d and %d in one run, tails of %d rows differ", c.name, j, run[0], k, n)
 					}
 				}
-				madds[g] += int64(g * len(lead))
-				at += g
+				madds[4] += int64(len(run) / 4 * 4 * n)
+				madds[2] += int64(len(run) % 4 / 2 * 2 * n)
+				madds[1] += int64(len(run) % 2 * n)
 			}
 		}
 		if total := madds[1] + madds[2] + madds[4]; total > 0 {

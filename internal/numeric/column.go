@@ -66,17 +66,22 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 		w[i] = col[x]
 	}
 	ri := f.Rows()
-	cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.Pos[ri.Ptr[j]:ri.Ptr[j+1]]
+	// x is the run holding the first source, skip its sources before it.
+	cols, x, end, skip := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.RunPtr[j], ri.RunPtr[j+1], 0
 	if from > 0 || to < j {
 		a, _ := slices.BinarySearch(cols, int32(from))
 		b, _ := slices.BinarySearch(cols, int32(to))
-		cols, pos = cols[a:b], pos[a:b]
+		for skip = a; x < end && skip >= int(ri.RunLen[x]); x++ {
+			skip -= int(ri.RunLen[x])
+		}
+		cols = cols[a:b]
 	}
+	tails, lens := ri.Tail[x:end], ri.RunLen[x:end]
 	diag := f.ColPtr[j]
 	if lo == diag && hi == f.ColPtr[j+1] {
-		k.update(f, val, w, cols, pos)
+		k.update(f, val, w, cols, tails, lens, skip)
 	} else {
-		k.updateRun(f, val, w, cols, pos, j, rows[0], rows[len(rows)-1])
+		k.updateRun(f, val, w, cols, tails, lens, skip, j, rows[0], rows[len(rows)-1])
 	}
 	if !finish {
 		for x, i := range rows {
@@ -105,87 +110,36 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 	return nil
 }
 
-// passWidth reports how many of the sources cols[t:] of row j the update
-// takes in one pass — 4, 2 or 1: consecutive entries of the row whose
-// columns hold the same n rows from row j down. Column cols[t+1] being the
-// elimination-tree parent of cols[t] puts every row of cols[t] below its
-// diagonal in cols[t+1], so tails of equal length are equal tails.
-func passWidth(f *symbolic.Factor, cols, pos []int32, t, n int) int {
-	g := 1
-	for g < 4 && t+g < len(cols) && f.Parent[cols[t+g-1]] == int(cols[t+g]) &&
-		f.ColPtr[cols[t+g]+1]-int(pos[t+g]) == n {
-		g++
-	}
-	if g == 3 {
-		g = 2
-	}
-	return g
-}
-
 // update applies to w, holding column j, the pair updates of the sources
-// cols, a run of row j's entries (symbolic.Factor.Rows) whose values start
-// at pos: w[i] -= L[i,c]·l for each source c in ascending order and each
-// row i >= j of column c, where l is L[j,c] for Cholesky and D[c]·L[j,c]
-// for LDLᵀ. That order, one source at a time, defines the factor's bits;
-// four (or two) sources with the same rows go through one pass, which
-// subtracts from each element in the same order.
-func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, pos []int32) {
-	// src is source t as its values from row j down and its multiplier.
-	src := func(t, n int) ([]float64, float64) {
-		p := int(pos[t])
-		v := val[p : p+n]
-		if k == KernelLDL {
-			return v, val[f.ColPtr[cols[t]]] * v[0]
-		}
-		return v, v[0]
-	}
-	for t := 0; t < len(cols); {
-		p := int(pos[t])
-		n := f.ColPtr[cols[t]+1] - p
-		rs := f.RowInd[p : p+n]
-		g := passWidth(f, cols, pos, t, n)
-		switch g {
-		case 4:
-			v0, l0 := src(t, n)
-			v1, l1 := src(t+1, n)
-			v2, l2 := src(t+2, n)
-			v3, l3 := src(t+3, n)
-			sub4(w, rs, v0, v1, v2, v3, l0, l1, l2, l3)
-		case 2:
-			v0, l0 := src(t, n)
-			v1, l1 := src(t+1, n)
-			sub2(w, rs, v0, v1, l0, l1)
-		default:
-			v0, l0 := src(t, n)
-			sub1(w, rs, v0, l0)
-		}
-		t += g
+// cols, entries of row j of symbolic.Factor.Rows from the run tails[0] on,
+// whose first skip entries are not in cols: w[i] -= L[i,c]·l for each
+// source c in ascending order and each row i >= j of column c, where l is
+// L[j,c] for Cholesky and D[c]·L[j,c] for LDLᵀ. That order, one source at
+// a time, defines the factor's bits; the sources of one run hold the same
+// rows, and go through passes of four, two and one, each subtracting from
+// an element in the same order.
+func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, tails []int32, lens []uint8, skip int) {
+	for x := 0; len(cols) > 0; x++ {
+		n, m := int(tails[x]), min(int(lens[x])-skip, len(cols))
+		p := f.ColPtr[cols[0]+1] - n
+		k.passes(f, val, w, f.RowInd[p:p+n], cols[:m], n, 0)
+		cols, skip = cols[m:], 0
 	}
 }
 
 // updateRun is update restricted to column j's rows in [rlo, rhi]: the
-// same sources in the same order through the same passes, each over the
-// slice of its tail in the band, found by search (an end of the band
-// that is an end of the column needs none) — the band holds every row of
-// struct(j) in it and struct(c) below j lies in struct(j). A source with
-// no row there is not read. update keeps a loop of its own: folded into
-// it, the search and its bookkeeping cost the whole-column step 3–7 %,
-// even behind a loop-invariant branch.
-func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int32, j int, rlo, rhi int32) {
+// same sources in the same order through the same passes, over the slice
+// of each run's tail in the band, found by one search per run (an end of
+// the band that is an end of the column needs none) — the band holds every
+// row of struct(j) in it and struct(c) below j lies in struct(j). A run
+// with no row there is not read. update keeps a loop of its own: folded
+// into it, the search and its bookkeeping cost the whole-column step
+// 3–7 %, even behind a loop-invariant branch.
+func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, tails []int32, lens []uint8, skip, j int, rlo, rhi int32) {
 	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
-	// src is source t as its values from row j down, a rows in, and its
-	// multiplier.
-	src := func(t, a int) ([]float64, float64) {
-		p := int(pos[t])
-		if k == KernelLDL {
-			return val[p+a:], val[f.ColPtr[cols[t]]] * val[p]
-		}
-		return val[p+a:], val[p]
-	}
-	for t := 0; t < len(cols); {
-		p := int(pos[t])
-		n := f.ColPtr[cols[t]+1] - p
-		g := passWidth(f, cols, pos, t, n)
+	for x := 0; len(cols) > 0; x++ {
+		n, m := int(tails[x]), min(int(lens[x])-skip, len(cols))
+		p := f.ColPtr[cols[0]+1] - n
 		rs, a := f.RowInd[p:p+n], 0
 		if int(rlo) > j {
 			a, _ = slices.BinarySearch(rs, rlo)
@@ -194,23 +148,42 @@ func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, pos []int3
 			b, _ := slices.BinarySearch(rs, rhi+1)
 			rs = rs[:b]
 		}
-		switch {
-		case len(rs) == 0:
-		case g == 4:
-			v0, l0 := src(t, a)
-			v1, l1 := src(t+1, a)
-			v2, l2 := src(t+2, a)
-			v3, l3 := src(t+3, a)
-			sub4(w, rs, v0, v1, v2, v3, l0, l1, l2, l3)
-		case g == 2:
-			v0, l0 := src(t, a)
-			v1, l1 := src(t+1, a)
-			sub2(w, rs, v0, v1, l0, l1)
-		default:
-			v0, l0 := src(t, a)
-			sub1(w, rs, v0, l0)
+		if len(rs) > 0 {
+			k.passes(f, val, w, rs, cols[:m], n, a)
 		}
-		t += g
+		cols, skip = cols[m:], 0
+	}
+}
+
+// passes subtracts from w the updates of run, sources of one run of row j
+// holding n rows from row j down, over rs, the rows a onwards of that
+// tail: four sources a pass, then two, then one.
+func (k Kernel) passes(f *symbolic.Factor, val, w []float64, rs, run []int32, n, a int) {
+	// src is source c's values from row j down, a rows in, and its
+	// multiplier.
+	src := func(c int32) ([]float64, float64) {
+		p := f.ColPtr[c+1] - n
+		if k == KernelLDL {
+			return val[p+a:], val[f.ColPtr[c]] * val[p]
+		}
+		return val[p+a:], val[p]
+	}
+	for ; len(run) >= 4; run = run[4:] {
+		v0, l0 := src(run[0])
+		v1, l1 := src(run[1])
+		v2, l2 := src(run[2])
+		v3, l3 := src(run[3])
+		sub4(w, rs, v0, v1, v2, v3, l0, l1, l2, l3)
+	}
+	if len(run) >= 2 {
+		v0, l0 := src(run[0])
+		v1, l1 := src(run[1])
+		sub2(w, rs, v0, v1, l0, l1)
+		run = run[2:]
+	}
+	if len(run) == 1 {
+		v0, l0 := src(run[0])
+		sub1(w, rs, v0, l0)
 	}
 }
 

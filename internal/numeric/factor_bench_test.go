@@ -1,0 +1,34 @@
+package numeric
+
+import (
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/order"
+	"repro/internal/symbolic"
+)
+
+// BenchmarkFactorizeGrid120 times the serial kernels, Cholesky and LDLᵀ,
+// on Grid9(120,120) in MMD order (the refactor workload's pattern),
+// analysis outside the loop, and reports nanoseconds per unit of the
+// paper's work model: the scoreboard of the kernel's row walk.
+func BenchmarkFactorizeGrid120(b *testing.B) {
+	g := gen.Grid9(120, 120)
+	m, err := g.Permute(order.MMD(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := symbolic.Analyze(m)
+	units := float64(model.TotalWork(model.ElementWork(model.NewOps(f))))
+	for _, k := range []Kernel{KernelCholesky, KernelLDL} {
+		b.Run(k.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := k.Factorize(m, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/unit")
+		})
+	}
+}

@@ -145,44 +145,3 @@ func ResidualNorm(m *sparse.Matrix, x, b []float64) float64 {
 	}
 	return rmax / bmax
 }
-
-// FactorResidual returns max |(L·Lᵀ − A)[i][j]| over the structure of A,
-// used to validate factorizations in tests.
-func FactorResidual(m *sparse.Matrix, c *Cholesky) float64 {
-	// Compute (L Lᵀ)[i][j] for every stored position of A.
-	// For position (i, j): sum over k <= j of L[i][k]*L[j][k].
-	// Using column access of L: iterate columns k, and for each pair of
-	// entries (i, k), (j, k) accumulate into a map keyed by A's positions.
-	n := m.N
-	// Map from (i,j) to accumulated value, restricted to A's pattern.
-	acc := make(map[[2]int]float64, m.NNZ())
-	for j := 0; j < n; j++ {
-		for _, i := range m.Col(j) {
-			acc[[2]int{int(i), j}] = 0
-		}
-	}
-	for k := 0; k < n; k++ {
-		col := c.F.Col(k)
-		base := c.F.ColPtr[k]
-		for a := 0; a < len(col); a++ {
-			for b := a; b < len(col); b++ {
-				key := [2]int{int(col[b]), int(col[a])}
-				if _, ok := acc[key]; ok {
-					acc[key] += c.Val[base+a] * c.Val[base+b]
-				}
-			}
-		}
-	}
-	var worst float64
-	for j := 0; j < n; j++ {
-		cj := m.Col(j)
-		vj := m.ColVal(j)
-		for k, i := range cj {
-			d := math.Abs(acc[[2]int{int(i), j}] - vj[k])
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
-}

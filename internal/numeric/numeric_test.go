@@ -111,7 +111,8 @@ func TestFactorResidualRandomProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return FactorResidual(pm, c) < 1e-9
+		res, _ := factorResidual(KernelCholesky, pm, c.F, c.Val)
+		return res < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

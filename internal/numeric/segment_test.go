@@ -134,9 +134,9 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 					if lo > diag {
 						show(want, diag, diag+1)
 					}
-					for e := ri.Ptr[j]; e < ri.Ptr[j+1]; e++ {
-						c := int(ri.Cols[e])
-						for _, i := range f.RowInd[ri.Pos[e]:f.ColPtr[c+1]] {
+					for e, p := range f.AppendRowPos(nil, j) {
+						c := int(ri.Cols[int(ri.Ptr[j])+e])
+						for _, i := range f.RowInd[p:f.ColPtr[c+1]] {
 							if rlo <= i && i <= rhi {
 								show(want, f.ColPtr[c], f.ColPtr[c+1])
 								break

@@ -259,18 +259,21 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 	cursor := make([]int32, n)
 	copy(cursor, sg.col[:n])
 	run := make([]int32, 0, int(sg.start[len(sg.block)])-n)
-	most, total := 0, 0
+	most, total, ri := 0, 0, ops.F.Rows()
 	for j := 0; j < n; j++ {
-		bound := int(first[j+1]-first[j]) - 1
-		pos := ops.RowPositions(j)
-		for x, k := range ops.RowCols(j) {
-			u := cursor[k]
-			for sg.start[u+1] <= pos[x] {
-				u++
+		bound, e := int(first[j+1]-first[j])-1, ri.Ptr[j]
+		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+			m := int32(ri.RunLen[x])
+			for _, k := range ri.Cols[e : e+m] {
+				u, p := cursor[k], int32(ops.F.ColPtr[k+1])-ri.Tail[x]
+				for sg.start[u+1] <= p {
+					u++
+				}
+				cursor[k] = u
+				run = append(run, u)
+				bound += 2 * int(sg.col[k+1]-u)
 			}
-			cursor[k] = u
-			run = append(run, u)
-			bound += 2 * int(sg.col[k+1]-u)
+			e += m
 		}
 		most, total = max(most, bound), total+bound
 	}

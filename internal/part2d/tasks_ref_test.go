@@ -11,6 +11,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/strategy"
 	"repro/internal/traffic"
 )
@@ -19,8 +20,40 @@ import (
 // pass as they were before the segment passes, visiting every pair update
 // of the factorization. Nothing but the tests calls them; the segment
 // passes (and the dense-table oracle in tiles_ref_test.go) are pinned to
-// them. FetchStats' walk is traffic.FetchStatsTasks, which is not test
-// code: it stays traffic's fallback.
+// them. FetchStats' walk is fetchWalk, traffic's element walk.
+
+// fetchWalk attributes every distinct non-local fetch of s to the tasks of
+// taskOf, one access at a time: the two sources of every pair update in
+// model.Ops.ForEachRun's order, then the diagonal read of every scale, each
+// first (element, processor) fetch charged to the task of its target.
+func fetchWalk(s *sched.Schedule, ntasks int, taskOf []int32) *traffic.TaskComm {
+	f, owner := s.F, elemOwners(s)
+	fetched, ch := traffic.NewFetchDedup(s.P, f.NNZ()), traffic.NewCharger(s.P, ntasks, nil)
+	vol := make([]int64, ntasks)
+	fetch := func(q, tgt int32) {
+		if o, proc := owner[q], owner[tgt]; o != proc && fetched.FirstFetch(q, proc) {
+			vol[taskOf[tgt]]++
+			ch.Message(int(taskOf[tgt]), o)
+		}
+	}
+	model.NewOps(f).ForEachRun(func(r model.Run) {
+		for q := r.Lo; q < r.Hi; q++ {
+			tgt := r.Tgt[f.RowInd[q]]
+			fetch(q, tgt)
+			fetch(r.Lo, tgt)
+		}
+	})
+	for j := 0; j < f.N; j++ {
+		for q := f.ColPtr[j] + 1; q < f.ColPtr[j+1]; q++ {
+			fetch(int32(f.ColPtr[j]), int32(q))
+		}
+	}
+	tc := ch.Done()
+	for t, v := range vol {
+		tc.Vol[t] += v
+	}
+	return tc
+}
 
 // walkTasks is the merged tile-segment task graph over the element
 // ownership elemProc, one update at a time.
@@ -150,7 +183,7 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 	t.Helper()
 	f := ops.F
 	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.elemProc)
-	wantFetch := traffic.FetchStatsTasks(s.Schedule(), len(wantTasks), wantElemTask)
+	wantFetch := fetchWalk(s.Schedule(), len(wantTasks), wantElemTask)
 	for _, e := range []struct {
 		name string
 		fn   func(*model.Ops, []int64, *Schedule2D) ([]exec.Task, []int32)
@@ -172,7 +205,7 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		if !panics(func() { FetchStats(ops, s, len(perElem), perElem) }) {
 			t.Fatalf("%s: FetchStats accepted a task map that splits a row-block segment", label)
 		}
-	} else if got, want := FetchStats(ops, s, len(perElem), perElem), traffic.FetchStatsTasks(s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
+	} else if got, want := FetchStats(ops, s, len(perElem), perElem), fetchWalk(s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats under one task per element differ from the walk (vol %d msgs %d, want %d / %d)",
 			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
 	}

@@ -369,7 +369,7 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int6
 		t.Fatalf("%s: Tasks differ from the dense walk: %v", label, err)
 	}
 	got := FetchStats(ops, s, len(tasks), elemTask)
-	want := traffic.FetchStatsTasks(ref.schedule(), len(wantTasks), wantElemTask)
+	want := fetchWalk(ref.schedule(), len(wantTasks), wantElemTask)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats differ from the walk (vol %d msgs %d, want %d / %d)",
 			label, got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())

@@ -60,7 +60,7 @@ func slackBound(bstar int64, slack float64) int64 {
 	return bstar + int64(extra)
 }
 
-// ContiguousSplitTotal partitions columns 0..n-1 into p contiguous
+// contiguousSplitTotal partitions columns 0..n-1 into p contiguous
 // blocks minimizing the communication of the induced column schedule,
 // subject to every block's work being at most maxWork. refs is the fetch
 // attribution of traffic.ColumnRefs over the same factor the work vector
@@ -98,14 +98,10 @@ func slackBound(bstar int64, slack float64) int64 {
 // memory the total band width. Costs are held in float64; with beta2 = 0
 // every value is an exactly-representable integer, so the float DP's
 // decisions coincide with the original integer DP's.
-func ContiguousSplitTotal(work []int64, refs [][]traffic.ColRef, p int, maxWork int64, beta2 float64) []int {
-	return contiguousSplitTotal(work, refs, p, maxWork, beta2, nil)
-}
-
-// contiguousSplitTotal is ContiguousSplitTotal plus search telemetry: tel
-// counts every DP transition relaxation evaluated as a trial (accepted
-// when it improved the state's best) and records the optimal objective as
-// the trajectory's final point.
+//
+// tel, when non-nil, counts every DP transition relaxation evaluated as a
+// trial (accepted when it improved the state's best) and records the
+// optimal objective as the trajectory's final point.
 func contiguousSplitTotal(work []int64, refs [][]traffic.ColRef, p int, maxWork int64, beta2 float64, tel *obs.SearchTelemetry) []int {
 	sched.MustProcs("strategy", p)
 	n := len(work)

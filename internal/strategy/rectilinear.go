@@ -88,7 +88,7 @@ func RectilinearCuts(ops *model.Ops, elemWork []int64, p int) []int {
 // probe can certify, not a proven optimum (the brute-force test pins
 // that the two coincide on its instance set).
 func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
-	f := ops.F
+	f, ri := ops.F, ops.F.Rows()
 	n := f.N
 	ivl := make([]int32, n)     // interval of each accepted index
 	tile := make([]int64, p)    // loads of tiles (t, u), u <= t, current t
@@ -98,16 +98,19 @@ func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
 	t, s := 0, 0                // current interval index and start
 	for x := 0; x < n; x++ {
 		for attempt := 0; ; attempt++ {
-			cols := ops.RowCols(x)
-			pos := ops.RowPositions(x)
 			addLoad[t] = elemWork[f.ColPtr[x]] // diagonal -> tile (t, t)
 			touched = append(touched[:0], int32(t))
-			for i, k := range cols {
-				u := ivl[k]
-				if addLoad[u] == 0 {
-					touched = append(touched, u)
+			e := ri.Ptr[x]
+			for r := ri.RunPtr[x]; r < ri.RunPtr[x+1]; r++ {
+				m := int32(ri.RunLen[r])
+				for _, k := range ri.Cols[e : e+m] {
+					u := ivl[k]
+					if addLoad[u] == 0 {
+						touched = append(touched, u)
+					}
+					addLoad[u] += elemWork[f.ColPtr[k+1]-int(ri.Tail[r])]
 				}
-				addLoad[u] += elemWork[pos[i]]
+				e += m
 			}
 			fits := true
 			for _, u := range touched {

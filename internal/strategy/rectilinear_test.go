@@ -25,7 +25,7 @@ func tileMax(ops *model.Ops, elemWork []int64, bounds []int) int64 {
 	tiles := make([]int64, p*p)
 	for x := 0; x < n; x++ {
 		tiles[int(iv[x])*p+int(iv[x])] += elemWork[f.ColPtr[x]]
-		pos := ops.RowPositions(x)
+		pos := f.AppendRowPos(nil, x)
 		for i, k := range ops.RowCols(x) {
 			tiles[int(iv[x])*p+int(iv[k])] += elemWork[pos[i]]
 		}

@@ -3,8 +3,8 @@ package strategy
 import "repro/internal/sched"
 
 // Split-helper contract: the exported low-level split helpers of this
-// package — ContiguousSplit, ContiguousSplitTotal, RectilinearCuts and
-// SubcubeOwners — all panic on a processor count below one (a programmer
+// package — ContiguousSplit, RectilinearCuts and SubcubeOwners, and the
+// contigtotal DP — all panic on a processor count below one (a programmer
 // error, like an out-of-range index), while Map, the one way into the
 // strategies wrapping them, validates p first and returns an error, the
 // contract CLIs and the repro API rely on. Both halves are the one
@@ -25,7 +25,7 @@ func prefixWork(work []int64) []int64 {
 // OptimalBottleneck returns the minimal achievable maximum block work of
 // any partition of the items into at most p contiguous blocks — the
 // bottleneck B* that ContiguousSplit attains and the work bound
-// ContiguousSplitTotal constrains its blocks by. Found by binary search
+// contigtotal constrains its blocks by. Found by binary search
 // over candidate bottlenecks, each probed with a greedy feasibility scan
 // (Ahrens 2020's probe). It panics on p < 1 (the contract above).
 func OptimalBottleneck(work []int64, p int) int64 {

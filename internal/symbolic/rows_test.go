@@ -46,16 +46,17 @@ func TestRowIndexShape(t *testing.T) {
 			}
 		}
 		if len(ri.Ptr) != f.N+1 || ri.Ptr[0] != 0 || int(ri.Ptr[f.N]) != f.NNZ()-f.N ||
-			len(ri.Cols) != f.NNZ()-f.N || len(ri.Pos) != len(ri.Cols) {
-			t.Fatalf("%s: shape: %d pointers, %d columns, %d positions for n = %d, nnz = %d",
-				name, len(ri.Ptr), len(ri.Cols), len(ri.Pos), f.N, f.NNZ())
+			len(ri.Cols) != f.NNZ()-f.N {
+			t.Fatalf("%s: shape: %d pointers, %d columns for n = %d, nnz = %d",
+				name, len(ri.Ptr), len(ri.Cols), f.N, f.NNZ())
 		}
 		colOf := f.ColIndex()
 		seen := make([]bool, f.NNZ())
 		for r := 0; r < f.N; r++ {
 			prev := int32(-1)
+			pos := f.AppendRowPos(nil, r)
 			for e := ri.Ptr[r]; e < ri.Ptr[r+1]; e++ {
-				k, q := ri.Cols[e], ri.Pos[e]
+				k, q := ri.Cols[e], pos[e-ri.Ptr[r]]
 				if k <= prev || int(k) >= r {
 					t.Fatalf("%s: row %d lists column %d after %d", name, r, k, prev)
 				}

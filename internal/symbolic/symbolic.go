@@ -40,12 +40,22 @@ type Factor struct {
 }
 
 // RowIndex is the strict lower triangle of a factor structure by rows: row
-// r is the slice [Ptr[r], Ptr[r+1]) of two parallel arrays, Cols listing
-// the columns k < r with L[r,k] != 0, increasing, and Pos the factor
-// nonzero position of each (r, k). Read in that order it is the canonical
-// update sequence of column r, which every numeric kernel follows.
+// r lists in Cols[Ptr[r]:Ptr[r+1]] the columns k < r with L[r,k] != 0,
+// increasing. Read in that order it is the canonical update sequence of
+// column r, which every numeric kernel follows.
+//
+// A row's entries come in runs, the records RunPtr[r] to RunPtr[r+1]: run
+// x is the next RunLen[x] entries of the row, each column the
+// elimination-tree parent of the one before, all holding the same Tail[x]
+// rows from row r down. They hold the same rows, since a column's rows
+// below its diagonal are all in its parent's: the supernodes of the
+// factor, as row r meets them. A run is maximal but for the width of
+// RunLen: a longer one is held as several records of at most 255 entries.
+// The position of (r, k) in a run is ColPtr[k+1] − Tail[x] (AppendRowPos).
 type RowIndex struct {
-	Ptr, Cols, Pos []int32
+	Ptr, Cols    []int32
+	RunPtr, Tail []int32
+	RunLen       []uint8
 }
 
 // Rows returns the row index of f, built on first use and shared from then
@@ -64,25 +74,61 @@ func (f *Factor) Rows() *RowIndex {
 			ptr[i+1] += ptr[i]
 		}
 		half := f.NNZ() - n
-		both := make([]int32, 2*half)
-		cols, pos := both[:half:half], both[half:]
+		cols, tail := make([]int32, half), make([]int32, half) // tail: each entry's, for the runs
 		// ptr[i] is the cursor of row i while the rows fill, which leaves it
 		// at the start of row i+1: shift back afterwards.
 		for j := 0; j < n; j++ {
-			base := f.ColPtr[j]
+			below := f.ColLen(j) - 1
 			for t, i := range f.Col(j)[1:] {
 				at := ptr[i]
 				ptr[i]++
-				cols[at], pos[at] = int32(j), int32(base+1+t)
+				cols[at], tail[at] = int32(j), int32(below-t)
 			}
 		}
 		copy(ptr[1:], ptr[:n])
 		if n > 0 {
 			ptr[0] = 0
 		}
-		f.rows = RowIndex{Ptr: ptr, Cols: cols, Pos: pos}
+		// One pass cuts the rows into runs, compacting each run's tail into
+		// the front of tail (a run starts at or after its first entry, so
+		// no tail is overwritten before it is read) and its length into
+		// lens; the records are then copied at their exact size.
+		runPtr, lens := make([]int32, n+1), make([]uint8, half)
+		x, m := int32(-1), uint8(0) // the current run and its length
+		for r := 0; r < n; r++ {
+			runPtr[r] = x + 1
+			rc, rt := cols[ptr[r]:ptr[r+1]], tail[ptr[r]:ptr[r+1]]
+			for k := range rc {
+				if k == 0 || rt[k] != rt[k-1] || int32(f.Parent[rc[k-1]]) != rc[k] || m == math.MaxUint8 {
+					x, m = x+1, 0
+					tail[x] = rt[k]
+				}
+				m++
+				lens[x] = m
+			}
+		}
+		runPtr[n] = x + 1
+		runTail, runLen := make([]int32, x+1), make([]uint8, x+1)
+		copy(runTail, tail)
+		copy(runLen, lens)
+		f.rows = RowIndex{Ptr: ptr, Cols: cols, RunPtr: runPtr, Tail: runTail, RunLen: runLen}
 	})
 	return &f.rows
+}
+
+// AppendRowPos appends to dst the factor position of each entry of row r
+// of the row index, in the order of its Cols.
+func (f *Factor) AppendRowPos(dst []int32, r int) []int32 {
+	ri := f.Rows()
+	e := ri.Ptr[r]
+	for x := ri.RunPtr[r]; x < ri.RunPtr[r+1]; x++ {
+		m := int32(ri.RunLen[x])
+		for _, c := range ri.Cols[e : e+m] {
+			dst = append(dst, int32(f.ColPtr[c+1])-ri.Tail[x])
+		}
+		e += m
+	}
+	return dst
 }
 
 // NNZ returns the number of structural nonzeros of L (lower, incl. diag).

@@ -1,5 +1,31 @@
 package traffic
 
+import (
+	"fmt"
+
+	"repro/internal/sched"
+)
+
+// FetchStatsTasks attributes every distinct non-local fetch of a schedule
+// to an arbitrary task granularity: taskOf[q] is the task charged for a
+// fetch first required by an update (or the scale) of the factor element
+// at position q. The dedup rule is identical to Simulate's, so the
+// per-task volumes partition the traffic total exactly whatever the
+// granularity and whatever the element ownership.
+//
+// It is the element-level walk, the reference both of FetchStats' passes
+// are held to: O(#updates) time — every pair update of the factorization
+// is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks) bytes of transient
+// masks, allocated up front and nothing per fetch.
+func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
+	if len(taskOf) != s.F.NNZ() {
+		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), s.F.NNZ()))
+	}
+	ch := NewCharger(s.P, ntasks, taskOf)
+	firstFetches(s, elemOwners(s), &ch)
+	return ch.Done()
+}
+
 // The reference check, for the strategy and 2D grids of
 // fetch_grid_test.go (package traffic_test, which may import the packages
 // that import this one), and, for owners_test.go, the column owners of an

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/model"
@@ -149,26 +148,6 @@ func (c *Charger) Done() *TaskComm {
 	return c.tc
 }
 
-// FetchStatsTasks attributes every distinct non-local fetch of a schedule
-// to an arbitrary task granularity: taskOf[q] is the task charged for a
-// fetch first required by an update (or the scale) of the factor element
-// at position q. The dedup rule is identical to Simulate's, so the
-// per-task volumes partition the traffic total exactly whatever the
-// granularity and whatever the element ownership.
-//
-// It is the element-level walk, the reference both of FetchStats' passes
-// are held to: O(#updates) time — every pair update of the factorization
-// is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks) bytes of transient
-// masks, allocated up front and nothing per fetch.
-func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
-	if len(taskOf) != s.F.NNZ() {
-		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), s.F.NNZ()))
-	}
-	ch := NewCharger(s.P, ntasks, taskOf)
-	firstFetches(s, elemOwners(s), &ch)
-	return ch.Done()
-}
-
 // FetchStats attributes every distinct non-local fetch of a schedule to
 // its makespan tasks — the unit blocks of a block-granular schedule, the
 // columns of a column-granular one — with per-task message counts (one
@@ -176,7 +155,7 @@ func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
 // schedule's own owner vector: UnitProc takes the replay of the
 // partition's read map (replayReads), ColProc the closed form
 // (columnFetches). Both are task by task the element walk's answer,
-// FetchStatsTasks over Part.ElemUnit or the column index. A schedule with
+// firstFetches charging Part.ElemUnit or the column index. A schedule with
 // neither vector has no task granularity here and panics.
 func FetchStats(s *sched.Schedule) *TaskComm {
 	switch {

@@ -27,23 +27,25 @@ type ColRef struct {
 // over source columns and processors reproduces Simulate's total for any
 // column-granular schedule; for contiguous column blocks it is the cut
 // cost oracle of the total-communication-optimal split
-// (strategy.ContiguousSplitTotal).
+// (the contigtotal strategy).
 func ColumnRefs(ops *model.Ops) [][]ColRef {
-	f := ops.F
+	f, ri := ops.F, ops.F.Rows()
 	refs := make([][]ColRef, f.N)
 	arena := make([]ColRef, f.NNZ()-f.N) // one reference per off-diagonal element
 	for j := 0; j < f.N; j++ {
-		cols := ops.RowCols(j)
-		pos := ops.RowPositions(j)
-		if len(cols) == 0 {
+		e, m := ri.Ptr[j], int(ri.Ptr[j+1]-ri.Ptr[j])
+		if m == 0 {
 			continue
 		}
-		rj := arena[:len(cols):len(cols)]
-		arena = arena[len(cols):]
-		for t, k := range cols {
-			// pos[t] is the position of (j, k) in column k; the suffix
-			// from there to the end of the column is the reference set.
-			rj[t] = ColRef{Col: k, Vol: int64(f.ColPtr[k+1]) - int64(pos[t])}
+		rj := arena[:m:m]
+		arena = arena[m:]
+		// The suffix of column k from (j, k) down is the reference set:
+		// the tail of k's run in row j.
+		for x, t := ri.RunPtr[j], 0; x < ri.RunPtr[j+1]; x++ {
+			for range ri.RunLen[x] {
+				rj[t] = ColRef{Col: ri.Cols[e], Vol: int64(ri.Tail[x])}
+				e, t = e+1, t+1
+			}
 		}
 		refs[j] = rj
 	}
