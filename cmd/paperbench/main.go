@@ -74,22 +74,7 @@ var registry = []tableEntry{
 		rows, err := tables.BlockSweep(s.lap, 16, []int{2, 4, 8, 16, 25, 50, 100, 200}, []int{tables.DefaultWidth})
 		return tables.FormatGrainSweep("LAP30", 16, rows), err
 	}},
-	{name: "relax", text: func(s suite) (string, error) {
-		rows, err := tables.RelaxSweep(s.lap, 16, 25, []float64{0, 0.05, 0.1, 0.25, 0.5})
-		return tables.FormatRelaxSweep("LAP30", 16, 25, rows), err
-	}},
-	{name: "alloc", text: func(s suite) (string, error) { return show(tables.FormatAllocCompare)(tables.AllocCompare(s.ps)) }},
-	{name: "order", text: func(s suite) (string, error) {
-		rows, err := tables.OrderCompare(s.lap, 16)
-		return tables.FormatOrderCompare("LAP30", 16, rows), err
-	}},
-	{name: "solve", text: func(s suite) (string, error) { return show(tables.FormatSolveBalance)(tables.SolveBalance(s.ps)) }},
 	{name: "dynamic", text: func(s suite) (string, error) { return show(tables.FormatDynamicCompare)(tables.DynamicCompare(s.ps)) }},
-	{name: "messages", text: func(s suite) (string, error) { return show(tables.FormatMessages)(tables.Messages(s.ps)) }},
-	{name: "commspan", text: func(s suite) (string, error) {
-		rows, err := tables.CommMakespan(s.lap, 16, []float64{0, 1, 2, 5, 10, 20})
-		return tables.FormatCommMakespan("LAP30", 16, rows), err
-	}},
 	{name: "unified", text: func(s suite) (string, error) {
 		rows, err := tables.UnifiedComm(s.lap, tables.WrapProcs, nil, tables.Production, s.cm)
 		return tables.FormatUnifiedComm("LAP30", s.cm, rows), err
@@ -149,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.SetOutput(stderr)
 	table := fs.String("table", "all",
-		"which table to regenerate: 1..5, makespan, partners, grain, relax, alloc, order, solve, dynamic, crossover, messages, commspan, unified, strategy, tile2d, all, none (tables off; useful with -ledger/-trace), or the timed table measure (real engine runs on -matrix, not part of all)")
+		"which table to regenerate: 1..5, makespan, partners, grain, dynamic, crossover, unified, strategy, tile2d, all, none (tables off; useful with -ledger/-trace), or the timed table measure (real engine runs on -matrix, not part of all)")
 	alpha := fs.Float64("alpha", 2, "comm model: work units per fetched element (unified table, ledger, trace)")
 	beta := fs.Float64("beta", 10, "comm model: work units per received message (unified table, ledger, trace)")
 	ledgerPath := fs.String("ledger", "", "write the machine-readable bench ledger (BENCH_*.json) to this path")

@@ -85,6 +85,13 @@ func TestRejectsBeforeLoading(t *testing.T) {
 		{[]string{"-table", "unified", "-alpha", "NaN", "-ledger", ledger}, "-alpha/-beta: invalid CommModel: Alpha = NaN", ""},
 		{[]string{"-table", "unified", "-beta", "-5"}, "-alpha/-beta: invalid CommModel: Beta = -5", ""},
 		{[]string{"-table", "unified", "-alpha", "+Inf"}, "-alpha/-beta: invalid CommModel: Alpha = +Inf", ""},
+		// The deleted studies (EXPERIMENTS.md, "One study per question").
+		{[]string{"-table", "relax"}, "usage", `unknown table "relax"` + "\nUsage of "},
+		{[]string{"-table", "alloc"}, "usage", `unknown table "alloc"` + "\nUsage of "},
+		{[]string{"-table", "order"}, "usage", `unknown table "order"` + "\nUsage of "},
+		{[]string{"-table", "solve"}, "usage", `unknown table "solve"` + "\nUsage of "},
+		{[]string{"-table", "messages"}, "usage", `unknown table "messages"` + "\nUsage of "},
+		{[]string{"-table", "commspan"}, "usage", `unknown table "commspan"` + "\nUsage of "},
 	} {
 		var stderr bytes.Buffer
 		err := run(tc.args, io.Discard, &stderr)
@@ -176,5 +183,73 @@ func TestTimedTables(t *testing.T) {
 	}
 	if !strings.Contains(out, "speedup MAPE: uncalibrated ") {
 		t.Errorf("-table measure lost its MAPE footer:\n%s", out)
+	}
+}
+
+// TestRegistryHasVerdicts keeps each study beyond Tables 1–5 tied to a
+// finding: every such registry name has a row in EXPERIMENTS.md's
+// extension-studies index, whose Verdict cell names a section heading of
+// that file, and every row of the index names a registry entry.
+func TestRegistryHasVerdicts(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := make(map[string]bool)
+	verdicts := make(map[string]string) // -table name -> Verdict cell
+	var section string
+	var header []string
+	fenced := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if fenced {
+			continue
+		}
+		if h, ok := strings.CutPrefix(line, "#"); ok {
+			section = strings.TrimSpace(strings.TrimLeft(h, "#"))
+			headings[section] = true
+			continue
+		}
+		if section != "Extension studies" || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if header == nil {
+			header = cells
+			continue
+		}
+		cmd, verdict := slices.Index(header, "Command"), slices.Index(header, "Verdict")
+		if cmd < 0 || verdict < 0 {
+			t.Fatalf("extension-studies index has columns %q, want Command and Verdict", header)
+		}
+		if strings.Trim(cells[cmd], "-: ") == "" {
+			continue // the separator row
+		}
+		name, ok := strings.CutPrefix(strings.Trim(cells[cmd], "`"), "-table ")
+		if !ok {
+			t.Fatalf("index row %q: command %q is not -table <name>", line, cells[cmd])
+		}
+		verdicts[name] = cells[verdict]
+	}
+	for _, e := range registry {
+		if len(e.name) == 1 && e.name >= "1" && e.name <= "5" {
+			continue
+		}
+		v, ok := verdicts[e.name]
+		switch {
+		case !ok:
+			t.Errorf("-table %s has no row in EXPERIMENTS.md's extension-studies index", e.name)
+		case !headings[v]:
+			t.Errorf("-table %s: verdict %q is not a section heading of EXPERIMENTS.md", e.name, v)
+		}
+		delete(verdicts, e.name)
+	}
+	if len(verdicts) > 0 {
+		t.Errorf("EXPERIMENTS.md indexes tables the registry does not have: %v", verdicts)
 	}
 }

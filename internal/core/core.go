@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -243,17 +242,6 @@ func (a *arena[T]) take(n int) []T {
 	s := a.free[:n:n]
 	a.free = a.free[n:]
 	return s
-}
-
-// UnitOf returns the unit ID containing factor element (i, j), i >= j.
-// It panics if (i, j) is not in the factor structure.
-func (p *Partition) UnitOf(i, j int) int {
-	f := p.F
-	lo, ok := slices.BinarySearch(f.Col(j), int32(i))
-	if !ok {
-		panic(fmt.Sprintf("core: element (%d,%d) not in factor", i, j))
-	}
-	return int(p.ElemUnit[f.ColPtr[j]+lo])
 }
 
 // identifyClusters finds the clusters of Section 3.1 from the factor's

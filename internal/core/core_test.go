@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,6 +251,17 @@ func TestFigure3Partition(t *testing.T) {
 		t.Errorf("allocation order wrong: %v %v %v",
 			p.Units[cl.TriAlloc[0]].Kind, p.Units[cl.TriAlloc[1]].Kind, p.Units[cl.TriAlloc[2]].Kind)
 	}
+}
+
+// UnitOf returns the unit ID containing factor element (i, j), i >= j.
+// It panics if (i, j) is not in the factor structure.
+func (p *Partition) UnitOf(i, j int) int {
+	f := p.F
+	lo, ok := slices.BinarySearch(f.Col(j), int32(i))
+	if !ok {
+		panic(fmt.Sprintf("core: element (%d,%d) not in factor", i, j))
+	}
+	return int(p.ElemUnit[f.ColPtr[j]+lo])
 }
 
 func TestUnitOfMatchesElemUnit(t *testing.T) {

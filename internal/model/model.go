@@ -140,22 +140,3 @@ func TotalWork(elemWork []int64) int64 {
 	}
 	return s
 }
-
-// SolveElementWork returns the per-element work of the two triangular
-// solves (Lu = b and Lᵀv = u, the paper's step 4). Under the same cost
-// convention as the factorization model, every off-diagonal element
-// performs one multiply-subtract in each sweep (2 units each, 4 total)
-// and every diagonal element one division per sweep (1 unit each,
-// 2 total). The paper's Section 5 points out that scheduling the solves
-// adds flexibility for load balancing; this model makes that measurable.
-func SolveElementWork(f *symbolic.Factor) []int64 {
-	w := make([]int64, f.NNZ())
-	for j := 0; j < f.N; j++ {
-		base := f.ColPtr[j]
-		w[base] = 2
-		for q := base + 1; q < f.ColPtr[j+1]; q++ {
-			w[q] = 4
-		}
-	}
-	return w
-}

@@ -151,20 +151,6 @@ func TestDenseWorkClosedForm(t *testing.T) {
 	}
 }
 
-func TestSolveElementWorkTotals(t *testing.T) {
-	fac := analyzed(5)
-	w := SolveElementWork(fac)
-	var total int64
-	for _, x := range w {
-		total += x
-	}
-	// 2 per diagonal + 4 per off-diagonal, both sweeps combined.
-	want := int64(2*fac.N) + 4*int64(fac.NNZ()-fac.N)
-	if total != want {
-		t.Fatalf("solve work total %d, want %d", total, want)
-	}
-}
-
 func TestRowColsMatchColumnStructure(t *testing.T) {
 	fac := analyzed(9)
 	o := NewOps(fac)

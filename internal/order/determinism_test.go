@@ -11,10 +11,10 @@ import (
 // (MMD's supervariable merge sorts one slice of (hash, update-list
 // position) keys), so what this guards is the tie-breaks: the minimum
 // bucket taken in increasing index, equal hashes compared in update-list
-// order, RCM's (degree, index) neighbour sort. A tie broken by anything
-// that varies from call to call — scratch left over in a reused buffer, an
-// address, an unstable sort — makes identical calls diverge, and every
-// downstream schedule and artifact key with them. CI runs it with -count=2.
+// order. A tie broken by anything that varies from call to call — scratch
+// left over in a reused buffer, an address, an unstable sort — makes
+// identical calls diverge, and every downstream schedule and artifact key
+// with them. CI runs it with -count=2.
 func TestOrderDeterminism(t *testing.T) {
 	for _, tm := range gen.Suite() {
 		m := tm.Build()
@@ -23,7 +23,6 @@ func TestOrderDeterminism(t *testing.T) {
 			run  func() []int
 		}{
 			{"mmd", func() []int { return MMD(m) }},
-			{"rcm", func() []int { return RCM(m) }},
 			{"nd", func() []int { return NestedDissection(m, 8) }},
 		}
 		for _, o := range orderings {

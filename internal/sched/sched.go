@@ -290,21 +290,6 @@ func (s *Schedule) AppendOwners(dst []int32, j int) []int32 {
 	return dst
 }
 
-// AccumulateElemWork sums an arbitrary per-element cost vector (e.g. the
-// triangular-solve work of model.SolveElementWork) over the schedule's
-// element ownership, returning per-processor totals.
-func (s *Schedule) AccumulateElemWork(elemWork []int64) []int64 {
-	out := make([]int64, s.P)
-	var col []int32
-	for j := 0; j < s.F.N; j++ {
-		col = s.AppendOwners(col[:0], j)
-		for i, pr := range col {
-			out[pr] += elemWork[s.F.ColPtr[j]+i]
-		}
-	}
-	return out
-}
-
 // ImbalanceOf computes the paper's load imbalance factor A for an
 // arbitrary per-processor work vector.
 func ImbalanceOf(work []int64) float64 {

@@ -285,18 +285,6 @@ func TestScheduleAccessors(t *testing.T) {
 	if b.TotalWork() != s.TotalWork() {
 		t.Fatal("schemes disagree on total work")
 	}
-	solveW := make([]int64, f.NNZ())
-	for i := range solveW {
-		solveW[i] = 1
-	}
-	acc := s.AccumulateElemWork(solveW)
-	var sum int64
-	for _, w := range acc {
-		sum += w
-	}
-	if sum != int64(f.NNZ()) {
-		t.Fatalf("accumulated %d, want %d", sum, f.NNZ())
-	}
 	if ImbalanceOf([]int64{}) != 0 || ImbalanceOf([]int64{0, 0}) != 0 {
 		t.Fatal("ImbalanceOf degenerate cases wrong")
 	}

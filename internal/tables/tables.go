@@ -54,7 +54,7 @@ type Problem struct {
 // through the staged pipeline, so partitions, schedules and the strategy
 // subsystem are all served from the analysis artifact's caches.
 func LoadProblem(tm gen.TestMatrix) (*Problem, error) {
-	return newProblem(tm, tm.Build(), nil)
+	return newProblem(tm, tm.Build())
 }
 
 // LoadNamed loads one suite matrix by (case-insensitive) name.
@@ -63,17 +63,13 @@ func LoadNamed(name string) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newProblem(tm, a, nil)
+	return newProblem(tm, a)
 }
 
-// newProblem analyzes a under perm, or under the MMD ordering (the
-// paper's choice for every experiment) when perm is nil.
-func newProblem(tm gen.TestMatrix, a *sparse.Matrix, perm []int) (*Problem, error) {
-	analyze := pipeline.NewAnalysis
-	if perm != nil {
-		analyze = func(a *sparse.Matrix) (*pipeline.Analysis, error) { return pipeline.NewAnalysisOrdered(a, perm) }
-	}
-	an, err := analyze(a)
+// newProblem analyzes a under the MMD ordering, the paper's choice for
+// every experiment.
+func newProblem(tm gen.TestMatrix, a *sparse.Matrix) (*Problem, error) {
+	an, err := pipeline.NewAnalysis(a)
 	if err != nil {
 		return nil, fmt.Errorf("tables: %s: %w", tm.Name, err)
 	}

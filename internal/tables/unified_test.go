@@ -94,6 +94,31 @@ func TestCommUnifiedShapes(t *testing.T) {
 	}
 }
 
+// TestCommUnifiedAlphaSweep: with β = 0, the dynamic comm span of block
+// (g = 25) and wrap on LAP30 at P = 16 never falls as the per-element
+// cost α rises, and wrap's span grows faster than block's (block saves
+// traffic), so the wrap/block ratio widens.
+func TestCommUnifiedAlphaSweep(t *testing.T) {
+	lap := loadLap(t)
+	var ratio []float64
+	prev := map[string]int64{}
+	for _, alpha := range []float64{0, 5, 20} {
+		rows := must(UnifiedComm(lap, []int{16}, []string{"block", "wrap"}, Production, exec.CommModel{Alpha: alpha}))(t)
+		span := map[string]int64{}
+		for _, r := range rows {
+			if r.CommSpan <= 0 || r.CommSpan < prev[r.Strategy] {
+				t.Errorf("alpha=%g %s: comm span %d (previous alpha: %d)", alpha, r.Strategy, r.CommSpan, prev[r.Strategy])
+			}
+			span[r.Strategy] = r.CommSpan
+		}
+		prev = span
+		ratio = append(ratio, float64(span["wrap"])/float64(span["block"]))
+	}
+	if ratio[len(ratio)-1] <= ratio[0] {
+		t.Errorf("wrap/block span ratio did not grow with alpha: %v", ratio)
+	}
+}
+
 // TestUnifiedCommRejectsInvalidModel: a NaN, infinite or negative term is
 // an error naming it before any cell is planned (the simulators would
 // panic on it), in both comm-priced studies.

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 
+	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -13,16 +14,34 @@ import (
 // per-task volumes partition the traffic total exactly whatever the
 // granularity and whatever the element ownership.
 //
-// It is the element-level walk, the reference both of FetchStats' passes
-// are held to: O(#updates) time — every pair update of the factorization
-// is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks) bytes of transient
-// masks, allocated up front and nothing per fetch.
+// It is the element-level walk of firstFetches that also charges every
+// first fetch to its target's task as it is found, the reference both of
+// FetchStats' passes are held to: O(#updates) time — every pair update of
+// the factorization is visited once — and 8·⌈P/64⌉·(nnz(L) + ntasks)
+// bytes of transient masks, allocated up front and nothing per fetch.
 func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
-	if len(taskOf) != s.F.NNZ() {
-		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), s.F.NNZ()))
+	f := s.F
+	if len(taskOf) != f.NNZ() {
+		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), f.NNZ()))
 	}
 	ch := NewCharger(s.P, ntasks, taskOf)
-	firstFetches(s, elemOwners(s), &ch)
+	owner, fetched := elemOwners(s), NewFetchDedup(s.P, f.NNZ())
+	model.NewOps(f).ForEachRun(func(r model.Run) {
+		lo, ownerLo := r.Lo, owner[r.Lo]
+		for q := lo; q < r.Hi; q++ {
+			tgt := r.Tgt[f.RowInd[q]]
+			proc := owner[tgt]
+			if o := owner[q]; o != proc && fetched.FirstFetch(q, proc) {
+				ch.charge(tgt, o)
+			}
+			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
+				ch.charge(tgt, ownerLo)
+			}
+		}
+	})
+	// The diagonal is never a pair-update source: the scales' stamp alone
+	// selects their first fetches.
+	scaleFetches(f, s.P, func(j int) []int32 { return owner[f.ColPtr[j]:f.ColPtr[j+1]] }, nil, &ch)
 	return ch.Done()
 }
 

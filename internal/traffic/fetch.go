@@ -37,28 +37,25 @@ func (tc *TaskComm) TotalMsgs() int64 { return model.TotalWork(tc.Msgs) }
 // sources of every pair update, run by run in model.Ops.ForEachRun's
 // order, then the diagonal read of every scale — and marks each distinct
 // non-local (element, processor) pair in the returned tracker. owner is
-// the owner of every element of s.F (elemOwners). What Simulate and the
-// consolidation step report is a tally of that final set; the fetch
-// attribution also needs to know which access came first, so a non-nil
-// ch is told of every first fetch as it is found.
-func firstFetches(s *sched.Schedule, owner []int32, ch *Charger) *FetchDedup {
+// the owner of every element of s.F (elemOwners). What Simulate reports
+// is a tally of that final set.
+func firstFetches(s *sched.Schedule, owner []int32) *FetchDedup {
 	f := s.F
 	fetched := NewFetchDedup(s.P, f.NNZ())
 	rowInd := f.RowInd
 	model.NewOps(f).ForEachRun(func(r model.Run) {
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
-			tgt := r.Tgt[rowInd[q]]
-			proc := owner[tgt]
-			if o := owner[q]; o != proc && fetched.FirstFetch(q, proc) && ch != nil {
-				ch.charge(tgt, o)
+			proc := owner[r.Tgt[rowInd[q]]]
+			if owner[q] != proc {
+				fetched.FirstFetch(q, proc)
 			}
-			if ownerLo != proc && fetched.FirstFetch(lo, proc) && ch != nil {
-				ch.charge(tgt, ownerLo)
+			if ownerLo != proc {
+				fetched.FirstFetch(lo, proc)
 			}
 		}
 	})
-	scaleFetches(f, s.P, func(j int) []int32 { return owner[f.ColPtr[j]:f.ColPtr[j+1]] }, fetched, ch)
+	scaleFetches(f, s.P, func(j int) []int32 { return owner[f.ColPtr[j]:f.ColPtr[j+1]] }, fetched, nil)
 	return fetched
 }
 
@@ -154,9 +151,10 @@ func (c *Charger) Done() *TaskComm {
 // message per distinct source processor feeding a task). It reads the
 // schedule's own owner vector: UnitProc takes the replay of the
 // partition's read map (replayReads), ColProc the closed form
-// (columnFetches). Both are task by task the element walk's answer,
-// firstFetches charging Part.ElemUnit or the column index. A schedule with
-// neither vector has no task granularity here and panics.
+// (columnFetches). Both are task by task the answer of the element walk
+// charging Part.ElemUnit or the column index (FetchStatsTasks, kept with
+// the tests). A schedule with neither vector has no task granularity here
+// and panics.
 func FetchStats(s *sched.Schedule) *TaskComm {
 	switch {
 	case s.Part != nil:

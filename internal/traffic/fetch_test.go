@@ -82,3 +82,44 @@ func TestCommFetchStatsSingleProc(t *testing.T) {
 		t.Errorf("P=1 wrap: vol %d msgs %d, want 0", tc.TotalVol(), tc.TotalMsgs())
 	}
 }
+
+func TestFetchVolumesSumToTotal(t *testing.T) {
+	fc := func(seed int64) bool {
+		m := gen.Random(40, 1.3, seed)
+		ops, part, ew := pipeline(m, 4, 3)
+		for _, p := range []int{2, 8} {
+			bs := sched.BlockMap(part, p)
+			vol := FetchStats(bs).Vol
+			var sum int64
+			for _, v := range vol {
+				sum += v
+			}
+			if sum != Simulate(bs).Total {
+				return false
+			}
+			ws := sched.WrapMap(ops.F, ew, p)
+			cvol := FetchStats(ws).Vol
+			sum = 0
+			for _, v := range cvol {
+				sum += v
+			}
+			if sum != Simulate(ws).Total {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(fc, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestFetchVolumesZeroOnOneProc(t *testing.T) {
+	_, part, _ := pipeline(gen.Grid9(8, 8), 4, 4)
+	s := sched.BlockMap(part, 1)
+	for u, v := range FetchStats(s).Vol {
+		if v != 0 {
+			t.Fatalf("unit %d has fetch volume %d on one processor", u, v)
+		}
+	}
+}

@@ -78,7 +78,7 @@ func (r *Result) MeanPartners() float64 {
 // reader counts of Incremental are held to.
 func Simulate(s *sched.Schedule) *Result {
 	owner := elemOwners(s)
-	fetched := firstFetches(s, owner, nil)
+	fetched := firstFetches(s, owner)
 	r := &Result{
 		P:       s.P,
 		PerProc: make([]int64, s.P),

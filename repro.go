@@ -128,10 +128,6 @@ type TestMatrix = gen.TestMatrix
 // choice for every experiment).
 func MMDOrder(a *Matrix) []int { return order.MMD(a) }
 
-// RCMOrder computes the reverse Cuthill-McKee (bandwidth-reducing)
-// ordering.
-func RCMOrder(a *Matrix) []int { return order.RCM(a) }
-
 // NDOrder computes a nested-dissection ordering (leaf pieces of at most
 // leafSize ordered by minimum degree; leafSize <= 0 selects the default).
 func NDOrder(a *Matrix, leafSize int) []int { return order.NestedDissection(a, leafSize) }
