@@ -3,8 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-
-	"repro/internal/model"
 )
 
 // computeDeps determines, for every unit block, the set of unit blocks it
@@ -29,7 +27,8 @@ import (
 // row bands and column classes the partition already holds, a per-row
 // index of the territories and merge walks answer the same queries.
 // Because the blocks are dense on their extents, the interval conditions
-// are exact: the result matches the element-level oracle (see DepsOracle).
+// are exact: the result matches the element-level oracle (DepsOracle, in
+// deps_ref_test.go).
 //
 // The column pass emits each (target, column) edge once, sources
 // increasing; a stable counting sort buckets them by target. The dense
@@ -363,35 +362,4 @@ func (cl *Cluster) bandsMeeting(x, y int, rows []int32, dst []int32) []int32 {
 		dst = append(dst, int32(b))
 	}
 	return dst
-}
-
-// DepsOracle computes the exact block dependency graph by enumerating
-// every element-level update operation and mapping its source and target
-// elements to units. It is the ground truth the categorical engine is
-// validated against, and costs O(#updates).
-func (p *Partition) DepsOracle(ops *model.Ops) [][]int32 {
-	edges := make(map[int64]struct{})
-	add := func(t, s int32) {
-		if t != s {
-			edges[int64(t)<<32|int64(s)] = struct{}{}
-		}
-	}
-	rowInd := p.F.RowInd
-	ops.ForEachRun(func(r model.Run) {
-		srcJ := p.ElemUnit[r.Lo]
-		for q := r.Lo; q < r.Hi; q++ {
-			t := p.ElemUnit[r.Tgt[rowInd[q]]]
-			add(t, p.ElemUnit[q])
-			add(t, srcJ)
-		}
-	})
-	out := make([][]int32, len(p.Units))
-	for e := range edges {
-		t := int(e >> 32)
-		out[t] = append(out[t], int32(e&0xffffffff))
-	}
-	for t := range out {
-		sort.Slice(out[t], func(a, b int) bool { return out[t][a] < out[t][b] })
-	}
-	return out
 }

@@ -643,3 +643,34 @@ func FuzzPartitionDeps(f *testing.F) {
 		checkInvariants(t, NewPartition(f, opts))
 	})
 }
+
+// DepsOracle computes the exact block dependency graph by enumerating
+// every element-level update operation and mapping its source and target
+// elements to units. It is the ground truth the categorical engine is
+// validated against, and costs O(#updates).
+func (p *Partition) DepsOracle(ops *model.Ops) [][]int32 {
+	edges := make(map[int64]struct{})
+	add := func(t, s int32) {
+		if t != s {
+			edges[int64(t)<<32|int64(s)] = struct{}{}
+		}
+	}
+	rowInd := p.F.RowInd
+	ops.ForEachRun(func(r model.Run) {
+		srcJ := p.ElemUnit[r.Lo]
+		for q := r.Lo; q < r.Hi; q++ {
+			t := p.ElemUnit[r.Tgt[rowInd[q]]]
+			add(t, p.ElemUnit[q])
+			add(t, srcJ)
+		}
+	})
+	out := make([][]int32, len(p.Units))
+	for e := range edges {
+		t := int(e >> 32)
+		out[t] = append(out[t], int32(e&0xffffffff))
+	}
+	for t := range out {
+		sort.Slice(out[t], func(a, b int) bool { return out[t][a] < out[t][b] })
+	}
+	return out
+}

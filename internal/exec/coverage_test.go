@@ -14,8 +14,8 @@ import (
 )
 
 // uncovered returns the first read of a compiled program that neither
-// the reading task nor one of its direct predecessors wrote, "" when
-// every read is covered. A step over positions [lo, hi) of column j with
+// the reading task nor one of its ancestors — the tasks Run finishes
+// before it starts — wrote, "" when every read is covered. A step over positions [lo, hi) of column j with
 // sources [from, to) reads, for every source c in that range with a row
 // among the step's rows, those rows of c and L[j,c] (numeric.Kernel.Step
 // reads nothing of a source with none); when it scales (to == j) below the
@@ -24,7 +24,7 @@ import (
 // position's writer is the task whose step finishes it (to == j), or for
 // partial sums the task whose step stops at from. O(steps × sources).
 func uncovered(f *symbolic.Factor, pg *exec.Program) string {
-	steps, preds, _ := exec.ProgramGraph(pg)
+	steps, preds, graph := exec.ProgramGraph(pg)
 	fin, end := make([]int32, f.NNZ()), make([]int32, f.NNZ())
 	part := make(map[[2]int32]int32) // {lo, to} -> task of a step that stops short of its column
 	for q := range fin {
@@ -46,21 +46,16 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 			return fmt.Sprintf("position %d is never finished", q)
 		}
 	}
-	ri := f.Rows()
-	near := make([]int32, len(steps)) // near[v] == t+1: v is t or a direct predecessor of t
+	reach := ancestors(preds, graph)
 	for t, ss := range steps {
-		mark := int32(t + 1)
-		near[t] = mark
-		for _, pr := range preds[t] {
-			near[pr] = mark
-		}
+		covered := func(w int32) bool { return w == int32(t) || reach[t][w>>6]&(1<<(w&63)) != 0 }
 		for _, s := range ss {
 			j, lo, hi, from, to := int(s[0]), int(s[1]), int(s[2]), s[3], s[4]
 			at := func(what string, q int) string {
 				return fmt.Sprintf("task %d, step (%d, %d, %d, %d, %d): %s at position %d, written by task %d", t, j, lo, hi, from, to, what, q, fin[q])
 			}
 			rlo, rhi := f.RowInd[lo], f.RowInd[hi-1]
-			cols, pos := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], f.AppendRowPos(nil, j)
+			cols, pos := f.AppendRow(nil, j, false), f.AppendRow(nil, j, true)
 			for x, c := range cols {
 				if c < from || c >= to {
 					continue
@@ -70,20 +65,20 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 				a, _ := slices.BinarySearch(rs, rlo)
 				b, _ := slices.BinarySearch(rs, rhi+1)
 				a, b = p+a, p+b
-				if a < b && near[fin[p]] != mark {
+				if a < b && !covered(fin[p]) {
 					return at(fmt.Sprintf("L[%d,%d]", j, c), p)
 				}
 				for q := a; q < b; q = int(end[q]) {
-					if near[fin[q]] != mark {
+					if !covered(fin[q]) {
 						return at(fmt.Sprintf("source %d's rows", c), q)
 					}
 				}
 			}
-			if d := f.ColPtr[j]; int(to) == j && lo > d && near[fin[d]] != mark {
+			if d := f.ColPtr[j]; int(to) == j && lo > d && !covered(fin[d]) {
 				return at("the diagonal", d)
 			}
 			if from > 0 {
-				if w, ok := part[[2]int32{s[1], from}]; !ok || near[w] != mark {
+				if w, ok := part[[2]int32{s[1], from}]; !ok || !covered(w) {
 					return fmt.Sprintf("task %d resumes column %d at source %d without the partial sums before it", t, j, from)
 				}
 			}
@@ -92,8 +87,46 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 	return ""
 }
 
-// Every compiled program reads only what its own task or a direct
-// predecessor wrote: the suite under every 1D strategy (block-granular
+// ancestors returns, as one bit set per program task, the tasks that
+// reach it through preds: its ancestors. A split column's first half (a
+// program task whose graph task is another) precedes its graph task,
+// which every other task follows in index order.
+func ancestors(preds [][]int32, graph []int32) [][]uint64 {
+	n := len(preds)
+	words := (n + 63) / 64
+	reach, order := make([][]uint64, n), make([]int, 0, n)
+	half := make(map[int32]int)
+	for t, g := range graph {
+		if g != int32(t) {
+			half[g] = t
+		}
+	}
+	for t, g := range graph {
+		if g == int32(t) {
+			if h, ok := half[g]; ok {
+				order = append(order, h)
+			}
+			order = append(order, t)
+		}
+	}
+	for _, t := range order {
+		reach[t] = make([]uint64, words)
+		for _, pr := range preds[t] {
+			if reach[pr] == nil {
+				panic(fmt.Sprintf("task %d waits on task %d, not yet ordered", t, pr))
+			}
+			for w, b := range reach[pr] {
+				reach[t][w] |= b
+			}
+			reach[t][pr>>6] |= 1 << (pr & 63)
+		}
+	}
+	return reach
+}
+
+// Every compiled program reads only what its own task or an ancestor
+// wrote (a column graph waits on the last column of each run of a row,
+// whose run's earlier columns are that column's ancestors): the suite under every 1D strategy (block-granular
 // ones at grain 4 and 25, and at grain 4 with relaxation 0.3) and every 2D
 // mapper, at five processor counts (P = 2 and 3 under -race), split
 // columns included.
@@ -150,9 +183,10 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 }
 
 // The walk sees a missing dependency: the column graph of LAP30 under
-// wrap with one predecessor of one column dropped reads a source no
-// predecessor wrote, and so does the chain t-1 -> t whose task t holds
-// column n-1-t (a graph Compile accepts, whose factor is wrong).
+// wrap with the edge from one column's elimination-tree child dropped
+// reads a source no ancestor wrote, and so does the chain t-1 -> t whose
+// task t holds column n-1-t (a graph Compile accepts, whose factor is
+// wrong).
 func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 	sys := refSys(t, gen.Suite()[3])
 	n := sys.F.N
@@ -185,17 +219,19 @@ func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 		if msg := uncovered(sys.F, pg); msg != "" {
 			t.Fatalf("P=%d: intact graph: %s", p, msg)
 		}
+		// The child's subtree reaches j only through that edge.
 		j := len(tasks) - 1
 		for len(tasks[j].Preds) < 2 {
 			j--
 		}
+		child := slices.IndexFunc(tasks[j].Preds, func(c int32) bool { return sys.F.Parent[c] == j })
 		planted := append([]exec.Task(nil), tasks...)
-		planted[j].Preds = tasks[j].Preds[1:]
+		planted[j].Preds = slices.Delete(slices.Clone(tasks[j].Preds), child, child+1)
 		if pg, err = exec.Compile(sys.F, p, planted, sys.F.ColIndex()); err != nil {
 			t.Fatal(err)
 		}
 		if msg := uncovered(sys.F, pg); msg == "" {
-			t.Fatalf("P=%d: column %d without predecessor %d passes", p, j, tasks[j].Preds[0])
+			t.Fatalf("P=%d: column %d without predecessor %d passes", p, j, tasks[j].Preds[child])
 		} else {
 			t.Logf("P=%d: %s", p, msg)
 		}

@@ -171,16 +171,21 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 }
 
 // ColumnTasksMapped builds the task graph of a column-granular mapping:
-// one task per column, run by owner[j] and depending on every column of
-// its row structure.
-func ColumnTasksMapped(f *symbolic.Factor, ops *model.Ops, elemWork []int64, owner []int32) []Task {
+// one task per column, run by owner[j]. Column j needs every column k < j
+// with L[j,k] != 0 final, and waits on the last column of each of row j's
+// runs (symbolic.RowIndex): a view of the row index, no copy. Every other
+// column of a run precedes its last through the run's chain (column c+1
+// waits on c, its child), so the graph orders exactly what the full rows
+// order.
+func ColumnTasksMapped(f *symbolic.Factor, elemWork []int64, owner []int32) []Task {
 	colWork := model.ColumnWork(f, elemWork)
+	ri := f.Rows()
 	tasks := make([]Task, f.N)
 	for j := 0; j < f.N; j++ {
 		tasks[j] = Task{
 			Proc:  owner[j],
 			Work:  colWork[j],
-			Preds: ops.RowCols(j),
+			Preds: ri.Last[ri.RunPtr[j]:ri.RunPtr[j+1]:ri.RunPtr[j+1]],
 		}
 	}
 	return tasks

@@ -50,7 +50,7 @@ func columnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []int64, p int) []
 	for j := range owner {
 		owner[j] = int32(j % p)
 	}
-	return ColumnTasksMapped(f, ops, elemWork, owner)
+	return ColumnTasksMapped(f, elemWork, owner)
 }
 
 // compileBlocks compiles the block schedule s of part as a block plan

@@ -80,5 +80,16 @@ func HeldEdges(pg *Program) (indeg, half, succ int) {
 // SuccessorsRef exports successorsRef, the oracle of ProgramSuccessors.
 var SuccessorsRef = successorsRef
 
+// FullRows and ColumnWaitsRef export the full-row oracle of a column
+// graph (successors_ref_test.go).
+var (
+	FullRows       = fullRows
+	ColumnWaitsRef = columnWaitsRef
+)
+
+// Indegrees returns how many predecessors Run waits on for every program
+// task, nil for a one-worker program.
+func Indegrees(pg *Program) []int32 { return pg.indeg }
+
 // IsColumnGraph reports whether pg reads its successors off its factor.
 func IsColumnGraph(pg *Program) bool { return pg.column }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,10 +54,11 @@ import (
 //
 // The edges are held once. A one-worker program runs its tasks in index
 // order and keeps none. A column graph — task j is column j and waits on
-// exactly row j of f.Rows(), as ColumnTasksMapped builds it — reads its
-// successors off the factor: column c's are the rows below its diagonal,
-// f.RowInd[ColPtr[c]+1 : ColPtr[c+1]]. Only a block or tile graph on more
-// than one worker keeps a transposed successor list.
+// the last column of each run of row j of f.Rows(), as ColumnTasksMapped
+// builds it — reads its successors off the factor: column c's are the
+// rows below its diagonal, f.RowInd[ColPtr[c]+1 : ColPtr[c+1]], in which
+// c ends its run (symbolic.Factor.Chained fails). Only a block or tile
+// graph on more than one worker keeps a transposed successor list.
 type Program struct {
 	f *symbolic.Factor
 	p int
@@ -167,13 +169,18 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if p == 1 {
 		return pg, nil
 	}
-	pg.column = whole && pg.columnGraph(preds)
-	preds = pg.split(preds)
-	n := len(preds)
-	pg.indeg, pg.own = make([]int32, n), make([]int32, p)
-	for i, ps := range preds {
+	if pg.column = whole && pg.columnGraph(preds); pg.column {
+		pg.split()
+	} else {
+		pg.indeg = make([]int32, nt)
+		for i, ps := range preds {
+			pg.indeg[i] = int32(len(ps))
+		}
+	}
+	n := pg.Tasks()
+	pg.own = make([]int32, p)
+	for i := 0; i < n; i++ {
 		pg.own[tasks[pg.graphTask(int32(i))].Proc]++
-		pg.indeg[i] = int32(len(ps))
 	}
 	if pg.column {
 		if len(pg.first) > 0 {
@@ -230,11 +237,11 @@ func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
 
 // columnGraph reports whether preds, the graph's, are those of the column
 // graph of the factor, given that task j is column j: task j waits on the
-// columns of row j of f.Rows() in ascending order.
+// last columns of row j's runs of f.Rows(), in ascending order.
 func (pg *Program) columnGraph(preds [][]int32) bool {
 	ri := pg.f.Rows()
 	for t, ps := range preds {
-		if !slices.Equal(ps, ri.Cols[ri.Ptr[t]:ri.Ptr[t+1]]) {
+		if !slices.Equal(ps, ri.Last[ri.RunPtr[t]:ri.RunPtr[t+1]]) {
 			return false
 		}
 	}
@@ -243,9 +250,11 @@ func (pg *Program) columnGraph(preds [][]int32) bool {
 
 // successors appends to dst the program tasks that wait for task t. A
 // first half's is its column. In a column graph column t's are the rows
-// below its diagonal, each row's own task, or its first half unless t is
-// the last source of the split column (the second half's step starts
-// there). In any other graph they are the transposed list.
+// below its diagonal in which t is the last of its run (not Chained to
+// t+1), each row's own task, or its first half unless t is the last
+// source of the split column (the second half's step starts there); a
+// split column's first half also waits on t when t+1 is that last source
+// and in t's run. In any other graph they are the transposed list.
 func (pg *Program) successors(dst []int32, t int32) []int32 {
 	if g := pg.graphTask(t); g != t {
 		return append(dst, g)
@@ -254,11 +263,24 @@ func (pg *Program) successors(dst []int32, t int32) []int32 {
 		return append(dst, pg.succ[pg.succPtr[t]:pg.succPtr[t+1]]...)
 	}
 	f, nt := pg.f, int32(len(pg.tasks))
-	for _, i := range f.RowInd[f.ColPtr[t]+1 : f.ColPtr[t+1]] {
-		if pg.half != nil && pg.half[i] >= 0 && t < pg.steps[2*(pg.half[i]-nt)+1].from {
-			i = pg.half[i]
+	hi := f.ColPtr[t+1]
+	for q := f.ColPtr[t] + 1; q < hi; q++ {
+		i, h, from := f.RowInd[q], int32(-1), int32(0)
+		if pg.half != nil {
+			if h = pg.half[i]; h >= 0 {
+				from = pg.steps[2*(h-nt)+1].from
+			}
 		}
-		dst = append(dst, i)
+		switch {
+		case f.Chained(int(t), q):
+			if h >= 0 && t+1 == from {
+				dst = append(dst, h)
+			}
+		case h >= 0 && t < from:
+			dst = append(dst, h)
+		default:
+			dst = append(dst, i)
+		}
 	}
 	return dst
 }
@@ -316,35 +338,44 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 }
 
 // split picks the columns of a column graph that run as two tasks and
-// returns every program task's predecessors: preds, the graph's, except
-// that split column k's first half — program task len(preds)+k, a step
-// over the sources before the last one — takes its column's but the last
-// source's, and its second half, the graph task's step now starting at
-// the last source, waits for the first half and that source. A column
-// splits when its last source runs on another worker and the sources
-// before it carry at least splitRatio times that source's updates plus
-// the column's length. Any other graph splits nothing.
-func (pg *Program) split(preds [][]int32) [][]int32 {
-	if !pg.column {
-		return preds
-	}
+// counts every program task's predecessors into indeg. Column j waits on
+// the last column of each of row j's runs, a run held as several records
+// counting once (successors signals only its end). Split column k's first
+// half — program task len(tasks)+k, a step over the sources before the
+// last one — waits on the same but the last source, and on the column
+// before it when that is in the last source's run; its second half, the
+// graph task's step now starting at the last source, waits for the first
+// half and that source. A column splits when its last source runs on
+// another worker and the sources before it carry at least splitRatio
+// times that source's updates plus the column's length.
+func (pg *Program) split() {
 	tasks, f, ri := pg.tasks, pg.f, pg.f.Rows()
-	for j, cols := range preds {
-		if len(cols) == 0 {
+	// ends reports whether record x ends its run.
+	ends := func(x int32) bool {
+		c := int(ri.Last[x])
+		return ri.RunLen[x] < math.MaxUint8 || !f.Chained(c, f.ColPtr[c+1]-int(ri.Tail[x]))
+	}
+	pg.indeg = make([]int32, len(tasks))
+	for j := range tasks {
+		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
+		for y := x; y < end; y++ {
+			if ends(y) {
+				pg.indeg[j]++
+			}
+		}
+		if x == end {
 			continue
 		}
 		// Source c's updates to column j are its rows from j down, its
 		// run's tail; the last source ends the row's last run.
-		e, x, end := len(cols)-1, ri.RunPtr[j], ri.RunPtr[j+1]
-		last := cols[e]
+		last := ri.Last[end-1]
 		if tasks[last].Proc == tasks[j].Proc {
 			continue
 		}
 		lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-		need := splitRatio * (int(ri.Tail[end-1]) + hi - lo)
-		for ; need > 0 && e > 0; x++ {
-			m := min(int(ri.RunLen[x]), e)
-			need, e = need-m*int(ri.Tail[x]), e-m
+		need := splitRatio*(int(ri.Tail[end-1])+hi-lo) + int(ri.Tail[end-1]) // the loop takes the last's off
+		for y := x; need > 0 && y < end; y++ {
+			need -= int(ri.RunLen[y]) * int(ri.Tail[y])
 		}
 		if need > 0 {
 			continue
@@ -352,15 +383,15 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 		pg.first = append(pg.first, int32(j))
 		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
 	}
-	nt := len(preds)
-	second := make([]int32, 2*len(pg.first))
-	for k, t := range pg.first {
-		ps := preds[t]
-		preds = append(preds, ps[:len(ps)-1:len(ps)-1])
-		second[2*k], second[2*k+1] = int32(nt+k), ps[len(ps)-1]
-		preds[t] = second[2*k : 2*k+2 : 2*k+2]
+	for _, j := range pg.first {
+		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
+		d := pg.indeg[j] - 1
+		if ri.RunLen[end-1] > 1 || (end-1 > x && !ends(end-2)) {
+			d++
+		}
+		pg.indeg = append(pg.indeg, d)
+		pg.indeg[j] = 2
 	}
-	return preds
 }
 
 // Tasks reports how many tasks a Run executes: one per task of the
@@ -387,10 +418,12 @@ func (pg *Program) graphTask(t int32) int32 {
 // every task execution is timestamped (nanoseconds since the workers
 // started) and the events are returned indexed by task ID of the compiled
 // graph; Cause is the predecessor whose retirement released a task its
-// worker was waiting for, -1 otherwise. A split column's two halves fold
-// into its one event: Start and Cause from the first, Finish from the
-// second, Work and Stall summed, so Work is the column's busy time and
-// Finish-Start may also span other tasks run between the halves.
+// worker was waiting for (for a split column, possibly the column before
+// its last source, which its first half waits on), -1 otherwise. A split
+// column's two halves fold into its one event: Start and Cause from the
+// first, Finish from the second, Work and Stall summed, so Work is the
+// column's busy time and Finish-Start may also span other tasks run
+// between the halves.
 //
 // A pivot the serial kernel would reject is reported as the serial
 // kernel's error (errors.As finds its *numeric.NotPositiveDefiniteError),

@@ -31,10 +31,6 @@ type Ops struct {
 // rows are the factor's own row index, one copy per factor.
 func NewOps(f *symbolic.Factor) *Ops { return &Ops{F: f, rows: f.Rows()} }
 
-// RowCols returns the columns k < r with L[r,k] != 0 (the factor's row
-// structure), in increasing order. The slice aliases internal storage.
-func (o *Ops) RowCols(r int) []int32 { return o.rows.Cols[o.rows.Ptr[r]:o.rows.Ptr[r+1]] }
-
 // Run is every pair update one source column k makes to one target
 // column j (k in the row structure of j): the source positions [Lo, Hi)
 // are the elements (i, k) of column k with i >= j, Lo being (j, k)
@@ -65,17 +61,12 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 		for t, i := range f.Col(j) {
 			tgt[i] = int32(base + t)
 		}
-		// x is the next run; left counts the entries the current one has
-		// left, all with its tail.
-		x, left, tail := ri.RunPtr[j], uint8(0), int32(0)
-		for _, k := range o.RowCols(j) {
-			if left == 0 {
-				left, tail = ri.RunLen[x], ri.Tail[x]
-				x++
+		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+			last, tail := ri.Last[x], ri.Tail[x]
+			for k := last - int32(ri.RunLen[x]) + 1; k <= last; k++ {
+				hi := int32(f.ColPtr[k+1])
+				fn(Run{Col: j, Lo: hi - tail, Hi: hi, Tgt: tgt})
 			}
-			left--
-			hi := int32(f.ColPtr[k+1])
-			fn(Run{Col: j, Lo: hi - tail, Hi: hi, Tgt: tgt})
 		}
 	}
 }
@@ -96,13 +87,11 @@ func (o *Ops) UpdateCounts() []int32 {
 		for t, i := range f.Col(j) {
 			tgt[i] = int32(base + t)
 		}
-		e := ri.Ptr[j]
 		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
-			hi := f.ColPtr[ri.Cols[e]+1]
+			hi := f.ColPtr[ri.Last[x]+1]
 			for _, i := range f.RowInd[hi-int(ri.Tail[x]) : hi] {
 				counts[tgt[i]] += int32(ri.RunLen[x])
 			}
-			e += int32(ri.RunLen[x])
 		}
 	}
 	return counts

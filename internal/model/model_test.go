@@ -97,7 +97,7 @@ func TestUpdateCountsDiagonal(t *testing.T) {
 	o := NewOps(fac)
 	counts := o.UpdateCounts()
 	for j := 0; j < fac.N; j++ {
-		if got, want := counts[fac.ColPtr[j]], int32(len(o.RowCols(j))); got != want {
+		if got, want := counts[fac.ColPtr[j]], int32(len(fac.AppendRow(nil, j, false))); got != want {
 			t.Fatalf("diag count col %d = %d, want %d", j, got, want)
 		}
 	}
@@ -153,13 +153,12 @@ func TestDenseWorkClosedForm(t *testing.T) {
 
 func TestRowColsMatchColumnStructure(t *testing.T) {
 	fac := analyzed(9)
-	o := NewOps(fac)
-	// (j in RowCols(r)) iff (r in Col(j) below diagonal).
+	// (j in row r of the row index) iff (r in Col(j) below diagonal).
 	count := 0
 	for r := 0; r < fac.N; r++ {
-		for _, j := range o.RowCols(r) {
+		for _, j := range fac.AppendRow(nil, r, false) {
 			if !fac.Has(r, int(j)) {
-				t.Fatalf("RowCols(%d) lists %d but factor lacks the entry", r, j)
+				t.Fatalf("row %d lists %d but factor lacks the entry", r, j)
 			}
 			count++
 		}
@@ -171,7 +170,7 @@ func TestRowColsMatchColumnStructure(t *testing.T) {
 
 // TestRowIndexMatchesPerRowLists rebuilds the row index the way NewOps
 // did before it moved to two arenas — one appended list per row — and
-// holds RowCols and the positions the runs give to it.
+// holds the columns and positions the runs give to it.
 func TestRowIndexMatchesPerRowLists(t *testing.T) {
 	facs := []*symbolic.Factor{analyzed(3), analyzed(9), symbolic.Analyze(gen.Random(1, 0, 1)), symbolic.Analyze(gen.Random(0, 0, 1))}
 	lap := gen.Lap30()
@@ -188,9 +187,8 @@ func TestRowIndexMatchesPerRowLists(t *testing.T) {
 				pos[i] = append(pos[i], int32(fac.ColPtr[j]+1+t))
 			}
 		}
-		o := NewOps(fac)
 		for r := 0; r < fac.N; r++ {
-			if !slices.Equal(o.RowCols(r), cols[r]) || !slices.Equal(fac.AppendRowPos(nil, r), pos[r]) {
+			if !slices.Equal(fac.AppendRow(nil, r, false), cols[r]) || !slices.Equal(fac.AppendRow(nil, r, true), pos[r]) {
 				t.Fatalf("n=%d: row %d of the index departs from the per-row lists", fac.N, r)
 			}
 		}

@@ -294,10 +294,11 @@ func TestGroupsHaveIdenticalTails(t *testing.T) {
 		f, ri := c.f, c.f.Rows()
 		var madds [5]int64
 		for j := 0; j < f.N; j++ {
-			e := ri.Ptr[j]
 			for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
-				n, run := int(ri.Tail[x]), ri.Cols[e:e+int32(ri.RunLen[x])]
-				e += int32(ri.RunLen[x])
+				n, run := int(ri.Tail[x]), make([]int32, ri.RunLen[x])
+				for y := range run {
+					run[y] = ri.Last[x] - int32(len(run)-1-y)
+				}
 				lead := f.RowInd[f.ColPtr[run[0]+1]-n : f.ColPtr[run[0]+1]]
 				if int(lead[0]) != j {
 					t.Fatalf("%s: row %d run %d of %d sources points at row %d", c.name, j, x, len(run), lead[0])

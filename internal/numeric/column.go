@@ -66,22 +66,13 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 		w[i] = col[x]
 	}
 	ri := f.Rows()
-	// x is the run holding the first source, skip its sources before it.
-	cols, x, end, skip := ri.Cols[ri.Ptr[j]:ri.Ptr[j+1]], ri.RunPtr[j], ri.RunPtr[j+1], 0
-	if from > 0 || to < j {
-		a, _ := slices.BinarySearch(cols, int32(from))
-		b, _ := slices.BinarySearch(cols, int32(to))
-		for skip = a; x < end && skip >= int(ri.RunLen[x]); x++ {
-			skip -= int(ri.RunLen[x])
-		}
-		cols = cols[a:b]
-	}
-	tails, lens := ri.Tail[x:end], ri.RunLen[x:end]
+	x, y := ri.RunPtr[j], ri.RunPtr[j+1]
+	runs := runs{ri.Last[x:y], ri.Tail[x:y], ri.RunLen[x:y], int32(from), int32(to)}
 	diag := f.ColPtr[j]
 	if lo == diag && hi == f.ColPtr[j+1] {
-		k.update(f, val, w, cols, tails, lens, skip)
+		k.update(f, val, w, runs)
 	} else {
-		k.updateRun(f, val, w, cols, tails, lens, skip, j, rows[0], rows[len(rows)-1])
+		k.updateRun(f, val, w, runs, j, rows[0], rows[len(rows)-1])
 	}
 	if !finish {
 		for x, i := range rows {
@@ -110,20 +101,36 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 	return nil
 }
 
+// runs is the sources of one step: the records of row j of
+// symbolic.Factor.Rows, each the columns Last−RunLen+1 to Last, clipped
+// to the columns c with from <= c < to (a split column's halves).
+type runs struct {
+	lasts, tails []int32
+	lens         []uint8
+	from, to     int32
+}
+
+// at returns run x's first source and number of sources, 0 when the
+// clip leaves it none, and its tail length.
+func (rs runs) at(x int) (c0 int32, m, n int) {
+	last := min(rs.lasts[x], rs.to-1)
+	c0 = max(rs.lasts[x]-int32(rs.lens[x])+1, rs.from)
+	return c0, max(int(last-c0+1), 0), int(rs.tails[x])
+}
+
 // update applies to w, holding column j, the pair updates of the sources
-// cols, entries of row j of symbolic.Factor.Rows from the run tails[0] on,
-// whose first skip entries are not in cols: w[i] -= L[i,c]·l for each
-// source c in ascending order and each row i >= j of column c, where l is
-// L[j,c] for Cholesky and D[c]·L[j,c] for LDLᵀ. That order, one source at
-// a time, defines the factor's bits; the sources of one run hold the same
-// rows, and go through passes of four, two and one, each subtracting from
-// an element in the same order.
-func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, tails []int32, lens []uint8, skip int) {
-	for x := 0; len(cols) > 0; x++ {
-		n, m := int(tails[x]), min(int(lens[x])-skip, len(cols))
-		p := f.ColPtr[cols[0]+1] - n
-		k.passes(f, val, w, f.RowInd[p:p+n], cols[:m], n, 0)
-		cols, skip = cols[m:], 0
+// of rs: w[i] -= L[i,c]·l for each source c in ascending order and each
+// row i >= j of column c, where l is L[j,c] for Cholesky and D[c]·L[j,c]
+// for LDLᵀ. That order, one source at a time, defines the factor's bits;
+// the sources of one run hold the same rows, and go through passes of
+// four, two and one, each subtracting from an element in the same order.
+func (k Kernel) update(f *symbolic.Factor, val, w []float64, rs runs) {
+	for x := range rs.lasts {
+		c0, m, n := rs.at(x)
+		if m > 0 {
+			p := f.ColPtr[c0+1] - n
+			k.passes(f, val, w, f.RowInd[p:p+n], c0, m, n, 0)
+		}
 	}
 }
 
@@ -135,30 +142,32 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, cols, tails []int32
 // with no row there is not read. update keeps a loop of its own: folded
 // into it, the search and its bookkeeping cost the whole-column step
 // 3–7 %, even behind a loop-invariant branch.
-func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, cols, tails []int32, lens []uint8, skip, j int, rlo, rhi int32) {
+func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, rs runs, j int, rlo, rhi int32) {
 	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
-	for x := 0; len(cols) > 0; x++ {
-		n, m := int(tails[x]), min(int(lens[x])-skip, len(cols))
-		p := f.ColPtr[cols[0]+1] - n
-		rs, a := f.RowInd[p:p+n], 0
+	for x := range rs.lasts {
+		c0, m, n := rs.at(x)
+		if m == 0 {
+			continue
+		}
+		p := f.ColPtr[c0+1] - n
+		band, a := f.RowInd[p:p+n], 0
 		if int(rlo) > j {
-			a, _ = slices.BinarySearch(rs, rlo)
+			a, _ = slices.BinarySearch(band, rlo)
 		}
-		if rs = rs[a:]; rhi < last {
-			b, _ := slices.BinarySearch(rs, rhi+1)
-			rs = rs[:b]
+		if band = band[a:]; rhi < last {
+			b, _ := slices.BinarySearch(band, rhi+1)
+			band = band[:b]
 		}
-		if len(rs) > 0 {
-			k.passes(f, val, w, rs, cols[:m], n, a)
+		if len(band) > 0 {
+			k.passes(f, val, w, band, c0, m, n, a)
 		}
-		cols, skip = cols[m:], 0
 	}
 }
 
-// passes subtracts from w the updates of run, sources of one run of row j
-// holding n rows from row j down, over rs, the rows a onwards of that
-// tail: four sources a pass, then two, then one.
-func (k Kernel) passes(f *symbolic.Factor, val, w []float64, rs, run []int32, n, a int) {
+// passes subtracts from w the updates of the m sources c, c+1, … of one
+// run of row j, holding n rows from row j down, over rs, the rows a
+// onwards of that tail: four sources a pass, then two, then one.
+func (k Kernel) passes(f *symbolic.Factor, val, w []float64, rs []int32, c int32, m, n, a int) {
 	// src is source c's values from row j down, a rows in, and its
 	// multiplier.
 	src := func(c int32) ([]float64, float64) {
@@ -168,21 +177,21 @@ func (k Kernel) passes(f *symbolic.Factor, val, w []float64, rs, run []int32, n,
 		}
 		return val[p+a:], val[p]
 	}
-	for ; len(run) >= 4; run = run[4:] {
-		v0, l0 := src(run[0])
-		v1, l1 := src(run[1])
-		v2, l2 := src(run[2])
-		v3, l3 := src(run[3])
+	for ; m >= 4; c, m = c+4, m-4 {
+		v0, l0 := src(c)
+		v1, l1 := src(c + 1)
+		v2, l2 := src(c + 2)
+		v3, l3 := src(c + 3)
 		sub4(w, rs, v0, v1, v2, v3, l0, l1, l2, l3)
 	}
-	if len(run) >= 2 {
-		v0, l0 := src(run[0])
-		v1, l1 := src(run[1])
+	if m >= 2 {
+		v0, l0 := src(c)
+		v1, l1 := src(c + 1)
 		sub2(w, rs, v0, v1, l0, l1)
-		run = run[2:]
+		c, m = c+2, m-2
 	}
-	if len(run) == 1 {
-		v0, l0 := src(run[0])
+	if m == 1 {
+		v0, l0 := src(c)
 		sub1(w, rs, v0, l0)
 	}
 }

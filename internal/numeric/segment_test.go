@@ -100,7 +100,6 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := symbolic.Analyze(pm)
-		ri := f.Rows()
 		for _, km := range segmentKernels(pm) {
 			k, m := km.k, km.m
 			want, err := k.Factorize(m, f)
@@ -134,8 +133,9 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 					if lo > diag {
 						show(want, diag, diag+1)
 					}
-					for e, p := range f.AppendRowPos(nil, j) {
-						c := int(ri.Cols[int(ri.Ptr[j])+e])
+					cols := f.AppendRow(nil, j, false)
+					for e, p := range f.AppendRow(nil, j, true) {
+						c := int(cols[e])
 						for _, i := range f.RowInd[p:f.ColPtr[c+1]] {
 							if rlo <= i && i <= rhi {
 								show(want, f.ColPtr[c], f.ColPtr[c+1])
@@ -208,8 +208,8 @@ func TestStepSplitAtLastSource(t *testing.T) {
 				lo, hi := f.ColPtr[j], f.ColPtr[j+1]
 				copy(val[lo:hi], a[lo:hi])
 				last := j
-				if e := ri.Ptr[j+1]; e > ri.Ptr[j] {
-					last = int(ri.Cols[e-1])
+				if e := ri.RunPtr[j+1]; e > ri.RunPtr[j] {
+					last = int(ri.Last[e-1])
 					c := val[f.ColPtr[last]:f.ColPtr[last+1]]
 					for q := range c {
 						c[q] = math.NaN()

@@ -108,22 +108,6 @@ type Schedule2D struct {
 // R returns the number of diagonal intervals (the tiling is R x R).
 func (s *Schedule2D) R() int { return len(s.bounds) - 1 }
 
-// Tiles returns the number of non-empty tiles, at most nnz(L).
-func (s *Schedule2D) Tiles() int { return len(s.owner) }
-
-// TileOwner returns the processor owning tile (r, c), or -1 when the tile
-// holds no factor nonzero (an empty tile has no owner) or lies outside the
-// lower triangle 0 <= c <= r < R.
-func (s *Schedule2D) TileOwner(r, c int) int32 {
-	if c < 0 || c > r || r >= s.R() {
-		return -1
-	}
-	if t, ok := findTile(s.tilePtr, s.tileRow, r, c); ok {
-		return s.owner[t]
-	}
-	return -1
-}
-
 // findTile returns the index of tile (r, c) in the index (ptr, row), and
 // whether the tile is there (non-empty).
 func findTile(ptr, row []int32, r, c int) (int, bool) {

@@ -26,8 +26,9 @@ import (
 // On a column-granular tiling — every tile of a block column on the
 // owner of its diagonal tile, as produced by the col2d lift — each column
 // collapses to a single group whose work is the column work and whose
-// predecessor set is exactly the column's row structure, i.e. the graph of
-// exec.ColumnTasksMapped. exec.Simulate is therefore bit-identical on a
+// predecessor set is the column's row structure, which
+// exec.ColumnTasksMapped's graph orders alike waiting on the last column
+// of each run of the row only. exec.Simulate is therefore bit-identical on a
 // lift and on its 1D schedule, which the regression tests pin at
 // P in {1, 4, 16}. The constructor reads that case off the tile owners
 // once, in O(tiles), never assumed from the mapper, and Tasks answers it
@@ -43,7 +44,7 @@ import (
 func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
 	if s.colProc != nil {
-		return exec.ColumnTasksMapped(f, ops, elemWork, s.colProc), f.ColIndex()
+		return exec.ColumnTasksMapped(f, elemWork, s.colProc), f.ColIndex()
 	}
 	return segmentTasks(ops, elemWork, s)
 }
@@ -261,10 +262,10 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 	run := make([]int32, 0, int(sg.start[len(sg.block)])-n)
 	most, total, ri := 0, 0, ops.F.Rows()
 	for j := 0; j < n; j++ {
-		bound, e := int(first[j+1]-first[j])-1, ri.Ptr[j]
+		bound := int(first[j+1]-first[j]) - 1
 		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
-			m := int32(ri.RunLen[x])
-			for _, k := range ri.Cols[e : e+m] {
+			last := ri.Last[x]
+			for k := last - int32(ri.RunLen[x]) + 1; k <= last; k++ {
 				u, p := cursor[k], int32(ops.F.ColPtr[k+1])-ri.Tail[x]
 				for sg.start[u+1] <= p {
 					u++
@@ -273,7 +274,6 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 				run = append(run, u)
 				bound += 2 * int(sg.col[k+1]-u)
 			}
-			e += m
 		}
 		most, total = max(most, bound), total+bound
 	}
@@ -296,30 +296,33 @@ func (sg *segments) preds(ops *model.Ops, tasks []exec.Task, first, rel []int32)
 		for u := sg.col[j]; u < sg.col[j+1]; u++ {
 			tb[sg.block[u]] = rel[u]
 		}
-		for _, k := range ops.RowCols(j) {
-			u, z := run[r], sg.col[k+1]
-			r++
-			for s := u; s < z; s++ {
-				t := tb[sg.block[s]]
-				if tick[t] != r {
-					tick[t] = r
-					touched = append(touched, t)
+		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+			last := ri.Last[x]
+			for k := last - int32(ri.RunLen[x]) + 1; k <= last; k++ {
+				u, z := run[r], sg.col[k+1]
+				r++
+				for s := u; s < z; s++ {
+					t := tb[sg.block[s]]
+					if tick[t] != r {
+						tick[t] = r
+						touched = append(touched, t)
+					}
+					v := rel[s]
+					mask[int(t)*words+int(v>>6)] |= 1 << (v & 63)
 				}
-				v := rel[s]
-				mask[int(t)*words+int(v>>6)] |= 1 << (v & 63)
-			}
-			v, k0 := rel[u], first[k]
-			for _, t := range touched {
-				m := mask[int(t)*words:][:words]
-				m[v>>6] |= 1 << (v & 63)
-				for y, b := range m {
-					if b != 0 {
-						buf = append(buf, entry{t, k0 + int32(64*y), b})
-						m[y] = 0
+				v, k0 := rel[u], first[k]
+				for _, t := range touched {
+					m := mask[int(t)*words:][:words]
+					m[v>>6] |= 1 << (v & 63)
+					for y, b := range m {
+						if b != 0 {
+							buf = append(buf, entry{t, k0 + int32(64*y), b})
+							m[y] = 0
+						}
 					}
 				}
+				touched = touched[:0]
 			}
-			touched = touched[:0]
 		}
 		for t := int32(1); t < g; t++ {
 			buf = append(buf, entry{t, f0, 1})

@@ -174,7 +174,8 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 
 // checkSegmentsMatchWalk holds Tasks, FetchStats and Traffic — and the
 // segment pass itself, past the column-granular shortcut — to the element
-// walk: the same tasks (ID, Proc, Work, Preds with nil equal to empty) and
+// walk: the same tasks (ID, Proc, Work, Preds with nil equal to empty; on
+// a column-granular schedule Tasks' are cut to run ends, runEndTasks) and
 // element map, the same Vol and Msgs task by task, the same per-tile
 // fan-out and fan-in. FetchStats must accept every map Tasks returns, and
 // panic on one task per element when that splits a row-block segment (it
@@ -189,7 +190,11 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		fn   func(*model.Ops, []int64, *Schedule2D) ([]exec.Task, []int32)
 	}{{"Tasks", Tasks}, {"segmentTasks", segmentTasks}} {
 		tasks, elemTask := e.fn(ops, elemWork, s)
-		if err := sameTasks(tasks, wantTasks); err != nil || !slices.Equal(elemTask, wantElemTask) {
+		want := wantTasks
+		if e.name == "Tasks" && s.colProc != nil {
+			want = runEndTasks(f, wantTasks)
+		}
+		if err := sameTasks(tasks, want); err != nil || !slices.Equal(elemTask, wantElemTask) {
 			t.Fatalf("%s: %s differ from the walk: %v", label, e.name, err)
 		}
 		if got := FetchStats(ops, s, len(tasks), elemTask); !reflect.DeepEqual(got, wantFetch) {

@@ -315,6 +315,32 @@ func sameTasks(a, b []exec.Task) error {
 	return nil
 }
 
+// runEndTasks is tasks, a column graph with the walk's predecessors —
+// task j is column j and waits on row j of the factor — cut to the graph
+// exec.ColumnTasksMapped builds: each row keeps the last column of each
+// run record of symbolic.RowIndex, a record being consecutive columns,
+// each the elimination-tree parent of the one before and holding the same
+// rows from row j down, at most 255 of them. Read off the columns.
+func runEndTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
+	tail := func(c int32, j int) int {
+		col := f.Col(int(c))
+		k, _ := slices.BinarySearch(col, int32(j))
+		return len(col) - k
+	}
+	out := slices.Clone(tasks)
+	for j := range out {
+		ps, m := tasks[j].Preds, 0
+		var ends []int32
+		for e, c := range ps {
+			if m++; e+1 == len(ps) || m == 255 || ps[e+1] != c+1 || f.Parent[c] != int(c+1) || tail(c, j) != tail(c+1, j) {
+				ends, m = append(ends, c), 0
+			}
+		}
+		out[j].Preds = ends
+	}
+	return out
+}
+
 // checkAgainstRef holds a schedule to its dense twin: the same derived
 // ownership, a tile store holding exactly the tiles with a factor nonzero
 // (each once, rows ascending, the diagonal first) under the dense owners,
@@ -365,7 +391,11 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int6
 
 	tasks, elemTask := Tasks(ops, elemWork, s)
 	wantTasks, wantElemTask := walkTasks(ops, elemWork, ref.ElemProc)
-	if err := sameTasks(tasks, wantTasks); err != nil || !slices.Equal(elemTask, wantElemTask) {
+	wantGraph := wantTasks
+	if s.colProc != nil {
+		wantGraph = runEndTasks(f, wantTasks)
+	}
+	if err := sameTasks(tasks, wantGraph); err != nil || !slices.Equal(elemTask, wantElemTask) {
 		t.Fatalf("%s: Tasks differ from the dense walk: %v", label, err)
 	}
 	got := FetchStats(ops, s, len(tasks), elemTask)
@@ -602,4 +632,20 @@ func FuzzTiles2D(f *testing.F) {
 			check("lift", s2, refLift(sys, sc))
 		}
 	})
+}
+
+// Tiles returns the number of non-empty tiles, at most nnz(L).
+func (s *Schedule2D) Tiles() int { return len(s.owner) }
+
+// TileOwner returns the processor owning tile (r, c), or -1 when the tile
+// holds no factor nonzero (an empty tile has no owner) or lies outside the
+// lower triangle 0 <= c <= r < R.
+func (s *Schedule2D) TileOwner(r, c int) int32 {
+	if c < 0 || c > r || r >= s.R() {
+		return -1
+	}
+	if t, ok := findTile(s.tilePtr, s.tileRow, r, c); ok {
+		return s.owner[t]
+	}
+	return -1
 }

@@ -100,17 +100,15 @@ func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
 		for attempt := 0; ; attempt++ {
 			addLoad[t] = elemWork[f.ColPtr[x]] // diagonal -> tile (t, t)
 			touched = append(touched[:0], int32(t))
-			e := ri.Ptr[x]
 			for r := ri.RunPtr[x]; r < ri.RunPtr[x+1]; r++ {
-				m := int32(ri.RunLen[r])
-				for _, k := range ri.Cols[e : e+m] {
+				last, tail := ri.Last[r], int(ri.Tail[r])
+				for k := last - int32(ri.RunLen[r]) + 1; k <= last; k++ {
 					u := ivl[k]
 					if addLoad[u] == 0 {
 						touched = append(touched, u)
 					}
-					addLoad[u] += elemWork[f.ColPtr[k+1]-int(ri.Tail[r])]
+					addLoad[u] += elemWork[f.ColPtr[k+1]-tail]
 				}
-				e += m
 			}
 			fits := true
 			for _, u := range touched {

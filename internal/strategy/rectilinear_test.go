@@ -25,8 +25,8 @@ func tileMax(ops *model.Ops, elemWork []int64, bounds []int) int64 {
 	tiles := make([]int64, p*p)
 	for x := 0; x < n; x++ {
 		tiles[int(iv[x])*p+int(iv[x])] += elemWork[f.ColPtr[x]]
-		pos := f.AppendRowPos(nil, x)
-		for i, k := range ops.RowCols(x) {
+		pos := f.AppendRow(nil, x, true)
+		for i, k := range f.AppendRow(nil, x, false) {
 			tiles[int(iv[x])*p+int(iv[k])] += elemWork[pos[i]]
 		}
 	}

@@ -125,10 +125,15 @@ func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
 	if sc.ColProc == nil || sc.F != f {
 		return nil, nil, fmt.Errorf("strategy: schedule is not a column schedule of the analysis factor")
 	}
+	// A column reads every column of its row, not only the ends of its
+	// runs a column graph waits on: the full locality signal.
 	colWork := sys.ColumnWork()
 	mv := make([]movable, f.N)
+	rows := make([]int32, 0, f.NNZ()-f.N)
 	for j := 0; j < f.N; j++ {
-		mv[j] = movable{work: colWork[j], elems: f.ColLen(j), preds: sys.Ops.RowCols(j)}
+		e := len(rows)
+		rows = f.AppendRow(rows, j, false)
+		mv[j] = movable{work: colWork[j], elems: f.ColLen(j), preds: rows[e:len(rows):len(rows)]}
 	}
 	return mv, sc.ColProc, nil
 }

@@ -357,7 +357,7 @@ func Tasks(sys *Sys, opts Options, sc *sched.Schedule) []exec.Task {
 	if sc.Part != nil {
 		return exec.BlockTasks(sc.Part, sc)
 	}
-	return exec.ColumnTasksMapped(sys.F, sys.Ops, sys.ElemWork, sc.ColProc)
+	return exec.ColumnTasksMapped(sys.F, sys.ElemWork, sc.ColProc)
 }
 
 // FetchStats attributes the schedule's non-local fetches to its makespan

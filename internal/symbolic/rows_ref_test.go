@@ -40,17 +40,17 @@ func refRows(f *Factor) (ptr, cols, pos []int32) {
 }
 
 // refRuns counts the run records of f from the oracle: a new record
-// starts a row, follows a source whose elimination-tree parent is another
-// column or whose tail from the row down has another length, and follows
-// a record of 255 entries.
+// starts a row, follows a source whose successor in the row is not the
+// next column, is not its elimination-tree parent or has a tail from the
+// row down of another length, and follows a record of 255 entries.
 func refRuns(f *Factor) int {
 	ptr, cols, pos := refRows(f)
 	runs := 0
+	tail := func(e int32) int { return f.ColPtr[cols[e]+1] - int(pos[e]) }
 	for r := 0; r < f.N; r++ {
 		m := 0
 		for e := ptr[r]; e < ptr[r+1]; e++ {
-			tail := func(e int32) int { return f.ColPtr[cols[e]+1] - int(pos[e]) }
-			if e > ptr[r] && m < 255 && f.Parent[cols[e-1]] == int(cols[e]) && tail(e-1) == tail(e) {
+			if e > ptr[r] && m < 255 && cols[e] == cols[e-1]+1 && f.Parent[cols[e-1]] == int(cols[e]) && tail(e-1) == tail(e) {
 				m++
 			} else {
 				runs, m = runs+1, 1
@@ -60,44 +60,46 @@ func refRuns(f *Factor) int {
 	return runs
 }
 
-// checkRuns holds f's row index to the oracle: the same pointers and
-// columns, runs that decode to the old positions exactly, each run a
-// parent chain of one tail length whose entries sum to its row's length,
-// every run maximal, and every array at its exact size.
+// checkRuns holds f's row index to the oracle: runs that decode to the
+// old columns and positions exactly, each run a range of consecutive
+// columns, each the elimination-tree parent of the one before, every run
+// maximal (Chained fails at its end unless it is 255 long), the records
+// as many as refRuns counts, and every array at its exact size.
 func checkRuns(f *Factor) error {
 	ptr, cols, pos := refRows(f)
 	ri := f.Rows()
-	if !slices.Equal(ri.Ptr, ptr) || !slices.Equal(ri.Cols, cols) {
-		return fmt.Errorf("pointers or columns depart from the oracle")
-	}
-	if len(ri.RunPtr) != f.N+1 || len(ri.Tail) != int(ri.RunPtr[f.N]) || len(ri.RunLen) != len(ri.Tail) ||
-		cap(ri.Tail) != len(ri.Tail) || cap(ri.RunLen) != len(ri.RunLen) {
-		return fmt.Errorf("runs: %d pointers, %d tails (cap %d), %d lengths (cap %d)",
-			len(ri.RunPtr), len(ri.Tail), cap(ri.Tail), len(ri.RunLen), cap(ri.RunLen))
+	runs := int(ri.RunPtr[f.N])
+	if len(ri.RunPtr) != f.N+1 || ri.RunPtr[0] != 0 || runs != refRuns(f) ||
+		len(ri.Last) != runs || len(ri.Tail) != runs || len(ri.RunLen) != runs ||
+		cap(ri.Last) != runs || cap(ri.Tail) != runs || cap(ri.RunLen) != runs {
+		return fmt.Errorf("runs: %d pointers, %d records (the oracle %d), %d lasts (cap %d), %d tails (cap %d), %d lengths (cap %d)",
+			len(ri.RunPtr), runs, refRuns(f), len(ri.Last), cap(ri.Last), len(ri.Tail), cap(ri.Tail), len(ri.RunLen), cap(ri.RunLen))
 	}
 	var got []int32
 	for r := 0; r < f.N; r++ {
-		if got = f.AppendRowPos(got[:0], r); !slices.Equal(got, pos[ptr[r]:ptr[r+1]]) {
+		want := cols[ptr[r]:ptr[r+1]]
+		if got = f.AppendRow(got[:0], r, false); !slices.Equal(got, want) {
+			return fmt.Errorf("row %d: runs decode to columns %v, want %v", r, got, want)
+		}
+		if got = f.AppendRow(got[:0], r, true); !slices.Equal(got, pos[ptr[r]:ptr[r+1]]) {
 			return fmt.Errorf("row %d: runs decode to positions %v, want %v", r, got, pos[ptr[r]:ptr[r+1]])
 		}
-		e, sum := ptr[r], int32(0)
 		for x := ri.RunPtr[r]; x < ri.RunPtr[r+1]; x++ {
-			m := int32(ri.RunLen[x])
+			m, last, tail := int32(ri.RunLen[x]), ri.Last[x], int(ri.Tail[x])
 			if m == 0 {
 				return fmt.Errorf("row %d: run %d is empty", r, x)
 			}
-			for y := e + 1; y < e+m; y++ {
-				if f.Parent[cols[y-1]] != int(cols[y]) {
-					return fmt.Errorf("row %d: run %d holds column %d after %d, not its parent", r, x, cols[y], cols[y-1])
+			for c := last - m + 1; c < last; c++ {
+				if f.Parent[c] != int(c+1) {
+					return fmt.Errorf("row %d: run %d holds column %d after %d, not its parent", r, x, c+1, c)
+				}
+				if !f.Chained(int(c), f.ColPtr[c+1]-tail) {
+					return fmt.Errorf("row %d: run %d: column %d is not chained to %d", r, x, c, c+1)
 				}
 			}
-			if x > ri.RunPtr[r] && ri.RunLen[x-1] < 255 && f.Parent[cols[e-1]] == int(cols[e]) && ri.Tail[x-1] == ri.Tail[x] {
-				return fmt.Errorf("row %d: run %d could extend run %d", r, x, x-1)
+			if m < 255 && f.Chained(int(last), f.ColPtr[last+1]-tail) {
+				return fmt.Errorf("row %d: run %d could extend past column %d", r, x, last)
 			}
-			e, sum = e+m, sum+m
-		}
-		if sum != ptr[r+1]-ptr[r] {
-			return fmt.Errorf("row %d: runs hold %d entries, the row %d", r, sum, ptr[r+1]-ptr[r])
 		}
 	}
 	return nil
@@ -106,7 +108,8 @@ func checkRuns(f *Factor) error {
 // TestRowRunsMatchReference: over the suite in natural, MMD and
 // postordered MMD order, each on its own structure and on a relaxed one,
 // and over 200 random patterns, the runs decode to the oracle's positions
-// and are maximal parent chains of equal tails (checkRuns).
+// and are maximal ranges of consecutive columns, each the parent of the
+// one before, with equal tails (checkRuns).
 func TestRowRunsMatchReference(t *testing.T) {
 	facs := map[string]*Factor{}
 	for _, tm := range gen.Suite() {
@@ -136,12 +139,11 @@ func TestRowRunsMatchReference(t *testing.T) {
 	}
 }
 
-// TestRowIndexBytes: the row index holds no position per entry. Built and
+// TestRowIndexBytes: the row index holds no record per entry. Built and
 // kept, the index of Grid9(60,60) in MMD order and of every suite matrix
-// retains no more than bare arrays of 4 bytes an off-diagonal entry
-// (Cols), 5 a run (Tail, RunLen) and 8 a row (Ptr, RunPtr) do, rounded up
-// to the allocator's size classes alike, to within 1 KiB. A position per
-// entry, 4 bytes more, fails it.
+// retains no more than bare arrays of 9 bytes a run (Last, Tail, RunLen)
+// and 4 a row (RunPtr) do, rounded up to the allocator's size classes
+// alike, to within 1 KiB. A column per entry, 4 bytes more, fails it.
 func TestRowIndexBytes(t *testing.T) {
 	const slack = 1 << 10
 	ms := map[string]*sparse.Matrix{"Grid9(60,60)": gen.Grid9(60, 60)}
@@ -159,10 +161,10 @@ func TestRowIndexBytes(t *testing.T) {
 			return (&Factor{N: f.N, ColPtr: f.ColPtr, RowInd: f.RowInd, Parent: f.Parent}).Rows()
 		})
 		want := heldBy(func() [][]byte {
-			return [][]byte{make([]byte, 4*half), make([]byte, 4*runs), make([]byte, runs), make([]byte, 4*rows), make([]byte, 4*rows)}
+			return [][]byte{make([]byte, 4*runs), make([]byte, 4*runs), make([]byte, runs), make([]byte, 4*rows)}
 		})
 		if held > want+slack {
-			t.Errorf("%s: the row index holds %d bytes for %d entries in %d runs and %d rows, %.1f an entry; arrays of 4 bytes an entry, 5 a run and 8 a row hold %d (+%d)",
+			t.Errorf("%s: the row index holds %d bytes for %d entries in %d runs and %d rows, %.2f an entry; arrays of 9 bytes a run and 4 a row hold %d (+%d)",
 				name, held, half, runs, f.N, float64(held)/float64(half), want, slack)
 		}
 	}

@@ -45,18 +45,16 @@ func TestRowIndexShape(t *testing.T) {
 				t.Fatalf("%s: concurrent Rows calls returned different indexes", name)
 			}
 		}
-		if len(ri.Ptr) != f.N+1 || ri.Ptr[0] != 0 || int(ri.Ptr[f.N]) != f.NNZ()-f.N ||
-			len(ri.Cols) != f.NNZ()-f.N {
-			t.Fatalf("%s: shape: %d pointers, %d columns for n = %d, nnz = %d",
-				name, len(ri.Ptr), len(ri.Cols), f.N, f.NNZ())
+		if len(ri.RunPtr) != f.N+1 || ri.RunPtr[0] != 0 || int(ri.RunPtr[f.N]) != len(ri.Last) {
+			t.Fatalf("%s: shape: %d pointers, %d runs for n = %d", name, len(ri.RunPtr), len(ri.Last), f.N)
 		}
 		colOf := f.ColIndex()
 		seen := make([]bool, f.NNZ())
 		for r := 0; r < f.N; r++ {
 			prev := int32(-1)
-			pos := f.AppendRowPos(nil, r)
-			for e := ri.Ptr[r]; e < ri.Ptr[r+1]; e++ {
-				k, q := ri.Cols[e], pos[e-ri.Ptr[r]]
+			cols, pos := f.AppendRow(nil, r, false), f.AppendRow(nil, r, true)
+			for e, k := range cols {
+				q := pos[e]
 				if k <= prev || int(k) >= r {
 					t.Fatalf("%s: row %d lists column %d after %d", name, r, k, prev)
 				}

@@ -39,23 +39,41 @@ type Factor struct {
 	rows     RowIndex
 }
 
-// RowIndex is the strict lower triangle of a factor structure by rows: row
-// r lists in Cols[Ptr[r]:Ptr[r+1]] the columns k < r with L[r,k] != 0,
-// increasing. Read in that order it is the canonical update sequence of
-// column r, which every numeric kernel follows.
-//
-// A row's entries come in runs, the records RunPtr[r] to RunPtr[r+1]: run
-// x is the next RunLen[x] entries of the row, each column the
+// RowIndex is the strict lower triangle of a factor structure by rows,
+// held as supernode runs: row r's columns k < r with L[r,k] != 0 are, in
+// increasing order, the runs RunPtr[r] to RunPtr[r+1]. Run x is the
+// RunLen[x] consecutive columns Last[x]−RunLen[x]+1 to Last[x], each the
 // elimination-tree parent of the one before, all holding the same Tail[x]
-// rows from row r down. They hold the same rows, since a column's rows
-// below its diagonal are all in its parent's: the supernodes of the
-// factor, as row r meets them. A run is maximal but for the width of
-// RunLen: a longer one is held as several records of at most 255 entries.
-// The position of (r, k) in a run is ColPtr[k+1] − Tail[x] (AppendRowPos).
+// rows from row r down: the supernodes of the factor, as row r meets them
+// (Chained is the step from one column of a run to the next). Read in that
+// order they are the canonical update sequence of column r, which every
+// numeric kernel follows. A run is maximal but for the width of RunLen: a
+// longer one is held as several records of at most 255 columns. L[r,c] of
+// run x sits at ColPtr[c+1] − Tail[x] (AppendRow).
 type RowIndex struct {
-	Ptr, Cols    []int32
-	RunPtr, Tail []int32
-	RunLen       []uint8
+	RunPtr, Last, Tail []int32
+	RunLen             []uint8
+}
+
+// Chained reports whether column c's entry at position q, in row i, and
+// column c+1 are one step of a run of row i: c+1 is c's elimination-tree
+// parent and holds row i with the same tail (as many rows from i down). A
+// run of the row index ends at the first column of it that is not chained
+// to the next (or at RunLen's width).
+func (f *Factor) Chained(c, q int) bool {
+	d := f.runStep(c)
+	return q+d > f.ColPtr[c+1] && f.RowInd[q+d] == f.RowInd[q]
+}
+
+// runStep returns the distance from column c's positions to those of the
+// same tail in column c+1, ColLen(c+1), when c+1 is c's elimination-tree
+// parent, and 0 otherwise, which leaves every entry q of c short of c+1's
+// diagonal: q+runStep(c) > ColPtr[c+1] fails.
+func (f *Factor) runStep(c int) int {
+	if c+1 >= f.N || f.Parent[c] != c+1 {
+		return 0
+	}
+	return f.ColPtr[c+2] - f.ColPtr[c+1]
 }
 
 // Rows returns the row index of f, built on first use and shared from then
@@ -63,70 +81,60 @@ type RowIndex struct {
 // read-only and safe to ask for from any number of goroutines.
 func (f *Factor) Rows() *RowIndex {
 	f.rowsOnce.Do(func() {
+		// Two passes over the columns, each entry of column c closing its
+		// row's open run unless Chained: the first counts every row's
+		// records (open holds each row's open run length), the second
+		// fills them at their exact size, RunPtr[i] the open record of row
+		// i until the shift back.
 		n := f.N
-		ptr := make([]int32, n+1)
-		for j := 0; j < n; j++ {
-			for _, i := range f.Col(j)[1:] {
-				ptr[i+1]++
+		runPtr, open := make([]int32, n+1), make([]uint8, n)
+		for c := 0; c < n; c++ {
+			hi, d := f.ColPtr[c+1], f.runStep(c) // Chained(c, q), d hoisted
+			for q := f.ColPtr[c] + 1; q < hi; q++ {
+				i := f.RowInd[q]
+				if open[i]++; open[i] == math.MaxUint8 || q+d <= hi || f.RowInd[q+d] != i {
+					runPtr[i+1]++
+					open[i] = 0
+				}
 			}
 		}
 		for i := 0; i < n; i++ {
-			ptr[i+1] += ptr[i]
+			runPtr[i+1] += runPtr[i]
 		}
-		half := f.NNZ() - n
-		cols, tail := make([]int32, half), make([]int32, half) // tail: each entry's, for the runs
-		// ptr[i] is the cursor of row i while the rows fill, which leaves it
-		// at the start of row i+1: shift back afterwards.
-		for j := 0; j < n; j++ {
-			below := f.ColLen(j) - 1
-			for t, i := range f.Col(j)[1:] {
-				at := ptr[i]
-				ptr[i]++
-				cols[at], tail[at] = int32(j), int32(below-t)
-			}
-		}
-		copy(ptr[1:], ptr[:n])
-		if n > 0 {
-			ptr[0] = 0
-		}
-		// One pass cuts the rows into runs, compacting each run's tail into
-		// the front of tail (a run starts at or after its first entry, so
-		// no tail is overwritten before it is read) and its length into
-		// lens; the records are then copied at their exact size.
-		runPtr, lens := make([]int32, n+1), make([]uint8, half)
-		x, m := int32(-1), uint8(0) // the current run and its length
-		for r := 0; r < n; r++ {
-			runPtr[r] = x + 1
-			rc, rt := cols[ptr[r]:ptr[r+1]], tail[ptr[r]:ptr[r+1]]
-			for k := range rc {
-				if k == 0 || rt[k] != rt[k-1] || int32(f.Parent[rc[k-1]]) != rc[k] || m == math.MaxUint8 {
-					x, m = x+1, 0
-					tail[x] = rt[k]
+		runs := runPtr[n]
+		last, tail, runLen := make([]int32, runs), make([]int32, runs), make([]uint8, runs)
+		for c := 0; c < n; c++ {
+			hi, d := f.ColPtr[c+1], f.runStep(c)
+			for q := f.ColPtr[c] + 1; q < hi; q++ {
+				i, x := f.RowInd[q], runPtr[f.RowInd[q]]
+				if runLen[x]++; runLen[x] == math.MaxUint8 || q+d <= hi || f.RowInd[q+d] != i {
+					last[x], tail[x] = int32(c), int32(hi-q)
+					runPtr[i]++
 				}
-				m++
-				lens[x] = m
 			}
 		}
-		runPtr[n] = x + 1
-		runTail, runLen := make([]int32, x+1), make([]uint8, x+1)
-		copy(runTail, tail)
-		copy(runLen, lens)
-		f.rows = RowIndex{Ptr: ptr, Cols: cols, RunPtr: runPtr, Tail: runTail, RunLen: runLen}
+		copy(runPtr[1:], runPtr[:n])
+		if n > 0 {
+			runPtr[0] = 0
+		}
+		f.rows = RowIndex{RunPtr: runPtr, Last: last, Tail: tail, RunLen: runLen}
 	})
 	return &f.rows
 }
 
-// AppendRowPos appends to dst the factor position of each entry of row r
-// of the row index, in the order of its Cols.
-func (f *Factor) AppendRowPos(dst []int32, r int) []int32 {
+// AppendRow appends to dst row r of the row index, one entry per column
+// k < r with L[r,k] != 0, increasing: k itself, or with pos set the
+// factor position of (r, k).
+func (f *Factor) AppendRow(dst []int32, r int, pos bool) []int32 {
 	ri := f.Rows()
-	e := ri.Ptr[r]
 	for x := ri.RunPtr[r]; x < ri.RunPtr[r+1]; x++ {
-		m := int32(ri.RunLen[x])
-		for _, c := range ri.Cols[e : e+m] {
-			dst = append(dst, int32(f.ColPtr[c+1])-ri.Tail[x])
+		for c := ri.Last[x] - int32(ri.RunLen[x]) + 1; c <= ri.Last[x]; c++ {
+			if pos {
+				dst = append(dst, int32(f.ColPtr[c+1])-ri.Tail[x])
+			} else {
+				dst = append(dst, c)
+			}
 		}
-		e += m
 	}
 	return dst
 }

@@ -1,6 +1,10 @@
 package tables
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 func TestDynamicCompareRecovers(t *testing.T) {
 	lap := loadLap(t)
@@ -14,4 +18,36 @@ func TestDynamicCompareRecovers(t *testing.T) {
 		}
 	}
 	_ = FormatDynamicCompare(rows)
+}
+
+// TestDynamicCompareAnomalies pins the cells of Ext-H where the dynamic
+// critical-path ready queue finishes after static scan order: 5 of the
+// 30, block g = 25 on DWT512 at every P and wrap on LSHP1009 at P = 16
+// and 32 (the last prints 0.043 both ways at the table's three digits).
+// Greedy list scheduling is not monotone (Graham's anomalies): starting
+// the ready task of highest bottom level can delay a task on the critical
+// path behind one the static order would have left waiting, so a ready
+// rule can lose to the order a plan already has.
+func TestDynamicCompareAnomalies(t *testing.T) {
+	ps, err := LoadSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := must(DynamicCompare(ps))(t)
+	var got []string
+	for _, r := range rows {
+		if r.DynamicEff < r.StaticEff {
+			got = append(got, fmt.Sprintf("%s P=%d %s: %.5f -> %.5f", r.Name, r.P, r.Scheme, r.StaticEff, r.DynamicEff))
+		}
+	}
+	want := []string{
+		"DWT512 P=4 block g=25: 0.47432 -> 0.47267",
+		"DWT512 P=16 block g=25: 0.15888 -> 0.14094",
+		"DWT512 P=32 block g=25: 0.07996 -> 0.07705",
+		"LSHP1009 P=16 wrap: 0.08615 -> 0.08525",
+		"LSHP1009 P=32 wrap: 0.04348 -> 0.04315",
+	}
+	if len(rows) != 30 || !slices.Equal(got, want) {
+		t.Fatalf("%d cells; dynamic after static in %q, want %q", len(rows), got, want)
+	}
 }

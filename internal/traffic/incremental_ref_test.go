@@ -81,8 +81,8 @@ func (t *refIncremental) Move(elems []int32, dst int32) int64 {
 			continue
 		}
 		i, j := int(f.RowInd[q]), int(t.colOf[q])
-		ci, pi := t.ops.RowCols(i), f.AppendRowPos(nil, i)
-		cj, pj := t.ops.RowCols(j), f.AppendRowPos(nil, j)
+		ci, pi := f.AppendRow(nil, i, false), f.AppendRow(nil, i, true)
+		cj, pj := f.AppendRow(nil, j, false), f.AppendRow(nil, j, true)
 		for a, b := 0, 0; a < len(ci) && b < len(cj); {
 			switch {
 			case ci[a] < cj[b]:

@@ -18,7 +18,7 @@ type ColRef struct {
 // one ColRef per column k < j with L[j,k] != 0, carrying the fetch
 // volume Vol = |{i in struct(k) : i >= j}| that a processor owning j but
 // not k must transfer under the paper's fetch-on-first-use traffic
-// model. Each list is by increasing Col (the order of Ops.RowCols).
+// model. Each list is by increasing Col (the order of the row index).
 //
 // Because the reference sets of two targets j1 < j2 in the same source
 // column are nested suffixes (suffix(j1) contains suffix(j2)), the
@@ -33,21 +33,18 @@ func ColumnRefs(ops *model.Ops) [][]ColRef {
 	refs := make([][]ColRef, f.N)
 	arena := make([]ColRef, f.NNZ()-f.N) // one reference per off-diagonal element
 	for j := 0; j < f.N; j++ {
-		e, m := ri.Ptr[j], int(ri.Ptr[j+1]-ri.Ptr[j])
-		if m == 0 {
-			continue
-		}
-		rj := arena[:m:m]
-		arena = arena[m:]
 		// The suffix of column k from (j, k) down is the reference set:
 		// the tail of k's run in row j.
-		for x, t := ri.RunPtr[j], 0; x < ri.RunPtr[j+1]; x++ {
-			for range ri.RunLen[x] {
-				rj[t] = ColRef{Col: ri.Cols[e], Vol: int64(ri.Tail[x])}
-				e, t = e+1, t+1
+		rj := arena[:0]
+		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+			last, vol := ri.Last[x], int64(ri.Tail[x])
+			for k := last - int32(ri.RunLen[x]) + 1; k <= last; k++ {
+				rj = append(rj, ColRef{Col: k, Vol: vol})
 			}
 		}
-		refs[j] = rj
+		if len(rj) > 0 {
+			refs[j], arena = rj[:len(rj):len(rj)], arena[len(rj):]
+		}
 	}
 	return refs
 }

@@ -55,7 +55,7 @@ func TestColumnRefsVolumes(t *testing.T) {
 		t.Fatalf("ColumnRefs returned %d targets, factor has %d columns", len(refs), f.N)
 	}
 	for j := 0; j < f.N; j++ {
-		rc := ops.RowCols(j)
+		rc := f.AppendRow(nil, j, false)
 		if len(refs[j]) != len(rc) {
 			t.Fatalf("column %d: %d refs, row structure has %d entries", j, len(refs[j]), len(rc))
 		}
