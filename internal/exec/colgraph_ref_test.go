@@ -16,23 +16,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// closure returns, as one bit set per task, the tasks that reach each
-// task of a graph whose predecessors come earlier in the slice.
-func closure(tasks []exec.Task) [][]uint64 {
-	words := (len(tasks) + 63) / 64
-	reach := make([][]uint64, len(tasks))
-	for t := range tasks {
-		reach[t] = make([]uint64, words)
-		for _, pr := range tasks[t].Preds {
-			for w, b := range reach[pr] {
-				reach[t][w] |= b
-			}
-			reach[t][pr>>6] |= 1 << (pr & 63)
-		}
-	}
-	return reach
-}
-
 // checkColumnGraph holds a column graph, whose task j waits on the last
 // column of each run of row j, to the same graph with the full rows of
 // the factor as predecessors (exec.FullRows, read off the columns): the
@@ -137,9 +120,10 @@ func TestColumnGraphMatchesFullRows(t *testing.T) {
 }
 
 // TestColumnGraphLongRuns: the dense factor of an arrow matrix, n = 600,
-// holds its rows as records of 255 columns; under wrap at P = 2 and 3 its
-// column graph orders as the full rows, Run counts each run once however
-// many records hold it, and the factor is the serial one bit for bit.
+// holds its last rows as three runs, cut where they would step onto
+// columns 255 and 510; under wrap at P = 2 and 3 its column graph orders
+// as the full rows, Run waits on each run's end, and the factor is the
+// serial one bit for bit.
 func TestColumnGraphLongRuns(t *testing.T) {
 	const n = 600
 	var is, js []int
@@ -157,7 +141,7 @@ func TestColumnGraphLongRuns(t *testing.T) {
 	sys := strategy.NewSys(symbolic.Analyze(m), nil, nil)
 	f, ri := sys.F, sys.F.Rows()
 	if ri.RunPtr[n]-ri.RunPtr[n-1] != 3 {
-		t.Fatalf("last row in %d records, want 3", ri.RunPtr[n]-ri.RunPtr[n-1])
+		t.Fatalf("last row in %d runs, want 3", ri.RunPtr[n]-ri.RunPtr[n-1])
 	}
 	want, err := numeric.Factorize(m, f)
 	if err != nil {

@@ -14,8 +14,12 @@ import (
 )
 
 // uncovered returns the first read of a compiled program that neither
-// the reading task nor one of its ancestors — the tasks Run finishes
-// before it starts — wrote, "" when every read is covered. A step over positions [lo, hi) of column j with
+// the reading task nor one of its direct predecessors wrote, "" when
+// every read is covered. In a column graph (column set: task j is column
+// j, whole) task j waits on the last column of each run of row j only, and
+// the run's earlier columns precede that column through the chain: there a
+// read may also be covered by any ancestor, a task Run finishes before the
+// reader starts. A step over positions [lo, hi) of column j with
 // sources [from, to) reads, for every source c in that range with a row
 // among the step's rows, those rows of c and L[j,c] (numeric.Kernel.Step
 // reads nothing of a source with none); when it scales (to == j) below the
@@ -23,7 +27,7 @@ import (
 // partial sums of the step that applied the sources before from. A
 // position's writer is the task whose step finishes it (to == j), or for
 // partial sums the task whose step stops at from. O(steps × sources).
-func uncovered(f *symbolic.Factor, pg *exec.Program) string {
+func uncovered(f *symbolic.Factor, pg *exec.Program, column bool) string {
 	steps, preds, graph := exec.ProgramGraph(pg)
 	fin, end := make([]int32, f.NNZ()), make([]int32, f.NNZ())
 	part := make(map[[2]int32]int32) // {lo, to} -> task of a step that stops short of its column
@@ -46,9 +50,18 @@ func uncovered(f *symbolic.Factor, pg *exec.Program) string {
 			return fmt.Sprintf("position %d is never finished", q)
 		}
 	}
-	reach := ancestors(preds, graph)
+	var reach [][]uint64
+	if column {
+		reach = ancestors(preds, graph)
+	}
+	near := make([]int32, len(steps)) // near[v] == t+1: v is t or a direct predecessor of t
 	for t, ss := range steps {
-		covered := func(w int32) bool { return w == int32(t) || reach[t][w>>6]&(1<<(w&63)) != 0 }
+		mark := int32(t + 1)
+		near[t] = mark
+		for _, pr := range preds[t] {
+			near[pr] = mark
+		}
+		covered := func(w int32) bool { return near[w] == mark || column && reach[t][w>>6]&(1<<(w&63)) != 0 }
 		for _, s := range ss {
 			j, lo, hi, from, to := int(s[0]), int(s[1]), int(s[2]), s[3], s[4]
 			at := func(what string, q int) string {
@@ -124,15 +137,31 @@ func ancestors(preds [][]int32, graph []int32) [][]uint64 {
 	return reach
 }
 
-// Every compiled program reads only what its own task or an ancestor
-// wrote (a column graph waits on the last column of each run of a row,
-// whose run's earlier columns are that column's ancestors): the suite under every 1D strategy (block-granular
+// closure is ancestors of a graph, whose predecessors come earlier in the
+// slice.
+func closure(tasks []exec.Task) [][]uint64 {
+	preds, graph := make([][]int32, len(tasks)), make([]int32, len(tasks))
+	for t := range tasks {
+		preds[t], graph[t] = tasks[t].Preds, int32(t)
+	}
+	return ancestors(preds, graph)
+}
+
+// isColumnGraph reports whether task j of tasks is column j of f, whole:
+// the graphs Compile reads as column graphs when they wait on run ends.
+func isColumnGraph(f *symbolic.Factor, tasks []exec.Task, elemTask []int32) bool {
+	return len(tasks) == f.N && slices.Equal(elemTask, f.ColIndex())
+}
+
+// Every compiled program reads only what its own task or a direct
+// predecessor wrote, a column graph what its own task or an ancestor
+// wrote (uncovered): the suite under every 1D strategy (block-granular
 // ones at grain 4 and 25, and at grain 4 with relaxation 0.3) and every 2D
 // mapper, at five processor counts (P = 2 and 3 under -race), split
 // columns included.
 func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 	parts := []core.Options{{Grain: 4, MinClusterWidth: 4}, {Grain: 25, MinClusterWidth: 4}, {Grain: 4, MinClusterWidth: 4, RelaxZeros: 0.3}}
-	programs := 0
+	programs, columns := 0, 0
 	for _, tm := range gen.Suite() {
 		sys := refSys(t, tm)
 		n := sys.F.N
@@ -147,10 +176,13 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s P=%d: %v", tm.Name, what, p, err)
 				}
-				if msg := uncovered(f, pg); msg != "" {
+				column := isColumnGraph(f, tasks, elemTask)
+				if msg := uncovered(f, pg, column); msg != "" {
 					t.Fatalf("%s %s P=%d: %s", tm.Name, what, p, msg)
 				}
-				programs++
+				if programs++; column {
+					columns++
+				}
 			}
 			for _, name := range strategy.Names() {
 				for k, po := range parts {
@@ -179,14 +211,16 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d programs, every read covered", programs)
+	t.Logf("%d programs, %d of them column graphs, every read covered", programs, columns)
 }
 
-// The walk sees a missing dependency: the column graph of LAP30 under
-// wrap with the edge from one column's elimination-tree child dropped
-// reads a source no ancestor wrote, and so does the chain t-1 -> t whose
+// The walk sees a missing dependency on LAP30: the chain t-1 -> t whose
 // task t holds column n-1-t (a graph Compile accepts, whose factor is
-// wrong).
+// wrong) reads a source no predecessor wrote; so does the block graph at
+// grain 4 with one task's first predecessor dropped, and the column graph
+// under wrap with the edge from one column's elimination-tree child
+// dropped (the one edge no other path implies) reads a source no ancestor
+// wrote.
 func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 	sys := refSys(t, gen.Suite()[3])
 	n := sys.F.N
@@ -204,36 +238,49 @@ func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := uncovered(sys.F, pg); msg == "" {
+	if msg := uncovered(sys.F, pg, false); msg == "" {
 		t.Fatal("the reversed chain passes")
 	}
 	for _, p := range []int{1, 3} {
-		sc, err := strategy.Map("wrap", sys, p, strategy.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks := strategy.Tasks(sys, strategy.Options{}, sc)
-		if pg, err = exec.Compile(sys.F, p, tasks, sys.F.ColIndex()); err != nil {
-			t.Fatal(err)
-		}
-		if msg := uncovered(sys.F, pg); msg != "" {
-			t.Fatalf("P=%d: intact graph: %s", p, msg)
-		}
-		// The child's subtree reaches j only through that edge.
-		j := len(tasks) - 1
-		for len(tasks[j].Preds) < 2 {
-			j--
-		}
-		child := slices.IndexFunc(tasks[j].Preds, func(c int32) bool { return sys.F.Parent[c] == j })
-		planted := append([]exec.Task(nil), tasks...)
-		planted[j].Preds = slices.Delete(slices.Clone(tasks[j].Preds), child, child+1)
-		if pg, err = exec.Compile(sys.F, p, planted, sys.F.ColIndex()); err != nil {
-			t.Fatal(err)
-		}
-		if msg := uncovered(sys.F, pg); msg == "" {
-			t.Fatalf("P=%d: column %d without predecessor %d passes", p, j, tasks[j].Preds[child])
-		} else {
-			t.Logf("P=%d: %s", p, msg)
+		for _, c := range []struct {
+			name string
+			opts strategy.Options
+		}{{"block", strategy.Options{Part: core.Options{Grain: 4, MinClusterWidth: 4}}}, {"wrap", strategy.Options{}}} {
+			sc, err := strategy.Map(c.name, sys, p, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, elemTask := sys.F, sys.F.ColIndex()
+			if sc.UnitProc != nil {
+				part := sys.Partition(c.opts.Part)
+				f, elemTask = part.F, part.ElemUnit
+			}
+			tasks := strategy.Tasks(sys, c.opts, sc)
+			column := isColumnGraph(f, tasks, elemTask)
+			if pg, err = exec.Compile(f, p, tasks, elemTask); err != nil {
+				t.Fatal(err)
+			}
+			if msg := uncovered(f, pg, column); msg != "" {
+				t.Fatalf("%s P=%d: intact graph: %s", c.name, p, msg)
+			}
+			j := len(tasks) - 1
+			for len(tasks[j].Preds) < 2 {
+				j--
+			}
+			drop := 0
+			if column { // the child's subtree reaches j only through that edge
+				drop = slices.IndexFunc(tasks[j].Preds, func(c int32) bool { return f.Parent[c] == j })
+			}
+			planted := append([]exec.Task(nil), tasks...)
+			planted[j].Preds = slices.Delete(slices.Clone(tasks[j].Preds), drop, drop+1)
+			if pg, err = exec.Compile(f, p, planted, elemTask); err != nil {
+				t.Fatal(err)
+			}
+			if msg := uncovered(f, pg, column); msg == "" {
+				t.Fatalf("%s P=%d: task %d without predecessor %d passes", c.name, p, j, tasks[j].Preds[drop])
+			} else {
+				t.Logf("%s P=%d: %s", c.name, p, msg)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -169,13 +168,12 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if p == 1 {
 		return pg, nil
 	}
+	pg.indeg = make([]int32, nt)
+	for i, ps := range preds {
+		pg.indeg[i] = int32(len(ps))
+	}
 	if pg.column = whole && pg.columnGraph(preds); pg.column {
 		pg.split()
-	} else {
-		pg.indeg = make([]int32, nt)
-		for i, ps := range preds {
-			pg.indeg[i] = int32(len(ps))
-		}
 	}
 	n := pg.Tasks()
 	pg.own = make([]int32, p)
@@ -263,7 +261,7 @@ func (pg *Program) successors(dst []int32, t int32) []int32 {
 		return append(dst, pg.succ[pg.succPtr[t]:pg.succPtr[t+1]]...)
 	}
 	f, nt := pg.f, int32(len(pg.tasks))
-	hi := f.ColPtr[t+1]
+	hi, d := f.ColPtr[t+1], f.RunStep(int(t))
 	for q := f.ColPtr[t] + 1; q < hi; q++ {
 		i, h, from := f.RowInd[q], int32(-1), int32(0)
 		if pg.half != nil {
@@ -272,7 +270,7 @@ func (pg *Program) successors(dst []int32, t int32) []int32 {
 			}
 		}
 		switch {
-		case f.Chained(int(t), q):
+		case f.Chained(q, hi, d):
 			if h >= 0 && t+1 == from {
 				dst = append(dst, h)
 			}
@@ -338,31 +336,18 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 }
 
 // split picks the columns of a column graph that run as two tasks and
-// counts every program task's predecessors into indeg. Column j waits on
-// the last column of each of row j's runs, a run held as several records
-// counting once (successors signals only its end). Split column k's first
-// half — program task len(tasks)+k, a step over the sources before the
-// last one — waits on the same but the last source, and on the column
-// before it when that is in the last source's run; its second half, the
-// graph task's step now starting at the last source, waits for the first
-// half and that source. A column splits when its last source runs on
-// another worker and the sources before it carry at least splitRatio
-// times that source's updates plus the column's length.
+// appends their first halves' indegrees. Split column k's first half —
+// program task len(tasks)+k, a step over the sources before the last one
+// — waits on the same as its column but the last source, and on the
+// column before it when that is in the last source's run; its second
+// half, the graph task's step now starting at the last source, waits for
+// the first half and that source. A column splits when its last source
+// runs on another worker and the sources before it carry at least
+// splitRatio times that source's updates plus the column's length.
 func (pg *Program) split() {
 	tasks, f, ri := pg.tasks, pg.f, pg.f.Rows()
-	// ends reports whether record x ends its run.
-	ends := func(x int32) bool {
-		c := int(ri.Last[x])
-		return ri.RunLen[x] < math.MaxUint8 || !f.Chained(c, f.ColPtr[c+1]-int(ri.Tail[x]))
-	}
-	pg.indeg = make([]int32, len(tasks))
 	for j := range tasks {
 		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
-		for y := x; y < end; y++ {
-			if ends(y) {
-				pg.indeg[j]++
-			}
-		}
 		if x == end {
 			continue
 		}
@@ -384,9 +369,8 @@ func (pg *Program) split() {
 		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
 	}
 	for _, j := range pg.first {
-		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
 		d := pg.indeg[j] - 1
-		if ri.RunLen[end-1] > 1 || (end-1 > x && !ends(end-2)) {
+		if ri.RunLen[ri.RunPtr[j+1]-1] > 1 {
 			d++
 		}
 		pg.indeg = append(pg.indeg, d)

@@ -59,8 +59,8 @@ func fullRows(f *symbolic.Factor) [][]int32 {
 
 // runEnds returns the columns of row, row j of f, that end a run: a run
 // is consecutive columns c, c+1, … of the row, each the elimination-tree
-// parent of the one before and holding the same rows from row j down, of
-// any length.
+// parent of the one before and holding the same rows from row j down,
+// never stepping onto a column that is a multiple of 255.
 func runEnds(f *symbolic.Factor, row []int32, j int) []int32 {
 	tail := func(c int32) int {
 		col := f.Col(int(c))
@@ -69,7 +69,7 @@ func runEnds(f *symbolic.Factor, row []int32, j int) []int32 {
 	}
 	ends := []int32{}
 	for e, c := range row {
-		if e+1 == len(row) || row[e+1] != c+1 || f.Parent[c] != int(c+1) || tail(c) != tail(c+1) {
+		if e+1 == len(row) || row[e+1] != c+1 || (c+1)%255 == 0 || f.Parent[c] != int(c+1) || tail(c) != tail(c+1) {
 			ends = append(ends, c)
 		}
 	}

@@ -215,10 +215,10 @@ func TestFactorizeBitwiseRef(t *testing.T) {
 
 // TestFactorizeLongRunsBitwiseRef: an arrow matrix of n = 600, its hub
 // first, fills its factor completely, so row j has j sources in one
-// supernode, held as records of at most 255 (three for the last rows).
-// Both kernels give the oracle's factor bit for bit, whole and with every
-// column applied as two Steps cut at a third of its sources, inside a
-// record.
+// supernode, held as runs of at most 255 columns (three for the last
+// rows). Both kernels give the oracle's factor bit for bit, whole and with
+// every column applied as two Steps cut at a third of its sources, inside
+// a run.
 func TestFactorizeLongRunsBitwiseRef(t *testing.T) {
 	const n = 600
 	var is, js []int
@@ -236,7 +236,7 @@ func TestFactorizeLongRunsBitwiseRef(t *testing.T) {
 	f := symbolic.Analyze(m)
 	ri := f.Rows()
 	if f.NNZ() != n*(n+1)/2 || ri.RunPtr[n]-ri.RunPtr[n-1] != 3 || ri.RunLen[ri.RunPtr[n-1]] != 255 {
-		t.Fatalf("nnz %d, last row in %d records: not the dense factor", f.NNZ(), ri.RunPtr[n]-ri.RunPtr[n-1])
+		t.Fatalf("nnz %d, last row in %d runs: not the dense factor", f.NNZ(), ri.RunPtr[n]-ri.RunPtr[n-1])
 	}
 	for _, k := range []Kernel{KernelCholesky, KernelLDL} {
 		for _, m := range []*sparse.Matrix{m, withIndefiniteDiagonal(m)} {

@@ -318,9 +318,10 @@ func sameTasks(a, b []exec.Task) error {
 // runEndTasks is tasks, a column graph with the walk's predecessors —
 // task j is column j and waits on row j of the factor — cut to the graph
 // exec.ColumnTasksMapped builds: each row keeps the last column of each
-// run record of symbolic.RowIndex, a record being consecutive columns,
-// each the elimination-tree parent of the one before and holding the same
-// rows from row j down, at most 255 of them. Read off the columns.
+// run of symbolic.RowIndex, a run being consecutive columns, each the
+// elimination-tree parent of the one before and holding the same rows
+// from row j down, never stepping onto a multiple of 255. Read off the
+// columns.
 func runEndTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
 	tail := func(c int32, j int) int {
 		col := f.Col(int(c))
@@ -329,11 +330,11 @@ func runEndTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
 	}
 	out := slices.Clone(tasks)
 	for j := range out {
-		ps, m := tasks[j].Preds, 0
+		ps := tasks[j].Preds
 		var ends []int32
 		for e, c := range ps {
-			if m++; e+1 == len(ps) || m == 255 || ps[e+1] != c+1 || f.Parent[c] != int(c+1) || tail(c, j) != tail(c+1, j) {
-				ends, m = append(ends, c), 0
+			if e+1 == len(ps) || ps[e+1] != c+1 || (c+1)%255 == 0 || f.Parent[c] != int(c+1) || tail(c, j) != tail(c+1, j) {
+				ends = append(ends, c)
 			}
 		}
 		out[j].Preds = ends

@@ -42,18 +42,16 @@ func refRows(f *Factor) (ptr, cols, pos []int32) {
 // refRuns counts the run records of f from the oracle: a new record
 // starts a row, follows a source whose successor in the row is not the
 // next column, is not its elimination-tree parent or has a tail from the
-// row down of another length, and follows a record of 255 entries.
+// row down of another length, and starts at every column that is a
+// multiple of 255.
 func refRuns(f *Factor) int {
 	ptr, cols, pos := refRows(f)
 	runs := 0
 	tail := func(e int32) int { return f.ColPtr[cols[e]+1] - int(pos[e]) }
 	for r := 0; r < f.N; r++ {
-		m := 0
 		for e := ptr[r]; e < ptr[r+1]; e++ {
-			if e > ptr[r] && m < 255 && cols[e] == cols[e-1]+1 && f.Parent[cols[e-1]] == int(cols[e]) && tail(e-1) == tail(e) {
-				m++
-			} else {
-				runs, m = runs+1, 1
+			if e == ptr[r] || cols[e]%255 == 0 || cols[e] != cols[e-1]+1 || f.Parent[cols[e-1]] != int(cols[e]) || tail(e-1) != tail(e) {
+				runs++
 			}
 		}
 	}
@@ -63,8 +61,8 @@ func refRuns(f *Factor) int {
 // checkRuns holds f's row index to the oracle: runs that decode to the
 // old columns and positions exactly, each run a range of consecutive
 // columns, each the elimination-tree parent of the one before, every run
-// maximal (Chained fails at its end unless it is 255 long), the records
-// as many as refRuns counts, and every array at its exact size.
+// maximal (Chained fails at its end), the records as many as refRuns
+// counts, and every array at its exact size.
 func checkRuns(f *Factor) error {
 	ptr, cols, pos := refRows(f)
 	ri := f.Rows()
@@ -84,6 +82,10 @@ func checkRuns(f *Factor) error {
 		if got = f.AppendRow(got[:0], r, true); !slices.Equal(got, pos[ptr[r]:ptr[r+1]]) {
 			return fmt.Errorf("row %d: runs decode to positions %v, want %v", r, got, pos[ptr[r]:ptr[r+1]])
 		}
+		chained := func(c int32, tail int) bool {
+			hi := f.ColPtr[c+1]
+			return f.Chained(hi-tail, hi, f.RunStep(int(c)))
+		}
 		for x := ri.RunPtr[r]; x < ri.RunPtr[r+1]; x++ {
 			m, last, tail := int32(ri.RunLen[x]), ri.Last[x], int(ri.Tail[x])
 			if m == 0 {
@@ -93,11 +95,11 @@ func checkRuns(f *Factor) error {
 				if f.Parent[c] != int(c+1) {
 					return fmt.Errorf("row %d: run %d holds column %d after %d, not its parent", r, x, c+1, c)
 				}
-				if !f.Chained(int(c), f.ColPtr[c+1]-tail) {
+				if !chained(c, tail) {
 					return fmt.Errorf("row %d: run %d: column %d is not chained to %d", r, x, c, c+1)
 				}
 			}
-			if m < 255 && f.Chained(int(last), f.ColPtr[last+1]-tail) {
+			if chained(last, tail) {
 				return fmt.Errorf("row %d: run %d could extend past column %d", r, x, last)
 			}
 		}

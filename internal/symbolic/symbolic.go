@@ -47,30 +47,30 @@ type Factor struct {
 // rows from row r down: the supernodes of the factor, as row r meets them
 // (Chained is the step from one column of a run to the next). Read in that
 // order they are the canonical update sequence of column r, which every
-// numeric kernel follows. A run is maximal but for the width of RunLen: a
-// longer one is held as several records of at most 255 columns. L[r,c] of
-// run x sits at ColPtr[c+1] − Tail[x] (AppendRow).
+// numeric kernel follows. A run is maximal but never steps onto a column
+// that is a multiple of 255 (RunStep), so it fits RunLen. L[r,c] of run x
+// sits at ColPtr[c+1] − Tail[x] (AppendRow).
 type RowIndex struct {
 	RunPtr, Last, Tail []int32
 	RunLen             []uint8
 }
 
-// Chained reports whether column c's entry at position q, in row i, and
-// column c+1 are one step of a run of row i: c+1 is c's elimination-tree
-// parent and holds row i with the same tail (as many rows from i down). A
-// run of the row index ends at the first column of it that is not chained
-// to the next (or at RunLen's width).
-func (f *Factor) Chained(c, q int) bool {
-	d := f.runStep(c)
-	return q+d > f.ColPtr[c+1] && f.RowInd[q+d] == f.RowInd[q]
+// Chained reports whether the entry at position q of column c, in row i,
+// and column c+1 are one step of a run of row i: c+1 holds row i with the
+// same tail (as many rows from i down) and RunStep(c) is not 0. hi is
+// ColPtr[c+1] and d is RunStep(c), the same for every entry of c, so a
+// walk over a column computes them once. A run of the row index ends at
+// the first column of it that is not chained to the next.
+func (f *Factor) Chained(q, hi, d int) bool {
+	return q+d > hi && f.RowInd[q+d] == f.RowInd[q]
 }
 
-// runStep returns the distance from column c's positions to those of the
+// RunStep returns the distance from column c's positions to those of the
 // same tail in column c+1, ColLen(c+1), when c+1 is c's elimination-tree
-// parent, and 0 otherwise, which leaves every entry q of c short of c+1's
-// diagonal: q+runStep(c) > ColPtr[c+1] fails.
-func (f *Factor) runStep(c int) int {
-	if c+1 >= f.N || f.Parent[c] != c+1 {
+// parent and not a multiple of 255, and 0 otherwise, which leaves every
+// entry q of c short of c+1's diagonal: q+RunStep(c) > ColPtr[c+1] fails.
+func (f *Factor) RunStep(c int) int {
+	if c+1 >= f.N || f.Parent[c] != c+1 || (c+1)%math.MaxUint8 == 0 {
 		return 0
 	}
 	return f.ColPtr[c+2] - f.ColPtr[c+1]
@@ -81,20 +81,17 @@ func (f *Factor) runStep(c int) int {
 // read-only and safe to ask for from any number of goroutines.
 func (f *Factor) Rows() *RowIndex {
 	f.rowsOnce.Do(func() {
-		// Two passes over the columns, each entry of column c closing its
+		// Two passes over the columns, each entry of column c ending its
 		// row's open run unless Chained: the first counts every row's
-		// records (open holds each row's open run length), the second
-		// fills them at their exact size, RunPtr[i] the open record of row
-		// i until the shift back.
+		// runs, the second fills them at their exact size, RunPtr[i] the
+		// open run of row i until the shift back.
 		n := f.N
-		runPtr, open := make([]int32, n+1), make([]uint8, n)
+		runPtr := make([]int32, n+1)
 		for c := 0; c < n; c++ {
-			hi, d := f.ColPtr[c+1], f.runStep(c) // Chained(c, q), d hoisted
+			hi, d := f.ColPtr[c+1], f.RunStep(c)
 			for q := f.ColPtr[c] + 1; q < hi; q++ {
-				i := f.RowInd[q]
-				if open[i]++; open[i] == math.MaxUint8 || q+d <= hi || f.RowInd[q+d] != i {
-					runPtr[i+1]++
-					open[i] = 0
+				if !f.Chained(q, hi, d) {
+					runPtr[f.RowInd[q]+1]++
 				}
 			}
 		}
@@ -104,10 +101,10 @@ func (f *Factor) Rows() *RowIndex {
 		runs := runPtr[n]
 		last, tail, runLen := make([]int32, runs), make([]int32, runs), make([]uint8, runs)
 		for c := 0; c < n; c++ {
-			hi, d := f.ColPtr[c+1], f.runStep(c)
+			hi, d := f.ColPtr[c+1], f.RunStep(c)
 			for q := f.ColPtr[c] + 1; q < hi; q++ {
 				i, x := f.RowInd[q], runPtr[f.RowInd[q]]
-				if runLen[x]++; runLen[x] == math.MaxUint8 || q+d <= hi || f.RowInd[q+d] != i {
+				if runLen[x]++; !f.Chained(q, hi, d) {
 					last[x], tail[x] = int32(c), int32(hi-q)
 					runPtr[i]++
 				}
