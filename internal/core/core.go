@@ -198,11 +198,11 @@ func NewPartition(f *symbolic.Factor, opts Options) *Partition {
 }
 
 // NewPartitionWork is NewPartition for a caller that already holds
-// model.ElementWork of f (strategy.Sys does), sparing the second pass over
+// model.Work of f (strategy.Sys does), sparing the second pass over
 // every update. elemWork is used only when opts.RelaxZeros == 0:
 // relaxation pads the factor, whose work is then computed here, as it is
 // when elemWork is nil.
-func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Partition {
+func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []uint32) *Partition {
 	opts = opts.Normalized()
 	var stats symbolic.RelaxStats
 	if opts.RelaxZeros > 0 {
@@ -210,7 +210,7 @@ func NewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Parti
 		elemWork = nil
 	}
 	if elemWork == nil {
-		elemWork = model.ElementWork(model.NewOps(f))
+		elemWork = model.Work(model.NewOps(f))
 	} else if len(elemWork) != f.NNZ() {
 		panic(fmt.Sprintf("core: element work covers %d elements, factor has %d", len(elemWork), f.NNZ()))
 	}
@@ -507,7 +507,7 @@ func gridShape(h, w, pd int) (qr, qc int) {
 // territory, so a column of it is a run of elements per unit it crosses —
 // its triangle band, the band rectangles below that, then one grid cell
 // per row split of every rectangle — and no element is searched for.
-func (p *Partition) mapElements(elemWork []int64) {
+func (p *Partition) mapElements(elemWork []uint32) {
 	f := p.F
 	p.ElemUnit = make([]int32, f.NNZ())
 	// assign gives the elements at positions [q, q+count) to unit uid.
@@ -516,7 +516,7 @@ func (p *Partition) mapElements(elemWork []int64) {
 		u.Elems += count
 		for end := q + count; q < end; q++ {
 			p.ElemUnit[q] = int32(uid)
-			u.Work += elemWork[q]
+			u.Work += int64(elemWork[q])
 		}
 		return q
 	}

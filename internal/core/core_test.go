@@ -372,7 +372,7 @@ func TestIndependentColumnsExist(t *testing.T) {
 // was its own.
 func TestPartitionAllocations(t *testing.T) {
 	f := analyzedMatrix(gen.Lap30())
-	ew := model.ElementWork(model.NewOps(f))
+	ew := model.Work(model.NewOps(f))
 	opts := Options{Grain: 4, MinClusterWidth: 4}
 	if got := testing.AllocsPerRun(5, func() { NewPartitionWork(f, opts, ew) }); got > 2500 {
 		t.Errorf("NewPartitionWork on LAP30 g=4: %.0f allocations, want <= 2500", got)
@@ -442,7 +442,7 @@ func TestPartitionDeterministic(t *testing.T) {
 // be ignored.
 func TestNewPartitionWorkMatchesNewPartition(t *testing.T) {
 	f := analyzedMatrix(gen.Lap30())
-	ew := model.ElementWork(model.NewOps(f))
+	ew := model.Work(model.NewOps(f))
 	for _, opts := range []Options{{}, {Grain: 25}, {RelaxZeros: 0.3}} {
 		want, got := NewPartition(f, opts), NewPartitionWork(f, opts, ew)
 		if !reflect.DeepEqual(got, want) {

@@ -24,7 +24,7 @@ import (
 // truth for Preds.
 
 // refNewPartitionWork is NewPartitionWork over the reference passes.
-func refNewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Partition {
+func refNewPartitionWork(f *symbolic.Factor, opts Options, elemWork []uint32) *Partition {
 	opts = opts.Normalized()
 	var stats symbolic.RelaxStats
 	if opts.RelaxZeros > 0 {
@@ -32,7 +32,7 @@ func refNewPartitionWork(f *symbolic.Factor, opts Options, elemWork []int64) *Pa
 		elemWork = nil
 	}
 	if elemWork == nil {
-		elemWork = model.ElementWork(model.NewOps(f))
+		elemWork = model.Work(model.NewOps(f))
 	}
 	p := &Partition{F: f, Opts: opts, Relax: stats}
 	refIdentifyClusters(p)
@@ -204,7 +204,7 @@ func refSplitRange(lo, hi, parts int) []int {
 
 // refMapElements assigns every factor nonzero to its unit block and
 // accumulates per-unit element counts and work.
-func refMapElements(p *Partition, elemWork []int64) {
+func refMapElements(p *Partition, elemWork []uint32) {
 	f := p.F
 	p.ElemUnit = make([]int32, f.NNZ())
 	for j := 0; j < f.N; j++ {
@@ -229,7 +229,7 @@ func refMapElements(p *Partition, elemWork []int64) {
 			}
 			p.ElemUnit[q] = int32(uid)
 			p.Units[uid].Elems++
-			p.Units[uid].Work += elemWork[q]
+			p.Units[uid].Work += int64(elemWork[q])
 		}
 	}
 }

@@ -177,7 +177,7 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 // column of a run precedes its last through the run's chain (column c+1
 // waits on c, its child), so the graph orders exactly what the full rows
 // order.
-func ColumnTasksMapped(f *symbolic.Factor, elemWork []int64, owner []int32) []Task {
+func ColumnTasksMapped(f *symbolic.Factor, elemWork []uint32, owner []int32) []Task {
 	colWork := model.ColumnWork(f, elemWork)
 	ri := f.Rows()
 	tasks := make([]Task, f.N)

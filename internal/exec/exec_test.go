@@ -23,7 +23,7 @@ type pipe struct {
 	f    *symbolic.Factor
 	part *core.Partition
 	ops  *model.Ops
-	ew   []int64
+	ew   []uint32
 }
 
 func buildPipe(m *sparse.Matrix, g, w int) *pipe {
@@ -38,13 +38,13 @@ func buildPipe(m *sparse.Matrix, g, w int) *pipe {
 		f:    f,
 		part: core.NewPartition(f, core.Options{Grain: g, MinClusterWidth: w}),
 		ops:  ops,
-		ew:   model.ElementWork(ops),
+		ew:   model.Work(ops),
 	}
 }
 
 // columnTasks is ColumnTasksMapped under the wrap mapping: column j on
 // processor j mod p.
-func columnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []int64, p int) []Task {
+func columnTasks(f *symbolic.Factor, ops *model.Ops, elemWork []uint32, p int) []Task {
 	sched.MustProcs("exec", p)
 	owner := make([]int32, f.N)
 	for j := range owner {

@@ -13,8 +13,8 @@ import (
 // refUpdateCounts is UpdateCounts as it was before the same-tail passes:
 // one increment per pair update, run by run. It is the oracle the passes
 // are pinned to.
-func refUpdateCounts(o *Ops) []int32 {
-	counts := make([]int32, o.F.NNZ())
+func refUpdateCounts(o *Ops) []uint32 {
+	counts := make([]uint32, o.F.NNZ())
 	rowInd := o.F.RowInd
 	o.ForEachRun(func(r Run) {
 		for _, i := range rowInd[r.Lo:r.Hi] {

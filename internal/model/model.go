@@ -72,15 +72,15 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 }
 
 // UpdateCounts returns, for every factor nonzero position, the number of
-// pair updates it receives.
+// pair updates it receives: at most one per column before its own.
 //
 // The sources of target column j are taken run by run (symbolic.RowIndex):
 // the sources of a run hold the same rows from row j down, so the run
 // updates each of them once per source and one walk of those rows adds
 // its length.
-func (o *Ops) UpdateCounts() []int32 {
+func (o *Ops) UpdateCounts() []uint32 {
 	f, ri := o.F, o.rows
-	counts := make([]int32, f.NNZ())
+	counts := make([]uint32, f.NNZ())
 	tgt := make([]int32, f.N) // tgt[i]: position of (i, j) in the current column j
 	for j := 0; j < f.N; j++ {
 		base := f.ColPtr[j]
@@ -90,31 +90,43 @@ func (o *Ops) UpdateCounts() []int32 {
 		for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
 			hi := f.ColPtr[ri.Last[x]+1]
 			for _, i := range f.RowInd[hi-int(ri.Tail[x]) : hi] {
-				counts[tgt[i]] += int32(ri.RunLen[x])
+				counts[tgt[i]] += uint32(ri.RunLen[x])
 			}
 		}
 	}
 	return counts
 }
 
-// ElementWork returns the work of every factor element under the paper's
-// model: 2 units per pair update plus 1 unit for the diagonal update.
-func ElementWork(o *Ops) []int64 {
-	counts := o.UpdateCounts()
-	w := make([]int64, len(counts))
-	for p, c := range counts {
-		w[p] = 2*int64(c) + 1
+// Work returns the work of every factor element under the paper's model:
+// 2 units per pair update plus 1 unit for the diagonal update. An element
+// receives c ≤ n − 1 < 2³¹ updates, so 2c + 1 fits four bytes; the counts
+// of UpdateCounts become the work in place, one array for both.
+func Work(o *Ops) []uint32 {
+	w := o.UpdateCounts()
+	for p, c := range w {
+		w[p] = 2*c + 1
 	}
 	return w
 }
 
+// ElementWork is Work widened to int64, for the benchmark adapter, the one
+// caller that still names the wide vector.
+func ElementWork(o *Ops) []int64 {
+	w := Work(o)
+	wide := make([]int64, len(w))
+	for p, v := range w {
+		wide[p] = int64(v)
+	}
+	return wide
+}
+
 // ColumnWork sums element work per column.
-func ColumnWork(f *symbolic.Factor, elemWork []int64) []int64 {
+func ColumnWork(f *symbolic.Factor, elemWork []uint32) []int64 {
 	w := make([]int64, f.N)
 	for j := 0; j < f.N; j++ {
 		var s int64
 		for p := f.ColPtr[j]; p < f.ColPtr[j+1]; p++ {
-			s += elemWork[p]
+			s += int64(elemWork[p])
 		}
 		w[j] = s
 	}
@@ -122,10 +134,10 @@ func ColumnWork(f *symbolic.Factor, elemWork []int64) []int64 {
 }
 
 // TotalWork sums all element work, or any other per-item count.
-func TotalWork(elemWork []int64) int64 {
+func TotalWork[T int64 | uint32](elemWork []T) int64 {
 	var s int64
 	for _, w := range elemWork {
-		s += w
+		s += int64(w)
 	}
 	return s
 }

@@ -97,7 +97,7 @@ func TestUpdateCountsDiagonal(t *testing.T) {
 	o := NewOps(fac)
 	counts := o.UpdateCounts()
 	for j := 0; j < fac.N; j++ {
-		if got, want := counts[fac.ColPtr[j]], int32(len(fac.AppendRow(nil, j, false))); got != want {
+		if got, want := counts[fac.ColPtr[j]], uint32(len(fac.AppendRow(nil, j, false))); got != want {
 			t.Fatalf("diag count col %d = %d, want %d", j, got, want)
 		}
 	}
@@ -107,7 +107,7 @@ func TestElementWorkTotals(t *testing.T) {
 	f := func(seed int64) bool {
 		fac := analyzed(seed)
 		o := NewOps(fac)
-		ew := ElementWork(o)
+		ew := Work(o)
 		// Total = 2*U + nnz(L), the identity used to validate against the
 		// paper's Table 5 P=1 work numbers.
 		want := 2*countUpdates(fac) + int64(fac.NNZ())
@@ -141,7 +141,7 @@ func TestDenseWorkClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewOps(symbolic.Analyze(sm))
-	ew := ElementWork(o)
+	ew := Work(o)
 	var want int64
 	for j := 0; j < n; j++ {
 		want += int64(n-j) * int64(2*j+1)

@@ -20,7 +20,7 @@ func BenchmarkFactorizeGrid120(b *testing.B) {
 		b.Fatal(err)
 	}
 	f := symbolic.Analyze(m)
-	units := float64(model.TotalWork(model.ElementWork(model.NewOps(f))))
+	units := float64(model.TotalWork(model.Work(model.NewOps(f))))
 	for _, k := range []Kernel{KernelCholesky, KernelLDL} {
 		b.Run(k.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

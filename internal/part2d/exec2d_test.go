@@ -26,7 +26,7 @@ type numSys struct {
 	m    *sparse.Matrix
 	f    *symbolic.Factor
 	ops  *model.Ops
-	ew   []int64
+	ew   []uint32
 	sys  *strategy.Sys
 	chol *numeric.Cholesky
 	ldl  *numeric.LDL
@@ -40,7 +40,7 @@ func buildNumSys(t testing.TB, name string, m *sparse.Matrix) *numSys {
 	}
 	f := symbolic.Analyze(pm)
 	ops := model.NewOps(f)
-	ew := model.ElementWork(ops)
+	ew := model.Work(ops)
 	chol, err := numeric.Factorize(pm, f)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func buildNumSys(t testing.TB, name string, m *sparse.Matrix) *numSys {
 	}
 	return &numSys{
 		name: name, m: pm, f: f, ops: ops, ew: ew,
-		sys:  strategy.NewSys(f, ops, ew),
+		sys:  strategy.NewSys(f, ops, nil),
 		chol: chol, ldl: ldl,
 	}
 }

@@ -135,7 +135,7 @@ func (s *Schedule2D) Schedule() *sched.Schedule {
 // [0, p). The derived fields (the tile index, the interval of every
 // index, the element ownership, the per-processor work) are computed from
 // the factor structure and elemWork.
-func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
+func New(f *symbolic.Factor, elemWork []uint32, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func New(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner func(r
 
 // newSchedule completes a schedule over the tiling of bounds from one
 // in-range owner per tile.
-func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *tiling, owner []int32) *Schedule2D {
+func newSchedule(f *symbolic.Factor, elemWork []uint32, p int, bounds []int, tl *tiling, owner []int32) *Schedule2D {
 	s := &Schedule2D{
 		P:        p,
 		f:        f,
@@ -180,7 +180,7 @@ func newSchedule(f *symbolic.Factor, elemWork []int64, p int, bounds []int, tl *
 	for q, t := range tl.elemTile {
 		proc := owner[t]
 		s.elemProc[q] = proc
-		s.work[proc] += elemWork[q]
+		s.work[proc] += int64(elemWork[q])
 	}
 	return s
 }
@@ -259,10 +259,10 @@ func newTiling(f *symbolic.Factor, bounds []int) *tiling {
 // work accumulates elemWork per tile: element (i, j) is charged to tile
 // (blockOf(i), blockOf(j)). This is the load vector the rect2d descent
 // orders its trials by and the LPT owner assignment balances.
-func (tl *tiling) work(elemWork []int64) []int64 {
+func (tl *tiling) work(elemWork []uint32) []int64 {
 	tw := make([]int64, len(tl.row))
 	for q, t := range tl.elemTile {
-		tw[t] += elemWork[q]
+		tw[t] += int64(elemWork[q])
 	}
 	return tw
 }

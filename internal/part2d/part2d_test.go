@@ -345,7 +345,7 @@ func TestLiftMemoryPin(t *testing.T) {
 func TestRectCutsSharedReadOnly(t *testing.T) {
 	for _, name := range []string{"LAP30", "BUS1138"} {
 		base := suite(t)[name]
-		fresh := func() *strategy.Sys { return strategy.NewSys(base.F, base.Ops, base.ElemWork) }
+		fresh := func() *strategy.Sys { return strategy.NewSys(base.F, base.Ops, nil) }
 		for _, p := range []int{4, 16, 64} {
 			shared := fresh()
 			for _, m := range []string{"rect2d", "rect2dlpt", "rect2dcyclic"} {

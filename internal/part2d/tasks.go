@@ -41,7 +41,7 @@ import (
 // one (target task, source task) pair per segment it reads, plus the
 // multiplier's. That is O(nnz(L) + segment visits) time, and the
 // predecessor lists are cut from one shared slice.
-func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
+func Tasks(ops *model.Ops, elemWork []uint32, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
 	if s.colProc != nil {
 		return exec.ColumnTasksMapped(f, elemWork, s.colProc), f.ColIndex()
@@ -50,7 +50,7 @@ func Tasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int3
 }
 
 // segmentTasks is Tasks' segment pass, on any schedule.
-func segmentTasks(ops *model.Ops, elemWork []int64, s *Schedule2D) ([]exec.Task, []int32) {
+func segmentTasks(ops *model.Ops, elemWork []uint32, s *Schedule2D) ([]exec.Task, []int32) {
 	sg := tileSegments(ops.F, s)
 	tasks, elemTask, first, rel := sg.tasks(elemWork)
 	sg.preds(ops, tasks, first, rel)
@@ -203,7 +203,7 @@ func (sg *segments) taskOf(elemTask []int32, ntasks int) []int32 {
 // first[j+1]), numbered as their owners first appear going down the
 // column, and segment u's task is first[j] + rel[u]. Predecessors are left
 // to preds.
-func (sg *segments) tasks(elemWork []int64) (tasks []exec.Task, elemTask, first, rel []int32) {
+func (sg *segments) tasks(elemWork []uint32) (tasks []exec.Task, elemTask, first, rel []int32) {
 	n := len(sg.col) - 1
 	first, rel = make([]int32, n+1), make([]int32, len(sg.block))
 	groups := make([]int32, 0, sg.longest()) // first segment of each task of the current column
@@ -230,7 +230,7 @@ func (sg *segments) tasks(elemWork []int64) (tasks []exec.Task, elemTask, first,
 			task.Proc = sg.proc[u]
 			for q := sg.start[u]; q < sg.start[u+1]; q++ {
 				elemTask[q] = t
-				task.Work += elemWork[q]
+				task.Work += int64(elemWork[q])
 			}
 		}
 	}

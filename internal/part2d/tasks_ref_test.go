@@ -57,7 +57,7 @@ func fetchWalk(s *sched.Schedule, ntasks int, taskOf []int32) *traffic.TaskComm 
 
 // walkTasks is the merged tile-segment task graph over the element
 // ownership elemProc, one update at a time.
-func walkTasks(ops *model.Ops, elemWork []int64, elemProc []int32) ([]exec.Task, []int32) {
+func walkTasks(ops *model.Ops, elemWork []uint32, elemProc []int32) ([]exec.Task, []int32) {
 	f := ops.F
 	elemTask := make([]int32, f.NNZ())
 	var tasks []exec.Task
@@ -83,7 +83,7 @@ func walkTasks(ops *model.Ops, elemWork []int64, elemProc []int32) ([]exec.Task,
 				groups = append(groups, group{proc: proc, task: task})
 			}
 			elemTask[q] = task
-			tasks[task].Work += elemWork[q]
+			tasks[task].Work += int64(elemWork[q])
 		}
 	}
 	preds := make([][]int32, len(tasks))
@@ -180,14 +180,14 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 // fan-out and fan-in. FetchStats must accept every map Tasks returns, and
 // panic on one task per element when that splits a row-block segment (it
 // equals the walk when it does not).
-func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D) {
+func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []uint32, s *Schedule2D) {
 	t.Helper()
 	f := ops.F
 	wantTasks, wantElemTask := walkTasks(ops, elemWork, s.elemProc)
 	wantFetch := fetchWalk(s.Schedule(), len(wantTasks), wantElemTask)
 	for _, e := range []struct {
 		name string
-		fn   func(*model.Ops, []int64, *Schedule2D) ([]exec.Task, []int32)
+		fn   func(*model.Ops, []uint32, *Schedule2D) ([]exec.Task, []int32)
 	}{{"Tasks", Tasks}, {"segmentTasks", segmentTasks}} {
 		tasks, elemTask := e.fn(ops, elemWork, s)
 		want := wantTasks

@@ -44,7 +44,7 @@ func (s *refSchedule) schedule() *sched.Schedule {
 
 // refNew is New over a dense owner table (inputs are valid by
 // construction in the tests).
-func refNew(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []int32) *refSchedule {
+func refNew(f *symbolic.Factor, elemWork []uint32, p int, bounds []int, owner []int32) *refSchedule {
 	s := &refSchedule{
 		P: p, F: f, Bounds: bounds, Owner: owner,
 		BlockOf: strategy.IntervalIndex(f.N, bounds), Work: make([]int64, p), ElemProc: make([]int32, f.NNZ()),
@@ -54,7 +54,7 @@ func refNew(f *symbolic.Factor, elemWork []int64, p int, bounds []int, owner []i
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
 			proc := s.Owner[denseID(int(s.BlockOf[f.RowInd[q]]), c)]
 			s.ElemProc[q] = proc
-			s.Work[proc] += elemWork[q]
+			s.Work[proc] += int64(elemWork[q])
 		}
 	}
 	return s
@@ -72,14 +72,14 @@ func denseOwners(r int, owner func(r, c int) int32) []int32 {
 }
 
 // refTileWork accumulates elemWork per packed lower-triangle tile.
-func refTileWork(f *symbolic.Factor, elemWork []int64, bounds []int) []int64 {
+func refTileWork(f *symbolic.Factor, elemWork []uint32, bounds []int) []int64 {
 	blockOf := strategy.IntervalIndex(f.N, bounds)
 	r := len(bounds) - 1
 	tw := make([]int64, r*(r+1)/2)
 	for j := 0; j < f.N; j++ {
 		c := int(blockOf[j])
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			tw[denseID(int(blockOf[f.RowInd[q]]), c)] += elemWork[q]
+			tw[denseID(int(blockOf[f.RowInd[q]]), c)] += int64(elemWork[q])
 		}
 	}
 	return tw
@@ -204,7 +204,7 @@ func referenceGuardedOwners(sys *strategy.Sys, p int, bounds []int, budget int, 
 			id := denseID(int(blockOf[f.RowInd[q]]), c)
 			elems[id] = append(elems[id], int32(q))
 			elemProc[q] = owner[id]
-			load[owner[id]] += sys.ElemWork[q]
+			load[owner[id]] += int64(sys.ElemWork[q])
 		}
 	}
 	sc := &sched.Schedule{P: p, F: sys.F, ElemProc: elemProc, Work: load}
@@ -347,7 +347,7 @@ func runEndTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
 // (each once, rows ascending, the diagonal first) under the dense owners,
 // and the same task graph, fetch attribution and per-tile traffic. It
 // returns the task count of the graph.
-func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []int64, s *Schedule2D, ref *refSchedule) int {
+func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []uint32, s *Schedule2D, ref *refSchedule) int {
 	t.Helper()
 	f := ops.F
 	if s.P != ref.P || !slices.Equal(s.bounds, ref.Bounds) || !slices.Equal(s.blockOf, ref.BlockOf) ||
@@ -564,7 +564,7 @@ func FuzzTiles2D(f *testing.F) {
 		}
 		fac := symbolic.Analyze(m)
 		ops := model.NewOps(fac)
-		sys := strategy.NewSys(fac, ops, model.ElementWork(ops))
+		sys := strategy.NewSys(fac, ops, nil)
 		n := fac.N
 		at := func(k int) int32 {
 			if len(script) == 0 {

@@ -46,7 +46,7 @@ type Analysis struct {
 	// Wtot.
 	F        *symbolic.Factor
 	Ops      *model.Ops
-	ElemWork []int64
+	ElemWork []uint32
 	Total    int64
 	// Key content-addresses this artifact: pattern digest plus ordering.
 	Key artifact.Key
@@ -128,19 +128,18 @@ func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, err
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	ops := model.NewOps(f)
-	ew := model.ElementWork(ops)
+	sys := strategy.NewSys(f, nil, nil)
 	return &Analysis{
 		Pattern:  &sparse.Matrix{N: a.N, ColPtr: a.ColPtr, RowInd: a.RowInd},
 		Perm:     append([]int(nil), perm...),
 		Permuted: pm,
 		F:        f,
-		Ops:      ops,
-		ElemWork: ew,
-		Total:    model.TotalWork(ew),
+		Ops:      sys.Ops,
+		ElemWork: sys.ElemWork,
+		Total:    sys.Total,
 		Key:      key,
 		valPerm:  valPerm,
-		sys:      strategy.NewSys(f, ops, ew),
+		sys:      sys,
 	}, nil
 }
 

@@ -67,6 +67,52 @@ func TestAnalysisMatchesDirectPipeline(t *testing.T) {
 	}
 }
 
+// TestAnalysisWorkBytes: an analysis holds its element work once, at four
+// bytes an element. Built and kept, the work vectors of NewAnalysis and of
+// its Sys, for Grid9(60,60) and every suite matrix, retain no more than a
+// bare array of 4·nnz(L) bytes does, rounded up to the allocator's size
+// classes the same way (+ 1 KiB).
+func TestAnalysisWorkBytes(t *testing.T) {
+	const slack = 1 << 10
+	ms := map[string]*sparse.Matrix{"Grid9(60,60)": gen.Grid9(60, 60)}
+	for _, tm := range gen.Suite() {
+		ms[tm.Name] = tm.Build()
+	}
+	for name, m := range ms {
+		nnz := 0
+		held := heldBy(func() []any {
+			an, err := NewAnalysis(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nnz = an.F.NNZ()
+			return []any{an.ElemWork, an.Sys().ElemWork}
+		})
+		want := heldBy(func() []byte { return make([]byte, 4*nnz) })
+		if held > want+slack {
+			t.Errorf("%s: the analysis holds %d bytes of work for %d elements, %.2f an element; an array of 4 bytes an element holds %d (+%d)",
+				name, held, nnz, float64(held)/float64(nnz), want, slack)
+		}
+	}
+}
+
+// heldBy is what build's result keeps on the heap, the least of three
+// tries.
+func heldBy[T any](build func() T) uint64 {
+	held := uint64(math.MaxUint64)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		x := build()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(x)
+		held = min(held, after.HeapAlloc-before.HeapAlloc)
+	}
+	return held
+}
+
 // TestFactorChainEnginesBitIdentical pins the key-sharing contract: the
 // serial kernel, the 2D engine and the column-granular 1D engine
 // produce bitwise identical values (so one cache key serves all three),

@@ -25,7 +25,7 @@ func TestGreedyConservesWork(t *testing.T) {
 		_, part, ew := pipeline(m, 4, 3)
 		var total int64
 		for _, w := range ew {
-			total += w
+			total += int64(w)
 		}
 		for _, p := range []int{1, 3, 8} {
 			if BlockMapGreedy(part, p).TotalWork() != total {

@@ -95,7 +95,7 @@ func (s *Schedule) Efficiency() float64 {
 }
 
 // WrapMap assigns column j of the factor to processor j mod P.
-func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
+func WrapMap(f *symbolic.Factor, elemWork []uint32, p int) *Schedule {
 	MustProcs("sched", p)
 	owner := make([]int32, f.N)
 	for j := range owner {
@@ -107,7 +107,7 @@ func WrapMap(f *symbolic.Factor, elemWork []int64, p int) *Schedule {
 // ColumnMap is the one constructor of column-granular schedules: column j
 // of the factor goes to processor owner[j], every owner in [0, p). The
 // schedule keeps owner as its ColProc and derives per-processor work.
-func ColumnMap(f *symbolic.Factor, elemWork []int64, p int, owner []int32) *Schedule {
+func ColumnMap(f *symbolic.Factor, elemWork []uint32, p int, owner []int32) *Schedule {
 	MustProcs("sched", p)
 	if len(owner) != f.N {
 		panic(fmt.Sprintf("sched: %d column owners for %d columns", len(owner), f.N))
@@ -115,7 +115,7 @@ func ColumnMap(f *symbolic.Factor, elemWork []int64, p int, owner []int32) *Sche
 	s := &Schedule{P: p, F: f, ColProc: owner, Work: make([]int64, p)}
 	for j, proc := range owner {
 		for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
-			s.Work[proc] += elemWork[q]
+			s.Work[proc] += int64(elemWork[q])
 		}
 	}
 	return s

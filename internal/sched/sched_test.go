@@ -21,13 +21,13 @@ import (
 )
 
 // columnWorkOf computes element work and its total for a factor.
-func columnWorkOf(f *symbolic.Factor) (elemWork []int64, total int64) {
+func columnWorkOf(f *symbolic.Factor) (elemWork []uint32, total int64) {
 	ops := model.NewOps(f)
-	elemWork = model.ElementWork(ops)
+	elemWork = model.Work(ops)
 	return elemWork, model.TotalWork(elemWork)
 }
 
-func pipeline(m *sparse.Matrix, g, w int) (*symbolic.Factor, *core.Partition, []int64) {
+func pipeline(m *sparse.Matrix, g, w int) (*symbolic.Factor, *core.Partition, []uint32) {
 	pm, err := m.Permute(order.MMD(m))
 	if err != nil {
 		panic(err)
@@ -80,7 +80,7 @@ func TestWorkConservation(t *testing.T) {
 		f, part, ew := pipeline(m, 4, 3)
 		var total int64
 		for _, w := range ew {
-			total += w
+			total += int64(w)
 		}
 		for _, p := range []int{1, 3, 7} {
 			if WrapMap(f, ew, p).TotalWork() != total {

@@ -38,7 +38,7 @@ func rectilinear(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
 // any of its tiles would exceed B) and is feasible when at most p
 // intervals cover all n indices. The search keeps the cuts of the
 // smallest feasible bound.
-func RectilinearCuts(ops *model.Ops, elemWork []int64, p int) []int {
+func RectilinearCuts(ops *model.Ops, elemWork []uint32, p int) []int {
 	sched.MustProcs("strategy", p)
 	n := ops.F.N
 	bounds := make([]int, p+1)
@@ -46,10 +46,7 @@ func RectilinearCuts(ops *model.Ops, elemWork []int64, p int) []int {
 	if n == 0 {
 		return bounds
 	}
-	var total int64
-	for _, w := range elemWork {
-		total += w
-	}
+	total := model.TotalWork(elemWork)
 	var best []int
 	lo, hi := int64(0), total
 	for lo < hi {
@@ -87,7 +84,7 @@ func RectilinearCuts(ops *model.Ops, elemWork []int64, p int) []int {
 // and the binary search around it settles on the smallest bound the
 // probe can certify, not a proven optimum (the brute-force test pins
 // that the two coincide on its instance set).
-func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
+func rectProbe(ops *model.Ops, elemWork []uint32, p int, b int64) ([]int, bool) {
 	f, ri := ops.F, ops.F.Rows()
 	n := f.N
 	ivl := make([]int32, n)     // interval of each accepted index
@@ -98,7 +95,7 @@ func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
 	t, s := 0, 0                // current interval index and start
 	for x := 0; x < n; x++ {
 		for attempt := 0; ; attempt++ {
-			addLoad[t] = elemWork[f.ColPtr[x]] // diagonal -> tile (t, t)
+			addLoad[t] = int64(elemWork[f.ColPtr[x]]) // diagonal -> tile (t, t)
 			touched = append(touched[:0], int32(t))
 			for r := ri.RunPtr[x]; r < ri.RunPtr[x+1]; r++ {
 				last, tail := ri.Last[r], int(ri.Tail[r])
@@ -107,7 +104,7 @@ func rectProbe(ops *model.Ops, elemWork []int64, p int, b int64) ([]int, bool) {
 					if addLoad[u] == 0 {
 						touched = append(touched, u)
 					}
-					addLoad[u] += elemWork[f.ColPtr[k+1]-tail]
+					addLoad[u] += int64(elemWork[f.ColPtr[k+1]-tail])
 				}
 			}
 			fits := true

@@ -12,7 +12,7 @@ import (
 // tileMax evaluates a symmetric cut structure: the maximum work over the
 // lower-triangle tiles induced by sharing bounds between rows and
 // columns — the objective RectilinearCuts minimizes.
-func tileMax(ops *model.Ops, elemWork []int64, bounds []int) int64 {
+func tileMax(ops *model.Ops, elemWork []uint32, bounds []int) int64 {
 	f := ops.F
 	n := f.N
 	iv := make([]int32, n)
@@ -24,10 +24,10 @@ func tileMax(ops *model.Ops, elemWork []int64, bounds []int) int64 {
 	p := len(bounds) - 1
 	tiles := make([]int64, p*p)
 	for x := 0; x < n; x++ {
-		tiles[int(iv[x])*p+int(iv[x])] += elemWork[f.ColPtr[x]]
+		tiles[int(iv[x])*p+int(iv[x])] += int64(elemWork[f.ColPtr[x]])
 		pos := f.AppendRow(nil, x, true)
 		for i, k := range f.AppendRow(nil, x, false) {
-			tiles[int(iv[x])*p+int(iv[k])] += elemWork[pos[i]]
+			tiles[int(iv[x])*p+int(iv[k])] += int64(elemWork[pos[i]])
 		}
 	}
 	var m int64

@@ -74,7 +74,7 @@ import (
 type Sys struct {
 	F        *symbolic.Factor
 	Ops      *model.Ops
-	ElemWork []int64
+	ElemWork []uint32
 	// Total is the summed element work (the paper's Wtot).
 	Total int64
 
@@ -96,19 +96,41 @@ type Sys struct {
 }
 
 // NewSys builds a Sys from an analyzed factor. ops and elemWork may be
-// nil, in which case they are recomputed from f.
+// nil, in which case they are recomputed from f. A given elemWork is
+// narrowed to the Sys's four bytes an element; it must hold one value in
+// [1, 2³² − 1] per factor element, or NewSys panics.
 func NewSys(f *symbolic.Factor, ops *model.Ops, elemWork []int64) *Sys {
 	if ops == nil {
 		ops = model.NewOps(f)
 	}
+	var w []uint32
 	if elemWork == nil {
-		elemWork = model.ElementWork(ops)
+		w = model.Work(ops)
+	} else {
+		w = narrowWork(f, elemWork)
 	}
 	return &Sys{
-		F: f, Ops: ops, ElemWork: elemWork,
-		Total: model.TotalWork(elemWork),
+		F: f, Ops: ops, ElemWork: w,
+		Total: model.TotalWork(w),
 		parts: make(map[core.Options]*core.Partition),
 	}
+}
+
+// narrowWork copies a wide element-work vector of f into four bytes an
+// element, panicking on a length other than f's nonzero count or on a
+// value no element's work can take.
+func narrowWork(f *symbolic.Factor, elemWork []int64) []uint32 {
+	if len(elemWork) != f.NNZ() {
+		panic(fmt.Sprintf("strategy: element work covers %d elements, factor has %d", len(elemWork), f.NNZ()))
+	}
+	w := make([]uint32, len(elemWork))
+	for q, v := range elemWork {
+		if v < 1 || v > math.MaxUint32 {
+			panic(fmt.Sprintf("strategy: element work %d at position %d is outside [1, 2^32 - 1]", v, q))
+		}
+		w[q] = uint32(v)
+	}
+	return w
 }
 
 // Partition returns the (cached) unit-block partition for the given

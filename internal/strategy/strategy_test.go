@@ -123,7 +123,7 @@ func checkSchedule(t *testing.T, sys *Sys, sc *sched.Schedule, label string, p i
 		if proc < 0 || int(proc) >= p {
 			t.Fatalf("%s P=%d: element %d owned by out-of-range processor %d", label, p, q, proc)
 		}
-		perProc[proc] += sys.ElemWork[q]
+		perProc[proc] += int64(sys.ElemWork[q])
 	}
 	var total int64
 	for k := 0; k < p; k++ {
@@ -298,5 +298,52 @@ func TestSimulatorsAcceptAll(t *testing.T) {
 		if ms.TotalWork != sys.Total {
 			t.Errorf("%s: makespan total work %d, want %d", name, ms.TotalWork, sys.Total)
 		}
+	}
+}
+
+// TestNewSysRejectsForeignWork: a wide work vector handed to NewSys must
+// cover the factor's elements, each with a value an element's work can
+// take, [1, 2³² − 1]. Otherwise NewSys panics naming the lengths or the
+// first bad position, instead of summing a foreign vector into Total and
+// failing later in a mapper. A vector that fits narrows to the same
+// values and total.
+func TestNewSysRejectsForeignWork(t *testing.T) {
+	base := newTestSys(t, gen.Lap30())
+	wide := make([]int64, len(base.ElemWork))
+	for q, w := range base.ElemWork {
+		wide[q] = int64(w)
+	}
+	set := func(q int, v int64) []int64 {
+		w := slices.Clone(wide)
+		w[q] = v
+		return w
+	}
+	for _, c := range []struct {
+		name string
+		work []int64
+		msg  string
+	}{
+		{"short", wide[:10], "covers 10 elements, factor has 16829"},
+		{"long", append(slices.Clone(wide), 1), "covers 16830 elements, factor has 16829"},
+		{"zero", set(5, 0), "element work 0 at position 5"},
+		{"negative", set(7, -1), "element work -1 at position 7"},
+		{"2^32", set(9, 1<<32), "element work 4294967296 at position 9"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, c.msg) {
+					t.Errorf("%s: NewSys panicked with %v, want a message containing %q", c.name, r, c.msg)
+				}
+			}()
+			NewSys(base.F, base.Ops, c.work)
+		}()
+	}
+	sys := NewSys(base.F, base.Ops, set(3, 1<<32-1))
+	if sys.ElemWork[3] != 1<<32-1 || !slices.Equal(sys.ElemWork[4:], base.ElemWork[4:]) {
+		t.Fatal("NewSys changed the values of a vector that fits")
+	}
+	if sys = NewSys(base.F, base.Ops, wide); sys.Total != base.Total || !slices.Equal(sys.ElemWork, base.ElemWork) {
+		t.Fatalf("narrowed work totals %d, the analysis' %d", sys.Total, base.Total)
 	}
 }

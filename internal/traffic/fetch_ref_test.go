@@ -243,7 +243,7 @@ func FuzzFetchAttribution(f *testing.F) {
 		}
 		checkAttribution(t, "fuzz/tasks", s, taskOf, FetchStatsTasks(s, ntasks, taskOf))
 		if cols := ownerPerColumn(fac, owners); cols != nil {
-			checkColumns(t, "fuzz", sched.ColumnMap(fac, model.ElementWork(model.NewOps(fac)), p, cols))
+			checkColumns(t, "fuzz", sched.ColumnMap(fac, model.Work(model.NewOps(fac)), p, cols))
 		}
 		fuzzBlocks(t, fac, p, script)
 	})

@@ -195,7 +195,7 @@ func (c *oracleCheck) randomMoves(rng *rand.Rand, moves int) {
 // checkFamilies runs every group family over one analysis at P = p: tiles
 // of random bounds under random owners, columns from a wrap start, unit
 // blocks from a block start and single elements from a wrap start.
-func checkFamilies(t *testing.T, name string, ops *model.Ops, part *core.Partition, ew []int64, p, moves int, rng *rand.Rand) {
+func checkFamilies(t *testing.T, name string, ops *model.Ops, part *core.Partition, ew []uint32, p, moves int, rng *rand.Rand) {
 	f := ops.F
 	tiles := tileBoxes(randomBounds(rng, f.N))
 	tileOwner := make([]int32, len(tiles))
@@ -338,7 +338,7 @@ func FuzzIncrementalTraffic(f *testing.F) {
 		}
 		fac := symbolic.Analyze(m)
 		ops := model.NewOps(fac)
-		wrap := sched.WrapMap(fac, model.ElementWork(ops), p)
+		wrap := sched.WrapMap(fac, model.Work(ops), p)
 		byte0 := func() int {
 			if len(script) == 0 {
 				return 0

@@ -45,7 +45,7 @@ func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) st
 			return "F of an unrelaxed block schedule is not the analysis factor"
 		}
 		if part.F != f {
-			f, elemWork = part.F, model.ElementWork(model.NewOps(part.F))
+			f, elemWork = part.F, model.Work(model.NewOps(part.F))
 		}
 		owner, of = sc.UnitProc, part.ElemUnit
 		if len(owner) != len(part.Units) {
@@ -76,7 +76,7 @@ func ownersHold(sys *strategy.Sys, opts strategy.Options, sc *sched.Schedule) st
 		if sc.ElemProc != nil && sc.ElemProc[q] != o {
 			return fmt.Sprintf("ElemProc puts element %d on %d, its owner %d on %d", q, sc.ElemProc[q], of[q], o)
 		}
-		work[o] += elemWork[q]
+		work[o] += int64(elemWork[q])
 	}
 	for k, w := range work {
 		if sc.Work[k] != w {

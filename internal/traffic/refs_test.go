@@ -104,7 +104,7 @@ func TestColumnRefsReproduceSimulate(t *testing.T) {
 		procs := map[string]int{"one-col-per-proc": f.N, "wrap3": 3, "contig4": 4}
 		for sname, owner := range schedules {
 			p := procs[sname]
-			sc := sched.ColumnMap(f, model.ElementWork(ops), p, owner)
+			sc := sched.ColumnMap(f, model.Work(ops), p, owner)
 			if got, want := refsTotal(ops, refs, owner), Simulate(sc).Total; got != want {
 				t.Errorf("%s/%s: refs-derived total %d, Simulate total %d", name, sname, got, want)
 			}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/symbolic"
 )
 
-func pipeline(m *sparse.Matrix, g, w int) (*model.Ops, *core.Partition, []int64) {
+func pipeline(m *sparse.Matrix, g, w int) (*model.Ops, *core.Partition, []uint32) {
 	pm, err := m.Permute(order.MMD(m))
 	if err != nil {
 		panic(err)
@@ -21,7 +21,7 @@ func pipeline(m *sparse.Matrix, g, w int) (*model.Ops, *core.Partition, []int64)
 	f := symbolic.Analyze(pm)
 	part := core.NewPartition(f, core.Options{Grain: g, MinClusterWidth: w})
 	ops := model.NewOps(f)
-	return ops, part, model.ElementWork(ops)
+	return ops, part, model.Work(ops)
 }
 
 func TestSingleProcessorZeroTraffic(t *testing.T) {
@@ -49,7 +49,7 @@ func TestDense3x3WrapByHand(t *testing.T) {
 	m.SetLaplacianValues(1)
 	f := symbolic.Analyze(m)
 	ops := model.NewOps(f)
-	ew := model.ElementWork(ops)
+	ew := model.Work(ops)
 	r := Simulate(sched.WrapMap(f, ew, 3))
 	if r.Total != 4 {
 		t.Fatalf("traffic = %d, want 4", r.Total)
