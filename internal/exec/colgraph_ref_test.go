@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/numeric"
+	"repro/internal/order"
 	"repro/internal/part2d"
 	"repro/internal/sparse"
 	"repro/internal/strategy"
@@ -16,15 +17,21 @@ import (
 	"repro/internal/traffic"
 )
 
-// checkColumnGraph holds a column graph, whose task j waits on the last
-// column of each run of row j, to the same graph with the full rows of
-// the factor as predecessors (exec.FullRows, read off the columns): the
-// same reachability, the same Simulate result static and dynamic, with
-// and without a comm model, the same critical path; and, compiled on p
-// workers, a program whose successors are exactly the transpose of what
-// each of its tasks waits on (exec.ColumnWaitsRef, split halves
-// included), as many as Run counts down. It returns the two graphs' edge
-// counts and the program's split columns.
+// events is a probe that keeps every event.
+type events []exec.TaskEvent
+
+func (e *events) OnTask(ev exec.TaskEvent) { *e = append(*e, ev) }
+
+// checkColumnGraph holds a column graph, whose task j waits on its
+// elimination-tree children, to the same graph with the full rows of the
+// factor as predecessors (exec.FullRows, read off the columns): the same
+// reachability, the same Simulate result and the same probe events, Cause
+// included, static and dynamic, with and without a comm model, the same
+// critical path; and, compiled on p workers, a program whose successors
+// are exactly the transpose of what each of its tasks waits on
+// (exec.ColumnWaitsRef, split halves included), as many as Run counts
+// down. It returns the two graphs' edge counts and the program's split
+// columns.
 func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffic.TaskComm) (edges, fullEdges, splits int, err error) {
 	full := slices.Clone(tasks)
 	for j, row := range exec.FullRows(f) {
@@ -34,14 +41,26 @@ func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffi
 	got, want := closure(tasks), closure(full)
 	for t := range got {
 		if !slices.Equal(got[t], want[t]) {
-			return 0, 0, 0, fmt.Errorf("task %d: the run ends reach it from other tasks than the full rows do", t)
+			return 0, 0, 0, fmt.Errorf("task %d: the tree reaches it from other tasks than the full rows do", t)
 		}
 	}
 	for _, o := range []exec.SimOptions{{}, {Dynamic: true},
 		{Comm: exec.CommModel{Alpha: 2, Beta: 10}, Vol: comm.Vol, Msgs: comm.Msgs},
 		{Dynamic: true, Comm: exec.CommModel{Alpha: 2, Beta: 10}, Vol: comm.Vol, Msgs: comm.Msgs}} {
-		if g, w := exec.Simulate(tasks, p, o), exec.Simulate(full, p, o); g != w {
+		var ge, we events
+		o.Probe = &ge
+		g := exec.Simulate(tasks, p, o)
+		o.Probe = &we
+		if w := exec.Simulate(full, p, o); g != w {
 			return 0, 0, 0, fmt.Errorf("dynamic %t, comm %+v: Simulate %+v, the full rows %+v", o.Dynamic, o.Comm, g, w)
+		}
+		if len(ge) != len(we) {
+			return 0, 0, 0, fmt.Errorf("dynamic %t, comm %+v: %d events, the full rows %d", o.Dynamic, o.Comm, len(ge), len(we))
+		}
+		for i := range we {
+			if ge[i] != we[i] {
+				return 0, 0, 0, fmt.Errorf("dynamic %t, comm %+v: event %d %+v, the full rows %+v", o.Dynamic, o.Comm, i, ge[i], we[i])
+			}
 		}
 	}
 	if g, w := exec.CriticalPath(tasks), exec.CriticalPath(full); g != w {
@@ -53,9 +72,6 @@ func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffi
 	}
 	if p == 1 {
 		return edges, fullEdges, 0, nil
-	}
-	if !exec.IsColumnGraph(pg) {
-		return 0, 0, 0, fmt.Errorf("not compiled as a column graph")
 	}
 	_, preds, _ := exec.ProgramGraph(pg)
 	waits, indeg := exec.ColumnWaitsRef(pg), exec.Indegrees(pg)
@@ -72,8 +88,8 @@ func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffi
 
 // TestColumnGraphMatchesFullRows: over the suite, every column-granular
 // 1D strategy and its col2d lift at P = 1, 2, 4, 16, 64 and n + 1 (P = 2
-// under -race), a column graph that waits on run ends orders the columns
-// as the full rows do (checkColumnGraph).
+// under -race), a column graph that waits on the elimination tree orders
+// the columns as the full rows do (checkColumnGraph).
 func TestColumnGraphMatchesFullRows(t *testing.T) {
 	graphs, splits := 0, 0
 	for _, tm := range gen.Suite() {
@@ -108,7 +124,7 @@ func TestColumnGraphMatchesFullRows(t *testing.T) {
 				}
 				graphs, splits = graphs+2, splits+s+ls
 				if tm.Name == "LAP30" && name == "wrap" && p == procs[0] {
-					t.Logf("LAP30: %d edges waiting on run ends, %d on full rows", e, fe)
+					t.Logf("LAP30: %d edges waiting on the tree, %d on full rows", e, fe)
 				}
 			}
 		}
@@ -121,9 +137,11 @@ func TestColumnGraphMatchesFullRows(t *testing.T) {
 
 // TestColumnGraphLongRuns: the dense factor of an arrow matrix, n = 600,
 // holds its last rows as three runs, cut where they would step onto
-// columns 255 and 510; under wrap at P = 2 and 3 its column graph orders
-// as the full rows, Run waits on each run's end, and the factor is the
-// serial one bit for bit.
+// columns 255 and 510, and its elimination tree is one chain. Under wrap
+// at P = 2 and 3 column j waits on its one child, j − 1, whatever the
+// runs; the graph orders as the full rows, Run follows the waits of both
+// halves of every split column, and the factor is the serial one bit for
+// bit.
 func TestColumnGraphLongRuns(t *testing.T) {
 	const n = 600
 	var is, js []int
@@ -153,6 +171,11 @@ func TestColumnGraphLongRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks := strategy.Tasks(sys, strategy.Options{}, sc)
+		for j, task := range tasks {
+			if want := []int32{int32(j - 1)}; j > 0 && !slices.Equal(task.Preds, want) || j == 0 && len(task.Preds) != 0 {
+				t.Fatalf("P=%d: column %d waits on %v, want its child %d", p, j, task.Preds, j-1)
+			}
+		}
 		if _, _, splits, err := checkColumnGraph(f, p, tasks, traffic.FetchStats(sc)); err != nil || splits == 0 {
 			t.Fatalf("P=%d: %d split columns: %v", p, splits, err)
 		}
@@ -169,5 +192,40 @@ func TestColumnGraphLongRuns(t *testing.T) {
 				t.Fatalf("P=%d: position %d: %g, serial %g", p, q, got.Val[q], want.Val[q])
 			}
 		}
+	}
+}
+
+// TestColumnGraphDecrements pins the counters Run decrements per
+// factorization of wrap at P = 2 on MMD-ordered Grid9(120,120), the
+// benchmark's refactor plan: Σ indegree is the 14 399 tree edges, one
+// more per split column (its two halves wait on its children and on its
+// first half), plus the children of each split column's last source that
+// its first half waits on. The first halves' waits are pinned on their
+// own.
+func TestColumnGraphDecrements(t *testing.T) {
+	m := gen.Grid9(120, 120)
+	pm, err := m.Permute(order.MMD(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := strategy.NewSys(symbolic.Analyze(pm), nil, nil)
+	sc, err := strategy.Map("wrap", sys, 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := strategy.Tasks(sys, strategy.Options{}, sc)
+	pg, err := exec.Compile(sys.F, 2, tasks, sys.F.ColIndex())
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, firstHalves := 0, 0
+	for t, d := range exec.Indegrees(pg) {
+		total += int(d)
+		if t >= len(tasks) {
+			firstHalves += int(d)
+		}
+	}
+	if pg.Tasks() != 18370 || total != 22567 || firstHalves != 4295 {
+		t.Fatalf("%d tasks, %d decrements, %d of them first-half waits; want 18 370, 22 567 and 4 295", pg.Tasks(), total, firstHalves)
 	}
 }

@@ -144,9 +144,9 @@ func TestCompileScaleEdgesMatchBlockOracle(t *testing.T) {
 			for i := range tasks {
 				want[i] = tasks[i].Preds
 			}
-			if exec.IsColumnGraph(pg) {
-				// Run waits on run ends and, for a split column's first
-				// half, the column before its last source.
+			if pg.Tasks() > len(tasks) {
+				// A split column's first half also waits on the children
+				// of its last source that are sources of the column.
 				want = foldPreds(pg, exec.ColumnWaitsRef(pg), len(tasks))
 			}
 			if u := sameSets(graphPreds(pg, len(tasks)), want); u >= 0 {

@@ -148,7 +148,8 @@ func closure(tasks []exec.Task) [][]uint64 {
 }
 
 // isColumnGraph reports whether task j of tasks is column j of f, whole:
-// the graphs Compile reads as column graphs when they wait on run ends.
+// the graphs Compile reads as column graphs when they wait on the
+// elimination tree.
 func isColumnGraph(f *symbolic.Factor, tasks []exec.Task, elemTask []int32) bool {
 	return len(tasks) == f.N && slices.Equal(elemTask, f.ColIndex())
 }

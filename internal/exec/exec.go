@@ -172,21 +172,16 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 
 // ColumnTasksMapped builds the task graph of a column-granular mapping:
 // one task per column, run by owner[j]. Column j needs every column k < j
-// with L[j,k] != 0 final, and waits on the last column of each of row j's
-// runs (symbolic.RowIndex): a view of the row index, no copy. Every other
-// column of a run precedes its last through the run's chain (column c+1
-// waits on c, its child), so the graph orders exactly what the full rows
-// order.
+// with L[j,k] != 0 final, and waits on its elimination-tree children,
+// ascending (symbolic.Children). Every such k lies in the subtree of one
+// child, which runs only after its whole subtree, and every child is such
+// a k: the tree orders exactly what the full rows order.
 func ColumnTasksMapped(f *symbolic.Factor, elemWork []uint32, owner []int32) []Task {
 	colWork := model.ColumnWork(f, elemWork)
-	ri := f.Rows()
+	children := symbolic.Children(f.Parent)
 	tasks := make([]Task, f.N)
-	for j := 0; j < f.N; j++ {
-		tasks[j] = Task{
-			Proc:  owner[j],
-			Work:  colWork[j],
-			Preds: ri.Last[ri.RunPtr[j]:ri.RunPtr[j+1]:ri.RunPtr[j+1]],
-		}
+	for j := range tasks {
+		tasks[j] = Task{Proc: owner[j], Work: colWork[j], Preds: children[j]}
 	}
 	return tasks
 }

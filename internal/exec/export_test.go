@@ -28,10 +28,8 @@ func ProgramGraph(pg *Program) (steps [][][5]int32, preds [][]int32, graph []int
 		}
 		return steps, preds, graph
 	}
-	var succ []int32
 	for t := 0; t < n; t++ {
-		succ = pg.successors(succ[:0], int32(t))
-		for _, s := range succ {
+		for _, s := range pg.successors(int32(t)) {
 			preds[s] = append(preds[s], int32(t))
 		}
 	}
@@ -66,7 +64,7 @@ func ProgramSuccessors(pg *Program) [][]int32 {
 	}
 	out := make([][]int32, pg.Tasks())
 	for t := range out {
-		out[t] = pg.successors(nil, int32(t))
+		out[t] = pg.successors(int32(t))
 	}
 	return out
 }
@@ -90,6 +88,3 @@ var (
 // Indegrees returns how many predecessors Run waits on for every program
 // task, nil for a one-worker program.
 func Indegrees(pg *Program) []int32 { return pg.indeg }
-
-// IsColumnGraph reports whether pg reads its successors off its factor.
-func IsColumnGraph(pg *Program) bool { return pg.column }

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,23 +40,21 @@ import (
 // holds the diagonal. Column and 2D tile graphs carry those edges already,
 // so the rule adds none to them; a unit-block graph gets them here.
 //
-// In a column graph (ColumnTasksMapped's, a column-granular lift's) on
-// more than one worker a column whose last source — the largest c with
-// L[j,c] != 0 — belongs to another worker and comes after much more work
-// runs as two tasks on its owner (see split): the first half applies the
-// earlier sources as soon as they are final and leaves exact partial sums
-// in the column, the second waits for the last source and finishes. So
-// wrap's alternating chains no longer stall a worker for the whole of the
-// other's previous column. The graph's tasks, owners, traffic and span do
-// not change, and Run still reports one event per task of the graph.
+// In a column graph (ColumnTasksMapped's, a column-granular lift's: task
+// j is column j and waits on its elimination-tree children) on more than
+// one worker a column whose last source — the largest c with L[j,c] != 0,
+// always its largest child — belongs to another worker and comes after
+// much more work runs as two tasks on its owner (see split): the first
+// half applies the earlier sources as soon as they are final and leaves
+// exact partial sums in the column, the second waits for the last source
+// and finishes. So wrap's alternating chains no longer stall a worker
+// for the whole of the other's previous column. The graph's tasks,
+// owners, traffic and span do not change, and Run still reports one
+// event per task of the graph.
 //
 // The edges are held once. A one-worker program runs its tasks in index
-// order and keeps none. A column graph — task j is column j and waits on
-// the last column of each run of row j of f.Rows(), as ColumnTasksMapped
-// builds it — reads its successors off the factor: column c's are the
-// rows below its diagonal, f.RowInd[ColPtr[c]+1 : ColPtr[c+1]], in which
-// c ends its run (symbolic.Factor.Chained fails). Only a block or tile
-// graph on more than one worker keeps a transposed successor list.
+// order and keeps none; any other keeps its predecessors transposed into
+// one successor list, a column graph's split halves included.
 type Program struct {
 	f *symbolic.Factor
 	p int
@@ -74,16 +71,15 @@ type Program struct {
 	// program task len(tasks)+k. Empty unless Compile split a column.
 	first []int32
 
-	// The edges of a program on more than one worker.
-	indeg []int32 // task -> number of predecessors
-	own   []int32 // worker -> number of tasks
-	// column marks a column graph; half[j] is then column j's first-half
-	// task, or -1 (nil when no column split).
-	column bool
-	half   []int32
-	// Any other graph's successors of t are succ[succPtr[t]:succPtr[t+1]].
+	// The edges of a program on more than one worker: the successors of
+	// task t are succ[succPtr[t]:succPtr[t+1]], ascending.
+	indeg   []int32 // task -> number of predecessors
+	own     []int32 // worker -> number of tasks
 	succPtr []int32
 	succ    []int32
+	// half[j] is split column j's first-half task, or -1 (nil when no
+	// column split).
+	half []int32
 }
 
 // step is one step of a task: positions [lo, hi) of column j receive the
@@ -168,34 +164,16 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if p == 1 {
 		return pg, nil
 	}
-	pg.indeg = make([]int32, nt)
-	for i, ps := range preds {
-		pg.indeg[i] = int32(len(ps))
-	}
-	if pg.column = whole && pg.columnGraph(preds); pg.column {
-		pg.split()
-	}
-	n := pg.Tasks()
-	pg.own = make([]int32, p)
-	for i := 0; i < n; i++ {
-		pg.own[tasks[pg.graphTask(int32(i))].Proc]++
-	}
-	if pg.column {
-		if len(pg.first) > 0 {
-			pg.half = make([]int32, f.N)
-			for j := range pg.half {
-				pg.half[j] = -1
-			}
-			for k, t := range pg.first {
-				pg.half[t] = int32(nt + k)
-			}
-		}
-		return pg, nil
+	if whole && pg.tree(preds) {
+		preds = pg.split(preds)
 	}
 	// Successor lists, the transpose of the predecessors, in ascending
 	// task order.
-	pg.succPtr = make([]int32, n+1)
-	for _, ps := range preds {
+	n := pg.Tasks()
+	pg.indeg, pg.own, pg.succPtr = make([]int32, n), make([]int32, p), make([]int32, n+1)
+	for i, ps := range preds {
+		pg.indeg[i] = int32(len(ps))
+		pg.own[tasks[pg.graphTask(int32(i))].Proc]++
 		for _, pr := range ps {
 			pg.succPtr[pr+1]++
 		}
@@ -233,55 +211,30 @@ func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
 	return buf[:]
 }
 
-// columnGraph reports whether preds, the graph's, are those of the column
-// graph of the factor, given that task j is column j: task j waits on the
-// last columns of row j's runs of f.Rows(), in ascending order.
-func (pg *Program) columnGraph(preds [][]int32) bool {
-	ri := pg.f.Rows()
+// tree reports whether preds, the graph's, are the elimination tree of
+// the factor, given that task j is column j: every task waits on children
+// of its column only, ascending, and all of them together on every
+// non-root column.
+func (pg *Program) tree(preds [][]int32) bool {
+	edges := 0
 	for t, ps := range preds {
-		if !slices.Equal(ps, ri.Last[ri.RunPtr[t]:ri.RunPtr[t+1]]) {
-			return false
+		for k, c := range ps {
+			if pg.f.Parent[c] != t || k > 0 && ps[k-1] >= c {
+				return false
+			}
+		}
+		edges += len(ps)
+	}
+	for _, p := range pg.f.Parent {
+		if p >= 0 {
+			edges--
 		}
 	}
-	return true
+	return edges == 0
 }
 
-// successors appends to dst the program tasks that wait for task t. A
-// first half's is its column. In a column graph column t's are the rows
-// below its diagonal in which t is the last of its run (not Chained to
-// t+1), each row's own task, or its first half unless t is the last
-// source of the split column (the second half's step starts there); a
-// split column's first half also waits on t when t+1 is that last source
-// and in t's run. In any other graph they are the transposed list.
-func (pg *Program) successors(dst []int32, t int32) []int32 {
-	if g := pg.graphTask(t); g != t {
-		return append(dst, g)
-	}
-	if !pg.column {
-		return append(dst, pg.succ[pg.succPtr[t]:pg.succPtr[t+1]]...)
-	}
-	f, nt := pg.f, int32(len(pg.tasks))
-	hi, d := f.ColPtr[t+1], f.RunStep(int(t))
-	for q := f.ColPtr[t] + 1; q < hi; q++ {
-		i, h, from := f.RowInd[q], int32(-1), int32(0)
-		if pg.half != nil {
-			if h = pg.half[i]; h >= 0 {
-				from = pg.steps[2*(h-nt)+1].from
-			}
-		}
-		switch {
-		case f.Chained(q, hi, d):
-			if h >= 0 && t+1 == from {
-				dst = append(dst, h)
-			}
-		case h >= 0 && t < from:
-			dst = append(dst, h)
-		default:
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
+// successors returns the program tasks that wait for task t.
+func (pg *Program) successors(t int32) []int32 { return pg.succ[pg.succPtr[t]:pg.succPtr[t+1]] }
 
 // preds checks the caller's graph — processors in [0, p), predecessors
 // strictly earlier in the slice (by index) — and returns every task's
@@ -335,16 +288,18 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 	return preds, nil
 }
 
-// split picks the columns of a column graph that run as two tasks and
-// appends their first halves' indegrees. Split column k's first half —
-// program task len(tasks)+k, a step over the sources before the last one
-// — waits on the same as its column but the last source, and on the
-// column before it when that is in the last source's run; its second
-// half, the graph task's step now starting at the last source, waits for
-// the first half and that source. A column splits when its last source
-// runs on another worker and the sources before it carry at least
-// splitRatio times that source's updates plus the column's length.
-func (pg *Program) split() {
+// split picks the columns of a tree-shaped column graph that run as two
+// tasks and returns preds with the waits of both halves. A column splits
+// when its last source, its largest child last, runs on another worker
+// and the sources before last carry at least splitRatio times last's
+// updates plus the column's length. Split column k's first half — program
+// task len(tasks)+k, a step over the sources before last — waits on the
+// column's other children and on those children of last that are sources
+// of the column: the column's row structure is closed upward in the tree,
+// so every source below last lies in one of their subtrees. Its second
+// half, the graph task's step now starting at last, waits on the first
+// half and on last.
+func (pg *Program) split(preds [][]int32) [][]int32 {
 	tasks, f, ri := pg.tasks, pg.f, pg.f.Rows()
 	for j := range tasks {
 		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
@@ -368,14 +323,33 @@ func (pg *Program) split() {
 		pg.first = append(pg.first, int32(j))
 		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
 	}
-	for _, j := range pg.first {
-		d := pg.indeg[j] - 1
-		if ri.RunLen[ri.RunPtr[j+1]-1] > 1 {
-			d++
-		}
-		pg.indeg = append(pg.indeg, d)
-		pg.indeg[j] = 2
+	if len(pg.first) == 0 {
+		return preds
 	}
+	nt := int32(len(tasks))
+	pg.half = make([]int32, f.N)
+	for j := range pg.half {
+		pg.half[j] = -1
+	}
+	// The halves' waits, back to back; a cut stays valid when waits grows.
+	waits := make([]int32, 0, 4*len(pg.first))
+	preds = append(preds, make([][]int32, len(pg.first))...)
+	for k, j := range pg.first {
+		// tasks[t].Preds are t's children (the scale rule adds no edge to
+		// whole columns); preds[last] may already be a second half's.
+		ps := tasks[j].Preds
+		last, h, x := ps[len(ps)-1], nt+int32(k), len(waits)
+		waits = append(waits, ps[:len(ps)-1]...)
+		for _, c := range tasks[last].Preds {
+			if f.Has(int(j), int(c)) {
+				waits = append(waits, c)
+			}
+		}
+		waits = append(waits, h, last)
+		pg.half[j] = h
+		preds[h], preds[j] = waits[x:len(waits)-2], waits[len(waits)-2:]
+	}
+	return preds
 }
 
 // Tasks reports how many tasks a Run executes: one per task of the
@@ -402,8 +376,8 @@ func (pg *Program) graphTask(t int32) int32 {
 // every task execution is timestamped (nanoseconds since the workers
 // started) and the events are returned indexed by task ID of the compiled
 // graph; Cause is the predecessor whose retirement released a task its
-// worker was waiting for (for a split column, possibly the column before
-// its last source, which its first half waits on), -1 otherwise. A split
+// worker was waiting for (for a split column, possibly a child of its last
+// source, which its first half waits on), -1 otherwise. A split
 // column's two halves fold into its one event: Start and Cause from the
 // first, Finish from the second, Work and Stall summed, so Work is the
 // column's busy time and Finish-Start may also span other tasks run
@@ -624,7 +598,6 @@ func (r *run) work(w int32) {
 	q := r.queues[w]
 	acc := make([]float64, pg.f.N)
 	var prev int64
-	var succ []int32
 	for left := pg.own[w]; left > 0; {
 		if r.aborted.Load() {
 			return
@@ -639,8 +612,7 @@ func (r *run) work(w int32) {
 			return
 		}
 		left--
-		succ = pg.successors(succ[:0], t)
-		for _, s := range succ {
+		for _, s := range pg.successors(t) {
 			if r.pending[s].Add(-1) == 0 {
 				g := pg.graphTask(s)
 				r.queues[pg.tasks[g].Proc].push(g, s, t)

@@ -6,15 +6,13 @@ import (
 	"repro/internal/symbolic"
 )
 
-// successorsRef is the successor list Compile built for every program
-// before a column graph read its successors off the factor and a
-// one-worker program kept none, kept as their oracle: the scale rule's
-// predecessors — a column graph's what columnWaitsRef reads off the
-// factor's columns, its split columns' halves included — transposed,
-// every list in ascending task order.
+// successorsRef is the successor list of every program on more than one
+// worker, kept as its oracle: the scale rule's predecessors — a split
+// column graph's what columnWaitsRef reads off the factor's columns, its
+// halves included — transposed, every list in ascending task order.
 func successorsRef(pg *Program) [][]int32 {
 	var preds [][]int32
-	if pg.column {
+	if len(pg.first) > 0 {
 		preds = columnWaitsRef(pg)
 	} else {
 		preds = scalePreds(pg)
@@ -46,7 +44,7 @@ func successorsRef(pg *Program) [][]int32 {
 
 // fullRows returns every row of f's strict lower triangle, the columns
 // k < j with L[j,k] != 0 ascending, read off f's columns: the
-// predecessors of a column graph before it waited on run ends only.
+// predecessors of a column graph before it waited on the tree.
 func fullRows(f *symbolic.Factor) [][]int32 {
 	rows := make([][]int32, f.N)
 	for c := 0; c < f.N; c++ {
@@ -57,43 +55,30 @@ func fullRows(f *symbolic.Factor) [][]int32 {
 	return rows
 }
 
-// runEnds returns the columns of row, row j of f, that end a run: a run
-// is consecutive columns c, c+1, … of the row, each the elimination-tree
-// parent of the one before and holding the same rows from row j down,
-// never stepping onto a column that is a multiple of 255.
-func runEnds(f *symbolic.Factor, row []int32, j int) []int32 {
-	tail := func(c int32) int {
-		col := f.Col(int(c))
-		k, _ := slices.BinarySearch(col, int32(j))
-		return len(col) - k
-	}
-	ends := []int32{}
-	for e, c := range row {
-		if e+1 == len(row) || row[e+1] != c+1 || (c+1)%255 == 0 || f.Parent[c] != int(c+1) || tail(c) != tail(c+1) {
-			ends = append(ends, c)
-		}
-	}
-	return ends
-}
-
 // columnWaitsRef returns what every program task of pg, a column graph on
-// more than one worker, waits on, from f's columns alone: column j on the
-// ends of row j's runs; split column k's first half on the same but its
-// last source, and on the column before that source when it is in the
-// source's run; the second half on the first half and the last source.
+// more than one worker, waits on, from f's columns alone: column j on its
+// children, the columns whose first row below the diagonal is j; split
+// column k's first half on the same but its last source, and on every
+// child of that source in row j; the second half on the first half and
+// the last source.
 func columnWaitsRef(pg *Program) [][]int32 {
 	f, nt := pg.f, len(pg.tasks)
-	rows := fullRows(f)
-	waits := make([][]int32, pg.Tasks())
-	for j := 0; j < nt; j++ {
-		waits[j] = runEnds(f, rows[j], j)
+	rows, children := fullRows(f), make([][]int32, f.N)
+	for c := 0; c < f.N; c++ {
+		if col := f.Col(c); len(col) > 1 {
+			children[col[1]] = append(children[col[1]], int32(c))
+		}
 	}
+	waits := make([][]int32, pg.Tasks())
+	copy(waits, children)
 	for k, j := range pg.first {
-		row, ends := rows[j], waits[j]
+		row := rows[j]
 		last := row[len(row)-1]
-		first := slices.Clone(ends[:len(ends)-1])
-		if len(row) > 1 && row[len(row)-2] == last-1 && !slices.Contains(ends, last-1) {
-			first = append(first, last-1)
+		first := slices.DeleteFunc(slices.Clone(children[j]), func(c int32) bool { return c == last })
+		for _, c := range children[last] {
+			if _, ok := slices.BinarySearch(row, c); ok {
+				first = append(first, c)
+			}
 		}
 		waits[nt+k], waits[j] = first, []int32{int32(nt + k), last}
 	}

@@ -15,15 +15,16 @@ import (
 	"repro/internal/symbolic"
 )
 
-// Every program follows, as sets, the successors of the transposition
-// Compile once ran for every program (successors_ref_test.go): over the
-// suite, every 1D strategy at five processor counts, block at grain 25
-// with relaxation 0.3, and every 2D mapper, split columns included. A column graph reads them off the
-// factor and keeps no successor list; a one-worker program keeps no edge
-// at all. Under -race, which has nothing to find in this single-threaded
-// sweep, only P = 2 runs.
+// Every program follows, as sets, the successors of the transposition of
+// its predecessors (successors_ref_test.go): over the suite, every 1D
+// strategy at five processor counts, block at grain 25 with relaxation
+// 0.3, and every 2D mapper, split columns included. A one-worker program
+// keeps no edge at all; any other exactly one indegree per task and one
+// successor list, its pointers plus one entry per edge. Under -race,
+// which has nothing to find in this single-threaded sweep, only P = 2
+// runs.
 func TestSuccessorsMatchTransposition(t *testing.T) {
-	programs, columnGraphs, splits := 0, 0, 0
+	programs, splitPrograms, splits := 0, 0, 0
 	check := func(what string, f *symbolic.Factor, p int, tasks []exec.Task, elemTask []int32) {
 		t.Helper()
 		pg, err := exec.Compile(f, p, tasks, elemTask)
@@ -38,14 +39,16 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 			}
 			return
 		}
-		column := exec.IsColumnGraph(pg)
-		if column {
-			columnGraphs++
-			if succ != 0 {
-				t.Fatalf("%s: a column graph holds %d successor entries", what, succ)
-			}
+		edges := 0
+		for _, d := range exec.Indegrees(pg) {
+			edges += int(d)
 		}
-		splits += pg.Tasks() - len(tasks)
+		if n := pg.Tasks(); indeg != n || succ != n+1+edges {
+			t.Fatalf("%s: %d tasks with %d edges hold %d indegrees and %d successor entries, want %d and %d", what, n, edges, indeg, succ, n, n+1+edges)
+		}
+		if s := pg.Tasks() - len(tasks); s > 0 {
+			splitPrograms, splits = splitPrograms+1, splits+s
+		}
 		got, want := exec.ProgramSuccessors(pg), exec.SuccessorsRef(pg)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d tasks, the oracle %d", what, len(got), len(want))
@@ -54,7 +57,7 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 			g := slices.Clone(got[s])
 			slices.Sort(g)
 			if !slices.Equal(g, want[s]) {
-				t.Fatalf("%s (column graph %t): task %d's successors %v, the oracle's %v", what, column, s, g, want[s])
+				t.Fatalf("%s: task %d's successors %v, the oracle's %v", what, s, g, want[s])
 			}
 		}
 	}
@@ -95,18 +98,18 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 			}
 		}
 	}
-	if columnGraphs == 0 || splits == 0 {
-		t.Fatalf("%d column graphs, %d split columns: the sweep misses a case", columnGraphs, splits)
+	if splits == 0 {
+		t.Fatal("no split column: the sweep misses the first halves")
 	}
-	t.Logf("%d programs, %d column graphs, %d split columns: every successor set the oracle's", programs, columnGraphs, splits)
+	t.Logf("%d programs, %d with %d split columns: every successor set the oracle's", programs, splitPrograms, splits)
 }
 
-// Compile keeps no copy of the column graph's edges: wrap on Grid9(60,60)
-// at P = 1 (no edge at all) and at P = 2 (indegrees and the first-half
-// markers; the successors are the factor's rows) retains less than
-// 3·nnz(L) bytes. A transposed successor list of that graph is
-// 4·(nnz(L) − n) bytes by itself. The factor's row index, which the task
-// graph already built, is not counted.
+// Compile keeps the column graph's edges small: wrap on Grid9(60,60) at
+// P = 1 (no edge at all) and at P = 2 (indegrees, the first-half markers
+// and the successor list of the elimination tree and the split halves)
+// retains less than 3·nnz(L) bytes. A successor list of the full rows
+// would be 4·(nnz(L) − n) bytes by itself. The factor's row index, which
+// the task graph already built, is not counted.
 func TestCompileRetainsNoEdgeCopy(t *testing.T) {
 	m := gen.Grid9(60, 60)
 	pm, err := m.Permute(order.MMD(m))

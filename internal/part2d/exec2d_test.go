@@ -278,8 +278,8 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 
 	// tasks is the graph the program was compiled from; the block program
 	// adds scale edges of its own, so its causes are checked for order only.
-	// A cause is a predecessor, or for a split column the column before
-	// its last source.
+	// A cause is a predecessor, or for a split column a child of its last
+	// source, its last predecessor.
 	type entry struct {
 		name  string
 		pg    *exec.Program
@@ -336,8 +336,8 @@ func TestProgramReuseAcrossValues(t *testing.T) {
 						k := sort.Search(len(preds), func(k int) bool { return preds[k] >= ev.Cause })
 						named = k < len(preds) && preds[k] == ev.Cause
 						// A split column's first half also waits on the
-						// column before its last source, in that source's run.
-						named = named || (k == len(preds)-1 && preds[k] == ev.Cause+1 && ns.f.Parent[ev.Cause] == int(ev.Cause+1))
+						// children of its last source in its row.
+						named = named || (len(preds) > 0 && ns.f.Parent[ev.Cause] == int(preds[len(preds)-1]) && ns.f.Has(int(ev.Task), int(ev.Cause)))
 					}
 					if !named || events[ev.Cause].Finish > ev.Start {
 						return fmt.Errorf("%s %s: task %d names cause %d, not a finished predecessor", e.name, c.name, ev.Task, ev.Cause)

@@ -27,13 +27,13 @@ import (
 // owner of its diagonal tile, as produced by the col2d lift — each column
 // collapses to a single group whose work is the column work and whose
 // predecessor set is the column's row structure, which
-// exec.ColumnTasksMapped's graph orders alike waiting on the last column
-// of each run of the row only. exec.Simulate is therefore bit-identical on a
-// lift and on its 1D schedule, which the regression tests pin at
-// P in {1, 4, 16}. The constructor reads that case off the tile owners
-// once, in O(tiles), never assumed from the mapper, and Tasks answers it
-// with exec.ColumnTasksMapped's graph over those column owners and the
-// column index as the element map (task j is column j).
+// exec.ColumnTasksMapped's graph orders alike waiting on the column's
+// elimination-tree children only. exec.Simulate is therefore
+// bit-identical on a lift and on its 1D schedule, which the regression
+// tests pin at P in {1, 4, 16}. The constructor reads that case off the
+// tile owners once, in O(tiles), never assumed from the mapper, and Tasks
+// answers it with exec.ColumnTasksMapped's graph over those column owners
+// and the column index as the element map (task j is column j).
 //
 // Any other schedule is priced by row-block segment, not by update (see
 // segments): every update of the run (j, k) that reads one segment S of

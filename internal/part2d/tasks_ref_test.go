@@ -175,11 +175,11 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 // checkSegmentsMatchWalk holds Tasks, FetchStats and Traffic — and the
 // segment pass itself, past the column-granular shortcut — to the element
 // walk: the same tasks (ID, Proc, Work, Preds with nil equal to empty; on
-// a column-granular schedule Tasks' are cut to run ends, runEndTasks) and
-// element map, the same Vol and Msgs task by task, the same per-tile
-// fan-out and fan-in. FetchStats must accept every map Tasks returns, and
-// panic on one task per element when that splits a row-block segment (it
-// equals the walk when it does not).
+// a column-granular schedule Tasks' are cut to the elimination tree,
+// treeTasks) and element map, the same Vol and Msgs task by task, the
+// same per-tile fan-out and fan-in. FetchStats must accept every map
+// Tasks returns, and panic on one task per element when that splits a
+// row-block segment (it equals the walk when it does not).
 func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []uint32, s *Schedule2D) {
 	t.Helper()
 	f := ops.F
@@ -192,7 +192,7 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		tasks, elemTask := e.fn(ops, elemWork, s)
 		want := wantTasks
 		if e.name == "Tasks" && s.colProc != nil {
-			want = runEndTasks(f, wantTasks)
+			want = treeTasks(f, wantTasks)
 		}
 		if err := sameTasks(tasks, want); err != nil || !slices.Equal(elemTask, wantElemTask) {
 			t.Fatalf("%s: %s differ from the walk: %v", label, e.name, err)

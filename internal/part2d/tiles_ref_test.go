@@ -315,29 +315,15 @@ func sameTasks(a, b []exec.Task) error {
 	return nil
 }
 
-// runEndTasks is tasks, a column graph with the walk's predecessors —
-// task j is column j and waits on row j of the factor — cut to the graph
-// exec.ColumnTasksMapped builds: each row keeps the last column of each
-// run of symbolic.RowIndex, a run being consecutive columns, each the
-// elimination-tree parent of the one before and holding the same rows
-// from row j down, never stepping onto a multiple of 255. Read off the
-// columns.
-func runEndTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
-	tail := func(c int32, j int) int {
-		col := f.Col(int(c))
-		k, _ := slices.BinarySearch(col, int32(j))
-		return len(col) - k
-	}
+// treeTasks is tasks, a column graph with the walk's predecessors — task
+// j is column j and waits on row j of the factor — cut to the graph
+// exec.ColumnTasksMapped builds: each row keeps the columns whose first
+// row below the diagonal is j, its elimination-tree children. Read off
+// the columns.
+func treeTasks(f *symbolic.Factor, tasks []exec.Task) []exec.Task {
 	out := slices.Clone(tasks)
 	for j := range out {
-		ps := tasks[j].Preds
-		var ends []int32
-		for e, c := range ps {
-			if e+1 == len(ps) || ps[e+1] != c+1 || (c+1)%255 == 0 || f.Parent[c] != int(c+1) || tail(c, j) != tail(c+1, j) {
-				ends = append(ends, c)
-			}
-		}
-		out[j].Preds = ends
+		out[j].Preds = slices.DeleteFunc(slices.Clone(tasks[j].Preds), func(c int32) bool { return f.Col(int(c))[1] != int32(j) })
 	}
 	return out
 }
@@ -394,7 +380,7 @@ func checkAgainstRef(t testing.TB, label string, ops *model.Ops, elemWork []uint
 	wantTasks, wantElemTask := walkTasks(ops, elemWork, ref.ElemProc)
 	wantGraph := wantTasks
 	if s.colProc != nil {
-		wantGraph = runEndTasks(f, wantTasks)
+		wantGraph = treeTasks(f, wantTasks)
 	}
 	if err := sameTasks(tasks, wantGraph); err != nil || !slices.Equal(elemTask, wantElemTask) {
 		t.Fatalf("%s: Tasks differ from the dense walk: %v", label, err)

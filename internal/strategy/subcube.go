@@ -39,8 +39,8 @@ func SubcubeOwners(parent []int, colWork []int64, p int) []int32 {
 	// assignAll gives every column of the subtrees rooted at nodes to one
 	// processor (the single-owner base case), iteratively to keep the
 	// stack flat on chain-shaped trees.
-	assignAll := func(nodes []int, proc int32) {
-		stack := append([]int(nil), nodes...)
+	assignAll := func(nodes []int32, proc int32) {
+		stack := append([]int32(nil), nodes...)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -51,8 +51,8 @@ func SubcubeOwners(parent []int, colWork []int64, p int) []int32 {
 
 	// assign maps the sibling subtrees rooted at nodes onto processors
 	// [lo, hi).
-	var assign func(nodes []int, lo, hi int)
-	assign = func(nodes []int, lo, hi int) {
+	var assign func(nodes []int32, lo, hi int)
+	assign = func(nodes []int32, lo, hi int) {
 		if len(nodes) == 0 {
 			return
 		}
@@ -90,7 +90,7 @@ func SubcubeOwners(parent []int, colWork []int64, p int) []int32 {
 // slice of [lo, hi), at least one processor each, with the surplus
 // distributed by largest remainder of the subtrees' work shares (ties to
 // the lower node index, keeping the split deterministic).
-func splitProportional(nodes []int, sub []int64, lo, hi int, assign func(nodes []int, lo, hi int)) {
+func splitProportional(nodes []int32, sub []int64, lo, hi int, assign func(nodes []int32, lo, hi int)) {
 	k := len(nodes)
 	extra := (hi - lo) - k
 	var totW int64
@@ -127,7 +127,7 @@ func splitProportional(nodes []int, sub []int64, lo, hi int, assign func(nodes [
 	}
 	at := lo
 	for i, v := range nodes {
-		assign([]int{v}, at, at+counts[i])
+		assign([]int32{v}, at, at+counts[i])
 		at += counts[i]
 	}
 }
@@ -135,8 +135,8 @@ func splitProportional(nodes []int, sub []int64, lo, hi int, assign func(nodes [
 // packGreedy assigns each whole subtree to the currently least-loaded
 // processor of [lo, hi), visiting subtrees in decreasing work order (the
 // classical LPT rule), for the case where subtrees outnumber processors.
-func packGreedy(nodes []int, sub []int64, lo, hi int, assignAll func(nodes []int, proc int32)) {
-	order := append([]int(nil), nodes...)
+func packGreedy(nodes []int32, sub []int64, lo, hi int, assignAll func(nodes []int32, proc int32)) {
+	order := append([]int32(nil), nodes...)
 	sort.Slice(order, func(a, b int) bool {
 		if sub[order[a]] != sub[order[b]] {
 			return sub[order[a]] > sub[order[b]]
@@ -147,6 +147,6 @@ func packGreedy(nodes []int, sub []int64, lo, hi int, assignAll func(nodes []int
 	for _, v := range order {
 		best := sched.LeastLoaded(load)
 		load[best] += sub[v]
-		assignAll([]int{v}, int32(lo+best))
+		assignAll([]int32{v}, int32(lo+best))
 	}
 }

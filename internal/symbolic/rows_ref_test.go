@@ -61,7 +61,7 @@ func refRuns(f *Factor) int {
 // checkRuns holds f's row index to the oracle: runs that decode to the
 // old columns and positions exactly, each run a range of consecutive
 // columns, each the elimination-tree parent of the one before, every run
-// maximal (Chained fails at its end), the records as many as refRuns
+// maximal (chained fails at its end), the records as many as refRuns
 // counts, and every array at its exact size.
 func checkRuns(f *Factor) error {
 	ptr, cols, pos := refRows(f)
@@ -84,7 +84,7 @@ func checkRuns(f *Factor) error {
 		}
 		chained := func(c int32, tail int) bool {
 			hi := f.ColPtr[c+1]
-			return f.Chained(hi-tail, hi, f.RunStep(int(c)))
+			return f.chained(hi-tail, hi, f.runStep(int(c)))
 		}
 		for x := ri.RunPtr[r]; x < ri.RunPtr[r+1]; x++ {
 			m, last, tail := int32(ri.RunLen[x]), ri.Last[x], int(ri.Tail[x])

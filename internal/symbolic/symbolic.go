@@ -23,9 +23,8 @@ import (
 // symmetric matrix, in compressed sparse column form over the lower
 // triangle. The first entry of every column is its diagonal; row indices
 // are strictly increasing within a column. A row index takes four bytes:
-// it is held once, by RowInd, and read in place by every kernel, by the
-// row index (Rows) and by a compiled column graph, whose successors are
-// the rows below each diagonal. Positions index RowInd and stay below
+// it is held once, by RowInd, and read in place by every kernel and by the
+// row index (Rows). Positions index RowInd and stay below
 // MaxNNZ, so they fit an int32 too; ColPtr stays []int.
 type Factor struct {
 	N      int
@@ -45,31 +44,31 @@ type Factor struct {
 // RunLen[x] consecutive columns Last[x]−RunLen[x]+1 to Last[x], each the
 // elimination-tree parent of the one before, all holding the same Tail[x]
 // rows from row r down: the supernodes of the factor, as row r meets them
-// (Chained is the step from one column of a run to the next). Read in that
+// (chained is the step from one column of a run to the next). Read in that
 // order they are the canonical update sequence of column r, which every
 // numeric kernel follows. A run is maximal but never steps onto a column
-// that is a multiple of 255 (RunStep), so it fits RunLen. L[r,c] of run x
+// that is a multiple of 255 (runStep), so it fits RunLen. L[r,c] of run x
 // sits at ColPtr[c+1] − Tail[x] (AppendRow).
 type RowIndex struct {
 	RunPtr, Last, Tail []int32
 	RunLen             []uint8
 }
 
-// Chained reports whether the entry at position q of column c, in row i,
+// chained reports whether the entry at position q of column c, in row i,
 // and column c+1 are one step of a run of row i: c+1 holds row i with the
-// same tail (as many rows from i down) and RunStep(c) is not 0. hi is
-// ColPtr[c+1] and d is RunStep(c), the same for every entry of c, so a
+// same tail (as many rows from i down) and runStep(c) is not 0. hi is
+// ColPtr[c+1] and d is runStep(c), the same for every entry of c, so a
 // walk over a column computes them once. A run of the row index ends at
 // the first column of it that is not chained to the next.
-func (f *Factor) Chained(q, hi, d int) bool {
+func (f *Factor) chained(q, hi, d int) bool {
 	return q+d > hi && f.RowInd[q+d] == f.RowInd[q]
 }
 
-// RunStep returns the distance from column c's positions to those of the
+// runStep returns the distance from column c's positions to those of the
 // same tail in column c+1, ColLen(c+1), when c+1 is c's elimination-tree
 // parent and not a multiple of 255, and 0 otherwise, which leaves every
-// entry q of c short of c+1's diagonal: q+RunStep(c) > ColPtr[c+1] fails.
-func (f *Factor) RunStep(c int) int {
+// entry q of c short of c+1's diagonal: q+runStep(c) > ColPtr[c+1] fails.
+func (f *Factor) runStep(c int) int {
 	if c+1 >= f.N || f.Parent[c] != c+1 || (c+1)%math.MaxUint8 == 0 {
 		return 0
 	}
@@ -82,15 +81,15 @@ func (f *Factor) RunStep(c int) int {
 func (f *Factor) Rows() *RowIndex {
 	f.rowsOnce.Do(func() {
 		// Two passes over the columns, each entry of column c ending its
-		// row's open run unless Chained: the first counts every row's
+		// row's open run unless chained: the first counts every row's
 		// runs, the second fills them at their exact size, RunPtr[i] the
 		// open run of row i until the shift back.
 		n := f.N
 		runPtr := make([]int32, n+1)
 		for c := 0; c < n; c++ {
-			hi, d := f.ColPtr[c+1], f.RunStep(c)
+			hi, d := f.ColPtr[c+1], f.runStep(c)
 			for q := f.ColPtr[c] + 1; q < hi; q++ {
-				if !f.Chained(q, hi, d) {
+				if !f.chained(q, hi, d) {
 					runPtr[f.RowInd[q]+1]++
 				}
 			}
@@ -101,10 +100,10 @@ func (f *Factor) Rows() *RowIndex {
 		runs := runPtr[n]
 		last, tail, runLen := make([]int32, runs), make([]int32, runs), make([]uint8, runs)
 		for c := 0; c < n; c++ {
-			hi, d := f.ColPtr[c+1], f.RunStep(c)
+			hi, d := f.ColPtr[c+1], f.runStep(c)
 			for q := f.ColPtr[c] + 1; q < hi; q++ {
 				i, x := f.RowInd[q], runPtr[f.RowInd[q]]
-				if runLen[x]++; !f.Chained(q, hi, d) {
+				if runLen[x]++; !f.chained(q, hi, d) {
 					last[x], tail[x] = int32(c), int32(hi-q)
 					runPtr[i]++
 				}

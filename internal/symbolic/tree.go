@@ -9,36 +9,42 @@ package symbolic
 // or synthetic forests.
 
 // Roots returns the roots of the forest in increasing order.
-func Roots(parent []int) []int {
-	var roots []int
+func Roots(parent []int) []int32 {
+	var roots []int32
 	for j, p := range parent {
 		if p == -1 {
-			roots = append(roots, j)
+			roots = append(roots, int32(j))
 		}
 	}
 	return roots
 }
 
 // Children returns the children lists of the forest; Children(parent)[j]
-// holds the children of j in increasing order.
-func Children(parent []int) [][]int {
+// holds the children of j in increasing order. The lists are cut from one
+// backing array, each capped at its length, so appending to one copies it.
+func Children(parent []int) [][]int32 {
 	n := len(parent)
-	counts := make([]int, n)
+	// end[p] counts p's children, then, prefix-summed, ends p's list; the
+	// fill, walking the nodes down, leaves it at the list's start.
+	end := make([]int32, n+1)
 	for _, p := range parent {
 		if p != -1 {
-			counts[p]++
+			end[p]++
 		}
 	}
-	children := make([][]int, n)
-	for j, c := range counts {
-		if c > 0 {
-			children[j] = make([]int, 0, c)
+	for j := 1; j <= n; j++ {
+		end[j] += end[j-1]
+	}
+	all := make([]int32, end[n])
+	for j := n - 1; j >= 0; j-- {
+		if p := parent[j]; p != -1 {
+			end[p]--
+			all[end[p]] = int32(j)
 		}
 	}
-	for j, p := range parent {
-		if p != -1 {
-			children[p] = append(children[p], j)
-		}
+	children := make([][]int32, n)
+	for j := range children {
+		children[j] = all[end[j]:end[j+1]:end[j+1]]
 	}
 	return children
 }

@@ -17,14 +17,14 @@ import (
 var treeFixture = []int{3, 2, 3, -1, 5, -1}
 
 func TestRoots(t *testing.T) {
-	if got, want := Roots(treeFixture), []int{3, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := Roots(treeFixture), []int32{3, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Roots = %v, want %v", got, want)
 	}
 }
 
 func TestChildren(t *testing.T) {
 	children := Children(treeFixture)
-	want := [][]int{nil, nil, {1}, {0, 2}, nil, {4}}
+	want := [][]int32{nil, nil, {1}, {0, 2}, nil, {4}}
 	for j := range want {
 		if len(children[j]) == 0 && len(want[j]) == 0 {
 			continue
@@ -32,6 +32,11 @@ func TestChildren(t *testing.T) {
 		if !reflect.DeepEqual(children[j], want[j]) {
 			t.Errorf("Children[%d] = %v, want %v", j, children[j], want[j])
 		}
+	}
+	// The lists share one backing array: appending to one must copy it.
+	_ = append(children[2], 9)
+	if !reflect.DeepEqual(children[3], want[3]) {
+		t.Errorf("appending to Children[2] wrote Children[3]: %v", children[3])
 	}
 }
 
