@@ -27,7 +27,8 @@ func (e *events) OnTask(ev exec.TaskEvent) { *e = append(*e, ev) }
 // factor as predecessors (exec.FullRows, read off the columns): the same
 // reachability, the same Simulate result and the same probe events, Cause
 // included, static and dynamic, with and without a comm model, the same
-// critical path; and, compiled on p workers, a program whose successors
+// critical path; and, compiled on p workers, a program that Compile
+// reads as a column graph on the tree (exec.IsTree) and whose successors
 // are exactly the transpose of what each of its tasks waits on
 // (exec.ColumnWaitsRef, split halves included), as many as Run counts
 // down. It returns the two graphs' edge counts and the program's split
@@ -72,6 +73,9 @@ func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffi
 	}
 	if p == 1 {
 		return edges, fullEdges, 0, nil
+	}
+	if !exec.IsTree(pg) {
+		return 0, 0, 0, fmt.Errorf("not compiled as a column graph on the elimination tree")
 	}
 	_, preds, _ := exec.ProgramGraph(pg)
 	waits, indeg := exec.ColumnWaitsRef(pg), exec.Indegrees(pg)

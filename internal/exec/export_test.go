@@ -85,6 +85,16 @@ var (
 	ColumnWaitsRef = columnWaitsRef
 )
 
+// IsTree reports whether Compile reads pg's graph as a column graph
+// that waits on the elimination tree, the graph it splits columns of.
+func IsTree(pg *Program) bool {
+	if pg.stepPtr != nil {
+		return false
+	}
+	preds, err := pg.preds(pg.tasks, pg.f.ColIndex())
+	return err == nil && pg.tree(preds)
+}
+
 // Indegrees returns how many predecessors Run waits on for every program
 // task, nil for a one-worker program.
 func Indegrees(pg *Program) []int32 { return pg.indeg }

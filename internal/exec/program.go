@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,6 +302,11 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 // half and on last.
 func (pg *Program) split(preds [][]int32) [][]int32 {
 	tasks, f, ri := pg.tasks, pg.f, pg.f.Rows()
+	nt := int32(len(tasks))
+	// The halves' waits, back to back (a cut stays valid when waits
+	// grows); split column k's first half's end at ends[k], its second
+	// half's two follow.
+	var waits, ends []int32
 	for j := range tasks {
 		x, end := ri.RunPtr[j], ri.RunPtr[j+1]
 		if x == end {
@@ -320,34 +326,41 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 		if need > 0 {
 			continue
 		}
+		if pg.half == nil {
+			pg.half = make([]int32, f.N)
+			for c := range pg.half {
+				pg.half[c] = -1
+			}
+			// At most every later column splits; about three waits each.
+			waits, ends = make([]int32, 0, 3*(f.N-j)), make([]int32, 0, f.N-j)
+		}
+		h := nt + int32(len(pg.first))
 		pg.first = append(pg.first, int32(j))
+		pg.half[j] = h
 		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
-	}
-	if len(pg.first) == 0 {
-		return preds
-	}
-	nt := int32(len(tasks))
-	pg.half = make([]int32, f.N)
-	for j := range pg.half {
-		pg.half[j] = -1
-	}
-	// The halves' waits, back to back; a cut stays valid when waits grows.
-	waits := make([]int32, 0, 4*len(pg.first))
-	preds = append(preds, make([][]int32, len(pg.first))...)
-	for k, j := range pg.first {
-		// tasks[t].Preds are t's children (the scale rule adds no edge to
-		// whole columns); preds[last] may already be a second half's.
+		// The first half waits on j's children but last (tasks[j].Preds,
+		// ascending, the scale rule adding no edge to whole columns; the
+		// largest source is always the largest child) and on last's
+		// children in row j: a run interior column's parent is the next
+		// one, so they are the ends of the earlier runs whose parent is
+		// last, and last − 1 when last's run holds it.
 		ps := tasks[j].Preds
-		last, h, x := ps[len(ps)-1], nt+int32(k), len(waits)
 		waits = append(waits, ps[:len(ps)-1]...)
-		for _, c := range tasks[last].Preds {
-			if f.Has(int(j), int(c)) {
-				waits = append(waits, c)
+		for ; x < end-1; x++ {
+			if f.Parent[ri.Last[x]] == int(last) {
+				waits = append(waits, ri.Last[x])
 			}
 		}
+		if ri.RunLen[end-1] > 1 {
+			waits = append(waits, last-1)
+		}
+		ends = append(ends, int32(len(waits)))
 		waits = append(waits, h, last)
-		pg.half[j] = h
-		preds[h], preds[j] = waits[x:len(waits)-2], waits[len(waits)-2:]
+		preds[j] = waits[len(waits)-2 : len(waits) : len(waits)]
+	}
+	preds, w := slices.Grow(preds, len(ends)), int32(0)
+	for _, e := range ends {
+		preds, w = append(preds, waits[w:e:e]), e+2
 	}
 	return preds
 }

@@ -20,12 +20,14 @@ import (
 // strategy at five processor counts, block at grain 25 with relaxation
 // 0.3, and every 2D mapper, split columns included. A one-worker program
 // keeps no edge at all; any other exactly one indegree per task and one
-// successor list, its pointers plus one entry per edge. Under -race,
-// which has nothing to find in this single-threaded sweep, only P = 2
-// runs.
+// successor list, its pointers plus one entry per edge, and a
+// column-granular 1D program is read as a column graph on the
+// elimination tree (exec.IsTree), the graph whose columns split. Under
+// -race, which has nothing to find in this single-threaded sweep, only
+// P = 2 runs.
 func TestSuccessorsMatchTransposition(t *testing.T) {
 	programs, splitPrograms, splits := 0, 0, 0
-	check := func(what string, f *symbolic.Factor, p int, tasks []exec.Task, elemTask []int32) {
+	check := func(what string, f *symbolic.Factor, p int, tasks []exec.Task, elemTask []int32, tree bool) {
 		t.Helper()
 		pg, err := exec.Compile(f, p, tasks, elemTask)
 		if err != nil {
@@ -45,6 +47,9 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 		}
 		if n := pg.Tasks(); indeg != n || succ != n+1+edges {
 			t.Fatalf("%s: %d tasks with %d edges hold %d indegrees and %d successor entries, want %d and %d", what, n, edges, indeg, succ, n, n+1+edges)
+		}
+		if tree && !exec.IsTree(pg) {
+			t.Fatalf("%s: not compiled as a column graph on the elimination tree", what)
 		}
 		if s := pg.Tasks() - len(tasks); s > 0 {
 			splitPrograms, splits = splitPrograms+1, splits+s
@@ -79,13 +84,13 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 				if sc.Part != nil {
 					f, elemTask = sc.F, sc.Part.ElemUnit
 				}
-				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), f, p, strategy.Tasks(sys, strategy.Options{}, sc), elemTask)
+				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), f, p, strategy.Tasks(sys, strategy.Options{}, sc), elemTask, sc.ColProc != nil && sc.F == sys.F)
 			}
 			sc, err := strategy.Map("block", sys, p, block)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("%s block g=25 relax=0.3 P=%d", tm.Name, p), sc.F, p, strategy.Tasks(sys, block, sc), sc.Part.ElemUnit)
+			check(fmt.Sprintf("%s block g=25 relax=0.3 P=%d", tm.Name, p), sc.F, p, strategy.Tasks(sys, block, sc), sc.Part.ElemUnit, false)
 		}
 		for _, p := range procs2D {
 			for _, name := range part2d.Names2D() {
@@ -94,7 +99,7 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 					t.Fatal(err)
 				}
 				tasks, elemTask := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
-				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), sys.F, p, tasks, elemTask)
+				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), sys.F, p, tasks, elemTask, false)
 			}
 		}
 	}
