@@ -27,9 +27,9 @@ func (e *events) OnTask(ev exec.TaskEvent) { *e = append(*e, ev) }
 // factor as predecessors (exec.FullRows, read off the columns): the same
 // reachability, the same Simulate result and the same probe events, Cause
 // included, static and dynamic, with and without a comm model, the same
-// critical path; and, compiled on p workers, a program that Compile
-// reads as a column graph on the tree (exec.IsTree) and whose successors
-// are exactly the transpose of what each of its tasks waits on
+// critical path; and, compiled on p workers as a column graph (a nil
+// element map, which Compile accepts only for the tree), a program whose
+// successors are exactly the transpose of what each of its tasks waits on
 // (exec.ColumnWaitsRef, split halves included), as many as Run counts
 // down. It returns the two graphs' edge counts and the program's split
 // columns.
@@ -67,15 +67,12 @@ func checkColumnGraph(f *symbolic.Factor, p int, tasks []exec.Task, comm *traffi
 	if g, w := exec.CriticalPath(tasks), exec.CriticalPath(full); g != w {
 		return 0, 0, 0, fmt.Errorf("critical path %d, the full rows %d", g, w)
 	}
-	pg, err := exec.Compile(f, p, tasks, f.ColIndex())
+	pg, err := exec.Compile(f, p, tasks, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	if p == 1 {
 		return edges, fullEdges, 0, nil
-	}
-	if !exec.IsTree(pg) {
-		return 0, 0, 0, fmt.Errorf("not compiled as a column graph on the elimination tree")
 	}
 	_, preds, _ := exec.ProgramGraph(pg)
 	waits, indeg := exec.ColumnWaitsRef(pg), exec.Indegrees(pg)
@@ -122,7 +119,10 @@ func TestColumnGraphMatchesFullRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				lifted, elemTask := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
-				_, _, ls, err := checkColumnGraph(f, p, lifted, part2d.FetchStats(sys.Ops, s2, len(lifted), elemTask))
+				if elemTask != nil {
+					t.Fatalf("%s col2d(%s) P=%d: a column-granular lift's tasks carry an element map", tm.Name, name, p)
+				}
+				_, _, ls, err := checkColumnGraph(f, p, lifted, part2d.FetchStats(sys.Ops, s2, len(lifted), nil))
 				if err != nil {
 					t.Fatalf("%s col2d(%s) P=%d: %v", tm.Name, name, p, err)
 				}
@@ -183,7 +183,7 @@ func TestColumnGraphLongRuns(t *testing.T) {
 		if _, _, splits, err := checkColumnGraph(f, p, tasks, traffic.FetchStats(sc)); err != nil || splits == 0 {
 			t.Fatalf("P=%d: %d split columns: %v", p, splits, err)
 		}
-		pg, err := exec.Compile(f, p, tasks, f.ColIndex())
+		pg, err := exec.Compile(f, p, tasks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestColumnGraphDecrements(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := strategy.Tasks(sys, strategy.Options{}, sc)
-	pg, err := exec.Compile(sys.F, 2, tasks, sys.F.ColIndex())
+	pg, err := exec.Compile(sys.F, 2, tasks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestCompileScaleEdgesMatchBlockOracle(t *testing.T) {
 					continue
 				}
 				tasks := strategy.Tasks(sys, strategy.Options{}, sc)
-				pg, err := exec.Compile(sys.F, p, tasks, sys.F.ColIndex())
+				pg, err := exec.Compile(sys.F, p, tasks, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

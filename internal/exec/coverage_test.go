@@ -16,12 +16,12 @@ import (
 // uncovered returns the first read of a compiled program that neither
 // the reading task nor one of its direct predecessors wrote, "" when
 // every read is covered. In a column graph (column set: task j is column
-// j, whole) task j waits on the last column of each run of row j only, and
-// the run's earlier columns precede that column through the chain: there a
-// read may also be covered by any ancestor, a task Run finishes before the
-// reader starts. A step over positions [lo, hi) of column j with
-// sources [from, to) reads, for every source c in that range with a row
-// among the step's rows, those rows of c and L[j,c] (numeric.Kernel.Step
+// j, whole) task j waits on its elimination-tree children only, and the
+// other columns of row j precede it through them: there a read may also be
+// covered by any ancestor, a task Run finishes before the reader starts.
+// A step over positions [lo, hi) of column j with sources [from, to)
+// reads, for every source c in that range with a row among the step's
+// rows, those rows of c and L[j,c] (numeric.Kernel.Step
 // reads nothing of a source with none); when it scales (to == j) below the
 // diagonal it reads the diagonal; when it resumes (from > 0) it reads the
 // partial sums of the step that applied the sources before from. A
@@ -147,13 +147,6 @@ func closure(tasks []exec.Task) [][]uint64 {
 	return ancestors(preds, graph)
 }
 
-// isColumnGraph reports whether task j of tasks is column j of f, whole:
-// the graphs Compile reads as column graphs when they wait on the
-// elimination tree.
-func isColumnGraph(f *symbolic.Factor, tasks []exec.Task, elemTask []int32) bool {
-	return len(tasks) == f.N && slices.Equal(elemTask, f.ColIndex())
-}
-
 // Every compiled program reads only what its own task or a direct
 // predecessor wrote, a column graph what its own task or an ancestor
 // wrote (uncovered): the suite under every 1D strategy (block-granular
@@ -177,7 +170,7 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s P=%d: %v", tm.Name, what, p, err)
 				}
-				column := isColumnGraph(f, tasks, elemTask)
+				column := elemTask == nil
 				if msg := uncovered(f, pg, column); msg != "" {
 					t.Fatalf("%s %s P=%d: %s", tm.Name, what, p, msg)
 				}
@@ -194,7 +187,7 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 					}
 					if sc.UnitProc == nil {
 						if k == 0 {
-							check(name, sys.F, strategy.Tasks(sys, opts, sc), sys.F.ColIndex())
+							check(name, sys.F, strategy.Tasks(sys, opts, sc), nil)
 						}
 						continue
 					}
@@ -220,8 +213,9 @@ func TestCompiledReadsCoveredByPredecessors(t *testing.T) {
 // wrong) reads a source no predecessor wrote; so does the block graph at
 // grain 4 with one task's first predecessor dropped, and the column graph
 // under wrap with the edge from one column's elimination-tree child
-// dropped (the one edge no other path implies) reads a source no ancestor
-// wrote.
+// dropped (the one edge no other path implies), which Compile rejects as a
+// column graph and lays out under the column index, reads a source no
+// ancestor wrote.
 func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 	sys := refSys(t, gen.Suite()[3])
 	n := sys.F.N
@@ -251,13 +245,13 @@ func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, elemTask := sys.F, sys.F.ColIndex()
+			f, elemTask := sys.F, []int32(nil)
 			if sc.UnitProc != nil {
 				part := sys.Partition(c.opts.Part)
 				f, elemTask = part.F, part.ElemUnit
 			}
 			tasks := strategy.Tasks(sys, c.opts, sc)
-			column := isColumnGraph(f, tasks, elemTask)
+			column := elemTask == nil
 			if pg, err = exec.Compile(f, p, tasks, elemTask); err != nil {
 				t.Fatal(err)
 			}
@@ -274,6 +268,14 @@ func TestCompiledReadsCoverageCatchesDroppedPredecessor(t *testing.T) {
 			}
 			planted := append([]exec.Task(nil), tasks...)
 			planted[j].Preds = slices.Delete(slices.Clone(tasks[j].Preds), drop, drop+1)
+			if column {
+				// No longer the tree: not a column graph, but the column
+				// index lays it out as any graph.
+				if _, err := exec.Compile(f, p, planted, nil); err == nil {
+					t.Fatalf("%s P=%d: task %d without child %d compiles as a column graph", c.name, p, j, tasks[j].Preds[drop])
+				}
+				elemTask = f.ColIndex()
+			}
 			if pg, err = exec.Compile(f, p, planted, elemTask); err != nil {
 				t.Fatal(err)
 			}

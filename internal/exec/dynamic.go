@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"slices"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // simulateDynamic is the event-driven core of Simulate: each processor,
 // when idle, starts its highest-priority ready assigned task, priority
@@ -15,27 +11,12 @@ import (
 func simulateDynamic(tasks []Task, p int, comm []int64, probe Probe) SimResult {
 	sched.MustProcs("exec", p)
 	n := len(tasks)
-	// Successors succ[succPtr[t]:succPtr[t+1]], ascending; indegrees; the
-	// number of tasks per processor.
-	succPtr, indeg, own := make([]int32, n+1), make([]int32, n), make([]int, p)
+	indeg, succPtr, succ := transpose(n, func(i int) []int32 { return tasks[i].Preds })
+	own := make([]int, p) // tasks per processor
 	var total int64
 	for i := range tasks {
 		total += duration(tasks, comm, i)
-		indeg[i] = int32(len(tasks[i].Preds))
 		own[tasks[i].Proc]++
-		for _, pr := range tasks[i].Preds {
-			succPtr[pr+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		succPtr[i+1] += succPtr[i]
-	}
-	succ, at := make([]int32, succPtr[n]), slices.Clone(succPtr[:n])
-	for i := range tasks {
-		for _, pr := range tasks[i].Preds {
-			succ[at[pr]] = int32(i)
-			at[pr]++
-		}
 	}
 	bottom := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {

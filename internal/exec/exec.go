@@ -175,7 +175,8 @@ func BlockTasks(part *core.Partition, s *sched.Schedule) []Task {
 // with L[j,k] != 0 final, and waits on its elimination-tree children,
 // ascending (symbolic.Children). Every such k lies in the subtree of one
 // child, which runs only after its whole subtree, and every child is such
-// a k: the tree orders exactly what the full rows order.
+// a k: the tree orders exactly what the full rows order. Compile takes
+// this column graph with a nil element map.
 func ColumnTasksMapped(f *symbolic.Factor, elemWork []uint32, owner []int32) []Task {
 	colWork := model.ColumnWork(f, elemWork)
 	children := symbolic.Children(f.Parent)

@@ -16,13 +16,14 @@ import (
 
 // Program is the compiled form of one task graph over one symbolic factor:
 // the merged tile-segment graph of a 2D tile schedule (part2d.Tasks), the
-// column graph of a 1D schedule (ColumnTasksMapped with elemTask =
-// symbolic.Factor.ColIndex) or the unit-block graph of a block schedule
-// (BlockTasks with elemTask = core.Partition.ElemUnit, over the
-// partition's own factor), laid out once as flat arrays. Run then
-// factorizes any matrix with the factor's pattern, any number of times and
-// from any number of goroutines at once, doing no per-run work beyond
-// scattering the values and resetting the dependency counters.
+// column graph of a column-granular schedule (ColumnTasksMapped, or
+// part2d.Tasks on a col2d lift, with a nil element map) or the unit-block
+// graph of a block schedule (BlockTasks with elemTask =
+// core.Partition.ElemUnit, over the partition's own factor), laid out
+// once as flat arrays. Run then factorizes any matrix with the factor's
+// pattern, any number of times and from any number of goroutines at once,
+// doing no per-run work beyond scattering the values and resetting the
+// dependency counters.
 //
 // A task is a list of steps. A step is a run of consecutive positions of
 // one column — a whole column, a tile's rows of it, a unit block's band —
@@ -41,11 +42,11 @@ import (
 // holds the diagonal. Column and 2D tile graphs carry those edges already,
 // so the rule adds none to them; a unit-block graph gets them here.
 //
-// In a column graph (ColumnTasksMapped's, a column-granular lift's: task
-// j is column j and waits on its elimination-tree children) on more than
-// one worker a column whose last source — the largest c with L[j,c] != 0,
-// always its largest child — belongs to another worker and comes after
-// much more work runs as two tasks on its owner (see split): the first
+// In a column graph (compiled with a nil element map: task j is column j
+// and waits on its elimination-tree children) on more than one worker a
+// column whose last source — the largest c with L[j,c] != 0, always its
+// largest child — belongs to another worker and comes after much more
+// work runs as two tasks on its owner (see split): the first
 // half applies the earlier sources as soon as they are final and leaves
 // exact partial sums in the column, the second waits for the last source
 // and finishes. So wrap's alternating chains no longer stall a worker
@@ -64,8 +65,8 @@ type Program struct {
 	// and at P = 1 all the program knows of its edges.
 	tasks []Task
 	// The steps of task t are steps[stepPtr[t]:stepPtr[t+1]], ascending.
-	// A graph whose task j is column j, whole, holds no stepPtr and only
-	// its split columns' steps (see taskSteps).
+	// A column graph holds no stepPtr and only its split columns' steps
+	// (see taskSteps).
 	stepPtr []int32
 	steps   []step
 	// first[k] is the graph task of split column k, whose first half is
@@ -100,10 +101,15 @@ const splitRatio = 4
 
 // Compile lays out a task graph for the factor f on p workers; elemTask
 // assigns every factor position to a task. It is the one way into the
-// engine. It checks the shape — every task's predecessors earlier in the
-// slice (by index), processors in [0, p), every position mapped to a task
-// in range, every diagonal a step scales by held by an earlier task — and
-// reports a malformed one as an error. It does not check that a task's
+// engine. A nil elemTask declares a column graph, ColumnTasksMapped's:
+// task j is column j, whole, and waits on its elimination-tree children,
+// ascending. Compile checks that in O(n), reports any other graph under a
+// nil map as an error and splits only such a graph's columns (see split);
+// a map, even the column index, takes the general step layout and never
+// splits. Compile checks the shape — every task's predecessors earlier in
+// the slice (by index), processors in [0, p), every position mapped to a
+// task in range, every diagonal a step scales by held by an earlier task —
+// and reports a malformed one as an error. It does not check that a task's
 // predecessors own the sources of its updates: that is the constructors'
 // contract (ColumnTasksMapped, part2d.Tasks, BlockTasks), pinned by the
 // bit-identity tests, and Measure checks every run bitwise. The program
@@ -113,23 +119,19 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if err := sched.CheckProcs("exec", p); err != nil {
 		return nil, err
 	}
-	if len(elemTask) != f.NNZ() {
-		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
-	}
 	nt := len(tasks)
 	pg := &Program{f: f, p: p, tasks: tasks}
-	// A graph whose task j is column j, whole, lays out no step (see
-	// taskSteps). Any other: a run starts at each column's first position
-	// and wherever the task changes. Count each task's runs (prefix-summed
-	// below), then fill them in ascending position, each a step over all of
-	// its column's sources.
-	whole := nt == f.N
-	for j := 0; whole && j < f.N; j++ {
-		for _, t := range elemTask[f.ColPtr[j]:f.ColPtr[j+1]] {
-			whole = whole && t == int32(j)
-		}
-	}
-	if !whole {
+	switch {
+	case elemTask == nil && nt != f.N:
+		return nil, fmt.Errorf("exec: a column graph (nil element map) has one task per column: %d tasks, %d columns", nt, f.N)
+	case elemTask != nil && len(elemTask) != f.NNZ():
+		return nil, fmt.Errorf("exec: element-task map covers %d positions, factor has %d", len(elemTask), f.NNZ())
+	case elemTask != nil:
+		// A column graph lays out no step (see taskSteps). Any other: a
+		// run starts at each column's first position and wherever the task
+		// changes. Count each task's runs (prefix-summed below), then fill
+		// them in ascending position, each a step over all of its column's
+		// sources.
 		pg.stepPtr = make([]int32, nt+1)
 		for j := 0; j < f.N; j++ {
 			for q := f.ColPtr[j]; q < f.ColPtr[j+1]; q++ {
@@ -162,41 +164,54 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 	if err != nil {
 		return nil, err
 	}
+	if elemTask == nil && !pg.tree(preds) {
+		return nil, fmt.Errorf("exec: a column graph (nil element map) must wait on exactly its elimination-tree children, ascending")
+	}
 	if p == 1 {
 		return pg, nil
 	}
-	if whole && pg.tree(preds) {
+	if elemTask == nil {
 		preds = pg.split(preds)
 	}
-	// Successor lists, the transpose of the predecessors, in ascending
-	// task order.
 	n := pg.Tasks()
-	pg.indeg, pg.own, pg.succPtr = make([]int32, n), make([]int32, p), make([]int32, n+1)
-	for i, ps := range preds {
-		pg.indeg[i] = int32(len(ps))
-		pg.own[tasks[pg.graphTask(int32(i))].Proc]++
-		for _, pr := range ps {
-			pg.succPtr[pr+1]++
-		}
+	pg.own = make([]int32, p)
+	for t := range n {
+		pg.own[tasks[pg.graphTask(int32(t))].Proc]++
 	}
-	for t := 0; t < n; t++ {
-		pg.succPtr[t+1] += pg.succPtr[t]
-	}
-	pg.succ = make([]int32, pg.succPtr[n])
-	fill := append([]int32(nil), pg.succPtr[:n]...)
-	for i, ps := range preds {
-		for _, pr := range ps {
-			pg.succ[fill[pr]] = int32(i)
-			fill[pr]++
-		}
-	}
+	pg.indeg, pg.succPtr, pg.succ = transpose(n, func(t int) []int32 { return preds[t] })
 	return pg, nil
 }
 
-// taskSteps returns program task t's steps. A graph whose task j is
-// column j, whole, holds no stepPtr: split column k's halves are steps[2k]
-// (program task len(tasks)+k) and steps[2k+1] (its graph task), and any
-// other task's one step is its column, written into buf.
+// transpose returns the successor lists of the n tasks whose predecessors
+// are preds(i), the successors of task t succ[succPtr[t]:succPtr[t+1]] in
+// ascending task order, and every task's number of predecessors.
+func transpose(n int, preds func(i int) []int32) (indeg, succPtr, succ []int32) {
+	indeg, succPtr = make([]int32, n), make([]int32, n+1)
+	for i := range n {
+		ps := preds(i)
+		indeg[i] = int32(len(ps))
+		for _, pr := range ps {
+			succPtr[pr+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		succPtr[t+1] += succPtr[t]
+	}
+	succ = make([]int32, succPtr[n])
+	fill := slices.Clone(succPtr[:n])
+	for i := range n {
+		for _, pr := range preds(i) {
+			succ[fill[pr]] = int32(i)
+			fill[pr]++
+		}
+	}
+	return indeg, succPtr, succ
+}
+
+// taskSteps returns program task t's steps. A column graph holds no
+// stepPtr: split column k's halves are steps[2k] (program task
+// len(tasks)+k) and steps[2k+1] (its graph task), and any other task's
+// one step is its column, written into buf.
 func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
 	nt := int32(len(pg.tasks))
 	switch {
@@ -212,10 +227,9 @@ func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
 	return buf[:]
 }
 
-// tree reports whether preds, the graph's, are the elimination tree of
-// the factor, given that task j is column j: every task waits on children
-// of its column only, ascending, and all of them together on every
-// non-root column.
+// tree reports whether preds, a column graph's, are the elimination tree
+// of the factor: every task waits on children of its column only,
+// ascending, and all of them together on every non-root column.
 func (pg *Program) tree(preds [][]int32) bool {
 	edges := 0
 	for t, ps := range preds {
@@ -244,9 +258,11 @@ func (pg *Program) successors(t int32) []int32 { return pg.succ[pg.succPtr[t]:pg
 // holding it, which must be an earlier one. A task's list is the caller's
 // own when it lacks no such task, and a copy with the missing ones
 // appended otherwise: the caller's lists (core.Unit.Preds for a block
-// graph) are never written. The simulators panic on a malformed graph
-// (they only ever see graphs the package itself built); the engine takes
-// caller-supplied ones and returns errors.
+// graph) are never written. A step that starts at its diagonal reads no
+// entry of elemTask, so a column graph's nil map is never indexed. The
+// simulators panic on a malformed graph (they only ever see graphs the
+// package itself built); the engine takes caller-supplied ones and
+// returns errors.
 func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 	f := pg.f
 	preds := make([][]int32, len(tasks))
@@ -264,24 +280,26 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 		var buf [1]step
 		for _, s := range pg.taskSteps(int32(t), &buf) {
 			diag := f.ColPtr[s.j]
-			if d := elemTask[diag]; int(s.lo) != diag && int(d) != t {
-				if seen == nil {
-					seen = make([]int32, len(tasks))
+			if int(s.lo) == diag || elemTask[diag] == int32(t) {
+				continue
+			}
+			d := elemTask[diag]
+			if seen == nil {
+				seen = make([]int32, len(tasks))
+			}
+			if seen[t] != mark {
+				seen[t] = mark
+				for _, pr := range ps {
+					seen[pr] = mark
 				}
-				if seen[t] != mark {
-					seen[t] = mark
-					for _, pr := range ps {
-						seen[pr] = mark
-					}
-					ps = ps[:len(ps):len(ps)] // appending copies
+				ps = ps[:len(ps):len(ps)] // appending copies
+			}
+			if seen[d] != mark {
+				if int(d) > t {
+					return nil, fmt.Errorf("exec: task %d scales by the diagonal of column %d, held by later task %d", t, s.j, d)
 				}
-				if seen[d] != mark {
-					if int(d) > t {
-						return nil, fmt.Errorf("exec: task %d scales by the diagonal of column %d, held by later task %d", t, s.j, d)
-					}
-					seen[d] = mark
-					ps = append(ps, d)
-				}
+				seen[d] = mark
+				ps = append(ps, d)
 			}
 		}
 		preds[t] = ps

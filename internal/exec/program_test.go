@@ -48,7 +48,7 @@ func TestProgramBadPivotStopsWorkers(t *testing.T) {
 	var kinds []kind
 	mid, midErr := badAt(p.m.N / 2) // mid-matrix
 	for _, procs := range []int{1, 2, 16} {
-		cols, err := Compile(p.f, procs, columnTasks(p.f, p.ops, p.ew, procs), p.f.ColIndex())
+		cols, err := Compile(p.f, procs, columnTasks(p.f, p.ops, p.ew, procs), nil)
 		if err != nil {
 			t.Fatalf("P=%d: %v", procs, err)
 		}

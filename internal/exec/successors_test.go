@@ -20,14 +20,14 @@ import (
 // strategy at five processor counts, block at grain 25 with relaxation
 // 0.3, and every 2D mapper, split columns included. A one-worker program
 // keeps no edge at all; any other exactly one indegree per task and one
-// successor list, its pointers plus one entry per edge, and a
-// column-granular 1D program is read as a column graph on the
-// elimination tree (exec.IsTree), the graph whose columns split. Under
+// successor list, its pointers plus one entry per edge. Every
+// column-granular program, 1D or a col2d lift, compiles as a column graph
+// (a nil element map, the graph whose columns split). Under
 // -race, which has nothing to find in this single-threaded sweep, only
 // P = 2 runs.
 func TestSuccessorsMatchTransposition(t *testing.T) {
 	programs, splitPrograms, splits := 0, 0, 0
-	check := func(what string, f *symbolic.Factor, p int, tasks []exec.Task, elemTask []int32, tree bool) {
+	check := func(what string, f *symbolic.Factor, p int, tasks []exec.Task, elemTask []int32) {
 		t.Helper()
 		pg, err := exec.Compile(f, p, tasks, elemTask)
 		if err != nil {
@@ -47,9 +47,6 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 		}
 		if n := pg.Tasks(); indeg != n || succ != n+1+edges {
 			t.Fatalf("%s: %d tasks with %d edges hold %d indegrees and %d successor entries, want %d and %d", what, n, edges, indeg, succ, n, n+1+edges)
-		}
-		if tree && !exec.IsTree(pg) {
-			t.Fatalf("%s: not compiled as a column graph on the elimination tree", what)
 		}
 		if s := pg.Tasks() - len(tasks); s > 0 {
 			splitPrograms, splits = splitPrograms+1, splits+s
@@ -80,17 +77,17 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				f, elemTask := sys.F, sys.F.ColIndex()
+				f, elemTask := sys.F, []int32(nil)
 				if sc.Part != nil {
 					f, elemTask = sc.F, sc.Part.ElemUnit
 				}
-				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), f, p, strategy.Tasks(sys, strategy.Options{}, sc), elemTask, sc.ColProc != nil && sc.F == sys.F)
+				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), f, p, strategy.Tasks(sys, strategy.Options{}, sc), elemTask)
 			}
 			sc, err := strategy.Map("block", sys, p, block)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("%s block g=25 relax=0.3 P=%d", tm.Name, p), sc.F, p, strategy.Tasks(sys, block, sc), sc.Part.ElemUnit, false)
+			check(fmt.Sprintf("%s block g=25 relax=0.3 P=%d", tm.Name, p), sc.F, p, strategy.Tasks(sys, block, sc), sc.Part.ElemUnit)
 		}
 		for _, p := range procs2D {
 			for _, name := range part2d.Names2D() {
@@ -99,7 +96,7 @@ func TestSuccessorsMatchTransposition(t *testing.T) {
 					t.Fatal(err)
 				}
 				tasks, elemTask := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
-				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), sys.F, p, tasks, elemTask, false)
+				check(fmt.Sprintf("%s %s P=%d", tm.Name, name, p), sys.F, p, tasks, elemTask)
 			}
 		}
 	}
@@ -123,7 +120,6 @@ func TestCompileRetainsNoEdgeCopy(t *testing.T) {
 	}
 	sys := strategy.NewSys(symbolic.Analyze(pm), nil, nil)
 	f := sys.F
-	elemTask := f.ColIndex()
 	for _, p := range []int{1, 2} {
 		sc, err := strategy.Map("wrap", sys, p, strategy.Options{})
 		if err != nil {
@@ -133,7 +129,7 @@ func TestCompileRetainsNoEdgeCopy(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		pg, err := exec.Compile(f, p, tasks, elemTask)
+		pg, err := exec.Compile(f, p, tasks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -205,7 +205,7 @@ func TestColumnUpdateCorpusSplits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pg, err := exec.Compile(an.F, pl.P, pl.Tasks, an.F.ColIndex())
+		pg, err := exec.Compile(an.F, pl.P, pl.Tasks, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,12 +10,12 @@ import (
 	"repro/internal/traffic"
 )
 
-// Tasks builds the makespan task graph of a 2D schedule and the
-// element-to-task map. The granularity is the merged tile segment: for
-// every target column, its row-block segments are grouped by owning
-// processor and each group is one task (a processor computes all of its
-// elements of a target column as one unit, so no dependency separates two
-// segments it owns). Tasks are numbered column by column, within a column
+// Tasks builds the makespan task graph of a 2D schedule and its
+// element-to-task map, nil for a column graph (task j is column j). The
+// granularity is the merged tile segment: for every target column, its
+// row-block segments are grouped by owning processor and each group is
+// one task (a processor computes all of its elements of a target column
+// as one unit, so no dependency separates two segments it owns). Tasks are numbered column by column, within a column
 // in the order their processors first appear going down its rows.
 // Dependencies follow the fan-out/fan-in structure of the tile updates:
 // the task of target (i, j) depends on the tasks of its pair-update
@@ -33,7 +33,8 @@ import (
 // tests pin at P in {1, 4, 16}. The constructor reads that case off the
 // tile owners once, in O(tiles), never assumed from the mapper, and Tasks
 // answers it with exec.ColumnTasksMapped's graph over those column owners
-// and the column index as the element map (task j is column j).
+// and a nil element map, which is how exec.Compile and FetchStats take a
+// column graph.
 //
 // Any other schedule is priced by row-block segment, not by update (see
 // segments): every update of the run (j, k) that reads one segment S of
@@ -44,7 +45,7 @@ import (
 func Tasks(ops *model.Ops, elemWork []uint32, s *Schedule2D) ([]exec.Task, []int32) {
 	f := ops.F
 	if s.colProc != nil {
-		return exec.ColumnTasksMapped(f, elemWork, s.colProc), f.ColIndex()
+		return exec.ColumnTasksMapped(f, elemWork, s.colProc), nil
 	}
 	return segmentTasks(ops, elemWork, s)
 }
@@ -63,16 +64,20 @@ func segmentTasks(ops *model.Ops, elemWork []uint32, s *Schedule2D) ([]exec.Task
 // partition Traffic(ops, s).Total exactly — the property that lets
 // exec.Simulate under a CommModel charge every fetch exactly once.
 //
-// When the schedule is column-granular and the task map is the column
-// index (what Tasks returns for it), the attribution is traffic.FetchStats
-// of the Schedule bridge, the closed form on the column owners, task by
-// task the element walk's answer. Any other task map must be constant on
-// every row-block segment with tasks in [0, ntasks) — every map Tasks
-// returns is — and takes the segment pass, task by task the walk's
-// answer; FetchStats panics on a map that splits a segment.
+// A nil task map, what Tasks returns for a column-granular schedule,
+// declares the column graph (task j is column j): the attribution is
+// traffic.FetchStats of the Schedule bridge, the closed form on the column
+// owners, task by task the element walk's answer. FetchStats panics on a
+// nil map for a schedule that is not column-granular. Any other task map
+// must be constant on every row-block segment with tasks in [0, ntasks) —
+// every map Tasks returns is — and takes the segment pass, task by task
+// the walk's answer; FetchStats panics on a map that splits a segment.
 func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *traffic.TaskComm {
 	f := ops.F
-	if s.colProc != nil && ntasks == f.N && isColumnIndex(f, elemTask) {
+	if elemTask == nil {
+		if s.colProc == nil || ntasks != f.N {
+			panic(fmt.Sprintf("part2d: a nil task map needs a column-granular schedule and one task per column (%d tasks, %d columns)", ntasks, f.N))
+		}
 		return traffic.FetchStats(s.Schedule())
 	}
 	sg := tileSegments(f, s)
@@ -84,22 +89,6 @@ func FetchStats(ops *model.Ops, s *Schedule2D, ntasks int, elemTask []int32) *tr
 		tc.Vol[t] += vol[u]
 	}
 	return tc
-}
-
-// isColumnIndex reports whether elemTask maps every factor nonzero to its
-// column.
-func isColumnIndex(f *symbolic.Factor, elemTask []int32) bool {
-	if len(elemTask) != f.NNZ() {
-		return false
-	}
-	for j := 0; j < f.N; j++ {
-		for _, t := range elemTask[f.ColPtr[j]:f.ColPtr[j+1]] {
-			if t != int32(j) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // segments cuts every column of the factor into its row-block segments:

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -176,10 +176,11 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 // segment pass itself, past the column-granular shortcut — to the element
 // walk: the same tasks (ID, Proc, Work, Preds with nil equal to empty; on
 // a column-granular schedule Tasks' are cut to the elimination tree,
-// treeTasks) and element map, the same Vol and Msgs task by task, the
-// same per-tile fan-out and fan-in. FetchStats must accept every map
-// Tasks returns, and panic on one task per element when that splits a
-// row-block segment (it equals the walk when it does not).
+// treeTasks) and element map (Tasks' nil exactly where the walk's is the
+// column index, columnMap), the same Vol and Msgs task by task, the same
+// per-tile fan-out and fan-in. FetchStats must accept every map Tasks
+// returns, and panic with a part2d message on one task per element when
+// that splits a row-block segment (it equals the walk when it does not).
 func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork []uint32, s *Schedule2D) {
 	t.Helper()
 	f := ops.F
@@ -190,12 +191,15 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		fn   func(*model.Ops, []uint32, *Schedule2D) ([]exec.Task, []int32)
 	}{{"Tasks", Tasks}, {"segmentTasks", segmentTasks}} {
 		tasks, elemTask := e.fn(ops, elemWork, s)
-		want := wantTasks
-		if e.name == "Tasks" && s.colProc != nil {
-			want = treeTasks(f, wantTasks)
+		want, wantMap := wantTasks, wantElemTask
+		if e.name == "Tasks" {
+			wantMap = columnMap(f, wantElemTask)
+			if s.colProc != nil {
+				want = treeTasks(f, wantTasks)
+			}
 		}
-		if err := sameTasks(tasks, want); err != nil || !slices.Equal(elemTask, wantElemTask) {
-			t.Fatalf("%s: %s differ from the walk: %v", label, e.name, err)
+		if err := sameTasks(tasks, want); err != nil || !sameMap(elemTask, wantMap) {
+			t.Fatalf("%s: %s differ from the walk (nil map %v, want %v): %v", label, e.name, elemTask == nil, wantMap == nil, err)
 		}
 		if got := FetchStats(ops, s, len(tasks), elemTask); !reflect.DeepEqual(got, wantFetch) {
 			t.Fatalf("%s: FetchStats differ from the walk (vol %d msgs %d, want %d / %d)",
@@ -207,8 +211,8 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 		perElem[q] = int32(q)
 	}
 	if split := len(tileSegments(f, s).block) < f.NNZ(); split {
-		if !panics(func() { FetchStats(ops, s, len(perElem), perElem) }) {
-			t.Fatalf("%s: FetchStats accepted a task map that splits a row-block segment", label)
+		if msg := panicked(func() { FetchStats(ops, s, len(perElem), perElem) }); !strings.HasPrefix(msg, "part2d: ") {
+			t.Fatalf("%s: FetchStats on a task map that splits a row-block segment: panic %q, want a part2d message", label, msg)
 		}
 	} else if got, want := FetchStats(ops, s, len(perElem), perElem), fetchWalk(s.Schedule(), len(perElem), perElem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: FetchStats under one task per element differ from the walk (vol %d msgs %d, want %d / %d)",
@@ -221,11 +225,15 @@ func checkSegmentsMatchWalk(t testing.TB, label string, ops *model.Ops, elemWork
 	}
 }
 
-// panics reports whether fn panics.
-func panics(fn func()) (did bool) {
-	defer func() { did = recover() != nil }()
+// panicked returns what fn panics with, printed, or "" when it returns.
+func panicked(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
 	fn()
-	return false
+	return ""
 }
 
 // randomOwners is a schedule over bounds whose every tile gets a seeded

@@ -1,6 +1,8 @@
 package part2d
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -70,6 +72,34 @@ func TestMakespan2DZeroModel(t *testing.T) {
 				t.Errorf("%s P=%d dynamic: zero model %+v != compute-only %+v", name, p, gd, wd)
 			}
 		}
+	}
+}
+
+// TestFetchStatsNilMap: a nil task map is a column graph's. On the col2d
+// lift of wrap (LAP30, P = 16) Tasks returns it, and FetchStats answers
+// it with the closed form, equal to the segment pass over the column
+// index; on a tiled schedule (rect2dlpt) FetchStats panics on it with a
+// part2d message.
+func TestFetchStatsNilMap(t *testing.T) {
+	sys := lapSys(t)
+	lift, err := Map2D("col2d", sys, 16, strategy.Options{Base: "wrap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, elemTask := Tasks(sys.Ops, sys.ElemWork, lift)
+	if elemTask != nil {
+		t.Fatal("Tasks on a column-granular lift returned an element map")
+	}
+	if got, want := FetchStats(sys.Ops, lift, len(tasks), nil), FetchStats(sys.Ops, lift, len(tasks), sys.F.ColIndex()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil map: vol %d msgs %d; the column index: %d / %d", got.TotalVol(), got.TotalMsgs(), want.TotalVol(), want.TotalMsgs())
+	}
+	tiled, err := Map2D("rect2dlpt", sys, 16, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, _ = Tasks(sys.Ops, sys.ElemWork, tiled)
+	if msg := panicked(func() { FetchStats(sys.Ops, tiled, len(tasks), nil) }); !strings.HasPrefix(msg, "part2d: ") {
+		t.Fatalf("FetchStats on a nil map for a tiled schedule: panic %q, want a part2d message", msg)
 	}
 }
 

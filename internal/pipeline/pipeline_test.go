@@ -188,6 +188,55 @@ func TestFirstFactorizeParallelAllocation(t *testing.T) {
 	t.Logf("first FactorizeParallel: %.1f bytes per factor nonzero", perNNZ)
 }
 
+// TestColumnPlanCompileBytes: compiling a column plan, wrap at P = 2 on
+// Grid9(60,60), allocates at most 6 bytes per nnz(L). The column graph
+// reaches exec.Compile as a nil element map, so nothing per nonzero is
+// built or read: the program is per task, and an element map alone would
+// be 4 bytes per nnz(L).
+func TestColumnPlanCompileBytes(t *testing.T) {
+	an, err := NewAnalysis(gen.Grid9(60, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 2, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pg, err := pl.program()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perNNZ := float64(after.TotalAlloc-before.TotalAlloc) / float64(an.F.NNZ())
+	if pg.Tasks() <= an.F.N || perNNZ > 6 {
+		t.Fatalf("compiling %d tasks for %d columns allocated %.2f bytes per nnz(L) = %d; want a split column and <= 6", pg.Tasks(), an.F.N, perNNZ, an.F.NNZ())
+	}
+	t.Logf("%d tasks, %.2f bytes per nnz(L)", pg.Tasks(), perNNZ)
+}
+
+// BenchmarkCompileColumnGraph times compiling a column plan as the
+// pipeline does, wrap at P = 2 on Grid9(120,120), the refactor workload's
+// plan.
+func BenchmarkCompileColumnGraph(b *testing.B) {
+	an, err := NewAnalysis(gen.Grid9(120, 120))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl, err := an.Plan("wrap", 2, strategy.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := pl.compile(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestBlockPlanBitIdentity: block-granular plans run on the compiled
 // engine like every other plan, so for every suite matrix, block strategy,
 // processor count (through P > n) and kernel the parallel factor is the

@@ -35,7 +35,9 @@ type Plan struct {
 	// strategy name, processor count and every mapping-relevant option.
 	Key artifact.Key
 
-	// elemTask maps factor elements to task IDs (2D plans only).
+	// elemTask maps factor elements to task IDs: part2d.Tasks' map of a
+	// tiled 2D plan; nil for a column graph (a column-granular 1D plan or
+	// col2d lift: task j is column j), which is how exec.Compile takes it.
 	elemTask []int32
 	// prog is the plan compiled for the exact-serial-order engine, built
 	// on the first parallel factorization and shared by every later one.
@@ -196,21 +198,23 @@ func (pl *Plan) Measure(a *sparse.Matrix, opts exec.MeasureOptions) (*exec.Measu
 	return pg.Measure(pm, opts)
 }
 
-// program returns the plan compiled for the exact-serial-order engine:
-// the tile-segment graph of a 2D plan, the column graph of a
-// column-granular 1D plan (task j owns exactly column j), or the
-// unit-block graph of a block-granular one over its partition's factor.
+// program returns the plan compiled for the exact-serial-order engine on
+// first use (see compile).
 func (pl *Plan) program() (*exec.Program, error) {
-	pl.progOnce.Do(func() {
-		f, elemTask := pl.An.F, pl.elemTask
-		if s := pl.S1; s != nil && s.Part != nil {
-			f, elemTask = s.F, s.Part.ElemUnit
-		} else if s != nil {
-			elemTask = f.ColIndex()
-		}
-		pl.prog, pl.progErr = exec.Compile(f, pl.P, pl.Tasks, elemTask)
-	})
+	pl.progOnce.Do(func() { pl.prog, pl.progErr = pl.compile() })
 	return pl.prog, pl.progErr
+}
+
+// compile compiles the plan: the tile-segment graph of a tiled 2D plan,
+// the column graph of a column-granular 1D plan or col2d lift (a nil
+// element map: task j is column j), or the unit-block graph of a
+// block-granular plan over its partition's factor.
+func (pl *Plan) compile() (*exec.Program, error) {
+	f, elemTask := pl.An.F, pl.elemTask
+	if s := pl.S1; s != nil && s.Part != nil {
+		f, elemTask = s.F, s.Part.ElemUnit
+	}
+	return exec.Compile(f, pl.P, pl.Tasks, elemTask)
 }
 
 // solveProgram returns the sweeps over f — the structure of one of this

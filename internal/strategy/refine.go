@@ -125,8 +125,9 @@ func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
 	if sc.ColProc == nil || sc.F != f {
 		return nil, nil, fmt.Errorf("strategy: schedule is not a column schedule of the analysis factor")
 	}
-	// A column reads every column of its row, not only the ends of its
-	// runs a column graph waits on: the full locality signal.
+	// A column reads every column of its row, not only the
+	// elimination-tree children a column graph waits on: the full
+	// locality signal.
 	colWork := sys.ColumnWork()
 	mv := make([]movable, f.N)
 	rows := make([]int32, 0, f.NNZ()-f.N)

@@ -67,8 +67,9 @@ func TestFetchAttributionStrategyGrid(t *testing.T) {
 }
 
 // TestFetchAttribution2DGrid: every 2D mapper's merged tile-segment
-// attribution (part2d.FetchStats, the run kernel over elemTask) equals the
-// reference walk.
+// attribution (part2d.FetchStats, the run kernel over elemTask, or the
+// closed form on the column owners where part2d.Tasks returns a column
+// graph's nil map, whose task j is column j) equals the reference walk.
 func TestFetchAttribution2DGrid(t *testing.T) {
 	for _, tm := range gen.Suite() {
 		sys := suiteSys(t, tm)
@@ -80,7 +81,11 @@ func TestFetchAttribution2DGrid(t *testing.T) {
 					t.Fatalf("%s: %v", cell, err)
 				}
 				tasks, elemTask := part2d.Tasks(sys.Ops, sys.ElemWork, s2)
-				traffic.CheckAttribution(t, cell, s2.Schedule(), elemTask,
+				taskOf := elemTask
+				if taskOf == nil {
+					taskOf = sys.F.ColIndex()
+				}
+				traffic.CheckAttribution(t, cell, s2.Schedule(), taskOf,
 					part2d.FetchStats(sys.Ops, s2, len(tasks), elemTask))
 			}
 		}
