@@ -111,8 +111,8 @@ func (hs *Hasher) Ints(v []int) {
 	staged(hs, v, 8, intBits[int])
 }
 
-// F64s appends a length-prefixed []float64 of bit patterns.
-func (hs *Hasher) F64s(v []float64) {
+// f64s appends a length-prefixed []float64 of bit patterns.
+func (hs *Hasher) f64s(v []float64) {
 	hs.I64(int64(len(v)))
 	if littleEndian {
 		hs.inPlace(unsafe.Pointer(unsafe.SliceData(v)), len(v))
@@ -243,6 +243,6 @@ func PatternSum(m *sparse.Matrix) [sha256.Size]byte {
 // content of a matrix exactly.
 func ValuesSum(m *sparse.Matrix) [sha256.Size]byte {
 	hs := NewHasher("values")
-	hs.F64s(m.Val)
+	hs.f64s(m.Val)
 	return hs.Sum().Sum
 }

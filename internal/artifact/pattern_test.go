@@ -205,11 +205,11 @@ func TestInPlaceMatchesStaged(t *testing.T) {
 			inPlace, ref := NewHasher("k"), NewHasher("k")
 			inPlace.Str(lead)
 			ref.Str(lead)
-			inPlace.F64s(f64s)
+			inPlace.f64s(f64s)
 			ref.I64(int64(n))
 			staged(ref, f64s, 8, math.Float64bits)
 			if inPlace.Sum() != ref.Sum() {
-				t.Fatalf("%s: F64s differs from its staged path", what)
+				t.Fatalf("%s: f64s differs from its staged path", what)
 			}
 			inPlace.Ints(ints)
 			ref.I64(int64(n))
@@ -249,7 +249,7 @@ func TestWarmKeyAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() {
 		hs.Str("a string")
 		hs.Key(k)
-		hs.F64s(m.Val)
+		hs.f64s(m.Val)
 		hs.Ints(m.ColPtr)
 		_ = hs.Sum()
 	}); got != 0 {

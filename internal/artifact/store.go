@@ -6,11 +6,10 @@ import (
 	"sync"
 )
 
-// Counts are the cache counters of one artifact kind (or the store-wide
-// totals): GetOrBuild calls that found a finished or in-flight entry
-// (Hits), calls that built (Misses), and completed entries dropped by the
-// LRU bound (Evictions). Failed builds are not cached and not counted as
-// evictions when removed.
+// Counts are the store-wide cache counters: GetOrBuild calls that found a
+// finished or in-flight entry (Hits), calls that built (Misses), and
+// completed entries dropped by the LRU bound (Evictions). Failed builds
+// are not cached and not counted as evictions when removed.
 type Counts struct {
 	Hits      int64
 	Misses    int64
@@ -23,12 +22,11 @@ type Counts struct {
 // deduplicated: one caller builds, the rest block until the build
 // finishes and share its result.
 type Store struct {
-	mu     sync.Mutex
-	cap    int        // max completed+inflight entries; <= 0 means unbounded
-	ll     *list.List // front = most recently used
-	items  map[Key]*entry
-	byKind map[string]*Counts
-	total  Counts
+	mu    sync.Mutex
+	cap   int        // max completed+inflight entries; <= 0 means unbounded
+	ll    *list.List // front = most recently used
+	items map[Key]*entry
+	total Counts
 }
 
 type entry struct {
@@ -43,10 +41,9 @@ type entry struct {
 // kind together); capacity <= 0 means unbounded.
 func NewStore(capacity int) *Store {
 	return &Store{
-		cap:    capacity,
-		ll:     list.New(),
-		items:  make(map[Key]*entry),
-		byKind: make(map[string]*Counts),
+		cap:   capacity,
+		ll:    list.New(),
+		items: make(map[Key]*entry),
 	}
 }
 
@@ -60,7 +57,6 @@ func (s *Store) GetOrBuild(k Key, build func() (any, error)) (any, bool, error) 
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
 		s.ll.MoveToFront(e.elem)
-		s.kindLocked(k.Kind).Hits++
 		s.total.Hits++
 		s.mu.Unlock()
 		<-e.done
@@ -69,7 +65,6 @@ func (s *Store) GetOrBuild(k Key, build func() (any, error)) (any, bool, error) 
 	e := &entry{key: k, done: make(chan struct{})}
 	e.elem = s.ll.PushFront(e)
 	s.items[k] = e
-	s.kindLocked(k.Kind).Misses++
 	s.total.Misses++
 	s.mu.Unlock()
 
@@ -98,40 +93,11 @@ func runBuild(build func() (any, error)) (val any, err error) {
 	return build()
 }
 
-// Len returns the number of entries (completed and in-flight).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
-}
-
 // Stats returns the store-wide counter totals.
 func (s *Store) Stats() Counts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// StatsByKind returns a copy of the per-kind counters.
-func (s *Store) StatsByKind() map[string]Counts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]Counts, len(s.byKind))
-	//repro:allow maporder -- order-insensitive map-to-map copy; callers that render it (tables) sort the keys themselves
-	for k, c := range s.byKind {
-		out[k] = *c
-	}
-	return out
-}
-
-// kindLocked returns the counter struct for one kind; callers hold s.mu.
-func (s *Store) kindLocked(name string) *Counts {
-	c, ok := s.byKind[name]
-	if !ok {
-		c = &Counts{}
-		s.byKind[name] = c
-	}
-	return c
 }
 
 // dropLocked removes a (failed) entry without counting an eviction;
@@ -157,7 +123,6 @@ func (s *Store) evictLocked() {
 		case <-e.done:
 			delete(s.items, e.key)
 			s.ll.Remove(el)
-			s.kindLocked(e.key.Kind).Evictions++
 			s.total.Evictions++
 		default:
 			// still building: pinned

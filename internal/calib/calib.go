@@ -52,8 +52,8 @@ type CalibratedModel struct {
 	NsPerWork float64
 }
 
-// PredictTaskNs returns the model's wall-clock prediction for one task.
-func (m CalibratedModel) PredictTaskNs(work, vol, msgs int64) float64 {
+// predictTaskNs returns the model's wall-clock prediction for one task.
+func (m CalibratedModel) predictTaskNs(work, vol, msgs int64) float64 {
 	return m.NsPerWork * (float64(work) + float64(m.Comm.Cost(vol, msgs)))
 }
 
@@ -260,7 +260,7 @@ func residuals(samples []Sample, m CalibratedModel, report *FitReport) {
 	}
 	mean /= float64(len(samples))
 	for _, s := range samples {
-		r := float64(s.DurNs) - m.PredictTaskNs(s.Work, s.Vol, s.Msgs)
+		r := float64(s.DurNs) - m.predictTaskNs(s.Work, s.Vol, s.Msgs)
 		ssr += r * r
 		d := float64(s.DurNs) - mean
 		sst += d * d

@@ -75,17 +75,17 @@ func classifyOp(p *Partition, u update) int {
 	}
 	same := sI.ID == sJ.ID
 	switch sJ.Kind {
-	case Column:
+	case column:
 		// Both sources live in the same source column.
 		switch tgt.Kind {
-		case Column:
+		case column:
 			return 1
-		case Triangle:
+		case triangle:
 			return 2
 		default:
 			return 3
 		}
-	case Triangle:
+	case triangle:
 		// The (j,k) source comes from a triangle; target must be a
 		// rectangle (a triangle target would make the op internal).
 		if sI.ID == tgt.ID {
@@ -94,18 +94,18 @@ func classifyOp(p *Partition, u update) int {
 		return 5 // triangle + rectangle update a rectangle
 	default: // Rectangle provides (j,k)
 		switch tgt.Kind {
-		case Column:
+		case column:
 			if same {
 				return 6
 			}
 			return 7
-		case Triangle:
+		case triangle:
 			if same {
 				return 8
 			}
 			return 9
 		default:
-			if sI.Kind == Triangle {
+			if sI.Kind == triangle {
 				return 5 // triangle supplies (i,k); rectangle the (j,k)
 			}
 			return 10

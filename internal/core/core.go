@@ -35,22 +35,22 @@ import (
 type Kind uint8
 
 const (
-	// Column is a single sparse column (with its diagonal element).
-	Column Kind = iota
-	// Triangle is a dense lower-triangular diagonal block.
-	Triangle
-	// Rectangle is a dense off-diagonal block (either inside a partitioned
+	// column is a single sparse column (with its diagonal element).
+	column Kind = iota
+	// triangle is a dense lower-triangular diagonal block.
+	triangle
+	// rectangle is a dense off-diagonal block (either inside a partitioned
 	// cluster triangle or in the rectangles below it).
-	Rectangle
+	rectangle
 )
 
 func (k Kind) String() string {
 	switch k {
-	case Column:
+	case column:
 		return "column"
-	case Triangle:
+	case triangle:
 		return "triangle"
-	case Rectangle:
+	case rectangle:
 		return "rectangle"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
@@ -135,8 +135,8 @@ func (p *Partition) unitAt(cl *Cluster, b *rowBand, x int) int32 {
 	return p.ElemUnit[p.F.ColPtr[x]-(x-cl.ColLo)+max(b.lo, x)+b.shift]
 }
 
-// Width returns the number of columns in the cluster.
-func (c *Cluster) Width() int { return c.ColHi - c.ColLo + 1 }
+// width returns the number of columns in the cluster.
+func (c *Cluster) width() int { return c.ColHi - c.ColLo + 1 }
 
 // Options controls the partitioner.
 type Options struct {
@@ -311,10 +311,10 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int], bands
 			nu++
 			continue
 		}
-		b := triangleBands(cl.Width(), g)
+		b := triangleBands(cl.width(), g)
 		nu += b * (b + 1) / 2
 		for ri := range cl.Rects {
-			qr, qc := rectGrid(&cl.Rects[ri], cl.Width(), g)
+			qr, qc := rectGrid(&cl.Rects[ri], cl.width(), g)
 			nu += qr * qc
 		}
 	}
@@ -325,14 +325,14 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int], bands
 		if cl.Single {
 			j := cl.ColLo
 			u := Unit{
-				ID: len(p.Units), Kind: Column, Cluster: ci,
+				ID: len(p.Units), Kind: column, Cluster: ci,
 				RowLo: j, RowHi: lastRow(p.F, j), ColLo: j, ColHi: j,
 			}
 			cl.ColUnit = u.ID
 			p.Units = append(p.Units, u)
 			continue
 		}
-		m := cl.Width()
+		m := cl.width()
 		b := triangleBands(m, g)
 		cl.BandBounds = splitRange(ints, cl.ColLo, cl.ColHi+1, b)
 		cl.TriUnits = ints.take(b)
@@ -346,14 +346,14 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int], bands
 			for bj := 0; bj < bi; bj++ {
 				clo, chi := cl.BandBounds[bj], cl.BandBounds[bj+1]-1
 				r := Unit{
-					ID: len(p.Units), Kind: Rectangle, Cluster: ci,
+					ID: len(p.Units), Kind: rectangle, Cluster: ci,
 					RowLo: lo, RowHi: hi, ColLo: clo, ColHi: chi,
 				}
 				cl.BandRects[bi][bj] = r.ID
 				p.Units = append(p.Units, r)
 			}
 			u := Unit{
-				ID: len(p.Units), Kind: Triangle, Cluster: ci,
+				ID: len(p.Units), Kind: triangle, Cluster: ci,
 				RowLo: lo, RowHi: hi, ColLo: lo, ColHi: hi,
 			}
 			cl.TriUnits[bi] = u.ID
@@ -376,7 +376,7 @@ func (p *Partition) partitionBlocks(ints *arena[int], lists *arena[[]int], bands
 				r.Units[a] = ints.take(qc)
 				for c := 0; c < qc; c++ {
 					u := Unit{
-						ID: len(p.Units), Kind: Rectangle, Cluster: ci,
+						ID: len(p.Units), Kind: rectangle, Cluster: ci,
 						RowLo: r.RowSplits[a], RowHi: r.RowSplits[a+1] - 1,
 						ColLo: r.ColSplits[c], ColHi: r.ColSplits[c+1] - 1,
 					}
@@ -421,7 +421,7 @@ func (cl *Cluster) gridIndex(split []bool, ints *arena[int], bands *arena[rowBan
 	for bi := range cl.TriUnits {
 		cl.rows = append(cl.rows, rowBand{lo: cl.BandBounds[bi], hi: cl.BandBounds[bi+1] - 1, shift: -cl.ColLo})
 	}
-	off := cl.Width()
+	off := cl.width()
 	for ri := range cl.Rects {
 		r := &cl.Rects[ri]
 		for a, units := range r.Units {

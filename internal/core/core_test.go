@@ -46,8 +46,8 @@ func checkInvariants(t *testing.T, p *Partition) {
 		if cl.Single && cl.ColHi != cl.ColLo {
 			t.Fatalf("single cluster %d spans %d..%d", ci, cl.ColLo, cl.ColHi)
 		}
-		if !cl.Single && cl.Width() < p.Opts.MinClusterWidth {
-			t.Fatalf("cluster %d width %d below minimum %d", ci, cl.Width(), p.Opts.MinClusterWidth)
+		if !cl.Single && cl.width() < p.Opts.MinClusterWidth {
+			t.Fatalf("cluster %d width %d below minimum %d", ci, cl.width(), p.Opts.MinClusterWidth)
 		}
 		nextCol = cl.ColHi + 1
 	}
@@ -76,7 +76,7 @@ func checkInvariants(t *testing.T, p *Partition) {
 				t.Fatalf("element (%d,%d) mapped to unit %d with extents rows %d..%d cols %d..%d",
 					i, j, u.ID, u.RowLo, u.RowHi, u.ColLo, u.ColHi)
 			}
-			if u.Kind == Triangle && (i > u.RowHi || j < u.ColLo) {
+			if u.Kind == triangle && (i > u.RowHi || j < u.ColLo) {
 				t.Fatalf("triangle extent violation")
 			}
 		}
@@ -89,12 +89,12 @@ func checkInvariants(t *testing.T, p *Partition) {
 			t.Fatalf("unit %d (%v) holds no elements", ui, u.Kind)
 		}
 		switch u.Kind {
-		case Triangle:
+		case triangle:
 			m := u.RowHi - u.RowLo + 1
 			if u.Elems != m*(m+1)/2 {
 				t.Fatalf("triangle unit %d has %d elems, extent wants %d", ui, u.Elems, m*(m+1)/2)
 			}
-		case Rectangle:
+		case rectangle:
 			area := (u.RowHi - u.RowLo + 1) * (u.ColHi - u.ColLo + 1)
 			if u.Elems != area {
 				t.Fatalf("rect unit %d has %d elems, extent wants %d", ui, u.Elems, area)
@@ -246,8 +246,8 @@ func TestFigure3Partition(t *testing.T) {
 		t.Errorf("triangle partition units = %d, want 3", len(cl.TriAlloc))
 	}
 	// Allocation order: triangles first, then the band rectangle.
-	if p.Units[cl.TriAlloc[0]].Kind != Triangle || p.Units[cl.TriAlloc[1]].Kind != Triangle ||
-		p.Units[cl.TriAlloc[2]].Kind != Rectangle {
+	if p.Units[cl.TriAlloc[0]].Kind != triangle || p.Units[cl.TriAlloc[1]].Kind != triangle ||
+		p.Units[cl.TriAlloc[2]].Kind != rectangle {
 		t.Errorf("allocation order wrong: %v %v %v",
 			p.Units[cl.TriAlloc[0]].Kind, p.Units[cl.TriAlloc[1]].Kind, p.Units[cl.TriAlloc[2]].Kind)
 	}
@@ -356,7 +356,7 @@ func TestIndependentColumnsExist(t *testing.T) {
 	p := newPart(m, 4, 4)
 	indep := 0
 	for ui := range p.Units {
-		if p.Units[ui].Kind == Column && len(p.Units[ui].Preds) == 0 {
+		if p.Units[ui].Kind == column && len(p.Units[ui].Preds) == 0 {
 			indep++
 		}
 	}

@@ -216,7 +216,7 @@ func (p *Partition) denseSourceDeps(t territory, colOff, colSrc []int32) {
 		// not sufficient: the i-source's rows must meet the actual
 		// structure of the target column.
 		var structJ []int32
-		if u.Kind == Column {
+		if u.Kind == column {
 			structJ = f.Col(u.ColLo)
 		}
 		// Both sources lie in one cluster, and the j-source's rows meet U's

@@ -100,14 +100,14 @@ func refPartitionBlocks(p *Partition) {
 		if cl.Single {
 			j := cl.ColLo
 			u := Unit{
-				ID: len(p.Units), Kind: Column, Cluster: ci,
+				ID: len(p.Units), Kind: column, Cluster: ci,
 				RowLo: j, RowHi: lastRow(p.F, j), ColLo: j, ColHi: j,
 			}
 			cl.ColUnit = u.ID
 			p.Units = append(p.Units, u)
 			continue
 		}
-		m := cl.Width()
+		m := cl.width()
 		// Triangle: number of bands b is the largest with b(b+1)/2 units
 		// not exceeding Pd = max(1, triangle-elements / g).
 		triElems := m * (m + 1) / 2
@@ -131,14 +131,14 @@ func refPartitionBlocks(p *Partition) {
 			for bj := 0; bj < bi; bj++ {
 				clo, chi := cl.BandBounds[bj], cl.BandBounds[bj+1]-1
 				r := Unit{
-					ID: len(p.Units), Kind: Rectangle, Cluster: ci,
+					ID: len(p.Units), Kind: rectangle, Cluster: ci,
 					RowLo: lo, RowHi: hi, ColLo: clo, ColHi: chi,
 				}
 				cl.BandRects[bi][bj] = r.ID
 				p.Units = append(p.Units, r)
 			}
 			u := Unit{
-				ID: len(p.Units), Kind: Triangle, Cluster: ci,
+				ID: len(p.Units), Kind: triangle, Cluster: ci,
 				RowLo: lo, RowHi: hi, ColLo: lo, ColHi: hi,
 			}
 			cl.TriUnits[bi] = u.ID
@@ -168,7 +168,7 @@ func refPartitionBlocks(p *Partition) {
 				r.Units[a] = make([]int, qc)
 				for c := 0; c < qc; c++ {
 					u := Unit{
-						ID: len(p.Units), Kind: Rectangle, Cluster: ci,
+						ID: len(p.Units), Kind: rectangle, Cluster: ci,
 						RowLo: r.RowSplits[a], RowHi: r.RowSplits[a+1] - 1,
 						ColLo: r.ColSplits[c], ColHi: r.ColSplits[c+1] - 1,
 					}
@@ -411,7 +411,7 @@ func refDenseSourceDeps(p *Partition, addEdge func(tgt, src int)) {
 	var rowTree refTree
 	for ui := range p.Units {
 		u := &p.Units[ui]
-		if u.Kind != Column {
+		if u.Kind != column {
 			rowTree.Insert(u.RowLo, u.RowHi, ui)
 		}
 	}
@@ -432,7 +432,7 @@ func refDenseSourceDeps(p *Partition, addEdge func(tgt, src int)) {
 			continue
 		}
 		var structJ []int32
-		if u.Kind == Column {
+		if u.Kind == column {
 			structJ = f.Col(u.ColLo)
 		}
 		for k := range byCluster {
@@ -451,7 +451,7 @@ func refDenseSourceDeps(p *Partition, addEdge func(tgt, src int)) {
 			// For sparse column targets the interval overlap is necessary
 			// but not sufficient: the source rows must meet the actual
 			// structure of the target column.
-			if u.Kind == Column {
+			if u.Kind == column {
 				vb := &p.Units[b]
 				if !refHits(structJ, vb.RowLo, vb.RowHi) {
 					continue

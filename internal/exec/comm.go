@@ -52,9 +52,6 @@ func (c CommModel) Valid() error {
 	return nil
 }
 
-// IsZero reports whether the model charges nothing.
-func (c CommModel) IsZero() bool { return c.Alpha == 0 && c.Beta == 0 && c.Gamma == 0 }
-
 // Cost returns the non-compute time of a task that fetches vol elements
 // in msgs messages: the comm terms plus the per-task fixed overhead. The
 // value is truncated to integer work units (the convention of the Ext-L

@@ -4,8 +4,7 @@ import "testing"
 
 // TestGammaCost pins the per-task overhead semantics of CommModel.Gamma:
 // Cost charges exactly int64(Gamma) on top of the two comm terms, a
-// zero-Gamma model reproduces the two-parameter formula bit for bit, and
-// IsZero only reports a model that charges nothing at all.
+// zero-Gamma model reproduces the two-parameter formula bit for bit.
 func TestGammaCost(t *testing.T) {
 	two := CommModel{Alpha: 2, Beta: 10}
 	withZero := CommModel{Alpha: 2, Beta: 10, Gamma: 0}
@@ -21,12 +20,6 @@ func TestGammaCost(t *testing.T) {
 	// Gamma truncates to integer work units like Alpha and Beta terms do.
 	if got := (CommModel{Gamma: 3.9}).Cost(0, 0); got != 3 {
 		t.Errorf("Cost with Gamma=3.9: %d, want 3", got)
-	}
-	if !(CommModel{}).IsZero() {
-		t.Error("zero model: IsZero() = false")
-	}
-	if (CommModel{Gamma: 1}).IsZero() {
-		t.Error("Gamma-only model: IsZero() = true")
 	}
 }
 

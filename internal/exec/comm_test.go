@@ -26,16 +26,10 @@ func slackDAG() []Task {
 
 func TestCommModelCost(t *testing.T) {
 	var zero CommModel
-	if !zero.IsZero() {
-		t.Error("zero CommModel: IsZero() = false")
-	}
 	if got := zero.Cost(1000, 50); got != 0 {
 		t.Errorf("zero model Cost = %d, want 0", got)
 	}
 	cm := CommModel{Alpha: 1.5, Beta: 2}
-	if cm.IsZero() {
-		t.Error("nonzero CommModel: IsZero() = true")
-	}
 	if got := cm.Cost(10, 2); got != 19 {
 		t.Errorf("Cost(10, 2) = %d, want 15+4 = 19", got)
 	}

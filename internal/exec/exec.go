@@ -102,7 +102,7 @@ func Simulate(tasks []Task, p int, o SimOptions) SimResult {
 	}
 	var per []int64
 	var comm int64
-	if !o.Comm.IsZero() {
+	if o.Comm != (CommModel{}) {
 		per, comm = commCosts(len(tasks), o.Comm, o.Vol, o.Msgs)
 	}
 	var res SimResult

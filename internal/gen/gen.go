@@ -116,13 +116,13 @@ func FEGrid5(m int) *sparse.Matrix {
 	return finish(n, edges)
 }
 
-// LShape returns a right-triangle mesh on an L-shaped domain, the
+// lShape returns a right-triangle mesh on an L-shaped domain, the
 // construction behind Alan George's LSHAPE problems (the paper's LSHP1009).
 // The domain is the (2m+1) x (2m+1) grid with the upper-right m x m block
 // of nodes removed; each remaining unit square is split by a diagonal.
 // LShape(18) has 1045 equations (paper's LSHP1009 has 1009) with the same
 // 6-neighbour interior connectivity.
-func LShape(m int) *sparse.Matrix {
+func lShape(m int) *sparse.Matrix {
 	side := 2*m + 1
 	idx := make(map[[2]int]int)
 	var coords [][2]int
@@ -272,11 +272,11 @@ func Cannes(n, offDiag int, seed int64) *sparse.Matrix {
 	return finish(n, edges)
 }
 
-// Frame returns a braced cylindrical shell mesh in the spirit of the
+// frame returns a braced cylindrical shell mesh in the spirit of the
 // Harwell-Boeing DWT matrices (ship and submarine frames measured by the
 // Naval Ship R&D Center): around x along nodes on a cylinder, quad shell
 // edges plus one diagonal brace per cell and periodic ring closure.
-func Frame(around, along int) *sparse.Matrix {
+func frame(around, along int) *sparse.Matrix {
 	id := func(a, l int) int { return l*around + a }
 	n := around * along
 	var edges [][2]int
@@ -323,7 +323,7 @@ func Suite() []TestMatrix {
 		{
 			Name: "DWT512", PaperN: 512, PaperNNZ: 2007, PaperFactorNNZ: 3786,
 			Description: "Symmetric submarine frame from Naval Ship R&D Center",
-			Build:       func() *sparse.Matrix { return Frame(8, 64) },
+			Build:       func() *sparse.Matrix { return frame(8, 64) },
 		},
 		{
 			Name: "LAP30", PaperN: 900, PaperNNZ: 4322, PaperFactorNNZ: 16697,
@@ -334,7 +334,7 @@ func Suite() []TestMatrix {
 		{
 			Name: "LSHP1009", PaperN: 1009, PaperNNZ: 3937, PaperFactorNNZ: 18268,
 			Description: "L-shaped triangular mesh from Alan George's LSHAPE problems",
-			Build:       func() *sparse.Matrix { return LShape(18) },
+			Build:       func() *sparse.Matrix { return lShape(18) },
 		},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,8 +149,9 @@ func TestReadFortranDExponent(t *testing.T) {
 	if m.N != 2 || m.NNZ() != 3 {
 		t.Fatalf("parsed %v", m)
 	}
-	if m.At(0, 0) != 4 || m.At(1, 0) != -1 || m.At(1, 1) != 5 {
-		t.Fatalf("values wrong: %v %v %v", m.At(0, 0), m.At(1, 0), m.At(1, 1))
+	// Column 0 holds (0,0) and (1,0), column 1 holds (1,1).
+	if !slices.Equal(m.Val, []float64{4, -1, 5}) {
+		t.Fatalf("values wrong: %v", m.Val)
 	}
 }
 
@@ -169,7 +171,7 @@ func TestReadSkipsRHS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.N != 2 || m.At(0, 0) != 1 || m.At(1, 1) != 2 {
+	if m.N != 2 || !slices.Equal(m.Val, []float64{1, 2}) {
 		t.Fatalf("bad parse: %v", m)
 	}
 }

@@ -37,7 +37,7 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the enforced invariant.
 	Doc string
-	// Run reports the analyzer's findings on pass.Pkg via pass.Reportf.
+	// Run reports the analyzer's findings on pass.Pkg via pass.reportf.
 	Run func(pass *Pass)
 }
 
@@ -68,9 +68,9 @@ type Package struct {
 	suppressions []*suppression
 }
 
-// IsCommand reports whether the package is a main package (cmd/ binaries
+// isCommand reports whether the package is a main package (cmd/ binaries
 // and examples), which panicpolicy holds to the no-panic rule.
-func (p *Package) IsCommand() bool { return p.Name == "main" }
+func (p *Package) isCommand() bool { return p.Name == "main" }
 
 // Pass carries one analyzer's run over one package.
 type Pass struct {
@@ -79,8 +79,8 @@ type Pass struct {
 	diags    *[]Diagnostic
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -88,8 +88,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// TypeOf returns the type of an expression, or nil when untyped.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
+// typeOf returns the type of an expression, or nil when untyped.
+func (p *Pass) typeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Pkg.Info.Types[e]; ok {
 		return tv.Type
 	}

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `range` over map-typed expressions in the
+// mapOrder flags `range` over map-typed expressions in the
 // determinism-critical packages. Go randomizes map iteration order per
 // run, so any map range on the path to simulated spans, traffic totals,
 // schedules or factor values is a latent bit-reproducibility bug (which is
@@ -15,7 +15,7 @@ import (
 // the map, or suppress with an order-insensitivity argument:
 //
 //	//repro:allow maporder -- result is a map copy; per-key writes commute
-var MapOrder = &Analyzer{
+var mapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "range over a map has nondeterministic order; in determinism-critical packages " +
 		"iterate sorted keys or suppress with an order-insensitivity argument",
@@ -29,12 +29,12 @@ var MapOrder = &Analyzer{
 				if !ok {
 					return true
 				}
-				t := pass.TypeOf(rs.X)
+				t := pass.typeOf(rs.X)
 				if t == nil {
 					return true
 				}
 				if _, isMap := t.Underlying().(*types.Map); isMap {
-					pass.Reportf(rs.Pos(),
+					pass.reportf(rs.Pos(),
 						"range over map %s has nondeterministic iteration order in determinism-critical package %s; sort the keys or suppress with an order-insensitivity reason",
 						types.ExprString(rs.X), pass.Pkg.Name)
 				}

@@ -10,7 +10,7 @@ import (
 // source; they are the reproducible way to use the package.
 var randCreators = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-// NonDeterminism flags the three nondeterminism sources that would break
+// nonDeterminism flags the three nondeterminism sources that would break
 // the bit-reproducibility claims of the determinism-critical packages:
 // time.Now (wall-clock values leaking into results), global math/rand
 // calls (process-wide source, seeded per run since Go 1.20), and `go`
@@ -19,7 +19,7 @@ var randCreators = map[string]bool{"New": true, "NewSource": true, "NewZipf": tr
 // — their results are pinned bit-for-bit against serial references by the
 // *BitIdentity tests — and carry explicit suppressions citing those
 // tests.
-var NonDeterminism = &Analyzer{
+var nonDeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc: "no time.Now, global math/rand, or go statements in packages claiming " +
 		"bit-reproducibility; engines and the measurement harness suppress with the test that pins them",
@@ -31,7 +31,7 @@ var NonDeterminism = &Analyzer{
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.GoStmt:
-					pass.Reportf(x.Pos(),
+					pass.reportf(x.Pos(),
 						"go statement in bit-reproducible package %s; results must not depend on goroutine scheduling — pin with a bit-identity test and suppress, or compute serially",
 						pass.Pkg.Name)
 				case *ast.CallExpr:
@@ -46,14 +46,14 @@ var NonDeterminism = &Analyzer{
 					switch fn.Pkg().Path() {
 					case "time":
 						if fn.Name() == "Now" {
-							pass.Reportf(x.Pos(),
+							pass.reportf(x.Pos(),
 								"time.Now in bit-reproducible package %s; wall-clock values must not reach simulated results — keep timing in measurement-only paths and suppress with the pinning test",
 								pass.Pkg.Name)
 						}
 					case "math/rand", "math/rand/v2":
 						sig, _ := fn.Type().(*types.Signature)
 						if sig != nil && sig.Recv() == nil && !randCreators[fn.Name()] {
-							pass.Reportf(x.Pos(),
+							pass.reportf(x.Pos(),
 								"global math/rand call rand.%s draws from the process-wide source; use rand.New(rand.NewSource(seed)) so streams replay bit-for-bit",
 								fn.Name())
 						}

@@ -8,14 +8,14 @@ import (
 	"strings"
 )
 
-// PanicPolicy enforces the repo's panic contract. Library panics mark
+// panicPolicy enforces the repo's panic contract. Library panics mark
 // caller bugs (mismatched schedules, invalid processor counts) and must
 // identify their origin with the `"pkg: ..."` message prefix every
 // existing panic carries. Command (package main) code faces
 // caller-controlled input — flags, file paths, matrix files — where a
 // panic is a crash that should have been a validated error (the PR 7
 // ParallelSolve class), so commands must not panic at all.
-var PanicPolicy = &Analyzer{
+var panicPolicy = &Analyzer{
 	Name: "panicpolicy",
 	Doc: "library panics must carry the \"pkg: \" message prefix; " +
 		"main packages (cmd/, examples/) must not panic at all",
@@ -33,15 +33,15 @@ var PanicPolicy = &Analyzer{
 				if _, builtin := pass.Pkg.Info.Uses[id].(*types.Builtin); !builtin {
 					return true // shadowed panic
 				}
-				if pass.Pkg.IsCommand() {
-					pass.Reportf(call.Pos(),
+				if pass.Pkg.isCommand() {
+					pass.reportf(call.Pos(),
 						"panic in a main package; commands face caller-controlled input — validate it and return an error instead")
 					return true
 				}
 				if len(call.Args) == 1 && hasPkgPrefix(pass, call.Args[0]) {
 					return true
 				}
-				pass.Reportf(call.Pos(),
+				pass.reportf(call.Pos(),
 					"panic message must be a string (or fmt.Sprintf) starting with %q so failures identify their package",
 					pass.Pkg.Name+": ")
 				return true

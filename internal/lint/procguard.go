@@ -16,7 +16,7 @@ var procNames = map[string]bool{
 	"procCount": true, "numProcs": true,
 }
 
-// ProcGuard requires every exported function or method with a
+// procGuard requires every exported function or method with a
 // processor-count parameter to validate it before first use: by handing
 // it to an exported entry point of another package of the module, which
 // this analyzer holds to the same contract (the module's one guard,
@@ -28,7 +28,7 @@ var procNames = map[string]bool{
 // An unvalidated P reaches `make([]T, p)` or `j % p` and dies as an
 // index-out-of-range or divide-by-zero panic far from the caller's
 // mistake — the exact class PR 7 fixed in exec.ParallelSolve.
-var ProcGuard = &Analyzer{
+var procGuard = &Analyzer{
 	Name: "procguard",
 	Doc: "exported functions with a processor-count parameter (p, np, procs, ...) must " +
 		"validate it via sched.CheckProcs/MustProcs or an explicit < 1 guard before first use",
@@ -148,7 +148,7 @@ func runProcGuard(pass *Pass) {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
 				if procNames[name.Name] && isInt(info.Defs[name]) && !validates(fd, idx) {
-					pass.Reportf(name.Pos(),
+					pass.reportf(name.Pos(),
 						"exported %s does not validate processor count %q before first use; call sched.CheckProcs/MustProcs or guard with an explicit < 1 check",
 						funcName(fd), name.Name)
 				}

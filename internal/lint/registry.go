@@ -8,7 +8,7 @@ import (
 
 // All returns every shipped analyzer, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapOrder, PanicPolicy, ProcGuard, NonDeterminism}
+	return []*Analyzer{mapOrder, panicPolicy, procGuard, nonDeterminism}
 }
 
 // Select resolves a comma-separated analyzer-name list against All().

@@ -10,7 +10,7 @@ import (
 	"repro/internal/symbolic"
 )
 
-// refUpdateCounts is UpdateCounts as it was before the same-tail passes:
+// refUpdateCounts is updateCounts as it was before the same-tail passes:
 // one increment per pair update, run by run. It is the oracle the passes
 // are pinned to.
 func refUpdateCounts(o *Ops) []uint32 {
@@ -68,7 +68,7 @@ func TestUpdateCountsMatchesReference(t *testing.T) {
 	}
 	for x, f := range facs {
 		o := NewOps(f)
-		got := o.UpdateCounts()
+		got := o.updateCounts()
 		if want := refUpdateCounts(o); !slices.Equal(got, want) {
 			t.Fatalf("%s: update counts differ from the run enumeration", names[x])
 		}

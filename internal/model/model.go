@@ -71,14 +71,14 @@ func (o *Ops) ForEachRun(fn func(r Run)) {
 	}
 }
 
-// UpdateCounts returns, for every factor nonzero position, the number of
+// updateCounts returns, for every factor nonzero position, the number of
 // pair updates it receives: at most one per column before its own.
 //
 // The sources of target column j are taken run by run (symbolic.RowIndex):
 // the sources of a run hold the same rows from row j down, so the run
 // updates each of them once per source and one walk of those rows adds
 // its length.
-func (o *Ops) UpdateCounts() []uint32 {
+func (o *Ops) updateCounts() []uint32 {
 	f, ri := o.F, o.rows
 	counts := make([]uint32, f.NNZ())
 	tgt := make([]int32, f.N) // tgt[i]: position of (i, j) in the current column j
@@ -100,9 +100,9 @@ func (o *Ops) UpdateCounts() []uint32 {
 // Work returns the work of every factor element under the paper's model:
 // 2 units per pair update plus 1 unit for the diagonal update. An element
 // receives c ≤ n − 1 < 2³¹ updates, so 2c + 1 fits four bytes; the counts
-// of UpdateCounts become the work in place, one array for both.
+// of updateCounts become the work in place, one array for both.
 func Work(o *Ops) []uint32 {
-	w := o.UpdateCounts()
+	w := o.updateCounts()
 	for p, c := range w {
 		w[p] = 2*c + 1
 	}

@@ -95,7 +95,7 @@ func TestUpdateCountsDiagonal(t *testing.T) {
 	// off-diagonal nonzeros in row j to the left of j.
 	fac := analyzed(11)
 	o := NewOps(fac)
-	counts := o.UpdateCounts()
+	counts := o.updateCounts()
 	for j := 0; j < fac.N; j++ {
 		if got, want := counts[fac.ColPtr[j]], uint32(len(fac.AppendRow(nil, j, false))); got != want {
 			t.Fatalf("diag count col %d = %d, want %d", j, got, want)

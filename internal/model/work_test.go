@@ -92,7 +92,7 @@ func allocated(fn func()) (objects, bytes uint64) {
 }
 
 // TestWorkAllocatesOneArray: Work allocates the one array of 4·nnz(L)
-// bytes it returns, besides UpdateCounts' column scatter of 4·n bytes —
+// bytes it returns, besides updateCounts' column scatter of 4·n bytes —
 // the counts become the work in place, so no second element array grows
 // back.
 func TestWorkAllocatesOneArray(t *testing.T) {

@@ -35,7 +35,7 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	return val, nil
 }
 
-// Segment is the left-looking step over positions [lo, hi) of column j,
+// segment is the left-looking step over positions [lo, hi) of column j,
 // lo < hi — a run of the column's rows, the whole column included: the run
 // receives its updates, its pivot if it holds the diagonal, and its
 // scale. The sources updating the run and, for a run below the diagonal,
@@ -48,17 +48,17 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 // Inf-contaminated diagonal, would survive the square root or divide the
 // off-diagonals into zeros and NaNs. Cholesky's is a
 // *NotPositiveDefiniteError.
-func (k Kernel) Segment(f *symbolic.Factor, val, w []float64, j, lo, hi int) error {
+func (k Kernel) segment(f *symbolic.Factor, val, w []float64, j, lo, hi int) error {
 	return k.Step(f, val, w, j, lo, hi, 0, j, true)
 }
 
-// Step is Segment restricted to the sources c with from <= c < to: the run
+// Step is segment restricted to the sources c with from <= c < to: the run
 // [lo, hi) of column j receives the updates of those sources only, each
 // element still taking them in ascending c. With finish set it then takes
-// its pivot and scale, as Segment does; without, it stores its partial
+// its pivot and scale, as segment does; without, it stores its partial
 // sums back into its own positions, exact float64 values, and a later Step
 // over the following sources resumes from them. So a column applied as
-// Step(0, c, false) then Step(c, j, true) gets Segment's bits, and the
+// Step(0, c, false) then Step(c, j, true) gets segment's bits, and the
 // first call reads no source at or after c, nor the diagonal.
 func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to int, finish bool) error {
 	rows, col := f.RowInd[lo:hi], val[lo:hi]

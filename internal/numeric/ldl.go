@@ -33,36 +33,3 @@ func FactorizeLDL(m *sparse.Matrix, f *symbolic.Factor) (*LDL, error) {
 	}
 	return &LDL{F: f, Val: val}, nil
 }
-
-// Solve solves A·x = b using the computed factorization: L·z = b,
-// w = D⁻¹·z, Lᵀ·x = w.
-func (l *LDL) Solve(b []float64) []float64 {
-	x := append([]float64(nil), b...)
-	KernelLDL.Solve(l.F, l.Val, x)
-	return x
-}
-
-// D returns the diagonal of the factorization.
-func (l *LDL) D() []float64 {
-	d := make([]float64, l.F.N)
-	for j := 0; j < l.F.N; j++ {
-		d[j] = l.Val[l.F.ColPtr[j]]
-	}
-	return d
-}
-
-// Inertia returns the number of positive, negative and zero entries of D,
-// which by Sylvester's law equals the inertia of A.
-func (l *LDL) Inertia() (pos, neg, zero int) {
-	for _, d := range l.D() {
-		switch {
-		case d > 0:
-			pos++
-		case d < 0:
-			neg++
-		default:
-			zero++
-		}
-	}
-	return
-}

@@ -68,7 +68,7 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 
 // Factorize runs the serial left-looking factorization k selects and
 // returns the values aligned with f: Factorize's for KernelCholesky,
-// FactorizeLDL's for KernelLDL. It is ScatterA, then Segment over every
+// FactorizeLDL's for KernelLDL. It is ScatterA, then segment over every
 // whole column in turn, whose rejected pivot is the error; the two
 // kernels differ only in the D[k] factor of an update and in the pivot
 // (rule, square root).
@@ -88,7 +88,7 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 	}
 	w := make([]float64, f.N) // dense accumulator for the current column
 	for j := 0; j < f.N; j++ {
-		if err := k.Segment(f, val, w, j, f.ColPtr[j], f.ColPtr[j+1]); err != nil {
+		if err := k.segment(f, val, w, j, f.ColPtr[j], f.ColPtr[j+1]); err != nil {
 			return nil, err
 		}
 	}
@@ -102,16 +102,9 @@ func (c *Cholesky) Solve(b []float64) []float64 {
 	return x
 }
 
-// L returns the factor as a lower-triangular sparse matrix with values.
-func (c *Cholesky) L() *sparse.Matrix {
-	l := c.F.Pattern()
-	l.Val = append([]float64(nil), c.Val...)
-	return l
-}
-
-// MatVec computes y = A*x for the full symmetric matrix stored as its
+// matVec computes y = A*x for the full symmetric matrix stored as its
 // lower triangle.
-func MatVec(m *sparse.Matrix, x []float64) []float64 {
+func matVec(m *sparse.Matrix, x []float64) []float64 {
 	y := make([]float64, m.N)
 	for j := 0; j < m.N; j++ {
 		cj := m.Col(j)
@@ -129,7 +122,7 @@ func MatVec(m *sparse.Matrix, x []float64) []float64 {
 // ResidualNorm returns ‖A·x − b‖∞ / ‖b‖∞ (or the absolute norm when b is
 // zero), a convergence check for tests and examples.
 func ResidualNorm(m *sparse.Matrix, x, b []float64) float64 {
-	ax := MatVec(m, x)
+	ax := matVec(m, x)
 	var rmax, bmax float64
 	for i := range b {
 		r := math.Abs(ax[i] - b[i])

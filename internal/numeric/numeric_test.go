@@ -132,7 +132,7 @@ func TestSolveRandomProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MatVec(m, xTrue)
+		b := matVec(m, xTrue)
 		x := c.Solve(b)
 		return ResidualNorm(m, x, b) < 1e-10
 	}
@@ -185,7 +185,8 @@ func TestLowerUpperSolveConsistency(t *testing.T) {
 		KernelCholesky.Backward(fac, c.Val, x, j)
 	}
 	// L*y must equal b, and Lᵀ*x must equal y.
-	lm := c.L()
+	lm := c.F.Pattern()
+	lm.Val = c.Val
 	ly, ltx := make([]float64, n), make([]float64, n)
 	for j := 0; j < n; j++ {
 		cj := lm.Col(j)
@@ -216,8 +217,8 @@ func TestMatVecSymmetry(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		ax := MatVec(m, x)
-		ay := MatVec(m, y)
+		ax := matVec(m, x)
+		ay := matVec(m, y)
 		var d1, d2 float64
 		for i := range x {
 			d1 += x[i] * ay[i]

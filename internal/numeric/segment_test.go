@@ -45,7 +45,7 @@ func segmentKernels(m *sparse.Matrix) []struct {
 // TestSegmentMatchesColumn: cutting every column into runs at random
 // points and applying them — the diagonal's run first, the rest in random
 // order, one scratch vector throughout — gives bit for bit the factor of
-// whole-column Segment calls, on every structure of the oracle sweep (the
+// whole-column segment calls, on every structure of the oracle sweep (the
 // suite's under -race) and for both kernels.
 func TestSegmentMatchesColumn(t *testing.T) {
 	for ci, c := range sweepCases(t) {
@@ -61,14 +61,14 @@ func TestSegmentMatchesColumn(t *testing.T) {
 			val := append([]float64(nil), want...)
 			w := make([]float64, c.f.N)
 			for j := 0; j < c.f.N; j++ {
-				if err := k.Segment(c.f, want, w, j, c.f.ColPtr[j], c.f.ColPtr[j+1]); err != nil {
+				if err := k.segment(c.f, want, w, j, c.f.ColPtr[j], c.f.ColPtr[j+1]); err != nil {
 					t.Fatalf("%s %v: column %d: %v", c.name, k, j, err)
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
 			for j := 0; j < c.f.N; j++ {
 				for _, r := range cutColumn(rng, c.f, j) {
-					if err := k.Segment(c.f, val, w, j, r[0], r[1]); err != nil {
+					if err := k.segment(c.f, val, w, j, r[0], r[1]); err != nil {
 						t.Fatalf("%s %v: column %d run [%d, %d): %v", c.name, k, j, r[0], r[1], err)
 					}
 				}
@@ -81,7 +81,7 @@ func TestSegmentMatchesColumn(t *testing.T) {
 }
 
 // TestSegmentReadsOnlyItsSources pins what lets the engine run a run as
-// soon as its predecessors finish: a Segment call reads its own positions,
+// soon as its predecessors finish: a segment call reads its own positions,
 // the diagonal of its column when the run lies below it and the source
 // columns with a row in the run, and it writes the run and the run's rows
 // of the scratch vector — nothing else. Before every call all other
@@ -144,7 +144,7 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 						}
 					}
 					clear(w)
-					if err := k.Segment(f, val, w, j, lo, hi); err != nil {
+					if err := k.segment(f, val, w, j, lo, hi); err != nil {
 						t.Fatalf("%s %v: column %d run [%d, %d): %v", tm.Name, k, j, lo, hi, err)
 					}
 					if err := sameBits(val[lo:hi], want[lo:hi]); err != nil {

@@ -27,18 +27,22 @@ type ProfileSummary struct {
 	Degenerate int `json:"degenerate,omitempty"`
 }
 
-// Summary collapses a Profile into its ledger form.
+// Summary collapses a Profile into its ledger form: Busy, Comm, Idle and
+// Stall summed over the processors, CriticalWork and CriticalComm along
+// the critical path (CriticalWork + CriticalComm == Makespan).
 func (p *Profile) Summary() ProfileSummary {
-	return ProfileSummary{
-		Busy:         p.Busy(),
-		Comm:         p.Comm(),
-		Idle:         p.Idle(),
-		Stall:        p.Stall(),
-		CriticalLen:  len(p.Critical),
-		CriticalWork: p.CriticalWork(),
-		CriticalComm: p.CriticalComm(),
-		Degenerate:   p.Degenerate,
+	s := ProfileSummary{CriticalLen: len(p.Critical), Degenerate: p.Degenerate}
+	for _, pp := range p.Procs {
+		s.Busy += pp.Busy
+		s.Comm += pp.Comm
+		s.Idle += pp.Idle
+		s.Stall += pp.Stall
 	}
+	for _, l := range p.Critical {
+		s.CriticalWork += l.Work
+		s.CriticalComm += l.Comm
+	}
+	return s
 }
 
 // BenchRecord is one benchmarked run in the ledger: a (matrix, strategy,

@@ -64,9 +64,6 @@ func TestSearchTelemetryNil(t *testing.T) {
 	tel.Trial(true)
 	tel.Trial(false)
 	tel.Objective(42)
-	if tel.Best() != 0 {
-		t.Errorf("nil Best() = %d, want 0", tel.Best())
-	}
 }
 
 func TestSearchTelemetryCounts(t *testing.T) {
@@ -82,9 +79,6 @@ func TestSearchTelemetryCounts(t *testing.T) {
 	}
 	if got := tel.Trajectory; len(got) != 3 || got[0] != 100 || got[2] != 85 {
 		t.Errorf("trajectory = %v", got)
-	}
-	if tel.Best() != 85 {
-		t.Errorf("Best() = %d, want 85", tel.Best())
 	}
 }
 
@@ -111,8 +105,6 @@ func TestSearchTelemetryAttached(t *testing.T) {
 		}
 		if len(tel.Trajectory) == 0 {
 			t.Errorf("%s: no objective trajectory recorded", name)
-		} else if tel.Best() != tel.Trajectory[len(tel.Trajectory)-1] {
-			t.Errorf("%s: Best() %d != trajectory tail %d", name, tel.Best(), tel.Trajectory[len(tel.Trajectory)-1])
 		}
 		got := exec.Simulate(strategy.Tasks(sys, strategy.Options{}, scT), p, exec.SimOptions{})
 		want := exec.Simulate(strategy.Tasks(sys, strategy.Options{}, sc), p, exec.SimOptions{})

@@ -54,9 +54,6 @@ func NewTracer() *Tracer { return &Tracer{} }
 // OnTask implements exec.Probe by recording the event.
 func (t *Tracer) OnTask(ev exec.TaskEvent) { t.Events = append(t.Events, ev) }
 
-// Reset discards the collected events, keeping the backing storage.
-func (t *Tracer) Reset() { t.Events = t.Events[:0] }
-
 // SearchTelemetry counts the trial moves of a mapper search (a refine
 // hill-climb, the rect2d ownership descent, or the contigtotal DP's
 // transition relaxations) and records the objective trajectory. All
@@ -97,13 +94,4 @@ func (t *SearchTelemetry) Objective(v int64) {
 		return
 	}
 	t.Trajectory = append(t.Trajectory, v)
-}
-
-// Best returns the last trajectory point (the final objective), or 0 when
-// nothing was recorded.
-func (t *SearchTelemetry) Best() int64 {
-	if t == nil || len(t.Trajectory) == 0 {
-		return 0
-	}
-	return t.Trajectory[len(t.Trajectory)-1]
 }

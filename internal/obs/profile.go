@@ -61,38 +61,6 @@ type Profile struct {
 	Degenerate int
 }
 
-// Busy, Comm, Stall and Idle sum the per-processor fields.
-func (p *Profile) Busy() int64  { return p.sum(func(pp *ProcProfile) int64 { return pp.Busy }) }
-func (p *Profile) Comm() int64  { return p.sum(func(pp *ProcProfile) int64 { return pp.Comm }) }
-func (p *Profile) Stall() int64 { return p.sum(func(pp *ProcProfile) int64 { return pp.Stall }) }
-func (p *Profile) Idle() int64  { return p.sum(func(pp *ProcProfile) int64 { return pp.Idle }) }
-
-func (p *Profile) sum(f func(*ProcProfile) int64) int64 {
-	var s int64
-	for i := range p.Procs {
-		s += f(&p.Procs[i])
-	}
-	return s
-}
-
-// CriticalWork and CriticalComm sum the compute and communication time
-// along the critical path; CriticalWork + CriticalComm == Makespan.
-func (p *Profile) CriticalWork() int64 {
-	var s int64
-	for _, l := range p.Critical {
-		s += l.Work
-	}
-	return s
-}
-
-func (p *Profile) CriticalComm() int64 {
-	var s int64
-	for _, l := range p.Critical {
-		s += l.Comm
-	}
-	return s
-}
-
 // BuildProfile aggregates the events of one traced simulation into a
 // Profile. events must be the complete event set of a single simulator
 // run (one event per task) and res its SimResult; the per-processor
@@ -283,6 +251,7 @@ func (h *Histogram) String() string {
 // attribution and the idle-gap histogram as a terminal report.
 func FormatProfile(p *Profile) string {
 	var sb strings.Builder
+	sum := p.Summary()
 	fmt.Fprintf(&sb, "P=%d makespan=%d\n", p.P, p.Makespan)
 	fmt.Fprintf(&sb, "%-5s %7s %12s %12s %12s %12s\n", "proc", "tasks", "busy", "comm", "stall", "idle")
 	for i := range p.Procs {
@@ -290,7 +259,7 @@ func FormatProfile(p *Profile) string {
 		fmt.Fprintf(&sb, "P%-4d %7d %12d %12d %12d %12d\n", pp.Proc, pp.Tasks, pp.Busy, pp.Comm, pp.Stall, pp.Idle)
 	}
 	fmt.Fprintf(&sb, "total busy=%d comm=%d stall=%d idle=%d (busy+comm+idle = P*makespan = %d)\n",
-		p.Busy(), p.Comm(), p.Stall(), p.Idle(), int64(p.P)*p.Makespan)
+		sum.Busy, sum.Comm, sum.Stall, sum.Idle, int64(p.P)*p.Makespan)
 	deps := 0
 	for _, l := range p.Critical {
 		if l.Edge == "dependency" {
@@ -298,7 +267,7 @@ func FormatProfile(p *Profile) string {
 		}
 	}
 	fmt.Fprintf(&sb, "critical path: %d tasks (compute %d + comm %d = makespan), %d dependency hops\n",
-		len(p.Critical), p.CriticalWork(), p.CriticalComm(), deps)
+		len(p.Critical), sum.CriticalWork, sum.CriticalComm, deps)
 	if p.Degenerate > 0 {
 		fmt.Fprintf(&sb, "degenerate events: %d (zero measured duration, clock resolution)\n", p.Degenerate)
 	}

@@ -74,14 +74,14 @@ func TestProfileReconciliation(t *testing.T) {
 					t.Fatalf("%s P=%d: profile header %d/%d != result %d/%d",
 						label, p, prof.P, prof.Makespan, res.P, res.Makespan)
 				}
-				if got := prof.Busy() + prof.Comm(); got != res.TotalWork {
+				if got := prof.Summary().Busy + prof.Summary().Comm; got != res.TotalWork {
 					t.Errorf("%s P=%d: busy+comm %d != TotalWork %d", label, p, got, res.TotalWork)
 				}
-				if prof.Comm() != res.Comm {
-					t.Errorf("%s P=%d: comm %d != SimResult.Comm %d", label, p, prof.Comm(), res.Comm)
+				if prof.Summary().Comm != res.Comm {
+					t.Errorf("%s P=%d: comm %d != SimResult.Comm %d", label, p, prof.Summary().Comm, res.Comm)
 				}
-				if prof.Idle() != res.Idle {
-					t.Errorf("%s P=%d: idle %d != SimResult.Idle %d", label, p, prof.Idle(), res.Idle)
+				if prof.Summary().Idle != res.Idle {
+					t.Errorf("%s P=%d: idle %d != SimResult.Idle %d", label, p, prof.Summary().Idle, res.Idle)
 				}
 				tasks := 0
 				for i := range prof.Procs {
@@ -134,7 +134,7 @@ func checkCritical(t *testing.T, label string, p int, prof *obs.Profile) {
 	if last := cp[len(cp)-1]; last.Finish != prof.Makespan {
 		t.Errorf("%s P=%d: critical path ends at %d, makespan %d", label, p, last.Finish, prof.Makespan)
 	}
-	if got := prof.CriticalWork() + prof.CriticalComm(); got != prof.Makespan {
+	if got := prof.Summary().CriticalWork + prof.Summary().CriticalComm; got != prof.Makespan {
 		t.Errorf("%s P=%d: critical work+comm %d != makespan %d", label, p, got, prof.Makespan)
 	}
 }
@@ -146,7 +146,7 @@ func TestBuildProfileEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Busy() != 0 || prof.Idle() != 0 || len(prof.Critical) != 0 || prof.IdleGaps.Count != 0 {
+	if prof.Summary().Busy != 0 || prof.Summary().Idle != 0 || len(prof.Critical) != 0 || prof.IdleGaps.Count != 0 {
 		t.Errorf("empty profile not all-zero: %+v", prof)
 	}
 }

@@ -22,12 +22,12 @@ func TestRealProfileAggregates(t *testing.T) {
 	if prof.Makespan != 20 {
 		t.Fatalf("makespan %d, want 20", prof.Makespan)
 	}
-	if prof.Busy() != 22 {
-		t.Fatalf("busy %d, want 22", prof.Busy())
+	if prof.Summary().Busy != 22 {
+		t.Fatalf("busy %d, want 22", prof.Summary().Busy)
 	}
 	// Only the caused stall counts; proc 0's startup gap is idle, not stall.
-	if prof.Stall() != 8 {
-		t.Fatalf("stall %d, want 8", prof.Stall())
+	if prof.Summary().Stall != 8 {
+		t.Fatalf("stall %d, want 8", prof.Summary().Stall)
 	}
 	if prof.Procs[0].Idle != 10 || prof.Procs[1].Idle != 8 {
 		t.Fatalf("idle split %d/%d, want 10/8", prof.Procs[0].Idle, prof.Procs[1].Idle)

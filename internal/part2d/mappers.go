@@ -239,7 +239,7 @@ func rect2dCyclic(sys *strategy.Sys, p int, _ strategy.Options) (*Schedule2D, er
 		}
 	}
 	pc := p / pr
-	return New(sys.F, sys.ElemWork, p, rectBounds(sys, p), func(r, c int) int32 {
+	return fromOwner(sys.F, sys.ElemWork, p, rectBounds(sys, p), func(r, c int) int32 {
 		return int32((r%pr)*pc + c%pc)
 	})
 }
@@ -297,5 +297,5 @@ func Lift(sys *strategy.Sys, sc *sched.Schedule, name string) (*Schedule2D, erro
 	if f.N > 0 {
 		bounds = append(bounds, f.N)
 	}
-	return New(sys.F, sys.ElemWork, sc.P, bounds, func(_, c int) int32 { return owner1d[bounds[c]] })
+	return fromOwner(sys.F, sys.ElemWork, sc.P, bounds, func(_, c int) int32 { return owner1d[bounds[c]] })
 }

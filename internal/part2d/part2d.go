@@ -129,13 +129,13 @@ func (s *Schedule2D) Schedule() *sched.Schedule {
 	return &sched.Schedule{P: s.P, F: s.f, ElemProc: s.elemProc, ColProc: s.colProc, Work: s.work}
 }
 
-// New validates and completes a 2D schedule: bounds must be strictly
+// fromOwner validates and completes a 2D schedule: bounds must be strictly
 // increasing from 0 to f.N, and owner(r, c) — consulted once for every
 // non-empty tile (r, c) and for no other — must name a processor in
 // [0, p). The derived fields (the tile index, the interval of every
 // index, the element ownership, the per-processor work) are computed from
 // the factor structure and elemWork.
-func New(f *symbolic.Factor, elemWork []uint32, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
+func fromOwner(f *symbolic.Factor, elemWork []uint32, p int, bounds []int, owner func(r, c int) int32) (*Schedule2D, error) {
 	if err := sched.CheckProcs("part2d", p); err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func TestMap2DInvalidProcs(t *testing.T) {
 // (r, c) outside the lower triangle 0 <= c <= r < R.
 func TestTileOwnerOutOfRange(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(4, 4))
-	s, err := New(sys.F, sys.ElemWork, 3, []int{0, 5, 11, sys.F.N}, func(r, c int) int32 { return int32(r+c) % 3 })
+	s, err := fromOwner(sys.F, sys.ElemWork, 3, []int{0, 5, 11, sys.F.N}, func(r, c int) int32 { return int32(r+c) % 3 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,22 +109,22 @@ func TestNewValidation(t *testing.T) {
 	n := sys.F.N
 	good := []int{0, n}
 	on := func(o int32) func(r, c int) int32 { return func(int, int) int32 { return o } }
-	if _, err := New(sys.F, sys.ElemWork, 0, good, on(0)); err == nil {
+	if _, err := fromOwner(sys.F, sys.ElemWork, 0, good, on(0)); err == nil {
 		t.Error("New with p=0 succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, n - 1}, on(0)); err == nil {
+	if _, err := fromOwner(sys.F, sys.ElemWork, 2, []int{0, n - 1}, on(0)); err == nil {
 		t.Error("New with bounds not reaching n succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, []int{0, 3, 3, n}, on(0)); err == nil {
+	if _, err := fromOwner(sys.F, sys.ElemWork, 2, []int{0, 3, 3, n}, on(0)); err == nil {
 		t.Error("New with an empty interval succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, good, on(5)); err == nil {
+	if _, err := fromOwner(sys.F, sys.ElemWork, 2, good, on(5)); err == nil {
 		t.Error("New with out-of-range owner succeeded")
 	}
-	if _, err := New(sys.F, sys.ElemWork, 2, good, on(-1)); err == nil {
+	if _, err := fromOwner(sys.F, sys.ElemWork, 2, good, on(-1)); err == nil {
 		t.Error("New with negative owner succeeded")
 	}
-	s, err := New(sys.F, sys.ElemWork, 2, good, on(1))
+	s, err := fromOwner(sys.F, sys.ElemWork, 2, good, on(1))
 	if err != nil {
 		t.Fatalf("New on a valid single-tile schedule: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestNewValidation(t *testing.T) {
 		perIndex[i] = i
 	}
 	asked := 0
-	s, err = New(sys.F, sys.ElemWork, 2, perIndex, func(r, c int) int32 {
+	s, err = fromOwner(sys.F, sys.ElemWork, 2, perIndex, func(r, c int) int32 {
 		if !sys.F.Has(r, c) {
 			return 7
 		}
@@ -340,7 +340,7 @@ func TestLiftMemoryPin(t *testing.T) {
 // Sys and P and shared by the 1D rectilinear mapper and the three rect2d
 // mappers, so no reader may write to them. Planning the 2D mappers first
 // and the 1D one last on one Sys gives exactly the plans fresh Sys give,
-// the memo still holds strategy.RectilinearCuts' answer, and the bounds
+// the memo still holds a fresh Sys's cuts, and the bounds
 // rectBounds hands out are its own: scribbling on them reaches nobody.
 func TestRectCutsSharedReadOnly(t *testing.T) {
 	for _, name := range []string{"LAP30", "BUS1138"} {
@@ -377,7 +377,7 @@ func TestRectCutsSharedReadOnly(t *testing.T) {
 				t.Fatalf("%s P=%d: 1D rectilinear after the 2D mappers differs from a fresh plan", name, p)
 			}
 			cuts := shared.RectilinearCuts(p)
-			if !slices.Equal(cuts, strategy.RectilinearCuts(base.Ops, base.ElemWork, p)) || &cuts[0] != &shared.RectilinearCuts(p)[0] {
+			if !slices.Equal(cuts, fresh().RectilinearCuts(p)) || &cuts[0] != &shared.RectilinearCuts(p)[0] {
 				t.Fatalf("%s P=%d: the shared cuts were rebuilt or written to: %v", name, p, cuts)
 			}
 		}

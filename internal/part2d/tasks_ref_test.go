@@ -22,16 +22,29 @@ import (
 // passes (and the dense-table oracle in tiles_ref_test.go) are pinned to
 // them. FetchStats' walk is fetchWalk, traffic's element walk.
 
+// firstFetch returns the first-fetch rule of the paper's caching model
+// over nnz elements and p processors: the function reports whether proc
+// fetches element q for the first time, and marks the pair fetched.
+func firstFetch(p, nnz int) func(q, proc int32) bool {
+	seen := make([]bool, p*nnz)
+	return func(q, proc int32) bool {
+		i := int(q)*p + int(proc)
+		first := !seen[i]
+		seen[i] = true
+		return first
+	}
+}
+
 // fetchWalk attributes every distinct non-local fetch of s to the tasks of
 // taskOf, one access at a time: the two sources of every pair update in
 // model.Ops.ForEachRun's order, then the diagonal read of every scale, each
 // first (element, processor) fetch charged to the task of its target.
 func fetchWalk(s *sched.Schedule, ntasks int, taskOf []int32) *traffic.TaskComm {
 	f, owner := s.F, elemOwners(s)
-	fetched, ch := traffic.NewFetchDedup(s.P, f.NNZ()), traffic.NewCharger(s.P, ntasks, nil)
+	fetched, ch := firstFetch(s.P, f.NNZ()), traffic.NewCharger(s.P, ntasks, nil)
 	vol := make([]int64, ntasks)
 	fetch := func(q, tgt int32) {
-		if o, proc := owner[q], owner[tgt]; o != proc && fetched.FirstFetch(q, proc) {
+		if o, proc := owner[q], owner[tgt]; o != proc && fetched(q, proc) {
 			vol[taskOf[tgt]]++
 			ch.Message(int(taskOf[tgt]), o)
 		}
@@ -141,7 +154,7 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 		FanIn:   make([]int64, ntiles),
 		PerProc: make([]int64, p),
 	}
-	fetched := traffic.NewFetchDedup(p, f.NNZ())
+	fetched := firstFetch(p, f.NNZ())
 	owner, rowInd := elemProc, f.RowInd
 	charge := func(dir []int64, tgt, proc int32) {
 		res.Total++
@@ -153,10 +166,10 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 		for q := lo; q < r.Hi; q++ {
 			tgt := r.Tgt[rowInd[q]]
 			proc := owner[tgt]
-			if owner[q] != proc && fetched.FirstFetch(q, proc) {
+			if owner[q] != proc && fetched(q, proc) {
 				charge(res.FanOut, tgt, proc)
 			}
-			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
+			if ownerLo != proc && fetched(lo, proc) {
 				charge(res.FanIn, tgt, proc)
 			}
 		}
@@ -164,7 +177,7 @@ func walkTraffic(ops *model.Ops, p, r int, elemProc, tileOf []int32, ntiles int)
 	for j := 0; j < f.N; j++ {
 		diag := int32(f.ColPtr[j])
 		for q := diag + 1; q < int32(f.ColPtr[j+1]); q++ {
-			if proc := owner[q]; owner[diag] != proc && fetched.FirstFetch(diag, proc) {
+			if proc := owner[q]; owner[diag] != proc && fetched(diag, proc) {
 				charge(res.FanIn, q, proc)
 			}
 		}
@@ -241,7 +254,7 @@ func panicked(fn func()) (msg string) {
 func randomOwners(t testing.TB, sys *strategy.Sys, p int, bounds []int, seed int64) *Schedule2D {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s2, err := New(sys.F, sys.ElemWork, p, bounds, func(int, int) int32 { return int32(rng.Intn(p)) })
+	s2, err := fromOwner(sys.F, sys.ElemWork, p, bounds, func(int, int) int32 { return int32(rng.Intn(p)) })
 	if err != nil {
 		t.Fatal(err)
 	}

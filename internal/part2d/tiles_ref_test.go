@@ -88,7 +88,7 @@ func refTileWork(f *symbolic.Factor, elemWork []uint32, bounds []int) []int64 {
 // refBounds is rectBounds computed afresh, independent of the cuts the
 // Sys shares.
 func refBounds(sys *strategy.Sys, p int) []int {
-	cuts := strategy.RectilinearCuts(sys.Ops, sys.ElemWork, p)
+	cuts := strategy.NewSys(sys.F, sys.Ops, nil).RectilinearCuts(p)
 	bounds := []int{cuts[0]}
 	for _, b := range cuts[1:] {
 		if b > bounds[len(bounds)-1] {
@@ -509,7 +509,7 @@ func TestReownedLiftFallsThrough(t *testing.T) {
 		}
 		return o
 	}
-	s2, err := New(sys.F, sys.ElemWork, p, lift.bounds, rule)
+	s2, err := fromOwner(sys.F, sys.ElemWork, p, lift.bounds, rule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func FuzzTiles2D(f *testing.F) {
 			if mode%3 == 1 {
 				rule = func(_, c int) int32 { return at(c) }
 			}
-			s2, err := New(fac, sys.ElemWork, p, bounds, rule)
+			s2, err := fromOwner(fac, sys.ElemWork, p, bounds, rule)
 			if err != nil {
 				t.Fatal(err)
 			}

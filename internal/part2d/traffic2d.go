@@ -42,9 +42,6 @@ func (r *TrafficResult) TotalFanOut() int64 { return model.TotalWork(r.FanOut) }
 // TotalFanIn sums the column-direction volumes over all tiles.
 func (r *TrafficResult) TotalFanIn() int64 { return model.TotalWork(r.FanIn) }
 
-// Mean returns the mean traffic per processor.
-func (r *TrafficResult) Mean() float64 { return float64(r.Total) / float64(r.P) }
-
 // Traffic runs the 2D tile-granular traffic simulation. The factor ops
 // must be built over the same symbolic factor the schedule was computed
 // from. It is the segment pass of Tasks and FetchStats (see segments),

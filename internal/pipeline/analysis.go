@@ -147,15 +147,12 @@ func newAnalysis(a *sparse.Matrix, perm []int, key artifact.Key) (*Analysis, err
 // element work and the goroutine-safe per-option partition cache).
 func (an *Analysis) Sys() *strategy.Sys { return an.sys }
 
-// N returns the system dimension.
-func (an *Analysis) N() int { return an.Pattern.N }
-
-// PermuteValues maps the values of a — a matrix with exactly this
+// permuteValues maps the values of a — a matrix with exactly this
 // analysis' pattern — into the permuted value layout, without re-running
 // the structural permutation. The result is bitwise identical to
 // a.Permute(Perm).Val: values are moved, never recomputed. A pattern other
 // than the analysis' or a value count other than its nnz is an error.
-func (an *Analysis) PermuteValues(a *sparse.Matrix) ([]float64, error) {
+func (an *Analysis) permuteValues(a *sparse.Matrix) ([]float64, error) {
 	if a.Val == nil {
 		return nil, errNoValues
 	}
@@ -179,7 +176,7 @@ func (an *Analysis) PermuteValues(a *sparse.Matrix) ([]float64, error) {
 // installed — the input of the numeric kernels. The index slices are
 // shared with Permuted; only the value slice is fresh.
 func (an *Analysis) PermutedWithValues(a *sparse.Matrix) (*sparse.Matrix, error) {
-	pv, err := an.PermuteValues(a)
+	pv, err := an.permuteValues(a)
 	if err != nil {
 		return nil, err
 	}

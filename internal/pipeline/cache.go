@@ -29,10 +29,6 @@ func (c *Cache) Store() *artifact.Store { return c.store }
 // Stats returns the store-wide hit/miss/eviction totals.
 func (c *Cache) Stats() artifact.Counts { return c.store.Stats() }
 
-// StatsByKind returns the per-stage ("analysis", "plan", "factor")
-// hit/miss/eviction counters.
-func (c *Cache) StatsByKind() map[string]artifact.Counts { return c.store.StatsByKind() }
-
 // Analysis returns the cached analysis of a's pattern under MMD, building
 // it on a miss. A repeat call with any matrix of the same pattern is a
 // hit and performs zero symbolic work.
@@ -62,22 +58,10 @@ func (c *Cache) Analysis(a *sparse.Matrix) (*Analysis, error) {
 // Plan returns the cached 1D plan for (name, p, opts) over an, mapping on
 // a miss. A repeat call is a hit and performs zero mapping work.
 func (c *Cache) Plan(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
-	return c.plan(an, name, p, opts, false)
-}
-
-// Plan2D is Plan over the 2D tile-strategy registry.
-func (c *Cache) Plan2D(an *Analysis, name string, p int, opts strategy.Options) (*Plan, error) {
-	return c.plan(an, name, p, opts, true)
-}
-
-func (c *Cache) plan(an *Analysis, name string, p int, opts strategy.Options, dim2 bool) (*Plan, error) {
 	if err := sched.CheckProcs("pipeline", p); err != nil {
 		return nil, err
 	}
-	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, dim2), func() (any, error) {
-		if dim2 {
-			return an.Plan2D(name, p, opts)
-		}
+	v, _, err := c.store.GetOrBuild(an.PlanKey(name, p, opts, false), func() (any, error) {
 		return an.Plan(name, p, opts)
 	})
 	if err != nil {

@@ -55,8 +55,12 @@ func TestFactorRejectsForeignLengths(t *testing.T) {
 			}
 		}
 	}
-	if n := c.Store().Len(); n != 0 {
-		t.Fatalf("the cache holds %d artifacts after failed builds", n)
+	// A failed build is not cached: asking again misses again.
+	for _, tc := range cases {
+		c.Factor(pl, tc.m, Cholesky)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != int64(2*len(cases)) {
+		t.Fatalf("cache counters %+v after failed builds asked twice; want %d misses, no hit", st, 2*len(cases))
 	}
 }
 
@@ -98,7 +102,7 @@ func TestInvalidMatrixValidatedOnMiss(t *testing.T) {
 			t.Fatalf("%s: the case is valid", tc.name)
 		}
 		for _, c := range []*Cache{NewCache(0), warm} {
-			held := c.Store().Len()
+			held := c.Stats()
 			an, err := c.Analysis(tc.m)
 			if an != nil || err == nil || err.Error() != want.Error() {
 				t.Fatalf("%s: Cache.Analysis served %v, err %v; want %v", tc.name, an != nil, err, want)
@@ -107,8 +111,8 @@ func TestInvalidMatrixValidatedOnMiss(t *testing.T) {
 			if x != nil || err == nil || err.Error() != want.Error() {
 				t.Fatalf("%s: Cache.Solve served %v, err %v; want %v", tc.name, x != nil, err, want)
 			}
-			if n := c.Store().Len(); n != held {
-				t.Fatalf("%s: the store went from %d to %d artifacts", tc.name, held, n)
+			if st := c.Stats(); st.Hits != held.Hits {
+				t.Fatalf("%s: store counters %+v -> %+v; an invalid matrix was served from the store", tc.name, held, st)
 			}
 		}
 	}

@@ -118,9 +118,6 @@ func (pl *Plan) runParallel(pm *sparse.Matrix, k Kernel) (*exec.NumericFactor, e
 	return nf, err
 }
 
-// N returns the system dimension.
-func (fa *Factor) N() int { return fa.F.N }
-
 // solve is the body of every solve method: b, checked, is permuted into
 // elimination order, sweep overwrites that copy with the solution, and the
 // solution is mapped back to the original variable order.

@@ -34,7 +34,7 @@ func simCube(cm exec.CommModel) []exec.SimOptions {
 func checkPlanSimulate(t *testing.T, label string, pl *Plan, cm exec.CommModel) {
 	t.Helper()
 	for _, o := range simCube(cm) {
-		tag := fmt.Sprintf("%s dynamic=%v comm=%v", label, o.Dynamic, !o.Comm.IsZero())
+		tag := fmt.Sprintf("%s dynamic=%v comm=%v", label, o.Dynamic, o.Comm != (exec.CommModel{}))
 		want := pl.Simulate(o)
 		direct := o
 		direct.Vol, direct.Msgs = pl.Fetch.Vol, pl.Fetch.Msgs
@@ -50,7 +50,7 @@ func checkPlanSimulate(t *testing.T, label string, pl *Plan, cm exec.CommModel) 
 		if len(tr.Events) != len(pl.Tasks) {
 			t.Errorf("%s: %d events for %d tasks", tag, len(tr.Events), len(pl.Tasks))
 		}
-		if o.Comm.IsZero() {
+		if o.Comm == (exec.CommModel{}) {
 			// The plan always attaches its Fetch; under a zero model that
 			// must be the run with no fetch stats at all.
 			if got := exec.Simulate(pl.Tasks, pl.P, exec.SimOptions{Dynamic: o.Dynamic}); got != want || got.Comm != 0 {
@@ -128,7 +128,7 @@ func TestPlanSimulateVariants(t *testing.T) {
 				for _, o := range simCube(cm) {
 					if got, want := lift.Simulate(o), flat.Simulate(o); got != want {
 						t.Errorf("%s col2d:%s P=%d dynamic=%v comm=%v: lift %+v != 1D plan %+v",
-							tm.Name, base, p, o.Dynamic, !o.Comm.IsZero(), got, want)
+							tm.Name, base, p, o.Dynamic, o.Comm != (exec.CommModel{}), got, want)
 					}
 				}
 				if got, want := lift.Traffic2D().Total, flat.TrafficTotal(); got != want {

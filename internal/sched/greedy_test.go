@@ -28,7 +28,7 @@ func TestGreedyConservesWork(t *testing.T) {
 			total += int64(w)
 		}
 		for _, p := range []int{1, 3, 8} {
-			if BlockMapGreedy(part, p).TotalWork() != total {
+			if BlockMapGreedy(part, p).totalWork() != total {
 				return false
 			}
 		}

@@ -64,8 +64,8 @@ type Schedule struct {
 	Work []int64
 }
 
-// TotalWork returns the summed work of all processors.
-func (s *Schedule) TotalWork() int64 { return model.TotalWork(s.Work) }
+// totalWork returns the summed work of all processors.
+func (s *Schedule) totalWork() int64 { return model.TotalWork(s.Work) }
 
 // MaxWork returns the largest per-processor work.
 func (s *Schedule) MaxWork() int64 {
@@ -90,7 +90,7 @@ func (s *Schedule) Efficiency() float64 {
 	if mw == 0 {
 		return 1
 	}
-	avg := float64(s.TotalWork()) / float64(s.P)
+	avg := float64(s.totalWork()) / float64(s.P)
 	return avg / float64(mw)
 }
 

@@ -83,10 +83,10 @@ func TestWorkConservation(t *testing.T) {
 			total += int64(w)
 		}
 		for _, p := range []int{1, 3, 7} {
-			if WrapMap(f, ew, p).TotalWork() != total {
+			if WrapMap(f, ew, p).totalWork() != total {
 				return false
 			}
-			if BlockMap(part, p).TotalWork() != total {
+			if BlockMap(part, p).totalWork() != total {
 				return false
 			}
 		}
@@ -278,11 +278,11 @@ func TestGreedyPanicsOnBadP(t *testing.T) {
 func TestScheduleAccessors(t *testing.T) {
 	f, part, ew := pipeline(gen.Grid9(6, 6), 4, 4)
 	s := WrapMap(f, ew, 4)
-	if s.MaxWork() <= 0 || s.MaxWork() > s.TotalWork() {
-		t.Fatalf("MaxWork %d vs TotalWork %d", s.MaxWork(), s.TotalWork())
+	if s.MaxWork() <= 0 || s.MaxWork() > s.totalWork() {
+		t.Fatalf("MaxWork %d vs TotalWork %d", s.MaxWork(), s.totalWork())
 	}
 	b := BlockMap(part, 4)
-	if b.TotalWork() != s.TotalWork() {
+	if b.totalWork() != s.totalWork() {
 		t.Fatal("schemes disagree on total work")
 	}
 	if ImbalanceOf([]int64{}) != 0 || ImbalanceOf([]int64{0, 0}) != 0 {

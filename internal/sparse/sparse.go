@@ -65,8 +65,8 @@ func (m *Matrix) ColVal(j int) []float64 {
 	return m.Val[m.ColPtr[j]:m.ColPtr[j+1]]
 }
 
-// Has reports whether the lower-triangle position (i, j), i >= j, is stored.
-func (m *Matrix) Has(i, j int) bool {
+// has reports whether the lower-triangle position (i, j), i >= j, is stored.
+func (m *Matrix) has(i, j int) bool {
 	_, ok := m.find(i, j)
 	return ok
 }
@@ -79,21 +79,6 @@ func (m *Matrix) find(i, j int) (int, bool) {
 	}
 	k, ok := slices.BinarySearch(m.Col(j), int32(i))
 	return m.ColPtr[j] + k, ok
-}
-
-// At returns the value at (i, j) of the full symmetric matrix, or 0 if the
-// position is not stored. It panics on a pattern-only matrix.
-func (m *Matrix) At(i, j int) float64 {
-	if m.Val == nil {
-		panic("sparse: At on pattern-only matrix")
-	}
-	if i < j {
-		i, j = j, i
-	}
-	if k, ok := m.find(i, j); ok {
-		return m.Val[k]
-	}
-	return 0
 }
 
 // Validate checks the structural invariants of the matrix.
@@ -265,9 +250,9 @@ func (m *Matrix) Adjacency() [][]int {
 	return adj
 }
 
-// Degrees returns the number of off-diagonal neighbours of each node in the
+// degrees returns the number of off-diagonal neighbours of each node in the
 // full symmetric pattern.
-func (m *Matrix) Degrees() []int {
+func (m *Matrix) degrees() []int {
 	deg := make([]int, m.N)
 	for j := 0; j < m.N; j++ {
 		for _, i := range m.Col(j)[1:] {
@@ -362,7 +347,7 @@ func (m *Matrix) Permute(order []int) (*Matrix, error) {
 // diagonal dominance). This mirrors the graph-Laplacian origin of the
 // paper's finite-element and network test matrices.
 func (m *Matrix) SetLaplacianValues(shift float64) {
-	deg := m.Degrees()
+	deg := m.degrees()
 	m.Val = make([]float64, len(m.RowInd))
 	for j := 0; j < m.N; j++ {
 		lo, hi := m.ColPtr[j], m.ColPtr[j+1]
@@ -371,27 +356,6 @@ func (m *Matrix) SetLaplacianValues(shift float64) {
 			m.Val[k] = -1
 		}
 	}
-}
-
-// Dense expands the full symmetric matrix into a dense representation.
-// Intended for tests and small examples only.
-func (m *Matrix) Dense() [][]float64 {
-	if m.Val == nil {
-		panic("sparse: Dense on pattern-only matrix")
-	}
-	d := make([][]float64, m.N)
-	for i := range d {
-		d[i] = make([]float64, m.N)
-	}
-	for j := 0; j < m.N; j++ {
-		cj := m.Col(j)
-		vj := m.ColVal(j)
-		for k, i := range cj {
-			d[i][j] = vj[k]
-			d[j][i] = vj[k]
-		}
-	}
-	return d
 }
 
 // String summarizes the matrix.

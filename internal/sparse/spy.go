@@ -64,7 +64,7 @@ func (m *Matrix) SpyWithBoundaries(bounds []int) string {
 			switch {
 			case i == j:
 				sb.WriteByte('\\')
-			case m.Has(i, j):
+			case m.has(i, j):
 				sb.WriteByte('*')
 			default:
 				sb.WriteByte('.')

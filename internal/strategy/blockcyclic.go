@@ -4,9 +4,9 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultBlockSize is the blockcyclic column-block size when
+// defaultBlockSize is the blockcyclic column-block size when
 // Options.BlockSize is unset.
-const DefaultBlockSize = 4
+const defaultBlockSize = 4
 
 // blockCyclic deals fixed-size blocks of consecutive columns to
 // processors cyclically: column j belongs to processor (j/b) mod P. Block
@@ -17,7 +17,7 @@ const DefaultBlockSize = 4
 func blockCyclic(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	bs := opts.BlockSize
 	if bs <= 0 {
-		bs = DefaultBlockSize
+		bs = defaultBlockSize
 	}
 	owner := make([]int32, sys.F.N)
 	for j := range owner {

@@ -34,8 +34,8 @@ import (
 // A split whose objective overflows to +Inf (a Beta2 near MaxFloat64) is
 // an error, not a schedule.
 func contigTotal(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
-	work := sys.ColumnWork()
-	bound := slackBound(OptimalBottleneck(work, p), opts.Slack)
+	work := sys.columnWork()
+	bound := slackBound(optimalBottleneck(work, p), opts.Slack)
 	beta2 := opts.Beta2
 	if beta2 < 0 {
 		beta2 = 0
@@ -72,12 +72,12 @@ func slackBound(bstar int64, slack float64) int64 {
 // minimizes pure volume; beta2 > 0 trades volume for message
 // consolidation, and the optimal split's message count is non-increasing
 // in beta2 (the scalarization exchange argument the regression test
-// pins). The boundaries come back in ContiguousSplit's format (length
+// pins). The boundaries come back in contiguousSplit's format (length
 // p+1, bounds[0] = 0, bounds[p] = n, empty blocks allowed). It returns
 // nil when no partition into at most p blocks of work <= maxWork exists
-// (maxWork below OptimalBottleneck(work, p)); with maxWork >= B* a
+// (maxWork below optimalBottleneck(work, p)); with maxWork >= B* a
 // solution always exists. It panics on p < 1, the shared contract of
-// the exported split helpers (see split.go).
+// the split helpers (see split.go).
 //
 // The DP runs over block end positions: dp[k][j] is the minimal total
 // objective of covering columns [0, j) with k blocks, with transitions

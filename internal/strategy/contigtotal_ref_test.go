@@ -131,13 +131,13 @@ func TestContigTotalMatchesReference(t *testing.T) {
 	for _, tm := range gen.Suite() {
 		sys := newTestSys(t, tm.Build())
 		n := sys.F.N
-		work, refs := sys.ColumnWork(), traffic.ColumnRefs(sys.Ops)
+		work, refs := sys.columnWork(), traffic.ColumnRefs(sys.Ops)
 		procs := []int{1, 2, 3, 4, 7, 16, 64, 200, n + 7}
 		if testing.Short() || raceBuild {
 			procs = []int{4, 16}
 		}
 		for _, p := range procs {
-			bstar := OptimalBottleneck(work, p)
+			bstar := optimalBottleneck(work, p)
 			for _, slack := range slacks {
 				for _, beta2 := range []float64{0, 3.5} {
 					// The reference costs p x n x window relaxations: past
@@ -166,9 +166,9 @@ func TestContigTotalMatchesReferenceSmall(t *testing.T) {
 	for _, m := range []*sparse.Matrix{gen.Grid5(3, 3), gen.Grid9(8, 8), gen.FEGrid5(2), gen.Random(60, 1.5, 3)} {
 		sys := newTestSys(t, m)
 		n := sys.F.N
-		work, refs := sys.ColumnWork(), traffic.ColumnRefs(sys.Ops)
+		work, refs := sys.columnWork(), traffic.ColumnRefs(sys.Ops)
 		for _, p := range []int{1, 2, 3, 4, 7, 16, 64, 200, 2000} {
-			bstar := OptimalBottleneck(work, p)
+			bstar := optimalBottleneck(work, p)
 			for _, slack := range []float64{0, 0.05, 0.5, 1e30} {
 				for _, beta2 := range []float64{0, 3.5} {
 					cell := fmt.Sprintf("n=%d/P=%d/slack=%g/beta2=%g", n, p, slack, beta2)
@@ -187,7 +187,7 @@ func TestContigTotalMatchesReferenceSmall(t *testing.T) {
 		}
 		allZero := make([]int64, n)
 		for _, p := range []int{1, 3, 7, n + 1} {
-			for _, mw := range []int64{OptimalBottleneck(zeroed, p), OptimalBottleneck(zeroed, p) - 1, math.MaxInt64} {
+			for _, mw := range []int64{optimalBottleneck(zeroed, p), optimalBottleneck(zeroed, p) - 1, math.MaxInt64} {
 				checkSplitMatchesRef(t, fmt.Sprintf("n=%d/zeroed/P=%d/max=%d", n, p, mw), zeroed, refs, p, mw, 0)
 			}
 			for _, mw := range []int64{0, -1, 5, math.MaxInt64} {
@@ -246,8 +246,8 @@ func FuzzContigTotalSplit(f *testing.F) {
 		}
 		sys := NewSys(symbolic.Analyze(m), nil, nil)
 		n := sys.F.N
-		work, refs := sys.ColumnWork(), traffic.ColumnRefs(sys.Ops)
-		bstar := OptimalBottleneck(work, p)
+		work, refs := sys.columnWork(), traffic.ColumnRefs(sys.Ops)
+		bstar := optimalBottleneck(work, p)
 		maxWork := slackBound(bstar, slack)
 		switch boundSel % 5 {
 		case 2:

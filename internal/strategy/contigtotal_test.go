@@ -93,9 +93,9 @@ func TestContigTotalBruteForce(t *testing.T) {
 		if n > 12 {
 			t.Fatalf("matrix %d: n = %d, want <= 12 for brute force", mi, n)
 		}
-		work := sys.ColumnWork()
+		work := sys.columnWork()
 		for _, p := range []int{1, 2, 3, 4} {
-			bstar := OptimalBottleneck(work, p)
+			bstar := optimalBottleneck(work, p)
 			best := int64(-1)
 			forEachSplit(n, p, func(bounds []int) {
 				if splitMaxWork(work, bounds) > bstar {
@@ -137,7 +137,7 @@ func TestContigTotalBruteForce(t *testing.T) {
 // bottleneck.
 func TestContigTotalLAP30Regression(t *testing.T) {
 	sys := newTestSys(t, gen.Lap30())
-	work := sys.ColumnWork()
+	work := sys.columnWork()
 	for _, p := range []int{4, 16, 64} {
 		cont, err := Map("contiguous", sys, p, Options{})
 		if err != nil {
@@ -151,7 +151,7 @@ func TestContigTotalLAP30Regression(t *testing.T) {
 		if tt > ct {
 			t.Errorf("P=%d: contigtotal traffic %d > contiguous %d", p, tt, ct)
 		}
-		bstar := OptimalBottleneck(work, p)
+		bstar := optimalBottleneck(work, p)
 		if mw := tot.MaxWork(); mw > bstar {
 			t.Errorf("P=%d: contigtotal bottleneck %d exceeds B* %d", p, mw, bstar)
 		}
@@ -206,13 +206,13 @@ func splitMessages(refs [][]traffic.ColRef, bounds []int) int64 {
 // inequalities forces msgs(b2) <= msgs(b1) — made executable.
 func TestContigTotalBeta2Monotonic(t *testing.T) {
 	sys := newTestSys(t, gen.Lap30())
-	work := sys.ColumnWork()
+	work := sys.columnWork()
 	refs := traffic.ColumnRefs(sys.Ops)
 	const p = 8
 	// Work slack widens the feasible set so the DP has real
 	// volume/message trades to make (at tight slack the message floor of
 	// the feasible set is already reached by the pure-volume optimum).
-	bound := OptimalBottleneck(work, p)
+	bound := optimalBottleneck(work, p)
 	bound += int64(1.0 * float64(bound))
 	prevMsgs := int64(-1)
 	baseVol := int64(-1)
@@ -324,7 +324,7 @@ func TestContigTotalNonFiniteOptions(t *testing.T) {
 // a nil result instead of a malformed split.
 func TestContiguousSplitTotalInfeasible(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(3, 3))
-	work := sys.ColumnWork()
+	work := sys.columnWork()
 	refs := traffic.ColumnRefs(sys.Ops)
 	var maxCol int64
 	for _, w := range work {
@@ -363,7 +363,7 @@ func TestContigTotalTrials(t *testing.T) {
 // cost row, every layer its own parent row and every call its own refs.
 func TestContigTotalAllocations(t *testing.T) {
 	sys := newTestSys(t, gen.Lap30())
-	sys.ColumnWork()
+	sys.columnWork()
 	sys.columnRefs()
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := Map("contigtotal", sys, 16, Options{}); err != nil {

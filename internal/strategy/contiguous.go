@@ -12,24 +12,24 @@ import (
 // nearby columns — so they trade the wrap mapping's perfect balance for
 // far less communication without the paper's partitioning machinery.
 func contiguous(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
-	bounds := ContiguousSplit(sys.ColumnWork(), p)
+	bounds := contiguousSplit(sys.columnWork(), p)
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, bounds)), nil
 }
 
-// ContiguousSplit partitions items 0..n-1 into p contiguous blocks
+// contiguousSplit partitions items 0..n-1 into p contiguous blocks
 // minimizing the bottleneck (the maximum block work sum), returning the
 // block boundaries (length p+1, bounds[k] <= bounds[k+1], bounds[0] = 0,
 // bounds[p] = n; trailing blocks may be empty when p > n). It panics on
-// p < 1, the shared contract of the exported split helpers (see
+// p < 1, the shared contract of the split helpers (see
 // split.go); Map validates p and returns an error instead.
 //
 // The optimal bottleneck B* is found by binary search over candidate
 // bottleneck values, each probed with a greedy feasibility scan over the
 // prefix work sums (can the items be covered by at most p blocks of sum
 // <= B?) — the near-linear-time probe scheme of Ahrens (2020), shared
-// with OptimalBottleneck. The returned split is the greedy left-packed
+// with optimalBottleneck. The returned split is the greedy left-packed
 // partition at B*, which attains the optimum exactly.
-func ContiguousSplit(work []int64, p int) []int {
+func contiguousSplit(work []int64, p int) []int {
 	sched.MustProcs("strategy", p)
 	n := len(work)
 	bounds := make([]int, p+1)
@@ -37,7 +37,7 @@ func ContiguousSplit(work []int64, p int) []int {
 	if n == 0 {
 		return bounds
 	}
-	b := OptimalBottleneck(work, p)
+	b := optimalBottleneck(work, p)
 	// Greedy left-packing at the optimal bottleneck b.
 	k, cur := 0, int64(0)
 	for j, w := range work {

@@ -63,19 +63,19 @@ func TestContiguousSplitOptimal(t *testing.T) {
 		for i := range work {
 			work[i] = int64(rng.Intn(21)) // include zeros
 		}
-		bounds := ContiguousSplit(work, p)
+		bounds := contiguousSplit(work, p)
 		if len(bounds) != p+1 || bounds[0] != 0 || bounds[p] != n {
-			t.Fatalf("ContiguousSplit(%v, %d) bounds = %v", work, p, bounds)
+			t.Fatalf("contiguousSplit(%v, %d) bounds = %v", work, p, bounds)
 		}
 		for k := 0; k < p; k++ {
 			if bounds[k] > bounds[k+1] {
-				t.Fatalf("ContiguousSplit(%v, %d) non-monotone bounds %v", work, p, bounds)
+				t.Fatalf("contiguousSplit(%v, %d) non-monotone bounds %v", work, p, bounds)
 			}
 		}
 		got := splitBottleneck(work, bounds)
 		want := bruteBottleneck(work, p)
 		if got != want {
-			t.Fatalf("ContiguousSplit(%v, %d) bottleneck = %d, optimal = %d (bounds %v)",
+			t.Fatalf("contiguousSplit(%v, %d) bottleneck = %d, optimal = %d (bounds %v)",
 				work, p, got, want, bounds)
 		}
 	}
@@ -94,13 +94,13 @@ func TestContiguousSplitEdges(t *testing.T) {
 		{[]int64{100, 1, 1, 1}, 3},
 	}
 	for _, c := range cases {
-		bounds := ContiguousSplit(c.work, c.p)
+		bounds := contiguousSplit(c.work, c.p)
 		if len(bounds) != c.p+1 || bounds[0] != 0 || bounds[c.p] != len(c.work) {
-			t.Errorf("ContiguousSplit(%v, %d) = %v", c.work, c.p, bounds)
+			t.Errorf("contiguousSplit(%v, %d) = %v", c.work, c.p, bounds)
 			continue
 		}
 		if got, want := splitBottleneck(c.work, bounds), bruteBottleneck(c.work, c.p); got != want {
-			t.Errorf("ContiguousSplit(%v, %d) bottleneck = %d, optimal = %d", c.work, c.p, got, want)
+			t.Errorf("contiguousSplit(%v, %d) bottleneck = %d, optimal = %d", c.work, c.p, got, want)
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestContiguousMapperOptimal(t *testing.T) {
 		if sys.F.N > 12 {
 			t.Fatalf("%s: n = %d, want <= 12 for brute force", name, sys.F.N)
 		}
-		colWork := sys.ColumnWork()
+		colWork := sys.columnWork()
 		for _, p := range []int{2, 3, 4} {
 			sc, err := Map("contiguous", sys, p, Options{})
 			if err != nil {

@@ -132,24 +132,3 @@ func TestProbeBitIdentity(t *testing.T) {
 		}
 	}
 }
-
-// TestTracerReset: a reused Tracer with Reset between runs collects only
-// the second run's events.
-func TestTracerReset(t *testing.T) {
-	sys := newTestSys(t, gen.Grid9(6, 6))
-	sc, err := Map("wrap", sys, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	simulate(sys, Options{}, sc, exec.SimOptions{Probe: tr})
-	first := len(tr.Events)
-	tr.Reset()
-	if len(tr.Events) != 0 {
-		t.Fatalf("Reset left %d events", len(tr.Events))
-	}
-	simulate(sys, Options{}, sc, exec.SimOptions{Probe: tr})
-	if len(tr.Events) != first {
-		t.Errorf("second run collected %d events, first %d", len(tr.Events), first)
-	}
-}

@@ -1,11 +1,13 @@
 package strategy
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/symbolic"
 )
@@ -65,8 +67,12 @@ func TestSysConcurrentMappingShared(t *testing.T) {
 	if len(seen) != len(optsets) {
 		t.Fatalf("distinct partitions = %d, want %d", len(seen), len(optsets))
 	}
-	// So must the column views: one copy each, never rebuilt.
-	if &sys.ColumnWork()[0] != &sys.ColumnWork()[0] || &sys.columnRefs()[0] != &sys.columnRefs()[0] {
+	// So must the column views: one copy each, never rebuilt, and no
+	// mapper writes to the shared work vector.
+	if &sys.columnWork()[0] != &sys.columnWork()[0] || &sys.columnRefs()[0] != &sys.columnRefs()[0] {
 		t.Fatal("column views rebuilt between calls")
+	}
+	if !slices.Equal(sys.columnWork(), model.ColumnWork(f, sys.ElemWork)) {
+		t.Fatal("the shared column work vector was written to")
 	}
 }

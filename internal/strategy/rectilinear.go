@@ -23,22 +23,22 @@ func rectilinear(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, IntervalIndex(sys.F.N, sys.RectilinearCuts(p))), nil
 }
 
-// RectilinearCuts computes the shared row/column interval boundaries of
+// rectilinearCuts computes the shared row/column interval boundaries of
 // a symmetric rectilinear partition into at most p diagonal intervals,
 // minimizing (over the greedy probe's reachable splits) the maximum
 // work of the induced lower-triangle tiles: factor element (i, j)
 // belongs to the tile formed by i's interval and j's interval, weighted
-// by elemWork. The boundaries come back in ContiguousSplit's format
+// by elemWork. The boundaries come back in contiguousSplit's format
 // (length p+1, bounds[0] = 0, bounds[p] = n, trailing intervals empty
 // when fewer than p are needed). It panics on p < 1, the shared
-// contract of the exported split helpers (see split.go).
+// contract of the split helpers (see split.go).
 //
 // The bound is refined by binary search: a candidate tile bound B is
 // probed by growing intervals greedily (close an interval just before
 // any of its tiles would exceed B) and is feasible when at most p
 // intervals cover all n indices. The search keeps the cuts of the
 // smallest feasible bound.
-func RectilinearCuts(ops *model.Ops, elemWork []uint32, p int) []int {
+func rectilinearCuts(ops *model.Ops, elemWork []uint32, p int) []int {
 	sched.MustProcs("strategy", p)
 	n := ops.F.N
 	bounds := make([]int, p+1)

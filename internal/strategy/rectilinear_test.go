@@ -11,7 +11,7 @@ import (
 
 // tileMax evaluates a symmetric cut structure: the maximum work over the
 // lower-triangle tiles induced by sharing bounds between rows and
-// columns — the objective RectilinearCuts minimizes.
+// columns — the objective rectilinearCuts minimizes.
 func tileMax(ops *model.Ops, elemWork []uint32, bounds []int) int64 {
 	f := ops.F
 	n := f.N
@@ -58,7 +58,7 @@ func TestRectilinearCutsBruteForce(t *testing.T) {
 		sys := newTestSys(t, m)
 		n := sys.F.N
 		for _, p := range []int{2, 3, 4} {
-			bounds := RectilinearCuts(sys.Ops, sys.ElemWork, p)
+			bounds := rectilinearCuts(sys.Ops, sys.ElemWork, p)
 			if len(bounds) != p+1 || bounds[0] != 0 || bounds[p] != n {
 				t.Fatalf("matrix %d P=%d: malformed bounds %v", mi, p, bounds)
 			}
@@ -112,12 +112,12 @@ func TestRectilinearLocalityLAP30(t *testing.T) {
 }
 
 // TestSplitHelperContract locks the processor-count contract of the
-// exported split helpers: all of them panic on p < 1 (sched.MustProcs), while
+// split helpers: all of them panic on p < 1 (sched.MustProcs), while
 // the registered mappers return an error (sched.CheckProcs) — tested for the
 // whole registry by TestInvalidProcs.
 func TestSplitHelperContract(t *testing.T) {
 	sys := newTestSys(t, gen.Grid5(4, 4))
-	work := sys.ColumnWork()
+	work := sys.columnWork()
 	mustPanicProcs := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -127,9 +127,9 @@ func TestSplitHelperContract(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanicProcs("ContiguousSplit", func() { ContiguousSplit(work, 0) })
-	mustPanicProcs("OptimalBottleneck", func() { OptimalBottleneck(work, 0) })
+	mustPanicProcs("contiguousSplit", func() { contiguousSplit(work, 0) })
+	mustPanicProcs("optimalBottleneck", func() { optimalBottleneck(work, 0) })
 	mustPanicProcs("ContiguousSplitTotal", func() { ContiguousSplitTotal(work, nil, 0, 1, 0) })
-	mustPanicProcs("RectilinearCuts", func() { RectilinearCuts(sys.Ops, sys.ElemWork, 0) })
-	mustPanicProcs("SubcubeOwners", func() { SubcubeOwners(sys.F.Parent, work, 0) })
+	mustPanicProcs("RectilinearCuts", func() { rectilinearCuts(sys.Ops, sys.ElemWork, 0) })
+	mustPanicProcs("subcubeOwners", func() { subcubeOwners(sys.F.Parent, work, 0) })
 }

@@ -64,7 +64,7 @@ func refine(sys *Sys, p int, opts Options) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Refine(sys, opts, sc)
+	return refineFrom(sys, opts, sc)
 }
 
 // movable is one unit the refinement pass may reassign: a unit block of
@@ -75,12 +75,12 @@ type movable struct {
 	preds []int32 // movable IDs this unit reads from (locality signal)
 }
 
-// Refine runs the greedy local-refinement pass of the "refine" strategy
+// refineFrom runs the greedy local-refinement pass of the "refine" strategy
 // on an existing schedule, returning a new schedule (the input is left
 // untouched). The granularity is the schedule's own: the unit blocks of
 // its partition when it has one, its columns otherwise, which must be
 // those of sys.F.
-func Refine(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, error) {
+func refineFrom(sys *Sys, opts Options, base *sched.Schedule) (*sched.Schedule, error) {
 	sc := cloneSchedule(base)
 	mv, own, err := movables(sys, sc)
 	if err != nil {
@@ -128,7 +128,7 @@ func movables(sys *Sys, sc *sched.Schedule) ([]movable, []int32, error) {
 	// A column reads every column of its row, not only the
 	// elimination-tree children a column graph waits on: the full
 	// locality signal.
-	colWork := sys.ColumnWork()
+	colWork := sys.columnWork()
 	mv := make([]movable, f.N)
 	rows := make([]int32, 0, f.NNZ()-f.N)
 	for j := 0; j < f.N; j++ {

@@ -114,7 +114,8 @@ func TestRefineTrafficMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(opts.Search, wantOpts.Search) {
 						t.Errorf("%s relax=%.1f P=%d MaxMoves=%d: telemetry %+v, reference %+v", label, c.part.RelaxZeros, p, maxMoves, opts.Search, wantOpts.Search)
 					}
-					if got, sim := opts.Search.Best(), Traffic(sys, opts, got).Total; got != sim {
+					tr := opts.Search.Trajectory
+					if got, sim := tr[len(tr)-1], Traffic(sys, opts, got).Total; got != sim {
 						t.Errorf("%s relax=%.1f P=%d MaxMoves=%d: last trajectory point %d, simulated traffic %d", label, c.part.RelaxZeros, p, maxMoves, got, sim)
 					}
 				}
@@ -144,11 +145,11 @@ func TestRefineTrafficForeignPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Refine(own, opts, base)
+		want, err := refineFrom(own, opts, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Refine(other, opts, base)
+		got, err := refineFrom(other, opts, base)
 		if err != nil {
 			t.Fatal(err)
 		}

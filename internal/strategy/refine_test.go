@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/model"
 )
 
 var refineBases = []string{"block", "blockgreedy", "wrap", "contiguous", "blockcyclic", "subcube"}
@@ -34,9 +35,9 @@ func TestRefineNeverWorsensImbalance(t *testing.T) {
 				t.Errorf("refine(%s) P=%d: MaxWork %d > base %d",
 					base, p, ref.MaxWork(), baseSc.MaxWork())
 			}
-			if ref.TotalWork() != baseSc.TotalWork() {
+			if model.TotalWork(ref.Work) != model.TotalWork(baseSc.Work) {
 				t.Errorf("refine(%s) P=%d: total work changed %d -> %d",
-					base, p, baseSc.TotalWork(), ref.TotalWork())
+					base, p, model.TotalWork(baseSc.Work), model.TotalWork(ref.Work))
 			}
 			checkSchedule(t, sys, ref, "refine/"+base, p)
 		}
@@ -100,7 +101,7 @@ func TestRefineLeavesBaseUntouched(t *testing.T) {
 	work := append([]int64(nil), baseSc.Work...)
 	elem := elemOwners(baseSc)
 	unit := append([]int32(nil), baseSc.UnitProc...)
-	if _, err := Refine(sys, Options{}, baseSc); err != nil {
+	if _, err := refineFrom(sys, Options{}, baseSc); err != nil {
 		t.Fatal(err)
 	}
 	for k := range work {
@@ -192,8 +193,8 @@ func TestRefineCommspanZeroModel(t *testing.T) {
 	}
 }
 
-// TestRefineCommspanRefineSchedule covers the public Refine entry point
-// (strategy.Refine): refining an existing schedule in place of a
+// TestRefineCommspanRefineSchedule covers refineFrom, the entry point
+// that refines a given schedule: refining an existing schedule in place of a
 // base-strategy re-run, the unified span never worsens and the input is
 // left untouched.
 func TestRefineCommspanRefineSchedule(t *testing.T) {
@@ -206,7 +207,7 @@ func TestRefineCommspanRefineSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := elemOwners(baseSc)
-	ref, err := Refine(sys, opts, baseSc)
+	ref, err := refineFrom(sys, opts, baseSc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestMapRejectsInvalidCosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Refine(sys, opts, base)
+		want, err := refineFrom(sys, opts, base)
 		if err != nil {
 			t.Fatal(err)
 		}

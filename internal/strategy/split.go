@@ -2,8 +2,8 @@ package strategy
 
 import "repro/internal/sched"
 
-// Split-helper contract: the exported low-level split helpers of this
-// package — ContiguousSplit, RectilinearCuts and SubcubeOwners, and the
+// Split-helper contract: the low-level split helpers of this package —
+// contiguousSplit, rectilinearCuts and subcubeOwners, and the
 // contigtotal DP — all panic on a processor count below one (a programmer
 // error, like an out-of-range index), while Map, the one way into the
 // strategies wrapping them, validates p first and returns an error, the
@@ -22,13 +22,13 @@ func prefixWork(work []int64) []int64 {
 	return pre
 }
 
-// OptimalBottleneck returns the minimal achievable maximum block work of
+// optimalBottleneck returns the minimal achievable maximum block work of
 // any partition of the items into at most p contiguous blocks — the
-// bottleneck B* that ContiguousSplit attains and the work bound
+// bottleneck B* that contiguousSplit attains and the work bound
 // contigtotal constrains its blocks by. Found by binary search
 // over candidate bottlenecks, each probed with a greedy feasibility scan
 // (Ahrens 2020's probe). It panics on p < 1 (the contract above).
-func OptimalBottleneck(work []int64, p int) int64 {
+func optimalBottleneck(work []int64, p int) int64 {
 	sched.MustProcs("strategy", p)
 	var lo, hi int64 // lo = max item (any block must hold it), hi = total
 	for _, w := range work {
@@ -63,7 +63,7 @@ func OptimalBottleneck(work []int64, p int) int64 {
 }
 
 // IntervalIndex expands interval boundaries (length k+1, as the split
-// helpers and RectilinearCuts return them) into the interval of every index
+// helpers and rectilinearCuts return them) into the interval of every index
 // in [0, n): i lies in interval k when bounds[k] <= i < bounds[k+1]. It is
 // a contiguous split's column-to-processor assignment and a 2D tiling's
 // block map.

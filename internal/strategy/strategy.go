@@ -150,10 +150,10 @@ func (s *Sys) Partition(opts core.Options) *core.Partition {
 	return part
 }
 
-// ColumnWork returns the per-column work vector of the analysis factor,
+// columnWork returns the per-column work vector of the analysis factor,
 // computed once per Sys. The slice is shared by every caller and must not
 // be modified.
-func (s *Sys) ColumnWork() []int64 {
+func (s *Sys) columnWork() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.colWork == nil {
@@ -163,7 +163,7 @@ func (s *Sys) ColumnWork() []int64 {
 }
 
 // columnRefs returns traffic.ColumnRefs of the analysis ops, computed once
-// per Sys and shared read-only like ColumnWork.
+// per Sys and shared read-only like columnWork.
 func (s *Sys) columnRefs() [][]traffic.ColRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -186,7 +186,7 @@ func (s *Sys) RectilinearCuts(p int) []int {
 		if s.rectCuts == nil {
 			s.rectCuts = make(map[int][]int)
 		}
-		cuts = RectilinearCuts(s.Ops, s.ElemWork, p)
+		cuts = rectilinearCuts(s.Ops, s.ElemWork, p)
 		s.rectCuts[p] = cuts
 	}
 	return cuts

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -209,7 +210,7 @@ func TestRelaxedPartitionStrategies(t *testing.T) {
 			t.Fatalf("%s relaxed: element owners cover %d nonzeros, padded factor has %d",
 				name, n, part.F.NNZ())
 		}
-		if got := sc.TotalWork(); got != part.TotalWork {
+		if got := model.TotalWork(sc.Work); got != part.TotalWork {
 			t.Fatalf("%s relaxed: total scheduled work %d, want padded total %d",
 				name, got, part.TotalWork)
 		}
@@ -229,7 +230,7 @@ func TestRelaxedPartitionStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Refine(sys, o, baseSc)
+	ref, err := refineFrom(sys, o, baseSc)
 	if err != nil {
 		t.Fatal(err)
 	}

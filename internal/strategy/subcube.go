@@ -19,18 +19,18 @@ import (
 // block scheme's locality at scale: independent subtrees never share
 // owners, so their factorization communicates nothing.
 func subcube(sys *Sys, p int, _ Options) (*sched.Schedule, error) {
-	owner := SubcubeOwners(sys.F.Parent, sys.ColumnWork(), p)
+	owner := subcubeOwners(sys.F.Parent, sys.columnWork(), p)
 	return sched.ColumnMap(sys.F, sys.ElemWork, p, owner), nil
 }
 
-// SubcubeOwners computes the subtree-to-subcube column-to-processor
+// subcubeOwners computes the subtree-to-subcube column-to-processor
 // assignment for an elimination forest (Parent convention of
-// symbolic.EliminationTree) with per-column work weights. Every column
+// symbolic.Factor.Parent) with per-column work weights. Every column
 // gets an owner in [0, p); with p greater than the number of columns the
 // surplus processors are simply left idle, which keeps the schedule well
 // formed at any scale. It panics on p < 1, the shared contract of the
-// exported split helpers (see split.go).
-func SubcubeOwners(parent []int, colWork []int64, p int) []int32 {
+// split helpers (see split.go).
+func subcubeOwners(parent []int, colWork []int64, p int) []int32 {
 	sched.MustProcs("strategy", p)
 	children := symbolic.Children(parent)
 	sub := symbolic.SubtreeSums(parent, colWork)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/model"
 	"repro/internal/order"
 	"repro/internal/symbolic"
 	"repro/internal/traffic"
@@ -27,7 +28,7 @@ func TestSubcubeOwnersBalancedTree(t *testing.T) {
 	//    0 1   3 7... (kept symmetric: 0,1 under 2; 3,7 under 4)
 	parent := []int{2, 2, 5, 4, 5, 6, -1, 4}
 	work := []int64{1, 1, 1, 1, 1, 1, 1, 1}
-	own := SubcubeOwners(parent, work, 2)
+	own := subcubeOwners(parent, work, 2)
 	// Separator chain 6, 5 wraps across {0, 1}.
 	if own[6] == own[5] {
 		t.Errorf("separator chain not wrap-mapped: own[6]=%d own[5]=%d", own[6], own[5])
@@ -58,7 +59,7 @@ func TestSubcubeOwnersMoreSubtreesThanProcs(t *testing.T) {
 	parent := []int{-1, 0, -1, 2, -1, 4, -1, 6, -1, 8}
 	work := []int64{5, 5, 4, 4, 3, 3, 2, 2, 1, 1}
 	const p = 2
-	own := SubcubeOwners(parent, work, p)
+	own := subcubeOwners(parent, work, p)
 	load := make([]int64, p)
 	for j, o := range own {
 		if o < 0 || o >= p {
@@ -83,10 +84,10 @@ func TestSubcubeOwnersMoreSubtreesThanProcs(t *testing.T) {
 func TestSubcubeOwnersInvalidProcs(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("SubcubeOwners(p=0) did not panic")
+			t.Error("subcubeOwners(p=0) did not panic")
 		}
 	}()
-	SubcubeOwners([]int{-1}, []int64{1}, 0)
+	subcubeOwners([]int{-1}, []int64{1}, 0)
 }
 
 // TestSubcubeConservation mirrors the cross-strategy comm harness
@@ -165,8 +166,8 @@ func TestSubcubeAsRefineBase(t *testing.T) {
 	if ref.MaxWork() > baseSc.MaxWork() {
 		t.Errorf("refine(subcube): MaxWork %d > base %d", ref.MaxWork(), baseSc.MaxWork())
 	}
-	if ref.TotalWork() != baseSc.TotalWork() {
-		t.Errorf("refine(subcube): total work changed %d -> %d", baseSc.TotalWork(), ref.TotalWork())
+	if model.TotalWork(ref.Work) != model.TotalWork(baseSc.Work) {
+		t.Errorf("refine(subcube): total work changed %d -> %d", model.TotalWork(baseSc.Work), model.TotalWork(ref.Work))
 	}
 	checkSchedule(t, sys, ref, "refine/subcube", p)
 }

@@ -16,8 +16,8 @@ func PostOrderPerm(m *sparse.Matrix, perm []int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	parent := EliminationTree(pm)
-	post := PostOrder(parent)
+	parent := eliminationTree(pm)
+	post := postOrderOf(parent)
 	composed := make([]int, len(perm))
 	for k, v := range post {
 		composed[k] = perm[v]

@@ -25,7 +25,7 @@ import (
 // are strictly increasing within a column. A row index takes four bytes:
 // it is held once, by RowInd, and read in place by every kernel and by the
 // row index (Rows). Positions index RowInd and stay below
-// MaxNNZ, so they fit an int32 too; ColPtr stays []int.
+// maxNNZ, so they fit an int32 too; ColPtr stays []int.
 type Factor struct {
 	N      int
 	ColPtr []int
@@ -197,14 +197,14 @@ func rowIndex(m *sparse.Matrix) (ptr, idx []int) {
 	return ptr, idx
 }
 
-// EliminationTree computes the elimination tree of the symmetric matrix m
+// eliminationTree computes the elimination tree of the symmetric matrix m
 // using Liu's algorithm with path compression. parent[j] = -1 marks roots.
-func EliminationTree(m *sparse.Matrix) []int {
+func eliminationTree(m *sparse.Matrix) []int {
 	ptr, idx := rowIndex(m)
 	return etree(ptr, idx, make([]int, m.N))
 }
 
-// etree is EliminationTree over the row index; ancestor is scratch of
+// etree is eliminationTree over the row index; ancestor is scratch of
 // length n. Entries must be processed grouped by row in increasing row
 // order: the ancestor pointers are only monotone under that schedule.
 func etree(ptr, idx, ancestor []int) []int {
@@ -229,11 +229,11 @@ func etree(ptr, idx, ancestor []int) []int {
 	return parent
 }
 
-// PostOrder returns a postordering of the forest given by parent:
+// postOrderOf returns a postordering of the forest given by parent:
 // every node appears after all of its children. Roots and the children of
 // every node are visited in increasing order, making the result
 // deterministic.
-func PostOrder(parent []int) []int {
+func postOrderOf(parent []int) []int {
 	n := len(parent)
 	w := make([]int, 4*n)
 	post := w[:n:n]
@@ -243,7 +243,7 @@ func PostOrder(parent []int) []int {
 	return post
 }
 
-// postOrder writes PostOrder(parent) into post and returns how many nodes
+// postOrder writes postOrderOf(parent) into post and returns how many nodes
 // it placed, n unless parent has a cycle; w is scratch of length 3n: child
 // lists and the depth-first stack.
 func postOrder(parent, post, w []int) int {
@@ -281,15 +281,15 @@ func postOrder(parent, post, w []int) int {
 	return k
 }
 
-// MaxNNZ is the largest number of nonzeros a factor may have: positions,
+// maxNNZ is the largest number of nonzeros a factor may have: positions,
 // like row indices, are int32 wherever they are held (RowInd, Rows, the
 // compiled programs' steps and task maps).
-const MaxNNZ = math.MaxInt32
+const maxNNZ = math.MaxInt32
 
 // Analyze computes the full symbolic factorization of m: the elimination
 // tree and the complete nonzero structure of L. It runs in time
 // proportional to the size of the output structure. A factor of more than
-// MaxNNZ nonzeros panics; NewFactor reports it as an error.
+// maxNNZ nonzeros panics; NewFactor reports it as an error.
 func Analyze(m *sparse.Matrix) *Factor {
 	f, err := NewFactor(m)
 	if err != nil {
@@ -298,7 +298,7 @@ func Analyze(m *sparse.Matrix) *Factor {
 	return f
 }
 
-// NewFactor is Analyze with a factor past MaxNNZ nonzeros an error, found
+// NewFactor is Analyze with a factor past maxNNZ nonzeros an error, found
 // by the counting pass before anything of that size is allocated.
 //
 // Row i of L is the union of the tree paths from the columns of row i of A
@@ -316,8 +316,8 @@ func NewFactor(m *sparse.Matrix) (*Factor, error) {
 	for j := 0; j < n; j++ {
 		f.ColPtr[j+1] += f.ColPtr[j]
 	}
-	if f.ColPtr[n] > MaxNNZ {
-		return nil, fmt.Errorf("factor has %d nonzeros, more than %d (positions are int32)", f.ColPtr[n], MaxNNZ)
+	if f.ColPtr[n] > maxNNZ {
+		return nil, fmt.Errorf("factor has %d nonzeros, more than %d (positions are int32)", f.ColPtr[n], maxNNZ)
 	}
 	// A walk from row i reads mark[k] only for k < i, which row k of the
 	// same sweep set to k: what etree and colCounts left is never read.

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// mustFactorEqual holds Analyze and EliminationTree on pm to the
+// mustFactorEqual holds Analyze and eliminationTree on pm to the
 // references: ColPtr, RowInd and Parent element for element.
 func mustFactorEqual(t *testing.T, name string, pm *sparse.Matrix) {
 	t.Helper()
@@ -20,8 +20,8 @@ func mustFactorEqual(t *testing.T, name string, pm *sparse.Matrix) {
 		!slices.Equal(got.RowInd, want.RowInd) || !slices.Equal(got.Parent, want.Parent) {
 		t.Fatalf("%s: Analyze departs from the reference", name)
 	}
-	if !slices.Equal(EliminationTree(pm), refEliminationTree(pm)) {
-		t.Fatalf("%s: EliminationTree departs from the reference", name)
+	if !slices.Equal(eliminationTree(pm), refEliminationTree(pm)) {
+		t.Fatalf("%s: eliminationTree departs from the reference", name)
 	}
 }
 

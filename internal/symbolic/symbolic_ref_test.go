@@ -1,6 +1,6 @@
 package symbolic
 
-// EliminationTree and Analyze as they stood before the row-index rewrite
+// eliminationTree and Analyze as they stood before the row-index rewrite
 // (row lists as [][]int, a column merge into a growing buffer per column,
 // sorted), kept as the oracle the rewrite is held to.
 

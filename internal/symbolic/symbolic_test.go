@@ -150,7 +150,7 @@ func TestPostOrderValid(t *testing.T) {
 	f := func(seed int64) bool {
 		m := gen.Random(40, 1.0, seed)
 		fac := Analyze(m)
-		post := PostOrder(fac.Parent)
+		post := postOrderOf(fac.Parent)
 		if !order.IsPermutation(post) {
 			return false
 		}
@@ -172,7 +172,7 @@ func TestPostOrderValid(t *testing.T) {
 
 func TestPostOrderChain(t *testing.T) {
 	parent := []int{1, 2, 3, -1}
-	post := PostOrder(parent)
+	post := postOrderOf(parent)
 	want := []int{0, 1, 2, 3}
 	for k := range want {
 		if post[k] != want[k] {

@@ -4,7 +4,7 @@ package symbolic
 // a tree (rather than through the factor structure): the nested-dissection
 // aware subtree-to-subcube mapper of internal/strategy is the primary
 // client. All three functions accept any forest in the Parent convention
-// of EliminationTree (Parent[j] = parent of j, -1 for roots); none of them
+// of eliminationTree (Parent[j] = parent of j, -1 for roots); none of them
 // assume the heap property parent[j] > j, so they also work on relabeled
 // or synthetic forests.
 
@@ -59,7 +59,7 @@ func SubtreeSums(parent []int, weight []int64) []int64 {
 		panic("symbolic: SubtreeSums weight length does not match forest")
 	}
 	out := make([]int64, len(parent))
-	for _, j := range PostOrder(parent) {
+	for _, j := range postOrderOf(parent) {
 		out[j] += weight[j]
 		if p := parent[j]; p != -1 {
 			out[p] += out[j]

@@ -63,7 +63,7 @@ func TestSubtreeSumsPanicsOnMismatch(t *testing.T) {
 // columns of its tree, and every column reaches exactly one root.
 func TestTreeUtilitiesOnEliminationTree(t *testing.T) {
 	m := tridiag(8)
-	parent := EliminationTree(m)
+	parent := eliminationTree(m)
 	ones := make([]int64, len(parent))
 	for i := range ones {
 		ones[i] = 1

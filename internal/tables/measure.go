@@ -115,18 +115,18 @@ func Measured(p *Problem, procs []int, labels []string, cm exec.CommModel, repea
 		calNs := model.SpanNs(r.CalSpan)
 		r.CalNs = int64(calNs)
 		r.CalSpeedup = float64(r.SerialNs) / math.Max(calNs, 1)
-		st.MAPEUncal += r.UncalAPE()
-		st.MAPECal += r.CalAPE()
+		st.MAPEUncal += r.uncalAPE()
+		st.MAPECal += r.calAPE()
 	}
 	st.MAPEUncal /= float64(len(rows))
 	st.MAPECal /= float64(len(rows))
 	return st, nil
 }
 
-// UncalAPE and CalAPE are the absolute percentage errors of the two
+// uncalAPE and calAPE are the absolute percentage errors of the two
 // predicted speedups against the measured one (percent).
-func (r MeasureRow) UncalAPE() float64 { return ape(r.PredSpeedup, r.Speedup) }
-func (r MeasureRow) CalAPE() float64   { return ape(r.CalSpeedup, r.Speedup) }
+func (r MeasureRow) uncalAPE() float64 { return ape(r.PredSpeedup, r.Speedup) }
+func (r MeasureRow) calAPE() float64   { return ape(r.CalSpeedup, r.Speedup) }
 
 func ape(pred, measured float64) float64 {
 	if measured == 0 {
@@ -179,6 +179,6 @@ func MeasureCSV(st *MeasureStudy) string {
 		func(r MeasureRow) string {
 			return fmt.Sprintf("%s,%d,%d,%d,%.4f,%.4f,%d,%d,%.4f,%.2f,%.2f,%.6g,%.6g,%.6g,%.6g,%.4f",
 				r.Strategy, r.P, r.SerialNs, r.ParallelNs, r.Speedup, r.PredSpeedup, r.PredMakespan, r.Traffic,
-				r.CalSpeedup, r.UncalAPE(), r.CalAPE(), m.Comm.Alpha, m.Comm.Beta, m.Comm.Gamma, m.NsPerWork, st.Report.R2)
+				r.CalSpeedup, r.uncalAPE(), r.calAPE(), m.Comm.Alpha, m.Comm.Beta, m.Comm.Gamma, m.NsPerWork, st.Report.R2)
 		})
 }

@@ -5,8 +5,8 @@ package tables
 // every regenerated table can print paper-vs-measured in one place
 // (EXPERIMENTS.md is generated from these).
 
-// PaperTable1 rows: matrix name -> {equations, nonzeros, factor nonzeros}.
-var PaperTable1 = map[string][3]int{
+// paperTable1 rows: matrix name -> {equations, nonzeros, factor nonzeros}.
+var paperTable1 = map[string][3]int{
 	"BUS1138":  {1138, 2596, 3304},
 	"CANN1072": {1072, 6758, 20512},
 	"DWT512":   {512, 2007, 3786},
@@ -21,8 +21,8 @@ type paperComm struct {
 	MeanG4, MeanG25   int64
 }
 
-// PaperTable2 rows: matrix name -> processor count -> communication.
-var PaperTable2 = map[string]map[int]paperComm{
+// paperTable2 rows: matrix name -> processor count -> communication.
+var paperTable2 = map[string]map[int]paperComm{
 	"BUS1138": {
 		4:  {1335, 1194, 334, 298},
 		16: {1818, 1567, 114, 98},
@@ -57,8 +57,8 @@ type paperWork struct {
 	AG4, AG5 float64 // AG5 is the g=25 column
 }
 
-// PaperTable3 rows: matrix name -> processor count -> work distribution.
-var PaperTable3 = map[string]map[int]paperWork{
+// paperTable3 rows: matrix name -> processor count -> work distribution.
+var paperTable3 = map[string]map[int]paperWork{
 	"BUS1138": {
 		4:  {2791, 0.77, 0.8},
 		16: {698, 3.59, 3.59},
@@ -93,8 +93,8 @@ type paperMapping struct {
 	A                     float64
 }
 
-// PaperTable4 rows: minimum cluster width -> processor count -> entry.
-var PaperTable4 = map[int]map[int]paperMapping{
+// paperTable4 rows: minimum cluster width -> processor count -> entry.
+var paperTable4 = map[int]map[int]paperMapping{
 	2: {
 		4:  {38936, 9734, 108644, 0.03},
 		16: {96235, 6015, 27161, 0.167},
@@ -112,8 +112,8 @@ var PaperTable4 = map[int]map[int]paperMapping{
 	},
 }
 
-// PaperTable5 rows: matrix name -> processor count -> wrap-mapping entry.
-var PaperTable5 = map[string]map[int]paperMapping{
+// paperTable5 rows: matrix name -> processor count -> wrap-mapping entry.
+var paperTable5 = map[string]map[int]paperMapping{
 	"BUS1138": {
 		1:  {0, 0, 11164, 0},
 		4:  {2485, 621, 2791, 0.02},

@@ -115,32 +115,32 @@ func ValidLabel(label string) bool {
 		slices.Contains(part2d.Names2D(), label) || slices.Contains(Labels2D(), label)
 }
 
-// Block returns the block plan at grain g and minimum cluster width w.
-func (p *Problem) Block(g, w, np int) (*pipeline.Plan, error) {
+// block returns the block plan at grain g and minimum cluster width w.
+func (p *Problem) block(g, w, np int) (*pipeline.Plan, error) {
 	return p.An.Plan("block", np, strategy.Options{Part: core.Options{Grain: g, MinClusterWidth: w}})
 }
 
-// Wrap returns the wrap plan.
-func (p *Problem) Wrap(np int) (*pipeline.Plan, error) {
+// wrap returns the wrap plan.
+func (p *Problem) wrap(np int) (*pipeline.Plan, error) {
 	return p.An.Plan("wrap", np, strategy.Options{})
 }
 
 // blocks returns the block plans at the two grains of Tables 2-3.
 func (p *Problem) blocks(np int) (g4, g25 *pipeline.Plan, err error) {
-	if g4, err = p.Block(4, DefaultWidth, np); err != nil {
+	if g4, err = p.block(4, DefaultWidth, np); err != nil {
 		return nil, nil, err
 	}
-	g25, err = p.Block(25, DefaultWidth, np)
+	g25, err = p.block(25, DefaultWidth, np)
 	return g4, g25, err
 }
 
 // pair returns the two mappings the extension studies compare: block at
 // the production partitioning, and wrap.
 func (p *Problem) pair(np int) (block, wrap *pipeline.Plan, err error) {
-	if block, err = p.Block(25, DefaultWidth, np); err != nil {
+	if block, err = p.block(25, DefaultWidth, np); err != nil {
 		return nil, nil, err
 	}
-	wrap, err = p.Wrap(np)
+	wrap, err = p.wrap(np)
 	return block, wrap, err
 }
 
@@ -282,7 +282,7 @@ type Table1Row struct {
 func Table1(problems []*Problem) []Table1Row {
 	var rows []Table1Row
 	for _, p := range problems {
-		paper := PaperTable1[p.Meta.Name]
+		paper := paperTable1[p.Meta.Name]
 		rows = append(rows, Table1Row{
 			Name: p.Meta.Name,
 			N:    p.A.N, NNZ: p.A.NNZ(), FactorNNZ: p.F.NNZ(),
@@ -335,7 +335,7 @@ func Tables2and3(problems []*Problem) ([]GrainPairRow, error) {
 			MeanG4: t4 / int64(np), MeanG25: t25 / int64(np),
 			MeanWork: p.Total / int64(np),
 			AG4:      g4.S1.Imbalance(), AG25: g25.S1.Imbalance(),
-			Comm: PaperTable2[p.Meta.Name][np], Work: PaperTable3[p.Meta.Name][np],
+			Comm: paperTable2[p.Meta.Name][np], Work: paperTable3[p.Meta.Name][np],
 		}}, nil
 	})
 }
@@ -390,11 +390,11 @@ func Table4(lap *Problem) ([]MappingRow, error) {
 	var rows []MappingRow
 	for _, width := range []int{2, 4, 8} {
 		for _, np := range DefaultProcs {
-			pl, err := lap.Block(4, width, np)
+			pl, err := lap.block(4, width, np)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, lap.mappingRow(pl, width, PaperTable4[width][np]))
+			rows = append(rows, lap.mappingRow(pl, width, paperTable4[width][np]))
 		}
 	}
 	return rows, nil
@@ -403,11 +403,11 @@ func Table4(lap *Problem) ([]MappingRow, error) {
 // Table5 computes the wrap-mapping table.
 func Table5(problems []*Problem) ([]MappingRow, error) {
 	return overSuite(problems, WrapProcs, func(p *Problem, np int) ([]MappingRow, error) {
-		pl, err := p.Wrap(np)
+		pl, err := p.wrap(np)
 		if err != nil {
 			return nil, err
 		}
-		return []MappingRow{p.mappingRow(pl, 0, PaperTable5[p.Meta.Name][np])}, nil
+		return []MappingRow{p.mappingRow(pl, 0, paperTable5[p.Meta.Name][np])}, nil
 	})
 }
 
@@ -455,7 +455,7 @@ func Makespan(problems []*Problem) ([]MakespanRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		wrap, err := p.Wrap(np)
+		wrap, err := p.wrap(np)
 		if err != nil {
 			return nil, err
 		}
@@ -549,7 +549,7 @@ func BlockSweep(p *Problem, np int, grains, widths []int) ([]BlockRow, error) {
 	var rows []BlockRow
 	for _, g := range grains {
 		for _, w := range widths {
-			pl, err := p.Block(g, w, np)
+			pl, err := p.block(g, w, np)
 			if err != nil {
 				return nil, err
 			}

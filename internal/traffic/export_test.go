@@ -25,16 +25,16 @@ func FetchStatsTasks(s *sched.Schedule, ntasks int, taskOf []int32) *TaskComm {
 		panic(fmt.Sprintf("traffic: task map covers %d elements, factor has %d", len(taskOf), f.NNZ()))
 	}
 	ch := NewCharger(s.P, ntasks, taskOf)
-	owner, fetched := elemOwners(s), NewFetchDedup(s.P, f.NNZ())
+	owner, fetched := elemOwners(s), newFetchDedup(s.P, f.NNZ())
 	model.NewOps(f).ForEachRun(func(r model.Run) {
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
 			tgt := r.Tgt[f.RowInd[q]]
 			proc := owner[tgt]
-			if o := owner[q]; o != proc && fetched.FirstFetch(q, proc) {
+			if o := owner[q]; o != proc && fetched.firstFetch(q, proc) {
 				ch.charge(tgt, o)
 			}
-			if ownerLo != proc && fetched.FirstFetch(lo, proc) {
+			if ownerLo != proc && fetched.firstFetch(lo, proc) {
 				ch.charge(tgt, ownerLo)
 			}
 		}

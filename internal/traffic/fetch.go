@@ -39,19 +39,19 @@ func (tc *TaskComm) TotalMsgs() int64 { return model.TotalWork(tc.Msgs) }
 // non-local (element, processor) pair in the returned tracker. owner is
 // the owner of every element of s.F (elemOwners). What Simulate reports
 // is a tally of that final set.
-func firstFetches(s *sched.Schedule, owner []int32) *FetchDedup {
+func firstFetches(s *sched.Schedule, owner []int32) *fetchDedup {
 	f := s.F
-	fetched := NewFetchDedup(s.P, f.NNZ())
+	fetched := newFetchDedup(s.P, f.NNZ())
 	rowInd := f.RowInd
 	model.NewOps(f).ForEachRun(func(r model.Run) {
 		lo, ownerLo := r.Lo, owner[r.Lo]
 		for q := lo; q < r.Hi; q++ {
 			proc := owner[r.Tgt[rowInd[q]]]
 			if owner[q] != proc {
-				fetched.FirstFetch(q, proc)
+				fetched.firstFetch(q, proc)
 			}
 			if ownerLo != proc {
-				fetched.FirstFetch(lo, proc)
+				fetched.firstFetch(lo, proc)
 			}
 		}
 	})
@@ -76,7 +76,7 @@ func elemOwners(s *sched.Schedule) []int32 {
 // position of column j. The diagonal is never a pair-update source, so a
 // per-column stamp selects exactly the walk's first fetches; fetched,
 // when non-nil, is marked with them and ch, when non-nil, charged.
-func scaleFetches(f *symbolic.Factor, p int, colOwners func(j int) []int32, fetched *FetchDedup, ch *Charger) {
+func scaleFetches(f *symbolic.Factor, p int, colOwners func(j int) []int32, fetched *fetchDedup, ch *Charger) {
 	stamp := make([]int32, p) // stamp[q] == j+1: q fetched column j's diagonal
 	for j := 0; j < f.N; j++ {
 		col, diag := colOwners(j), int32(f.ColPtr[j])
@@ -85,7 +85,7 @@ func scaleFetches(f *symbolic.Factor, p int, colOwners func(j int) []int32, fetc
 			if pq != od && stamp[pq] != mark {
 				stamp[pq] = mark
 				if fetched != nil {
-					fetched.FirstFetch(diag, pq)
+					fetched.firstFetch(diag, pq)
 				}
 				if ch != nil {
 					ch.charge(diag+1+int32(i), od)

@@ -20,13 +20,13 @@ func refFetchPerTask(s *sched.Schedule, ntasks int, taskOf func(tgt int32) int32
 	ops := model.NewOps(s.F)
 	nnz := s.F.NNZ()
 	tc := &TaskComm{Vol: make([]int64, ntasks), Msgs: make([]int64, ntasks)}
-	fetched := NewFetchDedup(s.P, nnz)
+	fetched := newFetchDedup(s.P, nnz)
 	msgSeen := make(map[int64]struct{}) // distinct (source processor, task) pairs
 	owners := refElemProc(s)
 	access := func(elem, tgt int32) {
 		proc := owners[tgt]
 		owner := owners[elem]
-		if owner == proc || !fetched.FirstFetch(elem, proc) {
+		if owner == proc || !fetched.firstFetch(elem, proc) {
 			return
 		}
 		task := taskOf(tgt)

@@ -46,26 +46,16 @@ func (r *Result) Mean() float64 { return float64(r.Total) / float64(r.P) }
 // MaxPerProc returns the largest per-processor traffic.
 func (r *Result) MaxPerProc() int64 { return slices.Max(r.PerProc) }
 
-// Partners returns, for each processor, the number of distinct processors
-// it exchanges data with (in either direction).
-func (r *Result) Partners() []int {
-	out := make([]int, r.P)
+// MeanPartners returns the average number of communication partners, the
+// distinct processors a processor exchanges data with in either direction.
+func (r *Result) MeanPartners() float64 {
+	sum := 0
 	for a := 0; a < r.P; a++ {
 		for b := 0; b < r.P; b++ {
 			if a != b && (r.Pair[a][b] > 0 || r.Pair[b][a] > 0) {
-				out[a]++
+				sum++
 			}
 		}
-	}
-	return out
-}
-
-// MeanPartners returns the average number of communication partners.
-func (r *Result) MeanPartners() float64 {
-	ps := r.Partners()
-	sum := 0
-	for _, p := range ps {
-		sum += p
 	}
 	return float64(sum) / float64(r.P)
 }

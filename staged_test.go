@@ -106,7 +106,12 @@ func TestStagedSolveBitIdenticalToMonolithic(t *testing.T) {
 				t.Fatal(err)
 			}
 			bitEqual(t, fl.Val, ldl.Val, "ldl staged factor")
-			bitEqual(t, gotL, ref.solve(b, ldl.Solve), "ldl staged solve")
+			ldlSolve := func(pb []float64) []float64 {
+				x := append([]float64(nil), pb...)
+				numeric.KernelLDL.Solve(ldl.F, ldl.Val, x)
+				return x
+			}
+			bitEqual(t, gotL, ref.solve(b, ldlSolve), "ldl staged solve")
 		})
 	}
 }
@@ -233,31 +238,33 @@ func TestStagedCacheZeroRepeatWork(t *testing.T) {
 	cache := repro.NewCache(0)
 	opts := repro.StrategyOptions{}
 
-	cold, err := cache.Solve(a, "wrap", 8, opts, repro.KernelCholesky, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKind := cache.StatsByKind()
-	for _, kind := range []string{"analysis", "plan", "factor"} {
-		c := byKind[kind]
-		if c.Misses != 1 || c.Hits != 0 {
-			t.Fatalf("cold %s counters: %+v, want 1 miss 0 hits", kind, c)
+	// stage runs one request and holds the store counters to the hits
+	// and misses it should cost: one lookup per stage it passes.
+	stage := func(what string, hits, misses int64, call func() error) {
+		t.Helper()
+		before := cache.Stats()
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		if dh, dm := after.Hits-before.Hits, after.Misses-before.Misses; dh != hits || dm != misses {
+			t.Fatalf("%s: %d hits %d misses, want %d hits %d misses", what, dh, dm, hits, misses)
 		}
 	}
 
+	// Cold request: analysis, plan and factor each miss once.
+	var cold, warm []float64
+	stage("cold solve", 0, 3, func() (err error) {
+		cold, err = cache.Solve(a, "wrap", 8, opts, repro.KernelCholesky, b)
+		return err
+	})
+
 	// Repeat request: every stage hits; the result is bitwise the same.
-	warm, err := cache.Solve(a, "wrap", 8, opts, repro.KernelCholesky, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stage("warm solve", 3, 0, func() (err error) {
+		warm, err = cache.Solve(a, "wrap", 8, opts, repro.KernelCholesky, b)
+		return err
+	})
 	bitEqual(t, warm, cold, "warm staged solve")
-	byKind = cache.StatsByKind()
-	for _, kind := range []string{"analysis", "plan", "factor"} {
-		c := byKind[kind]
-		if c.Misses != 1 || c.Hits != 1 {
-			t.Fatalf("warm %s counters: %+v, want 1 miss 1 hit", kind, c)
-		}
-	}
 
 	// Same pattern, new values: zero symbolic and mapping work — only
 	// the factor stage misses.
@@ -265,19 +272,20 @@ func TestStagedCacheZeroRepeatWork(t *testing.T) {
 	for i := range a2.Val {
 		a2.Val[i] *= 2
 	}
-	if _, err := cache.Solve(a2, "wrap", 8, opts, repro.KernelCholesky, b); err != nil {
-		t.Fatal(err)
-	}
-	byKind = cache.StatsByKind()
-	if c := byKind["analysis"]; c.Misses != 1 || c.Hits != 2 {
-		t.Fatalf("new-values analysis counters: %+v, want 1 miss 2 hits", c)
-	}
-	if c := byKind["plan"]; c.Misses != 1 || c.Hits != 2 {
-		t.Fatalf("new-values plan counters: %+v, want 1 miss 2 hits", c)
-	}
-	if c := byKind["factor"]; c.Misses != 2 || c.Hits != 1 {
-		t.Fatalf("new-values factor counters: %+v, want 2 misses 1 hit", c)
-	}
+	var an2 *repro.Analysis
+	var pl2 *repro.Plan
+	stage("new-values analysis", 1, 0, func() (err error) {
+		an2, err = cache.Analysis(a2)
+		return err
+	})
+	stage("new-values plan", 1, 0, func() (err error) {
+		pl2, err = cache.Plan(an2, "wrap", 8, opts)
+		return err
+	})
+	stage("new-values factor", 0, 1, func() error {
+		_, err := cache.Factor(pl2, a2, repro.KernelCholesky)
+		return err
+	})
 
 	// A held Factor performs zero factorization (and zero store) work
 	// per solve: counters are untouched by any number of solves.
@@ -320,8 +328,8 @@ func TestStagedFactorFromCacheHitBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := cache.StatsByKind()["analysis"]; c.Hits != 1 {
-		t.Fatalf("analysis counters %+v, want a hit on the second request", c)
+	if st := cache.Stats(); st.Hits != 1 {
+		t.Fatalf("store counters %+v, want a hit on the second analysis request", st)
 	}
 	pl, err := cache.Plan(an, "wrap", 4, repro.StrategyOptions{})
 	if err != nil {
