@@ -75,9 +75,12 @@ type sweepCase struct {
 	f    *symbolic.Factor
 }
 
-// sweepCases is the suite, Grid9(60,60), PowerBus and Cannes under MMD,
-// natural and nested-dissection orders, each on its own structure and on
-// the RelaxZeros = 0.3 padded one. -short keeps the suite only.
+// sweepCases is the suite, Grid9(60,60), PowerBus, Cannes and
+// Grid9(120,120) under MMD, natural and nested-dissection orders, each on
+// its own structure and on the RelaxZeros = 0.3 padded one. -short keeps
+// the suite only; a race build leaves out Grid9(120,120), whose tests run
+// on one goroutine, where the race detector has nothing to find and
+// multiplies their minute many times over.
 func sweepCases(t testing.TB) []sweepCase {
 	type named struct {
 		name string
@@ -92,6 +95,9 @@ func sweepCases(t testing.TB) []sweepCase {
 			named{"GRID9_60", gen.Grid9(60, 60)},
 			named{"POWERBUS", gen.PowerBus(3000, 900, 1)},
 			named{"CANNES", gen.Cannes(1500, 8000, 1)})
+		if !raceBuild {
+			ms = append(ms, named{"GRID9_120", gen.Grid9(120, 120)})
+		}
 	}
 	var cases []sweepCase
 	for _, nm := range ms {
@@ -281,16 +287,7 @@ func TestFactorizeLongRunsBitwiseRef(t *testing.T) {
 // share of multiply-adds per pass width is logged (-v): it is the table of
 // EXPERIMENTS.md Kern-1.
 func TestGroupsHaveIdenticalTails(t *testing.T) {
-	cases := sweepCases(t)
-	if !testing.Short() {
-		big := gen.Grid9(120, 120)
-		pm, err := big.Permute(order.MMD(big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, sweepCase{"GRID9_120/mmd", pm, symbolic.Analyze(pm)})
-	}
-	for _, c := range cases {
+	for _, c := range sweepCases(t) {
 		f, ri := c.f, c.f.Rows()
 		var madds [5]int64
 		for j := 0; j < f.N; j++ {

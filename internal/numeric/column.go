@@ -82,15 +82,9 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 	}
 	d := val[diag]
 	if lo == diag {
-		d = w[j]
-		if math.IsNaN(d) || math.IsInf(d, 0) || d == 0 || (k != KernelLDL && d < 0) {
-			if k == KernelLDL {
-				return fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
-			}
-			return &NotPositiveDefiniteError{Column: j, Pivot: d}
-		}
-		if k != KernelLDL {
-			d = math.Sqrt(d)
+		var ok bool
+		if d, ok = k.pivot(w[j]); !ok {
+			return k.pivotError(w[j], j)
 		}
 		col[0] = d
 		rows, col = rows[1:], col[1:]
@@ -99,6 +93,24 @@ func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to i
 		col[x] = w[i] / d
 	}
 	return nil
+}
+
+// pivot applies the pivot rule to a column's updated diagonal d: it
+// returns what the column is scaled by, √d for Cholesky and d for LDLᵀ,
+// and whether d is accepted; pivotError is the rejection (see segment).
+func (k Kernel) pivot(d float64) (float64, bool) {
+	if k == KernelLDL {
+		return d, d != 0 && math.Abs(d) <= math.MaxFloat64
+	}
+	return math.Sqrt(d), d > 0 && d <= math.MaxFloat64
+}
+
+// pivotError is the error of the pivot d that pivot rejects at column j.
+func (k Kernel) pivotError(d float64, j int) error {
+	if k == KernelLDL {
+		return fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
+	}
+	return &NotPositiveDefiniteError{Column: j, Pivot: d}
 }
 
 // runs is the sources of one step: the records of row j of

@@ -25,7 +25,9 @@ import (
 // what to poison and where, the edges, then one byte per value.
 // Off-diagonals come from their bytes and every diagonal dominates its row
 // strictly, so the matrix is positive definite until the poison — a NaN, an
-// Inf, a negated or a zeroed diagonal — is planted.
+// Inf, a negated or a zeroed diagonal, or for a poison byte of 128 or more
+// whose low three bits are 1 to 3 a NaN of a payload of its own, a −0 or a
+// NaN with its sign set — is planted.
 func fuzzColumnCase(data []byte) *sparse.Matrix {
 	if len(data) < 4 {
 		return nil
@@ -33,6 +35,9 @@ func fuzzColumnCase(data []byte) *sparse.Matrix {
 	n := 1 + int(data[0])%48
 	nedges := int(data[1]) % 160
 	poison, where := int(data[2])%8, int(data[3])
+	if data[2] >= 128 && poison >= 1 && poison <= 3 {
+		poison += 7 // 8, 9, 10: the NaN, the −0, the negative NaN
+	}
 	data = data[4:]
 	var edges [][2]int
 	for ; nedges > 0 && len(data) >= 2; nedges-- {
@@ -70,6 +75,12 @@ func fuzzColumnCase(data []byte) *sparse.Matrix {
 	}
 	diag := m.ColPtr[where%n]
 	switch poison {
+	case 8:
+		m.Val[where%m.NNZ()] = math.Float64frombits(0x7ff8_0000_dead_beef)
+	case 9:
+		m.Val[where%m.NNZ()] = math.Copysign(0, -1)
+	case 10:
+		m.Val[where%m.NNZ()] = math.Float64frombits(0xfff8_0000_0000_0bad)
 	case 4:
 		m.Val[where%m.NNZ()] = math.NaN()
 	case 5:
@@ -95,16 +106,61 @@ func errColumn(err error) int {
 	return col
 }
 
-// FuzzColumnUpdate holds the grouped column body to the one-source-at-a-time
-// oracle, bit for bit and for both kernels, and the compiled engine to the
-// serial kernel — whole columns on a wrap plan at P = 1, 2, 3 and n + 1
-// (at P = 2 and 3 some columns run as two tasks, split at their last
-// source; corpus split-* has such programs, TestColumnUpdateCorpusSplits
-// checks it), runs of unit blocks on block plans at grain 4 and 25, tile
-// runs (a task may own several of one column) on a rect2dcyclic plan at
-// P = 4 — on fuzzer-written matrices; a value either kernel must refuse
-// is refused by the oracle, the serial kernel and every engine run at the
-// same column.
+// samePivot reports whether two errors reject the same column with the
+// same pivot: its bits for Cholesky (NotPositiveDefiniteError), the
+// message for LDLᵀ.
+func samePivot(a, b error) bool {
+	var pa, pb *numeric.NotPositiveDefiniteError
+	if errors.As(a, &pa) && errors.As(b, &pb) {
+		return pa.Column == pb.Column && math.Float64bits(pa.Pivot) == math.Float64bits(pb.Pivot)
+	}
+	_, ta, _ := strings.Cut(a.Error(), "unusable pivot ")
+	_, tb, _ := strings.Cut(b.Error(), "unusable pivot ")
+	return ta != "" && ta == tb
+}
+
+// chunkSeed is a FuzzColumnUpdate input of n = 20 whose columns 4 to 19
+// are dense, a supernode chain of 16 that the serial kernel's chunk path
+// takes as two chunks of eight: sources 0, 1 and 3 meet the first chunk
+// at some of its rows only (rows 6, 7; 9; 10, 11), source 2 at all of
+// them. poison and where are the decoder's; every value byte is zero, so
+// every off-diagonal is −1/16. Value positions 26, 31, 40, 41, 55 and 56
+// are off-diagonals of columns 4 to 6, inside the first chunk.
+func chunkSeed(poison, where byte) []byte {
+	data := []byte{19, 0, poison, where}
+	edge := func(i, j int) { data = append(data, byte(i), byte(j)) }
+	for j := 4; j < 20; j++ {
+		for i := j + 1; i < 20; i++ {
+			edge(i, j)
+		}
+	}
+	edge(6, 0)
+	edge(7, 0)
+	edge(17, 0)
+	edge(9, 1)
+	for i := 4; i < 12; i++ {
+		edge(i, 2)
+	}
+	edge(10, 3)
+	edge(11, 3)
+	data[1] = byte(len(data)/2 - 2)
+	return data
+}
+
+// FuzzColumnUpdate holds the serial kernel to the one-source-at-a-time
+// oracle, bit for bit and for both kernels — as Factorize runs it and
+// with every supernode chain of four columns or more a chunk
+// (FactorizeEveryChain; corpus chunkSeed has chains of 16 with sources
+// holding some of a chunk's rows, poisoned inside the chunk) — and the
+// compiled engine to the serial kernel: whole columns on a wrap plan at
+// P = 1, 2, 3 and n + 1 (at P = 2 and 3 some columns run as two tasks,
+// split at their last source; corpus split-* has such programs,
+// TestColumnUpdateCorpusSplits checks it), runs of unit blocks on block
+// plans at grain 4 and 25, tile runs (a task may own several of one
+// column) on a rect2dcyclic plan at P = 4 — on fuzzer-written matrices; a
+// value either kernel must refuse is refused by the oracle, the serial
+// kernel and every engine run at the same column, with the serial
+// kernel's pivot bits.
 func FuzzColumnUpdate(f *testing.F) {
 	f.Add([]byte{3, 6, 0, 0, 0, 1, 1, 2, 0, 2, 0, 3, 1, 3, 2, 3, 200, 7, 130, 9, 77, 255})                     // dense 4x4: one supernode of width 4
 	f.Add([]byte{9, 9, 0, 0, 0, 9, 1, 9, 2, 9, 3, 9, 4, 9, 5, 9, 6, 9, 7, 9, 8, 9})                            // an arrow: nine singles into one column
@@ -113,6 +169,14 @@ func FuzzColumnUpdate(f *testing.F) {
 	f.Add([]byte{15, 30, 6, 8, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 0, 8, 1, 8, 2, 9, 3, 9, 9, 15}) // a band with a negated diagonal mid-matrix
 	f.Add([]byte{7, 12, 4, 5, 0, 4, 1, 4, 2, 4, 3, 4, 0, 5, 1, 5, 4, 5, 5, 6, 6, 7, 0, 7, 3, 7})               // a NaN off the diagonal
 	f.Add([]byte{23, 40, 5, 3, 0, 20, 1, 20, 2, 19, 3, 19, 19, 20, 4, 18, 5, 18, 6, 17, 7, 17, 17, 18, 18, 20, 20, 21, 21, 22, 22, 23, 19, 23, 17, 22})
+	f.Add(chunkSeed(0, 0))     // chunks with sources holding some lanes
+	f.Add(chunkSeed(0x81, 40)) // a NaN of its own payload in column 5
+	f.Add(chunkSeed(0x83, 55)) // a negative NaN in column 6
+	f.Add(chunkSeed(4, 26))    // math.NaN() in column 4
+	f.Add(chunkSeed(0x82, 31)) // a −0 at (17, 4): source 0 holds row 17 but not lane 0
+	f.Add(chunkSeed(5, 56))    // +Inf in column 6
+	f.Add(chunkSeed(5, 41))    // −Inf in column 5
+	f.Add(chunkSeed(6, 9))     // column 9 negated: Cholesky rejects lane 5 of a chunk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzColumnCase(data)
 		if m == nil {
@@ -135,11 +199,15 @@ func FuzzColumnUpdate(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			serial, serr := k.Factorize(m, an.F)
 			check := func(who string, got []float64, err error) {
 				t.Helper()
 				if bad >= 0 {
 					if err == nil || errColumn(err) != bad {
 						t.Fatalf("%v %s: err = %v, the oracle rejects column %d", k, who, err, bad)
+					}
+					if !samePivot(err, serr) {
+						t.Fatalf("%v %s: err = %v, the serial kernel's %v", k, who, err, serr)
 					}
 					return
 				}
@@ -152,8 +220,9 @@ func FuzzColumnUpdate(f *testing.F) {
 					}
 				}
 			}
-			got, err := k.Factorize(m, an.F)
-			check("serial", got, err)
+			check("serial", serial, serr)
+			got, err := numeric.FactorizeEveryChain(k, m, an.F)
+			check("serial, every chain a chunk", got, err)
 			for _, c := range plans {
 				plan := an.Plan
 				if c.dim2 {

@@ -179,3 +179,58 @@ func dot8(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	}
 	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
+
+// sub8x4Pass and sub8mPass are the passes of the serial kernel's supernode
+// chunks (chunk.go): sub8x4 and sub8m below, the only path on other
+// architectures and on amd64 CPUs without AVX2, or their AVX2 assembly
+// (kernel_amd64.go), which keeps their bits. A chunk's full-lane sources
+// one at a time go through sub8Pass.
+var sub8x4Pass, sub8mPass = sub8x4, sub8m
+
+// sub8x4 is sub8m over four sources holding the same rows rs, values v0
+// to v3 and eight multipliers each, a[s] for source s: each element of a
+// lane in mask takes the four products in source order, one rounded
+// product and one subtraction each, as four sub8m calls give it; the
+// other lanes keep their bits. Like sub8m it walks lane by lane, each
+// lane's multipliers held while its rows go by, so the compiler takes the
+// source value as the first operand of every product, as in sub4 and in
+// the assembly (it decides which NaN of two comes out;
+// TestChunkPassesMatchGo holds them to it).
+//
+//go:noinline
+func sub8x4(x []float64, rs []int32, v0, v1, v2, v3 []float64, a *[4][8]float64, mask uint8) {
+	v0, v1, v2, v3 = v0[:len(rs)], v1[:len(rs)], v2[:len(rs)], v3[:len(rs)]
+	for r := range 8 {
+		if mask>>r&1 == 0 {
+			continue
+		}
+		a0, a1, a2, a3 := a[0][r], a[1][r], a[2][r], a[3][r]
+		for q, i := range rs {
+			y := &x[int(i)*8+r]
+			s := *y
+			s -= v0[q] * a0
+			s -= v1[q] * a1
+			s -= v2[q] * a2
+			s -= v3[q] * a3
+			*y = s
+		}
+	}
+}
+
+// sub8m is sub8 on the lanes r set in mask only: every other lane of x
+// keeps its bits. A multiplier of zero would not do in their place: y −
+// v·0 turns a −0 into +0 when v is negative and anything into NaN when v
+// is ±Inf.
+//
+//go:noinline
+func sub8m(x []float64, rs []int32, vs []float64, a *[8]float64, mask uint8) {
+	vs = vs[:len(rs)]
+	for r, ar := range a {
+		if mask>>r&1 == 0 {
+			continue
+		}
+		for q, i := range rs {
+			x[int(i)*8+r] -= vs[q] * ar
+		}
+	}
+}

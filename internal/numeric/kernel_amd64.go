@@ -1,11 +1,12 @@
 package numeric
 
-// init points SolveWide at the AVX2 passes (kernel_amd64.s) when the CPU
-// has them: the one time the CPU is asked. See the package doc for why
-// they keep Solve's bits.
+// init points SolveWide and the serial kernel's chunks at the AVX2 passes
+// (kernel_amd64.s) when the CPU has them: the one time the CPU is asked.
+// See the package doc for why they keep Solve's bits and the factor's.
 func init() {
 	if hasAVX2() {
 		sub8Pass, dot8Pass = sub8AVX2, dot8AVX2
+		sub8x4Pass, sub8mPass = sub8x4AVX2, sub8mAVX2
 	}
 }
 
@@ -58,5 +59,30 @@ func dot8AVX2(x []float64, rs []int32, vs []float64, a *[8]float64) {
 	vs = vs[:len(rs)]
 	if q := dot8Asm(x, rs, vs, a); q < len(rs) {
 		dot8(x, rs[q:q+1], vs[q:q+1], a)
+	}
+}
+
+// sub8x4Asm and sub8mAsm run sub8x4 and sub8m as sub8Asm runs sub8: up to
+// the first bad row index, whose place in rs they return.
+//
+//go:noescape
+func sub8x4Asm(x []float64, rs []int32, v0, v1, v2, v3 []float64, a *[4][8]float64, mask uint8) int
+
+//go:noescape
+func sub8mAsm(x []float64, rs []int32, vs []float64, a *[8]float64, mask uint8) int
+
+// sub8x4AVX2 is sub8x4 in AVX2; a bad row index panics in sub8x4.
+func sub8x4AVX2(x []float64, rs []int32, v0, v1, v2, v3 []float64, a *[4][8]float64, mask uint8) {
+	v0, v1, v2, v3 = v0[:len(rs)], v1[:len(rs)], v2[:len(rs)], v3[:len(rs)]
+	if q := sub8x4Asm(x, rs, v0, v1, v2, v3, a, mask); q < len(rs) {
+		sub8x4(x, rs[q:q+1], v0[q:q+1], v1[q:q+1], v2[q:q+1], v3[q:q+1], a, mask)
+	}
+}
+
+// sub8mAVX2 is sub8m in AVX2; a bad row index panics in sub8m.
+func sub8mAVX2(x []float64, rs []int32, vs []float64, a *[8]float64, mask uint8) {
+	vs = vs[:len(rs)]
+	if q := sub8mAsm(x, rs, vs, a, mask); q < len(rs) {
+		sub8m(x, rs[q:q+1], vs[q:q+1], a, mask)
 	}
 }

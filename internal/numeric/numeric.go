@@ -16,13 +16,27 @@
 // exec.SolveProgram makes the same calls over its cut of the elimination
 // tree, so the serial and the parallel solves share their bits.
 //
+// Kernel.Factorize, the serial kernel, is segment over each column of a
+// narrow supernode. A supernode chain of at least chunkMin columns whose
+// first column holds at least chunkRows rows it factors eight columns at
+// a time (chunk.go, the supernode–supernode update of Ng and Peyton): an
+// interleaved accumulator holds the chunk's columns as the lanes of one
+// 64-byte line a row, and each source below the chunk, found per run
+// range of the chunk's rows, is loaded once for all of them: four
+// sources of a run through sub8x4, one through sub8, or under a mask of
+// the lanes a source holds, which leaves the others' bits, through sub8x4
+// and sub8m. Every element still takes its sources in ascending column, one
+// rounded product and one subtraction each, so the factor is segment's
+// bit for bit, and the engine's tasks, which stay on Step, keep it.
+//
 // Kernel.SolveWide carries eight right-hand sides through one pair of
 // sweeps. Its passes are sub8 and dot8 in Go, or on amd64 CPUs with AVX2
 // the same passes in assembly (kernel_amd64.s), chosen once at package
 // init from CPUID (leaf 1: OSXSAVE and AVX; leaf 7: AVX2) and XGETBV
-// (XMM and YMM state saved by the OS). The assembly keeps Solve's bits:
-// each lane multiplies and then subtracts, rounding the product as the
-// Go statement y -= v*a does, and never fuses the two into an FMA.
+// (XMM and YMM state saved by the OS); the chunks' passes are chosen the
+// same way. The assembly keeps Solve's bits and the factor's: each lane
+// multiplies and then subtracts, rounding the product as the Go
+// statement y -= v*a does, and never fuses the two into an FMA.
 package numeric
 
 import (
@@ -68,11 +82,18 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 
 // Factorize runs the serial left-looking factorization k selects and
 // returns the values aligned with f: Factorize's for KernelCholesky,
-// FactorizeLDL's for KernelLDL. It is ScatterA, then segment over every
-// whole column in turn, whose rejected pivot is the error; the two
-// kernels differ only in the D[k] factor of an update and in the pivot
-// (rule, square root).
+// FactorizeLDL's for KernelLDL. It is ScatterA, then every column in
+// turn, whose rejected pivot is the error: a supernode chain of at least
+// chunkMin columns and chunkRows rows eight columns at a time (chunk),
+// every other column through segment. The two kernels differ only in the
+// D[k] factor of an update and in the pivot (rule, square root).
 func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
+	return k.factorize(m, f, chunkRows)
+}
+
+// factorize is Factorize with chunks of chains whose first column holds
+// at least rows rows; the factor's bits do not depend on it.
+func (k Kernel) factorize(m *sparse.Matrix, f *symbolic.Factor, rows int) ([]float64, error) {
 	if err := k.Valid(); err != nil {
 		return nil, err
 	}
@@ -87,10 +108,28 @@ func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, erro
 		return nil, err
 	}
 	w := make([]float64, f.N) // dense accumulator for the current column
-	for j := 0; j < f.N; j++ {
+	var x []float64           // and for the current chunk, chunkLanes a row
+	var src []srcRange
+	for j := 0; j < f.N; {
+		cw := 1
+		if f.ColLen(j) >= rows {
+			cw = chunkWidth(f, j)
+		}
+		if cw >= chunkMin {
+			if x == nil {
+				x = make([]float64, f.N*chunkLanes)
+			}
+			src = chunkSources(f.Rows(), j, cw, src[:0])
+			if err := k.chunk(m, f, val, x, src, j, cw); err != nil {
+				return nil, err
+			}
+			j += cw
+			continue
+		}
 		if err := k.segment(f, val, w, j, f.ColPtr[j], f.ColPtr[j+1]); err != nil {
 			return nil, err
 		}
+		j++
 	}
 	return val, nil
 }

@@ -2,7 +2,8 @@
 
 package numeric
 
-// raceBuild trims TestSegmentMatchesColumn to the suite: it runs on one
-// goroutine, so the race detector has nothing to find in it and only
-// multiplies its cost.
+// raceBuild trims TestSegmentMatchesColumn to the suite and sweepCases
+// to the shapes before Grid9(120,120): they run on one goroutine, so the
+// race detector has nothing to find in them and only multiplies their
+// cost.
 const raceBuild = true
