@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/numeric"
 	"repro/internal/order"
+	"repro/internal/sparse"
 	"repro/internal/strategy"
 	"repro/internal/symbolic"
 )
@@ -90,6 +91,73 @@ func TestCompileColumnIndexMapDoesNotSplit(t *testing.T) {
 		for q := range want.Val {
 			if math.Float64bits(got.Val[q]) != math.Float64bits(want.Val[q]) {
 				t.Fatalf("%s: position %d: %g, serial %g", name, q, got.Val[q], want.Val[q])
+			}
+		}
+	}
+}
+
+// TestEngineP1RunsSerialList: a column graph compiled at P = 1 runs
+// numeric's serial list itself — the list Kernel.Factorize runs, chunk
+// steps included — and its factor is Factorize's bit for bit, over the
+// suite in natural and MMD order and both kernels; outside -short also on
+// Grid9(60,60) in MMD order, whose list must hold a chunk step.
+func TestEngineP1RunsSerialList(t *testing.T) {
+	type matrixCase struct {
+		name  string
+		m     *sparse.Matrix
+		chunk bool // the list must hold a chunk step
+	}
+	var cases []matrixCase
+	for _, tm := range gen.Suite() {
+		cases = append(cases, matrixCase{tm.Name, tm.Build(), false})
+	}
+	if !testing.Short() {
+		cases = append(cases, matrixCase{"GRID9_60", gen.Grid9(60, 60), true})
+	}
+	for _, c := range cases {
+		for _, ord := range []string{"natural", "mmd"} {
+			if c.chunk && ord == "natural" {
+				continue
+			}
+			perm := order.Natural(c.m.N)
+			if ord == "mmd" {
+				perm = order.MMD(c.m)
+			}
+			pm, err := c.m.Permute(perm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := strategy.NewSys(symbolic.Analyze(pm), nil, nil)
+			f := sys.F
+			sc, err := strategy.Map("wrap", sys, 1, strategy.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := exec.Compile(f, 1, strategy.Tasks(sys, strategy.Options{}, sc), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := numeric.SerialSteps(f)
+			if got := exec.InlineSteps(pg); !slices.Equal(got, want) {
+				t.Fatalf("%s/%s: the one-worker program runs %d steps, not the serial list's %d", c.name, ord, len(got), len(want))
+			}
+			if c.chunk && !slices.ContainsFunc(want, func(s numeric.Step) bool { return s.W > 1 }) {
+				t.Fatalf("%s/%s: the serial list holds no chunk step", c.name, ord)
+			}
+			for _, k := range []numeric.Kernel{numeric.KernelCholesky, numeric.KernelLDL} {
+				serial, err := k.Factorize(pm, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fa, _, err := pg.Run(pm, k, false)
+				if err != nil {
+					t.Fatalf("%s/%s %v: %v", c.name, ord, k, err)
+				}
+				for q := range serial {
+					if math.Float64bits(fa.Val[q]) != math.Float64bits(serial[q]) {
+						t.Fatalf("%s/%s %v: position %d: %g, serial %g", c.name, ord, k, q, fa.Val[q], serial[q])
+					}
+				}
 			}
 		}
 	}

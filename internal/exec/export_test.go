@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/numeric"
 )
 
 // ProgramGraph lays a compiled program out for the tests of package
@@ -15,9 +17,9 @@ func ProgramGraph(pg *Program) (steps [][][5]int32, preds [][]int32, graph []int
 	n := pg.Tasks()
 	steps, preds, graph = make([][][5]int32, n), make([][]int32, n), make([]int32, n)
 	for t := 0; t < n; t++ {
-		var buf [1]step
+		var buf [1]numeric.Step
 		for _, s := range pg.taskSteps(int32(t), &buf) {
-			steps[t] = append(steps[t], [5]int32{s.j, s.lo, s.hi, s.from, s.to})
+			steps[t] = append(steps[t], [5]int32{s.J, s.Lo, s.Hi, s.From, s.To})
 		}
 		graph[t] = pg.graphTask(int32(t))
 	}
@@ -42,9 +44,9 @@ func ProgramGraph(pg *Program) (steps [][][5]int32, preds [][]int32, graph []int
 func scalePreds(pg *Program) [][]int32 {
 	elemTask := make([]int32, pg.f.NNZ())
 	for t := range pg.tasks {
-		var buf [1]step
+		var buf [1]numeric.Step
 		for _, s := range pg.taskSteps(int32(t), &buf) {
-			for q := s.lo; q < s.hi; q++ {
+			for q := s.Lo; q < s.Hi; q++ {
 				elemTask[q] = int32(t)
 			}
 		}
@@ -88,3 +90,7 @@ var (
 // Indegrees returns how many predecessors Run waits on for every program
 // task, nil for a one-worker program.
 func Indegrees(pg *Program) []int32 { return pg.indeg }
+
+// InlineSteps returns the steps a one-worker program runs, in order; for
+// a column graph, built afresh as Run builds them.
+func InlineSteps(pg *Program) []numeric.Step { return pg.inlineSteps() }

@@ -25,17 +25,16 @@ import (
 // doing no per-run work beyond scattering the values and resetting the
 // dependency counters.
 //
-// A task is a list of steps. A step is a run of consecutive positions of
-// one column — a whole column, a tile's rows of it, a unit block's band —
-// and the range of source columns it applies; it pivots and scales when
-// that range ends at the column itself. Every step is one
-// numeric.Kernel.Step call, the serial kernel's own step. So the factor a
-// Run produces is bit-for-bit the serial kernel's (numeric.Factorize or
-// FactorizeLDL) however the columns are cut and the tasks interleave:
-// every element takes its updates in ascending source column (the order
-// of model.Ops.ForEachRun) with the same association. That makes the run
-// deterministic and the comm-aware makespan simulators falsifiable — the
-// task graph they predict is what actually runs.
+// A task is a list of numeric.Step records, each a run of consecutive
+// positions of one column — a whole column, a tile's rows of it, a unit
+// block's band — and the range of source columns it applies, which the
+// task runs through numeric.Kernel.Step, the serial kernel's own loop. So
+// the factor a Run produces is bit-for-bit the serial kernel's however the
+// columns are cut and the tasks interleave: every element takes its
+// updates in ascending source column (the order of model.Ops.ForEachRun)
+// with the same association. That makes the run deterministic and the
+// comm-aware makespan simulators falsifiable — the task graph they
+// predict is what actually runs.
 //
 // The graph that runs is the caller's plus the scale rule's edges (see
 // preds): a run below its column's diagonal waits for the task that
@@ -54,9 +53,8 @@ import (
 // owners, traffic and span do not change, and Run still reports one
 // event per task of the graph.
 //
-// The edges are held once. A one-worker program runs its tasks in index
-// order and keeps none; any other keeps its predecessors transposed into
-// one successor list, a column graph's split halves included.
+// The edges are held once: a one-worker program keeps none (see inline),
+// any other its predecessors transposed into one successor list.
 type Program struct {
 	f *symbolic.Factor
 	p int
@@ -68,7 +66,7 @@ type Program struct {
 	// A column graph holds no stepPtr and only its split columns' steps
 	// (see taskSteps).
 	stepPtr []int32
-	steps   []step
+	steps   []numeric.Step
 	// first[k] is the graph task of split column k, whose first half is
 	// program task len(tasks)+k. Empty unless Compile split a column.
 	first []int32
@@ -83,11 +81,6 @@ type Program struct {
 	// column split).
 	half []int32
 }
-
-// step is one step of a task: positions [lo, hi) of column j receive the
-// updates of the sources c with from <= c < to, then, when to == j, their
-// pivot and scale.
-type step struct{ j, lo, hi, from, to int32 }
 
 // splitRatio is the split rule: a column splits when the updates of its
 // sources before the remote last one number at least splitRatio times
@@ -145,7 +138,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 		for t := 0; t < nt; t++ {
 			pg.stepPtr[t+1] += pg.stepPtr[t]
 		}
-		pg.steps = make([]step, pg.stepPtr[nt])
+		pg.steps = make([]numeric.Step, pg.stepPtr[nt])
 		fill := append([]int32(nil), pg.stepPtr[:nt]...)
 		for j := 0; j < f.N; j++ {
 			for q, end := f.ColPtr[j], f.ColPtr[j+1]; q < end; {
@@ -153,7 +146,7 @@ func Compile(f *symbolic.Factor, p int, tasks []Task, elemTask []int32) (*Progra
 				for hi < end && elemTask[hi] == t {
 					hi++
 				}
-				pg.steps[fill[t]] = step{int32(j), int32(q), int32(hi), 0, int32(j)}
+				pg.steps[fill[t]] = numeric.Step{J: int32(j), Lo: int32(q), Hi: int32(hi), To: int32(j), W: 1, Finish: true}
 				fill[t]++
 				q = hi
 			}
@@ -212,7 +205,7 @@ func transpose(n int, preds func(i int) []int32) (indeg, succPtr, succ []int32) 
 // stepPtr: split column k's halves are steps[2k] (program task
 // len(tasks)+k) and steps[2k+1] (its graph task), and any other task's
 // one step is its column, written into buf.
-func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
+func (pg *Program) taskSteps(t int32, buf *[1]numeric.Step) []numeric.Step {
 	nt := int32(len(pg.tasks))
 	switch {
 	case pg.stepPtr != nil:
@@ -223,7 +216,7 @@ func (pg *Program) taskSteps(t int32, buf *[1]step) []step {
 		return pg.steps[2*(pg.half[t]-nt)+1:][:1]
 	}
 	f := pg.f
-	buf[0] = step{t, int32(f.ColPtr[t]), int32(f.ColPtr[t+1]), 0, t}
+	buf[0] = numeric.Step{J: t, Lo: int32(f.ColPtr[t]), Hi: int32(f.ColPtr[t+1]), To: t, W: 1, Finish: true}
 	return buf[:]
 }
 
@@ -277,10 +270,10 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 				return nil, fmt.Errorf("exec: task %d depends on non-earlier task %d", t, pr)
 			}
 		}
-		var buf [1]step
+		var buf [1]numeric.Step
 		for _, s := range pg.taskSteps(int32(t), &buf) {
-			diag := f.ColPtr[s.j]
-			if int(s.lo) == diag || elemTask[diag] == int32(t) {
+			diag := f.ColPtr[s.J]
+			if int(s.Lo) == diag || elemTask[diag] == int32(t) {
 				continue
 			}
 			d := elemTask[diag]
@@ -296,7 +289,7 @@ func (pg *Program) preds(tasks []Task, elemTask []int32) ([][]int32, error) {
 			}
 			if seen[d] != mark {
 				if int(d) > t {
-					return nil, fmt.Errorf("exec: task %d scales by the diagonal of column %d, held by later task %d", t, s.j, d)
+					return nil, fmt.Errorf("exec: task %d scales by the diagonal of column %d, held by later task %d", t, s.J, d)
 				}
 				seen[d] = mark
 				ps = append(ps, d)
@@ -355,7 +348,8 @@ func (pg *Program) split(preds [][]int32) [][]int32 {
 		h := nt + int32(len(pg.first))
 		pg.first = append(pg.first, int32(j))
 		pg.half[j] = h
-		pg.steps = append(pg.steps, step{int32(j), int32(lo), int32(hi), 0, last}, step{int32(j), int32(lo), int32(hi), last, int32(j)})
+		s := numeric.Step{J: int32(j), Lo: int32(lo), Hi: int32(hi), To: last, W: 1}
+		pg.steps = append(pg.steps, s, numeric.Step{J: s.J, Lo: s.Lo, Hi: s.Hi, From: last, To: s.J, W: 1, Finish: true})
 		// The first half waits on j's children but last (tasks[j].Preds,
 		// ascending, the scale rule adding no edge to whole columns; the
 		// largest source is always the largest child) and on last's
@@ -403,16 +397,17 @@ func (pg *Program) graphTask(t int32) int32 {
 // that retires a task's last predecessor feeds it to its owner's queue,
 // waking the owner if it is parked. An owner with nothing ready polls the
 // queue's length a bounded while before it parks. A single-processor
-// program runs inline in ID order. k selects the kernel; with record set
+// program runs inline (see inline). k selects the kernel; with record set
 // every task execution is timestamped (nanoseconds since the workers
 // started) and the events are returned indexed by task ID of the compiled
 // graph; Cause is the predecessor whose retirement released a task its
 // worker was waiting for (for a split column, possibly a child of its last
-// source, which its first half waits on), -1 otherwise. A split
-// column's two halves fold into its one event: Start and Cause from the
-// first, Finish from the second, Work and Stall summed, so Work is the
-// column's busy time and Finish-Start may also span other tasks run
-// between the halves.
+// source, which its first half waits on), -1 otherwise. A split column's
+// two halves fold into its one event: Start and Cause from the first,
+// Finish from the second, Work and Stall summed, so Work is the column's
+// busy time and Finish-Start may also span other tasks run between the
+// halves. At P = 1 a step starts as the one before it finishes, and a
+// chunk step's interval is cut into its columns' events, of equal length.
 //
 // A pivot the serial kernel would reject is reported as the serial
 // kernel's error (errors.As finds its *numeric.NotPositiveDefiniteError),
@@ -421,12 +416,6 @@ func (pg *Program) graphTask(t int32) int32 {
 func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*NumericFactor, []TaskEvent, error) {
 	if err := k.Valid(); err != nil {
 		return nil, nil, err
-	}
-	if m.Val == nil {
-		return nil, nil, fmt.Errorf("exec: matrix has no values")
-	}
-	if m.N != pg.f.N {
-		return nil, nil, fmt.Errorf("exec: dimension mismatch %d vs %d", m.N, pg.f.N)
 	}
 	val, err := numeric.ScatterA(m, pg.f)
 	if err != nil {
@@ -439,11 +428,7 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 		r.t0 = time.Now()
 	}
 	if pg.p == 1 {
-		acc := make([]float64, pg.f.N)
-		var prev int64
-		for t := 0; t < len(pg.tasks) && r.err == nil; t++ {
-			r.err = r.exec(acc, int32(t), 0, -1, &prev)
-		}
+		r.inline()
 	} else {
 		r.parallel()
 	}
@@ -451,6 +436,38 @@ func (pg *Program) Run(m *sparse.Matrix, k numeric.Kernel, record bool) (*Numeri
 		return nil, nil, r.err
 	}
 	return &NumericFactor{F: pg.f, Val: r.val}, r.events, nil
+}
+
+// inline runs a one-worker program on the calling goroutine, in one call
+// or, recording, a column graph by step and any other program by task.
+func (r *run) inline() {
+	var acc []float64
+	pg := r.pg
+	steps, i := pg.inlineSteps(), 0
+	if r.events == nil {
+		r.err = r.exec(&acc, 0, steps, 0, -1, 0, nil)
+		return
+	}
+	prev := r.now()
+	for t := int32(0); int(t) < len(pg.tasks) && r.err == nil; {
+		e, next := i+1, t+1
+		if pg.stepPtr != nil {
+			e = int(pg.stepPtr[t+1])
+		} else {
+			next = t + int32(steps[i].W)
+		}
+		r.err = r.exec(&acc, t, steps[i:e], 0, -1, prev, &prev)
+		i, t = e, next
+	}
+}
+
+// inlineSteps is what a one-worker program runs: a column graph's
+// numeric.SerialSteps, built per Run, or the program's steps.
+func (pg *Program) inlineSteps() []numeric.Step {
+	if pg.stepPtr != nil {
+		return pg.steps
+	}
+	return numeric.SerialSteps(pg.f)
 }
 
 // parallel starts one worker per processor that owns a task and waits for
@@ -609,6 +626,14 @@ func (q *readyQueue) wait(rounds int, aborted *atomic.Bool) {
 	}
 }
 
+// now is the time since the workers started when recording, 0 otherwise.
+func (r *run) now() int64 {
+	if r.events == nil {
+		return 0
+	}
+	return time.Since(r.t0).Nanoseconds()
+}
+
 // fail records the first error and stops every worker.
 func (r *run) fail(err error) {
 	r.failOnce.Do(func() {
@@ -627,7 +652,7 @@ func (r *run) fail(err error) {
 func (r *run) work(w int32) {
 	pg := r.pg
 	q := r.queues[w]
-	acc := make([]float64, pg.f.N)
+	var acc []float64
 	var prev int64
 	for left := pg.own[w]; left > 0; {
 		if r.aborted.Load() {
@@ -638,7 +663,8 @@ func (r *run) work(w int32) {
 			q.wait(r.poll, &r.aborted)
 			continue
 		}
-		if err := r.exec(acc, t, w, cause, &prev); err != nil {
+		var buf [1]numeric.Step
+		if err := r.exec(&acc, t, pg.taskSteps(t, &buf), w, cause, r.now(), &prev); err != nil {
 			r.fail(err)
 			return
 		}
@@ -652,45 +678,33 @@ func (r *run) work(w int32) {
 	}
 }
 
-// exec runs task t on worker w, recording its event when asked; prev is
-// the worker's previous finish time. A split column's first half opens
-// the column's event, Cause included (whatever the second half waited for
-// finished after that Start), and its second half — the graph task whose
-// step resumes at a source past 0 — adds to it. A cause is a predecessor,
-// so never a first half here.
-func (r *run) exec(acc []float64, t, w, cause int32, prev *int64) error {
+// exec runs steps, program task t's or a serial step of column t, on
+// worker w, recording their graph tasks' events from start when asked
+// (prev: the worker's last finish). A split column's first half opens the
+// column's event, Cause (a predecessor) included, and its second half,
+// whose step resumes at a source past 0, adds to it.
+func (r *run) exec(acc *[]float64, t int32, steps []numeric.Step, w, cause int32, start int64, prev *int64) error {
+	if err := r.kern.Step(r.pg.f, r.val, acc, steps...); err != nil {
+		return fmt.Errorf("exec: %w", err)
+	}
 	if r.events == nil {
-		return r.task(acc, t)
+		return nil
 	}
-	start := time.Since(r.t0).Nanoseconds()
-	if err := r.task(acc, t); err != nil {
-		return err
+	finish := r.now()
+	pg, g, cols := r.pg, r.pg.graphTask(t), int64(1)
+	if len(steps) == 1 {
+		cols = int64(steps[0].W)
 	}
-	finish := time.Since(r.t0).Nanoseconds()
-	pg := r.pg
-	g := pg.graphTask(t)
-	ev := &r.events[g]
-	var buf [1]step
-	if g != t || len(pg.first) == 0 || pg.taskSteps(t, &buf)[0].from == 0 {
-		*ev = TaskEvent{Task: g, Proc: w, Start: start, Cause: cause}
-	}
-	ev.Finish = finish
-	ev.Work += finish - start
-	ev.Stall += start - *prev
-	*prev = finish
-	return nil
-}
-
-// task runs task t's steps in ascending position, so a step finds the
-// task's own earlier columns final; acc is the worker's dense accumulator,
-// as in numeric.Factorize. A rejected pivot is reported under this
-// package's name.
-func (r *run) task(acc []float64, t int32) error {
-	var buf [1]step
-	for _, s := range r.pg.taskSteps(t, &buf) {
-		if err := r.kern.Step(r.pg.f, r.val, acc, int(s.j), int(s.lo), int(s.hi), int(s.from), int(s.to), s.to == s.j); err != nil {
-			return fmt.Errorf("exec: %w", err)
+	for c := range cols {
+		s, e := start+(finish-start)*c/cols, start+(finish-start)*(c+1)/cols
+		ev := &r.events[g+int32(c)]
+		if c > 0 || g != t || len(pg.first) == 0 || steps[0].From == 0 {
+			*ev = TaskEvent{Task: g + int32(c), Proc: w, Start: s, Cause: cause}
 		}
+		ev.Finish = e
+		ev.Work += e - s
+		ev.Stall += s - *prev
+		*prev = e
 	}
 	return nil
 }

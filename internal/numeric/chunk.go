@@ -3,7 +3,6 @@ package numeric
 import (
 	"math/bits"
 
-	"repro/internal/sparse"
 	"repro/internal/symbolic"
 )
 
@@ -14,7 +13,7 @@ const chunkLanes = 8
 // chunkMin and chunkRows are the rule for a chunk, fixed by measurement
 // (EXPERIMENTS.md Chunk-1): a supernode chain of at least chunkMin
 // columns whose first column holds at least chunkRows rows. A narrower or
-// shorter chain goes column by column through segment, which is faster
+// shorter chain goes column by column through column steps, faster
 // there: its sources are few and short, and most hold some of the lanes.
 const (
 	chunkMin  = 4
@@ -94,27 +93,22 @@ func chunkSources(ri *symbolic.RowIndex, j, w int, dst []srcRange) []srcRange {
 }
 
 // chunk factors the w >= 2 columns j to j+w−1 of one supernode chain
-// (chunkWidth) as segment factors each in turn, bit for bit, with src
+// (chunkWidth) as column steps factor each in turn, bit for bit, with src
 // their sources below j (chunkSources). x is the accumulator, eight lanes
-// a row: lane r of row i holds L[i, j+r] for i >= j+r; the other lanes
-// are never read. Every element takes its sources in ascending column,
-// each as one rounded product, source value times multiplier, and one
-// subtraction: first the ranges of src — four sources at a time through
-// sub8x4, the rest one at a time through sub8 or, where the range holds
-// some of the lanes, sub8m; under a range's mask the other lanes keep
-// their bits — and then the chunk's own columns, each finished with
-// segment's pivot rule and applied to the lanes after it. A rejected
-// pivot is the error of segment on that column.
-func (k Kernel) chunk(m *sparse.Matrix, f *symbolic.Factor, val, x []float64, src []srcRange, j, w int) error {
-	// The columns hold A's values yet (ScatterA): zero the chunk's lines,
-	// then write A's entries.
-	for _, i := range f.Col(j) {
-		*(*[chunkLanes]float64)(x[int(i)*chunkLanes:]) = [chunkLanes]float64{}
-	}
+// a row: lane r of row i holds L[i, j+r] for i >= j+r, taken from val;
+// the other lanes are never read. Every element takes its sources in
+// ascending column, each as one rounded product, source value times
+// multiplier, and one subtraction: first the ranges of src — four sources
+// at a time through sub8x4, the rest one at a time through sub8 or, where
+// the range holds some of the lanes, sub8m; under a range's mask the other
+// lanes keep their bits — and then the chunk's own columns, each finished
+// with Step's pivot rule and applied to the lanes after it. A rejected
+// pivot is the error of a column step on that column.
+func (k Kernel) chunk(f *symbolic.Factor, val, x []float64, src []srcRange, j, w int) error {
 	for r := range w {
-		vs := m.ColVal(j + r)
-		for t, i := range m.Col(j + r) {
-			x[int(i)*chunkLanes+r] = vs[t]
+		lo, hi := f.ColPtr[j+r], f.ColPtr[j+r+1]
+		for t, i := range f.RowInd[lo:hi] {
+			x[int(i)*chunkLanes+r] = val[lo+t]
 		}
 	}
 	all := uint8(1<<w - 1)
@@ -148,9 +142,9 @@ func (k Kernel) chunk(m *sparse.Matrix, f *symbolic.Factor, val, x []float64, sr
 	for r := 0; r < w; r++ {
 		c := j + r
 		lo, hi := f.ColPtr[c], f.ColPtr[c+1]
-		d, ok := k.pivot(x[c*chunkLanes+r])
-		if !ok {
-			return k.pivotError(x[c*chunkLanes+r], c)
+		d, err := k.pivot(x[c*chunkLanes+r], c)
+		if err != nil {
+			return err
 		}
 		val[lo] = d
 		rs, col := f.RowInd[lo+1:hi], val[lo+1:hi]

@@ -274,13 +274,16 @@ func TestChunkGoPassesBitwiseRef(t *testing.T) {
 				if err != nil || bad >= 0 {
 					t.Fatalf("oracle failed: column %d, %v", bad, err)
 				}
-				for _, rows := range []int{0, chunkRows} {
-					got, err := k.factorize(m, f, rows)
+				for _, run := range []struct {
+					rows      int
+					factorize func(Kernel, *sparse.Matrix, *symbolic.Factor) ([]float64, error)
+				}{{0, FactorizeEveryChain}, {chunkRows, Kernel.Factorize}} {
+					got, err := run.factorize(k, m, f)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := sameBits(got, want); err != nil {
-						t.Fatalf("%s passes, case %d, %v, chunks from %d rows: %v", passes, c, k, rows, err)
+						t.Fatalf("%s passes, case %d, %v, chunks from %d rows: %v", passes, c, k, run.rows, err)
 					}
 				}
 			}
@@ -294,24 +297,23 @@ const (
 	pass1x8             // one source holding every lane, sub8
 	passMasked          // sources holding some lanes, sub8x4 or sub8m under a mask
 	passTriangle        // a chunk's own columns applied to its later lanes
-	passColumn          // segment, column by column
+	passColumn          // column steps
 	passKinds
 )
 
-// chunkPassCounts walks Factorize's schedule without any arithmetic — the
-// chunk rule, chunkSources, the dispatch of chunk — and counts each pass
-// kind's live lane-updates: element (i, j+r) taking source c, i >= j+r,
-// with L(j+r, c) in the structure.
+// chunkPassCounts walks the serial list Factorize runs without any
+// arithmetic — chunkSources and the dispatch of chunk over its chunk
+// steps — and counts each pass kind's live lane-updates: element (i, j+r)
+// taking source c, i >= j+r, with L(j+r, c) in the structure.
 func chunkPassCounts(f *symbolic.Factor) (n [passKinds]int64) {
 	ri := f.Rows()
 	var src []srcRange
-	for j := 0; j < f.N; {
-		w := chunkWidth(f, j)
-		if w < chunkMin || f.ColLen(j) < chunkRows {
+	for _, st := range SerialSteps(f) {
+		j, w := int(st.J), int(st.W)
+		if w == 1 {
 			for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
 				n[passColumn] += int64(ri.RunLen[x]) * int64(ri.Tail[x])
 			}
-			j++
 			continue
 		}
 		all := uint8(1<<w - 1)
@@ -343,7 +345,6 @@ func chunkPassCounts(f *symbolic.Factor) (n [passKinds]int64) {
 				n[passTriangle] += int64(f.ColLen(j+r) - (r2 - r))
 			}
 		}
-		j += w
 	}
 	return n
 }

@@ -267,10 +267,10 @@ func TestFactorizeLongRunsBitwiseRef(t *testing.T) {
 			w := make([]float64, n)
 			for j := 0; j < n; j++ {
 				lo, hi := f.ColPtr[j], f.ColPtr[j+1]
-				if err := k.Step(f, val, w, j, lo, hi, 0, j/3, false); err != nil {
+				if err := k.Step(f, val, &w, colStep(j, lo, hi, 0, j/3, false)); err != nil {
 					t.Fatal(err)
 				}
-				if err := k.Step(f, val, w, j, lo, hi, j/3, j, true); err != nil {
+				if err := k.Step(f, val, &w, colStep(j, lo, hi, j/3, j, true)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -12,16 +12,18 @@ import (
 // ScatterA scatters the lower-triangle values of m into factor positions:
 // the returned slice is aligned with f's structure, holding A's value at
 // every position in A's pattern and zero elsewhere — the starting state of
-// every left-looking factorization. m's pattern must be a subset of f's
-// (f is Analyze(m) or a superset); an entry outside it is an error.
+// every left-looking factorization. m must have values and a pattern
+// within f's (f is Analyze(m) or a superset); anything else is an error.
 func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
+	if m.Val == nil {
+		return nil, fmt.Errorf("numeric: matrix has no values")
+	}
+	if m.N != f.N {
+		return nil, fmt.Errorf("numeric: dimension mismatch %d vs %d", m.N, f.N)
+	}
 	val := make([]float64, f.NNZ())
 	for j := 0; j < m.N; j++ {
-		cj := m.Col(j)
-		vj := m.ColVal(j)
-		fc := f.Col(j)
-		base := f.ColPtr[j]
-		t := 0
+		cj, vj, fc, base, t := m.Col(j), m.ColVal(j), f.Col(j), f.ColPtr[j], 0
 		for k, i := range cj {
 			for t < len(fc) && fc[t] != i {
 				t++
@@ -35,110 +37,113 @@ func ScatterA(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
 	return val, nil
 }
 
-// segment is the left-looking step over positions [lo, hi) of column j,
-// lo < hi — a run of the column's rows, the whole column included: the run
-// receives its updates, its pivot if it holds the diagonal, and its
-// scale. The sources updating the run and, for a run below the diagonal,
-// the diagonal must be final; a source with no row in the run is not read
-// at all, not even its multiplier. However the column is cut, its
-// elements get the whole column's bits. It is Step over every source.
-//
-// A rejected pivot is an error and leaves the column untouched: it must
-// be finite and positive (nonzero for LDLᵀ) — ±Inf, an overflowed or
-// Inf-contaminated diagonal, would survive the square root or divide the
-// off-diagonals into zeros and NaNs. Cholesky's is a
-// *NotPositiveDefiniteError.
-func (k Kernel) segment(f *symbolic.Factor, val, w []float64, j, lo, hi int) error {
-	return k.Step(f, val, w, j, lo, hi, 0, j, true)
+// Step is one step of a left-looking factorization. A column step (W 1)
+// gives positions [Lo, Hi) of column J the updates of the sources From <=
+// c < To in ascending c, then with Finish its pivot, if it holds the
+// diagonal, and its scale, or without it stores exact partial sums for a
+// step over the next sources: however a column is cut, it gets the whole
+// column's bits. A chunk step (W 2 to chunkLanes) finishes the columns J
+// to J+W−1 of a supernode chain, positions [Lo, Hi) (see chunk).
+type Step struct {
+	J, Lo, Hi, From, To int32
+	W                   uint8
+	Finish              bool
 }
 
-// Step is segment restricted to the sources c with from <= c < to: the run
-// [lo, hi) of column j receives the updates of those sources only, each
-// element still taking them in ascending c. With finish set it then takes
-// its pivot and scale, as segment does; without, it stores its partial
-// sums back into its own positions, exact float64 values, and a later Step
-// over the following sources resumes from them. So a column applied as
-// Step(0, c, false) then Step(c, j, true) gets segment's bits, and the
-// first call reads no source at or after c, nor the diagonal.
-func (k Kernel) Step(f *symbolic.Factor, val, w []float64, j, lo, hi, from, to int, finish bool) error {
-	rows, col := f.RowInd[lo:hi], val[lo:hi]
-	for x, i := range rows {
-		w[i] = col[x]
+// Step runs steps in order over val, aligned with f, each finding final
+// the sources it applies and, below its column's diagonal, the diagonal; a
+// column step reads no other source or position, not even a multiplier.
+// acc is the caller's accumulator pair, kept across calls: n values, then
+// chunk's chunkLanes a row from the first chunk step. A pivot must be
+// finite and positive (nonzero for LDLᵀ; ±Inf would survive the square
+// root or zero the off-diagonals): a rejected one ends the run with an
+// error, a *NotPositiveDefiniteError for Cholesky, and its column as was.
+func (k Kernel) Step(f *symbolic.Factor, val []float64, acc *[]float64, steps ...Step) error {
+	n, ri := f.N, f.Rows()
+	if len(*acc) < n {
+		*acc = make([]float64, n)
 	}
-	ri := f.Rows()
-	x, y := ri.RunPtr[j], ri.RunPtr[j+1]
-	runs := runs{ri.Last[x:y], ri.Tail[x:y], ri.RunLen[x:y], int32(from), int32(to)}
-	diag := f.ColPtr[j]
-	if lo == diag && hi == f.ColPtr[j+1] {
-		k.update(f, val, w, runs)
-	} else {
-		k.updateRun(f, val, w, runs, j, rows[0], rows[len(rows)-1])
-	}
-	if !finish {
+	var src []srcRange
+	for i := range steps {
+		s := &steps[i]
+		j := int(s.J)
+		if s.W > 1 {
+			if len(*acc) < n*(1+chunkLanes) {
+				*acc = make([]float64, n*(1+chunkLanes))
+			}
+			src = chunkSources(ri, j, int(s.W), src[:0])
+			if err := k.chunk(f, val, (*acc)[n:], src, j, int(s.W)); err != nil {
+				return err
+			}
+			continue
+		}
+		w := (*acc)[:n]
+		rows, col := f.RowInd[s.Lo:s.Hi], val[s.Lo:s.Hi]
 		for x, i := range rows {
-			col[x] = w[i]
+			w[i] = col[x]
 		}
-		return nil
-	}
-	d := val[diag]
-	if lo == diag {
-		var ok bool
-		if d, ok = k.pivot(w[j]); !ok {
-			return k.pivotError(w[j], j)
+		diag := f.ColPtr[j]
+		if int(s.Lo) == diag && int(s.Hi) == f.ColPtr[j+1] {
+			k.update(f, ri, val, w, s)
+		} else {
+			k.updateRun(f, ri, val, w, s)
 		}
-		col[0] = d
-		rows, col = rows[1:], col[1:]
-	}
-	for x, i := range rows {
-		col[x] = w[i] / d
+		if !s.Finish {
+			for x, i := range rows {
+				col[x] = w[i]
+			}
+			continue
+		}
+		d := val[diag]
+		if int(s.Lo) == diag {
+			var err error
+			if d, err = k.pivot(w[j], j); err != nil {
+				return err
+			}
+			col[0] = d
+			rows, col = rows[1:], col[1:]
+		}
+		for x, i := range rows {
+			col[x] = w[i] / d
+		}
 	}
 	return nil
 }
 
-// pivot applies the pivot rule to a column's updated diagonal d: it
+// pivot applies the pivot rule to column j's updated diagonal d: it
 // returns what the column is scaled by, √d for Cholesky and d for LDLᵀ,
-// and whether d is accepted; pivotError is the rejection (see segment).
-func (k Kernel) pivot(d float64) (float64, bool) {
+// or the rejection (see Step).
+func (k Kernel) pivot(d float64, j int) (float64, error) {
 	if k == KernelLDL {
-		return d, d != 0 && math.Abs(d) <= math.MaxFloat64
+		if d != 0 && math.Abs(d) <= math.MaxFloat64 {
+			return d, nil
+		}
+		return 0, fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
 	}
-	return math.Sqrt(d), d > 0 && d <= math.MaxFloat64
-}
-
-// pivotError is the error of the pivot d that pivot rejects at column j.
-func (k Kernel) pivotError(d float64, j int) error {
-	if k == KernelLDL {
-		return fmt.Errorf("numeric: unusable pivot %g at column %d (want finite nonzero)", d, j)
+	if d > 0 && d <= math.MaxFloat64 {
+		return math.Sqrt(d), nil
 	}
-	return &NotPositiveDefiniteError{Column: j, Pivot: d}
+	return 0, &NotPositiveDefiniteError{Column: j, Pivot: d}
 }
 
-// runs is the sources of one step: the records of row j of
-// symbolic.Factor.Rows, each the columns Last−RunLen+1 to Last, clipped
-// to the columns c with from <= c < to (a split column's halves).
-type runs struct {
-	lasts, tails []int32
-	lens         []uint8
-	from, to     int32
+// sources returns the first of s's sources in run record x of row J (the
+// columns Last−RunLen+1 to Last clipped to [From, To)), their number, 0
+// when the clip leaves none, and their tail length.
+func (s *Step) sources(ri *symbolic.RowIndex, x int32) (c0 int32, m, n int) {
+	last := ri.Last[x]
+	c0 = max(last-int32(ri.RunLen[x])+1, s.From)
+	return c0, max(int(min(last, s.To-1)-c0+1), 0), int(ri.Tail[x])
 }
 
-// at returns run x's first source and number of sources, 0 when the
-// clip leaves it none, and its tail length.
-func (rs runs) at(x int) (c0 int32, m, n int) {
-	last := min(rs.lasts[x], rs.to-1)
-	c0 = max(rs.lasts[x]-int32(rs.lens[x])+1, rs.from)
-	return c0, max(int(last-c0+1), 0), int(rs.tails[x])
-}
-
-// update applies to w, holding column j, the pair updates of the sources
-// of rs: w[i] -= L[i,c]·l for each source c in ascending order and each
-// row i >= j of column c, where l is L[j,c] for Cholesky and D[c]·L[j,c]
-// for LDLᵀ. That order, one source at a time, defines the factor's bits;
-// the sources of one run hold the same rows, and go through passes of
-// four, two and one, each subtracting from an element in the same order.
-func (k Kernel) update(f *symbolic.Factor, val, w []float64, rs runs) {
-	for x := range rs.lasts {
-		c0, m, n := rs.at(x)
+// update applies to w, holding column j = s.J, the pair updates of s's
+// sources: w[i] -= L[i,c]·l for each source c in ascending order and each
+// row i >= j of c, l being L[j,c] for Cholesky and D[c]·L[j,c] for LDLᵀ.
+// That order, one source at a time, defines the factor's bits; the sources
+// of one run hold the same rows, and go through passes of four, two and
+// one, each subtracting from an element in the same order.
+func (k Kernel) update(f *symbolic.Factor, ri *symbolic.RowIndex, val, w []float64, s *Step) {
+	for x := ri.RunPtr[s.J]; x < ri.RunPtr[s.J+1]; x++ {
+		c0, m, n := s.sources(ri, x)
 		if m > 0 {
 			p := f.ColPtr[c0+1] - n
 			k.passes(f, val, w, f.RowInd[p:p+n], c0, m, n, 0)
@@ -146,7 +151,7 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, rs runs) {
 	}
 }
 
-// updateRun is update restricted to column j's rows in [rlo, rhi]: the
+// updateRun is update restricted to s's rows, [rlo, rhi]: the
 // same sources in the same order through the same passes, over the slice
 // of each run's tail in the band, found by one search per run (an end of
 // the band that is an end of the column needs none) — the band holds every
@@ -154,10 +159,11 @@ func (k Kernel) update(f *symbolic.Factor, val, w []float64, rs runs) {
 // with no row there is not read. update keeps a loop of its own: folded
 // into it, the search and its bookkeeping cost the whole-column step
 // 3–7 %, even behind a loop-invariant branch.
-func (k Kernel) updateRun(f *symbolic.Factor, val, w []float64, rs runs, j int, rlo, rhi int32) {
+func (k Kernel) updateRun(f *symbolic.Factor, ri *symbolic.RowIndex, val, w []float64, s *Step) {
+	j, rlo, rhi := int(s.J), f.RowInd[s.Lo], f.RowInd[s.Hi-1]
 	last := f.RowInd[f.ColPtr[j+1]-1] // no source row lies below it
-	for x := range rs.lasts {
-		c0, m, n := rs.at(x)
+	for x := ri.RunPtr[j]; x < ri.RunPtr[j+1]; x++ {
+		c0, m, n := s.sources(ri, x)
 		if m == 0 {
 			continue
 		}

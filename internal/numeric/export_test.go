@@ -13,5 +13,13 @@ var RefFactorize = refFactorize
 // columns or more factored as chunks, however few its rows: the fuzzer's
 // matrices (n <= 48) are too small for the rule.
 func FactorizeEveryChain(k Kernel, m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
-	return k.factorize(m, f, 0)
+	val, err := ScatterA(m, f)
+	if err != nil {
+		return nil, err
+	}
+	var acc []float64
+	if err := k.Step(f, val, &acc, serialSteps(f, 0)...); err != nil {
+		return nil, err
+	}
+	return val, nil
 }

@@ -148,12 +148,13 @@ func chunkSeed(poison, where byte) []byte {
 }
 
 // FuzzColumnUpdate holds the serial kernel to the one-source-at-a-time
-// oracle, bit for bit and for both kernels — as Factorize runs it and
-// with every supernode chain of four columns or more a chunk
-// (FactorizeEveryChain; corpus chunkSeed has chains of 16 with sources
-// holding some of a chunk's rows, poisoned inside the chunk) — and the
-// compiled engine to the serial kernel: whole columns on a wrap plan at
-// P = 1, 2, 3 and n + 1 (at P = 2 and 3 some columns run as two tasks,
+// oracle, bit for bit and for both kernels — its serial list as Factorize
+// runs it and with every supernode chain of four columns or more a chunk
+// step (FactorizeEveryChain, the same loop over another list; corpus
+// chunkSeed has chains of 16 with sources holding some of a chunk's rows,
+// poisoned inside the chunk) — and the compiled engine to the serial
+// kernel: the serial list itself on a wrap plan at P = 1, whole columns
+// at P = 2, 3 and n + 1 (at P = 2 and 3 some columns run as two tasks,
 // split at their last source; corpus split-* has such programs,
 // TestColumnUpdateCorpusSplits checks it), runs of unit blocks on block
 // plans at grain 4 and 25, tile runs (a task may own several of one

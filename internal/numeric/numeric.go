@@ -16,18 +16,15 @@
 // exec.SolveProgram makes the same calls over its cut of the elimination
 // tree, so the serial and the parallel solves share their bits.
 //
-// Kernel.Factorize, the serial kernel, is segment over each column of a
-// narrow supernode. A supernode chain of at least chunkMin columns whose
-// first column holds at least chunkRows rows it factors eight columns at
-// a time (chunk.go, the supernode–supernode update of Ng and Peyton): an
-// interleaved accumulator holds the chunk's columns as the lanes of one
-// 64-byte line a row, and each source below the chunk, found per run
-// range of the chunk's rows, is loaded once for all of them: four
-// sources of a run through sub8x4, one through sub8, or under a mask of
-// the lanes a source holds, which leaves the others' bits, through sub8x4
-// and sub8m. Every element still takes its sources in ascending column, one
-// rounded product and one subtraction each, so the factor is segment's
-// bit for bit, and the engine's tasks, which stay on Step, keep it.
+// Every factorization is a list of Step records run by one loop,
+// Kernel.Step. Kernel.Factorize runs SerialSteps: column steps over narrow
+// supernodes and chunk steps of up to eight columns of a long supernode
+// chain (chunk.go, the supernode–supernode update of Ng and Peyton in an
+// interleaved accumulator, a 64-byte line a row). Every element still
+// takes its sources in ascending column, one rounded product and one
+// subtraction each, so the factor is the column steps' bit for bit. The
+// engine's tasks (exec.Program) run lists of column steps through the
+// same loop, and its one-worker column graph runs SerialSteps itself.
 //
 // Kernel.SolveWide carries eight right-hand sides through one pair of
 // sweeps. Its passes are sub8 and dot8 in Go, or on amd64 CPUs with AVX2
@@ -81,57 +78,45 @@ func Factorize(m *sparse.Matrix, f *symbolic.Factor) (*Cholesky, error) {
 }
 
 // Factorize runs the serial left-looking factorization k selects and
-// returns the values aligned with f: Factorize's for KernelCholesky,
-// FactorizeLDL's for KernelLDL. It is ScatterA, then every column in
-// turn, whose rejected pivot is the error: a supernode chain of at least
-// chunkMin columns and chunkRows rows eight columns at a time (chunk),
-// every other column through segment. The two kernels differ only in the
+// returns the values aligned with f (Factorize's for KernelCholesky,
+// FactorizeLDL's for KernelLDL): ScatterA, then Step over SerialSteps,
+// whose first rejected pivot is the error. The kernels differ only in the
 // D[k] factor of an update and in the pivot (rule, square root).
 func (k Kernel) Factorize(m *sparse.Matrix, f *symbolic.Factor) ([]float64, error) {
-	return k.factorize(m, f, chunkRows)
-}
-
-// factorize is Factorize with chunks of chains whose first column holds
-// at least rows rows; the factor's bits do not depend on it.
-func (k Kernel) factorize(m *sparse.Matrix, f *symbolic.Factor, rows int) ([]float64, error) {
 	if err := k.Valid(); err != nil {
 		return nil, err
 	}
-	if m.Val == nil {
-		return nil, fmt.Errorf("numeric: matrix has no values")
-	}
-	if m.N != f.N {
-		return nil, fmt.Errorf("numeric: dimension mismatch %d vs %d", m.N, f.N)
-	}
 	val, err := ScatterA(m, f)
+	if err == nil {
+		var acc []float64
+		err = k.Step(f, val, &acc, SerialSteps(f)...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	w := make([]float64, f.N) // dense accumulator for the current column
-	var x []float64           // and for the current chunk, chunkLanes a row
-	var src []srcRange
-	for j := 0; j < f.N; {
-		cw := 1
-		if f.ColLen(j) >= rows {
-			cw = chunkWidth(f, j)
-		}
-		if cw >= chunkMin {
-			if x == nil {
-				x = make([]float64, f.N*chunkLanes)
-			}
-			src = chunkSources(f.Rows(), j, cw, src[:0])
-			if err := k.chunk(m, f, val, x, src, j, cw); err != nil {
-				return nil, err
-			}
-			j += cw
-			continue
-		}
-		if err := k.segment(f, val, w, j, f.ColPtr[j], f.ColPtr[j+1]); err != nil {
-			return nil, err
-		}
-		j++
-	}
 	return val, nil
+}
+
+// SerialSteps returns the step list Factorize and a one-worker column
+// graph of the engine run over f: a supernode chain of at least chunkMin
+// columns whose first holds at least chunkRows rows in chunks of up to
+// chunkLanes columns, every other column as a step over all its sources.
+func SerialSteps(f *symbolic.Factor) []Step { return serialSteps(f, chunkRows) }
+
+// serialSteps is SerialSteps with chunks from chains whose first column
+// holds at least rows rows; the factor's bits do not depend on it.
+func serialSteps(f *symbolic.Factor, rows int) []Step {
+	steps := make([]Step, 0, f.N)
+	for j, w := 0, 1; j < f.N; j += w {
+		w = 1
+		if f.ColLen(j) >= rows {
+			if w = chunkWidth(f, j); w < chunkMin {
+				w = 1
+			}
+		}
+		steps = append(steps, Step{J: int32(j), W: uint8(w), Lo: int32(f.ColPtr[j]), Hi: int32(f.ColPtr[j+w]), To: int32(j), Finish: true})
+	}
+	return steps
 }
 
 // Solve solves A*x = b for the matrix that was factorized.

@@ -30,6 +30,12 @@ func cutColumn(rng *rand.Rand, f *symbolic.Factor, j int) [][2]int {
 	return runs
 }
 
+// colStep is the column step of positions [lo, hi) of column j over the
+// sources from <= c < to.
+func colStep(j, lo, hi, from, to int, finish bool) Step {
+	return Step{J: int32(j), Lo: int32(lo), Hi: int32(hi), From: int32(from), To: int32(to), W: 1, Finish: finish}
+}
+
 // segmentKernels is the sweep's matrix per kernel: LDLᵀ also runs on an
 // indefinite one.
 func segmentKernels(m *sparse.Matrix) []struct {
@@ -45,7 +51,7 @@ func segmentKernels(m *sparse.Matrix) []struct {
 // TestSegmentMatchesColumn: cutting every column into runs at random
 // points and applying them — the diagonal's run first, the rest in random
 // order, one scratch vector throughout — gives bit for bit the factor of
-// whole-column segment calls, on every structure of the oracle sweep (the
+// whole-column steps, on every structure of the oracle sweep (the
 // suite's under -race) and for both kernels.
 func TestSegmentMatchesColumn(t *testing.T) {
 	for ci, c := range sweepCases(t) {
@@ -61,14 +67,14 @@ func TestSegmentMatchesColumn(t *testing.T) {
 			val := append([]float64(nil), want...)
 			w := make([]float64, c.f.N)
 			for j := 0; j < c.f.N; j++ {
-				if err := k.segment(c.f, want, w, j, c.f.ColPtr[j], c.f.ColPtr[j+1]); err != nil {
+				if err := k.Step(c.f, want, &w, colStep(j, c.f.ColPtr[j], c.f.ColPtr[j+1], 0, j, true)); err != nil {
 					t.Fatalf("%s %v: column %d: %v", c.name, k, j, err)
 				}
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
 			for j := 0; j < c.f.N; j++ {
 				for _, r := range cutColumn(rng, c.f, j) {
-					if err := k.segment(c.f, val, w, j, r[0], r[1]); err != nil {
+					if err := k.Step(c.f, val, &w, colStep(j, r[0], r[1], 0, j, true)); err != nil {
 						t.Fatalf("%s %v: column %d run [%d, %d): %v", c.name, k, j, r[0], r[1], err)
 					}
 				}
@@ -81,7 +87,7 @@ func TestSegmentMatchesColumn(t *testing.T) {
 }
 
 // TestSegmentReadsOnlyItsSources pins what lets the engine run a run as
-// soon as its predecessors finish: a segment call reads its own positions,
+// soon as its predecessors finish: a column step reads its own positions,
 // the diagonal of its column when the run lies below it and the source
 // columns with a row in the run, and it writes the run and the run's rows
 // of the scratch vector — nothing else. Before every call all other
@@ -144,7 +150,7 @@ func TestSegmentReadsOnlyItsSources(t *testing.T) {
 						}
 					}
 					clear(w)
-					if err := k.segment(f, val, w, j, lo, hi); err != nil {
+					if err := k.Step(f, val, &w, colStep(j, lo, hi, 0, j, true)); err != nil {
 						t.Fatalf("%s %v: column %d run [%d, %d): %v", tm.Name, k, j, lo, hi, err)
 					}
 					if err := sameBits(val[lo:hi], want[lo:hi]); err != nil {
@@ -214,12 +220,12 @@ func TestStepSplitAtLastSource(t *testing.T) {
 					for q := range c {
 						c[q] = math.NaN()
 					}
-					if err := k.Step(f, val, w, j, lo, hi, 0, last, false); err != nil {
+					if err := k.Step(f, val, &w, colStep(j, lo, hi, 0, last, false)); err != nil {
 						t.Fatalf("%s %v: column %d first half: %v", tm.Name, k, j, err)
 					}
 					copy(c, want[f.ColPtr[last]:f.ColPtr[last+1]])
 				}
-				if err := k.Step(f, val, w, j, lo, hi, last, j, true); err != nil {
+				if err := k.Step(f, val, &w, colStep(j, lo, hi, last, j, true)); err != nil {
 					t.Fatalf("%s %v: column %d second half: %v", tm.Name, k, j, err)
 				}
 				if err := sameBits(val[lo:hi], want[lo:hi]); err != nil {

@@ -169,47 +169,91 @@ func TestParallelFactorizeBitIdentity(t *testing.T) {
 
 // Measure must verify bit-identity on every repeat, produce well-formed
 // real events (one per task, ns timeline), and those events must aggregate
-// through the tolerant real-profile builder with busy time conserved.
+// through the tolerant real-profile builder with busy time conserved. A
+// wrap plan at P = 1 on MMD-ordered Grid9(40,40) runs numeric's serial
+// list, which holds chunk steps: the events of a chunk's columns tile
+// its step's interval, each starting where the one before finished.
 func TestMeasureRealEvents(t *testing.T) {
+	type measured struct {
+		name  string
+		p     int
+		tasks int
+		pg    *exec.Program
+		ns    *numSys
+	}
 	ns := buildNumSys(t, "grid9-8x8", gen.Grid9(8, 8))
+	var cases []measured
 	for _, p := range []int{1, 4} {
 		s2, err := Map2D("rect2dcyclic", ns.sys, p, strategy.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tasks, _ := Tasks(ns.ops, ns.ew, s2)
-		mes, err := ns.compile(t, s2).Measure(ns.m, exec.MeasureOptions{Repeats: 2})
+		cases = append(cases, measured{"rect2dcyclic", p, len(tasks), ns.compile(t, s2), ns})
+	}
+	grid := buildNumSys(t, "grid9-40x40", gen.Grid9(40, 40))
+	sc, err := strategy.Map("wrap", grid.sys, 1, strategy.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap, err := exec.Compile(grid.f, 1, strategy.Tasks(grid.sys, strategy.Options{}, sc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, measured{"wrap", 1, grid.f.N, wrap, grid})
+	for _, c := range cases {
+		p := c.p
+		mes, err := c.pg.Measure(c.ns.m, exec.MeasureOptions{Repeats: 2})
 		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
+			t.Fatalf("%s P=%d: %v", c.name, p, err)
 		}
 		if mes.SerialNs < 1 || mes.ParallelNs < 1 || !(mes.Speedup > 0) {
-			t.Fatalf("P=%d: degenerate measurement %+v", p, mes)
+			t.Fatalf("%s P=%d: degenerate measurement %+v", c.name, p, mes)
 		}
-		if len(mes.Events) != len(tasks) {
-			t.Fatalf("P=%d: %d events, want %d", p, len(mes.Events), len(tasks))
+		if len(mes.Events) != c.tasks {
+			t.Fatalf("%s P=%d: %d events, want %d", c.name, p, len(mes.Events), c.tasks)
 		}
 		var busy int64
 		for i, ev := range mes.Events {
 			if int(ev.Task) != i {
-				t.Fatalf("P=%d: events not sorted by task: %d at %d", p, ev.Task, i)
+				t.Fatalf("%s P=%d: events not sorted by task: %d at %d", c.name, p, ev.Task, i)
 			}
 			if ev.Finish < ev.Start || ev.Work != ev.Finish-ev.Start || ev.Comm != 0 {
-				t.Fatalf("P=%d: malformed event %+v", p, ev)
+				t.Fatalf("%s P=%d: malformed event %+v", c.name, p, ev)
 			}
 			busy += ev.Work
 		}
-		prof, err := obs.RealProfile(mes.Events, s2.P)
+		prof, err := obs.RealProfile(mes.Events, p)
 		if err != nil {
-			t.Fatalf("P=%d: real profile: %v", p, err)
+			t.Fatalf("%s P=%d: real profile: %v", c.name, p, err)
 		}
 		if prof.Summary().Busy != busy {
-			t.Fatalf("P=%d: profile busy %d, events sum %d", p, prof.Summary().Busy, busy)
+			t.Fatalf("%s P=%d: profile busy %d, events sum %d", c.name, p, prof.Summary().Busy, busy)
 		}
 		if prof.Makespan < mes.Events[0].Finish {
-			t.Fatalf("P=%d: makespan %d below first finish", p, prof.Makespan)
+			t.Fatalf("%s P=%d: makespan %d below first finish", c.name, p, prof.Makespan)
 		}
 		if prof.Critical != nil {
-			t.Fatalf("P=%d: real profile must not claim a critical path", p)
+			t.Fatalf("%s P=%d: real profile must not claim a critical path", c.name, p)
+		}
+		if c.name != "wrap" {
+			continue
+		}
+		chunks := 0
+		for _, s := range numeric.SerialSteps(c.ns.f) {
+			if s.W == 1 {
+				continue
+			}
+			chunks++
+			for r := int(s.J) + 1; r < int(s.J+int32(s.W)); r++ {
+				if ev := mes.Events[r]; ev.Start != mes.Events[r-1].Finish || ev.Stall != 0 {
+					t.Fatalf("wrap P=1: column %d of the chunk from %d starts at %d, stalls %d; the column before finished at %d",
+						r, s.J, ev.Start, ev.Stall, mes.Events[r-1].Finish)
+				}
+			}
+		}
+		if chunks == 0 {
+			t.Fatal("wrap P=1: the serial list holds no chunk step")
 		}
 	}
 }
